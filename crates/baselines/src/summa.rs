@@ -290,10 +290,10 @@ mod tests {
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(p, s);
         let (dplan_r, a_r, b_r) = (&dplan, &a, &b);
-        let out = run_spmd_with(&spec, ExecBackend::Threaded, |mut comm| async move {
+        let out = run_spmd_with(&spec, ExecBackend::auto(spec.p), |mut comm| async move {
             execute(&mut comm, dplan_r, a_r, b_r).await
         })
-        .expect("threaded run accepted");
+        .expect("blocking run accepted");
         let mut c = Matrix::zeros(m, n);
         for (rows, cols, blk) in out.results {
             c.set_block(rows.start, cols.start, &blk);

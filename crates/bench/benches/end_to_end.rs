@@ -1,8 +1,8 @@
-//! End-to-end executed multiplications on the threaded simulator: every
+//! End-to-end executed multiplications on the blocking executor: every
 //! registry algorithm at a fixed small scale, COSMA under both §7.4
 //! backends, all driven through the [`MmmAlgorithm`] trait — plus the
 //! plan-predicted-vs-executed ablation (planning alone, and the cost-model
-//! analysis of a plan, against the threaded execution above).
+//! analysis of a plan, against the execution above).
 
 use bench::micro::Group;
 use cosma::algorithm::Backend;
@@ -11,6 +11,7 @@ use cosma::problem::MmmProblem;
 use cosma::CosmaConfig;
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
+use mpsim::exec::ExecBackend;
 use mpsim::machine::MachineSpec;
 
 fn main() {
@@ -31,11 +32,13 @@ fn main() {
     for id in [AlgoId::Summa, AlgoId::Cannon, AlgoId::P25d, AlgoId::Carma] {
         let algo = registry.by_id(id).unwrap();
         let plan = algo.plan(&prob, &model).unwrap();
-        group.bench(id.as_str(), || execute_boxed(algo.as_ref(), &plan, &spec, &a, &b).unwrap());
+        group.bench(id.as_str(), || {
+            execute_boxed(algo.as_ref(), &plan, &spec, ExecBackend::auto(p), &a, &b).unwrap()
+        });
     }
 
-    // Ablation: planning alone vs cost-model analysis vs the threaded
-    // execution timed above.
+    // Ablation: planning alone vs cost-model analysis vs the execution
+    // timed above.
     let group = Group::new("plan-vs-execute");
     let algo = registry.by_id(AlgoId::Cosma).unwrap();
     group.bench("plan-only", || algo.plan(&prob, &model).unwrap());

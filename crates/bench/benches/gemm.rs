@@ -1,9 +1,9 @@
-//! Local GEMM kernel microbenchmarks: the naive, tiled, packed and parallel
-//! kernels that replace vendor BLAS, across the block shapes the distributed
+//! Local GEMM kernel microbenchmarks: the naive reference and the packed
+//! kernel that replace vendor BLAS, across the block shapes the distributed
 //! algorithms actually multiply (square tiles, thin slabs).
 
 use bench::micro::Group;
-use densemat::gemm::{gemm_naive, gemm_packed, gemm_parallel, gemm_tiled};
+use densemat::gemm::{gemm_naive, gemm_packed};
 use densemat::matrix::Matrix;
 
 fn main() {
@@ -16,19 +16,9 @@ fn main() {
             gemm_naive(&a, &b, &mut cmat);
             cmat
         });
-        group.bench(&format!("tiled/{n}"), || {
-            let mut cmat = Matrix::zeros(n, n);
-            gemm_tiled(&a, &b, &mut cmat);
-            cmat
-        });
         group.bench(&format!("packed/{n}"), || {
             let mut cmat = Matrix::zeros(n, n);
             gemm_packed(&a, &b, &mut cmat);
-            cmat
-        });
-        group.bench(&format!("parallel4/{n}"), || {
-            let mut cmat = Matrix::zeros(n, n);
-            gemm_parallel(&a, &b, &mut cmat, 4);
             cmat
         });
     }
@@ -39,9 +29,9 @@ fn main() {
         let (mn, k) = (256, s);
         let a = Matrix::deterministic(mn, k, 3);
         let b = Matrix::deterministic(k, mn, 4);
-        group.bench(&format!("tiled/{s}"), || {
+        group.bench(&format!("naive/{s}"), || {
             let mut cmat = Matrix::zeros(mn, mn);
-            gemm_tiled(&a, &b, &mut cmat);
+            gemm_naive(&a, &b, &mut cmat);
             cmat
         });
         group.bench(&format!("packed/{s}"), || {

@@ -13,7 +13,7 @@ fn main() {
     let spec = MachineSpec::test_machine(16, 1 << 20);
     let words = 4096usize;
     group.bench("bcast", || {
-        run_spmd_with(&spec, ExecBackend::Threaded, |mut comm| async move {
+        run_spmd_with(&spec, ExecBackend::auto(spec.p), |mut comm| async move {
             let group: Vec<usize> = (0..comm.size()).collect();
             let mut data = if comm.rank() == 0 {
                 vec![1.0; words]
@@ -22,38 +22,38 @@ fn main() {
             };
             bcast(&mut comm, &group, 0, &mut data, 1, Phase::InputA).await;
         })
-        .expect("threaded run accepted")
+        .expect("blocking run accepted")
     });
     group.bench("reduce", || {
-        run_spmd_with(&spec, ExecBackend::Threaded, |mut comm| async move {
+        run_spmd_with(&spec, ExecBackend::auto(spec.p), |mut comm| async move {
             let group: Vec<usize> = (0..comm.size()).collect();
             let mut data = vec![1.0; words];
             reduce_sum(&mut comm, &group, 0, &mut data, 1, Phase::OutputC).await;
         })
-        .expect("threaded run accepted")
+        .expect("blocking run accepted")
     });
     group.bench("allgather-ring", || {
-        run_spmd_with(&spec, ExecBackend::Threaded, |mut comm| async move {
+        run_spmd_with(&spec, ExecBackend::auto(spec.p), |mut comm| async move {
             let group: Vec<usize> = (0..comm.size()).collect();
             allgather_ring(&mut comm, &group, vec![1.0; words / 16], 1, Phase::InputA).await
         })
-        .expect("threaded run accepted")
+        .expect("blocking run accepted")
     });
     group.bench("allgather-bruck", || {
-        run_spmd_with(&spec, ExecBackend::Threaded, |mut comm| async move {
+        run_spmd_with(&spec, ExecBackend::auto(spec.p), |mut comm| async move {
             let group: Vec<usize> = (0..comm.size()).collect();
             let sizes = vec![words / 16; 16];
             allgather_bruck(&mut comm, &group, vec![1.0; words / 16], &sizes, 1, Phase::InputA).await
         })
-        .expect("threaded run accepted")
+        .expect("blocking run accepted")
     });
     group.bench("reduce-scatter", || {
-        run_spmd_with(&spec, ExecBackend::Threaded, |mut comm| async move {
+        run_spmd_with(&spec, ExecBackend::auto(spec.p), |mut comm| async move {
             let group: Vec<usize> = (0..comm.size()).collect();
             let mut data = vec![1.0; words];
             reduce_scatter_ring(&mut comm, &group, &mut data, 1, Phase::OutputC).await
         })
-        .expect("threaded run accepted")
+        .expect("blocking run accepted")
     });
     // The same collective workload on the event-driven stackless executor:
     // collectives park in the matching table instead of on threads.

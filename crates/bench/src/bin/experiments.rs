@@ -10,7 +10,7 @@
 //! faults`. Each
 //! experiment prints its table(s) and writes CSVs to `results/`. See
 //! `EXPERIMENTS.md` for the paper-vs-measured record. `--backend
-//! <threaded|sharded|sharded(N)|event>` pins the execution backend of the
+//! <blocking|blocking(N)|event|event(N)>` pins the execution backend of the
 //! experiments that would otherwise pick one automatically (`exec`,
 //! `serve`).
 //!
@@ -45,19 +45,20 @@
 //!   also feeds `CostModel::calibrated_gamma` — the printed γ is the
 //!   machine's real %-peak denominator).
 //! * `bench-smoke-baseline` — regenerate all four committed baselines.
-//! * `exec-rss <sharded|event>` — run the square p = 4096 executed
+//! * `exec-rss <blocking|event>` — run the square p = 4096 executed
 //!   scenario on one backend and report the process peak RSS (`VmHWM`), for
 //!   the per-backend memory table in `EXPERIMENTS.md`.
 
 use baselines::p25d::Geometry25;
 use baselines::P25dAlgorithm;
+use bench::baseline::{self, exact, Baseline};
 use bench::output::{fmt, Table};
 use bench::runner::{self, cosma_speedup, five_numbers, geomean, run_all, AlgoRow, COMPARED};
 use bench::scenarios::{self, Scenario};
 use cosma::api::{AlgoId, RunSession};
 use cosma::problem::{MmmProblem, Shape};
 use mpsim::cost::CostModel;
-use mpsim::exec::{ExecBackend, MAX_THREADED_RANKS};
+use mpsim::exec::ExecBackend;
 use mpsim::machine::{Placement, Topology};
 
 fn model() -> CostModel {
@@ -65,8 +66,7 @@ fn model() -> CostModel {
 }
 
 /// The `--backend <name>` flag: when set, experiments that would pick a
-/// backend automatically run on this one instead (worlds the pinned backend
-/// cannot hold are skipped with a note).
+/// backend automatically run on this one instead.
 static BACKEND_OVERRIDE: std::sync::OnceLock<ExecBackend> = std::sync::OnceLock::new();
 
 fn backend_override() -> Option<ExecBackend> {
@@ -504,9 +504,9 @@ fn table4() {
 // ---------------------------------------------------------------------------
 
 fn executed_table() -> Table {
-    // New columns only ever append so the bench-smoke baseline parser's
-    // fixed column indices (scenario..measured MB at 0..5, measured ms at
-    // 11) stay stable.
+    // New columns only ever append so the column indices the bench-smoke
+    // gate reads from the committed baseline (key at 0..4, measured MB at
+    // 5, measured ms at 11) stay stable.
     Table::new(&[
         "shape",
         "cores",
@@ -554,7 +554,7 @@ fn push_executed_rows(t: &mut Table, name: &str, p: usize, rows: &[runner::Execu
 fn exec_experiment() {
     println!("== exec: end-to-end execution, plan vs measured traffic ==\n");
     println!(
-        "(auto backend escalates threaded -> sharded -> event by world size; \
+        "(auto backend escalates blocking -> event by world size; \
          every world additionally runs on the event-driven stackless executor, \
          which must measure identically)\n"
     );
@@ -563,16 +563,12 @@ fn exec_experiment() {
     for (shape, name) in [(Shape::Square, "square"), (Shape::LargeK, "largek")] {
         for &p in &scenarios::exec_core_counts() {
             // Keep the sweep bounded: the largeK shape only at the largest
-            // sharded world, the square shape across all regimes.
+            // blocking world, the square shape across all regimes.
             if shape == Shape::LargeK && p != 4096 {
                 continue;
             }
             let prob = scenarios::exec_problem(shape, p);
             let auto = backend_override().unwrap_or_else(|| ExecBackend::auto(p));
-            if auto == ExecBackend::Threaded && p > MAX_THREADED_RANKS {
-                println!("(skipping {name} p={p}: threaded caps at {MAX_THREADED_RANKS} ranks)");
-                continue;
-            }
             push_executed_rows(&mut t, name, p, &runner::execute_all(&prob, &m, auto));
             if !matches!(auto, ExecBackend::Event { .. }) && backend_override().is_none() {
                 push_executed_rows(&mut t, name, p, &runner::execute_all(&prob, &m, ExecBackend::event()));
@@ -926,7 +922,7 @@ fn mem_sweep() {
         let prob = scenarios::mem_starved_problem(p, s);
         let leaves = baselines::carma::dfs_leaf_count(&prob);
         let rows =
-            runner::execute_budgeted_with(std::slice::from_ref(&carma), &prob, &m, ExecBackend::Threaded);
+            runner::execute_budgeted_with(std::slice::from_ref(&carma), &prob, &m, ExecBackend::auto(p));
         let row = rows
             .iter()
             .find(|r| r.algo == AlgoId::Carma)
@@ -1106,17 +1102,18 @@ fn faults_experiment() {
 // ---------------------------------------------------------------------------
 
 /// The gate's scenario subset: small enough for every CI run, wide enough to
-/// cover all three executors, both a threaded and a large world, and one
+/// cover both executors, both a small and a large world, and one
 /// memory-starved world run under an enforced budget.
 fn smoke_rows() -> Vec<(String, usize, runner::ExecutedRow)> {
     let m = model();
     let mut out = Vec::new();
-    // A fixed sharded pool size keeps the row keys (and so the committed
-    // baseline) stable across machines with different core counts.
+    // A fixed blocking worker count keeps the row keys (and so the
+    // committed baseline) stable across machines with different core counts.
+    let blocking = ExecBackend::Blocking { workers: 2 };
     for (name, p, backend) in [
-        ("square", 64, ExecBackend::Threaded),
-        ("square", 512, ExecBackend::Threaded),
-        ("square", 1024, ExecBackend::Sharded { workers: 2 }),
+        ("square", 64, blocking),
+        ("square", 512, blocking),
+        ("square", 1024, blocking),
         ("square", 1024, ExecBackend::event()),
     ] {
         let prob = scenarios::exec_problem(Shape::Square, p);
@@ -1128,7 +1125,7 @@ fn smoke_rows() -> Vec<(String, usize, runner::ExecutedRow)> {
     // only memory-honest plans run (DFS-streaming CARMA) and a budget
     // regression fails the gate before it ever reaches the baseline diff.
     let tight = scenarios::mem_starved_problem(64, 1 << 10);
-    for row in runner::execute_budgeted(&tight, &m, ExecBackend::Threaded) {
+    for row in runner::execute_budgeted(&tight, &m, blocking) {
         out.push(("square-tight".to_string(), 64, row));
     }
     // The exec-xxl proxy rows: COSMA on the exec-xl shape at a CI-sized
@@ -1197,40 +1194,6 @@ fn write_smoke_json(rows: &[(String, usize, runner::ExecutedRow)]) -> std::path:
     path
 }
 
-/// A committed baseline row: measured MB and measured virtual ms (0 for
-/// blocking-backend rows, which keep no virtual clock).
-struct BaselineRow {
-    measured_mb: f64,
-    measured_ms: f64,
-}
-
-/// Parse the committed baseline CSV (`scenario,cores,backend,algorithm,...`
-/// with `measured MB` in column 5 and `meas ms` in column 11) into
-/// key -> baseline row.
-fn read_smoke_baseline() -> Option<std::collections::HashMap<String, BaselineRow>> {
-    let path = bench::output::results_dir().join("bench-smoke-baseline.csv");
-    let content = std::fs::read_to_string(&path).ok()?;
-    let mut map = std::collections::HashMap::new();
-    for line in content.lines().skip(1) {
-        let cells: Vec<&str> = line.split(',').collect();
-        if cells.len() < 6 {
-            continue;
-        }
-        let key = format!("{}/{}/{}/{}", cells[0], cells[1], cells[2], cells[3]);
-        if let Ok(measured_mb) = cells[5].parse::<f64>() {
-            let measured_ms = cells.get(11).and_then(|c| c.parse::<f64>().ok()).unwrap_or(0.0);
-            map.insert(
-                key,
-                BaselineRow {
-                    measured_mb,
-                    measured_ms,
-                },
-            );
-        }
-    }
-    Some(map)
-}
-
 /// The topo-smoke scenario: the gate's timed event world (square p = 1024)
 /// re-executed under the congested fat-tree preset with Block placement.
 fn topo_smoke_fat_rows(m: &CostModel) -> Vec<runner::TimedRow> {
@@ -1251,39 +1214,6 @@ fn topo_smoke_table(flat: &[runner::TimedRow], fat: &[runner::TimedRow]) -> Tabl
     t
 }
 
-/// Write the committed topo-smoke baseline. The flat column is printed with
-/// 17 significant digits so parsing it back recovers the exact f64 — the
-/// flat gate is *bitwise*, not a tolerance band.
-fn write_topo_baseline(flat: &[runner::TimedRow], fat: &[runner::TimedRow]) {
-    let mut t = Table::new(&["algorithm", "flat ms", "fat ms"]);
-    for (f, c) in flat.iter().zip(fat) {
-        t.row(vec![
-            f.algo.to_string(),
-            format!("{:.17e}", f.measured_s * 1e3),
-            format!("{:.17e}", c.measured_s * 1e3),
-        ]);
-    }
-    t.write_csv("topo-smoke-baseline").expect("write topo baseline csv");
-}
-
-/// Parse the committed topo-smoke baseline into
-/// `algorithm -> (flat ms, fat ms)`.
-fn read_topo_baseline() -> Option<std::collections::HashMap<String, (f64, f64)>> {
-    let path = bench::output::results_dir().join("topo-smoke-baseline.csv");
-    let content = std::fs::read_to_string(&path).ok()?;
-    let mut map = std::collections::HashMap::new();
-    for line in content.lines().skip(1) {
-        let cells: Vec<&str> = line.split(',').collect();
-        if cells.len() < 3 {
-            continue;
-        }
-        if let (Ok(flat), Ok(fat)) = (cells[1].parse::<f64>(), cells[2].parse::<f64>()) {
-            map.insert(cells[0].to_string(), (flat, fat));
-        }
-    }
-    Some(map)
-}
-
 /// The serve-smoke stream: smaller than the `serve` experiment's, same
 /// roster — 64 jobs is enough to exercise repeats, auto-selection variety
 /// and concurrency.
@@ -1299,7 +1229,8 @@ fn serve_smoke_metrics() -> bench::serve_bench::ServeMetrics {
         .iter()
         .enumerate()
         .max_by(|(_, a), (_, b)| {
-            (a.jobs_per_s / a.cold_plans_per_s).total_cmp(&(b.jobs_per_s / b.cold_plans_per_s))
+            normalized_jobs(a.jobs_per_s, a.cold_plans_per_s)
+                .total_cmp(&normalized_jobs(b.jobs_per_s, b.cold_plans_per_s))
         })
         .map(|(i, _)| i)
         .expect("three reps");
@@ -1308,38 +1239,16 @@ fn serve_smoke_metrics() -> bench::serve_bench::ServeMetrics {
     best
 }
 
-/// Parse the committed serve baseline (`metric,value` CSV) into the
-/// baselined machine-normalized throughput: jobs/s per cold-plan/s.
+/// The gated serve-smoke quantity: machine-normalized throughput, jobs/s
+/// per cold-plan/s.
 ///
 /// Raw wall-clock jobs/s swings with whatever else shares the CI box, but
 /// it tracks the same run's single-threaded cold planning throughput almost
 /// exactly (both scale with effective machine speed), so their ratio
 /// isolates serving-layer regressions — driver overhead, lock contention,
 /// pool scheduling — from the machine being slow that minute.
-fn read_serve_baseline() -> Option<f64> {
-    let path = bench::output::results_dir().join("serve-smoke-baseline.csv");
-    let content = std::fs::read_to_string(&path).ok()?;
-    let field = |name: &str| {
-        content.lines().find_map(|line| {
-            let (metric, value) = line.split_once(',')?;
-            (metric == name).then(|| value.parse::<f64>().ok())?
-        })
-    };
-    Some(field("jobs_per_s")? / field("cold_plans_per_s")?)
-}
-
-fn write_serve_baseline(metrics: &bench::serve_bench::ServeMetrics) {
-    let mut t = Table::new(&["metric", "value"]);
-    t.row(vec!["jobs_per_s".into(), format!("{:.3}", metrics.jobs_per_s)]);
-    t.row(vec![
-        "cold_plans_per_s".into(),
-        format!("{:.1}", metrics.cold_plans_per_s),
-    ]);
-    t.row(vec![
-        "cached_plans_per_s".into(),
-        format!("{:.1}", metrics.cached_plans_per_s),
-    ]);
-    t.write_csv("serve-smoke-baseline").expect("write serve baseline csv");
+fn normalized_jobs(jobs_per_s: f64, cold_plans_per_s: f64) -> f64 {
+    jobs_per_s / cold_plans_per_s
 }
 
 /// What the fault-smoke section of the gate measured.
@@ -1424,37 +1333,6 @@ fn fault_smoke_table(fs: &FaultSmoke) -> Table {
     t.row(vec!["measured MB".into(), fmt(fs.measured_mb, 4)]);
     t.row(vec!["measured ms".into(), fmt(fs.measured_ms, 4)]);
     t
-}
-
-/// Write the committed fault-smoke baseline. Floats carry 17 significant
-/// digits so parsing them back recovers the exact f64 — the gate is
-/// *bitwise*, not a tolerance band (the recovery re-run is clean at p′).
-fn write_fault_baseline(fs: &FaultSmoke) {
-    let mut t = Table::new(&["metric", "value"]);
-    t.row(vec!["p_prime".into(), fs.p_prime.to_string()]);
-    t.row(vec!["attempts".into(), fs.attempts.to_string()]);
-    t.row(vec!["measured_mb".into(), format!("{:.17e}", fs.measured_mb)]);
-    t.row(vec!["measured_ms".into(), format!("{:.17e}", fs.measured_ms)]);
-    t.write_csv("fault-smoke-baseline").expect("write fault baseline csv");
-}
-
-/// Parse the committed fault-smoke baseline into
-/// `(p_prime, attempts, measured MB, measured ms)`.
-fn read_fault_baseline() -> Option<(usize, usize, f64, f64)> {
-    let path = bench::output::results_dir().join("fault-smoke-baseline.csv");
-    let content = std::fs::read_to_string(&path).ok()?;
-    let field = |name: &str| {
-        content.lines().find_map(|line| {
-            let (metric, value) = line.split_once(',')?;
-            (metric == name).then(|| value.parse::<f64>().ok())?
-        })
-    };
-    Some((
-        field("p_prime")? as usize,
-        field("attempts")? as usize,
-        field("measured_mb")?,
-        field("measured_ms")?,
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1562,18 +1440,37 @@ fn bench_smoke_baseline() {
     let rows = smoke_rows();
     let t = smoke_table(&rows);
     t.print();
-    t.write_csv("bench-smoke-baseline").expect("write baseline csv");
+    baseline::write("bench-smoke", &t).expect("write baseline csv");
     println!("\nrecording the topo-smoke rows (square/1024, congested fat-tree)...\n");
     let m = model();
     let timed_prob = scenarios::exec_problem(Shape::Square, 1024);
     let flat_timed = runner::time_all(&timed_prob, &m);
     let fat_timed = topo_smoke_fat_rows(&m);
     topo_smoke_table(&flat_timed, &fat_timed).print();
-    write_topo_baseline(&flat_timed, &fat_timed);
+    // Times in `exact` form: the flat gate is *bitwise*, not a tolerance band.
+    let mut t = Table::new(&["algorithm", "flat ms", "fat ms"]);
+    for (f, c) in flat_timed.iter().zip(&fat_timed) {
+        t.row(vec![
+            f.algo.to_string(),
+            exact(f.measured_s * 1e3),
+            exact(c.measured_s * 1e3),
+        ]);
+    }
+    baseline::write("topo-smoke", &t).expect("write topo baseline csv");
     println!("\nrecording the serve-smoke stream...\n");
     let metrics = serve_smoke_metrics();
     serve_metrics_table(&metrics).print();
-    write_serve_baseline(&metrics);
+    let mut t = Table::new(&["metric", "value"]);
+    t.row(vec!["jobs_per_s".into(), format!("{:.3}", metrics.jobs_per_s)]);
+    t.row(vec![
+        "cold_plans_per_s".into(),
+        format!("{:.1}", metrics.cold_plans_per_s),
+    ]);
+    t.row(vec![
+        "cached_plans_per_s".into(),
+        format!("{:.1}", metrics.cached_plans_per_s),
+    ]);
+    baseline::write("serve-smoke", &t).expect("write serve baseline csv");
     println!("\nrecording the fault-smoke row (96x80x112/64, seed 7, 15 kills)...\n");
     let fs = fault_smoke_run();
     fault_smoke_table(&fs).print();
@@ -1581,7 +1478,14 @@ fn bench_smoke_baseline() {
         fs.recovered_ok && fs.zero_fault_bitwise && fs.attempts == 2 && fs.degraded,
         "fault-smoke must recover cleanly before its baseline is recorded"
     );
-    write_fault_baseline(&fs);
+    // `exact` floats again: the recovery re-run is clean at p', so its gate
+    // is bitwise too.
+    let mut t = Table::new(&["metric", "value"]);
+    t.row(vec!["p_prime".into(), fs.p_prime.to_string()]);
+    t.row(vec!["attempts".into(), fs.attempts.to_string()]);
+    t.row(vec!["measured_mb".into(), exact(fs.measured_mb)]);
+    t.row(vec!["measured_ms".into(), exact(fs.measured_ms)]);
+    baseline::write("fault-smoke", &t).expect("write fault baseline csv");
     println!(
         "\nwrote results/bench-smoke-baseline.csv, results/topo-smoke-baseline.csv, \
          results/serve-smoke-baseline.csv and results/fault-smoke-baseline.csv — \
@@ -1705,11 +1609,12 @@ fn bench_smoke() {
             ));
         }
     }
-    match read_topo_baseline() {
+    match Baseline::read("topo-smoke", 1) {
         Some(base) => {
             for (f, c) in flat_timed.iter().zip(&fat_timed) {
-                match base.get(&f.algo.to_string()) {
-                    Some(&(base_flat_ms, base_fat_ms)) => {
+                let algo = f.algo.to_string();
+                match base.num(&algo, 1).zip(base.num(&algo, 2)) {
+                    Some((base_flat_ms, base_fat_ms)) => {
                         if f.measured_s * 1e3 != base_flat_ms {
                             failures.push(format!(
                                 "topo-smoke/{}: flat measured {:.17e} ms diverges from baseline \
@@ -1750,7 +1655,7 @@ fn bench_smoke() {
     // too: they mean the subset or the key format changed without
     // `bench-smoke-baseline` being re-committed, and ignoring them would
     // let the gate pass vacuously.
-    match read_smoke_baseline() {
+    match Baseline::read("bench-smoke", 4) {
         Some(base) => {
             // Coverage must not shrink either: a baseline row the current
             // run no longer produces means a scenario was silently dropped
@@ -1759,7 +1664,7 @@ fn bench_smoke() {
             let produced: std::collections::HashSet<String> =
                 rows.iter().map(|(name, p, row)| smoke_key(name, *p, row)).collect();
             for key in base.keys() {
-                if !produced.contains(key) {
+                if !produced.contains(&key) {
                     failures.push(format!(
                         "{key}: in the baseline but not produced by this run — scenario dropped?"
                     ));
@@ -1767,23 +1672,26 @@ fn bench_smoke() {
             }
             for (name, p, row) in &rows {
                 let key = smoke_key(name, *p, row);
-                match base.get(&key) {
-                    Some(b) => {
-                        if row.measured_mb > b.measured_mb * 1.10 + 1e-9 {
+                // `measured MB` is column 5 and `meas ms` column 11 (0 on
+                // blocking-backend rows, which keep no virtual clock).
+                match base.num(&key, 5) {
+                    Some(base_mb) => {
+                        if row.measured_mb > base_mb * 1.10 + 1e-9 {
                             failures.push(format!(
                                 "{key}: measured {} MB regresses >10% over baseline {} MB",
                                 fmt(row.measured_mb, 2),
-                                fmt(b.measured_mb, 2)
+                                fmt(base_mb, 2)
                             ));
                         }
                         // Time-regression gate: only on rows where both the
                         // run and the baseline measured a virtual clock.
-                        if b.measured_ms > 0.0 && row.measured_time_s * 1e3 > b.measured_ms * 1.10 + 1e-9 {
+                        let base_ms = base.num(&key, 11).unwrap_or(0.0);
+                        if base_ms > 0.0 && row.measured_time_s * 1e3 > base_ms * 1.10 + 1e-9 {
                             failures.push(format!(
                                 "{key}: measured {} ms regresses >10% over baseline {} ms \
                                  (simulated wall-clock)",
                                 fmt(row.measured_time_s * 1e3, 4),
-                                fmt(b.measured_ms, 4)
+                                fmt(base_ms, 4)
                             ));
                         }
                     }
@@ -1807,7 +1715,7 @@ fn bench_smoke() {
     // (b) answer cached planning at least 10x faster than cold planning,
     // (c) actually hit the cache, (d) auto-select at least 3 algorithms,
     // and (e) hold machine-normalized jobs/s (per cold-plan/s, see
-    // read_serve_baseline) within 10% of the committed serve baseline.
+    // normalized_jobs) within 10% of the committed serve baseline.
     println!("\n-- serve-smoke --");
     let sm = serve_smoke_metrics();
     serve_metrics_table(&sm).print();
@@ -1828,9 +1736,11 @@ fn bench_smoke() {
         failures
             .push(format!("serve-smoke: only {:?} auto-selected (want >= 3 algorithms)", sm.algos_selected));
     }
-    match read_serve_baseline() {
+    let serve_base = Baseline::read("serve-smoke", 1)
+        .and_then(|base| Some(normalized_jobs(base.num("jobs_per_s", 1)?, base.num("cold_plans_per_s", 1)?)));
+    match serve_base {
         Some(base_ratio) => {
-            let ratio = sm.jobs_per_s / sm.cold_plans_per_s;
+            let ratio = normalized_jobs(sm.jobs_per_s, sm.cold_plans_per_s);
             if ratio < base_ratio * 0.90 {
                 failures.push(format!(
                     "serve-smoke: normalized throughput {} jobs per 1000 cold plans \
@@ -1873,7 +1783,16 @@ fn bench_smoke() {
                 fs.attempts, fs.degraded
             ));
         }
-        match read_fault_baseline() {
+        let fault_base = Baseline::read("fault-smoke", 1).and_then(|base| {
+            let field = |metric| base.num(metric, 1);
+            Some((
+                field("p_prime")? as usize,
+                field("attempts")? as usize,
+                field("measured_mb")?,
+                field("measured_ms")?,
+            ))
+        });
+        match fault_base {
             Some((p_prime, attempts, mb, ms)) => {
                 if fs.p_prime != p_prime || fs.attempts != attempts {
                     failures.push(format!(
@@ -1951,20 +1870,10 @@ fn peak_rss_kib() -> Option<u64> {
 
 fn exec_rss(backend_name: &str) {
     let p = 4096;
-    let backend = match backend_name {
-        "threaded" => {
-            eprintln!("threaded caps at 512 ranks; p = {p} needs sharded or event");
-            std::process::exit(2);
-        }
-        "sharded" => ExecBackend::Sharded {
-            workers: ExecBackend::default_workers(),
-        },
-        "event" => ExecBackend::event(),
-        other => {
-            eprintln!("unknown backend {other:?} (want sharded | event)");
-            std::process::exit(2);
-        }
-    };
+    let backend: ExecBackend = backend_name.parse().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!("== exec-rss: COSMA square p = {p} on {backend} ==\n");
     let m = model();
     let cosma = runner::registry().by_id(AlgoId::Cosma).expect("registry has COSMA");
@@ -2020,11 +1929,11 @@ fn run(id: &str) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--backend <threaded|sharded(N)|event>` pins the execution backend of
-    // the experiments that would otherwise pick one automatically.
+    // `--backend <blocking|blocking(N)|event|event(N)>` pins the execution
+    // backend of the experiments that would otherwise pick one automatically.
     if let Some(i) = args.iter().position(|a| a == "--backend") {
         let Some(name) = args.get(i + 1) else {
-            eprintln!("--backend needs a value (threaded | sharded | sharded(N) | event)");
+            eprintln!("--backend needs a value (blocking | blocking(N) | event | event(N))");
             std::process::exit(2);
         };
         match name.parse::<ExecBackend>() {
@@ -2043,7 +1952,7 @@ fn main() {
             "usage: experiments [--backend <name>] <id>...  (ids: fig1 fig3 fig5 fig6 fig7 \
              fig7m fig7f fig8 fig9 fig10 fig11 fig12 fig13 fig14 table3 table4 exec exec-xl \
              exec-xxl timed topo mem-sweep serve faults | all | bench-smoke | \
-             bench-smoke-baseline | exec-rss <sharded|event>)"
+             bench-smoke-baseline | exec-rss <blocking|event>)"
         );
         std::process::exit(2);
     }

@@ -12,8 +12,10 @@
 
 //! [`serve_bench`] measures the serving layer (`crates/serve`): cold vs
 //! cached planning throughput and executed-jobs/s under a mixed concurrent
-//! stream.
+//! stream. [`baseline`] reads and writes the committed gate baselines under
+//! `results/`.
 
+pub mod baseline;
 pub mod micro;
 pub mod output;
 pub mod runner;

@@ -5,13 +5,12 @@
 //! diffed.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// A simple column-aligned table.
 pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    pub(crate) headers: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {
@@ -50,16 +49,22 @@ impl Table {
         }
     }
 
+    /// The CSV text: the header line, then one line per row.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::new();
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            out.push_str(&cells.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
     /// Write as CSV to `results/<name>.csv` under the workspace root.
     pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
         let dir = results_dir();
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));
-        let mut f = fs::File::create(&path)?;
-        writeln!(f, "{}", self.headers.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
+        fs::write(&path, self.to_csv())?;
         Ok(path)
     }
 }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cosma::api::{execute_boxed_with, AlgoId, AlgorithmRegistry, MmmAlgorithm, PlanError};
+use cosma::api::{execute_boxed, AlgoId, AlgorithmRegistry, MmmAlgorithm, PlanError};
 use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
 use densemat::gemm::matmul;
@@ -281,7 +281,7 @@ fn execute_rows(
                 plan.validate().ok()?;
             }
             let start = Instant::now();
-            let report = execute_boxed_with(algo.as_ref(), &plan, &spec, backend, &a, &b)
+            let report = execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b)
                 .unwrap_or_else(|e| panic!("{} on p={}: {e}", algo.id(), prob.p));
             let wall_s = start.elapsed().as_secs_f64();
             assert!(
@@ -418,7 +418,7 @@ pub fn time_all_topo(
                     .with_overlap(overlap)
                     .with_topology(topology.clone())
                     .with_placement(placement);
-                let report = execute_boxed_with(algo.as_ref(), &plan, &spec, ExecBackend::event(), &a, &b)
+                let report = execute_boxed(algo.as_ref(), &plan, &spec, ExecBackend::event(), &a, &b)
                     .unwrap_or_else(|e| panic!("{} on p={}: {e}", algo.id(), prob.p));
                 measured[i] = aggregate::machine_time_s(&report.stats);
                 if overlap {
@@ -520,9 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn executed_rows_certify_plans_on_both_backends() {
+    fn executed_rows_certify_plans_at_any_worker_count() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for backend in [ExecBackend::Threaded, ExecBackend::Sharded { workers: 3 }] {
+        for backend in [
+            ExecBackend::Blocking { workers: 16 },
+            ExecBackend::Blocking { workers: 3 },
+        ] {
             let rows = execute_all(&prob, &model(), backend);
             assert!(!rows.is_empty(), "{backend}: no algorithm executed");
             for r in &rows {
@@ -533,13 +536,29 @@ mod tests {
     }
 
     #[test]
+    fn executed_rows_are_labelled_by_the_pinned_backend() {
+        // The bench-smoke baseline keys rows by this label, so it must be the
+        // pinned spelling, never a machine-dependent worker count.
+        let prob = MmmProblem::new(32, 32, 32, 4, 1 << 14);
+        for (backend, label) in [
+            (ExecBackend::Blocking { workers: 2 }, "blocking(2)"),
+            (ExecBackend::event(), "event"),
+            (ExecBackend::Event { threads: 4 }, "event(4)"),
+        ] {
+            let rows = execute_all(&prob, &model(), backend);
+            assert!(!rows.is_empty());
+            assert!(rows.iter().all(|r| r.backend.to_string() == label), "{label}");
+        }
+    }
+
+    #[test]
     fn budgeted_rows_stay_within_s_on_a_memory_starved_problem() {
         // S below the pure-BFS CARMA leaf footprint: the budgeted runner
         // enforces S as a hard limit, and DFS-streaming CARMA completes
         // within it with plan-exact traffic.
         let prob = MmmProblem::new(64, 64, 64, 8, 1 << 10);
         assert!(baselines::carma::dfs_leaf_count(&prob) > 1);
-        let rows = execute_budgeted(&prob, &model(), ExecBackend::Threaded);
+        let rows = execute_budgeted(&prob, &model(), ExecBackend::auto(prob.p));
         let carma = rows.iter().find(|r| r.algo == AlgoId::Carma).expect("CARMA runs budgeted");
         assert!(carma.exact, "budgeted CARMA traffic deviates from plan");
         assert!(carma.within_mem && carma.peak_mem_words <= 1 << 10, "{carma:?}");
@@ -548,7 +567,7 @@ mod tests {
     #[test]
     fn executed_rows_report_peak_memory() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for row in execute_all(&prob, &model(), ExecBackend::Threaded) {
+        for row in execute_all(&prob, &model(), ExecBackend::auto(prob.p)) {
             assert!(row.peak_mem_words > 0, "{}: no memory tracked", row.algo);
             assert!(row.within_mem, "{}: exceeded ample S", row.algo);
         }
@@ -557,7 +576,7 @@ mod tests {
     #[test]
     fn executed_rows_carry_arena_counters() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for row in execute_all(&prob, &model(), ExecBackend::Threaded) {
+        for row in execute_all(&prob, &model(), ExecBackend::auto(prob.p)) {
             assert!(row.allocs > 0, "{}: a run always allocates something", row.algo);
             assert!(
                 (0.0..=1.0).contains(&row.pool_hit_rate),
@@ -577,7 +596,7 @@ mod tests {
             assert!(row.planned_time_s > 0.0, "{}", row.algo);
         }
         // Blocking backends keep no virtual clock: measured time stays zero.
-        for row in execute_all(&prob, &model(), ExecBackend::Threaded) {
+        for row in execute_all(&prob, &model(), ExecBackend::auto(prob.p)) {
             assert_eq!(row.measured_time_s, 0.0, "{}", row.algo);
             assert_eq!(row.measured_percent_peak, 0.0, "{}", row.algo);
         }

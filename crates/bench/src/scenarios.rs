@@ -245,9 +245,8 @@ pub fn allocation_core_counts() -> Vec<usize> {
 /// End-to-end executable instances of the four shape classes: the same
 /// shapes as the paper scenarios, scaled so the full matrices fit in one
 /// test process while `p` still reaches paper-like rank counts. Used by the
-/// `exec` experiment, which runs them with real messages (threaded backend
-/// up to 512 ranks, sharded beyond) and holds the measured counters against
-/// the plan.
+/// `exec` experiment, which runs them with real messages (on the blocking
+/// and the event backend) and holds the measured counters against the plan.
 pub fn exec_problem(shape: Shape, p: usize) -> MmmProblem {
     match shape {
         Shape::Square => MmmProblem::new(256, 256, 256, p, 1 << 20),
@@ -259,9 +258,8 @@ pub fn exec_problem(shape: Shape, p: usize) -> MmmProblem {
     }
 }
 
-/// The core counts of the executed (`exec`) experiment: one per executor
-/// regime — small threaded, at-the-cap threaded, and sharded beyond the cap
-/// up to the paper's 4096 ranks.
+/// The core counts of the executed (`exec`) experiment: from a world with
+/// a carrier thread to spare per core up to the paper's 4096 ranks.
 pub fn exec_core_counts() -> Vec<usize> {
     vec![64, 512, 1024, 4096]
 }
@@ -313,7 +311,7 @@ pub fn mem_sweep_budgets() -> Vec<usize> {
 }
 
 /// The core counts of the `timed` experiment (planned-vs-measured virtual
-/// time): one threaded-scale world, one at the paper's mid range, and one
+/// time): one small world, one at the paper's mid range, and one
 /// only the event executor can hold — every count a power of two and a
 /// perfect square, so the whole COSMA / SUMMA / 2.5D / CARMA comparison
 /// matrix runs at each.

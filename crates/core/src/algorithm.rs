@@ -10,8 +10,8 @@
 //!
 //! [`execute`] interprets the same schedule on an [`mpsim`] machine with real
 //! messages and real matrix blocks. The body is a resumable (`async`) rank
-//! program over [`RankComm`], so it runs unchanged on the threaded, sharded
-//! and event-driven executors, in either communication backend of §7.4:
+//! program over [`RankComm`], so it runs unchanged on the blocking and
+//! event-driven executors, in either communication backend of §7.4:
 //!
 //! * **two-sided** — Bruck (log-depth) all-gathers over tagged sends/receives;
 //! * **one-sided** — every rank publishes its owned shards in an RMA window
@@ -479,10 +479,10 @@ mod tests {
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(p, s);
         let (dplan_r, cfg_r, a_r, b_r) = (&dplan, &cfg, &a, &b);
-        let out = run_spmd_with(&spec, ExecBackend::Threaded, |mut comm| async move {
+        let out = run_spmd_with(&spec, ExecBackend::auto(spec.p), |mut comm| async move {
             execute(&mut comm, dplan_r, cfg_r, a_r, b_r).await
         })
-        .expect("threaded run accepted");
+        .expect("blocking run accepted");
         // Assemble C from every active rank's share.
         let parts: Vec<CPart> = out.results.into_iter().flatten().collect();
         assert_eq!(parts.len(), dplan.active_ranks(), "one share per active rank");

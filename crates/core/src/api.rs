@@ -10,10 +10,9 @@
 //!   ([`MmmAlgorithm::plan`]) and real execution
 //!   ([`MmmAlgorithm::execute`]) with mpiP-style measured counters. Rank
 //!   bodies are resumable ([`MmmAlgorithm::execute_rank`] returns a
-//!   [`RankFuture`]), so one body runs on every [`ExecBackend`]: threaded
-//!   (≤ 512 ranks), sharded worker-pool (a few thousand ranks) or
-//!   event-driven stackless state machines (any world size — verified to
-//!   p = 131072).
+//!   [`RankFuture`]), so one body runs on every [`ExecBackend`]: the
+//!   blocking worker-pool reference (a few thousand ranks) or event-driven
+//!   stackless state machines (any world size — verified to p = 131072).
 //! * [`PlanError`] — the single error enum for everything that can go wrong
 //!   between "here is a problem" and "here is a validated plan": structural
 //!   plan defects, grid infeasibility, per-algorithm rank-count constraints
@@ -24,7 +23,7 @@
 //!   the `baselines` crate's `registry()` adds the four comparison
 //!   algorithms of §9.
 //! * [`RunSession`] — a builder that takes a problem to a plan, a simulated
-//!   [`SimReport`], or a verified threaded execution in one fluent chain:
+//!   [`SimReport`], or a verified execution in one fluent chain:
 //!
 //! ```
 //! use cosma::api::{AlgoId, RunSession};
@@ -50,7 +49,7 @@ use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
-use mpsim::exec::{run_spmd_pooled, run_spmd_with, ExecBackend, ExecError, SchedulerPool};
+use mpsim::exec::{run_spmd_pooled, run_spmd_with, ExecBackend, ExecError, RunOutput, SchedulerPool};
 use mpsim::machine::{MachineSpec, Placement, Topology};
 use mpsim::pool::PoolStats;
 use mpsim::stats::RankStats;
@@ -257,9 +256,9 @@ pub enum PlanError {
         /// What went wrong.
         reason: &'static str,
     },
-    /// The selected execution backend refused the world (e.g. the threaded
-    /// executor's rank cap — pick [`ExecBackend::Sharded`],
-    /// [`ExecBackend::Event`] or [`ExecBackend::auto`] for larger worlds).
+    /// The selected execution backend refused the world (e.g. zero workers)
+    /// or the run failed with a typed executor error (deadlock, memory
+    /// budget, injected fault).
     Execution {
         /// The executor's typed refusal.
         source: ExecError,
@@ -466,9 +465,9 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
 
     /// Execute the plan on a simulated `machine`, assemble the distributed
     /// output and return it with the measured per-rank counters. The
-    /// executor is picked by [`ExecBackend::auto`]: one OS thread per rank
-    /// up to the threaded cap, the sharded worker-pool executor up to a few
-    /// thousand ranks, the event-driven stackless executor beyond.
+    /// executor is picked by [`ExecBackend::auto`]: the blocking worker-pool
+    /// executor up to a few thousand ranks, the event-driven stackless
+    /// executor beyond.
     fn execute(
         &self,
         plan: &DistPlan,
@@ -479,7 +478,7 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
     where
         Self: Sized,
     {
-        execute_boxed(self, plan, machine, a, b)
+        execute_boxed(self, plan, machine, ExecBackend::auto(machine.p), a, b)
     }
 }
 
@@ -489,22 +488,9 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
 pub type RankFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
 /// Object-safe driver behind [`MmmAlgorithm::execute`] — also callable on a
-/// `&dyn MmmAlgorithm` (e.g. a registry entry). Picks the execution backend
-/// with [`ExecBackend::auto`], so worlds beyond the threaded rank cap
-/// escalate to the sharded worker pool and then to the event-driven
-/// executor instead of failing.
+/// `&dyn MmmAlgorithm` (e.g. a registry entry) — on an explicit
+/// [`ExecBackend`].
 pub fn execute_boxed(
-    algo: &(impl MmmAlgorithm + ?Sized),
-    plan: &DistPlan,
-    machine: &MachineSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<ExecReport, PlanError> {
-    execute_boxed_with(algo, plan, machine, ExecBackend::auto(machine.p), a, b)
-}
-
-/// [`execute_boxed`] on an explicit [`ExecBackend`].
-pub fn execute_boxed_with(
     algo: &(impl MmmAlgorithm + ?Sized),
     plan: &DistPlan,
     machine: &MachineSpec,
@@ -512,33 +498,22 @@ pub fn execute_boxed_with(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<ExecReport, PlanError> {
-    if plan.problem.p != machine.p {
-        return Err(PlanError::WorldSizeMismatch {
-            plan_ranks: plan.problem.p,
-            world_ranks: machine.p,
-        });
-    }
-    let out =
+    checked_and_assembled(plan, machine, || {
         run_spmd_with(
             machine,
             backend,
             |mut comm| async move { algo.execute_rank(&mut comm, plan, a, b).await },
-        )?;
-    let c = assemble_c(out.results.into_iter().flatten(), plan.problem.m, plan.problem.n);
-    Ok(ExecReport {
-        c,
-        stats: out.stats,
-        topology: machine.topology.clone(),
-        pool: out.pool,
+        )
     })
 }
 
-/// [`execute_boxed`] over a *shared* [`SchedulerPool`]: the world's ranks
-/// take their runnable slots from `pool` instead of a private per-run gate,
-/// so many independent executions (a serving layer's concurrent tenants)
-/// jointly respect one machine-wide worker cap. Results and per-rank
-/// counters are identical to a solo [`execute_boxed_with`] run — admission
-/// order never changes what a rank computes or how many words it moves.
+/// [`execute_boxed`] over a *shared* [`SchedulerPool`]: the world runs on
+/// the blocking executor and its ranks take their runnable slots from
+/// `pool` instead of a private per-run one, so many independent executions
+/// (a serving layer's concurrent tenants) jointly respect one machine-wide
+/// worker cap. Results and per-rank counters are identical to a solo
+/// [`execute_boxed`] run — admission order never changes what a rank
+/// computes or how many words it moves.
 pub fn execute_boxed_pooled(
     algo: &(impl MmmAlgorithm + ?Sized),
     plan: &DistPlan,
@@ -547,18 +522,29 @@ pub fn execute_boxed_pooled(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<ExecReport, PlanError> {
+    checked_and_assembled(plan, machine, || {
+        run_spmd_pooled(
+            machine,
+            pool,
+            |mut comm| async move { algo.execute_rank(&mut comm, plan, a, b).await },
+        )
+    })
+}
+
+/// The shared frame of both drivers: refuse a plan built for another world
+/// size, `run` the world, and assemble the ranks' output shares.
+fn checked_and_assembled(
+    plan: &DistPlan,
+    machine: &MachineSpec,
+    run: impl FnOnce() -> Result<RunOutput<Vec<CPart>>, ExecError>,
+) -> Result<ExecReport, PlanError> {
     if plan.problem.p != machine.p {
         return Err(PlanError::WorldSizeMismatch {
             plan_ranks: plan.problem.p,
             world_ranks: machine.p,
         });
     }
-    let out =
-        run_spmd_pooled(
-            machine,
-            pool,
-            |mut comm| async move { algo.execute_rank(&mut comm, plan, a, b).await },
-        )?;
+    let out = run()?;
     let c = assemble_c(out.results.into_iter().flatten(), plan.problem.m, plan.problem.n);
     Ok(ExecReport {
         c,
@@ -725,7 +711,6 @@ pub struct RunSession {
     delta: Option<f64>,
     overlap: bool,
     exec: Option<ExecBackend>,
-    sched_threads: Option<usize>,
     mem_budget: Option<u64>,
     topology: Option<Topology>,
     placement: Option<Placement>,
@@ -745,7 +730,6 @@ impl RunSession {
             delta: None,
             overlap: true,
             exec: None,
-            sched_threads: None,
             mem_budget: None,
             topology: None,
             placement: None,
@@ -815,24 +799,12 @@ impl RunSession {
 
     /// Select the execution backend for [`execute`](Self::execute) /
     /// [`execute_verified`](Self::execute_verified). Default:
-    /// [`ExecBackend::auto`] — threaded up to the rank cap, sharded beyond.
+    /// [`ExecBackend::auto`] — blocking up to the rank threshold, event
+    /// beyond. `ExecBackend::Event { threads }` runs the event scheduler on
+    /// `threads` OS threads; counters and virtual times are bitwise-identical
+    /// at every thread count.
     pub fn exec_backend(mut self, backend: ExecBackend) -> Self {
         self.exec = Some(backend);
-        self
-    }
-
-    /// Run the event scheduler on `threads` OS threads (rank regions with
-    /// conservative virtual-time windows; see `mpsim::event`).
-    ///
-    /// Selects [`ExecBackend::Event`]`{ threads }` when no explicit
-    /// [`exec_backend`](Self::exec_backend) was chosen, and upgrades an
-    /// explicit `Event` backend's thread count. Explicit blocking backends
-    /// (threaded/sharded) have no scheduler to parallelize, so the setting
-    /// is ignored for them. Counters and virtual times are bitwise-identical
-    /// at every thread count — the scheduler falls back to a single thread
-    /// whenever it cannot prove that (shared-link topologies, α = 0).
-    pub fn scheduler_threads(mut self, threads: usize) -> Self {
-        self.sched_threads = Some(threads.max(1));
         self
     }
 
@@ -872,18 +844,9 @@ impl RunSession {
 
     /// The execution backend the session will use: the explicit
     /// [`exec_backend`](Self::exec_backend) choice, or [`ExecBackend::auto`]
-    /// for the problem's world size. A
-    /// [`scheduler_threads`](Self::scheduler_threads) setting forces the
-    /// event backend (and sets its thread count) unless an explicit blocking
-    /// backend was chosen.
+    /// for the problem's world size.
     pub fn effective_exec_backend(&self) -> ExecBackend {
-        match (self.exec, self.sched_threads) {
-            (Some(ExecBackend::Event { .. }), Some(threads)) | (None, Some(threads)) => {
-                ExecBackend::Event { threads }
-            }
-            (Some(explicit), _) => explicit,
-            (None, None) => ExecBackend::auto(self.prob.p),
-        }
+        self.exec.unwrap_or_else(|| ExecBackend::auto(self.prob.p))
     }
 
     /// The effective cost model.
@@ -982,7 +945,7 @@ impl RunSession {
                 reason: "plan was made for a different algorithm than the session resolves",
             });
         }
-        execute_boxed_with(algo.as_ref(), plan, &self.machine_spec(), self.effective_exec_backend(), a, b)
+        execute_boxed(algo.as_ref(), plan, &self.machine_spec(), self.effective_exec_backend(), a, b)
     }
 
     /// [`execute_planned`](Self::execute_planned) over a shared
@@ -1019,7 +982,7 @@ impl RunSession {
     /// executor, so worlds of thousands of ranks run end-to-end.
     pub fn execute(&self, a: &Matrix, b: &Matrix) -> Result<ExecReport, PlanError> {
         let (algo, plan) = self.resolved_plan()?;
-        execute_boxed_with(algo.as_ref(), &plan, &self.machine_spec(), self.effective_exec_backend(), a, b)
+        execute_boxed(algo.as_ref(), &plan, &self.machine_spec(), self.effective_exec_backend(), a, b)
     }
 
     /// [`execute`](Self::execute), then verify the product against the
@@ -1030,14 +993,8 @@ impl RunSession {
     /// Panics if the product or any rank's traffic deviates from the plan.
     pub fn execute_verified(&self, a: &Matrix, b: &Matrix) -> Result<(DistPlan, ExecReport), PlanError> {
         let (algo, plan) = self.resolved_plan()?;
-        let report = execute_boxed_with(
-            algo.as_ref(),
-            &plan,
-            &self.machine_spec(),
-            self.effective_exec_backend(),
-            a,
-            b,
-        )?;
+        let report =
+            execute_boxed(algo.as_ref(), &plan, &self.machine_spec(), self.effective_exec_backend(), a, b)?;
         let want = matmul(a, b);
         assert!(
             want.approx_eq(&report.c, 1e-9),
@@ -1151,7 +1108,7 @@ mod tests {
         let prob = MmmProblem::new(24, 20, 28, 6, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 5);
         let b = Matrix::deterministic(prob.k, prob.n, 6);
-        let session = RunSession::new(prob).exec_backend(ExecBackend::Sharded { workers: 2 });
+        let session = RunSession::new(prob).exec_backend(ExecBackend::Blocking { workers: 2 });
         let plan = session.plan_arc().unwrap();
         let pool = SchedulerPool::new(2).unwrap();
         let pooled = session.execute_planned_pooled(&plan, &pool, &a, &b).unwrap();
@@ -1282,12 +1239,31 @@ mod tests {
     }
 
     #[test]
-    fn session_sharded_backend_executes_verified() {
+    fn both_drivers_refuse_a_wrong_sized_world_before_running() {
+        let prob = MmmProblem::new(16, 16, 16, 4, 4096);
+        let algo = CosmaAlgorithm::default();
+        let plan = algo.plan(&prob, &CostModel::piz_daint_two_sided()).unwrap();
+        let wrong = MachineSpec::piz_daint_with_memory(5, prob.mem_words);
+        // Operands of the wrong shape: reading them would panic, so an `Err`
+        // proves neither driver started a rank.
+        let a = Matrix::deterministic(2, 2, 1);
+        let b = Matrix::deterministic(2, 2, 2);
+        let mismatch = PlanError::WorldSizeMismatch {
+            plan_ranks: 4,
+            world_ranks: 5,
+        };
+        let pool = SchedulerPool::new(2).unwrap();
+        assert_eq!(execute_boxed(&algo, &plan, &wrong, ExecBackend::event(), &a, &b).unwrap_err(), mismatch);
+        assert_eq!(execute_boxed_pooled(&algo, &plan, &wrong, &pool, &a, &b).unwrap_err(), mismatch);
+    }
+
+    #[test]
+    fn session_blocking_backend_executes_verified() {
         let prob = MmmProblem::new(24, 20, 28, 6, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 5);
         let b = Matrix::deterministic(prob.k, prob.n, 6);
         let (plan, report) = RunSession::new(prob)
-            .exec_backend(ExecBackend::Sharded { workers: 2 })
+            .exec_backend(ExecBackend::Blocking { workers: 2 })
             .execute_verified(&a, &b)
             .unwrap();
         assert_eq!(report.total_recv_words(), plan.total_comm_words());
@@ -1314,9 +1290,9 @@ mod tests {
             .unwrap();
         assert!(!RunSession::new(prob).overlap(false).machine_spec().overlap);
         assert!(report.measured_time_s() <= off.measured_time_s() + 1e-15);
-        // Blocking backends keep no virtual clock.
-        let threaded = RunSession::new(prob).execute(&a, &b).unwrap();
-        assert_eq!(threaded.measured_time_s(), 0.0);
+        // The blocking backend keeps no virtual clock.
+        let blocking = RunSession::new(prob).execute(&a, &b).unwrap();
+        assert_eq!(blocking.measured_time_s(), 0.0);
     }
 
     #[test]
@@ -1342,55 +1318,41 @@ mod tests {
     }
 
     #[test]
-    fn session_threaded_cap_is_a_typed_error() {
-        // Forcing the threaded backend past its cap surfaces the executor's
-        // refusal through PlanError instead of panicking. The executor
-        // refuses before any rank runs, so the input matrices are never read.
-        let prob = MmmProblem::new(2048, 2048, 2048, 600, 1 << 22);
+    fn session_zero_workers_is_a_typed_error() {
+        // The executor refuses before any rank runs, so the input matrices
+        // are never read.
+        let prob = MmmProblem::new(64, 64, 64, 8, 1 << 12);
         let a = Matrix::deterministic(4, 4, 1);
         let b = Matrix::deterministic(4, 4, 2);
-        let session = RunSession::new(prob).exec_backend(ExecBackend::Threaded);
-        let err = session.execute(&a, &b).unwrap_err();
-        assert!(
-            matches!(
+        for backend in [
+            ExecBackend::Blocking { workers: 0 },
+            ExecBackend::Event { threads: 0 },
+        ] {
+            let err = RunSession::new(prob).exec_backend(backend).execute(&a, &b).unwrap_err();
+            assert_eq!(
                 err,
                 PlanError::Execution {
-                    source: ExecError::WorldTooLarge { p: 600, .. }
-                }
-            ),
-            "{err}"
-        );
-        assert!(err.to_string().contains("supports at most"));
+                    source: ExecError::NoWorkers
+                },
+                "{backend:?}"
+            );
+            assert!(err.to_string().contains("execution backend refused"), "{err}");
+        }
     }
 
     #[test]
-    fn auto_backend_falls_back_to_sharded_beyond_the_cap() {
-        let prob = MmmProblem::new(2048, 2048, 2048, 600, 1 << 22);
-        let session = RunSession::new(prob);
-        assert!(matches!(session.effective_exec_backend(), ExecBackend::Sharded { .. }));
-        let small = RunSession::new(MmmProblem::new(16, 16, 16, 4, 4096));
-        assert_eq!(small.effective_exec_backend(), ExecBackend::Threaded);
+    fn default_backend_is_auto_for_the_world_size() {
+        let session = RunSession::new(MmmProblem::new(2048, 2048, 2048, 600, 1 << 22));
+        assert_eq!(session.effective_exec_backend(), ExecBackend::auto(600));
+        assert!(matches!(session.effective_exec_backend(), ExecBackend::Blocking { .. }));
+        let huge = RunSession::new(MmmProblem::new(2048, 2048, 2048, 16_384, 1 << 22));
+        assert_eq!(huge.effective_exec_backend(), ExecBackend::event());
+        let pinned = huge.exec_backend(ExecBackend::Event { threads: 4 });
+        assert_eq!(pinned.effective_exec_backend(), ExecBackend::Event { threads: 4 });
     }
 
     #[test]
-    fn scheduler_threads_selects_and_upgrades_the_event_backend() {
-        let prob = MmmProblem::new(64, 64, 64, 8, 1 << 12);
-        // No explicit backend: scheduler_threads forces the event backend.
-        let s = RunSession::new(prob).scheduler_threads(4);
-        assert_eq!(s.effective_exec_backend(), ExecBackend::Event { threads: 4 });
-        // Explicit event backend: the thread count is upgraded.
-        let s = RunSession::new(prob).exec_backend(ExecBackend::event()).scheduler_threads(2);
-        assert_eq!(s.effective_exec_backend(), ExecBackend::Event { threads: 2 });
-        // Explicit blocking backend: nothing to parallelize, setting ignored.
-        let s = RunSession::new(prob).exec_backend(ExecBackend::Threaded).scheduler_threads(8);
-        assert_eq!(s.effective_exec_backend(), ExecBackend::Threaded);
-        // 0 clamps to 1 and Displays as the plain event backend.
-        let s = RunSession::new(prob).scheduler_threads(0);
-        assert_eq!(s.effective_exec_backend().to_string(), "event");
-    }
-
-    #[test]
-    fn scheduler_threads_execution_matches_single_thread_bitwise() {
+    fn event_thread_count_execution_matches_single_thread_bitwise() {
         let prob = MmmProblem::new(48, 48, 48, 8, 1 << 12);
         let a = Matrix::deterministic(48, 48, 7);
         let b = Matrix::deterministic(48, 48, 11);
@@ -1398,7 +1360,10 @@ mod tests {
             .exec_backend(ExecBackend::event())
             .execute_verified(&a, &b)
             .unwrap();
-        let (_, par) = RunSession::new(prob).scheduler_threads(4).execute_verified(&a, &b).unwrap();
+        let (_, par) = RunSession::new(prob)
+            .exec_backend(ExecBackend::Event { threads: 4 })
+            .execute_verified(&a, &b)
+            .unwrap();
         assert_eq!(base.c, par.c);
         assert_eq!(base.stats, par.stats);
     }

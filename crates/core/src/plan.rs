@@ -5,7 +5,7 @@
 //! computes, and — round by round — exactly how many words and messages it
 //! receives for A, B and C. The plan is the single source of truth:
 //!
-//! * the threaded executor *interprets* the same decomposition with real
+//! * the executors *interpret* the same decomposition with real
 //!   messages (integration tests assert measured traffic == plan traffic);
 //! * [`DistPlan::simulate`] evaluates the plan under the α-β-γ cost model to
 //!   produce the runtimes and %-of-peak numbers of Figures 8–14;

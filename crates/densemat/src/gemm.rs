@@ -1,27 +1,21 @@
 //! Local matrix-multiplication kernels (`C += A * B`).
 //!
 //! The paper uses vendor BLAS for the per-rank multiplications; this module is
-//! the from-scratch substitute. Four kernels are provided:
+//! the from-scratch substitute. Two kernels are provided:
 //!
 //! * [`gemm_naive`] — triple loop in `i, k, j` order (row-major friendly);
-//!   the correctness reference.
-//! * [`gemm_tiled`] — the same computation blocked into cache-sized tiles.
-//!   This is exactly the sequential near-I/O-optimal schedule of the paper's
-//!   Listing 1 generalized to `a_opt x b_opt` blocks: each tile of C is kept
-//!   "red" (hot) while streaming panels of A and B through it.
-//! * [`gemm_packed`] — the default: BLIS-style cache blocking with A/B panels
-//!   packed into reused (thread-local arena) scratch and an unrolled
-//!   `MR x NR` register micro-kernel. This is the §7 "local tuning" story of
-//!   the paper — the distributed schedule only pays off when the per-rank
-//!   multiply runs near peak.
-//! * [`gemm_parallel`] — row-band parallelization using `std::thread::scope`
-//!   (the local-domain rows are independent).
+//!   the correctness reference every bitwise test compares against.
+//! * [`gemm_packed`] — the kernel every library path calls: BLIS-style cache
+//!   blocking with A/B panels packed into reused (thread-local arena) scratch
+//!   and an unrolled `MR x NR` register micro-kernel. This is the §7 "local
+//!   tuning" story of the paper — the distributed schedule only pays off when
+//!   the per-rank multiply runs near peak.
 //!
-//! All kernels *accumulate* into C, matching the distributed algorithms that
-//! sum partial products over k-slabs. Every kernel sums each `C[i][j]` over
-//! `k` in increasing order with a single accumulator, so packing and register
+//! Both kernels *accumulate* into C, matching the distributed algorithms that
+//! sum partial products over k-slabs. Both sum each `C[i][j]` over `k` in
+//! increasing order with a single accumulator, so packing and register
 //! blocking reorder *memory traffic*, never the floating-point reduction —
-//! kernels agree bitwise (modulo the sign of exact zeros when an input
+//! the kernels agree bitwise (modulo the sign of exact zeros when an input
 //! contains ±0.0 entries).
 
 use crate::matrix::Matrix;
@@ -32,35 +26,6 @@ use std::cell::RefCell;
 #[inline]
 pub fn mmm_flops(m: usize, n: usize, k: usize) -> u64 {
     2 * m as u64 * n as u64 * k as u64
-}
-
-/// Kernel selector used by the distributed algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Gemm {
-    /// Reference triple loop.
-    Naive,
-    /// Cache-tiled sequential kernel.
-    Tiled,
-    /// Packed-panel register-blocked kernel (the default).
-    #[default]
-    Packed,
-    /// Multi-threaded tiled kernel with the given number of threads.
-    Parallel(usize),
-}
-
-impl Gemm {
-    /// Run the selected kernel: `c += a * b`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn run(self, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-        match self {
-            Gemm::Naive => gemm_naive(a, b, c),
-            Gemm::Tiled => gemm_tiled(a, b, c),
-            Gemm::Packed => gemm_packed(a, b, c),
-            Gemm::Parallel(t) => gemm_parallel(a, b, c, t),
-        }
-    }
 }
 
 fn check_dims(a: &Matrix, b: &Matrix, c: &Matrix) -> (usize, usize, usize) {
@@ -89,64 +54,6 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix, c: &mut Matrix) {
                 crow[j] += aik * brow[j];
             }
         }
-    }
-}
-
-/// Tile edge (in elements) used by the cache-blocked kernel. 64x64 f64 tiles
-/// of C (32 KiB) fit comfortably in L1/L2 alongside the streamed panels.
-const TILE: usize = 64;
-
-/// Cache-tiled kernel: `c += a * b`.
-///
-/// Loops over `TILE x TILE` tiles of C; for each, streams `TILE`-wide panels
-/// of A and B. This is the "keep the C tile red, load thin panels" schedule
-/// that Section 5.2.7 of the paper proves near-optimal sequentially.
-pub fn gemm_tiled(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, n, k) = check_dims(a, b, c);
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let cv = c.as_mut_slice();
-    gemm_tiled_raw(av, bv, cv, m, n, k, 0, m);
-}
-
-/// Tiled kernel over a row band `[row0, row1)` of C (and A). Shared by the
-/// sequential and parallel drivers.
-#[allow(clippy::too_many_arguments)]
-fn gemm_tiled_raw(
-    av: &[f64],
-    bv: &[f64],
-    cv: &mut [f64],
-    _m: usize,
-    n: usize,
-    k: usize,
-    row0: usize,
-    row1: usize,
-) {
-    let mut i0 = row0;
-    while i0 < row1 {
-        let i1 = (i0 + TILE).min(row1);
-        let mut k0 = 0;
-        while k0 < k {
-            let k1 = (k0 + TILE).min(k);
-            let mut j0 = 0;
-            while j0 < n {
-                let j1 = (j0 + TILE).min(n);
-                // Micro tile: C[i0..i1, j0..j1] += A[i0..i1, k0..k1] * B[k0..k1, j0..j1]
-                for i in i0..i1 {
-                    let arow = &av[i * k..i * k + k];
-                    let crow = &mut cv[i * n + j0..i * n + j1];
-                    for kk in k0..k1 {
-                        let aik = arow[kk];
-                        let brow = &bv[kk * n + j0..kk * n + j1];
-                        for (cj, bj) in crow.iter_mut().zip(brow) {
-                            *cj += aik * *bj;
-                        }
-                    }
-                }
-                j0 = j1;
-            }
-            k0 = k1;
-        }
-        i0 = i1;
     }
 }
 
@@ -321,47 +228,7 @@ fn micro_kernel(
     }
 }
 
-/// Multi-threaded kernel: `c += a * b` using `threads` std scoped threads
-/// (`std::thread::scope`), each owning a contiguous row band of C.
-///
-/// Row bands are disjoint, so no synchronization is needed beyond the scope
-/// join — the same argument the paper uses for its `P_ij` parallelization
-/// (dependencies are parallel to the k dimension only).
-pub fn gemm_parallel(a: &Matrix, b: &Matrix, c: &mut Matrix, threads: usize) {
-    let (m, n, k) = check_dims(a, b, c);
-    let threads = threads.max(1).min(m.max(1));
-    if threads == 1 || m == 0 || n == 0 || k == 0 {
-        gemm_tiled(a, b, c);
-        return;
-    }
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let cv = c.as_mut_slice();
-    // Split C into row bands, one chunk per thread.
-    let band = m.div_ceil(threads);
-    let mut bands: Vec<(usize, &mut [f64])> = Vec::with_capacity(threads);
-    let mut rest = cv;
-    let mut row = 0;
-    while row < m {
-        let rows_here = band.min(m - row);
-        let (head, tail) = rest.split_at_mut(rows_here * n);
-        bands.push((row, head));
-        rest = tail;
-        row += rows_here;
-    }
-    std::thread::scope(|s| {
-        for (row0, cband) in bands {
-            let rows_here = cband.len() / n;
-            s.spawn(move || {
-                // Each band is an independent (rows_here x n x k) gemm.
-                let asub = &av[row0 * k..(row0 + rows_here) * k];
-                gemm_tiled_raw(asub, bv, cband, rows_here, n, k, 0, rows_here);
-            });
-        }
-    });
-}
-
-/// Convenience wrapper: allocate C and return `a * b` with the default
-/// ([`gemm_packed`]) kernel.
+/// Convenience wrapper: allocate C and return `a * b` with [`gemm_packed`].
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
     gemm_packed(a, b, &mut c);
@@ -412,55 +279,16 @@ mod tests {
     }
 
     #[test]
-    fn tiled_matches_naive_on_tile_boundaries() {
-        // Sizes straddling the TILE edge exercise remainder handling.
-        for &(m, n, k) in &[(64, 64, 64), (65, 63, 64), (1, 130, 7), (130, 1, 129)] {
-            let a = Matrix::deterministic(m, k, 3);
-            let b = Matrix::deterministic(k, n, 4);
-            let mut c1 = Matrix::zeros(m, n);
-            let mut c2 = Matrix::zeros(m, n);
-            gemm_naive(&a, &b, &mut c1);
-            gemm_tiled(&a, &b, &mut c2);
-            assert!(c1.approx_eq(&c2, 1e-10), "tiled mismatch at {m}x{n}x{k}: {}", c1.max_abs_diff(&c2));
-        }
-    }
-
-    #[test]
-    fn parallel_matches_tiled_various_thread_counts() {
-        let a = Matrix::deterministic(97, 55, 5);
-        let b = Matrix::deterministic(55, 83, 6);
-        let mut want = Matrix::zeros(97, 83);
-        gemm_tiled(&a, &b, &mut want);
-        for threads in [1, 2, 3, 4, 8, 97, 200] {
-            let mut c = Matrix::zeros(97, 83);
-            gemm_parallel(&a, &b, &mut c, threads);
-            assert!(want.approx_eq(&c, 1e-10), "parallel({threads}) mismatch: {}", want.max_abs_diff(&c));
-        }
-    }
-
-    #[test]
-    fn parallel_accumulates() {
-        let a = Matrix::deterministic(10, 10, 7);
-        let b = Matrix::deterministic(10, 10, 8);
-        let mut c = Matrix::from_fn(10, 10, |_, _| 5.0);
-        let mut want = Matrix::from_fn(10, 10, |_, _| 5.0);
-        gemm_naive(&a, &b, &mut want);
-        gemm_parallel(&a, &b, &mut c, 4);
-        assert!(want.approx_eq(&c, 1e-10));
-    }
-
-    #[test]
     fn empty_dimensions_are_noops() {
         let a = Matrix::zeros(0, 5);
         let b = Matrix::zeros(5, 3);
         let mut c = Matrix::zeros(0, 3);
         gemm_naive(&a, &b, &mut c);
-        gemm_tiled(&a, &b, &mut c);
-        gemm_parallel(&a, &b, &mut c, 4);
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 2);
         let mut c = Matrix::zeros(3, 2);
-        gemm_parallel(&a, &b, &mut c, 2);
+        gemm_naive(&a, &b, &mut c);
+        gemm_packed(&a, &b, &mut c);
         assert!(c.as_slice().iter().all(|&x| x == 0.0));
     }
 
@@ -471,18 +299,6 @@ mod tests {
         let b = Matrix::zeros(4, 2);
         let mut c = Matrix::zeros(2, 2);
         gemm_naive(&a, &b, &mut c);
-    }
-
-    #[test]
-    fn gemm_enum_dispatch() {
-        let a = Matrix::deterministic(20, 30, 9);
-        let b = Matrix::deterministic(30, 10, 10);
-        let want = reference(&a, &b);
-        for g in [Gemm::Naive, Gemm::Tiled, Gemm::Packed, Gemm::Parallel(3)] {
-            let mut c = Matrix::zeros(20, 10);
-            g.run(&a, &b, &mut c);
-            assert!(want.approx_eq(&c, 1e-10), "{g:?} mismatch");
-        }
     }
 
     #[test]
@@ -523,11 +339,6 @@ mod tests {
         let mut c = Matrix::zeros(0, 3);
         gemm_packed(&a, &b, &mut c);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn default_kernel_is_packed() {
-        assert_eq!(Gemm::default(), Gemm::Packed);
     }
 
     #[test]

@@ -8,24 +8,23 @@
 //! * [`matrix`] — a row-major `f64` matrix with block extraction/insertion and
 //!   views, used both by the local kernels and by the distributed algorithms to
 //!   describe sub-domains.
-//! * [`gemm`] — local matrix-multiplication kernels: a reference naive kernel,
-//!   a cache-tiled kernel, a packed register-blocked kernel (the default, the
-//!   paper's §7 "local tuning"), and a multi-threaded kernel over std scoped
-//!   threads. All kernels compute `C += A * B` so that the distributed
-//!   algorithms can accumulate partial results exactly like the paper's
-//!   rank-1-update formulation (Listing 1).
+//! * [`gemm`] — local matrix-multiplication kernels: a reference naive kernel
+//!   and a packed register-blocked kernel (the one every library path calls,
+//!   the paper's §7 "local tuning"). Both compute `C += A * B` so that the
+//!   distributed algorithms can accumulate partial results exactly like the
+//!   paper's rank-1-update formulation (Listing 1).
 //! * [`layout`] — distributed data layouts: the ScaLAPACK block-cyclic layout
 //!   and the COSMA blocked layout (§7.6), plus transformations between them
 //!   with exact word-movement accounting.
 //!
-//! The kernels are deliberately simple enough to audit, yet tiled/parallel so
-//! the cost model's "local compute" term corresponds to a real, measured code
-//! path (see `crates/bench/benches/gemm.rs`).
+//! The kernels are deliberately simple enough to audit, yet cache- and
+//! register-blocked so the cost model's "local compute" term corresponds to a
+//! real, measured code path (see `crates/bench/benches/gemm.rs`).
 
 pub mod gemm;
 pub mod layout;
 pub mod matrix;
 
-pub use gemm::{gemm_naive, gemm_packed, gemm_parallel, gemm_tiled, matmul, mmm_flops, Gemm};
+pub use gemm::{gemm_naive, gemm_packed, matmul, mmm_flops};
 pub use layout::{BlockCyclic, BlockedLayout, Distribution};
 pub use matrix::Matrix;

@@ -12,7 +12,7 @@
 //!
 //! Every collective is an `async fn` over [`RankComm`]: each internal
 //! receive or exchange is a resumable wait-state, so the collectives run
-//! unchanged on the threaded, sharded and event-driven executors.
+//! unchanged on the blocking and event-driven executors.
 
 use crate::comm::RankComm;
 use crate::stats::Phase;
@@ -396,15 +396,18 @@ pub async fn gather(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_spmd, run_spmd_with, ExecBackend};
+    use crate::exec::{run_spmd_with, ExecBackend};
     use crate::machine::MachineSpec;
+
+    /// The blocking reference the collective tests run on.
+    const BLOCKING: ExecBackend = ExecBackend::Blocking { workers: 4 };
 
     #[test]
     fn bcast_delivers_to_all_group_sizes_and_roots() {
         for p in [1usize, 2, 3, 4, 5, 8, 13] {
             for root in [0, p / 2, p - 1] {
                 let spec = MachineSpec::test_machine(p, 1000);
-                let out = run_spmd(&spec, |mut c| async move {
+                let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
                     let group: Vec<usize> = (0..c.size()).collect();
                     let mut data = if c.rank() == group[root] {
                         vec![42.0, 7.0]
@@ -413,7 +416,8 @@ mod tests {
                     };
                     bcast(&mut c, &group, root, &mut data, 9, Phase::InputA).await;
                     data
-                });
+                })
+                .unwrap();
                 for (r, d) in out.results.iter().enumerate() {
                     assert_eq!(d, &vec![42.0, 7.0], "p={p} root={root} rank={r}");
                 }
@@ -427,11 +431,12 @@ mod tests {
         // every non-root receives exactly the payload once.
         let p = 8;
         let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             let mut data = if c.rank() == 0 { vec![1.0; 100] } else { vec![] };
             bcast(&mut c, &group, 0, &mut data, 1, Phase::InputA).await;
-        });
+        })
+        .unwrap();
         let total_recv: u64 = out.stats.iter().map(|s| s.total_recv()).sum();
         assert_eq!(total_recv, 700, "7 receivers x 100 words");
         assert_eq!(out.stats[0].total_recv(), 0);
@@ -442,7 +447,7 @@ mod tests {
     #[test]
     fn bcast_on_subgroup_leaves_others_untouched() {
         let spec = MachineSpec::test_machine(6, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group = vec![1, 3, 5];
             if group.contains(&c.rank()) {
                 let mut data = if c.rank() == 3 { vec![5.0] } else { vec![] };
@@ -451,7 +456,8 @@ mod tests {
             } else {
                 vec![]
             }
-        });
+        })
+        .unwrap();
         assert_eq!(out.results[1], vec![5.0]);
         assert_eq!(out.results[3], vec![5.0]);
         assert_eq!(out.results[5], vec![5.0]);
@@ -464,7 +470,7 @@ mod tests {
             for root in [0, p / 2, p - 1] {
                 for words in [0usize, 1, 64, 65, 1000] {
                     let spec = MachineSpec::test_machine(p, 10_000);
-                    let out = run_spmd(&spec, move |mut c| async move {
+                    let out = run_spmd_with(&spec, BLOCKING, move |mut c| async move {
                         let group: Vec<usize> = (0..c.size()).collect();
                         let mut data = if c.rank() == group[root] {
                             (0..words).map(|i| i as f64).collect()
@@ -473,7 +479,8 @@ mod tests {
                         };
                         bcast_pipelined(&mut c, &group, root, &mut data, words, 9, Phase::InputA).await;
                         data
-                    });
+                    })
+                    .unwrap();
                     let want: Vec<f64> = (0..words).map(|i| i as f64).collect();
                     for (r, d) in out.results.iter().enumerate() {
                         assert_eq!(d, &want, "p={p} root={root} words={words} rank={r}");
@@ -488,11 +495,12 @@ mod tests {
         for p in [2usize, 5, 8, 16] {
             for words in [0usize, 1, 64, 513, 4096] {
                 let spec = MachineSpec::test_machine(p, 10_000);
-                let out = run_spmd(&spec, move |mut c| async move {
+                let out = run_spmd_with(&spec, BLOCKING, move |mut c| async move {
                     let group: Vec<usize> = (0..c.size()).collect();
                     let mut data = if c.rank() == 0 { vec![1.0; words] } else { vec![] };
                     bcast_pipelined(&mut c, &group, 0, &mut data, words, 1, Phase::InputA).await;
-                });
+                })
+                .unwrap();
                 for (r, st) in out.stats.iter().enumerate() {
                     let expect_words = if r == 0 { 0 } else { words as u64 };
                     assert_eq!(st.total_recv(), expect_words, "p={p} words={words} rank {r}");
@@ -543,12 +551,13 @@ mod tests {
     fn reduce_sum_collects_on_root() {
         for p in [1usize, 2, 3, 5, 8] {
             let spec = MachineSpec::test_machine(p, 1000);
-            let out = run_spmd(&spec, |mut c| async move {
+            let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
                 let group: Vec<usize> = (0..c.size()).collect();
                 let mut data = vec![c.rank() as f64, 1.0];
                 reduce_sum(&mut c, &group, 0, &mut data, 3, Phase::OutputC).await;
                 data
-            });
+            })
+            .unwrap();
             let expect_sum: f64 = (0..p).map(|r| r as f64).sum();
             assert_eq!(out.results[0], vec![expect_sum, p as f64], "p={p}");
         }
@@ -557,23 +566,25 @@ mod tests {
     #[test]
     fn reduce_sum_nonzero_root() {
         let spec = MachineSpec::test_machine(5, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             let mut data = vec![1.0];
             reduce_sum(&mut c, &group, 2, &mut data, 4, Phase::OutputC).await;
             data
-        });
+        })
+        .unwrap();
         assert_eq!(out.results[2], vec![5.0]);
     }
 
     #[test]
     fn allgather_ring_returns_position_ordered_chunks() {
         let spec = MachineSpec::test_machine(5, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             let mine = vec![c.rank() as f64; c.rank() + 1];
             allgather_ring(&mut c, &group, mine, 10, Phase::InputA).await
-        });
+        })
+        .unwrap();
         for r in 0..5 {
             for pos in 0..5 {
                 assert_eq!(out.results[r][pos], vec![pos as f64; pos + 1], "rank {r} pos {pos}");
@@ -586,10 +597,11 @@ mod tests {
         let p = 4;
         let chunk = 25usize;
         let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             allgather_ring(&mut c, &group, vec![0.0; chunk], 11, Phase::InputB).await;
-        });
+        })
+        .unwrap();
         for s in &out.stats {
             assert_eq!(s.total_recv() as usize, (p - 1) * chunk);
             assert_eq!(s.total_sent() as usize, (p - 1) * chunk);
@@ -599,10 +611,11 @@ mod tests {
     #[test]
     fn allgather_singleton_group_is_free() {
         let spec = MachineSpec::test_machine(2, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group = vec![c.rank()];
             allgather_ring(&mut c, &group, vec![3.0], 12, Phase::InputA).await
-        });
+        })
+        .unwrap();
         assert_eq!(out.results[0], vec![vec![3.0]]);
         assert_eq!(out.stats[0].total_recv(), 0);
     }
@@ -610,12 +623,13 @@ mod tests {
     #[test]
     fn shift_rotates_ring() {
         let spec = MachineSpec::test_machine(4, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let dst = (c.rank() + 1) % c.size();
             let src = (c.rank() + c.size() - 1) % c.size();
             let mine = vec![c.rank() as f64];
             shift(&mut c, dst, src, mine, 13, Phase::InputA).await
-        });
+        })
+        .unwrap();
         for r in 0..4 {
             assert_eq!(out.results[r], vec![((r + 3) % 4) as f64]);
         }
@@ -625,12 +639,13 @@ mod tests {
     fn bruck_allgather_matches_ring() {
         for p in [1usize, 2, 3, 4, 5, 7, 8, 13] {
             let spec = MachineSpec::test_machine(p, 1000);
-            let out = run_spmd(&spec, |mut c| async move {
+            let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
                 let group: Vec<usize> = (0..c.size()).collect();
                 let sizes: Vec<usize> = (0..c.size()).map(|r| r + 1).collect();
                 let mine = vec![c.rank() as f64; c.rank() + 1];
                 allgather_bruck(&mut c, &group, mine, &sizes, 40, Phase::InputA).await
-            });
+            })
+            .unwrap();
             for r in 0..p {
                 for posn in 0..p {
                     assert_eq!(out.results[r][posn], vec![posn as f64; posn + 1], "p={p} r={r}");
@@ -651,11 +666,12 @@ mod tests {
         for p in [1usize, 2, 3, 4, 5, 8] {
             let len = 13;
             let spec = MachineSpec::test_machine(p, 1000);
-            let out = run_spmd(&spec, |mut c| async move {
+            let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
                 let group: Vec<usize> = (0..c.size()).collect();
                 let mut data: Vec<f64> = (0..len).map(|i| (c.rank() * 100 + i) as f64).collect();
                 reduce_scatter_ring(&mut c, &group, &mut data, 50, Phase::OutputC).await
-            });
+            })
+            .unwrap();
             // Reference sum.
             let want: Vec<f64> = (0..len).map(|i| (0..p).map(|r| (r * 100 + i) as f64).sum()).collect();
             let ranges = even_chunk_ranges(len, p);
@@ -675,11 +691,12 @@ mod tests {
         let p = 4;
         let len = 40; // divisible: every chunk is 10 words
         let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             let mut data = vec![1.0; len];
             reduce_scatter_ring(&mut c, &group, &mut data, 51, Phase::OutputC).await;
-        });
+        })
+        .unwrap();
         for st in &out.stats {
             assert_eq!(st.total_recv() as usize, len - len / p);
             assert_eq!(st.msgs_recv as usize, p - 1);
@@ -697,11 +714,12 @@ mod tests {
     #[test]
     fn gather_collects_on_root_only() {
         let spec = MachineSpec::test_machine(3, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             let mine = vec![c.rank() as f64];
             gather(&mut c, &group, 1, mine, 14, Phase::Other).await
-        });
+        })
+        .unwrap();
         assert!(out.results[0].is_none());
         assert!(out.results[2].is_none());
         let collected = out.results[1].as_ref().unwrap();
@@ -721,14 +739,14 @@ mod tests {
     }
 
     #[test]
-    fn collectives_complete_on_the_sharded_executor() {
+    fn collectives_complete_with_few_blocking_workers() {
         // A world far bigger than the worker pool: tree parents and ring
         // neighbours park awaiting peers, so the gate must rotate its two
         // slots through all 24 ranks for any collective to terminate.
         let p = 24;
         let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Sharded { workers: 2 }, collective_workload)
-            .expect("sharded run accepted");
+        let out = run_spmd_with(&spec, ExecBackend::Blocking { workers: 2 }, collective_workload)
+            .expect("blocking run accepted");
         for (r, (data, _, gathered)) in out.results.iter().enumerate() {
             assert_eq!(data, &vec![7.0; 5], "rank {r} missed the broadcast");
             assert_eq!(*gathered, p, "rank {r} missed allgather chunks");
@@ -741,25 +759,25 @@ mod tests {
     fn collectives_complete_on_the_event_executor() {
         // The same workload as stackless state machines on one scheduler
         // thread: every tree/ring wait must park and resume through the
-        // matching table, and the measured counters must equal the threaded
-        // baseline bit for bit.
+        // matching table, and the measured counters must equal the blocking
+        // reference bit for bit.
         let p = 24;
         let spec = MachineSpec::test_machine(p, 1000);
-        let threaded = run_spmd(&spec, collective_workload);
+        let blocking = run_spmd_with(&spec, BLOCKING, collective_workload).unwrap();
         let event =
             run_spmd_with(&spec, ExecBackend::event(), collective_workload).expect("event run accepted");
-        assert_eq!(threaded.results, event.results);
+        assert_eq!(blocking.results, event.results);
         // Counters match bit for bit; the event run additionally carries the
-        // virtual clock, which the threaded baseline does not have.
+        // virtual clock, which the blocking reference does not have.
         let counters =
             |stats: &[crate::stats::RankStats]| stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
-        assert_eq!(counters(&threaded.stats), counters(&event.stats));
+        assert_eq!(counters(&blocking.stats), counters(&event.stats));
     }
 
     #[test]
     fn consecutive_collectives_do_not_cross_talk() {
         let spec = MachineSpec::test_machine(4, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             let mut a = if c.rank() == 0 { vec![1.0] } else { vec![] };
             bcast(&mut c, &group, 0, &mut a, 100, Phase::InputA).await;
@@ -768,7 +786,8 @@ mod tests {
             let mut s = vec![1.0];
             reduce_sum(&mut c, &group, 0, &mut s, 102, Phase::OutputC).await;
             (a, b, s)
-        });
+        })
+        .unwrap();
         for r in 0..4 {
             assert_eq!(out.results[r].0, vec![1.0]);
             assert_eq!(out.results[r].1, vec![2.0]);

@@ -4,8 +4,8 @@
 //! rank-facing handle: operations that may have to wait for a peer
 //! ([`RankComm::recv`], [`RankComm::barrier`], [`RankComm::fence`]) are
 //! `async` *wait-states*, so one body runs unchanged on every
-//! [`crate::exec::ExecBackend`] — parked OS threads on the
-//! threaded/sharded backends, stackless state machines on the event backend.
+//! [`crate::exec::ExecBackend`] — parked carrier threads on the blocking
+//! backend, stackless state machines on the event backend.
 //!
 //! Two communication backends mirror §7.4 of the paper:
 //!
@@ -20,11 +20,11 @@
 //!   buffer).
 //!
 //! [`Comm`] is the blocking (channel-based) implementation used by the
-//! threaded and sharded executors; [`crate::event::EventComm`] is the
-//! event-driven one. Every operation updates the per-rank [`StatsBoard`]
-//! counters identically, which is how the "communication volume per rank"
-//! measurements of Figures 6–7 are taken — and why all three executors
-//! measure bitwise-identical numbers.
+//! blocking executor; [`crate::event::EventComm`] is the event-driven one.
+//! Every operation updates the per-rank [`StatsBoard`] counters identically,
+//! which is how the "communication volume per rank" measurements of
+//! Figures 6–7 are taken — and why both executors measure bitwise-identical
+//! numbers.
 
 use std::cell::Cell;
 use std::future::Future;
@@ -36,7 +36,6 @@ use std::time::Duration;
 
 use crate::event::EventComm;
 use crate::exec::{ExecError, Waiting, WorkerGate};
-use crate::machine::DEFAULT_RECV_TIMEOUT;
 use crate::pool::BufferPool;
 use crate::stats::{Phase, StatsBoard};
 
@@ -131,7 +130,7 @@ pub(crate) fn record_rma(stats: &StatsBoard, sender: usize, receiver: usize, wor
     stats.rank(receiver).record_recv(words, phase);
 }
 
-/// A rank's handle on the sharded executor's [`WorkerGate`]: tracks whether
+/// A rank's handle on the blocking executor's [`WorkerGate`]: tracks whether
 /// this rank currently holds a runnable slot, so rendezvous points can
 /// suspend (return the slot) and resume (re-acquire it) without
 /// double-releasing on panic unwinds.
@@ -171,28 +170,23 @@ pub struct Comm {
     inbox: Receiver<Packet>,
     /// Out-of-order messages awaiting a matching receive.
     pending: Vec<Packet>,
-    /// Sharded-executor admission handle (`None` on the threaded backend).
-    gate: Option<RankGate>,
+    /// Admission handle: this rank's claim on a runnable slot.
+    gate: RankGate,
     /// Deadlock guard: how long a blocking receive waits before raising
     /// [`ExecError::DeadlockSuspected`].
     recv_timeout: Duration,
 }
 
 impl Comm {
-    /// Build communicators for a world of `p` ranks sharing `stats`.
-    pub fn create_world(p: usize, stats: Arc<StatsBoard>) -> Vec<Comm> {
-        Comm::create_world_gated(p, stats, None, DEFAULT_RECV_TIMEOUT, BufferPool::shared())
-    }
-
-    /// [`create_world`](Self::create_world) for an executor: every rank's
-    /// blocking rendezvous will yield its runnable slot to `gate` (sharded
-    /// worlds), a blocking receive that waits past `recv_timeout` raises
-    /// the typed deadlock guard, and `pool` is the world's buffer-reuse
-    /// arena (shared across worlds by the serving layer).
-    pub fn create_world_gated(
+    /// Build communicators for a world of `p` ranks sharing `stats`: every
+    /// rank's blocking rendezvous yields its runnable slot to `gate`, a
+    /// blocking receive that waits past `recv_timeout` raises the typed
+    /// deadlock guard, and `pool` is the world's buffer-reuse arena (shared
+    /// across worlds by the serving layer).
+    pub fn create_world(
         p: usize,
         stats: Arc<StatsBoard>,
-        gate: Option<Arc<WorkerGate>>,
+        gate: Arc<WorkerGate>,
         recv_timeout: Duration,
         pool: Arc<BufferPool>,
     ) -> Vec<Comm> {
@@ -221,22 +215,19 @@ impl Comm {
                 shared: shared.clone(),
                 inbox,
                 pending: Vec::new(),
-                gate: gate.as_ref().map(|g| RankGate {
-                    gate: g.clone(),
+                gate: RankGate {
+                    gate: gate.clone(),
                     held: Cell::new(false),
-                }),
+                },
                 recv_timeout,
             })
             .collect()
     }
 
-    /// Acquire this rank's initial runnable slot. The sharded executor calls
-    /// this on the rank's own carrier thread before any user code; a no-op
-    /// on ungated (threaded) communicators.
+    /// Acquire this rank's initial runnable slot. The executor calls this on
+    /// the rank's own carrier thread before any user code.
     pub fn gate_enter(&self) {
-        if let Some(g) = &self.gate {
-            g.resume();
-        }
+        self.gate.resume();
     }
 
     /// This rank's id, `0..p`.
@@ -304,9 +295,9 @@ impl Comm {
     /// arrives. Messages from the same sender with the same tag are delivered
     /// in send order.
     ///
-    /// On the sharded backend a receive with no matching message buffered is
-    /// a resumable wait-state: the rank yields its worker slot while it
-    /// waits and re-acquires one once the message arrived.
+    /// A receive with no matching message buffered is a resumable
+    /// wait-state: the rank yields its worker slot while it waits and
+    /// re-acquires one once the message arrived.
     ///
     /// # Panics
     /// Panics with a typed [`ExecError::DeadlockSuspected`] payload after
@@ -334,9 +325,7 @@ impl Comm {
         }
         // Nothing buffered: park until the match arrives, yielding this
         // rank's worker slot for the duration of the wait.
-        if let Some(g) = &self.gate {
-            g.suspend();
-        }
+        self.gate.suspend();
         let data = loop {
             let msg = match self.inbox.recv_timeout(self.recv_timeout) {
                 Ok(msg) => msg,
@@ -351,9 +340,7 @@ impl Comm {
             }
             self.pending.push(msg);
         };
-        if let Some(g) = &self.gate {
-            g.resume();
-        }
+        self.gate.resume();
         self.shared.stats.rank(self.rank).record_recv(data.len() as u64, phase);
         data
     }
@@ -366,18 +353,14 @@ impl Comm {
         self.recv(from, tag, phase)
     }
 
-    /// Block until all ranks reach the barrier. On the sharded backend the
-    /// wait is a resumable wait-state: the rank yields its worker slot while
-    /// standing at the barrier (all `p` ranks must arrive, and fewer than
-    /// `p` workers exist).
+    /// Block until all ranks reach the barrier. The wait is a resumable
+    /// wait-state: the rank yields its worker slot while standing at the
+    /// barrier (all `p` ranks must arrive, and fewer than `p` workers may
+    /// exist).
     pub fn barrier(&self) {
-        if let Some(g) = &self.gate {
-            g.suspend();
-        }
+        self.gate.suspend();
         self.shared.barrier.wait();
-        if let Some(g) = &self.gate {
-            g.resume();
-        }
+        self.gate.resume();
     }
 
     // ------------------------------------------------------------------
@@ -460,9 +443,9 @@ impl Comm {
 ///
 /// Rendezvous operations ([`recv`](Self::recv), [`barrier`](Self::barrier),
 /// [`fence`](Self::fence), [`sendrecv`](Self::sendrecv)) are `async`
-/// wait-states. On the blocking backends (threaded/sharded) they complete
-/// within a single poll — the underlying [`Comm`] parks the rank's OS thread
-/// or yields its worker slot exactly as before. On the event backend they
+/// wait-states. On the blocking backend they complete within a single poll —
+/// the underlying [`Comm`] parks the rank's carrier thread and yields its
+/// worker slot. On the event backend they
 /// return `Poll::Pending` and the scheduler parks the rank's state machine
 /// in the matching table, costing bytes instead of a stack.
 ///
@@ -483,7 +466,7 @@ impl Comm {
 /// assert_eq!(out.results[1], 0.0);
 /// ```
 pub enum RankComm {
-    /// Channel-backed blocking communicator (threaded/sharded executors).
+    /// Channel-backed blocking communicator (blocking executor).
     Blocking(Comm),
     /// Event-world handle (event executor): wait-states actually suspend.
     Event(EventComm),
@@ -682,9 +665,18 @@ pub fn block_on_ready<F: Future>(fut: F) -> F::Output {
 mod tests {
     use super::*;
 
+    /// A world driven by hand: one slot per rank, so no wait ever queues.
     fn world(p: usize) -> (Vec<Comm>, Arc<StatsBoard>) {
         let stats = Arc::new(StatsBoard::new(p));
-        (Comm::create_world(p, stats.clone()), stats)
+        let gate = Arc::new(WorkerGate::new(p));
+        let comms = Comm::create_world(
+            p,
+            stats.clone(),
+            gate,
+            crate::machine::DEFAULT_RECV_TIMEOUT,
+            BufferPool::shared(),
+        );
+        (comms, stats)
     }
 
     #[test]

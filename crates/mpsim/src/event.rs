@@ -2,7 +2,7 @@
 //! [`ExecBackend::Event`](crate::exec::ExecBackend::Event) — a
 //! true discrete-event simulator with a per-rank **virtual clock**.
 //!
-//! The sharded executor multiplexes ranks over a worker pool, but every rank
+//! The blocking executor multiplexes ranks over a worker pool, but every rank
 //! still owns an OS thread whose (small) stack it keeps while parked —
 //! ~64 KiB of touched pages per rank, which caps practical worlds around a
 //! few thousand ranks. This module removes the per-rank thread entirely:
@@ -60,7 +60,7 @@
 //! the old strict-FIFO order (the property tests assert this on the
 //! scheduler trace). Message matching, delivery order and counter updates
 //! mirror the blocking [`crate::comm::Comm`] exactly, so results are bitwise
-//! identical and the per-rank counters equal across all three backends —
+//! identical and the per-rank counters equal across both backends —
 //! the clock changes *when* ranks are polled, never *what* they compute.
 //! Worlds of 100k+ ranks execute end-to-end with real messages in a few
 //! hundred bytes per rank.
@@ -68,7 +68,7 @@
 //! # The parallel scheduler
 //!
 //! `ExecBackend::Event { threads: N }` with `N > 1` shards the scheduler
-//! across `N` OS threads ([`try_run_spmd_event_threads`]): ranks are
+//! across `N` OS threads: ranks are
 //! partitioned into `N` contiguous **regions**, each owning a slab of
 //! per-rank state (mailbox, wait slot, clock, injection link, deadlines) and
 //! a region-local ready heap. The regions advance in *conservative windows*
@@ -1266,9 +1266,9 @@ fn livelock_poll_budget(p: usize) -> u64 {
     (p as u64) * 64 + (1 << 20)
 }
 
-/// Run the world to completion on the calling thread; see
-/// [`run_spmd_event`].
-fn run_event_world<R, F, Fut>(
+/// Run the world to completion on the calling thread — the single-threaded
+/// engine behind [`ExecBackend::Event`](crate::exec::ExecBackend::Event).
+pub(crate) fn run_event_world<R, F, Fut>(
     spec: &MachineSpec,
     f: F,
     traced: bool,
@@ -1756,10 +1756,10 @@ fn par_lookahead(world: &EventWorld) -> f64 {
     world.net.region_lookahead_s(world.model.alpha_s)
 }
 
-/// Run the world on `regions` scheduler threads; see
-/// [`try_run_spmd_event_threads`]. The caller has already verified the
-/// multi-region preconditions (flat topology, α > 0, ≥ 2 regions).
-fn run_event_world_parallel<R, F, Fut>(
+/// Run the world on `regions` scheduler threads. The caller
+/// ([`crate::exec::run_spmd_with`]) has already verified the multi-region
+/// preconditions (flat topology, α > 0, ≥ 2 regions).
+pub(crate) fn run_event_world_parallel<R, F, Fut>(
     spec: &MachineSpec,
     regions: usize,
     f: F,
@@ -1840,112 +1840,34 @@ where
     })
 }
 
-/// Run `f` on every rank of `spec` on the event scheduler with up to
-/// `threads` region worker threads — the engine behind
-/// [`crate::exec::ExecBackend::Event`]`{ threads }`.
+/// The single-threaded engine with the scheduler decision trace, for the
+/// fairness property tests: the returned events record every ready-queue
+/// admission and poll in order. Everything else runs through
+/// [`crate::exec::run_spmd_with`].
 ///
-/// The multi-region path requires the determinism contract to be provable:
-/// a flat topology (per-rank virtual state is region-local there) and a
-/// cost model with α > 0 (the conservative lookahead). Worlds that don't
-/// qualify — and `threads <= 1` — run the single-threaded engine
-/// ([`try_run_spmd_event`]) unchanged, so stats are bitwise-identical
-/// either way; the thread count never affects *what* a run measures.
-pub fn try_run_spmd_event_threads<R, F, Fut>(
+/// # Errors
+/// A wedged or torn-down world surfaces as its typed [`ExecError`].
+pub fn run_spmd_event_traced<R, F, Fut>(
     spec: &MachineSpec,
-    threads: usize,
     f: F,
-) -> Result<RunOutput<R>, ExecError>
-where
-    R: Send,
-    F: Fn(crate::comm::RankComm) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
-    let pool = spec_pool(spec);
-    try_run_spmd_event_threads_pooled(spec, threads, f, pool)
-}
-
-/// [`try_run_spmd_event_threads`] against a caller-supplied arena — the
-/// executor layer threads one warm pool through many runs here.
-pub(crate) fn try_run_spmd_event_threads_pooled<R, F, Fut>(
-    spec: &MachineSpec,
-    threads: usize,
-    f: F,
-    pool: Arc<BufferPool>,
-) -> Result<RunOutput<R>, ExecError>
-where
-    R: Send,
-    F: Fn(crate::comm::RankComm) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
-    let regions = threads.min(spec.p.max(1));
-    if regions <= 1 || !spec.topology.commutes_with_region_sharding() || spec.cost.alpha_s <= 0.0 {
-        return run_event_world(spec, f, false, pool).map(|(out, _)| out);
-    }
-    run_event_world_parallel(spec, regions, f, pool)
-}
-
-/// The arena a spec asks for: enabled unless [`MachineSpec::pooling`] turned
-/// recycling off (the pool then degrades to plain allocation).
-fn spec_pool(spec: &MachineSpec) -> Arc<BufferPool> {
-    Arc::new(BufferPool::new(spec.pooling))
-}
-
-/// Run `f` on every rank of `spec` as an event-driven stackless state
-/// machine, single-threaded, returning a typed
-/// [`ExecError::DeadlockSuspected`] when the world wedges. Prefer
-/// [`crate::exec::run_spmd_with`] with [`crate::exec::ExecBackend::Event`],
-/// which dispatches here.
-pub fn try_run_spmd_event<R, F, Fut>(spec: &MachineSpec, f: F) -> Result<RunOutput<R>, ExecError>
+) -> Result<(RunOutput<R>, Vec<SchedEvent>), ExecError>
 where
     F: Fn(crate::comm::RankComm) -> Fut,
     Fut: Future<Output = R>,
 {
-    let pool = spec_pool(spec);
-    run_event_world(spec, f, false, pool).map(|(out, _)| out)
-}
-
-/// Legacy panicking form of [`try_run_spmd_event`].
-///
-/// # Panics
-/// Panics on any typed executor error (e.g. a detected deadlock).
-pub fn run_spmd_event<R, F, Fut>(spec: &MachineSpec, f: F) -> RunOutput<R>
-where
-    F: Fn(crate::comm::RankComm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    match try_run_spmd_event(spec, f) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`run_spmd_event`] with the scheduler decision trace, for the fairness
-/// property tests: the returned events record every ready-queue admission
-/// and poll in order.
-///
-/// # Panics
-/// Panics on any typed executor error (e.g. a detected deadlock).
-pub fn run_spmd_event_traced<R, F, Fut>(spec: &MachineSpec, f: F) -> (RunOutput<R>, Vec<SchedEvent>)
-where
-    F: Fn(crate::comm::RankComm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    let pool = spec_pool(spec);
-    match run_event_world(spec, f, true, pool) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
+    run_event_world(spec, f, true, crate::exec::spec_arena(spec))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::exec::{run_spmd_with, ExecBackend};
 
     #[test]
     fn results_are_rank_ordered() {
         let spec = MachineSpec::test_machine(8, 1000);
-        let out = run_spmd_event(&spec, |c| async move { c.rank() * 10 });
+        let out = run_spmd_with(&spec, ExecBackend::event(), |c| async move { c.rank() * 10 }).unwrap();
         assert_eq!(out.results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
         assert_eq!(out.stats.len(), 8);
     }
@@ -1953,7 +1875,7 @@ mod tests {
     #[test]
     fn send_recv_parks_and_resumes() {
         let spec = MachineSpec::test_machine(4, 1000);
-        let out = run_spmd_event(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             // Everyone receives from the left neighbour *before* sending to
             // the right one would be a deadlock; recv-after-send is the
             // buffered pattern.
@@ -1961,7 +1883,8 @@ mod tests {
             let left = (c.rank() + c.size() - 1) % c.size();
             c.send(right, 7, vec![c.rank() as f64], Phase::Other);
             c.recv(left, 7, Phase::Other).await[0] as usize
-        });
+        })
+        .unwrap();
         assert_eq!(out.results, vec![3, 0, 1, 2]);
         for st in &out.stats {
             assert_eq!(st.total_sent(), 1);
@@ -1974,32 +1897,34 @@ mod tests {
         // Rank 1 parks on recv first (rank 0 runs second in queue order on
         // this pattern), exercising the wait-then-wake path.
         let spec = MachineSpec::test_machine(2, 1000);
-        let out = run_spmd_event(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             if c.rank() == 1 {
                 c.recv(0, 3, Phase::Other).await
             } else {
                 c.send(1, 3, vec![42.0], Phase::Other);
                 vec![]
             }
-        });
+        })
+        .unwrap();
         assert_eq!(out.results[1], vec![42.0]);
     }
 
     #[test]
     fn barrier_synchronizes_all_ranks() {
         let spec = MachineSpec::test_machine(6, 1000);
-        let out = run_spmd_event(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             c.barrier().await;
             c.barrier().await;
             c.rank()
-        });
+        })
+        .unwrap();
         assert_eq!(out.results.len(), 6);
     }
 
     #[test]
     fn tag_matching_reorders_like_blocking() {
         let spec = MachineSpec::test_machine(2, 1000);
-        let out = run_spmd_event(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             if c.rank() == 0 {
                 c.send(1, 1, vec![1.0], Phase::Other);
                 c.send(1, 2, vec![2.0], Phase::Other);
@@ -2009,14 +1934,15 @@ mod tests {
                 let one = c.recv(0, 1, Phase::Other).await;
                 (two, one)
             }
-        });
+        })
+        .unwrap();
         assert_eq!(out.results[1], (vec![2.0], vec![1.0]));
     }
 
     #[test]
     fn rma_put_get_accumulate_with_fences() {
         let spec = MachineSpec::test_machine(2, 1000);
-        let out = run_spmd_event(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             c.win_resize(4);
             c.fence().await;
             if c.rank() == 0 {
@@ -2030,7 +1956,8 @@ mod tests {
             } else {
                 vec![]
             }
-        });
+        })
+        .unwrap();
         assert_eq!(out.results[1], vec![0.0, 0.0]);
         assert_eq!(out.stats[0].total_sent(), 5);
         assert_eq!(out.stats[1].total_recv(), 5);
@@ -2043,7 +1970,7 @@ mod tests {
     #[test]
     fn deadlock_is_detected_not_hung() {
         let spec = MachineSpec::test_machine(2, 1000);
-        let err = try_run_spmd_event(&spec, |mut c| async move {
+        let err = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             // Nobody ever sends: both ranks park forever.
             c.recv((c.rank() + 1) % 2, 9, Phase::Other).await
         })
@@ -2058,20 +1985,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock suspected")]
-    fn legacy_entry_point_panics_on_deadlock() {
-        let spec = MachineSpec::test_machine(2, 1000);
-        let _ =
-            run_spmd_event(&spec, |mut c| async move { c.recv((c.rank() + 1) % 2, 9, Phase::Other).await });
-    }
-
-    #[test]
     fn send_to_exited_rank_is_typed_world_torn_down() {
         // Rank 0 (polled first) exits immediately; rank 1 then sends to it.
-        // A typed teardown, not a process abort — the blocking backends'
+        // A typed teardown, not a process abort — the blocking backend's
         // contract, kept by the event scheduler's poll recovery.
         let spec = MachineSpec::test_machine(2, 1000);
-        let err = try_run_spmd_event(&spec, |c| async move {
+        let err = run_spmd_with(&spec, ExecBackend::event(), |c| async move {
             if c.rank() == 1 {
                 c.send(0, 3, vec![1.0], Phase::Other);
             }
@@ -2086,7 +2005,7 @@ mod tests {
         // never re-wake it, and the typed report says so instead of
         // inventing a barrier.
         let spec = MachineSpec::test_machine(2, 1000);
-        let err = try_run_spmd_event(&spec, |c| async move {
+        let err = run_spmd_with(&spec, ExecBackend::event(), |c| async move {
             if c.rank() == 1 {
                 std::future::pending::<()>().await;
             }
@@ -2108,7 +2027,8 @@ mod tests {
         let (_, trace) = run_spmd_event_traced(&spec, |mut c| async move {
             c.barrier().await;
             c.rank()
-        });
+        })
+        .unwrap();
         let enq: Vec<usize> = trace
             .iter()
             .filter_map(|e| match e {
@@ -2124,6 +2044,18 @@ mod tests {
             })
             .collect();
         assert_eq!(enq, polls, "equal virtual timestamps must keep FIFO order");
+    }
+
+    #[test]
+    fn traced_run_types_a_deadlock_instead_of_panicking() {
+        let spec = MachineSpec::test_machine(2, 1000);
+        let err =
+            run_spmd_event_traced(
+                &spec,
+                |mut c| async move { c.recv((c.rank() + 1) % 2, 9, Phase::Other).await },
+            )
+            .unwrap_err();
+        assert!(matches!(err, ExecError::DeadlockSuspected { rank: 0, .. }), "{err}");
     }
 
     /// A unit cost model for hand-checkable virtual-clock arithmetic:
@@ -2145,14 +2077,15 @@ mod tests {
     fn virtual_clock_hides_transfer_behind_compute_with_overlap() {
         // Rank 0 sends 4 words at t = 0 (arrival 4), then rank 1 computes 10
         // flops (clock 10) and receives: the transfer is fully hidden.
-        let out = run_spmd_event(&unit_spec(2), |mut c| async move {
+        let out = run_spmd_with(&unit_spec(2), ExecBackend::event(), |mut c| async move {
             if c.rank() == 0 {
                 c.send(1, 1, vec![0.0; 4], Phase::Other);
             } else {
                 c.record_flops(10);
                 c.recv(0, 1, Phase::Other).await;
             }
-        });
+        })
+        .unwrap();
         let t = out.stats[1].time;
         assert_eq!(t.compute_s, 10.0);
         assert_eq!(t.exposed_comm_s, 0.0, "arrival 4 < clock 10: fully hidden");
@@ -2164,14 +2097,16 @@ mod tests {
     fn virtual_clock_exposes_transfer_without_overlap() {
         // Same exchange, overlap off: the 4-word transfer is fully exposed
         // after the compute.
-        let out = run_spmd_event(&unit_spec(2).with_overlap(false), |mut c| async move {
-            if c.rank() == 0 {
-                c.send(1, 1, vec![0.0; 4], Phase::Other);
-            } else {
-                c.record_flops(10);
-                c.recv(0, 1, Phase::Other).await;
-            }
-        });
+        let out =
+            run_spmd_with(&unit_spec(2).with_overlap(false), ExecBackend::event(), |mut c| async move {
+                if c.rank() == 0 {
+                    c.send(1, 1, vec![0.0; 4], Phase::Other);
+                } else {
+                    c.record_flops(10);
+                    c.recv(0, 1, Phase::Other).await;
+                }
+            })
+            .unwrap();
         let t = out.stats[1].time;
         assert_eq!(t.compute_s, 10.0);
         assert_eq!(t.exposed_comm_s, 4.0);
@@ -2183,14 +2118,15 @@ mod tests {
     fn recv_waits_for_late_sender() {
         // Rank 0 computes 7 s before sending 2 words; rank 1 posts recv at
         // t = 0 and stalls until arrival 9 (overlap) — all exposed.
-        let out = run_spmd_event(&unit_spec(2), |mut c| async move {
+        let out = run_spmd_with(&unit_spec(2), ExecBackend::event(), |mut c| async move {
             if c.rank() == 0 {
                 c.record_flops(7);
                 c.send(1, 1, vec![0.0; 2], Phase::Other);
             } else {
                 c.recv(0, 1, Phase::Other).await;
             }
-        });
+        })
+        .unwrap();
         let t = out.stats[1].time;
         assert_eq!(t.exposed_comm_s, 9.0);
         assert_eq!(t.total_s(), 9.0);
@@ -2201,7 +2137,7 @@ mod tests {
         // Two senders, 3 words each, both send at t = 0: the receiver's link
         // serializes them (arrivals 3 and 6), so the second recv completes
         // at 6 even though both transfers were posted at 0.
-        let out = run_spmd_event(&unit_spec(3), |mut c| async move {
+        let out = run_spmd_with(&unit_spec(3), ExecBackend::event(), |mut c| async move {
             match c.rank() {
                 0 | 1 => c.send(2, 1, vec![0.0; 3], Phase::Other),
                 _ => {
@@ -2209,7 +2145,8 @@ mod tests {
                     c.recv(1, 1, Phase::Other).await;
                 }
             }
-        });
+        })
+        .unwrap();
         let t = out.stats[2].time;
         assert_eq!(t.total_comm_s, 6.0);
         assert_eq!(t.total_s(), 6.0);
@@ -2219,10 +2156,11 @@ mod tests {
     fn barrier_resolves_at_max_arrival_time() {
         // Ranks compute rank * 2 seconds before the barrier: everyone leaves
         // at the slowest rank's clock (6.0), the waits exposed.
-        let out = run_spmd_event(&unit_spec(4), |mut c| async move {
+        let out = run_spmd_with(&unit_spec(4), ExecBackend::event(), |mut c| async move {
             c.record_flops(c.rank() as u64 * 2);
             c.barrier().await;
-        });
+        })
+        .unwrap();
         for (r, st) in out.stats.iter().enumerate() {
             assert_eq!(st.time.total_s(), 6.0, "rank {r} must leave the barrier at t = 6");
             assert_eq!(st.time.compute_s, r as f64 * 2.0);
@@ -2240,8 +2178,8 @@ mod tests {
             c.barrier().await;
             c.rank()
         };
-        let a = run_spmd_event(&spec, body);
-        let b = run_spmd_event(&spec, body);
+        let a = run_spmd_with(&spec, ExecBackend::event(), body).unwrap();
+        let b = run_spmd_with(&spec, ExecBackend::event(), body).unwrap();
         assert_eq!(a.results, b.results);
         assert_eq!(a.stats, b.stats, "virtual times must be bit-identical across runs");
         assert!(a.stats.iter().any(|s| s.time.total_s() > 0.0), "the clock must move");
@@ -2253,11 +2191,12 @@ mod tests {
         // threads could hold, with a real message per rank.
         let p = 100_000;
         let spec = MachineSpec::test_machine(p, 10);
-        let out = run_spmd_event(&spec, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
             c.sendrecv(right, left, 1, vec![c.rank() as f64], Phase::Other).await[0] as usize
-        });
+        })
+        .unwrap();
         for (r, &got) in out.results.iter().enumerate() {
             assert_eq!(got, (r + p - 1) % p);
         }
@@ -2273,11 +2212,13 @@ mod tests {
             c.sendrecv(right, left, 1, vec![1.0; 5], Phase::Other).await;
             c.barrier().await;
         };
-        let base = run_spmd_event(&unit_spec(8), body);
-        let flat = run_spmd_event(
+        let base = run_spmd_with(&unit_spec(8), ExecBackend::event(), body).unwrap();
+        let flat = run_spmd_with(
             &unit_spec(8).with_topology(Topology::Flat).with_placement(Placement::RoundRobin),
+            ExecBackend::event(),
             body,
-        );
+        )
+        .unwrap();
         assert_eq!(base.stats, flat.stats, "flat topology must not perturb the clock");
     }
 
@@ -2293,15 +2234,17 @@ mod tests {
             ranks_per_node: 2,
             nic_factor: 1.0,
         };
-        let out = run_spmd_event(&unit_spec(4).with_topology(topo), |mut c| async move {
-            match c.rank() {
-                0 => c.send(2, 1, vec![0.0; 3], Phase::Other),
-                1 => c.send(3, 1, vec![0.0; 3], Phase::Other),
-                r => {
-                    c.recv(r - 2, 1, Phase::Other).await;
+        let out =
+            run_spmd_with(&unit_spec(4).with_topology(topo), ExecBackend::event(), |mut c| async move {
+                match c.rank() {
+                    0 => c.send(2, 1, vec![0.0; 3], Phase::Other),
+                    1 => c.send(3, 1, vec![0.0; 3], Phase::Other),
+                    r => {
+                        c.recv(r - 2, 1, Phase::Other).await;
+                    }
                 }
-            }
-        });
+            })
+            .unwrap();
         assert_eq!(out.stats[2].time.total_s(), 9.0);
         assert_eq!(out.stats[3].time.total_s(), 12.0);
         // Word counters are untouched by the topology.
@@ -2319,15 +2262,17 @@ mod tests {
             ranks_per_node: 2,
             nic_factor: 1.0,
         };
-        let out = run_spmd_event(&unit_spec(4).with_topology(topo), |mut c| async move {
-            match c.rank() {
-                0 => c.send(1, 1, vec![0.0; 3], Phase::Other),
-                1 => {
-                    c.recv(0, 1, Phase::Other).await;
+        let out =
+            run_spmd_with(&unit_spec(4).with_topology(topo), ExecBackend::event(), |mut c| async move {
+                match c.rank() {
+                    0 => c.send(1, 1, vec![0.0; 3], Phase::Other),
+                    1 => {
+                        c.recv(0, 1, Phase::Other).await;
+                    }
+                    _ => {}
                 }
-                _ => {}
-            }
-        });
+            })
+            .unwrap();
         assert_eq!(out.stats[1].time.total_s(), 3.0, "on-node transfer is one injection hop");
     }
 
@@ -2338,7 +2283,7 @@ mod tests {
         // timeout, popping the t = 7 wake trips rank 2's deadline — the
         // deadline path, not the empty-heap structural path.
         let spec = unit_spec(3).with_recv_timeout(std::time::Duration::from_secs(1));
-        let err = try_run_spmd_event(&spec, |mut c| async move {
+        let err = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             match c.rank() {
                 0 => {
                     c.recv(1, 1, Phase::Other).await;
@@ -2382,9 +2327,9 @@ mod tests {
     #[test]
     fn parallel_regions_match_single_thread_bitwise() {
         let spec = MachineSpec::test_machine(64, 1000);
-        let seq = try_run_spmd_event(&spec, mixed_body).unwrap();
+        let seq = run_spmd_with(&spec, ExecBackend::event(), mixed_body).unwrap();
         for threads in [2, 3, 4, 8] {
-            let par = try_run_spmd_event_threads(&spec, threads, mixed_body).unwrap();
+            let par = run_spmd_with(&spec, ExecBackend::Event { threads }, mixed_body).unwrap();
             assert_eq!(seq.results, par.results, "{threads} threads: results");
             assert_eq!(
                 seq.stats, par.stats,
@@ -2406,8 +2351,8 @@ mod tests {
             c.barrier().await;
             got[0] as usize
         };
-        let seq = try_run_spmd_event(&spec, body).unwrap();
-        let par = try_run_spmd_event_threads(&spec, 2, body).unwrap();
+        let seq = run_spmd_with(&spec, ExecBackend::event(), body).unwrap();
+        let par = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, body).unwrap();
         assert_eq!(seq.results, par.results);
         assert_eq!(seq.stats, par.stats);
     }
@@ -2425,23 +2370,27 @@ mod tests {
         };
         let zero_alpha = unit_spec(8);
         assert_eq!(
-            try_run_spmd_event(&zero_alpha, body).unwrap().stats,
-            try_run_spmd_event_threads(&zero_alpha, 4, body).unwrap().stats,
+            run_spmd_with(&zero_alpha, ExecBackend::event(), body).unwrap().stats,
+            run_spmd_with(&zero_alpha, ExecBackend::Event { threads: 4 }, body)
+                .unwrap()
+                .stats,
         );
         let shared_links = MachineSpec::test_machine(8, 1000).with_topology(Topology::NodeNic {
             ranks_per_node: 2,
             nic_factor: 1.0,
         });
         assert_eq!(
-            try_run_spmd_event(&shared_links, body).unwrap().stats,
-            try_run_spmd_event_threads(&shared_links, 4, body).unwrap().stats,
+            run_spmd_with(&shared_links, ExecBackend::event(), body).unwrap().stats,
+            run_spmd_with(&shared_links, ExecBackend::Event { threads: 4 }, body)
+                .unwrap()
+                .stats,
         );
     }
 
     #[test]
     fn parallel_structural_deadlock_is_detected() {
         let spec = MachineSpec::test_machine(8, 1000);
-        let err = try_run_spmd_event_threads(&spec, 4, |mut c| async move {
+        let err = run_spmd_with(&spec, ExecBackend::Event { threads: 4 }, |mut c| async move {
             // Nobody ever sends: every region's heap runs dry with all
             // ranks parked — the boundary leader reports the first rank.
             c.recv((c.rank() + 1) % 8, 9, Phase::Other).await
@@ -2463,7 +2412,7 @@ mod tests {
         // gone and surfaces the same typed teardown the sequential sender
         // raises inline.
         let spec = MachineSpec::test_machine(8, 1000);
-        let err = try_run_spmd_event_threads(&spec, 2, |mut c| async move {
+        let err = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, |mut c| async move {
             if c.rank() == 7 {
                 c.send(0, 3, vec![1.0], Phase::Other);
                 // Keep the sender alive past the boundary so the teardown is
@@ -2491,8 +2440,8 @@ mod tests {
             c.fence().await;
             got[0] as usize
         };
-        let seq = try_run_spmd_event(&spec, body).unwrap();
-        let par = try_run_spmd_event_threads(&spec, 2, body).unwrap();
+        let seq = run_spmd_with(&spec, ExecBackend::event(), body).unwrap();
+        let par = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, body).unwrap();
         assert_eq!(seq.results, par.results);
         assert_eq!(seq.stats, par.stats);
     }
@@ -2500,7 +2449,7 @@ mod tests {
     #[test]
     fn parallel_more_threads_than_ranks_clamps() {
         let spec = MachineSpec::test_machine(3, 1000);
-        let out = try_run_spmd_event_threads(&spec, 16, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::Event { threads: 16 }, |mut c| async move {
             c.barrier().await;
             c.rank()
         })
@@ -2512,7 +2461,7 @@ mod tests {
     fn generous_recv_timeout_does_not_false_positive() {
         // The same world with the default (120 virtual seconds) timeout
         // completes the satisfied recv and reports the orphan structurally.
-        let err = try_run_spmd_event(&unit_spec(3), |mut c| async move {
+        let err = run_spmd_with(&unit_spec(3), ExecBackend::event(), |mut c| async move {
             match c.rank() {
                 0 => {
                     c.recv(1, 1, Phase::Other).await;
@@ -2544,7 +2493,7 @@ mod tests {
         // clock poll budget must convert the spin into the same
         // `DeadlockSuspected` the deadline would have produced.
         let spec = unit_spec(3).with_recv_timeout(std::time::Duration::from_secs(1));
-        let err = try_run_spmd_event(&spec, |mut c| async move {
+        let err = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             match c.rank() {
                 0 => loop {
                     c.send(1, 1, vec![], Phase::Other);
@@ -2589,7 +2538,8 @@ mod tests {
             .filter_map(|r| sched.death_time(r).map(|d| (r, d)))
             .next()
             .expect("one death scheduled");
-        let err = try_run_spmd_event(&unit_spec(8).with_faults(plan), barrier_paced_body).unwrap_err();
+        let err = run_spmd_with(&unit_spec(8).with_faults(plan), ExecBackend::event(), barrier_paced_body)
+            .unwrap_err();
         assert_eq!(
             err,
             ExecError::RankFailed {
@@ -2614,10 +2564,10 @@ mod tests {
         };
         let plan = FaultPlan::new(42).kill_exactly(3, 10e-6);
         let spec = MachineSpec::test_machine(64, 1000).with_faults(plan);
-        let seq = try_run_spmd_event(&spec, body).unwrap_err();
+        let seq = run_spmd_with(&spec, ExecBackend::event(), body).unwrap_err();
         assert!(matches!(seq, ExecError::RankFailed { .. }), "got {seq:?}");
         for threads in [2, 4, 8] {
-            let par = try_run_spmd_event_threads(&spec, threads, body).unwrap_err();
+            let par = run_spmd_with(&spec, ExecBackend::Event { threads }, body).unwrap_err();
             assert_eq!(seq, par, "{threads} threads: failure attribution must match");
         }
     }
@@ -2629,11 +2579,11 @@ mod tests {
         // counter or virtual timestamp, on either engine.
         let base = MachineSpec::test_machine(64, 1000);
         let armed = base.clone().with_faults(FaultPlan::new(7));
-        let plain = try_run_spmd_event(&base, mixed_body).unwrap();
-        let quiet = try_run_spmd_event(&armed, mixed_body).unwrap();
+        let plain = run_spmd_with(&base, ExecBackend::event(), mixed_body).unwrap();
+        let quiet = run_spmd_with(&armed, ExecBackend::event(), mixed_body).unwrap();
         assert_eq!(plain.results, quiet.results);
         assert_eq!(plain.stats, quiet.stats, "quiescent plan must be invisible to the clock");
-        let quiet_par = try_run_spmd_event_threads(&armed, 4, mixed_body).unwrap();
+        let quiet_par = run_spmd_with(&armed, ExecBackend::Event { threads: 4 }, mixed_body).unwrap();
         assert_eq!(plain.stats, quiet_par.stats);
     }
 
@@ -2644,7 +2594,7 @@ mod tests {
         // the structural wedge must be attributed to the starved receiver
         // at the drop's send time — not reported as a plain deadlock.
         let plan = FaultPlan::new(1).drop_rate(1.0);
-        let err = try_run_spmd_event(&unit_spec(2).with_faults(plan), |mut c| async move {
+        let err = run_spmd_with(&unit_spec(2).with_faults(plan), ExecBackend::event(), |mut c| async move {
             if c.rank() == 0 {
                 c.record_flops(3);
                 c.send(1, 1, vec![0.0; 2], Phase::Other);
@@ -2662,7 +2612,7 @@ mod tests {
         // The same total drop rate, but nobody waits on the lost message:
         // the world completes, and a completed run ignores pure drops.
         let plan = FaultPlan::new(1).drop_rate(1.0);
-        let out = try_run_spmd_event(&unit_spec(2).with_faults(plan), |c| async move {
+        let out = run_spmd_with(&unit_spec(2).with_faults(plan), ExecBackend::event(), |c| async move {
             if c.rank() == 0 {
                 c.send(1, 1, vec![0.0; 2], Phase::Other);
             }
@@ -2681,7 +2631,7 @@ mod tests {
         let sched = plan.schedule(4);
         let earliest = (0..4).filter_map(|r| sched.death_time(r)).fold(f64::MAX, f64::min);
         assert!(earliest > 1000.0, "horizon must be far past the ~600 s makespan");
-        let out = try_run_spmd_event(&unit_spec(4).with_faults(plan), barrier_paced_body);
+        let out = run_spmd_with(&unit_spec(4).with_faults(plan), ExecBackend::event(), barrier_paced_body);
         assert!(out.is_ok(), "un-materialized deaths must not fail the run: {out:?}");
     }
 }

@@ -2,19 +2,17 @@
 //! results.
 //!
 //! Rank bodies are `async` closures over [`RankComm`] —
-//! `Fn(RankComm) -> impl Future<Output = R>` — so the same body runs on all
-//! three backends of the SPMD contract ([`ExecBackend`]):
+//! `Fn(RankComm) -> impl Future<Output = R>` — so the same body runs on both
+//! backends of the SPMD contract ([`ExecBackend`]):
 //!
-//! * **Threaded** — one full OS thread per rank; wait-states block the
-//!   thread. Simple and fast for small worlds, capped at
-//!   [`MAX_THREADED_RANKS`] ranks.
-//! * **Sharded** — `p` simulated ranks multiplexed over a fixed pool of
-//!   `workers` runnable slots. Each rank gets a lightweight small-stack
+//! * **Blocking** — the reference executor: `p` simulated ranks multiplexed
+//!   over `workers` runnable slots. Each rank gets a lightweight small-stack
 //!   carrier thread, but at most `workers` of them are ever runnable: the
 //!   communicator's rendezvous points (a `recv` waiting for a message, a
 //!   `barrier`/`fence`) yield the rank's worker slot to the next runnable
 //!   rank instead of blocking it (see [`WorkerGate`]). Admission is FIFO, so
-//!   runnable ranks are stepped round-robin. Parked ranks still pin their
+//!   runnable ranks are stepped round-robin; with `workers ≥ p` every rank is
+//!   always runnable (one thread per rank). Parked ranks still pin their
 //!   carrier stacks (~64 KiB touched each), which bounds practical worlds
 //!   to a few thousand ranks.
 //! * **Event** — no per-rank thread at all: every rank body is compiled by
@@ -26,49 +24,43 @@
 //!   machine plus a matching-table entry), which is what lets 100k+-rank
 //!   worlds execute end-to-end with real messages.
 //!
-//! [`ExecBackend::auto`] escalates Threaded → Sharded → Event by world size.
-//! All three backends are observationally identical: bitwise-equal results
-//! and identical per-rank counters (the conformance suite enforces this) —
-//! only the event backend additionally fills `RankStats::time`.
+//! [`ExecBackend::auto`] escalates Blocking → Event by world size. The
+//! backends are observationally identical at every worker and thread count:
+//! bitwise-equal results and identical per-rank counters (the conformance
+//! suite enforces this) — only the event backend additionally fills
+//! `RankStats::time`.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::future::Future;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::comm::{block_on_ready, Comm, RankComm};
 use crate::machine::MachineSpec;
 use crate::pool::{BufferPool, PoolStats};
 use crate::stats::{RankStats, StatsBoard};
 
-/// Maximum number of simulated ranks the threaded executor accepts. Beyond
-/// this, use [`ExecBackend::Sharded`] or [`ExecBackend::Event`] (or
-/// [`ExecBackend::auto`], which escalates automatically) — the per-rank word
-/// counts are exact either way; the executors exist to validate them with
-/// real data.
-pub const MAX_THREADED_RANKS: usize = 512;
+/// World size past which [`ExecBackend::auto`] escalates from the blocking
+/// executor to the event-driven one: each blocking rank pins a carrier stack
+/// even while parked, so beyond a few thousand ranks the stackless state
+/// machines win on both memory and spawn time.
+pub const MAX_BLOCKING_RANKS: usize = 8192;
 
-/// World size past which [`ExecBackend::auto`] escalates from the sharded
-/// worker pool to the event-driven executor: each sharded rank pins a
-/// carrier stack even while parked, so beyond a few thousand ranks the
-/// stackless state machines win on both memory and spawn time.
-pub const MAX_SHARDED_RANKS: usize = 8192;
-
-/// Stack size of one sharded rank carrier. Rank bodies keep their working
+/// Stack size of one blocking rank carrier. Rank bodies keep their working
 /// sets on the heap (matrix tiles, message buffers) and recurse at most
 /// `log2 p` deep (CARMA's splitting), so a modest fixed stack suffices and
 /// keeps 4096-rank worlds cheap.
-pub const SHARDED_STACK_BYTES: usize = 1 << 20;
+pub const CARRIER_STACK_BYTES: usize = 1 << 20;
 
 /// How an SPMD world is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// One OS thread per rank; at most [`MAX_THREADED_RANKS`] ranks.
-    Threaded,
-    /// `p` carrier threads multiplexed over `workers` runnable slots; worlds
-    /// up to a few thousand ranks.
-    Sharded {
-        /// Maximum number of concurrently runnable ranks (≥ 1).
+    /// The blocking reference executor: `p` carrier threads multiplexed over
+    /// `workers` runnable slots; worlds up to a few thousand ranks. The
+    /// worker count never changes what a run computes or counts.
+    Blocking {
+        /// Maximum number of concurrently runnable ranks (≥ 1; a count above
+        /// `p` behaves as `p`).
         workers: usize,
     },
     /// Event-driven stackless state machines on `threads` scheduler threads;
@@ -85,7 +77,7 @@ pub enum ExecBackend {
     /// topology, α > 0); otherwise the scheduler silently runs its
     /// single-threaded engine.
     Event {
-        /// Number of scheduler threads (≥ 1; `0` is treated as 1).
+        /// Number of scheduler threads (≥ 1).
         threads: usize,
     },
 }
@@ -98,20 +90,14 @@ impl ExecBackend {
         ExecBackend::Event { threads: 1 }
     }
 
-    /// The backend for a `p`-rank world, escalating by world size:
-    ///
-    /// * `p ≤` [`MAX_THREADED_RANKS`] (512): [`ExecBackend::Threaded`] — one
-    ///   OS thread per rank.
-    /// * `p ≤` [`MAX_SHARDED_RANKS`] (8192): [`ExecBackend::Sharded`] over
-    ///   [`Self::default_workers`] runnable slots.
-    /// * beyond: [`ExecBackend::event`] — the discrete-event scheduler on a
-    ///   single thread ([`ExecBackend::Event`] with explicit `threads` is an
-    ///   opt-in, never chosen automatically).
+    /// The backend for a `p`-rank world: [`ExecBackend::Blocking`] over
+    /// [`Self::default_workers`] runnable slots up to [`MAX_BLOCKING_RANKS`]
+    /// (8192), [`ExecBackend::event`] — the discrete-event scheduler on a
+    /// single thread — beyond ([`ExecBackend::Event`] with explicit `threads`
+    /// is an opt-in, never chosen automatically).
     pub fn auto(p: usize) -> ExecBackend {
-        if p <= MAX_THREADED_RANKS {
-            ExecBackend::Threaded
-        } else if p <= MAX_SHARDED_RANKS {
-            ExecBackend::Sharded {
+        if p <= MAX_BLOCKING_RANKS {
+            ExecBackend::Blocking {
                 workers: Self::default_workers(),
             }
         } else {
@@ -119,17 +105,20 @@ impl ExecBackend {
         }
     }
 
-    /// Default sharded worker-pool size: the machine's available parallelism.
+    /// Default blocking worker count: the machine's available parallelism.
     pub fn default_workers() -> usize {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8)
+        // `available_parallelism` re-reads the affinity mask and the cgroup
+        // quota on every call (~10 µs), and `auto` sits on the serving
+        // layer's per-job path.
+        static WORKERS: OnceLock<usize> = OnceLock::new();
+        *WORKERS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8))
     }
 }
 
 impl fmt::Display for ExecBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecBackend::Threaded => write!(f, "threaded"),
-            ExecBackend::Sharded { workers } => write!(f, "sharded({workers})"),
+            ExecBackend::Blocking { workers } => write!(f, "blocking({workers})"),
             ExecBackend::Event { threads } if *threads <= 1 => write!(f, "event"),
             ExecBackend::Event { threads } => write!(f, "event({threads})"),
         }
@@ -148,7 +137,7 @@ impl fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown execution backend {:?} (want threaded | sharded | sharded(N) | event | event(N))",
+            "unknown execution backend {:?} (want blocking | blocking(N) | event | event(N), N >= 1)",
             self.name
         )
     }
@@ -159,44 +148,37 @@ impl std::error::Error for ParseBackendError {}
 impl std::str::FromStr for ExecBackend {
     type Err = ParseBackendError;
 
-    /// Parse the [`Display`](std::fmt::Display) form back: `threaded`,
-    /// `event`, `event(N)`, `sharded(N)` — plus bare `sharded`, which takes
-    /// [`ExecBackend::default_workers`]. (`auto` is not a backend: it needs
-    /// a world size — callers resolve it with [`ExecBackend::auto`].)
+    /// Parse the [`Display`](std::fmt::Display) form back: `event`,
+    /// `event(N)`, `blocking(N)` — plus bare `blocking`, which takes
+    /// [`ExecBackend::default_workers`], and the shell-friendly `event:N` /
+    /// `blocking:N`. (`auto` is not a backend: it needs a world size —
+    /// callers resolve it with [`ExecBackend::auto`].)
     fn from_str(s: &str) -> Result<Self, ParseBackendError> {
         let err = || ParseBackendError { name: s.to_string() };
-        let parse_count = |inner: &str| -> Result<usize, ParseBackendError> {
-            let n: usize = inner.parse().map_err(|_| err())?;
-            if n == 0 {
-                return Err(err());
-            }
-            Ok(n)
-        };
-        match s.to_ascii_lowercase().as_str() {
-            "threaded" => Ok(ExecBackend::Threaded),
-            "event" => Ok(ExecBackend::event()),
-            "sharded" => Ok(ExecBackend::Sharded {
-                workers: Self::default_workers(),
-            }),
-            lower => {
-                if let Some(inner) = lower
-                    .strip_prefix("event(")
-                    .and_then(|r| r.strip_suffix(')'))
-                    .or_else(|| lower.strip_prefix("event:"))
-                {
-                    return Ok(ExecBackend::Event {
-                        threads: parse_count(inner)?,
-                    });
+        let lower = s.to_ascii_lowercase();
+        // `name`, `name(N)` or `name:N`; a bare name carries no count.
+        let (name, count) = match lower.split_once(['(', ':']) {
+            None => (lower.as_str(), None),
+            Some((name, rest)) => {
+                let digits = if lower[name.len()..].starts_with('(') {
+                    rest.strip_suffix(')').ok_or_else(err)?
+                } else {
+                    rest
+                };
+                match digits.parse::<usize>() {
+                    Ok(n) if n > 0 => (name, Some(n)),
+                    _ => return Err(err()),
                 }
-                let inner = lower
-                    .strip_prefix("sharded(")
-                    .and_then(|r| r.strip_suffix(')'))
-                    .or_else(|| lower.strip_prefix("sharded:"))
-                    .ok_or_else(err)?;
-                Ok(ExecBackend::Sharded {
-                    workers: parse_count(inner)?,
-                })
             }
+        };
+        match name {
+            "blocking" => Ok(ExecBackend::Blocking {
+                workers: count.unwrap_or_else(Self::default_workers),
+            }),
+            "event" => Ok(ExecBackend::Event {
+                threads: count.unwrap_or(1),
+            }),
+            _ => Err(err()),
         }
     }
 }
@@ -234,21 +216,15 @@ impl fmt::Display for Waiting {
 
 /// Why an executor refused to run a world (before any rank started), or
 /// rejected a finished or wedged one — the typed surface that keeps
-/// threaded/sharded deadlocks from aborting the process.
+/// blocking-backend deadlocks from aborting the process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecError {
-    /// The threaded backend's rank cap was exceeded.
-    WorldTooLarge {
-        /// Requested world size.
-        p: usize,
-        /// The threaded cap ([`MAX_THREADED_RANKS`]).
-        max: usize,
-    },
-    /// A sharded pool of zero workers can never step any rank.
+    /// Zero blocking workers or zero event scheduler threads can never step
+    /// any rank.
     NoWorkers,
     /// A rank's tracked working set exceeded the machine's enforced per-rank
     /// memory budget ([`MachineSpec::mem_budget`]). Raised identically by
-    /// all three backends — the budget check runs on the measured
+    /// both backends — the budget check runs on the measured
     /// `peak_mem_words` counters, which the backends share.
     MemBudgetExceeded {
         /// First offending rank.
@@ -300,13 +276,9 @@ impl Eq for ExecError {}
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::WorldTooLarge { p, max } => write!(
-                f,
-                "threaded execution supports at most {max} ranks (got {p}); \
-                 use ExecBackend::Sharded or ExecBackend::Event for larger worlds \
-                 (ExecBackend::auto escalates by world size)"
-            ),
-            ExecError::NoWorkers => write!(f, "sharded execution needs at least one worker"),
+            ExecError::NoWorkers => {
+                write!(f, "execution needs at least one blocking worker or event scheduler thread")
+            }
             ExecError::MemBudgetExceeded { rank, need, budget } => write!(
                 f,
                 "rank {rank} peaked at {need} words of working memory, exceeding the \
@@ -346,7 +318,7 @@ pub struct RunOutput<R> {
     pub pool: PoolStats,
 }
 
-/// The shared budget gate of all three backends: with an enforcing
+/// The shared budget gate of both backends: with an enforcing
 /// [`MachineSpec::mem_budget`], a finished run in which any rank's measured
 /// peak working set exceeds the budget becomes a typed
 /// [`ExecError::MemBudgetExceeded`] instead of an output.
@@ -366,10 +338,10 @@ fn enforce_mem_budget<R>(spec: &MachineSpec, out: RunOutput<R>) -> Result<RunOut
 }
 
 // ---------------------------------------------------------------------------
-// The worker gate: the sharded scheduler's admission control
+// The worker gate: the blocking executor's admission control
 // ---------------------------------------------------------------------------
 
-/// FIFO admission gate of the sharded executor: at most `workers` ranks hold
+/// FIFO admission gate of the blocking executor: at most `workers` ranks hold
 /// a runnable slot at any moment.
 ///
 /// A rank acquires a slot before running user code and *suspends* (returns
@@ -454,16 +426,17 @@ impl WorkerGate {
 
 /// Run the rank body `f` on every rank of `spec` under `backend` and collect
 /// results. The body receives its [`RankComm`] by value and returns a
-/// future; on the threaded/sharded backends the future is driven on the
-/// rank's own thread (wait-states block it), on the event backend all bodies
-/// are stackless state machines on one scheduler thread.
+/// future; on the blocking backend the future is driven on the rank's own
+/// carrier thread (wait-states block it or yield its worker slot), on the
+/// event backend all bodies are stackless state machines driven by the
+/// scheduler.
 ///
 /// # Errors
-/// [`ExecError::WorldTooLarge`] when the threaded backend is asked for more
-/// than [`MAX_THREADED_RANKS`] ranks; [`ExecError::NoWorkers`] for an empty
-/// sharded pool; [`ExecError::MemBudgetExceeded`] when the machine enforces
-/// a per-rank memory budget ([`MachineSpec::mem_budget`]) and a rank's
-/// measured peak working set breaks it — on any backend.
+/// [`ExecError::NoWorkers`] for `Blocking { workers: 0 }` or
+/// `Event { threads: 0 }`; [`ExecError::MemBudgetExceeded`] when the machine
+/// enforces a per-rank memory budget ([`MachineSpec::mem_budget`]) and a
+/// rank's measured peak working set breaks it; a wedged, torn-down or
+/// fault-felled world as the matching typed [`ExecError`].
 ///
 /// # Panics
 /// Panics if any rank panics (the panic is propagated).
@@ -477,44 +450,44 @@ where
     F: Fn(RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    let out = match backend {
-        ExecBackend::Threaded => {
-            if spec.p > MAX_THREADED_RANKS {
-                return Err(ExecError::WorldTooLarge {
-                    p: spec.p,
-                    max: MAX_THREADED_RANKS,
-                });
-            }
-            run_world(spec, None, spec_arena(spec), f)?
+    match backend {
+        // A private pool for this one world: slots beyond `p` could never
+        // be taken, so the pool is capped there.
+        ExecBackend::Blocking { workers } => {
+            run_spmd_pooled(spec, &SchedulerPool::new(workers.min(spec.p))?, f)
         }
-        ExecBackend::Sharded { workers } => {
-            if workers == 0 {
-                return Err(ExecError::NoWorkers);
-            }
-            run_world(spec, Some(Arc::new(WorkerGate::new(workers.min(spec.p)))), spec_arena(spec), f)?
+        ExecBackend::Event { threads: 0 } => Err(ExecError::NoWorkers),
+        // The multi-region engine requires its determinism contract to be
+        // provable: a flat topology (per-rank virtual state is region-local
+        // there) and α > 0 (the conservative lookahead). Worlds that don't
+        // qualify run the single-threaded engine, so stats are bitwise-
+        // identical either way; the thread count never affects *what* a run
+        // measures.
+        ExecBackend::Event { threads } => {
+            let regions = threads.min(spec.p);
+            let out =
+                if regions > 1 && spec.topology.commutes_with_region_sharding() && spec.cost.alpha_s > 0.0 {
+                    crate::event::run_event_world_parallel(spec, regions, f, spec_arena(spec))?
+                } else {
+                    crate::event::run_event_world(spec, f, false, spec_arena(spec))?.0
+                };
+            enforce_mem_budget(spec, out)
         }
-        ExecBackend::Event { threads } if threads > 1 => {
-            crate::event::try_run_spmd_event_threads_pooled(spec, threads, f, spec_arena(spec))?
-        }
-        ExecBackend::Event { .. } => {
-            crate::event::try_run_spmd_event_threads_pooled(spec, 1, f, spec_arena(spec))?
-        }
-    };
-    enforce_mem_budget(spec, out)
+    }
 }
 
 /// A fresh per-run arena honouring [`MachineSpec::pooling`]. A disabled
 /// arena hands out plain allocations and drops returns, so a `pooling:
 /// false` run exercises the exact pre-arena allocation behaviour.
-fn spec_arena(spec: &MachineSpec) -> Arc<BufferPool> {
+pub(crate) fn spec_arena(spec: &MachineSpec) -> Arc<BufferPool> {
     Arc::new(BufferPool::new(spec.pooling))
 }
 
-/// A shareable admission pool for the sharded executor: many *independent*
+/// A shareable admission pool for the blocking executor: many *independent*
 /// worlds run over one [`WorkerGate`], so their combined runnable ranks —
 /// not each world's separately — are capped at the pool's worker count.
 ///
-/// [`run_spmd_with`] builds a private gate per run, which is right for one
+/// [`run_spmd_with`] builds a private pool per run, which is right for one
 /// world at a time but lets `k` concurrent runs oversubscribe the machine
 /// `k`-fold. A serving layer executing many tenants concurrently clones one
 /// `SchedulerPool` (cheap: it is an [`Arc`] handle) into every run instead.
@@ -562,16 +535,14 @@ impl fmt::Debug for SchedulerPool {
     }
 }
 
-/// Run the rank body `f` on every rank of `spec` with admission control from
-/// a *shared* [`SchedulerPool`] instead of a per-run gate: the sharded-
-/// backend counterpart of [`run_spmd_with`] for concurrent independent
-/// worlds. Unlike the per-run path, the pool's worker count is **not**
-/// capped at `spec.p` — the spare slots belong to the other worlds sharing
-/// the pool.
+/// Run the rank body `f` on every rank of `spec` on the blocking executor,
+/// with admission control from a *shared* [`SchedulerPool`]: the path for
+/// concurrent independent worlds (and, over a private pool, the
+/// [`ExecBackend::Blocking`] arm of [`run_spmd_with`]). The pool's spare
+/// slots belong to the other worlds sharing it.
 ///
 /// # Errors
-/// As [`run_spmd_with`] on the sharded backend: a deadlocked or budget-
-/// breaking world surfaces as a typed [`ExecError`].
+/// A deadlocked or budget-breaking world surfaces as a typed [`ExecError`].
 ///
 /// # Panics
 /// Panics if any rank panics (the panic is propagated).
@@ -591,41 +562,17 @@ where
     let arena = if spec.pooling {
         pool.arena.clone()
     } else {
-        Arc::new(BufferPool::disabled())
+        spec_arena(spec)
     };
-    let out = run_world(spec, Some(pool.gate.clone()), arena, f)?;
+    let out = run_world(spec, pool.gate.clone(), arena, f)?;
     enforce_mem_budget(spec, out)
 }
 
-/// Legacy entry point: run `f` on every rank of `spec` concurrently on the
-/// threaded backend and collect results. Prefer [`run_spmd_with`], whose
-/// typed [`ExecError`] distinguishes a world the backend refuses (the
-/// documented threaded rank cap) from a run that wedged
-/// ([`ExecError::DeadlockSuspected`]) — this wrapper can only panic.
-///
-/// # Panics
-/// Panics if any rank panics (the panic is propagated), or on any typed
-/// executor error — most commonly `spec.p > MAX_THREADED_RANKS`; use
-/// [`run_spmd_with`] with [`ExecBackend::Sharded`]/[`ExecBackend::Event`]
-/// (or [`ExecBackend::auto`]) for larger worlds.
-pub fn run_spmd<R, F, Fut>(spec: &MachineSpec, f: F) -> RunOutput<R>
-where
-    R: Send,
-    F: Fn(RankComm) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
-    match run_spmd_with(spec, ExecBackend::Threaded, f) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The shared blocking-backend skeleton: spawn one carrier per rank, drive
-/// each rank's body future on its own thread, join in rank order. Gated
-/// (sharded) worlds get small-stack carriers and acquire their admission
-/// slot on their own thread before user code; the slot is returned when the
-/// body finishes or panics (the communicator's gate handle releases on
-/// drop). `Comm::gate_enter` is a no-op on ungated (threaded) worlds.
+/// The blocking executor proper: spawn one small-stack carrier per rank,
+/// drive each rank's body future on its own thread, join in rank order.
+/// Every carrier acquires its admission slot on its own thread before user
+/// code; the slot is returned when the body finishes or panics (the
+/// communicator's gate handle releases on drop).
 ///
 /// A rank that fails with a *typed* refusal — the communicator's deadlock
 /// guard or a torn-down world, which unwind with an [`ExecError`] panic
@@ -633,7 +580,7 @@ where
 /// run; any other rank panic is propagated unchanged.
 fn run_world<R, F, Fut>(
     spec: &MachineSpec,
-    gate: Option<Arc<WorkerGate>>,
+    gate: Arc<WorkerGate>,
     pool: Arc<BufferPool>,
     f: F,
 ) -> Result<RunOutput<R>, ExecError>
@@ -644,7 +591,7 @@ where
 {
     let stats = Arc::new(StatsBoard::new(spec.p));
     let pool_stats_src = pool.clone();
-    let comms = Comm::create_world_gated(spec.p, stats.clone(), gate.clone(), spec.recv_timeout, pool);
+    let comms = Comm::create_world(spec.p, stats.clone(), gate, spec.recv_timeout, pool);
     let mut slots: Vec<Option<R>> = (0..spec.p).map(|_| None).collect();
     let mut failures: Vec<ExecError> = Vec::new();
     std::thread::scope(|s| {
@@ -652,17 +599,13 @@ where
             .into_iter()
             .map(|c| {
                 let f = &f;
-                let body = move || {
-                    c.gate_enter();
-                    block_on_ready(f(RankComm::Blocking(c)))
-                };
-                match &gate {
-                    Some(_) => std::thread::Builder::new()
-                        .stack_size(SHARDED_STACK_BYTES)
-                        .spawn_scoped(s, body)
-                        .expect("spawn rank carrier"),
-                    None => s.spawn(body),
-                }
+                std::thread::Builder::new()
+                    .stack_size(CARRIER_STACK_BYTES)
+                    .spawn_scoped(s, move || {
+                        c.gate_enter();
+                        block_on_ready(f(RankComm::Blocking(c)))
+                    })
+                    .expect("spawn rank carrier")
             })
             .collect();
         for (slot, h) in slots.iter_mut().zip(handles) {
@@ -697,10 +640,20 @@ mod tests {
     use super::*;
     use crate::stats::Phase;
 
+    /// Run `f` on a private blocking pool of one slot per rank.
+    fn run_blocking<R, F, Fut>(spec: &MachineSpec, f: F) -> RunOutput<R>
+    where
+        R: Send,
+        F: Fn(RankComm) -> Fut + Sync,
+        Fut: Future<Output = R>,
+    {
+        run_spmd_with(spec, ExecBackend::Blocking { workers: spec.p }, f).unwrap()
+    }
+
     #[test]
     fn results_are_rank_ordered() {
         let spec = MachineSpec::test_machine(8, 1000);
-        let out = run_spmd(&spec, |c| async move { c.rank() * 10 });
+        let out = run_blocking(&spec, |c| async move { c.rank() * 10 });
         assert_eq!(out.results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
         assert_eq!(out.stats.len(), 8);
     }
@@ -708,7 +661,7 @@ mod tests {
     #[test]
     fn stats_reflect_execution() {
         let spec = MachineSpec::test_machine(4, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_blocking(&spec, |mut c| async move {
             // Everyone sends rank+1 words to rank 0.
             if c.rank() != 0 {
                 c.send(0, 1, vec![0.0; c.rank() + 1], Phase::OutputC);
@@ -729,7 +682,7 @@ mod tests {
     #[test]
     fn barrier_synchronizes() {
         let spec = MachineSpec::test_machine(6, 1000);
-        let out = run_spmd(&spec, |mut c| async move {
+        let out = run_blocking(&spec, |mut c| async move {
             c.barrier().await;
             c.rank()
         });
@@ -737,63 +690,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "threaded execution supports at most")]
-    fn rank_limit_enforced() {
-        let spec = MachineSpec::test_machine(MAX_THREADED_RANKS + 1, 10);
-        let _ = run_spmd(&spec, |_| async move {});
-    }
-
-    #[test]
-    fn threaded_backend_rejects_large_worlds_typed() {
-        let spec = MachineSpec::test_machine(MAX_THREADED_RANKS + 1, 10);
-        let err = run_spmd_with(&spec, ExecBackend::Threaded, |_| async move {}).unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::WorldTooLarge {
-                p: MAX_THREADED_RANKS + 1,
-                max: MAX_THREADED_RANKS
-            }
-        );
-        assert!(err.to_string().contains("Sharded"));
-        assert!(err.to_string().contains("Event"));
-    }
-
-    #[test]
-    fn sharded_rejects_empty_pool() {
+    fn zero_workers_or_threads_is_a_typed_error() {
         let spec = MachineSpec::test_machine(4, 10);
-        let err = run_spmd_with(&spec, ExecBackend::Sharded { workers: 0 }, |_| async move {}).unwrap_err();
-        assert_eq!(err, ExecError::NoWorkers);
+        for backend in [
+            ExecBackend::Blocking { workers: 0 },
+            ExecBackend::Event { threads: 0 },
+        ] {
+            let err = run_spmd_with(&spec, backend, |_| async move {}).unwrap_err();
+            assert_eq!(err, ExecError::NoWorkers, "{backend:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("blocking worker") && msg.contains("event scheduler thread"), "{msg}");
+        }
     }
 
     #[test]
-    fn auto_escalates_threaded_sharded_event() {
-        assert_eq!(ExecBackend::auto(1), ExecBackend::Threaded);
-        assert_eq!(ExecBackend::auto(MAX_THREADED_RANKS), ExecBackend::Threaded);
-        assert!(matches!(
-            ExecBackend::auto(MAX_THREADED_RANKS + 1),
-            ExecBackend::Sharded { workers } if workers >= 1
-        ));
-        assert!(matches!(ExecBackend::auto(MAX_SHARDED_RANKS), ExecBackend::Sharded { .. }));
-        assert_eq!(ExecBackend::auto(MAX_SHARDED_RANKS + 1), ExecBackend::event());
+    fn auto_escalates_blocking_then_event() {
+        for p in [1, 512, 513, MAX_BLOCKING_RANKS] {
+            assert_eq!(
+                ExecBackend::auto(p),
+                ExecBackend::Blocking {
+                    workers: ExecBackend::default_workers()
+                }
+            );
+        }
+        assert!(ExecBackend::default_workers() >= 1);
+        assert_eq!(ExecBackend::auto(MAX_BLOCKING_RANKS + 1), ExecBackend::event());
         assert_eq!(ExecBackend::auto(131_072), ExecBackend::event());
     }
 
     #[test]
-    fn sharded_results_are_rank_ordered() {
+    fn few_workers_keep_results_rank_ordered() {
         let spec = MachineSpec::test_machine(24, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Sharded { workers: 3 }, |c| async move { c.rank() * 10 })
-            .unwrap();
+        let out =
+            run_spmd_with(&spec, ExecBackend::Blocking { workers: 3 }, |c| async move { c.rank() * 10 })
+                .unwrap();
         assert_eq!(out.results, (0..24).map(|r| r * 10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn sharded_runs_worlds_beyond_the_threaded_cap() {
-        // More ranks than the threaded cap, far more ranks than workers;
-        // every rank exchanges with a neighbour, so the gate must hand slots
-        // between parked and runnable ranks without deadlocking.
-        let p = MAX_THREADED_RANKS + 160;
+    fn blocking_runs_worlds_far_larger_than_the_worker_count() {
+        // Far more ranks than workers; every rank exchanges with a
+        // neighbour, so the gate must hand slots between parked and runnable
+        // ranks without deadlocking.
+        let p = 672;
         let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Sharded { workers: 4 }, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::Blocking { workers: 4 }, |mut c| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
             let got = c.sendrecv(right, left, 7, vec![c.rank() as f64], Phase::Other).await;
@@ -806,11 +747,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_single_worker_makes_progress_through_rendezvous() {
+    fn single_worker_makes_progress_through_rendezvous() {
         // workers = 1 is the harshest schedule: every recv/barrier must yield
         // the lone slot or the world deadlocks.
         let spec = MachineSpec::test_machine(8, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Sharded { workers: 1 }, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::Blocking { workers: 1 }, |mut c| async move {
             c.barrier().await;
             let got = if c.rank() == 0 {
                 for to in 1..c.size() {
@@ -833,8 +774,9 @@ mod tests {
     }
 
     #[test]
-    fn all_three_backends_measure_identically() {
-        let spec = MachineSpec::test_machine(16, 1000);
+    fn worker_and_thread_counts_are_invisible_to_measurement() {
+        let p = 16;
+        let spec = MachineSpec::test_machine(p, 1000);
         let pattern = |mut c: RankComm| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
@@ -842,28 +784,39 @@ mod tests {
             c.barrier().await;
             c.rank()
         };
-        let counters = |out: &RunOutput<usize>| out.stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
-        let threaded = run_spmd_with(&spec, ExecBackend::Threaded, pattern).unwrap();
-        let sharded = run_spmd_with(&spec, ExecBackend::Sharded { workers: 2 }, pattern).unwrap();
+        let reference = run_spmd_with(&spec, ExecBackend::Blocking { workers: 1 }, pattern).unwrap();
+        // Blocking backends keep no virtual clock.
+        assert!(reference.stats.iter().all(|s| s.time.total_s() == 0.0));
+        for workers in [3, p] {
+            let out = run_spmd_with(&spec, ExecBackend::Blocking { workers }, pattern).unwrap();
+            assert_eq!(out.results, reference.results, "blocking({workers})");
+            assert_eq!(out.stats, reference.stats, "blocking({workers})");
+        }
         let event = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
-        assert_eq!(threaded.results, sharded.results);
-        assert_eq!(threaded.stats, sharded.stats);
-        assert_eq!(threaded.results, event.results);
+        let par = run_spmd_with(&spec, ExecBackend::Event { threads: 4 }, pattern).unwrap();
+        assert_eq!(event.results, reference.results);
         // Counters are identical; only the event backend drives the virtual
-        // clock, so its time fields are the extra measurement.
-        assert_eq!(counters(&threaded), counters(&event));
+        // clock, so its time fields are the extra measurement — bitwise the
+        // same at every scheduler thread count.
+        let counters = |out: &RunOutput<usize>| out.stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
+        assert_eq!(counters(&event), counters(&reference));
         assert!(event.stats.iter().all(|s| s.time.total_s() > 0.0));
-        assert!(threaded.stats.iter().all(|s| s.time.total_s() == 0.0));
+        assert_eq!(par.results, event.results);
+        assert_eq!(par.stats, event.stats);
     }
 
     #[test]
-    fn mismatched_tag_deadlock_is_typed_on_blocking_backends() {
+    fn mismatched_tag_deadlock_is_typed_on_the_blocking_backend() {
         // Rank 0 sends tag 7 but rank 1 waits for tag 8 — a classic
         // mismatched-tag deadlock. The recv_timeout guard turns it into a
-        // typed error instead of a process abort, on both blocking backends.
+        // typed error instead of a process abort, whether the stuck rank
+        // holds the only worker slot or has one to itself.
         let spec =
             MachineSpec::test_machine(2, 1000).with_recv_timeout(std::time::Duration::from_millis(200));
-        for backend in [ExecBackend::Threaded, ExecBackend::Sharded { workers: 2 }] {
+        for backend in [
+            ExecBackend::Blocking { workers: 1 },
+            ExecBackend::Blocking { workers: 2 },
+        ] {
             let err = run_spmd_with(&spec, backend, |mut c| async move {
                 if c.rank() == 0 {
                     c.send(1, 7, vec![1.0], Phase::Other);
@@ -902,10 +855,10 @@ mod tests {
     }
 
     #[test]
-    fn event_backend_runs_worlds_beyond_the_sharded_threshold() {
-        // A world past the auto sharded threshold: stackless ranks exchange
+    fn event_backend_runs_worlds_beyond_the_blocking_threshold() {
+        // A world past the auto blocking threshold: stackless ranks exchange
         // with a neighbour and everything completes on one scheduler thread.
-        let p = MAX_SHARDED_RANKS + 1000;
+        let p = MAX_BLOCKING_RANKS + 1000;
         let spec = MachineSpec::test_machine(p, 1000);
         let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             let right = (c.rank() + 1) % c.size();
@@ -965,11 +918,11 @@ mod tests {
     #[test]
     fn mem_budget_violation_is_typed_on_every_backend() {
         // Each rank allocates rank+1 words; with a budget of 2, rank 2 is
-        // the first offender — on all three backends identically.
+        // the first offender — on both backends identically.
         let spec = MachineSpec::test_machine(4, 1000).with_mem_budget(2);
         for backend in [
-            ExecBackend::Threaded,
-            ExecBackend::Sharded { workers: 2 },
+            ExecBackend::Blocking { workers: 4 },
+            ExecBackend::Blocking { workers: 2 },
             ExecBackend::event(),
         ] {
             let err = run_spmd_with(&spec, backend, |c| async move {
@@ -992,14 +945,13 @@ mod tests {
     #[test]
     fn mem_budget_within_limit_passes_and_freed_memory_does_not_count() {
         let spec = MachineSpec::test_machine(2, 1000).with_mem_budget(10);
-        let out = run_spmd_with(&spec, ExecBackend::Threaded, |c| async move {
+        let out = run_blocking(&spec, |c| async move {
             // Peak 10, then shrink: stays exactly at the budget.
             c.track_alloc(10);
             c.track_free(8);
             c.track_alloc(2);
             c.rank()
-        })
-        .unwrap();
+        });
         assert_eq!(out.results, vec![0, 1]);
         assert!(out.stats.iter().all(|s| s.peak_mem_words == 10));
     }
@@ -1016,43 +968,49 @@ mod tests {
     }
 
     #[test]
-    fn backend_display_names() {
-        assert_eq!(ExecBackend::Threaded.to_string(), "threaded");
-        assert_eq!(ExecBackend::Sharded { workers: 6 }.to_string(), "sharded(6)");
-        assert_eq!(ExecBackend::event().to_string(), "event");
-        assert_eq!(ExecBackend::Event { threads: 4 }.to_string(), "event(4)");
-    }
-
-    #[test]
-    fn backend_from_str_round_trips_display() {
-        for backend in [
-            ExecBackend::Threaded,
-            ExecBackend::Sharded { workers: 6 },
-            ExecBackend::event(),
-            ExecBackend::Event { threads: 4 },
+    fn backend_grammar_round_trips_display() {
+        for (backend, shown) in [
+            (ExecBackend::Blocking { workers: 6 }, "blocking(6)"),
+            (ExecBackend::event(), "event"),
+            (ExecBackend::Event { threads: 4 }, "event(4)"),
         ] {
-            assert_eq!(backend.to_string().parse::<ExecBackend>().unwrap(), backend);
+            assert_eq!(backend.to_string(), shown);
+            assert_eq!(shown.parse::<ExecBackend>().unwrap(), backend);
         }
-    }
-
-    #[test]
-    fn backend_from_str_accepts_aliases() {
-        assert_eq!("THREADED".parse::<ExecBackend>().unwrap(), ExecBackend::Threaded);
-        assert_eq!("sharded:4".parse::<ExecBackend>().unwrap(), ExecBackend::Sharded { workers: 4 });
+        // The remaining accepted spellings: case-insensitive, `name:N`, and
+        // bare `blocking` for the machine's default worker count.
+        assert_eq!("BLOCKING:4".parse::<ExecBackend>().unwrap(), ExecBackend::Blocking { workers: 4 });
+        assert_eq!("event:2".parse::<ExecBackend>().unwrap(), ExecBackend::Event { threads: 2 });
+        assert_eq!("event(1)".parse::<ExecBackend>().unwrap(), ExecBackend::event());
         assert_eq!(
-            "sharded".parse::<ExecBackend>().unwrap(),
-            ExecBackend::Sharded {
+            "blocking".parse::<ExecBackend>().unwrap(),
+            ExecBackend::Blocking {
                 workers: ExecBackend::default_workers()
             }
         );
     }
 
     #[test]
-    fn backend_from_str_rejects_garbage() {
-        for bad in ["", "auto", "sharded(0)", "sharded(x)", "sharded(", "evented"] {
+    fn backend_from_str_rejects_everything_else_listing_the_grammar() {
+        for bad in [
+            "",
+            "auto",
+            "threaded",
+            "sharded(2)",
+            "blocking(0)",
+            "event(0)",
+            "blocking(x)",
+            "blocking(",
+            "blocking(2",
+            "blocking:2)",
+            "event()",
+            "evented",
+        ] {
             let err = bad.parse::<ExecBackend>().unwrap_err();
             assert_eq!(err.name, bad);
-            assert!(err.to_string().contains("unknown execution backend"), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("unknown execution backend"), "{msg}");
+            assert!(msg.contains("blocking | blocking(N) | event | event(N)"), "{msg}");
         }
     }
 
@@ -1073,7 +1031,7 @@ mod tests {
             got[0] as usize
         };
         let pooled = run_spmd_pooled(&spec, &pool, body).unwrap();
-        let private = run_spmd_with(&spec, ExecBackend::Sharded { workers: 2 }, body).unwrap();
+        let private = run_spmd_with(&spec, ExecBackend::Blocking { workers: 2 }, body).unwrap();
         assert_eq!(pooled.results, private.results);
         assert_eq!(pooled.stats, private.stats);
     }
@@ -1092,7 +1050,7 @@ mod tests {
         let pool = SchedulerPool::new(3).unwrap();
         let solo = {
             let spec = MachineSpec::test_machine(8, 1000);
-            run_spmd_with(&spec, ExecBackend::Sharded { workers: 3 }, body).unwrap()
+            run_spmd_with(&spec, ExecBackend::Blocking { workers: 3 }, body).unwrap()
         };
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -1110,6 +1068,40 @@ mod tests {
                 assert_eq!(out.stats, solo.stats);
             }
         });
+    }
+
+    #[test]
+    fn workers_beyond_p_behave_as_p() {
+        // A private pool is capped at one slot per rank, so an absurd worker
+        // count costs nothing and measures like any other.
+        let spec = MachineSpec::test_machine(4, 1000);
+        let body = |mut c: RankComm| async move {
+            c.barrier().await;
+            c.rank()
+        };
+        let huge = run_spmd_with(&spec, ExecBackend::Blocking { workers: usize::MAX }, body).unwrap();
+        let exact = run_spmd_with(&spec, ExecBackend::Blocking { workers: 4 }, body).unwrap();
+        assert_eq!(huge.results, exact.results);
+        assert_eq!(huge.stats, exact.stats);
+    }
+
+    #[test]
+    fn pooling_off_bypasses_the_shared_arena() {
+        // A `pooling: false` world over a shared pool must neither take from
+        // nor park into the other tenants' warm arena.
+        let pool = SchedulerPool::new(2).unwrap();
+        let body = |mut c: RankComm| async move {
+            let right = (c.rank() + 1) % c.size();
+            let left = (c.rank() + c.size() - 1) % c.size();
+            let got = c.sendrecv(right, left, 7, vec![c.rank() as f64; 64], Phase::Other).await;
+            c.recycle(got);
+        };
+        let off = MachineSpec::test_machine(4, 1000).with_pooling(false);
+        let out = run_spmd_pooled(&off, &pool, body).unwrap();
+        assert_eq!((out.pool.hits, out.pool.returns), (0, 0), "a disabled arena never recycles");
+        assert_eq!(pool.arena().stats().returns, 0, "the shared arena was left alone");
+        run_spmd_pooled(&MachineSpec::test_machine(4, 1000), &pool, body).unwrap();
+        assert!(pool.arena().stats().returns > 0, "a pooling world parks into the shared arena");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   rank-facing handle every rank body receives (tagged point-to-point
 //!   message passing, two-sided backend; shared-memory windows with
 //!   put/get/accumulate, one-sided/RMA backend, §7.4 of the paper), over the
-//!   blocking channel implementation used by the threaded/sharded executors.
+//!   blocking channel implementation used by the blocking executor.
 //! * [`event`] — the event-driven machine behind `ExecBackend::Event`: a
 //!   discrete-event simulator driving rank bodies as stackless resumable
 //!   state machines, with a virtual-time-ordered ready queue, a
@@ -25,12 +25,11 @@
 //! * [`collectives`] — binomial-tree broadcast and reduce, ring all-gather
 //!   and ring shift, built on the point-to-point layer exactly like the
 //!   paper's hand-rolled broadcast trees (§7.2); all resumable (`async`).
-//! * [`exec`] — the SPMD executors: one OS thread per simulated rank
-//!   (threaded, ≤ 512 ranks), `p` ranks multiplexed over a fixed worker pool
-//!   of small-stack carriers (sharded, up to a few thousand ranks), or
-//!   event-driven stackless rank state machines (event, any world size —
-//!   verified to p = 1,048,576 with real messages on the parallel
-//!   scheduler).
+//! * [`exec`] — the SPMD executors: `p` ranks multiplexed over a worker
+//!   pool of small-stack carrier threads (blocking — the reference, up to a
+//!   few thousand ranks), or event-driven stackless rank state machines
+//!   (event, any world size — verified to p = 1,048,576 with real messages
+//!   on the parallel scheduler).
 //! * [`cost`] — the α-β-γ time model: per-round communication/computation
 //!   costs, with and without communication–computation overlap (§7.3), and
 //!   %-of-peak reporting used by Figures 8–14.
@@ -64,14 +63,8 @@ pub mod topo;
 
 pub use comm::{block_on_ready, Comm, RankComm};
 pub use cost::{CostModel, RoundCost, TimeBreakdown};
-pub use event::{
-    run_spmd_event, run_spmd_event_traced, try_run_spmd_event, try_run_spmd_event_threads, EventComm,
-    SchedEvent,
-};
-pub use exec::{
-    run_spmd, run_spmd_with, ExecBackend, ExecError, RunOutput, Waiting, MAX_SHARDED_RANKS,
-    MAX_THREADED_RANKS,
-};
+pub use event::{run_spmd_event_traced, EventComm, SchedEvent};
+pub use exec::{run_spmd_with, ExecBackend, ExecError, RunOutput, Waiting, MAX_BLOCKING_RANKS};
 pub use fault::FaultPlan;
 pub use machine::{MachineSpec, Placement, Topology};
 pub use pool::{BufferPool, PoolHandle, PoolStats};

@@ -95,8 +95,9 @@ impl Topology {
     /// only by the receiver's own consumptions. Every other variant charges
     /// *shared* links in global virtual-time consumption order — an order
     /// the region interleave would perturb — so
-    /// `try_run_spmd_event_threads` falls back to the single-threaded
-    /// engine for them, keeping stats bitwise-identical by construction.
+    /// [`run_spmd_with`](crate::exec::run_spmd_with) falls back to the
+    /// single-threaded engine for them, keeping stats bitwise-identical by
+    /// construction.
     pub fn commutes_with_region_sharding(&self) -> bool {
         matches!(self, Topology::Flat)
     }
@@ -194,7 +195,7 @@ pub struct MachineSpec {
     /// Deadlock guard: a `recv` that waits longer than this for a matching
     /// message turns the run into a typed
     /// [`ExecError::DeadlockSuspected`](crate::exec::ExecError). The
-    /// blocking (threaded/sharded) backends measure the wait in wall-clock
+    /// blocking backend measures the wait in wall-clock
     /// time; the event backend measures it on the rank's *virtual* clock
     /// (alongside its structural no-rank-runnable detection). Tests that
     /// provoke deadlocks shrink it.

@@ -24,8 +24,8 @@
 //!   exactly.
 //!
 //! Pool hit/miss counters are therefore *observability* data (surfaced in the
-//! bench tables), never part of the bitwise-gated `RankStats`: on threaded
-//! backends the interleaving of takes is scheduling-dependent, so hit counts
+//! bench tables), never part of the bitwise-gated `RankStats`: on the blocking
+//! backend the interleaving of takes is scheduling-dependent, so hit counts
 //! are not deterministic even though every result bit is.
 //!
 //! # Ownership

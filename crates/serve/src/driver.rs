@@ -5,7 +5,7 @@
 //! driver threads consuming a job queue. Each [`JobRequest`] is an
 //! independent SPMD world; many of them run concurrently:
 //!
-//! * **blocking backends** (threaded/sharded) execute over the *shared*
+//! * **blocking-backend** worlds execute over the *shared*
 //!   [`SchedulerPool`], so the combined runnable ranks of all concurrent
 //!   jobs — not each job's separately — respect one machine-wide worker
 //!   cap;
@@ -119,9 +119,8 @@ pub struct JobRequest {
     /// Enforced per-rank memory budget, if any.
     pub mem_budget: Option<u64>,
     /// Execution backend override (default: [`ExecBackend::auto`] for the
-    /// problem's world size). On blocking backends the *shared* scheduler
-    /// pool supplies the worker slots, so a `Sharded { workers }` count is
-    /// superseded by the pool's.
+    /// problem's world size); see [`JobRequest::backend()`] for how a blocking
+    /// worker count is treated.
     pub backend: Option<ExecBackend>,
     /// Network topology the job's machine is measured under (default:
     /// [`Topology::Flat`]). Part of the plan-cache key: cached plans never
@@ -167,7 +166,11 @@ impl JobRequest {
         self
     }
 
-    /// Pin the execution backend.
+    /// Pin the execution backend. Blocking jobs always draw their worker
+    /// slots from the server's shared [`SchedulerPool`]: pinning
+    /// `Blocking { workers }` selects the blocking executor, but the pool's
+    /// worker count — not the job's — caps the runnable ranks, and
+    /// [`JobOutput::backend`] reports the pool's.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = Some(backend);
         self
@@ -210,7 +213,8 @@ pub struct JobOutput {
     pub report: ExecReport,
     /// Whether planning was answered from the cache.
     pub cache_hit: bool,
-    /// The backend the world executed on.
+    /// The backend the world executed on — for a blocking job,
+    /// `Blocking { workers }` with the shared pool's worker count.
     pub backend: ExecBackend,
 }
 
@@ -588,15 +592,18 @@ fn serve_attempt(
     if let Some(plan) = faults {
         session = session.faults(plan);
     }
-    let report = match backend {
+    let (report, backend) = match backend {
         // An event world is one single-threaded simulation; driver
         // threads interleave many of them.
-        ExecBackend::Event { .. } => session.execute_planned(&planned.plan, &job.a, &job.b)?,
+        ExecBackend::Event { .. } => (session.execute_planned(&planned.plan, &job.a, &job.b)?, backend),
         // Blocking worlds take their runnable slots from the shared
         // pool, so concurrent jobs respect one machine-wide cap.
-        ExecBackend::Threaded | ExecBackend::Sharded { .. } => {
-            session.execute_planned_pooled(&planned.plan, &shared.pool, &job.a, &job.b)?
-        }
+        ExecBackend::Blocking { .. } => (
+            session.execute_planned_pooled(&planned.plan, &shared.pool, &job.a, &job.b)?,
+            ExecBackend::Blocking {
+                workers: shared.pool.workers(),
+            },
+        ),
     };
     Ok(JobOutput {
         selection: planned.selection.clone(),
@@ -686,12 +693,28 @@ mod tests {
         let results = server.run_batch(vec![blocking, event]);
         let a = results[0].outcome.as_ref().unwrap();
         let b = results[1].outcome.as_ref().unwrap();
-        assert_eq!(a.backend, ExecBackend::Threaded, "auto for p = 8");
+        assert_eq!(a.backend, ExecBackend::Blocking { workers: 4 }, "auto for p = 8, over the 4-slot pool");
         assert_eq!(b.backend, ExecBackend::event());
         assert_eq!(a.report.c, b.report.c, "backends agree bitwise");
         // Counters agree too; only the event backend measures virtual time.
         for (x, y) in a.report.stats.iter().zip(&b.report.stats) {
             assert_eq!(x.sans_time(), y.sans_time());
+        }
+    }
+
+    #[test]
+    fn pinned_blocking_worker_count_is_superseded_by_the_pool() {
+        let server = Server::new(baselines::registry(), small_config()).unwrap();
+        let auto = server.run_sync(job(0, 8, 3)).outcome.unwrap();
+        for workers in [0, 3, 64] {
+            let pinned = server
+                .run_sync(job(1, 8, 3).backend(ExecBackend::Blocking { workers }))
+                .outcome
+                .unwrap();
+            // The job ran over the server's 4 slots, and the result says so.
+            assert_eq!(pinned.backend, ExecBackend::Blocking { workers: 4 }, "pinned {workers}");
+            assert_eq!(pinned.report.c, auto.report.c);
+            assert_eq!(pinned.report.stats, auto.report.stats);
         }
     }
 

@@ -2,7 +2,7 @@
 //! RPA energy calculations for `w` water molecules, `m = n = 136·w`,
 //! `k = 228·w²` — extremely "tall-and-skinny" (largeK).
 //!
-//! Small `w` is executed and verified on the threaded simulator; the paper's
+//! Small `w` is executed and verified on the simulator; the paper's
 //! `w = 128` (17,408 × 3,735,552) is planned at full scale and the per-rank
 //! communication of COSMA vs the baselines is reported, reproducing the
 //! strong-scaling setup of Figures 10–11. Everything goes through

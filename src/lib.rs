@@ -6,7 +6,7 @@
 //! * [`pebbles`] — red-blue pebble game, CDAGs, X-partitions, MMM I/O lower
 //!   bounds (paper §2.2, §4, §5).
 //! * [`densemat`] — dense-matrix substrate: storage, GEMM kernels, layouts.
-//! * [`mpsim`] — simulated distributed machine: threaded, sharded and
+//! * [`mpsim`] — simulated distributed machine: blocking (worker-pool) and
 //!   event-driven (stackless, 100k-rank) SPMD
 //!   executors, collectives, traffic counters, α-β-γ cost model (replaces
 //!   Piz Daint + MPI + mpiP).
@@ -24,7 +24,7 @@
 //! The front door is [`cosma::api::RunSession`]: pick a problem, a cost
 //! model and an [`cosma::api::AlgoId`], then `.plan()`, `.run()` (cost-model
 //! simulation) or `.execute()` (real execution — `ExecBackend::auto`
-//! escalates threaded → sharded worker-pool → event-driven stackless by
+//! escalates blocking worker-pool → event-driven stackless by
 //! world size, so any rank count up to 131072 runs end-to-end):
 //!
 //! ```

@@ -6,7 +6,7 @@
 //! Every algorithm is planned and executed through its [`MmmAlgorithm`]
 //! registry entry — no per-algorithm entry points.
 
-use cosma::api::{execute_boxed, AlgoId, CosmaAlgorithm, MmmAlgorithm, PlanError, RunSession};
+use cosma::api::{AlgoId, CosmaAlgorithm, MmmAlgorithm, PlanError, RunSession};
 use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
 use cosma::{Backend, CosmaConfig};
@@ -169,7 +169,7 @@ fn planned_memory_is_respected_by_execution() {
     plan.validate().unwrap();
     let (a, b) = inputs(&prob);
     let spec = MachineSpec::piz_daint_with_memory(prob.p, prob.mem_words);
-    let report = execute_boxed(&algo, &plan, &spec, &a, &b).unwrap();
+    let report = algo.execute(&plan, &spec, &a, &b).unwrap();
     for (r, st) in report.stats.iter().enumerate() {
         assert!(
             st.peak_mem_words <= plan.ranks[r].mem_words.max(1) + prob.mem_words as u64,

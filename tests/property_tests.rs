@@ -143,7 +143,7 @@ fn carma_dfs_leaf_count_invariants() {
 #[test]
 fn carma_streaming_respects_memory_on_event_backend() {
     use baselines::carma::dfs_leaf_count;
-    use cosma::api::execute_boxed_with;
+    use cosma::api::execute_boxed;
     use densemat::gemm::matmul;
     let carma = baselines::registry().by_id(AlgoId::Carma).unwrap();
     let model = CostModel::piz_daint_two_sided();
@@ -174,7 +174,7 @@ fn carma_streaming_respects_memory_on_event_backend() {
         let a = Matrix::deterministic(m, k, 81);
         let b = Matrix::deterministic(k, n, 82);
         let spec = MachineSpec::piz_daint_with_memory(p, s).enforcing_memory();
-        let report = execute_boxed_with(carma.as_ref(), &plan, &spec, ExecBackend::event(), &a, &b)
+        let report = execute_boxed(carma.as_ref(), &plan, &spec, ExecBackend::event(), &a, &b)
             .unwrap_or_else(|e| panic!("{m}x{n}x{k} p={p} S={s}: {e}"));
         assert!(matmul(&a, &b).approx_eq(&report.c, 1e-9), "{m}x{n}x{k} p={p} S={s}: wrong product");
         for (r, st) in report.stats.iter().enumerate() {
@@ -276,29 +276,22 @@ fn blocked_layout_roundtrip() {
 
 #[test]
 fn gemm_kernels_agree() {
-    use densemat::gemm::{gemm_naive, gemm_packed, gemm_parallel, gemm_tiled};
+    use densemat::gemm::{gemm_naive, gemm_packed};
     let mut rng = Rng::new(8);
     for _ in 0..CASES {
         let m = rng.range(1, 48);
         let n = rng.range(1, 48);
         let k = rng.range(1, 48);
-        let threads = rng.range(1, 5);
         let a = Matrix::deterministic(m, k, 1);
         let b = Matrix::deterministic(k, n, 2);
         let mut c0 = Matrix::zeros(m, n);
         let mut c1 = Matrix::zeros(m, n);
-        let mut c2 = Matrix::zeros(m, n);
-        let mut c3 = Matrix::zeros(m, n);
         gemm_naive(&a, &b, &mut c0);
-        gemm_tiled(&a, &b, &mut c1);
-        gemm_parallel(&a, &b, &mut c2, threads);
-        gemm_packed(&a, &b, &mut c3);
-        assert!(c0.approx_eq(&c1, 1e-10));
-        assert!(c0.approx_eq(&c2, 1e-10));
-        // The default packed kernel keeps the naive k-order, so it agrees
-        // bitwise, not just approximately.
+        gemm_packed(&a, &b, &mut c1);
+        // The packed kernel keeps the naive k-order, so it agrees bitwise,
+        // not just approximately.
         assert!(
-            c0.as_slice().iter().zip(c3.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
+            c0.as_slice().iter().zip(c1.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
             "{m}x{n}x{k}: packed diverges bitwise from naive"
         );
     }
@@ -327,7 +320,7 @@ async fn offset_exchange(mut c: mpsim::RankComm, offs: &[usize], msgs: usize) ->
     in_order
 }
 
-/// The sharded and event schedulers under random world/worker-pool sizes:
+/// The blocking and event schedulers under random world/worker-pool sizes:
 /// every world completes (no deadlock — parked ranks must always yield
 /// their worker slot / scheduler turn), and matched send/recv pairs are
 /// delivered in send order per `(sender, tag)` even when ranks are parked
@@ -343,7 +336,7 @@ fn schedulers_never_deadlock_or_reorder() {
         let spec = MachineSpec::test_machine(p, 1000);
         let offs = &offsets;
         let backend = if case % 2 == 0 {
-            ExecBackend::Sharded { workers }
+            ExecBackend::Blocking { workers }
         } else {
             ExecBackend::event()
         };
@@ -356,11 +349,12 @@ fn schedulers_never_deadlock_or_reorder() {
     }
 }
 
-/// Random exchange patterns measure identically on all three executors: the
-/// schedulers may interleave ranks differently, but results and every
-/// per-rank counter must match the threaded baseline bit for bit.
+/// Random exchange patterns measure identically on both executors at any
+/// worker count: the schedulers may interleave ranks differently, but results
+/// and every per-rank counter must match the one-slot-per-rank reference bit
+/// for bit.
 #[test]
-fn sharded_and_event_match_threaded_on_random_patterns() {
+fn few_workers_and_event_match_the_reference_on_random_patterns() {
     let mut rng = Rng::new(11);
     for _ in 0..12 {
         let p = rng.range(2, 32);
@@ -380,30 +374,57 @@ fn sharded_and_event_match_threaded_on_random_patterns() {
             }
             acc
         };
-        let threaded = run_spmd_with(&spec, ExecBackend::Threaded, pattern).unwrap();
-        let sharded = run_spmd_with(&spec, ExecBackend::Sharded { workers }, pattern).unwrap();
+        let reference = run_spmd_with(&spec, ExecBackend::Blocking { workers: p }, pattern).unwrap();
+        let few = run_spmd_with(&spec, ExecBackend::Blocking { workers }, pattern).unwrap();
         let event = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
-        assert_eq!(threaded.results, sharded.results, "p={p} workers={workers}");
-        assert_eq!(threaded.stats, sharded.stats, "p={p} workers={workers}");
-        assert_eq!(threaded.results, event.results, "event results diverge at p={p}");
+        assert_eq!(reference.results, few.results, "p={p} workers={workers}");
+        assert_eq!(reference.stats, few.stats, "p={p} workers={workers}");
+        assert_eq!(reference.results, event.results, "event results diverge at p={p}");
         // Counters match bit for bit; the event backend additionally drives
-        // the virtual clock, which the blocking baselines do not have.
-        assert_eq!(counters(&threaded.stats), counters(&event.stats), "event counters diverge at p={p}");
+        // the virtual clock, which the blocking reference does not have.
+        assert_eq!(counters(&reference.stats), counters(&event.stats), "event counters diverge at p={p}");
+    }
+}
+
+/// The backend grammar under random counts: `Display` output always parses
+/// back to the same backend, the `name:N` spelling is equivalent, and the
+/// same count is rejected under any retired or misspelt name.
+#[test]
+fn backend_grammar_round_trips_for_random_counts() {
+    let mut rng = Rng::new(14);
+    for _ in 0..CASES {
+        let n = rng.range(1, 1 << 20);
+        for backend in [
+            ExecBackend::Blocking { workers: n },
+            ExecBackend::Event { threads: n },
+        ] {
+            let shown = backend.to_string();
+            assert_eq!(shown.parse::<ExecBackend>(), Ok(backend), "{shown}");
+            let colon = shown.replace('(', ":").replace(')', "");
+            assert_eq!(colon.parse::<ExecBackend>(), Ok(backend), "{colon}");
+        }
+        for bad in [
+            format!("sharded({n})"),
+            format!("threaded({n})"),
+            format!("blocking[{n}]"),
+        ] {
+            assert!(bad.parse::<ExecBackend>().is_err(), "{bad}");
+        }
     }
 }
 
 /// Strip the virtual-clock fields for counter comparisons between backends
-/// that do (event) and do not (threaded/sharded) keep a clock.
+/// that do (event) and do not (blocking) keep a clock.
 fn counters(stats: &[mpsim::RankStats]) -> Vec<mpsim::RankStats> {
     stats.iter().map(|s| s.sans_time()).collect()
 }
 
 /// The event backend under random world sizes and message orders: random
 /// send permutations (a splitmix64 shuffle per rank) must still produce the
-/// threaded backend's exact results and counters — scheduling and send
+/// blocking backend's exact results and counters — scheduling and send
 /// interleaving never change what is computed or measured.
 #[test]
-fn event_matches_threaded_under_random_message_orders() {
+fn event_matches_blocking_under_random_message_orders() {
     let mut rng = Rng::new(12);
     for _ in 0..12 {
         let p = rng.range(2, 40);
@@ -430,10 +451,10 @@ fn event_matches_threaded_under_random_message_orders() {
             c.barrier().await;
             acc
         };
-        let threaded = run_spmd_with(&spec, ExecBackend::Threaded, pattern).unwrap();
+        let blocking = run_spmd_with(&spec, ExecBackend::auto(p), pattern).unwrap();
         let event = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
-        assert_eq!(threaded.results, event.results, "p={p} words={words}");
-        assert_eq!(counters(&threaded.stats), counters(&event.stats), "p={p} words={words}");
+        assert_eq!(blocking.results, event.results, "p={p} words={words}");
+        assert_eq!(counters(&blocking.stats), counters(&event.stats), "p={p} words={words}");
     }
 }
 
@@ -460,7 +481,7 @@ fn event_scheduler_never_starves_a_ready_rank() {
             c.barrier().await;
             c.rank()
         };
-        let (out, trace) = run_spmd_event_traced(&spec, body);
+        let (out, trace) = run_spmd_event_traced(&spec, body).unwrap();
         assert_eq!(out.results, (0..p).collect::<Vec<_>>());
         let mut enqueues: Vec<usize> = Vec::new();
         let mut polls: Vec<usize> = Vec::new();
@@ -484,7 +505,7 @@ fn event_scheduler_never_starves_a_ready_rank() {
         assert_eq!(enq_sorted, polls_sorted, "p={p} rounds={rounds}: admissions and polls diverge");
         // Determinism: the virtual-time schedule is a pure function of the
         // workload.
-        let (out2, trace2) = run_spmd_event_traced(&spec, body);
+        let (out2, trace2) = run_spmd_event_traced(&spec, body).unwrap();
         assert_eq!(out.results, out2.results);
         assert_eq!(trace, trace2, "p={p} rounds={rounds}: scheduler trace must be deterministic");
     }
@@ -807,14 +828,14 @@ fn parallel_scheduler_matches_single_thread_bitwise() {
 
 /// Buffer-reuse arenas are invisible (the PR-10 contract): executing a
 /// planned algorithm with pooling enabled and disabled produces
-/// bitwise-identical products and per-rank stats on all three executors —
+/// bitwise-identical products and per-rank stats on both executors —
 /// the arena only changes where bytes live, never what they hold or what
 /// the clock reads. The pool counters (the observability side) must show
 /// real recycling on enough pooled runs, and a disabled arena must never
 /// hit or park.
 #[test]
 fn buffer_pooling_is_bitwise_invisible_across_backends() {
-    use cosma::api::execute_boxed_with;
+    use cosma::api::execute_boxed;
     let reg = baselines::registry();
     let model = CostModel::piz_daint_two_sided();
     let mut rng = Rng::new(0xB0);
@@ -840,15 +861,14 @@ fn buffer_pooling_is_bitwise_invisible_across_backends() {
         let a = Matrix::deterministic(m, k, 31);
         let b = Matrix::deterministic(k, n, 32);
         for backend in [
-            ExecBackend::Threaded,
-            ExecBackend::Sharded { workers: 3 },
+            ExecBackend::Blocking { workers: p },
+            ExecBackend::Blocking { workers: 3 },
             ExecBackend::event(),
         ] {
             let spec = MachineSpec::piz_daint_with_memory(p, 1 << 20);
-            let on = execute_boxed_with(algo.as_ref(), &plan, &spec, backend, &a, &b).unwrap();
-            let off =
-                execute_boxed_with(algo.as_ref(), &plan, &spec.clone().with_pooling(false), backend, &a, &b)
-                    .unwrap();
+            let on = execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b).unwrap();
+            let off = execute_boxed(algo.as_ref(), &plan, &spec.clone().with_pooling(false), backend, &a, &b)
+                .unwrap();
             let ctx = format!("{} {m}x{n}x{k} p={p} {backend}", algo.id());
             assert!(
                 on.c.as_slice()
@@ -890,7 +910,7 @@ fn theorem2_bound_monotone_in_memory() {
 /// against the fault-free clock.
 #[test]
 fn fault_plans_behave_identically_across_event_thread_counts() {
-    use mpsim::{try_run_spmd_event, try_run_spmd_event_threads, FaultPlan};
+    use mpsim::FaultPlan;
     let mut rng = Rng::new(0xFA);
     let mut failures = 0;
     for case in 0..10 {
@@ -916,8 +936,8 @@ fn fault_plans_behave_identically_across_event_thread_counts() {
             }
         };
         let armed = MachineSpec::test_machine(p, 1000).with_faults(plan);
-        let seq = try_run_spmd_event(&armed, body);
-        let par = try_run_spmd_event_threads(&armed, 4, body);
+        let seq = run_spmd_with(&armed, ExecBackend::event(), body);
+        let par = run_spmd_with(&armed, ExecBackend::Event { threads: 4 }, body);
         match (seq, par) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.stats, b.stats, "case {case}: completed stats must be bitwise-identical");
@@ -931,8 +951,8 @@ fn fault_plans_behave_identically_across_event_thread_counts() {
         if kills == 0 && !dropping {
             // Quiescent plan: bitwise no-op against the fault-free world.
             let bare = MachineSpec::test_machine(p, 1000);
-            let clean = try_run_spmd_event(&bare, body).unwrap();
-            let quiet = try_run_spmd_event(&armed, body).unwrap();
+            let clean = run_spmd_with(&bare, ExecBackend::event(), body).unwrap();
+            let quiet = run_spmd_with(&armed, ExecBackend::event(), body).unwrap();
             assert_eq!(clean.stats, quiet.stats, "case {case}: quiescent plan perturbed the clock");
         }
     }

@@ -8,7 +8,7 @@
 //! 3. planned per-rank traffic equals executed traffic, word for word, and
 //!    the executed product matches the sequential kernel.
 
-use cosma::api::{execute_boxed, execute_boxed_with, MmmAlgorithm, PlanError, RunSession};
+use cosma::api::{execute_boxed, MmmAlgorithm, PlanError, RunSession};
 use cosma::problem::MmmProblem;
 use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
@@ -102,7 +102,7 @@ fn planned_traffic_equals_executed_traffic() {
             let Ok(plan) = algo.plan(&prob, &model()) else {
                 continue;
             };
-            let report = execute_boxed(algo.as_ref(), &plan, &spec, &a, &b)
+            let report = execute_boxed(algo.as_ref(), &plan, &spec, ExecBackend::auto(prob.p), &a, &b)
                 .unwrap_or_else(|e| panic!("{id} on p={}: {e}", prob.p));
             assert!(
                 want.approx_eq(&report.c, 1e-9),
@@ -122,8 +122,8 @@ fn planned_traffic_equals_executed_traffic() {
     }
 }
 
-/// The large-world problem matrix: paper-scale rank counts that only the
-/// sharded executor can run end-to-end (the threaded backend caps at 512).
+/// The large-world problem matrix: paper-scale rank counts, far more ranks
+/// than blocking workers.
 /// p = 2048 is not a perfect square, so Cannon's `supports` veto is also
 /// exercised at scale; matrices are sized so every rank still owns work.
 fn large_world_problems() -> Vec<MmmProblem> {
@@ -135,21 +135,19 @@ fn large_world_problems() -> Vec<MmmProblem> {
 }
 
 /// Plan-vs-executed traffic equality at p ∈ {1024, 2048, 4096} on the
-/// sharded backend — the conformance contract at the paper's rank counts.
+/// blocking backend — the conformance contract at the paper's rank counts.
 /// Slow (thousands of carrier threads per algorithm): run via
 /// `cargo test -- --ignored` (the CI `large-world` job).
 #[test]
 #[ignore = "large world (>= 1024 ranks); run with --ignored"]
-fn sharded_large_world_traffic_matches_plan() {
+fn blocking_large_world_traffic_matches_plan() {
     let reg = baselines::registry();
     for prob in large_world_problems() {
         let a = Matrix::deterministic(prob.m, prob.k, 31);
         let b = Matrix::deterministic(prob.k, prob.n, 32);
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(prob.p, prob.mem_words);
-        let backend = ExecBackend::Sharded {
-            workers: ExecBackend::default_workers(),
-        };
+        let backend = ExecBackend::auto(prob.p);
         for algo in reg.all() {
             let id = algo.id();
             if algo.supports(&prob).is_err() {
@@ -158,7 +156,7 @@ fn sharded_large_world_traffic_matches_plan() {
             let Ok(plan) = algo.plan(&prob, &model()) else {
                 continue;
             };
-            let report = execute_boxed_with(algo.as_ref(), &plan, &spec, backend, &a, &b)
+            let report = execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b)
                 .unwrap_or_else(|e| panic!("{id} on p={}: {e}", prob.p));
             assert!(
                 want.approx_eq(&report.c, 1e-9),
@@ -178,27 +176,29 @@ fn sharded_large_world_traffic_matches_plan() {
     }
 }
 
-/// `RunSession::execute` past the threaded cap: the auto backend falls back
-/// to the sharded executor, and the verified contract still holds.
+/// `RunSession::execute` with hundreds of ranks per worker: the auto backend
+/// multiplexes them over the machine's cores, and the verified contract
+/// still holds.
 #[test]
-fn session_auto_backend_executes_beyond_threaded_cap() {
+fn session_auto_backend_executes_many_ranks_per_worker() {
     let prob = MmmProblem::new(128, 128, 128, 600, 1 << 18);
     let a = Matrix::deterministic(prob.m, prob.k, 41);
     let b = Matrix::deterministic(prob.k, prob.n, 42);
     let (plan, report) = RunSession::new(prob)
         .registry(baselines::registry())
         .execute_verified(&a, &b)
-        .expect("auto backend must shard beyond the threaded cap");
+        .expect("auto backend must hold a 600-rank world");
     assert_eq!(plan.problem.p, 600);
     assert_eq!(report.total_recv_words(), plan.total_comm_words());
 }
 
 /// Backend equivalence: for every registry algorithm on the shared (≤ 512
-/// rank) problem matrix, the threaded, sharded and event executors produce
-/// bitwise identical per-rank `CPart` results and identical per-rank
-/// counters — scheduling must never change what is computed or measured.
+/// rank) problem matrix, the blocking executor at any worker count and the
+/// event executor at any thread count produce bitwise identical per-rank
+/// `CPart` results and identical per-rank counters — scheduling must never
+/// change what is computed or measured.
 #[test]
-fn all_three_backends_agree_exactly() {
+fn all_backends_agree_exactly() {
     let reg = baselines::registry();
     let mut probs = shared_problems();
     probs.push(MmmProblem::new(64, 64, 64, 256, 1 << 16));
@@ -222,24 +222,24 @@ fn all_three_backends_agree_exactly() {
                 .unwrap_or_else(|e| panic!("{id} on p={}: {e}", prob.p))
             };
             let strip = |stats: &[mpsim::RankStats]| stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
-            let threaded = run(ExecBackend::Threaded);
+            let reference = run(ExecBackend::Blocking { workers: prob.p });
             let mut event_runs = Vec::new();
             for backend in [
-                ExecBackend::Sharded { workers: 3 },
+                ExecBackend::Blocking { workers: 3 },
                 ExecBackend::event(),
                 ExecBackend::Event { threads: 2 },
                 ExecBackend::Event { threads: 4 },
             ] {
                 let other = run(backend);
                 assert_eq!(
-                    threaded.results, other.results,
+                    reference.results, other.results,
                     "{id} on p={}: {backend} disagrees on CPart results",
                     prob.p
                 );
                 // Counters agree bit for bit; the event backend additionally
-                // fills the virtual-clock fields the blocking ones leave 0.
+                // fills the virtual-clock fields the blocking one leaves 0.
                 assert_eq!(
-                    strip(&threaded.stats),
+                    strip(&reference.stats),
                     strip(&other.stats),
                     "{id} on p={}: {backend} disagrees on measured counters",
                     prob.p
@@ -268,13 +268,13 @@ fn all_three_backends_agree_exactly() {
 }
 
 /// The shared reference size of the acceptance contract: at p = 2048, the
-/// sharded worker pool and the event-driven stackless executor produce
+/// blocking worker pool and the event-driven stackless executor produce
 /// bitwise-identical results and identical traffic counters for every
 /// applicable algorithm. Slow; run via `cargo test -- --ignored` (CI
 /// `large-world` job).
 #[test]
 #[ignore = "large world (2048 ranks); run with --ignored"]
-fn event_and_sharded_agree_exactly_at_p2048() {
+fn event_and_blocking_agree_exactly_at_p2048() {
     let reg = baselines::registry();
     let prob = MmmProblem::new(192, 224, 512, 2048, 1 << 20);
     let a = Matrix::deterministic(prob.m, prob.k, 31);
@@ -289,21 +289,19 @@ fn event_and_sharded_agree_exactly_at_p2048() {
             continue;
         };
         let run = |backend: ExecBackend| {
-            execute_boxed_with(algo.as_ref(), &plan, &spec, backend, &a, &b)
+            execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b)
                 .unwrap_or_else(|e| panic!("{id}: {e}"))
         };
-        let sharded = run(ExecBackend::Sharded {
-            workers: ExecBackend::default_workers(),
-        });
+        let blocking = run(ExecBackend::auto(prob.p));
         let event = run(ExecBackend::event());
         assert_eq!(
-            sharded.c.as_slice(),
+            blocking.c.as_slice(),
             event.c.as_slice(),
             "{id} at p=2048: backends disagree on the product bitwise"
         );
         let strip = |stats: &[mpsim::RankStats]| stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
         assert_eq!(
-            strip(&sharded.stats),
+            strip(&blocking.stats),
             strip(&event.stats),
             "{id} at p=2048: backends disagree on measured counters"
         );
@@ -336,7 +334,7 @@ fn event_xl_world_executes_end_to_end() {
     let b = Matrix::deterministic(prob.k, prob.n, 72);
     let want = matmul(&a, &b);
     let spec = MachineSpec::piz_daint_with_memory(p, prob.mem_words);
-    let report = execute_boxed_with(&algo, &plan, &spec, ExecBackend::event(), &a, &b)
+    let report = execute_boxed(&algo, &plan, &spec, ExecBackend::event(), &a, &b)
         .unwrap_or_else(|e| panic!("p={p}: {e}"));
     assert!(want.approx_eq(&report.c, 1e-9), "p={p}: product off by {}", want.max_abs_diff(&report.c));
     for (r, st) in report.stats.iter().enumerate() {
@@ -357,7 +355,7 @@ fn int_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// The memory-budgeted streaming contract: a CARMA problem whose pure-BFS
-/// leaf working set exceeds `S` executes end-to-end on all three backends
+/// leaf working set exceeds `S` executes end-to-end on every backend
 /// with an *enforced* budget, produces the bit-exact product of both the
 /// ample-memory BFS run and the dense reference GEMM, moves exactly the
 /// DFS plan's words, and keeps every rank's measured peak within `S`.
@@ -375,7 +373,7 @@ fn dfs_carma_matches_bfs_and_reference_bitwise_on_all_backends() {
         let plan = algo.plan(prob, &model()).unwrap();
         plan.validate().expect("CARMA plans are memory-honest in both regimes");
         let spec = MachineSpec::piz_daint_with_memory(prob.p, prob.mem_words).enforcing_memory();
-        let report = execute_boxed_with(algo.as_ref(), &plan, &spec, backend, &a, &b)
+        let report = execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b)
             .unwrap_or_else(|e| panic!("{backend} S={}: {e}", prob.mem_words));
         for (r, st) in report.stats.iter().enumerate() {
             assert_eq!(
@@ -393,11 +391,11 @@ fn dfs_carma_matches_bfs_and_reference_bitwise_on_all_backends() {
         }
         report.c
     };
-    let c_bfs = run(&ample, ExecBackend::Threaded);
+    let c_bfs = run(&ample, ExecBackend::auto(ample.p));
     assert_eq!(c_bfs.as_slice(), want.as_slice(), "BFS CARMA vs reference GEMM");
     for backend in [
-        ExecBackend::Threaded,
-        ExecBackend::Sharded { workers: 3 },
+        ExecBackend::Blocking { workers: 8 },
+        ExecBackend::Blocking { workers: 3 },
         ExecBackend::event(),
     ] {
         let c_dfs = run(&tight, backend);
@@ -406,17 +404,17 @@ fn dfs_carma_matches_bfs_and_reference_bitwise_on_all_backends() {
     }
 }
 
-/// COSMA's one-sided (RMA) backend on the sharded executor: `fence` is a
-/// barrier rendezvous, so the epoch protocol must survive slot hand-offs.
+/// COSMA's one-sided (RMA) backend with fewer workers than ranks: `fence` is
+/// a barrier rendezvous, so the epoch protocol must survive slot hand-offs.
 #[test]
-fn one_sided_cosma_executes_on_the_sharded_backend() {
+fn one_sided_cosma_executes_with_fewer_workers_than_ranks() {
     use cosma::algorithm::Backend;
     let prob = MmmProblem::new(48, 40, 56, 12, 1 << 13);
     let a = Matrix::deterministic(prob.m, prob.k, 5);
     let b = Matrix::deterministic(prob.k, prob.n, 6);
     let (plan, report) = RunSession::new(prob)
         .backend(Backend::OneSided)
-        .exec_backend(ExecBackend::Sharded { workers: 2 })
+        .exec_backend(ExecBackend::Blocking { workers: 2 })
         .execute_verified(&a, &b)
         .unwrap();
     assert_eq!(report.total_recv_words(), plan.total_comm_words());
@@ -434,7 +432,8 @@ fn execute_on_wrong_world_is_an_error_for_every_algorithm() {
             continue;
         }
         let plan = algo.plan(&prob, &model()).unwrap();
-        let err = execute_boxed(algo.as_ref(), &plan, &wrong, &a, &b).unwrap_err();
+        let err =
+            execute_boxed(algo.as_ref(), &plan, &wrong, ExecBackend::auto(wrong.p), &a, &b).unwrap_err();
         assert_eq!(
             err,
             PlanError::WorldSizeMismatch {
