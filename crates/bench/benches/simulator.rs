@@ -42,8 +42,10 @@ fn main() {
     group.bench("allgather-bruck", || {
         run_spmd_with(&spec, ExecBackend::auto(spec.p), |mut comm| async move {
             let group: Vec<usize> = (0..comm.size()).collect();
-            let sizes = vec![words / 16; 16];
-            allgather_bruck(&mut comm, &group, vec![1.0; words / 16], &sizes, 1, Phase::InputA).await
+            let cuts: Vec<usize> = (0..=16).map(|j| j * words / 16).collect();
+            let (pos, mut slab) = (comm.rank(), vec![1.0; words]);
+            allgather_bruck(&mut comm, &group, pos, &mut slab, 1, &cuts, 1, Phase::InputA).await;
+            slab
         })
         .expect("blocking run accepted")
     });

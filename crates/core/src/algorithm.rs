@@ -23,9 +23,9 @@
 //! tests assert equality against the mpiP-style counters.
 
 use densemat::gemm::gemm_packed;
-use densemat::layout::even_splits;
 use densemat::matrix::Matrix;
-use mpsim::collectives::{allgather_bruck, even_chunk_ranges, reduce_scatter_ring};
+pub use mpsim::collectives::even_range;
+use mpsim::collectives::{allgather_bruck, even_cut, reduce_scatter_ring, unpack_block};
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
 use mpsim::stats::Phase;
@@ -63,12 +63,6 @@ impl Default for CosmaConfig {
             backend: Backend::TwoSided,
         }
     }
-}
-
-/// The contiguous range of `idx`-th of `parts` balanced pieces of `0..total`.
-pub fn even_range(total: usize, parts: usize, idx: usize) -> std::ops::Range<usize> {
-    let splits = even_splits(total, parts);
-    splits[idx]..splits[idx + 1]
 }
 
 /// Build the COSMA [`DistPlan`] for `prob`.
@@ -122,7 +116,7 @@ pub fn plan(prob: &MmmProblem, cfg: &CosmaConfig, model: &CostModel) -> Result<D
             // adds each received word once. C stays distributed in COSMA's
             // blocked layout (§7.6) — no tree-root hotspot.
             let tile = lm * ln;
-            let own_chunk = even_chunk_ranges(tile, grid.gk)[ik].len();
+            let own_chunk = even_range(tile, grid.gk, ik).len();
             let c_words = (tile - own_chunk) as u64;
             rounds.push(Round {
                 a_words: 0,
@@ -224,7 +218,7 @@ pub async fn execute(
     // publishes its shards, fences once, then peers pull chunks on demand.
     if cfg.backend == Backend::OneSided {
         if rp.active {
-            let window = build_window(plan, rp, a, b);
+            let window = build_window(plan, &grid, rp, a, b);
             comm.track_alloc(window.len() as u64);
             comm.win_fill(window);
         } else {
@@ -241,58 +235,40 @@ pub async fn execute(
     let (rows, cols, ks) = (brick.rows.clone(), brick.cols.clone(), brick.ks.clone());
     let (lm, ln, lk) = (rows.len(), cols.len(), ks.len());
     let sp = latency_steps(lm, ln, lk, plan.problem.mem_words).expect("plan was feasible");
-    let mut c_local = Matrix::zeros(lm, ln);
+    // Allocated at the first multiply, not before the gathers: in lockstep
+    // every rank reaches this point before any rank finishes, so an eager
+    // tile is host memory held by all ranks at once.
+    let mut c_local: Option<Matrix> = None;
     comm.track_alloc((lm * ln) as u64);
+    // One-sided: where this round's chunk starts in each fiber peer's window.
+    let mut win = (cfg.backend == Backend::OneSided).then(|| window_cursors(plan, &grid, &sp.slabs, jn));
 
     for (round, slab) in sp.slab_ranges().into_iter().enumerate() {
         let w = slab.len();
         let ks_lo = ks.start + slab.start;
-        // --- DistrData: assemble the A slab (lm x w) ---
-        let a_slab = match cfg.backend {
-            Backend::TwoSided => {
-                let own = even_range(w, grid.gn, jn);
-                let mine = a.block(rows.clone(), ks_lo + own.start..ks_lo + own.end).into_vec();
-                let sizes: Vec<usize> = (0..grid.gn).map(|j| lm * even_range(w, grid.gn, j).len()).collect();
-                let chunks = allgather_bruck(
-                    comm,
-                    &grid.j_group(im, ik),
-                    mine,
-                    &sizes,
-                    2 * round as u64 * TAG_STRIDE,
-                    Phase::InputA,
-                )
-                .await;
-                assemble_col_chunks(lm, w, grid.gn, &chunks)
-            }
-            Backend::OneSided => {
-                gather_chunks_rma(comm, plan, &grid, GatherWhat::A, im, jn, ik, round, lm, w)
-            }
-        };
-        // --- DistrData: assemble the B slab (w x ln) ---
-        let b_slab = match cfg.backend {
-            Backend::TwoSided => {
-                let own = even_range(w, grid.gm, im);
-                let mine = b.block(ks_lo + own.start..ks_lo + own.end, cols.clone()).into_vec();
-                let sizes: Vec<usize> = (0..grid.gm).map(|i| even_range(w, grid.gm, i).len() * ln).collect();
-                let chunks = allgather_bruck(
-                    comm,
-                    &grid.i_group(jn, ik),
-                    mine,
-                    &sizes,
-                    (2 * round as u64 + 1) * TAG_STRIDE,
-                    Phase::InputB,
-                )
-                .await;
-                assemble_row_chunks(w, ln, grid.gm, &chunks)
-            }
-            Backend::OneSided => {
-                gather_chunks_rma(comm, plan, &grid, GatherWhat::B, im, jn, ik, round, ln, w)
-            }
-        };
+        let tag = 2 * round as u64 * TAG_STRIDE;
+        // --- DistrData: the A slab (lm x w); member j of the j-fiber owns
+        // the j-th balanced run of columns ---
+        let own = even_range(w, grid.gn, jn);
+        let mut a_slab = Matrix::zeros(lm, w);
+        a_slab.set_block(0, own.start, &a.block(rows.clone(), ks_lo + own.start..ks_lo + own.end));
+        let (group, cuts) = (grid.j_group(im, ik), even_cuts(w, grid.gn, 1));
+        let a_win = win.as_mut().map(|(a_win, _)| a_win.as_mut_slice());
+        gather(comm, group, jn, a_slab.as_mut_slice(), lm, cuts, tag, Phase::InputA, a_win).await;
+        // --- DistrData: the B slab (w x ln); member i of the i-fiber owns
+        // the i-th balanced run of whole rows, so flattened to one row of
+        // w·ln words the blocks are cut at row starts ---
+        let own = even_range(w, grid.gm, im);
+        let mut b_slab = Matrix::zeros(w, ln);
+        b_slab.set_block(own.start, 0, &b.block(ks_lo + own.start..ks_lo + own.end, cols.clone()));
+        let (group, cuts) = (grid.i_group(jn, ik), even_cuts(w, grid.gm, ln));
+        let b_win = win.as_mut().map(|(_, b_win)| b_win.as_mut_slice());
+        gather(comm, group, im, b_slab.as_mut_slice(), 1, cuts, tag + TAG_STRIDE, Phase::InputB, b_win).await;
         // --- Multiply ---
-        gemm_packed(&a_slab, &b_slab, &mut c_local);
+        gemm_packed(&a_slab, &b_slab, c_local.get_or_insert_with(|| Matrix::zeros(lm, ln)));
         comm.record_flops(2 * (lm * ln * w) as u64);
     }
+    let c_local = c_local.unwrap_or_else(|| Matrix::zeros(lm, ln));
 
     // --- Reduce: ring reduce-scatter of the C tile along the k-fiber ---
     if grid.gk > 1 {
@@ -300,13 +276,11 @@ pub async fn execute(
         let tile = lm * ln;
         let mut data = c_local.into_vec();
         let (own_idx, chunk) = reduce_scatter_ring(comm, &group, &mut data, REDUCE_TAG, Phase::OutputC).await;
-        let own_words = even_chunk_ranges(tile, grid.gk)[ik].len();
-        comm.record_flops((tile - own_words) as u64);
-        let offset = even_chunk_ranges(tile, grid.gk)[own_idx].start;
+        comm.record_flops((tile - even_range(tile, grid.gk, ik).len()) as u64);
         return Some(CPart {
             rows,
             cols,
-            offset,
+            offset: even_range(tile, grid.gk, own_idx).start,
             data: chunk,
         });
     }
@@ -318,147 +292,77 @@ pub async fn execute(
     })
 }
 
-/// Which matrix an RMA gather assembles.
-#[derive(Clone, Copy, PartialEq)]
-enum GatherWhat {
-    A,
-    B,
+/// Block boundaries of a gathered slab: the `parts + 1` cuts of `0..w` into
+/// [`even_range`] pieces, in units of `unit` words.
+fn even_cuts(w: usize, parts: usize, unit: usize) -> Vec<usize> {
+    (0..=parts).map(|i| unit * even_cut(w, parts, i)).collect()
 }
 
 /// The RMA window content of one rank: its A chunks for every round, then
 /// its B chunks for every round, all row-major flattened.
-fn build_window(plan: &DistPlan, rp: &RankPlan, a: &Matrix, b: &Matrix) -> Vec<f64> {
-    let grid = Grid3 {
-        gm: plan.grid[0],
-        gn: plan.grid[1],
-        gk: plan.grid[2],
-    };
+fn build_window(plan: &DistPlan, grid: &Grid3, rp: &RankPlan, a: &Matrix, b: &Matrix) -> Vec<f64> {
     let [im, jn, _ik] = rp.coords;
     let brick = &rp.bricks[0];
     let (rows, cols, ks) = (brick.rows.clone(), brick.cols.clone(), brick.ks.clone());
     let sp = latency_steps(rows.len(), cols.len(), ks.len(), plan.problem.mem_words).expect("feasible plan");
     let mut window = Vec::new();
     for slab in sp.slab_ranges() {
-        let w = slab.len();
-        let own = even_range(w, grid.gn, jn);
+        let own = even_range(slab.len(), grid.gn, jn);
         let ks_lo = ks.start + slab.start;
         window.extend(a.block(rows.clone(), ks_lo + own.start..ks_lo + own.end).into_vec());
     }
     for slab in sp.slab_ranges() {
-        let w = slab.len();
-        let own = even_range(w, grid.gm, im);
+        let own = even_range(slab.len(), grid.gm, im);
         let ks_lo = ks.start + slab.start;
         window.extend(b.block(ks_lo + own.start..ks_lo + own.end, cols.clone()).into_vec());
     }
     window
 }
 
-/// Byte offset (in words) of a given round's A or B chunk inside a peer's
-/// window, mirroring [`build_window`]'s layout.
-fn window_offset(
-    plan: &DistPlan,
-    peer_coords: [usize; 3],
-    peer_brick: &Brick,
-    what: GatherWhat,
-    round: usize,
-) -> usize {
-    let grid = Grid3 {
-        gm: plan.grid[0],
-        gn: plan.grid[1],
-        gk: plan.grid[2],
-    };
-    let [im, jn, _] = peer_coords;
-    let (lm, ln, lk) = (peer_brick.rows.len(), peer_brick.cols.len(), peer_brick.ks.len());
-    let sp = latency_steps(lm, ln, lk, plan.problem.mem_words).expect("feasible plan");
-    let mut offset = 0usize;
-    let a_total: usize = sp.slabs.iter().map(|&w| lm * even_range(w, grid.gn, jn).len()).sum();
-    match what {
-        GatherWhat::A => {
-            for &w in sp.slabs.iter().take(round) {
-                offset += lm * even_range(w, grid.gn, jn).len();
-            }
-        }
-        GatherWhat::B => {
-            offset = a_total;
-            for &w in sp.slabs.iter().take(round) {
-                offset += even_range(w, grid.gm, im).len() * ln;
-            }
-        }
-    }
-    offset
+/// Word offsets of the first round's A chunk in every j-fiber peer's window
+/// and of its B chunk in every i-fiber peer's, mirroring [`build_window`]'s
+/// layout; [`gather`] advances them round by round. Fiber peers share
+/// this rank's round structure (`slabs`); the B chunks of the i-fiber peer at
+/// row coordinate `i` sit behind its own `lm_i × (its columns of every slab)`
+/// words of A.
+fn window_cursors(plan: &DistPlan, grid: &Grid3, slabs: &[usize], jn: usize) -> (Vec<usize>, Vec<usize>) {
+    let a_cols: usize = slabs.iter().map(|&w| even_range(w, grid.gn, jn).len()).sum();
+    let b_win = (0..grid.gm)
+        .map(|i| even_range(plan.problem.m, grid.gm, i).len() * a_cols)
+        .collect();
+    (vec![0; grid.gn], b_win)
 }
 
-/// Pull one round's chunks from every fiber peer via RMA `get` and assemble
-/// the slab matrix.
+/// Complete one round's `rows × cuts[g]` slab, of which this rank (at `pos`
+/// of its fiber `group`) has written its own block: two-sided by an in-place
+/// Bruck all-gather; one-sided (`win` given) by a `get` of every peer's block
+/// from its window at `win[peer position]` straight into the slab, advancing
+/// the cursors past the round. Owns `group` and `cuts` so they are freed
+/// before the next gather starts — every rank is in here at once.
 #[allow(clippy::too_many_arguments)]
-fn gather_chunks_rma(
+async fn gather(
     comm: &mut RankComm,
-    plan: &DistPlan,
-    grid: &Grid3,
-    what: GatherWhat,
-    im: usize,
-    jn: usize,
-    ik: usize,
-    round: usize,
-    edge: usize,
-    w: usize,
-) -> Matrix {
-    let (group, parts, phase) = match what {
-        GatherWhat::A => (grid.j_group(im, ik), grid.gn, Phase::InputA),
-        GatherWhat::B => (grid.i_group(jn, ik), grid.gm, Phase::InputB),
+    group: Vec<usize>,
+    pos: usize,
+    slab: &mut [f64],
+    rows: usize,
+    cuts: Vec<usize>,
+    tag: u64,
+    phase: Phase,
+    win: Option<&mut [usize]>,
+) {
+    let Some(win) = win else {
+        return allgather_bruck(comm, &group, pos, slab, rows, &cuts, tag, phase).await;
     };
-    let my_pos = match what {
-        GatherWhat::A => jn,
-        GatherWhat::B => im,
-    };
-    let mut chunks: Vec<Vec<f64>> = Vec::with_capacity(parts);
-    for (pos, &peer) in group.iter().enumerate() {
-        let own = even_range(w, parts, pos);
-        let words = match what {
-            GatherWhat::A => edge * own.len(),
-            GatherWhat::B => own.len() * edge,
-        };
-        if pos == my_pos {
-            let off = window_offset(plan, plan.ranks[peer].coords, &plan.ranks[peer].bricks[0], what, round);
-            chunks.push(comm.win_read_local(off, words));
-        } else {
-            let off = window_offset(plan, plan.ranks[peer].coords, &plan.ranks[peer].bricks[0], what, round);
-            chunks.push(comm.get(peer, off, words, phase));
+    for (j, &peer) in group.iter().enumerate() {
+        let words = rows * (cuts[j + 1] - cuts[j]);
+        if j != pos {
+            let chunk = comm.get(peer, win[j], words, phase);
+            unpack_block(slab, rows, &cuts, j, &chunk);
+            comm.recycle(chunk);
         }
+        win[j] += words;
     }
-    match what {
-        GatherWhat::A => assemble_col_chunks(edge, w, parts, &chunks),
-        GatherWhat::B => assemble_row_chunks(w, edge, parts, &chunks),
-    }
-}
-
-/// Assemble an `lm x w` matrix from `parts` column-chunk payloads (chunk `j`
-/// holds the balanced `j`-th column range, row-major).
-fn assemble_col_chunks(lm: usize, w: usize, parts: usize, chunks: &[Vec<f64>]) -> Matrix {
-    let mut out = Matrix::zeros(lm, w);
-    for (pos, chunk) in chunks.iter().enumerate() {
-        let r = even_range(w, parts, pos);
-        if r.is_empty() {
-            continue;
-        }
-        let block = Matrix::from_vec(lm, r.len(), chunk.clone());
-        out.set_block(0, r.start, &block);
-    }
-    out
-}
-
-/// Assemble a `w x ln` matrix from `parts` row-chunk payloads.
-fn assemble_row_chunks(w: usize, ln: usize, parts: usize, chunks: &[Vec<f64>]) -> Matrix {
-    let mut out = Matrix::zeros(w, ln);
-    for (pos, chunk) in chunks.iter().enumerate() {
-        let r = even_range(w, parts, pos);
-        if r.is_empty() {
-            continue;
-        }
-        let block = Matrix::from_vec(r.len(), ln, chunk.clone());
-        out.set_block(r.start, 0, &block);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -517,6 +421,37 @@ mod tests {
         check_cosma(16, 16, 16, 4, 4096, Backend::OneSided);
         check_cosma(12, 20, 28, 6, 2048, Backend::OneSided);
         check_cosma(8, 8, 64, 8, 256, Backend::OneSided);
+    }
+
+    #[test]
+    fn cosma_correct_when_slabs_are_narrower_than_the_fibers() {
+        // Grids 16x16x2 and 13x13x3 with round widths of 8 and 7-8: most
+        // fiber members own an empty block of every slab.
+        for backend in [Backend::TwoSided, Backend::OneSided] {
+            check_cosma(16, 16, 16, 512, 4096, backend);
+            check_cosma(17, 19, 23, 510, 4096, backend);
+        }
+    }
+
+    #[test]
+    fn gather_allocations_grow_with_log_fiber_length() {
+        // One pooled payload per Bruck round and ring step: p·(log2 gn +
+        // log2 gm + gk) takes, of which 0.31 (p = 512) to 0.46 (p = 2048)
+        // miss. One buffer per gathered block — p·(gn + gm) — missed 3.3x
+        // and 5.6x that bound.
+        for p in [512usize, 2048] {
+            let prob = MmmProblem::new(64, 64, 64, p, 1 << 12);
+            let session = crate::api::RunSession::new(prob)
+                .machine(CostModel::piz_daint_two_sided())
+                .exec_backend(ExecBackend::event());
+            let (dplan, report) = session
+                .execute_verified(&Matrix::deterministic(64, 64, 1), &Matrix::deterministic(64, 64, 2))
+                .expect("executes");
+            let [gm, gn, gk] = dplan.grid.map(|g| g as u64);
+            assert_eq!(gm * gn * gk, p as u64, "every rank active");
+            let bound = p as u64 * (u64::from(gn.ilog2()) + u64::from(gm.ilog2()) + gk);
+            assert!(report.pool.misses <= bound, "p={p}: {} allocations > {bound}", report.pool.misses);
+        }
     }
 
     #[test]

@@ -242,65 +242,87 @@ pub async fn allgather_ring(
     chunks.into_iter().map(|c| c.expect("all chunks gathered")).collect()
 }
 
-/// Bruck all-gather: every member contributes `mine`; returns all
-/// contributions ordered by group position, like [`allgather_ring`], but in
-/// `⌈log₂ g⌉` rounds of doubling block counts instead of `g − 1` ring steps.
-/// Per-rank received words are identical to the ring (every foreign block
-/// arrives exactly once); only the message count changes — this is the
-/// latency-optimized pattern of the paper's §7.2 broadcast trees.
+/// Bruck all-gather, in place on the destination slab: `slab` is a row-major
+/// `rows × cuts[g]` matrix in which the member at group position `j` owns
+/// block `j` — columns `cuts[j]..cuts[j + 1]` of every row. The caller (at
+/// position `pos`) has written its own block; on return every block is in
+/// place. `⌈log₂ g⌉` rounds of doubling block counts instead of the ring's
+/// `g − 1` steps, for the same received words (every foreign block arrives
+/// exactly once) — the latency-optimized pattern of the paper's §7.2 trees.
 ///
-/// `chunk_words[i]` must give every member's contribution length (all
-/// members must agree), so receivers can split concatenated payloads.
+/// Each round packs the outgoing blocks from the slab into one pooled payload
+/// (block after block, each row-major) and unpacks the received one straight
+/// to its final position: `O(log g)` buffers and `O(words + g)` work per
+/// rank. All members must pass the same `rows` and `cuts`.
+#[allow(clippy::too_many_arguments)]
 pub async fn allgather_bruck(
     comm: &mut RankComm,
     group: &[usize],
-    mine: Vec<f64>,
-    chunk_words: &[usize],
+    pos: usize,
+    slab: &mut [f64],
+    rows: usize,
+    cuts: &[usize],
     tag: u64,
     phase: Phase,
-) -> Vec<Vec<f64>> {
+) {
     let g = group.len();
-    assert_eq!(chunk_words.len(), g, "chunk size table must cover the group");
-    let pos = my_pos(comm, group);
-    assert_eq!(mine.len(), chunk_words[pos], "own chunk size mismatch");
-    // have[j] = chunk of member (pos + j) mod g.
-    let mut have: Vec<Vec<f64>> = vec![mine];
-    let mut step = 1usize;
-    let mut round = 0u64;
-    while have.len() < g {
-        let want = (g - have.len()).min(step);
+    assert_eq!(cuts.len(), g + 1, "cut table must cover the group");
+    assert_eq!(group[pos], comm.rank(), "rank {} is not at position {pos} of its group", comm.rank());
+    assert_eq!(slab.len(), rows * cuts[g], "slab size mismatch");
+    // Before the round with distance `step` I hold blocks pos..pos + step
+    // (mod g).
+    let (mut step, mut round) = (1usize, 0u64);
+    while step < g {
+        let want = (g - step).min(step);
         let dst = group[(pos + g - step) % g];
         let src = group[(pos + step) % g];
         // dst lacks my first `want` blocks (its collection ends at pos - 1).
-        let payload_words: usize = have.iter().take(want).map(Vec::len).sum();
-        let mut payload = comm.pool().take_clear(payload_words);
-        for blk in have.iter().take(want) {
-            payload.extend_from_slice(blk);
+        let mine = (pos..g).chain(0..pos).take(want);
+        let words = rows * mine.clone().map(|j| cuts[j + 1] - cuts[j]).sum::<usize>();
+        let mut payload = comm.pool().take_clear(words);
+        for j in mine {
+            pack_block(slab, rows, cuts, j, &mut payload);
         }
         let received = comm.sendrecv(dst, src, tag.wrapping_add(round), payload, phase).await;
-        // Split by the known sizes of blocks (pos + step + j) mod g.
+        let first = (pos + step) % g;
         let mut off = 0;
-        for j in 0..want {
-            let len = chunk_words[(pos + step + j) % g];
-            have.push(comm.pool().take_copy(&received[off..off + len]));
-            off += len;
+        for j in (first..g).chain(0..first).take(want) {
+            off += unpack_block(slab, rows, cuts, j, &received[off..]);
         }
         assert_eq!(off, received.len(), "bruck payload framing mismatch");
         comm.recycle(received);
         step <<= 1;
         round += 1;
     }
-    // Reorder from my-relative to group-position order.
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); g];
-    for (j, blk) in have.into_iter().enumerate() {
-        out[(pos + j) % g] = blk;
+}
+
+/// Append block `j` of a `rows × cuts[g]` slab to `out`, row-major.
+fn pack_block(slab: &[f64], rows: usize, cuts: &[usize], j: usize, out: &mut Vec<f64>) {
+    let (lo, hi, width) = (cuts[j], cuts[j + 1], cuts[cuts.len() - 1]);
+    if lo < hi {
+        for r in 0..rows {
+            out.extend_from_slice(&slab[r * width + lo..r * width + hi]);
+        }
     }
-    out
+}
+
+/// Copy block `j` — row-major at the front of `src` — to its place in a
+/// `rows × cuts[g]` slab; returns the block's word count. The inverse of the
+/// packing [`allgather_bruck`] sends, for callers that fetch blocks some
+/// other way (RMA `get`).
+pub fn unpack_block(slab: &mut [f64], rows: usize, cuts: &[usize], j: usize, src: &[f64]) -> usize {
+    let (lo, hi, width) = (cuts[j], cuts[j + 1], cuts[cuts.len() - 1]);
+    if lo < hi {
+        for (r, row) in src[..rows * (hi - lo)].chunks_exact(hi - lo).enumerate() {
+            slab[r * width + lo..r * width + hi].copy_from_slice(row);
+        }
+    }
+    rows * (hi - lo)
 }
 
 /// Ring reduce-scatter: element-wise sum of every member's `data`, scattered
 /// so that the member at group position `pos` ends up owning the summed
-/// chunk `(pos + 1) mod g` (balanced chunks by [`even_chunk_ranges`]).
+/// chunk `(pos + 1) mod g` (balanced chunks by [`even_range`]).
 /// Returns `(owned_chunk_index, summed_chunk)`.
 ///
 /// `g − 1` steps; each member receives every chunk except its own position's,
@@ -315,7 +337,8 @@ pub async fn reduce_scatter_ring(
 ) -> (usize, Vec<f64>) {
     let g = group.len();
     let pos = my_pos(comm, group);
-    let ranges = even_chunk_ranges(data.len(), g);
+    let len = data.len();
+    let chunk = |idx: usize| even_range(len, g, idx);
     if g == 1 {
         return (0, data.to_vec());
     }
@@ -324,9 +347,9 @@ pub async fn reduce_scatter_ring(
     for s in 0..g - 1 {
         let send_idx = (pos + g - s) % g;
         let recv_idx = (pos + g - s - 1) % g;
-        let outgoing = comm.pool().take_copy(&data[ranges[send_idx].clone()]);
+        let outgoing = comm.pool().take_copy(&data[chunk(send_idx)]);
         let incoming = comm.sendrecv(right, left, tag.wrapping_add(s as u64), outgoing, phase).await;
-        let dst = &mut data[ranges[recv_idx].clone()];
+        let dst = &mut data[chunk(recv_idx)];
         assert_eq!(incoming.len(), dst.len(), "reduce-scatter chunk mismatch");
         for (d, v) in dst.iter_mut().zip(&incoming) {
             *d += *v;
@@ -334,22 +357,28 @@ pub async fn reduce_scatter_ring(
         comm.recycle(incoming);
     }
     let own = (pos + 1) % g;
-    (own, data[ranges[own].clone()].to_vec())
+    (own, data[chunk(own)].to_vec())
 }
 
-/// Balanced chunk ranges of `0..len` split `parts` ways (leading chunks one
-/// longer on remainders) — the chunking used by [`reduce_scatter_ring`].
+/// Where the `idx`-th of `parts` balanced contiguous pieces of `0..total`
+/// starts (leading pieces one longer on remainders; `idx == parts` gives
+/// `total`), in closed form — the one balanced split every grid algorithm
+/// and [`reduce_scatter_ring`] cut by.
+#[inline]
+pub fn even_cut(total: usize, parts: usize, idx: usize) -> usize {
+    debug_assert!(idx <= parts, "cut {idx} of {parts} pieces");
+    idx * (total / parts) + idx.min(total % parts)
+}
+
+/// The `idx`-th of `parts` balanced contiguous pieces of `0..total`.
+#[inline]
+pub fn even_range(total: usize, parts: usize, idx: usize) -> std::ops::Range<usize> {
+    even_cut(total, parts, idx)..even_cut(total, parts, idx + 1)
+}
+
+/// All `parts` ranges of [`even_range`], as a table.
 pub fn even_chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut x = 0;
-    for i in 0..parts {
-        let w = base + usize::from(i < extra);
-        out.push(x..x + w);
-        x += w;
-    }
-    out
+    (0..parts).map(|i| even_range(len, parts, i)).collect()
 }
 
 /// One ring-shift step (Cannon): send `data` to `dst` and receive the
@@ -635,28 +664,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bruck_allgather_matches_ring() {
-        for p in [1usize, 2, 3, 4, 5, 7, 8, 13] {
-            let spec = MachineSpec::test_machine(p, 1000);
-            let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
-                let group: Vec<usize> = (0..c.size()).collect();
-                let sizes: Vec<usize> = (0..c.size()).map(|r| r + 1).collect();
-                let mine = vec![c.rank() as f64; c.rank() + 1];
-                allgather_bruck(&mut c, &group, mine, &sizes, 40, Phase::InputA).await
-            })
-            .unwrap();
-            for r in 0..p {
-                for posn in 0..p {
-                    assert_eq!(out.results[r][posn], vec![posn as f64; posn + 1], "p={p} r={r}");
+    /// The counters of a run without its (event-only) virtual clock.
+    fn counters(stats: &[crate::stats::RankStats]) -> Vec<crate::stats::RankStats> {
+        stats.iter().map(|s| s.sans_time()).collect()
+    }
+
+    /// Gather a `rows × cuts[g]` slab whose word `i` is `i` over a world of
+    /// `g` ranks; every rank starts with its own block and −1 elsewhere.
+    fn bruck_world(
+        spec: &MachineSpec,
+        backend: ExecBackend,
+        rows: usize,
+        cuts: &[usize],
+    ) -> crate::exec::RunOutput<Vec<f64>> {
+        run_spmd_with(spec, backend, |mut c| async move {
+            let group: Vec<usize> = (0..c.size()).collect();
+            let (pos, width) = (c.rank(), cuts[cuts.len() - 1]);
+            let mut slab = vec![-1.0; rows * width];
+            for r in 0..rows {
+                for col in cuts[pos]..cuts[pos + 1] {
+                    slab[r * width + col] = (r * width + col) as f64;
                 }
             }
-            // Words: everything except one's own chunk; messages: ceil(log2 g).
-            let total: usize = (1..=p).sum();
-            for (r, st) in out.stats.iter().enumerate() {
-                assert_eq!(st.total_recv() as usize, total - (r + 1), "p={p} rank {r} words");
-                let expect_msgs = (usize::BITS - (p - 1).leading_zeros()) as u64;
-                assert_eq!(st.msgs_recv, expect_msgs, "p={p} rank {r} msgs");
+            allgather_bruck(&mut c, &group, pos, &mut slab, rows, cuts, 40, Phase::InputA).await;
+            slab
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn bruck_allgather_fills_the_slab_in_place() {
+        for g in 1usize..=33 {
+            // Uneven blocks (every third one empty), and a slab narrower
+            // than the group: most blocks empty.
+            let uneven: Vec<usize> = (0..=g).map(|j| j - j / 3).collect();
+            let narrow: Vec<usize> = (0..=g).map(|j| even_cut(g / 3, g, j)).collect();
+            for cuts in [&uneven, &narrow] {
+                for rows in [1usize, 3] {
+                    let what = format!("g={g} rows={rows} cuts={cuts:?}");
+                    let spec = MachineSpec::test_machine(g, 10_000);
+                    let out = bruck_world(&spec, BLOCKING, rows, cuts);
+                    let total = rows * cuts[g];
+                    let want: Vec<f64> = (0..total).map(|i| i as f64).collect();
+                    let msgs = g.next_power_of_two().trailing_zeros() as u64;
+                    for (r, st) in out.stats.iter().enumerate() {
+                        assert_eq!(out.results[r], want, "{what} rank {r}");
+                        let own = rows * (cuts[r + 1] - cuts[r]);
+                        assert_eq!(st.total_recv() as usize, total - own, "{what} rank {r} words");
+                        assert_eq!(st.msgs_recv, msgs, "{what} rank {r} msgs");
+                    }
+                    // The arena and the backend are invisible to results,
+                    // counters and (event) virtual time.
+                    let event = bruck_world(&spec, ExecBackend::event(), rows, cuts);
+                    let unpooled =
+                        bruck_world(&spec.clone().with_pooling(false), ExecBackend::event(), rows, cuts);
+                    assert_eq!((&event.results, &unpooled.results), (&out.results, &out.results), "{what}");
+                    assert_eq!(event.stats, unpooled.stats, "{what}");
+                    assert_eq!(counters(&out.stats), counters(&event.stats), "{what}");
+                }
             }
         }
     }
@@ -708,7 +773,7 @@ mod tests {
         let r = even_chunk_ranges(10, 3);
         assert_eq!(r, vec![0..4, 4..7, 7..10]);
         let r = even_chunk_ranges(3, 5);
-        assert_eq!(r.iter().map(|x| x.len()).sum::<usize>(), 3);
+        assert_eq!(r, vec![0..1, 1..2, 2..3, 3..3, 3..3]);
     }
 
     #[test]
@@ -769,8 +834,6 @@ mod tests {
         assert_eq!(blocking.results, event.results);
         // Counters match bit for bit; the event run additionally carries the
         // virtual clock, which the blocking reference does not have.
-        let counters =
-            |stats: &[crate::stats::RankStats]| stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
         assert_eq!(counters(&blocking.stats), counters(&event.stats));
     }
 

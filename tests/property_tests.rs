@@ -48,6 +48,22 @@ impl Rng {
 }
 
 #[test]
+fn even_range_is_even_splits_in_closed_form() {
+    for total in 0..=64usize {
+        for parts in 1..=64usize {
+            let splits = densemat::layout::even_splits(total, parts);
+            for idx in 0..parts {
+                assert_eq!(
+                    even_range(total, parts, idx),
+                    splits[idx]..splits[idx + 1],
+                    "{total}/{parts} piece {idx}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn even_range_partitions_exactly() {
     let mut rng = Rng::new(1);
     for _ in 0..CASES {
