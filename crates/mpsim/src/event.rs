@@ -11,11 +11,11 @@
 //!   rank body the caller hands to [`crate::exec::run_spmd_with`], compiled
 //!   by rustc into an explicit-continuation enum whose suspended state costs
 //!   bytes, not a stack;
-//! * one scheduler thread drives all `p` state machines from a ready queue
-//!   that is a **min-heap ordered by virtual timestamp** (FIFO on ties); a
-//!   rank that cannot make progress (a `recv` with no matching message, a
-//!   `barrier`/`fence` waiting for peers) registers a `Wait` in the
-//!   world's matching table and returns `Poll::Pending`;
+//! * a scheduler drives the state machines from a ready queue that is a
+//!   **min-heap ordered by virtual timestamp** (FIFO on ties); a rank that
+//!   cannot make progress (a `recv` with no matching message, a
+//!   `barrier`/`fence` waiting for peers) registers a `Wait` in its slab —
+//!   the world's matching table — and returns `Poll::Pending`;
 //! * a `send` that satisfies a registered `Recv` wait — or the last arrival
 //!   at a barrier — clears the wait and moves the rank back onto the ready
 //!   queue at its virtual completion time.
@@ -65,14 +65,25 @@
 //! Worlds of 100k+ ranks execute end-to-end with real messages in a few
 //! hundred bytes per rank.
 //!
-//! # The parallel scheduler
+//! # One state layout, two drivers
 //!
-//! `ExecBackend::Event { threads: N }` with `N > 1` shards the scheduler
-//! across `N` OS threads: ranks are
-//! partitioned into `N` contiguous **regions**, each owning a slab of
-//! per-rank state (mailbox, wait slot, clock, injection link, deadlines) and
-//! a region-local ready heap. The regions advance in *conservative windows*
-//! of virtual time, classic bounded-lag discrete-event style: with the cost
+//! Ranks are partitioned into contiguous **regions** (`RegionState`), each
+//! owning a slab of per-rank state (mailbox, wait slot, clock, injection
+//! link, park epoch), a ready heap and a deadline heap. Both drivers run the
+//! same `send`, `recv`, barrier and clock code on that layout; they differ
+//! only in how they order polls.
+//!
+//! The **sequential driver** (`run_event_world`) is the reference: one
+//! region holding every rank, polled on the calling thread in global
+//! `(time, seq)` order, recv deadlines checked before every pop, the barrier
+//! resolved inline by its last arriver. It runs every world the sharded
+//! driver's determinism contract does not cover — `threads: 1`, every
+//! shared-link topology (links are charged in global consumption order) and
+//! α = 0 (no lookahead).
+//!
+//! The **region-sharded driver** (`run_event_world_parallel`) gives each of
+//! `N` OS threads one region and advances them in *conservative windows* of
+//! virtual time, classic bounded-lag discrete-event style: with the cost
 //! model's per-message latency α as the **lookahead**, every window spans
 //! `[floor, floor + α)` where `floor` is the earliest pending event anywhere;
 //! each worker drains its own heap up to the window bound, polling rank
@@ -83,7 +94,14 @@
 //! never inside the window that posted it. At each boundary one leader
 //! thread delivers inboxes (stable-sorted by sender, preserving per-sender
 //! FIFO), resolves a fully-arrived world barrier, checks recv deadlines and
-//! structural deadlock, and opens the next window.
+//! structural deadlock, and opens the next window. On the flat topology
+//! every virtual quantity a rank commits (its clock, its receiver-private
+//! injection link, its share of the commutative barrier max) depends on
+//! rank-local state and on message envelopes fixed by the sender's program
+//! order — never on the global interleaving — so counters *and* virtual
+//! times are bitwise-identical to the sequential driver's. Message payloads
+//! are shared `Arc` buffers either way: delivery moves a pointer, and the
+//! (sole) receiver recovers the owned vector without copying.
 //!
 //! # Fault injection
 //!
@@ -95,30 +113,18 @@
 //! drops, and reports a world the faults keep from completing as a typed
 //! [`ExecError::RankFailed`] carrying the earliest scheduled casualty.
 //! Every fault decision is keyed on rank-local state (the rank's own event
-//! time, the sender's program-order send index), so the sequential and
-//! multi-region engines inject the *same* faults at the *same* events, and
-//! a plan that schedules nothing is bitwise a no-op.
+//! time, the sender's program-order send index), so both drivers inject the
+//! *same* faults at the *same* events, and a plan that schedules nothing is
+//! bitwise a no-op.
 //!
 //! A second guard complements the virtual recv deadline: a world whose
 //! clocks are *frozen* (α = 0, zero-word messages) can ping-pong forever
-//! without ever outrunning a parked recv's deadline. The sequential engine
+//! without ever outrunning a parked recv's deadline. The sequential driver
 //! counts consecutive polls without strict virtual-time advance and, past a
 //! generous budget, fires the earliest pending deadline as
 //! [`ExecError::DeadlockSuspected`] — so a livelocked world errors instead
-//! of spinning (the parallel engine requires α > 0, where every window
+//! of spinning (the sharded driver requires α > 0, where every window
 //! strictly advances the floor).
-//!
-//! The multi-region path only engages where its determinism contract is
-//! provable: on the **flat topology** every virtual quantity a rank commits
-//! (its clock, its receiver-private injection link, its share of the
-//! commutative barrier max) depends on rank-local state and on message
-//! envelopes fixed by the sender's program order — never on the global
-//! interleaving — so counters *and* virtual times are bitwise-identical to
-//! the single-threaded engine. Shared-link topologies charge links in global
-//! consumption order, and a zero α gives zero lookahead, so those worlds
-//! (and `threads: 1`) run the single-threaded engine unchanged. Message
-//! payloads are shared `Arc` buffers either way: delivery moves a pointer,
-//! and the (sole) receiver recovers the owned vector without copying.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
@@ -144,6 +150,13 @@ type Payload = Arc<Vec<f64>>;
 /// common point-to-point case), a clone otherwise.
 fn take_payload(data: Payload) -> Vec<f64> {
     Arc::try_unwrap(data).unwrap_or_else(|shared| (*shared).clone())
+}
+
+/// Lock a piece of world state. A poisoned lock means a rank body panicked;
+/// recover the state so the original panic surfaces, as in the other
+/// backends.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A tagged in-flight message (the event-world analogue of the blocking
@@ -220,7 +233,7 @@ impl Eq for ReadyEntry {}
 
 /// A parked receive's virtual-time deadline (`clock + recv_timeout` at park
 /// time): min-heap by `at`, lazily invalidated through the park epoch (see
-/// [`WorldState::deadlines`]). Ties break by rank then epoch so draining is
+/// [`RegionState::deadlines`]). Ties break by rank then epoch so draining is
 /// deterministic.
 #[derive(Debug, Clone, Copy)]
 struct DeadlineEntry {
@@ -254,59 +267,82 @@ impl PartialEq for DeadlineEntry {
 
 impl Eq for DeadlineEntry {}
 
-/// Mutable world state, behind one mutex (the scheduler is single-threaded;
-/// the lock exists so [`EventComm`] stays `Send` like the other backends'
-/// communicators).
-struct WorldState {
-    /// Per-rank delivered-but-unmatched messages, in arrival order — the
-    /// union of the blocking communicator's channel and `pending` buffer.
-    mailboxes: Vec<VecDeque<Packet>>,
-    /// The matching table: what each rank currently waits for.
-    waits: Vec<Wait>,
-    /// Ready queue of runnable ranks, ordered by virtual readiness time.
+/// One rank's scheduler state — the only per-rank record. A region's ranks
+/// live in a single contiguous allocation.
+#[derive(Debug, Default)]
+struct RankSlab {
+    /// Delivered-but-unmatched messages, in arrival order — the union of the
+    /// blocking communicator's channel and `pending` buffer.
+    mailbox: VecDeque<Packet>,
+    /// The rank's matching-table entry: what it currently waits for.
+    wait: Wait,
+    /// The rank's virtual clock (`now`, seconds).
+    clock: f64,
+    /// Availability time of the rank's injection wire ([`Network`] link id
+    /// `rank`), the last hop of every route to it, committed when the rank
+    /// consumes a message. Receiver-private by construction, which is what
+    /// makes regions independent between window boundaries.
+    link_free: f64,
+    /// Park counter, invalidating stale deadline entries.
+    park_epoch: u64,
+    /// Whether the rank's body future completed.
+    finished: bool,
+    /// Whether the fault plan killed this rank — distinct from `finished`: a
+    /// dead rank produced no result, and sends to it are losses, not
+    /// teardowns.
+    dead: bool,
+    /// Program-order send counter, keying the fault plan's message-drop
+    /// decisions. Only advanced when a plan is attached.
+    sends: u64,
+}
+
+/// A contiguous block of ranks: their slabs, a ready heap and a deadline
+/// heap. The sequential driver runs one region holding every rank. The
+/// sharded driver gives each worker thread one: mid-window only the owning
+/// worker touches it (cross-region traffic goes through
+/// [`EventWorld::inboxes`]), and the mutex hands the same state to the
+/// boundary leader between windows.
+struct RegionState {
+    /// First global rank of this region.
+    base: usize,
+    /// Per-rank state, indexed by `rank - base`.
+    slabs: Vec<RankSlab>,
+    /// Availability times of the links ranks share (node NICs, switch
+    /// uplinks, torus links): [`Network`] link ids `≥ p`, stored at
+    /// `id - p`. Empty on the flat topology; a shared-link world is always
+    /// one region, so its region holds every link of every route.
+    shared_links: Vec<f64>,
+    /// Ready heap of this region's runnable ranks (entries carry *global*
+    /// ranks), ordered by virtual readiness time.
     ready: BinaryHeap<ReadyEntry>,
     /// Admission counter for FIFO tie-breaking.
     seq: u64,
-    /// Per-rank virtual clocks (`now`, seconds).
-    clock: Vec<f64>,
-    /// Per-*link* availability time, indexed by the [`Network`]'s dense link
-    /// ids (`0..p` are the per-rank injection wires; node NICs, switch
-    /// uplinks and torus links follow). Transfers serialize on every link of
-    /// their route in consumption order; committed when the receiver
-    /// consumes the message.
-    link_free: Vec<f64>,
-    /// Virtual deadlines of parked receives, lazily invalidated: an entry
-    /// only fires if its rank is still parked on a recv from the same park
-    /// epoch. Barrier waits carry no deadline (a barrier involves every
-    /// rank, so a wedged barrier is caught structurally).
+    /// Virtual deadlines of this region's parked receives, lazily
+    /// invalidated: an entry only fires if its rank is still parked on a
+    /// recv from the same park epoch. Barrier waits carry no deadline (a
+    /// barrier involves every rank, so a wedged barrier is caught
+    /// structurally).
     deadlines: BinaryHeap<DeadlineEntry>,
-    /// Per-rank park counter, invalidating stale deadline entries.
-    park_epoch: Vec<u64>,
-    /// Max arrival clock of the current barrier epoch.
-    barrier_t: f64,
-    /// Ranks whose body future completed.
-    finished: Vec<bool>,
-    /// Arrivals at the current barrier epoch.
-    barrier_arrived: usize,
-    /// Completed barrier epochs (a parked arrival resumes when this passes
-    /// the epoch it arrived in).
-    barrier_gen: u64,
-    /// Per-rank RMA windows (the one-sided backend).
-    windows: Vec<Vec<f64>>,
+    /// Earliest fault-plan message drop by a sender of this region, as
+    /// `(sent_at, from, to)` — the casualty a pure-loss wedge reports.
+    first_drop: Option<(f64, usize, usize)>,
     /// Scheduler decision trace, recorded when tracing is on.
     trace: Option<Vec<SchedEvent>>,
-    /// Ranks killed by the fault plan — distinct from `finished`: a dead
-    /// rank produced no result, and sends to it are losses, not teardowns.
-    dead: Vec<bool>,
-    /// Per-rank program-order send counters, keying the fault plan's
-    /// message-drop decisions. Only advanced when a plan is attached.
-    sends: Vec<u64>,
-    /// Earliest fault-plan message drop as `(sent_at, from, to)` — the
-    /// casualty a pure-loss wedge reports.
-    first_drop: Option<(f64, usize, usize)>,
 }
 
-impl WorldState {
+impl RegionState {
+    fn slab(&self, rank: usize) -> &RankSlab {
+        &self.slabs[rank - self.base]
+    }
+
+    fn slab_mut(&mut self, rank: usize) -> &mut RankSlab {
+        &mut self.slabs[rank - self.base]
+    }
+
+    fn owns(&self, rank: usize) -> bool {
+        (self.base..self.base + self.slabs.len()).contains(&rank)
+    }
+
     fn enqueue(&mut self, rank: usize, at: f64) {
         if let Some(t) = &mut self.trace {
             t.push(SchedEvent::Enqueue(rank));
@@ -320,13 +356,28 @@ impl WorldState {
     /// `rank`'s mailbox — the same arrival-order matching rule as the
     /// blocking communicator's pending-buffer scan.
     fn take_match(&mut self, rank: usize, from: usize, tag: u64) -> Option<Packet> {
-        let inbox = &mut self.mailboxes[rank];
+        let inbox = &mut self.slab_mut(rank).mailbox;
         let idx = inbox.iter().position(|m| m.from == from && m.tag == tag)?;
         inbox.remove(idx)
     }
-}
 
-impl WorldState {
+    /// Availability time of link `link` of a `p`-rank world: ids `< p` are a
+    /// rank's injection wire and live in its slab, the rest in
+    /// [`shared_links`](Self::shared_links).
+    fn link_free(&self, p: usize, link: usize) -> f64 {
+        match link.checked_sub(p) {
+            None => self.slab(link).link_free,
+            Some(shared) => self.shared_links[shared],
+        }
+    }
+
+    fn link_free_mut(&mut self, p: usize, link: usize) -> &mut f64 {
+        match link.checked_sub(p) {
+            None => &mut self.slab_mut(link).link_free,
+            Some(shared) => &mut self.shared_links[shared],
+        }
+    }
+
     /// When a matched receive of `pkt` by `rank` would complete — the one
     /// formula behind both the wake-time heap admission and the clock the
     /// recv poll commits.
@@ -339,20 +390,21 @@ impl WorldState {
     /// walked from the rendezvous of sender and receiver and fully exposed.
     /// On the flat topology the route is the single injection link with
     /// factor 1.0, which reproduces the historical per-receiver-link clock
-    /// bitwise in both modes (without overlap the link is only ever
-    /// committed at the receiver's resulting clock, and clocks are
-    /// monotone, so the extra `max` is a no-op).
-    fn completion_time(&self, net: &Network, rank: usize, pkt: &Packet, overlap: bool) -> f64 {
-        let mut t = if overlap {
+    /// bitwise in both modes (`1.0 × transfer_s` is `transfer_s`; without
+    /// overlap the link is only ever committed at the receiver's resulting
+    /// clock, and clocks are monotone, so the extra `max` is a no-op).
+    fn completion_time(&self, world: &EventWorld, rank: usize, pkt: &Packet) -> f64 {
+        let clock = self.slab(rank).clock;
+        let mut t = if world.overlap {
             pkt.sent_at
         } else {
-            self.clock[rank].max(pkt.sent_at)
+            clock.max(pkt.sent_at)
         };
-        net.for_each_hop(pkt.from, rank, |link, factor| {
-            t = t.max(self.link_free[link]) + factor * pkt.transfer_s;
+        world.net.for_each_hop(pkt.from, rank, |link, factor| {
+            t = t.max(self.link_free(world.p, link)) + factor * pkt.transfer_s;
         });
-        if overlap {
-            self.clock[rank].max(t)
+        if world.overlap {
+            clock.max(t)
         } else {
             t
         }
@@ -360,36 +412,60 @@ impl WorldState {
 
     /// [`completion_time`](Self::completion_time), committing every link's
     /// occupancy along the route — links are charged in virtual-time
-    /// consumption order (the deterministic heap order of the receiving
-    /// polls), never at wake time.
-    fn recv_completion(&mut self, net: &Network, rank: usize, pkt: &Packet, overlap: bool) -> f64 {
-        let mut t = if overlap {
+    /// consumption order (the deterministic order of the receiving polls:
+    /// global on the one region of a shared-link world, the one receiver's
+    /// program order for an injection wire), never at wake time.
+    fn recv_completion(&mut self, world: &EventWorld, rank: usize, pkt: &Packet) -> f64 {
+        let clock = self.slab(rank).clock;
+        let mut t = if world.overlap {
             pkt.sent_at
         } else {
-            self.clock[rank].max(pkt.sent_at)
+            clock.max(pkt.sent_at)
         };
-        net.for_each_hop(pkt.from, rank, |link, factor| {
-            t = t.max(self.link_free[link]) + factor * pkt.transfer_s;
-            self.link_free[link] = t;
+        world.net.for_each_hop(pkt.from, rank, |link, factor| {
+            let free = self.link_free_mut(world.p, link);
+            t = t.max(*free) + factor * pkt.transfer_s;
+            *free = t;
         });
-        if overlap {
-            self.clock[rank].max(t)
+        if world.overlap {
+            clock.max(t)
         } else {
             t
         }
     }
+
+    /// Put `pkt` in `to`'s mailbox; if `to` is parked on exactly this
+    /// message, wake it at the estimated completion time. The wake time is
+    /// only a heap priority — the recv poll recomputes (and commits) against
+    /// the link states of its actual consumption order.
+    fn deliver(&mut self, world: &EventWorld, to: usize, pkt: Packet) {
+        let wake = self.slab(to).wait
+            == (Wait::Recv {
+                from: pkt.from,
+                tag: pkt.tag,
+            });
+        let at = wake.then(|| self.completion_time(world, to, &pkt));
+        let slab = self.slab_mut(to);
+        slab.mailbox.push_back(pkt);
+        if let Some(at) = at {
+            slab.wait = Wait::None;
+            self.enqueue(to, at);
+        }
+    }
 }
 
-/// The scheduling engine behind an [`EventWorld`]: the single-threaded
-/// global-heap simulator, or the multi-region parallel one.
-enum Engine {
-    /// One scheduler thread, one global state block — any topology. Boxed:
-    /// the state block dwarfs the parallel variant, and a world is built
-    /// once per run.
-    Seq(Box<Mutex<WorldState>>),
-    /// Region-sharded scheduler threads over conservative virtual-time
-    /// windows — flat topology with α > 0 only (see [`ParWorld`]).
-    Par(ParWorld),
+/// The world barrier's epoch state. Arrivals update it as they happen
+/// (count and commutative max are interleaving-insensitive);
+/// [`EventWorld::resolve_barrier`] closes a fully-arrived epoch.
+#[derive(Debug, Default)]
+struct BarrierState {
+    /// Arrivals in the current epoch.
+    arrived: usize,
+    /// Max arrival clock of the current epoch.
+    t_max: f64,
+    /// Completed epochs (a parked arrival resumes when this passes the
+    /// epoch it arrived in).
+    gen: u64,
 }
 
 /// State shared by all ranks of one event-driven machine.
@@ -415,232 +491,50 @@ pub struct EventWorld {
     /// collective scratch lease buffers here and recycle them on return.
     /// Recycling is bitwise-invisible to results, counters and virtual time.
     pool: Arc<BufferPool>,
-    engine: Engine,
-}
-
-impl EventWorld {
-    fn new(spec: &MachineSpec, stats: Arc<StatsBoard>, traced: bool, pool: Arc<BufferPool>) -> Self {
-        let p = spec.p;
-        let net = Network::new(spec);
-        let n_links = net.n_links();
-        EventWorld {
-            p,
-            stats,
-            model: spec.cost,
-            overlap: spec.overlap,
-            net,
-            timeout_s: spec.recv_timeout.as_secs_f64(),
-            faults: spec.faults.as_ref().map(|plan| plan.schedule(p)),
-            pool,
-            engine: Engine::Seq(Box::new(Mutex::new(WorldState {
-                mailboxes: (0..p).map(|_| VecDeque::new()).collect(),
-                waits: vec![Wait::None; p],
-                ready: BinaryHeap::new(),
-                seq: 0,
-                clock: vec![0.0; p],
-                link_free: vec![0.0; n_links],
-                deadlines: BinaryHeap::new(),
-                park_epoch: vec![0; p],
-                barrier_t: 0.0,
-                finished: vec![false; p],
-                barrier_arrived: 0,
-                barrier_gen: 0,
-                windows: (0..p).map(|_| Vec::new()).collect(),
-                trace: traced.then(Vec::new),
-                dead: vec![false; p],
-                sends: vec![0; p],
-                first_drop: None,
-            }))),
-        }
-    }
-
-    /// A world on the multi-region parallel engine (`regions` ≥ 2; flat
-    /// topology, α > 0 — the caller guarantees both).
-    fn new_parallel(
-        spec: &MachineSpec,
-        stats: Arc<StatsBoard>,
-        regions: usize,
-        pool: Arc<BufferPool>,
-    ) -> Self {
-        let p = spec.p;
-        let net = Network::new(spec);
-        EventWorld {
-            p,
-            stats,
-            model: spec.cost,
-            overlap: spec.overlap,
-            net,
-            timeout_s: spec.recv_timeout.as_secs_f64(),
-            faults: spec.faults.as_ref().map(|plan| plan.schedule(p)),
-            pool,
-            engine: Engine::Par(ParWorld::new(p, regions)),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, WorldState> {
-        // A poisoned world means a rank body panicked; recover the state so
-        // the original panic surfaces, as in the other backends.
-        match &self.engine {
-            Engine::Seq(st) => st.lock().unwrap_or_else(|e| e.into_inner()),
-            Engine::Par(_) => unreachable!("sequential state requested from a parallel world"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The multi-region parallel engine.
-// ---------------------------------------------------------------------
-
-/// One rank's slab of scheduler state on the parallel engine — everything
-/// the single-threaded [`WorldState`] spreads over parallel vectors, packed
-/// into one struct so a region's ranks live in a single contiguous
-/// allocation.
-#[derive(Debug, Default)]
-struct RankSlab {
-    /// Delivered-but-unmatched messages, in arrival order.
-    mailbox: VecDeque<Packet>,
-    /// What this rank currently waits for.
-    wait: Wait,
-    /// The rank's virtual clock (`now`, seconds).
-    clock: f64,
-    /// Availability time of the rank's injection link. The parallel engine
-    /// runs flat topology only, where a transfer's whole route is the
-    /// receiver's injection wire — receiver-private by construction, which
-    /// is what makes regions independent between window boundaries.
-    link_free: f64,
-    /// Park counter, invalidating stale deadline entries.
-    park_epoch: u64,
-    /// Whether the rank's body future completed.
-    finished: bool,
-    /// Whether the fault plan killed this rank (see [`WorldState::dead`]).
-    dead: bool,
-    /// Program-order send counter for the fault plan's drop decisions.
-    sends: u64,
-}
-
-/// One region of the parallel engine: a contiguous block of ranks, their
-/// slabs, and a region-local ready heap. Mid-window, only the owning worker
-/// thread touches a region (cross-region traffic goes through
-/// [`ParWorld::inboxes`]); the mutex hands the same state to the boundary
-/// leader between windows.
-struct RegionState {
-    /// First global rank of this region.
-    base: usize,
-    /// Per-rank state, indexed by `rank - base`.
-    slabs: Vec<RankSlab>,
-    /// Region-local ready heap (entries carry *global* ranks).
-    ready: BinaryHeap<ReadyEntry>,
-    /// Region-local admission counter for FIFO tie-breaking.
-    seq: u64,
-    /// Virtual deadlines of this region's parked receives.
-    deadlines: BinaryHeap<DeadlineEntry>,
-    /// Earliest fault-plan message drop by a sender of this region, as
-    /// `(sent_at, from, to)`.
-    first_drop: Option<(f64, usize, usize)>,
-}
-
-impl RegionState {
-    fn slab(&self, rank: usize) -> &RankSlab {
-        &self.slabs[rank - self.base]
-    }
-
-    fn slab_mut(&mut self, rank: usize) -> &mut RankSlab {
-        &mut self.slabs[rank - self.base]
-    }
-
-    fn enqueue(&mut self, rank: usize, at: f64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.ready.push(ReadyEntry { at, seq, rank });
-    }
-
-    /// The flat-topology analogue of [`WorldState::completion_time`]: the
-    /// route is exactly the receiver's injection link with factor 1.0, so
-    /// the arithmetic below reproduces the hop walk bitwise.
-    fn completion_time(&self, rank: usize, pkt: &Packet, overlap: bool) -> f64 {
-        let slab = self.slab(rank);
-        let mut t = if overlap {
-            pkt.sent_at
-        } else {
-            slab.clock.max(pkt.sent_at)
-        };
-        t = t.max(slab.link_free) + pkt.transfer_s;
-        if overlap {
-            slab.clock.max(t)
-        } else {
-            t
-        }
-    }
-
-    /// [`completion_time`](Self::completion_time), committing the injection
-    /// link's occupancy (the receiving poll's consumption order — program
-    /// order of the one receiver, so region-local).
-    fn recv_completion(&mut self, rank: usize, pkt: &Packet, overlap: bool) -> f64 {
-        let slab = self.slab_mut(rank);
-        let mut t = if overlap {
-            pkt.sent_at
-        } else {
-            slab.clock.max(pkt.sent_at)
-        };
-        t = t.max(slab.link_free) + pkt.transfer_s;
-        slab.link_free = t;
-        if overlap {
-            slab.clock.max(t)
-        } else {
-            t
-        }
-    }
-
-    /// Arrival-order matching, as [`WorldState::take_match`].
-    fn take_match(&mut self, rank: usize, from: usize, tag: u64) -> Option<Packet> {
-        let inbox = &mut self.slab_mut(rank).mailbox;
-        let idx = inbox.iter().position(|m| m.from == from && m.tag == tag)?;
-        inbox.remove(idx)
-    }
-}
-
-/// Global barrier bookkeeping of the parallel engine. Arrivals update it
-/// mid-window (count and commutative max are interleaving-insensitive); the
-/// boundary leader resolves a fully-arrived epoch.
-#[derive(Debug, Default)]
-struct ParBarrier {
-    /// Arrivals in the current epoch.
-    arrived: usize,
-    /// Max arrival clock of the current epoch.
-    t_max: f64,
-    /// Completed epochs.
-    gen: u64,
-}
-
-/// Shared state of the multi-region parallel engine (see the module docs'
-/// "The parallel scheduler").
-struct ParWorld {
-    p: usize,
     /// Ranks per region (`ceil(p / regions)`); rank `r` lives in region
     /// `r / chunk` at slab index `r % chunk`.
     chunk: usize,
-    /// The regions, in rank order.
+    /// The regions, in rank order: one under the sequential driver, one per
+    /// worker thread under the sharded driver.
     regions: Vec<Mutex<RegionState>>,
     /// Per-target-region inboxes for cross-region packets, drained (and
     /// stable-sorted by sender) at each window boundary. Bounded by
     /// construction: a window's deposits are delivered before the next
     /// window opens, so an inbox never holds more than one window's traffic.
     inboxes: Vec<Mutex<Vec<(usize, Packet)>>>,
-    /// Global barrier epoch state.
-    barrier: Mutex<ParBarrier>,
-    /// Per-rank RMA windows. Shared globally: one-sided ops may target any
-    /// rank. Conflicting same-window-boundary RMA ops from different regions
-    /// apply in unspecified order (as in MPI's separate-epoch semantics);
-    /// the origin-side time charge is rank-local either way.
+    barrier: Mutex<BarrierState>,
+    /// Per-rank RMA windows, world-global: one-sided ops may target any
+    /// rank. Conflicting RMA ops of one window from different regions apply
+    /// in unspecified order (as in MPI's separate-epoch semantics); the
+    /// origin-side time charge is rank-local either way.
     windows: Mutex<Vec<Vec<f64>>>,
 }
 
-impl ParWorld {
-    fn new(p: usize, regions: usize) -> Self {
+impl EventWorld {
+    /// A world of `regions` ≥ 1 regions; more than one only on the flat
+    /// topology with α > 0 (the caller guarantees both).
+    fn new(
+        spec: &MachineSpec,
+        stats: Arc<StatsBoard>,
+        regions: usize,
+        traced: bool,
+        pool: Arc<BufferPool>,
+    ) -> Self {
+        let p = spec.p;
+        let net = Network::new(spec);
+        let n_shared = net.n_links() - p;
+        assert!(regions == 1 || n_shared == 0, "a shared-link topology runs as one region");
         let chunk = p.div_ceil(regions);
         let n_regions = p.div_ceil(chunk);
-        ParWorld {
+        EventWorld {
             p,
+            stats,
+            model: spec.cost,
+            overlap: spec.overlap,
+            net,
+            timeout_s: spec.recv_timeout.as_secs_f64(),
+            faults: spec.faults.as_ref().map(|plan| plan.schedule(p)),
+            pool,
             chunk,
             regions: (0..n_regions)
                 .map(|w| {
@@ -649,15 +543,17 @@ impl ParWorld {
                     Mutex::new(RegionState {
                         base,
                         slabs: (0..len).map(|_| RankSlab::default()).collect(),
+                        shared_links: vec![0.0; n_shared],
                         ready: BinaryHeap::new(),
                         seq: 0,
                         deadlines: BinaryHeap::new(),
                         first_drop: None,
+                        trace: traced.then(Vec::new),
                     })
                 })
                 .collect(),
             inboxes: (0..n_regions).map(|_| Mutex::new(Vec::new())).collect(),
-            barrier: Mutex::new(ParBarrier::default()),
+            barrier: Mutex::new(BarrierState::default()),
             windows: Mutex::new((0..p).map(|_| Vec::new()).collect()),
         }
     }
@@ -667,19 +563,99 @@ impl ParWorld {
     }
 
     fn lock_region(&self, region: usize) -> MutexGuard<'_, RegionState> {
-        self.regions[region].lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.regions[region])
     }
 
     fn lock_rank(&self, rank: usize) -> MutexGuard<'_, RegionState> {
         self.lock_region(self.region_of(rank))
     }
 
-    fn lock_barrier(&self) -> MutexGuard<'_, ParBarrier> {
-        self.barrier.lock().unwrap_or_else(|e| e.into_inner())
+    /// Close the fully-arrived barrier epoch behind `b`: the barrier
+    /// resolves at the max arrival time, so every rank parked at it has its
+    /// clock advanced there (the wait counted as exposed communication) and
+    /// rejoins its ready queue, in rank order. `running` is the arriver
+    /// resolving inline, which continues without suspending, like
+    /// `std::sync::Barrier`'s leader.
+    fn resolve_barrier(&self, mut b: MutexGuard<'_, BarrierState>, running: Option<usize>) {
+        let tmax = b.t_max;
+        b.arrived = 0;
+        b.t_max = 0.0;
+        b.gen += 1;
+        drop(b);
+        for region in &self.regions {
+            let mut guard = lock(region);
+            let reg = &mut *guard;
+            for local in 0..reg.slabs.len() {
+                let slab = &mut reg.slabs[local];
+                if slab.wait == Wait::Barrier {
+                    let r = reg.base + local;
+                    slab.wait = Wait::None;
+                    self.stats.rank(r).record_comm_time(tmax - slab.clock, 0.0);
+                    slab.clock = tmax;
+                    if running != Some(r) {
+                        reg.enqueue(r, tmax);
+                    }
+                }
+            }
+        }
     }
 
-    fn lock_windows(&self) -> MutexGuard<'_, Vec<Vec<f64>>> {
-        self.windows.lock().unwrap_or_else(|e| e.into_inner())
+    /// The casualty a fault-afflicted world reports when it cannot complete
+    /// ([`fault_casualty`] over the slabs), `None` without a fault plan.
+    /// `include_drops` is off on the completion path: a run that finished
+    /// despite losses lost only messages nobody waited for. Takes the region
+    /// locks itself — call it with none held, and never mid-window.
+    fn fault_error(&self, include_drops: bool) -> Option<ExecError> {
+        let sched = self.faults.as_ref()?;
+        let mut first_drop = None;
+        if include_drops {
+            for region in &self.regions {
+                if let Some((at, from, to)) = lock(region).first_drop {
+                    note_drop(&mut first_drop, at, from, to);
+                }
+            }
+        }
+        let status = |r| {
+            let reg = self.lock_rank(r);
+            (reg.slab(r).dead, reg.slab(r).finished)
+        };
+        fault_casualty(sched, self.p, status, first_drop)
+    }
+
+    /// What a structurally deadlocked world reports. A wedge that is the
+    /// fault plan's doing (ranks dead or doomed, or a dropped message
+    /// starving its receiver) reports the scheduled casualty; otherwise the
+    /// first parked rank in rank order and what it waits on. A live rank with
+    /// no registered wait awaited something outside the communicator (which
+    /// the scheduler can never re-wake): report that honestly rather than
+    /// inventing a barrier. Takes the region locks, like
+    /// [`fault_error`](Self::fault_error).
+    fn wedge_error(&self) -> ExecError {
+        if let Some(e) = self.fault_error(true) {
+            return e;
+        }
+        let mut first_unfinished = None;
+        for region in &self.regions {
+            let reg = lock(region);
+            for (local, slab) in reg.slabs.iter().enumerate() {
+                let rank = reg.base + local;
+                let on = match slab.wait {
+                    Wait::Recv { from, tag } => Waiting::Message { from, tag },
+                    Wait::Barrier => Waiting::Barrier,
+                    Wait::None => {
+                        if !slab.finished {
+                            first_unfinished.get_or_insert(rank);
+                        }
+                        continue;
+                    }
+                };
+                return ExecError::DeadlockSuspected { rank, on };
+            }
+        }
+        ExecError::DeadlockSuspected {
+            rank: first_unfinished.expect("live ranks exist"),
+            on: Waiting::Unknown,
+        }
     }
 }
 
@@ -688,6 +664,9 @@ impl ParWorld {
 /// return futures that park the rank in the world's matching table.
 pub struct EventComm {
     rank: usize,
+    /// The region `rank` lives in, so the rank's own operations find their
+    /// state without dividing.
+    region: usize,
     world: Arc<EventWorld>,
 }
 
@@ -712,14 +691,16 @@ impl EventComm {
         &self.world.pool
     }
 
+    /// Lock the region this rank lives in.
+    fn lock_region(&self) -> MutexGuard<'_, RegionState> {
+        self.world.lock_region(self.region)
+    }
+
     /// Record `flops` local floating-point operations for this rank and
     /// advance its virtual clock by `compute_time(flops)`.
     pub fn record_flops(&self, flops: u64) {
         let dt = self.world.model.compute_time(flops);
-        match &self.world.engine {
-            Engine::Seq(_) => self.world.lock().clock[self.rank] += dt,
-            Engine::Par(pw) => pw.lock_rank(self.rank).slab_mut(self.rank).clock += dt,
-        }
+        self.lock_region().slab_mut(self.rank).clock += dt;
         let rs = self.world.stats.rank(self.rank);
         rs.record_flops(flops);
         rs.record_compute_time(dt);
@@ -740,7 +721,7 @@ impl EventComm {
     /// target's mailbox, and if the target is parked on a matching `recv`
     /// it is moved back onto the ready queue at its virtual completion time
     /// (the transfer itself is accounted when the target consumes the
-    /// message — see `WorldState::recv_completion`).
+    /// message — see `RegionState::recv_completion`).
     ///
     /// # Panics
     /// Panics if `to` is out of range, or with a typed
@@ -748,115 +729,57 @@ impl EventComm {
     /// exited (the scheduler converts that into a typed error, like the
     /// blocking backends).
     pub fn send(&self, to: usize, tag: u64, data: Vec<f64>, phase: Phase) {
-        assert!(to < self.world.p, "send to rank {to} of {}", self.world.p);
+        let world = &*self.world;
+        assert!(to < world.p, "send to rank {to} of {}", world.p);
         let words = data.len() as u64;
-        self.world.stats.rank(self.rank).record_send(words, phase);
-        let transfer_s = self.world.model.comm_time(words, 1);
-        let data = Arc::new(data);
-        match &self.world.engine {
-            Engine::Seq(_) => {
-                let mut st = self.world.lock();
-                if let Some(sched) = &self.world.faults {
-                    let n = st.sends[self.rank];
-                    st.sends[self.rank] = n + 1;
-                    if sched.drops(self.rank, to, n) {
-                        // The wire lost this message: the sender proceeds
-                        // none the wiser (the send was counted), the
-                        // receiver will starve and the wedge reports a
-                        // typed fault.
-                        let at = st.clock[self.rank];
-                        note_drop(&mut st.first_drop, at, self.rank, to);
-                        return;
-                    }
-                    if st.dead[to] {
-                        // The receiver was killed mid-run: a typed loss,
-                        // not a teardown — the wedge reports RankFailed.
-                        return;
-                    }
-                }
-                if st.finished[to] {
-                    // The receiver already exited: typed teardown, as in comm.rs.
-                    drop(st);
-                    crate::comm::raise(ExecError::WorldTornDown { rank: self.rank });
-                }
-                let pkt = Packet {
-                    from: self.rank,
-                    tag,
-                    data,
-                    sent_at: st.clock[self.rank],
-                    transfer_s,
-                };
-                if st.waits[to] == (Wait::Recv { from: self.rank, tag }) {
-                    // The target is parked on exactly this message: wake it at the
-                    // estimated completion time. The wake time is only a heap
-                    // priority — the recv poll recomputes (and commits) against the
-                    // link states of its actual consumption order.
-                    st.waits[to] = Wait::None;
-                    let at = st.completion_time(&self.world.net, to, &pkt, self.world.overlap);
-                    st.mailboxes[to].push_back(pkt);
-                    st.enqueue(to, at);
-                } else {
-                    st.mailboxes[to].push_back(pkt);
-                }
+        world.stats.rank(self.rank).record_send(words, phase);
+        let transfer_s = world.model.comm_time(words, 1);
+        let mut reg = self.lock_region();
+        if let Some(sched) = &world.faults {
+            let me = reg.slab_mut(self.rank);
+            let (n, at) = (me.sends, me.clock);
+            me.sends = n + 1;
+            if sched.drops(self.rank, to, n) {
+                // The wire lost this message: the sender proceeds none the
+                // wiser (the send was counted), the receiver will starve and
+                // the wedge reports a typed fault. A sender-local decision
+                // (seed + program-order send index), so the same message
+                // vanishes under either driver; recorded region-locally,
+                // verdicts fold the per-region minima.
+                note_drop(&mut reg.first_drop, at, self.rank, to);
+                return;
             }
-            Engine::Par(pw) => {
-                let my_region = pw.region_of(self.rank);
-                let to_region = pw.region_of(to);
-                let mut reg = pw.lock_region(my_region);
-                if let Some(sched) = &self.world.faults {
-                    let n = reg.slab(self.rank).sends;
-                    reg.slab_mut(self.rank).sends = n + 1;
-                    if sched.drops(self.rank, to, n) {
-                        // Sender-local decision (seed + program-order send
-                        // index), so the same message vanishes on every
-                        // engine. Recorded region-locally; verdicts fold
-                        // the per-region minima.
-                        let at = reg.slab(self.rank).clock;
-                        let rank = self.rank;
-                        note_drop(&mut reg.first_drop, at, rank, to);
-                        return;
-                    }
-                    if to_region == my_region && reg.slab(to).dead {
-                        // Killed receiver in our own region: typed loss.
-                        // (Cross-region deaths are observed at the window
-                        // boundary, where delivery happens anyway.)
-                        return;
-                    }
-                }
-                let pkt = Packet {
-                    from: self.rank,
-                    tag,
-                    data,
-                    sent_at: reg.slab(self.rank).clock,
-                    transfer_s,
-                };
-                if to_region == my_region {
-                    // Same region: deliver (and wake) directly, exactly like
-                    // the sequential engine.
-                    if reg.slab(to).finished {
-                        drop(reg);
-                        crate::comm::raise(ExecError::WorldTornDown { rank: self.rank });
-                    }
-                    if reg.slab(to).wait == (Wait::Recv { from: self.rank, tag }) {
-                        reg.slab_mut(to).wait = Wait::None;
-                        let at = reg.completion_time(to, &pkt, self.world.overlap);
-                        reg.slab_mut(to).mailbox.push_back(pkt);
-                        reg.enqueue(to, at);
-                    } else {
-                        reg.slab_mut(to).mailbox.push_back(pkt);
-                    }
-                } else {
-                    // Cross-region: deposit into the target region's inbox;
-                    // the boundary leader delivers it (and surfaces a typed
-                    // teardown if the target already exited). The message
-                    // cannot complete before `sent_at + α`, which is at or
-                    // past the window bound — boundary delivery never delays
-                    // a wake that belonged to this window.
-                    drop(reg);
-                    pw.inboxes[to_region].lock().unwrap_or_else(|e| e.into_inner()).push((to, pkt));
-                }
+            if reg.owns(to) && reg.slab(to).dead {
+                // The receiver was killed mid-run: a typed loss, not a
+                // teardown — the wedge reports RankFailed. (A death in
+                // another region is observed at the window boundary, where
+                // delivery happens anyway.)
+                return;
             }
         }
+        let pkt = Packet {
+            from: self.rank,
+            tag,
+            data: Arc::new(data),
+            sent_at: reg.slab(self.rank).clock,
+            transfer_s,
+        };
+        if !reg.owns(to) {
+            // Cross-region: deposit into the target region's inbox; the
+            // boundary leader delivers it (and surfaces a typed teardown if
+            // the target already exited). The message cannot complete before
+            // `sent_at + α`, which is at or past the window bound — boundary
+            // delivery never delays a wake that belonged to this window.
+            drop(reg);
+            lock(&world.inboxes[world.region_of(to)]).push((to, pkt));
+            return;
+        }
+        if reg.slab(to).finished {
+            // The receiver already exited: typed teardown, as in comm.rs.
+            drop(reg);
+            crate::comm::raise(ExecError::WorldTornDown { rank: self.rank });
+        }
+        reg.deliver(world, to, pkt);
     }
 
     /// Receive the next message from `from` with `tag`. A wait-state: with
@@ -882,10 +805,9 @@ impl EventComm {
     }
 
     /// Park until all `p` ranks reach the barrier. The barrier resolves at
-    /// the max arrival time: the last arrival advances everyone's clock to
-    /// it (each rank's wait counted as exposed communication) and releases
-    /// every parked rank back onto the ready queue (in rank order), then
-    /// continues without suspending, like `std::sync::Barrier`'s leader.
+    /// the max arrival time: everyone's clock advances to it (each rank's
+    /// wait counted as exposed communication) and every parked rank rejoins
+    /// the ready queue (see `EventWorld::resolve_barrier`).
     pub fn barrier(&self) -> BarrierFuture<'_> {
         BarrierFuture {
             comm: self,
@@ -908,21 +830,13 @@ impl EventComm {
     /// as exposed communication and the target stays passive.
     fn charge_rma(&self, words: u64) {
         let c = self.world.model.comm_time(words, 1);
-        match &self.world.engine {
-            Engine::Seq(_) => self.world.lock().clock[self.rank] += c,
-            Engine::Par(pw) => pw.lock_rank(self.rank).slab_mut(self.rank).clock += c,
-        }
+        self.lock_region().slab_mut(self.rank).clock += c;
         self.world.stats.rank(self.rank).record_comm_time(c, 0.0);
     }
 
-    /// Run `op` on the world's RMA window table. The parallel engine keeps
-    /// the table global behind its own lock: one-sided ops may target any
-    /// rank, and the origin-side time charge stays rank-local regardless.
+    /// Run `op` on the world's RMA window table.
     fn with_windows<T>(&self, op: impl FnOnce(&mut Vec<Vec<f64>>) -> T) -> T {
-        match &self.world.engine {
-            Engine::Seq(_) => op(&mut self.world.lock().windows),
-            Engine::Par(pw) => op(&mut pw.lock_windows()),
-        }
+        op(&mut lock(&self.world.windows))
     }
 
     /// (Re)size this rank's window to `words` zeroed words.
@@ -993,81 +907,45 @@ impl Future for RecvFuture<'_> {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Vec<f64>> {
         let rank = self.comm.rank;
-        let world = &self.comm.world;
+        let world = &*self.comm.world;
+        let mut reg = self.comm.lock_region();
+        if let Some(pkt) = reg.take_match(rank, self.from, self.tag) {
+            let now = reg.slab(rank).clock;
+            let done = reg.recv_completion(world, rank, &pkt);
+            reg.slab_mut(rank).clock = done;
+            drop(reg);
+            let stall = done - now;
+            let rs = world.stats.rank(rank);
+            rs.record_recv(pkt.data.len() as u64, self.phase);
+            rs.record_comm_time(stall, (pkt.transfer_s - stall).max(0.0));
+            return Poll::Ready(take_payload(pkt.data));
+        }
         let wait = Wait::Recv {
             from: self.from,
             tag: self.tag,
         };
-        match &world.engine {
-            Engine::Seq(_) => {
-                let mut st = world.lock();
-                if let Some(pkt) = st.take_match(rank, self.from, self.tag) {
-                    let now = st.clock[rank];
-                    let done = st.recv_completion(&world.net, rank, &pkt, world.overlap);
-                    st.clock[rank] = done;
-                    drop(st);
-                    let stall = done - now;
-                    let rs = world.stats.rank(rank);
-                    rs.record_recv(pkt.data.len() as u64, self.phase);
-                    rs.record_comm_time(stall, (pkt.transfer_s - stall).max(0.0));
-                    Poll::Ready(take_payload(pkt.data))
-                } else {
-                    // One outstanding wait-state per rank: a second concurrently
-                    // polled future would overwrite this slot and lose its wakeup,
-                    // so refuse loudly instead of deadlocking silently.
-                    assert!(
-                        st.waits[rank] == Wait::None || st.waits[rank] == wait,
-                        "rank {rank}: a rank supports one outstanding wait-state \
-                         (found {:?} while registering {wait:?})",
-                        st.waits[rank]
-                    );
-                    st.waits[rank] = wait;
-                    // Arm the virtual recv deadline: if the world's virtual time
-                    // outruns it while this rank is still parked, the scheduler
-                    // reports a suspected deadlock instead of simulating on.
-                    st.park_epoch[rank] += 1;
-                    let entry = DeadlineEntry {
-                        at: st.clock[rank] + world.timeout_s,
-                        rank,
-                        epoch: st.park_epoch[rank],
-                    };
-                    st.deadlines.push(entry);
-                    Poll::Pending
-                }
-            }
-            Engine::Par(pw) => {
-                let mut reg = pw.lock_rank(rank);
-                if let Some(pkt) = reg.take_match(rank, self.from, self.tag) {
-                    let now = reg.slab(rank).clock;
-                    let done = reg.recv_completion(rank, &pkt, world.overlap);
-                    reg.slab_mut(rank).clock = done;
-                    drop(reg);
-                    let stall = done - now;
-                    let rs = world.stats.rank(rank);
-                    rs.record_recv(pkt.data.len() as u64, self.phase);
-                    rs.record_comm_time(stall, (pkt.transfer_s - stall).max(0.0));
-                    Poll::Ready(take_payload(pkt.data))
-                } else {
-                    let slab = reg.slab(rank);
-                    assert!(
-                        slab.wait == Wait::None || slab.wait == wait,
-                        "rank {rank}: a rank supports one outstanding wait-state \
-                         (found {:?} while registering {wait:?})",
-                        slab.wait
-                    );
-                    let slab = reg.slab_mut(rank);
-                    slab.wait = wait;
-                    slab.park_epoch += 1;
-                    let entry = DeadlineEntry {
-                        at: slab.clock + world.timeout_s,
-                        rank,
-                        epoch: slab.park_epoch,
-                    };
-                    reg.deadlines.push(entry);
-                    Poll::Pending
-                }
-            }
-        }
+        let slab = reg.slab_mut(rank);
+        // One outstanding wait-state per rank: a second concurrently polled
+        // future would overwrite this slot and lose its wakeup, so refuse
+        // loudly instead of deadlocking silently.
+        assert!(
+            slab.wait == Wait::None || slab.wait == wait,
+            "rank {rank}: a rank supports one outstanding wait-state \
+             (found {:?} while registering {wait:?})",
+            slab.wait
+        );
+        slab.wait = wait;
+        // Arm the virtual recv deadline: if the world's virtual time outruns
+        // it while this rank is still parked, the scheduler reports a
+        // suspected deadlock instead of simulating on.
+        slab.park_epoch += 1;
+        let entry = DeadlineEntry {
+            at: slab.clock + world.timeout_s,
+            rank,
+            epoch: slab.park_epoch,
+        };
+        reg.deadlines.push(entry);
+        Poll::Pending
     }
 }
 
@@ -1083,95 +961,49 @@ impl Future for BarrierFuture<'_> {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let rank = self.comm.rank;
-        let world = self.comm.world.clone();
-        if let Engine::Par(pw) = &world.engine {
-            return match self.arrived_gen {
-                None => {
-                    // Arrival: park (even the last arriver — the boundary
-                    // leader resolves a full barrier, charging exactly what
-                    // the sequential engine's inline resolution charges) and
-                    // fold this clock into the commutative epoch max.
-                    let mut reg = pw.lock_rank(rank);
-                    let slab = reg.slab(rank);
-                    assert!(
-                        slab.wait == Wait::None,
-                        "rank {rank}: a rank supports one outstanding wait-state \
-                         (found {:?} while arriving at the barrier)",
-                        slab.wait
-                    );
-                    let clock = slab.clock;
-                    reg.slab_mut(rank).wait = Wait::Barrier;
-                    drop(reg);
-                    let mut b = pw.lock_barrier();
-                    b.arrived += 1;
-                    b.t_max = b.t_max.max(clock);
-                    self.arrived_gen = Some(b.gen);
-                    Poll::Pending
-                }
-                Some(gen) => {
-                    if pw.lock_barrier().gen > gen {
-                        Poll::Ready(())
-                    } else {
-                        // Spurious re-poll within the same epoch: keep waiting.
-                        pw.lock_rank(rank).slab_mut(rank).wait = Wait::Barrier;
-                        Poll::Pending
-                    }
-                }
-            };
-        }
-        let mut st = world.lock();
-        match self.arrived_gen {
-            None => {
-                st.barrier_arrived += 1;
-                st.barrier_t = st.barrier_t.max(st.clock[rank]);
-                if st.barrier_arrived == world.p {
-                    // Last arrival: the barrier resolves at the max arrival
-                    // time. Open the next epoch and release everyone parked
-                    // at the barrier, in rank order, each one's wait counted
-                    // as exposed communication.
-                    let tmax = st.barrier_t;
-                    st.barrier_arrived = 0;
-                    st.barrier_t = 0.0;
-                    st.barrier_gen += 1;
-                    for r in 0..world.p {
-                        if st.waits[r] == Wait::Barrier {
-                            st.waits[r] = Wait::None;
-                            world.stats.rank(r).record_comm_time(tmax - st.clock[r], 0.0);
-                            st.clock[r] = tmax;
-                            st.enqueue(r, tmax);
-                        }
-                    }
-                    world.stats.rank(rank).record_comm_time(tmax - st.clock[rank], 0.0);
-                    st.clock[rank] = tmax;
-                    Poll::Ready(())
-                } else {
-                    assert!(
-                        st.waits[rank] == Wait::None,
-                        "rank {rank}: a rank supports one outstanding wait-state \
-                         (found {:?} while arriving at the barrier)",
-                        st.waits[rank]
-                    );
-                    self.arrived_gen = Some(st.barrier_gen);
-                    st.waits[rank] = Wait::Barrier;
-                    Poll::Pending
-                }
+        let comm = self.comm;
+        let (rank, world) = (comm.rank, &*comm.world);
+        let Some(gen) = self.arrived_gen else {
+            // Arrival: park, and fold this clock into the commutative epoch
+            // max.
+            let mut reg = comm.lock_region();
+            let slab = reg.slab_mut(rank);
+            assert!(
+                slab.wait == Wait::None,
+                "rank {rank}: a rank supports one outstanding wait-state \
+                 (found {:?} while arriving at the barrier)",
+                slab.wait
+            );
+            slab.wait = Wait::Barrier;
+            let clock = slab.clock;
+            drop(reg);
+            let mut b = lock(&world.barrier);
+            b.arrived += 1;
+            b.t_max = b.t_max.max(clock);
+            self.arrived_gen = Some(b.gen);
+            if b.arrived == world.p && world.regions.len() == 1 {
+                // One region: its driver polls one rank at a time, so no
+                // other rank is running and the last arriver resolves the
+                // epoch inline. With more regions other workers are
+                // mid-window; the arrival parks and the boundary leader
+                // resolves, charging exactly the same.
+                world.resolve_barrier(b, Some(rank));
+                return Poll::Ready(());
             }
-            Some(gen) => {
-                if st.barrier_gen > gen {
-                    Poll::Ready(())
-                } else {
-                    // Spurious re-poll within the same epoch: keep waiting.
-                    st.waits[rank] = Wait::Barrier;
-                    Poll::Pending
-                }
-            }
+            return Poll::Pending;
+        };
+        if lock(&world.barrier).gen > gen {
+            Poll::Ready(())
+        } else {
+            // Spurious re-poll within the same epoch: keep waiting.
+            comm.lock_region().slab_mut(rank).wait = Wait::Barrier;
+            Poll::Pending
         }
     }
 }
 
 /// Fold a fault-plan message drop into a running `(sent_at, from, to)`
-/// minimum — the canonical "earliest loss" both engines agree on for all
+/// minimum — the canonical "earliest loss" both drivers agree on for all
 /// drops they both observed.
 fn note_drop(slot: &mut Option<(f64, usize, usize)>, at: f64, from: usize, to: usize) {
     let cand = (at, from, to);
@@ -1187,9 +1019,9 @@ fn note_drop(slot: &mut Option<(f64, usize, usize)>, at: f64, from: usize, to: u
 /// The casualty a fault-afflicted world reports when it cannot complete:
 /// the earliest *scheduled* death among ranks that are dead or still
 /// unfinished with a death pending — a schedule-derived attribution, so the
-/// sequential and parallel engines (whose wedge points may differ by up to
-/// one window) report the same `(rank, at)`. A pure message-loss wedge
-/// (no deaths in play) blames the starved receiver of the earliest drop.
+/// two drivers (whose wedge points may differ by up to one window) report
+/// the same `(rank, at)`. A pure message-loss wedge (no deaths in play)
+/// blames the starved receiver of the earliest drop.
 fn fault_casualty(
     sched: &FaultSchedule,
     p: usize,
@@ -1213,44 +1045,9 @@ fn fault_casualty(
     first_drop.map(|(at, _from, to)| ExecError::RankFailed { rank: to, at })
 }
 
-/// [`fault_casualty`] against the sequential engine's state. `include_drops`
-/// is off on the completion path: a run that finished despite losses lost
-/// only messages nobody waited for.
-fn seq_fault_error(world: &EventWorld, st: &WorldState, include_drops: bool) -> Option<ExecError> {
-    let sched = world.faults.as_ref()?;
-    fault_casualty(
-        sched,
-        world.p,
-        |r| (st.dead[r], st.finished[r]),
-        if include_drops { st.first_drop } else { None },
-    )
-}
-
-/// [`fault_casualty`] against the parallel engine's regions (called by the
-/// boundary leader or after the workers joined — never mid-window).
-fn par_fault_error(world: &EventWorld, pw: &ParWorld, include_drops: bool) -> Option<ExecError> {
-    let sched = world.faults.as_ref()?;
-    let mut dead = vec![false; pw.p];
-    let mut finished = vec![false; pw.p];
-    let mut first_drop: Option<(f64, usize, usize)> = None;
-    for lock in &pw.regions {
-        let reg = lock.lock().unwrap_or_else(|e| e.into_inner());
-        for (local, slab) in reg.slabs.iter().enumerate() {
-            dead[reg.base + local] = slab.dead;
-            finished[reg.base + local] = slab.finished;
-        }
-        if include_drops {
-            if let Some((at, from, to)) = reg.first_drop {
-                note_drop(&mut first_drop, at, from, to);
-            }
-        }
-    }
-    fault_casualty(sched, pw.p, |r| (dead[r], finished[r]), first_drop)
-}
-
 /// The frozen-clock livelock guard's poll budget: how many consecutive
 /// scheduler polls without strict virtual-time advance the sequential
-/// engine tolerates while a receive deadline is pending.
+/// driver tolerates while a receive deadline is pending.
 ///
 /// A world whose clocks are frozen (α = 0 and only zero-word messages in
 /// flight) can ping-pong forever without ever outrunning a parked recv's
@@ -1259,15 +1056,16 @@ fn par_fault_error(world: &EventWorld, pw: &ParWorld, include_drops: bool) -> Op
 /// into the same [`ExecError::DeadlockSuspected`] the deadline would have
 /// produced. Generous (≥ 2²⁰ polls, scaled by world size so same-timestamp
 /// bursts of large untimed worlds never trip it): a legitimate workload
-/// advancing time or finishing ranks resets the count. The parallel engine
+/// advancing time or finishing ranks resets the count. The sharded driver
 /// needs no guard — it only engages with α > 0, where every window
 /// strictly advances the floor.
 fn livelock_poll_budget(p: usize) -> u64 {
     (p as u64) * 64 + (1 << 20)
 }
 
-/// Run the world to completion on the calling thread — the single-threaded
-/// engine behind [`ExecBackend::Event`](crate::exec::ExecBackend::Event).
+/// Run the world to completion on the calling thread — the sequential
+/// driver behind [`ExecBackend::Event`](crate::exec::ExecBackend::Event),
+/// over a one-region world.
 pub(crate) fn run_event_world<R, F, Fut>(
     spec: &MachineSpec,
     f: F,
@@ -1280,19 +1078,20 @@ where
 {
     let p = spec.p;
     let stats = Arc::new(StatsBoard::new(p));
-    let world = Arc::new(EventWorld::new(spec, stats.clone(), traced, pool));
+    let world = Arc::new(EventWorld::new(spec, stats.clone(), 1, traced, pool));
     // One boxed state machine per rank — the entire per-rank footprint.
     let mut tasks: Vec<Option<Pin<Box<Fut>>>> = (0..p)
         .map(|rank| {
             let comm = EventComm {
                 rank,
+                region: 0,
                 world: world.clone(),
             };
             Some(Box::pin(f(crate::comm::RankComm::Event(comm))))
         })
         .collect();
     {
-        let mut st = world.lock();
+        let mut st = world.lock_region(0);
         for r in 0..p {
             st.enqueue(r, 0.0);
         }
@@ -1307,7 +1106,7 @@ where
     let mut stalled_polls: u64 = 0;
     while live > 0 {
         let next = {
-            let mut st = world.lock();
+            let mut st = world.lock_region(0);
             let entry = st.ready.pop();
             if let Some(e) = &entry {
                 if e.at > last_advance {
@@ -1325,21 +1124,17 @@ where
                 // outrun a deadline, so the livelock guard fires the
                 // earliest pending one once the poll budget is exhausted.
                 while let Some(&DeadlineEntry { at, rank, epoch }) = st.deadlines.peek() {
-                    let valid = st.park_epoch[rank] == epoch && matches!(st.waits[rank], Wait::Recv { .. });
-                    if !valid {
+                    let slab = st.slab(rank);
+                    let (Wait::Recv { from, tag }, true) = (slab.wait, slab.park_epoch == epoch) else {
                         st.deadlines.pop();
                         continue;
-                    }
+                    };
                     if at < e.at || stalled_polls > stall_budget {
-                        let Wait::Recv { from, tag } = st.waits[rank] else {
-                            unreachable!("validated above")
-                        };
-                        return Err(seq_fault_error(&world, &st, true).unwrap_or(
-                            ExecError::DeadlockSuspected {
-                                rank,
-                                on: Waiting::Message { from, tag },
-                            },
-                        ));
+                        drop(st);
+                        return Err(world.fault_error(true).unwrap_or(ExecError::DeadlockSuspected {
+                            rank,
+                            on: Waiting::Message { from, tag },
+                        }));
                     }
                     break;
                 }
@@ -1347,14 +1142,15 @@ where
                 // rank would be polled at or past its scheduled death, it
                 // dies instead — body dropped, mailbox discarded, no
                 // result. Decided against the rank's own event time, so
-                // every engine kills at the same event.
+                // both drivers kill at the same event.
                 if let Some(sched) = &world.faults {
                     if let Some(d) = sched.death_time(e.rank) {
-                        if !st.dead[e.rank] && e.at >= d {
+                        if !st.slab(e.rank).dead && e.at >= d {
                             let r = e.rank;
-                            st.dead[r] = true;
-                            st.waits[r] = Wait::None;
-                            st.mailboxes[r].clear();
+                            let slab = st.slab_mut(r);
+                            slab.dead = true;
+                            slab.wait = Wait::None;
+                            slab.mailbox.clear();
                             drop(st);
                             tasks[r] = None;
                             live -= 1;
@@ -1369,32 +1165,8 @@ where
             entry.map(|e| e.rank)
         };
         let Some(r) = next else {
-            // Structural deadlock: unfinished ranks, none runnable. Report
-            // the first parked rank and what it waits on, typed. A live
-            // rank with no registered wait awaited something outside the
-            // communicator (which this scheduler can never re-wake): report
-            // that honestly rather than inventing a barrier.
-            let st = world.lock();
-            if let Some(e) = seq_fault_error(&world, &st, true) {
-                // The wedge is the fault plan's doing (ranks dead or doomed,
-                // or a dropped message starving its receiver): report the
-                // scheduled casualty instead of a plain deadlock.
-                return Err(e);
-            }
-            let (rank, on) = st
-                .waits
-                .iter()
-                .enumerate()
-                .find_map(|(r, w)| match *w {
-                    Wait::Recv { from, tag } => Some((r, Waiting::Message { from, tag })),
-                    Wait::Barrier => Some((r, Waiting::Barrier)),
-                    Wait::None => None,
-                })
-                .unwrap_or_else(|| {
-                    let r = st.finished.iter().position(|f| !f).expect("live ranks exist");
-                    (r, Waiting::Unknown)
-                });
-            return Err(ExecError::DeadlockSuspected { rank, on });
+            // Structural deadlock: unfinished ranks, none runnable.
+            return Err(world.wedge_error());
         };
         let task = tasks[r].as_mut().expect("ready rank has a live task");
         // A rank body that hits a typed failure (e.g. a send to an exited
@@ -1407,7 +1179,7 @@ where
                 results[r] = Some(out);
                 tasks[r] = None;
                 live -= 1;
-                world.lock().finished[r] = true;
+                world.lock_region(0).slab_mut(r).finished = true;
                 // A finishing rank is progress even at a frozen timestamp.
                 stalled_polls = 0;
             }
@@ -1420,17 +1192,14 @@ where
             },
         }
     }
-    if world.faults.is_some() {
-        // Every surviving rank finished, but a run with casualties has no
-        // complete result set: report the earliest scheduled death. (Drops
-        // are not consulted — a run that completed despite losses only
-        // lost messages nobody waited for.)
-        let st = world.lock();
-        if let Some(e) = seq_fault_error(&world, &st, false) {
-            return Err(e);
-        }
+    // Every surviving rank finished, but a run with casualties has no
+    // complete result set: report the earliest scheduled death. (Drops are
+    // not consulted — a run that completed despite losses only lost
+    // messages nobody waited for.)
+    if let Some(e) = world.fault_error(false) {
+        return Err(e);
     }
-    let trace = world.lock().trace.take().unwrap_or_default();
+    let trace = world.lock_region(0).trace.take().unwrap_or_default();
     Ok((
         RunOutput {
             results: results.into_iter().map(|s| s.expect("missing rank result")).collect(),
@@ -1441,7 +1210,7 @@ where
     ))
 }
 
-/// Shared run control of the parallel engine's workers: the published
+/// Shared run control of the sharded driver's workers: the published
 /// window bound, the live-rank count, and the first failure of the run.
 struct ParControl {
     /// The current window's exclusive virtual-time bound, as `f64` bits.
@@ -1464,16 +1233,12 @@ struct ParControl {
 
 impl ParControl {
     fn fail(&self, e: ExecError) {
-        let mut slot = self.error.lock().unwrap_or_else(|p| p.into_inner());
-        slot.get_or_insert(e);
+        lock(&self.error).get_or_insert(e);
         self.failed.store(true, Ordering::SeqCst);
     }
 
     fn panicked(&self, payload: Box<dyn std::any::Any + Send>) {
-        let mut slot = self.panic.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
+        lock(&self.panic).get_or_insert(payload);
         self.failed.store(true, Ordering::SeqCst);
     }
 
@@ -1482,27 +1247,22 @@ impl ParControl {
     }
 }
 
-/// One worker thread of the parallel engine: owns region `w`'s rank bodies
+/// One worker thread of the sharded driver: owns region `w`'s rank bodies
 /// (created *and* polled on this thread — rank futures are not `Send`),
 /// drains the region heap up to each window bound, and meets the other
 /// workers at the window gate. Worker 0 doubles as the boundary leader.
-fn par_worker<R, F, Fut>(
-    world: &Arc<EventWorld>,
-    pw: &ParWorld,
-    ctl: &ParControl,
-    w: usize,
-    f: &F,
-) -> Vec<Option<R>>
+fn par_worker<R, F, Fut>(world: &Arc<EventWorld>, ctl: &ParControl, w: usize, f: &F) -> Vec<Option<R>>
 where
     F: Fn(crate::comm::RankComm) -> Fut,
     Fut: Future<Output = R>,
 {
-    let base = w * pw.chunk;
-    let len = pw.chunk.min(pw.p - base);
+    let base = w * world.chunk;
+    let len = world.chunk.min(world.p - base);
     let mut tasks: Vec<Option<Pin<Box<Fut>>>> = (base..base + len)
         .map(|rank| {
             let comm = EventComm {
                 rank,
+                region: w,
                 world: world.clone(),
             };
             Some(Box::pin(f(crate::comm::RankComm::Event(comm))))
@@ -1514,12 +1274,12 @@ where
         let bound = ctl.bound();
         'window: while !ctl.failed.load(Ordering::Relaxed) {
             let next = {
-                let mut reg = pw.lock_region(w);
+                let mut reg = world.lock_region(w);
                 match reg.ready.peek() {
                     Some(e) if e.at < bound => {
                         let e = reg.ready.pop().expect("peeked entry exists");
                         // The fault plan's kill point — the same event the
-                        // sequential engine kills at (the decision compares
+                        // sequential driver kills at (the decision compares
                         // the rank's own event time with its own death
                         // time, so the window interleave is irrelevant).
                         if let Some(sched) = &world.faults {
@@ -1550,7 +1310,7 @@ where
                 Ok(Poll::Ready(out)) => {
                     results[r - base] = Some(out);
                     tasks[r - base] = None;
-                    pw.lock_region(w).slab_mut(r).finished = true;
+                    world.lock_region(w).slab_mut(r).finished = true;
                     ctl.live.fetch_sub(1, Ordering::SeqCst);
                 }
                 // Pending: the rank registered a wait-state; a matching send,
@@ -1567,7 +1327,7 @@ where
         }
         ctl.gate.wait();
         if w == 0 {
-            par_boundary(world, pw, ctl);
+            par_boundary(world, ctl);
         }
         ctl.gate.wait();
         if ctl.stop.load(Ordering::SeqCst) {
@@ -1579,17 +1339,17 @@ where
 /// The window-boundary phase, run by the leader alone while every worker
 /// waits at the gate: deliver cross-region inboxes, resolve a fully-arrived
 /// barrier, surface failures, detect deadlock, and open the next window.
-fn par_boundary(world: &EventWorld, pw: &ParWorld, ctl: &ParControl) {
+fn par_boundary(world: &EventWorld, ctl: &ParControl) {
     // 1) Drain inboxes. Stable-sorting by sender canonicalizes the arrival
     //    order while preserving each sender's program order — matching is
     //    per-(sender, tag), so any per-sender-FIFO order is equivalent.
-    for (target_region, inbox) in pw.inboxes.iter().enumerate() {
-        let mut pkts = std::mem::take(&mut *inbox.lock().unwrap_or_else(|e| e.into_inner()));
+    for (target_region, inbox) in world.inboxes.iter().enumerate() {
+        let mut pkts = std::mem::take(&mut *lock(inbox));
         if pkts.is_empty() {
             continue;
         }
         pkts.sort_by_key(|(_, pkt)| pkt.from);
-        let mut reg = pw.lock_region(target_region);
+        let mut reg = world.lock_region(target_region);
         for (to, pkt) in pkts {
             if reg.slab(to).dead {
                 // The receiver was killed by the fault plan: a typed loss
@@ -1598,49 +1358,20 @@ fn par_boundary(world: &EventWorld, pw: &ParWorld, ctl: &ParControl) {
             }
             if reg.slab(to).finished {
                 // The receiver exited before delivery: the same typed
-                // teardown the sequential sender raises in-line.
+                // teardown a same-region sender raises in-line.
                 ctl.fail(ExecError::WorldTornDown { rank: pkt.from });
                 continue;
             }
-            if reg.slab(to).wait
-                == (Wait::Recv {
-                    from: pkt.from,
-                    tag: pkt.tag,
-                })
-            {
-                reg.slab_mut(to).wait = Wait::None;
-                let at = reg.completion_time(to, &pkt, world.overlap);
-                reg.slab_mut(to).mailbox.push_back(pkt);
-                reg.enqueue(to, at);
-            } else {
-                reg.slab_mut(to).mailbox.push_back(pkt);
-            }
+            reg.deliver(world, to, pkt);
         }
     }
     // 2) Resolve a fully-arrived world barrier: identical charges, clocks
-    //    and (rank-ordered) wakes to the sequential engine's inline
-    //    resolution by the last arriver.
+    //    and (rank-ordered) wakes to the one-region inline resolution by
+    //    the last arriver.
     {
-        let mut b = pw.lock_barrier();
-        if pw.p > 0 && b.arrived == pw.p {
-            let tmax = b.t_max;
-            b.arrived = 0;
-            b.t_max = 0.0;
-            b.gen += 1;
-            drop(b);
-            for lock in &pw.regions {
-                let mut reg = lock.lock().unwrap_or_else(|e| e.into_inner());
-                let base = reg.base;
-                for local in 0..reg.slabs.len() {
-                    if reg.slabs[local].wait == Wait::Barrier {
-                        let r = base + local;
-                        reg.slabs[local].wait = Wait::None;
-                        world.stats.rank(r).record_comm_time(tmax - reg.slabs[local].clock, 0.0);
-                        reg.slabs[local].clock = tmax;
-                        reg.enqueue(r, tmax);
-                    }
-                }
-            }
+        let b = lock(&world.barrier);
+        if b.arrived == world.p {
+            world.resolve_barrier(b, None);
         }
     }
     // 3) A failed region ends the run at the next gate.
@@ -1650,9 +1381,8 @@ fn par_boundary(world: &EventWorld, pw: &ParWorld, ctl: &ParControl) {
     }
     // 4) Find the next window floor: the earliest pending event anywhere.
     let mut floor: Option<f64> = None;
-    for lock in &pw.regions {
-        let reg = lock.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(e) = reg.ready.peek() {
+    for region in &world.regions {
+        if let Some(e) = lock(region).ready.peek() {
             floor = Some(match floor {
                 Some(f) => f.min(e.at),
                 None => e.at,
@@ -1662,40 +1392,7 @@ fn par_boundary(world: &EventWorld, pw: &ParWorld, ctl: &ParControl) {
     let Some(floor) = floor else {
         if ctl.live.load(Ordering::SeqCst) > 0 {
             // Structural deadlock: unfinished ranks, none runnable anywhere.
-            // A fault-afflicted wedge reports the scheduled casualty;
-            // otherwise report the first parked rank in rank order, as the
-            // sequential engine does (a live rank with no registered wait
-            // awaited something outside the communicator).
-            if let Some(e) = par_fault_error(world, pw, true) {
-                ctl.fail(e);
-                ctl.stop.store(true, Ordering::SeqCst);
-                return;
-            }
-            let mut found: Option<(usize, Waiting)> = None;
-            let mut first_unfinished: Option<usize> = None;
-            'scan: for lock in &pw.regions {
-                let reg = lock.lock().unwrap_or_else(|e| e.into_inner());
-                for (local, slab) in reg.slabs.iter().enumerate() {
-                    let r = reg.base + local;
-                    if first_unfinished.is_none() && !slab.finished {
-                        first_unfinished = Some(r);
-                    }
-                    match slab.wait {
-                        Wait::Recv { from, tag } => {
-                            found = Some((r, Waiting::Message { from, tag }));
-                            break 'scan;
-                        }
-                        Wait::Barrier => {
-                            found = Some((r, Waiting::Barrier));
-                            break 'scan;
-                        }
-                        Wait::None => {}
-                    }
-                }
-            }
-            let (rank, on) =
-                found.unwrap_or_else(|| (first_unfinished.expect("live ranks exist"), Waiting::Unknown));
-            ctl.fail(ExecError::DeadlockSuspected { rank, on });
+            ctl.fail(world.wedge_error());
         }
         ctl.stop.store(true, Ordering::SeqCst);
         return;
@@ -1704,8 +1401,8 @@ fn par_boundary(world: &EventWorld, pw: &ParWorld, ctl: &ParControl) {
     //    sequential per-pop check (window-boundary granularity: a deadline
     //    passed mid-window is reported at the boundary that follows it).
     let mut deadline: Option<DeadlineEntry> = None;
-    for lock in &pw.regions {
-        let mut reg = lock.lock().unwrap_or_else(|e| e.into_inner());
+    for region in &world.regions {
+        let mut reg = lock(region);
         while let Some(&entry) = reg.deadlines.peek() {
             let slab = reg.slab(entry.rank);
             let valid = slab.park_epoch == entry.epoch && matches!(slab.wait, Wait::Recv { .. });
@@ -1727,12 +1424,12 @@ fn par_boundary(world: &EventWorld, pw: &ParWorld, ctl: &ParControl) {
     }
     if let Some(d) = deadline {
         if d.at < floor {
-            let reg = pw.lock_rank(d.rank);
+            let reg = world.lock_rank(d.rank);
             let Wait::Recv { from, tag } = reg.slab(d.rank).wait else {
                 unreachable!("validated above")
             };
             drop(reg);
-            ctl.fail(par_fault_error(world, pw, true).unwrap_or(ExecError::DeadlockSuspected {
+            ctl.fail(world.fault_error(true).unwrap_or(ExecError::DeadlockSuspected {
                 rank: d.rank,
                 on: Waiting::Message { from, tag },
             }));
@@ -1742,13 +1439,13 @@ fn par_boundary(world: &EventWorld, pw: &ParWorld, ctl: &ParControl) {
     }
     // 6) Open the next window. The `next_up` floor keeps the window
     //    non-empty even when `floor + α` rounds back to `floor` (a clock so
-    //    far past α that the sum is absorbed): the engine then degrades to
+    //    far past α that the sum is absorbed): the driver then degrades to
     //    per-timestamp stepping instead of spinning.
     let bound = (floor + par_lookahead(world)).max(floor.next_up());
     ctl.bound.store(bound.to_bits(), Ordering::SeqCst);
 }
 
-/// The parallel engine's conservative lookahead
+/// The sharded driver's conservative lookahead
 /// ([`Network::region_lookahead_s`]): the cost model's per-message latency
 /// α. Every message posted at `t` completes at `t + α + β·words ≥ t + α`,
 /// so a window of width α is closed under the events it generates.
@@ -1756,9 +1453,9 @@ fn par_lookahead(world: &EventWorld) -> f64 {
     world.net.region_lookahead_s(world.model.alpha_s)
 }
 
-/// Run the world on `regions` scheduler threads. The caller
-/// ([`crate::exec::run_spmd_with`]) has already verified the multi-region
-/// preconditions (flat topology, α > 0, ≥ 2 regions).
+/// Run the world on `regions` scheduler threads — the region-sharded
+/// driver. The caller ([`crate::exec::run_spmd_with`]) has already verified
+/// its preconditions (flat topology, α > 0, ≥ 2 regions).
 pub(crate) fn run_event_world_parallel<R, F, Fut>(
     spec: &MachineSpec,
     regions: usize,
@@ -1772,18 +1469,14 @@ where
 {
     let p = spec.p;
     let stats = Arc::new(StatsBoard::new(p));
-    let world = Arc::new(EventWorld::new_parallel(spec, stats.clone(), regions, pool));
-    let Engine::Par(pw) = &world.engine else {
-        unreachable!("new_parallel builds a parallel engine")
-    };
-    for (w, lock) in pw.regions.iter().enumerate() {
-        let mut reg = lock.lock().unwrap_or_else(|e| e.into_inner());
-        let base = w * pw.chunk;
-        for local in 0..reg.slabs.len() {
-            reg.enqueue(base + local, 0.0);
+    let world = Arc::new(EventWorld::new(spec, stats.clone(), regions, false, pool));
+    for region in &world.regions {
+        let mut reg = lock(region);
+        for r in reg.base..reg.base + reg.slabs.len() {
+            reg.enqueue(r, 0.0);
         }
     }
-    let n_regions = pw.regions.len();
+    let n_regions = world.regions.len();
     let ctl = ParControl {
         bound: AtomicU64::new(par_lookahead(&world).to_bits()),
         live: AtomicUsize::new(p),
@@ -1796,36 +1489,27 @@ where
     let mut region_results: Vec<Vec<Option<R>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (1..n_regions)
             .map(|w| {
-                let world = &world;
-                let ctl = &ctl;
-                let f = &f;
-                s.spawn(move || {
-                    let Engine::Par(pw) = &world.engine else {
-                        unreachable!("parallel world")
-                    };
-                    par_worker(world, pw, ctl, w, f)
-                })
+                let (world, ctl, f) = (&world, &ctl, &f);
+                s.spawn(move || par_worker(world, ctl, w, f))
             })
             .collect();
-        let first = par_worker(&world, pw, &ctl, 0, &f);
+        let first = par_worker(&world, &ctl, 0, &f);
         let mut all = vec![first];
         for h in handles {
             all.push(h.join().expect("workers catch rank panics"));
         }
         all
     });
-    if let Some(payload) = ctl.panic.lock().unwrap_or_else(|e| e.into_inner()).take() {
+    if let Some(payload) = lock(&ctl.panic).take() {
         std::panic::resume_unwind(payload);
     }
-    if let Some(e) = ctl.error.lock().unwrap_or_else(|e| e.into_inner()).take() {
+    if let Some(e) = lock(&ctl.error).take() {
         return Err(e);
     }
-    if world.faults.is_some() {
-        // Every surviving rank finished; a run with casualties still has no
-        // complete result set (see the sequential completion check).
-        if let Some(e) = par_fault_error(&world, pw, false) {
-            return Err(e);
-        }
+    // Every surviving rank finished; a run with casualties still has no
+    // complete result set (see the sequential completion check).
+    if let Some(e) = world.fault_error(false) {
+        return Err(e);
     }
     let mut results = Vec::with_capacity(p);
     for region in &mut region_results {
@@ -1840,7 +1524,7 @@ where
     })
 }
 
-/// The single-threaded engine with the scheduler decision trace, for the
+/// The sequential driver with the scheduler decision trace, for the
 /// fairness property tests: the returned events record every ready-queue
 /// admission and poll in order. Everything else runs through
 /// [`crate::exec::run_spmd_with`].
@@ -2276,6 +1960,106 @@ mod tests {
         assert_eq!(out.stats[1].time.total_s(), 3.0, "on-node transfer is one injection hop");
     }
 
+    /// A one-region world with no driver, for tests that call the state
+    /// primitives directly.
+    fn bare_world(spec: &MachineSpec) -> EventWorld {
+        let stats = Arc::new(StatsBoard::new(spec.p));
+        EventWorld::new(spec, stats, 1, false, crate::exec::spec_arena(spec))
+    }
+
+    /// A `words`-word packet on the unit cost model (wire time = words).
+    fn unit_packet(from: usize, tag: u64, words: usize) -> Packet {
+        Packet {
+            from,
+            tag,
+            data: Arc::new(vec![0.0; words]),
+            sent_at: 0.0,
+            transfer_s: words as f64,
+        }
+    }
+
+    #[test]
+    fn take_match_is_first_per_sender_and_tag_in_arrival_order() {
+        let world = bare_world(&unit_spec(3));
+        let mut reg = world.lock_region(0);
+        // Rank 2's mailbox, in arrival order; the word count names the packet.
+        for (from, tag, words) in [(0, 1, 1), (1, 1, 2), (0, 2, 3), (0, 1, 4)] {
+            reg.slab_mut(2).mailbox.push_back(unit_packet(from, tag, words));
+        }
+        let left = |reg: &RegionState| reg.slab(2).mailbox.iter().map(|m| m.data.len()).collect::<Vec<_>>();
+        assert_eq!(reg.take_match(2, 0, 1).unwrap().data.len(), 1, "the earlier of the two (0, 1) packets");
+        assert_eq!(left(&reg), [2, 3, 4], "the rest keeps its order");
+        assert!(reg.take_match(2, 1, 2).is_none(), "sender and tag must both match");
+        assert_eq!(reg.take_match(2, 0, 1).unwrap().data.len(), 4);
+        assert_eq!(left(&reg), [2, 3]);
+    }
+
+    #[test]
+    fn recv_completion_commits_the_route_completion_time_prices() {
+        use crate::machine::Topology;
+        // Two nodes of two ranks (p = 4): NIC links are ids 4..8, stored at
+        // shared_links[id - 4]. 0→2 crosses node 0's up link (4), node 1's
+        // down link (7) and rank 2's injection wire, 3 s each from t = 0.
+        let world = bare_world(&unit_spec(4).with_topology(Topology::NodeNic {
+            ranks_per_node: 2,
+            nic_factor: 1.0,
+        }));
+        let mut reg = world.lock_region(0);
+        let first = unit_packet(0, 1, 3);
+        assert_eq!(reg.completion_time(&world, 2, &first), 9.0);
+        assert_eq!(reg.shared_links, [0.0; 4], "pricing a wake commits nothing");
+        assert_eq!(reg.slab(2).link_free, 0.0);
+        assert_eq!(reg.recv_completion(&world, 2, &first), 9.0);
+        assert_eq!(reg.shared_links, [3.0, 0.0, 0.0, 6.0]);
+        assert_eq!(reg.slab(2).link_free, 9.0);
+        // 1→3 shares both NIC links and nothing else: it queues behind the
+        // first transfer's 3 s on node 0's up link and is 3 s late end to end.
+        let second = unit_packet(1, 1, 3);
+        assert_eq!(reg.completion_time(&world, 3, &second), 9.0 + 3.0);
+        assert_eq!(reg.recv_completion(&world, 3, &second), 12.0);
+        assert_eq!(reg.shared_links, [6.0, 0.0, 0.0, 9.0]);
+        assert_eq!(reg.slab(3).link_free, 12.0);
+    }
+
+    /// Polls two futures from one `poll` — the concurrency a rank body must
+    /// not apply to its own communicator's wait-states.
+    struct Both<A, B>(A, B);
+
+    impl<A: Future + Unpin, B: Future + Unpin> Future for Both<A, B> {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let a = Pin::new(&mut self.0).poll(cx).is_ready();
+            let b = Pin::new(&mut self.1).poll(cx).is_ready();
+            if a && b {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        }
+    }
+
+    #[test]
+    fn second_outstanding_wait_state_is_refused_loudly() {
+        let spec = MachineSpec::test_machine(2, 1000);
+        for backend in [ExecBackend::event(), ExecBackend::Event { threads: 2 }] {
+            let run = || {
+                run_spmd_with(&spec, backend, |c| async move {
+                    let crate::comm::RankComm::Event(c) = c else {
+                        unreachable!("event backend")
+                    };
+                    if c.rank() == 0 {
+                        Both(c.recv(1, 1, Phase::Other), c.recv(1, 2, Phase::Other)).await;
+                    }
+                })
+            };
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("two parked recvs of one rank must panic");
+            let msg = payload.downcast_ref::<String>().expect("assert! message");
+            assert!(msg.contains("one outstanding wait-state"), "{backend:?}: {msg}");
+        }
+    }
+
     #[test]
     fn recv_timeout_fires_as_virtual_deadline() {
         // Rank 0 parks on a recv that rank 1 satisfies at t ≈ 7; rank 2
@@ -2322,6 +2106,165 @@ mod tests {
         let got = c.sendrecv(far, far, 2, vec![r as f64], Phase::InputB).await;
         c.barrier().await;
         got[0] as usize
+    }
+
+    #[test]
+    fn shared_link_topologies_keep_their_clock_bits() {
+        use crate::machine::Topology;
+        // `[compute_s, exposed_comm_s, total_comm_s]` as `f64::to_bits`, per
+        // rank, of `mixed_body` at p = 16, recorded at commit f818ed4. Shared
+        // links are charged in global consumption order, so these bits hold
+        // the sequential driver's poll order as well as the clock arithmetic.
+        #[rustfmt::skip]
+        const BITS: [[[u64; 3]; 16]; 6] = [
+            // node-nic overlap=true
+            [
+                [0x0000000000000000, 0x3ee2e1fc5649b019, 0x3ee2e1fc5649b019],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee0c91d6232f267, 0x3ee2e1fc5649b019],
+                [0x3ec0c6f7a0b5ed8d, 0x3edd607cdc38696c, 0x3ee0c91d6232f268],
+                [0x3ec92a737110e454, 0x3ed92ebef40aee08, 0x3edd607cdc38696c],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed4fd010bdd72a5, 0x3ed4fd010bdd72a5],
+                [0x3ed4f8b588e368f1, 0x3ed0cb4323aff741, 0x3ed4fd010bdd72a5],
+                [0x3ed92a737110e454, 0x3ec9330a7704f7bc, 0x3ed0cb4323aff742],
+                [0x0000000000000000, 0x3ee2e1fc5649b019, 0x3ee2e1fc5649b019],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee0c91d6232f268, 0x3ee0c91d6232f268],
+                [0x3ec0c6f7a0b5ed8d, 0x3edd607cdc38696c, 0x3ee0c91d6232f268],
+                [0x3ec92a737110e454, 0x3ed92ebef40aee08, 0x3edd607cdc38696c],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed4fd010bdd72a5, 0x3ed92ebef40aee08],
+                [0x3ed4f8b588e368f1, 0x3ed0cb4323aff741, 0x3ed0cb4323aff741],
+                [0x3ed92a737110e454, 0x3ec9330a7704f7bc, 0x3ed0cb4323aff741],
+                [0x0000000000000000, 0x3ee2e1fc5649b019, 0x3ee2e1fc5649b019],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee0c91d6232f267, 0x3ee2e1fc5649b019],
+            ],
+            // node-nic overlap=false
+            [
+                [0x0000000000000000, 0x3ee60a3eae77b350, 0x3ee60a3eae77b350],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee3f15fba60f59e, 0x3ee3f15fba60f59e],
+                [0x3ec0c6f7a0b5ed8d, 0x3ee1d880c64a37ed, 0x3ee1d880c64a37ed],
+                [0x3ec92a737110e454, 0x3edf7f43a466f476, 0x3edf7f43a466f476],
+                [0x3ed0c6f7a0b5ed8d, 0x3edb4d85bc397913, 0x3edb4d85bc397913],
+                [0x3ed4f8b588e368f1, 0x3ed71bc7d40bfdaf, 0x3ed71bc7d40bfdaf],
+                [0x3ed92a737110e454, 0x3ed2ea09ebde824c, 0x3ed2ea09ebde824c],
+                [0x0000000000000000, 0x3ee60a3eae77b350, 0x3ee60a3eae77b350],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee3f15fba60f59e, 0x3ee3f15fba60f59e],
+                [0x3ec0c6f7a0b5ed8d, 0x3ee1d880c64a37ed, 0x3ee1d880c64a37ed],
+                [0x3ec92a737110e454, 0x3edf7f43a466f476, 0x3edf7f43a466f476],
+                [0x3ed0c6f7a0b5ed8d, 0x3edb4d85bc397913, 0x3edb4d85bc397913],
+                [0x3ed4f8b588e368f1, 0x3ed71bc7d40bfdaf, 0x3ed71bc7d40bfdaf],
+                [0x3ed92a737110e454, 0x3ed2ea09ebde824c, 0x3ed2ea09ebde824c],
+                [0x0000000000000000, 0x3ee60a3eae77b350, 0x3ee60a3eae77b350],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee3f15fba60f59e, 0x3ee3f15fba60f59e],
+            ],
+            // fat-tree overlap=true
+            [
+                [0x0000000000000000, 0x3ee1d548240eb0a5, 0x3ee1d548240eb0a5],
+                [0x3eb0c6f7a0b5ed8d, 0x3edf78d25fefe5e7, 0x3ee1d548240eb0a5],
+                [0x3ec0c6f7a0b5ed8d, 0x3edb471477c26a83, 0x3edf78d25fefe5e6],
+                [0x3ec92a737110e454, 0x3ed715568f94ef20, 0x3edb471477c26a84],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed2e398a76773bd, 0x3ed4fbee2b1ef038],
+                [0x3ed4f8b588e368f1, 0x3ecd63b57e73f0b2, 0x3ed2e398a76773bd],
+                [0x3ed92a737110e454, 0x3ec50039ae18f9ec, 0x3ecd63b57e73f0b3],
+                [0x0000000000000000, 0x3ee1d548240eb0a5, 0x3ee1d548240eb0a5],
+                [0x3eb0c6f7a0b5ed8d, 0x3edf78d25fefe5e7, 0x3ee0c84f39a41096],
+                [0x3ec0c6f7a0b5ed8d, 0x3edb471477c26a84, 0x3edf78d25fefe5e7],
+                [0x3ec92a737110e454, 0x3ed715568f94ef20, 0x3edb471477c26a84],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed2e398a76773bd, 0x3ed715568f94ef20],
+                [0x3ed4f8b588e368f1, 0x3ecd63b57e73f0b2, 0x3ed0c91d6232f268],
+                [0x3ed92a737110e454, 0x3ec50039ae18f9ec, 0x3ecd63b57e73f0b2],
+                [0x0000000000000000, 0x3ee1d548240eb0a5, 0x3ee1d548240eb0a5],
+                [0x3eb0c6f7a0b5ed8d, 0x3edf78d25fefe5e6, 0x3ee1d548240eb0a5],
+            ],
+            // fat-tree overlap=false
+            [
+                [0x0000000000000000, 0x3ee2e172e5ea6ee2, 0x3ee2e172e5ea6ee2],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee0c893f1d3b132, 0x3ee0c893f1d3b132],
+                [0x3ec0c6f7a0b5ed8d, 0x3edd5f69fb79e6ff, 0x3edd5f69fb79e6ff],
+                [0x3ec92a737110e454, 0x3ed92dac134c6b9c, 0x3ed92dac134c6b9c],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed4fbee2b1ef039, 0x3ed4fbee2b1ef039],
+                [0x3ed4f8b588e368f1, 0x3ed0ca3042f174d5, 0x3ed0ca3042f174d5],
+                [0x3ed92a737110e454, 0x3ec930e4b587f2e4, 0x3ec930e4b587f2e4],
+                [0x0000000000000000, 0x3ee2e172e5ea6ee3, 0x3ee2e172e5ea6ee3],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee0c893f1d3b132, 0x3ee0c893f1d3b132],
+                [0x3ec0c6f7a0b5ed8d, 0x3edd5f69fb79e700, 0x3edd5f69fb79e700],
+                [0x3ec92a737110e454, 0x3ed92dac134c6b9c, 0x3ed92dac134c6b9c],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed4fbee2b1ef039, 0x3ed4fbee2b1ef039],
+                [0x3ed4f8b588e368f1, 0x3ed0ca3042f174d5, 0x3ed0ca3042f174d5],
+                [0x3ed92a737110e454, 0x3ec930e4b587f2e4, 0x3ec930e4b587f2e4],
+                [0x0000000000000000, 0x3ee2e172e5ea6ee3, 0x3ee2e172e5ea6ee3],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee0c893f1d3b131, 0x3ee0c893f1d3b131],
+            ],
+            // torus overlap=true
+            [
+                [0x0000000000000000, 0x3ee2e2410e7950b5, 0x3ee2e2410e7950b5],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee0c9621a629303, 0x3ee2e2410e7950b5],
+                [0x3ec0c6f7a0b5ed8d, 0x3edd61064c97aaa4, 0x3edf78d25fefe5e8],
+                [0x3ec92a737110e454, 0x3ed92f48646a2f40, 0x3edd61064c97aaa4],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed4fd8a7c3cb3dd, 0x3ed715dffff43058],
+                [0x3ed4f8b588e368f1, 0x3ed0cbcc940f3879, 0x3ed4fd8a7c3cb3dd],
+                [0x3ed92a737110e454, 0x3ec9341d57c37a2c, 0x3ecd62a29db56e47],
+                [0x0000000000000000, 0x3ee2e2410e7950b5, 0x3ee2e2410e7950b5],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee0c9621a629304, 0x3ee0c9621a629304],
+                [0x3ec0c6f7a0b5ed8d, 0x3edd61064c97aaa4, 0x3ee0c9621a629304],
+                [0x3ec92a737110e454, 0x3ed92f48646a2f40, 0x3edb479de821abbb],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed4fd8a7c3cb3dd, 0x3ed92f48646a2f40],
+                [0x3ed4f8b588e368f1, 0x3ed0cbcc940f3879, 0x3ed2e30f37083288],
+                [0x3ed92a737110e454, 0x3ec9341d57c37a2c, 0x3ed0cbcc940f3879],
+                [0x0000000000000000, 0x3ee2e2410e7950b5, 0x3ee2e2410e7950b5],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee0c9621a629303, 0x3ee2e2410e7950b5],
+            ],
+            // torus overlap=false
+            [
+                [0x0000000000000000, 0x3ee3efc3694331fb, 0x3ee3efc3694331fb],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee1d6e4752c744a, 0x3ee1d6e4752c744a],
+                [0x3ec0c6f7a0b5ed8d, 0x3edf7c0b022b6d30, 0x3edf7c0b022b6d30],
+                [0x3ec92a737110e454, 0x3edb4a4d19fdf1cc, 0x3edb4a4d19fdf1cc],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed7188f31d07669, 0x3ed7188f31d07669],
+                [0x3ed4f8b588e368f1, 0x3ed2e6d149a2fb05, 0x3ed2e6d149a2fb05],
+                [0x3ed92a737110e454, 0x3ecd6a26c2eaff44, 0x3ecd6a26c2eaff44],
+                [0x0000000000000000, 0x3ee3efc3694331fb, 0x3ee3efc3694331fb],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee1d6e4752c744a, 0x3ee1d6e4752c744a],
+                [0x3ec0c6f7a0b5ed8d, 0x3edf7c0b022b6d30, 0x3edf7c0b022b6d30],
+                [0x3ec92a737110e454, 0x3edb4a4d19fdf1cc, 0x3edb4a4d19fdf1cc],
+                [0x3ed0c6f7a0b5ed8d, 0x3ed7188f31d07669, 0x3ed7188f31d07669],
+                [0x3ed4f8b588e368f1, 0x3ed2e6d149a2fb05, 0x3ed2e6d149a2fb05],
+                [0x3ed92a737110e454, 0x3ecd6a26c2eaff44, 0x3ecd6a26c2eaff44],
+                [0x0000000000000000, 0x3ee3efc3694331fb, 0x3ee3efc3694331fb],
+                [0x3eb0c6f7a0b5ed8d, 0x3ee1d6e4752c7449, 0x3ee1d6e4752c7449],
+            ],
+        ];
+        let topologies = [
+            (
+                "node-nic",
+                Topology::NodeNic {
+                    ranks_per_node: 4,
+                    nic_factor: 0.5,
+                },
+            ),
+            ("fat-tree", Topology::congested_fat_tree()),
+            (
+                "torus",
+                Topology::Torus {
+                    ranks_per_node: 2,
+                    dims: vec![4, 2],
+                    link_factor: 0.5,
+                },
+            ),
+        ];
+        let mut want = BITS.iter();
+        for (name, topo) in topologies {
+            for overlap in [true, false] {
+                let spec = MachineSpec::test_machine(16, 1000)
+                    .with_topology(topo.clone())
+                    .with_overlap(overlap);
+                let out = run_spmd_with(&spec, ExecBackend::event(), mixed_body).unwrap();
+                let want = want.next().expect("one table per world");
+                for (r, (st, want)) in out.stats.iter().zip(want).enumerate() {
+                    let t = st.time;
+                    let got = [t.compute_s, t.exposed_comm_s, t.total_comm_s].map(f64::to_bits);
+                    assert_eq!(got, *want, "{name}, overlap {overlap}, rank {r}: {t:?}");
+                }
+            }
+        }
     }
 
     #[test]
