@@ -955,6 +955,7 @@ fn serve_metrics_table(metrics: &bench::serve_bench::ServeMetrics) -> Table {
     let mut t = Table::new(&["metric", "value"]);
     t.row(vec!["jobs".into(), metrics.jobs.to_string()]);
     t.row(vec!["unique plan keys".into(), metrics.unique_keys.to_string()]);
+    t.row(vec!["backend".into(), metrics.backend.to_string()]);
     t.row(vec!["cold plans/s".into(), fmt(metrics.cold_plans_per_s, 0)]);
     t.row(vec!["cached plans/s".into(), fmt(metrics.cached_plans_per_s, 0)]);
     t.row(vec![

@@ -81,6 +81,9 @@ pub struct ServeMetrics {
     pub misses: u64,
     /// Hit rate of the concurrent stream, in `[0, 1]`.
     pub hit_rate: f64,
+    /// The backend the stream's worlds executed on, as the server reported
+    /// it: the pinned one, or the server's default for unpinned jobs.
+    pub backend: ExecBackend,
     /// Every algorithm the auto-planner selected, ascending.
     pub algos_selected: Vec<AlgoId>,
     /// Whether every concurrent job's product and per-rank counters were
@@ -182,6 +185,8 @@ pub fn measure(n_jobs: usize, backend: Option<ExecBackend>) -> ServeMetrics {
             && *c.plan == *s.plan;
     }
     algos_selected.sort();
+    let first = concurrent.first().and_then(|r| r.outcome.as_ref().ok());
+    let backend = first.expect("a non-empty, feasible stream").backend;
 
     ServeMetrics {
         jobs: n_jobs,
@@ -193,6 +198,7 @@ pub fn measure(n_jobs: usize, backend: Option<ExecBackend>) -> ServeMetrics {
         hits: stats.hits,
         misses: stats.misses,
         hit_rate: stats.hit_rate(),
+        backend,
         algos_selected,
         all_match_serial,
     }

@@ -177,12 +177,22 @@ pub struct CPart {
 /// C region that only become the product once summed here.
 pub fn assemble_c(parts: impl IntoIterator<Item = CPart>, m: usize, n: usize) -> Matrix {
     let mut c = Matrix::zeros(m, n);
+    let out = c.as_mut_slice();
     for part in parts {
+        assert!(part.cols.end <= n, "a C share's columns lie outside the matrix");
         let width = part.cols.len();
-        for (w, &v) in part.data.iter().enumerate() {
-            let flat = part.offset + w;
-            let (i, j) = (part.rows.start + flat / width, part.cols.start + flat % width);
-            c.set(i, j, c.get(i, j) + v);
+        // The owned slice of the flattened tile, one contiguous run of a
+        // tile row at a time.
+        let (mut flat, mut rest) = (part.offset, part.data.as_slice());
+        while !rest.is_empty() {
+            let (i, j) = (flat / width, flat % width);
+            let (run, tail) = rest.split_at(rest.len().min(width - j));
+            let at = (part.rows.start + i) * n + part.cols.start + j;
+            for (word, v) in out[at..at + run.len()].iter_mut().zip(run) {
+                *word += v;
+            }
+            flat += run.len();
+            rest = tail;
         }
     }
     c
@@ -451,6 +461,38 @@ mod tests {
             assert_eq!(gm * gn * gk, p as u64, "every rank active");
             let bound = p as u64 * (u64::from(gn.ilog2()) + u64::from(gm.ilog2()) + gk);
             assert!(report.pool.misses <= bound, "p={p}: {} allocations > {bound}", report.pool.misses);
+        }
+    }
+
+    #[test]
+    fn assemble_c_adds_ragged_slices_word_by_word() {
+        // A 3x4 tile at (1, 2) of a 5x7 matrix, cut mid-row into three
+        // slices, plus a second share over part of the same words.
+        let tile = |offset: usize, len: usize, scale: f64| CPart {
+            rows: 1..4,
+            cols: 2..6,
+            offset,
+            data: (offset..offset + len).map(|w| scale * (w + 1) as f64).collect(),
+        };
+        let parts = [
+            tile(0, 3, 1.0),
+            tile(3, 7, 1.0),
+            tile(10, 2, 1.0),
+            tile(5, 6, 100.0),
+            tile(12, 0, 1.0),
+        ];
+        let c = assemble_c(parts, 5, 7);
+        for i in 0..5 {
+            for j in 0..7 {
+                let want = if (1..4).contains(&i) && (2..6).contains(&j) {
+                    let w = (i - 1) * 4 + (j - 2);
+                    let twice = if (5..11).contains(&w) { 100.0 } else { 0.0 };
+                    (1.0 + twice) * (w + 1) as f64
+                } else {
+                    0.0
+                };
+                assert_eq!(c.get(i, j), want, "C[{i}, {j}]");
+            }
         }
     }
 

@@ -108,8 +108,8 @@ impl ExecBackend {
     /// Default blocking worker count: the machine's available parallelism.
     pub fn default_workers() -> usize {
         // `available_parallelism` re-reads the affinity mask and the cgroup
-        // quota on every call (~10 µs), and `auto` sits on the serving
-        // layer's per-job path.
+        // quota on every call (~10 µs), and `auto` runs once per executed
+        // session.
         static WORKERS: OnceLock<usize> = OnceLock::new();
         *WORKERS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8))
     }

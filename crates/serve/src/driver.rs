@@ -3,20 +3,33 @@
 //! A [`Server`] owns the serving stack — an [`AutoPlanner`] over a shared
 //! registry, a [`PlanCache`], and a [`SchedulerPool`] — plus a team of
 //! driver threads consuming a job queue. Each [`JobRequest`] is an
-//! independent SPMD world; many of them run concurrently:
+//! independent SPMD world.
 //!
-//! * **blocking-backend** worlds execute over the *shared*
-//!   [`SchedulerPool`], so the combined runnable ranks of all concurrent
-//!   jobs — not each job's separately — respect one machine-wide worker
-//!   cap;
-//! * **event-backend** worlds are single-threaded discrete-event
-//!   simulations, so the driver threads simply interleave them.
+//! # Execution policy: jobs in parallel, worlds single-threaded
+//!
+//! The server spends its cores *across* jobs — one driver thread per core
+//! by default — and runs each world on one of them:
+//!
+//! * a job that pins no backend runs on [`ExecBackend::event`]: one
+//!   single-threaded discrete-event simulation on the driver thread that
+//!   dequeued it. No OS thread per rank, no stack per rank, no futex wake
+//!   per message; the report carries measured α-β-γ virtual time, and the
+//!   job's `topology`, `placement` and `faults` are honoured.
+//! * a job that pins `Blocking { .. }` opts in to the thread-per-rank
+//!   executor over the *shared* [`SchedulerPool`], whose worker cap bounds
+//!   the runnable ranks of all such jobs together. That is for a lone heavy
+//!   job on an otherwise idle server: the default gives one 7 Gflop job on
+//!   an idle 2-core server one core, `Blocking` gives it both. Under load
+//!   every core already has a job and fanning one out only adds overhead
+//!   (≈ 1 ms of CPU per 4–16-rank job against ≈ 0.1 ms of rank-body work).
 //!
 //! The pipeline per job is admission → cached planning (auto-selection on
 //! a miss) → execution → a [`JobResult`] carrying the [`Selection`], the
 //! plan and the per-rank [`ExecReport`]. Every step is deterministic, so a
 //! job's result is bitwise-identical to the same job run serially through
-//! `RunSession` — concurrency changes throughput, never answers.
+//! `RunSession` on the same backend — concurrency changes throughput, never
+//! answers — and across backends everything but the virtual clock agrees
+//! (`RankStats::sans_time`).
 //!
 //! # Fault recovery
 //!
@@ -118,8 +131,9 @@ pub struct JobRequest {
     pub overlap: bool,
     /// Enforced per-rank memory budget, if any.
     pub mem_budget: Option<u64>,
-    /// Execution backend override (default: [`ExecBackend::auto`] for the
-    /// problem's world size); see [`JobRequest::backend()`] for how a blocking
+    /// Execution backend override (default: [`ExecBackend::event`], one
+    /// single-threaded simulation per job whatever the world size); see
+    /// [`JobRequest::backend()`] for when to pin `Blocking` and how its
     /// worker count is treated.
     pub backend: Option<ExecBackend>,
     /// Network topology the job's machine is measured under (default:
@@ -130,9 +144,9 @@ pub struct JobRequest {
     /// [`Placement::Block`]).
     pub placement: Placement,
     /// Deterministic fault injection for this job's execution (default:
-    /// none). Arming a plan routes the job to the event backend unless an
-    /// explicit [`backend`](Self::backend) was pinned — blocking backends
-    /// ignore fault plans.
+    /// none). Injected on the event backend, which is where a job runs
+    /// unless it pins [`backend`](Self::backend) — blocking backends ignore
+    /// fault plans.
     pub faults: Option<FaultPlan>,
     /// Recovery policy when an injected fault fells the world (default:
     /// [`RetryPolicy::none`] — the typed failure surfaces immediately).
@@ -141,7 +155,7 @@ pub struct JobRequest {
 
 impl JobRequest {
     /// A job with default knobs: auto algorithm selection, default cost
-    /// model, overlap on, auto backend.
+    /// model, overlap on, event backend.
     pub fn new(id: u64, prob: MmmProblem, a: Matrix, b: Matrix) -> Self {
         JobRequest {
             id,
@@ -166,11 +180,16 @@ impl JobRequest {
         self
     }
 
-    /// Pin the execution backend. Blocking jobs always draw their worker
-    /// slots from the server's shared [`SchedulerPool`]: pinning
-    /// `Blocking { workers }` selects the blocking executor, but the pool's
-    /// worker count — not the job's — caps the runnable ranks, and
-    /// [`JobOutput::backend`] reports the pool's.
+    /// Pin the execution backend. Pinning `Blocking` is the opt-in for a
+    /// lone heavy job on an idle server: its ranks run on carrier threads
+    /// across the server's cores, where the default event world has one
+    /// core; on a loaded server it only costs. Blocking jobs always draw
+    /// their worker slots from the server's shared [`SchedulerPool`]:
+    /// pinning `Blocking { workers }` selects the blocking executor, but
+    /// the pool's worker count — not the job's — caps the runnable ranks,
+    /// and [`JobOutput::backend`] reports the pool's. A blocking world has
+    /// no clock: its report's times are zero and `topology`, `placement`
+    /// and `faults` have no effect on it.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = Some(backend);
         self
@@ -213,8 +232,9 @@ pub struct JobOutput {
     pub report: ExecReport,
     /// Whether planning was answered from the cache.
     pub cache_hit: bool,
-    /// The backend the world executed on — for a blocking job,
-    /// `Blocking { workers }` with the shared pool's worker count.
+    /// The backend the world executed on: [`ExecBackend::event`] unless the
+    /// job pinned one — for a pinned blocking job, `Blocking { workers }`
+    /// with the shared pool's worker count.
     pub backend: ExecBackend,
 }
 
@@ -250,8 +270,11 @@ pub struct ShutdownReport {
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Driver threads consuming the job queue (concurrent jobs in flight).
+    /// Default: the core count — a default job is one single-threaded
+    /// simulation on its driver thread, so this is the server's parallelism.
     pub drivers: usize,
-    /// Runnable-rank slots of the shared [`SchedulerPool`].
+    /// Runnable-rank slots of the shared [`SchedulerPool`], which only jobs
+    /// that pin `Blocking` use. Default: the core count.
     pub pool_workers: usize,
     /// Plan-cache shard count.
     pub cache_shards: usize,
@@ -263,7 +286,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
         ServerConfig {
-            drivers: cores.div_ceil(2).max(2),
+            drivers: cores,
             pool_workers: cores,
             cache_shards: 16,
             cache_capacity: 1024,
@@ -427,18 +450,22 @@ impl Server {
         self.shared.cache.stats()
     }
 
-    /// The shared scheduler pool (e.g. to co-schedule work outside the
-    /// server under the same worker cap).
+    /// The shared scheduler pool that jobs pinning `Blocking` execute over
+    /// (e.g. to co-schedule work outside the server under the same worker
+    /// cap). Default jobs never touch it.
     pub fn pool(&self) -> &SchedulerPool {
         &self.shared.pool
     }
 
-    /// Buffer-arena counters of the shared scheduler pool. Every
-    /// blocking-backend world this server runs leases scratch from one warm
-    /// arena and parks it back on completion, so across a stream of jobs the
-    /// hit rate climbs: later jobs multiply in earlier jobs' buffers instead
-    /// of reallocating per request. Display-only observability — recycling
-    /// never changes results or per-rank counters.
+    /// Buffer-arena counters of the shared scheduler pool. They count
+    /// pinned-blocking worlds only: every such world leases scratch from one
+    /// warm arena and parks it back on completion, so across a stream of
+    /// them the hit rate climbs. Event worlds — every default job — keep a
+    /// per-world arena instead (sharing the warm one measured ≈ 3 % slower
+    /// and +7.6 MiB RSS on the serving benchmark), report it in
+    /// [`ExecReport::pool`], and leave these counters at zero.
+    /// Display-only observability — recycling never changes results or
+    /// per-rank counters.
     pub fn arena_stats(&self) -> PoolStats {
         self.shared.pool.arena().stats()
     }
@@ -569,14 +596,15 @@ fn serve_attempt(
     let (planned, cache_hit) = shared
         .cache
         .get_or_try_insert_with(key, || shared.planner.select(&prob, &model, job.overlap, &job.choice))?;
-    // Fault plans are an event-scheduler feature: when one is armed and no
-    // explicit backend was pinned, route the job (and its recovery re-runs,
-    // for comparable virtual clocks) to the event backend — blocking
-    // backends ignore the plan entirely.
+    // The server's parallelism is across jobs: every driver thread already
+    // has a world to run, so a world that fans out over carrier threads only
+    // adds stacks and futex wakes. Unpinned jobs therefore run as one
+    // single-threaded event simulation — which also honours their fault
+    // plan, topology and placement, all of which the blocking executor
+    // ignores.
     let backend = match job.backend {
         Some(explicit) => explicit,
-        None if job.faults.is_some() => ExecBackend::event(),
-        None => ExecBackend::auto(p),
+        None => ExecBackend::event(),
     };
     let mut session = RunSession::new(prob)
         .registry(shared.planner.registry().clone())
@@ -688,7 +716,7 @@ mod tests {
     #[test]
     fn event_and_blocking_jobs_interleave_and_agree() {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
-        let blocking = job(0, 8, 3);
+        let blocking = job(0, 8, 3).backend(ExecBackend::auto(8));
         let event = job(1, 8, 3).backend(ExecBackend::event());
         let results = server.run_batch(vec![blocking, event]);
         let a = results[0].outcome.as_ref().unwrap();
@@ -703,9 +731,79 @@ mod tests {
     }
 
     #[test]
+    fn default_jobs_run_on_the_event_engine_and_agree_with_blocking() {
+        let server = Server::new(baselines::registry(), small_config()).unwrap();
+        let default = server.run_sync(job(0, 8, 3)).outcome.unwrap();
+        assert_eq!(default.backend, ExecBackend::event());
+        assert!(default.report.measured_time_s() > 0.0, "a default job's report carries virtual time");
+        let pinned = server
+            .run_sync(job(1, 8, 3).backend(ExecBackend::Blocking { workers: 2 }))
+            .outcome
+            .unwrap();
+        assert_eq!(pinned.report.measured_time_s(), 0.0, "the blocking executor has no clock");
+        assert_eq!(default.report.c, pinned.report.c, "bitwise product");
+        assert_eq!(default.report.stats.len(), pinned.report.stats.len());
+        for (x, y) in default.report.stats.iter().zip(&pinned.report.stats) {
+            assert_eq!(x.sans_time(), y.sans_time());
+        }
+    }
+
+    #[test]
+    fn default_jobs_never_touch_the_scheduler_pool_arena() {
+        let server = Server::new(baselines::registry(), small_config()).unwrap();
+        // CARMA leases every leaf buffer from its world's arena, so a
+        // blocking world among these would show up in the shared counters.
+        let jobs: Vec<JobRequest> = (0..9)
+            .map(|i| {
+                let job = job(i, [4, 8, 16][i as usize % 3], i);
+                if i % 2 == 0 {
+                    job.choice(AlgoChoice::Fixed(AlgoId::Carma))
+                } else {
+                    job
+                }
+            })
+            .collect();
+        let results = server.run_batch(jobs);
+        for r in &results {
+            let out = r.outcome.as_ref().unwrap();
+            assert_eq!(out.backend, ExecBackend::event());
+            assert!(out.report.pool.hits + out.report.pool.misses > 0, "the world's own arena served it");
+        }
+        let shared = server.arena_stats();
+        assert_eq!(
+            (shared.hits, shared.misses, shared.returns),
+            (0, 0, 0),
+            "no blocking world ran, so the shared arena served nothing"
+        );
+    }
+
+    #[test]
+    fn default_jobs_measure_their_topology() {
+        // Under the parent's blocking default both runs measured 0 s and the
+        // requested topology was silently ignored.
+        let server = Server::new(baselines::registry(), small_config()).unwrap();
+        let flat = server.run_sync(job(0, 16, 3)).outcome.unwrap();
+        let fat = server
+            .run_sync(job(1, 16, 3).topology(Topology::congested_fat_tree()))
+            .outcome
+            .unwrap();
+        assert_eq!(fat.backend, ExecBackend::event());
+        assert!(
+            fat.report.measured_time_s() > flat.report.measured_time_s(),
+            "contention may only add time: fat {} s vs flat {} s",
+            fat.report.measured_time_s(),
+            flat.report.measured_time_s()
+        );
+        assert_eq!(fat.report.c, flat.report.c, "the topology prices messages, it does not change them");
+    }
+
+    #[test]
     fn pinned_blocking_worker_count_is_superseded_by_the_pool() {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
-        let auto = server.run_sync(job(0, 8, 3)).outcome.unwrap();
+        let reference = server
+            .run_sync(job(0, 8, 3).backend(ExecBackend::Blocking { workers: 4 }))
+            .outcome
+            .unwrap();
         for workers in [0, 3, 64] {
             let pinned = server
                 .run_sync(job(1, 8, 3).backend(ExecBackend::Blocking { workers }))
@@ -713,8 +811,8 @@ mod tests {
                 .unwrap();
             // The job ran over the server's 4 slots, and the result says so.
             assert_eq!(pinned.backend, ExecBackend::Blocking { workers: 4 }, "pinned {workers}");
-            assert_eq!(pinned.report.c, auto.report.c);
-            assert_eq!(pinned.report.stats, auto.report.stats);
+            assert_eq!(pinned.report.c, reference.report.c);
+            assert_eq!(pinned.report.stats, reference.report.stats);
         }
     }
 
@@ -786,8 +884,13 @@ mod tests {
     fn warm_arena_recycles_buffers_across_jobs() {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
         // CARMA's streaming executor leases every leaf buffer from the
-        // arena, so it exercises the pool on the blocking (pooled) path.
-        let carma = |id, seed| job(id, 4, seed).choice(AlgoChoice::Fixed(AlgoId::Carma));
+        // arena, so it exercises the pool on the blocking (pooled) path —
+        // which a job only takes when it pins `Blocking`.
+        let carma = |id, seed| {
+            job(id, 4, seed)
+                .choice(AlgoChoice::Fixed(AlgoId::Carma))
+                .backend(ExecBackend::auto(4))
+        };
         let first = server.run_sync(carma(0, 0));
         assert!(first.outcome.is_ok());
         let cold = server.arena_stats();

@@ -21,10 +21,13 @@
 //!   `TimeBreakdown` under the cost model, and picks the strict argmin —
 //!   fig. 5's grid fitting generalized across algorithms. The verdict is a
 //!   typed [`Selection`] `{ algo, planned_time_s, runner_up }`.
-//! * [`Server`] — the multi-tenant driver: a team of driver threads
-//!   consumes the job queue; blocking worlds execute over one shared
+//! * [`Server`] — the multi-tenant driver: a team of driver threads, one
+//!   per core, consumes the job queue. Jobs run in parallel, each world
+//!   single-threaded: an unpinned job is one event simulation on its driver
+//!   thread; a job that pins `Blocking` — the opt-in for a lone heavy job —
+//!   executes over one shared
 //!   [`SchedulerPool`](mpsim::exec::SchedulerPool) (a machine-wide worker
-//!   cap across *all* concurrent jobs), event worlds interleave. Per-job
+//!   cap across *all* such jobs). Per-job
 //!   [`ExecReport`](cosma::api::ExecReport)s come back with the selection,
 //!   the (possibly cached) plan and a cache-hit flag. Jobs may arm a
 //!   deterministic [`FaultPlan`]; under a [`RetryPolicy`] the driver

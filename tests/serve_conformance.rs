@@ -4,9 +4,10 @@
 //! executing each job by hand, one at a time.
 //!
 //! This is the end-to-end guarantee the serve crate rests on: planning is a
-//! pure function of the request (so cached plans are exact), and the three
-//! executors are conformant (so a world run on the shared scheduler pool
-//! among many tenants computes exactly what it computes alone).
+//! pure function of the request (so cached plans are exact), and a world
+//! served among many tenants — a default single-threaded event simulation on
+//! a driver thread, or a pinned blocking world on the shared scheduler pool
+//! — computes exactly what it computes alone.
 
 use bench::serve_bench::{mixed_stream, unique_combos};
 use cosma::api::{AlgoId, RunSession};
@@ -14,33 +15,20 @@ use cosma::problem::MmmProblem;
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
 use mpsim::exec::ExecBackend;
-use serve::{AutoPlanner, FaultPlan, JobRequest, RetryPolicy, Server, ServerConfig};
+use serve::{AutoPlanner, FaultPlan, JobRequest, JobResult, RetryPolicy, Server, ServerConfig};
 
-/// A ≥64-job mixed stream (repeat + unique plan keys) through a concurrent
-/// [`Server`]: every `JobResult` matches a serial [`RunSession`] run of the
-/// same job bitwise, at least three different algorithms are auto-selected,
-/// and the plan cache absorbs the key repeats.
-#[test]
-fn concurrent_stream_matches_serial_run_sessions_bitwise() {
-    let n_jobs = 64;
-    let jobs = mixed_stream(n_jobs, None);
-    assert!(unique_combos().len() < n_jobs, "the stream must repeat plan keys");
-
-    let config = ServerConfig {
-        drivers: 4,
-        ..ServerConfig::default()
-    };
-    let server = Server::new(baselines::registry(), config).unwrap();
-    let served = server.run_batch(jobs.clone());
-    assert_eq!(served.len(), n_jobs);
-
-    // The serial reference: plan and execute every job by hand with a fresh
-    // auto-planner and a private RunSession — no serve crate on this path
-    // beyond the selection rule itself.
+/// Hold every served job against the serial reference: planned and executed
+/// by hand with a fresh auto-planner and a private `RunSession` on `backend`
+/// — no serve crate on this path beyond the selection rule itself. Full
+/// `stats` equality: on the event backend the virtual clock is part of the
+/// contract, not stripped. Returns the algorithms selected, in first-seen
+/// order.
+fn assert_matches_serial(jobs: &[JobRequest], served: &[JobResult], backend: ExecBackend) -> Vec<AlgoId> {
+    assert_eq!(served.len(), jobs.len());
     let model = CostModel::piz_daint_two_sided();
     let planner = AutoPlanner::new(baselines::registry());
     let mut selected: Vec<AlgoId> = Vec::new();
-    for (job, result) in jobs.iter().zip(&served) {
+    for (job, result) in jobs.iter().zip(served) {
         assert_eq!(job.id, result.id, "run_batch must return results in id order");
         let out = result.outcome.as_ref().expect("the mixed stream is feasible by construction");
 
@@ -53,16 +41,48 @@ fn concurrent_stream_matches_serial_run_sessions_bitwise() {
             .algorithm(reference.selection.algo)
             .machine(model)
             .overlap(job.overlap)
-            .exec_backend(ExecBackend::auto(job.prob.p))
+            .exec_backend(backend)
             .execute(&job.a, &job.b)
             .expect("serial reference run");
         assert_eq!(out.report.c, report.c, "job {}: product diverged from serial", job.id);
-        assert_eq!(out.report.stats, report.stats, "job {}: counters diverged from serial", job.id);
+        assert_eq!(out.report.stats, report.stats, "job {}: stats diverged from serial", job.id);
 
         if !selected.contains(&out.selection.algo) {
             selected.push(out.selection.algo);
         }
     }
+    selected
+}
+
+/// A ≥64-job mixed stream (repeat + unique plan keys) through a concurrent
+/// [`Server`] with default knobs, so every world is a single-threaded event
+/// simulation: every `JobResult` matches a serial event [`RunSession`] run
+/// of the same job bitwise — per-rank α-β-γ times included — at least three
+/// different algorithms are auto-selected, and the plan cache absorbs the
+/// key repeats.
+#[test]
+fn concurrent_stream_matches_serial_run_sessions_bitwise() {
+    let n_jobs = 64;
+    let jobs = mixed_stream(n_jobs, None);
+    assert!(unique_combos().len() < n_jobs, "the stream must repeat plan keys");
+
+    let config = ServerConfig {
+        drivers: 4,
+        ..ServerConfig::default()
+    };
+    let server = Server::new(baselines::registry(), config).unwrap();
+    let served = server.run_batch(jobs.clone());
+    for result in &served {
+        let out = result.outcome.as_ref().expect("feasible stream");
+        assert_eq!(
+            out.backend,
+            ExecBackend::event(),
+            "job {}: default jobs run on the event engine",
+            result.id
+        );
+        assert!(out.report.measured_time_s() > 0.0, "job {}: virtual time is measured", result.id);
+    }
+    let selected = assert_matches_serial(&jobs, &served, ExecBackend::event());
 
     assert!(selected.len() >= 3, "want >= 3 algorithms auto-selected, got {selected:?}");
     let report = server.shutdown();
@@ -72,35 +92,43 @@ fn concurrent_stream_matches_serial_run_sessions_bitwise() {
     assert_eq!(stats.hits + stats.misses, n_jobs as u64);
 }
 
-/// The same stream pinned to the event backend: virtual-clock execution
-/// through the server agrees with private event runs, including the
-/// per-rank α-β-γ times (event worlds interleave on the driver threads but
-/// never share scheduler state).
+/// The same stream pinned to the event backend: pinning what the default
+/// already is changes nothing — virtual-clock execution through the server
+/// agrees with private event runs, including the per-rank α-β-γ times
+/// (event worlds interleave on the driver threads but never share scheduler
+/// state).
 #[test]
 fn event_backend_stream_matches_serial_including_virtual_time() {
-    let n_jobs = 24;
-    let jobs = mixed_stream(n_jobs, Some(ExecBackend::event()));
+    let jobs = mixed_stream(24, Some(ExecBackend::event()));
     let server = Server::new(baselines::registry(), ServerConfig::default()).unwrap();
     let served = server.run_batch(jobs.clone());
+    assert_matches_serial(&jobs, &served, ExecBackend::event());
+}
 
-    let model = CostModel::piz_daint_two_sided();
-    let planner = AutoPlanner::new(baselines::registry());
-    for (job, result) in jobs.iter().zip(&served) {
+/// The opt-in path: the same stream with every job pinning `Blocking`, so
+/// the worlds run thread-per-rank over the server's shared scheduler pool
+/// among many tenants — and compute exactly what each computes alone on a
+/// private blocking executor.
+#[test]
+fn pinned_blocking_stream_matches_serial_run_sessions_bitwise() {
+    let jobs = mixed_stream(24, Some(ExecBackend::auto(16)));
+    let config = ServerConfig {
+        drivers: 4,
+        ..ServerConfig::default()
+    };
+    let server = Server::new(baselines::registry(), config).unwrap();
+    let served = server.run_batch(jobs.clone());
+    for result in &served {
         let out = result.outcome.as_ref().expect("feasible stream");
-        let reference = planner.select(&job.prob, &model, job.overlap, &job.choice).expect("feasible");
-        let report = RunSession::new(job.prob)
-            .registry(baselines::registry())
-            .algorithm(reference.selection.algo)
-            .machine(model)
-            .overlap(job.overlap)
-            .exec_backend(ExecBackend::event())
-            .execute(&job.a, &job.b)
-            .expect("serial event run");
-        assert_eq!(out.report.c, report.c, "job {}: product diverged", job.id);
-        // Full stats equality: the event backend's virtual clock is part of
-        // the contract, not stripped.
-        assert_eq!(out.report.stats, report.stats, "job {}: stats diverged", job.id);
+        assert!(
+            matches!(out.backend, ExecBackend::Blocking { .. }),
+            "job {}: {:?}",
+            result.id,
+            out.backend
+        );
     }
+    assert_matches_serial(&jobs, &served, ExecBackend::auto(16));
+    assert!(server.arena_stats().returns > 0, "blocking worlds lease from the shared arena");
 }
 
 /// The PR-9 recovery contract end-to-end: a seeded `FaultPlan` fells 15 of

@@ -8,7 +8,7 @@
 //! 3. planned per-rank traffic equals executed traffic, word for word, and
 //!    the executed product matches the sequential kernel.
 
-use cosma::api::{execute_boxed, MmmAlgorithm, PlanError, RunSession};
+use cosma::api::{execute_boxed, AlgoId, MmmAlgorithm, PlanError, RunSession};
 use cosma::problem::MmmProblem;
 use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
@@ -83,6 +83,35 @@ fn plans_tile_the_iteration_space() {
             plan.validate_coverage()
                 .unwrap_or_else(|e| panic!("{} on p={}: {e}", algo.id(), prob.p));
         }
+    }
+}
+
+/// Past 4 096 bricks the coverage check used to look at 64 sampled points
+/// only. A 32 768-brick COSMA plan and a memory-starved CARMA plan of
+/// several DFS leaves per rank still validate under the exact check — and
+/// stop validating when one brick moves by a unit, which preserves volume
+/// and bounds.
+#[test]
+fn large_plans_tile_the_iteration_space_exactly() {
+    let reg = baselines::registry();
+    for (id, prob, min_bricks_per_rank) in [
+        (AlgoId::Cosma, MmmProblem::new(256, 256, 256, 32768, 1 << 12), 1),
+        (AlgoId::Carma, MmmProblem::new(256, 256, 256, 2048, 1 << 9), 2),
+    ] {
+        let mut plan = reg.by_id(id).expect("registered").plan(&prob, &model()).expect("plans");
+        let bricks: usize = plan.ranks.iter().map(|r| r.bricks.len()).sum();
+        assert!(bricks > 4096, "{id}: {bricks} bricks");
+        assert!(plan.ranks[1000].bricks.len() >= min_bricks_per_rank, "{id}: one leaf per rank");
+        plan.validate_coverage().unwrap_or_else(|e| panic!("{id}: {e}"));
+
+        // Rank 1000 is clear of the points the sampled check looked at.
+        let rows = &mut plan.ranks[1000].bricks[0].rows;
+        assert!(rows.end < prob.m, "{id}: room to shift");
+        *rows = rows.start + 1..rows.end + 1;
+        assert!(
+            matches!(plan.validate_coverage(), Err(PlanError::Overlap { .. })),
+            "{id}: a shifted brick must be rejected"
+        );
     }
 }
 
