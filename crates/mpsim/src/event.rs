@@ -2091,6 +2091,44 @@ mod tests {
         );
     }
 
+    #[test]
+    fn recv_deadline_is_the_same_typed_error_at_every_thread_count() {
+        // The world above on a flat machine with α = 0.5 s, so two and three
+        // threads shard it: rank 1's message wakes rank 0 at t = 7.5, long
+        // past the deadline (t = 1) of rank 2's orphan recv, and the first
+        // window boundary reports it — whichever region rank 2 lives in.
+        let cost = CostModel {
+            alpha_s: 0.5,
+            ..unit_spec(3).cost
+        };
+        let spec = MachineSpec::new(3, 1000, cost).with_recv_timeout(std::time::Duration::from_secs(1));
+        for threads in 1..=3 {
+            let err = run_spmd_with(&spec, ExecBackend::Event { threads }, |mut c| async move {
+                match c.rank() {
+                    0 => {
+                        c.recv(1, 1, Phase::Other).await;
+                    }
+                    1 => {
+                        c.record_flops(5);
+                        c.send(0, 1, vec![0.0; 2], Phase::Other);
+                    }
+                    _ => {
+                        c.recv(0, 9, Phase::Other).await;
+                    }
+                }
+            })
+            .unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::DeadlockSuspected {
+                    rank: 2,
+                    on: Waiting::Message { from: 0, tag: 9 }
+                },
+                "{threads} threads"
+            );
+        }
+    }
+
     /// A mixed workload for the parallel-vs-sequential bitwise tests:
     /// rank-dependent compute, a ring exchange, a long-distance exchange
     /// with the antipodal rank (all cross-region on any even region count),

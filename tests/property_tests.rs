@@ -974,3 +974,224 @@ fn fault_plans_behave_identically_across_event_thread_counts() {
     }
     assert!(failures > 0, "the sample must exercise at least one injected failure");
 }
+
+/// One step of a generated rank program (see [`generate_programs`]).
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Send {
+        to: usize,
+        tag: u64,
+        words: usize,
+    },
+    Recv {
+        from: usize,
+        tag: u64,
+    },
+    SendRecv {
+        to: usize,
+        from: usize,
+        tag: u64,
+        words: usize,
+    },
+    Barrier,
+    Flops(u64),
+}
+
+/// How a generated world is broken on purpose.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Wedge {
+    /// Every send has its recv and every recv its send: the world completes.
+    None,
+    /// One rank gets a recv nobody sends, somewhere in its program.
+    OrphanRecv,
+    /// After a closing barrier one rank exits and another sends to it, two
+    /// message hops (so at least one α, or one word's β) later.
+    SendToExited,
+}
+
+/// A small SPMD program per rank, built from a global script so that it is
+/// matched by construction: sends never block, and every recv is appended to
+/// its rank's list after the matching send was appended to the sender's — by
+/// induction over the script no rank waits on a message that is never posted.
+/// Steps: a burst of point-to-point messages received in shuffled tag order,
+/// a ring `sendrecv` by a random shift, a world barrier, local flops. Tags are
+/// drawn from a small range so per-`(sender, tag)` FIFO matching is exercised.
+fn generate_programs(rng: &mut Rng, p: usize, wedge: Wedge) -> Vec<Vec<Op>> {
+    let mut progs: Vec<Vec<Op>> = vec![Vec::new(); p];
+    for _ in 0..rng.range(4, 14) {
+        match rng.range(0, 5) {
+            0 | 1 => {
+                let from = rng.range(0, p);
+                let to = (from + rng.range(1, p)) % p;
+                let mut tags: Vec<u64> = (0..rng.range(1, 4) as u64).collect();
+                for &tag in &tags {
+                    let words = rng.range(0, 40);
+                    progs[from].push(Op::Send { to, tag, words });
+                }
+                for i in (1..tags.len()).rev() {
+                    tags.swap(i, rng.range(0, i + 1));
+                }
+                progs[to].extend(tags.iter().map(|&tag| Op::Recv { from, tag }));
+            }
+            2 => {
+                let (shift, tag, words) = (rng.range(1, p), rng.range(0, 3) as u64, rng.range(0, 40));
+                for (r, prog) in progs.iter_mut().enumerate() {
+                    prog.push(Op::SendRecv {
+                        to: (r + shift) % p,
+                        from: (r + p - shift) % p,
+                        tag,
+                        words,
+                    });
+                }
+            }
+            3 => progs.iter_mut().for_each(|prog| prog.push(Op::Barrier)),
+            _ => {
+                let r = rng.range(0, p);
+                progs[r].push(Op::Flops(rng.range(0, 50_000) as u64));
+            }
+        }
+    }
+    match wedge {
+        Wedge::None => {}
+        Wedge::OrphanRecv => {
+            let r = rng.range(0, p);
+            let at = rng.range(0, progs[r].len() + 1);
+            let from = (r + rng.range(1, p)) % p;
+            progs[r].insert(at, Op::Recv { from, tag: 99 });
+        }
+        Wedge::SendToExited => {
+            // Ranks 0 (sender), 1 (helper), 2 (exits at the barrier): the
+            // ping-pong with the helper parks the sender for two hops, so the
+            // send finds rank 2 gone on every driver.
+            progs.iter_mut().for_each(|prog| prog.push(Op::Barrier));
+            let (to, from, tag, words) = (1, 1, 7, 1);
+            progs[0].push(Op::SendRecv { to, from, tag, words });
+            progs[1].push(Op::Recv { from: 0, tag });
+            progs[1].push(Op::Send { to: 0, tag, words });
+            progs[0].push(Op::Send { to: 2, tag, words });
+        }
+    }
+    progs
+}
+
+/// Interpret one rank's program; returns a digest of everything it received.
+async fn interpret(mut c: mpsim::RankComm, prog: &[Op]) -> (usize, f64) {
+    let me = c.rank() as f64;
+    let (mut words_in, mut sum) = (0usize, 0.0f64);
+    let mut take = |got: Vec<f64>| {
+        words_in += got.len();
+        sum += got.iter().sum::<f64>();
+    };
+    for (i, &op) in prog.iter().enumerate() {
+        let payload = |words: usize| vec![me * 64.0 + i as f64; words];
+        match op {
+            Op::Send { to, tag, words } => c.send(to, tag, payload(words), Phase::Other),
+            Op::Recv { from, tag } => take(c.recv(from, tag, Phase::Other).await),
+            Op::SendRecv { to, from, tag, words } => {
+                take(c.sendrecv(to, from, tag, payload(words), Phase::Other).await)
+            }
+            Op::Barrier => c.barrier().await,
+            Op::Flops(n) => c.record_flops(n),
+        }
+    }
+    (words_in, sum)
+}
+
+/// Full per-rank stats with the virtual clock as bits: `-0.0`, and a NaN if
+/// one ever appeared, must not compare equal to anything but themselves.
+fn stats_bits(stats: &[mpsim::RankStats]) -> Vec<(mpsim::RankStats, [u64; 3])> {
+    stats
+        .iter()
+        .map(|s| {
+            let t = s.time;
+            (s.sans_time(), [t.compute_s, t.exposed_comm_s, t.total_comm_s].map(f64::to_bits))
+        })
+        .collect()
+}
+
+/// Differential sweep over generated rank programs (ROADMAP item 1, the
+/// oracle of the one-driver merge): on flat α > 0 (the only machine the event
+/// engine shards), flat α = 0, a node-NIC machine and the congested fat tree,
+/// `event`, `event(2)` and `event(4)` agree on results and on full per-rank
+/// stats — virtual clocks bit for bit — when the world completes, and on the
+/// typed error when it is wedged on purpose; a completed world also matches
+/// the blocking executor on results and counters. `COSMA_FUZZ_SEED=<n>`
+/// replays one seed.
+#[test]
+fn generated_rank_programs_agree_across_event_thread_counts() {
+    use mpsim::machine::Topology;
+    use mpsim::{ExecError, Waiting};
+    let seeds = match std::env::var("COSMA_FUZZ_SEED") {
+        Ok(s) => {
+            let seed = s.parse::<u64>().expect("COSMA_FUZZ_SEED is an integer");
+            seed..seed + 1
+        }
+        Err(_) => 0..96,
+    };
+    for seed in seeds {
+        let mut rng = Rng::new(0xF022 ^ seed);
+        let p = rng.range(3, 13);
+        let wedge = [Wedge::None, Wedge::None, Wedge::OrphanRecv, Wedge::SendToExited][seed as usize % 4];
+        let progs = generate_programs(&mut rng, p, wedge);
+        let flat = MachineSpec::test_machine(p, 1000);
+        let zero_alpha = MachineSpec::new(
+            p,
+            1000,
+            CostModel {
+                alpha_s: 0.0,
+                ..flat.cost
+            },
+        );
+        let node_nic = flat.clone().with_topology(Topology::NodeNic {
+            ranks_per_node: 2,
+            nic_factor: 0.5,
+        });
+        let fat_tree = flat.clone().with_topology(Topology::congested_fat_tree());
+        let machines = [
+            ("flat", flat),
+            ("alpha=0", zero_alpha),
+            ("node-nic", node_nic),
+            ("fat-tree", fat_tree),
+        ];
+        for (name, spec) in &machines {
+            let spec = spec.clone().with_overlap(seed % 3 != 0);
+            let ctx = format!("COSMA_FUZZ_SEED={seed} {name} p={p} {wedge:?} {progs:?}");
+            let run = |backend| {
+                run_spmd_with(&spec, backend, |c| {
+                    let prog = &progs[c.rank()];
+                    interpret(c, prog)
+                })
+            };
+            let one = run(ExecBackend::event());
+            for threads in [2, 4] {
+                match (&one, run(ExecBackend::Event { threads })) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.results, b.results, "event({threads}) results: {ctx}");
+                        assert_eq!(
+                            stats_bits(&a.stats),
+                            stats_bits(&b.stats),
+                            "event({threads}) stats: {ctx}"
+                        );
+                    }
+                    (Err(a), Err(b)) => assert_eq!(*a, b, "event({threads}) typed error: {ctx}"),
+                    (a, b) => {
+                        panic!("event and event({threads}) disagree on completion: {a:?} vs {b:?}: {ctx}")
+                    }
+                }
+            }
+            match (wedge, one) {
+                (Wedge::None, Ok(event)) => {
+                    let blocking =
+                        run(ExecBackend::Blocking { workers: 2 }).expect("a matched program completes");
+                    assert_eq!(blocking.results, event.results, "blocking results: {ctx}");
+                    assert_eq!(counters(&blocking.stats), counters(&event.stats), "blocking counters: {ctx}");
+                }
+                (Wedge::OrphanRecv, Err(ExecError::DeadlockSuspected { on, .. })) => {
+                    assert!(matches!(on, Waiting::Message { .. } | Waiting::Barrier), "{on:?}: {ctx}");
+                }
+                (Wedge::SendToExited, Err(e)) => assert_eq!(e, ExecError::WorldTornDown { rank: 0 }, "{ctx}"),
+                (_, other) => panic!("unexpected outcome {other:?}: {ctx}"),
+            }
+        }
+    }
+}
