@@ -65,43 +65,53 @@
 //! Worlds of 100k+ ranks execute end-to-end with real messages in a few
 //! hundred bytes per rank.
 //!
-//! # One state layout, two drivers
+//! # One driver
 //!
 //! Ranks are partitioned into contiguous **regions** (`RegionState`), each
 //! owning a slab of per-rank state (mailbox, wait slot, clock, injection
-//! link, park epoch), a ready heap and a deadline heap. Both drivers run the
-//! same `send`, `recv`, barrier and clock code on that layout; they differ
-//! only in how they order polls.
+//! link, park epoch), a ready heap and a deadline heap, and each driven by
+//! one worker thread — worker 0 is the calling thread, so the usual
+//! one-region world (`threads: 1`, every shared-link topology, α = 0) spawns
+//! nothing. There is one run loop (`run_event_world`: `worker` +
+//! `boundary`), and a one-region run is simply its N = 1 case.
 //!
-//! The **sequential driver** (`run_event_world`) is the reference: one
-//! region holding every rank, polled on the calling thread in global
-//! `(time, seq)` order, recv deadlines checked before every pop, the barrier
-//! resolved inline by its last arriver. It runs every world the sharded
-//! driver's determinism contract does not cover — `threads: 1`, every
-//! shared-link topology (links are charged in global consumption order) and
-//! α = 0 (no lookahead).
+//! The workers advance in *conservative windows* of virtual time, classic
+//! bounded-lag discrete-event style: with the cost model's per-message
+//! latency α as the **lookahead**, every window spans `[floor, floor + α)`
+//! where `floor` is the earliest pending event anywhere (with α = 0 the
+//! window is the single timestamp `floor`). Each worker drains its own heap
+//! in `(time, seq)` order up to the window bound, polling rank bodies (user
+//! compute runs concurrently across regions, outside any lock). Cross-region
+//! sends are deposited into the target region's bounded inbox and drained at
+//! the window boundary — safe, because a message posted at `sent_at ≥ floor`
+//! cannot complete before `sent_at + α ≥ floor + α`, i.e. never inside the
+//! window that posted it. At each boundary worker 0 delivers inboxes
+//! (stable-sorted by sender, preserving per-sender FIFO), resolves a
+//! fully-arrived world barrier, checks recv deadlines and structural
+//! deadlock, and opens the next window.
 //!
-//! The **region-sharded driver** (`run_event_world_parallel`) gives each of
-//! `N` OS threads one region and advances them in *conservative windows* of
-//! virtual time, classic bounded-lag discrete-event style: with the cost
-//! model's per-message latency α as the **lookahead**, every window spans
-//! `[floor, floor + α)` where `floor` is the earliest pending event anywhere;
-//! each worker drains its own heap up to the window bound, polling rank
-//! bodies (user compute runs concurrently across regions, outside any lock).
-//! Cross-region sends are deposited into the target region's bounded inbox
-//! and drained at the window boundary — safe, because a message posted at
-//! `sent_at ≥ floor` cannot complete before `sent_at + α ≥ floor + α`, i.e.
-//! never inside the window that posted it. At each boundary one leader
-//! thread delivers inboxes (stable-sorted by sender, preserving per-sender
-//! FIFO), resolves a fully-arrived world barrier, checks recv deadlines and
-//! structural deadlock, and opens the next window. On the flat topology
-//! every virtual quantity a rank commits (its clock, its receiver-private
-//! injection link, its share of the commutative barrier max) depends on
-//! rank-local state and on message envelopes fixed by the sender's program
-//! order — never on the global interleaving — so counters *and* virtual
-//! times are bitwise-identical to the sequential driver's. Message payloads
-//! are shared `Arc` buffers either way: delivery moves a pointer, and the
-//! (sole) receiver recovers the owned vector without copying.
+//! With one region none of that machinery engages: every send finds its
+//! target in the sender's own region (the inboxes stay empty), the last
+//! barrier arriver resolves the epoch inline, the window gate has one party,
+//! and since the one heap holds every event the window bound never reorders
+//! a poll — ranks are polled in global `(time, seq)` order, which is what
+//! shared links (charged in global consumption order) require. The boundary
+//! is then only where recv deadlines and the empty-heap deadlock are looked
+//! at. With more regions, on the flat topology every virtual quantity a rank
+//! commits (its clock, its receiver-private injection link, its share of the
+//! commutative barrier max) depends on rank-local state and on message
+//! envelopes fixed by the sender's program order — never on the global
+//! interleaving — so counters *and* virtual times are bitwise-identical at
+//! every region count. Message payloads are shared `Arc` buffers: delivery
+//! moves a pointer, and the (sole) receiver recovers the owned vector
+//! without copying.
+//!
+//! Recv deadlines ([`MachineSpec::recv_timeout`], in virtual time) are
+//! checked at window boundaries only: a parked recv whose deadline lies
+//! before the next window's floor is a suspected deadlock. A deadline that
+//! passes mid-window is therefore reported at the boundary that follows it
+//! (at most α later) — and a message that still arrives inside that window
+//! rescues the recv — identically at every thread count.
 //!
 //! # Fault injection
 //!
@@ -113,18 +123,17 @@
 //! drops, and reports a world the faults keep from completing as a typed
 //! [`ExecError::RankFailed`] carrying the earliest scheduled casualty.
 //! Every fault decision is keyed on rank-local state (the rank's own event
-//! time, the sender's program-order send index), so both drivers inject the
-//! *same* faults at the *same* events, and a plan that schedules nothing is
-//! bitwise a no-op.
+//! time, the sender's program-order send index), so the *same* faults are
+//! injected at the *same* events at every region count, and a plan that
+//! schedules nothing is bitwise a no-op.
 //!
 //! A second guard complements the virtual recv deadline: a world whose
 //! clocks are *frozen* (α = 0, zero-word messages) can ping-pong forever
-//! without ever outrunning a parked recv's deadline. The sequential driver
-//! counts consecutive polls without strict virtual-time advance and, past a
-//! generous budget, fires the earliest pending deadline as
-//! [`ExecError::DeadlockSuspected`] — so a livelocked world errors instead
-//! of spinning (the sharded driver requires α > 0, where every window
-//! strictly advances the floor).
+//! inside one window without ever outrunning a parked recv's deadline. Each
+//! worker counts consecutive polls without strict virtual-time advance and,
+//! past a generous budget, leaves its window so the boundary fires the
+//! earliest pending deadline as [`ExecError::DeadlockSuspected`] — a
+//! livelocked world errors instead of spinning.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
@@ -297,11 +306,10 @@ struct RankSlab {
 }
 
 /// A contiguous block of ranks: their slabs, a ready heap and a deadline
-/// heap. The sequential driver runs one region holding every rank. The
-/// sharded driver gives each worker thread one: mid-window only the owning
-/// worker touches it (cross-region traffic goes through
-/// [`EventWorld::inboxes`]), and the mutex hands the same state to the
-/// boundary leader between windows.
+/// heap. Each worker thread drives one: mid-window only the owning worker
+/// touches it (cross-region traffic goes through [`EventWorld::inboxes`]),
+/// and the mutex hands the same state to the boundary leader between
+/// windows.
 struct RegionState {
     /// First global rank of this region.
     base: usize,
@@ -452,6 +460,20 @@ impl RegionState {
             self.enqueue(to, at);
         }
     }
+
+    /// The earliest armed receive deadline of this region and what its rank
+    /// waits on. Stale entries (the rank was woken, or parked anew) are
+    /// dropped off the top of the heap on the way.
+    fn earliest_deadline(&mut self) -> Option<(DeadlineEntry, Waiting)> {
+        while let Some(&entry) = self.deadlines.peek() {
+            let slab = self.slab(entry.rank);
+            if let (Wait::Recv { from, tag }, true) = (slab.wait, slab.park_epoch == entry.epoch) {
+                return Some((entry, Waiting::Message { from, tag }));
+            }
+            self.deadlines.pop();
+        }
+        None
+    }
 }
 
 /// The world barrier's epoch state. Arrivals update it as they happen
@@ -494,8 +516,7 @@ pub struct EventWorld {
     /// Ranks per region (`ceil(p / regions)`); rank `r` lives in region
     /// `r / chunk` at slab index `r % chunk`.
     chunk: usize,
-    /// The regions, in rank order: one under the sequential driver, one per
-    /// worker thread under the sharded driver.
+    /// The regions, in rank order: one per worker thread.
     regions: Vec<Mutex<RegionState>>,
     /// Per-target-region inboxes for cross-region packets, drained (and
     /// stable-sorted by sender) at each window boundary. Bounded by
@@ -568,6 +589,19 @@ impl EventWorld {
 
     fn lock_rank(&self, rank: usize) -> MutexGuard<'_, RegionState> {
         self.lock_region(self.region_of(rank))
+    }
+
+    /// The exclusive bound of the window that opens at `floor`: one
+    /// conservative lookahead ([`Network::region_lookahead_s`], the cost
+    /// model's per-message latency α) wide. Every message posted at `t`
+    /// completes at `t + α + β·words ≥ t + α`, so such a window is closed
+    /// under the cross-region events it generates. The `next_up` floor keeps
+    /// the window non-empty when α = 0 or `floor + α` rounds back to `floor`
+    /// (a clock so far past α that the sum is absorbed): the driver then
+    /// steps one timestamp at a time instead of spinning.
+    fn window_bound(&self, floor: f64) -> f64 {
+        let lookahead = self.net.region_lookahead_s(self.model.alpha_s);
+        (floor + lookahead).max(floor.next_up())
     }
 
     /// Close the fully-arrived barrier epoch behind `b`: the barrier
@@ -744,7 +778,7 @@ impl EventComm {
                 // wiser (the send was counted), the receiver will starve and
                 // the wedge reports a typed fault. A sender-local decision
                 // (seed + program-order send index), so the same message
-                // vanishes under either driver; recorded region-locally,
+                // vanishes at every region count; recorded region-locally,
                 // verdicts fold the per-region minima.
                 note_drop(&mut reg.first_drop, at, self.rank, to);
                 return;
@@ -982,7 +1016,7 @@ impl Future for BarrierFuture<'_> {
             b.t_max = b.t_max.max(clock);
             self.arrived_gen = Some(b.gen);
             if b.arrived == world.p && world.regions.len() == 1 {
-                // One region: its driver polls one rank at a time, so no
+                // One region: its worker polls one rank at a time, so no
                 // other rank is running and the last arriver resolves the
                 // epoch inline. With more regions other workers are
                 // mid-window; the arrival parks and the boundary leader
@@ -1003,8 +1037,7 @@ impl Future for BarrierFuture<'_> {
 }
 
 /// Fold a fault-plan message drop into a running `(sent_at, from, to)`
-/// minimum — the canonical "earliest loss" both drivers agree on for all
-/// drops they both observed.
+/// minimum — the canonical "earliest loss" every region count agrees on.
 fn note_drop(slot: &mut Option<(f64, usize, usize)>, at: f64, from: usize, to: usize) {
     let cand = (at, from, to);
     let better = match slot {
@@ -1018,9 +1051,8 @@ fn note_drop(slot: &mut Option<(f64, usize, usize)>, at: f64, from: usize, to: u
 
 /// The casualty a fault-afflicted world reports when it cannot complete:
 /// the earliest *scheduled* death among ranks that are dead or still
-/// unfinished with a death pending — a schedule-derived attribution, so the
-/// two drivers (whose wedge points may differ by up to one window) report
-/// the same `(rank, at)`. A pure message-loss wedge (no deaths in play)
+/// unfinished with a death pending — a schedule-derived attribution, so
+/// every region count reports the same `(rank, at)`. A pure message-loss wedge (no deaths in play)
 /// blames the starved receiver of the earliest drop.
 fn fault_casualty(
     sched: &FaultSchedule,
@@ -1045,174 +1077,25 @@ fn fault_casualty(
     first_drop.map(|(at, _from, to)| ExecError::RankFailed { rank: to, at })
 }
 
-/// The frozen-clock livelock guard's poll budget: how many consecutive
-/// scheduler polls without strict virtual-time advance the sequential
-/// driver tolerates while a receive deadline is pending.
+/// The frozen-clock livelock guard's poll budget: how many consecutive polls
+/// without strict virtual-time advance a worker tolerates before it asks the
+/// boundary to fire the earliest pending receive deadline.
 ///
 /// A world whose clocks are frozen (α = 0 and only zero-word messages in
-/// flight) can ping-pong forever without ever outrunning a parked recv's
-/// virtual deadline — `recv_timeout` never fires and the scheduler spins.
-/// The budget converts "no virtual progress for an absurd number of polls"
-/// into the same [`ExecError::DeadlockSuspected`] the deadline would have
-/// produced. Generous (≥ 2²⁰ polls, scaled by world size so same-timestamp
-/// bursts of large untimed worlds never trip it): a legitimate workload
-/// advancing time or finishing ranks resets the count. The sharded driver
-/// needs no guard — it only engages with α > 0, where every window
-/// strictly advances the floor.
+/// flight) can ping-pong forever inside one window without ever outrunning a
+/// parked recv's virtual deadline — `recv_timeout` never fires and the
+/// scheduler spins. The budget converts "no virtual progress for an absurd
+/// number of polls" into the same [`ExecError::DeadlockSuspected`] the
+/// deadline would have produced. Generous (≥ 2²⁰ polls, scaled by world size
+/// so same-timestamp bursts of large untimed worlds never trip it): a
+/// legitimate workload advancing time or finishing ranks resets the count.
 fn livelock_poll_budget(p: usize) -> u64 {
     (p as u64) * 64 + (1 << 20)
 }
 
-/// Run the world to completion on the calling thread — the sequential
-/// driver behind [`ExecBackend::Event`](crate::exec::ExecBackend::Event),
-/// over a one-region world.
-pub(crate) fn run_event_world<R, F, Fut>(
-    spec: &MachineSpec,
-    f: F,
-    traced: bool,
-    pool: Arc<BufferPool>,
-) -> Result<(RunOutput<R>, Vec<SchedEvent>), ExecError>
-where
-    F: Fn(crate::comm::RankComm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    let p = spec.p;
-    let stats = Arc::new(StatsBoard::new(p));
-    let world = Arc::new(EventWorld::new(spec, stats.clone(), 1, traced, pool));
-    // One boxed state machine per rank — the entire per-rank footprint.
-    let mut tasks: Vec<Option<Pin<Box<Fut>>>> = (0..p)
-        .map(|rank| {
-            let comm = EventComm {
-                rank,
-                region: 0,
-                world: world.clone(),
-            };
-            Some(Box::pin(f(crate::comm::RankComm::Event(comm))))
-        })
-        .collect();
-    {
-        let mut st = world.lock_region(0);
-        for r in 0..p {
-            st.enqueue(r, 0.0);
-        }
-    }
-    let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();
-    let mut live = p;
-    let mut cx = Context::from_waker(Waker::noop());
-    // Frozen-clock livelock guard (see `livelock_poll_budget`): consecutive
-    // polls without strict virtual-time advance, reset on any progress.
-    let stall_budget = livelock_poll_budget(p);
-    let mut last_advance = f64::NEG_INFINITY;
-    let mut stalled_polls: u64 = 0;
-    while live > 0 {
-        let next = {
-            let mut st = world.lock_region(0);
-            let entry = st.ready.pop();
-            if let Some(e) = &entry {
-                if e.at > last_advance {
-                    last_advance = e.at;
-                    stalled_polls = 0;
-                } else {
-                    stalled_polls += 1;
-                }
-                // The recv-timeout deadline, in virtual time: before
-                // advancing to the earliest runnable rank, check whether a
-                // parked recv's deadline already passed — the world has
-                // outrun it, so the message it waits for can no longer make
-                // it in time. Stale entries (the rank was woken, or parked
-                // anew) are drained lazily. A frozen virtual clock can never
-                // outrun a deadline, so the livelock guard fires the
-                // earliest pending one once the poll budget is exhausted.
-                while let Some(&DeadlineEntry { at, rank, epoch }) = st.deadlines.peek() {
-                    let slab = st.slab(rank);
-                    let (Wait::Recv { from, tag }, true) = (slab.wait, slab.park_epoch == epoch) else {
-                        st.deadlines.pop();
-                        continue;
-                    };
-                    if at < e.at || stalled_polls > stall_budget {
-                        drop(st);
-                        return Err(world.fault_error(true).unwrap_or(ExecError::DeadlockSuspected {
-                            rank,
-                            on: Waiting::Message { from, tag },
-                        }));
-                    }
-                    break;
-                }
-                // The fault plan's kill point: the first time a doomed
-                // rank would be polled at or past its scheduled death, it
-                // dies instead — body dropped, mailbox discarded, no
-                // result. Decided against the rank's own event time, so
-                // both drivers kill at the same event.
-                if let Some(sched) = &world.faults {
-                    if let Some(d) = sched.death_time(e.rank) {
-                        if !st.slab(e.rank).dead && e.at >= d {
-                            let r = e.rank;
-                            let slab = st.slab_mut(r);
-                            slab.dead = true;
-                            slab.wait = Wait::None;
-                            slab.mailbox.clear();
-                            drop(st);
-                            tasks[r] = None;
-                            live -= 1;
-                            continue;
-                        }
-                    }
-                }
-                if let Some(t) = &mut st.trace {
-                    t.push(SchedEvent::Poll(e.rank));
-                }
-            }
-            entry.map(|e| e.rank)
-        };
-        let Some(r) = next else {
-            // Structural deadlock: unfinished ranks, none runnable.
-            return Err(world.wedge_error());
-        };
-        let task = tasks[r].as_mut().expect("ready rank has a live task");
-        // A rank body that hits a typed failure (e.g. a send to an exited
-        // rank) unwinds with an ExecError payload; recover it as a typed
-        // error, like the blocking executors' join loop. Any other panic is
-        // the body's own and propagates unchanged.
-        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.as_mut().poll(&mut cx)));
-        match polled {
-            Ok(Poll::Ready(out)) => {
-                results[r] = Some(out);
-                tasks[r] = None;
-                live -= 1;
-                world.lock_region(0).slab_mut(r).finished = true;
-                // A finishing rank is progress even at a frozen timestamp.
-                stalled_polls = 0;
-            }
-            // Pending: the rank registered a wait-state; a matching send or
-            // the closing barrier arrival re-enqueues it.
-            Ok(Poll::Pending) => {}
-            Err(payload) => match payload.downcast::<ExecError>() {
-                Ok(e) => return Err(*e),
-                Err(payload) => std::panic::resume_unwind(payload),
-            },
-        }
-    }
-    // Every surviving rank finished, but a run with casualties has no
-    // complete result set: report the earliest scheduled death. (Drops are
-    // not consulted — a run that completed despite losses only lost
-    // messages nobody waited for.)
-    if let Some(e) = world.fault_error(false) {
-        return Err(e);
-    }
-    let trace = world.lock_region(0).trace.take().unwrap_or_default();
-    Ok((
-        RunOutput {
-            results: results.into_iter().map(|s| s.expect("missing rank result")).collect(),
-            stats: stats.snapshot(),
-            pool: world.pool.stats(),
-        },
-        trace,
-    ))
-}
-
-/// Shared run control of the sharded driver's workers: the published
-/// window bound, the live-rank count, and the first failure of the run.
-struct ParControl {
+/// Run control shared by the workers of one world: the published window
+/// bound, the live-rank count, and the first failure of the run.
+struct Control {
     /// The current window's exclusive virtual-time bound, as `f64` bits.
     bound: AtomicU64,
     /// Ranks whose body future has not completed yet.
@@ -1220,6 +1103,9 @@ struct ParControl {
     /// Raised as soon as any region fails: other regions cut their window
     /// short instead of simulating on.
     failed: AtomicBool,
+    /// Raised by a worker whose polls exhausted [`livelock_poll_budget`]
+    /// without virtual-time advance; read and cleared by the next boundary.
+    frozen: AtomicBool,
     /// Set by the boundary leader when the run is over (success or failure).
     stop: AtomicBool,
     /// First typed error of the run (window order; within one window, first
@@ -1231,7 +1117,7 @@ struct ParControl {
     gate: std::sync::Barrier,
 }
 
-impl ParControl {
+impl Control {
     fn fail(&self, e: ExecError) {
         lock(&self.error).get_or_insert(e);
         self.failed.store(true, Ordering::SeqCst);
@@ -1247,17 +1133,19 @@ impl ParControl {
     }
 }
 
-/// One worker thread of the sharded driver: owns region `w`'s rank bodies
-/// (created *and* polled on this thread — rank futures are not `Send`),
-/// drains the region heap up to each window bound, and meets the other
-/// workers at the window gate. Worker 0 doubles as the boundary leader.
-fn par_worker<R, F, Fut>(world: &Arc<EventWorld>, ctl: &ParControl, w: usize, f: &F) -> Vec<Option<R>>
+/// One worker of the driver — the only place rank futures are polled: owns
+/// region `w`'s rank bodies (created *and* polled on this thread — rank
+/// futures are not `Send`), drains the region heap in `(time, seq)` order up
+/// to each window bound, and meets the other workers at the window gate.
+/// Worker 0 runs on the calling thread and doubles as the boundary leader.
+fn worker<R, F, Fut>(world: &Arc<EventWorld>, ctl: &Control, w: usize, f: &F) -> Vec<Option<R>>
 where
     F: Fn(crate::comm::RankComm) -> Fut,
     Fut: Future<Output = R>,
 {
     let base = w * world.chunk;
     let len = world.chunk.min(world.p - base);
+    // One boxed state machine per rank — the entire per-rank footprint.
     let mut tasks: Vec<Option<Pin<Box<Fut>>>> = (base..base + len)
         .map(|rank| {
             let comm = EventComm {
@@ -1270,40 +1158,61 @@ where
         .collect();
     let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
     let mut cx = Context::from_waker(Waker::noop());
+    // Frozen-clock livelock guard (see `livelock_poll_budget`): consecutive
+    // polls without strict virtual-time advance, reset on any progress.
+    let stall_budget = livelock_poll_budget(world.p);
+    let mut last_advance = f64::NEG_INFINITY;
+    let mut stalled_polls: u64 = 0;
     loop {
         let bound = ctl.bound();
         'window: while !ctl.failed.load(Ordering::Relaxed) {
-            let next = {
+            let r = {
                 let mut reg = world.lock_region(w);
-                match reg.ready.peek() {
-                    Some(e) if e.at < bound => {
-                        let e = reg.ready.pop().expect("peeked entry exists");
-                        // The fault plan's kill point — the same event the
-                        // sequential driver kills at (the decision compares
-                        // the rank's own event time with its own death
-                        // time, so the window interleave is irrelevant).
-                        if let Some(sched) = &world.faults {
-                            if let Some(d) = sched.death_time(e.rank) {
-                                if !reg.slab(e.rank).dead && e.at >= d {
-                                    let r = e.rank;
-                                    let slab = reg.slab_mut(r);
-                                    slab.dead = true;
-                                    slab.wait = Wait::None;
-                                    slab.mailbox.clear();
-                                    drop(reg);
-                                    tasks[r - base] = None;
-                                    ctl.live.fetch_sub(1, Ordering::SeqCst);
-                                    continue 'window;
-                                }
-                            }
-                        }
-                        Some(e.rank)
-                    }
-                    _ => None,
+                let Some(at) = reg.ready.peek().map(|e| e.at).filter(|&at| at < bound) else {
+                    break;
+                };
+                if at > last_advance {
+                    last_advance = at;
+                    stalled_polls = 0;
+                } else {
+                    stalled_polls += 1;
                 }
+                if stalled_polls > stall_budget {
+                    // A frozen clock can never outrun a deadline: leave the
+                    // window so the boundary fires the earliest pending one
+                    // (or, with none pending, reopens the window).
+                    stalled_polls = 0;
+                    ctl.frozen.store(true, Ordering::SeqCst);
+                    break;
+                }
+                let r = reg.ready.pop().expect("peeked entry exists").rank;
+                // The fault plan's kill point: the first time a doomed rank
+                // would be polled at or past its scheduled death, it dies
+                // instead — body dropped, mailbox discarded, no result.
+                // Decided against the rank's own event time, so the window
+                // interleave is irrelevant.
+                if let Some(d) = world.faults.as_ref().and_then(|sched| sched.death_time(r)) {
+                    if !reg.slab(r).dead && at >= d {
+                        let slab = reg.slab_mut(r);
+                        slab.dead = true;
+                        slab.wait = Wait::None;
+                        slab.mailbox.clear();
+                        drop(reg);
+                        tasks[r - base] = None;
+                        ctl.live.fetch_sub(1, Ordering::SeqCst);
+                        continue 'window;
+                    }
+                }
+                if let Some(t) = &mut reg.trace {
+                    t.push(SchedEvent::Poll(r));
+                }
+                r
             };
-            let Some(r) = next else { break };
             let task = tasks[r - base].as_mut().expect("ready rank has a live task");
+            // A rank body that hits a typed failure (e.g. a send to an exited
+            // rank) unwinds with an ExecError payload; recover it as a typed
+            // error, like the blocking executor's join loop. Any other panic
+            // is the body's own and is re-raised once the workers have joined.
             let polled =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.as_mut().poll(&mut cx)));
             match polled {
@@ -1312,6 +1221,8 @@ where
                     tasks[r - base] = None;
                     world.lock_region(w).slab_mut(r).finished = true;
                     ctl.live.fetch_sub(1, Ordering::SeqCst);
+                    // A finishing rank is progress even at a frozen timestamp.
+                    stalled_polls = 0;
                 }
                 // Pending: the rank registered a wait-state; a matching send,
                 // the barrier resolution or an inbox delivery re-enqueues it.
@@ -1327,7 +1238,7 @@ where
         }
         ctl.gate.wait();
         if w == 0 {
-            par_boundary(world, ctl);
+            boundary(world, ctl);
         }
         ctl.gate.wait();
         if ctl.stop.load(Ordering::SeqCst) {
@@ -1339,7 +1250,7 @@ where
 /// The window-boundary phase, run by the leader alone while every worker
 /// waits at the gate: deliver cross-region inboxes, resolve a fully-arrived
 /// barrier, surface failures, detect deadlock, and open the next window.
-fn par_boundary(world: &EventWorld, ctl: &ParControl) {
+fn boundary(world: &EventWorld, ctl: &Control) {
     // 1) Drain inboxes. Stable-sorting by sender canonicalizes the arrival
     //    order while preserving each sender's program order — matching is
     //    per-(sender, tag), so any per-sender-FIFO order is equivalent.
@@ -1380,15 +1291,11 @@ fn par_boundary(world: &EventWorld, ctl: &ParControl) {
         return;
     }
     // 4) Find the next window floor: the earliest pending event anywhere.
-    let mut floor: Option<f64> = None;
-    for region in &world.regions {
-        if let Some(e) = lock(region).ready.peek() {
-            floor = Some(match floor {
-                Some(f) => f.min(e.at),
-                None => e.at,
-            });
-        }
-    }
+    let floor = world
+        .regions
+        .iter()
+        .filter_map(|region| lock(region).ready.peek().map(|e| e.at))
+        .reduce(f64::min);
     let Some(floor) = floor else {
         if ctl.live.load(Ordering::SeqCst) > 0 {
             // Structural deadlock: unfinished ranks, none runnable anywhere.
@@ -1397,71 +1304,48 @@ fn par_boundary(world: &EventWorld, ctl: &ParControl) {
         ctl.stop.store(true, Ordering::SeqCst);
         return;
     };
-    // 5) Recv deadlines, checked against the next event time like the
-    //    sequential per-pop check (window-boundary granularity: a deadline
-    //    passed mid-window is reported at the boundary that follows it).
-    let mut deadline: Option<DeadlineEntry> = None;
-    for region in &world.regions {
-        let mut reg = lock(region);
-        while let Some(&entry) = reg.deadlines.peek() {
-            let slab = reg.slab(entry.rank);
-            let valid = slab.park_epoch == entry.epoch && matches!(slab.wait, Wait::Recv { .. });
-            if !valid {
-                reg.deadlines.pop();
-                continue;
-            }
-            // Same priority order as the sequential deadline heap:
-            // (at, rank, epoch) ascending.
-            let earlier = match deadline {
-                None => true,
-                Some(d) => (entry.at, entry.rank, entry.epoch) < (d.at, d.rank, d.epoch),
-            };
-            if earlier {
-                deadline = Some(entry);
-            }
-            break;
-        }
-    }
-    if let Some(d) = deadline {
-        if d.at < floor {
-            let reg = world.lock_rank(d.rank);
-            let Wait::Recv { from, tag } = reg.slab(d.rank).wait else {
-                unreachable!("validated above")
-            };
-            drop(reg);
-            ctl.fail(world.fault_error(true).unwrap_or(ExecError::DeadlockSuspected {
-                rank: d.rank,
-                on: Waiting::Message { from, tag },
-            }));
+    // 5) The recv-timeout deadline, in virtual time: if the earliest parked
+    //    recv's deadline lies before the next event, the world has outrun it
+    //    and the message it waits for can no longer make it in time. Checked
+    //    here and nowhere else, so a deadline passed mid-window is reported
+    //    at the boundary that follows it, at every region count alike. A
+    //    frozen clock can never outrun a deadline; the livelock guard fires
+    //    the earliest pending one instead.
+    let frozen = ctl.frozen.swap(false, Ordering::SeqCst);
+    // (`DeadlineEntry` orders for a max-heap: the earliest is the greatest.)
+    let deadline = world
+        .regions
+        .iter()
+        .filter_map(|region| lock(region).earliest_deadline())
+        .max_by_key(|&(d, _)| d);
+    if let Some((d, on)) = deadline {
+        if d.at < floor || frozen {
+            ctl.fail(
+                world
+                    .fault_error(true)
+                    .unwrap_or(ExecError::DeadlockSuspected { rank: d.rank, on }),
+            );
             ctl.stop.store(true, Ordering::SeqCst);
             return;
         }
     }
-    // 6) Open the next window. The `next_up` floor keeps the window
-    //    non-empty even when `floor + α` rounds back to `floor` (a clock so
-    //    far past α that the sum is absorbed): the driver then degrades to
-    //    per-timestamp stepping instead of spinning.
-    let bound = (floor + par_lookahead(world)).max(floor.next_up());
-    ctl.bound.store(bound.to_bits(), Ordering::SeqCst);
+    // 6) Open the next window.
+    ctl.bound.store(world.window_bound(floor).to_bits(), Ordering::SeqCst);
 }
 
-/// The sharded driver's conservative lookahead
-/// ([`Network::region_lookahead_s`]): the cost model's per-message latency
-/// α. Every message posted at `t` completes at `t + α + β·words ≥ t + α`,
-/// so a window of width α is closed under the events it generates.
-fn par_lookahead(world: &EventWorld) -> f64 {
-    world.net.region_lookahead_s(world.model.alpha_s)
-}
-
-/// Run the world on `regions` scheduler threads — the region-sharded
-/// driver. The caller ([`crate::exec::run_spmd_with`]) has already verified
-/// its preconditions (flat topology, α > 0, ≥ 2 regions).
-pub(crate) fn run_event_world_parallel<R, F, Fut>(
+/// Run the world to completion on `regions` scheduler threads (the calling
+/// thread included, so a one-region world spawns nothing) — the one driver
+/// behind [`ExecBackend::Event`](crate::exec::ExecBackend::Event). The
+/// caller ([`crate::exec::run_spmd_with`]) passes more than one region only
+/// where sharding is bitwise-invisible (flat topology, α > 0). Also returns
+/// the scheduler decision trace, empty unless `traced`.
+pub(crate) fn run_event_world<R, F, Fut>(
     spec: &MachineSpec,
     regions: usize,
     f: F,
+    traced: bool,
     pool: Arc<BufferPool>,
-) -> Result<RunOutput<R>, ExecError>
+) -> Result<(RunOutput<R>, Vec<SchedEvent>), ExecError>
 where
     R: Send,
     F: Fn(crate::comm::RankComm) -> Fut + Sync,
@@ -1469,7 +1353,7 @@ where
 {
     let p = spec.p;
     let stats = Arc::new(StatsBoard::new(p));
-    let world = Arc::new(EventWorld::new(spec, stats.clone(), regions, false, pool));
+    let world = Arc::new(EventWorld::new(spec, stats.clone(), regions, traced, pool));
     for region in &world.regions {
         let mut reg = lock(region);
         for r in reg.base..reg.base + reg.slabs.len() {
@@ -1477,27 +1361,25 @@ where
         }
     }
     let n_regions = world.regions.len();
-    let ctl = ParControl {
-        bound: AtomicU64::new(par_lookahead(&world).to_bits()),
+    let ctl = Control {
+        bound: AtomicU64::new(world.window_bound(0.0).to_bits()),
         live: AtomicUsize::new(p),
         failed: AtomicBool::new(false),
+        frozen: AtomicBool::new(false),
         stop: AtomicBool::new(false),
         error: Mutex::new(None),
         panic: Mutex::new(None),
         gate: std::sync::Barrier::new(n_regions),
     };
-    let mut region_results: Vec<Vec<Option<R>>> = std::thread::scope(|s| {
+    let region_results: Vec<Vec<Option<R>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (1..n_regions)
             .map(|w| {
                 let (world, ctl, f) = (&world, &ctl, &f);
-                s.spawn(move || par_worker(world, ctl, w, f))
+                s.spawn(move || worker(world, ctl, w, f))
             })
             .collect();
-        let first = par_worker(&world, &ctl, 0, &f);
-        let mut all = vec![first];
-        for h in handles {
-            all.push(h.join().expect("workers catch rank panics"));
-        }
+        let mut all = vec![worker(&world, &ctl, 0, &f)];
+        all.extend(handles.into_iter().map(|h| h.join().expect("workers catch rank panics")));
         all
     });
     if let Some(payload) = lock(&ctl.panic).take() {
@@ -1506,28 +1388,36 @@ where
     if let Some(e) = lock(&ctl.error).take() {
         return Err(e);
     }
-    // Every surviving rank finished; a run with casualties still has no
-    // complete result set (see the sequential completion check).
+    // Every surviving rank finished, but a run with casualties has no
+    // complete result set: report the earliest scheduled death. (Drops are
+    // not consulted — a run that completed despite losses only lost
+    // messages nobody waited for.)
     if let Some(e) = world.fault_error(false) {
         return Err(e);
     }
-    let mut results = Vec::with_capacity(p);
-    for region in &mut region_results {
-        for slot in region.drain(..) {
-            results.push(slot.expect("missing rank result"));
-        }
-    }
-    Ok(RunOutput {
-        results,
-        stats: stats.snapshot(),
-        pool: world.pool.stats(),
-    })
+    let trace = world
+        .regions
+        .iter()
+        .flat_map(|region| lock(region).trace.take())
+        .flatten()
+        .collect();
+    Ok((
+        RunOutput {
+            results: region_results
+                .into_iter()
+                .flatten()
+                .map(|slot| slot.expect("missing rank result"))
+                .collect(),
+            stats: stats.snapshot(),
+            pool: world.pool.stats(),
+        },
+        trace,
+    ))
 }
 
-/// The sequential driver with the scheduler decision trace, for the
-/// fairness property tests: the returned events record every ready-queue
-/// admission and poll in order. Everything else runs through
-/// [`crate::exec::run_spmd_with`].
+/// A single-threaded run with the scheduler decision trace, for the fairness
+/// property tests: the returned events record every ready-queue admission and
+/// poll in order. Everything else runs through [`crate::exec::run_spmd_with`].
 ///
 /// # Errors
 /// A wedged or torn-down world surfaces as its typed [`ExecError`].
@@ -1536,10 +1426,11 @@ pub fn run_spmd_event_traced<R, F, Fut>(
     f: F,
 ) -> Result<(RunOutput<R>, Vec<SchedEvent>), ExecError>
 where
-    F: Fn(crate::comm::RankComm) -> Fut,
+    R: Send,
+    F: Fn(crate::comm::RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    run_event_world(spec, f, true, crate::exec::spec_arena(spec))
+    run_event_world(spec, 1, f, true, crate::exec::spec_arena(spec))
 }
 
 #[cfg(test)]
@@ -2129,7 +2020,46 @@ mod tests {
         }
     }
 
-    /// A mixed workload for the parallel-vs-sequential bitwise tests:
+    #[test]
+    fn recv_deadline_passed_mid_window_is_judged_at_the_boundary() {
+        // α = 8, a 10-second timeout. Rank 0 parks at t = 0 (deadline 10) on
+        // a message that rank 1 only posts when it wakes at t = 11. Rank 2's
+        // wake at t = 9 opens the window [9, 17): the deadline passes inside
+        // it, the message is posted inside it, and the boundary that follows
+        // finds rank 0 woken — the world completes, at every thread count.
+        // (A per-poll check would report rank 0 on popping the t = 11 wake.)
+        let cost = CostModel {
+            alpha_s: 8.0,
+            ..unit_spec(4).cost
+        };
+        let spec = MachineSpec::new(4, 1000, cost).with_recv_timeout(std::time::Duration::from_secs(10));
+        for threads in 1..=4 {
+            let out = run_spmd_with(&spec, ExecBackend::Event { threads }, |mut c| async move {
+                match c.rank() {
+                    0 => {
+                        c.recv(1, 1, Phase::Other).await;
+                    }
+                    1 => {
+                        c.recv(3, 0, Phase::Other).await;
+                        c.send(0, 1, vec![], Phase::Other);
+                    }
+                    2 => {
+                        c.recv(3, 0, Phase::Other).await;
+                    }
+                    _ => {
+                        c.record_flops(1);
+                        c.send(2, 0, vec![], Phase::Other);
+                        c.record_flops(2);
+                        c.send(1, 0, vec![], Phase::Other);
+                    }
+                }
+            })
+            .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
+            assert_eq!(out.stats[0].time.total_s(), 19.0, "{threads} threads");
+        }
+    }
+
+    /// A mixed workload for the sharded-vs-one-region bitwise tests:
     /// rank-dependent compute, a ring exchange, a long-distance exchange
     /// with the antipodal rank (all cross-region on any even region count),
     /// and a closing barrier.
@@ -2342,7 +2272,7 @@ mod tests {
     fn parallel_falls_back_when_contract_is_unprovable() {
         use crate::machine::Topology;
         // α = 0 (no lookahead) and a shared-link topology both clamp to the
-        // sequential engine: same stats, bitwise, whatever the thread count.
+        // one region: same stats, bitwise, whatever the thread count.
         let body = |mut c: crate::comm::RankComm| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
@@ -2390,7 +2320,7 @@ mod tests {
     fn parallel_cross_region_send_to_exited_rank_is_typed() {
         // Rank 0 (region 0) exits in the first window; rank p-1 (region 1)
         // sends to it cross-region. The boundary drain finds the receiver
-        // gone and surfaces the same typed teardown the sequential sender
+        // gone and surfaces the same typed teardown a same-region sender
         // raises inline.
         let spec = MachineSpec::test_machine(8, 1000);
         let err = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, |mut c| async move {
@@ -2408,8 +2338,8 @@ mod tests {
     #[test]
     fn parallel_rma_matches_single_thread_counters() {
         // One-sided traffic across regions between fences; window contents
-        // conflict-free, so data and counters agree with the sequential
-        // engine (times too: the origin-side charge is rank-local).
+        // conflict-free, so data and counters agree with the one-region
+        // run (times too: the origin-side charge is rank-local).
         let spec = MachineSpec::test_machine(8, 1000);
         let body = |mut c: crate::comm::RankComm| async move {
             c.win_resize(2);
@@ -2534,9 +2464,9 @@ mod tests {
     fn fault_failure_is_identical_across_event_thread_counts() {
         use crate::fault::FaultPlan;
         // test_machine: 1000 flops ≈ 1 µs per iteration, 20 iterations — a
-        // 10 µs horizon schedules all three deaths mid-run. The parallel
-        // engine (α = 1 µs > 0, flat topology) must report the exact same
-        // typed failure as the sequential engine at every thread count.
+        // 10 µs horizon schedules all three deaths mid-run. A sharded world
+        // (α = 1 µs > 0, flat topology) must report the exact same typed
+        // failure as the one-region run at every thread count.
         let body = |mut c: crate::comm::RankComm| async move {
             for _ in 0..20 {
                 c.record_flops(1000);
@@ -2557,7 +2487,7 @@ mod tests {
     fn quiescent_fault_plan_is_a_bitwise_no_op() {
         use crate::fault::FaultPlan;
         // A plan with no kills and no drops must not perturb a single
-        // counter or virtual timestamp, on either engine.
+        // counter or virtual timestamp, at any region count.
         let base = MachineSpec::test_machine(64, 1000);
         let armed = base.clone().with_faults(FaultPlan::new(7));
         let plain = run_spmd_with(&base, ExecBackend::event(), mixed_body).unwrap();

@@ -457,20 +457,18 @@ where
             run_spmd_pooled(spec, &SchedulerPool::new(workers.min(spec.p))?, f)
         }
         ExecBackend::Event { threads: 0 } => Err(ExecError::NoWorkers),
-        // The multi-region engine requires its determinism contract to be
-        // provable: a flat topology (per-rank virtual state is region-local
-        // there) and α > 0 (the conservative lookahead). Worlds that don't
-        // qualify run the single-threaded engine, so stats are bitwise-
-        // identical either way; the thread count never affects *what* a run
-        // measures.
+        // More than one region only where sharding is provably invisible: a
+        // flat topology (per-rank virtual state is region-local there) and
+        // α > 0 (the conservative lookahead). Any other world is one region
+        // on the calling thread, so stats are bitwise-identical either way;
+        // the thread count never affects *what* a run measures.
         ExecBackend::Event { threads } => {
-            let regions = threads.min(spec.p);
-            let out =
-                if regions > 1 && spec.topology.commutes_with_region_sharding() && spec.cost.alpha_s > 0.0 {
-                    crate::event::run_event_world_parallel(spec, regions, f, spec_arena(spec))?
-                } else {
-                    crate::event::run_event_world(spec, f, false, spec_arena(spec))?.0
-                };
+            let regions = if spec.topology.commutes_with_region_sharding() && spec.cost.alpha_s > 0.0 {
+                threads.min(spec.p)
+            } else {
+                1
+            };
+            let (out, _trace) = crate::event::run_event_world(spec, regions, f, false, spec_arena(spec))?;
             enforce_mem_budget(spec, out)
         }
     }
