@@ -661,9 +661,13 @@ mod tests {
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(p, s);
         let (dplan_r, a_r, b_r) = (&dplan, &a, &b);
-        let out = run_spmd_with(&spec, ExecBackend::auto(spec.p), |mut comm| async move {
-            execute(&mut comm, dplan_r, a_r, b_r).await
-        })
+        let out = run_spmd_with(
+            &spec,
+            ExecBackend::Blocking {
+                workers: ExecBackend::default_workers(),
+            },
+            |mut comm| async move { execute(&mut comm, dplan_r, a_r, b_r).await },
+        )
         .expect("blocking run accepted");
         // Reassemble C through the production assembly path, which
         // accumulates: k-split DFS leaves contribute partial sums of the

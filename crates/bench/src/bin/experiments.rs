@@ -41,9 +41,7 @@
 //!   fault plan leaves the zero-fault run bitwise-untouched. A closing
 //!   `gemm-smoke` section times the default packed local kernel against the
 //!   naive reference and fails unless it matches bitwise on integer
-//!   matrices and beats it by the committed factor (the measured flop rate
-//!   also feeds `CostModel::calibrated_gamma` — the printed γ is the
-//!   machine's real %-peak denominator).
+//!   matrices and beats it by the committed factor.
 //! * `bench-smoke-baseline` — regenerate all four committed baselines.
 //! * `exec-rss <blocking|event>` — run the square p = 4096 executed
 //!   scenario on one backend and report the process peak RSS (`VmHWM`), for
@@ -553,26 +551,19 @@ fn push_executed_rows(t: &mut Table, name: &str, p: usize, rows: &[runner::Execu
 
 fn exec_experiment() {
     println!("== exec: end-to-end execution, plan vs measured traffic ==\n");
-    println!(
-        "(auto backend escalates blocking -> event by world size; \
-         every world additionally runs on the event-driven stackless executor, \
-         which must measure identically)\n"
-    );
+    println!("(on the event-driven stackless executor unless --backend pins another)\n");
     let m = model();
     let mut t = executed_table();
     for (shape, name) in [(Shape::Square, "square"), (Shape::LargeK, "largek")] {
         for &p in &scenarios::exec_core_counts() {
-            // Keep the sweep bounded: the largeK shape only at the largest
-            // blocking world, the square shape across all regimes.
+            // Keep the sweep bounded: the largeK shape at one world size,
+            // the square shape across all of them.
             if shape == Shape::LargeK && p != 4096 {
                 continue;
             }
             let prob = scenarios::exec_problem(shape, p);
-            let auto = backend_override().unwrap_or_else(|| ExecBackend::auto(p));
-            push_executed_rows(&mut t, name, p, &runner::execute_all(&prob, &m, auto));
-            if !matches!(auto, ExecBackend::Event { .. }) && backend_override().is_none() {
-                push_executed_rows(&mut t, name, p, &runner::execute_all(&prob, &m, ExecBackend::event()));
-            }
+            let backend = backend_override().unwrap_or(ExecBackend::event());
+            push_executed_rows(&mut t, name, p, &runner::execute_all(&prob, &m, backend));
         }
     }
     t.print();
@@ -922,7 +913,7 @@ fn mem_sweep() {
         let prob = scenarios::mem_starved_problem(p, s);
         let leaves = baselines::carma::dfs_leaf_count(&prob);
         let rows =
-            runner::execute_budgeted_with(std::slice::from_ref(&carma), &prob, &m, ExecBackend::auto(p));
+            runner::execute_budgeted_with(std::slice::from_ref(&carma), &prob, &m, ExecBackend::event());
         let row = rows
             .iter()
             .find(|r| r.algo == AlgoId::Carma)
@@ -1359,8 +1350,6 @@ struct GemmSmoke {
     packed_flops_per_s: f64,
     /// That rate as a percent of the cost model's single-core peak.
     percent_peak: f64,
-    /// γ after [`CostModel::calibrated_gamma`] on the measured rate.
-    calibrated_gamma_flops: f64,
 }
 
 /// Best per-iteration seconds of three adaptive reps (one warm-up call
@@ -1384,9 +1373,9 @@ fn best_time_s(mut f: impl FnMut()) -> f64 {
 }
 
 fn gemm_smoke_run(m: &CostModel) -> GemmSmoke {
-    use bench::micro::black_box;
     use densemat::gemm::{gemm_naive, gemm_packed, mmm_flops};
     use densemat::matrix::Matrix;
+    use std::hint::black_box;
     let n = 320;
     // Small-integer entries: every product and partial sum is exact, so the
     // bitwise comparison cannot hide behind rounding noise (the kernels
@@ -1417,7 +1406,6 @@ fn gemm_smoke_run(m: &CostModel) -> GemmSmoke {
         packed_s,
         packed_flops_per_s,
         percent_peak: 100.0 * packed_flops_per_s / m.peak_flops,
-        calibrated_gamma_flops: m.calibrated_gamma(packed_flops_per_s).gamma_flops(),
     }
 }
 
@@ -1429,10 +1417,6 @@ fn gemm_smoke_table(gs: &GemmSmoke) -> Table {
     t.row(vec!["speedup".into(), fmt(gs.naive_s / gs.packed_s, 2)]);
     t.row(vec!["packed Gflop/s".into(), fmt(gs.packed_flops_per_s / 1e9, 2)]);
     t.row(vec!["% of model peak".into(), fmt(gs.percent_peak, 1)]);
-    t.row(vec![
-        "calibrated gamma Gflop/s".into(),
-        fmt(gs.calibrated_gamma_flops / 1e9, 2),
-    ]);
     t
 }
 
@@ -1818,9 +1802,7 @@ fn bench_smoke() {
     // The default `gemm_packed` must (a) agree bit for bit with the naive
     // reference on integer matrices, and (b) beat it by the committed
     // GEMM_SMOKE_MIN_SPEEDUP factor, so the data-plane kernel can neither
-    // drift numerically nor silently decay to naive speed. The measured
-    // rate also feeds `CostModel::calibrated_gamma` — the printed γ is the
-    // machine's actual single-core γ, the paper's %-peak denominator.
+    // drift numerically nor silently decay to naive speed.
     println!("\n-- gemm-smoke (packed vs naive, 320^3) --");
     let gs = gemm_smoke_run(&m);
     gemm_smoke_table(&gs).print();

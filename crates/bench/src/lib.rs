@@ -16,7 +16,6 @@
 //! `results/`.
 
 pub mod baseline;
-pub mod micro;
 pub mod output;
 pub mod runner;
 pub mod scenarios;

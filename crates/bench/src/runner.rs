@@ -482,6 +482,13 @@ pub fn five_numbers(xs: &[f64]) -> [f64; 5] {
 mod tests {
     use super::*;
 
+    /// The blocking reference executor over every core of the machine.
+    fn blocking() -> ExecBackend {
+        ExecBackend::Blocking {
+            workers: ExecBackend::default_workers(),
+        }
+    }
+
     fn model() -> CostModel {
         CostModel::piz_daint_two_sided()
     }
@@ -558,7 +565,7 @@ mod tests {
         // within it with plan-exact traffic.
         let prob = MmmProblem::new(64, 64, 64, 8, 1 << 10);
         assert!(baselines::carma::dfs_leaf_count(&prob) > 1);
-        let rows = execute_budgeted(&prob, &model(), ExecBackend::auto(prob.p));
+        let rows = execute_budgeted(&prob, &model(), blocking());
         let carma = rows.iter().find(|r| r.algo == AlgoId::Carma).expect("CARMA runs budgeted");
         assert!(carma.exact, "budgeted CARMA traffic deviates from plan");
         assert!(carma.within_mem && carma.peak_mem_words <= 1 << 10, "{carma:?}");
@@ -567,7 +574,7 @@ mod tests {
     #[test]
     fn executed_rows_report_peak_memory() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for row in execute_all(&prob, &model(), ExecBackend::auto(prob.p)) {
+        for row in execute_all(&prob, &model(), blocking()) {
             assert!(row.peak_mem_words > 0, "{}: no memory tracked", row.algo);
             assert!(row.within_mem, "{}: exceeded ample S", row.algo);
         }
@@ -576,7 +583,7 @@ mod tests {
     #[test]
     fn executed_rows_carry_arena_counters() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for row in execute_all(&prob, &model(), ExecBackend::auto(prob.p)) {
+        for row in execute_all(&prob, &model(), blocking()) {
             assert!(row.allocs > 0, "{}: a run always allocates something", row.algo);
             assert!(
                 (0.0..=1.0).contains(&row.pool_hit_rate),
@@ -596,7 +603,7 @@ mod tests {
             assert!(row.planned_time_s > 0.0, "{}", row.algo);
         }
         // Blocking backends keep no virtual clock: measured time stays zero.
-        for row in execute_all(&prob, &model(), ExecBackend::auto(prob.p)) {
+        for row in execute_all(&prob, &model(), blocking()) {
             assert_eq!(row.measured_time_s, 0.0, "{}", row.algo);
             assert_eq!(row.measured_percent_peak, 0.0, "{}", row.algo);
         }

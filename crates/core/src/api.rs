@@ -380,8 +380,7 @@ impl ExecReport {
     }
 
     /// Measured machine time: the slowest rank's virtual finish time, in
-    /// seconds. Zero on blocking-backend runs, which keep no virtual clock
-    /// (use [`ExecBackend::Event`] to measure time).
+    /// seconds. Zero on a run that pinned [`ExecBackend::Blocking`].
     pub fn measured_time_s(&self) -> f64 {
         mpsim::stats::aggregate::machine_time_s(&self.stats)
     }
@@ -464,10 +463,8 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
     ) -> RankFuture<'a, Vec<CPart>>;
 
     /// Execute the plan on a simulated `machine`, assemble the distributed
-    /// output and return it with the measured per-rank counters. The
-    /// executor is picked by [`ExecBackend::auto`]: the blocking worker-pool
-    /// executor up to a few thousand ranks, the event-driven stackless
-    /// executor beyond.
+    /// output and return it with the measured per-rank counters and virtual
+    /// times, on [`ExecBackend::event`]; [`execute_boxed`] takes any backend.
     fn execute(
         &self,
         plan: &DistPlan,
@@ -478,7 +475,7 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
     where
         Self: Sized,
     {
-        execute_boxed(self, plan, machine, ExecBackend::auto(machine.p), a, b)
+        execute_boxed(self, plan, machine, ExecBackend::event(), a, b)
     }
 }
 
@@ -799,10 +796,9 @@ impl RunSession {
 
     /// Select the execution backend for [`execute`](Self::execute) /
     /// [`execute_verified`](Self::execute_verified). Default:
-    /// [`ExecBackend::auto`] — blocking up to the rank threshold, event
-    /// beyond. `ExecBackend::Event { threads }` runs the event scheduler on
-    /// `threads` OS threads; counters and virtual times are bitwise-identical
-    /// at every thread count.
+    /// [`ExecBackend::event`] at every world size. `ExecBackend::Event {
+    /// threads }` runs the event scheduler on `threads` OS threads; counters
+    /// and virtual times are bitwise-identical at every thread count.
     pub fn exec_backend(mut self, backend: ExecBackend) -> Self {
         self.exec = Some(backend);
         self
@@ -810,7 +806,7 @@ impl RunSession {
 
     /// Measure executions under `topology`'s contention model (default:
     /// [`Topology::Flat`], the historical per-receiver-link clock). Only the
-    /// event backend's virtual clock sees it — word counters and results are
+    /// virtual clock sees it — word counters and results are
     /// topology-independent.
     ///
     /// # Panics
@@ -834,19 +830,17 @@ impl RunSession {
     /// Inject a deterministic [`mpsim::FaultPlan`] into the session's
     /// executions: the event scheduler kills the planned ranks and drops
     /// the planned messages at their scheduled virtual times, surfacing as
-    /// [`ExecError::RankFailed`] inside [`PlanError::Execution`]. Only the
-    /// event backend consults the plan — blocking backends ignore it — and
-    /// a quiescent plan (no kills, no drops) is a bitwise no-op.
+    /// [`ExecError::RankFailed`] inside [`PlanError::Execution`]. A
+    /// quiescent plan (no kills, no drops) is a bitwise no-op.
     pub fn faults(mut self, plan: mpsim::FaultPlan) -> Self {
         self.faults = Some(plan);
         self
     }
 
     /// The execution backend the session will use: the explicit
-    /// [`exec_backend`](Self::exec_backend) choice, or [`ExecBackend::auto`]
-    /// for the problem's world size.
+    /// [`exec_backend`](Self::exec_backend) choice, or [`ExecBackend::event`].
     pub fn effective_exec_backend(&self) -> ExecBackend {
-        self.exec.unwrap_or_else(|| ExecBackend::auto(self.prob.p))
+        self.exec.unwrap_or(ExecBackend::event())
     }
 
     /// The effective cost model.
@@ -1018,6 +1012,9 @@ impl RunSession {
 mod tests {
     use super::*;
 
+    /// The blocking reference executor, next to the event default.
+    const BLOCKING: ExecBackend = ExecBackend::Blocking { workers: 2 };
+
     #[test]
     fn algo_id_roundtrips_and_aliases() {
         for id in AlgoId::ALL {
@@ -1078,10 +1075,12 @@ mod tests {
         let b = Matrix::deterministic(prob.k, prob.n, 6);
         let session = RunSession::new(prob);
         let plan = session.plan_arc().unwrap();
-        let cold = session.execute(&a, &b).unwrap();
-        let cached = session.execute_planned(&plan, &a, &b).unwrap();
-        assert_eq!(cached.c, cold.c, "bitwise-identical product");
-        assert_eq!(cached.stats, cold.stats);
+        for session in [session.clone(), session.clone().exec_backend(BLOCKING)] {
+            let cold = session.execute(&a, &b).unwrap();
+            let cached = session.execute_planned(&plan, &a, &b).unwrap();
+            assert_eq!(cached.c, cold.c, "bitwise-identical product");
+            assert_eq!(cached.stats, cold.stats);
+        }
         // A plan made for another algorithm is refused, not executed.
         let mut foreign = (*plan).clone();
         foreign.algo = AlgoId::Cannon;
@@ -1108,7 +1107,7 @@ mod tests {
         let prob = MmmProblem::new(24, 20, 28, 6, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 5);
         let b = Matrix::deterministic(prob.k, prob.n, 6);
-        let session = RunSession::new(prob).exec_backend(ExecBackend::Blocking { workers: 2 });
+        let session = RunSession::new(prob).exec_backend(BLOCKING);
         let plan = session.plan_arc().unwrap();
         let pool = SchedulerPool::new(2).unwrap();
         let pooled = session.execute_planned_pooled(&plan, &pool, &a, &b).unwrap();
@@ -1140,10 +1139,9 @@ mod tests {
         let prob = MmmProblem::new(16, 16, 16, 4, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 1);
         let b = Matrix::deterministic(prob.k, prob.n, 2);
-        RunSession::new(prob)
-            .backend(Backend::OneSided)
-            .execute_verified(&a, &b)
-            .unwrap();
+        let one_sided = RunSession::new(prob).backend(Backend::OneSided);
+        one_sided.execute_verified(&a, &b).unwrap();
+        one_sided.exec_backend(BLOCKING).execute_verified(&a, &b).unwrap();
         let err = RunSession::new(prob)
             .algorithm(AlgoId::Cannon)
             .backend(Backend::OneSided)
@@ -1262,10 +1260,7 @@ mod tests {
         let prob = MmmProblem::new(24, 20, 28, 6, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 5);
         let b = Matrix::deterministic(prob.k, prob.n, 6);
-        let (plan, report) = RunSession::new(prob)
-            .exec_backend(ExecBackend::Blocking { workers: 2 })
-            .execute_verified(&a, &b)
-            .unwrap();
+        let (plan, report) = RunSession::new(prob).exec_backend(BLOCKING).execute_verified(&a, &b).unwrap();
         assert_eq!(report.total_recv_words(), plan.total_comm_words());
     }
 
@@ -1291,27 +1286,31 @@ mod tests {
         assert!(!RunSession::new(prob).overlap(false).machine_spec().overlap);
         assert!(report.measured_time_s() <= off.measured_time_s() + 1e-15);
         // The blocking backend keeps no virtual clock.
-        let blocking = RunSession::new(prob).execute(&a, &b).unwrap();
+        let blocking = RunSession::new(prob).exec_backend(BLOCKING).execute(&a, &b).unwrap();
         assert_eq!(blocking.measured_time_s(), 0.0);
     }
 
     #[test]
     fn session_mem_budget_surfaces_typed_violations() {
         // A one-word budget no algorithm can honour: the executor's typed
-        // refusal arrives as PlanError::Execution, on the default backend.
+        // refusal arrives as PlanError::Execution, on the default backend
+        // and on the blocking one.
         let prob = MmmProblem::new(16, 16, 16, 4, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 1);
         let b = Matrix::deterministic(prob.k, prob.n, 2);
-        let err = RunSession::new(prob).mem_budget(1).execute(&a, &b).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                PlanError::Execution {
-                    source: ExecError::MemBudgetExceeded { budget: 1, .. }
-                }
-            ),
-            "{err}"
-        );
+        let starved = RunSession::new(prob).mem_budget(1);
+        for session in [starved.clone(), starved.exec_backend(BLOCKING)] {
+            let err = session.execute(&a, &b).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PlanError::Execution {
+                        source: ExecError::MemBudgetExceeded { budget: 1, .. }
+                    }
+                ),
+                "{err}"
+            );
+        }
         // The problem's own S is ample: enforcing it passes.
         let report = RunSession::new(prob).enforce_mem_budget().execute(&a, &b).unwrap();
         assert!(report.stats.iter().all(|st| st.peak_mem_words <= prob.mem_words as u64));
@@ -1342,9 +1341,9 @@ mod tests {
 
     #[test]
     fn default_backend_is_auto_for_the_world_size() {
+        // One default at every world size: a single event thread.
         let session = RunSession::new(MmmProblem::new(2048, 2048, 2048, 600, 1 << 22));
-        assert_eq!(session.effective_exec_backend(), ExecBackend::auto(600));
-        assert!(matches!(session.effective_exec_backend(), ExecBackend::Blocking { .. }));
+        assert_eq!(session.effective_exec_backend(), ExecBackend::event());
         let huge = RunSession::new(MmmProblem::new(2048, 2048, 2048, 16_384, 1 << 22));
         assert_eq!(huge.effective_exec_backend(), ExecBackend::event());
         let pinned = huge.exec_backend(ExecBackend::Event { threads: 4 });

@@ -19,7 +19,7 @@
 //!
 //! The kernels are deliberately simple enough to audit, yet cache- and
 //! register-blocked so the cost model's "local compute" term corresponds to a
-//! real, measured code path (see `crates/bench/benches/gemm.rs`).
+//! real, measured code path (the benchmark's `densemat.gemm.*` probes).
 
 pub mod gemm;
 pub mod layout;

@@ -214,34 +214,6 @@ pub async fn reduce_sum(
     }
 }
 
-/// Ring all-gather: every group member contributes `mine`; returns all
-/// contributions ordered by group position. `g - 1` steps, each forwarding
-/// the chunk received in the previous step — per-rank received volume is the
-/// total payload minus one's own contribution, the textbook ring cost.
-pub async fn allgather_ring(
-    comm: &mut RankComm,
-    group: &[usize],
-    mine: Vec<f64>,
-    tag: u64,
-    phase: Phase,
-) -> Vec<Vec<f64>> {
-    let g = group.len();
-    let pos = my_pos(comm, group);
-    let mut chunks: Vec<Option<Vec<f64>>> = vec![None; g];
-    chunks[pos] = Some(mine);
-    let right = group[(pos + 1) % g];
-    let left = group[(pos + g - 1) % g];
-    for step in 0..g.saturating_sub(1) {
-        let send_idx = (pos + g - step) % g;
-        let recv_idx = (pos + g - step - 1) % g;
-        let outgoing = chunks[send_idx].as_deref().expect("ring invariant: chunk to forward present");
-        let outgoing = comm.pool().take_copy(outgoing);
-        let incoming = comm.sendrecv(right, left, tag.wrapping_add(step as u64), outgoing, phase).await;
-        chunks[recv_idx] = Some(incoming);
-    }
-    chunks.into_iter().map(|c| c.expect("all chunks gathered")).collect()
-}
-
 /// Bruck all-gather, in place on the destination slab: `slab` is a row-major
 /// `rows × cuts[g]` matrix in which the member at group position `j` owns
 /// block `j` — columns `cuts[j]..cuts[j + 1]` of every row. The caller (at
@@ -379,47 +351,6 @@ pub fn even_range(total: usize, parts: usize, idx: usize) -> std::ops::Range<usi
 /// All `parts` ranges of [`even_range`], as a table.
 pub fn even_chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     (0..parts).map(|i| even_range(len, parts, i)).collect()
-}
-
-/// One ring-shift step (Cannon): send `data` to `dst` and receive the
-/// replacement from `src`.
-pub async fn shift(
-    comm: &mut RankComm,
-    dst: usize,
-    src: usize,
-    data: Vec<f64>,
-    tag: u64,
-    phase: Phase,
-) -> Vec<f64> {
-    comm.sendrecv(dst, src, tag, data, phase).await
-}
-
-/// Direct gather onto `group[root_pos]`: returns `Some(contributions)` (by
-/// group position) on the root, `None` elsewhere. Linear pattern — used for
-/// collecting verification output, not in measured algorithm phases.
-pub async fn gather(
-    comm: &mut RankComm,
-    group: &[usize],
-    root_pos: usize,
-    mine: Vec<f64>,
-    tag: u64,
-    phase: Phase,
-) -> Option<Vec<Vec<f64>>> {
-    let g = group.len();
-    let pos = my_pos(comm, group);
-    if pos == root_pos {
-        let mut out: Vec<Option<Vec<f64>>> = vec![None; g];
-        out[root_pos] = Some(mine);
-        for (i, &r) in group.iter().enumerate() {
-            if i != root_pos {
-                out[i] = Some(comm.recv(r, tag, phase).await);
-            }
-        }
-        Some(out.into_iter().map(|c| c.expect("gather complete")).collect())
-    } else {
-        comm.send(group[root_pos], tag, mine, phase);
-        None
-    }
 }
 
 #[cfg(test)]
@@ -606,62 +537,17 @@ mod tests {
     }
 
     #[test]
-    fn allgather_ring_returns_position_ordered_chunks() {
-        let spec = MachineSpec::test_machine(5, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
-            let group: Vec<usize> = (0..c.size()).collect();
-            let mine = vec![c.rank() as f64; c.rank() + 1];
-            allgather_ring(&mut c, &group, mine, 10, Phase::InputA).await
-        })
-        .unwrap();
-        for r in 0..5 {
-            for pos in 0..5 {
-                assert_eq!(out.results[r][pos], vec![pos as f64; pos + 1], "rank {r} pos {pos}");
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_ring_volume_is_total_minus_own() {
-        let p = 4;
-        let chunk = 25usize;
-        let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
-            let group: Vec<usize> = (0..c.size()).collect();
-            allgather_ring(&mut c, &group, vec![0.0; chunk], 11, Phase::InputB).await;
-        })
-        .unwrap();
-        for s in &out.stats {
-            assert_eq!(s.total_recv() as usize, (p - 1) * chunk);
-            assert_eq!(s.total_sent() as usize, (p - 1) * chunk);
-        }
-    }
-
-    #[test]
     fn allgather_singleton_group_is_free() {
         let spec = MachineSpec::test_machine(2, 1000);
         let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let group = vec![c.rank()];
-            allgather_ring(&mut c, &group, vec![3.0], 12, Phase::InputA).await
+            let mut slab = vec![3.0];
+            allgather_bruck(&mut c, &group, 0, &mut slab, 1, &[0, 1], 12, Phase::InputA).await;
+            slab
         })
         .unwrap();
-        assert_eq!(out.results[0], vec![vec![3.0]]);
-        assert_eq!(out.stats[0].total_recv(), 0);
-    }
-
-    #[test]
-    fn shift_rotates_ring() {
-        let spec = MachineSpec::test_machine(4, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
-            let dst = (c.rank() + 1) % c.size();
-            let src = (c.rank() + c.size() - 1) % c.size();
-            let mine = vec![c.rank() as f64];
-            shift(&mut c, dst, src, mine, 13, Phase::InputA).await
-        })
-        .unwrap();
-        for r in 0..4 {
-            assert_eq!(out.results[r], vec![((r + 3) % 4) as f64]);
-        }
+        assert_eq!(out.results[0], vec![3.0]);
+        assert_eq!((out.stats[0].total_recv(), out.stats[0].msgs_sent), (0, 0));
     }
 
     /// The counters of a run without its (event-only) virtual clock.
@@ -776,21 +662,6 @@ mod tests {
         assert_eq!(r, vec![0..1, 1..2, 2..3, 3..3, 3..3]);
     }
 
-    #[test]
-    fn gather_collects_on_root_only() {
-        let spec = MachineSpec::test_machine(3, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
-            let group: Vec<usize> = (0..c.size()).collect();
-            let mine = vec![c.rank() as f64];
-            gather(&mut c, &group, 1, mine, 14, Phase::Other).await
-        })
-        .unwrap();
-        assert!(out.results[0].is_none());
-        assert!(out.results[2].is_none());
-        let collected = out.results[1].as_ref().unwrap();
-        assert_eq!(collected, &vec![vec![0.0], vec![1.0], vec![2.0]]);
-    }
-
     /// One shared collective workload, for the cross-backend checks below.
     async fn collective_workload(mut c: RankComm) -> (Vec<f64>, Vec<f64>, usize) {
         let group: Vec<usize> = (0..c.size()).collect();
@@ -798,15 +669,19 @@ mod tests {
         bcast(&mut c, &group, 0, &mut data, 1, Phase::InputA).await;
         let mut sum = vec![c.rank() as f64];
         reduce_sum(&mut c, &group, 0, &mut sum, 2, Phase::OutputC).await;
-        let mine = vec![c.rank() as f64];
-        let gathered = allgather_ring(&mut c, &group, mine, 3, Phase::InputB).await;
-        (data, sum, gathered.len())
+        // One word per rank, gathered in place; count the blocks that came.
+        let (me, cuts) = (c.rank(), (0..=c.size()).collect::<Vec<_>>());
+        let mut slab = vec![-1.0; c.size()];
+        slab[me] = me as f64;
+        allgather_bruck(&mut c, &group, me, &mut slab, 1, &cuts, 3, Phase::InputB).await;
+        let gathered = slab.iter().enumerate().filter(|&(j, &v)| v == j as f64).count();
+        (data, sum, gathered)
     }
 
     #[test]
     fn collectives_complete_with_few_blocking_workers() {
-        // A world far bigger than the worker pool: tree parents and ring
-        // neighbours park awaiting peers, so the gate must rotate its two
+        // A world far bigger than the worker pool: tree parents and gather
+        // partners park awaiting peers, so the gate must rotate its two
         // slots through all 24 ranks for any collective to terminate.
         let p = 24;
         let spec = MachineSpec::test_machine(p, 1000);
@@ -823,7 +698,7 @@ mod tests {
     #[test]
     fn collectives_complete_on_the_event_executor() {
         // The same workload as stackless state machines on one scheduler
-        // thread: every tree/ring wait must park and resume through the
+        // thread: every tree/exchange wait must park and resume through the
         // matching table, and the measured counters must equal the blocking
         // reference bit for bit.
         let p = 24;

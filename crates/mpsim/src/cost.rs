@@ -62,27 +62,6 @@ impl CostModel {
         self.peak_flops * self.kernel_efficiency
     }
 
-    /// This model with γ *calibrated* from a measured kernel rate instead of
-    /// the assumed efficiency constant.
-    ///
-    /// The benchmark harness times the real local kernel (`densemat`'s packed
-    /// GEMM), divides achieved flop/s by `peak_flops`, and feeds the result
-    /// here so that plan selection and %-peak predictions reflect the machine
-    /// the simulation actually runs on — the paper's §7 premise that the
-    /// distributed schedule is only as good as its local multiply. The
-    /// efficiency is clamped to `(0, 1]`: a kernel cannot (honestly) beat raw
-    /// peak, and a non-positive measurement falls back to the assumed value.
-    pub fn calibrated_gamma(&self, measured_flops_per_s: f64) -> CostModel {
-        let eff = measured_flops_per_s / self.peak_flops;
-        if !eff.is_finite() || eff <= 0.0 {
-            return *self;
-        }
-        CostModel {
-            kernel_efficiency: eff.min(1.0),
-            ..*self
-        }
-    }
-
     /// Time to execute `flops` floating-point operations locally.
     pub fn compute_time(&self, flops: u64) -> f64 {
         flops as f64 / (self.peak_flops * self.kernel_efficiency)
@@ -294,20 +273,6 @@ mod tests {
         assert_eq!(worse.alpha_s, m.alpha_s);
         assert_eq!(worse.peak_flops, m.peak_flops);
         assert_eq!(worse.beta_s_per_word, m.beta_s_per_word * 8.0);
-    }
-
-    #[test]
-    fn calibrated_gamma_clamps_and_falls_back() {
-        let m = CostModel::piz_daint_two_sided();
-        let cal = m.calibrated_gamma(0.5 * m.peak_flops);
-        assert_eq!(cal.kernel_efficiency, 0.5);
-        assert_eq!(cal.peak_flops, m.peak_flops, "peak is the reporting basis; never rescaled");
-        assert!((cal.gamma_flops() - 0.5 * m.peak_flops).abs() < 1e-3);
-        // Can't beat peak; bogus measurements keep the assumed efficiency.
-        assert_eq!(m.calibrated_gamma(2.0 * m.peak_flops).kernel_efficiency, 1.0);
-        assert_eq!(m.calibrated_gamma(0.0), m);
-        assert_eq!(m.calibrated_gamma(-3.0), m);
-        assert_eq!(m.calibrated_gamma(f64::NAN), m);
     }
 
     #[test]

@@ -70,17 +70,17 @@
 //! Ranks are partitioned into contiguous **regions** (`RegionState`), each
 //! owning a slab of per-rank state (mailbox, wait slot, clock, injection
 //! link, park epoch), a ready heap and a deadline heap, and each driven by
-//! one worker thread — worker 0 is the calling thread, so the usual
+//! one worker thread. Worker 0 is the calling thread, so the usual
 //! one-region world (`threads: 1`, every shared-link topology, α = 0) spawns
-//! nothing. There is one run loop (`run_event_world`: `worker` +
-//! `boundary`), and a one-region run is simply its N = 1 case.
+//! nothing: it is the N = 1 case of the one run loop (`run_event_world`:
+//! `worker` + `boundary`), not a loop of its own.
 //!
 //! The workers advance in *conservative windows* of virtual time, classic
 //! bounded-lag discrete-event style: with the cost model's per-message
 //! latency α as the **lookahead**, every window spans `[floor, floor + α)`
-//! where `floor` is the earliest pending event anywhere (with α = 0 the
-//! window is the single timestamp `floor`). Each worker drains its own heap
-//! in `(time, seq)` order up to the window bound, polling rank bodies (user
+//! where `floor` is the earliest pending event anywhere (with α = 0, the
+//! single timestamp `floor`). Each worker drains its own heap in
+//! `(time, seq)` order up to the window bound, polling rank bodies (user
 //! compute runs concurrently across regions, outside any lock). Cross-region
 //! sends are deposited into the target region's bounded inbox and drained at
 //! the window boundary — safe, because a message posted at `sent_at ≥ floor`
@@ -93,25 +93,23 @@
 //! With one region none of that machinery engages: every send finds its
 //! target in the sender's own region (the inboxes stay empty), the last
 //! barrier arriver resolves the epoch inline, the window gate has one party,
-//! and since the one heap holds every event the window bound never reorders
-//! a poll — ranks are polled in global `(time, seq)` order, which is what
-//! shared links (charged in global consumption order) require. The boundary
-//! is then only where recv deadlines and the empty-heap deadlock are looked
-//! at. With more regions, on the flat topology every virtual quantity a rank
-//! commits (its clock, its receiver-private injection link, its share of the
-//! commutative barrier max) depends on rank-local state and on message
-//! envelopes fixed by the sender's program order — never on the global
-//! interleaving — so counters *and* virtual times are bitwise-identical at
-//! every region count. Message payloads are shared `Arc` buffers: delivery
-//! moves a pointer, and the (sole) receiver recovers the owned vector
-//! without copying.
+//! and since the one heap holds every event the bound never reorders a poll
+//! — ranks run in global `(time, seq)` order, which shared links (charged in
+//! global consumption order) require. With more regions, on the flat
+//! topology every virtual quantity a rank commits (its clock, its
+//! receiver-private injection link, its share of the commutative barrier
+//! max) depends on rank-local state and on message envelopes fixed by the
+//! sender's program order — never on the global interleaving — so counters
+//! *and* virtual times are bitwise-identical at every region count. Message
+//! payloads are shared `Arc` buffers: delivery moves a pointer, and the
+//! (sole) receiver recovers the owned vector without copying.
 //!
 //! Recv deadlines ([`MachineSpec::recv_timeout`], in virtual time) are
 //! checked at window boundaries only: a parked recv whose deadline lies
-//! before the next window's floor is a suspected deadlock. A deadline that
-//! passes mid-window is therefore reported at the boundary that follows it
-//! (at most α later) — and a message that still arrives inside that window
-//! rescues the recv — identically at every thread count.
+//! before the next floor is a suspected deadlock. One that passes mid-window
+//! is reported at the boundary that follows it (at most α later) — and a
+//! message posted inside that window still rescues the recv — identically at
+//! every thread count.
 //!
 //! # Fault injection
 //!
@@ -127,13 +125,12 @@
 //! injected at the *same* events at every region count, and a plan that
 //! schedules nothing is bitwise a no-op.
 //!
-//! A second guard complements the virtual recv deadline: a world whose
-//! clocks are *frozen* (α = 0, zero-word messages) can ping-pong forever
-//! inside one window without ever outrunning a parked recv's deadline. Each
-//! worker counts consecutive polls without strict virtual-time advance and,
-//! past a generous budget, leaves its window so the boundary fires the
-//! earliest pending deadline as [`ExecError::DeadlockSuspected`] — a
-//! livelocked world errors instead of spinning.
+//! A second guard complements the recv deadline: a world whose clocks are
+//! *frozen* (α = 0, zero-word messages) can ping-pong forever inside one
+//! window without ever outrunning a deadline. Each worker counts consecutive
+//! polls without strict virtual-time advance and, past a generous budget,
+//! leaves its window so the boundary fires the earliest pending deadline as
+//! [`ExecError::DeadlockSuspected`] — a livelocked world errors, not spins.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
@@ -1052,8 +1049,9 @@ fn note_drop(slot: &mut Option<(f64, usize, usize)>, at: f64, from: usize, to: u
 /// The casualty a fault-afflicted world reports when it cannot complete:
 /// the earliest *scheduled* death among ranks that are dead or still
 /// unfinished with a death pending — a schedule-derived attribution, so
-/// every region count reports the same `(rank, at)`. A pure message-loss wedge (no deaths in play)
-/// blames the starved receiver of the earliest drop.
+/// every region count reports the same `(rank, at)`. A pure message-loss
+/// wedge (no deaths in play) blames the starved receiver of the earliest
+/// drop.
 fn fault_casualty(
     sched: &FaultSchedule,
     p: usize,
@@ -1401,13 +1399,16 @@ where
         .flat_map(|region| lock(region).trace.take())
         .flatten()
         .collect();
+    let mut results = Vec::with_capacity(p);
+    results.extend(
+        region_results
+            .into_iter()
+            .flatten()
+            .map(|slot| slot.expect("missing rank result")),
+    );
     Ok((
         RunOutput {
-            results: region_results
-                .into_iter()
-                .flatten()
-                .map(|slot| slot.expect("missing rank result"))
-                .collect(),
+            results,
             stats: stats.snapshot(),
             pool: world.pool.stats(),
         },

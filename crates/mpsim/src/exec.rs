@@ -24,11 +24,12 @@
 //!   machine plus a matching-table entry), which is what lets 100k+-rank
 //!   worlds execute end-to-end with real messages.
 //!
-//! [`ExecBackend::auto`] escalates Blocking → Event by world size. The
-//! backends are observationally identical at every worker and thread count:
-//! bitwise-equal results and identical per-rank counters (the conformance
-//! suite enforces this) — only the event backend additionally fills
-//! `RankStats::time`.
+//! The backends are observationally identical at every worker and thread
+//! count: bitwise-equal results and identical per-rank counters (the
+//! conformance suite enforces this) — only the event backend additionally
+//! fills `RankStats::time`, and only it honours the machine's topology,
+//! placement and fault plan. [`ExecBackend::event`] is what every caller
+//! that does not pin a backend runs on.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -40,12 +41,6 @@ use crate::machine::MachineSpec;
 use crate::pool::{BufferPool, PoolStats};
 use crate::stats::{RankStats, StatsBoard};
 
-/// World size past which [`ExecBackend::auto`] escalates from the blocking
-/// executor to the event-driven one: each blocking rank pins a carrier stack
-/// even while parked, so beyond a few thousand ranks the stackless state
-/// machines win on both memory and spawn time.
-pub const MAX_BLOCKING_RANKS: usize = 8192;
-
 /// Stack size of one blocking rank carrier. Rank bodies keep their working
 /// sets on the heap (matrix tiles, message buffers) and recurse at most
 /// `log2 p` deep (CARMA's splitting), so a modest fixed stack suffices and
@@ -56,8 +51,12 @@ pub const CARRIER_STACK_BYTES: usize = 1 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
     /// The blocking reference executor: `p` carrier threads multiplexed over
-    /// `workers` runnable slots; worlds up to a few thousand ranks. The
-    /// worker count never changes what a run computes or counts.
+    /// `workers` runnable slots; worlds up to a few thousand ranks (each
+    /// parked rank pins a carrier stack). The worker count never changes what
+    /// a run computes or counts. It keeps no virtual clock (`RankStats::time`
+    /// stays zero) and ignores the machine's topology, placement and fault
+    /// plan: an opt-in for a kernel-bound world that wants every core, and
+    /// the reference the event backend's counters are tested against.
     Blocking {
         /// Maximum number of concurrently runnable ranks (≥ 1; a count above
         /// `p` behaves as `p`).
@@ -71,11 +70,10 @@ pub enum ExecBackend {
     /// partitioned into contiguous regions, one OS thread each, synchronized
     /// conservatively on windows of virtual time (lookahead = the cost
     /// model's per-message latency α; see [`crate::event`]). Stats — counters
-    /// *and* virtual times — are bitwise-identical to the single-threaded
-    /// scheduler; parallelism is an implementation detail of wall-clock. The
-    /// multi-region path engages only where that contract is provable (flat
-    /// topology, α > 0); otherwise the scheduler silently runs its
-    /// single-threaded engine.
+    /// *and* virtual times — are bitwise-identical at every thread count;
+    /// parallelism is an implementation detail of wall-clock. Ranks are only
+    /// sharded where that contract is provable (flat topology, α > 0);
+    /// any other world silently runs as one region on the calling thread.
     Event {
         /// Number of scheduler threads (≥ 1).
         threads: usize,
@@ -83,33 +81,17 @@ pub enum ExecBackend {
 }
 
 impl ExecBackend {
-    /// The event backend on a single scheduler thread — the form
-    /// [`ExecBackend::auto`] escalates to, and the default `threads` for
-    /// [`ExecBackend::Event`].
+    /// The event backend on a single scheduler thread — the default of
+    /// every session, algorithm and served job that does not pin a backend,
+    /// and the default `threads` for [`ExecBackend::Event`].
     pub const fn event() -> ExecBackend {
         ExecBackend::Event { threads: 1 }
-    }
-
-    /// The backend for a `p`-rank world: [`ExecBackend::Blocking`] over
-    /// [`Self::default_workers`] runnable slots up to [`MAX_BLOCKING_RANKS`]
-    /// (8192), [`ExecBackend::event`] — the discrete-event scheduler on a
-    /// single thread — beyond ([`ExecBackend::Event`] with explicit `threads`
-    /// is an opt-in, never chosen automatically).
-    pub fn auto(p: usize) -> ExecBackend {
-        if p <= MAX_BLOCKING_RANKS {
-            ExecBackend::Blocking {
-                workers: Self::default_workers(),
-            }
-        } else {
-            ExecBackend::event()
-        }
     }
 
     /// Default blocking worker count: the machine's available parallelism.
     pub fn default_workers() -> usize {
         // `available_parallelism` re-reads the affinity mask and the cgroup
-        // quota on every call (~10 µs), and `auto` runs once per executed
-        // session.
+        // quota on every call (~10 µs).
         static WORKERS: OnceLock<usize> = OnceLock::new();
         *WORKERS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8))
     }
@@ -151,8 +133,7 @@ impl std::str::FromStr for ExecBackend {
     /// Parse the [`Display`](std::fmt::Display) form back: `event`,
     /// `event(N)`, `blocking(N)` — plus bare `blocking`, which takes
     /// [`ExecBackend::default_workers`], and the shell-friendly `event:N` /
-    /// `blocking:N`. (`auto` is not a backend: it needs a world size —
-    /// callers resolve it with [`ExecBackend::auto`].)
+    /// `blocking:N`.
     fn from_str(s: &str) -> Result<Self, ParseBackendError> {
         let err = || ParseBackendError { name: s.to_string() };
         let lower = s.to_ascii_lowercase();
@@ -703,17 +684,10 @@ mod tests {
 
     #[test]
     fn auto_escalates_blocking_then_event() {
-        for p in [1, 512, 513, MAX_BLOCKING_RANKS] {
-            assert_eq!(
-                ExecBackend::auto(p),
-                ExecBackend::Blocking {
-                    workers: ExecBackend::default_workers()
-                }
-            );
-        }
+        // Nothing escalates by world size any more: the one default is a
+        // single event thread, and the blocking opt-in defaults to every core.
+        assert_eq!(ExecBackend::event(), ExecBackend::Event { threads: 1 });
         assert!(ExecBackend::default_workers() >= 1);
-        assert_eq!(ExecBackend::auto(MAX_BLOCKING_RANKS + 1), ExecBackend::event());
-        assert_eq!(ExecBackend::auto(131_072), ExecBackend::event());
     }
 
     #[test]
@@ -854,9 +828,10 @@ mod tests {
 
     #[test]
     fn event_backend_runs_worlds_beyond_the_blocking_threshold() {
-        // A world past the auto blocking threshold: stackless ranks exchange
-        // with a neighbour and everything completes on one scheduler thread.
-        let p = MAX_BLOCKING_RANKS + 1000;
+        // A world past what carrier threads serve comfortably: stackless
+        // ranks exchange with a neighbour and everything completes on one
+        // scheduler thread.
+        let p = 9192;
         let spec = MachineSpec::test_machine(p, 1000);
         let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             let right = (c.rank() + 1) % c.size();

@@ -22,9 +22,9 @@
 //!   measures compute / exposed-comm / hidden-comm time. Optionally sharded
 //!   across OS threads as rank regions under conservative synchronization —
 //!   bitwise-identical stats at every thread count.
-//! * [`collectives`] — binomial-tree broadcast and reduce, ring all-gather
-//!   and ring shift, built on the point-to-point layer exactly like the
-//!   paper's hand-rolled broadcast trees (§7.2); all resumable (`async`).
+//! * [`collectives`] — binomial-tree broadcast and reduce, Bruck all-gather
+//!   and ring reduce-scatter, built on the point-to-point layer exactly like
+//!   the paper's hand-rolled broadcast trees (§7.2); all resumable (`async`).
 //! * [`exec`] — the SPMD executors: `p` ranks multiplexed over a worker
 //!   pool of small-stack carrier threads (blocking — the reference, up to a
 //!   few thousand ranks), or event-driven stackless rank state machines
@@ -64,7 +64,7 @@ pub mod topo;
 pub use comm::{block_on_ready, Comm, RankComm};
 pub use cost::{CostModel, RoundCost, TimeBreakdown};
 pub use event::{run_spmd_event_traced, EventComm, SchedEvent};
-pub use exec::{run_spmd_with, ExecBackend, ExecError, RunOutput, Waiting, MAX_BLOCKING_RANKS};
+pub use exec::{run_spmd_with, ExecBackend, ExecError, RunOutput, Waiting};
 pub use fault::FaultPlan;
 pub use machine::{MachineSpec, Placement, Topology};
 pub use pool::{BufferPool, PoolHandle, PoolStats};

@@ -23,9 +23,9 @@
 //!
 //! The front door is [`cosma::api::RunSession`]: pick a problem, a cost
 //! model and an [`cosma::api::AlgoId`], then `.plan()`, `.run()` (cost-model
-//! simulation) or `.execute()` (real execution — `ExecBackend::auto`
-//! escalates blocking worker-pool → event-driven stackless by
-//! world size, so any rank count up to 131072 runs end-to-end):
+//! simulation) or `.execute()` (real execution on the event-driven
+//! stackless executor, which measures virtual α-β-γ time at any rank count;
+//! `.exec_backend(..)` pins the blocking reference or more event threads):
 //!
 //! ```
 //! use cosma_repro::cosma::api::{AlgoId, RunSession};

@@ -14,6 +14,7 @@ use cosma::Backend;
 use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
+use mpsim::exec::ExecBackend;
 
 fn reference(m: usize, n: usize, k: usize) -> (Matrix, Matrix, Matrix) {
     let a = Matrix::deterministic(m, k, 7);
@@ -29,18 +30,30 @@ fn session(prob: &MmmProblem, id: AlgoId) -> RunSession {
         .algorithm(id)
 }
 
+/// Execute on the session default (the event engine) and on the blocking
+/// reference executor; the two products must agree bit for bit.
+fn execute_on_both(what: AlgoId, session: RunSession, a: &Matrix, b: &Matrix) -> Matrix {
+    let blocking = ExecBackend::Blocking {
+        workers: ExecBackend::default_workers(),
+    };
+    let c = session.execute(a, b).unwrap_or_else(|e| panic!("{what}: {e}")).c;
+    let reference = session
+        .exec_backend(blocking)
+        .execute(a, b)
+        .unwrap_or_else(|e| panic!("{what}: {e}"))
+        .c;
+    assert_eq!(c, reference, "{what}: event and blocking products differ");
+    c
+}
+
 fn run(prob: &MmmProblem, id: AlgoId) -> Matrix {
     let (a, b, _) = reference(prob.m, prob.n, prob.k);
-    session(prob, id).execute(&a, &b).unwrap_or_else(|e| panic!("{id}: {e}")).c
+    execute_on_both(id, session(prob, id), &a, &b)
 }
 
 fn run_cosma_backend(prob: &MmmProblem, backend: Backend) -> Matrix {
     let (a, b, _) = reference(prob.m, prob.n, prob.k);
-    session(prob, AlgoId::Cosma)
-        .backend(backend)
-        .execute(&a, &b)
-        .expect("cosma executes")
-        .c
+    execute_on_both(AlgoId::Cosma, session(prob, AlgoId::Cosma).backend(backend), &a, &b)
 }
 
 fn assert_all_agree(prob: &MmmProblem, ids: &[AlgoId]) {

@@ -6,12 +6,13 @@
 //! Every algorithm is planned and executed through its [`MmmAlgorithm`]
 //! registry entry — no per-algorithm entry points.
 
-use cosma::api::{AlgoId, CosmaAlgorithm, MmmAlgorithm, PlanError, RunSession};
+use cosma::api::{execute_boxed, AlgoId, CosmaAlgorithm, MmmAlgorithm, PlanError, RunSession};
 use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
 use cosma::{Backend, CosmaConfig};
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
+use mpsim::exec::ExecBackend;
 use mpsim::machine::MachineSpec;
 use mpsim::stats::RankStats;
 
@@ -33,6 +34,10 @@ fn inputs(prob: &MmmProblem) -> (Matrix, Matrix) {
     (Matrix::deterministic(prob.m, prob.k, 17), Matrix::deterministic(prob.k, prob.n, 18))
 }
 
+/// The executors every contract here is held on: the session default (the
+/// event engine) and the blocking reference.
+const BACKENDS: [ExecBackend; 2] = [ExecBackend::event(), ExecBackend::Blocking { workers: 2 }];
+
 /// Plan + execute `id` on `prob` through the registry and check the traffic.
 fn check(id: AlgoId, prob: &MmmProblem) {
     let session = RunSession::new(*prob)
@@ -41,8 +46,14 @@ fn check(id: AlgoId, prob: &MmmProblem) {
         .algorithm(id);
     let plan = session.plan().unwrap_or_else(|e| panic!("{id}: {e}"));
     let (a, b) = inputs(prob);
-    let report = session.execute(&a, &b).unwrap_or_else(|e| panic!("{id}: {e}"));
-    assert_traffic_matches(&plan, &report.stats);
+    for backend in BACKENDS {
+        let report = session
+            .clone()
+            .exec_backend(backend)
+            .execute(&a, &b)
+            .unwrap_or_else(|e| panic!("{id} on {backend}: {e}"));
+        assert_traffic_matches(&plan, &report.stats);
+    }
 }
 
 #[test]
@@ -67,9 +78,11 @@ fn cosma_one_sided_backend_matches_same_plan() {
         .backend(Backend::OneSided);
     let plan = session.plan().unwrap();
     let (a, b) = inputs(&prob);
-    let report = session.execute(&a, &b).unwrap();
-    for (r, st) in report.stats.iter().enumerate() {
-        assert_eq!(st.total_recv(), plan.ranks[r].comm_words(), "rank {r} words (RMA)");
+    for backend in BACKENDS {
+        let report = session.clone().exec_backend(backend).execute(&a, &b).unwrap();
+        for (r, st) in report.stats.iter().enumerate() {
+            assert_eq!(st.total_recv(), plan.ranks[r].comm_words(), "{backend}: rank {r} words (RMA)");
+        }
     }
 }
 
@@ -147,15 +160,21 @@ fn carma_streaming_peak_stays_within_s() {
         .algorithm(AlgoId::Carma)
         .enforce_mem_budget();
     let (a, b) = inputs(&prob);
-    let (plan, report) = session.execute_verified(&a, &b).expect("streaming CARMA within budget");
-    assert!(plan.ranks.iter().all(|r| r.bricks.len() > 1), "expected DFS leaves");
-    for (r, st) in report.stats.iter().enumerate() {
-        assert!(
-            st.peak_mem_words <= prob.mem_words as u64,
-            "rank {r} peaked at {} words over S = {}",
-            st.peak_mem_words,
-            prob.mem_words
-        );
+    for backend in BACKENDS {
+        let (plan, report) = session
+            .clone()
+            .exec_backend(backend)
+            .execute_verified(&a, &b)
+            .expect("streaming CARMA within budget");
+        assert!(plan.ranks.iter().all(|r| r.bricks.len() > 1), "expected DFS leaves");
+        for (r, st) in report.stats.iter().enumerate() {
+            assert!(
+                st.peak_mem_words <= prob.mem_words as u64,
+                "{backend}: rank {r} peaked at {} words over S = {}",
+                st.peak_mem_words,
+                prob.mem_words
+            );
+        }
     }
 }
 
@@ -169,14 +188,16 @@ fn planned_memory_is_respected_by_execution() {
     plan.validate().unwrap();
     let (a, b) = inputs(&prob);
     let spec = MachineSpec::piz_daint_with_memory(prob.p, prob.mem_words);
-    let report = algo.execute(&plan, &spec, &a, &b).unwrap();
-    for (r, st) in report.stats.iter().enumerate() {
-        assert!(
-            st.peak_mem_words <= plan.ranks[r].mem_words.max(1) + prob.mem_words as u64,
-            "rank {r} tracked {} vs plan {}",
-            st.peak_mem_words,
-            plan.ranks[r].mem_words
-        );
+    for backend in BACKENDS {
+        let report = execute_boxed(&algo, &plan, &spec, backend, &a, &b).unwrap();
+        for (r, st) in report.stats.iter().enumerate() {
+            assert!(
+                st.peak_mem_words <= plan.ranks[r].mem_words.max(1) + prob.mem_words as u64,
+                "{backend}: rank {r} tracked {} vs plan {}",
+                st.peak_mem_words,
+                plan.ranks[r].mem_words
+            );
+        }
     }
 }
 
@@ -223,7 +244,6 @@ fn planned_time_predicts_measured_virtual_time() {
     // *exact* per rank (flops counters are plan-exact and gamma is shared);
     // the comm side carries the real dependency structure, so the machine
     // total is held to the stated agreement band instead.
-    use mpsim::exec::ExecBackend;
     let model = CostModel::piz_daint_two_sided();
     for id in [AlgoId::Cosma, AlgoId::Summa, AlgoId::P25d, AlgoId::Carma] {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 13);

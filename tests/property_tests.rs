@@ -467,7 +467,14 @@ fn event_matches_blocking_under_random_message_orders() {
             c.barrier().await;
             acc
         };
-        let blocking = run_spmd_with(&spec, ExecBackend::auto(p), pattern).unwrap();
+        let blocking = run_spmd_with(
+            &spec,
+            ExecBackend::Blocking {
+                workers: ExecBackend::default_workers(),
+            },
+            pattern,
+        )
+        .unwrap();
         let event = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
         assert_eq!(blocking.results, event.results, "p={p} words={words}");
         assert_eq!(counters(&blocking.stats), counters(&event.stats), "p={p} words={words}");

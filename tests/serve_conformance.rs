@@ -17,6 +17,13 @@ use mpsim::cost::CostModel;
 use mpsim::exec::ExecBackend;
 use serve::{AutoPlanner, FaultPlan, JobRequest, JobResult, RetryPolicy, Server, ServerConfig};
 
+/// The blocking reference executor over every core of the machine.
+fn blocking() -> ExecBackend {
+    ExecBackend::Blocking {
+        workers: ExecBackend::default_workers(),
+    }
+}
+
 /// Hold every served job against the serial reference: planned and executed
 /// by hand with a fresh auto-planner and a private `RunSession` on `backend`
 /// — no serve crate on this path beyond the selection rule itself. Full
@@ -111,7 +118,7 @@ fn event_backend_stream_matches_serial_including_virtual_time() {
 /// private blocking executor.
 #[test]
 fn pinned_blocking_stream_matches_serial_run_sessions_bitwise() {
-    let jobs = mixed_stream(24, Some(ExecBackend::auto(16)));
+    let jobs = mixed_stream(24, Some(blocking()));
     let config = ServerConfig {
         drivers: 4,
         ..ServerConfig::default()
@@ -127,7 +134,7 @@ fn pinned_blocking_stream_matches_serial_run_sessions_bitwise() {
             out.backend
         );
     }
-    assert_matches_serial(&jobs, &served, ExecBackend::auto(16));
+    assert_matches_serial(&jobs, &served, blocking());
     assert!(server.arena_stats().returns > 0, "blocking worlds lease from the shared arena");
 }
 

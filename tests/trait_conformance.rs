@@ -33,6 +33,13 @@ fn shared_problems() -> Vec<MmmProblem> {
     ]
 }
 
+/// The blocking reference executor over every core of the machine.
+fn blocking() -> ExecBackend {
+    ExecBackend::Blocking {
+        workers: ExecBackend::default_workers(),
+    }
+}
+
 fn model() -> CostModel {
     CostModel::piz_daint_two_sided()
 }
@@ -131,7 +138,7 @@ fn planned_traffic_equals_executed_traffic() {
             let Ok(plan) = algo.plan(&prob, &model()) else {
                 continue;
             };
-            let report = execute_boxed(algo.as_ref(), &plan, &spec, ExecBackend::auto(prob.p), &a, &b)
+            let report = execute_boxed(algo.as_ref(), &plan, &spec, blocking(), &a, &b)
                 .unwrap_or_else(|e| panic!("{id} on p={}: {e}", prob.p));
             assert!(
                 want.approx_eq(&report.c, 1e-9),
@@ -176,7 +183,7 @@ fn blocking_large_world_traffic_matches_plan() {
         let b = Matrix::deterministic(prob.k, prob.n, 32);
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(prob.p, prob.mem_words);
-        let backend = ExecBackend::auto(prob.p);
+        let backend = blocking();
         for algo in reg.all() {
             let id = algo.id();
             if algo.supports(&prob).is_err() {
@@ -205,9 +212,9 @@ fn blocking_large_world_traffic_matches_plan() {
     }
 }
 
-/// `RunSession::execute` with hundreds of ranks per worker: the auto backend
-/// multiplexes them over the machine's cores, and the verified contract
-/// still holds.
+/// `RunSession::execute` with hundreds of ranks per worker: the blocking
+/// backend multiplexes them over the machine's cores, and the verified
+/// contract still holds.
 #[test]
 fn session_auto_backend_executes_many_ranks_per_worker() {
     let prob = MmmProblem::new(128, 128, 128, 600, 1 << 18);
@@ -215,8 +222,9 @@ fn session_auto_backend_executes_many_ranks_per_worker() {
     let b = Matrix::deterministic(prob.k, prob.n, 42);
     let (plan, report) = RunSession::new(prob)
         .registry(baselines::registry())
+        .exec_backend(blocking())
         .execute_verified(&a, &b)
-        .expect("auto backend must hold a 600-rank world");
+        .expect("the blocking backend must hold a 600-rank world");
     assert_eq!(plan.problem.p, 600);
     assert_eq!(report.total_recv_words(), plan.total_comm_words());
 }
@@ -321,7 +329,7 @@ fn event_and_blocking_agree_exactly_at_p2048() {
             execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b)
                 .unwrap_or_else(|e| panic!("{id}: {e}"))
         };
-        let blocking = run(ExecBackend::auto(prob.p));
+        let blocking = run(blocking());
         let event = run(ExecBackend::event());
         assert_eq!(
             blocking.c.as_slice(),
@@ -420,7 +428,7 @@ fn dfs_carma_matches_bfs_and_reference_bitwise_on_all_backends() {
         }
         report.c
     };
-    let c_bfs = run(&ample, ExecBackend::auto(ample.p));
+    let c_bfs = run(&ample, blocking());
     assert_eq!(c_bfs.as_slice(), want.as_slice(), "BFS CARMA vs reference GEMM");
     for backend in [
         ExecBackend::Blocking { workers: 8 },
@@ -461,8 +469,7 @@ fn execute_on_wrong_world_is_an_error_for_every_algorithm() {
             continue;
         }
         let plan = algo.plan(&prob, &model()).unwrap();
-        let err =
-            execute_boxed(algo.as_ref(), &plan, &wrong, ExecBackend::auto(wrong.p), &a, &b).unwrap_err();
+        let err = execute_boxed(algo.as_ref(), &plan, &wrong, blocking(), &a, &b).unwrap_err();
         assert_eq!(
             err,
             PlanError::WorldSizeMismatch {
