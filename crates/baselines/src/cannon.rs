@@ -10,7 +10,7 @@
 
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture, RankRequirement};
-use cosma::plan::{Brick, DistPlan, RankPlan, Round};
+use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
 use densemat::gemm::gemm_packed;
 use densemat::matrix::Matrix;
@@ -24,12 +24,18 @@ pub fn grid_edge(p: usize) -> Option<usize> {
     (q * q == p).then_some(q)
 }
 
-/// Build the Cannon [`DistPlan`].
+/// Build the Cannon [`DistPlan`]: [`plan_ranks`], collected.
+pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
+    DistPlan::collect(|sink| plan_ranks(prob, sink))
+}
+
+/// The Cannon plan as a rank stream: every rank's plan handed to `sink` in
+/// rank order, then the header.
 ///
 /// Fails with [`PlanError::UnsupportedRanks`] unless `p` is a perfect
 /// square, and with [`PlanError::NoFeasibleGrid`] if the three blocks plus a
 /// double buffer do not fit in `S`.
-pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
+pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<PlanHeader, PlanError> {
     RankRequirement::PerfectSquare.check(AlgoId::Cannon, prob.p)?;
     let q = grid_edge(prob.p).expect("perfect square checked");
     if q > prob.m.min(prob.n).min(prob.k) {
@@ -41,7 +47,6 @@ pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
     if lm_max * ln_max + 2 * (lm_max * lk_max + lk_max * ln_max) > prob.mem_words {
         return Err(PlanError::NoFeasibleGrid);
     }
-    let mut ranks = Vec::with_capacity(prob.p);
     for rank in 0..prob.p {
         let (i, j) = (rank / q, rank % q);
         let rows = even_range(prob.m, q, i);
@@ -72,7 +77,7 @@ pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
             });
         }
         let mem_words = (lm * ln + 2 * (lm * lk_max + lk_max * ln)) as u64;
-        ranks.push(RankPlan {
+        sink(RankPlan {
             rank,
             active: true,
             coords: [i, j, 0],
@@ -85,11 +90,10 @@ pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
             mem_words,
         });
     }
-    Ok(DistPlan {
+    Ok(PlanHeader {
         algo: AlgoId::Cannon,
         problem: *prob,
         grid: [q, q, 1],
-        ranks,
     })
 }
 
@@ -179,8 +183,13 @@ impl MmmAlgorithm for CannonAlgorithm {
         RankRequirement::PerfectSquare.check(AlgoId::Cannon, prob.p)
     }
 
-    fn plan(&self, prob: &MmmProblem, _machine: &CostModel) -> Result<DistPlan, PlanError> {
-        plan(prob)
+    fn plan_ranks(
+        &self,
+        prob: &MmmProblem,
+        _machine: &CostModel,
+        sink: &mut dyn FnMut(RankPlan),
+    ) -> Result<PlanHeader, PlanError> {
+        plan_ranks(prob, sink)
     }
 
     fn execute_rank<'a>(

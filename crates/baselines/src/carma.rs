@@ -34,7 +34,7 @@
 
 use cosma::algorithm::CPart;
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture, RankRequirement};
-use cosma::plan::{Brick, DistPlan, RankPlan, Round};
+use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
 use densemat::gemm::gemm_packed;
 use densemat::matrix::Matrix;
@@ -257,7 +257,13 @@ pub fn dfs_leaf_count(prob: &MmmProblem) -> usize {
     dfs_leaves(prob).len()
 }
 
-/// Build the CARMA [`DistPlan`].
+/// Build the CARMA [`DistPlan`]: [`plan_ranks`], collected.
+pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
+    DistPlan::collect(|sink| plan_ranks(prob, sink))
+}
+
+/// The CARMA plan as a rank stream: every rank's plan handed to `sink` in
+/// rank order, then the header.
 ///
 /// Fails with [`PlanError::UnsupportedRanks`] unless `p = 2^L`. When the
 /// pure-BFS leaf working set exceeds `S`, the plan prepends sequential DFS
@@ -267,10 +273,9 @@ pub fn dfs_leaf_count(prob: &MmmProblem) -> usize {
 /// is its real maximum leaf footprint — within `S` whenever the DFS
 /// terminated by fitting, so the plan passes the full `validate()` memory
 /// check, not just coverage.
-pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
+pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<PlanHeader, PlanError> {
     RankRequirement::PowerOfTwo.check(AlgoId::Carma, prob.p)?;
     let leaves = dfs_leaves(prob);
-    let mut ranks = Vec::with_capacity(prob.p);
     for rank in 0..prob.p {
         let mut rounds = Vec::new();
         let mut bricks = Vec::with_capacity(leaves.len());
@@ -325,7 +330,7 @@ pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
             mem_words = mem_words.max((lm * lk + lk * ln + lm * ln) as u64);
             bricks.push(tr.brick);
         }
-        ranks.push(RankPlan {
+        sink(RankPlan {
             rank,
             active: true,
             coords: [0, 0, 0],
@@ -334,11 +339,10 @@ pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
             mem_words,
         });
     }
-    Ok(DistPlan {
+    Ok(PlanHeader {
         algo: AlgoId::Carma,
         problem: *prob,
         grid: [prob.p, 1, 1],
-        ranks,
     })
 }
 
@@ -618,8 +622,13 @@ impl MmmAlgorithm for CarmaAlgorithm {
         RankRequirement::PowerOfTwo.check(AlgoId::Carma, prob.p)
     }
 
-    fn plan(&self, prob: &MmmProblem, _machine: &CostModel) -> Result<DistPlan, PlanError> {
-        plan(prob)
+    fn plan_ranks(
+        &self,
+        prob: &MmmProblem,
+        _machine: &CostModel,
+        sink: &mut dyn FnMut(RankPlan),
+    ) -> Result<PlanHeader, PlanError> {
+        plan_ranks(prob, sink)
     }
 
     fn execute_rank<'a>(

@@ -15,7 +15,7 @@
 
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture};
-use cosma::plan::{Brick, DistPlan, RankPlan, Round};
+use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
 use cosma::treecount;
 use densemat::gemm::gemm_packed;
@@ -112,18 +112,30 @@ pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
 
 /// Build the 2.5D [`DistPlan`] for an explicit geometry (used by the Fig. 3
 /// experiment to measure the *naive* top-down 3D decomposition `c = q`
-/// under exactly the same accounting as COSMA).
+/// under exactly the same accounting as COSMA): [`plan_ranks`], collected.
 ///
 /// # Panics
 /// Panics if the geometry does not satisfy `q²c ≤ p` and `c | q`.
 pub fn plan_with_geometry(prob: &MmmProblem, geo: Geometry25) -> Result<DistPlan, PlanError> {
+    DistPlan::collect(|sink| plan_ranks(prob, geo, sink))
+}
+
+/// The 2.5D plan for an explicit geometry as a rank stream: every rank's
+/// plan handed to `sink` in rank order, then the header.
+///
+/// # Panics
+/// Panics if the geometry does not satisfy `q²c ≤ p` and `c | q`.
+pub fn plan_ranks(
+    prob: &MmmProblem,
+    geo: Geometry25,
+    sink: &mut dyn FnMut(RankPlan),
+) -> Result<PlanHeader, PlanError> {
     assert!(geo.used() <= prob.p, "geometry exceeds rank count");
     assert!(geo.c >= 1 && geo.q.is_multiple_of(geo.c), "c must divide q");
     let (q, c, step) = (geo.q, geo.c, geo.steps());
-    let mut ranks = Vec::with_capacity(prob.p);
     for rank in 0..prob.p {
         if rank >= geo.used() {
-            ranks.push(RankPlan::idle(rank));
+            sink(RankPlan::idle(rank));
             continue;
         }
         let (i, j, l) = geo.coords_of(rank);
@@ -190,7 +202,7 @@ pub fn plan_with_geometry(prob: &MmmProblem, geo: Geometry25) -> Result<DistPlan
         // whole blocks, but at paper scale the shifts are subdivided).
         let replica = if c > 1 { lm * lk_max + lk_max * ln } else { 0 };
         let mem_words = (lm * ln + replica + 2 * (lm + ln)) as u64;
-        ranks.push(RankPlan {
+        sink(RankPlan {
             rank,
             active: true,
             coords: [i, j, l],
@@ -199,11 +211,10 @@ pub fn plan_with_geometry(prob: &MmmProblem, geo: Geometry25) -> Result<DistPlan
             mem_words,
         });
     }
-    Ok(DistPlan {
+    Ok(PlanHeader {
         algo: AlgoId::P25d,
         problem: *prob,
         grid: [q, q, c],
-        ranks,
     })
 }
 
@@ -333,9 +344,14 @@ impl MmmAlgorithm for P25dAlgorithm {
         self
     }
 
-    fn plan(&self, prob: &MmmProblem, _machine: &CostModel) -> Result<DistPlan, PlanError> {
+    fn plan_ranks(
+        &self,
+        prob: &MmmProblem,
+        _machine: &CostModel,
+        sink: &mut dyn FnMut(RankPlan),
+    ) -> Result<PlanHeader, PlanError> {
         match self.geometry {
-            None => plan(prob),
+            None => plan_ranks(prob, choose_geometry(prob)?, sink),
             Some(geo) => {
                 if geo.q == 0 || geo.c == 0 || geo.used() > prob.p || geo.q % geo.c != 0 {
                     return Err(PlanError::InvalidConfig {
@@ -343,7 +359,7 @@ impl MmmAlgorithm for P25dAlgorithm {
                         reason: "forced geometry needs q ≥ 1, q²c ≤ p and c | q",
                     });
                 }
-                plan_with_geometry(prob, geo)
+                plan_ranks(prob, geo, sink)
             }
         }
     }

@@ -16,7 +16,7 @@
 
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture};
-use cosma::plan::{Brick, DistPlan, RankPlan, Round};
+use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
 use densemat::gemm::gemm_packed;
 use densemat::layout::even_splits;
@@ -116,47 +116,83 @@ fn k_owner(k: usize, parts: usize, t: usize) -> usize {
     }
 }
 
-/// Build the SUMMA [`DistPlan`].
+/// One k-panel as every rank of a plan sees it. Which grid row or column
+/// roots a panel's broadcasts, and how many segments they arrive in, depend
+/// on the panel and on a rank's tile height or width only — of which a
+/// balanced split has two (`⌈m/g_m⌉` and `⌊m/g_m⌋`) — so the table is built
+/// once per plan and every rank reads it.
+struct Panel {
+    /// Panel width along k.
+    w: usize,
+    /// Grid column that owns (and broadcasts) the A panel.
+    a_root: usize,
+    /// Grid row that owns the B panel.
+    b_root: usize,
+    /// Messages a non-root receives of the A panel, for a tall tile and for
+    /// a short one.
+    a_msgs: [u64; 2],
+    /// The same of the B panel, for a wide tile and for a narrow one.
+    b_msgs: [u64; 2],
+}
+
+/// Build the SUMMA [`DistPlan`]: [`plan_ranks`], collected.
 ///
 /// Prefer [`SummaAlgorithm`] through the registry; this free function is the
 /// implementation it calls.
 pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
+    DistPlan::collect(|sink| plan_ranks(prob, sink))
+}
+
+/// The SUMMA plan as a rank stream: every rank's plan handed to `sink` in
+/// rank order, then the header.
+pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<PlanHeader, PlanError> {
     let grid = choose_grid(prob)?;
     let lm_max = prob.m.div_ceil(grid.gm);
     let ln_max = prob.n.div_ceil(grid.gn);
     let nb = panel_width(prob, lm_max, ln_max);
-    let panel_list = panels(prob, grid, nb);
-    let mut ranks = Vec::with_capacity(prob.p);
+    // Any non-root position receives every segment.
+    let msgs = |g: usize, words: usize| bcast_pipelined_recv_msgs(1, g, words);
+    let table: Vec<Panel> = panels(prob, grid, nb)
+        .into_iter()
+        .map(|panel| {
+            let w = panel.len();
+            Panel {
+                w,
+                a_root: k_owner(prob.k, grid.gn, panel.start),
+                b_root: k_owner(prob.k, grid.gm, panel.start),
+                a_msgs: [lm_max, prob.m / grid.gm].map(|lm| msgs(grid.gn, lm * w)),
+                b_msgs: [ln_max, prob.n / grid.gn].map(|ln| msgs(grid.gm, w * ln)),
+            }
+        })
+        .collect();
+    // Group panels into at most MAX_PLAN_ROUNDS buckets at paper scale
+    // (totals exact, pipeline granularity coarsened).
+    let buckets = table.len().clamp(1, cosma::algorithm::MAX_PLAN_ROUNDS);
+    let per_bucket = table.len().div_ceil(buckets);
     for rank in 0..prob.p {
         let (i, j) = grid.coords_of(rank);
         let rows = even_range(prob.m, grid.gm, i);
         let cols = even_range(prob.n, grid.gn, j);
         let (lm, ln) = (rows.len(), cols.len());
-        // Group panels into at most MAX_PLAN_ROUNDS buckets at paper scale
-        // (totals exact, pipeline granularity coarsened).
-        let buckets = panel_list.len().clamp(1, cosma::algorithm::MAX_PLAN_ROUNDS);
-        let per_bucket = panel_list.len().div_ceil(buckets);
+        let (short, narrow) = (usize::from(lm != lm_max), usize::from(ln != ln_max));
         let mut rounds = Vec::with_capacity(buckets);
-        for chunk in panel_list.chunks(per_bucket) {
+        for chunk in table.chunks(per_bucket) {
             let mut acc = Round::default();
             for panel in chunk {
-                let w = panel.len();
-                let a_root = k_owner(prob.k, grid.gn, panel.start);
-                let b_root = k_owner(prob.k, grid.gm, panel.start);
-                if j != a_root {
-                    acc.a_words += (lm * w) as u64;
+                if j != panel.a_root {
+                    acc.a_words += (lm * panel.w) as u64;
+                    acc.msgs += panel.a_msgs[short];
                 }
-                if i != b_root {
-                    acc.b_words += (w * ln) as u64;
+                if i != panel.b_root {
+                    acc.b_words += (panel.w * ln) as u64;
+                    acc.msgs += panel.b_msgs[narrow];
                 }
-                acc.msgs += bcast_pipelined_recv_msgs(rel(j, a_root, grid.gn), grid.gn, lm * w)
-                    + bcast_pipelined_recv_msgs(rel(i, b_root, grid.gm), grid.gm, w * ln);
-                acc.flops += 2 * (lm * ln * w) as u64;
+                acc.flops += 2 * (lm * ln * panel.w) as u64;
             }
             rounds.push(acc);
         }
         let mem_words = (lm * ln + 2 * nb * (lm + ln)) as u64;
-        ranks.push(RankPlan {
+        sink(RankPlan {
             rank,
             active: true,
             coords: [i, j, 0],
@@ -169,16 +205,11 @@ pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
             mem_words,
         });
     }
-    Ok(DistPlan {
+    Ok(PlanHeader {
         algo: AlgoId::Summa,
         problem: *prob,
         grid: [grid.gm, grid.gn, 1],
-        ranks,
     })
-}
-
-fn rel(pos: usize, root: usize, g: usize) -> usize {
-    (pos + g - root) % g
 }
 
 /// Execute a SUMMA plan on the calling rank; returns its C block. A
@@ -251,8 +282,13 @@ impl MmmAlgorithm for SummaAlgorithm {
         self
     }
 
-    fn plan(&self, prob: &MmmProblem, _machine: &CostModel) -> Result<DistPlan, PlanError> {
-        plan(prob)
+    fn plan_ranks(
+        &self,
+        prob: &MmmProblem,
+        _machine: &CostModel,
+        sink: &mut dyn FnMut(RankPlan),
+    ) -> Result<PlanHeader, PlanError> {
+        plan_ranks(prob, sink)
     }
 
     fn execute_rank<'a>(

@@ -1,6 +1,7 @@
 //! The executable COSMA algorithm (Algorithm 1 of the paper).
 //!
-//! [`plan`] materializes the full distributed schedule: grid from
+//! [`plan_ranks`] produces the full distributed schedule rank by rank ([`plan`]
+//! collects it): grid from
 //! [`crate::grid::fit_ranks`], per-rank `[l_m × l_n × l_k]` bricks,
 //! latency-optimal round structure from [`crate::schedule::latency_steps`],
 //! and exact per-round communication volumes (log-depth all-gathers of A
@@ -32,7 +33,7 @@ use mpsim::stats::Phase;
 
 use crate::api::{AlgoId, PlanError};
 use crate::grid::{fit_ranks, Grid3};
-use crate::plan::{Brick, DistPlan, RankPlan, Round};
+use crate::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use crate::problem::MmmProblem;
 use crate::schedule::latency_steps;
 use crate::treecount;
@@ -65,17 +66,27 @@ impl Default for CosmaConfig {
     }
 }
 
-/// Build the COSMA [`DistPlan`] for `prob`.
+/// Build the COSMA [`DistPlan`] for `prob`: [`plan_ranks`], collected.
 ///
 /// Prefer [`crate::api::RunSession`] or [`crate::api::CosmaAlgorithm`]; this
 /// free function is the implementation they call.
 pub fn plan(prob: &MmmProblem, cfg: &CosmaConfig, model: &CostModel) -> Result<DistPlan, PlanError> {
+    DistPlan::collect(|sink| plan_ranks(prob, cfg, model, sink))
+}
+
+/// The COSMA plan for `prob` as a rank stream: every rank's plan handed to
+/// `sink` in rank order, then the header.
+pub fn plan_ranks(
+    prob: &MmmProblem,
+    cfg: &CosmaConfig,
+    model: &CostModel,
+    sink: &mut dyn FnMut(RankPlan),
+) -> Result<PlanHeader, PlanError> {
     let fit = fit_ranks(prob, cfg.delta, model)?;
     let grid = fit.grid;
-    let mut ranks = Vec::with_capacity(prob.p);
     for rank in 0..prob.p {
         if rank >= grid.size() {
-            ranks.push(RankPlan::idle(rank));
+            sink(RankPlan::idle(rank));
             continue;
         }
         let (im, jn, ik) = grid.coords_of(rank);
@@ -127,7 +138,7 @@ pub fn plan(prob: &MmmProblem, cfg: &CosmaConfig, model: &CostModel) -> Result<D
             });
         }
         let mem_words = (lm * ln + 2 * max_slab * (lm + ln)) as u64;
-        ranks.push(RankPlan {
+        sink(RankPlan {
             rank,
             active: true,
             coords: [im, jn, ik],
@@ -136,11 +147,10 @@ pub fn plan(prob: &MmmProblem, cfg: &CosmaConfig, model: &CostModel) -> Result<D
             mem_words,
         });
     }
-    Ok(DistPlan {
+    Ok(PlanHeader {
         algo: AlgoId::Cosma,
         problem: *prob,
         grid: [grid.gm, grid.gn, grid.gk],
-        ranks,
     })
 }
 

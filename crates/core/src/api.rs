@@ -6,8 +6,9 @@
 //!
 //! * [`MmmAlgorithm`] — the trait every distributed MMM algorithm implements:
 //!   typed identity ([`AlgoId`]), capability queries
-//!   ([`MmmAlgorithm::supports`]), exact planning
-//!   ([`MmmAlgorithm::plan`]) and real execution
+//!   ([`MmmAlgorithm::supports`]), exact planning as a rank stream
+//!   ([`MmmAlgorithm::plan_ranks`]; [`MmmAlgorithm::plan`] collects it) and
+//!   real execution
 //!   ([`MmmAlgorithm::execute`]) with mpiP-style measured counters. Rank
 //!   bodies are resumable ([`MmmAlgorithm::execute_rank`] returns a
 //!   [`RankFuture`]), so one body runs on every [`ExecBackend`]: the
@@ -56,7 +57,7 @@ use mpsim::stats::RankStats;
 
 use crate::algorithm::{self, assemble_c, Backend, CPart, CosmaConfig};
 use crate::grid::FitError;
-use crate::plan::{DistPlan, SimReport};
+use crate::plan::{DistPlan, PlanHeader, RankPlan, SimReport};
 use crate::problem::MmmProblem;
 
 // ---------------------------------------------------------------------------
@@ -277,6 +278,13 @@ pub enum PlanError {
         /// Why the job never completed.
         reason: &'static str,
     },
+    /// The problem statement itself is not one any planner can take
+    /// ([`MmmProblem::check`]): nothing to multiply, nobody to multiply it,
+    /// or more work than 64 bits can count.
+    DegenerateProblem {
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -319,6 +327,7 @@ impl fmt::Display for PlanError {
             PlanError::Aborted { reason } => {
                 write!(f, "job aborted before completion: {reason}")
             }
+            PlanError::DegenerateProblem { reason } => write!(f, "degenerate problem: {reason}"),
         }
     }
 }
@@ -417,6 +426,10 @@ impl ExecReport {
 /// 2. A returned plan passes [`DistPlan::validate_coverage`].
 /// 3. Executing the plan moves, rank by rank, exactly the words the plan
 ///    predicts, and produces the same product as the sequential kernel.
+/// 4. Planning is *pure*: [`plan_ranks`](MmmAlgorithm::plan_ranks) hands out
+///    the same ranks, in rank order, every time it is asked the same
+///    question — so a plan that was only streamed and scored is, bit for
+///    bit, the plan a later [`plan`](MmmAlgorithm::plan) collects.
 pub trait MmmAlgorithm: Send + Sync + std::any::Any {
     /// The algorithm's typed identity.
     fn id(&self) -> AlgoId;
@@ -438,9 +451,25 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
         Ok(())
     }
 
+    /// Produce the exact distributed plan for `prob` under `machine`'s cost
+    /// model as a *rank stream*: every rank's plan handed to `sink` in rank
+    /// order, then what the plan holds besides its ranks. The one required
+    /// planning method — a caller that only judges a plan (the auto-planner
+    /// scoring a candidate) folds the ranks as they pass and stores none.
+    ///
+    /// On `Err` the ranks already handed out mean nothing.
+    fn plan_ranks(
+        &self,
+        prob: &MmmProblem,
+        machine: &CostModel,
+        sink: &mut dyn FnMut(RankPlan),
+    ) -> Result<PlanHeader, PlanError>;
+
     /// Build the exact distributed plan for `prob` under `machine`'s cost
-    /// model.
-    fn plan(&self, prob: &MmmProblem, machine: &CostModel) -> Result<DistPlan, PlanError>;
+    /// model: [`plan_ranks`](MmmAlgorithm::plan_ranks), collected.
+    fn plan(&self, prob: &MmmProblem, machine: &CostModel) -> Result<DistPlan, PlanError> {
+        DistPlan::collect(|sink| self.plan_ranks(prob, machine, sink))
+    }
 
     /// Execute the plan on the calling rank with real messages, returning
     /// this rank's shares of the distributed output (empty for ranks that
@@ -580,8 +609,13 @@ impl MmmAlgorithm for CosmaAlgorithm {
         self
     }
 
-    fn plan(&self, prob: &MmmProblem, machine: &CostModel) -> Result<DistPlan, PlanError> {
-        algorithm::plan(prob, &self.cfg, machine)
+    fn plan_ranks(
+        &self,
+        prob: &MmmProblem,
+        machine: &CostModel,
+        sink: &mut dyn FnMut(RankPlan),
+    ) -> Result<PlanHeader, PlanError> {
+        algorithm::plan_ranks(prob, &self.cfg, machine, sink)
     }
 
     fn execute_rank<'a>(
@@ -900,6 +934,7 @@ impl RunSession {
     /// [`execute`](Self::execute) and
     /// [`execute_verified`](Self::execute_verified).
     fn resolved_plan(&self) -> Result<(Arc<dyn MmmAlgorithm>, DistPlan), PlanError> {
+        self.prob.check()?;
         let algo = self.resolve()?;
         algo.supports(&self.prob)?;
         let plan = algo.plan(&self.prob, &self.cost_model())?;
@@ -1186,10 +1221,18 @@ mod tests {
             fn as_any(&self) -> &dyn std::any::Any {
                 self
             }
-            fn plan(&self, prob: &MmmProblem, machine: &CostModel) -> Result<DistPlan, PlanError> {
-                let mut plan = CosmaAlgorithm::default().plan(prob, machine)?;
-                plan.ranks[0].bricks.clear(); // poke a hole
-                Ok(plan)
+            fn plan_ranks(
+                &self,
+                prob: &MmmProblem,
+                machine: &CostModel,
+                sink: &mut dyn FnMut(RankPlan),
+            ) -> Result<PlanHeader, PlanError> {
+                CosmaAlgorithm::default().plan_ranks(prob, machine, &mut |mut r| {
+                    if r.rank == 0 {
+                        r.bricks.clear(); // poke a hole
+                    }
+                    sink(r)
+                })
             }
             fn execute_rank<'a>(
                 &'a self,

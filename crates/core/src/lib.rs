@@ -15,7 +15,9 @@
 //! 3. [`grid::fit_ranks`] — fit an integer processor grid to the optimal
 //!    local domain, possibly idling up to `δ·p` ranks (`FitRanks`, §7.1);
 //! 4. [`plan::DistPlan`] — the materialized schedule: per-rank bricks of the
-//!    iteration space and per-round exact communication volumes;
+//!    iteration space and per-round exact communication volumes, produced
+//!    as a rank stream ([`algorithm::plan_ranks`]) that can be judged
+//!    without being stored;
 //! 5. [`algorithm::execute`] — run it on an [`mpsim`] machine with real
 //!    messages: per-round A/B all-gathers along grid fibers (`DistrData`),
 //!    local tiled GEMM (`Multiply`), and a balanced ring reduce-scatter of C
@@ -50,5 +52,5 @@ pub use api::{
     RunOutcome, RunSession,
 };
 pub use grid::{fit_ranks, FitResult, Grid3};
-pub use plan::{Brick, DistPlan, RankPlan, Round, SimReport};
+pub use plan::{Brick, DistPlan, PlanHeader, RankPlan, Round, SimReport};
 pub use problem::{MmmProblem, Shape};

@@ -12,6 +12,14 @@
 //! * [`DistPlan::validate`] checks the structural invariants the paper's
 //!   schedules guarantee: exact tiling of the iteration space, per-rank
 //!   memory within `S`, load balance.
+//!
+//! A plan is produced as a *rank stream* — its [`RankPlan`]s in rank order,
+//! then its [`PlanHeader`] — and the two judgements passed on it are folds
+//! over that stream: [`Coverage`] and [`Scoring`] absorb one rank at a time
+//! and hold nothing of it afterwards. [`DistPlan::collect`] stores a stream;
+//! [`DistPlan::validate_coverage`] and [`DistPlan::simulate`] are the same
+//! folds over the stored ranks, so a candidate the auto-planner only streams
+//! is judged by the arithmetic that judges a materialized plan.
 
 use std::collections::HashSet;
 
@@ -60,16 +68,6 @@ fn corners([rows, cols, ks]: &Box3) -> [[usize; 3]; 8] {
     let end = |r: &std::ops::Range<usize>, far: usize| if far == 0 { r.start } else { r.end };
     std::array::from_fn(|c| [end(rows, c & 4), end(cols, c & 2), end(ks, c & 1)])
 }
-
-/// Boxes (or twice as many of something half the size) that a scratch
-/// collection of [`DistPlan::validate_coverage`] starts with room for: 1.5 KiB.
-/// The room is for the allocator's sake. The check runs right after a plan is
-/// built, so its scratch sits above the plan on the heap, and a freed block of
-/// up to 1 KiB stays in glibc's per-thread cache, where it counts as in use
-/// and keeps the heap from shrinking when the plans below it are dropped: with
-/// `Vec::new()`s the `plan-sweep` benchmark's peak RSS is 432 MiB, with these
-/// 400 MiB.
-const SCRATCH_BOXES: usize = 32;
 
 /// Push `b` onto `stack`, then fuse the top two boxes for as long as they are
 /// equal on two axes and end to end on the third: such a pair is disjoint and
@@ -164,23 +162,27 @@ impl RankPlan {
         self.rounds.iter().map(|r| r.flops).sum()
     }
 
-    /// Convert to the cost-model round representation.
-    pub fn round_costs(&self) -> Vec<RoundCost> {
-        self.rounds
-            .iter()
-            .map(|r| RoundCost {
-                words: r.words(),
-                msgs: r.msgs,
-                flops: r.flops,
-            })
-            .collect()
-    }
-
     /// This rank's *planned* time under `model` — the per-rank number an
     /// event-backend execution's measured `RankStats::time` is held
     /// against.
     pub fn time_breakdown(&self, model: &CostModel, overlap: bool) -> TimeBreakdown {
-        simulate_rounds(&self.round_costs(), model, overlap)
+        self.time_and_words(model, overlap).0
+    }
+
+    /// One pass over the rounds: the planned time and the words received.
+    fn time_and_words(&self, model: &CostModel, overlap: bool) -> (TimeBreakdown, u64) {
+        let mut words = 0u64;
+        let costs = self.rounds.iter().map(|r| {
+            let received = r.words();
+            words += received;
+            RoundCost {
+                words: received,
+                msgs: r.msgs,
+                flops: r.flops,
+            }
+        });
+        let time = simulate_rounds(costs, model, overlap);
+        (time, words)
     }
 }
 
@@ -280,36 +282,162 @@ impl DistPlan {
     /// CARMA respect; the experiment harness reports their footprint
     /// separately instead of rejecting the plan.
     ///
-    /// The check is exact at every brick count and takes expected O(B) time
-    /// for B bricks; only a plan that fails it pays the pairwise search that
-    /// names the overlapping ranks.
+    /// The check is the [`Coverage`] fold over the stored ranks: exact at
+    /// every brick count, expected O(B) time for B bricks; only a plan that
+    /// fails it pays the pairwise search that names the overlapping ranks.
     pub fn validate_coverage(&self) -> Result<(), PlanError> {
-        let prob = &self.problem;
-        let mut covered: u64 = 0;
-        // Fold the bricks into fewer boxes that cover every point exactly as
-        // often (see `push_fused`): each rank's own, in sequence — a run of
-        // k-panels becomes its column — and then, in `phases[j]`, the j-th
-        // box every rank is left with — ranks listed in a grid's or a
-        // recursive bisection's order become lines, planes and then the
-        // whole sub-problem they share at step j.
-        let mut phases: Vec<Vec<Box3>> = Vec::with_capacity(2 * SCRATCH_BOXES);
-        let mut stack: Vec<Box3> = Vec::with_capacity(SCRATCH_BOXES);
+        let mut coverage = Coverage::new(&self.problem);
         for r in &self.ranks {
-            for b in &r.bricks {
-                if b.rows.end > prob.m || b.cols.end > prob.n || b.ks.end > prob.k {
-                    return Err(PlanError::OutOfBounds { rank: r.rank });
-                }
-                if b.volume() > 0 {
-                    covered += b.volume();
-                    push_fused(&mut stack, [b.rows.clone(), b.cols.clone(), b.ks.clone()]);
+            coverage.absorb(r);
+        }
+        match coverage.finish()? {
+            Tiling::Exact => Ok(()),
+            Tiling::Overlapping => Err(self.first_overlap()),
+        }
+    }
+
+    /// The first pair of ranks whose bricks share a point, for a plan whose
+    /// [`Coverage`] came out [`Tiling::Overlapping`].
+    fn first_overlap(&self) -> PlanError {
+        let bricks: Vec<(usize, &Brick)> = self
+            .ranks
+            .iter()
+            .flat_map(|r| r.bricks.iter().filter(|b| b.volume() > 0).map(move |b| (r.rank, b)))
+            .collect();
+        for (i, (ra, ba)) in bricks.iter().enumerate() {
+            for (rb, bb) in &bricks[i + 1..] {
+                if ba.intersects(bb) {
+                    return PlanError::Overlap { a: *ra, b: *rb };
                 }
             }
-            for (j, b) in stack.drain(..).enumerate() {
-                if j == phases.len() {
-                    phases.push(Vec::with_capacity(SCRATCH_BOXES));
-                }
-                push_fused(&mut phases[j], b);
+        }
+        unreachable!("bricks with the domain's volume that do not tile it must overlap")
+    }
+
+    /// Evaluate the plan under `model` — the [`Scoring`] fold over the stored
+    /// ranks: per-rank pipelined (or back-to-back) round times; machine time
+    /// is the slowest rank; %-peak counts all `p` ranks including idle ones
+    /// (idle ranks waste peak, as in Figure 5).
+    pub fn simulate(&self, model: &CostModel, overlap: bool) -> SimReport {
+        let mut scoring = Scoring::new(model, overlap);
+        for r in &self.ranks {
+            scoring.absorb(r);
+        }
+        scoring.finish(&self.problem)
+    }
+
+    /// Store a rank stream: run `stream` with a sink that keeps every rank
+    /// it is handed, and put the header it returns on top. Every planner's
+    /// `plan` is this around its `plan_ranks`.
+    pub fn collect(
+        stream: impl FnOnce(&mut dyn FnMut(RankPlan)) -> Result<PlanHeader, PlanError>,
+    ) -> Result<DistPlan, PlanError> {
+        let mut ranks = Vec::new();
+        let header = stream(&mut |r| ranks.push(r))?;
+        Ok(DistPlan {
+            algo: header.algo,
+            problem: header.problem,
+            grid: header.grid,
+            ranks,
+        })
+    }
+}
+
+/// What a [`DistPlan`] holds besides its ranks — what a rank stream ends
+/// with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanHeader {
+    /// The algorithm that produced the plan.
+    pub algo: AlgoId,
+    /// The problem instance.
+    pub problem: MmmProblem,
+    /// The processor grid actually used (algorithm-specific meaning).
+    pub grid: [usize; 3],
+}
+
+/// What a [`Coverage`] fold found once every rank was absorbed and the
+/// bricks' volumes added up to the domain's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tiling {
+    /// Every point of the iteration space lies in exactly one brick.
+    Exact,
+    /// Some point is covered twice (and, the volumes being equal, another
+    /// not at all). Which ranks collide only the bricks themselves can say:
+    /// [`DistPlan::validate_coverage`] on the collected plan names them.
+    Overlapping,
+}
+
+/// The coverage check as a fold over a rank stream: do the bricks tile the
+/// iteration space exactly? It keeps a handful of fused boxes, never a rank.
+#[derive(Debug)]
+pub struct Coverage {
+    prob: MmmProblem,
+    /// The first rank with a brick outside the iteration space; nothing is
+    /// absorbed after it.
+    out_of_bounds: Option<usize>,
+    covered: u64,
+    // The bricks folded into fewer boxes that cover every point exactly as
+    // often (see `push_fused`): each rank's own, in sequence — a run of
+    // k-panels becomes its column — and then, in `phases[j]`, the j-th box
+    // every rank is left with — ranks listed in a grid's or a recursive
+    // bisection's order become lines, planes and then the whole sub-problem
+    // they share at step j.
+    phases: Vec<Vec<Box3>>,
+    stack: Vec<Box3>,
+}
+
+impl Coverage {
+    /// A fold over the ranks of a plan for `prob`.
+    pub fn new(prob: &MmmProblem) -> Self {
+        Coverage {
+            prob: *prob,
+            out_of_bounds: None,
+            covered: 0,
+            phases: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Take in the next rank's bricks.
+    pub fn absorb(&mut self, r: &RankPlan) {
+        if self.out_of_bounds.is_some() {
+            return;
+        }
+        let prob = &self.prob;
+        for b in &r.bricks {
+            if b.rows.end > prob.m || b.cols.end > prob.n || b.ks.end > prob.k {
+                self.out_of_bounds = Some(r.rank);
+                return;
             }
+            if b.volume() > 0 {
+                self.covered += b.volume();
+                push_fused(&mut self.stack, [b.rows.clone(), b.cols.clone(), b.ks.clone()]);
+            }
+        }
+        for (j, b) in self.stack.drain(..).enumerate() {
+            if j == self.phases.len() {
+                self.phases.push(Vec::new());
+            }
+            push_fused(&mut self.phases[j], b);
+        }
+    }
+
+    /// The verdict over every rank absorbed.
+    ///
+    /// # Errors
+    /// [`PlanError::OutOfBounds`] for the first rank with a brick outside
+    /// the iteration space, else [`PlanError::BadCoverage`] when the bricks'
+    /// volumes do not add up to the domain's.
+    pub fn finish(self) -> Result<Tiling, PlanError> {
+        let Coverage {
+            prob,
+            out_of_bounds,
+            covered,
+            phases,
+            mut stack,
+        } = self;
+        if let Some(rank) = out_of_bounds {
+            return Err(PlanError::OutOfBounds { rank });
         }
         if covered != prob.volume() {
             return Err(PlanError::BadCoverage {
@@ -331,7 +459,7 @@ impl DistPlan {
         // are in bounds). Odd is at least once, and with the volumes summing
         // to the domain's, at least once everywhere is exactly once
         // everywhere.
-        let mut odd: HashSet<[usize; 3]> = HashSet::with_capacity(2 * SCRATCH_BOXES);
+        let mut odd: HashSet<[usize; 3]> = HashSet::new();
         for corner in stack.iter().flat_map(corners) {
             if !odd.remove(&corner) {
                 odd.insert(corner);
@@ -340,44 +468,66 @@ impl DistPlan {
         let domain = corners(&[0..prob.m, 0..prob.n, 0..prob.k]);
         // (A domain without volume has no corners to find and no bricks.)
         if covered == 0 || (odd.len() == domain.len() && domain.iter().all(|corner| odd.contains(corner))) {
-            return Ok(());
+            Ok(Tiling::Exact)
+        } else {
+            Ok(Tiling::Overlapping)
         }
-        // Some point is covered twice (and, the volumes being equal, another
-        // not at all): name the first overlapping pair.
-        let bricks: Vec<(usize, &Brick)> = self
-            .ranks
-            .iter()
-            .flat_map(|r| r.bricks.iter().filter(|b| b.volume() > 0).map(move |b| (r.rank, b)))
-            .collect();
-        for (i, (ra, ba)) in bricks.iter().enumerate() {
-            for (rb, bb) in &bricks[i + 1..] {
-                if ba.intersects(bb) {
-                    return Err(PlanError::Overlap { a: *ra, b: *rb });
-                }
-            }
+    }
+}
+
+/// The α-β-γ evaluation as a fold over a rank stream: one pass over each
+/// rank's rounds, then the slowest rank and the word totals of all of them.
+/// Ranks are absorbed in rank order, so the maximum keeps the earliest of
+/// equally slow ranks and every sum adds in the order a stored plan's would.
+#[derive(Debug)]
+pub struct Scoring {
+    model: CostModel,
+    overlap: bool,
+    time_s: f64,
+    critical: TimeBreakdown,
+    max_comm_words: u64,
+    total_comm_words: u64,
+    ranks: usize,
+}
+
+impl Scoring {
+    /// A fold under `model`, with or without communication overlap (§7.3).
+    pub fn new(model: &CostModel, overlap: bool) -> Self {
+        Scoring {
+            model: *model,
+            overlap,
+            time_s: 0.0,
+            critical: TimeBreakdown::default(),
+            max_comm_words: 0,
+            total_comm_words: 0,
+            ranks: 0,
         }
-        unreachable!("bricks with the domain's volume that do not tile it must overlap")
     }
 
-    /// Evaluate the plan under `model`: per-rank pipelined (or back-to-back)
-    /// round times; machine time is the slowest rank; %-peak counts all `p`
-    /// ranks including idle ones (idle ranks waste peak, as in Figure 5).
-    pub fn simulate(&self, model: &CostModel, overlap: bool) -> SimReport {
-        let mut worst = TimeBreakdown::default();
-        let mut time_s: f64 = 0.0;
-        for r in &self.ranks {
-            let t = simulate_rounds(&r.round_costs(), model, overlap);
-            if t.total_s() > time_s {
-                time_s = t.total_s();
-                worst = t;
-            }
+    /// Take in the next rank's rounds.
+    pub fn absorb(&mut self, r: &RankPlan) {
+        let (t, words) = r.time_and_words(&self.model, self.overlap);
+        if t.total_s() > self.time_s {
+            self.time_s = t.total_s();
+            self.critical = t;
         }
+        self.max_comm_words = self.max_comm_words.max(words);
+        self.total_comm_words += words;
+        self.ranks += 1;
+    }
+
+    /// The report over every rank absorbed, for a plan of `prob`.
+    pub fn finish(self, prob: &MmmProblem) -> SimReport {
         SimReport {
-            time_s,
-            percent_peak: percent_peak(self.problem.flops(), self.problem.p, time_s, model),
-            critical: worst,
-            max_comm_words: self.max_comm_words(),
-            mean_comm_words: self.mean_comm_words(),
+            time_s: self.time_s,
+            percent_peak: percent_peak(prob.flops(), prob.p, self.time_s, &self.model),
+            critical: self.critical,
+            max_comm_words: self.max_comm_words,
+            mean_comm_words: if self.ranks == 0 {
+                0.0
+            } else {
+                self.total_comm_words as f64 / self.ranks as f64
+            },
         }
     }
 }

@@ -1,5 +1,7 @@
 //! Problem descriptions: matrix dimensions, machine size, shape classes.
 
+use crate::api::PlanError;
+
 /// A distributed matrix-multiplication problem instance:
 /// `C = A·B`, `A ∈ R^{m×k}`, `B ∈ R^{k×n}` on `p` ranks with `S` words each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +49,34 @@ impl MmmProblem {
             p,
             mem_words,
         }
+    }
+
+    /// Is this a problem a planner can take? The fields are public, so a
+    /// literal bypasses [`new`](Self::new)'s asserts; the entry points
+    /// (`RunSession`, the auto-planner) ask here before anything divides by
+    /// `p` or multiplies the dimensions out.
+    ///
+    /// # Errors
+    /// [`PlanError::DegenerateProblem`] for a zero dimension, no ranks, no
+    /// memory, or `2·m·n·k` — and with it every matrix's word count —
+    /// beyond `u64`.
+    pub fn check(&self) -> Result<(), PlanError> {
+        let reason = if self.m == 0 || self.n == 0 || self.k == 0 {
+            "a matrix dimension is zero"
+        } else if self.p == 0 {
+            "no ranks"
+        } else if self.mem_words == 0 {
+            "ranks have no memory"
+        } else if [self.m, self.n, self.k]
+            .iter()
+            .try_fold(2u64, |acc, &d| acc.checked_mul(d as u64))
+            .is_none()
+        {
+            "2·m·n·k does not fit in 64 bits"
+        } else {
+            return Ok(());
+        };
+        Err(PlanError::DegenerateProblem { reason })
     }
 
     /// Total multiply-add flops of the classical algorithm: `2·m·n·k`.

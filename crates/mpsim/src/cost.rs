@@ -108,29 +108,38 @@ impl TimeBreakdown {
 /// overlap (double buffering, §7.3) round `i+1`'s communication proceeds
 /// while round `i` computes: the exposed time is
 /// `comm_0 + Σ max(comp_i, comm_{i+1}) + comp_last`.
-pub fn simulate_rounds(rounds: &[RoundCost], model: &CostModel, overlap: bool) -> TimeBreakdown {
-    let comm: Vec<f64> = rounds.iter().map(|r| model.comm_time(r.words, r.msgs)).collect();
-    let comp: Vec<f64> = rounds.iter().map(|r| model.compute_time(r.flops)).collect();
-    let compute_s: f64 = comp.iter().sum();
-    let total_comm_s: f64 = comm.iter().sum();
-    if rounds.is_empty() {
+///
+/// One pass, nothing stored: the rounds may be a stream.
+pub fn simulate_rounds(
+    rounds: impl IntoIterator<Item = RoundCost>,
+    model: &CostModel,
+    overlap: bool,
+) -> TimeBreakdown {
+    // The sums start from `-0.0`, the neutral element `Iterator::sum` starts
+    // from, so they are bit for bit the sums of the collected times.
+    let (mut compute_s, mut total_comm_s, mut exposed) = (-0.0f64, -0.0f64, 0.0f64);
+    // Computation time of the round before, behind which this round's
+    // communication hides; `None` until the first round, whose fetch is
+    // exposed whole.
+    let mut comp_before: Option<f64> = None;
+    for r in rounds {
+        let (comm, comp) = (model.comm_time(r.words, r.msgs), model.compute_time(r.flops));
+        compute_s += comp;
+        total_comm_s += comm;
+        // Pipeline: whatever of a fetch exceeds the computation it hides
+        // behind stays exposed.
+        match comp_before {
+            None => exposed = comm,
+            Some(before) => exposed += (comm - before).max(0.0),
+        }
+        comp_before = Some(comp);
+    }
+    if comp_before.is_none() {
         return TimeBreakdown::default();
     }
-    let exposed_comm_s = if !overlap {
-        total_comm_s
-    } else {
-        // Pipeline: the first fetch is exposed; afterwards communication of
-        // round i+1 hides behind computation of round i; whatever exceeds the
-        // computation time stays exposed.
-        let mut exposed = comm[0];
-        for i in 0..rounds.len() - 1 {
-            exposed += (comm[i + 1] - comp[i]).max(0.0);
-        }
-        exposed
-    };
     TimeBreakdown {
         compute_s,
-        exposed_comm_s,
+        exposed_comm_s: if overlap { exposed } else { total_comm_s },
         total_comm_s,
     }
 }
@@ -182,7 +191,7 @@ mod tests {
                 flops: 4,
             },
         ];
-        let t = simulate_rounds(&rounds, &unit_model(), false);
+        let t = simulate_rounds(rounds, &unit_model(), false);
         assert!((t.compute_s - 14.0).abs() < 1e-12);
         assert!((t.exposed_comm_s - 8.0).abs() < 1e-12);
         assert!((t.total_s() - 22.0).abs() < 1e-12);
@@ -205,7 +214,7 @@ mod tests {
                 flops: 4,
             },
         ];
-        let t = simulate_rounds(&rounds, &unit_model(), true);
+        let t = simulate_rounds(rounds, &unit_model(), true);
         assert!((t.exposed_comm_s - 5.0).abs() < 1e-12);
         assert!((t.total_s() - 19.0).abs() < 1e-12);
         // Total comm still accounts for the hidden part.
@@ -228,7 +237,7 @@ mod tests {
                 flops: 1,
             },
         ];
-        let t = simulate_rounds(&rounds, &unit_model(), true);
+        let t = simulate_rounds(rounds, &unit_model(), true);
         assert!((t.exposed_comm_s - 18.0).abs() < 1e-12);
         assert!((t.total_s() - 23.0).abs() < 1e-12);
     }
@@ -243,8 +252,8 @@ mod tests {
                 flops: 500_000 * (20 - i),
             })
             .collect();
-        let no = simulate_rounds(&rounds, &model, false);
-        let yes = simulate_rounds(&rounds, &model, true);
+        let no = simulate_rounds(rounds.iter().copied(), &model, false);
+        let yes = simulate_rounds(rounds, &model, true);
         assert!(yes.total_s() <= no.total_s() + 1e-15);
         // Overlap cannot beat the max(comm, comp) lower bound.
         assert!(yes.total_s() + 1e-15 >= no.compute_s.max(no.total_comm_s));
@@ -252,7 +261,7 @@ mod tests {
 
     #[test]
     fn empty_rounds() {
-        let t = simulate_rounds(&[], &unit_model(), true);
+        let t = simulate_rounds([], &unit_model(), true);
         assert_eq!(t.total_s(), 0.0);
     }
 

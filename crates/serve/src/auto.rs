@@ -4,17 +4,23 @@
 //! planned cost; the auto-planner generalizes that one level up — it runs a
 //! request through *every* candidate algorithm of the
 //! [`AlgorithmRegistry`], evaluates each structurally valid plan under the
-//! α-β-γ cost model ([`DistPlan::simulate`]), and selects the strict argmin
-//! of planned wall-clock time. Selection is fully deterministic: candidates
-//! are tried in [`AlgoId::ALL`] order and ties go to the earliest candidate,
-//! so the same request always picks the same algorithm (and the result is
-//! reproducible by exhaustive enumeration — the property suite does exactly
-//! that).
+//! α-β-γ cost model, and selects the strict argmin of planned wall-clock
+//! time. Selection is fully deterministic: candidates are tried in
+//! [`AlgoId::ALL`] order and ties go to the earliest candidate, so the same
+//! request always picks the same algorithm (and the result is reproducible
+//! by exhaustive enumeration — the property suite does exactly that).
+//!
+//! A candidate is judged without being stored: its rank stream
+//! ([`MmmAlgorithm::plan_ranks`](cosma::api::MmmAlgorithm::plan_ranks)) runs
+//! through the [`Coverage`] and [`Scoring`] folds — the code behind
+//! [`DistPlan::validate_coverage`] and [`DistPlan::simulate`] — and only its
+//! planned time is kept. The winner alone is then planned into a
+//! [`DistPlan`]; planning is pure, so that plan is the one that was scored.
 
 use std::sync::Arc;
 
 use cosma::api::{AlgoId, AlgorithmRegistry, PlanError};
-use cosma::plan::DistPlan;
+use cosma::plan::{Coverage, DistPlan, Scoring, Tiling};
 use cosma::problem::MmmProblem;
 use mpsim::cost::CostModel;
 
@@ -109,10 +115,12 @@ impl AutoPlanner {
 
     /// Plan `prob` with every candidate of `choice` and select the cheapest
     /// feasible one. Feasible means: registered, `supports()` passes, the
-    /// planner returns a plan, and the plan's coverage validates — the same
-    /// gauntlet `RunSession::plan` applies.
+    /// planner produces a plan, and the plan's coverage validates — the same
+    /// gauntlet `RunSession::plan` applies. Every candidate is streamed and
+    /// scored; the winner alone is materialized.
     ///
     /// # Errors
+    /// [`PlanError::DegenerateProblem`] for a problem no planner can take.
     /// When no candidate is feasible, the error of the *first* candidate in
     /// canonical order (deterministic, like the selection itself); an empty
     /// candidate set is [`PlanError::UnknownAlgorithm`].
@@ -123,20 +131,15 @@ impl AutoPlanner {
         overlap: bool,
         choice: &AlgoChoice,
     ) -> Result<Planned, PlanError> {
-        let mut feasible: Vec<(Ranked, DistPlan)> = Vec::new();
+        prob.check()?;
+        let mut feasible: Vec<Ranked> = Vec::new();
         let mut first_err: Option<PlanError> = None;
         for id in choice.candidates() {
-            match self.plan_one(id, prob, model) {
-                Ok(plan) => {
-                    let planned_time_s = plan.simulate(model, overlap).time_s;
-                    feasible.push((
-                        Ranked {
-                            algo: id,
-                            planned_time_s,
-                        },
-                        plan,
-                    ));
-                }
+            match self.score_one(id, prob, model, overlap) {
+                Ok(planned_time_s) => feasible.push(Ranked {
+                    algo: id,
+                    planned_time_s,
+                }),
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
@@ -147,8 +150,9 @@ impl AutoPlanner {
                 name: "auto-planner: empty candidate set".to_string(),
             }));
         };
-        let (winner, plan) = feasible.swap_remove(winner_at);
-        let runner_up = argmin(&feasible).map(|i| feasible[i].0);
+        let winner = feasible.swap_remove(winner_at);
+        let runner_up = argmin(&feasible).map(|i| feasible[i]);
+        let plan = self.registry.by_id(winner.algo)?.plan(prob, model)?;
         Ok(Planned {
             selection: Selection {
                 algo: winner.algo,
@@ -159,22 +163,39 @@ impl AutoPlanner {
         })
     }
 
-    fn plan_one(&self, id: AlgoId, prob: &MmmProblem, model: &CostModel) -> Result<DistPlan, PlanError> {
+    /// The planned time of `id`'s plan for `prob`, or why it has none — from
+    /// the plan's rank stream alone.
+    fn score_one(
+        &self,
+        id: AlgoId,
+        prob: &MmmProblem,
+        model: &CostModel,
+        overlap: bool,
+    ) -> Result<f64, PlanError> {
         let algo = self.registry.by_id(id)?;
         algo.supports(prob)?;
-        let plan = algo.plan(prob, model)?;
-        plan.validate_coverage()?;
-        Ok(plan)
+        let mut coverage = Coverage::new(prob);
+        let mut scoring = Scoring::new(model, overlap);
+        let header = algo.plan_ranks(prob, model, &mut |r| {
+            coverage.absorb(&r);
+            scoring.absorb(&r);
+        })?;
+        if coverage.finish()? == Tiling::Overlapping {
+            // Which ranks overlap only the bricks can say: collect this one
+            // plan for the error that names them.
+            algo.plan(prob, model)?.validate_coverage()?;
+        }
+        Ok(scoring.finish(&header.problem).time_s)
     }
 }
 
 /// Index of the strict minimum planned time; the earliest entry wins ties.
-fn argmin(scored: &[(Ranked, DistPlan)]) -> Option<usize> {
+fn argmin(scored: &[Ranked]) -> Option<usize> {
     let mut best: Option<usize> = None;
-    for (i, (ranked, _)) in scored.iter().enumerate() {
+    for (i, ranked) in scored.iter().enumerate() {
         match best {
             None => best = Some(i),
-            Some(b) if ranked.planned_time_s < scored[b].0.planned_time_s => best = Some(i),
+            Some(b) if ranked.planned_time_s < scored[b].planned_time_s => best = Some(i),
             Some(_) => {}
         }
     }
@@ -216,12 +237,17 @@ mod tests {
     fn auto_selection_is_the_exhaustive_argmin() {
         let prob = MmmProblem::new(96, 96, 96, 16, 1 << 14);
         let planned = planner().select(&prob, &model(), true, &AlgoChoice::Auto).unwrap();
-        // Exhaustive re-derivation over the registry, in canonical order.
+        // Exhaustive re-derivation over the registry, in canonical order:
+        // every candidate materialized and judged by the plan's own methods.
         let mut best: Option<(AlgoId, f64)> = None;
-        for id in AlgoId::ALL {
-            let Ok(plan) = planner().plan_one(id, &prob, &model()) else {
+        for algo in AlgoId::ALL.map(|id| baselines::registry().by_id(id).unwrap()) {
+            let id = algo.id();
+            let Ok(plan) = algo.supports(&prob).and_then(|()| algo.plan(&prob, &model())) else {
                 continue;
             };
+            if plan.validate_coverage().is_err() {
+                continue;
+            }
             let t = plan.simulate(&model(), true).time_s;
             if best.is_none_or(|(_, bt)| t < bt) {
                 best = Some((id, t));

@@ -18,8 +18,9 @@
 //! * [`AutoPlanner`] — runs a request through every candidate of the
 //!   [`AlgorithmRegistry`](cosma::api::AlgorithmRegistry)
 //!   (COSMA/SUMMA/Cannon/2.5D/CARMA), scores each feasible plan's
-//!   `TimeBreakdown` under the cost model, and picks the strict argmin —
-//!   fig. 5's grid fitting generalized across algorithms. The verdict is a
+//!   `TimeBreakdown` under the cost model as its ranks stream by, and picks
+//!   the strict argmin — fig. 5's grid fitting generalized across
+//!   algorithms; only the winner's plan is ever stored. The verdict is a
 //!   typed [`Selection`] `{ algo, planned_time_s, runner_up }`.
 //! * [`Server`] — the multi-tenant driver: a team of driver threads, one
 //!   per core, consumes the job queue. Jobs run in parallel, each world
