@@ -26,7 +26,7 @@
 use densemat::gemm::gemm_packed;
 use densemat::matrix::Matrix;
 pub use mpsim::collectives::even_range;
-use mpsim::collectives::{allgather_bruck, even_cut, reduce_scatter_ring, unpack_block};
+use mpsim::collectives::{allgather_bruck, even_cut, reduce_scatter_ring, unpack_run, Fiber};
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
 use mpsim::stats::Phase;
@@ -271,19 +271,19 @@ pub async fn execute(
         // the j-th balanced run of columns ---
         let own = even_range(w, grid.gn, jn);
         let mut a_slab = Matrix::zeros(lm, w);
-        a_slab.set_block(0, own.start, &a.block(rows.clone(), ks_lo + own.start..ks_lo + own.end));
-        let (group, cuts) = (grid.j_group(im, ik), even_cuts(w, grid.gn, 1));
+        a_slab.copy_block(0, own.start, a, rows.clone(), ks_lo + own.start..ks_lo + own.end);
+        let (fiber, cut) = (grid.j_fiber(im, ik), |j| even_cut(w, grid.gn, j));
         let a_win = win.as_mut().map(|(a_win, _)| a_win.as_mut_slice());
-        gather(comm, group, jn, a_slab.as_mut_slice(), lm, cuts, tag, Phase::InputA, a_win).await;
+        gather(comm, fiber, jn, a_slab.as_mut_slice(), lm, cut, tag, Phase::InputA, a_win).await;
         // --- DistrData: the B slab (w x ln); member i of the i-fiber owns
         // the i-th balanced run of whole rows, so flattened to one row of
         // w·ln words the blocks are cut at row starts ---
         let own = even_range(w, grid.gm, im);
         let mut b_slab = Matrix::zeros(w, ln);
-        b_slab.set_block(own.start, 0, &b.block(ks_lo + own.start..ks_lo + own.end, cols.clone()));
-        let (group, cuts) = (grid.i_group(jn, ik), even_cuts(w, grid.gm, ln));
+        b_slab.copy_block(own.start, 0, b, ks_lo + own.start..ks_lo + own.end, cols.clone());
+        let (fiber, cut) = (grid.i_fiber(jn, ik), |i| ln * even_cut(w, grid.gm, i));
         let b_win = win.as_mut().map(|(_, b_win)| b_win.as_mut_slice());
-        gather(comm, group, im, b_slab.as_mut_slice(), 1, cuts, tag + TAG_STRIDE, Phase::InputB, b_win).await;
+        gather(comm, fiber, im, b_slab.as_mut_slice(), 1, cut, tag + TAG_STRIDE, Phase::InputB, b_win).await;
         // --- Multiply ---
         gemm_packed(&a_slab, &b_slab, c_local.get_or_insert_with(|| Matrix::zeros(lm, ln)));
         comm.record_flops(2 * (lm * ln * w) as u64);
@@ -292,10 +292,10 @@ pub async fn execute(
 
     // --- Reduce: ring reduce-scatter of the C tile along the k-fiber ---
     if grid.gk > 1 {
-        let group = grid.k_group(im, jn);
         let tile = lm * ln;
         let mut data = c_local.into_vec();
-        let (own_idx, chunk) = reduce_scatter_ring(comm, &group, &mut data, REDUCE_TAG, Phase::OutputC).await;
+        let (own_idx, chunk) =
+            reduce_scatter_ring(comm, grid.k_fiber(im, jn), ik, &mut data, REDUCE_TAG, Phase::OutputC).await;
         comm.record_flops((tile - even_range(tile, grid.gk, ik).len()) as u64);
         return Some(CPart {
             rows,
@@ -312,12 +312,6 @@ pub async fn execute(
     })
 }
 
-/// Block boundaries of a gathered slab: the `parts + 1` cuts of `0..w` into
-/// [`even_range`] pieces, in units of `unit` words.
-fn even_cuts(w: usize, parts: usize, unit: usize) -> Vec<usize> {
-    (0..=parts).map(|i| unit * even_cut(w, parts, i)).collect()
-}
-
 /// The RMA window content of one rank: its A chunks for every round, then
 /// its B chunks for every round, all row-major flattened.
 fn build_window(plan: &DistPlan, grid: &Grid3, rp: &RankPlan, a: &Matrix, b: &Matrix) -> Vec<f64> {
@@ -329,12 +323,12 @@ fn build_window(plan: &DistPlan, grid: &Grid3, rp: &RankPlan, a: &Matrix, b: &Ma
     for slab in sp.slab_ranges() {
         let own = even_range(slab.len(), grid.gn, jn);
         let ks_lo = ks.start + slab.start;
-        window.extend(a.block(rows.clone(), ks_lo + own.start..ks_lo + own.end).into_vec());
+        a.append_block(rows.clone(), ks_lo + own.start..ks_lo + own.end, &mut window);
     }
     for slab in sp.slab_ranges() {
         let own = even_range(slab.len(), grid.gm, im);
         let ks_lo = ks.start + slab.start;
-        window.extend(b.block(ks_lo + own.start..ks_lo + own.end, cols.clone()).into_vec());
+        b.append_block(ks_lo + own.start..ks_lo + own.end, cols.clone(), &mut window);
     }
     window
 }
@@ -353,35 +347,39 @@ fn window_cursors(plan: &DistPlan, grid: &Grid3, slabs: &[usize], jn: usize) -> 
     (vec![0; grid.gn], b_win)
 }
 
-/// Complete one round's `rows × cuts[g]` slab, of which this rank (at `pos`
-/// of its fiber `group`) has written its own block: two-sided by an in-place
-/// Bruck all-gather; one-sided (`win` given) by a `get` of every peer's block
-/// from its window at `win[peer position]` straight into the slab, advancing
-/// the cursors past the round. Owns `group` and `cuts` so they are freed
-/// before the next gather starts — every rank is in here at once.
+/// Complete one round's `rows × cut(g)` slab, of which this rank (member
+/// `pos` of its `fiber`) has written its own block — columns
+/// `cut(pos)..cut(pos + 1)`: two-sided by an in-place Bruck all-gather;
+/// one-sided (`win` given) by a `get` of every peer's non-empty block from its
+/// window at `win[peer position]` straight into the slab, advancing the
+/// cursors past the round.
 #[allow(clippy::too_many_arguments)]
 async fn gather(
     comm: &mut RankComm,
-    group: Vec<usize>,
+    fiber: Fiber,
     pos: usize,
     slab: &mut [f64],
     rows: usize,
-    cuts: Vec<usize>,
+    cut: impl Fn(usize) -> usize,
     tag: u64,
     phase: Phase,
     win: Option<&mut [usize]>,
 ) {
     let Some(win) = win else {
-        return allgather_bruck(comm, &group, pos, slab, rows, &cuts, tag, phase).await;
+        return allgather_bruck(comm, fiber, pos, slab, rows, cut, tag, phase).await;
     };
-    for (j, &peer) in group.iter().enumerate() {
-        let words = rows * (cuts[j + 1] - cuts[j]);
-        if j != pos {
-            let chunk = comm.get(peer, win[j], words, phase);
-            unpack_block(slab, rows, &cuts, j, &chunk);
+    debug_assert_eq!(win.len(), fiber.len, "one window cursor per fiber member");
+    let width = cut(fiber.len);
+    for (j, cursor) in win.iter_mut().enumerate() {
+        let cols = cut(j)..cut(j + 1);
+        let words = rows * cols.len();
+        // An empty block is no read: no message, no latency.
+        if j != pos && words > 0 {
+            let chunk = comm.get(fiber.rank(j), *cursor, words, phase);
+            unpack_run(slab, width, cols, &chunk);
             comm.recycle(chunk);
         }
-        win[j] += words;
+        *cursor += words;
     }
 }
 
@@ -392,7 +390,16 @@ mod tests {
     use mpsim::exec::{run_spmd_with, ExecBackend};
     use mpsim::machine::MachineSpec;
 
-    fn check_cosma(m: usize, n: usize, k: usize, p: usize, s: usize, backend: Backend) {
+    /// Plan, execute on the blocking reference, verify the product and the
+    /// plan-exact traffic; hands back the plan and the measured counters.
+    fn check_cosma(
+        m: usize,
+        n: usize,
+        k: usize,
+        p: usize,
+        s: usize,
+        backend: Backend,
+    ) -> (DistPlan, Vec<mpsim::RankStats>) {
         let prob = MmmProblem::new(m, n, k, p, s);
         let model = CostModel::piz_daint_two_sided();
         let cfg = CosmaConfig { delta: 0.03, backend };
@@ -428,6 +435,7 @@ mod tests {
                 "rank {r} traffic mismatch ({backend:?})"
             );
         }
+        (dplan, out.stats)
     }
 
     #[test]
@@ -454,6 +462,37 @@ mod tests {
         for backend in [Backend::TwoSided, Backend::OneSided] {
             check_cosma(16, 16, 16, 512, 4096, backend);
             check_cosma(17, 19, 23, 510, 4096, backend);
+        }
+    }
+
+    #[test]
+    fn one_sided_gathers_read_only_the_non_empty_blocks() {
+        // The same narrow-slab grids: a `get` per non-empty foreign block of
+        // every A and B slab plus the gk − 1 ring steps, and nothing for the
+        // empty blocks (half of a 16-member fiber over an 8-column slab).
+        for (m, n, k, p) in [(16, 16, 16, 512), (17, 19, 23, 510)] {
+            let (dplan, stats) = check_cosma(m, n, k, p, 4096, Backend::OneSided);
+            let [gm, gn, gk] = dplan.grid;
+            let mut empty_blocks = 0;
+            for (rp, st) in dplan.ranks.iter().zip(&stats) {
+                let mut reads = 0;
+                if rp.active {
+                    let [im, jn, _] = rp.coords;
+                    let brick = &rp.bricks[0];
+                    let sp = latency_steps(brick.rows.len(), brick.cols.len(), brick.ks.len(), 4096).unwrap();
+                    for &w in &sp.slabs {
+                        let a_blocks =
+                            (0..gn).filter(|&j| j != jn && !even_range(w, gn, j).is_empty()).count();
+                        let b_blocks =
+                            (0..gm).filter(|&i| i != im && !even_range(w, gm, i).is_empty()).count();
+                        reads += a_blocks + b_blocks;
+                        empty_blocks += (gn - 1 - a_blocks) + (gm - 1 - b_blocks);
+                    }
+                    reads += gk - 1;
+                }
+                assert_eq!(st.msgs_recv, reads as u64, "{m}x{n}x{k} p={p}: rank {} reads", rp.rank);
+            }
+            assert!(empty_blocks > 0, "{m}x{n}x{k} p={p}: the case has no empty block to skip");
         }
     }
 

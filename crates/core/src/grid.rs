@@ -9,13 +9,16 @@
 //! stretched `1 × 5 × 13` grid to `4 × 4 × 4` with one idle rank — ~36% less
 //! communication for 1.5% more per-rank compute.
 
+use mpsim::collectives::Fiber;
 use mpsim::cost::CostModel;
 
 use crate::problem::MmmProblem;
 use crate::schedule::latency_steps;
 
 /// A 3D processor grid `[g_m, g_n, g_k]` with row-major rank numbering:
-/// `rank = (i_m · g_n + j_n) · g_k + i_k`.
+/// `rank = (i_m · g_n + j_n) · g_k + i_k` — so every line of the grid is an
+/// arithmetic progression of ranks (k-fibers step by 1, j-fibers by `g_k`,
+/// i-fibers by `g_n · g_k`) and is handed out as a [`Fiber`], not a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid3 {
     /// Parts along m.
@@ -47,18 +50,30 @@ impl Grid3 {
     }
 
     /// The j-fiber through `(im, ·, ik)` — the group that all-gathers A.
-    pub fn j_group(&self, im: usize, ik: usize) -> Vec<usize> {
-        (0..self.gn).map(|jn| self.rank_of(im, jn, ik)).collect()
+    pub fn j_fiber(&self, im: usize, ik: usize) -> Fiber {
+        Fiber {
+            base: self.rank_of(im, 0, ik),
+            stride: self.gk,
+            len: self.gn,
+        }
     }
 
     /// The i-fiber through `(·, jn, ik)` — the group that all-gathers B.
-    pub fn i_group(&self, jn: usize, ik: usize) -> Vec<usize> {
-        (0..self.gm).map(|im| self.rank_of(im, jn, ik)).collect()
+    pub fn i_fiber(&self, jn: usize, ik: usize) -> Fiber {
+        Fiber {
+            base: self.rank_of(0, jn, ik),
+            stride: self.gn * self.gk,
+            len: self.gm,
+        }
     }
 
     /// The k-fiber through `(im, jn, ·)` — the group that reduces C.
-    pub fn k_group(&self, im: usize, jn: usize) -> Vec<usize> {
-        (0..self.gk).map(|ik| self.rank_of(im, jn, ik)).collect()
+    pub fn k_fiber(&self, im: usize, jn: usize) -> Fiber {
+        Fiber {
+            base: self.rank_of(im, jn, 0),
+            stride: 1,
+            len: self.gk,
+        }
     }
 }
 
@@ -245,10 +260,24 @@ mod tests {
 
     #[test]
     fn grid3_fibers() {
-        let g = Grid3 { gm: 2, gn: 3, gk: 2 };
-        assert_eq!(g.j_group(1, 0), vec![g.rank_of(1, 0, 0), g.rank_of(1, 1, 0), g.rank_of(1, 2, 0)]);
-        assert_eq!(g.i_group(2, 1), vec![g.rank_of(0, 2, 1), g.rank_of(1, 2, 1)]);
-        assert_eq!(g.k_group(1, 2), vec![g.rank_of(1, 2, 0), g.rank_of(1, 2, 1)]);
+        // The closed form names the ranks `rank_of` does, member by member.
+        for g in [
+            Grid3 { gm: 2, gn: 3, gk: 2 },
+            Grid3 { gm: 5, gn: 1, gk: 4 },
+            Grid3 { gm: 1, gn: 7, gk: 1 },
+        ] {
+            let ranks = |f: Fiber| (0..f.len).map(|j| f.rank(j)).collect::<Vec<_>>();
+            for r in 0..g.size() {
+                let (im, jn, ik) = g.coords_of(r);
+                let along_j: Vec<usize> = (0..g.gn).map(|j| g.rank_of(im, j, ik)).collect();
+                let along_i: Vec<usize> = (0..g.gm).map(|i| g.rank_of(i, jn, ik)).collect();
+                let along_k: Vec<usize> = (0..g.gk).map(|k| g.rank_of(im, jn, k)).collect();
+                assert_eq!(ranks(g.j_fiber(im, ik)), along_j, "{g:?} j-fiber of rank {r}");
+                assert_eq!(ranks(g.i_fiber(jn, ik)), along_i, "{g:?} i-fiber of rank {r}");
+                assert_eq!(ranks(g.k_fiber(im, jn)), along_k, "{g:?} k-fiber of rank {r}");
+                assert_eq!((along_j[jn], along_i[im], along_k[ik]), (r, r, r), "{g:?}: own position");
+            }
+        }
     }
 
     #[test]

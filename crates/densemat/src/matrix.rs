@@ -144,18 +144,8 @@ impl Matrix {
     /// # Panics
     /// Panics if the ranges exceed the matrix bounds.
     pub fn block(&self, rows: Range<usize>, cols: Range<usize>) -> Matrix {
-        assert!(rows.end <= self.rows, "row range out of bounds");
-        assert!(cols.end <= self.cols, "col range out of bounds");
-        let (h, w) = (rows.len(), cols.len());
-        let mut data = Vec::with_capacity(h * w);
-        for i in rows {
-            data.extend_from_slice(&self.data[i * self.cols + cols.start..i * self.cols + cols.end]);
-        }
-        Matrix {
-            rows: h,
-            cols: w,
-            data,
-        }
+        let words = rows.len() * cols.len();
+        self.block_into(rows, cols, Vec::with_capacity(words))
     }
 
     /// Copy the sub-matrix `rows x cols` into a matrix built on a recycled
@@ -165,18 +155,27 @@ impl Matrix {
     /// # Panics
     /// Panics if the ranges exceed the matrix bounds.
     pub fn block_into(&self, rows: Range<usize>, cols: Range<usize>, mut buf: Vec<f64>) -> Matrix {
-        assert!(rows.end <= self.rows, "row range out of bounds");
-        assert!(cols.end <= self.cols, "col range out of bounds");
         let (h, w) = (rows.len(), cols.len());
         buf.clear();
-        buf.reserve(h * w);
-        for i in rows {
-            buf.extend_from_slice(&self.data[i * self.cols + cols.start..i * self.cols + cols.end]);
-        }
+        self.append_block(rows, cols, &mut buf);
         Matrix {
             rows: h,
             cols: w,
             data: buf,
+        }
+    }
+
+    /// Append the sub-matrix `rows x cols` to `out`, row-major — what
+    /// [`Matrix::block`] copies, into a buffer that holds more than one block.
+    ///
+    /// # Panics
+    /// Panics if the ranges exceed the matrix bounds.
+    pub fn append_block(&self, rows: Range<usize>, cols: Range<usize>, out: &mut Vec<f64>) {
+        assert!(rows.end <= self.rows, "row range out of bounds");
+        assert!(cols.end <= self.cols, "col range out of bounds");
+        out.reserve(rows.len() * cols.len());
+        for i in rows {
+            out.extend_from_slice(&self.data[i * self.cols + cols.start..i * self.cols + cols.end]);
         }
     }
 
@@ -185,11 +184,23 @@ impl Matrix {
     /// # Panics
     /// Panics if `src` does not fit.
     pub fn set_block(&mut self, r0: usize, c0: usize, src: &Matrix) {
-        assert!(r0 + src.rows <= self.rows, "block rows out of bounds");
-        assert!(c0 + src.cols <= self.cols, "block cols out of bounds");
-        for i in 0..src.rows {
+        self.copy_block(r0, c0, src, 0..src.rows, 0..src.cols);
+    }
+
+    /// Overwrite the sub-matrix starting at `(r0, c0)` with the sub-matrix
+    /// `rows x cols` of `src`: `set_block(r0, c0, &src.block(rows, cols))`
+    /// without the temporary.
+    ///
+    /// # Panics
+    /// Panics if the ranges exceed `src` or the block does not fit.
+    pub fn copy_block(&mut self, r0: usize, c0: usize, src: &Matrix, rows: Range<usize>, cols: Range<usize>) {
+        assert!(rows.end <= src.rows, "row range out of bounds");
+        assert!(cols.end <= src.cols, "col range out of bounds");
+        assert!(r0 + rows.len() <= self.rows, "block rows out of bounds");
+        assert!(c0 + cols.len() <= self.cols, "block cols out of bounds");
+        for (i, r) in rows.enumerate() {
             let dst = (r0 + i) * self.cols + c0;
-            self.data[dst..dst + src.cols].copy_from_slice(src.row(i));
+            self.data[dst..dst + cols.len()].copy_from_slice(&src.row(r)[cols.clone()]);
         }
     }
 
@@ -408,6 +419,27 @@ mod tests {
         assert_eq!(m.block(2..4, 1..4), b);
         assert_eq!(m.get(0, 0), 0.0);
         assert_eq!(m.get(4, 4), 0.0);
+    }
+
+    #[test]
+    fn copy_block_and_append_block_match_the_temporaries_they_replace() {
+        let src = Matrix::from_fn(5, 6, |i, j| (i * 6 + j) as f64);
+        for (rows, cols) in [(1..4, 2..5), (0..5, 0..6), (2..2, 1..3), (3..5, 4..4)] {
+            let (mut direct, mut via_block) = (Matrix::zeros(7, 8), Matrix::zeros(7, 8));
+            direct.copy_block(2, 1, &src, rows.clone(), cols.clone());
+            via_block.set_block(2, 1, &src.block(rows.clone(), cols.clone()));
+            assert_eq!(direct, via_block, "{rows:?} x {cols:?}");
+            let mut out = vec![9.0];
+            src.append_block(rows.clone(), cols.clone(), &mut out);
+            assert_eq!(out[0], 9.0, "appends, does not clear");
+            assert_eq!(&out[1..], src.block(rows, cols).as_slice());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "block cols out of bounds")]
+    fn copy_block_rejects_a_block_that_does_not_fit() {
+        Matrix::zeros(2, 2).copy_block(0, 1, &Matrix::zeros(2, 2), 0..2, 0..2);
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The paper replaces Cray-MPICH's broadcast with a hand-crafted binomial
 //! broadcast tree exploiting the known processor grid; these helpers are the
-//! equivalent building blocks. All collectives take an explicit `group` (a
-//! slice of absolute rank ids) so a grid algorithm can broadcast along a row,
-//! column or fiber of the processor grid by passing that fiber's ranks.
+//! equivalent building blocks. The tree collectives take an explicit `group`
+//! (a slice of absolute rank ids) so a grid algorithm can broadcast along a
+//! row, column or fiber of the processor grid by passing that fiber's ranks;
+//! the all-gather and the reduce-scatter, which every rank of a big grid runs
+//! at once, take the fiber in closed form ([`Fiber`]) and build no table.
 //!
 //! Traffic accounting is inherited from the point-to-point layer: interior
 //! tree nodes both receive and forward, exactly as an MPI implementation
@@ -14,8 +16,31 @@
 //! receive or exchange is a resumable wait-state, so the collectives run
 //! unchanged on the blocking and event-driven executors.
 
+use std::ops::Range;
+
 use crate::comm::RankComm;
 use crate::stats::Phase;
+
+/// A line of a processor grid as the arithmetic progression of ranks it is:
+/// member `j` is rank `base + j · stride`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fiber {
+    /// Rank of member 0.
+    pub base: usize,
+    /// Rank distance between consecutive members.
+    pub stride: usize,
+    /// Number of members.
+    pub len: usize,
+}
+
+impl Fiber {
+    /// Rank of member `j`.
+    #[inline]
+    pub fn rank(&self, j: usize) -> usize {
+        debug_assert!(j < self.len, "member {j} of a {}-member fiber", self.len);
+        self.base + j * self.stride
+    }
+}
 
 fn my_pos(comm: &RankComm, group: &[usize]) -> usize {
     group
@@ -215,51 +240,55 @@ pub async fn reduce_sum(
 }
 
 /// Bruck all-gather, in place on the destination slab: `slab` is a row-major
-/// `rows × cuts[g]` matrix in which the member at group position `j` owns
-/// block `j` — columns `cuts[j]..cuts[j + 1]` of every row. The caller (at
-/// position `pos`) has written its own block; on return every block is in
-/// place. `⌈log₂ g⌉` rounds of doubling block counts instead of the ring's
-/// `g − 1` steps, for the same received words (every foreign block arrives
-/// exactly once) — the latency-optimized pattern of the paper's §7.2 trees.
+/// `rows × cut(g)` matrix in which member `j` of the `g`-member `fiber` owns
+/// block `j` — columns `cut(j)..cut(j + 1)` of every row (`cut` monotone from
+/// `cut(0) = 0`). The caller (member `pos`) has written its own block; on
+/// return every block is in place. `⌈log₂ g⌉` rounds of doubling block counts
+/// instead of the ring's `g − 1` steps, for the same received words (every
+/// foreign block arrives exactly once) — the latency-optimized pattern of the
+/// paper's §7.2 trees.
 ///
-/// Each round packs the outgoing blocks from the slab into one pooled payload
-/// (block after block, each row-major) and unpacks the received one straight
-/// to its final position: `O(log g)` buffers and `O(words + g)` work per
-/// rank. All members must pass the same `rows` and `cuts`.
+/// The blocks a round moves are consecutive (mod `g`), so they are at most two
+/// column runs of the slab — up to its right edge, then the wrap from column
+/// 0. Each round packs its runs into one pooled payload (run after run, each
+/// row-major: one slice copy per row per run) and unpacks the received one
+/// straight to its final position: `O(log g)` buffers, `O(words + log g)` work
+/// and no table per rank. All members must pass the same `rows` and `cut`.
 #[allow(clippy::too_many_arguments)]
 pub async fn allgather_bruck(
     comm: &mut RankComm,
-    group: &[usize],
+    fiber: Fiber,
     pos: usize,
     slab: &mut [f64],
     rows: usize,
-    cuts: &[usize],
+    cut: impl Fn(usize) -> usize,
     tag: u64,
     phase: Phase,
 ) {
-    let g = group.len();
-    assert_eq!(cuts.len(), g + 1, "cut table must cover the group");
-    assert_eq!(group[pos], comm.rank(), "rank {} is not at position {pos} of its group", comm.rank());
-    assert_eq!(slab.len(), rows * cuts[g], "slab size mismatch");
+    let (g, width) = (fiber.len, cut(fiber.len));
+    assert_eq!(fiber.rank(pos), comm.rank(), "rank {} is not at position {pos} of its fiber", comm.rank());
+    assert_eq!(cut(0), 0, "the first block starts at column 0");
+    assert_eq!(slab.len(), rows * width, "slab size mismatch");
     // Before the round with distance `step` I hold blocks pos..pos + step
     // (mod g).
     let (mut step, mut round) = (1usize, 0u64);
     while step < g {
         let want = (g - step).min(step);
-        let dst = group[(pos + g - step) % g];
-        let src = group[(pos + step) % g];
+        let dst = fiber.rank((pos + g - step) % g);
+        let src = fiber.rank((pos + step) % g);
         // dst lacks my first `want` blocks (its collection ends at pos - 1).
-        let mine = (pos..g).chain(0..pos).take(want);
-        let words = rows * mine.clone().map(|j| cuts[j + 1] - cuts[j]).sum::<usize>();
+        let mine = block_runs(&cut, g, pos, want);
+        let words = rows * mine.iter().map(|run| run.len()).sum::<usize>();
         let mut payload = comm.pool().take_clear(words);
-        for j in mine {
-            pack_block(slab, rows, cuts, j, &mut payload);
+        for run in mine {
+            pack_run(slab, width, run, &mut payload);
         }
         let received = comm.sendrecv(dst, src, tag.wrapping_add(round), payload, phase).await;
-        let first = (pos + step) % g;
         let mut off = 0;
-        for j in (first..g).chain(0..first).take(want) {
-            off += unpack_block(slab, rows, cuts, j, &received[off..]);
+        for run in block_runs(&cut, g, (pos + step) % g, want) {
+            let words = rows * run.len();
+            unpack_run(slab, width, run, &received[off..off + words]);
+            off += words;
         }
         assert_eq!(off, received.len(), "bruck payload framing mismatch");
         comm.recycle(received);
@@ -268,54 +297,61 @@ pub async fn allgather_bruck(
     }
 }
 
-/// Append block `j` of a `rows × cuts[g]` slab to `out`, row-major.
-fn pack_block(slab: &[f64], rows: usize, cuts: &[usize], j: usize, out: &mut Vec<f64>) {
-    let (lo, hi, width) = (cuts[j], cuts[j + 1], cuts[cuts.len() - 1]);
-    if lo < hi {
-        for r in 0..rows {
-            out.extend_from_slice(&slab[r * width + lo..r * width + hi]);
+/// The columns of blocks `first..first + count` (mod `g`) of a slab cut at
+/// `cut`: the run up to the slab's right edge, then the wrap from column 0
+/// (empty unless the blocks wrap).
+fn block_runs(cut: &impl Fn(usize) -> usize, g: usize, first: usize, count: usize) -> [Range<usize>; 2] {
+    let end = first + count;
+    [cut(first)..cut(end.min(g)), 0..cut(end.saturating_sub(g))]
+}
+
+/// Append columns `cols` of a row-major slab `width` wide to `out`, row-major.
+fn pack_run(slab: &[f64], width: usize, cols: Range<usize>, out: &mut Vec<f64>) {
+    if !cols.is_empty() {
+        for row in slab.chunks_exact(width) {
+            out.extend_from_slice(&row[cols.clone()]);
         }
     }
 }
 
-/// Copy block `j` — row-major at the front of `src` — to its place in a
-/// `rows × cuts[g]` slab; returns the block's word count. The inverse of the
-/// packing [`allgather_bruck`] sends, for callers that fetch blocks some
-/// other way (RMA `get`).
-pub fn unpack_block(slab: &mut [f64], rows: usize, cuts: &[usize], j: usize, src: &[f64]) -> usize {
-    let (lo, hi, width) = (cuts[j], cuts[j + 1], cuts[cuts.len() - 1]);
-    if lo < hi {
-        for (r, row) in src[..rows * (hi - lo)].chunks_exact(hi - lo).enumerate() {
-            slab[r * width + lo..r * width + hi].copy_from_slice(row);
+/// Copy `src` — one `cols.len()`-word piece per slab row, row-major — to
+/// columns `cols` of a row-major slab `width` wide. The inverse of the packing
+/// [`allgather_bruck`] sends, for callers that fetch blocks some other way
+/// (RMA `get`).
+pub fn unpack_run(slab: &mut [f64], width: usize, cols: Range<usize>, src: &[f64]) {
+    if !cols.is_empty() {
+        assert_eq!(src.len() * width, slab.len() * cols.len(), "one piece per slab row");
+        for (row, piece) in slab.chunks_exact_mut(width).zip(src.chunks_exact(cols.len())) {
+            row[cols.clone()].copy_from_slice(piece);
         }
     }
-    rows * (hi - lo)
 }
 
 /// Ring reduce-scatter: element-wise sum of every member's `data`, scattered
-/// so that the member at group position `pos` ends up owning the summed
-/// chunk `(pos + 1) mod g` (balanced chunks by [`even_range`]).
-/// Returns `(owned_chunk_index, summed_chunk)`.
+/// so that the caller — member `pos` of the `g`-member `fiber` — ends up
+/// owning the summed chunk `(pos + 1) mod g` (balanced chunks by
+/// [`even_range`]). Returns `(owned_chunk_index, summed_chunk)`.
 ///
 /// `g − 1` steps; each member receives every chunk except its own position's,
 /// i.e. `total − |chunk_pos|` words — perfectly balanced, unlike a tree
 /// reduction whose root transiently receives `log g` full payloads.
 pub async fn reduce_scatter_ring(
     comm: &mut RankComm,
-    group: &[usize],
+    fiber: Fiber,
+    pos: usize,
     data: &mut [f64],
     tag: u64,
     phase: Phase,
 ) -> (usize, Vec<f64>) {
-    let g = group.len();
-    let pos = my_pos(comm, group);
+    let g = fiber.len;
+    assert_eq!(fiber.rank(pos), comm.rank(), "rank {} is not at position {pos} of its fiber", comm.rank());
     let len = data.len();
     let chunk = |idx: usize| even_range(len, g, idx);
     if g == 1 {
         return (0, data.to_vec());
     }
-    let right = group[(pos + 1) % g];
-    let left = group[(pos + g - 1) % g];
+    let right = fiber.rank((pos + 1) % g);
+    let left = fiber.rank((pos + g - 1) % g);
     for s in 0..g - 1 {
         let send_idx = (pos + g - s) % g;
         let recv_idx = (pos + g - s - 1) % g;
@@ -361,6 +397,15 @@ mod tests {
 
     /// The blocking reference the collective tests run on.
     const BLOCKING: ExecBackend = ExecBackend::Blocking { workers: 4 };
+
+    /// A world of `p` ranks as one fiber: rank `r` is member `r`.
+    fn world(p: usize) -> Fiber {
+        Fiber {
+            base: 0,
+            stride: 1,
+            len: p,
+        }
+    }
 
     #[test]
     fn bcast_delivers_to_all_group_sizes_and_roots() {
@@ -540,9 +585,13 @@ mod tests {
     fn allgather_singleton_group_is_free() {
         let spec = MachineSpec::test_machine(2, 1000);
         let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
-            let group = vec![c.rank()];
+            let alone = Fiber {
+                base: c.rank(),
+                stride: 1,
+                len: 1,
+            };
             let mut slab = vec![3.0];
-            allgather_bruck(&mut c, &group, 0, &mut slab, 1, &[0, 1], 12, Phase::InputA).await;
+            allgather_bruck(&mut c, alone, 0, &mut slab, 1, |j| j, 12, Phase::InputA).await;
             slab
         })
         .unwrap();
@@ -564,7 +613,6 @@ mod tests {
         cuts: &[usize],
     ) -> crate::exec::RunOutput<Vec<f64>> {
         run_spmd_with(spec, backend, |mut c| async move {
-            let group: Vec<usize> = (0..c.size()).collect();
             let (pos, width) = (c.rank(), cuts[cuts.len() - 1]);
             let mut slab = vec![-1.0; rows * width];
             for r in 0..rows {
@@ -572,7 +620,8 @@ mod tests {
                     slab[r * width + col] = (r * width + col) as f64;
                 }
             }
-            allgather_bruck(&mut c, &group, pos, &mut slab, rows, cuts, 40, Phase::InputA).await;
+            let g = cuts.len() - 1;
+            allgather_bruck(&mut c, world(g), pos, &mut slab, rows, |j| cuts[j], 40, Phase::InputA).await;
             slab
         })
         .unwrap()
@@ -618,9 +667,9 @@ mod tests {
             let len = 13;
             let spec = MachineSpec::test_machine(p, 1000);
             let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
-                let group: Vec<usize> = (0..c.size()).collect();
                 let mut data: Vec<f64> = (0..len).map(|i| (c.rank() * 100 + i) as f64).collect();
-                reduce_scatter_ring(&mut c, &group, &mut data, 50, Phase::OutputC).await
+                let pos = c.rank();
+                reduce_scatter_ring(&mut c, world(p), pos, &mut data, 50, Phase::OutputC).await
             })
             .unwrap();
             // Reference sum.
@@ -643,9 +692,9 @@ mod tests {
         let len = 40; // divisible: every chunk is 10 words
         let spec = MachineSpec::test_machine(p, 1000);
         let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
-            let group: Vec<usize> = (0..c.size()).collect();
             let mut data = vec![1.0; len];
-            reduce_scatter_ring(&mut c, &group, &mut data, 51, Phase::OutputC).await;
+            let pos = c.rank();
+            reduce_scatter_ring(&mut c, world(p), pos, &mut data, 51, Phase::OutputC).await;
         })
         .unwrap();
         for st in &out.stats {
@@ -670,10 +719,10 @@ mod tests {
         let mut sum = vec![c.rank() as f64];
         reduce_sum(&mut c, &group, 0, &mut sum, 2, Phase::OutputC).await;
         // One word per rank, gathered in place; count the blocks that came.
-        let (me, cuts) = (c.rank(), (0..=c.size()).collect::<Vec<_>>());
-        let mut slab = vec![-1.0; c.size()];
+        let (me, p) = (c.rank(), c.size());
+        let mut slab = vec![-1.0; p];
         slab[me] = me as f64;
-        allgather_bruck(&mut c, &group, me, &mut slab, 1, &cuts, 3, Phase::InputB).await;
+        allgather_bruck(&mut c, world(p), me, &mut slab, 1, |j| j, 3, Phase::InputB).await;
         let gathered = slab.iter().enumerate().filter(|&(j, &v)| v == j as f64).count();
         (data, sum, gathered)
     }

@@ -10,6 +10,8 @@
 //! the folds over a stream say what the methods of the stored plan say, and
 //! the auto-planner stores the winner's plan and no other.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -566,16 +568,6 @@ fn degenerate_problems_are_typed_errors_at_both_entry_points() {
 // Planning at scale
 // ---------------------------------------------------------------------------
 
-/// The process's peak resident set so far, in KiB.
-fn vm_hwm_kib() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    let line = status.lines().find(|l| l.starts_with("VmHWM:")).expect("VmHWM");
-    line.split_whitespace()
-        .nth(1)
-        .and_then(|kib| kib.parse().ok())
-        .expect("a number of KiB")
-}
-
 /// `square-limited` at p = 16 384: the selection recorded at `08b4896`, which
 /// needed 3.3 GiB and 20 s for it with all five plans alive at once (CARMA's
 /// alone is 2.6 GiB). Streamed, only the winner's COSMA plan is ever stored.
@@ -584,11 +576,11 @@ fn vm_hwm_kib() -> u64 {
 #[ignore = "plans five algorithms at p = 16384; run in release"]
 fn auto_planner_selects_square_limited_at_p16384() {
     let prob = (bench::scenarios::by_id("square-limited").expect("a paper scenario").problem)(16_384);
-    let before = vm_hwm_kib();
+    let before = common::vm_hwm_kib();
     let planned = AutoPlanner::new(baselines::registry())
         .select(&prob, &model(), true, &AlgoChoice::Auto)
         .expect("feasible");
-    let grown_kib = vm_hwm_kib() - before;
+    let grown_kib = common::vm_hwm_kib() - before;
     let sel = &planned.selection;
     assert_eq!((sel.algo, sel.planned_time_s.to_bits()), (AlgoId::Cosma, 0x40b777d6bffd9e99));
     let runner_up = sel.runner_up.expect("several feasible algorithms");

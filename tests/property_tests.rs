@@ -1116,6 +1116,99 @@ fn stats_bits(stats: &[mpsim::RankStats]) -> Vec<(mpsim::RankStats, [u64; 3])> {
         .collect()
 }
 
+/// Bruck all-gathers on the fibers a grid algorithm really passes: worlds laid
+/// out as `gm × gn × gk` grids in which every rank gathers along its i-, j-
+/// and k-fiber in turn, so all fibers of a direction run at once on bases
+/// ≠ 0 and strides `gn·gk`, `gk` and 1. Each fiber length 1..=33 takes each
+/// direction once (the other two extents are drawn from 1..=2), with uneven
+/// or mostly-empty generated cuts and 1 or 3 slab rows. Every slab completes,
+/// every foreign word arrives exactly once in `⌈log₂ g⌉` messages per gather,
+/// and blocking, event and unpooled event worlds agree on results and stats —
+/// the event clocks bit for bit.
+#[test]
+fn bruck_allgather_on_grid_fibers_agrees_across_backends() {
+    use cosma::grid::Grid3;
+    use mpsim::collectives::allgather_bruck;
+    let mut rng = Rng::new(20);
+    for g in 1usize..=33 {
+        for long_axis in 0..3 {
+            let mut dims = [rng.range(1, 3), rng.range(1, 3), rng.range(1, 3)];
+            dims[long_axis] = g;
+            let grid = Grid3 {
+                gm: dims[0],
+                gn: dims[1],
+                gk: dims[2],
+            };
+            let rows = [1usize, 3][rng.range(0, 2)];
+            // One cut table per direction: block widths 0..=3, or mostly 0.
+            let sparse = rng.range(0, 2) == 0;
+            let cuts = dims.map(|len| {
+                let mut at = 0;
+                let mut cuts = vec![0];
+                for _ in 0..len {
+                    at += if sparse {
+                        rng.range(0, 4) / 3
+                    } else {
+                        rng.range(0, 4)
+                    };
+                    cuts.push(at);
+                }
+                cuts
+            });
+            let cuts = &cuts;
+            let what = format!("grid {dims:?} rows={rows} cuts={cuts:?}");
+            // Word `i` of the slab gathered along direction `axis` by the
+            // fiber that starts at rank `base`.
+            let word = |axis: usize, base: usize, i: usize| ((axis * 1000 + base) * 1000 + i) as f64;
+            let body = move |mut c: mpsim::RankComm| async move {
+                let (im, jn, ik) = grid.coords_of(c.rank());
+                let lines = [
+                    (grid.i_fiber(jn, ik), im),
+                    (grid.j_fiber(im, ik), jn),
+                    (grid.k_fiber(im, jn), ik),
+                ];
+                let mut slabs = Vec::new();
+                for (axis, (fiber, pos)) in lines.into_iter().enumerate() {
+                    let (cuts, width) = (&cuts[axis], cuts[axis][fiber.len]);
+                    let mut slab = vec![-1.0; rows * width];
+                    for r in 0..rows {
+                        for col in cuts[pos]..cuts[pos + 1] {
+                            slab[r * width + col] = word(axis, fiber.base, r * width + col);
+                        }
+                    }
+                    let tag = 100 * axis as u64;
+                    allgather_bruck(&mut c, fiber, pos, &mut slab, rows, |j| cuts[j], tag, Phase::InputA)
+                        .await;
+                    slabs.push((fiber.base, slab));
+                }
+                slabs
+            };
+            let spec = MachineSpec::test_machine(grid.size(), 10_000);
+            let blocking = run_spmd_with(&spec, ExecBackend::Blocking { workers: 4 }, body).unwrap();
+            for (r, (slabs, st)) in blocking.results.iter().zip(&blocking.stats).enumerate() {
+                let (im, jn, ik) = grid.coords_of(r);
+                let (mut words, mut msgs) = (0, 0);
+                for (axis, pos) in [im, jn, ik].into_iter().enumerate() {
+                    let (cuts, len) = (&cuts[axis], dims[axis]);
+                    let (base, slab) = &slabs[axis];
+                    let want: Vec<f64> = (0..rows * cuts[len]).map(|i| word(axis, *base, i)).collect();
+                    assert_eq!(slab, &want, "{what}: rank {r} direction {axis}");
+                    words += rows * (cuts[len] - (cuts[pos + 1] - cuts[pos]));
+                    msgs += cosma::treecount::allgather_bruck_msgs(len);
+                }
+                assert_eq!(st.total_recv(), words as u64, "{what}: rank {r} words");
+                assert_eq!(st.msgs_recv, msgs, "{what}: rank {r} msgs");
+            }
+            let event = run_spmd_with(&spec, ExecBackend::event(), body).unwrap();
+            let unpooled =
+                run_spmd_with(&spec.clone().with_pooling(false), ExecBackend::event(), body).unwrap();
+            assert_eq!((&event.results, &unpooled.results), (&blocking.results, &blocking.results), "{what}");
+            assert_eq!(stats_bits(&event.stats), stats_bits(&unpooled.stats), "{what}");
+            assert_eq!(counters(&blocking.stats), counters(&event.stats), "{what}");
+        }
+    }
+}
+
 /// Differential sweep over generated rank programs (ROADMAP item 1, the
 /// oracle of the one-driver merge): on flat α > 0 (the only machine the event
 /// engine shards), flat α = 0, a node-NIC machine and the congested fat tree,

@@ -8,6 +8,8 @@
 //! 3. planned per-rank traffic equals executed traffic, word for word, and
 //!    the executed product matches the sequential kernel.
 
+mod common;
+
 use cosma::api::{execute_boxed, AlgoId, MmmAlgorithm, PlanError, RunSession};
 use cosma::problem::MmmProblem;
 use densemat::gemm::matmul;
@@ -356,8 +358,11 @@ fn event_and_blocking_agree_exactly_at_p2048() {
 /// COSMA execution end-to-end on the event backend, with real messages, a
 /// verified product and plan-exact per-rank traffic. No carrier-thread
 /// backend can hold a world this size; the stackless state machines cost
-/// bytes per rank. Run via `cargo test --release -- --ignored` (the CI
-/// `large-world` matrix sets `XL_RANKS` to 16384/65536/131072).
+/// bytes per rank — and how many is pinned: the peak RSS may grow across the
+/// execution by the data a rank holds plus 3 100 B, no more. Run via
+/// `cargo test --release -- --ignored event_xl` (the CI `large-world` matrix
+/// sets `XL_RANKS` to 16384/65536/131072); the filter matters, a test running
+/// beside this one in the process would be counted in.
 #[test]
 #[ignore = "xl world (>= 16384 ranks); run with --ignored"]
 fn event_xl_world_executes_end_to_end() {
@@ -371,8 +376,26 @@ fn event_xl_world_executes_end_to_end() {
     let b = Matrix::deterministic(prob.k, prob.n, 72);
     let want = matmul(&a, &b);
     let spec = MachineSpec::piz_daint_with_memory(p, prob.mem_words);
+    let before = common::vm_hwm_kib();
     let report = execute_boxed(&algo, &plan, &spec, ExecBackend::event(), &a, &b)
         .unwrap_or_else(|e| panic!("p={p}: {e}"));
+    let grown = (common::vm_hwm_kib() - before) as f64 * 1024.0 / p as f64;
+    // What a rank must hold at the lockstep peak is one A slab, one B slab
+    // and its C tile — the plan's `mem_words` counts the slabs twice (§7.3
+    // double buffering, which the simulator models and does not allocate).
+    // Everything else — future, mailbox, counters, heap entries, payloads in
+    // flight — read 2 480–2 660 B per rank when the gathers lost their cut
+    // tables and fiber groups (3 800–6 590 B before, growing with the fibers).
+    let data_words = |r: &cosma::plan::RankPlan| {
+        let tile = r.bricks.first().map_or(0, |b| b.rows.len() * b.cols.len());
+        (r.mem_words + tile as u64) / 2
+    };
+    let data = 8.0 * plan.ranks.iter().map(data_words).sum::<u64>() as f64 / p as f64;
+    eprintln!("p={p}: peak RSS grew by {grown:.0} B per rank, {data:.0} B of them slabs and tile");
+    assert!(
+        grown <= data + 3_100.0,
+        "p={p}: {grown:.0} B of host memory per rank for {data:.0} B of data"
+    );
     assert!(want.approx_eq(&report.c, 1e-9), "p={p}: product off by {}", want.max_abs_diff(&report.c));
     for (r, st) in report.stats.iter().enumerate() {
         assert_eq!(
