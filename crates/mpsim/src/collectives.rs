@@ -552,6 +552,119 @@ mod tests {
         assert!(t_piped <= 2.0 * words as f64, "pipelined critical path should approach β·W: {t_piped}");
     }
 
+    /// `bcast_pipelined` of `0.0, 1.0, …` over the whole world from `root`.
+    fn piped_world(
+        spec: &MachineSpec,
+        backend: ExecBackend,
+        root: usize,
+        words: usize,
+    ) -> crate::exec::RunOutput<Vec<f64>> {
+        run_spmd_with(spec, backend, move |mut c| async move {
+            let group: Vec<usize> = (0..c.size()).collect();
+            let mut data = if c.rank() == root {
+                (0..words).map(|i| i as f64).collect()
+            } else {
+                vec![]
+            };
+            bcast_pipelined(&mut c, &group, root, &mut data, words, 9, Phase::InputA).await;
+            data
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn bcast_pipelined_keeps_its_bits() {
+        use crate::machine::Topology;
+        // One splitmix64 fold per case over every rank's
+        // `[compute_s, exposed_comm_s, total_comm_s]` bits on the event
+        // backend, in case order: machine {flat, node-nic} × g × words × root
+        // {0, g − 1}. Recorded at commit 783cb4d, before `bcast_pipelined`
+        // handed a one-segment payload over and the root stopped staging its
+        // segments: peers, tags, words and order are the function's contract.
+        #[rustfmt::skip]
+        const CLOCKS: [u64; 120] = [
+            0x035bff8407b8c066, 0x577b3223480c8710, 0x4463af02f2436807, 0x92678b4af59d8d74,
+            0x59a092db4dbfc606, 0x691d77bffe126f54, 0x4f9d5ba5aac79c27, 0x573ce24dab06255d,
+            0xbc8b8f028526be7c, 0x23bd69b4c6d60d9c, 0x6b98f411aa36b4c0, 0xc89e61d473f97b20,
+            0x22fbf3ad4f49fe8c, 0x2e589e2051297fba, 0xe1c443844f83e8d6, 0x22f8a1583d164aee,
+            0xfb8e08ca73858abf, 0x90788e5b1201da12, 0xccca8e3ce2d48303, 0x3b38fa31fc5dbac5,
+            0xedc69cddbf314f28, 0x0a9b51f942719a7b, 0xe5400cc5955dd808, 0x263f80f3342deb4e,
+            0x9a5bd0b9a522d6ae, 0x44d1592b7531749e, 0xc59f8b8f171ae0bf, 0xea6d9e5e681c6acd,
+            0x6b66a123544251f2, 0xe111e4542c47ba18, 0x0a5d5e1723009fc5, 0xadd0400ea350904e,
+            0x268fb85265e24804, 0x1881c15058a680d9, 0xff53a7c449c06097, 0x98d1f8a2a0967fb0,
+            0x2a80eb56df7fc4ef, 0x7166695e9f098c95, 0x44d54b3fd7766e24, 0x1255a32e4d95afbf,
+            0xa42337e53e053af6, 0xcff9fa008ed4bf7e, 0x66971ffedb6aef7e, 0x0b2c12e659c9d239,
+            0x53c53a036487159b, 0x6340d109d5265257, 0xa6740fa58a412546, 0x8dffeccdcc8821e2,
+            0x0bdac0613dba770f, 0x3d77e56785689c08, 0xf322802e733fbb13, 0x4058f61d1a74ba72,
+            0x16620839f1ff5676, 0xfd41b80093594746, 0x8d54e3eb3c3d8c92, 0x7371288cdae9daba,
+            0x95d265e5c94af2c3, 0x65046fc4b5289693, 0x961ed51f17db2eaf, 0x004b94e3cc73c90a,
+            0x035bff8407b8c066, 0x577b3223480c8710, 0x4463af02f2436807, 0x92678b4af59d8d74,
+            0x59a092db4dbfc606, 0x691d77bffe126f54, 0x4f9d5ba5aac79c27, 0x573ce24dab06255d,
+            0xbc8b8f028526be7c, 0x23bd69b4c6d60d9c, 0x6b98f411aa36b4c0, 0xc89e61d473f97b20,
+            0xc06d808074a60fb8, 0x08e4f851e19d580e, 0x69af08b9e0c61b6c, 0x4db2d674ab922e7a,
+            0x02b9855ef9203ae2, 0xa01caac140eef192, 0x784443defacd6086, 0xb3a7b7b3dc58d07f,
+            0x2ce75f858586e35d, 0xa0d631d72bf1e05a, 0xc763a312c62aebd4, 0x1db261b8fc91af98,
+            0xeac88a8c82939dd1, 0x301c1f274f5685a2, 0xd34cfdec7a879ee6, 0xf5bf6734afedb081,
+            0x159f1de0e3777335, 0xd34aa686c40121fd, 0xf2bd5317135aea80, 0xd3706f91dab5103d,
+            0xd6600d3a4c96e6ab, 0x81286497817a49e1, 0x5105706f8d92d21d, 0xcf3415ec8e0fca25,
+            0x620ce9ef48049f9c, 0xd5476e6e491e32a2, 0xf2e1eebfa9eb8ab4, 0xae0fff60e9a6f3fc,
+            0x48018b4d3b160bab, 0x2284f3295cdbf926, 0x9a706dd70aa5ade6, 0x66faefaa470510e8,
+            0x73a31ee355ada770, 0x9c883f9863112dc6, 0xb9b842f09c02959f, 0xda70c7998de4cd4c,
+            0x2a3c6ec0877c2435, 0x773f025e2200b25c, 0x36cb6c7dff51d324, 0x84807a7e1d4d0086,
+            0x25730f1a130a5e65, 0xaf8c7e1de1389ef8, 0x7d997a6932473b14, 0x64ba4bcf7c2c09ee,
+            0x18690f5688e400d6, 0x297f5bde345eed7b, 0xe4e562bca595da99, 0xd5ea9bde18f21147,
+        ];
+        let mut got = Vec::with_capacity(CLOCKS.len());
+        for nic in [false, true] {
+            for g in [2usize, 3, 5, 8, 64] {
+                for words in [0usize, 1, 63, 64, 65, 1000] {
+                    for root in [0, g - 1] {
+                        let what = format!("nic={nic} g={g} words={words} root={root}");
+                        let flat = MachineSpec::test_machine(g, 10_000);
+                        let spec = if nic {
+                            flat.with_topology(Topology::NodeNic {
+                                ranks_per_node: 2,
+                                nic_factor: 0.5,
+                            })
+                        } else {
+                            flat
+                        };
+                        let blocking = piped_world(&spec, BLOCKING, root, words);
+                        let event = piped_world(&spec, ExecBackend::event(), root, words);
+                        let unpooled =
+                            piped_world(&spec.clone().with_pooling(false), ExecBackend::event(), root, words);
+                        let want: Vec<f64> = (0..words).map(|i| i as f64).collect();
+                        for (r, d) in event.results.iter().enumerate() {
+                            assert_eq!(d, &want, "{what} rank {r}");
+                        }
+                        assert_eq!(blocking.results, event.results, "{what}");
+                        assert_eq!(unpooled.results, event.results, "{what}");
+                        assert_eq!(counters(&blocking.stats), counters(&event.stats), "{what}");
+                        assert_eq!(unpooled.stats, event.stats, "{what}");
+                        let mut fold = 0u64;
+                        for st in &event.stats {
+                            let t = st.time;
+                            for w in [t.compute_s, t.exposed_comm_s, t.total_comm_s] {
+                                let mut z = (fold ^ w.to_bits()).wrapping_add(0x9e3779b97f4a7c15);
+                                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+                                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+                                fold = z ^ (z >> 31);
+                            }
+                        }
+                        got.push(fold);
+                    }
+                }
+            }
+        }
+        if got != CLOCKS {
+            let table: Vec<String> = got
+                .chunks(4)
+                .map(|row| row.iter().map(|d| format!("0x{d:016x}, ")).collect::<String>())
+                .collect();
+            panic!("virtual clocks moved; the table now reads:\n{}", table.join("\n"));
+        }
+    }
+
     #[test]
     fn reduce_sum_collects_on_root() {
         for p in [1usize, 2, 3, 5, 8] {
