@@ -264,6 +264,9 @@ pub async fn execute(
         let bp = Matrix::from_vec(w, ln, b_panel);
         gemm_packed(&ap, &bp, &mut c_local);
         comm.record_flops(2 * (lm * ln * w) as u64);
+        // A broadcast panel is a pooled buffer: hand it back for the next round.
+        comm.recycle(ap.into_vec());
+        comm.recycle(bp.into_vec());
     }
     (rows, cols, c_local)
 }

@@ -158,41 +158,48 @@ pub async fn bcast_pipelined(
         }
         mask <<= 1;
     }
-    mask >>= 1;
-    let mut children = Vec::new();
-    while mask > 0 {
-        if relative + mask < g {
-            children.push(abs(relative + mask));
+    let top = mask >> 1;
+    // Send a pooled copy of `chunk` to every child, highest bit first.
+    let forward = |comm: &RankComm, chunk: &[f64], seg_tag: u64| {
+        let mut mask = top;
+        while mask > 0 {
+            if relative + mask < g {
+                let payload = comm.pool().take_copy(chunk);
+                comm.send(abs(relative + mask), seg_tag, payload, phase);
+            }
+            mask >>= 1;
         }
-        mask >>= 1;
-    }
+    };
 
     let seg = bcast_segment_words(total_words, g);
     let nseg = total_words.div_ceil(seg).max(1);
-    if parent.is_none() {
-        assert_eq!(data.len(), total_words, "root payload length mismatch");
-    } else {
-        data.clear();
-        data.reserve(total_words);
-    }
-    for s in 0..nseg {
-        let chunk = match parent {
-            Some(par) => {
-                let chunk = comm.recv(par, tag.wrapping_add(s as u64), phase).await;
-                data.extend_from_slice(&chunk);
-                chunk
-            }
-            None => {
+    let seg_tag = |s: usize| tag.wrapping_add(s as u64);
+    match parent {
+        None => {
+            assert_eq!(data.len(), total_words, "root payload length mismatch");
+            for s in 0..nseg {
                 let lo = (s * seg).min(total_words);
                 let hi = ((s + 1) * seg).min(total_words);
-                comm.pool().take_copy(&data[lo..hi])
+                forward(comm, &data[lo..hi], seg_tag(s));
             }
-        };
-        for &child in &children {
-            let payload = comm.pool().take_copy(&chunk);
-            comm.send(child, tag.wrapping_add(s as u64), payload, phase);
         }
-        comm.recycle(chunk);
+        // One segment is the whole payload: the received buffer is the
+        // result, as in `bcast`.
+        Some(par) if nseg == 1 => {
+            let chunk = comm.recv(par, tag, phase).await;
+            forward(comm, &chunk, tag);
+            comm.recycle(std::mem::replace(data, chunk));
+        }
+        Some(par) => {
+            data.clear();
+            data.reserve(total_words);
+            for s in 0..nseg {
+                let chunk = comm.recv(par, seg_tag(s), phase).await;
+                data.extend_from_slice(&chunk);
+                forward(comm, &chunk, seg_tag(s));
+                comm.recycle(chunk);
+            }
+        }
     }
     debug_assert_eq!(data.len(), total_words, "assembled payload length mismatch");
 }
@@ -578,9 +585,8 @@ mod tests {
         // One splitmix64 fold per case over every rank's
         // `[compute_s, exposed_comm_s, total_comm_s]` bits on the event
         // backend, in case order: machine {flat, node-nic} × g × words × root
-        // {0, g − 1}. Recorded at commit 783cb4d, before `bcast_pipelined`
-        // handed a one-segment payload over and the root stopped staging its
-        // segments: peers, tags, words and order are the function's contract.
+        // {0, g − 1}. Recorded at commit 783cb4d: peers, tags, words and order
+        // are the function's contract, whatever it does with its buffers.
         #[rustfmt::skip]
         const CLOCKS: [u64; 120] = [
             0x035bff8407b8c066, 0x577b3223480c8710, 0x4463af02f2436807, 0x92678b4af59d8d74,
@@ -645,10 +651,7 @@ mod tests {
                         for st in &event.stats {
                             let t = st.time;
                             for w in [t.compute_s, t.exposed_comm_s, t.total_comm_s] {
-                                let mut z = (fold ^ w.to_bits()).wrapping_add(0x9e3779b97f4a7c15);
-                                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                                fold = z ^ (z >> 31);
+                                fold = crate::fault::splitmix64(fold ^ w.to_bits());
                             }
                         }
                         got.push(fold);

@@ -68,9 +68,9 @@
 //! # One driver
 //!
 //! Ranks are partitioned into contiguous **regions** (`RegionState`), each
-//! owning a slab of per-rank state (mailbox, wait slot, clock, injection
-//! link, park epoch), a ready heap and a deadline heap, and each driven by
-//! one worker thread. Worker 0 is the calling thread, so the usual
+//! owning a slab of per-rank state (mailbox ends, wait slot, clock, injection
+//! link), one packet arena the mailboxes chain through and a ready heap, and
+//! each driven by one worker thread. Worker 0 is the calling thread, so the usual
 //! one-region world (`threads: 1`, every shared-link topology, α = 0) spawns
 //! nothing: it is the N = 1 case of the one run loop (`run_event_world`:
 //! `worker` + `boundary`), not a loop of its own.
@@ -100,16 +100,29 @@
 //! receiver-private injection link, its share of the commutative barrier
 //! max) depends on rank-local state and on message envelopes fixed by the
 //! sender's program order — never on the global interleaving — so counters
-//! *and* virtual times are bitwise-identical at every region count. Message
-//! payloads are shared `Arc` buffers: delivery moves a pointer, and the
-//! (sole) receiver recovers the owned vector without copying.
+//! *and* virtual times are bitwise-identical at every region count.
+//!
+//! A message owns its payload — the `Vec` the sender posted is the `Vec` the
+//! receiver gets — and waits in its region's **packet arena**: a `Vec` of
+//! cells with a free list, through which every rank's mailbox is a chain in
+//! arrival order (`head`/`tail` cell indices in the slab). Delivery appends a
+//! cell, matching walks the chain from `head` for the first `(from, tag)` hit,
+//! unlinks it and frees the cell. The arena is as long as the most packets
+//! the *region* ever had in flight, so an idle rank's mailbox costs eight
+//! bytes and no allocation.
 //!
 //! Recv deadlines ([`MachineSpec::recv_timeout`], in virtual time) are
 //! checked at window boundaries only: a parked recv whose deadline lies
 //! before the next floor is a suspected deadlock. One that passes mid-window
 //! is reported at the boundary that follows it (at most α later) — and a
 //! message posted inside that window still rescues the recv — identically at
-//! every thread count.
+//! every thread count. Nothing is stored per park: the clock of a rank parked
+//! on a recv cannot move, so its deadline is `clock + recv_timeout` read off
+//! the slab, and each region keeps one lower bound on its deadlines, lowered
+//! by `min` at every park. Every deadline is at or above the bound, so a
+//! boundary whose floor has not passed it has nothing to report and does not
+//! look; one that has scans the region's slabs for the exact earliest
+//! `(deadline, rank)` and stores it back as the bound.
 //!
 //! # Fault injection
 //!
@@ -132,7 +145,7 @@
 //! leaves its window so the boundary fires the earliest pending deadline as
 //! [`ExecError::DeadlockSuspected`] — a livelocked world errors, not spins.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -147,17 +160,6 @@ use crate::pool::BufferPool;
 use crate::stats::{Phase, StatsBoard};
 use crate::topo::Network;
 
-/// A message payload: shared so schedulers pass packets around by pointer.
-/// The single receiver recovers the owned `Vec` copy-free via
-/// [`Arc::try_unwrap`] (see [`take_payload`]).
-type Payload = Arc<Vec<f64>>;
-
-/// Recover an owned payload: zero-copy when this is the only reference (the
-/// common point-to-point case), a clone otherwise.
-fn take_payload(data: Payload) -> Vec<f64> {
-    Arc::try_unwrap(data).unwrap_or_else(|shared| (*shared).clone())
-}
-
 /// Lock a piece of world state. A poisoned lock means a rank body panicked;
 /// recover the state so the original panic surfaces, as in the other
 /// backends.
@@ -167,11 +169,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A tagged in-flight message (the event-world analogue of the blocking
 /// communicator's channel packet), stamped with its virtual-time envelope.
+/// It owns its payload: the sender's buffer is the one the receiver gets.
 #[derive(Debug)]
 struct Packet {
     from: usize,
     tag: u64,
-    data: Payload,
+    data: Vec<f64>,
     /// The sender's virtual clock when the message was posted.
     sent_at: f64,
     /// The wire time of this message, `α + β·words`.
@@ -237,49 +240,45 @@ impl PartialEq for ReadyEntry {
 
 impl Eq for ReadyEntry {}
 
-/// A parked receive's virtual-time deadline (`clock + recv_timeout` at park
-/// time): min-heap by `at`, lazily invalidated through the park epoch (see
-/// [`RegionState::deadlines`]). Ties break by rank then epoch so draining is
-/// deterministic.
-#[derive(Debug, Clone, Copy)]
-struct DeadlineEntry {
-    at: f64,
-    rank: usize,
-    epoch: u64,
+/// Index of a [`Slot`] in its region's packet arena. `u32`, so a mailbox is
+/// eight bytes a rank: a region holds fewer than 2³² packets in flight
+/// (`RegionState::push` checks it), far above what memory lets a world post.
+type SlotId = u32;
+
+/// The null [`SlotId`]: end of a chain, empty mailbox, empty free list.
+const NIL: SlotId = SlotId::MAX;
+
+/// One cell of a region's packet arena: a delivered-but-unmatched packet and
+/// the next cell of the mailbox chain it is on — or, with `pkt` empty, the
+/// next cell of the free list.
+#[derive(Debug)]
+struct Slot {
+    pkt: Option<Packet>,
+    next: SlotId,
 }
 
-impl Ord for DeadlineEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .partial_cmp(&self.at)
-            .expect("virtual times are finite")
-            .then(other.rank.cmp(&self.rank))
-            .then(other.epoch.cmp(&self.epoch))
+/// A rank's mailbox: a chain through the region's packet arena, in arrival
+/// order. Both ends are [`NIL`] when empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Mailbox {
+    head: SlotId,
+    tail: SlotId,
+}
+
+impl Default for Mailbox {
+    fn default() -> Self {
+        Mailbox { head: NIL, tail: NIL }
     }
 }
-
-impl PartialOrd for DeadlineEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for DeadlineEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for DeadlineEntry {}
 
 /// One rank's scheduler state — the only per-rank record. A region's ranks
 /// live in a single contiguous allocation.
 #[derive(Debug, Default)]
 struct RankSlab {
     /// Delivered-but-unmatched messages, in arrival order — the union of the
-    /// blocking communicator's channel and `pending` buffer.
-    mailbox: VecDeque<Packet>,
+    /// blocking communicator's channel and `pending` buffer — chained
+    /// through [`RegionState::packets`].
+    mailbox: Mailbox,
     /// The rank's matching-table entry: what it currently waits for.
     wait: Wait,
     /// The rank's virtual clock (`now`, seconds).
@@ -289,8 +288,6 @@ struct RankSlab {
     /// consumes a message. Receiver-private by construction, which is what
     /// makes regions independent between window boundaries.
     link_free: f64,
-    /// Park counter, invalidating stale deadline entries.
-    park_epoch: u64,
     /// Whether the rank's body future completed.
     finished: bool,
     /// Whether the fault plan killed this rank — distinct from `finished`: a
@@ -302,11 +299,11 @@ struct RankSlab {
     sends: u64,
 }
 
-/// A contiguous block of ranks: their slabs, a ready heap and a deadline
-/// heap. Each worker thread drives one: mid-window only the owning worker
-/// touches it (cross-region traffic goes through [`EventWorld::inboxes`]),
-/// and the mutex hands the same state to the boundary leader between
-/// windows.
+/// A contiguous block of ranks: their slabs, the packet arena their
+/// mailboxes chain through and a ready heap. Each worker thread drives one:
+/// mid-window only the owning worker touches it (cross-region traffic goes
+/// through [`EventWorld::inboxes`]), and the mutex hands the same state to
+/// the boundary leader between windows.
 struct RegionState {
     /// First global rank of this region.
     base: usize,
@@ -322,12 +319,24 @@ struct RegionState {
     ready: BinaryHeap<ReadyEntry>,
     /// Admission counter for FIFO tie-breaking.
     seq: u64,
-    /// Virtual deadlines of this region's parked receives, lazily
-    /// invalidated: an entry only fires if its rank is still parked on a
-    /// recv from the same park epoch. Barrier waits carry no deadline (a
-    /// barrier involves every rank, so a wedged barrier is caught
-    /// structurally).
-    deadlines: BinaryHeap<DeadlineEntry>,
+    /// The packet arena: every delivered-but-unmatched message of this
+    /// region, each on its receiver's [`Mailbox`] chain. Its length is the
+    /// high-water of packets in flight in the *region* — memory follows the
+    /// traffic, not the rank count.
+    packets: Vec<Slot>,
+    /// Head of the free list through [`packets`](Self::packets): emptied
+    /// cells, last freed first, reused before the arena grows.
+    free: SlotId,
+    /// A lower bound on every recv deadline of this region. A recv parked at
+    /// clock `c` is due at `c + recv_timeout` — the clock of a parked rank
+    /// cannot move, so the deadline is read off the slab and nothing is
+    /// stored per park; parking lowers this bound to it by `min`. The
+    /// earliest deadline is never below the bound, so a boundary whose next
+    /// floor is not past it has no deadline to report and does not look
+    /// ([`earliest_deadline`](Self::earliest_deadline)). Barrier waits carry
+    /// no deadline (a barrier involves every rank, so a wedged barrier is
+    /// caught structurally).
+    deadline_lb: f64,
     /// Earliest fault-plan message drop by a sender of this region, as
     /// `(sent_at, from, to)` — the casualty a pure-loss wedge reports.
     first_drop: Option<(f64, usize, usize)>,
@@ -357,13 +366,76 @@ impl RegionState {
         self.ready.push(ReadyEntry { at, seq, rank });
     }
 
+    /// Append `pkt` to `to`'s mailbox chain, in a freed cell if there is one.
+    fn push(&mut self, to: usize, pkt: Packet) {
+        let cell = Slot {
+            pkt: Some(pkt),
+            next: NIL,
+        };
+        let at = match self.free {
+            NIL => {
+                let at = SlotId::try_from(self.packets.len())
+                    .ok()
+                    .filter(|&at| at != NIL)
+                    .expect("fewer than 2^32 packets in flight per region");
+                self.packets.push(cell);
+                at
+            }
+            at => {
+                self.free = std::mem::replace(&mut self.packets[at as usize], cell).next;
+                at
+            }
+        };
+        match std::mem::replace(&mut self.slab_mut(to).mailbox.tail, at) {
+            NIL => self.slab_mut(to).mailbox.head = at,
+            tail => self.packets[tail as usize].next = at,
+        }
+    }
+
     /// Remove and return the first message from `from` with `tag` in
     /// `rank`'s mailbox — the same arrival-order matching rule as the
-    /// blocking communicator's pending-buffer scan.
+    /// blocking communicator's pending-buffer scan. The cell goes to the
+    /// free list.
     fn take_match(&mut self, rank: usize, from: usize, tag: u64) -> Option<Packet> {
-        let inbox = &mut self.slab_mut(rank).mailbox;
-        let idx = inbox.iter().position(|m| m.from == from && m.tag == tag)?;
-        inbox.remove(idx)
+        let (mut prev, mut at) = (NIL, self.slab(rank).mailbox.head);
+        while at != NIL {
+            let slot = &self.packets[at as usize];
+            if slot.pkt.as_ref().is_some_and(|m| m.from == from && m.tag == tag) {
+                break;
+            }
+            (prev, at) = (at, slot.next);
+        }
+        if at == NIL {
+            return None;
+        }
+        let next = std::mem::replace(&mut self.packets[at as usize].next, self.free);
+        self.free = at;
+        let mailbox = &mut self.slab_mut(rank).mailbox;
+        if next == NIL {
+            mailbox.tail = prev;
+        }
+        match prev {
+            NIL => mailbox.head = next,
+            prev => self.packets[prev as usize].next = next,
+        }
+        self.packets[at as usize].pkt.take()
+    }
+
+    /// Drop every message in `rank`'s mailbox (the rank was killed): the
+    /// whole chain goes back to the free list.
+    fn clear_mailbox(&mut self, rank: usize) {
+        let Mailbox { head, tail } = std::mem::take(&mut self.slab_mut(rank).mailbox);
+        if head == NIL {
+            return;
+        }
+        let mut at = head;
+        while at != NIL {
+            let slot = &mut self.packets[at as usize];
+            slot.pkt = None;
+            at = slot.next;
+        }
+        self.packets[tail as usize].next = self.free;
+        self.free = head;
     }
 
     /// Availability time of link `link` of a `p`-rank world: ids `< p` are a
@@ -450,26 +522,45 @@ impl RegionState {
                 tag: pkt.tag,
             });
         let at = wake.then(|| self.completion_time(world, to, &pkt));
-        let slab = self.slab_mut(to);
-        slab.mailbox.push_back(pkt);
+        self.push(to, pkt);
         if let Some(at) = at {
-            slab.wait = Wait::None;
+            self.slab_mut(to).wait = Wait::None;
             self.enqueue(to, at);
         }
     }
 
-    /// The earliest armed receive deadline of this region and what its rank
-    /// waits on. Stale entries (the rank was woken, or parked anew) are
-    /// dropped off the top of the heap on the way.
-    fn earliest_deadline(&mut self) -> Option<(DeadlineEntry, Waiting)> {
-        while let Some(&entry) = self.deadlines.peek() {
-            let slab = self.slab(entry.rank);
-            if let (Wait::Recv { from, tag }, true) = (slab.wait, slab.park_epoch == entry.epoch) {
-                return Some((entry, Waiting::Message { from, tag }));
-            }
-            self.deadlines.pop();
+    /// The earliest recv deadline of this region as `(at, rank, on)` — the
+    /// lowest rank among equals — if it can matter: `None` without a look
+    /// while [`deadline_lb`](Self::deadline_lb) is not below `floor` (no
+    /// deadline is below the bound), unless `force`d by the livelock guard.
+    /// A look is one pass over the slabs and stores the exact earliest
+    /// deadline back as the bound, so a bound left stale by ranks that were
+    /// woken since costs one pass, not one per boundary.
+    ///
+    /// Worst case: a world whose `recv_timeout` is shorter than its makespan
+    /// pays one O(ranks in region) pass each time the floor passes the bound
+    /// — at most one per window boundary. The default 120 virtual seconds
+    /// against millisecond makespans never looks.
+    fn earliest_deadline(
+        &mut self,
+        timeout_s: f64,
+        floor: f64,
+        force: bool,
+    ) -> Option<(f64, usize, Waiting)> {
+        if self.deadline_lb >= floor && !force {
+            return None;
         }
-        None
+        let mut first = None;
+        for (local, slab) in self.slabs.iter().enumerate() {
+            if let Wait::Recv { from, tag } = slab.wait {
+                let at = slab.clock + timeout_s;
+                if first.is_none_or(|(earliest, _, _)| at < earliest) {
+                    first = Some((at, self.base + local, Waiting::Message { from, tag }));
+                }
+            }
+        }
+        self.deadline_lb = first.map_or(f64::INFINITY, |(at, _, _)| at);
+        first
     }
 }
 
@@ -564,7 +655,9 @@ impl EventWorld {
                         shared_links: vec![0.0; n_shared],
                         ready: BinaryHeap::new(),
                         seq: 0,
-                        deadlines: BinaryHeap::new(),
+                        packets: Vec::new(),
+                        free: NIL,
+                        deadline_lb: f64::INFINITY,
                         first_drop: None,
                         trace: traced.then(Vec::new),
                     })
@@ -791,7 +884,7 @@ impl EventComm {
         let pkt = Packet {
             from: self.rank,
             tag,
-            data: Arc::new(data),
+            data,
             sent_at: reg.slab(self.rank).clock,
             transfer_s,
         };
@@ -949,7 +1042,7 @@ impl Future for RecvFuture<'_> {
             let rs = world.stats.rank(rank);
             rs.record_recv(pkt.data.len() as u64, self.phase);
             rs.record_comm_time(stall, (pkt.transfer_s - stall).max(0.0));
-            return Poll::Ready(take_payload(pkt.data));
+            return Poll::Ready(pkt.data);
         }
         let wait = Wait::Recv {
             from: self.from,
@@ -969,13 +1062,8 @@ impl Future for RecvFuture<'_> {
         // Arm the virtual recv deadline: if the world's virtual time outruns
         // it while this rank is still parked, the scheduler reports a
         // suspected deadlock instead of simulating on.
-        slab.park_epoch += 1;
-        let entry = DeadlineEntry {
-            at: slab.clock + world.timeout_s,
-            rank,
-            epoch: slab.park_epoch,
-        };
-        reg.deadlines.push(entry);
+        let due = slab.clock + world.timeout_s;
+        reg.deadline_lb = reg.deadline_lb.min(due);
         Poll::Pending
     }
 }
@@ -1194,7 +1282,7 @@ where
                         let slab = reg.slab_mut(r);
                         slab.dead = true;
                         slab.wait = Wait::None;
-                        slab.mailbox.clear();
+                        reg.clear_mailbox(r);
                         drop(reg);
                         tasks[r - base] = None;
                         ctl.live.fetch_sub(1, Ordering::SeqCst);
@@ -1310,19 +1398,16 @@ fn boundary(world: &EventWorld, ctl: &Control) {
     //    frozen clock can never outrun a deadline; the livelock guard fires
     //    the earliest pending one instead.
     let frozen = ctl.frozen.swap(false, Ordering::SeqCst);
-    // (`DeadlineEntry` orders for a max-heap: the earliest is the greatest.)
+    // Regions are in rank order, so keeping the first of equal deadlines
+    // keeps the lowest rank.
     let deadline = world
         .regions
         .iter()
-        .filter_map(|region| lock(region).earliest_deadline())
-        .max_by_key(|&(d, _)| d);
-    if let Some((d, on)) = deadline {
-        if d.at < floor || frozen {
-            ctl.fail(
-                world
-                    .fault_error(true)
-                    .unwrap_or(ExecError::DeadlockSuspected { rank: d.rank, on }),
-            );
+        .filter_map(|region| lock(region).earliest_deadline(world.timeout_s, floor, frozen))
+        .reduce(|first, d| if d.0 < first.0 { d } else { first });
+    if let Some((at, rank, on)) = deadline {
+        if at < floor || frozen {
+            ctl.fail(world.fault_error(true).unwrap_or(ExecError::DeadlockSuspected { rank, on }));
             ctl.stop.store(true, Ordering::SeqCst);
             return;
         }
@@ -1859,12 +1944,27 @@ mod tests {
         EventWorld::new(spec, stats, 1, false, crate::exec::spec_arena(spec))
     }
 
+    /// `rank`'s mailbox as `(from, tag, words)` in arrival order, read off the
+    /// chain — which must end at the cell the mailbox calls its tail.
+    fn mailbox_of(reg: &RegionState, rank: usize) -> Vec<(usize, u64, usize)> {
+        let Mailbox { head, tail } = reg.slab(rank).mailbox;
+        let (mut out, mut last, mut at) = (Vec::new(), NIL, head);
+        while at != NIL {
+            let slot = &reg.packets[at as usize];
+            let pkt = slot.pkt.as_ref().expect("a chained cell holds a packet");
+            out.push((pkt.from, pkt.tag, pkt.data.len()));
+            (last, at) = (at, slot.next);
+        }
+        assert_eq!(last, tail, "rank {rank}: the chain ends at the tail");
+        out
+    }
+
     /// A `words`-word packet on the unit cost model (wire time = words).
     fn unit_packet(from: usize, tag: u64, words: usize) -> Packet {
         Packet {
             from,
             tag,
-            data: Arc::new(vec![0.0; words]),
+            data: vec![0.0; words],
             sent_at: 0.0,
             transfer_s: words as f64,
         }
@@ -1876,14 +1976,75 @@ mod tests {
         let mut reg = world.lock_region(0);
         // Rank 2's mailbox, in arrival order; the word count names the packet.
         for (from, tag, words) in [(0, 1, 1), (1, 1, 2), (0, 2, 3), (0, 1, 4)] {
-            reg.slab_mut(2).mailbox.push_back(unit_packet(from, tag, words));
+            reg.push(2, unit_packet(from, tag, words));
         }
-        let left = |reg: &RegionState| reg.slab(2).mailbox.iter().map(|m| m.data.len()).collect::<Vec<_>>();
+        let left = |reg: &RegionState| mailbox_of(reg, 2).iter().map(|m| m.2).collect::<Vec<_>>();
         assert_eq!(reg.take_match(2, 0, 1).unwrap().data.len(), 1, "the earlier of the two (0, 1) packets");
         assert_eq!(left(&reg), [2, 3, 4], "the rest keeps its order");
         assert!(reg.take_match(2, 1, 2).is_none(), "sender and tag must both match");
         assert_eq!(reg.take_match(2, 0, 1).unwrap().data.len(), 4);
         assert_eq!(left(&reg), [2, 3]);
+    }
+
+    #[test]
+    fn mailbox_chains_agree_with_a_vec_model() {
+        use crate::fault::splitmix64;
+        for seed in 0..256u64 {
+            let mut state = splitmix64(seed);
+            let mut draw = |n: usize| {
+                state = splitmix64(state);
+                (state % n as u64) as usize
+            };
+            let ranks = 3 + draw(3);
+            let world = bare_world(&unit_spec(ranks));
+            let mut reg = world.lock_region(0);
+            // The model: per rank, `(from, tag, words)` in arrival order. The
+            // word count is the packet's serial number, so it names it.
+            let mut model: Vec<Vec<(usize, u64, usize)>> = vec![Vec::new(); ranks];
+            let (mut serial, mut in_flight, mut high_water) = (0, 0usize, 0usize);
+            for step in 0..200 {
+                let what = format!("seed {seed} step {step}");
+                let rank = draw(ranks);
+                match draw(8) {
+                    0..=3 => {
+                        let (from, tag) = (draw(ranks), draw(3) as u64);
+                        serial += 1;
+                        reg.deliver(&world, rank, unit_packet(from, tag, serial));
+                        model[rank].push((from, tag, serial));
+                        in_flight += 1;
+                        high_water = high_water.max(in_flight);
+                    }
+                    4..=6 => {
+                        // Mostly a key some buffered packet has, else any key.
+                        let (from, tag) = match model[rank].len() {
+                            n if n > 0 && draw(4) > 0 => {
+                                let (from, tag, _) = model[rank][draw(n)];
+                                (from, tag)
+                            }
+                            _ => (draw(ranks), draw(3) as u64),
+                        };
+                        let want = model[rank]
+                            .iter()
+                            .position(|m| (m.0, m.1) == (from, tag))
+                            .map(|i| model[rank].remove(i));
+                        let got = reg.take_match(rank, from, tag).map(|m| (m.from, m.tag, m.data.len()));
+                        assert_eq!(got, want, "{what}: take_match({rank}, {from}, {tag})");
+                        in_flight -= usize::from(want.is_some());
+                    }
+                    _ => {
+                        reg.clear_mailbox(rank);
+                        in_flight -= model[rank].len();
+                        model[rank].clear();
+                    }
+                }
+                for (r, want) in model.iter().enumerate() {
+                    assert!(mailbox_of(&reg, r).iter().eq(want), "{what}: rank {r}'s mailbox");
+                }
+                // Never above the high-water, and not below it either: the
+                // arena only grows when no freed cell is left to reuse.
+                assert_eq!(reg.packets.len(), high_water, "{what}: arena length");
+            }
+        }
     }
 
     #[test]
@@ -2057,6 +2218,94 @@ mod tests {
             })
             .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
             assert_eq!(out.stats[0].time.total_s(), 19.0, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn stale_deadline_bound_costs_one_look_and_fires_nothing() {
+        let on = Waiting::Message { from: 0, tag: 9 };
+        let spec = unit_spec(3).with_recv_timeout(std::time::Duration::from_secs(1));
+        {
+            // Rank 1 parked at t = 4 (due at 5) under a bound an earlier,
+            // long-woken park left at 1.
+            let world = bare_world(&spec);
+            let mut reg = world.lock_region(0);
+            *reg.slab_mut(1) = RankSlab {
+                wait: Wait::Recv { from: 0, tag: 9 },
+                clock: 4.0,
+                ..RankSlab::default()
+            };
+            reg.deadline_lb = 1.0;
+            assert_eq!(
+                reg.earliest_deadline(1.0, 3.0, false),
+                Some((5.0, 1, on)),
+                "floor past the bound: look"
+            );
+            assert_eq!(reg.deadline_lb, 5.0, "the look stores the exact earliest deadline");
+            assert_eq!(reg.earliest_deadline(1.0, 5.0, false), None, "floor not past the bound: no look");
+            assert_eq!(reg.earliest_deadline(1.0, 5.0, true), Some((5.0, 1, on)), "the livelock guard looks");
+            reg.slab_mut(1).wait = Wait::None;
+            assert_eq!(reg.earliest_deadline(1.0, 6.0, false), None, "nobody parked: nothing due");
+            assert_eq!(reg.deadline_lb, f64::INFINITY);
+        }
+        // The same through the driver: rank 0 parks at t = 0 (bound 1) and is
+        // woken at t = 2; rank 1 parks at t = 5 (due at 6). The floor passes
+        // the stale bound at t = 2, the look finds only rank 1's deadline,
+        // not due, and the world runs to its end at t = 7.
+        let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
+            match c.rank() {
+                0 => {
+                    c.recv(1, 1, Phase::Other).await;
+                    c.record_flops(3);
+                    c.send(1, 2, vec![0.0; 2], Phase::Other);
+                }
+                1 => {
+                    c.send(0, 1, vec![0.0; 2], Phase::Other);
+                    c.record_flops(5);
+                    c.recv(0, 2, Phase::Other).await;
+                }
+                _ => {}
+            }
+        })
+        .unwrap();
+        assert_eq!(out.stats[1].time.total_s(), 7.0);
+    }
+
+    #[test]
+    fn equal_recv_deadlines_report_the_lower_rank_at_every_thread_count() {
+        // Ranks 1 and 3 park at t = 0 on messages nobody sends, both due at
+        // t = 1; rank 2's message wakes rank 0 at t = 7.5. α = 0.5 shards the
+        // world into {0, 1} | {2, 3} and {0} | {1} | {2} | {3}: the tie is
+        // inside one region, then across two, then across two of four.
+        let cost = CostModel {
+            alpha_s: 0.5,
+            ..unit_spec(4).cost
+        };
+        let spec = MachineSpec::new(4, 1000, cost).with_recv_timeout(std::time::Duration::from_secs(1));
+        for threads in [1, 2, 4] {
+            let err = run_spmd_with(&spec, ExecBackend::Event { threads }, |mut c| async move {
+                match c.rank() {
+                    0 => {
+                        c.recv(2, 1, Phase::Other).await;
+                    }
+                    2 => {
+                        c.record_flops(5);
+                        c.send(0, 1, vec![0.0; 2], Phase::Other);
+                    }
+                    r => {
+                        c.recv(r - 1, 9, Phase::Other).await;
+                    }
+                }
+            })
+            .unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::DeadlockSuspected {
+                    rank: 1,
+                    on: Waiting::Message { from: 0, tag: 9 }
+                },
+                "{threads} threads"
+            );
         }
     }
 

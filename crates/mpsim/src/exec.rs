@@ -203,6 +203,12 @@ pub enum ExecError {
     /// Zero blocking workers or zero event scheduler threads can never step
     /// any rank.
     NoWorkers,
+    /// A sizing knob that only makes sense positive was zero — `what` names
+    /// it (e.g. a served plan cache with no shard or no room for a plan).
+    ZeroCapacity {
+        /// The offending knob.
+        what: &'static str,
+    },
     /// A rank's tracked working set exceeded the machine's enforced per-rank
     /// memory budget ([`MachineSpec::mem_budget`]). Raised identically by
     /// both backends — the budget check runs on the measured
@@ -260,6 +266,7 @@ impl fmt::Display for ExecError {
             ExecError::NoWorkers => {
                 write!(f, "execution needs at least one blocking worker or event scheduler thread")
             }
+            ExecError::ZeroCapacity { what } => write!(f, "{what} must be at least 1"),
             ExecError::MemBudgetExceeded { rank, need, budget } => write!(
                 f,
                 "rank {rank} peaked at {need} words of working memory, exceeding the \

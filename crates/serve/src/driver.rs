@@ -335,13 +335,21 @@ impl Server {
     /// Spawn a server over `registry` with `config.drivers` driver threads.
     ///
     /// # Errors
-    /// [`ExecError::NoWorkers`] when `config.pool_workers` is zero.
-    ///
-    /// # Panics
-    /// Panics when `config.drivers`, `config.cache_shards` or
-    /// `config.cache_capacity` is zero.
+    /// [`ExecError::NoWorkers`] when `config.drivers` or
+    /// `config.pool_workers` is zero, [`ExecError::ZeroCapacity`] when
+    /// `config.cache_shards` or `config.cache_capacity` is.
     pub fn new(registry: AlgorithmRegistry, config: ServerConfig) -> Result<Self, ExecError> {
-        assert!(config.drivers > 0, "the server needs at least one driver thread");
+        if config.drivers == 0 {
+            return Err(ExecError::NoWorkers);
+        }
+        for (what, size) in [
+            ("ServerConfig::cache_shards", config.cache_shards),
+            ("ServerConfig::cache_capacity", config.cache_capacity),
+        ] {
+            if size == 0 {
+                return Err(ExecError::ZeroCapacity { what });
+            }
+        }
         let shared = Arc::new(Shared {
             planner: AutoPlanner::new(registry),
             cache: PlanCache::new(config.cache_shards, config.cache_capacity),
@@ -668,6 +676,52 @@ mod tests {
         let a = Matrix::deterministic(prob.m, prob.k, seed);
         let b = Matrix::deterministic(prob.k, prob.n, seed + 1);
         JobRequest::new(id, prob, a, b)
+    }
+
+    /// What `Server::new` says to `config`, which must be a refusal.
+    fn refusal(config: ServerConfig) -> ExecError {
+        Server::new(baselines::registry(), config)
+            .err()
+            .expect("a zero-sized server is refused")
+    }
+
+    #[test]
+    fn zero_drivers_is_no_workers() {
+        let config = ServerConfig {
+            drivers: 0,
+            ..small_config()
+        };
+        assert_eq!(refusal(config), ExecError::NoWorkers);
+    }
+
+    #[test]
+    fn zero_cache_shards_is_a_typed_error() {
+        let config = ServerConfig {
+            cache_shards: 0,
+            ..small_config()
+        };
+        let err = refusal(config);
+        assert_eq!(
+            err,
+            ExecError::ZeroCapacity {
+                what: "ServerConfig::cache_shards"
+            }
+        );
+        assert_eq!(err.to_string(), "ServerConfig::cache_shards must be at least 1");
+    }
+
+    #[test]
+    fn zero_cache_capacity_is_a_typed_error() {
+        let config = ServerConfig {
+            cache_capacity: 0,
+            ..small_config()
+        };
+        assert_eq!(
+            refusal(config),
+            ExecError::ZeroCapacity {
+                what: "ServerConfig::cache_capacity"
+            }
+        );
     }
 
     #[test]

@@ -359,7 +359,7 @@ fn event_and_blocking_agree_exactly_at_p2048() {
 /// verified product and plan-exact per-rank traffic. No carrier-thread
 /// backend can hold a world this size; the stackless state machines cost
 /// bytes per rank — and how many is pinned: the peak RSS may grow across the
-/// execution by the data a rank holds plus 3 100 B, no more. Run via
+/// execution by the data a rank holds plus 2 600 B, no more. Run via
 /// `cargo test --release -- --ignored event_xl` (the CI `large-world` matrix
 /// sets `XL_RANKS` to 16384/65536/131072); the filter matters, a test running
 /// beside this one in the process would be counted in.
@@ -383,9 +383,9 @@ fn event_xl_world_executes_end_to_end() {
     // What a rank must hold at the lockstep peak is one A slab, one B slab
     // and its C tile — the plan's `mem_words` counts the slabs twice (§7.3
     // double buffering, which the simulator models and does not allocate).
-    // Everything else — future, mailbox, counters, heap entries, payloads in
-    // flight — read 2 480–2 660 B per rank when the gathers lost their cut
-    // tables and fiber groups (3 800–6 590 B before, growing with the fibers).
+    // Everything else — future, slab, counters, heap entries, packets in
+    // flight — reads 2 240–2 460 B per rank with mailboxes chained through one
+    // packet arena per region (2 480–2 660 B with a deque per rank).
     let data_words = |r: &cosma::plan::RankPlan| {
         let tile = r.bricks.first().map_or(0, |b| b.rows.len() * b.cols.len());
         (r.mem_words + tile as u64) / 2
@@ -393,7 +393,7 @@ fn event_xl_world_executes_end_to_end() {
     let data = 8.0 * plan.ranks.iter().map(data_words).sum::<u64>() as f64 / p as f64;
     eprintln!("p={p}: peak RSS grew by {grown:.0} B per rank, {data:.0} B of them slabs and tile");
     assert!(
-        grown <= data + 3_100.0,
+        grown <= data + 2_600.0,
         "p={p}: {grown:.0} B of host memory per rank for {data:.0} B of data"
     );
     assert!(want.approx_eq(&report.c, 1e-9), "p={p}: product off by {}", want.max_abs_diff(&report.c));
@@ -404,6 +404,32 @@ fn event_xl_world_executes_end_to_end() {
             "p={p}: rank {r} executed traffic deviates from the plan"
         );
     }
+}
+
+/// The message-bound shape's host memory: SUMMA 256³ on 4 096 ranks (the
+/// benchmark's `summa-msgs` world — 126 sixteen-word messages per rank through
+/// `bcast_pipelined`) on the event backend. A mailbox costs per packet in
+/// flight in the region, not per rank, so the peak RSS may grow across the
+/// execution by BOUND bytes per rank and no more. Run via
+/// `cargo test --release -- --ignored event_summa_msgs`, under that filter
+/// alone: a test running beside it in the process would be counted in.
+#[test]
+#[ignore = "reads the process's peak RSS; run alone with --ignored"]
+fn event_summa_msgs_world_pins_host_bytes() {
+    const BOUND: f64 = 4_000.0;
+    let prob = MmmProblem::new(256, 256, 256, 4096, 1 << 20);
+    let algo = baselines::registry().by_id(AlgoId::Summa).unwrap();
+    let plan = algo.plan(&prob, &model()).unwrap();
+    let a = Matrix::deterministic(prob.m, prob.k, 71);
+    let b = Matrix::deterministic(prob.k, prob.n, 72);
+    let want = matmul(&a, &b);
+    let spec = MachineSpec::piz_daint_with_memory(prob.p, prob.mem_words);
+    let before = common::vm_hwm_kib();
+    let report = execute_boxed(algo.as_ref(), &plan, &spec, ExecBackend::event(), &a, &b).unwrap();
+    let grown = (common::vm_hwm_kib() - before) as f64 * 1024.0 / prob.p as f64;
+    eprintln!("summa p={}: peak RSS grew by {grown:.0} B per rank", prob.p);
+    assert!(grown <= BOUND, "{grown:.0} B of host memory per rank, bound {BOUND:.0}");
+    assert!(want.approx_eq(&report.c, 1e-9), "product off by {}", want.max_abs_diff(&report.c));
 }
 
 /// An integer-valued matrix: every product and partial sum is an exactly
