@@ -16,40 +16,23 @@
 //!
 //! Additional maintenance commands (not part of `all`):
 //!
-//! * `bench-smoke` — the CI perf-regression gate: runs a small executed
-//!   subset, writes the rows to `results/bench-smoke.json`, and exits
-//!   non-zero if any row's measured traffic deviates from its plan, an
-//!   event-backend row's measured virtual time disagrees with
-//!   `DistPlan::simulate` beyond the stated band (or overlap-on beats
-//!   overlap-off), or a scenario's measured MB / simulated wall-clock
-//!   regresses > 10% against the committed
-//!   `results/bench-smoke-baseline.csv`. A `topo-smoke` section re-executes
-//!   the timed world under the congested fat-tree preset and fails on any
-//!   bitwise divergence of the flat or the fat-tree rows from the committed
-//!   `results/topo-smoke-baseline.csv`, or a fat-tree row faster than its
-//!   flat one. The gate ends with the
-//!   `serve-smoke` row: a 64-job mixed stream through `crates/serve` that
-//!   must match serial execution bitwise, answer cached planning >= 10x
-//!   faster than cold, hit the cache, auto-select >= 3 algorithms, and hold
-//!   machine-normalized jobs/s (per cold-plan/s, so shared-box speed swings
-//!   cancel) within 10% of the committed
-//!   `results/serve-smoke-baseline.csv`. A closing `fault-smoke` section
-//!   arms a fixed-seed `FaultPlan` (15 of 64 ranks die mid-run) and fails
-//!   unless the job completes via the retry policy on the surviving
-//!   p′ = 49 with measured traffic and virtual clock bitwise-equal to the
-//!   committed `results/fault-smoke-baseline.csv`, and unless a quiescent
-//!   fault plan leaves the zero-fault run bitwise-untouched. A closing
-//!   `gemm-smoke` section times the default packed local kernel against the
-//!   naive reference and fails unless it matches bitwise on integer
-//!   matrices and beats it by the committed factor.
-//! * `bench-smoke-baseline` — regenerate all four committed baselines.
+//! * `bench-smoke` — the CI gate. Rebuilds the deterministic smoke record
+//!   ([`bench::baseline::Record::smoke`]: a small executed subset on both
+//!   backends, an enforced memory budget, one and four scheduler regions,
+//!   the timed world flat and under the congested fat tree in both overlap
+//!   modes, fault recovery, a served stream, the local kernel), checks its
+//!   structural contracts, and compares the rendered text with the
+//!   committed `results/bench-smoke-baseline.csv` byte for byte. Exits
+//!   non-zero on a broken contract or a differing byte, naming the lines.
+//!   It measures no host time: that is `benchmark/`'s job.
+//! * `bench-smoke-baseline` — regenerate the committed record.
 //! * `exec-rss <blocking|event>` — run the square p = 4096 executed
 //!   scenario on one backend and report the process peak RSS (`VmHWM`), for
 //!   the per-backend memory table in `EXPERIMENTS.md`.
 
 use baselines::p25d::Geometry25;
 use baselines::P25dAlgorithm;
-use bench::baseline::{self, exact, Baseline};
+use bench::baseline::{self, Record};
 use bench::output::{fmt, Table};
 use bench::runner::{self, cosma_speedup, five_numbers, geomean, run_all, AlgoRow, COMPARED};
 use bench::scenarios::{self, Scenario};
@@ -502,9 +485,6 @@ fn table4() {
 // ---------------------------------------------------------------------------
 
 fn executed_table() -> Table {
-    // New columns only ever append so the column indices the bench-smoke
-    // gate reads from the committed baseline (key at 0..4, measured MB at
-    // 5, measured ms at 11) stay stable.
     Table::new(&[
         "shape",
         "cores",
@@ -1090,745 +1070,62 @@ fn faults_experiment() {
 }
 
 // ---------------------------------------------------------------------------
-// bench-smoke: the CI perf-regression gate
+// bench-smoke: the CI gate — one deterministic record, rebuilt and compared
 // ---------------------------------------------------------------------------
 
-/// The gate's scenario subset: small enough for every CI run, wide enough to
-/// cover both executors, both a small and a large world, and one
-/// memory-starved world run under an enforced budget.
-fn smoke_rows() -> Vec<(String, usize, runner::ExecutedRow)> {
-    let m = model();
-    let mut out = Vec::new();
-    // A fixed blocking worker count keeps the row keys (and so the
-    // committed baseline) stable across machines with different core counts.
-    let blocking = ExecBackend::Blocking { workers: 2 };
-    for (name, p, backend) in [
-        ("square", 64, blocking),
-        ("square", 512, blocking),
-        ("square", 1024, blocking),
-        ("square", 1024, ExecBackend::event()),
-    ] {
-        let prob = scenarios::exec_problem(Shape::Square, p);
-        for row in runner::execute_all(&prob, &m, backend) {
-            out.push((name.to_string(), p, row));
-        }
-    }
-    // The memory-starved conformance case: S enforced as a hard budget, so
-    // only memory-honest plans run (DFS-streaming CARMA) and a budget
-    // regression fails the gate before it ever reaches the baseline diff.
-    let tight = scenarios::mem_starved_problem(64, 1 << 10);
-    for row in runner::execute_budgeted(&tight, &m, blocking) {
-        out.push(("square-tight".to_string(), 64, row));
-    }
-    // The exec-xxl proxy rows: COSMA on the exec-xl shape at a CI-sized
-    // world, once on the single-threaded event scheduler and once sharded
-    // across 4 regions. bench_smoke holds the pair bitwise-identical on
-    // measured MB *and* the virtual clock — the parallel scheduler's
-    // determinism contract, gated on every CI run.
-    let cosma = runner::registry().by_id(AlgoId::Cosma).expect("registry has COSMA");
-    let xxl = scenarios::exec_xl_problem(4096);
-    for backend in [ExecBackend::event(), ExecBackend::Event { threads: 4 }] {
-        for row in runner::execute_with(std::slice::from_ref(&cosma), &xxl, &m, backend) {
-            out.push(("square-xxl".to_string(), 4096, row));
-        }
-    }
-    out
+/// Rebuild the gate record and print it, floats rounded for reading.
+fn smoke_record() -> Record {
+    let record = Record::smoke();
+    record.table(|x| fmt(x, 4)).print();
+    record
 }
 
-fn smoke_key(name: &str, p: usize, row: &runner::ExecutedRow) -> String {
-    format!("{name}/{p}/{}/{}", row.backend, row.algo)
-}
-
-fn smoke_table(rows: &[(String, usize, runner::ExecutedRow)]) -> Table {
-    let mut t = executed_table();
-    for (name, p, row) in rows {
-        push_executed_rows(&mut t, name, *p, std::slice::from_ref(row));
-    }
-    t
-}
-
-/// Write the smoke rows as a JSON array (the CI artifact). No external JSON
-/// dependency in the container, so the writer is hand-rolled; keys and the
-/// flat shape are stable for downstream tooling.
-fn write_smoke_json(rows: &[(String, usize, runner::ExecutedRow)]) -> std::path::PathBuf {
-    use std::io::Write as _;
-    let dir = bench::output::results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join("bench-smoke.json");
-    let mut f = std::fs::File::create(&path).expect("create bench-smoke.json");
-    writeln!(f, "[").unwrap();
-    for (i, (name, p, row)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            f,
-            "  {{\"scenario\": \"{name}\", \"cores\": {p}, \"backend\": \"{}\", \
-             \"algorithm\": \"{}\", \"planned_mb\": {:.6}, \"measured_mb\": {:.6}, \
-             \"exact\": {}, \"wall_s\": {:.3}, \"peak_mem_words\": {}, \
-             \"within_mem\": {}, \"planned_time_s\": {:.9}, \"measured_time_s\": {:.9}, \
-             \"measured_percent_peak\": {:.4}, \"allocs\": {}, \"pool_hit_rate\": {:.4}}}{comma}",
-            row.backend,
-            row.algo,
-            row.planned_mb,
-            row.measured_mb,
-            row.exact,
-            row.wall_s,
-            row.peak_mem_words,
-            row.within_mem,
-            row.planned_time_s,
-            row.measured_time_s,
-            row.measured_percent_peak,
-            row.allocs,
-            row.pool_hit_rate
-        )
-        .unwrap();
-    }
-    writeln!(f, "]").unwrap();
-    path
-}
-
-/// The topo-smoke scenario: the gate's timed event world (square p = 1024)
-/// re-executed under the congested fat-tree preset with Block placement.
-fn topo_smoke_fat_rows(m: &CostModel) -> Vec<runner::TimedRow> {
-    let prob = scenarios::exec_problem(Shape::Square, 1024);
-    runner::time_all_topo(&prob, m, &Topology::congested_fat_tree(), Placement::Block)
-}
-
-fn topo_smoke_table(flat: &[runner::TimedRow], fat: &[runner::TimedRow]) -> Table {
-    let mut t = Table::new(&["algorithm", "flat ms", "fat ms", "fat/flat"]);
-    for (f, c) in flat.iter().zip(fat) {
-        t.row(vec![
-            f.algo.to_string(),
-            fmt(f.measured_s * 1e3, 4),
-            fmt(c.measured_s * 1e3, 4),
-            fmt(c.measured_s / f.measured_s, 2),
-        ]);
-    }
-    t
-}
-
-/// The serve-smoke stream: smaller than the `serve` experiment's, same
-/// roster — 64 jobs is enough to exercise repeats, auto-selection variety
-/// and concurrency.
-///
-/// Wall-clock throughput on a shared CI box is noisy (the stream takes tens
-/// of milliseconds), so the gated quantity is the best normalized
-/// throughput (jobs/s per cold-plan/s) of three reps — while the
-/// correctness bit must hold on *every* rep.
-fn serve_smoke_metrics() -> bench::serve_bench::ServeMetrics {
-    let mut reps: Vec<_> = (0..3).map(|_| bench::serve_bench::measure(64, None)).collect();
-    let all_match = reps.iter().all(|m| m.all_match_serial);
-    let best_at = reps
-        .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| {
-            normalized_jobs(a.jobs_per_s, a.cold_plans_per_s)
-                .total_cmp(&normalized_jobs(b.jobs_per_s, b.cold_plans_per_s))
-        })
-        .map(|(i, _)| i)
-        .expect("three reps");
-    let mut best = reps.swap_remove(best_at);
-    best.all_match_serial = all_match;
-    best
-}
-
-/// The gated serve-smoke quantity: machine-normalized throughput, jobs/s
-/// per cold-plan/s.
-///
-/// Raw wall-clock jobs/s swings with whatever else shares the CI box, but
-/// it tracks the same run's single-threaded cold planning throughput almost
-/// exactly (both scale with effective machine speed), so their ratio
-/// isolates serving-layer regressions — driver overhead, lock contention,
-/// pool scheduling — from the machine being slow that minute.
-fn normalized_jobs(jobs_per_s: f64, cold_plans_per_s: f64) -> f64 {
-    jobs_per_s / cold_plans_per_s
-}
-
-/// What the fault-smoke section of the gate measured.
-struct FaultSmoke {
-    /// Whether arming a quiescent fault plan left the clean run's product
-    /// and per-rank stats bitwise-untouched.
-    zero_fault_bitwise: bool,
-    /// Whether the faulted job completed via recovery.
-    recovered_ok: bool,
-    /// Executions the recovered job took (injected failure + clean re-run).
-    attempts: usize,
-    /// Whether the job completed on fewer ranks than requested.
-    degraded: bool,
-    /// The surviving world size the recovery replanned for.
-    p_prime: usize,
-    /// The recovered run's measured traffic, MB.
-    measured_mb: f64,
-    /// The recovered run's measured virtual clock, ms.
-    measured_ms: f64,
-}
-
-/// The fault-smoke scenario: the serve-conformance world (96×80×112,
-/// p = 64) under a fixed-seed `FaultPlan` felling 15 ranks mid-run,
-/// recovered under `RetryPolicy::attempts(2)` by replanning the surviving
-/// p′ = 49. The recovery re-run is a *clean* event run at p′, so its
-/// measured traffic and virtual clock are exactly reproducible — the
-/// committed baseline holds them bitwise.
-fn fault_smoke_run() -> FaultSmoke {
-    use densemat::matrix::Matrix;
-    use serve::{FaultPlan, JobRequest, RetryPolicy, Server, ServerConfig};
-
-    let prob = MmmProblem::new(96, 80, 112, 64, 1 << 14);
-    let a = Matrix::deterministic(prob.m, prob.k, 5);
-    let b = Matrix::deterministic(prob.k, prob.n, 6);
-    let server = Server::new(baselines::registry(), ServerConfig::default()).unwrap();
-
-    // The pre-fault clock, and the same job with a quiescent plan armed —
-    // the latter must change nothing, bit for bit.
-    let clean = server
-        .run_sync(JobRequest::new(0, prob, a.clone(), b.clone()).backend(ExecBackend::event()))
-        .outcome
-        .expect("clean run");
-    let quiet = server
-        .run_sync(JobRequest::new(1, prob, a.clone(), b.clone()).faults(FaultPlan::new(7)))
-        .outcome
-        .expect("a quiescent fault plan cannot fail a run");
-    let zero_fault_bitwise = quiet.report.c == clean.report.c && quiet.report.stats == clean.report.stats;
-
-    let horizon = clean.report.measured_time_s() / 2.0;
-    let plan = FaultPlan::new(7).kill_exactly(15, horizon);
-    let recovered =
-        server.run_sync(JobRequest::new(2, prob, a, b).faults(plan).retry(RetryPolicy::attempts(2)));
-    let (recovered_ok, p_prime, measured_mb, measured_ms) = match &recovered.outcome {
-        Ok(out) => (
-            true,
-            out.plan.problem.p,
-            mpsim::stats::aggregate::total_volume(&out.report.stats) as f64 * 8.0 / 1e6,
-            out.report.measured_time_s() * 1e3,
-        ),
-        Err(_) => (false, 0, 0.0, 0.0),
-    };
-    let smoke = FaultSmoke {
-        zero_fault_bitwise,
-        recovered_ok,
-        attempts: recovered.attempts,
-        degraded: recovered.degraded,
-        p_prime,
-        measured_mb,
-        measured_ms,
-    };
-    let _ = server.shutdown();
-    smoke
-}
-
-fn fault_smoke_table(fs: &FaultSmoke) -> Table {
-    let mut t = Table::new(&["metric", "value"]);
-    t.row(vec!["zero-fault bitwise".into(), fs.zero_fault_bitwise.to_string()]);
-    t.row(vec!["recovered".into(), fs.recovered_ok.to_string()]);
-    t.row(vec!["attempts".into(), fs.attempts.to_string()]);
-    t.row(vec!["degraded".into(), fs.degraded.to_string()]);
-    t.row(vec!["p'".into(), fs.p_prime.to_string()]);
-    t.row(vec!["measured MB".into(), fmt(fs.measured_mb, 4)]);
-    t.row(vec!["measured ms".into(), fmt(fs.measured_ms, 4)]);
-    t
-}
-
-// ---------------------------------------------------------------------------
-// gemm-smoke: the local-kernel half of the gate (§7 local tuning)
-// ---------------------------------------------------------------------------
-
-/// The committed local-kernel speedup floor: on the gate's 320³ multiply,
-/// `gemm_packed` must beat `gemm_naive` by at least this factor. With the
-/// workspace's `target-cpu=native` build the packed kernel measures ~2.3×
-/// naive; the floor is set low enough to absorb noisy CI neighbours while
-/// still failing if the default kernel silently decays to naive speed.
-const GEMM_SMOKE_MIN_SPEEDUP: f64 = 1.5;
-
-/// What the gemm-smoke section of the gate measured.
-struct GemmSmoke {
-    /// Whether packed and naive agreed bit for bit on the integer matrices.
-    bitwise: bool,
-    /// Best per-multiply seconds of the naive kernel.
-    naive_s: f64,
-    /// Best per-multiply seconds of the packed kernel.
-    packed_s: f64,
-    /// The packed kernel's sustained flop rate.
-    packed_flops_per_s: f64,
-    /// That rate as a percent of the cost model's single-core peak.
-    percent_peak: f64,
-}
-
-/// Best per-iteration seconds of three adaptive reps (one warm-up call
-/// sizes the iteration count to ~120 ms per rep). The minimum over reps is
-/// the least-contended estimate — the standard noisy-neighbour defence.
-fn best_time_s(mut f: impl FnMut()) -> f64 {
-    use std::time::Instant;
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().max(std::time::Duration::from_nanos(1));
-    let iters = (120_000_000u128 / once.as_nanos()).clamp(1, 100_000) as u32;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
-}
-
-fn gemm_smoke_run(m: &CostModel) -> GemmSmoke {
-    use densemat::gemm::{gemm_naive, gemm_packed, mmm_flops};
-    use densemat::matrix::Matrix;
-    use std::hint::black_box;
-    let n = 320;
-    // Small-integer entries: every product and partial sum is exact, so the
-    // bitwise comparison cannot hide behind rounding noise (the kernels
-    // share the k-order on arbitrary f64 anyway — §7's kernel swap is
-    // contracted to be invisible, and this row gates that on every CI run).
-    let ints = |s: usize| Matrix::from_fn(n, n, move |i, j| ((i * 31 + j * 7 + s) % 8 + 1) as f64);
-    let a = ints(1);
-    let b = ints(2);
-    let mut c_naive = Matrix::zeros(n, n);
-    gemm_naive(&a, &b, &mut c_naive);
-    let mut c_packed = Matrix::zeros(n, n);
-    gemm_packed(&a, &b, &mut c_packed);
-    let bitwise = c_naive
-        .as_slice()
-        .iter()
-        .zip(c_packed.as_slice())
-        .all(|(x, y)| x.to_bits() == y.to_bits());
-    // The kernels accumulate into C, so reusing one sink across timed
-    // iterations is safe (the values grow, the work does not change).
-    let mut sink = Matrix::zeros(n, n);
-    let naive_s = best_time_s(|| gemm_naive(black_box(&a), black_box(&b), black_box(&mut sink)));
-    let mut sink = Matrix::zeros(n, n);
-    let packed_s = best_time_s(|| gemm_packed(black_box(&a), black_box(&b), black_box(&mut sink)));
-    let packed_flops_per_s = mmm_flops(n, n, n) as f64 / packed_s;
-    GemmSmoke {
-        bitwise,
-        naive_s,
-        packed_s,
-        packed_flops_per_s,
-        percent_peak: 100.0 * packed_flops_per_s / m.peak_flops,
-    }
-}
-
-fn gemm_smoke_table(gs: &GemmSmoke) -> Table {
-    let mut t = Table::new(&["metric", "value"]);
-    t.row(vec!["bitwise vs naive".into(), gs.bitwise.to_string()]);
-    t.row(vec!["naive ms".into(), fmt(gs.naive_s * 1e3, 3)]);
-    t.row(vec!["packed ms".into(), fmt(gs.packed_s * 1e3, 3)]);
-    t.row(vec!["speedup".into(), fmt(gs.naive_s / gs.packed_s, 2)]);
-    t.row(vec!["packed Gflop/s".into(), fmt(gs.packed_flops_per_s / 1e9, 2)]);
-    t.row(vec!["% of model peak".into(), fmt(gs.percent_peak, 1)]);
-    t
-}
-
-fn bench_smoke_baseline() {
-    println!("== bench-smoke-baseline: (re)recording the committed gate baseline ==\n");
-    let rows = smoke_rows();
-    let t = smoke_table(&rows);
-    t.print();
-    baseline::write("bench-smoke", &t).expect("write baseline csv");
-    println!("\nrecording the topo-smoke rows (square/1024, congested fat-tree)...\n");
-    let m = model();
-    let timed_prob = scenarios::exec_problem(Shape::Square, 1024);
-    let flat_timed = runner::time_all(&timed_prob, &m);
-    let fat_timed = topo_smoke_fat_rows(&m);
-    topo_smoke_table(&flat_timed, &fat_timed).print();
-    // Times in `exact` form: the gate is *bitwise*, not a tolerance band.
-    let mut t = Table::new(&["algorithm", "flat ms", "fat ms"]);
-    for (f, c) in flat_timed.iter().zip(&fat_timed) {
-        t.row(vec![
-            f.algo.to_string(),
-            exact(f.measured_s * 1e3),
-            exact(c.measured_s * 1e3),
-        ]);
-    }
-    baseline::write("topo-smoke", &t).expect("write topo baseline csv");
-    println!("\nrecording the serve-smoke stream...\n");
-    let metrics = serve_smoke_metrics();
-    serve_metrics_table(&metrics).print();
-    let mut t = Table::new(&["metric", "value"]);
-    t.row(vec!["jobs_per_s".into(), format!("{:.3}", metrics.jobs_per_s)]);
-    t.row(vec![
-        "cold_plans_per_s".into(),
-        format!("{:.1}", metrics.cold_plans_per_s),
-    ]);
-    t.row(vec![
-        "cached_plans_per_s".into(),
-        format!("{:.1}", metrics.cached_plans_per_s),
-    ]);
-    baseline::write("serve-smoke", &t).expect("write serve baseline csv");
-    println!("\nrecording the fault-smoke row (96x80x112/64, seed 7, 15 kills)...\n");
-    let fs = fault_smoke_run();
-    fault_smoke_table(&fs).print();
-    assert!(
-        fs.recovered_ok && fs.zero_fault_bitwise && fs.attempts == 2 && fs.degraded,
-        "fault-smoke must recover cleanly before its baseline is recorded"
-    );
-    // `exact` floats again: the recovery re-run is clean at p', so its gate
-    // is bitwise too.
-    let mut t = Table::new(&["metric", "value"]);
-    t.row(vec!["p_prime".into(), fs.p_prime.to_string()]);
-    t.row(vec!["attempts".into(), fs.attempts.to_string()]);
-    t.row(vec!["measured_mb".into(), exact(fs.measured_mb)]);
-    t.row(vec!["measured_ms".into(), exact(fs.measured_ms)]);
-    baseline::write("fault-smoke", &t).expect("write fault baseline csv");
-    println!(
-        "\nwrote results/bench-smoke-baseline.csv, results/topo-smoke-baseline.csv, \
-         results/serve-smoke-baseline.csv and results/fault-smoke-baseline.csv — \
-         commit all four to update the gate.\n"
-    );
-}
-
-fn bench_smoke() {
-    println!("== bench-smoke: executed perf-regression gate ==\n");
-    let m = model();
-    let rows = smoke_rows();
-    let t = smoke_table(&rows);
-    t.print();
-    let json = write_smoke_json(&rows);
-    println!("\nwrote {}", json.display());
-    let mut failures: Vec<String> = Vec::new();
-    // Gate 1: planned-vs-measured divergence is always a failure (`exact`
-    // compares the underlying word counts rank by rank), and so is a rank
-    // peaking past the problem's per-rank memory S. The *time* axis is held
-    // the same way on every row that measured it (event backend): the
-    // virtual clock must agree with DistPlan::simulate within the stated
-    // TIME_AGREEMENT_FACTOR band.
-    for (name, p, row) in &rows {
-        if !row.exact {
-            failures.push(format!(
-                "{}: measured {} MB deviates from planned {} MB",
-                smoke_key(name, *p, row),
-                fmt(row.measured_mb, 4),
-                fmt(row.planned_mb, 4)
-            ));
-        }
-        if !row.within_mem {
-            failures.push(format!(
-                "{}: peak working set {} words exceeds the per-rank memory S",
-                smoke_key(name, *p, row),
-                row.peak_mem_words
-            ));
-        }
-        if row.measured_time_s > 0.0 {
-            let f = runner::TIME_AGREEMENT_FACTOR;
-            if row.measured_time_s > row.planned_time_s * f || row.measured_time_s < row.planned_time_s / f {
-                failures.push(format!(
-                    "{}: measured {} ms disagrees with planned {} ms beyond x{f}",
-                    smoke_key(name, *p, row),
-                    fmt(row.measured_time_s * 1e3, 4),
-                    fmt(row.planned_time_s * 1e3, 4)
-                ));
-            }
-        }
-    }
-    // Gate 1d: the parallel scheduler's determinism contract — the
-    // square-xxl pair (event vs event(4)) must agree *bitwise* on measured
-    // traffic and the measured virtual clock. Not a tolerance band: region
-    // sharding is an implementation detail of wall-clock, so any divergence
-    // is a scheduler-semantics bug.
-    {
-        let xxl: Vec<_> = rows.iter().filter(|(name, _, _)| name == "square-xxl").collect();
-        let single = xxl
-            .iter()
-            .find(|(_, _, r)| matches!(r.backend, ExecBackend::Event { threads: 1 }));
-        for (name, p, row) in &xxl {
-            let Some((_, _, base)) = single else {
-                failures.push("square-xxl: no single-threaded reference row produced".into());
-                break;
-            };
-            if row.measured_mb != base.measured_mb || row.measured_time_s != base.measured_time_s {
-                failures.push(format!(
-                    "{}: measured {} MB / {:.17e} ms diverges bitwise from the single-threaded \
-                     scheduler's {} MB / {:.17e} ms — parallel determinism broken",
-                    smoke_key(name, *p, row),
-                    fmt(row.measured_mb, 6),
-                    row.measured_time_s * 1e3,
-                    fmt(base.measured_mb, 6),
-                    base.measured_time_s * 1e3
-                ));
-            }
-        }
-        if xxl.len() < 2 {
-            failures.push("square-xxl: expected both the event and event(4) rows".into());
-        }
-    }
-    // Gate 1b: overlap semantics on the event scenario — double buffering
-    // may only help: measured overlap-on <= overlap-off for every compared
-    // algorithm, and both modes inside the agreement band.
-    let timed_prob = scenarios::exec_problem(Shape::Square, 1024);
-    let flat_timed = runner::time_all(&timed_prob, &m);
-    for row in &flat_timed {
-        if !row.agrees() {
-            failures.push(format!(
-                "timed/1024/{}: measured {}/{} ms (ovl on/off) vs planned {}/{} ms breaks \
-                 the overlap/agreement contract",
-                row.algo,
-                fmt(row.measured_s * 1e3, 4),
-                fmt(row.measured_no_overlap_s * 1e3, 4),
-                fmt(row.planned_s * 1e3, 4),
-                fmt(row.planned_no_overlap_s * 1e3, 4)
-            ));
-        }
-    }
-    // Gate 1c: topo-smoke — the same timed world re-executed under the
-    // congested fat-tree preset. Two contracts: (a) the flat *and* the
-    // fat-tree rows must match the committed
-    // `results/topo-smoke-baseline.csv` *bitwise* (the run is
-    // single-threaded and deterministic, the flat topology is required to
-    // reproduce the pre-topology virtual clock float-op for float-op, and
-    // the fat-tree rows hold the shared-link clock's global consumption
-    // order — any drift is a semantics change, never noise); (b) contention
-    // may only hurt — fat-tree time >= flat time on every row, baseline or
-    // not.
-    println!("\n-- topo-smoke (square/1024, congested fat-tree) --");
-    let fat_timed = topo_smoke_fat_rows(&m);
-    topo_smoke_table(&flat_timed, &fat_timed).print();
-    for (f, c) in flat_timed.iter().zip(&fat_timed) {
-        if c.measured_s < f.measured_s || c.measured_no_overlap_s < f.measured_no_overlap_s {
-            failures.push(format!(
-                "topo-smoke/{}: fat-tree measured {}/{} ms (ovl on/off) beats flat {}/{} ms — \
-                 contention decreased a measured time",
-                f.algo,
-                fmt(c.measured_s * 1e3, 4),
-                fmt(c.measured_no_overlap_s * 1e3, 4),
-                fmt(f.measured_s * 1e3, 4),
-                fmt(f.measured_no_overlap_s * 1e3, 4)
-            ));
-        }
-    }
-    match Baseline::read("topo-smoke", 1) {
-        Some(base) => {
-            for (f, c) in flat_timed.iter().zip(&fat_timed) {
-                let algo = f.algo.to_string();
-                match base.num(&algo, 1).zip(base.num(&algo, 2)) {
-                    Some((base_flat_ms, base_fat_ms)) => {
-                        for (what, got_ms, base_ms) in [
-                            ("flat", f.measured_s * 1e3, base_flat_ms),
-                            ("fat-tree", c.measured_s * 1e3, base_fat_ms),
-                        ] {
-                            if got_ms != base_ms {
-                                failures.push(format!(
-                                    "topo-smoke/{}: {what} measured {got_ms:.17e} ms diverges from \
-                                     baseline {base_ms:.17e} ms — both topologies must stay \
-                                     bitwise-identical",
-                                    f.algo
-                                ));
-                            }
-                        }
-                    }
-                    None => failures.push(format!(
-                        "topo-smoke/{}: no baseline entry — run `experiments \
-                         bench-smoke-baseline` and commit it",
-                        f.algo
-                    )),
-                }
-            }
-        }
-        None => failures.push(
-            "results/topo-smoke-baseline.csv missing — run `experiments bench-smoke-baseline` and commit it"
-                .into(),
-        ),
-    }
-    // Gate 2: measured MB must not regress > 10% against the committed
-    // baseline (more traffic than recorded = a perf regression), and
-    // neither may the measured virtual wall-clock on rows that time
-    // (simulated-time regressions are schedule regressions: more exposed
-    // stalls for the same words). Rows the baseline does not know are fatal
-    // too: they mean the subset or the key format changed without
-    // `bench-smoke-baseline` being re-committed, and ignoring them would
-    // let the gate pass vacuously.
-    match Baseline::read("bench-smoke", 4) {
-        Some(base) => {
-            // Coverage must not shrink either: a baseline row the current
-            // run no longer produces means a scenario was silently dropped
-            // (e.g. a planner started erroring), which would otherwise make
-            // the gate pass vacuously.
-            let produced: std::collections::HashSet<String> =
-                rows.iter().map(|(name, p, row)| smoke_key(name, *p, row)).collect();
-            for key in base.keys() {
-                if !produced.contains(&key) {
-                    failures.push(format!(
-                        "{key}: in the baseline but not produced by this run — scenario dropped?"
-                    ));
-                }
-            }
-            for (name, p, row) in &rows {
-                let key = smoke_key(name, *p, row);
-                // `measured MB` is column 5 and `meas ms` column 11 (0 on
-                // blocking-backend rows, which keep no virtual clock).
-                match base.num(&key, 5) {
-                    Some(base_mb) => {
-                        if row.measured_mb > base_mb * 1.10 + 1e-9 {
-                            failures.push(format!(
-                                "{key}: measured {} MB regresses >10% over baseline {} MB",
-                                fmt(row.measured_mb, 2),
-                                fmt(base_mb, 2)
-                            ));
-                        }
-                        // Time-regression gate: only on rows where both the
-                        // run and the baseline measured a virtual clock.
-                        let base_ms = base.num(&key, 11).unwrap_or(0.0);
-                        if base_ms > 0.0 && row.measured_time_s * 1e3 > base_ms * 1.10 + 1e-9 {
-                            failures.push(format!(
-                                "{key}: measured {} ms regresses >10% over baseline {} ms \
-                                 (simulated wall-clock)",
-                                fmt(row.measured_time_s * 1e3, 4),
-                                fmt(base_ms, 4)
-                            ));
-                        }
-                    }
-                    // A key the baseline lacks means the subset (or the key
-                    // format itself) changed without regenerating the
-                    // baseline — fatal, or the gate would pass vacuously.
-                    None => failures.push(format!(
-                        "{key}: no baseline entry — run `experiments bench-smoke-baseline` and commit it"
-                    )),
-                }
-            }
-        }
-        None => failures.push(
-            "results/bench-smoke-baseline.csv missing — run `experiments bench-smoke-baseline` and commit it"
-                .into(),
-        ),
-    }
-    // Gate 3: the serve-smoke row — the serving layer's own contract. A
-    // mixed 64-job stream must (a) produce results bitwise-identical to
-    // serial execution (concurrency may change throughput, never answers),
-    // (b) answer cached planning at least 10x faster than cold planning,
-    // (c) actually hit the cache, (d) auto-select at least 3 algorithms,
-    // and (e) hold machine-normalized jobs/s (per cold-plan/s, see
-    // normalized_jobs) within 10% of the committed serve baseline.
-    println!("\n-- serve-smoke --");
-    let sm = serve_smoke_metrics();
-    serve_metrics_table(&sm).print();
-    if !sm.all_match_serial {
-        failures.push("serve-smoke: concurrent results diverge from serial execution".into());
-    }
-    if sm.cached_plans_per_s < 10.0 * sm.cold_plans_per_s {
-        failures.push(format!(
-            "serve-smoke: cached planning {} plans/s is not 10x cold {} plans/s",
-            fmt(sm.cached_plans_per_s, 0),
-            fmt(sm.cold_plans_per_s, 0)
-        ));
-    }
-    if sm.hit_rate <= 0.0 {
-        failures.push("serve-smoke: the mixed stream never hit the plan cache".into());
-    }
-    if sm.algos_selected.len() < 3 {
-        failures
-            .push(format!("serve-smoke: only {:?} auto-selected (want >= 3 algorithms)", sm.algos_selected));
-    }
-    let serve_base = Baseline::read("serve-smoke", 1)
-        .and_then(|base| Some(normalized_jobs(base.num("jobs_per_s", 1)?, base.num("cold_plans_per_s", 1)?)));
-    match serve_base {
-        Some(base_ratio) => {
-            let ratio = normalized_jobs(sm.jobs_per_s, sm.cold_plans_per_s);
-            if ratio < base_ratio * 0.90 {
-                failures.push(format!(
-                    "serve-smoke: normalized throughput {} jobs per 1000 cold plans \
-                     regresses >10% under baseline {}",
-                    fmt(ratio * 1000.0, 2),
-                    fmt(base_ratio * 1000.0, 2)
-                ));
-            }
-        }
-        None => failures.push(
-            "results/serve-smoke-baseline.csv missing — run `experiments bench-smoke-baseline` and commit it"
-                .into(),
-        ),
-    }
-    // Gate 4: fault-smoke — the failure-recovery contract. A fixed-seed
-    // FaultPlan fells 15 of 64 ranks mid-run; the job must complete via the
-    // retry policy by replanning the surviving p' = 49, one injected
-    // failure plus one clean re-run. The recovered run's measured traffic
-    // and virtual clock must match the committed
-    // `results/fault-smoke-baseline.csv` *bitwise* (the recovery re-run is
-    // clean at p', so nothing about it may drift), and arming a quiescent
-    // fault plan must leave the pre-fault clock bitwise-untouched.
-    println!("\n-- fault-smoke --");
-    let fs = fault_smoke_run();
-    fault_smoke_table(&fs).print();
-    if !fs.zero_fault_bitwise {
-        failures.push(
-            "fault-smoke: a quiescent fault plan perturbed the zero-fault run — \
-             arming faults must be bitwise a no-op"
-                .into(),
-        );
-    }
-    if !fs.recovered_ok {
-        failures.push("fault-smoke: the faulted job did not complete via recovery".into());
-    } else {
-        if fs.attempts != 2 || !fs.degraded {
-            failures.push(format!(
-                "fault-smoke: expected one injected failure + one degraded clean re-run, \
-                 got attempts = {}, degraded = {}",
-                fs.attempts, fs.degraded
-            ));
-        }
-        let fault_base = Baseline::read("fault-smoke", 1).and_then(|base| {
-            let field = |metric| base.num(metric, 1);
-            Some((
-                field("p_prime")? as usize,
-                field("attempts")? as usize,
-                field("measured_mb")?,
-                field("measured_ms")?,
-            ))
-        });
-        match fault_base {
-            Some((p_prime, attempts, mb, ms)) => {
-                if fs.p_prime != p_prime || fs.attempts != attempts {
-                    failures.push(format!(
-                        "fault-smoke: recovered at p' = {} in {} attempts vs baseline \
-                         p' = {p_prime} in {attempts} — the casualty schedule moved",
-                        fs.p_prime, fs.attempts
-                    ));
-                }
-                if fs.measured_mb != mb || fs.measured_ms != ms {
-                    failures.push(format!(
-                        "fault-smoke: recovered run measured {:.17e} MB / {:.17e} ms diverges \
-                         bitwise from baseline {mb:.17e} MB / {ms:.17e} ms — the clean p' \
-                         re-run must be exactly reproducible",
-                        fs.measured_mb, fs.measured_ms
-                    ));
-                }
-            }
-            None => failures.push(
-                "results/fault-smoke-baseline.csv missing — run `experiments bench-smoke-baseline` and commit it"
-                    .into(),
-            ),
-        }
-    }
-    // Gate 5: gemm-smoke — the local-kernel contract (§7 local tuning).
-    // The default `gemm_packed` must (a) agree bit for bit with the naive
-    // reference on integer matrices, and (b) beat it by the committed
-    // GEMM_SMOKE_MIN_SPEEDUP factor, so the data-plane kernel can neither
-    // drift numerically nor silently decay to naive speed.
-    println!("\n-- gemm-smoke (packed vs naive, 320^3) --");
-    let gs = gemm_smoke_run(&m);
-    gemm_smoke_table(&gs).print();
-    if !gs.bitwise {
-        failures.push("gemm-smoke: gemm_packed diverges bitwise from gemm_naive on integer matrices".into());
-    }
-    let speedup = gs.naive_s / gs.packed_s;
-    if speedup < GEMM_SMOKE_MIN_SPEEDUP {
-        failures.push(format!(
-            "gemm-smoke: packed is only {}x naive (committed floor {}x)",
-            fmt(speedup, 2),
-            fmt(GEMM_SMOKE_MIN_SPEEDUP, 2)
-        ));
-    }
+fn gate_verdict(failures: &[String], pass: &str) {
     if failures.is_empty() {
-        println!(
-            "\nbench-smoke gate: PASS ({} rows + serve-smoke + fault-smoke + gemm-smoke)\n",
-            rows.len()
-        );
+        println!("\n{pass}\n");
     } else {
         eprintln!("\nbench-smoke gate: FAIL");
-        for f in &failures {
+        for f in failures {
             eprintln!("  {f}");
         }
         std::process::exit(1);
     }
+}
+
+fn bench_smoke_baseline() {
+    println!("== bench-smoke-baseline: (re)recording the committed gate record ==\n");
+    let record = smoke_record();
+    // A record that breaks its own contracts is never recorded.
+    gate_verdict(&record.contracts(), "every structural contract holds");
+    let path = record.write().expect("write the record");
+    println!("wrote {} — commit it, and say in the commit what moved and why.\n", path.display());
+}
+
+fn bench_smoke() {
+    println!("== bench-smoke: the deterministic gate record, rebuilt and compared byte for byte ==\n");
+    let record = smoke_record();
+    let mut failures = record.contracts();
+    let path = baseline::committed_path();
+    match baseline::committed() {
+        Ok(committed) => {
+            let moved = baseline::diff(&committed, &record.render());
+            if !moved.is_empty() {
+                failures.push(format!(
+                    "the rebuilt record differs from {} in {} place(s); if the move is intended, run \
+                     `experiments bench-smoke-baseline` and commit the file. The first:",
+                    path.display(),
+                    moved.len()
+                ));
+                failures.extend(moved.into_iter().take(10));
+            }
+        }
+        Err(e) => failures
+            .push(format!("{}: {e} — run `experiments bench-smoke-baseline` and commit it", path.display())),
+    }
+    gate_verdict(
+        &failures,
+        "bench-smoke gate: PASS (every contract holds; byte-identical to the committed record)",
+    );
 }
 
 // ---------------------------------------------------------------------------

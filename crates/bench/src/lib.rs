@@ -12,8 +12,8 @@
 
 //! [`serve_bench`] measures the serving layer (`crates/serve`): cold vs
 //! cached planning throughput and executed-jobs/s under a mixed concurrent
-//! stream. [`baseline`] reads and writes the committed gate baselines under
-//! `results/`.
+//! stream. [`baseline`] builds, renders and compares the one committed gate
+//! record under `results/`.
 
 pub mod baseline;
 pub mod output;

@@ -49,7 +49,7 @@ pub struct AlgoRow {
     pub active: usize,
 }
 
-fn words_to_mb(w: f64) -> f64 {
+pub(crate) fn words_to_mb(w: f64) -> f64 {
     w * 8.0 / 1e6
 }
 
@@ -338,9 +338,15 @@ fn execute_rows(
 /// plan, and SUMMA — once its panel broadcasts were routed through the
 /// pipelined §7.2 binomial trees instead of serialized whole-panel
 /// forwarding — sits in the same band. The factor leaves headroom without
-/// letting either model drift silently; the >10% regression gate against
-/// the committed baseline is the sharp instrument.
+/// letting either model drift silently; the bitwise record
+/// ([`crate::baseline`]) is the sharp instrument: any move of a measured
+/// time shows up as a diff of the committed file.
 pub const TIME_AGREEMENT_FACTOR: f64 = 3.0;
+
+/// Is `measured_s` within [`TIME_AGREEMENT_FACTOR`] of `planned_s`, either way?
+pub fn time_agrees(measured_s: f64, planned_s: f64) -> bool {
+    measured_s <= planned_s * TIME_AGREEMENT_FACTOR && measured_s >= planned_s / TIME_AGREEMENT_FACTOR
+}
 
 /// One algorithm's planned-vs-measured *time* on one problem instance: the
 /// α-β-γ simulation of the plan next to the event backend's virtual clock,
@@ -371,14 +377,22 @@ impl TimedRow {
     }
 
     /// Does the row honour the stated [`TIME_AGREEMENT_FACTOR`] band in
-    /// both overlap modes, with overlap-on never slower than overlap-off?
+    /// both overlap modes?
+    pub fn within_band(&self) -> bool {
+        time_agrees(self.measured_s, self.planned_s)
+            && time_agrees(self.measured_no_overlap_s, self.planned_no_overlap_s)
+    }
+
+    /// Is overlap-on never slower than overlap-off (double buffering may
+    /// only help)?
+    pub fn overlap_helps(&self) -> bool {
+        self.measured_s <= self.measured_no_overlap_s * (1.0 + 1e-9)
+    }
+
+    /// [`within_band`](Self::within_band) and
+    /// [`overlap_helps`](Self::overlap_helps) together.
     pub fn agrees(&self) -> bool {
-        let within = |measured: f64, planned: f64| {
-            measured <= planned * TIME_AGREEMENT_FACTOR && measured >= planned / TIME_AGREEMENT_FACTOR
-        };
-        within(self.measured_s, self.planned_s)
-            && within(self.measured_no_overlap_s, self.planned_no_overlap_s)
-            && self.measured_s <= self.measured_no_overlap_s * (1.0 + 1e-9)
+        self.within_band() && self.overlap_helps()
     }
 }
 
@@ -544,7 +558,7 @@ mod tests {
 
     #[test]
     fn executed_rows_are_labelled_by_the_pinned_backend() {
-        // The bench-smoke baseline keys rows by this label, so it must be the
+        // The bench-smoke record keys rows by this label, so it must be the
         // pinned spelling, never a machine-dependent worker count.
         let prob = MmmProblem::new(32, 32, 32, 4, 1 << 14);
         for (backend, label) in [

@@ -158,8 +158,9 @@ pub fn measure(n_jobs: usize, backend: Option<ExecBackend>) -> ServeMetrics {
     };
     let server = Server::new(baselines::registry(), config).unwrap();
     let jobs = mixed_stream(n_jobs, backend);
+    let batch = jobs.clone();
     let start = Instant::now();
-    let concurrent = server.run_batch(jobs.clone());
+    let concurrent = server.run_batch(batch);
     let jobs_per_s = n_jobs as f64 / start.elapsed().as_secs_f64();
     let stats = server.cache_stats();
 

@@ -102,16 +102,6 @@ impl AlgoId {
             AlgoId::Carma => "carma",
         }
     }
-
-    /// The library the algorithm stands in for in the paper's figures, if
-    /// any ("scalapack" for SUMMA, "ctf" for 2.5D).
-    pub fn paper_stand_in(&self) -> Option<&'static str> {
-        match self {
-            AlgoId::Summa => Some("scalapack"),
-            AlgoId::P25d => Some("ctf"),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for AlgoId {

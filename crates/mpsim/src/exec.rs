@@ -55,8 +55,12 @@ pub enum ExecBackend {
     /// parked rank pins a carrier stack). The worker count never changes what
     /// a run computes or counts. It keeps no virtual clock (`RankStats::time`
     /// stays zero) and ignores the machine's topology, placement and fault
-    /// plan: an opt-in for a kernel-bound world that wants every core, and
-    /// the reference the event backend's counters are tested against.
+    /// plan: the independently written reference the event backend's results
+    /// and counters are tested against. Measured (EXPERIMENTS.md, `exec`): on
+    /// a kernel-bound world it is 1.6–1.8× faster than `event` / `event(2)`
+    /// under a shared-link topology only because it ignores that topology;
+    /// a flat spec on `Event { threads: 2 }` serves the same caller at the
+    /// same speed and keeps the clock.
     Blocking {
         /// Maximum number of concurrently runnable ranks (≥ 1; a count above
         /// `p` behaves as `p`).

@@ -67,6 +67,6 @@ pub use event::{run_spmd_event_traced, EventComm, SchedEvent};
 pub use exec::{run_spmd_with, ExecBackend, ExecError, RunOutput, Waiting};
 pub use fault::FaultPlan;
 pub use machine::{MachineSpec, Placement, Topology};
-pub use pool::{BufferPool, PoolHandle, PoolStats};
+pub use pool::{BufferPool, PoolStats};
 pub use stats::{Phase, RankStats, StatsBoard};
 pub use topo::Network;

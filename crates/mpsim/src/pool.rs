@@ -38,7 +38,6 @@
 //! reallocating per request.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -198,40 +197,6 @@ impl BufferPool {
         }
     }
 
-    /// [`take_clear`](Self::take_clear) behind a [`PoolHandle`] that returns
-    /// the buffer on drop.
-    pub fn lease_clear(self: &Arc<Self>, min_cap: usize) -> PoolHandle {
-        PoolHandle {
-            buf: Some(self.take_clear(min_cap)),
-            pool: Arc::clone(self),
-        }
-    }
-
-    /// [`take_zeroed`](Self::take_zeroed) behind a [`PoolHandle`].
-    pub fn lease_zeroed(self: &Arc<Self>, len: usize) -> PoolHandle {
-        PoolHandle {
-            buf: Some(self.take_zeroed(len)),
-            pool: Arc::clone(self),
-        }
-    }
-
-    /// [`take_copy`](Self::take_copy) behind a [`PoolHandle`].
-    pub fn lease_copy(self: &Arc<Self>, src: &[f64]) -> PoolHandle {
-        PoolHandle {
-            buf: Some(self.take_copy(src)),
-            pool: Arc::clone(self),
-        }
-    }
-
-    /// Drop every parked buffer (counters survive). The serving layer calls
-    /// this when a long-idle arena should release its memory; recycling
-    /// resumes transparently afterwards.
-    pub fn reset(&self) {
-        for shelf in &self.shelves {
-            shelf.lock().unwrap().clear();
-        }
-    }
-
     /// Buffers currently parked across all shelves.
     pub fn parked(&self) -> usize {
         self.shelves.iter().map(|s| s.lock().unwrap().len()).sum()
@@ -253,52 +218,6 @@ impl fmt::Debug for BufferPool {
             .field("enabled", &self.enabled)
             .field("parked", &self.parked())
             .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// An RAII lease on a pooled buffer: derefs to the `Vec<f64>` and hands it
-/// back to its pool on drop, so scratch buffers recycle even on early
-/// returns. [`PoolHandle::into_vec`] detaches the buffer instead (e.g. to
-/// send it as a message payload, transferring ownership to the receiver).
-pub struct PoolHandle {
-    buf: Option<Vec<f64>>,
-    pool: Arc<BufferPool>,
-}
-
-impl PoolHandle {
-    /// Detach the buffer from the lease: the handle no longer returns it on
-    /// drop (the new owner is responsible for `give`-ing it back, or not).
-    pub fn into_vec(mut self) -> Vec<f64> {
-        self.buf.take().expect("buffer already detached")
-    }
-}
-
-impl Deref for PoolHandle {
-    type Target = Vec<f64>;
-    fn deref(&self) -> &Vec<f64> {
-        self.buf.as_ref().expect("buffer already detached")
-    }
-}
-
-impl DerefMut for PoolHandle {
-    fn deref_mut(&mut self) -> &mut Vec<f64> {
-        self.buf.as_mut().expect("buffer already detached")
-    }
-}
-
-impl Drop for PoolHandle {
-    fn drop(&mut self) {
-        if let Some(v) = self.buf.take() {
-            self.pool.give(v);
-        }
-    }
-}
-
-impl fmt::Debug for PoolHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PoolHandle")
-            .field("len", &self.buf.as_ref().map(Vec::len))
             .finish()
     }
 }
@@ -379,19 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn reuse_after_reset() {
-        let pool = BufferPool::new(true);
-        pool.give(Vec::with_capacity(256));
-        pool.reset();
-        assert_eq!(pool.parked(), 0);
-        let v = pool.take_clear(256);
-        assert_eq!(pool.stats().hits, 0, "reset must empty the shelves");
-        pool.give(v);
-        let _ = pool.take_clear(256);
-        assert_eq!(pool.stats().hits, 1, "recycling resumes after reset");
-    }
-
-    #[test]
     fn disabled_pool_never_recycles() {
         let pool = BufferPool::disabled();
         let v = pool.take_clear(64);
@@ -412,23 +318,6 @@ mod tests {
         }
         assert_eq!(pool.parked(), MAX_PER_CLASS);
         assert_eq!(pool.stats().returns, MAX_PER_CLASS as u64);
-    }
-
-    #[test]
-    fn handle_returns_on_drop_and_into_vec_detaches() {
-        let pool = Arc::new(BufferPool::new(true));
-        {
-            let mut h = pool.lease_clear(32);
-            h.extend_from_slice(&[1.0, 2.0]);
-            assert_eq!(h.len(), 2);
-        }
-        assert_eq!(pool.parked(), 1, "handle drop returns the buffer exactly once");
-        let h = pool.lease_copy(&[4.0, 5.0]);
-        let v = h.into_vec();
-        assert_eq!(v, vec![4.0, 5.0]);
-        assert_eq!(pool.parked(), 1, "into_vec detaches: the detached buffer is not returned");
-        assert_eq!(pool.stats().returns, 1);
-        assert_eq!(pool.lease_zeroed(4).as_slice(), &[0.0; 4]);
     }
 
     #[test]

@@ -48,7 +48,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use cosma::api::{AlgorithmRegistry, ExecReport, PlanError, RunSession};
 use cosma::plan::DistPlan;
@@ -64,8 +63,7 @@ use crate::auto::{AlgoChoice, AutoPlanner, Selection};
 use crate::cache::{CacheStats, PlanCache};
 use crate::key::PlanKey;
 
-/// How many times a failed job may be re-executed, and how long to pause
-/// between attempts.
+/// How many times a failed job may be re-executed.
 ///
 /// Only [`ExecError::RankFailed`] — the typed fault-injection failure — is
 /// retried: it is the one failure mode with a principled recovery (drop the
@@ -77,32 +75,19 @@ pub struct RetryPolicy {
     /// Total executions allowed, first attempt included; `1` means no
     /// retries. Clamped to at least 1.
     pub max_attempts: usize,
-    /// Wall-clock pause between attempts (virtual time is free; this knob
-    /// models a caller-visible re-admission delay).
-    pub backoff: Duration,
 }
 
 impl RetryPolicy {
     /// No retries: one attempt, failures surface immediately.
     pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
-    /// Up to `n` attempts with no pause between them.
+    /// Up to `n` attempts.
     pub fn attempts(n: usize) -> Self {
         RetryPolicy {
             max_attempts: n.max(1),
-            backoff: Duration::ZERO,
         }
-    }
-
-    /// Set the pause between attempts.
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
     }
 }
 
@@ -559,9 +544,6 @@ fn serve_job(shared: &Shared, job: JobRequest) -> JobResult {
                 if survivors > 0 {
                     degraded |= survivors < p;
                     p = survivors;
-                    if !job.retry.backoff.is_zero() {
-                        std::thread::sleep(job.retry.backoff);
-                    }
                     continue;
                 }
             }
