@@ -25,6 +25,8 @@
 //! rank-count constraints are reported through the unified
 //! [`cosma::api::PlanError`] (the former `BaselineError` is gone).
 
+#![forbid(unsafe_code)]
+
 use std::sync::OnceLock;
 
 use cosma::api::AlgorithmRegistry;

@@ -10,6 +10,8 @@
 //! table/figure to a subcommand; see `EXPERIMENTS.md` for the index and the
 //! recorded paper-vs-measured comparison.
 
+#![forbid(unsafe_code)]
+
 //! [`serve_bench`] measures the serving layer (`crates/serve`): cold vs
 //! cached planning throughput and executed-jobs/s under a mixed concurrent
 //! stream. [`baseline`] builds, renders and compares the one committed gate

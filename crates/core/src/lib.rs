@@ -36,6 +36,8 @@
 //! builder-style entry point used by the bench harness, the examples and
 //! the integration tests.
 
+#![forbid(unsafe_code)]
+
 pub mod algorithm;
 pub mod analysis;
 pub mod api;

@@ -7,16 +7,35 @@
 //!   the correctness reference every bitwise test compares against.
 //! * [`gemm_packed`] — the kernel every library path calls: BLIS-style cache
 //!   blocking with A/B panels packed into reused (thread-local arena) scratch
-//!   and an unrolled `MR x NR` register micro-kernel. This is the §7 "local
-//!   tuning" story of the paper — the distributed schedule only pays off when
-//!   the per-rank multiply runs near peak.
+//!   and an `MR x NR` register micro-kernel. This is the §7 "local tuning"
+//!   story of the paper — the distributed schedule only pays off when the
+//!   per-rank multiply runs near peak.
+//!
+//! The blocking loops and the two packers exist once, generic over the
+//! register tile, and are instantiated at the vector width the build has:
+//!
+//! * **4x8**, a portable body the compiler vectorises to eight 256-bit
+//!   accumulators. It is the only body of a build without AVX-512.
+//! * **8x24**, under `cfg(all(target_arch = "x86_64", target_feature =
+//!   "avx512f"))` — what `.cargo/config.toml`'s `target-cpu=native` sets on an
+//!   AVX-512 host: twenty-four 512-bit accumulators and an explicit
+//!   `std::arch` body, because the autovectoriser spills the same portable
+//!   source at this shape. It is the crate's only `unsafe` code.
+//!
+//! Which tile runs is a compile-time fact plus one property of the input
+//! (`tile_for`): a product that holds no full 8x24 tile (`m < 8` or
+//! `n < 24`) stays on the 4x8 tile, because padding a 4x4 or 8x8 brick out to
+//! 8x24 costs more than the wider vectors return.
 //!
 //! Both kernels *accumulate* into C, matching the distributed algorithms that
 //! sum partial products over k-slabs. Both sum each `C[i][j]` over `k` in
-//! increasing order with a single accumulator, so packing and register
-//! blocking reorder *memory traffic*, never the floating-point reduction —
-//! the kernels agree bitwise (modulo the sign of exact zeros when an input
-//! contains ±0.0 entries).
+//! increasing order with a single accumulator, a multiply rounded on its own
+//! and then an add — never a fused multiply-add, whose single rounding would
+//! change result bits — so packing and register blocking reorder *memory
+//! traffic*, never the floating-point reduction: the kernels agree bitwise
+//! on every input, signed zeros and infinities included, and where one
+//! yields a NaN so does the other (which NaN an operation yields is the one
+//! thing IEEE 754 and Rust leave open).
 
 use crate::matrix::Matrix;
 use std::cell::RefCell;
@@ -45,9 +64,6 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     for i in 0..m {
         for kk in 0..k {
             let aik = av[i * k + kk];
-            if aik == 0.0 {
-                continue;
-            }
             let brow = &bv[kk * n..(kk + 1) * n];
             let crow = &mut cv[i * n..(i + 1) * n];
             for j in 0..n {
@@ -61,11 +77,6 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 // Packed kernel (BLIS-style blocking: jc -> pc -> ic -> jr -> ir -> micro)
 // ---------------------------------------------------------------------------
 
-/// Rows of the register micro-tile. `MR x NR` accumulators live in registers
-/// for the whole k-loop of a panel pair.
-const MR: usize = 4;
-/// Columns of the register micro-tile.
-const NR: usize = 8;
 /// Row-block of A packed per inner pass (`MC x KC` panel, ~L2-resident).
 const MC: usize = 128;
 /// Shared-dimension block (`KC` rows of B / cols of A per packed panel).
@@ -73,11 +84,29 @@ const KC: usize = 256;
 /// Column-block of B packed per outer pass (`KC x NC` panel, ~L3-resident).
 const NC: usize = 2048;
 
+/// The portable register tile: `MR x NR` accumulators live in registers for
+/// the whole k-loop of a panel pair.
+const NARROW: (usize, usize) = (4, 8);
+/// The AVX-512 register tile: 8 rows of three 512-bit vectors.
+const WIDE: (usize, usize) = (8, 24);
+
 thread_local! {
     /// Reused A/B packing scratch — the crate-local arena. `gemm_packed` is
     /// called once per leaf/step by the distributed algorithms, so reusing
     /// these buffers removes two heap round-trips from every local multiply.
     static PACK_ARENA: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The register tile [`gemm_packed`] multiplies an `m x n` C at: [`WIDE`]
+/// where the build has AVX-512 and the product holds at least one full wide
+/// tile, [`NARROW`] otherwise. A rule on the input's shape, not a tuned
+/// threshold: a brick smaller than the wide tile would be all padding.
+fn tile_for(m: usize, n: usize) -> (usize, usize) {
+    if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) && m >= WIDE.0 && n >= WIDE.1 {
+        WIDE
+    } else {
+        NARROW
+    }
 }
 
 /// Packed register-blocked kernel: `c += a * b`.
@@ -97,8 +126,30 @@ pub fn gemm_packed(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let cv = c.as_mut_slice();
+    let (av, bv, cv) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+    match tile_for(m, n) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        WIDE => blocked::<{ WIDE.0 }, { WIDE.1 }>(av, bv, cv, m, n, k, micro_kernel_8x24),
+        _ => blocked::<{ NARROW.0 }, { NARROW.1 }>(av, bv, cv, m, n, k, micro_kernel_4x8),
+    }
+}
+
+/// A register micro-kernel: `(apanel, bpanel, cv, ldc, c0, kc, mr, nr)`, see
+/// [`micro_kernel_4x8`].
+trait MicroKernel: Fn(&[f64], &[f64], &mut [f64], usize, usize, usize, usize, usize) + Copy {}
+impl<F: Fn(&[f64], &[f64], &mut [f64], usize, usize, usize, usize, usize) + Copy> MicroKernel for F {}
+
+/// The `jc -> pc -> ic` cache-blocking loops over one `m x n x k` product,
+/// at register tile `MR x NR`.
+fn blocked<const MR: usize, const NR: usize>(
+    av: &[f64],
+    bv: &[f64],
+    cv: &mut [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+    micro_kernel: impl MicroKernel,
+) {
     PACK_ARENA.with(|arena| {
         let (apack, bpack) = &mut *arena.borrow_mut();
         let mut jc = 0;
@@ -107,12 +158,12 @@ pub fn gemm_packed(a: &Matrix, b: &Matrix, c: &mut Matrix) {
             let mut pc = 0;
             while pc < k {
                 let kc = KC.min(k - pc);
-                pack_b_panel(bv, bpack, n, pc, kc, jc, nc);
+                pack_b_panel::<NR>(bv, bpack, n, pc, kc, jc, nc);
                 let mut ic = 0;
                 while ic < m {
                     let mc = MC.min(m - ic);
-                    pack_a_panel(av, apack, k, ic, mc, pc, kc);
-                    macro_kernel(apack, bpack, cv, n, ic, mc, jc, nc, kc);
+                    pack_a_panel::<MR>(av, apack, k, ic, mc, pc, kc);
+                    macro_kernel::<MR, NR>(apack, bpack, cv, n, ic, mc, jc, nc, kc, micro_kernel);
                     ic += mc;
                 }
                 pc += kc;
@@ -125,29 +176,50 @@ pub fn gemm_packed(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 /// Pack `A[ic..ic+mc, pc..pc+kc]` as `MR`-row micro-panels: element
 /// `(ir + i, kk)` of the block lands at `panel_base + kk * MR + i`, zero-padded
 /// to a multiple of `MR` rows.
-fn pack_a_panel(av: &[f64], apack: &mut Vec<f64>, lda: usize, ic: usize, mc: usize, pc: usize, kc: usize) {
-    apack.clear();
-    apack.reserve(mc.div_ceil(MR) * MR * kc);
-    let mut ir = 0;
-    while ir < mc {
-        let rows = MR.min(mc - ir);
-        for kk in 0..kc {
-            for i in 0..MR {
-                apack.push(if i < rows {
-                    av[(ic + ir + i) * lda + pc + kk]
-                } else {
-                    0.0
-                });
+fn pack_a_panel<const MR: usize>(
+    av: &[f64],
+    apack: &mut Vec<f64>,
+    lda: usize,
+    ic: usize,
+    mc: usize,
+    pc: usize,
+    kc: usize,
+) {
+    // No `clear`: every word of the new length is written below, so a stale
+    // arena needs no zeroing pass.
+    apack.resize(mc.div_ceil(MR) * MR * kc, 0.0);
+    for (p, panel) in apack.chunks_exact_mut(MR * kc).enumerate() {
+        let ir = p * MR;
+        let ablock = &av[(ic + ir) * lda + pc..];
+        if mc - ir >= MR {
+            for (kk, col) in panel.chunks_exact_mut(MR).enumerate() {
+                for i in 0..MR {
+                    col[i] = ablock[i * lda + kk];
+                }
+            }
+        } else {
+            // The one ragged panel pays for the row test.
+            for (kk, col) in panel.chunks_exact_mut(MR).enumerate() {
+                for i in 0..MR {
+                    col[i] = if i < mc - ir { ablock[i * lda + kk] } else { 0.0 };
+                }
             }
         }
-        ir += MR;
     }
 }
 
 /// Pack `B[pc..pc+kc, jc..jc+nc]` as `NR`-column micro-panels: element
 /// `(kk, jr + j)` of the block lands at `panel_base + kk * NR + j`, zero-padded
 /// to a multiple of `NR` columns.
-fn pack_b_panel(bv: &[f64], bpack: &mut Vec<f64>, ldb: usize, pc: usize, kc: usize, jc: usize, nc: usize) {
+fn pack_b_panel<const NR: usize>(
+    bv: &[f64],
+    bpack: &mut Vec<f64>,
+    ldb: usize,
+    pc: usize,
+    kc: usize,
+    jc: usize,
+    nc: usize,
+) {
     bpack.clear();
     bpack.reserve(nc.div_ceil(NR) * NR * kc);
     let mut jr = 0;
@@ -165,7 +237,7 @@ fn pack_b_panel(bv: &[f64], bpack: &mut Vec<f64>, ldb: usize, pc: usize, kc: usi
 /// Multiply one packed A panel (`mc x kc`) by one packed B panel (`kc x nc`)
 /// into `C[ic.., jc..]`, micro-tile by micro-tile.
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel(
+fn macro_kernel<const MR: usize, const NR: usize>(
     apack: &[f64],
     bpack: &[f64],
     cv: &mut [f64],
@@ -175,6 +247,7 @@ fn macro_kernel(
     jc: usize,
     nc: usize,
     kc: usize,
+    micro_kernel: impl MicroKernel,
 ) {
     let mut jr = 0;
     while jr < nc {
@@ -191,13 +264,14 @@ fn macro_kernel(
     }
 }
 
-/// The register kernel: `C[mr x nr] += Apanel * Bpanel` over `kc` steps.
+/// The portable register kernel: `C[mr x nr] += Apanel * Bpanel` over `kc`
+/// steps, the tile's top-left corner at `cv[c0]`.
 ///
 /// All `MR x NR` accumulators are named locals, so the inner loops unroll
 /// fully and vectorize; only the valid `mr x nr` corner is loaded/stored.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_kernel(
+fn micro_kernel_4x8(
     apanel: &[f64],
     bpanel: &[f64],
     cv: &mut [f64],
@@ -207,6 +281,8 @@ fn micro_kernel(
     mr: usize,
     nr: usize,
 ) {
+    const MR: usize = NARROW.0;
+    const NR: usize = NARROW.1;
     let mut acc = [[0.0f64; NR]; MR];
     for i in 0..mr {
         let crow = &cv[c0 + i * ldc..c0 + i * ldc + nr];
@@ -225,6 +301,82 @@ fn micro_kernel(
     for i in 0..mr {
         let crow = &mut cv[c0 + i * ldc..c0 + i * ldc + nr];
         crow.copy_from_slice(&acc[i][..nr]);
+    }
+}
+
+/// The AVX-512 register kernel, same contract as [`micro_kernel_4x8`]: a full
+/// tile is read and written in place, an edge tile goes through a zero-padded
+/// `MR x NR` copy on the stack.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn micro_kernel_8x24(
+    apanel: &[f64],
+    bpanel: &[f64],
+    cv: &mut [f64],
+    ldc: usize,
+    c0: usize,
+    kc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    const MR: usize = WIDE.0;
+    const NR: usize = WIDE.1;
+    let full_tile = |tile: &mut [f64], ldt: usize| {
+        assert!(kc * MR <= apanel.len() && kc * NR <= bpanel.len() && (MR - 1) * ldt + NR <= tile.len());
+        // SAFETY: the build has `avx512f` (this function's cfg), and the
+        // assert above is the callee's contract: `kc * MR` readable words
+        // behind the A pointer, `kc * NR` behind B, `(MR - 1) * ldt + NR`
+        // readable and writable behind C.
+        unsafe { zmm_8x24(apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr(), ldt, kc) }
+    };
+    if mr == MR && nr == NR {
+        full_tile(&mut cv[c0..], ldc);
+    } else {
+        let mut stack = [0.0f64; MR * NR];
+        for i in 0..mr {
+            stack[i * NR..i * NR + nr].copy_from_slice(&cv[c0 + i * ldc..c0 + i * ldc + nr]);
+        }
+        full_tile(&mut stack, NR);
+        for i in 0..mr {
+            cv[c0 + i * ldc..c0 + i * ldc + nr].copy_from_slice(&stack[i * NR..i * NR + nr]);
+        }
+    }
+}
+
+/// One full 8x24 tile: `C[i][j] += sum over kk of a[kk * 8 + i] * b[kk * 24 + j]`,
+/// `kk` increasing, each product rounded (`vmulpd`) before it is added
+/// (`vaddpd`) — the scalar kernel's arithmetic, eight lanes at a time.
+///
+/// # Safety
+/// The CPU must have AVX-512F; `a` must be valid for reading `8 * kc` words,
+/// `b` for `24 * kc`, and `c` for reading and writing `7 * ldc + 24`.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[target_feature(enable = "avx512f")]
+unsafe fn zmm_8x24(a: *const f64, b: *const f64, c: *mut f64, ldc: usize, kc: usize) {
+    use std::arch::x86_64::{
+        _mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd,
+    };
+    use std::array::from_fn;
+    // SAFETY: every access below is `c[i * ldc + 8 * j + lane]` with `i < 8`,
+    // `j < 3`, `lane < 8`, `a[kk * 8 + i]` or `b[kk * 24 + 8 * j + lane]` with
+    // `kk < kc` — inside the ranges the caller vouches for.
+    unsafe {
+        let mut acc: [[_; 3]; 8] = from_fn(|i| from_fn(|j| _mm512_loadu_pd(c.add(i * ldc + 8 * j))));
+        for kk in 0..kc {
+            let bvec: [_; 3] = from_fn(|j| _mm512_loadu_pd(b.add(kk * 24 + 8 * j)));
+            for (i, row) in acc.iter_mut().enumerate() {
+                let aik = _mm512_set1_pd(*a.add(kk * 8 + i));
+                for (cij, &bj) in row.iter_mut().zip(&bvec) {
+                    *cij = _mm512_add_pd(*cij, _mm512_mul_pd(aik, bj));
+                }
+            }
+        }
+        for (i, row) in acc.iter().enumerate() {
+            for (j, &cij) in row.iter().enumerate() {
+                _mm512_storeu_pd(c.add(i * ldc + 8 * j), cij);
+            }
+        }
     }
 }
 
@@ -301,18 +453,33 @@ mod tests {
         gemm_naive(&a, &b, &mut c);
     }
 
+    /// Bitwise agreement of two results; a NaN matches any NaN (which NaN an
+    /// operation yields is left open by IEEE 754, and by Rust).
+    fn same_bits(x: &Matrix, y: &Matrix) -> bool {
+        let same = |(x, y): (&f64, &f64)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        x.as_slice().iter().zip(y.as_slice()).all(same)
+    }
+
     #[test]
     fn packed_matches_naive_bitwise_across_block_edges() {
-        // Sizes straddling MR/NR/MC/KC/NC boundaries exercise every padded
-        // corner of the packing; entries avoid exact zeros, so agreement is
-        // bitwise, not just approximate.
+        // Sizes straddling both register tiles, the routing rule between them
+        // and the MC/KC/NC boundaries exercise every padded corner of the
+        // packing.
+        let ((nm, nn), (wm, wn)) = (NARROW, WIDE);
         for &(m, n, k) in &[
             (1, 1, 1),
-            (MR, NR, 4),
-            (MR + 1, NR + 3, KC + 1),
-            (MC + 5, NR - 1, 3),
+            (nm, nn, 4),
+            (nm + 1, nn + 3, KC + 1),
+            (MC + 5, nn - 1, 3),
             (130, 257, 61),
             (MC, NC.min(96), KC),
+            (wm - 1, wn, 5),
+            (wm, wn - 1, 5),
+            (wm, wn, 1),
+            (wm + 1, wn + 1, KC + 1),
+            (wm * 3 + 1, wn * 2 + 23, 40),
+            (MC + 5, wn * 3, 3),
+            (wm + 3, NC + wn + 5, 2),
         ] {
             let a = Matrix::deterministic(m, k, 21);
             let b = Matrix::deterministic(k, n, 22);
@@ -323,6 +490,119 @@ mod tests {
             let same = c1.as_slice().iter().zip(c2.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
             assert!(same, "packed kernel diverged bitwise at {m}x{n}x{k}: {}", c1.max_abs_diff(&c2));
         }
+    }
+
+    #[test]
+    fn kernels_agree_bitwise_on_signed_zeros_and_non_finite_entries() {
+        // Small integers (exact zeros of both signs among them) with a row of
+        // signed zeros and a few infinities and NaNs in A, infinities in B: a
+        // zero of A opposite an infinity of B is a NaN in both kernels, because
+        // the reference skips nothing. Sizes on both sides of the routing rule.
+        for &(m, n, k) in &[(3, 5, 4), (9, 31, 7), (17, 50, KC + 3)] {
+            let a = Matrix::from_fn(m, k, |i, kk| match (i % 5, kk % 6) {
+                (0, par) => [0.0, -0.0][par % 2],
+                (1, 2) => f64::INFINITY,
+                (2, 3) => f64::NEG_INFINITY,
+                (3, 1) if i == 3 => f64::NAN,
+                _ => ((i * 31 + kk * 17) % 13) as f64 - 6.0,
+            });
+            let b = Matrix::from_fn(k, n, |kk, j| match (kk % 6, j % 7) {
+                (0, 3) if kk == 0 => f64::INFINITY,
+                (2, 5) => f64::NEG_INFINITY,
+                _ => ((kk * 5 + j * 3) % 11) as f64 - 5.0,
+            });
+            let mut c1 = Matrix::from_fn(m, n, |i, j| if (i + j) % 3 == 0 { -0.0 } else { 0.75 });
+            let mut c2 = c1.clone();
+            gemm_naive(&a, &b, &mut c1);
+            gemm_packed(&a, &b, &mut c2);
+            assert!(same_bits(&c1, &c2), "kernels disagree on special values at {m}x{n}x{k}");
+            let count = |pred: fn(&f64) -> bool| c1.as_slice().iter().filter(|x| pred(x)).count();
+            let (nans, infs, finite) =
+                (count(|x| x.is_nan()), count(|x| x.is_infinite()), count(|x| x.is_finite()));
+            assert!(
+                nans > 0 && infs > 0 && finite > 0,
+                "{m}x{n}x{k}: {nans} NaN, {infs} inf, {finite} finite"
+            );
+        }
+        // All-negative-zero products onto a -0.0 C: the sign of zero is kept,
+        // and 0 * inf with nothing else in the sum is a NaN, not a skipped term.
+        let a = Matrix::from_fn(8, 2, |_, _| -0.0);
+        let b = Matrix::from_fn(2, 24, |i, j| if (i, j) == (1, 7) { f64::INFINITY } else { 3.0 });
+        let mut c1 = Matrix::from_fn(8, 24, |_, _| -0.0);
+        let mut c2 = c1.clone();
+        gemm_naive(&a, &b, &mut c1);
+        gemm_packed(&a, &b, &mut c2);
+        assert!(same_bits(&c1, &c2));
+        assert_eq!(c1.get(0, 0).to_bits(), (-0.0f64).to_bits());
+        assert!(c1.get(3, 7).is_nan() && c2.get(3, 7).is_nan());
+    }
+
+    #[test]
+    fn small_bricks_take_the_narrow_tile() {
+        // The benchmark's small-brick shapes (`cosma-xl` 4x2 tiles, `summa-msgs`
+        // 4x4 panels) and everything short of one full wide tile.
+        for (m, n) in [(4, 2), (4, 4), (8, 8), (7, 24), (8, 23), (7, 4096), (4096, 23)] {
+            assert_eq!(tile_for(m, n), NARROW, "{m}x{n}");
+        }
+        let wide = if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+            WIDE
+        } else {
+            NARROW
+        };
+        for (m, n) in [(8, 24), (9, 25), (768, 384), (256, 256)] {
+            assert_eq!(tile_for(m, n), wide, "{m}x{n}");
+        }
+    }
+
+    /// The packer `pack_a_panel` replaced: one `push` per element behind a
+    /// row test. Kept as the statement of the packed layout.
+    fn pack_a_panel_by_push<const MR: usize>(
+        av: &[f64],
+        lda: usize,
+        ic: usize,
+        mc: usize,
+        pc: usize,
+        kc: usize,
+    ) -> Vec<f64> {
+        let mut apack = Vec::new();
+        let mut ir = 0;
+        while ir < mc {
+            let rows = MR.min(mc - ir);
+            for kk in 0..kc {
+                for i in 0..MR {
+                    apack.push(if i < rows {
+                        av[(ic + ir + i) * lda + pc + kk]
+                    } else {
+                        0.0
+                    });
+                }
+            }
+            ir += MR;
+        }
+        apack
+    }
+
+    #[test]
+    fn pack_a_panel_writes_the_bytes_the_push_packer_wrote() {
+        fn check<const MR: usize>(a: &Matrix, apack: &mut Vec<f64>) {
+            for &(ic, mc, pc, kc) in &[
+                (0, 37, 0, 29),
+                (3, 8, 2, 5),
+                (5, 17, 11, 18),
+                (36, 1, 28, 1),
+                (8, 16, 0, 1),
+            ] {
+                pack_a_panel::<MR>(a.as_slice(), apack, a.cols(), ic, mc, pc, kc);
+                let want = pack_a_panel_by_push::<MR>(a.as_slice(), a.cols(), ic, mc, pc, kc);
+                let same = apack.iter().map(|x| x.to_bits()).eq(want.iter().map(|x| x.to_bits()));
+                assert!(same, "MR {MR}: rows {ic}..+{mc}, columns {pc}..+{kc}");
+            }
+        }
+        let a = Matrix::deterministic(37, 29, 5);
+        // A stale, longer arena: the packer must not leak it into the padding.
+        let mut apack = vec![f64::NAN; 4096];
+        check::<{ NARROW.0 }>(&a, &mut apack);
+        check::<{ WIDE.0 }>(&a, &mut apack);
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! register-blocked so the cost model's "local compute" term corresponds to a
 //! real, measured code path (the benchmark's `densemat.gemm.*` probes).
 
+// The workspace's one `unsafe` exception is the AVX-512 micro-kernel in
+// `gemm.rs`; every other crate is `#![forbid(unsafe_code)]`.
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod gemm;
 pub mod layout;
 pub mod matrix;

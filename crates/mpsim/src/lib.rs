@@ -48,6 +48,7 @@
 //! (exact word counts at paper scale, up to 18,432 ranks). The integration
 //! tests in `tests/` assert the two modes agree.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collectives;

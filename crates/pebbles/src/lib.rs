@@ -23,6 +23,8 @@
 //!   CDAGs, used to certify that the bounds are tight where exhaustive search
 //!   is feasible.
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod cdag;
 pub mod game;

@@ -54,6 +54,8 @@
 //! assert!(server.cache_stats().hits >= 1, "repeat keys are served from the cache");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod auto;
 pub mod cache;
 pub mod driver;

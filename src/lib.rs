@@ -41,6 +41,8 @@
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the system inventory.
 
+#![forbid(unsafe_code)]
+
 pub use baselines;
 pub use cosma;
 pub use densemat;

@@ -295,8 +295,9 @@ fn gemm_kernels_agree() {
     use densemat::gemm::{gemm_naive, gemm_packed};
     let mut rng = Rng::new(8);
     for _ in 0..CASES {
-        let m = rng.range(1, 48);
-        let n = rng.range(1, 48);
+        // m and n cross twice the widest register tile (8x24).
+        let m = rng.range(1, 80);
+        let n = rng.range(1, 80);
         let k = rng.range(1, 48);
         let a = Matrix::deterministic(m, k, 1);
         let b = Matrix::deterministic(k, n, 2);
