@@ -12,12 +12,6 @@ pub fn summa_io(prob: &MmmProblem) -> f64 {
     k * (m + n) / p.sqrt() + m * n / p
 }
 
-/// Table 3, 2D row latency: `L = 2k·log2(√p)` (panel broadcasts).
-pub fn summa_latency(prob: &MmmProblem) -> f64 {
-    let (k, p) = (prob.k as f64, prob.p as f64);
-    2.0 * k * p.sqrt().log2().max(0.0)
-}
-
 /// The replication factor `c = pS/(mk + nk)` of the 2.5D algorithm,
 /// clamped to `[1, p^(1/3)]` like Solomonik & Demmel.
 pub fn p25d_replication(prob: &MmmProblem) -> f64 {
@@ -50,12 +44,6 @@ pub fn carma_io(prob: &MmmProblem) -> f64 {
     } else {
         2.0 * bandwidth.min(cubic) + cubic
     }
-}
-
-/// Table 3, recursive row latency: `3^(3/2)·mnk/(p·S^(3/2)) + 3·log2(p)`.
-pub fn carma_latency(prob: &MmmProblem) -> f64 {
-    let (m, n, k, p, s) = (prob.m as f64, prob.n as f64, prob.k as f64, prob.p as f64, prob.mem_words as f64);
-    27f64.sqrt() * m * n * k / (p * s.powf(1.5)) + 3.0 * p.log2()
 }
 
 #[cfg(test)]

@@ -144,15 +144,13 @@ pub async fn execute(
     for r in 0..q {
         let t = (i + j + r) % q;
         let lk_t = even_range(prob.k, q, t).len();
-        // Pooled copies of the live panels: the originals keep circulating
-        // on the shift rings while the multiply runs, and the copies go
-        // back to the arena instead of the allocator every round.
-        let ap = Matrix::from_vec(lm, lk_t, comm.pool().take_copy(&a_cur));
-        let bp = Matrix::from_vec(lk_t, ln, comm.pool().take_copy(&b_cur));
+        // The live panels move into `Matrix` form for the multiply and back
+        // out for the shift: no copy, nothing taken from the arena.
+        let ap = Matrix::from_vec(lm, lk_t, a_cur);
+        let bp = Matrix::from_vec(lk_t, ln, b_cur);
         gemm_packed(&ap, &bp, &mut c_local);
         comm.record_flops(2 * (lm * ln * lk_t) as u64);
-        comm.recycle(ap.into_vec());
-        comm.recycle(bp.into_vec());
+        (a_cur, b_cur) = (ap.into_vec(), bp.into_vec());
         if r + 1 < q {
             // Shift A left along the row ring, B up along the column ring.
             let a_dst = i * q + (j + q - 1) % q;

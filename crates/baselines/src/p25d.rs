@@ -282,15 +282,13 @@ pub async fn execute(
     for s in 0..step {
         let t = (i + j + off + s) % q;
         let lk_t = even_range(prob.k, q, t).len();
-        // Pooled copies of the live panels: the originals keep circulating
-        // on the shift rings while the multiply runs, and the copies go
-        // back to the arena instead of the allocator every step.
-        let ap = Matrix::from_vec(lm, lk_t, comm.pool().take_copy(&a_cur));
-        let bp = Matrix::from_vec(lk_t, ln, comm.pool().take_copy(&b_cur));
+        // The live panels move into `Matrix` form for the multiply and back
+        // out for the shift: no copy, nothing taken from the arena.
+        let ap = Matrix::from_vec(lm, lk_t, a_cur);
+        let bp = Matrix::from_vec(lk_t, ln, b_cur);
         gemm_packed(&ap, &bp, &mut c_local);
         comm.record_flops(2 * (lm * ln * lk_t) as u64);
-        comm.recycle(ap.into_vec());
-        comm.recycle(bp.into_vec());
+        (a_cur, b_cur) = (ap.into_vec(), bp.into_vec());
         if s + 1 < step {
             let a_dst = geo.rank_of(i, (j + q - 1) % q, l);
             let a_src = geo.rank_of(i, (j + 1) % q, l);
@@ -438,6 +436,30 @@ mod tests {
         check_p25d(16, 16, 16, 12, 1 << 14); // q=2,c=2 uses 8 of 12
         check_p25d(17, 19, 23, 16, 1 << 14);
         check_p25d(9, 9, 81, 27, 1 << 12); // 3D-ish
+    }
+
+    #[test]
+    fn cannon_and_p25d_steps_take_nothing_from_the_arena() {
+        let takes = |algo: &dyn MmmAlgorithm, p: usize| {
+            let prob = MmmProblem::new(24, 24, 24, p, 1 << 14);
+            let plan = algo.plan(&prob, &CostModel::piz_daint_two_sided()).unwrap();
+            let a = Matrix::deterministic(prob.m, prob.k, 51);
+            let b = Matrix::deterministic(prob.k, prob.n, 52);
+            let spec = MachineSpec::piz_daint_with_memory(p, prob.mem_words);
+            let report = cosma::api::execute_boxed(algo, &plan, &spec, ExecBackend::event(), &a, &b).unwrap();
+            assert!(matmul(&a, &b).approx_eq(&report.c, 1e-9));
+            report.pool.hits + report.pool.misses
+        };
+        // The panels pass through the multiply and the shift rings by value.
+        assert_eq!(takes(&crate::cannon::CannonAlgorithm, 16), 0);
+        let layers = |q, c| P25dAlgorithm::with_geometry(Geometry25 { q, c });
+        assert_eq!(takes(&layers(4, 1), 16), 0);
+        // With c > 1 only the replication broadcast and the reduction lease,
+        // the same per k-fiber however many steps run between them: q = 4
+        // has four times the fibers of q = 2 and twice its steps.
+        let one_step = takes(&layers(2, 2), 8);
+        assert!(one_step > 0);
+        assert_eq!(takes(&layers(4, 2), 32), 4 * one_step);
     }
 
     #[test]

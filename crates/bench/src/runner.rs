@@ -598,7 +598,10 @@ mod tests {
     fn executed_rows_carry_arena_counters() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
         for row in execute_all(&prob, &model(), blocking()) {
-            assert!(row.allocs > 0, "{}: a run always allocates something", row.algo);
+            // Cannon and 2.5D (one layer here) move their panels by value and
+            // never touch the arena; the other three lease every payload.
+            let leases = !matches!(row.algo, AlgoId::Cannon | AlgoId::P25d);
+            assert_eq!(row.allocs > 0, leases, "{}: {} allocs", row.algo, row.allocs);
             assert!(
                 (0.0..=1.0).contains(&row.pool_hit_rate),
                 "{}: hit rate {} out of range",

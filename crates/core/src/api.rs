@@ -50,7 +50,7 @@ use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
-use mpsim::exec::{run_spmd_pooled, run_spmd_with, ExecBackend, ExecError, RunOutput, SchedulerPool};
+use mpsim::exec::{run_spmd_with, ExecBackend, ExecError};
 use mpsim::machine::{MachineSpec, Placement, Topology};
 use mpsim::pool::PoolStats;
 use mpsim::stats::RankStats;
@@ -373,11 +373,6 @@ impl ExecReport {
         self.stats.iter().map(RankStats::total_recv).sum()
     }
 
-    /// Maximum words received by any rank.
-    pub fn max_recv_words(&self) -> u64 {
-        self.stats.iter().map(RankStats::total_recv).max().unwrap_or(0)
-    }
-
     /// Measured machine time: the slowest rank's virtual finish time, in
     /// seconds. Zero on a run that pinned [`ExecBackend::Blocking`].
     pub fn measured_time_s(&self) -> f64 {
@@ -505,7 +500,8 @@ pub type RankFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
 /// Object-safe driver behind [`MmmAlgorithm::execute`] — also callable on a
 /// `&dyn MmmAlgorithm` (e.g. a registry entry) — on an explicit
-/// [`ExecBackend`].
+/// [`ExecBackend`]: refuse a plan built for another world size, run the
+/// world, assemble the ranks' output shares.
 pub fn execute_boxed(
     algo: &(impl MmmAlgorithm + ?Sized),
     plan: &DistPlan,
@@ -514,53 +510,18 @@ pub fn execute_boxed(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<ExecReport, PlanError> {
-    checked_and_assembled(plan, machine, || {
-        run_spmd_with(
-            machine,
-            backend,
-            |mut comm| async move { algo.execute_rank(&mut comm, plan, a, b).await },
-        )
-    })
-}
-
-/// [`execute_boxed`] over a *shared* [`SchedulerPool`]: the world runs on
-/// the blocking executor and its ranks take their runnable slots from
-/// `pool` instead of a private per-run one, so many independent executions
-/// (a serving layer's concurrent tenants) jointly respect one machine-wide
-/// worker cap. Results and per-rank counters are identical to a solo
-/// [`execute_boxed`] run — admission order never changes what a rank
-/// computes or how many words it moves.
-pub fn execute_boxed_pooled(
-    algo: &(impl MmmAlgorithm + ?Sized),
-    plan: &DistPlan,
-    machine: &MachineSpec,
-    pool: &SchedulerPool,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<ExecReport, PlanError> {
-    checked_and_assembled(plan, machine, || {
-        run_spmd_pooled(
-            machine,
-            pool,
-            |mut comm| async move { algo.execute_rank(&mut comm, plan, a, b).await },
-        )
-    })
-}
-
-/// The shared frame of both drivers: refuse a plan built for another world
-/// size, `run` the world, and assemble the ranks' output shares.
-fn checked_and_assembled(
-    plan: &DistPlan,
-    machine: &MachineSpec,
-    run: impl FnOnce() -> Result<RunOutput<Vec<CPart>>, ExecError>,
-) -> Result<ExecReport, PlanError> {
     if plan.problem.p != machine.p {
         return Err(PlanError::WorldSizeMismatch {
             plan_ranks: plan.problem.p,
             world_ranks: machine.p,
         });
     }
-    let out = run()?;
+    let out =
+        run_spmd_with(
+            machine,
+            backend,
+            |mut comm| async move { algo.execute_rank(&mut comm, plan, a, b).await },
+        )?;
     let c = assemble_c(out.results.into_iter().flatten(), plan.problem.m, plan.problem.n);
     Ok(ExecReport {
         c,
@@ -967,27 +928,6 @@ impl RunSession {
         execute_boxed(algo.as_ref(), plan, &self.machine_spec(), self.effective_exec_backend(), a, b)
     }
 
-    /// [`execute_planned`](Self::execute_planned) over a shared
-    /// [`SchedulerPool`] (see [`execute_boxed_pooled`]): the serving layer's
-    /// path for running many cached-plan jobs concurrently under one
-    /// machine-wide worker cap.
-    pub fn execute_planned_pooled(
-        &self,
-        plan: &DistPlan,
-        pool: &SchedulerPool,
-        a: &Matrix,
-        b: &Matrix,
-    ) -> Result<ExecReport, PlanError> {
-        let algo = self.resolve()?;
-        if plan.algo != algo.id() {
-            return Err(PlanError::InvalidConfig {
-                algo: plan.algo,
-                reason: "plan was made for a different algorithm than the session resolves",
-            });
-        }
-        execute_boxed_pooled(algo.as_ref(), plan, &self.machine_spec(), pool, a, b)
-    }
-
     /// Plan and evaluate under the cost model.
     pub fn run(&self) -> Result<RunOutcome, PlanError> {
         let plan = self.plan()?;
@@ -1125,20 +1065,6 @@ mod tests {
                 world_ranks: 6
             })
         ));
-    }
-
-    #[test]
-    fn execute_planned_pooled_matches_private_run() {
-        let prob = MmmProblem::new(24, 20, 28, 6, 4096);
-        let a = Matrix::deterministic(prob.m, prob.k, 5);
-        let b = Matrix::deterministic(prob.k, prob.n, 6);
-        let session = RunSession::new(prob).exec_backend(BLOCKING);
-        let plan = session.plan_arc().unwrap();
-        let pool = SchedulerPool::new(2).unwrap();
-        let pooled = session.execute_planned_pooled(&plan, &pool, &a, &b).unwrap();
-        let private = session.execute(&a, &b).unwrap();
-        assert_eq!(pooled.c, private.c);
-        assert_eq!(pooled.stats, private.stats);
     }
 
     #[test]
@@ -1283,9 +1209,13 @@ mod tests {
             plan_ranks: 4,
             world_ranks: 5,
         };
-        let pool = SchedulerPool::new(2).unwrap();
-        assert_eq!(execute_boxed(&algo, &plan, &wrong, ExecBackend::event(), &a, &b).unwrap_err(), mismatch);
-        assert_eq!(execute_boxed_pooled(&algo, &plan, &wrong, &pool, &a, &b).unwrap_err(), mismatch);
+        for backend in [ExecBackend::event(), BLOCKING] {
+            assert_eq!(
+                execute_boxed(&algo, &plan, &wrong, backend, &a, &b).unwrap_err(),
+                mismatch,
+                "{backend}"
+            );
+        }
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //!   target window exactly like `MPI_Put` into an `MPI_Win_allocate`
 //!   buffer).
 //!
-//! [`Comm`] is the blocking (channel-based) implementation used by the
-//! blocking executor; [`crate::event::EventComm`] is the event-driven one.
-//! Every operation updates the per-rank [`StatsBoard`] counters identically,
-//! which is how the "communication volume per rank" measurements of
-//! Figures 6–7 are taken — and why both executors measure bitwise-identical
-//! numbers.
+//! Behind [`RankComm`] sit two crate-private implementations: the blocking
+//! (channel-based) one of the blocking executor and the event-driven one of
+//! [`crate::event`]. Every operation updates the per-rank [`StatsBoard`]
+//! counters identically, which is how the "communication volume per rank"
+//! measurements of Figures 6–7 are taken — and why both executors measure
+//! bitwise-identical numbers.
 
 use std::cell::Cell;
 use std::future::Future;
@@ -76,8 +76,8 @@ fn lock(w: &Mutex<Vec<f64>>) -> MutexGuard<'_, Vec<f64>> {
 }
 
 /// The RMA window operations proper — bounds checks and data movement on a
-/// raw window buffer. Shared by the blocking [`Comm`] and the event-driven
-/// [`EventComm`] so the two backends cannot drift in semantics or panic
+/// raw window buffer. Shared by the blocking `Comm` and the event-driven
+/// `EventComm` so the two backends cannot drift in semantics or panic
 /// messages (their counters are recorded identically via [`record_rma`]).
 pub(crate) mod window {
     /// (Re)size a window to `words` zeroed words.
@@ -162,8 +162,8 @@ impl Drop for RankGate {
     }
 }
 
-/// A rank's handle to the simulated machine.
-pub struct Comm {
+/// A rank's handle to the simulated machine on the blocking executor.
+pub(crate) struct Comm {
     rank: usize,
     p: usize,
     shared: Arc<SharedState>,
@@ -444,10 +444,9 @@ impl Comm {
 /// Rendezvous operations ([`recv`](Self::recv), [`barrier`](Self::barrier),
 /// [`fence`](Self::fence), [`sendrecv`](Self::sendrecv)) are `async`
 /// wait-states. On the blocking backend they complete within a single poll —
-/// the underlying [`Comm`] parks the rank's carrier thread and yields its
-/// worker slot. On the event backend they
-/// return `Poll::Pending` and the scheduler parks the rank's state machine
-/// in the matching table, costing bytes instead of a stack.
+/// the rank's carrier thread parks and yields its worker slot. On the event
+/// backend they return `Poll::Pending` and the scheduler parks the rank's
+/// state machine in the matching table, costing bytes instead of a stack.
 ///
 /// Rank bodies are `async` closures over this handle:
 ///
@@ -465,7 +464,26 @@ impl Comm {
 /// .unwrap();
 /// assert_eq!(out.results[1], 0.0);
 /// ```
-pub enum RankComm {
+///
+/// The handle is opaque: which executor is behind it, and the executors'
+/// own communicators, gate and futures, are private to this crate, so they
+/// can be moved or rewritten without an API break. These must not compile:
+///
+/// ```compile_fail,E0603
+/// use mpsim::comm::Comm;
+/// ```
+///
+/// ```compile_fail,E0603
+/// use mpsim::event::EventComm;
+/// ```
+///
+/// ```compile_fail,E0603
+/// use mpsim::exec::WorkerGate;
+/// ```
+pub struct RankComm(pub(crate) CommImpl);
+
+/// The two implementations behind [`RankComm`].
+pub(crate) enum CommImpl {
     /// Channel-backed blocking communicator (blocking executor).
     Blocking(Comm),
     /// Event-world handle (event executor): wait-states actually suspend.
@@ -475,33 +493,33 @@ pub enum RankComm {
 impl RankComm {
     /// This rank's id, `0..p`.
     pub fn rank(&self) -> usize {
-        match self {
-            RankComm::Blocking(c) => c.rank(),
-            RankComm::Event(c) => c.rank(),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.rank(),
+            CommImpl::Event(c) => c.rank(),
         }
     }
 
     /// World size `p`.
     pub fn size(&self) -> usize {
-        match self {
-            RankComm::Blocking(c) => c.size(),
-            RankComm::Event(c) => c.size(),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.size(),
+            CommImpl::Event(c) => c.size(),
         }
     }
 
     /// The shared statistics board.
     pub fn stats(&self) -> &StatsBoard {
-        match self {
-            RankComm::Blocking(c) => c.stats(),
-            RankComm::Event(c) => c.stats(),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.stats(),
+            CommImpl::Event(c) => c.stats(),
         }
     }
 
     /// The world's buffer-reuse arena (see [`crate::pool::BufferPool`]).
     pub fn pool(&self) -> &Arc<BufferPool> {
-        match self {
-            RankComm::Blocking(c) => c.pool(),
-            RankComm::Event(c) => c.pool(),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.pool(),
+            CommImpl::Event(c) => c.pool(),
         }
     }
 
@@ -514,33 +532,33 @@ impl RankComm {
 
     /// Record `flops` local floating-point operations for this rank.
     pub fn record_flops(&self, flops: u64) {
-        match self {
-            RankComm::Blocking(c) => c.record_flops(flops),
-            RankComm::Event(c) => c.record_flops(flops),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.record_flops(flops),
+            CommImpl::Event(c) => c.record_flops(flops),
         }
     }
 
     /// Record a working-memory allocation (peak-memory accounting).
     pub fn track_alloc(&self, words: u64) {
-        match self {
-            RankComm::Blocking(c) => c.track_alloc(words),
-            RankComm::Event(c) => c.track_alloc(words),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.track_alloc(words),
+            CommImpl::Event(c) => c.track_alloc(words),
         }
     }
 
     /// Record a working-memory release.
     pub fn track_free(&self, words: u64) {
-        match self {
-            RankComm::Blocking(c) => c.track_free(words),
-            RankComm::Event(c) => c.track_free(words),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.track_free(words),
+            CommImpl::Event(c) => c.track_free(words),
         }
     }
 
     /// Send `data` to rank `to` with `tag`. Never suspends.
     pub fn send(&self, to: usize, tag: u64, data: Vec<f64>, phase: Phase) {
-        match self {
-            RankComm::Blocking(c) => c.send(to, tag, data, phase),
-            RankComm::Event(c) => c.send(to, tag, data, phase),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.send(to, tag, data, phase),
+            CommImpl::Event(c) => c.send(to, tag, data, phase),
         }
     }
 
@@ -548,9 +566,9 @@ impl RankComm {
     /// the matching message arrives. Messages from the same sender with the
     /// same tag are delivered in send order on every backend.
     pub async fn recv(&mut self, from: usize, tag: u64, phase: Phase) -> Vec<f64> {
-        match self {
-            RankComm::Blocking(c) => c.recv(from, tag, phase),
-            RankComm::Event(c) => c.recv(from, tag, phase).await,
+        match &mut self.0 {
+            CommImpl::Blocking(c) => c.recv(from, tag, phase),
+            CommImpl::Event(c) => c.recv(from, tag, phase).await,
         }
     }
 
@@ -565,91 +583,91 @@ impl RankComm {
         data: Vec<f64>,
         phase: Phase,
     ) -> Vec<f64> {
-        match self {
-            RankComm::Blocking(c) => c.sendrecv(to, from, tag, data, phase),
-            RankComm::Event(c) => c.sendrecv(to, from, tag, data, phase).await,
+        match &mut self.0 {
+            CommImpl::Blocking(c) => c.sendrecv(to, from, tag, data, phase),
+            CommImpl::Event(c) => c.sendrecv(to, from, tag, data, phase).await,
         }
     }
 
     /// Wait until all ranks reach the barrier — a wait-state.
     pub async fn barrier(&mut self) {
-        match self {
-            RankComm::Blocking(c) => c.barrier(),
-            RankComm::Event(c) => c.barrier().await,
+        match &mut self.0 {
+            CommImpl::Blocking(c) => c.barrier(),
+            CommImpl::Event(c) => c.barrier().await,
         }
     }
 
     /// Close an RMA epoch (like `MPI_Win_fence`) — a wait-state.
     pub async fn fence(&mut self) {
-        match self {
-            RankComm::Blocking(c) => c.fence(),
-            RankComm::Event(c) => c.fence().await,
+        match &mut self.0 {
+            CommImpl::Blocking(c) => c.fence(),
+            CommImpl::Event(c) => c.fence().await,
         }
     }
 
     /// (Re)size this rank's window to `words` zeroed words.
     pub fn win_resize(&self, words: usize) {
-        match self {
-            RankComm::Blocking(c) => c.win_resize(words),
-            RankComm::Event(c) => c.win_resize(words),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.win_resize(words),
+            CommImpl::Event(c) => c.win_resize(words),
         }
     }
 
     /// Write `data` into `target`'s window at `offset` (like `MPI_Put`).
     pub fn put(&self, target: usize, offset: usize, data: &[f64], phase: Phase) {
-        match self {
-            RankComm::Blocking(c) => c.put(target, offset, data, phase),
-            RankComm::Event(c) => c.put(target, offset, data, phase),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.put(target, offset, data, phase),
+            CommImpl::Event(c) => c.put(target, offset, data, phase),
         }
     }
 
     /// Read `len` words at `offset` from `target`'s window (like `MPI_Get`).
     pub fn get(&self, target: usize, offset: usize, len: usize, phase: Phase) -> Vec<f64> {
-        match self {
-            RankComm::Blocking(c) => c.get(target, offset, len, phase),
-            RankComm::Event(c) => c.get(target, offset, len, phase),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.get(target, offset, len, phase),
+            CommImpl::Event(c) => c.get(target, offset, len, phase),
         }
     }
 
     /// Element-wise add `data` into `target`'s window at `offset`.
     pub fn accumulate(&self, target: usize, offset: usize, data: &[f64], phase: Phase) {
-        match self {
-            RankComm::Blocking(c) => c.accumulate(target, offset, data, phase),
-            RankComm::Event(c) => c.accumulate(target, offset, data, phase),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.accumulate(target, offset, data, phase),
+            CommImpl::Event(c) => c.accumulate(target, offset, data, phase),
         }
     }
 
     /// Replace this rank's window contents (local, no traffic counted).
     pub fn win_fill(&self, data: Vec<f64>) {
-        match self {
-            RankComm::Blocking(c) => c.win_fill(data),
-            RankComm::Event(c) => c.win_fill(data),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.win_fill(data),
+            CommImpl::Event(c) => c.win_fill(data),
         }
     }
 
     /// Read this rank's own window (no traffic counted).
     pub fn win_local(&self) -> Vec<f64> {
-        match self {
-            RankComm::Blocking(c) => c.win_local(),
-            RankComm::Event(c) => c.win_local(),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.win_local(),
+            CommImpl::Event(c) => c.win_local(),
         }
     }
 
     /// Read a slice of this rank's own window (no traffic counted).
     pub fn win_read_local(&self, offset: usize, len: usize) -> Vec<f64> {
-        match self {
-            RankComm::Blocking(c) => c.win_read_local(offset, len),
-            RankComm::Event(c) => c.win_read_local(offset, len),
+        match &self.0 {
+            CommImpl::Blocking(c) => c.win_read_local(offset, len),
+            CommImpl::Event(c) => c.win_read_local(offset, len),
         }
     }
 }
 
-/// Drive a rank-body future on a blocking ([`RankComm::Blocking`]) context
-/// to completion. Every wait-state on a blocking context completes within
-/// its poll (the underlying [`Comm`] blocks the thread), so a single poll
-/// finishes the body; suspension here would mean the body awaited something
-/// other than its communicator.
-pub fn block_on_ready<F: Future>(fut: F) -> F::Output {
+/// Drive a rank-body future on a blocking context to completion. Every
+/// wait-state on a blocking context completes within its poll (the
+/// underlying [`Comm`] blocks the thread), so a single poll finishes the
+/// body; suspension here would mean the body awaited something other than
+/// its communicator.
+pub(crate) fn block_on_ready<F: Future>(fut: F) -> F::Output {
     let mut fut = pin!(fut);
     let mut cx = Context::from_waker(Waker::noop());
     match fut.as_mut().poll(&mut cx) {
@@ -674,7 +692,7 @@ mod tests {
             stats.clone(),
             gate,
             crate::machine::DEFAULT_RECV_TIMEOUT,
-            BufferPool::shared(),
+            Arc::new(BufferPool::new(true)),
         );
         (comms, stats)
     }

@@ -56,12 +56,6 @@ impl CostModel {
         }
     }
 
-    /// The effective γ (sustained flop/s) used by [`CostModel::compute_time`]:
-    /// `peak_flops · kernel_efficiency`.
-    pub fn gamma_flops(&self) -> f64 {
-        self.peak_flops * self.kernel_efficiency
-    }
-
     /// Time to execute `flops` floating-point operations locally.
     pub fn compute_time(&self, flops: u64) -> f64 {
         flops as f64 / (self.peak_flops * self.kernel_efficiency)

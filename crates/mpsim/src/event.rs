@@ -25,7 +25,7 @@
 //! Each rank carries a virtual `now` driven by the machine's α-β-γ
 //! [`CostModel`](crate::cost::CostModel):
 //!
-//! * a local GEMM ([`EventComm::record_flops`]) advances the clock by
+//! * a local GEMM ([`RankComm::record_flops`]) advances the clock by
 //!   `compute_time(flops)`;
 //! * a `send` stamps the message with the sender's clock; the transfer costs
 //!   `α + β·words` and is routed over the machine's
@@ -57,9 +57,9 @@
 //!
 //! Admission is by virtual readiness time with FIFO tie-breaking, so a ready
 //! rank is never starved and untimed workloads (all timestamps equal) keep
-//! the old strict-FIFO order (the property tests assert this on the
-//! scheduler trace). Message matching, delivery order and counter updates
-//! mirror the blocking [`crate::comm::Comm`] exactly, so results are bitwise
+//! the old strict-FIFO order (the property tests assert this on the order
+//! rank bodies resume in). Message matching, delivery order and counter updates
+//! mirror the blocking communicator exactly, so results are bitwise
 //! identical and the per-rank counters equal across both backends —
 //! the clock changes *when* ranks are polled, never *what* they compute.
 //! Worlds of 100k+ ranks execute end-to-end with real messages in a few
@@ -152,7 +152,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
-use crate::comm::{record_rma, window};
+use crate::comm::{record_rma, window, CommImpl, RankComm};
 use crate::exec::{ExecError, RunOutput, Waiting};
 use crate::fault::FaultSchedule;
 use crate::machine::MachineSpec;
@@ -191,18 +191,6 @@ enum Wait {
     Recv { from: usize, tag: u64 },
     /// Parked at the world barrier.
     Barrier,
-}
-
-/// One scheduler decision, for the fairness property tests: ranks enter the
-/// ready queue (`Enqueue`) and are polled (`Poll`) in virtual-time order
-/// with FIFO tie-breaking, so on untimed workloads (all timestamps equal)
-/// the two sequences coincide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedEvent {
-    /// The rank became runnable and joined the ready queue.
-    Enqueue(usize),
-    /// The rank was popped (earliest virtual time, then FIFO) and polled.
-    Poll(usize),
 }
 
 /// A ready-queue entry: min-heap by `(at, seq)` — earliest virtual
@@ -340,8 +328,6 @@ struct RegionState {
     /// Earliest fault-plan message drop by a sender of this region, as
     /// `(sent_at, from, to)` — the casualty a pure-loss wedge reports.
     first_drop: Option<(f64, usize, usize)>,
-    /// Scheduler decision trace, recorded when tracing is on.
-    trace: Option<Vec<SchedEvent>>,
 }
 
 impl RegionState {
@@ -358,9 +344,6 @@ impl RegionState {
     }
 
     fn enqueue(&mut self, rank: usize, at: f64) {
-        if let Some(t) = &mut self.trace {
-            t.push(SchedEvent::Enqueue(rank));
-        }
         let seq = self.seq;
         self.seq += 1;
         self.ready.push(ReadyEntry { at, seq, rank });
@@ -579,7 +562,7 @@ struct BarrierState {
 }
 
 /// State shared by all ranks of one event-driven machine.
-pub struct EventWorld {
+pub(crate) struct EventWorld {
     p: usize,
     stats: Arc<StatsBoard>,
     /// The α-β-γ constants driving the virtual clock.
@@ -622,13 +605,7 @@ pub struct EventWorld {
 impl EventWorld {
     /// A world of `regions` ≥ 1 regions; more than one only on the flat
     /// topology with α > 0 (the caller guarantees both).
-    fn new(
-        spec: &MachineSpec,
-        stats: Arc<StatsBoard>,
-        regions: usize,
-        traced: bool,
-        pool: Arc<BufferPool>,
-    ) -> Self {
+    fn new(spec: &MachineSpec, stats: Arc<StatsBoard>, regions: usize, pool: Arc<BufferPool>) -> Self {
         let p = spec.p;
         let net = Network::new(spec);
         let n_shared = net.n_links() - p;
@@ -659,7 +636,6 @@ impl EventWorld {
                         free: NIL,
                         deadline_lb: f64::INFINITY,
                         first_drop: None,
-                        trace: traced.then(Vec::new),
                     })
                 })
                 .collect(),
@@ -783,10 +759,10 @@ impl EventWorld {
     }
 }
 
-/// A rank's handle to the event-driven machine: the [`EventComm`] analogue
-/// of the blocking [`crate::comm::Comm`]. Operations that cannot complete
+/// A rank's handle to the event-driven machine: the analogue of the
+/// blocking [`crate::comm::Comm`]. Operations that cannot complete
 /// return futures that park the rank in the world's matching table.
-pub struct EventComm {
+pub(crate) struct EventComm {
     rank: usize,
     /// The region `rank` lives in, so the rank's own operations find their
     /// state without dividing.
@@ -977,7 +953,7 @@ impl EventComm {
 
     /// Read `len` words at `offset` from `target`'s window (like `MPI_Get`).
     /// The returned buffer is leased from the world's arena — hand it back
-    /// with [`crate::comm::RankComm::recycle`] when done.
+    /// with [`RankComm::recycle`] when done.
     pub fn get(&self, target: usize, offset: usize, len: usize, phase: Phase) -> Vec<f64> {
         let mut out = self.world.pool.take_clear(len);
         self.with_windows(|w| window::get_into(&w[target], offset, len, &mut out));
@@ -1019,7 +995,7 @@ impl EventComm {
 /// Wait-state of a pending receive: completes when a message from `from`
 /// with `tag` is in this rank's mailbox, advancing the virtual clock to the
 /// message's completion time.
-pub struct RecvFuture<'a> {
+pub(crate) struct RecvFuture<'a> {
     comm: &'a EventComm,
     from: usize,
     tag: u64,
@@ -1070,7 +1046,7 @@ impl Future for RecvFuture<'_> {
 
 /// Wait-state of a barrier arrival: completes when all `p` ranks arrived,
 /// at the max arrival time.
-pub struct BarrierFuture<'a> {
+pub(crate) struct BarrierFuture<'a> {
     comm: &'a EventComm,
     /// The barrier epoch this rank arrived in (`None` before first poll).
     arrived_gen: Option<u64>,
@@ -1226,7 +1202,7 @@ impl Control {
 /// Worker 0 runs on the calling thread and doubles as the boundary leader.
 fn worker<R, F, Fut>(world: &Arc<EventWorld>, ctl: &Control, w: usize, f: &F) -> Vec<Option<R>>
 where
-    F: Fn(crate::comm::RankComm) -> Fut,
+    F: Fn(RankComm) -> Fut,
     Fut: Future<Output = R>,
 {
     let base = w * world.chunk;
@@ -1239,7 +1215,7 @@ where
                 region: w,
                 world: world.clone(),
             };
-            Some(Box::pin(f(crate::comm::RankComm::Event(comm))))
+            Some(Box::pin(f(RankComm(CommImpl::Event(comm)))))
         })
         .collect();
     let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
@@ -1288,9 +1264,6 @@ where
                         ctl.live.fetch_sub(1, Ordering::SeqCst);
                         continue 'window;
                     }
-                }
-                if let Some(t) = &mut reg.trace {
-                    t.push(SchedEvent::Poll(r));
                 }
                 r
             };
@@ -1420,23 +1393,21 @@ fn boundary(world: &EventWorld, ctl: &Control) {
 /// thread included, so a one-region world spawns nothing) — the one driver
 /// behind [`ExecBackend::Event`](crate::exec::ExecBackend::Event). The
 /// caller ([`crate::exec::run_spmd_with`]) passes more than one region only
-/// where sharding is bitwise-invisible (flat topology, α > 0). Also returns
-/// the scheduler decision trace, empty unless `traced`.
+/// where sharding is bitwise-invisible (flat topology, α > 0).
 pub(crate) fn run_event_world<R, F, Fut>(
     spec: &MachineSpec,
     regions: usize,
     f: F,
-    traced: bool,
     pool: Arc<BufferPool>,
-) -> Result<(RunOutput<R>, Vec<SchedEvent>), ExecError>
+) -> Result<RunOutput<R>, ExecError>
 where
     R: Send,
-    F: Fn(crate::comm::RankComm) -> Fut + Sync,
+    F: Fn(RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
     let p = spec.p;
     let stats = Arc::new(StatsBoard::new(p));
-    let world = Arc::new(EventWorld::new(spec, stats.clone(), regions, traced, pool));
+    let world = Arc::new(EventWorld::new(spec, stats.clone(), regions, pool));
     for region in &world.regions {
         let mut reg = lock(region);
         for r in reg.base..reg.base + reg.slabs.len() {
@@ -1478,12 +1449,6 @@ where
     if let Some(e) = world.fault_error(false) {
         return Err(e);
     }
-    let trace = world
-        .regions
-        .iter()
-        .flat_map(|region| lock(region).trace.take())
-        .flatten()
-        .collect();
     let mut results = Vec::with_capacity(p);
     results.extend(
         region_results
@@ -1491,32 +1456,11 @@ where
             .flatten()
             .map(|slot| slot.expect("missing rank result")),
     );
-    Ok((
-        RunOutput {
-            results,
-            stats: stats.snapshot(),
-            pool: world.pool.stats(),
-        },
-        trace,
-    ))
-}
-
-/// A single-threaded run with the scheduler decision trace, for the fairness
-/// property tests: the returned events record every ready-queue admission and
-/// poll in order. Everything else runs through [`crate::exec::run_spmd_with`].
-///
-/// # Errors
-/// A wedged or torn-down world surfaces as its typed [`ExecError`].
-pub fn run_spmd_event_traced<R, F, Fut>(
-    spec: &MachineSpec,
-    f: F,
-) -> Result<(RunOutput<R>, Vec<SchedEvent>), ExecError>
-where
-    R: Send,
-    F: Fn(crate::comm::RankComm) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
-    run_event_world(spec, 1, f, true, crate::exec::spec_arena(spec))
+    Ok(RunOutput {
+        results,
+        stats: stats.snapshot(),
+        pool: world.pool.stats(),
+    })
 }
 
 #[cfg(test)]
@@ -1684,39 +1628,36 @@ mod tests {
 
     #[test]
     fn scheduler_trace_is_fifo_on_equal_timestamps() {
-        let spec = MachineSpec::test_machine(5, 1000);
-        let (_, trace) = run_spmd_event_traced(&spec, |mut c| async move {
-            c.barrier().await;
-            c.rank()
+        // Ranks 1..=3 park on a recv from rank 0, which then sends them three
+        // identical messages in the order 3, 1, 2: three wakes at one virtual
+        // time, resumed in wake order, not rank order. Every resume logs
+        // `(rank, step)`.
+        let spec = MachineSpec::test_machine(4, 1000);
+        let log = Mutex::new(Vec::new());
+        run_spmd_with(&spec, ExecBackend::event(), |mut c| {
+            let log = &log;
+            async move {
+                let rank = c.rank();
+                log.lock().unwrap().push((rank, 0));
+                if rank == 0 {
+                    // Parked until rank 3, the last first poll, has run.
+                    c.recv(3, 0, Phase::Other).await;
+                    for to in [3, 1, 2] {
+                        c.send(to, 1, vec![1.0], Phase::Other);
+                    }
+                } else {
+                    if rank == 3 {
+                        c.send(0, 0, vec![], Phase::Other);
+                    }
+                    c.recv(0, 1, Phase::Other).await;
+                }
+                log.lock().unwrap().push((rank, 1));
+            }
         })
         .unwrap();
-        let enq: Vec<usize> = trace
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Enqueue(r) => Some(*r),
-                _ => None,
-            })
-            .collect();
-        let polls: Vec<usize> = trace
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Poll(r) => Some(*r),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(enq, polls, "equal virtual timestamps must keep FIFO order");
-    }
-
-    #[test]
-    fn traced_run_types_a_deadlock_instead_of_panicking() {
-        let spec = MachineSpec::test_machine(2, 1000);
-        let err =
-            run_spmd_event_traced(
-                &spec,
-                |mut c| async move { c.recv((c.rank() + 1) % 2, 9, Phase::Other).await },
-            )
-            .unwrap_err();
-        assert!(matches!(err, ExecError::DeadlockSuspected { rank: 0, .. }), "{err}");
+        let first_polls = [(0, 0), (1, 0), (2, 0), (3, 0)];
+        let wakes = [(0, 1), (3, 1), (1, 1), (2, 1)];
+        assert_eq!(*log.lock().unwrap(), [first_polls, wakes].concat(), "equal timestamps keep FIFO order");
     }
 
     /// A unit cost model for hand-checkable virtual-clock arithmetic:
@@ -1832,7 +1773,7 @@ mod tests {
     #[test]
     fn timed_runs_are_deterministic() {
         let spec = MachineSpec::test_machine(16, 1000);
-        let body = |mut c: crate::comm::RankComm| async move {
+        let body = |mut c: RankComm| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
             c.sendrecv(right, left, 1, vec![1.0; c.rank() + 1], Phase::Other).await;
@@ -1866,7 +1807,7 @@ mod tests {
     #[test]
     fn explicit_flat_topology_is_bitwise_identical_to_default() {
         use crate::machine::{Placement, Topology};
-        let body = |mut c: crate::comm::RankComm| async move {
+        let body = |mut c: RankComm| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
             c.record_flops(c.rank() as u64);
@@ -1941,7 +1882,7 @@ mod tests {
     /// primitives directly.
     fn bare_world(spec: &MachineSpec) -> EventWorld {
         let stats = Arc::new(StatsBoard::new(spec.p));
-        EventWorld::new(spec, stats, 1, false, crate::exec::spec_arena(spec))
+        EventWorld::new(spec, stats, 1, Arc::new(BufferPool::new(spec.pooling)))
     }
 
     /// `rank`'s mailbox as `(from, tag, words)` in arrival order, read off the
@@ -2098,7 +2039,7 @@ mod tests {
         for backend in [ExecBackend::event(), ExecBackend::Event { threads: 2 }] {
             let run = || {
                 run_spmd_with(&spec, backend, |c| async move {
-                    let crate::comm::RankComm::Event(c) = c else {
+                    let RankComm(CommImpl::Event(c)) = c else {
                         unreachable!("event backend")
                     };
                     if c.rank() == 0 {
@@ -2313,7 +2254,7 @@ mod tests {
     /// rank-dependent compute, a ring exchange, a long-distance exchange
     /// with the antipodal rank (all cross-region on any even region count),
     /// and a closing barrier.
-    async fn mixed_body(mut c: crate::comm::RankComm) -> usize {
+    async fn mixed_body(mut c: RankComm) -> usize {
         let p = c.size();
         let r = c.rank();
         c.record_flops((r as u64 % 7) * 1000);
@@ -2504,7 +2445,7 @@ mod tests {
         // With 2 regions every exchange below crosses the region boundary:
         // the inbox-drain path carries the whole workload.
         let spec = MachineSpec::test_machine(32, 1000);
-        let body = |mut c: crate::comm::RankComm| async move {
+        let body = |mut c: RankComm| async move {
             let p = c.size();
             let partner = (c.rank() + p / 2) % p;
             c.record_flops(c.rank() as u64 * 100);
@@ -2523,7 +2464,7 @@ mod tests {
         use crate::machine::Topology;
         // α = 0 (no lookahead) and a shared-link topology both clamp to the
         // one region: same stats, bitwise, whatever the thread count.
-        let body = |mut c: crate::comm::RankComm| async move {
+        let body = |mut c: RankComm| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
             c.sendrecv(right, left, 1, vec![1.0; 3], Phase::Other).await;
@@ -2591,7 +2532,7 @@ mod tests {
         // conflict-free, so data and counters agree with the one-region
         // run (times too: the origin-side charge is rank-local).
         let spec = MachineSpec::test_machine(8, 1000);
-        let body = |mut c: crate::comm::RankComm| async move {
+        let body = |mut c: RankComm| async move {
             c.win_resize(2);
             c.fence().await;
             let target = (c.rank() + 4) % 8;
@@ -2679,7 +2620,7 @@ mod tests {
     /// A long, barrier-paced workload for the fault tests: every rank has
     /// poll points spread across the whole makespan, so any death scheduled
     /// inside the horizon reliably materializes.
-    async fn barrier_paced_body(mut c: crate::comm::RankComm) {
+    async fn barrier_paced_body(mut c: RankComm) {
         for _ in 0..10 {
             c.record_flops(100);
             c.barrier().await;
@@ -2717,7 +2658,7 @@ mod tests {
         // 10 µs horizon schedules all three deaths mid-run. A sharded world
         // (α = 1 µs > 0, flat topology) must report the exact same typed
         // failure as the one-region run at every thread count.
-        let body = |mut c: crate::comm::RankComm| async move {
+        let body = |mut c: RankComm| async move {
             for _ in 0..20 {
                 c.record_flops(1000);
                 c.barrier().await;

@@ -10,11 +10,11 @@
 //!   carrier thread, but at most `workers` of them are ever runnable: the
 //!   communicator's rendezvous points (a `recv` waiting for a message, a
 //!   `barrier`/`fence`) yield the rank's worker slot to the next runnable
-//!   rank instead of blocking it (see [`WorkerGate`]). Admission is FIFO, so
-//!   runnable ranks are stepped round-robin; with `workers ≥ p` every rank is
-//!   always runnable (one thread per rank). Parked ranks still pin their
-//!   carrier stacks (~64 KiB touched each), which bounds practical worlds
-//!   to a few thousand ranks.
+//!   rank instead of blocking it. Admission is FIFO, so runnable ranks are
+//!   stepped round-robin; with `workers ≥ p` every rank is always runnable
+//!   (one thread per rank). Parked ranks still pin their carrier stacks
+//!   (~64 KiB touched each), which bounds practical worlds to a few thousand
+//!   ranks. Every world has its own gate and its own arena.
 //! * **Event** — no per-rank thread at all: every rank body is compiled by
 //!   rustc into a *stackless* resumable state machine, and a single-threaded
 //!   scheduler drives all of them as a discrete-event simulation: the ready
@@ -36,7 +36,7 @@ use std::fmt;
 use std::future::Future;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use crate::comm::{block_on_ready, Comm, RankComm};
+use crate::comm::{block_on_ready, Comm, CommImpl, RankComm};
 use crate::machine::MachineSpec;
 use crate::pool::{BufferPool, PoolStats};
 use crate::stats::{RankStats, StatsBoard};
@@ -45,7 +45,7 @@ use crate::stats::{RankStats, StatsBoard};
 /// sets on the heap (matrix tiles, message buffers) and recurse at most
 /// `log2 p` deep (CARMA's splitting), so a modest fixed stack suffices and
 /// keeps 4096-rank worlds cheap.
-pub const CARRIER_STACK_BYTES: usize = 1 << 20;
+const CARRIER_STACK_BYTES: usize = 1 << 20;
 
 /// How an SPMD world is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,7 +342,7 @@ fn enforce_mem_budget<R>(spec: &MachineSpec, out: RunOutput<R>) -> Result<RunOut
 /// longest-waiting rank (one targeted `unpark`, no thundering herd), so
 /// runnable ranks are admitted round-robin and a parked rank never pins a
 /// worker.
-pub struct WorkerGate {
+pub(crate) struct WorkerGate {
     state: Mutex<GateQueue>,
 }
 
@@ -357,12 +357,9 @@ struct GateQueue {
 }
 
 impl WorkerGate {
-    /// A gate admitting `workers` concurrently runnable ranks.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "the worker pool needs at least one slot");
+    /// A gate admitting `workers` ≥ 1 concurrently runnable ranks.
+    pub(crate) fn new(workers: usize) -> Self {
+        assert!(workers > 0, "the worker gate needs at least one slot");
         WorkerGate {
             state: Mutex::new(GateQueue {
                 free: workers,
@@ -379,7 +376,7 @@ impl WorkerGate {
     }
 
     /// Block until a runnable slot is free (FIFO order).
-    pub fn acquire(&self) {
+    pub(crate) fn acquire(&self) {
         let ticket = {
             let mut st = self.lock();
             if st.free > 0 && st.queue.is_empty() {
@@ -400,7 +397,7 @@ impl WorkerGate {
     }
 
     /// Return a slot, handing it to the longest-waiting rank if any.
-    pub fn release(&self) {
+    pub(crate) fn release(&self) {
         let mut st = self.lock();
         if let Some((ticket, thread)) = st.queue.pop_front() {
             // The slot transfers directly: `free` stays unchanged.
@@ -442,13 +439,16 @@ where
     F: Fn(RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    match backend {
-        // A private pool for this one world: slots beyond `p` could never
-        // be taken, so the pool is capped there.
-        ExecBackend::Blocking { workers } => {
-            run_spmd_pooled(spec, &SchedulerPool::new(workers.min(spec.p))?, f)
+    let out = match backend {
+        ExecBackend::Blocking { workers: 0 } | ExecBackend::Event { threads: 0 } => {
+            return Err(ExecError::NoWorkers)
         }
-        ExecBackend::Event { threads: 0 } => Err(ExecError::NoWorkers),
+        // The world's own gate and arena. Slots beyond `p` could never be
+        // taken, so the gate is capped there.
+        ExecBackend::Blocking { workers } => {
+            let gate = Arc::new(WorkerGate::new(workers.min(spec.p)));
+            run_world(spec, gate, spec_arena(spec), f)?
+        }
         // More than one region only where sharding is provably invisible: a
         // flat topology (per-rank virtual state is region-local there) and
         // α > 0 (the conservative lookahead). Any other world is one region
@@ -460,102 +460,17 @@ where
             } else {
                 1
             };
-            let (out, _trace) = crate::event::run_event_world(spec, regions, f, false, spec_arena(spec))?;
-            enforce_mem_budget(spec, out)
+            crate::event::run_event_world(spec, regions, f, spec_arena(spec))?
         }
-    }
+    };
+    enforce_mem_budget(spec, out)
 }
 
 /// A fresh per-run arena honouring [`MachineSpec::pooling`]. A disabled
 /// arena hands out plain allocations and drops returns, so a `pooling:
 /// false` run exercises the exact pre-arena allocation behaviour.
-pub(crate) fn spec_arena(spec: &MachineSpec) -> Arc<BufferPool> {
+fn spec_arena(spec: &MachineSpec) -> Arc<BufferPool> {
     Arc::new(BufferPool::new(spec.pooling))
-}
-
-/// A shareable admission pool for the blocking executor: many *independent*
-/// worlds run over one [`WorkerGate`], so their combined runnable ranks —
-/// not each world's separately — are capped at the pool's worker count.
-///
-/// [`run_spmd_with`] builds a private pool per run, which is right for one
-/// world at a time but lets `k` concurrent runs oversubscribe the machine
-/// `k`-fold. A serving layer executing many tenants concurrently clones one
-/// `SchedulerPool` (cheap: it is an [`Arc`] handle) into every run instead.
-#[derive(Clone)]
-pub struct SchedulerPool {
-    gate: Arc<WorkerGate>,
-    workers: usize,
-    /// One warm buffer arena shared by every world run over this pool:
-    /// buffers recycled by one job are reused by the next instead of being
-    /// reallocated per request.
-    arena: Arc<BufferPool>,
-}
-
-impl SchedulerPool {
-    /// A pool admitting `workers` concurrently runnable ranks across all
-    /// worlds that share it.
-    ///
-    /// # Errors
-    /// [`ExecError::NoWorkers`] when `workers` is zero.
-    pub fn new(workers: usize) -> Result<Self, ExecError> {
-        if workers == 0 {
-            return Err(ExecError::NoWorkers);
-        }
-        Ok(SchedulerPool {
-            gate: Arc::new(WorkerGate::new(workers)),
-            workers,
-            arena: BufferPool::shared(),
-        })
-    }
-
-    /// The pool's total runnable-rank slots.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The pool's shared buffer arena (one warm arena across all jobs).
-    pub fn arena(&self) -> &Arc<BufferPool> {
-        &self.arena
-    }
-}
-
-impl fmt::Debug for SchedulerPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchedulerPool").field("workers", &self.workers).finish()
-    }
-}
-
-/// Run the rank body `f` on every rank of `spec` on the blocking executor,
-/// with admission control from a *shared* [`SchedulerPool`]: the path for
-/// concurrent independent worlds (and, over a private pool, the
-/// [`ExecBackend::Blocking`] arm of [`run_spmd_with`]). The pool's spare
-/// slots belong to the other worlds sharing it.
-///
-/// # Errors
-/// A deadlocked or budget-breaking world surfaces as a typed [`ExecError`].
-///
-/// # Panics
-/// Panics if any rank panics (the panic is propagated).
-pub fn run_spmd_pooled<R, F, Fut>(
-    spec: &MachineSpec,
-    pool: &SchedulerPool,
-    f: F,
-) -> Result<RunOutput<R>, ExecError>
-where
-    R: Send,
-    F: Fn(RankComm) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
-    // `pooling: false` opts a run out of the shared arena too — a disabled
-    // stand-in keeps the run allocation-for-allocation identical to the
-    // pre-arena behaviour without cooling other tenants' warm buffers.
-    let arena = if spec.pooling {
-        pool.arena.clone()
-    } else {
-        spec_arena(spec)
-    };
-    let out = run_world(spec, pool.gate.clone(), arena, f)?;
-    enforce_mem_budget(spec, out)
 }
 
 /// The blocking executor proper: spawn one small-stack carrier per rank,
@@ -593,7 +508,7 @@ where
                     .stack_size(CARRIER_STACK_BYTES)
                     .spawn_scoped(s, move || {
                         c.gate_enter();
-                        block_on_ready(f(RankComm::Blocking(c)))
+                        block_on_ready(f(RankComm(CommImpl::Blocking(c))))
                     })
                     .expect("spawn rank carrier")
             })
@@ -630,7 +545,7 @@ mod tests {
     use super::*;
     use crate::stats::Phase;
 
-    /// Run `f` on a private blocking pool of one slot per rank.
+    /// Run `f` on the blocking executor with one slot per rank.
     fn run_blocking<R, F, Fut>(spec: &MachineSpec, f: F) -> RunOutput<R>
     where
         R: Send,
@@ -999,52 +914,21 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_pool_rejects_zero_workers() {
-        assert!(matches!(SchedulerPool::new(0), Err(ExecError::NoWorkers)));
-        assert_eq!(SchedulerPool::new(3).unwrap().workers(), 3);
-    }
-
-    #[test]
-    fn pooled_run_matches_private_gate_run() {
+    fn concurrent_blocking_worlds_agree_with_a_solo_run() {
+        // Four 8-rank worlds of 3 runnable slots each, at once: every world's
+        // ring exchange completes and counts traffic exactly as a solo run.
+        let body = |mut c: RankComm| async move {
+            let right = (c.rank() + 1) % c.size();
+            let left = (c.rank() + c.size() - 1) % c.size();
+            let got = c.sendrecv(right, left, 7, vec![c.rank() as f64], Phase::Other).await;
+            got[0] as usize
+        };
         let spec = MachineSpec::test_machine(8, 1000);
-        let pool = SchedulerPool::new(2).unwrap();
-        let body = |mut c: RankComm| async move {
-            let right = (c.rank() + 1) % c.size();
-            let left = (c.rank() + c.size() - 1) % c.size();
-            let got = c.sendrecv(right, left, 7, vec![c.rank() as f64], Phase::Other).await;
-            got[0] as usize
-        };
-        let pooled = run_spmd_pooled(&spec, &pool, body).unwrap();
-        let private = run_spmd_with(&spec, ExecBackend::Blocking { workers: 2 }, body).unwrap();
-        assert_eq!(pooled.results, private.results);
-        assert_eq!(pooled.stats, private.stats);
-    }
-
-    #[test]
-    fn one_pool_runs_many_concurrent_worlds() {
-        // Four 8-rank worlds share 3 runnable slots; each world's ring
-        // exchange must still complete and count traffic exactly as a solo
-        // run over a same-sized private gate.
-        let body = |mut c: RankComm| async move {
-            let right = (c.rank() + 1) % c.size();
-            let left = (c.rank() + c.size() - 1) % c.size();
-            let got = c.sendrecv(right, left, 7, vec![c.rank() as f64], Phase::Other).await;
-            got[0] as usize
-        };
-        let pool = SchedulerPool::new(3).unwrap();
-        let solo = {
-            let spec = MachineSpec::test_machine(8, 1000);
-            run_spmd_with(&spec, ExecBackend::Blocking { workers: 3 }, body).unwrap()
-        };
+        let backend = ExecBackend::Blocking { workers: 3 };
+        let solo = run_spmd_with(&spec, backend, body).unwrap();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let pool = pool.clone();
-                    s.spawn(move || {
-                        let spec = MachineSpec::test_machine(8, 1000);
-                        run_spmd_pooled(&spec, &pool, body).unwrap()
-                    })
-                })
+                .map(|_| s.spawn(|| run_spmd_with(&spec, backend, body).unwrap()))
                 .collect();
             for h in handles {
                 let out = h.join().unwrap();
@@ -1056,7 +940,7 @@ mod tests {
 
     #[test]
     fn workers_beyond_p_behave_as_p() {
-        // A private pool is capped at one slot per rank, so an absurd worker
+        // A world's gate is capped at one slot per rank, so an absurd worker
         // count costs nothing and measures like any other.
         let spec = MachineSpec::test_machine(4, 1000);
         let body = |mut c: RankComm| async move {
@@ -1070,39 +954,22 @@ mod tests {
     }
 
     #[test]
-    fn pooling_off_bypasses_the_shared_arena() {
-        // A `pooling: false` world over a shared pool must neither take from
-        // nor park into the other tenants' warm arena.
-        let pool = SchedulerPool::new(2).unwrap();
+    fn pooling_off_blocking_world_never_recycles() {
         let body = |mut c: RankComm| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
             let got = c.sendrecv(right, left, 7, vec![c.rank() as f64; 64], Phase::Other).await;
             c.recycle(got);
+            let scratch = c.pool().take_zeroed(64);
+            c.recycle(scratch);
         };
+        let backend = ExecBackend::Blocking { workers: 2 };
         let off = MachineSpec::test_machine(4, 1000).with_pooling(false);
-        let out = run_spmd_pooled(&off, &pool, body).unwrap();
+        let out = run_spmd_with(&off, backend, body).unwrap();
         assert_eq!((out.pool.hits, out.pool.returns), (0, 0), "a disabled arena never recycles");
-        assert_eq!(pool.arena().stats().returns, 0, "the shared arena was left alone");
-        run_spmd_pooled(&MachineSpec::test_machine(4, 1000), &pool, body).unwrap();
-        assert!(pool.arena().stats().returns > 0, "a pooling world parks into the shared arena");
-    }
-
-    #[test]
-    fn pooled_run_enforces_mem_budget() {
-        let spec = MachineSpec::test_machine(2, 1000).with_mem_budget(1);
-        let pool = SchedulerPool::new(2).unwrap();
-        let err = run_spmd_pooled(&spec, &pool, |c| async move {
-            c.track_alloc(5);
-        })
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            ExecError::MemBudgetExceeded {
-                need: 5,
-                budget: 1,
-                ..
-            }
-        ));
+        assert_eq!(out.pool.misses, 4, "every take is a fresh allocation");
+        let on = run_spmd_with(&MachineSpec::test_machine(4, 1000), backend, body).unwrap();
+        assert_eq!(on.pool.returns, 8, "a pooling world parks what its ranks hand back");
+        assert_eq!(on.pool.hits + on.pool.misses, 4);
     }
 }

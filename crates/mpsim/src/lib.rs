@@ -62,9 +62,8 @@ pub mod pool;
 pub mod stats;
 pub mod topo;
 
-pub use comm::{block_on_ready, Comm, RankComm};
+pub use comm::RankComm;
 pub use cost::{CostModel, RoundCost, TimeBreakdown};
-pub use event::{run_spmd_event_traced, EventComm, SchedEvent};
 pub use exec::{run_spmd_with, ExecBackend, ExecError, RunOutput, Waiting};
 pub use fault::FaultPlan;
 pub use machine::{MachineSpec, Placement, Topology};

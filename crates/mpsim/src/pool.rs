@@ -32,14 +32,11 @@
 //!
 //! One pool per world ([`crate::machine::MachineSpec::pooling`] controls
 //! whether it recycles or degenerates to plain allocation), shared by all
-//! ranks behind an [`Arc`]. The serving layer goes one step further and hands
-//! the *same* arena to every world admitted through its scheduler pool, so
-//! steady-state traffic reuses one warm arena across jobs instead of
-//! reallocating per request.
+//! ranks behind an [`Arc`](std::sync::Arc) and dropped with the world.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Number of power-of-two size classes: shelf `k` parks buffers whose
 /// capacity lies in `[2^k, 2^(k+1))`, so 48 shelves cover every buffer a
@@ -92,8 +89,7 @@ impl fmt::Display for PoolStats {
     }
 }
 
-/// A size-classed free list of `Vec<f64>` buffers shared by one world (or,
-/// in the serving layer, by many worlds).
+/// A size-classed free list of `Vec<f64>` buffers shared by one world.
 ///
 /// See the [module docs](self) for the invisibility contract. A disabled
 /// pool ([`BufferPool::disabled`]) keeps the same API but never parks or
@@ -120,19 +116,9 @@ impl BufferPool {
         }
     }
 
-    /// A recycling pool behind an [`Arc`], ready to share across ranks.
-    pub fn shared() -> Arc<Self> {
-        Arc::new(BufferPool::new(true))
-    }
-
     /// A pass-through pool: plain allocation, no recycling.
     pub fn disabled() -> Self {
         BufferPool::new(false)
-    }
-
-    /// Does this pool actually recycle?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The shelf that *serves* a request for at least `min_cap` words:
@@ -225,6 +211,7 @@ impl fmt::Debug for BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn take_is_a_miss_then_a_hit_after_give() {

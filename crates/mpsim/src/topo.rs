@@ -145,15 +145,6 @@ impl Network {
         self.n_links
     }
 
-    /// Node of `rank` (itself, for the nodeless flat topology).
-    pub fn node_of_rank(&self, rank: usize) -> usize {
-        if self.node.is_empty() {
-            rank
-        } else {
-            self.node[rank]
-        }
-    }
-
     /// Yield `(link_id, occupancy_factor)` for every link a `from → to`
     /// transfer crosses, in crossing order. The receiver's injection link
     /// (id `to`, factor 1.0) is always the final hop; intra-node transfers

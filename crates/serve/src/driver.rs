@@ -1,9 +1,9 @@
 //! The multi-tenant execution driver.
 //!
 //! A [`Server`] owns the serving stack — an [`AutoPlanner`] over a shared
-//! registry, a [`PlanCache`], and a [`SchedulerPool`] — plus a team of
-//! driver threads consuming a job queue. Each [`JobRequest`] is an
-//! independent SPMD world.
+//! registry and a [`PlanCache`] — plus a team of driver threads consuming a
+//! job queue. Each [`JobRequest`] is an independent SPMD world with its own
+//! buffer arena.
 //!
 //! # Execution policy: jobs in parallel, worlds single-threaded
 //!
@@ -15,13 +15,15 @@
 //!   dequeued it. No OS thread per rank, no stack per rank, no futex wake
 //!   per message; the report carries measured α-β-γ virtual time, and the
 //!   job's `topology`, `placement` and `faults` are honoured.
-//! * a job that pins `Blocking { .. }` opts in to the thread-per-rank
-//!   executor over the *shared* [`SchedulerPool`], whose worker cap bounds
-//!   the runnable ranks of all such jobs together. That is for a lone heavy
-//!   job on an otherwise idle server: the default gives one 7 Gflop job on
-//!   an idle 2-core server one core, `Blocking` gives it both. Under load
-//!   every core already has a job and fanning one out only adds overhead
-//!   (≈ 1 ms of CPU per 4–16-rank job against ≈ 0.1 ms of rank-body work).
+//! * a lone heavy job on an otherwise idle server pins
+//!   `Event { threads: n }` to spread its world over `n` cores and keep the
+//!   clock (measured, EXPERIMENTS.md `exec`: `event(2)` matches
+//!   `blocking(2)` on a kernel-bound flat world). Under load every core
+//!   already has a job and fanning one out only adds overhead.
+//! * a job that pins `Blocking { .. }` runs on the thread-per-rank reference
+//!   executor with [`ServerConfig::pool_workers`] runnable ranks — for
+//!   differential checks, not speed: it keeps no clock and ignores
+//!   `topology`, `placement` and `faults`.
 //!
 //! The pipeline per job is admission → cached planning (auto-selection on
 //! a miss) → execution → a [`JobResult`] carrying the [`Selection`], the
@@ -54,7 +56,7 @@ use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
-use mpsim::exec::{ExecBackend, ExecError, SchedulerPool};
+use mpsim::exec::{ExecBackend, ExecError};
 use mpsim::machine::{Placement, Topology};
 use mpsim::pool::PoolStats;
 use mpsim::FaultPlan;
@@ -118,8 +120,7 @@ pub struct JobRequest {
     pub mem_budget: Option<u64>,
     /// Execution backend override (default: [`ExecBackend::event`], one
     /// single-threaded simulation per job whatever the world size); see
-    /// [`JobRequest::backend()`] for when to pin `Blocking` and how its
-    /// worker count is treated.
+    /// [`JobRequest::backend()`] for when to pin one.
     pub backend: Option<ExecBackend>,
     /// Network topology the job's machine is measured under (default:
     /// [`Topology::Flat`]). Part of the plan-cache key: cached plans never
@@ -165,16 +166,15 @@ impl JobRequest {
         self
     }
 
-    /// Pin the execution backend. Pinning `Blocking` is the opt-in for a
-    /// lone heavy job on an idle server: its ranks run on carrier threads
-    /// across the server's cores, where the default event world has one
-    /// core; on a loaded server it only costs. Blocking jobs always draw
-    /// their worker slots from the server's shared [`SchedulerPool`]:
-    /// pinning `Blocking { workers }` selects the blocking executor, but
-    /// the pool's worker count — not the job's — caps the runnable ranks,
-    /// and [`JobOutput::backend`] reports the pool's. A blocking world has
-    /// no clock: its report's times are zero and `topology`, `placement`
-    /// and `faults` have no effect on it.
+    /// Pin the execution backend. `Event { threads: n }` is the opt-in for
+    /// a lone heavy job on an idle server: its world is sharded over `n`
+    /// scheduler threads where the default has one, with the same product,
+    /// counters and virtual times bit for bit; on a loaded server it only
+    /// costs. Pinning `Blocking { workers }` selects the blocking reference
+    /// executor, but [`ServerConfig::pool_workers`] — not the job's count —
+    /// caps its runnable ranks, and [`JobOutput::backend`] reports that. A
+    /// blocking world has no clock: its report's times are zero and
+    /// `topology`, `placement` and `faults` have no effect on it.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = Some(backend);
         self
@@ -219,7 +219,7 @@ pub struct JobOutput {
     pub cache_hit: bool,
     /// The backend the world executed on: [`ExecBackend::event`] unless the
     /// job pinned one — for a pinned blocking job, `Blocking { workers }`
-    /// with the shared pool's worker count.
+    /// with [`ServerConfig::pool_workers`].
     pub backend: ExecBackend,
 }
 
@@ -258,8 +258,9 @@ pub struct ServerConfig {
     /// Default: the core count — a default job is one single-threaded
     /// simulation on its driver thread, so this is the server's parallelism.
     pub drivers: usize,
-    /// Runnable-rank slots of the shared [`SchedulerPool`], which only jobs
-    /// that pin `Blocking` use. Default: the core count.
+    /// The worker count of a job that pins `Blocking`: every such world runs
+    /// with this many runnable-rank slots of its own, whatever count the job
+    /// named. Default: the core count.
     pub pool_workers: usize,
     /// Plan-cache shard count.
     pub cache_shards: usize,
@@ -282,7 +283,11 @@ impl Default for ServerConfig {
 struct Shared {
     planner: AutoPlanner,
     cache: PlanCache,
-    pool: SchedulerPool,
+    /// Worker count of pinned-blocking worlds
+    /// ([`ServerConfig::pool_workers`]).
+    blocking_workers: usize,
+    /// [`ExecReport::pool`] summed over every world completed so far.
+    arena: Mutex<PoolStats>,
 }
 
 /// The serving front door: submit [`JobRequest`]s, receive [`JobResult`]s.
@@ -324,7 +329,7 @@ impl Server {
     /// `config.pool_workers` is zero, [`ExecError::ZeroCapacity`] when
     /// `config.cache_shards` or `config.cache_capacity` is.
     pub fn new(registry: AlgorithmRegistry, config: ServerConfig) -> Result<Self, ExecError> {
-        if config.drivers == 0 {
+        if config.drivers == 0 || config.pool_workers == 0 {
             return Err(ExecError::NoWorkers);
         }
         for (what, size) in [
@@ -338,7 +343,8 @@ impl Server {
         let shared = Arc::new(Shared {
             planner: AutoPlanner::new(registry),
             cache: PlanCache::new(config.cache_shards, config.cache_capacity),
-            pool: SchedulerPool::new(config.pool_workers)?,
+            blocking_workers: config.pool_workers,
+            arena: Mutex::new(PoolStats::default()),
         });
         let (jobs_tx, jobs_rx) = mpsc::channel::<JobRequest>();
         let (results_tx, results_rx) = mpsc::channel::<JobResult>();
@@ -443,24 +449,13 @@ impl Server {
         self.shared.cache.stats()
     }
 
-    /// The shared scheduler pool that jobs pinning `Blocking` execute over
-    /// (e.g. to co-schedule work outside the server under the same worker
-    /// cap). Default jobs never touch it.
-    pub fn pool(&self) -> &SchedulerPool {
-        &self.shared.pool
-    }
-
-    /// Buffer-arena counters of the shared scheduler pool. They count
-    /// pinned-blocking worlds only: every such world leases scratch from one
-    /// warm arena and parks it back on completion, so across a stream of
-    /// them the hit rate climbs. Event worlds — every default job — keep a
-    /// per-world arena instead (sharing the warm one measured ≈ 3 % slower
-    /// and +7.6 MiB RSS on the serving benchmark), report it in
-    /// [`ExecReport::pool`], and leave these counters at zero.
-    /// Display-only observability — recycling never changes results or
-    /// per-rank counters.
+    /// Buffer-arena counters summed over every world this server has
+    /// completed: each world leases scratch from an arena of its own and
+    /// reports it in [`ExecReport::pool`]; this is the sum of those reports
+    /// (a world that failed contributes nothing). Display-only observability
+    /// — recycling never changes results or per-rank counters.
     pub fn arena_stats(&self) -> PoolStats {
-        self.shared.pool.arena().stats()
+        *self.shared.arena.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Stop accepting jobs, drain the driver threads, and account for every
@@ -587,14 +582,15 @@ fn serve_attempt(
         .cache
         .get_or_try_insert_with(key, || shared.planner.select(&prob, &model, job.overlap, &job.choice))?;
     // The server's parallelism is across jobs: every driver thread already
-    // has a world to run, so a world that fans out over carrier threads only
-    // adds stacks and futex wakes. Unpinned jobs therefore run as one
-    // single-threaded event simulation — which also honours their fault
-    // plan, topology and placement, all of which the blocking executor
-    // ignores.
+    // has a world to run, so unpinned jobs run as one single-threaded event
+    // simulation. A pinned blocking job gets the server's worker count, not
+    // its own.
     let backend = match job.backend {
-        Some(explicit) => explicit,
         None => ExecBackend::event(),
+        Some(ExecBackend::Blocking { .. }) => ExecBackend::Blocking {
+            workers: shared.blocking_workers,
+        },
+        Some(event) => event,
     };
     let mut session = RunSession::new(prob)
         .registry(shared.planner.registry().clone())
@@ -610,19 +606,13 @@ fn serve_attempt(
     if let Some(plan) = faults {
         session = session.faults(plan);
     }
-    let (report, backend) = match backend {
-        // An event world is one single-threaded simulation; driver
-        // threads interleave many of them.
-        ExecBackend::Event { .. } => (session.execute_planned(&planned.plan, &job.a, &job.b)?, backend),
-        // Blocking worlds take their runnable slots from the shared
-        // pool, so concurrent jobs respect one machine-wide cap.
-        ExecBackend::Blocking { .. } => (
-            session.execute_planned_pooled(&planned.plan, &shared.pool, &job.a, &job.b)?,
-            ExecBackend::Blocking {
-                workers: shared.pool.workers(),
-            },
-        ),
-    };
+    let report = session.execute_planned(&planned.plan, &job.a, &job.b)?;
+    {
+        let mut sum = shared.arena.lock().unwrap_or_else(|e| e.into_inner());
+        sum.hits += report.pool.hits;
+        sum.misses += report.pool.misses;
+        sum.returns += report.pool.returns;
+    }
     Ok(JobOutput {
         selection: planned.selection.clone(),
         plan: planned.plan.clone(),
@@ -671,6 +661,15 @@ mod tests {
     fn zero_drivers_is_no_workers() {
         let config = ServerConfig {
             drivers: 0,
+            ..small_config()
+        };
+        assert_eq!(refusal(config), ExecError::NoWorkers);
+    }
+
+    #[test]
+    fn zero_pool_workers_is_no_workers() {
+        let config = ServerConfig {
+            pool_workers: 0,
             ..small_config()
         };
         assert_eq!(refusal(config), ExecError::NoWorkers);
@@ -773,7 +772,7 @@ mod tests {
         assert_eq!(
             a.backend,
             ExecBackend::Blocking { workers: 4 },
-            "a pinned worker count is superseded by the 4-slot pool"
+            "a pinned worker count is superseded by the server's 4"
         );
         assert_eq!(b.backend, ExecBackend::event());
         assert_eq!(a.report.c, b.report.c, "backends agree bitwise");
@@ -802,32 +801,49 @@ mod tests {
     }
 
     #[test]
-    fn default_jobs_never_touch_the_scheduler_pool_arena() {
+    fn arena_stats_sum_the_jobs_reports() {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
-        // CARMA leases every leaf buffer from its world's arena, so a
-        // blocking world among these would show up in the shared counters.
-        let jobs: Vec<JobRequest> = (0..9)
+        assert_eq!(server.arena_stats(), PoolStats::default(), "nothing served yet");
+        // CARMA leases every leaf buffer from its world's arena; one job in
+        // three pins the blocking executor, one fails and must add nothing.
+        let mut jobs: Vec<JobRequest> = (0..9)
             .map(|i| {
-                let job = job(i, [4, 8, 16][i as usize % 3], i);
-                if i % 2 == 0 {
-                    job.choice(AlgoChoice::Fixed(AlgoId::Carma))
+                let job = job(i, [4, 8, 16][i as usize % 3], i).choice(AlgoChoice::Fixed(AlgoId::Carma));
+                if i % 3 == 0 {
+                    job.backend(blocking())
                 } else {
                     job
                 }
             })
             .collect();
-        let results = server.run_batch(jobs);
-        for r in &results {
-            let out = r.outcome.as_ref().unwrap();
-            assert_eq!(out.backend, ExecBackend::event());
+        jobs.push(job(9, 6, 0).choice(AlgoChoice::Fixed(AlgoId::Cannon)));
+        let mut sum = PoolStats::default();
+        for r in server.run_batch(jobs) {
+            let Ok(out) = r.outcome else {
+                assert_eq!(r.id, 9, "only the Cannon job on p = 6 fails");
+                continue;
+            };
             assert!(out.report.pool.hits + out.report.pool.misses > 0, "the world's own arena served it");
+            sum.hits += out.report.pool.hits;
+            sum.misses += out.report.pool.misses;
+            sum.returns += out.report.pool.returns;
         }
-        let shared = server.arena_stats();
-        assert_eq!(
-            (shared.hits, shared.misses, shared.returns),
-            (0, 0, 0),
-            "no blocking world ran, so the shared arena served nothing"
-        );
+        assert!(sum.hits > 0 && sum.returns > 0, "{sum}");
+        assert_eq!(server.arena_stats(), sum);
+    }
+
+    #[test]
+    fn server_honours_a_pinned_event_thread_count() {
+        let server = Server::new(baselines::registry(), small_config()).unwrap();
+        let default = server.run_sync(job(0, 8, 3)).outcome.unwrap();
+        let pinned = server
+            .run_sync(job(1, 8, 3).backend(ExecBackend::Event { threads: 2 }))
+            .outcome
+            .unwrap();
+        assert_eq!(pinned.backend, ExecBackend::Event { threads: 2 });
+        assert_eq!(pinned.report.c, default.report.c, "bitwise product");
+        assert!(pinned.report.measured_time_s() > 0.0);
+        assert_eq!(pinned.report.stats, default.report.stats, "counters and virtual times, bit for bit");
     }
 
     #[test]
@@ -931,32 +947,6 @@ mod tests {
         // fresh 6-rank run of the same operands.
         let fresh = server.run_sync(job(2, 6, 3).backend(ExecBackend::event()));
         assert_eq!(out.report.c, fresh.outcome.unwrap().report.c);
-    }
-
-    #[test]
-    fn warm_arena_recycles_buffers_across_jobs() {
-        let server = Server::new(baselines::registry(), small_config()).unwrap();
-        // CARMA's streaming executor leases every leaf buffer from the
-        // arena, so it exercises the pool on the blocking (pooled) path —
-        // which a job only takes when it pins `Blocking`.
-        let carma = |id, seed| job(id, 4, seed).choice(AlgoChoice::Fixed(AlgoId::Carma)).backend(blocking());
-        let first = server.run_sync(carma(0, 0));
-        assert!(first.outcome.is_ok());
-        let cold = server.arena_stats();
-        assert!(cold.returns > 0, "the first job must park buffers in the shared arena");
-        let second = server.run_sync(carma(1, 0));
-        assert!(second.outcome.is_ok());
-        let warm = server.arena_stats();
-        assert!(
-            warm.hits > cold.hits,
-            "the second job must recycle the first job's buffers: {cold} then {warm}"
-        );
-        // And the warm-arena product is the same product.
-        assert_eq!(
-            first.outcome.unwrap().report.c,
-            second.outcome.unwrap().report.c,
-            "recycling is invisible to results"
-        );
     }
 
     #[test]

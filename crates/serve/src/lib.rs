@@ -25,10 +25,7 @@
 //! * [`Server`] — the multi-tenant driver: a team of driver threads, one
 //!   per core, consumes the job queue. Jobs run in parallel, each world
 //!   single-threaded: an unpinned job is one event simulation on its driver
-//!   thread; a job that pins `Blocking` — the opt-in for a lone heavy job —
-//!   executes over one shared
-//!   [`SchedulerPool`](mpsim::exec::SchedulerPool) (a machine-wide worker
-//!   cap across *all* such jobs). Per-job
+//!   thread; a lone heavy job may pin `Event { threads: n }`. Per-job
 //!   [`ExecReport`](cosma::api::ExecReport)s come back with the selection,
 //!   the (possibly cached) plan and a cache-hit flag. Jobs may arm a
 //!   deterministic [`FaultPlan`]; under a [`RetryPolicy`] the driver

@@ -18,8 +18,7 @@
 //! * [`serve`] — planning-as-a-service: a sharded LRU plan cache keyed by
 //!   canonical [`serve::PlanKey`]s, a cost-model auto-planner selecting the
 //!   cheapest feasible algorithm per request, and a multi-tenant
-//!   [`serve::Server`] executing many independent worlds concurrently over
-//!   a shared scheduler pool.
+//!   [`serve::Server`] executing many independent worlds concurrently.
 //!
 //! The front door is [`cosma::api::RunSession`]: pick a problem, a cost
 //! model and an [`cosma::api::AlgoId`], then `.plan()`, `.run()` (cost-model

@@ -6,8 +6,8 @@
 //! This is the end-to-end guarantee the serve crate rests on: planning is a
 //! pure function of the request (so cached plans are exact), and a world
 //! served among many tenants — a default single-threaded event simulation on
-//! a driver thread, or a pinned blocking world on the shared scheduler pool
-//! — computes exactly what it computes alone.
+//! a driver thread, or a pinned blocking world beside other tenants' —
+//! computes exactly what it computes alone.
 
 use bench::serve_bench::{mixed_stream, unique_combos};
 use cosma::api::{AlgoId, RunSession};
@@ -113,9 +113,8 @@ fn event_backend_stream_matches_serial_including_virtual_time() {
 }
 
 /// The opt-in path: the same stream with every job pinning `Blocking`, so
-/// the worlds run thread-per-rank over the server's shared scheduler pool
-/// among many tenants — and compute exactly what each computes alone on a
-/// private blocking executor.
+/// the worlds run thread-per-rank among many tenants — and compute exactly
+/// what each computes alone.
 #[test]
 fn pinned_blocking_stream_matches_serial_run_sessions_bitwise() {
     let jobs = mixed_stream(24, Some(blocking()));
@@ -135,7 +134,7 @@ fn pinned_blocking_stream_matches_serial_run_sessions_bitwise() {
         );
     }
     assert_matches_serial(&jobs, &served, blocking());
-    assert!(server.arena_stats().returns > 0, "blocking worlds lease from the shared arena");
+    assert!(server.arena_stats().returns > 0, "the served worlds' arena counters are summed");
 }
 
 /// The PR-9 recovery contract end-to-end: a seeded `FaultPlan` fells 15 of
