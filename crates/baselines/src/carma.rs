@@ -32,7 +32,7 @@
 //! message has the true CARMA size. A rank's k-split DFS leaves yield
 //! partial sums of the same C region; `assemble_c` accumulates them.
 
-use cosma::algorithm::CPart;
+use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture, RankRequirement};
 use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
@@ -73,13 +73,6 @@ pub struct Trace {
     pub levels: Vec<Level>,
     /// Leaf brick.
     pub brick: Brick,
-}
-
-/// Balanced length of piece `idx` when `len` words are split `parts` ways.
-fn piece_len(len: usize, parts: usize, idx: usize) -> usize {
-    let base = len / parts;
-    let extra = len % parts;
-    base + usize::from(idx < extra)
 }
 
 /// Halve `range` and return the half selected by `upper`.
@@ -139,8 +132,8 @@ pub fn trace_on(
         let upper = idx >= hsize;
         let partner_idx = if upper { idx - hsize } else { idx + hsize };
         let down_words = match dim {
-            SplitDim::M => piece_len(ks.len() * cols.len(), group, partner_idx) as u64,
-            SplitDim::N => piece_len(rows.len() * ks.len(), group, partner_idx) as u64,
+            SplitDim::M => even_range(ks.len() * cols.len(), group, partner_idx).len() as u64,
+            SplitDim::N => even_range(rows.len() * ks.len(), group, partner_idx).len() as u64,
             SplitDim::K => 0,
         };
         levels.push(Level {
@@ -431,17 +424,15 @@ async fn execute_leaf(
                 let (flat_len, payload, phase) = match level.dim {
                     SplitDim::M => {
                         let flat_len = ks.len() * cols.len();
-                        let my_off = share_offset(flat_len, group, idx);
-                        let my_len = piece_len(flat_len, group, idx);
-                        let buf = comm.pool().take_clear(my_len);
-                        (flat_len, flat_block_slice(b, &ks, &cols, my_off, my_len, buf), Phase::InputB)
+                        let share = even_range(flat_len, group, idx);
+                        let buf = comm.pool().take_clear(share.len());
+                        (flat_len, flat_block_slice(b, &ks, &cols, share, buf), Phase::InputB)
                     }
                     _ => {
                         let flat_len = rows.len() * ks.len();
-                        let my_off = share_offset(flat_len, group, idx);
-                        let my_len = piece_len(flat_len, group, idx);
-                        let buf = comm.pool().take_clear(my_len);
-                        (flat_len, flat_block_slice(a, &rows, &ks, my_off, my_len, buf), Phase::InputA)
+                        let share = even_range(flat_len, group, idx);
+                        let buf = comm.pool().take_clear(share.len());
+                        (flat_len, flat_block_slice(a, &rows, &ks, share, buf), Phase::InputA)
                     }
                 };
                 // Send buffer + received share are both resident at the
@@ -457,7 +448,7 @@ async fn execute_leaf(
                 // checked for size here before the buffers are retired.
                 debug_assert_eq!(
                     got.len(),
-                    piece_len(flat_len, group, if upper { idx - hsize } else { idx + hsize })
+                    even_range(flat_len, group, if upper { idx - hsize } else { idx + hsize }).len()
                 );
                 comm.track_free(sent_len + got.len() as u64);
                 comm.recycle(got);
@@ -568,28 +559,19 @@ async fn execute_leaf(
     }
 }
 
-/// Word offset of piece `idx` in a balanced `parts`-way split of `len`.
-fn share_offset(len: usize, parts: usize, idx: usize) -> usize {
-    let base = len / parts;
-    let extra = len % parts;
-    idx * base + idx.min(extra)
-}
-
-/// The `[off, off + len)` words of the row-major flattening of
-/// `mat[rows, cols]`, materialized into the (pooled) `buf` without building
-/// the whole block — the descent exchanges buffer only the share being sent,
-/// which is what keeps the streaming executor's working set at the leaf
-/// footprint.
+/// The `share` words of the row-major flattening of `mat[rows, cols]`,
+/// materialized into the (pooled) `buf` without building the whole block —
+/// the descent exchanges buffer only the share being sent, which is what
+/// keeps the streaming executor's working set at the leaf footprint.
 fn flat_block_slice(
     mat: &Matrix,
     rows: &std::ops::Range<usize>,
     cols: &std::ops::Range<usize>,
-    off: usize,
-    len: usize,
+    share: std::ops::Range<usize>,
     mut buf: Vec<f64>,
 ) -> Vec<f64> {
     let w = cols.len();
-    buf.extend((off..off + len).map(|f| mat.get(rows.start + f / w, cols.start + f % w)));
+    buf.extend(share.map(|f| mat.get(rows.start + f / w, cols.start + f % w)));
     buf
 }
 
@@ -812,15 +794,8 @@ mod tests {
 
     #[test]
     fn share_arithmetic() {
-        assert_eq!(piece_len(10, 4, 0), 3);
-        assert_eq!(piece_len(10, 4, 1), 3);
-        assert_eq!(piece_len(10, 4, 2), 2);
-        assert_eq!(share_offset(10, 4, 0), 0);
-        assert_eq!(share_offset(10, 4, 1), 3);
-        assert_eq!(share_offset(10, 4, 2), 6);
-        assert_eq!(share_offset(10, 4, 3), 8);
-        let total: usize = (0..4).map(|i| piece_len(10, 4, i)).sum();
-        assert_eq!(total, 10);
+        let shares: Vec<_> = (0..4).map(|i| even_range(10, 4, i)).collect();
+        assert_eq!(shares, vec![0..3, 3..6, 6..8, 8..10]);
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //! among all factor pairs `g_m · g_n = p` we pick the one minimizing modeled
 //! communication, subject to the C tile + panel buffers fitting in `S`.
 
-use cosma::algorithm::{even_range, CPart};
+use cosma::algorithm::CPart;
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture};
 use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
 use densemat::gemm::gemm_packed;
-use densemat::layout::even_splits;
 use densemat::matrix::Matrix;
-use mpsim::collectives::{bcast_pipelined, bcast_pipelined_recv_msgs};
+use mpsim::collectives::{bcast_pipelined, bcast_pipelined_recv_msgs, even_cut, even_owner, even_range};
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
 use mpsim::stats::Phase;
@@ -81,8 +80,8 @@ pub fn choose_grid(prob: &MmmProblem) -> Result<Grid2, PlanError> {
 /// Panel boundaries along k: ownership cuts (both A's `g_n`-split and B's
 /// `g_m`-split) refined to at most `nb`-wide panels.
 fn panels(prob: &MmmProblem, grid: Grid2, nb: usize) -> Vec<std::ops::Range<usize>> {
-    let mut cuts: Vec<usize> = even_splits(prob.k, grid.gn);
-    cuts.extend(even_splits(prob.k, grid.gm));
+    let mut cuts: Vec<usize> = (0..=grid.gn).map(|j| even_cut(prob.k, grid.gn, j)).collect();
+    cuts.extend((0..=grid.gm).map(|i| even_cut(prob.k, grid.gm, i)));
     cuts.sort_unstable();
     cuts.dedup();
     let mut out = Vec::new();
@@ -102,18 +101,6 @@ fn panels(prob: &MmmProblem, grid: Grid2, nb: usize) -> Vec<std::ops::Range<usiz
 fn panel_width(prob: &MmmProblem, lm: usize, ln: usize) -> usize {
     let slack = prob.mem_words.saturating_sub(lm * ln);
     (slack / (2 * (lm + ln))).clamp(1, prob.k)
-}
-
-/// Owner of a k-coordinate under an `parts`-way balanced split.
-fn k_owner(k: usize, parts: usize, t: usize) -> usize {
-    let base = k / parts;
-    let extra = k % parts;
-    let long = (base + 1) * extra;
-    if t < long {
-        t / (base + 1)
-    } else {
-        extra + (t - long) / base
-    }
 }
 
 /// One k-panel as every rank of a plan sees it. Which grid row or column
@@ -158,8 +145,8 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
             let w = panel.len();
             Panel {
                 w,
-                a_root: k_owner(prob.k, grid.gn, panel.start),
-                b_root: k_owner(prob.k, grid.gm, panel.start),
+                a_root: even_owner(prob.k, grid.gn, panel.start),
+                b_root: even_owner(prob.k, grid.gm, panel.start),
                 a_msgs: [lm_max, prob.m / grid.gm].map(|lm| msgs(grid.gn, lm * w)),
                 b_msgs: [ln_max, prob.n / grid.gn].map(|ln| msgs(grid.gm, w * ln)),
             }
@@ -237,8 +224,8 @@ pub async fn execute(
     comm.track_alloc((lm * ln) as u64);
     for (round, panel) in panels(prob, grid, nb).into_iter().enumerate() {
         let w = panel.len();
-        let a_root = k_owner(prob.k, grid.gn, panel.start);
-        let b_root = k_owner(prob.k, grid.gm, panel.start);
+        let a_root = even_owner(prob.k, grid.gn, panel.start);
+        let b_root = even_owner(prob.k, grid.gm, panel.start);
         // Panel broadcasts use the §7.2 pipelined binomial trees: serialized
         // whole-panel forwarding was what held PR 5's measured SUMMA time at
         // 2.1–2.4× plan. Segments are tagged `base + s`, so round bases are
@@ -392,8 +379,8 @@ mod tests {
         // No panel straddles an ownership cut of either split.
         for panel in &ps {
             assert!(panel.len() <= 7);
-            assert_eq!(k_owner(100, 3, panel.start), k_owner(100, 3, panel.end - 1));
-            assert_eq!(k_owner(100, 2, panel.start), k_owner(100, 2, panel.end - 1));
+            assert_eq!(even_owner(100, 3, panel.start), even_owner(100, 3, panel.end - 1));
+            assert_eq!(even_owner(100, 2, panel.start), even_owner(100, 2, panel.end - 1));
         }
     }
 

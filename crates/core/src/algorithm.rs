@@ -16,17 +16,18 @@
 //!
 //! * **two-sided** — Bruck (log-depth) all-gathers over tagged sends/receives;
 //! * **one-sided** — every rank publishes its owned shards in an RMA window
-//!   once (one fence for the epoch), then peers `get` exactly the chunks each
-//!   round needs; the C reduce-scatter stays message-based (as in the paper,
-//!   where collectives remain MPI even in the RMA configuration).
+//!   once (one barrier closes the epoch), then peers `get` exactly the
+//!   chunks each round needs; the C reduce-scatter stays message-based (as
+//!   in the paper, where collectives remain MPI even in the RMA
+//!   configuration).
 //!
 //! Both backends move exactly the words the plan predicts — the integration
 //! tests assert equality against the mpiP-style counters.
 
 use densemat::gemm::gemm_packed;
 use densemat::matrix::Matrix;
-pub use mpsim::collectives::even_range;
 use mpsim::collectives::{allgather_bruck, even_cut, reduce_scatter_ring, unpack_run, Fiber};
+pub use mpsim::collectives::{even_owner, even_range};
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
 use mpsim::stats::Phase;
@@ -234,17 +235,18 @@ pub async fn execute(
     };
     let rp = &plan.ranks[comm.rank()];
 
-    // One-sided backend: a single epoch — everyone (idle ranks included)
-    // publishes its shards, fences once, then peers pull chunks on demand.
+    // One-sided backend: a single epoch — everyone (idle ranks an empty
+    // window) publishes its shards, one barrier, then peers pull chunks on
+    // demand.
     if cfg.backend == Backend::OneSided {
         if rp.active {
             let window = build_window(plan, &grid, rp, a, b);
             comm.track_alloc(window.len() as u64);
             comm.win_fill(window);
         } else {
-            comm.win_resize(0);
+            comm.win_fill(Vec::new());
         }
-        comm.fence().await;
+        comm.barrier().await;
     }
     if !rp.active {
         return None;

@@ -254,12 +254,18 @@ pub enum PlanError {
         /// The executor's typed refusal.
         source: ExecError,
     },
-    /// A machine parameter (cost-model constant or topology factor) is NaN —
-    /// it cannot be canonicalized into a cache key, and no plan objective
-    /// could order candidates under it.
+    /// A cost-model constant is NaN — it cannot be canonicalized into a cache
+    /// key, and no plan objective could order candidates under it.
     NonFiniteCostModel {
         /// Which parameter was NaN.
         field: &'static str,
+    },
+    /// The machine's [`Topology`] fails [`Topology::validate`] — a zero
+    /// count, a non-finite or negative factor, or a torus outside 1 to 4
+    /// dimensions.
+    InvalidTopology {
+        /// What `validate` rejected.
+        reason: &'static str,
     },
     /// The job was abandoned before it could run to completion — e.g. the
     /// serving layer shut down with the job still queued, or its driver
@@ -314,6 +320,7 @@ impl fmt::Display for PlanError {
             PlanError::NonFiniteCostModel { field } => {
                 write!(f, "machine parameter {field} is NaN and cannot be canonicalized")
             }
+            PlanError::InvalidTopology { reason } => write!(f, "invalid topology: {reason}"),
             PlanError::Aborted { reason } => {
                 write!(f, "job aborted before completion: {reason}")
             }
@@ -898,14 +905,6 @@ impl RunSession {
         self.resolved_plan().map(|(_, plan)| plan)
     }
 
-    /// [`plan`](Self::plan) behind an [`Arc`], ready for a plan cache:
-    /// planning is pure — fully determined by the problem, the algorithm and
-    /// the cost model — so the returned plan can be memoized and shared
-    /// across sessions with the same inputs.
-    pub fn plan_arc(&self) -> Result<Arc<DistPlan>, PlanError> {
-        self.plan().map(Arc::new)
-    }
-
     /// Execute an *already-made* plan (e.g. a plan-cache hit) on the
     /// session's machine, skipping the planning step entirely. The plan must
     /// be for this session's resolved algorithm and world size — a cached
@@ -1039,7 +1038,7 @@ mod tests {
         let a = Matrix::deterministic(prob.m, prob.k, 5);
         let b = Matrix::deterministic(prob.k, prob.n, 6);
         let session = RunSession::new(prob);
-        let plan = session.plan_arc().unwrap();
+        let plan = session.plan().unwrap();
         for session in [session.clone(), session.clone().exec_backend(BLOCKING)] {
             let cold = session.execute(&a, &b).unwrap();
             let cached = session.execute_planned(&plan, &a, &b).unwrap();
@@ -1047,7 +1046,7 @@ mod tests {
             assert_eq!(cached.stats, cold.stats);
         }
         // A plan made for another algorithm is refused, not executed.
-        let mut foreign = (*plan).clone();
+        let mut foreign = plan.clone();
         foreign.algo = AlgoId::Cannon;
         assert!(matches!(
             session.execute_planned(&foreign, &a, &b),

@@ -14,7 +14,7 @@
 
 use densemat::layout::Distribution;
 
-use crate::algorithm::even_range;
+use crate::algorithm::{even_owner, even_range};
 use crate::grid::Grid3;
 use crate::problem::MmmProblem;
 use crate::schedule::latency_steps;
@@ -30,16 +30,7 @@ impl Geometry {
     /// Locate coordinate `x` within `parts` balanced pieces of `0..total`:
     /// returns `(piece index, offset range of the piece)`.
     fn piece(total: usize, parts: usize, x: usize) -> (usize, std::ops::Range<usize>) {
-        // Balanced split: leading `total % parts` pieces are one longer.
-        let base = total / parts;
-        let extra = total % parts;
-        let long = (base + 1) * extra;
-        let idx = if x < long {
-            x / (base + 1)
-        } else {
-            assert!(base > 0, "coordinate beyond all pieces");
-            extra + (x - long) / base
-        };
+        let idx = even_owner(total, parts, x);
         (idx, even_range(total, parts, idx))
     }
 }

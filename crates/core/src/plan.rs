@@ -255,11 +255,6 @@ impl DistPlan {
         self.ranks.iter().map(RankPlan::comm_words).sum()
     }
 
-    /// Maximum per-rank latency cost (messages received) — the paper's `L`.
-    pub fn max_comm_msgs(&self) -> u64 {
-        self.ranks.iter().map(RankPlan::comm_msgs).max().unwrap_or(0)
-    }
-
     /// Structural validation: bricks exactly tile the iteration space, stay
     /// in bounds, and every active rank's working set fits in `S`.
     pub fn validate(&self) -> Result<(), PlanError> {
@@ -597,7 +592,7 @@ mod tests {
         assert_eq!(plan.max_comm_words(), 48);
         assert_eq!(plan.total_comm_words(), 96);
         assert!((plan.mean_comm_words() - 48.0).abs() < 1e-12);
-        assert_eq!(plan.max_comm_msgs(), 4);
+        assert_eq!(plan.ranks[0].comm_msgs(), 4);
         assert_eq!(plan.ranks[0].volume(), 32);
         assert_eq!(plan.ranks[0].flops(), 128);
     }

@@ -18,6 +18,7 @@
 //! double-buffered A/B round slabs; the rank's *own* shard of the initial
 //! data is charged to the problem's input footprint, not the schedule.
 
+use crate::algorithm::even_range;
 use crate::problem::MmmProblem;
 
 /// The optimal local-domain shape of Eq. 32, as reals.
@@ -76,9 +77,7 @@ pub fn latency_steps(lm: usize, ln: usize, lk: usize, mem_words: usize) -> Optio
     let s = ((mem_words - tile) / per_col).clamp(1, lk.max(1));
     let steps = lk.div_ceil(s);
     // Balanced slabs: sizes differ by at most one and never exceed s.
-    let base = lk / steps;
-    let extra = lk % steps;
-    let slabs = (0..steps).map(|i| base + usize::from(i < extra)).collect();
+    let slabs = (0..steps).map(|i| even_range(lk, steps, i).len()).collect();
     Some(StepPlan { steps, slabs })
 }
 

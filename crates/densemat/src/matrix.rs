@@ -12,8 +12,8 @@ use std::ops::Range;
 ///
 /// Element `(i, j)` lives at `data[i * cols + j]`. All distributed algorithms
 /// in this workspace move sub-blocks of `Matrix` values between simulated
-/// ranks, so the block accessors ([`Matrix::block`], [`Matrix::set_block`],
-/// [`Matrix::add_block`]) are the workhorse API.
+/// ranks, so the block accessors ([`Matrix::block`], [`Matrix::copy_block`],
+/// [`Matrix::append_block`]) are the workhorse API.
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -204,32 +204,6 @@ impl Matrix {
         }
     }
 
-    /// Accumulate (`+=`) the sub-matrix starting at `(r0, c0)` with `src`.
-    ///
-    /// Used when assembling reduced partial C results from several ranks.
-    pub fn add_block(&mut self, r0: usize, c0: usize, src: &Matrix) {
-        assert!(r0 + src.rows <= self.rows, "block rows out of bounds");
-        assert!(c0 + src.cols <= self.cols, "block cols out of bounds");
-        for i in 0..src.rows {
-            let dst = (r0 + i) * self.cols + c0;
-            for (d, s) in self.data[dst..dst + src.cols].iter_mut().zip(src.row(i)) {
-                *d += *s;
-            }
-        }
-    }
-
-    /// Element-wise `self += other`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.rows, other.rows, "row mismatch");
-        assert_eq!(self.cols, other.cols, "col mismatch");
-        for (d, s) in self.data.iter_mut().zip(&other.data) {
-            *d += *s;
-        }
-    }
-
     /// Return the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -253,11 +227,6 @@ impl Matrix {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// True if all elements are within `tol` of `other`, relative to the
@@ -443,25 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn add_block_accumulates() {
-        let mut m = Matrix::from_fn(3, 3, |_, _| 1.0);
-        let b = Matrix::from_fn(2, 2, |_, _| 2.0);
-        m.add_block(1, 1, &b);
-        assert_eq!(m.get(0, 0), 1.0);
-        assert_eq!(m.get(1, 1), 3.0);
-        assert_eq!(m.get(2, 2), 3.0);
-        assert_eq!(m.get(1, 0), 1.0);
-    }
-
-    #[test]
-    fn add_assign_elementwise() {
-        let mut a = Matrix::from_fn(2, 2, |i, j| (i + j) as f64);
-        let b = Matrix::from_fn(2, 2, |_, _| 10.0);
-        a.add_assign(&b);
-        assert_eq!(a.as_slice(), &[10.0, 11.0, 11.0, 12.0]);
-    }
-
-    #[test]
     fn transpose_involution() {
         let m = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as f64);
         assert_eq!(m.transpose().transpose(), m);
@@ -483,12 +433,6 @@ mod tests {
         let a = Matrix::zeros(2, 2);
         let b = Matrix::zeros(2, 3);
         assert!(!a.approx_eq(&b, 1.0));
-    }
-
-    #[test]
-    fn frobenius_norm_of_unit() {
-        let m = Matrix::from_fn(3, 3, |i, j| if i == j { 1.0 } else { 0.0 });
-        assert!((m.frobenius_norm() - 3.0_f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -391,6 +391,20 @@ pub fn even_range(total: usize, parts: usize, idx: usize) -> std::ops::Range<usi
     even_cut(total, parts, idx)..even_cut(total, parts, idx + 1)
 }
 
+/// The piece of [`even_range`] that holds `x < total`: its inverse, in
+/// closed form.
+#[inline]
+pub fn even_owner(total: usize, parts: usize, x: usize) -> usize {
+    debug_assert!(x < total, "coordinate {x} beyond all pieces of {total}");
+    let (base, extra) = (total / parts, total % parts);
+    let long = (base + 1) * extra;
+    if x < long {
+        x / (base + 1)
+    } else {
+        extra + (x - long) / base
+    }
+}
+
 /// All `parts` ranges of [`even_range`], as a table.
 pub fn even_chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     (0..parts).map(|i| even_range(len, parts, i)).collect()

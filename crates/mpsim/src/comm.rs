@@ -2,29 +2,24 @@
 //!
 //! Rank bodies talk to the machine through [`RankComm`], the resumable
 //! rank-facing handle: operations that may have to wait for a peer
-//! ([`RankComm::recv`], [`RankComm::barrier`], [`RankComm::fence`]) are
-//! `async` *wait-states*, so one body runs unchanged on every
-//! [`crate::exec::ExecBackend`] — parked carrier threads on the blocking
-//! backend, stackless state machines on the event backend.
+//! ([`RankComm::recv`], [`RankComm::barrier`]) are `async` *wait-states*, so
+//! one body runs unchanged on every [`crate::exec::ExecBackend`] — parked
+//! carrier threads on the blocking backend, stackless state machines on the
+//! event backend.
 //!
 //! Two communication backends mirror §7.4 of the paper:
 //!
 //! * **Two-sided** — [`RankComm::send`]/[`RankComm::recv`] with
-//!   `(source, tag)` matching (the Message Passing model). Unbounded
-//!   buffering means a send never blocks, so exchange patterns like Cannon
-//!   shifts cannot deadlock.
-//! * **One-sided** — per-rank shared-memory *windows* with
-//!   [`RankComm::put`]/[`RankComm::get`]/[`RankComm::accumulate`] and a
-//!   [`RankComm::fence`] epoch barrier (the RMA model; zero-copy into the
-//!   target window exactly like `MPI_Put` into an `MPI_Win_allocate`
-//!   buffer).
+//!   `(source, tag)` matching. A send never blocks, so exchange patterns
+//!   like Cannon shifts cannot deadlock.
+//! * **One-sided** — one epoch shape: every rank publishes its window
+//!   ([`RankComm::win_fill`]), a [`RankComm::barrier`] closes the epoch,
+//!   then peers [`RankComm::get`] from it.
 //!
 //! Behind [`RankComm`] sit two crate-private implementations: the blocking
 //! (channel-based) one of the blocking executor and the event-driven one of
-//! [`crate::event`]. Every operation updates the per-rank [`StatsBoard`]
-//! counters identically, which is how the "communication volume per rank"
-//! measurements of Figures 6–7 are taken — and why both executors measure
-//! bitwise-identical numbers.
+//! [`crate::event`]. Both update the per-rank [`StatsBoard`] counters
+//! identically — the "communication volume per rank" of Figures 6–7.
 
 use std::cell::Cell;
 use std::future::Future;
@@ -75,52 +70,13 @@ fn lock(w: &Mutex<Vec<f64>>) -> MutexGuard<'_, Vec<f64>> {
     w.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The RMA window operations proper — bounds checks and data movement on a
-/// raw window buffer. Shared by the blocking `Comm` and the event-driven
-/// `EventComm` so the two backends cannot drift in semantics or panic
-/// messages (their counters are recorded identically via [`record_rma`]).
-pub(crate) mod window {
-    /// (Re)size a window to `words` zeroed words.
-    pub fn resize(w: &mut Vec<f64>, words: usize) {
-        w.clear();
-        w.resize(words, 0.0);
-    }
-
-    /// `MPI_Put`: copy `data` into the window at `offset`.
-    pub fn put(w: &mut [f64], offset: usize, data: &[f64]) {
-        assert!(
-            offset + data.len() <= w.len(),
-            "put past window end: {} + {} > {}",
-            offset,
-            data.len(),
-            w.len()
-        );
-        w[offset..offset + data.len()].copy_from_slice(data);
-    }
-
-    /// `MPI_Get` into a caller-provided (typically pooled) buffer: `out` is
-    /// cleared and filled with the `len` words at `offset`.
-    pub fn get_into(w: &[f64], offset: usize, len: usize, out: &mut Vec<f64>) {
-        assert!(offset + len <= w.len(), "get past window end");
-        out.clear();
-        out.extend_from_slice(&w[offset..offset + len]);
-    }
-
-    /// `MPI_Accumulate` with `MPI_SUM`: element-wise add into the window.
-    pub fn accumulate(w: &mut [f64], offset: usize, data: &[f64]) {
-        assert!(offset + data.len() <= w.len(), "accumulate past window end");
-        for (dst, src) in w[offset..offset + data.len()].iter_mut().zip(data) {
-            *dst += *src;
-        }
-    }
-
-    /// Local window read (no traffic) into a caller-provided (typically
-    /// pooled) buffer.
-    pub fn read_local_into(w: &[f64], offset: usize, len: usize, out: &mut Vec<f64>) {
-        assert!(offset + len <= w.len(), "local window read past end");
-        out.clear();
-        out.extend_from_slice(&w[offset..offset + len]);
-    }
+/// `MPI_Get` into a caller-provided (typically pooled) buffer: `out` is
+/// cleared and filled with the `len` words of window `w` at `offset` — the
+/// one bounds check both backends' `get` share.
+pub(crate) fn get_into(w: &[f64], offset: usize, len: usize, out: &mut Vec<f64>) {
+    assert!(offset + len <= w.len(), "get past window end");
+    out.clear();
+    out.extend_from_slice(&w[offset..offset + len]);
 }
 
 /// Count one RMA transfer of `words` words: sent by `sender`, received by
@@ -240,11 +196,6 @@ impl Comm {
         self.p
     }
 
-    /// The shared statistics board.
-    pub fn stats(&self) -> &StatsBoard {
-        &self.shared.stats
-    }
-
     /// The world's buffer-reuse arena (see [`crate::pool::BufferPool`]).
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.shared.pool
@@ -345,14 +296,6 @@ impl Comm {
         data
     }
 
-    /// Combined exchange: send `data` to `to` and receive from `from` under
-    /// the same tag (a ring-shift step). Non-deadlocking because sends are
-    /// buffered.
-    pub fn sendrecv(&mut self, to: usize, from: usize, tag: u64, data: Vec<f64>, phase: Phase) -> Vec<f64> {
-        self.send(to, tag, data, phase);
-        self.recv(from, tag, phase)
-    }
-
     /// Block until all ranks reach the barrier. The wait is a resumable
     /// wait-state: the rank yields its worker slot while standing at the
     /// barrier (all `p` ranks must arrive, and fewer than `p` workers may
@@ -367,40 +310,15 @@ impl Comm {
     // One-sided (RMA) backend
     // ------------------------------------------------------------------
 
-    /// (Re)size this rank's window to `words` zeroed words. Like
-    /// `MPI_Win_allocate`, every rank must call it before the first
-    /// [`Comm::fence`] of the epoch that uses the window.
-    pub fn win_resize(&self, words: usize) {
-        window::resize(&mut lock(&self.shared.windows[self.rank]), words);
-    }
-
-    /// Write `data` into `target`'s window at `offset` (like `MPI_Put`).
-    /// Counts as `data.len()` words sent by this rank and received by the
-    /// target.
-    ///
-    /// # Panics
-    /// Panics if the target window is too small.
-    pub fn put(&self, target: usize, offset: usize, data: &[f64], phase: Phase) {
-        window::put(&mut lock(&self.shared.windows[target]), offset, data);
-        record_rma(&self.shared.stats, self.rank, target, data.len() as u64, phase);
-    }
-
     /// Read `len` words at `offset` from `target`'s window (like `MPI_Get`).
     /// Counts as words received by this rank and sent by the target. The
     /// returned buffer comes from the world's arena, never a fresh
     /// allocation on a pool hit.
     pub fn get(&self, target: usize, offset: usize, len: usize, phase: Phase) -> Vec<f64> {
         let mut out = self.shared.pool.take_clear(len);
-        window::get_into(&lock(&self.shared.windows[target]), offset, len, &mut out);
+        get_into(&lock(&self.shared.windows[target]), offset, len, &mut out);
         record_rma(&self.shared.stats, target, self.rank, len as u64, phase);
         out
-    }
-
-    /// Element-wise add `data` into `target`'s window at `offset` (like
-    /// `MPI_Accumulate` with `MPI_SUM`).
-    pub fn accumulate(&self, target: usize, offset: usize, data: &[f64], phase: Phase) {
-        window::accumulate(&mut lock(&self.shared.windows[target]), offset, data);
-        record_rma(&self.shared.stats, self.rank, target, data.len() as u64, phase);
     }
 
     /// Replace this rank's window contents (no traffic counted — populating
@@ -408,29 +326,6 @@ impl Comm {
     /// `MPI_Win_allocate` buffer).
     pub fn win_fill(&self, data: Vec<f64>) {
         *lock(&self.shared.windows[self.rank]) = data;
-    }
-
-    /// Read this rank's own window (no traffic counted). Copies the whole
-    /// window into a pooled buffer — prefer
-    /// [`win_read_local`](Self::win_read_local) when only a slice is needed.
-    pub fn win_local(&self) -> Vec<f64> {
-        let w = lock(&self.shared.windows[self.rank]);
-        self.shared.pool.take_copy(&w)
-    }
-
-    /// Read a slice of this rank's own window (no traffic counted) into a
-    /// pooled buffer — the slice-sized alternative to cloning the whole
-    /// window via [`win_local`](Self::win_local).
-    pub fn win_read_local(&self, offset: usize, len: usize) -> Vec<f64> {
-        let mut out = self.shared.pool.take_clear(len);
-        window::read_local_into(&lock(&self.shared.windows[self.rank]), offset, len, &mut out);
-        out
-    }
-
-    /// Close an RMA epoch: all puts/gets/accumulates issued before the fence
-    /// are visible after it (like `MPI_Win_fence`).
-    pub fn fence(&self) {
-        self.barrier();
     }
 }
 
@@ -442,8 +337,7 @@ impl Comm {
 /// execution backend.
 ///
 /// Rendezvous operations ([`recv`](Self::recv), [`barrier`](Self::barrier),
-/// [`fence`](Self::fence), [`sendrecv`](Self::sendrecv)) are `async`
-/// wait-states. On the blocking backend they complete within a single poll —
+/// [`sendrecv`](Self::sendrecv)) are `async` wait-states. On the blocking backend they complete within a single poll —
 /// the rank's carrier thread parks and yields its worker slot. On the event
 /// backend they return `Poll::Pending` and the scheduler parks the rank's
 /// state machine in the matching table, costing bytes instead of a stack.
@@ -507,14 +401,6 @@ impl RankComm {
         }
     }
 
-    /// The shared statistics board.
-    pub fn stats(&self) -> &StatsBoard {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.stats(),
-            CommImpl::Event(c) => c.stats(),
-        }
-    }
-
     /// The world's buffer-reuse arena (see [`crate::pool::BufferPool`]).
     pub fn pool(&self) -> &Arc<BufferPool> {
         match &self.0 {
@@ -572,7 +458,7 @@ impl RankComm {
         }
     }
 
-    /// Combined exchange: send `data` to `to` and receive from `from` under
+    /// Combined exchange: send `data` to `to`, then receive from `from` under
     /// the same tag (a ring-shift step). Non-deadlocking because sends are
     /// buffered.
     pub async fn sendrecv(
@@ -583,13 +469,12 @@ impl RankComm {
         data: Vec<f64>,
         phase: Phase,
     ) -> Vec<f64> {
-        match &mut self.0 {
-            CommImpl::Blocking(c) => c.sendrecv(to, from, tag, data, phase),
-            CommImpl::Event(c) => c.sendrecv(to, from, tag, data, phase).await,
-        }
+        self.send(to, tag, data, phase);
+        self.recv(from, tag, phase).await
     }
 
-    /// Wait until all ranks reach the barrier — a wait-state.
+    /// Wait until all ranks reach the barrier — a wait-state. It also closes
+    /// a one-sided epoch: every window filled before it is readable after it.
     pub async fn barrier(&mut self) {
         match &mut self.0 {
             CommImpl::Blocking(c) => c.barrier(),
@@ -597,47 +482,8 @@ impl RankComm {
         }
     }
 
-    /// Close an RMA epoch (like `MPI_Win_fence`) — a wait-state.
-    pub async fn fence(&mut self) {
-        match &mut self.0 {
-            CommImpl::Blocking(c) => c.fence(),
-            CommImpl::Event(c) => c.fence().await,
-        }
-    }
-
-    /// (Re)size this rank's window to `words` zeroed words.
-    pub fn win_resize(&self, words: usize) {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.win_resize(words),
-            CommImpl::Event(c) => c.win_resize(words),
-        }
-    }
-
-    /// Write `data` into `target`'s window at `offset` (like `MPI_Put`).
-    pub fn put(&self, target: usize, offset: usize, data: &[f64], phase: Phase) {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.put(target, offset, data, phase),
-            CommImpl::Event(c) => c.put(target, offset, data, phase),
-        }
-    }
-
-    /// Read `len` words at `offset` from `target`'s window (like `MPI_Get`).
-    pub fn get(&self, target: usize, offset: usize, len: usize, phase: Phase) -> Vec<f64> {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.get(target, offset, len, phase),
-            CommImpl::Event(c) => c.get(target, offset, len, phase),
-        }
-    }
-
-    /// Element-wise add `data` into `target`'s window at `offset`.
-    pub fn accumulate(&self, target: usize, offset: usize, data: &[f64], phase: Phase) {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.accumulate(target, offset, data, phase),
-            CommImpl::Event(c) => c.accumulate(target, offset, data, phase),
-        }
-    }
-
-    /// Replace this rank's window contents (local, no traffic counted).
+    /// Replace this rank's window contents (local, no traffic counted): the
+    /// publish step of a one-sided epoch.
     pub fn win_fill(&self, data: Vec<f64>) {
         match &self.0 {
             CommImpl::Blocking(c) => c.win_fill(data),
@@ -645,19 +491,15 @@ impl RankComm {
         }
     }
 
-    /// Read this rank's own window (no traffic counted).
-    pub fn win_local(&self) -> Vec<f64> {
+    /// Read `len` words at `offset` from `target`'s window (like `MPI_Get`),
+    /// into a buffer leased from the world's arena.
+    ///
+    /// # Panics
+    /// Panics if the read runs past the end of the target's window.
+    pub fn get(&self, target: usize, offset: usize, len: usize, phase: Phase) -> Vec<f64> {
         match &self.0 {
-            CommImpl::Blocking(c) => c.win_local(),
-            CommImpl::Event(c) => c.win_local(),
-        }
-    }
-
-    /// Read a slice of this rank's own window (no traffic counted).
-    pub fn win_read_local(&self, offset: usize, len: usize) -> Vec<f64> {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.win_read_local(offset, len),
-            CommImpl::Event(c) => c.win_read_local(offset, len),
+            CommImpl::Blocking(c) => c.get(target, offset, len, phase),
+            CommImpl::Event(c) => c.get(target, offset, len, phase),
         }
     }
 }
@@ -750,8 +592,8 @@ mod tests {
                 s.spawn(move || {
                     let right = (c.rank() + 1) % c.size();
                     let left = (c.rank() + c.size() - 1) % c.size();
-                    let got = c.sendrecv(right, left, 0, vec![c.rank() as f64; 10], Phase::InputB);
-                    assert_eq!(got, vec![left as f64; 10]);
+                    c.send(right, 0, vec![c.rank() as f64; 10], Phase::InputB);
+                    assert_eq!(c.recv(left, 0, Phase::InputB), vec![left as f64; 10]);
                 });
             }
         });
@@ -762,45 +604,40 @@ mod tests {
         }
     }
 
+    /// The one-sided epoch — publish, barrier, get — on the blocking
+    /// communicator: every rank reads a slice of its right neighbour's window.
     #[test]
     fn rma_put_get_accumulate() {
         let (comms, stats) = world(2);
         std::thread::scope(|s| {
             for c in comms {
                 s.spawn(move || {
-                    c.win_resize(4);
-                    c.fence();
-                    if c.rank() == 0 {
-                        c.put(1, 0, &[1.0, 2.0], Phase::InputA);
-                        c.accumulate(1, 1, &[10.0], Phase::OutputC);
-                    }
-                    c.fence();
-                    if c.rank() == 1 {
-                        assert_eq!(c.win_local(), vec![1.0, 12.0, 0.0, 0.0]);
-                        let fetched = c.get(0, 0, 2, Phase::InputB);
-                        assert_eq!(fetched, vec![0.0, 0.0]);
-                    }
-                    c.fence();
+                    let me = c.rank() as f64;
+                    c.win_fill(vec![me, me + 10.0, me + 20.0, me + 30.0]);
+                    c.barrier();
+                    let right = 1 - c.rank();
+                    let fetched = c.get(right, 1, 2, Phase::InputB);
+                    assert_eq!(fetched, vec![right as f64 + 10.0, right as f64 + 20.0]);
+                    c.barrier();
                 });
             }
         });
-        let snap = stats.snapshot();
-        // rank 0 sent 3 words by put/accumulate and 2 more serving the get;
-        // rank 1 received those 3 words plus the 2 it fetched itself.
-        assert_eq!(snap[0].total_sent(), 5);
-        assert_eq!(snap[0].total_recv(), 0);
-        assert_eq!(snap[1].total_recv(), 5);
-        assert_eq!(snap[1].total_sent(), 0);
+        // Each rank fetched 2 words and served its neighbour's 2.
+        for st in stats.snapshot() {
+            assert_eq!(st.total_sent(), 2);
+            assert_eq!(st.total_recv(), 2);
+            assert_eq!(st.msgs_recv, 1);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "put past window end")]
+    #[should_panic(expected = "get past window end")]
     fn rma_bounds_checked() {
         let (mut comms, _) = world(2);
         let _c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
-        c0.win_resize(2);
-        c0.put(0, 1, &[1.0, 2.0], Phase::Other);
+        c0.win_fill(vec![0.0; 2]);
+        c0.get(0, 1, 2, Phase::Other);
     }
 
     #[test]

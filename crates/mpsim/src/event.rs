@@ -14,7 +14,7 @@
 //! * a scheduler drives the state machines from a ready queue that is a
 //!   **min-heap ordered by virtual timestamp** (FIFO on ties); a rank that
 //!   cannot make progress (a `recv` with no matching message, a
-//!   `barrier`/`fence` waiting for peers) registers a `Wait` in its slab —
+//!   `barrier` waiting for peers) registers a `Wait` in its slab —
 //!   the world's matching table — and returns `Poll::Pending`;
 //! * a `send` that satisfies a registered `Recv` wait — or the last arrival
 //!   at a barrier — clears the wait and moves the rank back onto the ready
@@ -45,9 +45,8 @@
 //!   `max(recv_ready, send_time) + α + β·words`;
 //! * a barrier resolves at the **max arrival time** over all ranks, the wait
 //!   counting as exposed communication;
-//! * one-sided `put`/`get`/`accumulate` charge their transfer to the origin
-//!   rank's clock (conservatively exposed; the target stays passive, as in
-//!   RDMA).
+//! * a one-sided `get` charges its transfer to the origin rank's clock
+//!   (conservatively exposed; the target stays passive, as in RDMA).
 //!
 //! Every stall and every hidden transfer lands in the shared
 //! [`StatsBoard`]'s per-rank
@@ -152,7 +151,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
-use crate::comm::{record_rma, window, CommImpl, RankComm};
+use crate::comm::{get_into, record_rma, CommImpl, RankComm};
 use crate::exec::{ExecError, RunOutput, Waiting};
 use crate::fault::FaultSchedule;
 use crate::machine::MachineSpec;
@@ -595,10 +594,9 @@ pub(crate) struct EventWorld {
     /// window opens, so an inbox never holds more than one window's traffic.
     inboxes: Vec<Mutex<Vec<(usize, Packet)>>>,
     barrier: Mutex<BarrierState>,
-    /// Per-rank RMA windows, world-global: one-sided ops may target any
-    /// rank. Conflicting RMA ops of one window from different regions apply
-    /// in unspecified order (as in MPI's separate-epoch semantics); the
-    /// origin-side time charge is rank-local either way.
+    /// Per-rank RMA windows, world-global: a `get` may read any rank's. A
+    /// window is only written by its own rank's `win_fill`, which the
+    /// epoch's barriers order against every peer's `get`.
     windows: Mutex<Vec<Vec<f64>>>,
 }
 
@@ -781,11 +779,6 @@ impl EventComm {
         self.world.p
     }
 
-    /// The shared statistics board.
-    pub fn stats(&self) -> &StatsBoard {
-        &self.world.stats
-    }
-
     /// The world's buffer-reuse arena (see [`crate::pool::BufferPool`]).
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.world.pool
@@ -897,13 +890,6 @@ impl EventComm {
         }
     }
 
-    /// Combined exchange: send to `to`, then receive from `from` under the
-    /// same tag (a ring-shift step).
-    pub async fn sendrecv(&self, to: usize, from: usize, tag: u64, data: Vec<f64>, phase: Phase) -> Vec<f64> {
-        self.send(to, tag, data, phase);
-        self.recv(from, tag, phase).await
-    }
-
     /// Park until all `p` ranks reach the barrier. The barrier resolves at
     /// the max arrival time: everyone's clock advances to it (each rank's
     /// wait counted as exposed communication) and every parked rank rejoins
@@ -915,14 +901,8 @@ impl EventComm {
         }
     }
 
-    /// Close an RMA epoch (alias for [`barrier`](Self::barrier), like
-    /// `MPI_Win_fence`).
-    pub fn fence(&self) -> BarrierFuture<'_> {
-        self.barrier()
-    }
-
     // ------------------------------------------------------------------
-    // One-sided (RMA) backend — never suspends except through `fence`.
+    // One-sided (RMA) backend — never suspends.
     // ------------------------------------------------------------------
 
     /// Charge a one-sided transfer of `words` to this (origin) rank's
@@ -939,35 +919,15 @@ impl EventComm {
         op(&mut lock(&self.world.windows))
     }
 
-    /// (Re)size this rank's window to `words` zeroed words.
-    pub fn win_resize(&self, words: usize) {
-        self.with_windows(|w| window::resize(&mut w[self.rank], words));
-    }
-
-    /// Write `data` into `target`'s window at `offset` (like `MPI_Put`).
-    pub fn put(&self, target: usize, offset: usize, data: &[f64], phase: Phase) {
-        self.with_windows(|w| window::put(&mut w[target], offset, data));
-        record_rma(&self.world.stats, self.rank, target, data.len() as u64, phase);
-        self.charge_rma(data.len() as u64);
-    }
-
     /// Read `len` words at `offset` from `target`'s window (like `MPI_Get`).
     /// The returned buffer is leased from the world's arena — hand it back
     /// with [`RankComm::recycle`] when done.
     pub fn get(&self, target: usize, offset: usize, len: usize, phase: Phase) -> Vec<f64> {
         let mut out = self.world.pool.take_clear(len);
-        self.with_windows(|w| window::get_into(&w[target], offset, len, &mut out));
+        self.with_windows(|w| get_into(&w[target], offset, len, &mut out));
         record_rma(&self.world.stats, target, self.rank, len as u64, phase);
         self.charge_rma(len as u64);
         out
-    }
-
-    /// Element-wise add `data` into `target`'s window at `offset` (like
-    /// `MPI_Accumulate` with `MPI_SUM`).
-    pub fn accumulate(&self, target: usize, offset: usize, data: &[f64], phase: Phase) {
-        self.with_windows(|w| window::accumulate(&mut w[target], offset, data));
-        record_rma(&self.world.stats, self.rank, target, data.len() as u64, phase);
-        self.charge_rma(data.len() as u64);
     }
 
     /// Replace this rank's window contents (local, no traffic counted). The
@@ -975,20 +935,6 @@ impl EventComm {
     pub fn win_fill(&self, data: Vec<f64>) {
         let old = self.with_windows(|w| std::mem::replace(&mut w[self.rank], data));
         self.world.pool.give(old);
-    }
-
-    /// Read this rank's own window (no traffic counted). The copy is leased
-    /// from the arena, not freshly allocated.
-    pub fn win_local(&self) -> Vec<f64> {
-        self.with_windows(|w| self.world.pool.take_copy(&w[self.rank]))
-    }
-
-    /// Read a slice of this rank's own window (no traffic counted) — slices
-    /// out of the shared window without cloning the whole thing.
-    pub fn win_read_local(&self, offset: usize, len: usize) -> Vec<f64> {
-        let mut out = self.world.pool.take_clear(len);
-        self.with_windows(|w| window::read_local_into(&w[self.rank], offset, len, &mut out));
-        out
     }
 }
 
@@ -1544,32 +1490,32 @@ mod tests {
         assert_eq!(out.results[1], (vec![2.0], vec![1.0]));
     }
 
+    /// The one-sided epoch — publish, barrier, get — on the event engine.
     #[test]
     fn rma_put_get_accumulate_with_fences() {
         let spec = MachineSpec::test_machine(2, 1000);
         let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
-            c.win_resize(4);
-            c.fence().await;
-            if c.rank() == 0 {
-                c.put(1, 0, &[1.0, 2.0], Phase::InputA);
-                c.accumulate(1, 1, &[10.0], Phase::OutputC);
-            }
-            c.fence().await;
-            if c.rank() == 1 {
-                assert_eq!(c.win_local(), vec![1.0, 12.0, 0.0, 0.0]);
-                c.get(0, 0, 2, Phase::InputB)
+            let me = c.rank() as f64;
+            c.win_fill(vec![me, me + 10.0, me + 20.0, me + 30.0]);
+            c.barrier().await;
+            let got = if c.rank() == 1 {
+                c.get(0, 1, 3, Phase::InputB)
             } else {
                 vec![]
-            }
+            };
+            c.barrier().await;
+            got
         })
         .unwrap();
-        assert_eq!(out.results[1], vec![0.0, 0.0]);
-        assert_eq!(out.stats[0].total_sent(), 5);
-        assert_eq!(out.stats[1].total_recv(), 5);
-        // The origin pays RMA wire time as exposed comm: rank 0 put 3 words,
-        // rank 1 got 2 — both clocks advanced.
-        assert!(out.stats[0].time.exposed_comm_s > 0.0);
-        assert!(out.stats[1].time.exposed_comm_s > 0.0);
+        assert_eq!(out.results[1], vec![10.0, 20.0, 30.0]);
+        assert_eq!(out.stats[0].total_sent(), 3);
+        assert_eq!(out.stats[1].total_recv(), 3);
+        // The origin pays RMA wire time as exposed comm; the target stays
+        // passive until the closing barrier makes it wait for the origin.
+        let wire = spec.cost.comm_time(3, 1);
+        assert_eq!(out.stats[1].time.exposed_comm_s, wire);
+        assert_eq!(out.stats[0].time.exposed_comm_s, wire);
+        assert_eq!(out.stats[0].time.total_s(), out.stats[1].time.total_s());
     }
 
     #[test]
@@ -2528,18 +2474,15 @@ mod tests {
 
     #[test]
     fn parallel_rma_matches_single_thread_counters() {
-        // One-sided traffic across regions between fences; window contents
-        // conflict-free, so data and counters agree with the one-region
-        // run (times too: the origin-side charge is rank-local).
+        // One-sided reads across regions inside a publish-barrier-get epoch:
+        // data and counters agree with the one-region run (times too: the
+        // origin-side charge is rank-local).
         let spec = MachineSpec::test_machine(8, 1000);
         let body = |mut c: RankComm| async move {
-            c.win_resize(2);
-            c.fence().await;
-            let target = (c.rank() + 4) % 8;
-            c.put(target, 0, &[c.rank() as f64], Phase::OutputC);
-            c.fence().await;
-            let got = c.win_local();
-            c.fence().await;
+            c.win_fill(vec![c.rank() as f64; 2]);
+            c.barrier().await;
+            let got = c.get((c.rank() + 4) % 8, 1, 1, Phase::OutputC);
+            c.barrier().await;
             got[0] as usize
         };
         let seq = run_spmd_with(&spec, ExecBackend::event(), body).unwrap();

@@ -9,7 +9,7 @@
 //!   over `workers` runnable slots. Each rank gets a lightweight small-stack
 //!   carrier thread, but at most `workers` of them are ever runnable: the
 //!   communicator's rendezvous points (a `recv` waiting for a message, a
-//!   `barrier`/`fence`) yield the rank's worker slot to the next runnable
+//!   `barrier`) yield the rank's worker slot to the next runnable
 //!   rank instead of blocking it. Admission is FIFO, so runnable ranks are
 //!   stepped round-robin; with `workers ≥ p` every rank is always runnable
 //!   (one thread per rank). Parked ranks still pin their carrier stacks
@@ -701,6 +701,31 @@ mod tests {
         assert!(event.stats.iter().all(|s| s.time.total_s() > 0.0));
         assert_eq!(par.results, event.results);
         assert_eq!(par.stats, event.stats);
+    }
+
+    #[test]
+    fn sendrecv_is_send_then_recv_on_every_backend() {
+        // `sendrecv` is written once, on `RankComm`: on every backend it
+        // measures exactly what the explicit pair does, virtual time included.
+        let spec = MachineSpec::test_machine(6, 1000);
+        let fused = |mut c: RankComm| async move {
+            let (right, left) = ((c.rank() + 1) % 6, (c.rank() + 5) % 6);
+            c.sendrecv(right, left, 2, vec![c.rank() as f64; c.rank() + 1], Phase::InputB)
+                .await
+        };
+        let split = |mut c: RankComm| async move {
+            let (right, left) = ((c.rank() + 1) % 6, (c.rank() + 5) % 6);
+            c.send(right, 2, vec![c.rank() as f64; c.rank() + 1], Phase::InputB);
+            c.recv(left, 2, Phase::InputB).await
+        };
+        for backend in [ExecBackend::Blocking { workers: 2 }, ExecBackend::event()] {
+            let (a, b) = (
+                run_spmd_with(&spec, backend, fused).unwrap(),
+                run_spmd_with(&spec, backend, split).unwrap(),
+            );
+            assert_eq!(a.results, b.results, "{backend}");
+            assert_eq!(a.stats, b.stats, "{backend}");
+        }
     }
 
     #[test]

@@ -62,17 +62,6 @@ const STREAM_PICK: u64 = 0x5045_4B49_4C4C; // which ranks die
 const STREAM_TIME: u64 = 0x4445_4154_4854; // when they die
 const STREAM_DROP: u64 = 0x4452_4F50_5052; // which messages vanish
 
-/// How a plan selects its casualties.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum KillSpec {
-    /// No rank deaths.
-    None,
-    /// Exactly `min(kills, p)` ranks die, chosen by seeded hash order.
-    Exactly(usize),
-    /// Each rank independently dies with this probability.
-    Rate(f64),
-}
-
 /// A deterministic, seeded fault-injection recipe for one run.
 ///
 /// Construct with [`FaultPlan::new`] (a quiescent plan — attaching it
@@ -95,7 +84,8 @@ enum KillSpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
-    kills: KillSpec,
+    /// Exactly `min(kills, p)` ranks die, chosen by seeded hash order.
+    kills: usize,
     /// Virtual-time window `(0, horizon_s)` inside which deaths land.
     horizon_s: f64,
     /// Per-message loss probability in `[0, 1]`.
@@ -109,7 +99,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            kills: KillSpec::None,
+            kills: 0,
             horizon_s: 0.0,
             drop_rate: 0.0,
         }
@@ -126,23 +116,7 @@ impl FaultPlan {
             horizon_s.is_finite() && horizon_s > 0.0,
             "fault horizon must be finite and positive (got {horizon_s})"
         );
-        self.kills = KillSpec::Exactly(kills);
-        self.horizon_s = horizon_s;
-        self
-    }
-
-    /// Schedule each rank to die independently with probability `rate`, at
-    /// a seeded virtual time within `(0, horizon_s)`.
-    ///
-    /// # Panics
-    /// Panics unless `rate ∈ [0, 1]` and `horizon_s` is finite and positive.
-    pub fn death_rate(mut self, rate: f64, horizon_s: f64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&rate), "death rate must be in [0, 1] (got {rate})");
-        assert!(
-            horizon_s.is_finite() && horizon_s > 0.0,
-            "fault horizon must be finite and positive (got {horizon_s})"
-        );
-        self.kills = KillSpec::Rate(rate);
+        self.kills = kills;
         self.horizon_s = horizon_s;
         self
     }
@@ -185,24 +159,14 @@ impl FaultPlan {
             self.horizon_s * frac
         };
         let mut death: Vec<Option<f64>> = vec![None; p];
-        match self.kills {
-            KillSpec::None => {}
-            KillSpec::Exactly(kills) => {
-                // Order ranks by seeded hash (ties by rank) and fell the
-                // first `kills` — an exact casualty count for conformance
-                // runs that need a specific surviving p'.
-                let mut order: Vec<usize> = (0..p).collect();
-                order.sort_by_key(|&r| (mix(self.seed, STREAM_PICK, &[r as u64]), r));
-                for &r in order.iter().take(kills.min(p)) {
-                    death[r] = Some(death_at(r));
-                }
-            }
-            KillSpec::Rate(rate) => {
-                for (r, slot) in death.iter_mut().enumerate() {
-                    if u01(mix(self.seed, STREAM_PICK, &[r as u64])) < rate {
-                        *slot = Some(death_at(r));
-                    }
-                }
+        if self.kills > 0 {
+            // Order ranks by seeded hash (ties by rank) and fell the first
+            // `kills` — an exact casualty count for conformance runs that
+            // need a specific surviving p'.
+            let mut order: Vec<usize> = (0..p).collect();
+            order.sort_by_key(|&r| (mix(self.seed, STREAM_PICK, &[r as u64]), r));
+            for &r in order.iter().take(self.kills.min(p)) {
+                death[r] = Some(death_at(r));
             }
         }
         let deaths = death.iter().filter(|d| d.is_some()).count();
@@ -277,15 +241,6 @@ mod tests {
         let plan = FaultPlan::new(1).kill_exactly(100, 1.0);
         assert_eq!(plan.planned_kills(4), 4);
         assert_eq!(plan.survivors(4), 0);
-    }
-
-    #[test]
-    fn death_rate_is_seed_deterministic_and_roughly_calibrated() {
-        let plan = FaultPlan::new(9).death_rate(0.25, 1.0);
-        let kills = plan.planned_kills(4096);
-        assert_eq!(kills, plan.planned_kills(4096));
-        // 4096 Bernoulli(0.25) draws: expect ~1024, allow a wide band.
-        assert!((700..1400).contains(&kills), "got {kills}");
     }
 
     #[test]

@@ -333,14 +333,6 @@ impl MachineSpec {
             },
         )
     }
-
-    /// Can the three matrices of an `m x k · k x n` product fit in the
-    /// collective memory? (The paper's §6 assumption
-    /// `pS ≥ mn + mk + nk`.)
-    pub fn fits_problem(&self, m: usize, n: usize, k: usize) -> bool {
-        let need = m as u128 * n as u128 + m as u128 * k as u128 + n as u128 * k as u128;
-        (self.p as u128) * (self.mem_words as u128) >= need
-    }
 }
 
 #[cfg(test)]
@@ -353,22 +345,6 @@ mod tests {
         assert_eq!(m.p, 1024);
         // 64 GiB / 36 cores / 8 bytes ≈ 238 M words.
         assert!(m.mem_words > 230_000_000 && m.mem_words < 245_000_000);
-    }
-
-    #[test]
-    fn fits_problem_boundary() {
-        let m = MachineSpec::test_machine(4, 100);
-        // mn + mk + nk = 100 + 100 + 100 = 300 <= 400.
-        assert!(m.fits_problem(10, 10, 10));
-        // 3 * 400 = 1200 > 400.
-        assert!(!m.fits_problem(20, 20, 20));
-    }
-
-    #[test]
-    fn fits_problem_no_overflow_at_paper_scale() {
-        let m = MachineSpec::piz_daint(2048);
-        // The RPA workload: m = n = 17,408, k = 3,735,552.
-        assert!(m.fits_problem(17_408, 17_408, 3_735_552));
     }
 
     #[test]

@@ -176,11 +176,6 @@ impl RankStats {
         self.total_recv()
     }
 
-    /// Received words of one phase.
-    pub fn recv_in(&self, phase: Phase) -> u64 {
-        self.words_recv[phase.index()]
-    }
-
     /// A copy with the virtual-time fields zeroed — for comparing the
     /// *counters* of runs whose executors disagree on whether they keep a
     /// virtual clock (the event backend does, the blocking backends do not).
@@ -248,23 +243,10 @@ impl StatsBoard {
 pub mod aggregate {
     use super::RankStats;
 
-    /// Maximum received volume over ranks (the paper's per-rank plots).
-    pub fn max_volume(stats: &[RankStats]) -> u64 {
-        stats.iter().map(RankStats::volume).max().unwrap_or(0)
-    }
-
     /// Total received volume over all ranks (each transferred word counted
     /// once — the measured analogue of a plan's total comm words).
     pub fn total_volume(stats: &[RankStats]) -> u64 {
         stats.iter().map(RankStats::volume).sum()
-    }
-
-    /// Mean received volume over ranks.
-    pub fn mean_volume(stats: &[RankStats]) -> f64 {
-        if stats.is_empty() {
-            return 0.0;
-        }
-        stats.iter().map(RankStats::volume).sum::<u64>() as f64 / stats.len() as f64
     }
 
     /// Total flops over ranks.
@@ -330,8 +312,7 @@ mod tests {
         assert_eq!(snap[0].flops, 1000);
         assert_eq!(snap[0].total_sent(), 150);
         assert_eq!(snap[1].volume(), 150);
-        assert_eq!(snap[1].recv_in(Phase::InputB), 150);
-        assert_eq!(snap[1].recv_in(Phase::InputA), 0);
+        assert_eq!(snap[1].words_recv[Phase::InputA.index()], 0);
     }
 
     #[test]
@@ -398,12 +379,8 @@ mod tests {
                 ..Default::default()
             },
         ];
-        assert_eq!(aggregate::max_volume(&stats), 30);
         assert_eq!(aggregate::total_volume(&stats), 40);
-        assert!((aggregate::mean_volume(&stats) - 20.0).abs() < 1e-12);
         assert_eq!(aggregate::total_flops(&stats), 12);
-        assert_eq!(aggregate::max_volume(&[]), 0);
-        assert_eq!(aggregate::mean_volume(&[]), 0.0);
         assert_eq!(aggregate::max_peak_mem(&[]), 0);
         let mut with_mem = stats;
         with_mem[0].peak_mem_words = 70;

@@ -230,13 +230,6 @@ impl Network {
         f(to, 1.0);
     }
 
-    /// Number of link crossings of a `from → to` transfer (diagnostics).
-    pub fn hop_count(&self, from: usize, to: usize) -> usize {
-        let mut n = 0;
-        self.for_each_hop(from, to, |_, _| n += 1);
-        n
-    }
-
     /// The conservative-synchronization lookahead of this network under a
     /// cost model with link latency `alpha_s`: a lower bound on the virtual
     /// time between a message being *posted* and it *completing* at the
@@ -383,7 +376,7 @@ mod tests {
         // hop counts are symmetric on a symmetric torus.
         for from in 0..16 {
             for to in 0..16 {
-                assert_eq!(net.hop_count(from, to), net.hop_count(to, from), "{from}->{to}");
+                assert_eq!(hops(&net, from, to).len(), hops(&net, to, from).len(), "{from}->{to}");
             }
         }
     }

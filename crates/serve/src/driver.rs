@@ -867,6 +867,54 @@ mod tests {
     }
 
     #[test]
+    fn invalid_topology_is_typed_before_planning() {
+        // The parent keyed these, planned and cached the plan, then panicked
+        // in `RunSession::topology` (the five-dim torus already overflowed
+        // the key's shift in debug builds).
+        let server = Server::new(baselines::registry(), small_config()).unwrap();
+        let invalid = [
+            (
+                Topology::NodeNic {
+                    ranks_per_node: 0,
+                    nic_factor: 1.0,
+                },
+                "ranks_per_node must be positive",
+            ),
+            (
+                Topology::FatTree {
+                    ranks_per_node: 4,
+                    nodes_per_switch: 4,
+                    nic_factor: 0.25,
+                    up_factor: f64::INFINITY,
+                },
+                "link factors must be finite and non-negative",
+            ),
+            // A NaN factor is a topology defect, not a cost-model one.
+            (
+                Topology::NodeNic {
+                    ranks_per_node: 2,
+                    nic_factor: f64::NAN,
+                },
+                "nic_factor must be finite and non-negative",
+            ),
+            (
+                Topology::Torus {
+                    ranks_per_node: 1,
+                    dims: vec![2; 5],
+                    link_factor: 1.0,
+                },
+                "torus needs 1 to 4 dimensions",
+            ),
+        ];
+        for (id, (topology, reason)) in invalid.into_iter().enumerate() {
+            let result = server.run_sync(job(id as u64, 8, 3).topology(topology));
+            assert_eq!(result.outcome.err(), Some(PlanError::InvalidTopology { reason }));
+            assert_eq!(result.attempts, 1);
+        }
+        assert_eq!(server.cache_stats().inserts, 0, "nothing was planned");
+    }
+
+    #[test]
     fn pinned_blocking_worker_count_is_superseded_by_the_pool() {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
         let reference = server

@@ -28,10 +28,13 @@ fn canonical_bits(v: f64, field: &'static str) -> Result<u64, PlanError> {
     Ok(if v == 0.0 { 0.0f64.to_bits() } else { v.to_bits() })
 }
 
-/// Fixed-width encoding of a [`Topology`]: discriminant + packed parameters.
-/// Dims of a torus pack 16 bits each (validation caps them at 4 dims; a
-/// dimension above 65535 nodes is beyond any plan this crate serves).
+/// Fixed-width encoding of a [`Topology`]: discriminant + packed parameters,
+/// or [`PlanError::InvalidTopology`] for one [`Topology::validate`] rejects —
+/// before anything is planned, cached or run on it. Dims of a torus pack 16
+/// bits each (validation caps them at 4 dims; a dimension above 65535 nodes
+/// is beyond any plan this crate serves).
 fn encode_topology(t: &Topology) -> Result<(u8, [u64; 4]), PlanError> {
+    t.validate().map_err(|reason| PlanError::InvalidTopology { reason })?;
     Ok(match t {
         Topology::Flat => (0, [0; 4]),
         Topology::NodeNic {
@@ -124,8 +127,8 @@ pub struct PlanKey {
 
 impl PlanKey {
     /// The canonical key of a planning request, or
-    /// [`PlanError::NonFiniteCostModel`] when a cost-model constant or
-    /// topology factor is NaN.
+    /// [`PlanError::InvalidTopology`] when the topology fails validation, or
+    /// [`PlanError::NonFiniteCostModel`] when a cost-model constant is NaN.
     pub fn try_new(
         prob: &MmmProblem,
         model: &CostModel,

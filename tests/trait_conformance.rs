@@ -490,8 +490,8 @@ fn dfs_carma_matches_bfs_and_reference_bitwise_on_all_backends() {
     }
 }
 
-/// COSMA's one-sided (RMA) backend with fewer workers than ranks: `fence` is
-/// a barrier rendezvous, so the epoch protocol must survive slot hand-offs.
+/// COSMA's one-sided (RMA) backend with fewer workers than ranks: the epoch
+/// closes at a barrier rendezvous, which must survive slot hand-offs.
 #[test]
 fn one_sided_cosma_executes_with_fewer_workers_than_ranks() {
     use cosma::algorithm::Backend;
