@@ -1,8 +1,5 @@
-//! Table rendering and CSV persistence for the experiment harness.
-//!
-//! Every experiment prints a human-readable table and writes a CSV under
-//! `results/` so the numbers in `EXPERIMENTS.md` can be regenerated and
-//! diffed.
+//! Table rendering and CSV persistence for the experiment harness: the
+//! committed record under `results/`, and the host-time experiments' CSVs.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -12,11 +12,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cosma::api::{execute_boxed, AlgoId, AlgorithmRegistry, MmmAlgorithm, PlanError};
-use cosma::plan::DistPlan;
+use cosma::plan::{RankPlan, Scoring};
 use cosma::problem::MmmProblem;
 use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
-use mpsim::cost::CostModel;
+use mpsim::cost::{CostModel, TimeBreakdown};
 use mpsim::exec::ExecBackend;
 use mpsim::machine::{MachineSpec, Placement, Topology};
 use mpsim::stats::aggregate;
@@ -26,56 +26,43 @@ use mpsim::stats::aggregate;
 /// the evaluation figures).
 pub const COMPARED: [AlgoId; 4] = [AlgoId::Cosma, AlgoId::Summa, AlgoId::P25d, AlgoId::Carma];
 
-/// One algorithm's measured outcome on one problem instance.
+/// One algorithm's planned outcome on one problem instance.
 #[derive(Debug, Clone)]
 pub struct AlgoRow {
     /// The measured algorithm.
     pub algo: AlgoId,
     /// Cores of the machine (including idled ones).
     pub p: usize,
-    /// Mean received words per rank (the Table-4/Fig-6 metric), in MB.
+    /// Mean received words per rank over all `p` ranks, idle ones included,
+    /// in MB.
     pub mean_mb: f64,
-    /// Maximum received words over ranks, in MB.
-    pub max_mb: f64,
-    /// Simulated wall-clock seconds (with communication overlap).
+    /// Simulated wall-clock seconds in the reported overlap mode (on for
+    /// COSMA, off for the baselines).
     pub time_s: f64,
     /// Simulated wall-clock seconds without overlap.
     pub time_no_overlap_s: f64,
-    /// Percent of machine peak flop/s (with overlap).
+    /// Percent of machine peak flop/s in the reported overlap mode.
     pub percent_peak: f64,
     /// The processor grid used.
     pub grid: [usize; 3],
     /// Active (non-idle) ranks.
     pub active: usize,
+    /// The slowest rank's time split, with and without overlap (Figure 12).
+    pub critical: [TimeBreakdown; 2],
+    /// The busiest rank's received words: inputs (A + B), then output (C).
+    pub busiest_words: [u64; 2],
+}
+
+impl AlgoRow {
+    /// Mean received MB per *active* rank — the per-rank volume of Figures
+    /// 6–7 and Table 4, which idle padding ranks cannot dilute.
+    pub fn active_mb(&self) -> f64 {
+        self.mean_mb * self.p as f64 / self.active as f64
+    }
 }
 
 pub(crate) fn words_to_mb(w: f64) -> f64 {
     w * 8.0 / 1e6
-}
-
-fn row_from_plan(plan: &DistPlan, model: &CostModel) -> AlgoRow {
-    let with = plan.simulate(model, true);
-    let without = plan.simulate(model, false);
-    // Communication–computation overlap (§7.3) is COSMA's implementation
-    // edge: the published ScaLAPACK/CTF/CARMA implementations do not overlap
-    // (the paper additionally notes CARMA's per-step dynamic buffer
-    // allocation, §7.5), so their reported time is the non-overlapped one.
-    let reported = if plan.algo == AlgoId::Cosma {
-        &with
-    } else {
-        &without
-    };
-    AlgoRow {
-        algo: plan.algo,
-        p: plan.problem.p,
-        mean_mb: words_to_mb(plan.mean_comm_words()),
-        max_mb: words_to_mb(plan.max_comm_words() as f64),
-        time_s: reported.time_s,
-        time_no_overlap_s: without.time_s,
-        percent_peak: reported.percent_peak,
-        grid: plan.grid,
-        active: plan.active_ranks(),
-    }
 }
 
 /// The registry the bench harness draws from: all five algorithms with
@@ -84,39 +71,98 @@ pub fn registry() -> AlgorithmRegistry {
     baselines::registry()
 }
 
-/// Plan `prob` with `algo`, idling ranks the algorithm cannot use.
-///
-/// When `algo.supports(prob)` rejects the rank count, the largest `p' < p`
-/// the algorithm accepts is planned instead and the plan is padded back to
-/// `p` ranks with idles (the paper's treatment of CARMA on non-power-of-two
-/// machines).
-pub fn plan_padded(
-    algo: &dyn MmmAlgorithm,
-    prob: &MmmProblem,
-    model: &CostModel,
-) -> Result<DistPlan, PlanError> {
-    if algo.supports(prob).is_ok() {
-        return algo.plan(prob, model);
-    }
+/// The rank count `algo` plans `prob` on: `prob.p` when it supports it,
+/// else the largest `p' < p` it accepts, the rest of the machine idling
+/// (the paper's treatment of CARMA on non-power-of-two machines).
+pub(crate) fn planned_ranks(algo: &dyn MmmAlgorithm, prob: &MmmProblem) -> Result<usize, PlanError> {
     let sub = |p: usize| MmmProblem::new(prob.m, prob.n, prob.k, p, prob.mem_words);
-    let p2 = (1..prob.p)
+    (1..=prob.p)
         .rev()
         .find(|&p| algo.supports(&sub(p)).is_ok())
-        .ok_or_else(|| algo.supports(prob).unwrap_err())?;
-    Ok(algo.plan(&sub(p2), model)?.padded_to(prob.p))
+        .ok_or_else(|| algo.supports(prob).unwrap_err())
 }
 
-/// Plan `prob` with the registry's `id` entry (padding unsupported rank
-/// counts), or `None` if the problem is infeasible for the algorithm.
-pub fn plan_for(id: AlgoId, prob: &MmmProblem, model: &CostModel) -> Option<DistPlan> {
-    let algo = registry().by_id(id).ok()?;
-    plan_padded(algo.as_ref(), prob, model).ok()
+/// Stream `algo`'s plan for `prob` once — on [`planned_ranks`], padded to
+/// `prob.p` with idle ranks — and score it under every model of `models`,
+/// planning under the first. Nothing of a rank outlives its scoring, so a
+/// plan of any size costs one rank's memory.
+///
+/// This is how topology enters the paper's sweep: plans are topology-blind
+/// (the decompositions optimise volume, not routes), and a model with β
+/// scaled by [`contention`] charges every algorithm per word moved, so
+/// lower-volume plans gain where the paper's speedup tail lives.
+pub(crate) fn score(
+    algo: &dyn MmmAlgorithm,
+    prob: &MmmProblem,
+    models: &[CostModel],
+) -> Result<Vec<AlgoRow>, PlanError> {
+    let used = planned_ranks(algo, prob)?;
+    let mut folds: Vec<[Scoring; 2]> =
+        models.iter().map(|m| [Scoring::new(m, true), Scoring::new(m, false)]).collect();
+    let (mut active, mut busiest) = (0, [0u64; 2]);
+    let mut absorb = |r: &RankPlan| {
+        for [with, without] in &mut folds {
+            with.absorb(r);
+            without.absorb(r);
+        }
+        active += usize::from(r.active);
+        let input: u64 = r.rounds.iter().map(|x| x.a_words + x.b_words).sum();
+        let output: u64 = r.rounds.iter().map(|x| x.c_words).sum();
+        // The last of equally busy ranks, as `Iterator::max_by_key` picks.
+        if input + output >= busiest[0] + busiest[1] {
+            busiest = [input, output];
+        }
+    };
+    let sub = MmmProblem::new(prob.m, prob.n, prob.k, used, prob.mem_words);
+    let header = algo.plan_ranks(&sub, &models[0], &mut |r| absorb(&r))?;
+    for rank in used..prob.p {
+        absorb(&RankPlan::idle(rank));
+    }
+    Ok(folds
+        .into_iter()
+        .map(|[with, without]| {
+            let (with, without) = (with.finish(prob), without.finish(prob));
+            // Communication–computation overlap (§7.3) is COSMA's
+            // implementation edge: the published ScaLAPACK/CTF/CARMA
+            // implementations do not overlap (the paper additionally notes
+            // CARMA's per-step dynamic buffer allocation, §7.5), so their
+            // reported time is the non-overlapped one.
+            let reported = if header.algo == AlgoId::Cosma {
+                &with
+            } else {
+                &without
+            };
+            AlgoRow {
+                algo: header.algo,
+                p: prob.p,
+                mean_mb: words_to_mb(with.mean_comm_words),
+                time_s: reported.time_s,
+                time_no_overlap_s: without.time_s,
+                percent_peak: reported.percent_peak,
+                grid: header.grid,
+                active,
+                critical: [with.critical, without.critical],
+                busiest_words: busiest,
+            }
+        })
+        .collect())
 }
 
-/// Evaluate the compared algorithms on `prob`. Inapplicable or infeasible
-/// algorithms are skipped (reported by absence).
+/// `topology`'s uniform-traffic contention multiplier on `p` block-placed
+/// ranks ([`mpsim::Network::mean_contention`]): the plan-level view of the
+/// event backend's shared-link serialisation, for
+/// [`CostModel::with_contention`]. The flat topology's is exactly `1.0`.
+pub(crate) fn contention(p: usize, topology: &Topology) -> f64 {
+    mpsim::Network::compile(p, topology, Placement::Block).mean_contention()
+}
+
+/// Evaluate the compared algorithms on `prob` under `model`. Inapplicable or
+/// infeasible algorithms are skipped (reported by absence).
 pub fn run_all(prob: &MmmProblem, model: &CostModel) -> Vec<AlgoRow> {
-    run_with(&compared_algorithms(), prob, model)
+    compared_algorithms()
+        .iter()
+        .filter_map(|algo| score(algo.as_ref(), prob, &[*model]).ok()?.pop())
+        .collect()
 }
 
 /// The [`COMPARED`] subset of the registry, in presentation order.
@@ -125,43 +171,6 @@ pub fn compared_algorithms() -> Vec<Arc<dyn MmmAlgorithm>> {
     COMPARED
         .iter()
         .map(|&id| reg.by_id(id).expect("registry is complete"))
-        .collect()
-}
-
-/// [`run_all`] on a machine with a real network shape: every plan is laid
-/// out under the *flat* `model` (planning is topology-blind — the paper's
-/// decompositions optimize volume, not routes), then simulated with β
-/// scaled by the topology's uniform-traffic contention multiplier
-/// ([`mpsim::Network::mean_contention`]). Congestion charges every
-/// algorithm per word moved, so lower-volume plans gain exactly where the
-/// paper's speedup tail lives. The flat topology's multiplier is exactly
-/// `1.0`, making this bitwise-identical to [`run_all`].
-pub fn run_all_contended(
-    prob: &MmmProblem,
-    model: &CostModel,
-    topology: &Topology,
-    placement: Placement,
-) -> Vec<AlgoRow> {
-    let mult = mpsim::Network::compile(prob.p, topology, placement).mean_contention();
-    let contended = model.with_contention(mult);
-    compared_algorithms()
-        .iter()
-        .filter_map(|algo| {
-            // Plan under the flat model, evaluate under the contended one.
-            let plan = plan_padded(algo.as_ref(), prob, model).ok()?;
-            Some(row_from_plan(&plan, &contended))
-        })
-        .collect()
-}
-
-/// Evaluate an explicit algorithm set on `prob`.
-pub fn run_with(algos: &[Arc<dyn MmmAlgorithm>], prob: &MmmProblem, model: &CostModel) -> Vec<AlgoRow> {
-    algos
-        .iter()
-        .filter_map(|algo| {
-            let plan = plan_padded(algo.as_ref(), prob, model).ok()?;
-            Some(row_from_plan(&plan, model))
-        })
         .collect()
 }
 
@@ -241,14 +250,7 @@ pub fn execute_with(
 /// panic (executed rows exist to certify the plans). This is the paper's
 /// limited-memory regime taken literally — the row set for memory-starved
 /// problems, where DFS-streaming CARMA is typically the only entrant.
-pub fn execute_budgeted(prob: &MmmProblem, model: &CostModel, backend: ExecBackend) -> Vec<ExecutedRow> {
-    execute_rows(registry().all(), prob, model, backend, true)
-}
-
-/// [`execute_budgeted`] over an explicit algorithm set — e.g. CARMA alone
-/// for the `mem-sweep` budget curve, where executing the other entrants at
-/// every budget would multiply the wall-time without adding data points.
-pub fn execute_budgeted_with(
+pub fn execute_budgeted(
     algos: &[Arc<dyn MmmAlgorithm>],
     prob: &MmmProblem,
     model: &CostModel,
@@ -388,30 +390,18 @@ impl TimedRow {
     pub fn overlap_helps(&self) -> bool {
         self.measured_s <= self.measured_no_overlap_s * (1.0 + 1e-9)
     }
-
-    /// [`within_band`](Self::within_band) and
-    /// [`overlap_helps`](Self::overlap_helps) together.
-    pub fn agrees(&self) -> bool {
-        self.within_band() && self.overlap_helps()
-    }
 }
 
 /// Execute the [`COMPARED`] algorithms on `prob` twice on the event backend
-/// (overlap on and off) and put the measured virtual time next to the
-/// plan's α-β-γ simulation. Algorithms whose constraints reject `prob.p`
-/// are skipped, like [`execute_all`].
+/// (overlap on and off) under `topology` and `placement`, and put the
+/// measured virtual time next to the plan's α-β-γ simulation. Algorithms
+/// whose constraints reject `prob.p` are skipped, like [`execute_all`]. The
+/// planned columns are the flat simulation on every topology (the plan model
+/// is topology-blind — the gap between the two *is* the contention signal
+/// the `topo` section reports).
 ///
 /// # Panics
 /// Panics if an accepted execution fails or produces a wrong product.
-pub fn time_all(prob: &MmmProblem, model: &CostModel) -> Vec<TimedRow> {
-    time_all_topo(prob, model, &Topology::Flat, Placement::Block)
-}
-
-/// [`time_all`] under an explicit [`Topology`]/[`Placement`]: the measured
-/// columns carry that machine shape's contention; the planned columns are
-/// still the flat α-β-γ simulation (the plan model is topology-blind — the
-/// gap between the two *is* the contention signal the `topo` experiment
-/// reports).
 pub fn time_all_topo(
     prob: &MmmProblem,
     model: &CostModel,
@@ -495,6 +485,7 @@ pub fn five_numbers(xs: &[f64]) -> [f64; 5] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosma::plan::DistPlan;
 
     /// The blocking reference executor over every core of the machine.
     fn blocking() -> ExecBackend {
@@ -519,25 +510,94 @@ mod tests {
         }
     }
 
+    /// What [`score`] streams, materialised: the plan on [`planned_ranks`]
+    /// collected, padded with idle ranks and simulated — the oracle the
+    /// streamed sweep replaced.
+    fn materialised(algo: &dyn MmmAlgorithm, prob: &MmmProblem, model: &CostModel) -> (DistPlan, AlgoRow) {
+        let used = planned_ranks(algo, prob).unwrap();
+        let sub = MmmProblem::new(prob.m, prob.n, prob.k, used, prob.mem_words);
+        let plan = DistPlan::collect(|sink| algo.plan_ranks(&sub, model, sink))
+            .unwrap()
+            .padded_to(prob.p);
+        let (with, without) = (plan.simulate(model, true), plan.simulate(model, false));
+        let reported = if plan.algo == AlgoId::Cosma {
+            &with
+        } else {
+            &without
+        };
+        let busiest = plan.ranks.iter().max_by_key(|r| r.comm_words()).unwrap();
+        let row = AlgoRow {
+            algo: plan.algo,
+            p: plan.problem.p,
+            mean_mb: words_to_mb(plan.mean_comm_words()),
+            time_s: reported.time_s,
+            time_no_overlap_s: without.time_s,
+            percent_peak: reported.percent_peak,
+            grid: plan.grid,
+            active: plan.active_ranks(),
+            critical: [with.critical, without.critical],
+            busiest_words: [
+                busiest.rounds.iter().map(|r| r.a_words + r.b_words).sum(),
+                busiest.rounds.iter().map(|r| r.c_words).sum(),
+            ],
+        };
+        (plan, row)
+    }
+
+    #[test]
+    fn streamed_rows_equal_the_materialised_plan() {
+        let bits = |r: &AlgoRow| {
+            let time = |t: &TimeBreakdown| [t.compute_s, t.exposed_comm_s, t.total_comm_s].map(f64::to_bits);
+            (
+                (r.algo, r.p, r.grid, r.active, r.busiest_words),
+                [r.mean_mb, r.time_s, r.time_no_overlap_s, r.percent_peak].map(f64::to_bits),
+                r.critical.each_ref().map(time),
+            )
+        };
+        let m = model();
+        let fat = m.with_contention(contention(256, &Topology::congested_fat_tree()));
+        let reg = registry();
+        let square = |p| MmmProblem::new(16_384, 16_384, 16_384, p, crate::scenarios::S_WORDS);
+        let flat = |p| MmmProblem::new(131_072, 131_072, 512, p, crate::scenarios::S_WORDS);
+        // Padded CARMA and 2.5D (the paper's §1 cases), unpadded COSMA and
+        // SUMMA, under the flat and a contended model alike.
+        for (id, prob, padded) in [
+            (AlgoId::Carma, square(216), true),
+            (AlgoId::Carma, square(3456), true),
+            (AlgoId::P25d, flat(128), true),
+            (AlgoId::P25d, flat(512), true),
+            (AlgoId::Cosma, square(1000), false),
+            (AlgoId::Summa, square(1000), false),
+        ] {
+            let algo = reg.by_id(id).unwrap();
+            let streamed = score(algo.as_ref(), &prob, &[m, fat]).unwrap();
+            for (row, model) in streamed.iter().zip([m, fat]) {
+                let (plan, want) = materialised(algo.as_ref(), &prob, &model);
+                assert_eq!(plan.validate_coverage(), Ok(()), "{id} p={}", prob.p);
+                assert_eq!(row.active < prob.p, padded, "{id} p={}: {} active", prob.p, row.active);
+                assert_eq!(bits(row), bits(&want), "{id} p={}", prob.p);
+            }
+        }
+    }
+
     #[test]
     fn carma_padding_on_non_power_of_two() {
         let prob = MmmProblem::new(2048, 2048, 2048, 1500, 1 << 22);
-        let plan = plan_for(AlgoId::Carma, &prob, &model()).unwrap();
-        assert_eq!(plan.ranks.len(), 1500);
-        assert_eq!(plan.active_ranks(), 1024);
-        assert!(plan.validate_coverage().is_ok());
+        let carma = registry().by_id(AlgoId::Carma).unwrap();
+        let row = score(carma.as_ref(), &prob, &[model()]).unwrap().remove(0);
+        assert_eq!((row.p, row.active), (1500, 1024));
+        assert_eq!(materialised(carma.as_ref(), &prob, &model()).0.validate_coverage(), Ok(()));
     }
 
     #[test]
     fn cannon_padding_on_non_square() {
-        // plan_padded is algorithm-agnostic: Cannon pads to the largest
-        // perfect square the same way CARMA pads to the power of two.
+        // Padding is algorithm-agnostic: Cannon pads to the largest perfect
+        // square the same way CARMA pads to the power of two.
         let prob = MmmProblem::new(512, 512, 512, 30, 1 << 18);
-        let algo = registry().by_id(AlgoId::Cannon).unwrap();
-        let plan = plan_padded(algo.as_ref(), &prob, &model()).unwrap();
-        assert_eq!(plan.ranks.len(), 30);
-        assert_eq!(plan.active_ranks(), 25);
-        assert!(plan.validate_coverage().is_ok());
+        let cannon = registry().by_id(AlgoId::Cannon).unwrap();
+        let row = score(cannon.as_ref(), &prob, &[model()]).unwrap().remove(0);
+        assert_eq!((row.p, row.active), (30, 25));
+        assert_eq!(materialised(cannon.as_ref(), &prob, &model()).0.validate_coverage(), Ok(()));
     }
 
     #[test]
@@ -579,7 +639,7 @@ mod tests {
         // within it with plan-exact traffic.
         let prob = MmmProblem::new(64, 64, 64, 8, 1 << 10);
         assert!(baselines::carma::dfs_leaf_count(&prob) > 1);
-        let rows = execute_budgeted(&prob, &model(), blocking());
+        let rows = execute_budgeted(registry().all(), &prob, &model(), blocking());
         let carma = rows.iter().find(|r| r.algo == AlgoId::Carma).expect("CARMA runs budgeted");
         assert!(carma.exact, "budgeted CARMA traffic deviates from plan");
         assert!(carma.within_mem && carma.peak_mem_words <= 1 << 10, "{carma:?}");
@@ -632,11 +692,11 @@ mod tests {
         // time within TIME_AGREEMENT_FACTOR of DistPlan::simulate, overlap
         // on never slower than off, on the whole comparison matrix.
         let prob = MmmProblem::new(64, 64, 64, 16, 1 << 14);
-        let rows = time_all(&prob, &model());
+        let rows = time_all_topo(&prob, &model(), &Topology::Flat, Placement::Block);
         assert_eq!(rows.len(), COMPARED.len(), "all compared algorithms must time");
         for r in &rows {
             assert!(
-                r.agrees(),
+                r.within_band() && r.overlap_helps(),
                 "{}: measured {:.3e}/{:.3e} s vs planned {:.3e}/{:.3e} s breaks the band",
                 r.algo,
                 r.measured_s,
@@ -652,11 +712,19 @@ mod tests {
         let prob = MmmProblem::new(4096, 4096, 4096, 256, 1 << 22);
         let m = model();
         let flat = run_all(&prob, &m);
-        let same = run_all_contended(&prob, &m, &Topology::Flat, Placement::Block);
-        let fat = run_all_contended(&prob, &m, &Topology::congested_fat_tree(), Placement::Block);
+        let under = |topology: &Topology| m.with_contention(contention(prob.p, topology));
+        let scored: Vec<Vec<AlgoRow>> = compared_algorithms()
+            .iter()
+            .map(|a| {
+                score(a.as_ref(), &prob, &[m, under(&Topology::Flat), under(&Topology::congested_fat_tree())])
+                    .unwrap()
+            })
+            .collect();
+        let (same, fat): (Vec<&AlgoRow>, Vec<&AlgoRow>) =
+            scored.iter().map(|rows| (&rows[1], &rows[2])).unzip();
         assert_eq!(flat.len(), same.len());
         assert_eq!(flat.len(), fat.len());
-        for ((a, b), c) in flat.iter().zip(&same).zip(&fat) {
+        for ((a, b), c) in flat.iter().zip(same).zip(fat) {
             assert_eq!(a.time_s.to_bits(), b.time_s.to_bits(), "{}: flat must be bitwise", a.algo);
             assert_eq!(a.time_no_overlap_s.to_bits(), b.time_no_overlap_s.to_bits(), "{}", a.algo);
             assert!(c.time_s > a.time_s, "{}: contention must cost time", a.algo);

@@ -32,17 +32,6 @@ pub enum Regime {
     ExtraMemory,
 }
 
-impl Regime {
-    /// Short id used in CSV files.
-    pub fn id(&self) -> &'static str {
-        match self {
-            Regime::StrongScaling => "strong",
-            Regime::LimitedMemory => "limited",
-            Regime::ExtraMemory => "extra",
-        }
-    }
-}
-
 /// One of the paper's twelve benchmark scenarios.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {

@@ -1302,7 +1302,7 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_auto_for_the_world_size() {
+    fn default_backend_is_one_event_thread_at_every_world_size() {
         // One default at every world size: a single event thread.
         let session = RunSession::new(MmmProblem::new(2048, 2048, 2048, 600, 1 << 22));
         assert_eq!(session.effective_exec_backend(), ExecBackend::event());

@@ -609,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_escalates_blocking_then_event() {
+    fn event_is_one_thread_and_blocking_defaults_to_every_core() {
         // Nothing escalates by world size any more: the one default is a
         // single event thread, and the blocking opt-in defaults to every core.
         assert_eq!(ExecBackend::event(), ExecBackend::Event { threads: 1 });

@@ -40,6 +40,15 @@ fn cosma_volume_tracks_theorem2_envelope() {
             measured <= 2.0 * bound,
             "({m},{n},{k},p={p},S={s}): measured {measured} far above bound {bound}"
         );
+        // The 0.2x side holds on these four problems, not on the paper's
+        // sweep: at six flat-limited points, p = 128-1024 (k = 256), COSMA
+        // reads 0.191-0.198 of the bound. There the bound is in its cubic
+        // branch, 3(mnk/p)^(2/3): three faces of a cube of side
+        // (mnk/p)^(1/3) ~ 2731, C's among them. k = 256 cannot be cut into
+        // such cubes; COSMA keeps it whole (16x16x1 at p = 256), never
+        // communicates C and receives its A and B panels alone:
+        // 2 (n/16) k (15/16) ~ 4.28 M words against the bound's 22.4 M. The
+        // record's contracts hold the upper side on the whole sweep.
         assert!(
             measured >= 0.2 * bound,
             "({m},{n},{k},p={p},S={s}): measured {measured} implausibly below bound {bound}"

@@ -218,7 +218,7 @@ fn blocking_large_world_traffic_matches_plan() {
 /// backend multiplexes them over the machine's cores, and the verified
 /// contract still holds.
 #[test]
-fn session_auto_backend_executes_many_ranks_per_worker() {
+fn session_blocking_backend_executes_many_ranks_per_worker() {
     let prob = MmmProblem::new(128, 128, 128, 600, 1 << 18);
     let a = Matrix::deterministic(prob.m, prob.k, 41);
     let b = Matrix::deterministic(prob.k, prob.n, 42);
