@@ -7,16 +7,18 @@
 //! step left and the B block one step up along ring fibers. With balanced
 //! (ceil/floor) splits the shifted blocks vary slightly in size; the plan
 //! accounts for the exact sizes of the blocks each rank receives.
+//!
+//! The planner is Cannon's own (whole blocks resident, one brick per rank);
+//! execution is the 2.5D rank body at `c = 1`, which does exactly these
+//! sends, receives and multiplies in this order.
 
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture, RankRequirement};
 use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
-use densemat::gemm::gemm_packed;
 use densemat::matrix::Matrix;
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
-use mpsim::stats::Phase;
 
 /// The square grid edge for `p` ranks, if `p` is a perfect square.
 pub fn grid_edge(p: usize) -> Option<usize> {
@@ -97,84 +99,15 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
     })
 }
 
-/// Execute a Cannon plan on the calling rank; returns its C block. A
-/// resumable rank body: the skew and every ring shift are `await` points.
-pub async fn execute(
-    comm: &mut RankComm,
-    plan: &DistPlan,
-    a: &Matrix,
-    b: &Matrix,
-) -> (std::ops::Range<usize>, std::ops::Range<usize>, Matrix) {
-    assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
-    let prob = &plan.problem;
-    let q = plan.grid[0];
-    let rank = comm.rank();
-    let (i, j) = (rank / q, rank % q);
-    let rows = even_range(prob.m, q, i);
-    let cols = even_range(prob.n, q, j);
-    let (lm, ln) = (rows.len(), cols.len());
-    let mut c_local = Matrix::zeros(lm, ln);
-    comm.track_alloc((lm * ln) as u64);
-
-    // Skew: I own A(i, j) and B(i, j); I need A(i, (i+j)%q), B((i+j)%q, j).
-    let t0 = (i + j) % q;
-    let mut a_cur = {
-        let mine = a.block(rows.clone(), even_range(prob.k, q, j)).into_vec();
-        if t0 == j {
-            mine
-        } else {
-            // A(i, j) is needed by (i, j') with (i + j') % q == j.
-            let dst = i * q + (j + q - i % q) % q;
-            let src = i * q + t0;
-            comm.sendrecv(dst, src, 0, mine, Phase::InputA).await
-        }
-    };
-    let mut b_cur = {
-        let mine = b.block(even_range(prob.k, q, i), cols.clone()).into_vec();
-        if t0 == i {
-            mine
-        } else {
-            // B(i, j) is needed by (i', j) with (i' + j) % q == i.
-            let dst = ((i + q - j % q) % q) * q + j;
-            let src = t0 * q + j;
-            comm.sendrecv(dst, src, 1, mine, Phase::InputB).await
-        }
-    };
-
-    for r in 0..q {
-        let t = (i + j + r) % q;
-        let lk_t = even_range(prob.k, q, t).len();
-        // The live panels move into `Matrix` form for the multiply and back
-        // out for the shift: no copy, nothing taken from the arena.
-        let ap = Matrix::from_vec(lm, lk_t, a_cur);
-        let bp = Matrix::from_vec(lk_t, ln, b_cur);
-        gemm_packed(&ap, &bp, &mut c_local);
-        comm.record_flops(2 * (lm * ln * lk_t) as u64);
-        (a_cur, b_cur) = (ap.into_vec(), bp.into_vec());
-        if r + 1 < q {
-            // Shift A left along the row ring, B up along the column ring.
-            let a_dst = i * q + (j + q - 1) % q;
-            let a_src = i * q + (j + 1) % q;
-            a_cur = comm.sendrecv(a_dst, a_src, 2 + 2 * r as u64, a_cur, Phase::InputA).await;
-            let b_dst = ((i + q - 1) % q) * q + j;
-            let b_src = ((i + 1) % q) * q + j;
-            b_cur = comm.sendrecv(b_dst, b_src, 3 + 2 * r as u64, b_cur, Phase::InputB).await;
-        }
-    }
-    (rows, cols, c_local)
-}
-
-/// Cannon's algorithm as an [`MmmAlgorithm`]: requires `p = q²`.
+/// Cannon's algorithm as an [`MmmAlgorithm`]: requires `p = q²`. Its plan's
+/// grid `[q, q, 1]` runs on the one-layer 2.5D rank body
+/// ([`crate::p25d::execute`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CannonAlgorithm;
 
 impl MmmAlgorithm for CannonAlgorithm {
     fn id(&self) -> AlgoId {
         AlgoId::Cannon
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 
     fn supports(&self, prob: &MmmProblem) -> Result<(), PlanError> {
@@ -197,23 +130,16 @@ impl MmmAlgorithm for CannonAlgorithm {
         a: &'a Matrix,
         b: &'a Matrix,
     ) -> RankFuture<'a, Vec<CPart>> {
-        Box::pin(async move {
-            let (rows, cols, c) = execute(comm, plan, a, b).await;
-            vec![CPart {
-                rows,
-                cols,
-                offset: 0,
-                data: c.into_vec(),
-            }]
-        })
+        Box::pin(crate::p25d::execute(comm, plan, a, b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosma::api::execute_boxed;
     use densemat::gemm::matmul;
-    use mpsim::exec::{run_spmd_with, ExecBackend};
+    use mpsim::exec::ExecBackend;
     use mpsim::machine::MachineSpec;
 
     fn check_cannon(m: usize, n: usize, k: usize, p: usize, s: usize) {
@@ -224,19 +150,12 @@ mod tests {
         let b = Matrix::deterministic(k, n, 42);
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(p, s);
-        let (dplan_r, a_r, b_r) = (&dplan, &a, &b);
-        let out = run_spmd_with(
-            &spec,
-            ExecBackend::Blocking {
-                workers: ExecBackend::default_workers(),
-            },
-            |mut comm| async move { execute(&mut comm, dplan_r, a_r, b_r).await },
-        )
-        .expect("blocking run accepted");
-        let mut c = Matrix::zeros(m, n);
-        for (rows, cols, blk) in out.results {
-            c.set_block(rows.start, cols.start, &blk);
-        }
+        let backend = ExecBackend::Blocking {
+            workers: ExecBackend::default_workers(),
+        };
+        let out =
+            execute_boxed(&CannonAlgorithm, &dplan, &spec, backend, &a, &b).expect("blocking run accepted");
+        let c = out.c;
         assert!(
             want.approx_eq(&c, 1e-9),
             "{m}x{n}x{k} p={p}: wrong product, max diff {}",
@@ -253,6 +172,43 @@ mod tests {
         check_cannon(16, 16, 16, 16, 4096);
         check_cannon(18, 22, 26, 9, 4096); // uneven splits
         check_cannon(15, 17, 19, 4, 4096); // primes
+    }
+
+    #[test]
+    fn cannon_is_one_layer_p25d() {
+        use crate::p25d::{Geometry25, P25dAlgorithm};
+        // Each algorithm runs its own plan: Cannon's whole-block memory model
+        // and single brick, and the c = 1 geometry's q bricks. Both plans
+        // have grid [q, q, 1], which is all either rank body reads.
+        let model = CostModel::piz_daint_two_sided();
+        for (m, n, k, p) in [
+            (8, 9, 10, 1),
+            (16, 16, 16, 4),
+            (15, 17, 19, 4),
+            (18, 22, 26, 9),
+            (13, 11, 7, 9),
+            (16, 16, 16, 16),
+            (17, 19, 23, 16),
+        ] {
+            let prob = MmmProblem::new(m, n, k, p, 1 << 14);
+            let q = grid_edge(p).unwrap();
+            let layer = P25dAlgorithm::with_geometry(Geometry25 { q, c: 1 });
+            let cannon_plan = CannonAlgorithm.plan(&prob, &model).unwrap();
+            let layer_plan = layer.plan(&prob, &model).unwrap();
+            let a = Matrix::deterministic(m, k, 71);
+            let b = Matrix::deterministic(k, n, 72);
+            let spec = MachineSpec::piz_daint_with_memory(p, prob.mem_words);
+            for backend in [
+                ExecBackend::event(),
+                ExecBackend::Event { threads: 2 },
+                ExecBackend::Blocking { workers: 2 },
+            ] {
+                let cannon = execute_boxed(&CannonAlgorithm, &cannon_plan, &spec, backend, &a, &b).unwrap();
+                let one_layer = execute_boxed(&layer, &layer_plan, &spec, backend, &a, &b).unwrap();
+                assert_eq!(cannon.c, one_layer.c, "{m}x{n}x{k} p={p} {backend}: product");
+                assert_eq!(cannon.stats, one_layer.stats, "{m}x{n}x{k} p={p} {backend}: stats");
+            }
+        }
     }
 
     #[test]

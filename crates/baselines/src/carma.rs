@@ -339,21 +339,6 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
     })
 }
 
-/// Result of one rank's CARMA execution: its leaf C region, and the slice
-/// of the *flattened* (row-major) leaf block it owns after the k-split
-/// reduce-scatters, with the summed data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CarmaResult {
-    /// Leaf rows in C.
-    pub rows: std::ops::Range<usize>,
-    /// Leaf cols in C.
-    pub cols: std::ops::Range<usize>,
-    /// Word offset of the owned slice within the flattened leaf block.
-    pub offset: usize,
-    /// The owned, fully reduced C words.
-    pub data: Vec<f64>,
-}
-
 /// Execute a CARMA plan on the calling rank — the *streaming* executor. A
 /// resumable rank body: every sibling exchange of the BFS descent and the
 /// k-split reduce unwinding is an `await` point.
@@ -363,10 +348,12 @@ pub struct CarmaResult {
 /// distribution per leaf (the paper's limited-memory re-fetching cost), and
 /// every buffer is sized to the *leaf* footprint, so the measured
 /// `peak_mem_words` stays within the plan's per-rank memory figure — a run
-/// on a budget-enforcing machine certifies `peak ≤ S`. One [`CarmaResult`]
-/// is returned per leaf; results of k-split leaves cover the same C region
-/// with partial sums, which `assemble_c` accumulates.
-pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CarmaResult> {
+/// on a budget-enforcing machine certifies `peak ≤ S`. One [`CPart`] is
+/// returned per leaf: the leaf's C region and the slice of its *flattened*
+/// (row-major) block the rank owns after the k-split reduce-scatters. Parts
+/// of k-split leaves cover the same C region with partial sums, which
+/// `assemble_c` accumulates.
+pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
     let prob = &plan.problem;
     let leaves = dfs_leaves(prob);
@@ -396,7 +383,7 @@ async fn execute_leaf(
     ks0: std::ops::Range<usize>,
     a: &Matrix,
     b: &Matrix,
-) -> CarmaResult {
+) -> CPart {
     let rank = comm.rank();
     let tr = trace_on(rows0.clone(), cols0.clone(), ks0.clone(), prob.p, rank);
 
@@ -551,7 +538,7 @@ async fn execute_leaf(
     // The fully reduced share streams back to the output distribution, so
     // its words leave the working set before the next leaf begins.
     comm.track_free(data.len() as u64);
-    CarmaResult {
+    CPart {
         rows: brick.rows.clone(),
         cols: brick.cols.clone(),
         offset: off,
@@ -596,10 +583,6 @@ impl MmmAlgorithm for CarmaAlgorithm {
         AlgoId::Carma
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn supports(&self, prob: &MmmProblem) -> Result<(), PlanError> {
         RankRequirement::PowerOfTwo.check(AlgoId::Carma, prob.p)
     }
@@ -620,18 +603,7 @@ impl MmmAlgorithm for CarmaAlgorithm {
         a: &'a Matrix,
         b: &'a Matrix,
     ) -> RankFuture<'a, Vec<CPart>> {
-        Box::pin(async move {
-            execute(comm, plan, a, b)
-                .await
-                .into_iter()
-                .map(|res| CPart {
-                    rows: res.rows,
-                    cols: res.cols,
-                    offset: res.offset,
-                    data: res.data,
-                })
-                .collect()
-        })
+        Box::pin(execute(comm, plan, a, b))
     }
 }
 
@@ -663,16 +635,7 @@ mod tests {
         // Reassemble C through the production assembly path, which
         // accumulates: k-split DFS leaves contribute partial sums of the
         // same region.
-        let c = assemble_c(
-            out.results.into_iter().flatten().map(|res| CPart {
-                rows: res.rows,
-                cols: res.cols,
-                offset: res.offset,
-                data: res.data,
-            }),
-            m,
-            n,
-        );
+        let c = assemble_c(out.results.into_iter().flatten(), m, n);
         assert!(
             want.approx_eq(&c, 1e-9),
             "{m}x{n}x{k} p={p}: wrong product, max diff {}",

@@ -218,14 +218,10 @@ pub fn plan_ranks(
     })
 }
 
-/// Execute a 2.5D plan on the calling rank. Layer-0 ranks return their C
-/// block; others (and idle ranks) return `None`.
-pub async fn execute(
-    comm: &mut RankComm,
-    plan: &DistPlan,
-    a: &Matrix,
-    b: &Matrix,
-) -> Option<(std::ops::Range<usize>, std::ops::Range<usize>, Matrix)> {
+/// Execute a 2.5D plan on the calling rank. A layer-0 rank returns its C
+/// block; other layers (and idle ranks) hold no output. With `c = 1` this
+/// is Cannon's rank body, which [`crate::cannon::CannonAlgorithm`] runs.
+pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
     let prob = &plan.problem;
     let geo = Geometry25 {
@@ -235,7 +231,7 @@ pub async fn execute(
     let (q, c, step) = (geo.q, geo.c, geo.steps());
     let rank = comm.rank();
     if rank >= geo.used() {
-        return None;
+        return Vec::new();
     }
     let (i, j, l) = geo.coords_of(rank);
     let rows = even_range(prob.m, q, i);
@@ -307,11 +303,16 @@ pub async fn execute(
         let recvs = treecount::reduce_recv_count(l, c);
         comm.record_flops(recvs * (lm * ln) as u64);
         if l != 0 {
-            return None;
+            return Vec::new();
         }
         c_local = Matrix::from_vec(lm, ln, data);
     }
-    Some((rows, cols, c_local))
+    vec![CPart {
+        rows,
+        cols,
+        offset: 0,
+        data: c_local.into_vec(),
+    }]
 }
 
 /// The 2.5D decomposition as an [`MmmAlgorithm`].
@@ -336,10 +337,6 @@ impl P25dAlgorithm {
 impl MmmAlgorithm for P25dAlgorithm {
     fn id(&self) -> AlgoId {
         AlgoId::P25d
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 
     fn plan_ranks(
@@ -369,24 +366,14 @@ impl MmmAlgorithm for P25dAlgorithm {
         a: &'a Matrix,
         b: &'a Matrix,
     ) -> RankFuture<'a, Vec<CPart>> {
-        Box::pin(async move {
-            match execute(comm, plan, a, b).await {
-                Some((rows, cols, c)) => vec![CPart {
-                    rows,
-                    cols,
-                    offset: 0,
-                    data: c.into_vec(),
-                }],
-                // Idle ranks and non-root replica layers hold no output.
-                None => Vec::new(),
-            }
-        })
+        Box::pin(execute(comm, plan, a, b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosma::algorithm::assemble_c;
     use densemat::gemm::matmul;
     use mpsim::exec::{run_spmd_with, ExecBackend};
     use mpsim::machine::MachineSpec;
@@ -408,10 +395,7 @@ mod tests {
             |mut comm| async move { execute(&mut comm, dplan_r, a_r, b_r).await },
         )
         .expect("blocking run accepted");
-        let mut c = Matrix::zeros(m, n);
-        for (rows, cols, blk) in out.results.into_iter().flatten() {
-            c.set_block(rows.start, cols.start, &blk);
-        }
+        let c = assemble_c(out.results.into_iter().flatten(), m, n);
         assert!(
             want.approx_eq(&c, 1e-9),
             "{m}x{n}x{k} p={p}: wrong product, max diff {}",

@@ -201,12 +201,7 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
 
 /// Execute a SUMMA plan on the calling rank; returns its C block. A
 /// resumable rank body: every broadcast wait is an `await` point.
-pub async fn execute(
-    comm: &mut RankComm,
-    plan: &DistPlan,
-    a: &Matrix,
-    b: &Matrix,
-) -> (std::ops::Range<usize>, std::ops::Range<usize>, Matrix) {
+pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
     let prob = &plan.problem;
     let grid = Grid2 {
@@ -255,7 +250,12 @@ pub async fn execute(
         comm.recycle(ap.into_vec());
         comm.recycle(bp.into_vec());
     }
-    (rows, cols, c_local)
+    vec![CPart {
+        rows,
+        cols,
+        offset: 0,
+        data: c_local.into_vec(),
+    }]
 }
 
 /// SUMMA as an [`MmmAlgorithm`]: no configuration — the 2D grid is
@@ -266,10 +266,6 @@ pub struct SummaAlgorithm;
 impl MmmAlgorithm for SummaAlgorithm {
     fn id(&self) -> AlgoId {
         AlgoId::Summa
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 
     fn plan_ranks(
@@ -288,21 +284,14 @@ impl MmmAlgorithm for SummaAlgorithm {
         a: &'a Matrix,
         b: &'a Matrix,
     ) -> RankFuture<'a, Vec<CPart>> {
-        Box::pin(async move {
-            let (rows, cols, c) = execute(comm, plan, a, b).await;
-            vec![CPart {
-                rows,
-                cols,
-                offset: 0,
-                data: c.into_vec(),
-            }]
-        })
+        Box::pin(execute(comm, plan, a, b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosma::algorithm::assemble_c;
     use densemat::gemm::matmul;
     use mpsim::exec::{run_spmd_with, ExecBackend};
     use mpsim::machine::MachineSpec;
@@ -324,10 +313,7 @@ mod tests {
             |mut comm| async move { execute(&mut comm, dplan_r, a_r, b_r).await },
         )
         .expect("blocking run accepted");
-        let mut c = Matrix::zeros(m, n);
-        for (rows, cols, blk) in out.results {
-            c.set_block(rows.start, cols.start, &blk);
-        }
+        let c = assemble_c(out.results.into_iter().flatten(), m, n);
         assert!(
             want.approx_eq(&c, 1e-9),
             "{m}x{n}x{k} p={p}: wrong product, max diff {}",

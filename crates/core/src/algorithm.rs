@@ -214,9 +214,9 @@ pub fn assemble_c(parts: impl IntoIterator<Item = CPart>, m: usize, n: usize) ->
 /// Every rank reads its *owned* shards from the globally shared `a`/`b`
 /// (modeling the paper's assumption that inputs start distributed in the
 /// blocked layout of §7.6 — no communication is charged for them) and then
-/// performs the planned rounds with real messages. Returns every active
-/// rank's [`CPart`] output share (`None` for idle ranks); C remains
-/// distributed in COSMA's blocked layout.
+/// performs the planned rounds with real messages. Returns the rank's
+/// [`CPart`] output share (none for an idle rank); C remains distributed in
+/// COSMA's blocked layout.
 ///
 /// # Panics
 /// Panics if the plan does not belong to this world size.
@@ -226,7 +226,7 @@ pub async fn execute(
     cfg: &CosmaConfig,
     a: &Matrix,
     b: &Matrix,
-) -> Option<CPart> {
+) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
     let grid = Grid3 {
         gm: plan.grid[0],
@@ -249,7 +249,7 @@ pub async fn execute(
         comm.barrier().await;
     }
     if !rp.active {
-        return None;
+        return Vec::new();
     }
 
     let [im, jn, ik] = rp.coords;
@@ -299,19 +299,19 @@ pub async fn execute(
         let (own_idx, chunk) =
             reduce_scatter_ring(comm, grid.k_fiber(im, jn), ik, &mut data, REDUCE_TAG, Phase::OutputC).await;
         comm.record_flops((tile - even_range(tile, grid.gk, ik).len()) as u64);
-        return Some(CPart {
+        return vec![CPart {
             rows,
             cols,
             offset: even_range(tile, grid.gk, own_idx).start,
             data: chunk,
-        });
+        }];
     }
-    Some(CPart {
+    vec![CPart {
         rows,
         cols,
         offset: 0,
         data: c_local.into_vec(),
-    })
+    }]
 }
 
 /// The RMA window content of one rank: its A chunks for every round, then

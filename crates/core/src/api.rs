@@ -8,12 +8,12 @@
 //!   typed identity ([`AlgoId`]), capability queries
 //!   ([`MmmAlgorithm::supports`]), exact planning as a rank stream
 //!   ([`MmmAlgorithm::plan_ranks`]; [`MmmAlgorithm::plan`] collects it) and
-//!   real execution
-//!   ([`MmmAlgorithm::execute`]) with mpiP-style measured counters. Rank
-//!   bodies are resumable ([`MmmAlgorithm::execute_rank`] returns a
-//!   [`RankFuture`]), so one body runs on every [`ExecBackend`]: the
-//!   blocking worker-pool reference (a few thousand ranks) or event-driven
-//!   stackless state machines (any world size — verified to p = 131072).
+//!   a resumable rank body ([`MmmAlgorithm::execute_rank`] returns a
+//!   [`RankFuture`] of the rank's [`CPart`]s). [`execute_boxed`], the one
+//!   driver, runs that body on a [`MachineSpec`] with mpiP-style measured
+//!   counters on every [`ExecBackend`]: the blocking worker-pool reference
+//!   (a few thousand ranks) or event-driven stackless state machines (any
+//!   world size — run to p = 1,048,576).
 //! * [`PlanError`] — the single error enum for everything that can go wrong
 //!   between "here is a problem" and "here is a validated plan": structural
 //!   plan defects, grid infeasibility, per-algorithm rank-count constraints
@@ -23,8 +23,11 @@
 //!   default configurations. [`AlgorithmRegistry::core`] holds COSMA alone;
 //!   the `baselines` crate's `registry()` adds the four comparison
 //!   algorithms of §9.
-//! * [`RunSession`] — a builder that takes a problem to a plan, a simulated
-//!   [`SimReport`], or a verified execution in one fluent chain:
+//! * [`RunSession`] — what to multiply and how to model it (problem,
+//!   algorithm, registry, cost model, overlap, executor), taken to a plan, a
+//!   simulated [`SimReport`], or a verified execution in one fluent chain.
+//!   The machine beyond that — topology, placement, faults, a memory
+//!   budget — is a [`MachineSpec`] handed to [`execute_boxed`]:
 //!
 //! ```
 //! use cosma::api::{AlgoId, RunSession};
@@ -51,11 +54,11 @@ use densemat::matrix::Matrix;
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
 use mpsim::exec::{run_spmd_with, ExecBackend, ExecError};
-use mpsim::machine::{MachineSpec, Placement, Topology};
+use mpsim::machine::MachineSpec;
 use mpsim::pool::PoolStats;
 use mpsim::stats::RankStats;
 
-use crate::algorithm::{self, assemble_c, Backend, CPart, CosmaConfig};
+use crate::algorithm::{self, assemble_c, CPart, CosmaConfig};
 use crate::grid::FitError;
 use crate::plan::{DistPlan, PlanHeader, RankPlan, SimReport};
 use crate::problem::MmmProblem;
@@ -260,7 +263,8 @@ pub enum PlanError {
         /// Which parameter was NaN.
         field: &'static str,
     },
-    /// The machine's [`Topology`] fails [`Topology::validate`] — a zero
+    /// The machine's [`Topology`](mpsim::machine::Topology) fails
+    /// [`Topology::validate`](mpsim::machine::Topology::validate) — a zero
     /// count, a non-finite or negative factor, or a torus outside 1 to 4
     /// dimensions.
     InvalidTopology {
@@ -363,10 +367,6 @@ pub struct ExecReport {
     pub c: Matrix,
     /// Per-rank measured statistics, indexed by rank.
     pub stats: Vec<RankStats>,
-    /// The network topology the run was measured under — [`Topology::Flat`]
-    /// unless the machine was built with one, so callers comparing measured
-    /// times know which contention model produced them.
-    pub topology: Topology,
     /// Buffer-arena counters of the run (allocations vs. recycled hits).
     /// Display-only observability: recycling is invisible to `c` and
     /// `stats`, and the hit/miss split is not part of the determinism
@@ -422,15 +422,9 @@ impl ExecReport {
 ///    the same ranks, in rank order, every time it is asked the same
 ///    question — so a plan that was only streamed and scored is, bit for
 ///    bit, the plan a later [`plan`](MmmAlgorithm::plan) collects.
-pub trait MmmAlgorithm: Send + Sync + std::any::Any {
+pub trait MmmAlgorithm: Send + Sync {
     /// The algorithm's typed identity.
     fn id(&self) -> AlgoId;
-
-    /// The implementation as [`std::any::Any`], so callers holding a
-    /// `dyn MmmAlgorithm` can recover a concrete configuration (e.g.
-    /// [`RunSession`] merging partial COSMA overrides onto a
-    /// registry-customized base).
-    fn as_any(&self) -> &dyn std::any::Any;
 
     /// Capability query: can this algorithm decompose for `prob.p` ranks?
     ///
@@ -474,7 +468,8 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
     /// the communicator's wait-states let the event-driven executor park
     /// the rank as a stackless state machine. Implementations wrap their
     /// `async` rank body in `Box::pin(..)`; on the blocking executors the
-    /// future completes within a single poll.
+    /// future completes within a single poll. [`execute_boxed`] runs it on
+    /// every rank of a machine.
     fn execute_rank<'a>(
         &'a self,
         comm: &'a mut RankComm,
@@ -482,22 +477,6 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
         a: &'a Matrix,
         b: &'a Matrix,
     ) -> RankFuture<'a, Vec<CPart>>;
-
-    /// Execute the plan on a simulated `machine`, assemble the distributed
-    /// output and return it with the measured per-rank counters and virtual
-    /// times, on [`ExecBackend::event`]; [`execute_boxed`] takes any backend.
-    fn execute(
-        &self,
-        plan: &DistPlan,
-        machine: &MachineSpec,
-        a: &Matrix,
-        b: &Matrix,
-    ) -> Result<ExecReport, PlanError>
-    where
-        Self: Sized,
-    {
-        execute_boxed(self, plan, machine, ExecBackend::event(), a, b)
-    }
 }
 
 /// The resumable rank-body future of [`MmmAlgorithm::execute_rank`]: a
@@ -505,10 +484,11 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
 /// future on the thread that created it.
 pub type RankFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
-/// Object-safe driver behind [`MmmAlgorithm::execute`] — also callable on a
-/// `&dyn MmmAlgorithm` (e.g. a registry entry) — on an explicit
-/// [`ExecBackend`]: refuse a plan built for another world size, run the
-/// world, assemble the ranks' output shares.
+/// The one way a plan runs on a machine: refuse a plan built for another
+/// world size, run `algo`'s rank body on every rank of `machine` (its
+/// topology, placement, faults and memory budget included) on `backend`,
+/// and assemble the ranks' output shares. Takes a concrete algorithm or a
+/// `&dyn MmmAlgorithm` (e.g. a registry entry).
 pub fn execute_boxed(
     algo: &(impl MmmAlgorithm + ?Sized),
     plan: &DistPlan,
@@ -533,7 +513,6 @@ pub fn execute_boxed(
     Ok(ExecReport {
         c,
         stats: out.stats,
-        topology: machine.topology.clone(),
         pool: out.pool,
     })
 }
@@ -543,8 +522,9 @@ pub fn execute_boxed(
 // ---------------------------------------------------------------------------
 
 /// COSMA as an [`MmmAlgorithm`]: wraps [`CosmaConfig`] (grid-fitting δ and
-/// communication [`Backend`]) around the planner and executor of
-/// [`crate::algorithm`].
+/// communication [`Backend`](crate::algorithm::Backend)) around the planner
+/// and executor of [`crate::algorithm`]. A variant — one-sided, or δ = 0 —
+/// is a registry entry: `registry.register(CosmaAlgorithm::with_config(..))`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CosmaAlgorithm {
     /// The tunables (δ = 0.03, two-sided backend by default).
@@ -563,10 +543,6 @@ impl MmmAlgorithm for CosmaAlgorithm {
         AlgoId::Cosma
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn plan_ranks(
         &self,
         prob: &MmmProblem,
@@ -583,7 +559,7 @@ impl MmmAlgorithm for CosmaAlgorithm {
         a: &'a Matrix,
         b: &'a Matrix,
     ) -> RankFuture<'a, Vec<CPart>> {
-        Box::pin(async move { algorithm::execute(comm, plan, &self.cfg, a, b).await.into_iter().collect() })
+        Box::pin(algorithm::execute(comm, plan, &self.cfg, a, b))
     }
 }
 
@@ -680,6 +656,15 @@ pub struct RunOutcome {
 /// The single entry point from a problem statement to a planned, simulated
 /// or executed multiplication.
 ///
+/// A session says what to multiply and how to model it: the problem, the
+/// algorithm and the registry it is looked up in, the cost model, overlap
+/// and the executor. It executes on [`machine_spec`](Self::machine_spec),
+/// the plain machine those describe; a run that needs more of a machine (a
+/// topology, a placement, a fault plan, an enforced memory budget) builds
+/// that [`MachineSpec`] and hands it to [`execute_boxed`]. An algorithm
+/// variant (one-sided COSMA, a forced 2.5D geometry) is an entry of the
+/// session's [`registry`](Self::registry).
+///
 /// ```
 /// use cosma::api::{AlgoId, RunSession};
 /// use cosma::problem::MmmProblem;
@@ -696,14 +681,8 @@ pub struct RunSession {
     algo: AlgoId,
     registry: AlgorithmRegistry,
     model: Option<CostModel>,
-    backend: Option<Backend>,
-    delta: Option<f64>,
     overlap: bool,
     exec: Option<ExecBackend>,
-    mem_budget: Option<u64>,
-    topology: Option<Topology>,
-    placement: Option<Placement>,
-    faults: Option<mpsim::FaultPlan>,
 }
 
 impl RunSession {
@@ -715,32 +694,9 @@ impl RunSession {
             algo: AlgoId::Cosma,
             registry: AlgorithmRegistry::core(),
             model: None,
-            backend: None,
-            delta: None,
             overlap: true,
             exec: None,
-            mem_budget: None,
-            topology: None,
-            placement: None,
-            faults: None,
         }
-    }
-
-    /// Enforce `words` as a hard per-rank memory budget during
-    /// [`execute`](Self::execute)/[`execute_verified`](Self::execute_verified):
-    /// a rank whose measured working set peaks above it turns the run into
-    /// [`PlanError::Execution`] with
-    /// [`ExecError::MemBudgetExceeded`] — on every execution backend.
-    pub fn mem_budget(mut self, words: u64) -> Self {
-        self.mem_budget = Some(words);
-        self
-    }
-
-    /// [`mem_budget`](Self::mem_budget) with the problem's own `S` — the
-    /// paper's limited-memory regime taken literally.
-    pub fn enforce_mem_budget(self) -> Self {
-        let s = self.prob.mem_words as u64;
-        self.mem_budget(s)
     }
 
     /// Set the machine cost model (the machine's rank count and memory come
@@ -757,22 +713,10 @@ impl RunSession {
     }
 
     /// Use a custom registry (e.g. `baselines::registry()` for the full
-    /// five-algorithm set, or one with re-configured defaults).
+    /// five-algorithm set, or one with re-configured entries such as a
+    /// one-sided COSMA).
     pub fn registry(mut self, registry: AlgorithmRegistry) -> Self {
         self.registry = registry;
-        self
-    }
-
-    /// Override COSMA's communication backend (§7.4). Fails at resolution
-    /// time when the selected algorithm is not COSMA.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Override COSMA's grid-fitting idle budget δ (§7.1).
-    pub fn delta(mut self, delta: f64) -> Self {
-        self.delta = Some(delta);
         self
     }
 
@@ -796,39 +740,6 @@ impl RunSession {
         self
     }
 
-    /// Measure executions under `topology`'s contention model (default:
-    /// [`Topology::Flat`], the historical per-receiver-link clock). Only the
-    /// virtual clock sees it — word counters and results are
-    /// topology-independent.
-    ///
-    /// # Panics
-    /// Panics when the topology's parameters are invalid
-    /// ([`Topology::validate`]).
-    pub fn topology(mut self, topology: Topology) -> Self {
-        if let Err(why) = topology.validate() {
-            panic!("invalid topology: {why}");
-        }
-        self.topology = Some(topology);
-        self
-    }
-
-    /// Choose the rank→node [`Placement`] for the session's
-    /// [`topology`](Self::topology) (default: [`Placement::Block`]).
-    pub fn placement(mut self, placement: Placement) -> Self {
-        self.placement = Some(placement);
-        self
-    }
-
-    /// Inject a deterministic [`mpsim::FaultPlan`] into the session's
-    /// executions: the event scheduler kills the planned ranks and drops
-    /// the planned messages at their scheduled virtual times, surfacing as
-    /// [`ExecError::RankFailed`] inside [`PlanError::Execution`]. A
-    /// quiescent plan (no kills, no drops) is a bitwise no-op.
-    pub fn faults(mut self, plan: mpsim::FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
     /// The execution backend the session will use: the explicit
     /// [`exec_backend`](Self::exec_backend) choice, or [`ExecBackend::event`].
     pub fn effective_exec_backend(&self) -> ExecBackend {
@@ -842,48 +753,13 @@ impl RunSession {
 
     /// The simulated machine the session executes on: `prob.p` ranks with
     /// `prob.mem_words` words each under the session's cost model and
-    /// [`overlap`](Self::overlap) mode, enforcing the session's
-    /// [`mem_budget`](Self::mem_budget) when one is set.
+    /// [`overlap`](Self::overlap) mode — flat, fault-free, `S` advisory.
     pub fn machine_spec(&self) -> MachineSpec {
-        let mut spec =
-            MachineSpec::new(self.prob.p, self.prob.mem_words, self.cost_model()).with_overlap(self.overlap);
-        if let Some(words) = self.mem_budget {
-            spec = spec.with_mem_budget(words);
-        }
-        if let Some(topology) = &self.topology {
-            spec = spec.with_topology(topology.clone());
-        }
-        if let Some(placement) = self.placement {
-            spec = spec.with_placement(placement);
-        }
-        if let Some(plan) = self.faults {
-            spec = spec.with_faults(plan);
-        }
-        spec
+        MachineSpec::new(self.prob.p, self.prob.mem_words, self.cost_model()).with_overlap(self.overlap)
     }
 
-    /// Resolve the configured algorithm instance.
+    /// The session's algorithm: its [`registry`](Self::registry) entry.
     pub fn resolve(&self) -> Result<Arc<dyn MmmAlgorithm>, PlanError> {
-        if self.backend.is_some() || self.delta.is_some() {
-            if self.algo != AlgoId::Cosma {
-                return Err(PlanError::InvalidConfig {
-                    algo: self.algo,
-                    reason: "backend/delta are COSMA knobs",
-                });
-            }
-            // Unset knobs fall back to the registry's (possibly
-            // re-configured) COSMA entry, not to hard-coded defaults.
-            let base = self
-                .registry
-                .by_id(AlgoId::Cosma)
-                .ok()
-                .and_then(|a| a.as_any().downcast_ref::<CosmaAlgorithm>().map(|c| c.cfg))
-                .unwrap_or_default();
-            return Ok(Arc::new(CosmaAlgorithm::with_config(CosmaConfig {
-                delta: self.delta.unwrap_or(base.delta),
-                backend: self.backend.unwrap_or(base.backend),
-            })));
-        }
         self.registry.by_id(self.algo)
     }
 
@@ -975,6 +851,7 @@ impl RunSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::Backend;
 
     /// The blocking reference executor, next to the event default.
     const BLOCKING: ExecBackend = ExecBackend::Blocking { workers: 2 };
@@ -1020,16 +897,17 @@ mod tests {
         let original = AlgorithmRegistry::core();
         let mut clone = original.clone();
         assert!(Arc::ptr_eq(&original.algos, &clone.algos), "clones share the algorithm list");
-        clone.register(CosmaAlgorithm::with_config(CosmaConfig {
+        let default = original.by_id(AlgoId::Cosma).unwrap();
+        let custom: Arc<dyn MmmAlgorithm> = Arc::new(CosmaAlgorithm::with_config(CosmaConfig {
             delta: 0.5,
             backend: Backend::OneSided,
         }));
-        // Copy-on-write: the clone split off; the original still holds the
-        // default COSMA configuration.
+        clone.register_arc(custom.clone());
+        // Copy-on-write: the clone split off; the original still holds its
+        // default COSMA entry.
         assert!(!Arc::ptr_eq(&original.algos, &clone.algos));
-        let base = original.by_id(AlgoId::Cosma).unwrap();
-        let base = base.as_any().downcast_ref::<CosmaAlgorithm>().unwrap();
-        assert_eq!(base.cfg, CosmaConfig::default());
+        assert!(Arc::ptr_eq(&clone.by_id(AlgoId::Cosma).unwrap(), &custom));
+        assert!(Arc::ptr_eq(&original.by_id(AlgoId::Cosma).unwrap(), &default));
     }
 
     #[test]
@@ -1085,42 +963,27 @@ mod tests {
     }
 
     #[test]
-    fn session_backend_override_works_and_is_cosma_only() {
+    fn one_sided_cosma_is_a_registry_entry() {
         let prob = MmmProblem::new(16, 16, 16, 4, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 1);
         let b = Matrix::deterministic(prob.k, prob.n, 2);
-        let one_sided = RunSession::new(prob).backend(Backend::OneSided);
-        one_sided.execute_verified(&a, &b).unwrap();
-        one_sided.exec_backend(BLOCKING).execute_verified(&a, &b).unwrap();
-        let err = RunSession::new(prob)
-            .algorithm(AlgoId::Cannon)
-            .backend(Backend::OneSided)
-            .plan()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            PlanError::InvalidConfig {
-                algo: AlgoId::Cannon,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn partial_override_keeps_registry_cosma_config() {
-        // A registry-customized COSMA base: one-sided backend. A delta-only
-        // override must keep that backend rather than resetting it to the
-        // hard default.
         let mut reg = AlgorithmRegistry::core();
         reg.register(CosmaAlgorithm::with_config(CosmaConfig {
-            delta: 0.1,
             backend: Backend::OneSided,
+            ..CosmaConfig::default()
         }));
-        let session = RunSession::new(MmmProblem::new(16, 16, 16, 4, 4096)).registry(reg).delta(0.0);
-        let algo = session.resolve().unwrap();
-        let cosma = algo.as_any().downcast_ref::<CosmaAlgorithm>().unwrap();
-        assert_eq!(cosma.cfg.backend, Backend::OneSided, "registry backend survives");
-        assert_eq!(cosma.cfg.delta, 0.0, "delta override applies");
+        let session = RunSession::new(prob).registry(reg);
+        let (plan, report) = session.execute_verified(&a, &b).unwrap();
+        let (_, blocking) = session.clone().exec_backend(BLOCKING).execute_verified(&a, &b).unwrap();
+        // The plan of the two-sided default, its product and its received
+        // words, on both executors.
+        assert_eq!(plan, RunSession::new(prob).plan().unwrap());
+        assert_eq!(report.c, blocking.c);
+        let two_sided = RunSession::new(prob).execute(&a, &b).unwrap();
+        assert_eq!(report.c, two_sided.c);
+        for (one, two) in report.stats.iter().zip(&two_sided.stats) {
+            assert_eq!(one.total_recv(), two.total_recv());
+        }
     }
 
     #[test]
@@ -1132,9 +995,6 @@ mod tests {
         impl MmmAlgorithm for HolePlanner {
             fn id(&self) -> AlgoId {
                 AlgoId::Carma
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
             }
             fn plan_ranks(
                 &self,
@@ -1184,7 +1044,7 @@ mod tests {
         let wrong = MachineSpec::piz_daint_with_memory(5, prob.mem_words);
         let a = Matrix::deterministic(prob.m, prob.k, 1);
         let b = Matrix::deterministic(prob.k, prob.n, 2);
-        let err = algo.execute(&plan, &wrong, &a, &b).unwrap_err();
+        let err = execute_boxed(&algo, &plan, &wrong, ExecBackend::event(), &a, &b).unwrap_err();
         assert_eq!(
             err,
             PlanError::WorldSizeMismatch {
@@ -1253,16 +1113,18 @@ mod tests {
     }
 
     #[test]
-    fn session_mem_budget_surfaces_typed_violations() {
+    fn mem_budget_surfaces_typed_violations() {
         // A one-word budget no algorithm can honour: the executor's typed
         // refusal arrives as PlanError::Execution, on the default backend
         // and on the blocking one.
         let prob = MmmProblem::new(16, 16, 16, 4, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 1);
         let b = Matrix::deterministic(prob.k, prob.n, 2);
-        let starved = RunSession::new(prob).mem_budget(1);
-        for session in [starved.clone(), starved.exec_backend(BLOCKING)] {
-            let err = session.execute(&a, &b).unwrap_err();
+        let session = RunSession::new(prob);
+        let (algo, plan) = (session.resolve().unwrap(), session.plan().unwrap());
+        let starved = session.machine_spec().with_mem_budget(1);
+        for backend in [ExecBackend::event(), BLOCKING] {
+            let err = execute_boxed(algo.as_ref(), &plan, &starved, backend, &a, &b).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1273,9 +1135,13 @@ mod tests {
                 "{err}"
             );
         }
-        // The problem's own S is ample: enforcing it passes.
-        let report = RunSession::new(prob).enforce_mem_budget().execute(&a, &b).unwrap();
+        // The problem's own S is ample: enforcing it passes, bit for bit the
+        // unenforced session run.
+        let enforced = session.machine_spec().enforcing_memory();
+        let report = execute_boxed(algo.as_ref(), &plan, &enforced, ExecBackend::event(), &a, &b).unwrap();
         assert!(report.stats.iter().all(|st| st.peak_mem_words <= prob.mem_words as u64));
+        let free = session.execute(&a, &b).unwrap();
+        assert_eq!((report.c, report.stats), (free.c, free.stats));
     }
 
     #[test]

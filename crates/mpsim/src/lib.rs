@@ -3,7 +3,8 @@
 //! The COSMA paper evaluates on Piz Daint (Cray XC40, Aries interconnect, MPI,
 //! mpiP profiling). MPI bindings in Rust are thin and a supercomputer is not
 //! available to a reproduction, so this crate provides the substitute
-//! substrate (see `DESIGN.md` §1 for the substitution argument):
+//! substrate (`EXPERIMENTS.md` records what it reproduces of the paper's
+//! setup):
 //!
 //! * [`machine`] — machine descriptions: `p` ranks, `S` words of memory per
 //!   rank, and a cost model; including a Piz-Daint-XC40-like preset.

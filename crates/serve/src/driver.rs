@@ -26,12 +26,13 @@
 //!   `topology`, `placement` and `faults`.
 //!
 //! The pipeline per job is admission → cached planning (auto-selection on
-//! a miss) → execution → a [`JobResult`] carrying the [`Selection`], the
-//! plan and the per-rank [`ExecReport`]. Every step is deterministic, so a
-//! job's result is bitwise-identical to the same job run serially through
-//! `RunSession` on the same backend — concurrency changes throughput, never
-//! answers — and across backends everything but the virtual clock agrees
-//! (`RankStats::sans_time`).
+//! a miss) → the job's [`MachineSpec`] → [`execute_boxed`] → a
+//! [`JobResult`] carrying the [`Selection`], the plan and the per-rank
+//! [`ExecReport`]. Every step is deterministic, so a job's result is
+//! bitwise-identical to `execute_boxed` run serially on the same machine
+//! and backend (for a flat, fault-free job: to `RunSession::execute`) —
+//! concurrency changes throughput, never answers — and across backends
+//! everything but the virtual clock agrees (`RankStats::sans_time`).
 //!
 //! # Fault recovery
 //!
@@ -51,13 +52,13 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use cosma::api::{AlgorithmRegistry, ExecReport, PlanError, RunSession};
+use cosma::api::{execute_boxed, AlgorithmRegistry, ExecReport, PlanError};
 use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
 use mpsim::exec::{ExecBackend, ExecError};
-use mpsim::machine::{Placement, Topology};
+use mpsim::machine::{MachineSpec, Placement, Topology};
 use mpsim::pool::PoolStats;
 use mpsim::FaultPlan;
 
@@ -592,21 +593,17 @@ fn serve_attempt(
         },
         Some(event) => event,
     };
-    let mut session = RunSession::new(prob)
-        .registry(shared.planner.registry().clone())
-        .algorithm(planned.selection.algo)
-        .machine(model)
-        .overlap(job.overlap)
-        .topology(job.topology.clone())
-        .placement(job.placement)
-        .exec_backend(backend);
-    if let Some(words) = job.mem_budget {
-        session = session.mem_budget(words);
-    }
-    if let Some(plan) = faults {
-        session = session.faults(plan);
-    }
-    let report = session.execute_planned(&planned.plan, &job.a, &job.b)?;
+    // The job's machine, built once and only now: planning has already
+    // refused a degenerate problem (and the key an invalid topology) with a
+    // typed error.
+    let mut machine = MachineSpec::new(prob.p, prob.mem_words, model)
+        .with_overlap(job.overlap)
+        .with_topology(job.topology.clone())
+        .with_placement(job.placement);
+    machine.mem_budget = job.mem_budget;
+    machine.faults = faults;
+    let algo = shared.planner.registry().by_id(planned.selection.algo)?;
+    let report = execute_boxed(algo.as_ref(), &planned.plan, &machine, backend, &job.a, &job.b)?;
     {
         let mut sum = shared.arena.lock().unwrap_or_else(|e| e.into_inner());
         sum.hits += report.pool.hits;
@@ -867,10 +864,42 @@ mod tests {
     }
 
     #[test]
+    fn served_job_measures_what_execute_boxed_measures_on_its_machine() {
+        let server = Server::new(baselines::registry(), small_config()).unwrap();
+        let mut served = job(0, 16, 3)
+            .topology(Topology::congested_fat_tree())
+            .placement(Placement::RoundRobin)
+            .faults(FaultPlan::new(7));
+        // The problem's own S: enforced, and binding nothing.
+        served.mem_budget = Some(served.prob.mem_words as u64);
+        let out = server.run_sync(served.clone()).outcome.unwrap();
+
+        let model = CostModel::piz_daint_two_sided();
+        let planned = AutoPlanner::new(baselines::registry())
+            .select(&served.prob, &model, served.overlap, &served.choice)
+            .unwrap();
+        assert_eq!(*out.plan, *planned.plan);
+        let machine = MachineSpec::new(served.prob.p, served.prob.mem_words, model)
+            .with_topology(Topology::congested_fat_tree())
+            .with_placement(Placement::RoundRobin)
+            .with_faults(FaultPlan::new(7))
+            .enforcing_memory();
+        let algo = baselines::registry().by_id(planned.selection.algo).unwrap();
+        let direct =
+            execute_boxed(algo.as_ref(), &planned.plan, &machine, ExecBackend::event(), &served.a, &served.b)
+                .unwrap();
+        assert_eq!(out.report.c, direct.c, "bitwise product");
+        assert_eq!(out.report.stats, direct.stats, "counters and virtual times, bit for bit");
+        // Each knob reached the clock: the flat, block-placed job is faster.
+        let flat = server.run_sync(job(1, 16, 3)).outcome.unwrap();
+        assert!(out.report.measured_time_s() > flat.report.measured_time_s());
+    }
+
+    #[test]
     fn invalid_topology_is_typed_before_planning() {
-        // The parent keyed these, planned and cached the plan, then panicked
-        // in `RunSession::topology` (the five-dim torus already overflowed
-        // the key's shift in debug builds).
+        // Refused when the job is keyed, before anything is planned or
+        // cached, and before a machine is built (building one panics on an
+        // invalid topology).
         let server = Server::new(baselines::registry(), small_config()).unwrap();
         let invalid = [
             (

@@ -38,7 +38,7 @@
 //! assert_eq!(outcome.plan.grid, [4, 4, 1]);
 //! ```
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the system inventory.
+//! See `README.md` for a tour and `ARCHITECTURE.md` for the system inventory.
 
 #![forbid(unsafe_code)]
 

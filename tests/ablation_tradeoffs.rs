@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the design choices the paper's §6–§7 call out:
 //!
 //! * the I/O–latency trade-off of §6.3 (tile size sweeps);
 //! * the grid-fitting δ (idle-rank budget) of §7.1;
@@ -6,20 +6,27 @@
 //! * the one-sided backend of §7.4 (lower α ⇒ lower simulated time).
 
 use cosma::analysis::io_latency_tradeoff;
-use cosma::api::RunSession;
+use cosma::api::{AlgorithmRegistry, CosmaAlgorithm, RunSession};
 use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
+use cosma::CosmaConfig;
 use mpsim::cost::CostModel;
 
 fn model() -> CostModel {
     CostModel::piz_daint_two_sided()
 }
 
-/// Plan COSMA with an explicit grid-fitting δ through the session API.
+/// Plan COSMA with an explicit grid-fitting δ through the session API: the
+/// δ variant is the registry's COSMA entry.
 fn cosma_plan_delta(prob: &MmmProblem, delta: f64) -> DistPlan {
+    let mut registry = AlgorithmRegistry::core();
+    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
+        delta,
+        ..CosmaConfig::default()
+    }));
     RunSession::new(*prob)
         .machine(model())
-        .delta(delta)
+        .registry(registry)
         .plan()
         .expect("feasible problem")
 }

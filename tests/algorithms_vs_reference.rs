@@ -8,9 +8,9 @@
 //! session assembles each algorithm's distributed output shares into the
 //! full product with the same code path.
 
-use cosma::api::{AlgoId, RunSession};
+use cosma::api::{AlgoId, CosmaAlgorithm, RunSession};
 use cosma::problem::MmmProblem;
-use cosma::Backend;
+use cosma::{Backend, CosmaConfig};
 use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
@@ -51,9 +51,15 @@ fn run(prob: &MmmProblem, id: AlgoId) -> Matrix {
     execute_on_both(id, session(prob, id), &a, &b)
 }
 
+/// COSMA on `backend`: a registry entry of its own.
 fn run_cosma_backend(prob: &MmmProblem, backend: Backend) -> Matrix {
     let (a, b, _) = reference(prob.m, prob.n, prob.k);
-    execute_on_both(AlgoId::Cosma, session(prob, AlgoId::Cosma).backend(backend), &a, &b)
+    let mut registry = baselines::registry();
+    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
+        backend,
+        ..CosmaConfig::default()
+    }));
+    execute_on_both(AlgoId::Cosma, session(prob, AlgoId::Cosma).registry(registry), &a, &b)
 }
 
 fn assert_all_agree(prob: &MmmProblem, ids: &[AlgoId]) {

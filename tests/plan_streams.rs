@@ -406,10 +406,6 @@ impl MmmAlgorithm for Double {
         self.inner.id()
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn supports(&self, prob: &MmmProblem) -> Result<(), PlanError> {
         self.inner.supports(prob)
     }

@@ -6,7 +6,9 @@
 //! Every algorithm is planned and executed through its [`MmmAlgorithm`]
 //! registry entry — no per-algorithm entry points.
 
-use cosma::api::{execute_boxed, AlgoId, CosmaAlgorithm, MmmAlgorithm, PlanError, RunSession};
+use cosma::api::{
+    execute_boxed, AlgoId, AlgorithmRegistry, CosmaAlgorithm, MmmAlgorithm, PlanError, RunSession,
+};
 use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
 use cosma::{Backend, CosmaConfig};
@@ -73,9 +75,14 @@ fn cosma_plan_predicts_execution_exactly() {
 fn cosma_one_sided_backend_matches_same_plan() {
     // §7.4: both backends move exactly the planned words.
     let prob = MmmProblem::new(24, 24, 48, 8, 1 << 11);
+    let mut registry = AlgorithmRegistry::core();
+    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
+        backend: Backend::OneSided,
+        ..CosmaConfig::default()
+    }));
     let session = RunSession::new(prob)
         .machine(CostModel::piz_daint_one_sided())
-        .backend(Backend::OneSided);
+        .registry(registry);
     let plan = session.plan().unwrap();
     let (a, b) = inputs(&prob);
     for backend in BACKENDS {
@@ -157,16 +164,19 @@ fn carma_streaming_peak_stays_within_s() {
     let session = RunSession::new(prob)
         .machine(CostModel::piz_daint_two_sided())
         .registry(baselines::registry())
-        .algorithm(AlgoId::Carma)
-        .enforce_mem_budget();
+        .algorithm(AlgoId::Carma);
+    let (algo, plan) = (session.resolve().unwrap(), session.plan().unwrap());
+    assert!(plan.ranks.iter().all(|r| r.bricks.len() > 1), "expected DFS leaves");
+    let enforced = session.machine_spec().enforcing_memory();
     let (a, b) = inputs(&prob);
     for backend in BACKENDS {
-        let (plan, report) = session
-            .clone()
-            .exec_backend(backend)
-            .execute_verified(&a, &b)
+        let report = execute_boxed(algo.as_ref(), &plan, &enforced, backend, &a, &b)
             .expect("streaming CARMA within budget");
-        assert!(plan.ranks.iter().all(|r| r.bricks.len() > 1), "expected DFS leaves");
+        // The same product and counters as the unenforced, verified run.
+        let (_, free) = session.clone().exec_backend(backend).execute_verified(&a, &b).unwrap();
+        assert_eq!(report.c, free.c, "{backend}: product");
+        assert_eq!(report.stats, free.stats, "{backend}: stats");
+        assert_traffic_matches(&plan, &report.stats);
         for (r, st) in report.stats.iter().enumerate() {
             assert!(
                 st.peak_mem_words <= prob.mem_words as u64,

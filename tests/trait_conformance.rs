@@ -494,12 +494,18 @@ fn dfs_carma_matches_bfs_and_reference_bitwise_on_all_backends() {
 /// closes at a barrier rendezvous, which must survive slot hand-offs.
 #[test]
 fn one_sided_cosma_executes_with_fewer_workers_than_ranks() {
-    use cosma::algorithm::Backend;
+    use cosma::algorithm::{Backend, CosmaConfig};
+    use cosma::api::{AlgorithmRegistry, CosmaAlgorithm};
     let prob = MmmProblem::new(48, 40, 56, 12, 1 << 13);
     let a = Matrix::deterministic(prob.m, prob.k, 5);
     let b = Matrix::deterministic(prob.k, prob.n, 6);
+    let mut registry = AlgorithmRegistry::core();
+    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
+        backend: Backend::OneSided,
+        ..CosmaConfig::default()
+    }));
     let (plan, report) = RunSession::new(prob)
-        .backend(Backend::OneSided)
+        .registry(registry)
         .exec_backend(ExecBackend::Blocking { workers: 2 })
         .execute_verified(&a, &b)
         .unwrap();
