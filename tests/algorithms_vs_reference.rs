@@ -109,6 +109,105 @@ fn cosma_agrees_at_larger_scale() {
     assert!(want.approx_eq(&c1, 1e-9));
 }
 
+/// COSMA's pinned shapes: gk = 1 and gk > 1 grids, slabs narrower than their
+/// fibers (16³ at p = 512 is a 16×16×2 grid over 8-column slabs), primes on
+/// a few and on many ranks, idle ranks, several rounds per rank, and bricks
+/// big enough for the wide register tile.
+const COSMA_SHAPES: [(usize, usize, usize, usize, usize); 9] = [
+    (32, 32, 32, 16, 1 << 13),
+    (96, 96, 48, 4, 1 << 14),
+    (8, 8, 64, 8, 256),
+    (12, 12, 192, 8, 1 << 12),
+    (16, 16, 16, 512, 4096),
+    (17, 19, 23, 5, 4096),
+    (17, 19, 23, 510, 4096),
+    (24, 24, 24, 7, 4096),
+    (16, 16, 32, 4, 64 + 2 * 16 * 2),
+];
+
+/// FNV-1a over the bytes of every word of `c`, row-major.
+fn fnv1a(c: &Matrix) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for byte in c.as_slice().iter().flat_map(|w| w.to_bits().to_le_bytes()) {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// COSMA's product on `prob` over `backend`, the same on the event engine
+/// with one and two threads and on two blocking workers.
+fn cosma_product(prob: &MmmProblem, backend: Backend) -> Matrix {
+    let (a, b, _) = reference(prob.m, prob.n, prob.k);
+    let mut registry = baselines::registry();
+    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
+        backend,
+        ..CosmaConfig::default()
+    }));
+    let session = session(prob, AlgoId::Cosma).registry(registry);
+    let mut products = [
+        ExecBackend::event(),
+        ExecBackend::Event { threads: 2 },
+        ExecBackend::Blocking { workers: 2 },
+    ]
+    .map(|exec| {
+        let report = session.clone().exec_backend(exec).execute(&a, &b);
+        report.unwrap_or_else(|e| panic!("{prob:?} {backend:?} on {exec:?}: {e}")).c
+    });
+    for (exec, c) in ["event(2)", "blocking(2)"].iter().zip(&products[1..]) {
+        assert_eq!(fnv1a(c), fnv1a(&products[0]), "{prob:?} {backend:?}: {exec} differs from event");
+    }
+    std::mem::replace(&mut products[0], Matrix::zeros(0, 0))
+}
+
+/// Recorded at `4248a3b`, before COSMA's gathers stopped filling slabs.
+#[rustfmt::skip]
+const PRODUCT_DIGESTS: [[u64; 2]; 9] = [
+    [0xdac31c43bc6cbaee, 0xdac31c43bc6cbaee],
+    [0x2de41181f7de2a9c, 0x2de41181f7de2a9c],
+    [0x1f0359f76ba493fb, 0x1f0359f76ba493fb],
+    [0x366eac70eb823caa, 0x366eac70eb823caa],
+    [0xc6b1a310ed16ea5e, 0xc6b1a310ed16ea5e],
+    [0xa0bc3ba01e6d8db5, 0xa0bc3ba01e6d8db5],
+    [0x0fe0063bde791933, 0x0fe0063bde791933],
+    [0xbf372242ea2aab73, 0xbf372242ea2aab73],
+    [0xb6aa1f2cbb1e393f, 0xb6aa1f2cbb1e393f],
+];
+
+#[test]
+fn cosma_product_digests_are_pinned() {
+    let got = COSMA_SHAPES.map(|(m, n, k, p, s)| {
+        let prob = MmmProblem::new(m, n, k, p, s);
+        [Backend::TwoSided, Backend::OneSided].map(|backend| fnv1a(&cosma_product(&prob, backend)))
+    });
+    if got != PRODUCT_DIGESTS {
+        let rows: Vec<String> = got.iter().map(|[t, o]| format!("    [{t:#018x}, {o:#018x}],")).collect();
+        panic!("COSMA's product bits moved; the table now reads:\n{}", rows.join("\n"));
+    }
+}
+
+/// With gk = 1 every C word is one rank's rounds accumulated in ascending k
+/// into a zero tile — the naive loop's reduction, so the bits are its bits.
+#[test]
+fn cosma_equals_the_naive_kernel_bitwise_when_k_is_not_split() {
+    let mut checked = 0;
+    for (m, n, k, p, s) in COSMA_SHAPES {
+        let prob = MmmProblem::new(m, n, k, p, s);
+        let plan = session(&prob, AlgoId::Cosma).plan().expect("COSMA plans every pinned shape");
+        if plan.grid[2] != 1 {
+            continue;
+        }
+        let (a, b, _) = reference(m, n, k);
+        let mut want = Matrix::zeros(m, n);
+        densemat::gemm::gemm_naive(&a, &b, &mut want);
+        for backend in [Backend::TwoSided, Backend::OneSided] {
+            let c = cosma_product(&prob, backend);
+            assert_eq!(fnv1a(&c), fnv1a(&want), "{prob:?} {backend:?} grid {:?}", plan.grid);
+        }
+        checked += 1;
+    }
+    assert!(checked >= 4, "only {checked} pinned shapes have gk = 1");
+}
+
 #[test]
 fn non_grid_friendly_rank_counts() {
     // 11 (prime), 12, 24: COSMA must handle them all (CARMA/Cannon cannot).
