@@ -24,9 +24,9 @@
 //! Both backends move exactly the words the plan predicts — the integration
 //! tests assert equality against the mpiP-style counters.
 
-use densemat::gemm::gemm_packed;
+use densemat::gemm::{gemm_packed, Operand, View};
 use densemat::matrix::Matrix;
-use mpsim::collectives::{allgather_bruck, even_cut, reduce_scatter_ring, unpack_run, Fiber};
+use mpsim::collectives::{allgather_bruck, even_cut, reduce_scatter_ring, Fiber, Gathered};
 pub use mpsim::collectives::{even_owner, even_range};
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
@@ -186,12 +186,21 @@ pub struct CPart {
 /// assignment); memory-budgeted CARMA returns one part per sequential DFS
 /// leaf, and the k-split leaves of one rank carry partial sums of the same
 /// C region that only become the product once summed here.
+///
+/// # Panics
+/// Panics if a share's tile lies outside the matrix or its words run past
+/// the end of its tile.
 pub fn assemble_c(parts: impl IntoIterator<Item = CPart>, m: usize, n: usize) -> Matrix {
     let mut c = Matrix::zeros(m, n);
     let out = c.as_mut_slice();
     for part in parts {
         assert!(part.cols.end <= n, "a C share's columns lie outside the matrix");
+        assert!(part.rows.end <= m, "a C share's rows lie outside the matrix");
         let width = part.cols.len();
+        assert!(
+            part.offset + part.data.len() <= part.rows.len() * width,
+            "a C share's words run past the end of its tile"
+        );
         // The owned slice of the flattened tile, one contiguous run of a
         // tile row at a time.
         let (mut flat, mut rest) = (part.offset, part.data.as_slice());
@@ -259,7 +268,9 @@ pub async fn execute(
     let sp = latency_steps(lm, ln, lk, plan.problem.mem_words).expect("plan was feasible");
     // Allocated at the first multiply, not before the gathers: in lockstep
     // every rank reaches this point before any rank finishes, so an eager
-    // tile is host memory held by all ranks at once.
+    // tile is host memory held by all ranks at once. It comes from the
+    // arena, where the ranks that multiplied before this one parked the
+    // payloads they read.
     let mut c_local: Option<Matrix> = None;
     comm.track_alloc((lm * ln) as u64);
     // One-sided: where this round's chunk starts in each fiber peer's window.
@@ -269,26 +280,58 @@ pub async fn execute(
         let w = slab.len();
         let ks_lo = ks.start + slab.start;
         let tag = 2 * round as u64 * TAG_STRIDE;
-        // --- DistrData: the A slab (lm x w); member j of the j-fiber owns
-        // the j-th balanced run of columns ---
-        let own = even_range(w, grid.gn, jn);
-        let mut a_slab = Matrix::zeros(lm, w);
-        a_slab.copy_block(0, own.start, a, rows.clone(), ks_lo + own.start..ks_lo + own.end);
-        let (fiber, cut) = (grid.j_fiber(im, ik), |j| even_cut(w, grid.gn, j));
+        // --- DistrData: the round's A (lm x w); member j of the j-fiber owns
+        // block j, the j-th balanced run of columns, lm·w_j words row-major ---
+        let a_cols = |j| even_cut(w, grid.gn, j);
+        let own = ks_lo + a_cols(jn)..ks_lo + a_cols(jn + 1);
+        let own_a = a.view(rows.clone(), own.clone());
+        let append = |out: &mut Vec<f64>| a.append_block(rows.clone(), own.clone(), out);
         let a_win = win.as_mut().map(|(a_win, _)| a_win.as_mut_slice());
-        gather(comm, fiber, jn, a_slab.as_mut_slice(), lm, cut, tag, Phase::InputA, a_win).await;
-        // --- DistrData: the B slab (w x ln); member i of the i-fiber owns
-        // the i-th balanced run of whole rows, so flattened to one row of
-        // w·ln words the blocks are cut at row starts ---
-        let own = even_range(w, grid.gm, im);
-        let mut b_slab = Matrix::zeros(w, ln);
-        b_slab.copy_block(own.start, 0, b, ks_lo + own.start..ks_lo + own.end, cols.clone());
-        let (fiber, cut) = (grid.i_fiber(jn, ik), |i| ln * even_cut(w, grid.gm, i));
+        let fiber = grid.j_fiber(im, ik);
+        let got_a = gather(comm, fiber, jn, append, |j| lm * a_cols(j), tag, Phase::InputA, a_win).await;
+        // --- DistrData: the round's B (w x ln); member i of the i-fiber owns
+        // block i, the i-th balanced run of whole rows ---
+        let b_rows = |i| even_cut(w, grid.gm, i);
+        let own = ks_lo + b_rows(im)..ks_lo + b_rows(im + 1);
+        let own_b = b.view(own.clone(), cols.clone());
+        let append = |out: &mut Vec<f64>| b.append_block(own.clone(), cols.clone(), out);
         let b_win = win.as_mut().map(|(_, b_win)| b_win.as_mut_slice());
-        gather(comm, fiber, im, b_slab.as_mut_slice(), 1, cut, tag + TAG_STRIDE, Phase::InputB, b_win).await;
-        // --- Multiply ---
-        gemm_packed(&a_slab, &b_slab, c_local.get_or_insert_with(|| Matrix::zeros(lm, ln)));
+        let (fiber, tag) = (grid.i_fiber(jn, ik), tag + TAG_STRIDE);
+        let got_b = gather(comm, fiber, im, append, |i| ln * b_rows(i), tag, Phase::InputB, b_win).await;
+        // --- Multiply, reading every block where it lies: a piece of B is
+        // whole rows, one view; a piece of A is one `lm × w_j` view per
+        // block ---
+        let a_blocks = |f: &mut dyn FnMut(View<'_>)| {
+            let mut j = 0;
+            got_a.for_each_piece(|_, words| {
+                let Some(words) = words else {
+                    j = jn + 1;
+                    return f(own_a);
+                };
+                let mut at = 0;
+                while at < words.len() {
+                    assert!(j < grid.gn, "an A piece runs past the last block");
+                    let w_j = a_cols(j + 1) - a_cols(j);
+                    if w_j > 0 {
+                        f(View::new(&words[at..at + lm * w_j], lm, w_j, w_j));
+                    }
+                    (at, j) = (at + lm * w_j, j + 1);
+                }
+            });
+        };
+        let b_blocks = |f: &mut dyn FnMut(View<'_>)| {
+            got_b.for_each_piece(|at, words| {
+                f(words.map_or(own_b, |words| View::new(words, at.len() / ln, ln, ln)));
+            });
+        };
+        gemm_packed(
+            Operand::segmented(lm, w, &a_blocks),
+            Operand::segmented(w, ln, &b_blocks),
+            c_local.get_or_insert_with(|| Matrix::from_vec(lm, ln, comm.pool().take_zeroed(lm * ln))),
+        );
         comm.record_flops(2 * (lm * ln * w) as u64);
+        got_a.recycle(comm);
+        got_b.recycle(comm);
     }
     let c_local = c_local.unwrap_or_else(|| Matrix::zeros(lm, ln));
 
@@ -349,40 +392,40 @@ fn window_cursors(plan: &DistPlan, grid: &Grid3, slabs: &[usize], jn: usize) -> 
     (vec![0; grid.gn], b_win)
 }
 
-/// Complete one round's `rows × cut(g)` slab, of which this rank (member
-/// `pos` of its `fiber`) has written its own block — columns
-/// `cut(pos)..cut(pos + 1)`: two-sided by an in-place Bruck all-gather;
-/// one-sided (`win` given) by a `get` of every peer's non-empty block from its
-/// window at `win[peer position]` straight into the slab, advancing the
-/// cursors past the round.
+/// Gather one round's blocks to member `pos` of `fiber`, block `j` being
+/// `cut(j + 1) − cut(j)` words row-major; `own` appends this rank's own block
+/// to a payload. Two-sided by a Bruck all-gather; one-sided (`win` given) by a
+/// `get` of every peer's non-empty block from its window at `win[peer
+/// position]`, each chunk kept as it arrived, advancing the cursors past the
+/// round.
 #[allow(clippy::too_many_arguments)]
 async fn gather(
     comm: &mut RankComm,
     fiber: Fiber,
     pos: usize,
-    slab: &mut [f64],
-    rows: usize,
+    own: impl Fn(&mut Vec<f64>),
     cut: impl Fn(usize) -> usize,
     tag: u64,
     phase: Phase,
     win: Option<&mut [usize]>,
-) {
+) -> Gathered {
     let Some(win) = win else {
-        return allgather_bruck(comm, fiber, pos, slab, rows, cut, tag, phase).await;
+        return allgather_bruck(comm, fiber, pos, own, cut, tag, phase).await;
     };
     debug_assert_eq!(win.len(), fiber.len, "one window cursor per fiber member");
-    let width = cut(fiber.len);
+    let (mut below, mut chunks) = (0, Vec::new());
     for (j, cursor) in win.iter_mut().enumerate() {
-        let cols = cut(j)..cut(j + 1);
-        let words = rows * cols.len();
+        let words = cut(j + 1) - cut(j);
         // An empty block is no read: no message, no latency.
         if j != pos && words > 0 {
-            let chunk = comm.get(fiber.rank(j), *cursor, words, phase);
-            unpack_run(slab, width, cols, &chunk);
-            comm.recycle(chunk);
+            below += usize::from(j < pos);
+            chunks.push(comm.get(fiber.rank(j), *cursor, words, phase));
         }
         *cursor += words;
     }
+    // Read in rank order, kept in cyclic order from the block after ours.
+    chunks.rotate_left(below);
+    Gathered::new(cut(pos)..cut(pos + 1), chunks)
 }
 
 #[cfg(test)]
@@ -500,10 +543,11 @@ mod tests {
 
     #[test]
     fn gather_allocations_grow_with_log_fiber_length() {
-        // One pooled payload per Bruck round and ring step: p·(log2 gn +
-        // log2 gm + gk) takes, of which 0.31 (p = 512) to 0.46 (p = 2048)
-        // miss. One buffer per gathered block — p·(gn + gm) — missed 3.3x
-        // and 5.6x that bound.
+        // One pooled payload per Bruck round and ring step, and the C tile —
+        // p·(log2 gn + log2 gm + gk) takes in these one-round worlds — and so
+        // at most that many allocations. A rank reads its received payloads
+        // where they arrived and recycles them after the multiply. A buffer
+        // per gathered block would be p·(gn + gm), 3.2x and 5.3x the takes.
         for p in [512usize, 2048] {
             let prob = MmmProblem::new(64, 64, 64, p, 1 << 12);
             let session = crate::api::RunSession::new(prob)
@@ -514,8 +558,9 @@ mod tests {
                 .expect("executes");
             let [gm, gn, gk] = dplan.grid.map(|g| g as u64);
             assert_eq!(gm * gn * gk, p as u64, "every rank active");
-            let bound = p as u64 * (u64::from(gn.ilog2()) + u64::from(gm.ilog2()) + gk);
-            assert!(report.pool.misses <= bound, "p={p}: {} allocations > {bound}", report.pool.misses);
+            assert_eq!(dplan.ranks[0].rounds.len(), 2, "one gather round and the ring");
+            let takes = p as u64 * (u64::from(gn.ilog2()) + u64::from(gm.ilog2()) + gk);
+            assert_eq!(report.pool.hits + report.pool.misses, takes, "p={p}: pooled payloads");
         }
     }
 
@@ -549,6 +594,43 @@ mod tests {
                 assert_eq!(c.get(i, j), want, "C[{i}, {j}]");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a C share's words run past the end of its tile")]
+    fn assemble_c_rejects_a_share_longer_than_its_tile() {
+        // 16 words for a 3x4 tile: the last 4 would land in C row 4.
+        let part = CPart {
+            rows: 1..4,
+            cols: 2..6,
+            offset: 0,
+            data: vec![1.0; 16],
+        };
+        assemble_c([part], 5, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "a C share's words run past the end of its tile")]
+    fn assemble_c_rejects_words_for_a_tile_without_columns() {
+        let part = CPart {
+            rows: 1..4,
+            cols: 2..2,
+            offset: 0,
+            data: vec![1.0],
+        };
+        assemble_c([part], 5, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "a C share's rows lie outside the matrix")]
+    fn assemble_c_rejects_a_tile_below_the_matrix() {
+        let part = CPart {
+            rows: 4..6,
+            cols: 0..2,
+            offset: 0,
+            data: vec![1.0; 4],
+        };
+        assemble_c([part], 5, 7);
     }
 
     #[test]

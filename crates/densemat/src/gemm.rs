@@ -36,9 +36,99 @@
 //! on every input, signed zeros and infinities included, and where one
 //! yields a NaN so does the other (which NaN an operation yields is the one
 //! thing IEEE 754 and Rust leave open).
+//!
+//! [`gemm_packed`] reads its operands where they lie: an [`Operand`] is a
+//! [`Matrix`], or a list of [`View`]s in ascending k — column blocks of A, row
+//! blocks of B, each with its own leading dimension. The packers cut their
+//! panels out of whichever views cover them, so a product over blocks that
+//! arrived separately (COSMA's gathered A and B) costs no copy into one
+//! matrix, and, since a k step is one multiply then one add whichever block
+//! it came from, no bit.
 
 use crate::matrix::Matrix;
 use std::cell::RefCell;
+
+/// A `rows x cols` row-major block read in place: element `(i, j)` is
+/// `data[i * ld + j]`.
+#[derive(Debug, Clone, Copy)]
+pub struct View<'a> {
+    data: &'a [f64],
+    rows: usize,
+    cols: usize,
+    ld: usize,
+}
+
+impl<'a> View<'a> {
+    /// The `rows x cols` block whose rows start `ld` words apart in `data`.
+    ///
+    /// # Panics
+    /// Panics if a row is wider than `ld` or the last row ends past `data`.
+    pub fn new(data: &'a [f64], rows: usize, cols: usize, ld: usize) -> Self {
+        if rows > 0 && cols > 0 {
+            assert!(cols <= ld, "a {cols}-word row does not fit a leading dimension of {ld}");
+            assert!(
+                (rows - 1) * ld + cols <= data.len(),
+                "a {rows}x{cols} view overruns its {} words",
+                data.len()
+            );
+        }
+        View { data, rows, cols, ld }
+    }
+}
+
+/// An operand of [`gemm_packed`]: a `rows x cols` matrix read through its
+/// [`View`]s along k, in ascending order — one for a [`Matrix`]; column
+/// blocks of the full height for A, row blocks of the full width for B.
+#[derive(Clone, Copy)]
+pub struct Operand<'a> {
+    rows: usize,
+    cols: usize,
+    views: Views<'a>,
+}
+
+/// Hands every view of an operand, in ascending k, to the callback.
+type Walk<'a> = &'a dyn Fn(&mut dyn FnMut(View<'_>));
+
+#[derive(Clone, Copy)]
+enum Views<'a> {
+    One(View<'a>),
+    Walk(Walk<'a>),
+}
+
+impl<'a> Operand<'a> {
+    /// A `rows x cols` operand whose views `walk` hands out in ascending k.
+    /// [`gemm_packed`] checks that they tile the operand.
+    pub fn segmented(rows: usize, cols: usize, walk: Walk<'a>) -> Self {
+        Operand {
+            rows,
+            cols,
+            views: Views::Walk(walk),
+        }
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(View<'_>)) {
+        match self.views {
+            Views::One(view) => f(view),
+            Views::Walk(walk) => walk(f),
+        }
+    }
+}
+
+impl<'a> From<View<'a>> for Operand<'a> {
+    fn from(view: View<'a>) -> Self {
+        Operand {
+            rows: view.rows,
+            cols: view.cols,
+            views: Views::One(view),
+        }
+    }
+}
+
+impl<'a> From<&'a Matrix> for Operand<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        m.view(0..m.rows(), 0..m.cols()).into()
+    }
+}
 
 /// Number of floating-point operations of a classical `m x k x n` MMM
 /// (one multiply and one add per iteration-space point): `2 m n k`.
@@ -47,9 +137,8 @@ pub fn mmm_flops(m: usize, n: usize, k: usize) -> u64 {
     2 * m as u64 * n as u64 * k as u64
 }
 
-fn check_dims(a: &Matrix, b: &Matrix, c: &Matrix) -> (usize, usize, usize) {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
+/// `(m, n, k)` of `C[m x n] += A[m x k] * B[k x n]` from the shapes of A and B.
+fn check_dims((m, k): (usize, usize), (kb, n): (usize, usize), c: &Matrix) -> (usize, usize, usize) {
     assert_eq!(k, kb, "inner dimensions of A ({k}) and B ({kb}) differ");
     assert_eq!(c.rows(), m, "C has {} rows, expected {m}", c.rows());
     assert_eq!(c.cols(), n, "C has {} cols, expected {n}", c.cols());
@@ -58,7 +147,7 @@ fn check_dims(a: &Matrix, b: &Matrix, c: &Matrix) -> (usize, usize, usize) {
 
 /// Reference kernel: `c += a * b` with the plain `i, k, j` triple loop.
 pub fn gemm_naive(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, n, k) = check_dims(a, b, c);
+    let (m, n, k) = check_dims((a.rows(), a.cols()), (b.rows(), b.cols()), c);
     let (av, bv) = (a.as_slice(), b.as_slice());
     let cv = c.as_mut_slice();
     for i in 0..m {
@@ -121,17 +210,70 @@ fn tile_for(m: usize, n: usize) -> (usize, usize) {
 /// Each `C[i][j]` is read once per `KC` block, accumulated over `k` in
 /// increasing order, and stored back — the same reduction order as
 /// [`gemm_naive`], so switching kernels does not perturb results.
-pub fn gemm_packed(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, n, k) = check_dims(a, b, c);
+///
+/// `a` and `b` are a [`Matrix`] each (`gemm_packed(&a, &b, &mut c)`) or any
+/// [`Operand`]; the panels are the same whichever views they are cut from.
+///
+/// # Panics
+/// Panics if the shapes disagree, or if a non-empty product's operand is not
+/// tiled by its views: every A view must span all `m` rows and every B view
+/// all `n` columns, and their widths (A) or heights (B) must add up to `k`.
+pub fn gemm_packed<'a, 'b>(a: impl Into<Operand<'a>>, b: impl Into<Operand<'b>>, c: &mut Matrix) {
+    let (a, b) = (a.into(), b.into());
+    let (m, n, k) = check_dims((a.rows, a.cols), (b.rows, b.cols), c);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let (av, bv, cv) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+    let cv = c.as_mut_slice();
     match tile_for(m, n) {
         #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-        WIDE => blocked::<{ WIDE.0 }, { WIDE.1 }>(av, bv, cv, m, n, k, micro_kernel_8x24),
-        _ => blocked::<{ NARROW.0 }, { NARROW.1 }>(av, bv, cv, m, n, k, micro_kernel_4x8),
+        WIDE => blocked::<{ WIDE.0 }, { WIDE.1 }>(&a, &b, cv, m, n, k, micro_kernel_8x24),
+        _ => blocked::<{ NARROW.0 }, { NARROW.1 }>(&a, &b, cv, m, n, k, micro_kernel_4x8),
     }
+}
+
+/// Which way an operand's views cut it: A's into column blocks (k runs
+/// along the columns), B's into row blocks.
+#[derive(Clone, Copy)]
+enum KAlong {
+    Cols,
+    Rows,
+}
+
+impl KAlong {
+    /// `(extent along k, extent across)` of a `rows x cols` block.
+    fn split(self, rows: usize, cols: usize) -> (usize, usize) {
+        match self {
+            KAlong::Cols => (cols, rows),
+            KAlong::Rows => (rows, cols),
+        }
+    }
+}
+
+/// Hands `f` every view of `op` holding some of the k indices `pc..pc + kc`:
+/// the view, the position in that range of its first index there, and which
+/// of its own indices those are. Every pack walks all the views, so this is
+/// where they are held to tiling their operand.
+fn each_view_in(
+    op: &Operand,
+    along: KAlong,
+    pc: usize,
+    kc: usize,
+    mut f: impl FnMut(View<'_>, usize, std::ops::Range<usize>),
+) {
+    let (k, across) = along.split(op.rows, op.cols);
+    let mut k0 = 0;
+    op.for_each(&mut |v| {
+        let (kv, av) = along.split(v.rows, v.cols);
+        assert_eq!(av, across, "a view spans {av} of the {across} its operand needs across k");
+        let (lo, hi) = (k0.max(pc), (k0 + kv).min(pc + kc));
+        if lo < hi {
+            f(v, lo - pc, lo - k0..hi - k0);
+        }
+        k0 += kv;
+    });
+    // A gap would leave stale pack-arena words in the panels.
+    assert_eq!(k0, k, "the views span {k0} of their operand's k = {k}");
 }
 
 /// A register micro-kernel: `(apanel, bpanel, cv, ldc, c0, kc, mr, nr)`, see
@@ -142,8 +284,8 @@ impl<F: Fn(&[f64], &[f64], &mut [f64], usize, usize, usize, usize, usize) + Copy
 /// The `jc -> pc -> ic` cache-blocking loops over one `m x n x k` product,
 /// at register tile `MR x NR`.
 fn blocked<const MR: usize, const NR: usize>(
-    av: &[f64],
-    bv: &[f64],
+    a: &Operand,
+    b: &Operand,
     cv: &mut [f64],
     m: usize,
     n: usize,
@@ -158,11 +300,11 @@ fn blocked<const MR: usize, const NR: usize>(
             let mut pc = 0;
             while pc < k {
                 let kc = KC.min(k - pc);
-                pack_b_panel::<NR>(bv, bpack, n, pc, kc, jc, nc);
+                pack_b_panel::<NR>(b, bpack, pc, kc, jc, nc);
                 let mut ic = 0;
                 while ic < m {
                     let mc = MC.min(m - ic);
-                    pack_a_panel::<MR>(av, apack, k, ic, mc, pc, kc);
+                    pack_a_panel::<MR>(a, apack, ic, mc, pc, kc);
                     macro_kernel::<MR, NR>(apack, bpack, cv, n, ic, mc, jc, nc, kc, micro_kernel);
                     ic += mc;
                 }
@@ -175,63 +317,62 @@ fn blocked<const MR: usize, const NR: usize>(
 
 /// Pack `A[ic..ic+mc, pc..pc+kc]` as `MR`-row micro-panels: element
 /// `(ir + i, kk)` of the block lands at `panel_base + kk * MR + i`, zero-padded
-/// to a multiple of `MR` rows.
+/// to a multiple of `MR` rows. Each A view fills the panel columns it holds.
 fn pack_a_panel<const MR: usize>(
-    av: &[f64],
+    a: &Operand,
     apack: &mut Vec<f64>,
-    lda: usize,
     ic: usize,
     mc: usize,
     pc: usize,
     kc: usize,
 ) {
-    // No `clear`: every word of the new length is written below, so a stale
-    // arena needs no zeroing pass.
+    // No `clear`: the views tile k, so every word of the new length is
+    // written below, and a stale arena needs no zeroing pass.
     apack.resize(mc.div_ceil(MR) * MR * kc, 0.0);
-    for (p, panel) in apack.chunks_exact_mut(MR * kc).enumerate() {
-        let ir = p * MR;
-        let ablock = &av[(ic + ir) * lda + pc..];
-        if mc - ir >= MR {
-            for (kk, col) in panel.chunks_exact_mut(MR).enumerate() {
-                for i in 0..MR {
-                    col[i] = ablock[i * lda + kk];
+    each_view_in(a, KAlong::Cols, pc, kc, |v, at, ks| {
+        for (p, panel) in apack.chunks_exact_mut(MR * kc).enumerate() {
+            let ir = p * MR;
+            let ablock = &v.data[(ic + ir) * v.ld + ks.start..];
+            let cols = panel[at * MR..(at + ks.len()) * MR].chunks_exact_mut(MR);
+            if mc - ir >= MR {
+                for (kk, col) in cols.enumerate() {
+                    for i in 0..MR {
+                        col[i] = ablock[i * v.ld + kk];
+                    }
                 }
-            }
-        } else {
-            // The one ragged panel pays for the row test.
-            for (kk, col) in panel.chunks_exact_mut(MR).enumerate() {
-                for i in 0..MR {
-                    col[i] = if i < mc - ir { ablock[i * lda + kk] } else { 0.0 };
+            } else {
+                // The one ragged panel pays for the row test.
+                for (kk, col) in cols.enumerate() {
+                    for i in 0..MR {
+                        col[i] = if i < mc - ir { ablock[i * v.ld + kk] } else { 0.0 };
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 /// Pack `B[pc..pc+kc, jc..jc+nc]` as `NR`-column micro-panels: element
 /// `(kk, jr + j)` of the block lands at `panel_base + kk * NR + j`, zero-padded
-/// to a multiple of `NR` columns.
+/// to a multiple of `NR` columns. Each B view fills the panel rows it holds.
 fn pack_b_panel<const NR: usize>(
-    bv: &[f64],
+    b: &Operand,
     bpack: &mut Vec<f64>,
-    ldb: usize,
     pc: usize,
     kc: usize,
     jc: usize,
     nc: usize,
 ) {
-    bpack.clear();
-    bpack.reserve(nc.div_ceil(NR) * NR * kc);
-    let mut jr = 0;
-    while jr < nc {
-        let cols = NR.min(nc - jr);
-        for kk in 0..kc {
-            let brow = &bv[(pc + kk) * ldb + jc + jr..][..cols];
-            bpack.extend_from_slice(brow);
-            bpack.extend(std::iter::repeat_n(0.0, NR - cols));
+    bpack.resize(nc.div_ceil(NR) * NR * kc, 0.0);
+    each_view_in(b, KAlong::Rows, pc, kc, |v, at, ks| {
+        for (p, panel) in bpack.chunks_exact_mut(NR * kc).enumerate() {
+            let (jr, cols) = (p * NR, NR.min(nc - p * NR));
+            for (kk, row) in ks.clone().zip(panel[at * NR..].chunks_exact_mut(NR)) {
+                row[..cols].copy_from_slice(&v.data[kk * v.ld + jc + jr..][..cols]);
+                row[cols..].fill(0.0);
+            }
         }
-        jr += NR;
-    }
+    });
 }
 
 /// Multiply one packed A panel (`mc x kc`) by one packed B panel (`kc x nc`)
@@ -390,6 +531,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
 
     fn reference(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -492,6 +634,70 @@ mod tests {
         }
     }
 
+    /// `src[rows, cols]` row-major with `pad` NaNs after every row: the data
+    /// and leading dimension of a strided view.
+    fn padded(src: &Matrix, rows: Range<usize>, cols: Range<usize>, pad: usize) -> (Vec<f64>, usize) {
+        let mut data = Vec::new();
+        for i in rows {
+            data.extend_from_slice(&src.row(i)[cols.clone()]);
+            data.extend(std::iter::repeat_n(f64::NAN, pad));
+        }
+        (data, cols.len() + pad)
+    }
+
+    #[test]
+    fn packed_matches_naive_bitwise_on_segmented_operands() {
+        // A and B cut at different k points: empty views, views narrower
+        // than a register tile and wider than KC, a cut on a KC edge. Two of
+        // every three views are strided, their rows padded with NaNs that no
+        // packer may read. One product per register tile.
+        let k = 2 * KC + 40;
+        let a_cuts = [0, 1, 1, 3, KC, KC + 2, 2 * KC + 9, k];
+        let b_cuts = [0, 5, KC + 11, KC + 11, KC + 12, k];
+        let pad = |i: usize| [0, 3, 1][i % 3];
+        for (m, n) in [(NARROW.0 + 3, NARROW.1 + 5), (MC + 5, WIDE.1 * 2 + 5)] {
+            let a = Matrix::deterministic(m, k, 31);
+            let b = Matrix::deterministic(k, n, 32);
+            let a_parts: Vec<_> = a_cuts
+                .windows(2)
+                .enumerate()
+                .map(|(i, c)| padded(&a, 0..m, c[0]..c[1], pad(i)))
+                .collect();
+            let b_parts: Vec<_> = b_cuts
+                .windows(2)
+                .enumerate()
+                .map(|(i, c)| padded(&b, c[0]..c[1], 0..n, pad(i + 1)))
+                .collect();
+            let a_walk = |f: &mut dyn FnMut(View<'_>)| {
+                for (c, (data, ld)) in a_cuts.windows(2).zip(&a_parts) {
+                    f(View::new(data, m, c[1] - c[0], *ld));
+                }
+            };
+            let b_walk = |f: &mut dyn FnMut(View<'_>)| {
+                for (c, (data, ld)) in b_cuts.windows(2).zip(&b_parts) {
+                    f(View::new(data, c[1] - c[0], n, *ld));
+                }
+            };
+            let mut c1 = Matrix::from_fn(m, n, |i, j| (i + 3 * j) as f64 * 0.5 - 1.25);
+            let mut c2 = c1.clone();
+            gemm_naive(&a, &b, &mut c1);
+            gemm_packed(Operand::segmented(m, k, &a_walk), Operand::segmented(k, n, &b_walk), &mut c2);
+            assert!(
+                same_bits(&c1, &c2),
+                "segmented operands diverged at {m}x{n}x{k} on the {:?} tile",
+                tile_for(m, n)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the views span 3 of their operand's k = 4")]
+    fn segmented_operands_must_tile_k() {
+        let (a, b) = (Matrix::deterministic(2, 4, 1), Matrix::deterministic(4, 2, 2));
+        let short = |f: &mut dyn FnMut(View<'_>)| f(View::new(a.as_slice(), 2, 3, 4));
+        gemm_packed(Operand::segmented(2, 4, &short), &b, &mut Matrix::zeros(2, 2));
+    }
+
     #[test]
     fn kernels_agree_bitwise_on_signed_zeros_and_non_finite_entries() {
         // Small integers (exact zeros of both signs among them) with a row of
@@ -592,7 +798,7 @@ mod tests {
                 (36, 1, 28, 1),
                 (8, 16, 0, 1),
             ] {
-                pack_a_panel::<MR>(a.as_slice(), apack, a.cols(), ic, mc, pc, kc);
+                pack_a_panel::<MR>(&a.into(), apack, ic, mc, pc, kc);
                 let want = pack_a_panel_by_push::<MR>(a.as_slice(), a.cols(), ic, mc, pc, kc);
                 let same = apack.iter().map(|x| x.to_bits()).eq(want.iter().map(|x| x.to_bits()));
                 assert!(same, "MR {MR}: rows {ic}..+{mc}, columns {pc}..+{kc}");

@@ -5,12 +5,13 @@
 //! ScaLAPACK block-cyclic format for interoperability (§7.6 of the paper); this
 //! crate provides from-scratch replacements:
 //!
-//! * [`matrix`] — a row-major `f64` matrix with block extraction/insertion and
+//! * [`matrix`] — a row-major `f64` matrix with block extraction and in-place
 //!   views, used both by the local kernels and by the distributed algorithms to
 //!   describe sub-domains.
 //! * [`gemm`] — local matrix-multiplication kernels: a reference naive kernel
 //!   and a packed register-blocked kernel (the one every library path calls,
-//!   the paper's §7 "local tuning"). Both compute `C += A * B` so that the
+//!   the paper's §7 "local tuning"), which reads its operands as views in
+//!   place, one or many along k. Both compute `C += A * B` so that the
 //!   distributed algorithms can accumulate partial results exactly like the
 //!   paper's rank-1-update formulation (Listing 1).
 //! * [`layout`] — distributed data layouts: the ScaLAPACK block-cyclic layout

@@ -2,18 +2,20 @@
 //!
 //! The distributed algorithms in this workspace constantly cut matrices into
 //! rectangular blocks (local domains, panels, k-slabs). `Matrix` therefore
-//! focuses on cheap, explicit block extraction/insertion rather than on a
-//! full linear-algebra API.
+//! focuses on cheap, explicit block extraction and in-place block views
+//! rather than on a full linear-algebra API.
 
 use std::fmt;
 use std::ops::Range;
+
+use crate::gemm::View;
 
 /// A dense, row-major `f64` matrix.
 ///
 /// Element `(i, j)` lives at `data[i * cols + j]`. All distributed algorithms
 /// in this workspace move sub-blocks of `Matrix` values between simulated
-/// ranks, so the block accessors ([`Matrix::block`], [`Matrix::copy_block`],
-/// [`Matrix::append_block`]) are the workhorse API.
+/// ranks, so the block accessors ([`Matrix::block`], [`Matrix::append_block`],
+/// [`Matrix::view`]) are the workhorse API.
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -179,29 +181,17 @@ impl Matrix {
         }
     }
 
-    /// Overwrite the sub-matrix starting at `(r0, c0)` with `src`.
+    /// The sub-matrix `rows x cols` read in place — what [`Matrix::block`]
+    /// copies, as a [`View`] for [`gemm_packed`](crate::gemm::gemm_packed).
     ///
     /// # Panics
-    /// Panics if `src` does not fit.
-    pub fn set_block(&mut self, r0: usize, c0: usize, src: &Matrix) {
-        self.copy_block(r0, c0, src, 0..src.rows, 0..src.cols);
-    }
-
-    /// Overwrite the sub-matrix starting at `(r0, c0)` with the sub-matrix
-    /// `rows x cols` of `src`: `set_block(r0, c0, &src.block(rows, cols))`
-    /// without the temporary.
-    ///
-    /// # Panics
-    /// Panics if the ranges exceed `src` or the block does not fit.
-    pub fn copy_block(&mut self, r0: usize, c0: usize, src: &Matrix, rows: Range<usize>, cols: Range<usize>) {
-        assert!(rows.end <= src.rows, "row range out of bounds");
-        assert!(cols.end <= src.cols, "col range out of bounds");
-        assert!(r0 + rows.len() <= self.rows, "block rows out of bounds");
-        assert!(c0 + cols.len() <= self.cols, "block cols out of bounds");
-        for (i, r) in rows.enumerate() {
-            let dst = (r0 + i) * self.cols + c0;
-            self.data[dst..dst + cols.len()].copy_from_slice(&src.row(r)[cols.clone()]);
-        }
+    /// Panics if the ranges exceed the matrix bounds.
+    pub fn view(&self, rows: Range<usize>, cols: Range<usize>) -> View<'_> {
+        assert!(rows.end <= self.rows, "row range out of bounds");
+        assert!(cols.end <= self.cols, "col range out of bounds");
+        // An empty block may start one past the last word.
+        let start = (rows.start * self.cols + cols.start).min(self.data.len());
+        View::new(&self.data[start..], rows.len(), cols.len(), self.cols)
     }
 
     /// Return the transpose as a new matrix.
@@ -381,34 +371,34 @@ mod tests {
     }
 
     #[test]
-    fn set_block_then_block_roundtrip() {
-        let mut m = Matrix::zeros(5, 5);
-        let b = Matrix::from_fn(2, 3, |i, j| (1 + i * 3 + j) as f64);
-        m.set_block(2, 1, &b);
-        assert_eq!(m.block(2..4, 1..4), b);
-        assert_eq!(m.get(0, 0), 0.0);
-        assert_eq!(m.get(4, 4), 0.0);
-    }
-
-    #[test]
-    fn copy_block_and_append_block_match_the_temporaries_they_replace() {
+    fn append_block_and_view_match_the_block_they_name() {
         let src = Matrix::from_fn(5, 6, |i, j| (i * 6 + j) as f64);
-        for (rows, cols) in [(1..4, 2..5), (0..5, 0..6), (2..2, 1..3), (3..5, 4..4)] {
-            let (mut direct, mut via_block) = (Matrix::zeros(7, 8), Matrix::zeros(7, 8));
-            direct.copy_block(2, 1, &src, rows.clone(), cols.clone());
-            via_block.set_block(2, 1, &src.block(rows.clone(), cols.clone()));
-            assert_eq!(direct, via_block, "{rows:?} x {cols:?}");
+        for (rows, cols) in [
+            (1..4, 2..5),
+            (0..5, 0..6),
+            (2..2, 1..3),
+            (3..5, 4..4),
+            (5..5, 6..6),
+            (4..5, 6..6),
+        ] {
             let mut out = vec![9.0];
             src.append_block(rows.clone(), cols.clone(), &mut out);
             assert_eq!(out[0], 9.0, "appends, does not clear");
-            assert_eq!(&out[1..], src.block(rows, cols).as_slice());
+            let block = src.block(rows.clone(), cols.clone());
+            assert_eq!(&out[1..], block.as_slice(), "{rows:?} x {cols:?}");
+            // A view reads the same words in place: multiplied by the
+            // identity it is the block.
+            let mut c = Matrix::zeros(rows.len(), cols.len());
+            let eye = Matrix::from_fn(cols.len(), cols.len(), |i, j| if i == j { 1.0 } else { 0.0 });
+            crate::gemm::gemm_packed(src.view(rows.clone(), cols.clone()), &eye, &mut c);
+            assert_eq!(c, block, "{rows:?} x {cols:?}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "block cols out of bounds")]
-    fn copy_block_rejects_a_block_that_does_not_fit() {
-        Matrix::zeros(2, 2).copy_block(0, 1, &Matrix::zeros(2, 2), 0..2, 0..2);
+    #[should_panic(expected = "col range out of bounds")]
+    fn view_rejects_a_block_outside_the_matrix() {
+        let _ = Matrix::zeros(2, 2).view(0..2, 1..3);
     }
 
     #[test]

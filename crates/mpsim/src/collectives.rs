@@ -246,92 +246,137 @@ pub async fn reduce_sum(
     }
 }
 
-/// Bruck all-gather, in place on the destination slab: `slab` is a row-major
-/// `rows × cut(g)` matrix in which member `j` of the `g`-member `fiber` owns
-/// block `j` — columns `cut(j)..cut(j + 1)` of every row (`cut` monotone from
-/// `cut(0) = 0`). The caller (member `pos`) has written its own block; on
-/// return every block is in place. `⌈log₂ g⌉` rounds of doubling block counts
-/// instead of the ring's `g − 1` steps, for the same received words (every
-/// foreign block arrives exactly once) — the latency-optimized pattern of the
-/// paper's §7.2 trees.
+/// The blocks a gather brought to member `pos` of its fiber, left in the
+/// buffers they arrived in. Block `j` is words `cut(j)..cut(j + 1)` of all
+/// the blocks in order; the buffers hold the foreign ones back to back in
+/// cyclic order from block `pos + 1`, each buffer whole blocks. Nothing is
+/// copied into one slab: [`Gathered::for_each_piece`] hands the blocks out in
+/// ascending order where they lie, and [`Gathered::recycle`] returns the
+/// buffers to the world's arena once they have been read. It keeps no table
+/// of blocks: a rank holds one of these across the next gather's awaits.
+#[derive(Debug)]
+pub struct Gathered {
+    /// The caller's own block, `cut(pos)..cut(pos + 1)`.
+    own: Range<usize>,
+    bufs: Vec<Vec<f64>>,
+}
+
+impl Gathered {
+    /// The blocks around `own` (`cut(pos)..cut(pos + 1)`), which `bufs` hold
+    /// back to back in cyclic order from the block after it.
+    ///
+    /// # Panics
+    /// Panics if `bufs` hold fewer words than the blocks before `own`.
+    pub fn new(own: Range<usize>, bufs: Vec<Vec<f64>>) -> Self {
+        let words: usize = bufs.iter().map(Vec::len).sum();
+        assert!(words >= own.start, "{words} gathered words for {} before the own block", own.start);
+        Gathered { own, bufs }
+    }
+
+    /// Calls `f(at, words)` for every piece of the blocks in ascending order:
+    /// `at` is where the piece lies among all the blocks' words, `words` are
+    /// its words where they arrived, and `None` stands for the caller's own
+    /// block, which it reads where it keeps it. A piece is whole consecutive
+    /// blocks of one buffer; empty pieces other than the own block are
+    /// skipped.
+    pub fn for_each_piece(&self, mut f: impl FnMut(Range<usize>, Option<&[f64]>)) {
+        // In arrival order the blocks after the own one come first, then
+        // the wrap to block 0 and the `own.start` words of the blocks before.
+        let words: usize = self.bufs.iter().map(Vec::len).sum();
+        let after = words - self.own.start;
+        self.pieces(after..words, 0, &mut f);
+        f(self.own.clone(), None);
+        self.pieces(0..after, self.own.end, &mut f);
+    }
+
+    /// Words `range` of the buffers taken back to back, placed from `at` on:
+    /// one call per buffer they touch.
+    fn pieces(&self, range: Range<usize>, at: usize, f: &mut impl FnMut(Range<usize>, Option<&[f64]>)) {
+        let mut start = 0;
+        for buf in &self.bufs {
+            let (lo, hi) = (range.start.max(start), range.end.min(start + buf.len()));
+            if lo < hi {
+                f(at + lo - range.start..at + hi - range.start, Some(&buf[lo - start..hi - start]));
+            }
+            start += buf.len();
+        }
+    }
+
+    /// Hand every buffer back to the world's arena.
+    pub fn recycle(self, comm: &RankComm) {
+        for buf in self.bufs {
+            comm.recycle(buf);
+        }
+    }
+}
+
+/// Bruck all-gather of blocks that stay where they arrive: member `j` of the
+/// `g`-member `fiber` owns block `j`, `cut(j + 1) − cut(j)` words (`cut`
+/// monotone from `cut(0) = 0`). The caller, member `pos`, keeps its own block
+/// wherever it lies and hands [`allgather_bruck`] `own`, which appends that
+/// block's words to an outgoing payload; the foreign blocks come back as a
+/// [`Gathered`]. `⌈log₂ g⌉` rounds of doubling block counts instead of the
+/// ring's `g − 1` steps, for the same received words (every foreign block
+/// arrives exactly once) — the latency-optimized pattern of the paper's §7.2
+/// trees.
 ///
-/// The blocks a round moves are consecutive (mod `g`), so they are at most two
-/// column runs of the slab — up to its right edge, then the wrap from column
-/// 0. Each round packs its runs into one pooled payload (run after run, each
-/// row-major: one slice copy per row per run) and unpacks the received one
-/// straight to its final position: `O(log g)` buffers, `O(words + log g)` work
-/// and no table per rank. All members must pass the same `rows` and `cut`.
-#[allow(clippy::too_many_arguments)]
+/// A round sends the `want` blocks from `pos` on (mod `g`) as one pooled
+/// payload, block after block: the own block, appended by `own`, then the
+/// leading words of the payloads received so far, which hold the next blocks
+/// in that order. The received payload is kept as it is. So a word is copied
+/// into each payload it leaves in and never out of one, and a rank holds
+/// `O(log g)` buffers and no table. All members must pass the same `cut`.
 pub async fn allgather_bruck(
     comm: &mut RankComm,
     fiber: Fiber,
     pos: usize,
-    slab: &mut [f64],
-    rows: usize,
+    own: impl Fn(&mut Vec<f64>),
     cut: impl Fn(usize) -> usize,
     tag: u64,
     phase: Phase,
-) {
-    let (g, width) = (fiber.len, cut(fiber.len));
+) -> Gathered {
+    let g = fiber.len;
     assert_eq!(fiber.rank(pos), comm.rank(), "rank {} is not at position {pos} of its fiber", comm.rank());
-    assert_eq!(cut(0), 0, "the first block starts at column 0");
-    assert_eq!(slab.len(), rows * width, "slab size mismatch");
+    assert_eq!(cut(0), 0, "the first block starts at word 0");
+    let words_of = |first, count| {
+        block_runs(&cut, g, first, count)
+            .into_iter()
+            .map(|run| run.len())
+            .sum::<usize>()
+    };
+    let mut bufs: Vec<Vec<f64>> = Vec::with_capacity(g.next_power_of_two().trailing_zeros() as usize);
     // Before the round with distance `step` I hold blocks pos..pos + step
-    // (mod g).
+    // (mod g): mine, then `bufs` in arrival order.
     let (mut step, mut round) = (1usize, 0u64);
     while step < g {
         let want = (g - step).min(step);
         let dst = fiber.rank((pos + g - step) % g);
         let src = fiber.rank((pos + step) % g);
         // dst lacks my first `want` blocks (its collection ends at pos - 1).
-        let mine = block_runs(&cut, g, pos, want);
-        let words = rows * mine.iter().map(|run| run.len()).sum::<usize>();
+        let words = words_of(pos, want);
         let mut payload = comm.pool().take_clear(words);
-        for run in mine {
-            pack_run(slab, width, run, &mut payload);
+        own(&mut payload);
+        assert_eq!(payload.len(), words_of(pos, 1), "the own block is {} words", words_of(pos, 1));
+        for buf in &bufs {
+            let rest = words - payload.len();
+            payload.extend_from_slice(&buf[..rest.min(buf.len())]);
         }
         let received = comm.sendrecv(dst, src, tag.wrapping_add(round), payload, phase).await;
-        let mut off = 0;
-        for run in block_runs(&cut, g, (pos + step) % g, want) {
-            let words = rows * run.len();
-            unpack_run(slab, width, run, &received[off..off + words]);
-            off += words;
-        }
-        assert_eq!(off, received.len(), "bruck payload framing mismatch");
-        comm.recycle(received);
+        let expected = words_of((pos + step) % g, want);
+        assert_eq!(received.len(), expected, "bruck payload framing mismatch");
+        bufs.push(received);
         step <<= 1;
         round += 1;
     }
+    Gathered::new(cut(pos)..cut(pos + 1), bufs)
 }
 
-/// The columns of blocks `first..first + count` (mod `g`) of a slab cut at
-/// `cut`: the run up to the slab's right edge, then the wrap from column 0
-/// (empty unless the blocks wrap).
+/// The words of blocks `first..first + count` (mod `g`) of a gather cut at
+/// `cut`: the run up to the last block, then the wrap from block 0 (empty
+/// unless the blocks wrap).
 fn block_runs(cut: &impl Fn(usize) -> usize, g: usize, first: usize, count: usize) -> [Range<usize>; 2] {
     let end = first + count;
     [cut(first)..cut(end.min(g)), 0..cut(end.saturating_sub(g))]
-}
-
-/// Append columns `cols` of a row-major slab `width` wide to `out`, row-major.
-fn pack_run(slab: &[f64], width: usize, cols: Range<usize>, out: &mut Vec<f64>) {
-    if !cols.is_empty() {
-        for row in slab.chunks_exact(width) {
-            out.extend_from_slice(&row[cols.clone()]);
-        }
-    }
-}
-
-/// Copy `src` — one `cols.len()`-word piece per slab row, row-major — to
-/// columns `cols` of a row-major slab `width` wide. The inverse of the packing
-/// [`allgather_bruck`] sends, for callers that fetch blocks some other way
-/// (RMA `get`).
-pub fn unpack_run(slab: &mut [f64], width: usize, cols: Range<usize>, src: &[f64]) {
-    if !cols.is_empty() {
-        assert_eq!(src.len() * width, slab.len() * cols.len(), "one piece per slab row");
-        for (row, piece) in slab.chunks_exact_mut(width).zip(src.chunks_exact(cols.len())) {
-            row[cols.clone()].copy_from_slice(piece);
-        }
-    }
 }
 
 /// Ring reduce-scatter: element-wise sum of every member's `data`, scattered
@@ -720,12 +765,14 @@ mod tests {
                 stride: 1,
                 len: 1,
             };
-            let mut slab = vec![3.0];
-            allgather_bruck(&mut c, alone, 0, &mut slab, 1, |j| j, 12, Phase::InputA).await;
-            slab
+            let own = |_: &mut Vec<f64>| panic!("a lone member sends nothing");
+            let got = allgather_bruck(&mut c, alone, 0, own, |j| 3 * j, 12, Phase::InputA).await;
+            let mut pieces = Vec::new();
+            got.for_each_piece(|at, words| pieces.push((at, words.is_some())));
+            pieces
         })
         .unwrap();
-        assert_eq!(out.results[0], vec![3.0]);
+        assert_eq!(out.results[0], vec![(0..3, false)]);
         assert_eq!((out.stats[0].total_recv(), out.stats[0].msgs_sent), (0, 0));
     }
 
@@ -734,8 +781,24 @@ mod tests {
         stats.iter().map(|s| s.sans_time()).collect()
     }
 
-    /// Gather a `rows × cuts[g]` slab whose word `i` is `i` over a world of
-    /// `g` ranks; every rank starts with its own block and −1 elsewhere.
+    /// All the blocks' words in order, rebuilt from `got`'s pieces with the
+    /// own block's words `own` put where its piece says. Every piece starts
+    /// where the last one ended, on a block boundary (`is_cut`).
+    fn rebuilt(got: &Gathered, own: &[f64], is_cut: impl Fn(usize) -> bool) -> Vec<f64> {
+        let mut words = Vec::new();
+        got.for_each_piece(|at, piece| {
+            let piece = piece.unwrap_or(own);
+            assert_eq!((at.start, at.len()), (words.len(), piece.len()), "pieces back to back");
+            assert!(is_cut(at.start) && is_cut(at.end), "a piece is whole blocks");
+            words.extend_from_slice(piece);
+        });
+        words
+    }
+
+    /// The blocks of a `rows × cuts[g]` row-major matrix whose word `i` is
+    /// `i` — block `j` being columns `cuts[j]..cuts[j + 1]`, row by row —
+    /// gathered over a world of `g` ranks, [`rebuilt`]. Every rank appends its
+    /// own block row by row from the matrix, as COSMA does from A.
     fn bruck_world(
         spec: &MachineSpec,
         backend: ExecBackend,
@@ -743,24 +806,28 @@ mod tests {
         cuts: &[usize],
     ) -> crate::exec::RunOutput<Vec<f64>> {
         run_spmd_with(spec, backend, |mut c| async move {
-            let (pos, width) = (c.rank(), cuts[cuts.len() - 1]);
-            let mut slab = vec![-1.0; rows * width];
-            for r in 0..rows {
-                for col in cuts[pos]..cuts[pos + 1] {
-                    slab[r * width + col] = (r * width + col) as f64;
-                }
-            }
-            let g = cuts.len() - 1;
-            allgather_bruck(&mut c, world(g), pos, &mut slab, rows, |j| cuts[j], 40, Phase::InputA).await;
-            slab
+            let (pos, g) = (c.rank(), cuts.len() - 1);
+            let own: Vec<f64> = matrix_block(rows, cuts, pos).collect();
+            let append = |out: &mut Vec<f64>| out.extend_from_slice(&own);
+            let cut = |j| rows * cuts[j];
+            let got = allgather_bruck(&mut c, world(g), pos, append, cut, 40, Phase::InputA).await;
+            let words = rebuilt(&got, &own, |w| cuts.iter().any(|&c| rows * c == w));
+            got.recycle(&c);
+            words
         })
         .unwrap()
     }
 
+    /// Block `j` of [`bruck_world`]'s matrix, row by row.
+    fn matrix_block(rows: usize, cuts: &[usize], j: usize) -> impl Iterator<Item = f64> + '_ {
+        let width = cuts[cuts.len() - 1];
+        (0..rows).flat_map(move |r| (cuts[j]..cuts[j + 1]).map(move |col| (r * width + col) as f64))
+    }
+
     #[test]
-    fn bruck_allgather_fills_the_slab_in_place() {
+    fn bruck_allgather_delivers_every_foreign_block_once() {
         for g in 1usize..=33 {
-            // Uneven blocks (every third one empty), and a slab narrower
+            // Uneven blocks (every third one empty), and a matrix narrower
             // than the group: most blocks empty.
             let uneven: Vec<usize> = (0..=g).map(|j| j - j / 3).collect();
             let narrow: Vec<usize> = (0..=g).map(|j| even_cut(g / 3, g, j)).collect();
@@ -770,7 +837,7 @@ mod tests {
                     let spec = MachineSpec::test_machine(g, 10_000);
                     let out = bruck_world(&spec, BLOCKING, rows, cuts);
                     let total = rows * cuts[g];
-                    let want: Vec<f64> = (0..total).map(|i| i as f64).collect();
+                    let want: Vec<f64> = (0..g).flat_map(|j| matrix_block(rows, cuts, j)).collect();
                     let msgs = g.next_power_of_two().trailing_zeros() as u64;
                     for (r, st) in out.stats.iter().enumerate() {
                         assert_eq!(out.results[r], want, "{what} rank {r}");
@@ -848,12 +915,15 @@ mod tests {
         bcast(&mut c, &group, 0, &mut data, 1, Phase::InputA).await;
         let mut sum = vec![c.rank() as f64];
         reduce_sum(&mut c, &group, 0, &mut sum, 2, Phase::OutputC).await;
-        // One word per rank, gathered in place; count the blocks that came.
+        // One word per rank; count the words that came to their place.
         let (me, p) = (c.rank(), c.size());
-        let mut slab = vec![-1.0; p];
-        slab[me] = me as f64;
-        allgather_bruck(&mut c, world(p), me, &mut slab, 1, |j| j, 3, Phase::InputB).await;
-        let gathered = slab.iter().enumerate().filter(|&(j, &v)| v == j as f64).count();
+        let own = [me as f64];
+        let got =
+            allgather_bruck(&mut c, world(p), me, |out| out.extend_from_slice(&own), |j| j, 3, Phase::InputB)
+                .await;
+        let words = rebuilt(&got, &own, |_| true);
+        got.recycle(&c);
+        let gathered = words.iter().enumerate().filter(|&(j, &v)| v == j as f64).count();
         (data, sum, gathered)
     }
 

@@ -1159,8 +1159,8 @@ fn stats_bits(stats: &[mpsim::RankStats]) -> Vec<(mpsim::RankStats, [u64; 3])> {
 /// and k-fiber in turn, so all fibers of a direction run at once on bases
 /// ≠ 0 and strides `gn·gk`, `gk` and 1. Each fiber length 1..=33 takes each
 /// direction once (the other two extents are drawn from 1..=2), with uneven
-/// or mostly-empty generated cuts and 1 or 3 slab rows. Every slab completes,
-/// every foreign word arrives exactly once in `⌈log₂ g⌉` messages per gather,
+/// or mostly-empty generated cuts and 1 or 3 rows per block. Every foreign
+/// block arrives exactly once, in order, in `⌈log₂ g⌉` messages per gather,
 /// and blocking, event and unpooled event worlds agree on results and stats —
 /// the event clocks bit for bit.
 #[test]
@@ -1195,9 +1195,16 @@ fn bruck_allgather_on_grid_fibers_agrees_across_backends() {
             });
             let cuts = &cuts;
             let what = format!("grid {dims:?} rows={rows} cuts={cuts:?}");
-            // Word `i` of the slab gathered along direction `axis` by the
-            // fiber that starts at rank `base`.
-            let word = |axis: usize, base: usize, i: usize| ((axis * 1000 + base) * 1000 + i) as f64;
+            // Block `j` of the `rows × cuts[len]` matrix gathered along
+            // direction `axis` by the fiber that starts at rank `base`, row by
+            // row: word `i` of the matrix is `(axis, base, i)`.
+            let block = |axis: usize, base: usize, j: usize| -> Vec<f64> {
+                let (cuts, width) = (&cuts[axis], cuts[axis][dims[axis]]);
+                let word = |i: usize| ((axis * 1000 + base) * 1000 + i) as f64;
+                (0..rows)
+                    .flat_map(|r| (cuts[j]..cuts[j + 1]).map(move |col| word(r * width + col)))
+                    .collect()
+            };
             let body = move |mut c: mpsim::RankComm| async move {
                 let (im, jn, ik) = grid.coords_of(c.rank());
                 let lines = [
@@ -1205,32 +1212,37 @@ fn bruck_allgather_on_grid_fibers_agrees_across_backends() {
                     (grid.j_fiber(im, ik), jn),
                     (grid.k_fiber(im, jn), ik),
                 ];
-                let mut slabs = Vec::new();
+                let mut gathered = Vec::new();
                 for (axis, (fiber, pos)) in lines.into_iter().enumerate() {
-                    let (cuts, width) = (&cuts[axis], cuts[axis][fiber.len]);
-                    let mut slab = vec![-1.0; rows * width];
-                    for r in 0..rows {
-                        for col in cuts[pos]..cuts[pos + 1] {
-                            slab[r * width + col] = word(axis, fiber.base, r * width + col);
-                        }
-                    }
+                    let own = block(axis, fiber.base, pos);
+                    let cut = |j: usize| rows * cuts[axis][j];
                     let tag = 100 * axis as u64;
-                    allgather_bruck(&mut c, fiber, pos, &mut slab, rows, |j| cuts[j], tag, Phase::InputA)
-                        .await;
-                    slabs.push((fiber.base, slab));
+                    let append = |out: &mut Vec<f64>| out.extend_from_slice(&own);
+                    let got = allgather_bruck(&mut c, fiber, pos, append, cut, tag, Phase::InputA).await;
+                    // Every block's words in order, each piece starting where
+                    // the last ended, on a block boundary.
+                    let mut words = Vec::new();
+                    got.for_each_piece(|at, piece| {
+                        let piece = piece.unwrap_or(&own);
+                        assert_eq!((at.start, at.len()), (words.len(), piece.len()), "pieces back to back");
+                        assert!((0..=fiber.len).any(|j| cut(j) == at.start), "a piece starts a block");
+                        words.extend_from_slice(piece);
+                    });
+                    got.recycle(&c);
+                    gathered.push((fiber.base, words));
                 }
-                slabs
+                gathered
             };
             let spec = MachineSpec::test_machine(grid.size(), 10_000);
             let blocking = run_spmd_with(&spec, ExecBackend::Blocking { workers: 4 }, body).unwrap();
-            for (r, (slabs, st)) in blocking.results.iter().zip(&blocking.stats).enumerate() {
+            for (r, (gathered, st)) in blocking.results.iter().zip(&blocking.stats).enumerate() {
                 let (im, jn, ik) = grid.coords_of(r);
                 let (mut words, mut msgs) = (0, 0);
                 for (axis, pos) in [im, jn, ik].into_iter().enumerate() {
                     let (cuts, len) = (&cuts[axis], dims[axis]);
-                    let (base, slab) = &slabs[axis];
-                    let want: Vec<f64> = (0..rows * cuts[len]).map(|i| word(axis, *base, i)).collect();
-                    assert_eq!(slab, &want, "{what}: rank {r} direction {axis}");
+                    let (base, got) = &gathered[axis];
+                    let want: Vec<f64> = (0..len).flat_map(|j| block(axis, *base, j)).collect();
+                    assert_eq!(got, &want, "{what}: rank {r} direction {axis}");
                     words += rows * (cuts[len] - (cuts[pos + 1] - cuts[pos]));
                     msgs += cosma::treecount::allgather_bruck_msgs(len);
                 }

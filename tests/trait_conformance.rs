@@ -380,12 +380,15 @@ fn event_xl_world_executes_end_to_end() {
     let report = execute_boxed(&algo, &plan, &spec, ExecBackend::event(), &a, &b)
         .unwrap_or_else(|e| panic!("p={p}: {e}"));
     let grown = (common::vm_hwm_kib() - before) as f64 * 1024.0 / p as f64;
-    // What a rank must hold at the lockstep peak is one A slab, one B slab
-    // and its C tile — the plan's `mem_words` counts the slabs twice (§7.3
-    // double buffering, which the simulator models and does not allocate).
-    // Everything else — future, slab, counters, heap entries, packets in
-    // flight — reads 2 240–2 460 B per rank with mailboxes chained through one
-    // packet arena per region (2 480–2 660 B with a deque per rank).
+    // What a rank holds at the lockstep peak is the A and B blocks it
+    // received — one A slab and one B slab less its own blocks, which it
+    // reads in place — and its C tile; the bound takes the whole slabs, and
+    // the plan's `mem_words` counts them twice (§7.3 double buffering, which
+    // the simulator models and does not allocate). Everything else — future,
+    // payload headers, counters, heap entries, packets in flight — reads
+    // 1 360–1 370 B per rank at p = 16 384 now that no rank keeps a zeroed
+    // slab (2 370 B with slabs; 2 240–2 460 B across the legs when mailboxes
+    // became chains through one packet arena per region).
     let data_words = |r: &cosma::plan::RankPlan| {
         let tile = r.bricks.first().map_or(0, |b| b.rows.len() * b.cols.len());
         (r.mem_words + tile as u64) / 2
