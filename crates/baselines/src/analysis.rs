@@ -12,13 +12,6 @@ pub fn summa_io(prob: &MmmProblem) -> f64 {
     k * (m + n) / p.sqrt() + m * n / p
 }
 
-/// The replication factor `c = pS/(mk + nk)` of the 2.5D algorithm,
-/// clamped to `[1, p^(1/3)]` like Solomonik & Demmel.
-pub fn p25d_replication(prob: &MmmProblem) -> f64 {
-    let (m, n, k, p, s) = (prob.m as f64, prob.n as f64, prob.k as f64, prob.p as f64, prob.mem_words as f64);
-    (p * s / (m * k + n * k)).clamp(1.0, p.cbrt())
-}
-
 /// Table 3, 2.5D row: `Q = (k(m+n))^(3/2)/(p√S) + mnS/(k(m+n))`.
 pub fn p25d_io(prob: &MmmProblem) -> f64 {
     let (m, n, k, p, s) = (prob.m as f64, prob.n as f64, prob.k as f64, prob.p as f64, prob.mem_words as f64);
@@ -49,7 +42,7 @@ pub fn carma_io(prob: &MmmProblem) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosma::analysis::io_cost;
+    use cosma::schedule::io_cost;
 
     fn square(p: usize, s: usize) -> MmmProblem {
         MmmProblem::new(4096, 4096, 4096, p, s)
@@ -103,16 +96,6 @@ mod tests {
                 assert!(q_carma / q_cosma < 3f64.sqrt() + 0.2);
             }
         }
-    }
-
-    #[test]
-    fn p25d_replication_regimes() {
-        // Tiny memory: c = 1 (degenerates to 2D/Cannon).
-        let tight = square(64, 4096 * 4096 / 32);
-        assert!((p25d_replication(&tight) - 1.0).abs() < 0.6);
-        // Huge memory: c capped at p^(1/3).
-        let roomy = square(64, 1 << 30);
-        assert!((p25d_replication(&roomy) - 4.0).abs() < 1e-9);
     }
 
     #[test]

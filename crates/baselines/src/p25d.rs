@@ -17,10 +17,9 @@ use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture};
 use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
-use cosma::treecount;
 use densemat::gemm::gemm_packed;
 use densemat::matrix::Matrix;
-use mpsim::collectives::{bcast, reduce_sum};
+use mpsim::collectives::{bcast, reduce_recv_count, reduce_sum};
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
 use mpsim::stats::Phase;
@@ -187,7 +186,7 @@ pub fn plan_ranks(
         }
         // Reduction of partial C onto layer 0.
         if c > 1 {
-            let recvs = treecount::reduce_recv_count(l, c);
+            let recvs = reduce_recv_count(l, c);
             let c_words = recvs * (lm * ln) as u64;
             rounds.push(Round {
                 a_words: 0,
@@ -300,7 +299,7 @@ pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matri
         let fiber = geo.k_fiber(i, j);
         let mut data = c_local.into_vec();
         reduce_sum(comm, &fiber, 0, &mut data, 99, Phase::OutputC).await;
-        let recvs = treecount::reduce_recv_count(l, c);
+        let recvs = reduce_recv_count(l, c);
         comm.record_flops(recvs * (lm * ln) as u64);
         if l != 0 {
             return Vec::new();

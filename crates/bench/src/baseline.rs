@@ -433,7 +433,7 @@ fn analytic_q(algo: AlgoId, prob: &MmmProblem) -> f64 {
         AlgoId::Summa => baselines::analysis::summa_io(prob),
         AlgoId::P25d => baselines::analysis::p25d_io(prob),
         AlgoId::Carma => baselines::analysis::carma_io(prob),
-        _ => cosma::analysis::io_cost(prob),
+        _ => cosma::schedule::io_cost(prob),
     }
 }
 

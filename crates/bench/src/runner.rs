@@ -175,7 +175,7 @@ pub fn compared_algorithms() -> Vec<Arc<dyn MmmAlgorithm>> {
 }
 
 /// One algorithm's end-to-end *executed* outcome on one problem instance:
-/// the plan's word-exact prediction next to what the executor actually
+/// the plan's word- and message-exact prediction next to what the executor actually
 /// measured with real messages — the row form of the conformance contract.
 #[derive(Debug, Clone)]
 pub struct ExecutedRow {
@@ -189,7 +189,8 @@ pub struct ExecutedRow {
     pub planned_mb: f64,
     /// Total words actually received across ranks, in MB.
     pub measured_mb: f64,
-    /// Whether every single rank's measured traffic equals its plan.
+    /// Whether every single rank's measured words and messages equal its
+    /// plan's.
     pub exact: bool,
     /// Host wall-clock seconds of the executed run.
     pub wall_s: f64,
@@ -293,11 +294,9 @@ fn execute_rows(
                 prob.p,
                 want.max_abs_diff(&report.c)
             );
-            let exact = report
-                .stats
-                .iter()
-                .enumerate()
-                .all(|(r, st)| st.total_recv() == plan.ranks[r].comm_words());
+            let exact = report.stats.iter().enumerate().all(|(r, st)| {
+                st.total_recv() == plan.ranks[r].comm_words() && st.msgs_recv == plan.ranks[r].comm_msgs()
+            });
             let peak_mem_words = aggregate::max_peak_mem(&report.stats);
             let measured_time_s = aggregate::machine_time_s(&report.stats);
             Some(ExecutedRow {

@@ -205,31 +205,29 @@ pub fn measure(n_jobs: usize, backend: Option<ExecBackend>) -> ServeMetrics {
     }
 }
 
-/// The plans of the roster, for reuse in tests: each combo's winning
-/// algorithm under the default model.
-pub fn roster_selections() -> Vec<(MmmProblem, AlgoChoice, AlgoId)> {
-    let model = CostModel::piz_daint_two_sided();
-    let planner = AutoPlanner::new(baselines::registry());
-    unique_combos()
-        .into_iter()
-        .map(|(prob, choice)| {
-            let algo = planner
-                .select(&prob, &model, true, &choice)
-                .expect("roster plans")
-                .selection
-                .algo;
-            (prob, choice, algo)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Each roster combo's winning algorithm under the default model.
+    fn roster_selections() -> Vec<AlgoId> {
+        let model = CostModel::piz_daint_two_sided();
+        let planner = AutoPlanner::new(baselines::registry());
+        unique_combos()
+            .into_iter()
+            .map(|(prob, choice)| {
+                planner
+                    .select(&prob, &model, true, &choice)
+                    .expect("roster plans")
+                    .selection
+                    .algo
+            })
+            .collect()
+    }
+
     #[test]
     fn roster_spans_at_least_three_algorithms() {
-        let mut winners: Vec<AlgoId> = roster_selections().into_iter().map(|(_, _, algo)| algo).collect();
+        let mut winners = roster_selections();
         winners.sort();
         winners.dedup();
         assert!(winners.len() >= 3, "winners: {winners:?}");

@@ -21,12 +21,14 @@
 //!   in the paper, where collectives remain MPI even in the RMA
 //!   configuration).
 //!
-//! Both backends move exactly the words the plan predicts — the integration
-//! tests assert equality against the mpiP-style counters.
+//! Both backends move exactly the words and messages the plan predicts — the
+//! integration tests assert equality against the mpiP-style counters.
 
 use densemat::gemm::{gemm_packed, Operand, View};
 use densemat::matrix::Matrix;
-use mpsim::collectives::{allgather_bruck, even_cut, reduce_scatter_ring, Fiber, Gathered};
+use mpsim::collectives::{
+    allgather_bruck, allgather_bruck_msgs, even_cut, reduce_scatter_ring, Fiber, Gathered,
+};
 pub use mpsim::collectives::{even_owner, even_range};
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
@@ -37,7 +39,6 @@ use crate::grid::{fit_ranks, Grid3};
 use crate::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use crate::problem::MmmProblem;
 use crate::schedule::latency_steps;
-use crate::treecount;
 
 /// Communication backend (§7.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,6 +106,8 @@ pub fn plan_ranks(
         let per_bucket = sp.steps.div_ceil(buckets);
         let mut rounds = Vec::with_capacity(buckets + 1);
         let mut max_slab = 0usize;
+        // Two-sided, a slab's gathers are Bruck all-gathers along both fibers.
+        let bruck_msgs = allgather_bruck_msgs(grid.gn) + allgather_bruck_msgs(grid.gm);
         for chunk in sp.slabs.chunks(per_bucket) {
             let mut acc = Round::default();
             for &w in chunk {
@@ -116,8 +119,10 @@ pub fn plan_ranks(
                 // B slab (w x ln): rows owned along the i-fiber.
                 let b_own_rows = even_range(w, grid.gm, im).len();
                 acc.b_words += ((w - b_own_rows) * ln) as u64;
-                acc.msgs +=
-                    treecount::allgather_bruck_msgs(grid.gn) + treecount::allgather_bruck_msgs(grid.gm);
+                acc.msgs += match cfg.backend {
+                    Backend::TwoSided => bruck_msgs,
+                    Backend::OneSided => one_sided_gets(w, grid.gn, jn) + one_sided_gets(w, grid.gm, im),
+                };
                 acc.flops += 2 * (lm * ln * w) as u64;
             }
             rounds.push(acc);
@@ -153,6 +158,15 @@ pub fn plan_ranks(
         problem: *prob,
         grid: [grid.gm, grid.gn, grid.gk],
     })
+}
+
+/// The `get`s member `pos` of a `g`-member fiber issues gathering one round's
+/// `w` balanced columns (or rows) one-sided: one per non-empty foreign block,
+/// and [`even_range`] gives the non-empty blocks to the first `min(w, g)`
+/// members.
+fn one_sided_gets(w: usize, g: usize, pos: usize) -> u64 {
+    let full = w.min(g);
+    (full - usize::from(pos < full)) as u64
 }
 
 /// Maximum number of plan rounds per rank; longer step sequences are grouped
@@ -479,6 +493,7 @@ mod tests {
                 dplan.ranks[r].comm_words(),
                 "rank {r} traffic mismatch ({backend:?})"
             );
+            assert_eq!(st.msgs_recv, dplan.ranks[r].comm_msgs(), "rank {r} messages ({backend:?})");
         }
         (dplan, out.stats)
     }
@@ -512,9 +527,10 @@ mod tests {
 
     #[test]
     fn one_sided_gathers_read_only_the_non_empty_blocks() {
-        // The same narrow-slab grids: a `get` per non-empty foreign block of
-        // every A and B slab plus the gk − 1 ring steps, and nothing for the
-        // empty blocks (half of a 16-member fiber over an 8-column slab).
+        // The same narrow-slab grids: the plan prices a `get` per non-empty
+        // foreign block of every A and B slab plus the gk − 1 ring steps, and
+        // nothing for the empty blocks (half of a 16-member fiber over an
+        // 8-column slab); every rank's measured reads are the plan's.
         for (m, n, k, p) in [(16, 16, 16, 512), (17, 19, 23, 510)] {
             let (dplan, stats) = check_cosma(m, n, k, p, 4096, Backend::OneSided);
             let [gm, gn, gk] = dplan.grid;
@@ -535,7 +551,8 @@ mod tests {
                     }
                     reads += gk - 1;
                 }
-                assert_eq!(st.msgs_recv, reads as u64, "{m}x{n}x{k} p={p}: rank {} reads", rp.rank);
+                assert_eq!(rp.comm_msgs(), reads as u64, "{m}x{n}x{k} p={p}: rank {} planned reads", rp.rank);
+                assert_eq!(st.msgs_recv, rp.comm_msgs(), "{m}x{n}x{k} p={p}: rank {} reads", rp.rank);
             }
             assert!(empty_blocks > 0, "{m}x{n}x{k} p={p}: the case has no empty block to skip");
         }

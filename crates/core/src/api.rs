@@ -375,11 +375,6 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    /// Total words received across all ranks.
-    pub fn total_recv_words(&self) -> u64 {
-        self.stats.iter().map(RankStats::total_recv).sum()
-    }
-
     /// Measured machine time: the slowest rank's virtual finish time, in
     /// seconds. Zero on a run that pinned [`ExecBackend::Blocking`].
     pub fn measured_time_s(&self) -> f64 {
@@ -820,11 +815,12 @@ impl RunSession {
     }
 
     /// [`execute`](Self::execute), then verify the product against the
-    /// sequential kernel and the measured traffic against the plan, rank by
-    /// rank — the reproduction's central consistency contract.
+    /// sequential kernel and the measured words and messages against the
+    /// plan, rank by rank — the reproduction's central consistency contract.
     ///
     /// # Panics
-    /// Panics if the product or any rank's traffic deviates from the plan.
+    /// Panics if the product deviates from the sequential kernel or any
+    /// rank's received words or messages deviate from the plan.
     pub fn execute_verified(&self, a: &Matrix, b: &Matrix) -> Result<(DistPlan, ExecReport), PlanError> {
         let (algo, plan) = self.resolved_plan()?;
         let report =
@@ -841,6 +837,12 @@ impl RunSession {
                 st.total_recv(),
                 plan.ranks[r].comm_words(),
                 "{}: rank {r} measured traffic deviates from the plan",
+                plan.algo
+            );
+            assert_eq!(
+                st.msgs_recv,
+                plan.ranks[r].comm_msgs(),
+                "{}: rank {r} measured messages deviate from the plan",
                 plan.algo
             );
         }
@@ -958,8 +960,8 @@ mod tests {
         let prob = MmmProblem::new(24, 20, 28, 6, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 5);
         let b = Matrix::deterministic(prob.k, prob.n, 6);
-        let (plan, report) = RunSession::new(prob).execute_verified(&a, &b).unwrap();
-        assert_eq!(report.total_recv_words(), plan.total_comm_words());
+        // The verification is the call: product, words and messages.
+        RunSession::new(prob).execute_verified(&a, &b).unwrap();
     }
 
     #[test]
@@ -1082,8 +1084,7 @@ mod tests {
         let prob = MmmProblem::new(24, 20, 28, 6, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 5);
         let b = Matrix::deterministic(prob.k, prob.n, 6);
-        let (plan, report) = RunSession::new(prob).exec_backend(BLOCKING).execute_verified(&a, &b).unwrap();
-        assert_eq!(report.total_recv_words(), plan.total_comm_words());
+        RunSession::new(prob).exec_backend(BLOCKING).execute_verified(&a, &b).unwrap();
     }
 
     #[test]

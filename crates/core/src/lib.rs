@@ -22,9 +22,12 @@
 //!    messages: per-round A/B all-gathers along grid fibers (`DistrData`),
 //!    local tiled GEMM (`Multiply`), and a balanced ring reduce-scatter of C
 //!    (`Reduce`; the output stays in COSMA's blocked layout), with two-sided
-//!    or one-sided (§7.4) backends;
-//! 6. [`analysis`] — the closed-form I/O and latency costs (Table 3, Eq. 33)
-//!    to compare against the measured plan.
+//!    or one-sided (§7.4) backends.
+//!
+//! The closed-form per-rank I/O of Eq. 33 (Table 3's COSMA row) is
+//! [`schedule::io_cost`], beside the domain it reads. The message counts a
+//! plan prices its collectives by live beside those collectives in
+//! [`mpsim::collectives`].
 //!
 //! Baseline algorithms (`baselines` crate) produce the same [`plan::DistPlan`]
 //! structure, so every comparison in the paper's evaluation is a comparison
@@ -39,14 +42,12 @@
 #![forbid(unsafe_code)]
 
 pub mod algorithm;
-pub mod analysis;
 pub mod api;
 pub mod grid;
 pub mod layout;
 pub mod plan;
 pub mod problem;
 pub mod schedule;
-pub mod treecount;
 
 pub use algorithm::{execute, plan as cosma_plan, Backend, CosmaConfig};
 pub use api::{

@@ -162,13 +162,6 @@ impl RankPlan {
         self.rounds.iter().map(|r| r.flops).sum()
     }
 
-    /// This rank's *planned* time under `model` — the per-rank number an
-    /// event-backend execution's measured `RankStats::time` is held
-    /// against.
-    pub fn time_breakdown(&self, model: &CostModel, overlap: bool) -> TimeBreakdown {
-        self.time_and_words(model, overlap).0
-    }
-
     /// One pass over the rounds: the planned time and the words received.
     fn time_and_words(&self, model: &CostModel, overlap: bool) -> (TimeBreakdown, u64) {
         let mut words = 0u64;

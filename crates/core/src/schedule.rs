@@ -9,7 +9,8 @@
 //!
 //! giving every rank an `[a × a × b]` local domain: in the *limited memory*
 //! regime the C-tile face is pinned at `√S × √S` and the domain grows along
-//! k; with *extra memory* the domain is a cube. The latency-minimizing round
+//! k; with *extra memory* the domain is a cube; [`io_cost`] is Eq. 33's
+//! per-rank I/O of that domain. The latency-minimizing round
 //! size `s = ⌊(S − a²)/(2a)⌋` (Line 6) splits the k-extent into
 //! `t = ⌈b/s⌉` communication steps (§6.3, I/O–latency trade-off).
 //!
@@ -48,6 +49,15 @@ pub fn optimal_domain(prob: &MmmProblem) -> OptimalDomain {
         a: find_seq_schedule(prob),
         b: parallelize_schedule(prob),
     }
+}
+
+/// Eq. 33: COSMA's per-rank I/O cost
+/// `Q = min{2mnk/(p√S) + S, 3(mnk/p)^(2/3)}`, selected by regime like the
+/// bound of Theorem 2 (`a = min(√S, (mnk/p)^(1/3))` decides the branch).
+pub fn io_cost(prob: &MmmProblem) -> f64 {
+    let d = optimal_domain(prob);
+    // Q = 2ab + a² with the optimal a, b.
+    2.0 * d.a * d.b + d.a * d.a
 }
 
 /// The communication-step structure of one rank's local domain (§6.3 and
@@ -116,6 +126,21 @@ mod tests {
         let d = optimal_domain(&prob);
         assert!((d.a - 1024.0).abs() < 1e-6);
         assert!((d.b - 1024.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn io_cost_matches_theorem2_in_both_regimes() {
+        use pebbles::bounds::theorem2_parallel_bound;
+        // Limited memory: mnk/p = 2^30 >= S^{3/2} with S = 2^16.
+        let limited = MmmProblem::new(1 << 12, 1 << 12, 1 << 12, 64, 1 << 16);
+        let q = io_cost(&limited);
+        let bound = theorem2_parallel_bound(limited.m, limited.n, limited.k, limited.p, limited.mem_words);
+        assert!((q - bound).abs() / bound < 1e-9, "limited: {q} vs {bound}");
+        // Extra memory: cubic branch.
+        let extra = MmmProblem::new(1 << 12, 1 << 12, 1 << 12, 64, 1 << 26);
+        let q = io_cost(&extra);
+        let bound = theorem2_parallel_bound(extra.m, extra.n, extra.k, extra.p, extra.mem_words);
+        assert!((q - bound).abs() / bound < 1e-9, "extra: {q} vs {bound}");
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!
 //! Traffic accounting is inherited from the point-to-point layer: interior
 //! tree nodes both receive and forward, exactly as an MPI implementation
-//! would be measured by mpiP.
+//! would be measured by mpiP. The plan-side counts a plan prices a
+//! collective by sit beside it ([`bcast_pipelined_recv_msgs`],
+//! [`reduce_recv_count`], [`allgather_bruck_msgs`]), and each equals what
+//! its collective is measured to receive.
 //!
 //! Every collective is an `async fn` over [`RankComm`]: each internal
 //! receive or exchange is a resumable wait-state, so the collectives run
@@ -225,25 +228,42 @@ pub async fn reduce_sum(
     let relative = (pos + g - root_pos) % g;
     let abs = |rel: usize| group[(rel + root_pos) % g];
 
-    let mut mask = 1usize;
-    while mask < g {
-        if relative & mask == 0 {
-            let src_rel = relative | mask;
-            if src_rel < g {
-                let chunk = comm.recv(abs(src_rel), tag, phase).await;
-                assert_eq!(chunk.len(), data.len(), "reduce length mismatch");
-                for (d, s) in data.iter_mut().zip(&chunk) {
-                    *d += *s;
-                }
-                comm.recycle(chunk);
-            }
-        } else {
-            let payload = comm.pool().take_copy(data);
-            comm.send(abs(relative - mask), tag, payload, phase);
-            break;
+    for child in reduce_children(relative, g) {
+        let chunk = comm.recv(abs(child), tag, phase).await;
+        assert_eq!(chunk.len(), data.len(), "reduce length mismatch");
+        for (d, s) in data.iter_mut().zip(&chunk) {
+            *d += *s;
         }
-        mask <<= 1;
+        comm.recycle(chunk);
     }
+    // The parent owns our lowest set bit.
+    if relative != 0 {
+        let payload = comm.pool().take_copy(data);
+        comm.send(abs(relative & (relative - 1)), tag, payload, phase);
+    }
+}
+
+/// The tree positions a member at `relative` (root = 0) of a `g`-member
+/// [`reduce_sum`] receives from, in the order it does: `relative + 2^b` for
+/// every bit below its lowest set one (every bit, for the root) that stays
+/// inside the group.
+fn reduce_children(relative: usize, g: usize) -> impl Iterator<Item = usize> {
+    let below = if relative == 0 {
+        g
+    } else {
+        1 << relative.trailing_zeros()
+    };
+    (0..usize::BITS)
+        .map(|bit| 1usize << bit)
+        .take_while(move |&mask| mask < below && relative + mask < g)
+        .map(move |mask| relative + mask)
+}
+
+/// Messages a member at tree position `relative` (root = 0) receives in a
+/// [`reduce_sum`] over a `g`-member group — the plan-side mirror of the
+/// executed tree, walked by the same iteration over a member's children.
+pub fn reduce_recv_count(relative: usize, g: usize) -> u64 {
+    reduce_children(relative, g).count() as u64
 }
 
 /// The blocks a gather brought to member `pos` of its fiber, left in the
@@ -344,7 +364,7 @@ pub async fn allgather_bruck(
             .map(|run| run.len())
             .sum::<usize>()
     };
-    let mut bufs: Vec<Vec<f64>> = Vec::with_capacity(g.next_power_of_two().trailing_zeros() as usize);
+    let mut bufs: Vec<Vec<f64>> = Vec::with_capacity(allgather_bruck_msgs(g) as usize);
     // Before the round with distance `step` I hold blocks pos..pos + step
     // (mod g): mine, then `bufs` in arrival order.
     let (mut step, mut round) = (1usize, 0u64);
@@ -369,6 +389,16 @@ pub async fn allgather_bruck(
         round += 1;
     }
     Gathered::new(cut(pos)..cut(pos + 1), bufs)
+}
+
+/// Messages every member receives in an [`allgather_bruck`] over `g`
+/// members: one per round, `⌈log₂ g⌉`.
+pub fn allgather_bruck_msgs(g: usize) -> u64 {
+    if g <= 1 {
+        0
+    } else {
+        (usize::BITS - (g - 1).leading_zeros()) as u64
+    }
 }
 
 /// The words of blocks `first..first + count` (mod `g`) of a gather cut at
@@ -757,6 +787,67 @@ mod tests {
     }
 
     #[test]
+    fn reduce_counts_conserve_messages() {
+        // Every non-root sends exactly once, so the receives add up to g − 1.
+        for g in 1..40 {
+            let recvs: u64 = (0..g).map(|r| reduce_recv_count(r, g)).sum();
+            assert_eq!(recvs, (g - 1) as u64, "g={g}");
+        }
+    }
+
+    #[test]
+    fn reduce_root_receives_log() {
+        assert_eq!(reduce_recv_count(0, 8), 3);
+        assert_eq!(reduce_recv_count(0, 5), 3);
+        assert_eq!(reduce_recv_count(2, 8), 1); // receives from 3, sends to 0
+        assert_eq!(reduce_recv_count(1, 8), 0);
+        assert_eq!(reduce_recv_count(0, 1), 0);
+    }
+
+    #[test]
+    fn reduce_sum_receives_what_reduce_recv_count_plans() {
+        // Every group size and root, on the event engine and the blocking
+        // reference: each member's measured receives are the plan's count,
+        // and the root holds the sum.
+        for g in 1usize..=33 {
+            let spec = MachineSpec::test_machine(g, 1000);
+            for root in 0..g {
+                for backend in [ExecBackend::event(), ExecBackend::Blocking { workers: 2 }] {
+                    let out = run_spmd_with(&spec, backend, |mut c| async move {
+                        let group: Vec<usize> = (0..c.size()).collect();
+                        let mut data = vec![c.rank() as f64];
+                        reduce_sum(&mut c, &group, root, &mut data, 5, Phase::OutputC).await;
+                        data
+                    })
+                    .unwrap();
+                    assert_eq!(
+                        out.results[root],
+                        vec![(g * (g - 1) / 2) as f64],
+                        "g={g} root={root} {backend}"
+                    );
+                    for (r, st) in out.stats.iter().enumerate() {
+                        let relative = (r + g - root) % g;
+                        assert_eq!(
+                            st.msgs_recv,
+                            reduce_recv_count(relative, g),
+                            "g={g} root={root} {backend}: rank {r}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allgather_bruck_msgs_is_ceil_log2() {
+        assert_eq!(allgather_bruck_msgs(1), 0);
+        assert_eq!(allgather_bruck_msgs(2), 1);
+        assert_eq!(allgather_bruck_msgs(5), 3);
+        assert_eq!(allgather_bruck_msgs(8), 3);
+        assert_eq!(allgather_bruck_msgs(9), 4);
+    }
+
+    #[test]
     fn allgather_singleton_group_is_free() {
         let spec = MachineSpec::test_machine(2, 1000);
         let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
@@ -838,12 +929,11 @@ mod tests {
                     let out = bruck_world(&spec, BLOCKING, rows, cuts);
                     let total = rows * cuts[g];
                     let want: Vec<f64> = (0..g).flat_map(|j| matrix_block(rows, cuts, j)).collect();
-                    let msgs = g.next_power_of_two().trailing_zeros() as u64;
                     for (r, st) in out.stats.iter().enumerate() {
                         assert_eq!(out.results[r], want, "{what} rank {r}");
                         let own = rows * (cuts[r + 1] - cuts[r]);
                         assert_eq!(st.total_recv() as usize, total - own, "{what} rank {r} words");
-                        assert_eq!(st.msgs_recv, msgs, "{what} rank {r} msgs");
+                        assert_eq!(st.msgs_recv, allgather_bruck_msgs(g), "{what} rank {r} msgs");
                     }
                     // The arena and the backend are invisible to results,
                     // counters and (event) virtual time.

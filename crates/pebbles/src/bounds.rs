@@ -75,17 +75,6 @@ pub fn intensity_lower_bound(total_volume: u64, rho_max: f64) -> f64 {
     total_volume as f64 / rho_max
 }
 
-/// Hong & Kung's original bound (Lemma 1): `Q ≥ S · (H(2S) − 1)` given the
-/// minimum number of parts of a valid `2S`-partition.
-pub fn hong_kung_bound(s: usize, h_2s: usize) -> u64 {
-    (s as u64) * (h_2s.saturating_sub(1) as u64)
-}
-
-/// Our generalized bound (Lemma 3): `Q ≥ (X − R(S) + T(S)) · (H(X) − 1)`.
-pub fn lemma3_bound(x: usize, reuse: usize, store: usize, h_x: usize) -> i64 {
-    (x as i64 - reuse as i64 + store as i64) * (h_x.saturating_sub(1) as i64)
-}
-
 /// Optimal X-partition parameters of Eq. 24–25: subcomputation shape
 /// `a = b = ⌊√S⌋`, `c = 1`, partition size `X = a² + 2a`, and the maximal
 /// computational intensity `ρ = a/2`.
@@ -263,13 +252,6 @@ mod tests {
     #[should_panic(expected = "undefined")]
     fn intensity_rejects_nonpositive_denominator() {
         let _ = computational_intensity(10, 4, 5, 0);
-    }
-
-    #[test]
-    fn hong_kung_and_lemma3() {
-        assert_eq!(hong_kung_bound(8, 5), 32);
-        assert_eq!(hong_kung_bound(8, 0), 0);
-        assert_eq!(lemma3_bound(16, 4, 2, 3), (16 - 4 + 2) * 2);
     }
 
     #[test]

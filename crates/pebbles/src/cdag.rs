@@ -73,31 +73,6 @@ impl Cdag {
             .collect()
     }
 
-    /// A topological order of all vertices.
-    ///
-    /// # Panics
-    /// Panics if the graph contains a cycle (it would not be a CDAG).
-    pub fn topo_order(&self) -> Vec<VertexId> {
-        let n = self.len();
-        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
-        let mut queue: Vec<VertexId> = (0..n as VertexId).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            order.push(v);
-            for &w in &self.succs[v as usize] {
-                indeg[w as usize] -= 1;
-                if indeg[w as usize] == 0 {
-                    queue.push(w);
-                }
-            }
-        }
-        assert_eq!(order.len(), n, "CDAG contains a cycle");
-        order
-    }
-
     /// True when every vertex of `targets` is unreachable from every input
     /// without passing through `blockers` — i.e. `blockers` is a dominator
     /// set of `targets` (paper §4, definition of `Dom(V_i)`).
@@ -255,21 +230,6 @@ mod tests {
     fn self_loop_panics() {
         let mut g = Cdag::new(1);
         g.add_edge(0, 0);
-    }
-
-    #[test]
-    fn topo_order_respects_edges() {
-        let mut g = Cdag::new(5);
-        g.add_edge(0, 2);
-        g.add_edge(1, 2);
-        g.add_edge(2, 3);
-        g.add_edge(2, 4);
-        let order = g.topo_order();
-        let pos = |v: VertexId| order.iter().position(|&x| x == v).unwrap();
-        assert!(pos(0) < pos(2));
-        assert!(pos(1) < pos(2));
-        assert!(pos(2) < pos(3));
-        assert!(pos(2) < pos(4));
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl<'g> GameRun<'g> {
         self.moves_applied
     }
 
-    /// Does `v` currently hold a red pebble?
-    pub fn has_red(&self, v: VertexId) -> bool {
-        self.red[v as usize]
-    }
-
     /// Does `v` currently hold a blue pebble?
     pub fn has_blue(&self, v: VertexId) -> bool {
         self.blue[v as usize]
@@ -275,7 +270,7 @@ mod tests {
         let run = GameRun::new(&g, 3);
         assert!(run.has_blue(0));
         assert!(!run.has_blue(1));
-        assert!(!run.has_red(0));
+        assert_eq!(run.red_count(), 0);
         assert_eq!(run.io(), 0);
     }
 

@@ -8,7 +8,6 @@
 //! I/O of a *real* execution, not a formula.
 
 use crate::bounds;
-use crate::cdag::VertexId;
 use crate::game::Move;
 use crate::mmm::MmmCdag;
 
@@ -84,37 +83,38 @@ pub fn near_optimal_moves(g: &MmmCdag, s: usize) -> (Vec<Move>, usize, usize) {
     (tiled_moves(g, a, b), a, b)
 }
 
-/// The X-partition induced by the tiled schedule: one part per
-/// `(tile, k-layer)` subcomputation, in execution order. Feeding this to
-/// [`crate::partition::validate_x_partition`] certifies the schedule's
-/// partition structure (§5.2.2).
-pub fn tiled_partition(g: &MmmCdag, a: usize, b: usize) -> Vec<Vec<VertexId>> {
-    let (m, n, k) = (g.m, g.n, g.k);
-    let mut parts = Vec::new();
-    let mut i0 = 0;
-    while i0 < m {
-        let i1 = (i0 + a).min(m);
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + b).min(n);
-            for t in 0..k {
-                let t1: Vec<usize> = (i0..i1).collect();
-                let t2: Vec<usize> = (j0..j1).collect();
-                parts.push(g.brick(&t1, &t2, &[t]));
-            }
-            j0 = j1;
-        }
-        i0 = i1;
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::{theorem1_lower_bound, tiled_io};
+    use crate::cdag::VertexId;
     use crate::game::{validate_complete, GameRun};
     use crate::partition::validate_x_partition;
+
+    /// The X-partition induced by the tiled schedule: one part per
+    /// `(tile, k-layer)` subcomputation, in execution order. Feeding this to
+    /// [`validate_x_partition`] certifies the schedule's partition structure
+    /// (§5.2.2).
+    fn tiled_partition(g: &MmmCdag, a: usize, b: usize) -> Vec<Vec<VertexId>> {
+        let (m, n, k) = (g.m, g.n, g.k);
+        let mut parts = Vec::new();
+        let mut i0 = 0;
+        while i0 < m {
+            let i1 = (i0 + a).min(m);
+            let mut j0 = 0;
+            while j0 < n {
+                let j1 = (j0 + b).min(n);
+                for t in 0..k {
+                    let t1: Vec<usize> = (i0..i1).collect();
+                    let t2: Vec<usize> = (j0..j1).collect();
+                    parts.push(g.brick(&t1, &t2, &[t]));
+                }
+                j0 = j1;
+            }
+            i0 = i1;
+        }
+        parts
+    }
 
     #[test]
     fn tiled_schedule_is_a_complete_valid_pebbling() {

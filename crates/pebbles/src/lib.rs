@@ -3,7 +3,7 @@
 //! This crate implements the theoretical half of the COSMA paper:
 //!
 //! * [`cdag`] — computational DAGs `G = (V, E)` (paper §2.2): generic storage,
-//!   inputs/outputs, topological utilities, reachability.
+//!   inputs/outputs, reachability.
 //! * [`mmm`] — the classical matrix-multiplication CDAG with its `A`, `B`, `C`
 //!   vertex families and the projections `φa`, `φb`, `φc` (§5.1).
 //! * [`game`] — the red-blue pebble game of Hong & Kung (§2.2): an engine that

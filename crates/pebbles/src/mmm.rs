@@ -159,17 +159,6 @@ impl MmmCdag {
         false
     }
 
-    /// All final-output vertices `C(i, j, k-1)`.
-    pub fn output_ids(&self) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(self.m * self.n);
-        for i in 0..self.m {
-            for j in 0..self.n {
-                out.push(self.c_id(i, j, self.k - 1));
-            }
-        }
-        out
-    }
-
     /// The subcomputation `V_r` of §5.1.2 for index sets `T1 x T2 x T3`
     /// (rows, cols, k-layers): all partial-sum vertices with those
     /// coordinates.
@@ -239,7 +228,6 @@ mod tests {
                 other => panic!("unexpected output {other:?}"),
             }
         }
-        assert_eq!(outputs, g.output_ids());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Ablations of the design choices the paper's §6–§7 call out:
 //!
-//! * the I/O–latency trade-off of §6.3 (tile size sweeps);
+//! * the round grouping of §6.3's latency steps (totals preserved);
 //! * the grid-fitting δ (idle-rank budget) of §7.1;
 //! * the overlap of §7.3 (time with vs without);
 //! * the one-sided backend of §7.4 (lower α ⇒ lower simulated time).
 
-use cosma::analysis::io_latency_tradeoff;
 use cosma::api::{AlgorithmRegistry, CosmaAlgorithm, RunSession};
 use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
@@ -29,32 +28,6 @@ fn cosma_plan_delta(prob: &MmmProblem, delta: f64) -> DistPlan {
         .registry(registry)
         .plan()
         .expect("feasible problem")
-}
-
-#[test]
-fn io_latency_tradeoff_has_the_paper_shape() {
-    // Q(a) falls monotonically up to sqrt(S); L(a) has a minimum strictly
-    // inside (0, sqrt(S)) because the shrinking buffer blows up the round
-    // count near the memory limit.
-    let prob = MmmProblem::new(1 << 11, 1 << 11, 1 << 11, 8, 40_000);
-    let s = (prob.mem_words as f64).sqrt();
-    let mut prev_q = f64::INFINITY;
-    let mut ls = Vec::new();
-    for i in 1..20 {
-        let a = s * i as f64 / 20.0;
-        let (q, l) = io_latency_tradeoff(&prob, a);
-        assert!(q < prev_q, "Q must fall with a (a={a})");
-        prev_q = q;
-        ls.push(l);
-    }
-    let min_idx = ls
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-        .expect("non-empty")
-        .0;
-    assert!(min_idx > 0 && min_idx < ls.len() - 1, "L minimum must be interior (at {min_idx})");
-    assert!(ls[ls.len() - 1] > ls[min_idx], "L explodes near a = sqrt(S)");
 }
 
 #[test]

@@ -1,4 +1,9 @@
-//! Helpers shared by the integration-test binaries (`mod common;`).
+//! Helpers shared by the integration-test binaries (`mod common;`). Not
+//! every binary calls every helper.
+#![allow(dead_code)]
+
+use cosma::plan::RankPlan;
+use mpsim::cost::{simulate_rounds, CostModel, RoundCost, TimeBreakdown};
 
 /// The process's peak resident set so far, in KiB.
 pub fn vm_hwm_kib() -> u64 {
@@ -8,4 +13,16 @@ pub fn vm_hwm_kib() -> u64 {
         .nth(1)
         .and_then(|kib| kib.parse().ok())
         .expect("a number of KiB")
+}
+
+/// A rank's *planned* time under `model`: its rounds through the α-β-γ
+/// simulation that scores the plan — the per-rank number an event-backend
+/// execution's measured `RankStats::time` is held against.
+pub fn time_breakdown(rank: &RankPlan, model: &CostModel, overlap: bool) -> TimeBreakdown {
+    let costs = rank.rounds.iter().map(|r| RoundCost {
+        words: r.words(),
+        msgs: r.msgs,
+        flops: r.flops,
+    });
+    simulate_rounds(costs, model, overlap)
 }

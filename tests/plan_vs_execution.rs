@@ -6,6 +6,8 @@
 //! Every algorithm is planned and executed through its [`MmmAlgorithm`]
 //! registry entry — no per-algorithm entry points.
 
+mod common;
+
 use cosma::api::{
     execute_boxed, AlgoId, AlgorithmRegistry, CosmaAlgorithm, MmmAlgorithm, PlanError, RunSession,
 };
@@ -73,22 +75,26 @@ fn cosma_plan_predicts_execution_exactly() {
 
 #[test]
 fn cosma_one_sided_backend_matches_same_plan() {
-    // §7.4: both backends move exactly the planned words.
-    let prob = MmmProblem::new(24, 24, 48, 8, 1 << 11);
+    // §7.4: both backends move exactly the planned words and messages. On
+    // the flat shape a 4-member fiber reads three blocks one-sided, one more
+    // than its two Bruck rounds two-sided.
     let mut registry = AlgorithmRegistry::core();
     registry.register(CosmaAlgorithm::with_config(CosmaConfig {
         backend: Backend::OneSided,
         ..CosmaConfig::default()
     }));
-    let session = RunSession::new(prob)
-        .machine(CostModel::piz_daint_one_sided())
-        .registry(registry);
-    let plan = session.plan().unwrap();
-    let (a, b) = inputs(&prob);
-    for backend in BACKENDS {
-        let report = session.clone().exec_backend(backend).execute(&a, &b).unwrap();
-        for (r, st) in report.stats.iter().enumerate() {
-            assert_eq!(st.total_recv(), plan.ranks[r].comm_words(), "{backend}: rank {r} words (RMA)");
+    for prob in [
+        MmmProblem::new(24, 24, 48, 8, 1 << 11),
+        MmmProblem::new(64, 64, 8, 16, 1 << 12),
+    ] {
+        let session = RunSession::new(prob)
+            .machine(CostModel::piz_daint_one_sided())
+            .registry(registry.clone());
+        let plan = session.plan().unwrap();
+        let (a, b) = inputs(&prob);
+        for backend in BACKENDS {
+            let report = session.clone().exec_backend(backend).execute(&a, &b).unwrap();
+            assert_traffic_matches(&plan, &report.stats);
         }
     }
 }
@@ -266,7 +272,7 @@ fn planned_time_predicts_measured_virtual_time() {
         let (a, b) = inputs(&prob);
         let report = session.execute(&a, &b).unwrap_or_else(|e| panic!("{id}: {e}"));
         for (r, st) in report.stats.iter().enumerate() {
-            let planned = plan.ranks[r].time_breakdown(&model, true);
+            let planned = common::time_breakdown(&plan.ranks[r], &model, true);
             assert!(
                 (st.time.compute_s - planned.compute_s).abs() <= 1e-12 * planned.compute_s.max(1.0),
                 "{id}: rank {r} measured compute {} s vs planned {} s",

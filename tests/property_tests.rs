@@ -1244,7 +1244,7 @@ fn bruck_allgather_on_grid_fibers_agrees_across_backends() {
                     let want: Vec<f64> = (0..len).flat_map(|j| block(axis, *base, j)).collect();
                     assert_eq!(got, &want, "{what}: rank {r} direction {axis}");
                     words += rows * (cuts[len] - (cuts[pos + 1] - cuts[pos]));
-                    msgs += cosma::treecount::allgather_bruck_msgs(len);
+                    msgs += mpsim::collectives::allgather_bruck_msgs(len);
                 }
                 assert_eq!(st.total_recv(), words as u64, "{what}: rank {r} words");
                 assert_eq!(st.msgs_recv, msgs, "{what}: rank {r} msgs");
