@@ -128,57 +128,6 @@ impl ServedRun {
     }
 }
 
-/// The fault section: the serve-conformance world (96×80×112, p = 64) served
-/// with a quiescent `FaultPlan` armed, then under a fixed-seed plan felling
-/// 15 ranks mid-run and `RetryPolicy::attempts(2)`.
-#[derive(Debug, Clone)]
-pub struct FaultFacts {
-    /// The run with the quiescent plan armed.
-    pub quiescent: ServedRun,
-    /// Whether that run's product and per-rank stats equal the clean run's
-    /// bit for bit.
-    pub quiescent_bitwise: bool,
-    /// The recovered run: a *clean* event run at the surviving p′, so its
-    /// traffic and clock are exactly reproducible. `None` when the faulted
-    /// job did not complete.
-    pub recovered: Option<ServedRun>,
-}
-
-/// Run the fault section.
-///
-/// # Panics
-/// Panics when the clean or the quiescent run fails — neither can.
-pub fn fault_run() -> FaultFacts {
-    use densemat::matrix::Matrix;
-    use serve::{FaultPlan, JobRequest, RetryPolicy, Server, ServerConfig};
-
-    let prob = MmmProblem::new(96, 80, 112, 64, 1 << 14);
-    let a = Matrix::deterministic(prob.m, prob.k, 5);
-    let b = Matrix::deterministic(prob.k, prob.n, 6);
-    let server = Server::new(baselines::registry(), ServerConfig::default()).expect("default config");
-    let clean = server
-        .run_sync(JobRequest::new(0, prob, a.clone(), b.clone()).backend(ExecBackend::event()))
-        .outcome
-        .expect("clean run");
-    let quiet = server.run_sync(JobRequest::new(1, prob, a.clone(), b.clone()).faults(FaultPlan::new(7)));
-    let quiescent_bitwise = quiet
-        .outcome
-        .as_ref()
-        .is_ok_and(|q| q.report.c == clean.report.c && q.report.stats == clean.report.stats);
-    // Deaths land in the first half of the clean makespan: mid-run whatever
-    // the cost model says.
-    let plan = FaultPlan::new(7).kill_exactly(15, clean.report.measured_time_s() / 2.0);
-    let recovered =
-        server.run_sync(JobRequest::new(2, prob, a, b).faults(plan).retry(RetryPolicy::attempts(2)));
-    let facts = FaultFacts {
-        quiescent: ServedRun::of(&quiet).expect("a quiescent fault plan cannot fail a run"),
-        quiescent_bitwise,
-        recovered: ServedRun::of(&recovered),
-    };
-    let _ = server.shutdown();
-    facts
-}
-
 /// The `faults` section: a 64-rank world (square 96³; the auto-planner picks
 /// CARMA at p = 64) served under seeded fault plans of increasing severity,
 /// each once with a single attempt (completion means the run happened to
@@ -626,8 +575,6 @@ pub struct Record {
     pub executed: Vec<(String, ExecutedRow)>,
     /// Executed timed worlds: `timed`, and `topo`'s cross-check.
     pub timed: Vec<Timed>,
-    /// The fault section ([`fault_run`]).
-    pub fault: Option<FaultFacts>,
     /// The serve section: a 64-job mixed stream, of which the record keeps
     /// only what repeats exactly (concurrent ≡ serial, the selected
     /// algorithms).
@@ -647,7 +594,8 @@ pub struct Record {
 }
 
 impl Record {
-    /// Every registry algorithm on the `exec` square problem at `p`.
+    /// Every registry algorithm on the executable square problem
+    /// ([`scenarios::exec_problem`]) at `p`.
     pub fn square(p: usize, backend: ExecBackend) -> Vec<(String, ExecutedRow)> {
         let prob = scenarios::exec_problem(Shape::Square, p);
         let rows = runner::execute_all(&prob, &model(), backend);
@@ -664,8 +612,8 @@ impl Record {
 
     /// The whole record: the gate's worlds — both executors, a small and a
     /// large world, an enforced memory budget, one and four scheduler
-    /// regions, recovery, serving and the local kernel — and every section
-    /// of [`SECTIONS`].
+    /// regions, serving and the local kernel — and every section of
+    /// [`SECTIONS`], fault recovery (`faults`) among them.
     pub fn full() -> Record {
         // A fixed worker count keeps the row keys stable across machines.
         let blocking = ExecBackend::Blocking { workers: 2 };
@@ -679,8 +627,8 @@ impl Record {
             executed.extend(Record::square(p, backend));
         }
         executed.extend(Record::square_tight(blocking));
-        // The exec-xxl shape at a CI-sized world, as one scheduler region and
-        // as four: `contracts` holds the pair bitwise equal.
+        // The large-world shape at a CI-sized world, as one scheduler region
+        // and as four: `contracts` holds the pair bitwise equal.
         let cosma = runner::registry().by_id(AlgoId::Cosma).expect("registry has COSMA");
         let xxl = scenarios::exec_xl_problem(4096);
         for backend in [ExecBackend::event(), ExecBackend::Event { threads: 4 }] {
@@ -689,8 +637,7 @@ impl Record {
         }
         let mut record = Record {
             executed,
-            fault: Some(fault_run()),
-            serve: Some(serve_bench::measure(64, None)),
+            serve: Some(serve_bench::measure(64)),
             kernel_bitwise: Some(kernel_bitwise()),
             ..Record::default()
         };
@@ -755,13 +702,6 @@ impl Record {
                     ..Line::on(ExecBackend::event(), t.scenario, r.algo.to_string())
                 });
             }
-        }
-        if let Some(f) = &self.fault {
-            out.push(Line {
-                bitwise: Some(f.quiescent_bitwise),
-                ..Line::served("fault-quiescent", &f.quiescent)
-            });
-            out.extend(f.recovered.iter().map(|run| Line::served("fault-recovered", run)));
         }
         if let Some(s) = &self.serve {
             let algos: Vec<&str> = s.algos_selected.iter().map(AlgoId::as_str).collect();
@@ -1161,15 +1101,6 @@ impl Record {
                 );
             }
         }
-        if let Some(f) = &self.fault {
-            claim(
-                f.quiescent_bitwise,
-                "fault-quiescent",
-                "a quiescent fault plan leaves the clean run bitwise untouched",
-            );
-            let recovered = f.recovered.as_ref().is_some_and(|run| run.attempts == 2 && run.degraded);
-            claim(recovered, "fault-recovered", "the faulted job completes in 2 attempts, degraded");
-        }
         if let Some(s) = &self.serve {
             claim(
                 s.all_match_serial,
@@ -1303,13 +1234,21 @@ impl Record {
             let order = q(Cosma, &tall) < q(P25d, &tall) && q(P25d, &tall) < q(Summa, &tall);
             claim(order, "table3/tall", "COSMA's cost is below 2.5D's, which is below 2D's");
         }
-        for (kills, seed, [once, retried]) in self.faults.iter().flat_map(|f| &f.runs) {
-            let dies = *kills > 0;
-            let recovers = retried
-                .as_ref()
-                .is_some_and(|r| r.attempts == 1 + usize::from(dies) && r.degraded == dies);
-            let what = "a job completes alone iff no rank dies, with retry in 1 clean or 2 degraded attempts";
-            claim(once.is_some() != dies && recovers, &format!("faults-{kills}-seed-{seed}"), what);
+        if let Some(f) = &self.faults {
+            let bits = |r: &ServedRun| [r.measured_mb, r.measured_ms].map(f64::to_bits);
+            for (kills, seed, [once, retried]) in &f.runs {
+                let (key, dies) = (format!("faults-{kills}-seed-{seed}"), *kills > 0);
+                let recovers = retried
+                    .as_ref()
+                    .is_some_and(|r| r.attempts == 1 + usize::from(dies) && r.degraded == dies);
+                let what =
+                    "a job completes alone iff no rank dies, with retry in 1 clean or 2 degraded attempts";
+                claim(once.is_some() != dies && recovers, &key, what);
+                // Product bits under a quiescent plan are the event backend's
+                // unit test; the record holds what it measures.
+                let quiet = dies || [once, retried].into_iter().flatten().all(|r| bits(r) == bits(&f.clean));
+                claim(quiet, &key, "a quiescent fault plan measures faults-clean's MB and ms bit for bit");
+            }
         }
         out
     }
@@ -1442,9 +1381,9 @@ mod tests {
         }
     }
 
-    /// The sections cheap enough for a debug build: the gate's small worlds
-    /// and its fault run, and of the paper's evaluation fig3, fig5, table3,
-    /// fig12's COSMA points, mem-sweep and faults.
+    /// The sections cheap enough for a debug build: the gate's small worlds,
+    /// and of the paper's evaluation fig3, fig5, table3, fig12's COSMA
+    /// points, mem-sweep and faults.
     fn small_record() -> Record {
         let blocking = ExecBackend::Blocking { workers: 2 };
         let mut executed = Record::square(64, blocking);
@@ -1452,7 +1391,6 @@ mod tests {
         executed.extend(Record::square_tight(blocking));
         let mut record = Record {
             executed,
-            fault: Some(fault_run()),
             ..Record::default()
         };
         record.add_sections(&["fig3", "fig5", "table3", "mem-sweep", "faults"]);
@@ -1469,11 +1407,11 @@ mod tests {
         assert_eq!(first.contracts(), Vec::<String>::new());
         let text = first.render();
         assert_eq!(text, small_record().render());
-        // 5 + 5 square rows, 4 budgeted ones and the two fault lines; 6
-        // mem-sweep rows, 2 fig3 and 4 table3 plans, COSMA at fig12's 8 points
-        // and, fat tree, at the 4 with p = 2048 (a topology count); the clean
-        // faults run and 8 + 48 served ones.
-        assert_eq!(text.lines().count(), 1 + 16 + 6 + 2 + 4 + 12 + 57);
+        // 5 + 5 square rows and 4 budgeted ones; 6 mem-sweep rows, 2 fig3
+        // and 4 table3 plans, COSMA at fig12's 8 points and, fat tree, at the
+        // 4 with p = 2048 (a topology count); the clean faults run and 8 + 48
+        // served ones.
+        assert_eq!(text.lines().count(), 1 + 14 + 6 + 2 + 4 + 12 + 57);
         assert_eq!(diff(&text, &text), Vec::<String>::new());
     }
 
@@ -1485,7 +1423,7 @@ mod tests {
         let record = small_record();
         let text = record.render();
         let shared: Vec<&str> = text.lines().filter(|l| !l.starts_with("square,64,event,")).collect();
-        assert_eq!(shared.len(), 1 + 11 + 6 + 2 + 4 + 12 + 57);
+        assert_eq!(shared.len(), 1 + 9 + 6 + 2 + 4 + 12 + 57);
         for line in shared {
             assert!(committed.lines().any(|c| c == line), "not in the committed record: {line}");
         }
@@ -1529,14 +1467,11 @@ mod tests {
             planned_mb,
             measured_mb: planned_mb,
             exact: true,
-            wall_s: 0.0,
             peak_mem_words: 8,
             within_mem: true,
             planned_time_s: 1.0,
             measured_time_s,
             measured_percent_peak: 0.0,
-            allocs: 0,
-            pool_hit_rate: 0.0,
         }
     }
 
@@ -1631,11 +1566,6 @@ mod tests {
                 timed("fat-tree", 2.0, 2.0),
                 timed("fat-tree-rr", 2.5, 2.5),
             ],
-            fault: Some(FaultFacts {
-                quiescent: run(1, false),
-                quiescent_bitwise: true,
-                recovered: Some(run(2, true)),
-            }),
             serve: None,
             kernel_bitwise: Some(true),
             sweep: vec![
@@ -1687,11 +1617,6 @@ mod tests {
                 timed("fat-tree", 3.9, 3.9),
                 timed("fat-tree-rr", 3.9, 3.9),
             ],
-            fault: Some(FaultFacts {
-                quiescent: run(1, false),
-                quiescent_bitwise: false,
-                recovered: Some(run(3, true)),
-            }),
             serve: None,
             kernel_bitwise: Some(false),
             sweep: vec![
@@ -1710,6 +1635,17 @@ mod tests {
                 clean: run(1, false),
                 runs: vec![
                     (0, 0, [None, Some(run(1, false))]),
+                    (
+                        0,
+                        1,
+                        [
+                            Some(ServedRun {
+                                measured_ms: 2.0,
+                                ..run(1, false)
+                            }),
+                            Some(run(1, false)),
+                        ],
+                    ),
                     (1, 0, [None, Some(run(3, true))]),
                 ],
             }),
@@ -1726,8 +1662,6 @@ mod tests {
             "square-timed/4/flat/summa: does not hold: overlap on measures no slower",
             "square-timed/4/fat-tree/summa: does not hold: the fat tree measures no faster",
             "square-timed/4/fat-tree-rr/summa: does not hold: round-robin placement",
-            "fault-quiescent: does not hold",
-            "fault-recovered: does not hold",
             "gemm-320: does not hold",
             "square-strong/256/flat: does not hold: COSMA plans no slower",
             "square-strong/256/flat: does not hold: COSMA receives no more MB per active rank than summa",
@@ -1740,7 +1674,8 @@ mod tests {
             "fig3: does not hold",
             "fig5: does not hold",
             "table3/general: does not hold",
-            "faults-0-seed-0: does not hold",
+            "faults-0-seed-0: does not hold: a job completes alone",
+            "faults-0-seed-1: does not hold: a quiescent fault plan measures",
             "faults-1-seed-0: does not hold",
         ];
         for needle in needles {
@@ -1767,15 +1702,15 @@ mod tests {
         );
 
         let unrecovered = Record {
-            fault: Some(FaultFacts {
-                quiescent: run(1, false),
-                quiescent_bitwise: true,
-                recovered: None,
+            faults: Some(Faults {
+                clean: run(1, false),
+                runs: vec![(1, 0, [None, None])],
             }),
             ..Record::default()
         };
         assert_eq!(unrecovered.contracts().len(), 1);
-        // A failed recovery is also a line missing from the text.
+        // A failed recovery is also a line missing from the text: the
+        // header and `faults-clean` are all there is.
         assert_eq!(unrecovered.render().lines().count(), 2);
     }
 
@@ -1805,8 +1740,8 @@ mod tests {
                 }
             }
         }
-        // 25 executed + 6 mem-sweep, 184 timed, the fault, serve and kernel
-        // lines, 1 160 sweep + 2 fig3 + 4 table3 planned, 57 served faults.
-        assert_eq!(keys.len(), 25 + 6 + 184 + 4 + 1160 + 6 + 57);
+        // 25 executed + 6 mem-sweep, 184 timed, the serve and kernel lines,
+        // 1 160 sweep + 2 fig3 + 4 table3 planned, 57 served faults.
+        assert_eq!(keys.len(), 25 + 6 + 184 + 2 + 1160 + 6 + 57);
     }
 }

@@ -6,8 +6,9 @@
 //! its rows (per-rank communication volume, simulated time, % of peak) and
 //! executes plans against them, and [`baseline`] holds the paper's
 //! evaluation as sections of the one committed record, with the paper's
-//! claims as its contracts. [`serve_bench`] measures the serving layer
-//! (`crates/serve`), and [`output`] renders tables.
+//! claims as its contracts. [`serve_bench`] serves a mixed stream through
+//! the serving layer (`crates/serve`) concurrently and serially and compares
+//! the two, and [`output`] renders tables.
 //!
 //! The `experiments` binary (`src/bin/experiments.rs`) prints each paper
 //! table/figure's section; see `EXPERIMENTS.md` for the index and the

@@ -1,5 +1,5 @@
 //! Table rendering and CSV persistence for the experiment harness: the
-//! committed record under `results/`, and the host-time experiments' CSVs.
+//! committed record under `results/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};

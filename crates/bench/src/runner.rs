@@ -9,7 +9,6 @@
 //! machine would charge them.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use cosma::api::{execute_boxed, AlgoId, AlgorithmRegistry, MmmAlgorithm, PlanError};
 use cosma::plan::{RankPlan, Scoring};
@@ -192,8 +191,6 @@ pub struct ExecutedRow {
     /// Whether every single rank's measured words and messages equal its
     /// plan's.
     pub exact: bool,
-    /// Host wall-clock seconds of the executed run.
-    pub wall_s: f64,
     /// Maximum measured per-rank peak working set, in words.
     pub peak_mem_words: u64,
     /// Whether every rank's measured peak stayed within the problem's
@@ -209,13 +206,6 @@ pub struct ExecutedRow {
     /// Measured percent of machine peak (Figures 8/10/13/14's metric, taken
     /// from the virtual clock). Zero when no time was measured.
     pub measured_percent_peak: f64,
-    /// Fresh heap allocations the run's buffer arena performed (pool
-    /// misses). Observability only — never part of a bitwise gate, because
-    /// the hit/miss split depends on scheduling order.
-    pub allocs: u64,
-    /// Fraction of buffer requests served from the arena's free lists,
-    /// in `[0, 1]`. Observability only, like [`ExecutedRow::allocs`].
-    pub pool_hit_rate: f64,
 }
 
 /// Execute every registry algorithm on `prob` with real data under
@@ -231,9 +221,9 @@ pub fn execute_all(prob: &MmmProblem, model: &CostModel, backend: ExecBackend) -
     execute_with(registry().all(), prob, model, backend)
 }
 
-/// [`execute_all`] over an explicit algorithm set — e.g. COSMA alone for the
-/// `exec_xl` 100k-rank scenario, where running every baseline would
-/// multiply the wall-time without adding coverage.
+/// [`execute_all`] over an explicit algorithm set — e.g. COSMA alone on the
+/// record's `square-xxl` world ([`crate::scenarios::exec_xl_problem`]),
+/// where running every baseline would add no coverage.
 pub fn execute_with(
     algos: &[Arc<dyn MmmAlgorithm>],
     prob: &MmmProblem,
@@ -283,10 +273,8 @@ fn execute_rows(
                 // A budgeted run only admits memory-honest plans.
                 plan.validate().ok()?;
             }
-            let start = Instant::now();
             let report = execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b)
                 .unwrap_or_else(|e| panic!("{} on p={}: {e}", algo.id(), prob.p));
-            let wall_s = start.elapsed().as_secs_f64();
             assert!(
                 want.approx_eq(&report.c, 1e-9),
                 "{} on p={}: product off by {}",
@@ -306,7 +294,6 @@ fn execute_rows(
                 planned_mb: words_to_mb(plan.total_comm_words() as f64),
                 measured_mb: words_to_mb(aggregate::total_volume(&report.stats) as f64),
                 exact,
-                wall_s,
                 peak_mem_words,
                 within_mem: peak_mem_words <= prob.mem_words as u64,
                 planned_time_s: plan.simulate(model, spec.overlap).time_s,
@@ -317,8 +304,6 @@ fn execute_rows(
                     measured_time_s,
                     model,
                 ),
-                allocs: report.pool.allocs(),
-                pool_hit_rate: report.pool.hit_rate(),
             })
         })
         .collect()
@@ -654,19 +639,18 @@ mod tests {
     }
 
     #[test]
-    fn executed_rows_carry_arena_counters() {
+    fn executed_worlds_lease_from_the_arena() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for row in execute_all(&prob, &model(), blocking()) {
+        let (a, b) = (Matrix::deterministic(48, 48, 61), Matrix::deterministic(48, 48, 62));
+        let spec = MachineSpec::new(prob.p, prob.mem_words, model());
+        for algo in registry().all() {
+            let plan = algo.plan(&prob, &model()).unwrap();
+            let pool = execute_boxed(algo.as_ref(), &plan, &spec, blocking(), &a, &b).unwrap().pool;
             // Cannon and 2.5D (one layer here) move their panels by value and
             // never touch the arena; the other three lease every payload.
-            let leases = !matches!(row.algo, AlgoId::Cannon | AlgoId::P25d);
-            assert_eq!(row.allocs > 0, leases, "{}: {} allocs", row.algo, row.allocs);
-            assert!(
-                (0.0..=1.0).contains(&row.pool_hit_rate),
-                "{}: hit rate {} out of range",
-                row.algo,
-                row.pool_hit_rate
-            );
+            let leases = !matches!(algo.id(), AlgoId::Cannon | AlgoId::P25d);
+            assert_eq!(pool.allocs() > 0, leases, "{}: {} allocs", algo.id(), pool.allocs());
+            assert!((0.0..=1.0).contains(&pool.hit_rate()), "{}: hit rate {}", algo.id(), pool.hit_rate());
         }
     }
 

@@ -233,9 +233,10 @@ pub fn allocation_core_counts() -> Vec<usize> {
 
 /// End-to-end executable instances of the four shape classes: the same
 /// shapes as the paper scenarios, scaled so the full matrices fit in one
-/// test process while `p` still reaches paper-like rank counts. Used by the
-/// `exec` experiment, which runs them with real messages (on the blocking
-/// and the event backend) and holds the measured counters against the plan.
+/// test process while `p` still reaches paper-like rank counts. The record's
+/// executed `square` and `*-timed` worlds run them with real messages (on
+/// the blocking and the event backend) and hold the measured counters
+/// against the plan.
 pub fn exec_problem(shape: Shape, p: usize) -> MmmProblem {
     match shape {
         Shape::Square => MmmProblem::new(256, 256, 256, p, 1 << 20),
@@ -247,40 +248,13 @@ pub fn exec_problem(shape: Shape, p: usize) -> MmmProblem {
     }
 }
 
-/// The core counts of the executed (`exec`) experiment: from a world with
-/// a carrier thread to spare per core up to the paper's 4096 ranks.
-pub fn exec_core_counts() -> Vec<usize> {
-    vec![64, 512, 1024, 4096]
-}
-
-/// The core counts of the `exec_xl` experiment: worlds only the
-/// event-driven stackless executor can hold (every rank is a resumable
-/// state machine costing bytes, not a carrier thread). The largest matches
-/// the acceptance criterion of the executor redesign: p = 131072
-/// end-to-end with real messages.
-pub fn exec_xl_core_counts() -> Vec<usize> {
-    vec![16_384, 65_536, 131_072]
-}
-
-/// The `exec_xl` problem instance at `p` cores: the square executable shape
-/// with a per-rank memory small enough that planning stays fast at 100k+
-/// ranks while every rank still owns work.
+/// The large-world problem instance at `p` cores: the square executable
+/// shape with a per-rank memory small enough that planning stays fast at
+/// 100k+ ranks while every rank still owns work. The record's `square-xxl`
+/// worlds and the `event_xl` conformance test run it; `benchmark/`'s
+/// `cosma-xl` times the same shape at p = 32 768.
 pub fn exec_xl_problem(p: usize) -> MmmProblem {
     MmmProblem::new(256, 256, 256, p, 1 << 12)
-}
-
-/// The core counts of the `exec_xxl` experiment: the million-rank regime of
-/// the parallel event scheduler. The largest is the acceptance criterion of
-/// the scheduler shard-up: p = 2^20 end-to-end with plan-exact traffic.
-pub fn exec_xxl_core_counts() -> Vec<usize> {
-    vec![262_144, 1_048_576]
-}
-
-/// The scheduler thread counts swept by the `exec_xxl` experiment. Thread
-/// count 1 is the single-threaded reference every parallel run must match
-/// bitwise on counters and virtual times.
-pub fn exec_xxl_thread_counts() -> Vec<usize> {
-    vec![1, 2, 4, 8]
 }
 
 /// A memory-starved executable instance: the square shape with a per-rank
@@ -390,7 +364,8 @@ mod tests {
             Shape::Flat,
             Shape::Irregular,
         ] {
-            for &p in &exec_core_counts() {
+            // Every world size the record executes them at.
+            for p in [64, 256, 512, 1024, 16_384] {
                 let prob = exec_problem(shape, p);
                 assert_eq!(prob.shape(), shape, "{shape:?} at p={p}");
                 assert!(prob.fits_collective_memory(), "{shape:?} at p={p}");

@@ -56,11 +56,11 @@ pub enum ExecBackend {
     /// a run computes or counts. It keeps no virtual clock (`RankStats::time`
     /// stays zero) and ignores the machine's topology, placement and fault
     /// plan: the independently written reference the event backend's results
-    /// and counters are tested against. Measured (EXPERIMENTS.md, `exec`): on
-    /// a kernel-bound world it is 1.6–1.8× faster than `event` / `event(2)`
-    /// under a shared-link topology only because it ignores that topology;
-    /// a flat spec on `Event { threads: 2 }` serves the same caller at the
-    /// same speed and keeps the clock.
+    /// and counters are tested against. Measured (EXPERIMENTS.md, "`Blocking`
+    /// on a kernel-bound world"): there it is 1.6–1.8× faster than `event` /
+    /// `event(2)` under a shared-link topology only because it ignores that
+    /// topology; a flat spec on `Event { threads: 2 }` serves the same caller
+    /// at the same speed and keeps the clock.
     Blocking {
         /// Maximum number of concurrently runnable ranks (≥ 1; a count above
         /// `p` behaves as `p`).
@@ -107,63 +107,6 @@ impl fmt::Display for ExecBackend {
             ExecBackend::Blocking { workers } => write!(f, "blocking({workers})"),
             ExecBackend::Event { threads } if *threads <= 1 => write!(f, "event"),
             ExecBackend::Event { threads } => write!(f, "event({threads})"),
-        }
-    }
-}
-
-/// A backend name failed to parse (see [`ExecBackend`]'s
-/// [`FromStr`](std::str::FromStr) impl).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseBackendError {
-    /// The unparsable name.
-    pub name: String,
-}
-
-impl fmt::Display for ParseBackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown execution backend {:?} (want blocking | blocking(N) | event | event(N), N >= 1)",
-            self.name
-        )
-    }
-}
-
-impl std::error::Error for ParseBackendError {}
-
-impl std::str::FromStr for ExecBackend {
-    type Err = ParseBackendError;
-
-    /// Parse the [`Display`](std::fmt::Display) form back: `event`,
-    /// `event(N)`, `blocking(N)` — plus bare `blocking`, which takes
-    /// [`ExecBackend::default_workers`], and the shell-friendly `event:N` /
-    /// `blocking:N`.
-    fn from_str(s: &str) -> Result<Self, ParseBackendError> {
-        let err = || ParseBackendError { name: s.to_string() };
-        let lower = s.to_ascii_lowercase();
-        // `name`, `name(N)` or `name:N`; a bare name carries no count.
-        let (name, count) = match lower.split_once(['(', ':']) {
-            None => (lower.as_str(), None),
-            Some((name, rest)) => {
-                let digits = if lower[name.len()..].starts_with('(') {
-                    rest.strip_suffix(')').ok_or_else(err)?
-                } else {
-                    rest
-                };
-                match digits.parse::<usize>() {
-                    Ok(n) if n > 0 => (name, Some(n)),
-                    _ => return Err(err()),
-                }
-            }
-        };
-        match name {
-            "blocking" => Ok(ExecBackend::Blocking {
-                workers: count.unwrap_or_else(Self::default_workers),
-            }),
-            "event" => Ok(ExecBackend::Event {
-                threads: count.unwrap_or(1),
-            }),
-            _ => Err(err()),
         }
     }
 }
@@ -889,53 +832,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out.stats[0].peak_mem_words, 10_000);
-    }
-
-    #[test]
-    fn backend_grammar_round_trips_display() {
-        for (backend, shown) in [
-            (ExecBackend::Blocking { workers: 6 }, "blocking(6)"),
-            (ExecBackend::event(), "event"),
-            (ExecBackend::Event { threads: 4 }, "event(4)"),
-        ] {
-            assert_eq!(backend.to_string(), shown);
-            assert_eq!(shown.parse::<ExecBackend>().unwrap(), backend);
-        }
-        // The remaining accepted spellings: case-insensitive, `name:N`, and
-        // bare `blocking` for the machine's default worker count.
-        assert_eq!("BLOCKING:4".parse::<ExecBackend>().unwrap(), ExecBackend::Blocking { workers: 4 });
-        assert_eq!("event:2".parse::<ExecBackend>().unwrap(), ExecBackend::Event { threads: 2 });
-        assert_eq!("event(1)".parse::<ExecBackend>().unwrap(), ExecBackend::event());
-        assert_eq!(
-            "blocking".parse::<ExecBackend>().unwrap(),
-            ExecBackend::Blocking {
-                workers: ExecBackend::default_workers()
-            }
-        );
-    }
-
-    #[test]
-    fn backend_from_str_rejects_everything_else_listing_the_grammar() {
-        for bad in [
-            "",
-            "auto",
-            "threaded",
-            "sharded(2)",
-            "blocking(0)",
-            "event(0)",
-            "blocking(x)",
-            "blocking(",
-            "blocking(2",
-            "blocking:2)",
-            "event()",
-            "evented",
-        ] {
-            let err = bad.parse::<ExecBackend>().unwrap_err();
-            assert_eq!(err.name, bad);
-            let msg = err.to_string();
-            assert!(msg.contains("unknown execution backend"), "{msg}");
-            assert!(msg.contains("blocking | blocking(N) | event | event(N)"), "{msg}");
-        }
     }
 
     #[test]

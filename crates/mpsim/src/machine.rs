@@ -284,8 +284,9 @@ impl MachineSpec {
         self
     }
 
-    /// Set the blocking backends' deadlock guard (see
-    /// [`MachineSpec::recv_timeout`]).
+    /// Set the recv deadline (see [`MachineSpec::recv_timeout`]): the
+    /// blocking backend's wall-clock deadlock guard, and the event backend's
+    /// deadline in virtual time.
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = timeout;
         self

@@ -17,9 +17,10 @@
 //!   job's `topology`, `placement` and `faults` are honoured.
 //! * a lone heavy job on an otherwise idle server pins
 //!   `Event { threads: n }` to spread its world over `n` cores and keep the
-//!   clock (measured, EXPERIMENTS.md `exec`: `event(2)` matches
-//!   `blocking(2)` on a kernel-bound flat world). Under load every core
-//!   already has a job and fanning one out only adds overhead.
+//!   clock (measured, EXPERIMENTS.md "`Blocking` on a kernel-bound world":
+//!   `event(2)` matches `blocking(2)` on a kernel-bound flat world). Under
+//!   load every core already has a job and fanning one out only adds
+//!   overhead.
 //! * a job that pins `Blocking { .. }` runs on the thread-per-rank reference
 //!   executor with [`ServerConfig::pool_workers`] runnable ranks — for
 //!   differential checks, not speed: it keeps no clock and ignores

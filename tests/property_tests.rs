@@ -412,33 +412,6 @@ fn few_workers_and_event_match_the_reference_on_random_patterns() {
     }
 }
 
-/// The backend grammar under random counts: `Display` output always parses
-/// back to the same backend, the `name:N` spelling is equivalent, and the
-/// same count is rejected under any retired or misspelt name.
-#[test]
-fn backend_grammar_round_trips_for_random_counts() {
-    let mut rng = Rng::new(14);
-    for _ in 0..CASES {
-        let n = rng.range(1, 1 << 20);
-        for backend in [
-            ExecBackend::Blocking { workers: n },
-            ExecBackend::Event { threads: n },
-        ] {
-            let shown = backend.to_string();
-            assert_eq!(shown.parse::<ExecBackend>(), Ok(backend), "{shown}");
-            let colon = shown.replace('(', ":").replace(')', "");
-            assert_eq!(colon.parse::<ExecBackend>(), Ok(backend), "{colon}");
-        }
-        for bad in [
-            format!("sharded({n})"),
-            format!("threaded({n})"),
-            format!("blocking[{n}]"),
-        ] {
-            assert!(bad.parse::<ExecBackend>().is_err(), "{bad}");
-        }
-    }
-}
-
 /// Strip the virtual-clock fields for counter comparisons between backends
 /// that do (event) and do not (blocking) keep a clock.
 fn counters(stats: &[mpsim::RankStats]) -> Vec<mpsim::RankStats> {

@@ -70,7 +70,7 @@ fn assert_matches_serial(jobs: &[JobRequest], served: &[JobResult], backend: Exe
 #[test]
 fn concurrent_stream_matches_serial_run_sessions_bitwise() {
     let n_jobs = 64;
-    let jobs = mixed_stream(n_jobs, None);
+    let jobs = mixed_stream(n_jobs);
     assert!(unique_combos().len() < n_jobs, "the stream must repeat plan keys");
 
     let config = ServerConfig {
@@ -106,7 +106,7 @@ fn concurrent_stream_matches_serial_run_sessions_bitwise() {
 /// state).
 #[test]
 fn event_backend_stream_matches_serial_including_virtual_time() {
-    let jobs = mixed_stream(24, Some(ExecBackend::event()));
+    let jobs: Vec<_> = mixed_stream(24).into_iter().map(|j| j.backend(ExecBackend::event())).collect();
     let server = Server::new(baselines::registry(), ServerConfig::default()).unwrap();
     let served = server.run_batch(jobs.clone());
     assert_matches_serial(&jobs, &served, ExecBackend::event());
@@ -117,7 +117,7 @@ fn event_backend_stream_matches_serial_including_virtual_time() {
 /// what each computes alone.
 #[test]
 fn pinned_blocking_stream_matches_serial_run_sessions_bitwise() {
-    let jobs = mixed_stream(24, Some(blocking()));
+    let jobs: Vec<_> = mixed_stream(24).into_iter().map(|j| j.backend(blocking())).collect();
     let config = ServerConfig {
         drivers: 4,
         ..ServerConfig::default()

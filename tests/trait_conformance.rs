@@ -366,7 +366,7 @@ fn event_and_blocking_agree_exactly_at_p2048() {
 #[ignore = "xl world (>= 16384 ranks); run with --ignored"]
 fn event_xl_world_executes_end_to_end() {
     let p: usize = std::env::var("XL_RANKS").ok().and_then(|s| s.parse().ok()).unwrap_or(131_072);
-    // The same instance the `exec-xl` experiment records in EXPERIMENTS.md.
+    // The record's `square-xxl` instance; EXPERIMENTS.md keeps its history.
     let prob = bench::scenarios::exec_xl_problem(p);
     let algo = cosma::api::CosmaAlgorithm::default();
     let plan = algo.plan(&prob, &model()).unwrap_or_else(|e| panic!("p={p}: {e}"));
