@@ -639,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn executed_worlds_lease_from_the_arena() {
+    fn executed_rows_carry_arena_counters() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
         let (a, b) = (Matrix::deterministic(48, 48, 61), Matrix::deterministic(48, 48, 62));
         let spec = MachineSpec::new(prob.p, prob.mem_words, model());
