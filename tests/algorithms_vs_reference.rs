@@ -8,6 +8,7 @@
 //! session assembles each algorithm's distributed output shares into the
 //! full product with the same code path.
 
+use baselines::p25d::{Geometry25, P25dAlgorithm};
 use cosma::api::{AlgoId, CosmaAlgorithm, RunSession};
 use cosma::problem::MmmProblem;
 use cosma::{Backend, CosmaConfig};
@@ -134,8 +135,25 @@ fn fnv1a(c: &Matrix) -> u64 {
     h
 }
 
-/// COSMA's product on `prob` over `backend`, the same on the event engine
-/// with one and two threads and on two blocking workers.
+/// `session`'s product, the same on the event engine with one and two
+/// threads and on two blocking workers.
+fn product_on_every_executor(session: RunSession, a: &Matrix, b: &Matrix, what: &str) -> Matrix {
+    let mut products = [
+        ExecBackend::event(),
+        ExecBackend::Event { threads: 2 },
+        ExecBackend::Blocking { workers: 2 },
+    ]
+    .map(|exec| {
+        let report = session.clone().exec_backend(exec).execute(a, b);
+        report.unwrap_or_else(|e| panic!("{what} on {exec:?}: {e}")).c
+    });
+    for (exec, c) in ["event(2)", "blocking(2)"].iter().zip(&products[1..]) {
+        assert_eq!(fnv1a(c), fnv1a(&products[0]), "{what}: {exec} differs from event");
+    }
+    std::mem::replace(&mut products[0], Matrix::zeros(0, 0))
+}
+
+/// COSMA's product on `prob` over `backend`, the same on every executor.
 fn cosma_product(prob: &MmmProblem, backend: Backend) -> Matrix {
     let (a, b, _) = reference(prob.m, prob.n, prob.k);
     let mut registry = baselines::registry();
@@ -144,19 +162,7 @@ fn cosma_product(prob: &MmmProblem, backend: Backend) -> Matrix {
         ..CosmaConfig::default()
     }));
     let session = session(prob, AlgoId::Cosma).registry(registry);
-    let mut products = [
-        ExecBackend::event(),
-        ExecBackend::Event { threads: 2 },
-        ExecBackend::Blocking { workers: 2 },
-    ]
-    .map(|exec| {
-        let report = session.clone().exec_backend(exec).execute(&a, &b);
-        report.unwrap_or_else(|e| panic!("{prob:?} {backend:?} on {exec:?}: {e}")).c
-    });
-    for (exec, c) in ["event(2)", "blocking(2)"].iter().zip(&products[1..]) {
-        assert_eq!(fnv1a(c), fnv1a(&products[0]), "{prob:?} {backend:?}: {exec} differs from event");
-    }
-    std::mem::replace(&mut products[0], Matrix::zeros(0, 0))
+    product_on_every_executor(session, &a, &b, &format!("{prob:?} {backend:?}"))
 }
 
 /// Recorded at `4248a3b`, before COSMA's gathers stopped filling slabs.
@@ -182,6 +188,62 @@ fn cosma_product_digests_are_pinned() {
     if got != PRODUCT_DIGESTS {
         let rows: Vec<String> = got.iter().map(|[t, o]| format!("    [{t:#018x}, {o:#018x}],")).collect();
         panic!("COSMA's product bits moved; the table now reads:\n{}", rows.join("\n"));
+    }
+}
+
+/// The baselines' pinned cases: CARMA pure-BFS, CARMA streaming DFS leaves
+/// that split k (partial sums of one C region), CARMA on uneven dims, 2.5D
+/// with one layer and with two, and SUMMA on primes.
+fn baseline_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 6] {
+    [
+        ("carma-bfs", MmmProblem::new(32, 32, 32, 16, 1 << 13), AlgoId::Carma, None),
+        ("carma-dfs-k", MmmProblem::new(8, 8, 512, 4, 600), AlgoId::Carma, None),
+        ("carma-uneven", MmmProblem::new(17, 23, 29, 8, 1 << 12), AlgoId::Carma, None),
+        (
+            "p25d-c1",
+            MmmProblem::new(26, 22, 30, 9, 1 << 13),
+            AlgoId::P25d,
+            Some(Geometry25 { q: 3, c: 1 }),
+        ),
+        (
+            "p25d-c2",
+            MmmProblem::new(30, 26, 34, 32, 1 << 13),
+            AlgoId::P25d,
+            Some(Geometry25 { q: 4, c: 2 }),
+        ),
+        ("summa", MmmProblem::new(29, 31, 37, 16, 1 << 13), AlgoId::Summa, None),
+    ]
+}
+
+/// Recorded before CARMA's rank body became one walk over its trace.
+#[rustfmt::skip]
+const BASELINE_DIGESTS: [u64; 6] = [
+    0xa64f390e27b9c8fb,
+    0x2352158be9bb203f,
+    0xbee7ec3951386d04,
+    0x398cbd0426b9095e,
+    0xbb4df5bc0be6c5cc,
+    0xa54802ddb71e155d,
+];
+
+#[test]
+fn baseline_product_digests_are_pinned() {
+    let [(_, bfs, ..), (_, dfs, ..), ..] = baseline_cases();
+    assert_eq!(baselines::carma::dfs_leaf_count(&bfs), 1, "carma-bfs must be one BFS recursion");
+    assert!(baselines::carma::dfs_leaf_count(&dfs) > 1, "carma-dfs-k must stream DFS leaves");
+    let got = baseline_cases().map(|(what, prob, id, geometry)| {
+        let (a, b, want) = reference(prob.m, prob.n, prob.k);
+        let mut registry = baselines::registry();
+        if let Some(geo) = geometry {
+            registry.register(P25dAlgorithm::with_geometry(geo));
+        }
+        let c = product_on_every_executor(session(&prob, id).registry(registry), &a, &b, what);
+        assert!(want.approx_eq(&c, 1e-9), "{what}: max diff {}", want.max_abs_diff(&c));
+        fnv1a(&c)
+    });
+    if got != BASELINE_DIGESTS {
+        let rows: Vec<String> = got.iter().map(|d| format!("    {d:#018x},")).collect();
+        panic!("the baselines' product bits moved; the table now reads:\n{}", rows.join("\n"));
     }
 }
 
