@@ -25,12 +25,14 @@
 //! stays within `S` whenever the plan does — runs on a machine with an
 //! enforced memory budget (`MachineSpec::with_mem_budget`) certify exactly
 //! that. The downward A/B share exchanges move real share-sized payloads
-//! (content read from the initially distributed inputs), leaf operands are
-//! materialized from the initial distribution exactly as in the other
-//! algorithms, and the upward k-split reduction runs on the real partial C
-//! data, so the final product is verified end to end while every counted
-//! message has the true CARMA size. A rank's k-split DFS leaves yield
-//! partial sums of the same C region; `assemble_c` accumulates them.
+//! (content read from the initially distributed inputs), the leaf multiply
+//! reads its operands in place from the initial distribution, and the
+//! upward k-split reduction runs on the real partial C data, so the final
+//! product is verified end to end while every counted message has the true
+//! CARMA size. A rank's k-split DFS leaves yield partial sums of the same C
+//! region; `assemble_c` accumulates them.
+
+use std::ops::Range;
 
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture, RankRequirement};
@@ -44,7 +46,7 @@ use mpsim::stats::Phase;
 
 /// Which dimension a recursion level splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitDim {
+enum SplitDim {
     /// Split rows of A/C.
     M,
     /// Split columns of B/C.
@@ -54,35 +56,59 @@ pub enum SplitDim {
 }
 
 /// One level of a rank's recursion path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Level {
+struct Level {
     /// The dimension split at this level.
-    pub dim: SplitDim,
-    /// Group size before the split.
-    pub group: usize,
+    dim: SplitDim,
+    /// Group size before the split. With `p = 2^L` every group is an aligned
+    /// halving of `0..p`: the rank's position in it is `rank % group`.
+    group: usize,
+    /// The sub-volume the group splits.
+    volume: Brick,
     /// Words this rank receives in the downward exchange (0 for k-splits).
-    pub down_words: u64,
+    down_words: u64,
     /// Whether this rank took the upper half.
-    pub upper: bool,
+    upper: bool,
+}
+
+impl Level {
+    /// The rank at the same position in the sibling half.
+    fn partner(&self, rank: usize) -> usize {
+        if self.upper {
+            rank - self.group / 2
+        } else {
+            rank + self.group / 2
+        }
+    }
 }
 
 /// The full recursion trace of one rank: its path and leaf brick.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Trace {
+struct Trace {
     /// Levels from the root down.
-    pub levels: Vec<Level>,
+    levels: Vec<Level>,
     /// Leaf brick.
-    pub brick: Brick,
+    brick: Brick,
 }
 
-/// Halve `range` and return the half selected by `upper`.
-fn half(range: &std::ops::Range<usize>, upper: bool) -> std::ops::Range<usize> {
+/// Halve `range` and return the half selected by `upper`: the lower half
+/// takes `⌈len/2⌉`, the upper the rest.
+fn half(range: &Range<usize>, upper: bool) -> Range<usize> {
     let mid = range.start + range.len().div_ceil(2);
     if upper {
         mid..range.end
     } else {
         range.start..mid
     }
+}
+
+/// The half of `v` that `upper` selects along `dim`.
+fn split(v: &Brick, dim: SplitDim, upper: bool) -> Brick {
+    let mut h = v.clone();
+    match dim {
+        SplitDim::M => h.rows = half(&v.rows, upper),
+        SplitDim::N => h.cols = half(&v.cols, upper),
+        SplitDim::K => h.ks = half(&v.ks, upper),
+    }
+    h
 }
 
 /// Choose the split dimension: the largest of `(lm, ln, lk)`, preferring
@@ -98,12 +124,14 @@ fn split_dim(lm: usize, ln: usize, lk: usize) -> SplitDim {
     }
 }
 
-/// Compute the recursion trace of `rank` among `p = 2^L` ranks.
-pub fn trace(prob: &MmmProblem, rank: usize) -> Trace {
-    trace_on(0..prob.m, 0..prob.n, 0..prob.k, prob.p, rank)
+/// The working set `|A| + |B| + |C|` of multiplying `brick`, in words.
+fn footprint(brick: &Brick) -> usize {
+    let (lm, ln, lk) = (brick.rows.len(), brick.cols.len(), brick.ks.len());
+    lm * lk + lk * ln + lm * ln
 }
 
-/// BFS recursion trace over an explicit sub-volume (used by the DFS prefix).
+/// BFS recursion trace of `rank` among `p = 2^L` ranks over the sub-volume
+/// `volume`.
 ///
 /// Split decisions are taken on *canonical* dims — the ceiling-halved dims
 /// of the recursion root, independent of which halves this rank took. All
@@ -112,100 +140,62 @@ pub fn trace(prob: &MmmProblem, rank: usize) -> Trace {
 /// `(rows, cols)` leaves (the upward reduce-scatter pairs opposite halves of
 /// the *same* C block) and makes rank 0 — the all-ceiling path — the rank
 /// with the largest leaf working set.
-pub fn trace_on(
-    rows0: std::ops::Range<usize>,
-    cols0: std::ops::Range<usize>,
-    ks0: std::ops::Range<usize>,
-    p: usize,
-    rank: usize,
-) -> Trace {
-    let mut rows = rows0;
-    let mut cols = cols0;
-    let mut ks = ks0;
-    let (mut cm, mut cn, mut ck) = (rows.len(), cols.len(), ks.len());
+fn trace_on(mut volume: Brick, p: usize, rank: usize) -> Trace {
+    let (mut cm, mut cn, mut ck) = (volume.rows.len(), volume.cols.len(), volume.ks.len());
+    let mut levels = Vec::with_capacity(p.trailing_zeros() as usize);
     let mut group = p;
-    let mut idx = rank; // index within the current group
-    let mut levels = Vec::new();
     while group > 1 {
         let dim = split_dim(cm, cn, ck);
-        let hsize = group / 2;
+        let (idx, hsize) = (rank % group, group / 2);
         let upper = idx >= hsize;
         let partner_idx = if upper { idx - hsize } else { idx + hsize };
+        let v = &volume;
         let down_words = match dim {
-            SplitDim::M => even_range(ks.len() * cols.len(), group, partner_idx).len() as u64,
-            SplitDim::N => even_range(rows.len() * ks.len(), group, partner_idx).len() as u64,
+            SplitDim::M => even_range(v.ks.len() * v.cols.len(), group, partner_idx).len() as u64,
+            SplitDim::N => even_range(v.rows.len() * v.ks.len(), group, partner_idx).len() as u64,
             SplitDim::K => 0,
         };
+        match dim {
+            SplitDim::M => cm = cm.div_ceil(2),
+            SplitDim::N => cn = cn.div_ceil(2),
+            SplitDim::K => ck = ck.div_ceil(2),
+        }
+        let next = split(&volume, dim, upper);
         levels.push(Level {
             dim,
             group,
+            volume,
             down_words,
             upper,
         });
-        match dim {
-            SplitDim::M => {
-                rows = half(&rows, upper);
-                cm = cm.div_ceil(2);
-            }
-            SplitDim::N => {
-                cols = half(&cols, upper);
-                cn = cn.div_ceil(2);
-            }
-            SplitDim::K => {
-                ks = half(&ks, upper);
-                ck = ck.div_ceil(2);
-            }
-        }
+        volume = next;
         group = hsize;
-        idx = if upper { idx - hsize } else { idx };
     }
     Trace {
         levels,
-        brick: Brick { rows, cols, ks },
+        brick: volume,
     }
 }
 
-/// The nested C-share range (offset, length) of this rank within its
-/// flattened leaf C block after unwinding all k-splits bottom-up.
-fn c_share_after_unwind(tr: &Trace) -> (usize, usize) {
-    let mut off = 0usize;
-    let mut len = tr.brick.rows.len() * tr.brick.cols.len();
-    for level in tr.levels.iter().rev() {
-        if level.dim == SplitDim::K {
-            let lower_len = len.div_ceil(2);
-            if level.upper {
-                off += lower_len;
-                len -= lower_len;
-            } else {
-                len = lower_len;
-            }
-        }
-    }
-    (off, len)
+/// The k-split unwinding, bottom-up: every k-split level with its index and
+/// the C share — a word range of the flattened leaf block — the rank keeps
+/// after it. A k-split halves the share like any range ([`half`]): the lower
+/// half takes `⌈len/2⌉` words, `upper` keeps the rest.
+fn unwind(tr: &Trace) -> impl Iterator<Item = (usize, &Level, Range<usize>)> {
+    let tile = tr.brick.rows.len() * tr.brick.cols.len();
+    tr.levels
+        .iter()
+        .enumerate()
+        .rev()
+        .filter(|(_, level)| level.dim == SplitDim::K)
+        .scan(0..tile, |share, (li, level)| {
+            *share = half(share, level.upper);
+            Some((li, level, share.clone()))
+        })
 }
-
-/// A `(rows, cols, ks)` sub-volume of the iteration space.
-type SubVolume = (std::ops::Range<usize>, std::ops::Range<usize>, std::ops::Range<usize>);
 
 /// Hard ceiling on sequential DFS levels: beyond 24 something is wrong.
 const MAX_DFS_DEPTH: usize = 24;
-
-/// The maximum over ranks of the BFS-leaf working set (`|A| + |B| + |C|`
-/// words) for the recursion over a sub-volume among `p` ranks. Because
-/// split decisions are canonical ([`trace_on`]) and halving puts the
-/// ceiling in the lower half, rank 0 — which takes the lower half at every
-/// level — holds the coordinate-wise largest leaf, and the footprint is
-/// monotone in each dimension, so its leaf is the maximum.
-fn max_leaf_footprint(
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-    ks: std::ops::Range<usize>,
-    p: usize,
-) -> usize {
-    let b = trace_on(rows, cols, ks, p, 0).brick;
-    let (lm, ln, lk) = (b.rows.len(), b.cols.len(), b.ks.len());
-    lm * lk + lk * ln + lm * ln
-}
 
 /// The sub-volumes the DFS prefix produces: real (memory-aware) CARMA takes
 /// sequential steps — the whole machine processes one half after the other —
@@ -217,28 +207,29 @@ fn max_leaf_footprint(
 /// current sub-volume splits its own largest dimension, mirroring the
 /// machine-wide lockstep of the sequential schedule. Two invariants follow
 /// (pinned by the property suite): the leaf count is always a power of two,
-/// and it is monotone non-increasing in `S`. Fitting is judged by
-/// [`max_leaf_footprint`], i.e. against the *worst* rank, so a plan whose
-/// leaves fit keeps every rank within `S`.
-fn dfs_leaves(prob: &MmmProblem) -> Vec<SubVolume> {
-    let fits = |(rows, cols, ks): &SubVolume| {
-        max_leaf_footprint(rows.clone(), cols.clone(), ks.clone(), prob.p) <= prob.mem_words
-    };
-    let splittable = |(rows, cols, ks): &SubVolume| rows.len().max(cols.len()).max(ks.len()) > 1;
-    let mut cur: Vec<SubVolume> = vec![(0..prob.m, 0..prob.n, 0..prob.k)];
+/// and it is monotone non-increasing in `S`. Fitting is judged against the
+/// *worst* rank, so a plan whose leaves fit keeps every rank within `S`:
+/// because split decisions are canonical ([`trace_on`]) and halving puts the
+/// ceiling in the lower half, rank 0 — which takes the lower half at every
+/// level — holds the coordinate-wise largest leaf, and the [`footprint`] is
+/// monotone in each dimension, so its leaf is the maximum.
+fn dfs_leaves(prob: &MmmProblem) -> Vec<Brick> {
+    let fits = |v: &Brick| footprint(&trace_on(v.clone(), prob.p, 0).brick) <= prob.mem_words;
+    let splittable = |v: &Brick| v.rows.len().max(v.cols.len()).max(v.ks.len()) > 1;
+    let mut cur = vec![Brick {
+        rows: 0..prob.m,
+        cols: 0..prob.n,
+        ks: 0..prob.k,
+    }];
     for _ in 0..MAX_DFS_DEPTH {
         if cur.iter().all(fits) || !cur.iter().all(splittable) {
             break;
         }
         cur = cur
             .iter()
-            .flat_map(|(rows, cols, ks)| {
-                let halves = |upper| match split_dim(rows.len(), cols.len(), ks.len()) {
-                    SplitDim::M => (half(rows, upper), cols.clone(), ks.clone()),
-                    SplitDim::N => (rows.clone(), half(cols, upper), ks.clone()),
-                    SplitDim::K => (rows.clone(), cols.clone(), half(ks, upper)),
-                };
-                [halves(false), halves(true)]
+            .flat_map(|v| {
+                let dim = split_dim(v.rows.len(), v.cols.len(), v.ks.len());
+                [false, true].map(|upper| split(v, dim, upper))
             })
             .collect();
     }
@@ -273,54 +264,38 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
         let mut rounds = Vec::new();
         let mut bricks = Vec::with_capacity(leaves.len());
         let mut mem_words = 0u64;
-        for (rows0, cols0, ks0) in &leaves {
-            let tr = trace_on(rows0.clone(), cols0.clone(), ks0.clone(), prob.p, rank);
+        for volume in &leaves {
+            let tr = trace_on(volume.clone(), prob.p, rank);
             // Downward exchanges.
-            for level in &tr.levels {
-                if level.dim != SplitDim::K {
-                    rounds.push(Round {
-                        a_words: if level.dim == SplitDim::N {
-                            level.down_words
-                        } else {
-                            0
-                        },
-                        b_words: if level.dim == SplitDim::M {
-                            level.down_words
-                        } else {
-                            0
-                        },
-                        c_words: 0,
+            rounds.extend(tr.levels.iter().filter_map(|level| {
+                let words = level.down_words;
+                match level.dim {
+                    SplitDim::M => Some(Round {
+                        b_words: words,
                         msgs: 1,
-                        flops: 0,
-                    });
+                        ..Round::default()
+                    }),
+                    SplitDim::N => Some(Round {
+                        a_words: words,
+                        msgs: 1,
+                        ..Round::default()
+                    }),
+                    SplitDim::K => None,
                 }
-            }
+            }));
             // Leaf multiply.
-            let (lm, ln, lk) = (tr.brick.rows.len(), tr.brick.cols.len(), tr.brick.ks.len());
             rounds.push(Round {
-                a_words: 0,
-                b_words: 0,
-                c_words: 0,
-                msgs: 0,
-                flops: 2 * (lm * ln * lk) as u64,
+                flops: 2 * tr.brick.volume(),
+                ..Round::default()
             });
-            // Upward k-split reductions (reverse level order).
-            let mut share = lm * ln;
-            for level in tr.levels.iter().rev() {
-                if level.dim == SplitDim::K {
-                    let lower_len = share.div_ceil(2);
-                    let keep = if level.upper { share - lower_len } else { lower_len };
-                    rounds.push(Round {
-                        a_words: 0,
-                        b_words: 0,
-                        c_words: keep as u64,
-                        msgs: 1,
-                        flops: keep as u64,
-                    });
-                    share = keep;
-                }
-            }
-            mem_words = mem_words.max((lm * lk + lk * ln + lm * ln) as u64);
+            // Upward k-split reductions: each receives the kept share.
+            rounds.extend(unwind(&tr).map(|(.., share)| Round {
+                c_words: share.len() as u64,
+                msgs: 1,
+                flops: share.len() as u64,
+                ..Round::default()
+            }));
+            mem_words = mem_words.max(footprint(&tr.brick) as u64);
             bricks.push(tr.brick);
         }
         sink(RankPlan {
@@ -355,193 +330,113 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
 /// `assemble_c` accumulates.
 pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
-    let prob = &plan.problem;
-    let leaves = dfs_leaves(prob);
+    let leaves = dfs_leaves(&plan.problem);
     debug_assert_eq!(
         plan.ranks[comm.rank()].bricks.len(),
         leaves.len(),
         "plan and problem disagree on the DFS schedule"
     );
     let mut results = Vec::with_capacity(leaves.len());
-    for (leaf, (rows0, cols0, ks0)) in leaves.into_iter().enumerate() {
-        results.push(execute_leaf(comm, prob, leaf, rows0, cols0, ks0, a, b).await);
+    for (leaf, volume) in leaves.into_iter().enumerate() {
+        results.push(execute_leaf(comm, leaf, volume, a, b).await);
     }
     results
 }
 
-/// One DFS leaf of [`execute`]: the full BFS recursion over the leaf
-/// sub-volume, with working memory tracked at leaf granularity (buffers are
-/// allocated per leaf and released when its reduced share streams back to
-/// the output distribution).
-#[allow(clippy::too_many_arguments)]
-async fn execute_leaf(
-    comm: &mut RankComm,
-    prob: &MmmProblem,
-    leaf: usize,
-    rows0: std::ops::Range<usize>,
-    cols0: std::ops::Range<usize>,
-    ks0: std::ops::Range<usize>,
-    a: &Matrix,
-    b: &Matrix,
-) -> CPart {
+/// One DFS leaf of [`execute`]: one walk over the rank's trace of the BFS
+/// recursion over `volume`, with working memory tracked at leaf granularity
+/// (buffers are allocated per leaf and released when its reduced share
+/// streams back to the output distribution).
+async fn execute_leaf(comm: &mut RankComm, leaf: usize, volume: Brick, a: &Matrix, b: &Matrix) -> CPart {
     let rank = comm.rank();
-    let tr = trace_on(rows0.clone(), cols0.clone(), ks0.clone(), prob.p, rank);
+    let tr = trace_on(volume, comm.size(), rank);
 
     // Downward: exchange replicated-matrix shares with the partner across
-    // the sibling half. Payload contents are the partner's actual share of
+    // the sibling half. Payload contents are this rank's actual share of
     // the replicated matrix (read from the initial distribution); only the
     // share itself is ever buffered, never the full replicated sub-matrix.
-    let mut rows = rows0;
-    let mut cols = cols0;
-    let mut ks = ks0;
-    let mut group = prob.p;
-    let mut group_lo = 0usize;
-    let mut idx = rank - group_lo;
     for (li, level) in tr.levels.iter().enumerate() {
-        let hsize = group / 2;
-        let upper = level.upper;
-        let partner = if upper {
-            group_lo + (idx - hsize)
-        } else {
-            group_lo + idx + hsize
+        let v = &level.volume;
+        let (mat, rows, cols, phase) = match level.dim {
+            SplitDim::M => (b, &v.ks, &v.cols, Phase::InputB),
+            SplitDim::N => (a, &v.rows, &v.ks, Phase::InputA),
+            SplitDim::K => continue,
         };
-        match level.dim {
-            SplitDim::M | SplitDim::N => {
-                // My share of the replicated matrix, flattened row-major.
-                let (flat_len, payload, phase) = match level.dim {
-                    SplitDim::M => {
-                        let flat_len = ks.len() * cols.len();
-                        let share = even_range(flat_len, group, idx);
-                        let buf = comm.pool().take_clear(share.len());
-                        (flat_len, flat_block_slice(b, &ks, &cols, share, buf), Phase::InputB)
-                    }
-                    _ => {
-                        let flat_len = rows.len() * ks.len();
-                        let share = even_range(flat_len, group, idx);
-                        let buf = comm.pool().take_clear(share.len());
-                        (flat_len, flat_block_slice(a, &rows, &ks, share, buf), Phase::InputA)
-                    }
-                };
-                // Send buffer + received share are both resident at the
-                // rendezvous; together they are the post-exchange holding of
-                // this matrix (my share + partner share), within the leaf
-                // footprint the holdings grow into.
-                let sent_len = payload.len() as u64;
-                comm.track_alloc(sent_len);
-                let got = comm.sendrecv(partner, partner, tag(leaf, li), payload, phase).await;
-                comm.track_alloc(got.len() as u64);
-                // The received share merges into this rank's holdings; leaf
-                // operands are re-materialized below, so contents are only
-                // checked for size here before the buffers are retired.
-                debug_assert_eq!(
-                    got.len(),
-                    even_range(flat_len, group, if upper { idx - hsize } else { idx + hsize }).len()
-                );
-                comm.track_free(sent_len + got.len() as u64);
-                comm.recycle(got);
-            }
-            SplitDim::K => {}
-        }
-        match level.dim {
-            SplitDim::M => rows = half(&rows, upper),
-            SplitDim::N => cols = half(&cols, upper),
-            SplitDim::K => ks = half(&ks, upper),
-        }
-        if upper {
-            group_lo += hsize;
-            idx -= hsize;
-        }
-        group = hsize;
+        let share = even_range(rows.len() * cols.len(), level.group, rank % level.group);
+        let buf = comm.pool().take_clear(share.len());
+        let payload = flat_block_slice(mat, rows, cols, share, buf);
+        // Send buffer + received share are both resident at the rendezvous;
+        // together they are the post-exchange holding of this matrix (my
+        // share + partner share), within the leaf footprint the holdings
+        // grow into.
+        let sent_len = payload.len() as u64;
+        comm.track_alloc(sent_len);
+        let partner = level.partner(rank);
+        let got = comm.sendrecv(partner, partner, tag(leaf, li), payload, phase).await;
+        comm.track_alloc(got.len() as u64);
+        // The received share merges into this rank's holdings; the leaf
+        // reads its operands from the initial distribution, so contents are
+        // only checked for size here before the buffers are retired.
+        debug_assert_eq!(got.len() as u64, level.down_words);
+        comm.track_free(sent_len + got.len() as u64);
+        comm.recycle(got);
     }
 
     // Leaf multiply: the leaf footprint |A| + |B| + |C| is the working set.
-    // All three buffers are leased from the world's arena — across DFS
-    // leaves (and across jobs on a warm serve pool) the leaf bricks recycle
-    // the same storage instead of re-allocating per leaf.
+    // A and B are read in place; the C tile is leased from the world's
+    // arena, so across DFS leaves (and across jobs on a warm serve pool) it
+    // recycles the same storage instead of re-allocating per leaf.
     let brick = &tr.brick;
-    let (lm, ln, lk) = (brick.rows.len(), brick.cols.len(), brick.ks.len());
-    comm.track_alloc((lm * lk + lk * ln + lm * ln) as u64);
-    let leaf_a = a.block_into(brick.rows.clone(), brick.ks.clone(), comm.pool().take_clear(lm * lk));
-    let leaf_b = b.block_into(brick.ks.clone(), brick.cols.clone(), comm.pool().take_clear(lk * ln));
-    let mut c_leaf = Matrix::from_recycled(lm, ln, comm.pool().take_clear(lm * ln));
-    gemm_packed(&leaf_a, &leaf_b, &mut c_leaf);
-    comm.record_flops(2 * (lm * ln * lk) as u64);
-    comm.recycle(leaf_a.into_vec());
-    comm.recycle(leaf_b.into_vec());
-    comm.track_free((lm * lk + lk * ln) as u64);
+    let (lm, ln) = (brick.rows.len(), brick.cols.len());
+    comm.track_alloc(footprint(brick) as u64);
+    let mut c_leaf = Matrix::from_vec(lm, ln, comm.pool().take_zeroed(lm * ln));
+    gemm_packed(
+        a.view(brick.rows.clone(), brick.ks.clone()),
+        b.view(brick.ks.clone(), brick.cols.clone()),
+        &mut c_leaf,
+    );
+    comm.record_flops(2 * brick.volume());
+    comm.track_free((footprint(brick) - lm * ln) as u64);
 
     // Upward: recursive-halving reduce-scatter over the k-splits. Partners
     // across a k-split have the same (rows, cols) leaf and the same nested
     // share structure, so exchanging opposite halves and adding yields the
-    // summed share. The received half is the only transient buffer; the
-    // sent half is shed from the working set as the share halves.
+    // summed share.
     let mut data = c_leaf.into_vec();
-    let mut off = 0usize;
-    // Reconstruct group extents bottom-up: replay the path to know each
-    // level's group_lo/size.
-    let mut path = Vec::new(); // (group_lo, group, idx) per level, top-down
-    {
-        let mut g_lo = 0usize;
-        let mut g = prob.p;
-        let mut ix = rank;
-        for level in &tr.levels {
-            path.push((g_lo, g, ix));
-            let hsize = g / 2;
-            if level.upper {
-                g_lo += hsize;
-                ix -= hsize;
-            }
-            g = hsize;
-        }
-    }
-    for (li, level) in tr.levels.iter().enumerate().rev() {
-        if level.dim != SplitDim::K {
-            continue;
-        }
-        let (g_lo, g, ix) = path[li];
-        let hsize = g / 2;
-        let partner = if level.upper {
-            g_lo + ix - hsize
-        } else {
-            g_lo + ix + hsize
-        };
-        let lower_len = data.len().div_ceil(2);
-        // Split the share in place — no copies: the sent half leaves the
-        // working set with the message, the kept half stays, and the
-        // received half is the only transient buffer.
-        let (payload, mut kept) = if level.upper {
-            let upper_half = data.split_off(lower_len);
+    let mut share = 0..data.len();
+    for (li, level, kept) in unwind(&tr) {
+        // Split the share in place at the halves' boundary — no copies: the
+        // sent half leaves the working set with the message, the kept half
+        // stays, and the received half is the only transient buffer.
+        let mid = if level.upper { kept.start } else { kept.end };
+        let upper_half = data.split_off(mid - share.start);
+        let (payload, mut kept_words) = if level.upper {
             (data, upper_half)
         } else {
-            let upper_half = data.split_off(lower_len);
             (upper_half, data)
         };
         comm.track_free(payload.len() as u64);
+        let partner = level.partner(rank);
         let got = comm
             .sendrecv(partner, partner, tag(leaf, li) + 1, payload, Phase::OutputC)
             .await;
         comm.track_alloc(got.len() as u64);
-        assert_eq!(got.len(), kept.len(), "k-split reduce share mismatch");
-        for (d, s) in kept.iter_mut().zip(&got) {
+        assert_eq!(got.len(), kept_words.len(), "k-split reduce share mismatch");
+        for (d, s) in kept_words.iter_mut().zip(&got) {
             *d += *s;
         }
-        comm.record_flops(kept.len() as u64);
+        comm.record_flops(kept_words.len() as u64);
         comm.track_free(got.len() as u64);
         comm.recycle(got);
-        if level.upper {
-            off += lower_len;
-        }
-        data = kept;
+        (data, share) = (kept_words, kept);
     }
-    let (expect_off, expect_len) = c_share_after_unwind(&tr);
-    debug_assert_eq!((off, data.len()), (expect_off, expect_len));
     // The fully reduced share streams back to the output distribution, so
     // its words leave the working set before the next leaf begins.
     comm.track_free(data.len() as u64);
     CPart {
-        rows: brick.rows.clone(),
-        cols: brick.cols.clone(),
-        offset: off,
+        rows: tr.brick.rows,
+        cols: tr.brick.cols,
+        offset: share.start,
         data,
     }
 }
@@ -552,9 +447,9 @@ async fn execute_leaf(
 /// keeps the streaming executor's working set at the leaf footprint.
 fn flat_block_slice(
     mat: &Matrix,
-    rows: &std::ops::Range<usize>,
-    cols: &std::ops::Range<usize>,
-    share: std::ops::Range<usize>,
+    rows: &Range<usize>,
+    cols: &Range<usize>,
+    share: Range<usize>,
     mut buf: Vec<f64>,
 ) -> Vec<f64> {
     let w = cols.len();
@@ -738,8 +633,12 @@ mod tests {
 
     #[test]
     fn trace_halves_largest_dimension() {
-        let prob = MmmProblem::new(8, 16, 64, 8, 1 << 12);
-        let tr = trace(&prob, 0);
+        let volume = Brick {
+            rows: 0..8,
+            cols: 0..16,
+            ks: 0..64,
+        };
+        let tr = trace_on(volume, 8, 0);
         assert_eq!(tr.levels[0].dim, SplitDim::K); // 64 largest
         assert_eq!(tr.levels[1].dim, SplitDim::K); // still 32 vs 8/16
         assert_eq!(tr.levels[2].dim, SplitDim::K); // tie k = n = 16 prefers k

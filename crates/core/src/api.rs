@@ -519,18 +519,11 @@ pub fn execute_boxed(
 /// COSMA as an [`MmmAlgorithm`]: wraps [`CosmaConfig`] (grid-fitting δ and
 /// communication [`Backend`](crate::algorithm::Backend)) around the planner
 /// and executor of [`crate::algorithm`]. A variant — one-sided, or δ = 0 —
-/// is a registry entry: `registry.register(CosmaAlgorithm::with_config(..))`.
+/// is a registry entry: `registry.register(CosmaAlgorithm { cfg })`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CosmaAlgorithm {
     /// The tunables (δ = 0.03, two-sided backend by default).
     pub cfg: CosmaConfig,
-}
-
-impl CosmaAlgorithm {
-    /// COSMA with an explicit configuration.
-    pub fn with_config(cfg: CosmaConfig) -> Self {
-        CosmaAlgorithm { cfg }
-    }
 }
 
 impl MmmAlgorithm for CosmaAlgorithm {
@@ -887,10 +880,12 @@ mod tests {
     #[test]
     fn registry_replacement_wins() {
         let mut reg = AlgorithmRegistry::core();
-        reg.register(CosmaAlgorithm::with_config(CosmaConfig {
-            delta: 0.5,
-            backend: Backend::OneSided,
-        }));
+        reg.register(CosmaAlgorithm {
+            cfg: CosmaConfig {
+                delta: 0.5,
+                backend: Backend::OneSided,
+            },
+        });
         assert_eq!(reg.all().len(), 1, "replaced, not duplicated");
     }
 
@@ -900,10 +895,12 @@ mod tests {
         let mut clone = original.clone();
         assert!(Arc::ptr_eq(&original.algos, &clone.algos), "clones share the algorithm list");
         let default = original.by_id(AlgoId::Cosma).unwrap();
-        let custom: Arc<dyn MmmAlgorithm> = Arc::new(CosmaAlgorithm::with_config(CosmaConfig {
-            delta: 0.5,
-            backend: Backend::OneSided,
-        }));
+        let custom: Arc<dyn MmmAlgorithm> = Arc::new(CosmaAlgorithm {
+            cfg: CosmaConfig {
+                delta: 0.5,
+                backend: Backend::OneSided,
+            },
+        });
         clone.register_arc(custom.clone());
         // Copy-on-write: the clone split off; the original still holds its
         // default COSMA entry.
@@ -970,10 +967,12 @@ mod tests {
         let a = Matrix::deterministic(prob.m, prob.k, 1);
         let b = Matrix::deterministic(prob.k, prob.n, 2);
         let mut reg = AlgorithmRegistry::core();
-        reg.register(CosmaAlgorithm::with_config(CosmaConfig {
-            backend: Backend::OneSided,
-            ..CosmaConfig::default()
-        }));
+        reg.register(CosmaAlgorithm {
+            cfg: CosmaConfig {
+                backend: Backend::OneSided,
+                ..CosmaConfig::default()
+            },
+        });
         let session = RunSession::new(prob).registry(reg);
         let (plan, report) = session.execute_verified(&a, &b).unwrap();
         let (_, blocking) = session.clone().exec_backend(BLOCKING).execute_verified(&a, &b).unwrap();

@@ -9,7 +9,7 @@
 //! stretched `1 × 5 × 13` grid to `4 × 4 × 4` with one idle rank — ~36% less
 //! communication for 1.5% more per-rank compute.
 
-use mpsim::collectives::Fiber;
+use mpsim::collectives::{allgather_bruck_msgs, Fiber};
 use mpsim::cost::CostModel;
 
 use crate::problem::MmmProblem;
@@ -109,10 +109,9 @@ impl std::error::Error for FitError {}
 
 /// Modeled *mean* per-rank received words of a grid: the A and B all-gathers
 /// along the grid fibers plus the k-fiber reduction of the C tile. The
-/// reduction is a binomial tree whose `g_k − 1` tile-sized messages average
-/// `(g_k−1)/g_k · l_m·l_n` received words per fiber member (the paper's `a²`
-/// term); the tree root transiently receives `⌈log₂ g_k⌉` tiles, which shows
-/// up in the max-volume metric but not here.
+/// reduction is a ring reduce-scatter: each fiber member receives `g_k − 1`
+/// messages, the tile minus its own chunk, `(g_k−1)/g_k · l_m·l_n` words on
+/// average (the paper's `a²` term).
 fn grid_comm_words(lm: usize, ln: usize, lk: usize, g: Grid3) -> u64 {
     let (lm, ln, lk) = (lm as u64, ln as u64, lk as u64);
     let a_words = lm * lk * (g.gn as u64 - 1) / g.gn as u64;
@@ -153,22 +152,14 @@ fn fit_ranks_in(prob: &MmmProblem, min_used: usize, model: &CostModel) -> Result
             let lk = prob.k.div_ceil(gk);
             // Memory feasibility: the C tile plus one double-buffered column/
             // row pair must fit (the step size search needs at least s = 1).
-            if latency_steps(lm, ln, lk, prob.mem_words).is_none() {
+            let Some(steps) = latency_steps(lm, ln, lk, prob.mem_words).map(|s| s.steps) else {
                 continue;
-            }
+            };
             let comm_words = grid_comm_words(lm, ln, lk, grid);
             let flops = 2 * lm as u64 * ln as u64 * lk as u64;
-            // Message count estimate: one ring step per fiber member per
-            // round plus the reduction tree depth.
-            let steps = latency_steps(lm, ln, lk, prob.mem_words).map(|s| s.steps).unwrap_or(1);
-            let log2c = |g: usize| -> u64 {
-                if g <= 1 {
-                    0
-                } else {
-                    (usize::BITS - (g - 1).leading_zeros()) as u64
-                }
-            };
-            let msgs = steps as u64 * (log2c(gn) + log2c(gm)) + gk as u64 - 1;
+            // Message count estimate: `⌈log₂ g⌉` Bruck rounds per A and B
+            // gather per step, plus the ring reduce-scatter's `g_k − 1`.
+            let msgs = steps as u64 * (allgather_bruck_msgs(gn) + allgather_bruck_msgs(gm)) + gk as u64 - 1;
             let score = model.compute_time(flops) + model.comm_time(comm_words, msgs);
             let cand = FitResult {
                 grid,

@@ -53,23 +53,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Create a `rows x cols` zero matrix on top of a recycled buffer,
-    /// reusing its capacity instead of allocating fresh storage.
-    ///
-    /// This is the arena-friendly twin of [`Matrix::zeros`]: algorithms that
-    /// lease scratch from a buffer pool hand the (arbitrary-length) lease
-    /// here and get a zeroed matrix without a `vec![0.0; rows * cols]`
-    /// allocation. The buffer's previous contents are discarded.
-    pub fn from_recycled(rows: usize, cols: usize, mut buf: Vec<f64>) -> Self {
-        buf.clear();
-        buf.resize(rows * cols, 0.0);
-        Matrix {
-            rows,
-            cols,
-            data: buf,
-        }
-    }
-
     /// Create a matrix with deterministic pseudo-random entries in `[-1, 1)`.
     ///
     /// Uses a splitmix64-style hash of `(seed, i, j)` so that a given element
@@ -146,24 +129,13 @@ impl Matrix {
     /// # Panics
     /// Panics if the ranges exceed the matrix bounds.
     pub fn block(&self, rows: Range<usize>, cols: Range<usize>) -> Matrix {
-        let words = rows.len() * cols.len();
-        self.block_into(rows, cols, Vec::with_capacity(words))
-    }
-
-    /// Copy the sub-matrix `rows x cols` into a matrix built on a recycled
-    /// buffer — [`Matrix::block`] without the fresh allocation (and without
-    /// the zero-fill: rows are appended directly).
-    ///
-    /// # Panics
-    /// Panics if the ranges exceed the matrix bounds.
-    pub fn block_into(&self, rows: Range<usize>, cols: Range<usize>, mut buf: Vec<f64>) -> Matrix {
         let (h, w) = (rows.len(), cols.len());
-        buf.clear();
-        self.append_block(rows, cols, &mut buf);
+        let mut data = Vec::with_capacity(h * w);
+        self.append_block(rows, cols, &mut data);
         Matrix {
             rows: h,
             cols: w,
-            data: buf,
+            data,
         }
     }
 
@@ -192,17 +164,6 @@ impl Matrix {
         // An empty block may start one past the last word.
         let start = (rows.start * self.cols + cols.start).min(self.data.len());
         View::new(&self.data[start..], rows.len(), cols.len(), self.cols)
-    }
-
-    /// Return the transpose as a new matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t.set(j, i, self.get(i, j));
-            }
-        }
-        t
     }
 
     /// Maximum absolute element-wise difference to `other`.
@@ -296,30 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn from_recycled_reuses_capacity_and_zeroes() {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&[9.0, 8.0, 7.0]);
-        let ptr = buf.as_ptr();
-        let m = Matrix::from_recycled(4, 5, buf);
-        assert_eq!(m.rows(), 4);
-        assert_eq!(m.cols(), 5);
-        assert!(m.as_slice().iter().all(|&x| x == 0.0));
-        let back = m.into_vec();
-        assert_eq!(back.as_ptr(), ptr, "capacity was large enough: no realloc");
-    }
-
-    #[test]
-    fn block_into_matches_block_and_reuses_capacity() {
-        let m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let buf = Vec::with_capacity(16);
-        let ptr = buf.as_ptr();
-        let b = m.block_into(1..3, 2..4, buf);
-        assert_eq!(b, m.block(1..3, 2..4));
-        let back = b.into_vec();
-        assert_eq!(back.as_ptr(), ptr);
-    }
-
-    #[test]
     fn deterministic_is_reproducible_and_rank_independent() {
         let a = Matrix::deterministic(7, 9, 42);
         let b = Matrix::deterministic(7, 9, 42);
@@ -399,13 +336,6 @@ mod tests {
     #[should_panic(expected = "col range out of bounds")]
     fn view_rejects_a_block_outside_the_matrix() {
         let _ = Matrix::zeros(2, 2).view(0..2, 1..3);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as f64);
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose().get(4, 2), m.get(2, 4));
     }
 
     #[test]

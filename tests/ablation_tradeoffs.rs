@@ -19,10 +19,12 @@ fn model() -> CostModel {
 /// δ variant is the registry's COSMA entry.
 fn cosma_plan_delta(prob: &MmmProblem, delta: f64) -> DistPlan {
     let mut registry = AlgorithmRegistry::core();
-    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
-        delta,
-        ..CosmaConfig::default()
-    }));
+    registry.register(CosmaAlgorithm {
+        cfg: CosmaConfig {
+            delta,
+            ..CosmaConfig::default()
+        },
+    });
     RunSession::new(*prob)
         .machine(model())
         .registry(registry)

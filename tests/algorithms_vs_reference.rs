@@ -56,10 +56,12 @@ fn run(prob: &MmmProblem, id: AlgoId) -> Matrix {
 fn run_cosma_backend(prob: &MmmProblem, backend: Backend) -> Matrix {
     let (a, b, _) = reference(prob.m, prob.n, prob.k);
     let mut registry = baselines::registry();
-    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
-        backend,
-        ..CosmaConfig::default()
-    }));
+    registry.register(CosmaAlgorithm {
+        cfg: CosmaConfig {
+            backend,
+            ..CosmaConfig::default()
+        },
+    });
     execute_on_both(AlgoId::Cosma, session(prob, AlgoId::Cosma).registry(registry), &a, &b)
 }
 
@@ -157,10 +159,12 @@ fn product_on_every_executor(session: RunSession, a: &Matrix, b: &Matrix, what: 
 fn cosma_product(prob: &MmmProblem, backend: Backend) -> Matrix {
     let (a, b, _) = reference(prob.m, prob.n, prob.k);
     let mut registry = baselines::registry();
-    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
-        backend,
-        ..CosmaConfig::default()
-    }));
+    registry.register(CosmaAlgorithm {
+        cfg: CosmaConfig {
+            backend,
+            ..CosmaConfig::default()
+        },
+    });
     let session = session(prob, AlgoId::Cosma).registry(registry);
     product_on_every_executor(session, &a, &b, &format!("{prob:?} {backend:?}"))
 }

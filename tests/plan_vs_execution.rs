@@ -79,10 +79,12 @@ fn cosma_one_sided_backend_matches_same_plan() {
     // the flat shape a 4-member fiber reads three blocks one-sided, one more
     // than its two Bruck rounds two-sided.
     let mut registry = AlgorithmRegistry::core();
-    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
-        backend: Backend::OneSided,
-        ..CosmaConfig::default()
-    }));
+    registry.register(CosmaAlgorithm {
+        cfg: CosmaConfig {
+            backend: Backend::OneSided,
+            ..CosmaConfig::default()
+        },
+    });
     for prob in [
         MmmProblem::new(24, 24, 48, 8, 1 << 11),
         MmmProblem::new(64, 64, 8, 16, 1 << 12),
@@ -199,7 +201,9 @@ fn planned_memory_is_respected_by_execution() {
     // The executor's tracked peak allocation stays within the plan's
     // memory figure plus the input-shard footprint convention.
     let prob = MmmProblem::new(32, 32, 64, 8, 1 << 11);
-    let algo = CosmaAlgorithm::with_config(CosmaConfig::default());
+    let algo = CosmaAlgorithm {
+        cfg: CosmaConfig::default(),
+    };
     let plan = algo.plan(&prob, &CostModel::piz_daint_two_sided()).unwrap();
     plan.validate().unwrap();
     let (a, b) = inputs(&prob);

@@ -502,10 +502,12 @@ fn one_sided_cosma_executes_with_fewer_workers_than_ranks() {
     let a = Matrix::deterministic(prob.m, prob.k, 5);
     let b = Matrix::deterministic(prob.k, prob.n, 6);
     let mut registry = AlgorithmRegistry::core();
-    registry.register(CosmaAlgorithm::with_config(CosmaConfig {
-        backend: Backend::OneSided,
-        ..CosmaConfig::default()
-    }));
+    registry.register(CosmaAlgorithm {
+        cfg: CosmaConfig {
+            backend: Backend::OneSided,
+            ..CosmaConfig::default()
+        },
+    });
     RunSession::new(prob)
         .registry(registry)
         .exec_backend(ExecBackend::Blocking { workers: 2 })
