@@ -12,23 +12,15 @@
 //! [`execute`] interprets the same schedule on an [`mpsim`] machine with real
 //! messages and real matrix blocks. The body is a resumable (`async`) rank
 //! program over [`RankComm`], so it runs unchanged on the blocking and
-//! event-driven executors, in either communication backend of §7.4:
+//! event-driven executors: Bruck (log-depth) all-gathers of A and B over
+//! tagged sends/receives, then the ring reduce-scatter of C.
 //!
-//! * **two-sided** — Bruck (log-depth) all-gathers over tagged sends/receives;
-//! * **one-sided** — every rank publishes its owned shards in an RMA window
-//!   once (one barrier closes the epoch), then peers `get` exactly the
-//!   chunks each round needs; the C reduce-scatter stays message-based (as
-//!   in the paper, where collectives remain MPI even in the RMA
-//!   configuration).
-//!
-//! Both backends move exactly the words and messages the plan predicts — the
+//! It moves exactly the words and messages the plan predicts — the
 //! integration tests assert equality against the mpiP-style counters.
 
 use densemat::gemm::{gemm_packed, Operand, View};
 use densemat::matrix::Matrix;
-use mpsim::collectives::{
-    allgather_bruck, allgather_bruck_msgs, even_cut, reduce_scatter_ring, Fiber, Gathered,
-};
+use mpsim::collectives::{allgather_bruck, allgather_bruck_msgs, even_cut, reduce_scatter_ring};
 pub use mpsim::collectives::{even_owner, even_range};
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
@@ -40,31 +32,16 @@ use crate::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use crate::problem::MmmProblem;
 use crate::schedule::latency_steps;
 
-/// Communication backend (§7.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Message passing: Bruck all-gathers over send/recv.
-    #[default]
-    TwoSided,
-    /// RMA: publish shards in windows, peers `get` what they need.
-    OneSided,
-}
-
 /// Tunables of the COSMA run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosmaConfig {
     /// Maximum fraction of ranks grid fitting may idle (paper: 3%).
     pub delta: f64,
-    /// Communication backend.
-    pub backend: Backend,
 }
 
 impl Default for CosmaConfig {
     fn default() -> Self {
-        CosmaConfig {
-            delta: 0.03,
-            backend: Backend::TwoSided,
-        }
+        CosmaConfig { delta: 0.03 }
     }
 }
 
@@ -106,7 +83,7 @@ pub fn plan_ranks(
         let per_bucket = sp.steps.div_ceil(buckets);
         let mut rounds = Vec::with_capacity(buckets + 1);
         let mut max_slab = 0usize;
-        // Two-sided, a slab's gathers are Bruck all-gathers along both fibers.
+        // A slab's gathers are Bruck all-gathers along both fibers.
         let bruck_msgs = allgather_bruck_msgs(grid.gn) + allgather_bruck_msgs(grid.gm);
         for chunk in sp.slabs.chunks(per_bucket) {
             let mut acc = Round::default();
@@ -119,10 +96,7 @@ pub fn plan_ranks(
                 // B slab (w x ln): rows owned along the i-fiber.
                 let b_own_rows = even_range(w, grid.gm, im).len();
                 acc.b_words += ((w - b_own_rows) * ln) as u64;
-                acc.msgs += match cfg.backend {
-                    Backend::TwoSided => bruck_msgs,
-                    Backend::OneSided => one_sided_gets(w, grid.gn, jn) + one_sided_gets(w, grid.gm, im),
-                };
+                acc.msgs += bruck_msgs;
                 acc.flops += 2 * (lm * ln * w) as u64;
             }
             rounds.push(acc);
@@ -158,15 +132,6 @@ pub fn plan_ranks(
         problem: *prob,
         grid: [grid.gm, grid.gn, grid.gk],
     })
-}
-
-/// The `get`s member `pos` of a `g`-member fiber issues gathering one round's
-/// `w` balanced columns (or rows) one-sided: one per non-empty foreign block,
-/// and [`even_range`] gives the non-empty blocks to the first `min(w, g)`
-/// members.
-fn one_sided_gets(w: usize, g: usize, pos: usize) -> u64 {
-    let full = w.min(g);
-    (full - usize::from(pos < full)) as u64
 }
 
 /// Maximum number of plan rounds per rank; longer step sequences are grouped
@@ -243,13 +208,7 @@ pub fn assemble_c(parts: impl IntoIterator<Item = CPart>, m: usize, n: usize) ->
 ///
 /// # Panics
 /// Panics if the plan does not belong to this world size.
-pub async fn execute(
-    comm: &mut RankComm,
-    plan: &DistPlan,
-    cfg: &CosmaConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> Vec<CPart> {
+pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
     let grid = Grid3 {
         gm: plan.grid[0],
@@ -257,20 +216,6 @@ pub async fn execute(
         gk: plan.grid[2],
     };
     let rp = &plan.ranks[comm.rank()];
-
-    // One-sided backend: a single epoch — everyone (idle ranks an empty
-    // window) publishes its shards, one barrier, then peers pull chunks on
-    // demand.
-    if cfg.backend == Backend::OneSided {
-        if rp.active {
-            let window = build_window(plan, &grid, rp, a, b);
-            comm.track_alloc(window.len() as u64);
-            comm.win_fill(window);
-        } else {
-            comm.win_fill(Vec::new());
-        }
-        comm.barrier().await;
-    }
     if !rp.active {
         return Vec::new();
     }
@@ -287,8 +232,6 @@ pub async fn execute(
     // payloads they read.
     let mut c_local: Option<Matrix> = None;
     comm.track_alloc((lm * ln) as u64);
-    // One-sided: where this round's chunk starts in each fiber peer's window.
-    let mut win = (cfg.backend == Backend::OneSided).then(|| window_cursors(plan, &grid, &sp.slabs, jn));
 
     for (round, slab) in sp.slab_ranges().into_iter().enumerate() {
         let w = slab.len();
@@ -300,18 +243,16 @@ pub async fn execute(
         let own = ks_lo + a_cols(jn)..ks_lo + a_cols(jn + 1);
         let own_a = a.view(rows.clone(), own.clone());
         let append = |out: &mut Vec<f64>| a.append_block(rows.clone(), own.clone(), out);
-        let a_win = win.as_mut().map(|(a_win, _)| a_win.as_mut_slice());
         let fiber = grid.j_fiber(im, ik);
-        let got_a = gather(comm, fiber, jn, append, |j| lm * a_cols(j), tag, Phase::InputA, a_win).await;
+        let got_a = allgather_bruck(comm, fiber, jn, append, |j| lm * a_cols(j), tag, Phase::InputA).await;
         // --- DistrData: the round's B (w x ln); member i of the i-fiber owns
         // block i, the i-th balanced run of whole rows ---
         let b_rows = |i| even_cut(w, grid.gm, i);
         let own = ks_lo + b_rows(im)..ks_lo + b_rows(im + 1);
         let own_b = b.view(own.clone(), cols.clone());
         let append = |out: &mut Vec<f64>| b.append_block(own.clone(), cols.clone(), out);
-        let b_win = win.as_mut().map(|(_, b_win)| b_win.as_mut_slice());
         let (fiber, tag) = (grid.i_fiber(jn, ik), tag + TAG_STRIDE);
-        let got_b = gather(comm, fiber, im, append, |i| ln * b_rows(i), tag, Phase::InputB, b_win).await;
+        let got_b = allgather_bruck(comm, fiber, im, append, |i| ln * b_rows(i), tag, Phase::InputB).await;
         // --- Multiply, reading every block where it lies: a piece of B is
         // whole rows, one view; a piece of A is one `lm × w_j` view per
         // block ---
@@ -371,77 +312,6 @@ pub async fn execute(
     }]
 }
 
-/// The RMA window content of one rank: its A chunks for every round, then
-/// its B chunks for every round, all row-major flattened.
-fn build_window(plan: &DistPlan, grid: &Grid3, rp: &RankPlan, a: &Matrix, b: &Matrix) -> Vec<f64> {
-    let [im, jn, _ik] = rp.coords;
-    let brick = &rp.bricks[0];
-    let (rows, cols, ks) = (brick.rows.clone(), brick.cols.clone(), brick.ks.clone());
-    let sp = latency_steps(rows.len(), cols.len(), ks.len(), plan.problem.mem_words).expect("feasible plan");
-    let mut window = Vec::new();
-    for slab in sp.slab_ranges() {
-        let own = even_range(slab.len(), grid.gn, jn);
-        let ks_lo = ks.start + slab.start;
-        a.append_block(rows.clone(), ks_lo + own.start..ks_lo + own.end, &mut window);
-    }
-    for slab in sp.slab_ranges() {
-        let own = even_range(slab.len(), grid.gm, im);
-        let ks_lo = ks.start + slab.start;
-        b.append_block(ks_lo + own.start..ks_lo + own.end, cols.clone(), &mut window);
-    }
-    window
-}
-
-/// Word offsets of the first round's A chunk in every j-fiber peer's window
-/// and of its B chunk in every i-fiber peer's, mirroring [`build_window`]'s
-/// layout; [`gather`] advances them round by round. Fiber peers share
-/// this rank's round structure (`slabs`); the B chunks of the i-fiber peer at
-/// row coordinate `i` sit behind its own `lm_i × (its columns of every slab)`
-/// words of A.
-fn window_cursors(plan: &DistPlan, grid: &Grid3, slabs: &[usize], jn: usize) -> (Vec<usize>, Vec<usize>) {
-    let a_cols: usize = slabs.iter().map(|&w| even_range(w, grid.gn, jn).len()).sum();
-    let b_win = (0..grid.gm)
-        .map(|i| even_range(plan.problem.m, grid.gm, i).len() * a_cols)
-        .collect();
-    (vec![0; grid.gn], b_win)
-}
-
-/// Gather one round's blocks to member `pos` of `fiber`, block `j` being
-/// `cut(j + 1) − cut(j)` words row-major; `own` appends this rank's own block
-/// to a payload. Two-sided by a Bruck all-gather; one-sided (`win` given) by a
-/// `get` of every peer's non-empty block from its window at `win[peer
-/// position]`, each chunk kept as it arrived, advancing the cursors past the
-/// round.
-#[allow(clippy::too_many_arguments)]
-async fn gather(
-    comm: &mut RankComm,
-    fiber: Fiber,
-    pos: usize,
-    own: impl Fn(&mut Vec<f64>),
-    cut: impl Fn(usize) -> usize,
-    tag: u64,
-    phase: Phase,
-    win: Option<&mut [usize]>,
-) -> Gathered {
-    let Some(win) = win else {
-        return allgather_bruck(comm, fiber, pos, own, cut, tag, phase).await;
-    };
-    debug_assert_eq!(win.len(), fiber.len, "one window cursor per fiber member");
-    let (mut below, mut chunks) = (0, Vec::new());
-    for (j, cursor) in win.iter_mut().enumerate() {
-        let words = cut(j + 1) - cut(j);
-        // An empty block is no read: no message, no latency.
-        if j != pos && words > 0 {
-            below += usize::from(j < pos);
-            chunks.push(comm.get(fiber.rank(j), *cursor, words, phase));
-        }
-        *cursor += words;
-    }
-    // Read in rank order, kept in cyclic order from the block after ours.
-    chunks.rotate_left(below);
-    Gathered::new(cut(pos)..cut(pos + 1), chunks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,30 +321,22 @@ mod tests {
 
     /// Plan, execute on the blocking reference, verify the product and the
     /// plan-exact traffic; hands back the plan and the measured counters.
-    fn check_cosma(
-        m: usize,
-        n: usize,
-        k: usize,
-        p: usize,
-        s: usize,
-        backend: Backend,
-    ) -> (DistPlan, Vec<mpsim::RankStats>) {
+    fn check_cosma(m: usize, n: usize, k: usize, p: usize, s: usize) -> (DistPlan, Vec<mpsim::RankStats>) {
         let prob = MmmProblem::new(m, n, k, p, s);
         let model = CostModel::piz_daint_two_sided();
-        let cfg = CosmaConfig { delta: 0.03, backend };
-        let dplan = plan(&prob, &cfg, &model).expect("plan");
+        let dplan = plan(&prob, &CosmaConfig::default(), &model).expect("plan");
         dplan.validate().expect("valid plan");
         let a = Matrix::deterministic(m, k, 11);
         let b = Matrix::deterministic(k, n, 22);
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(p, s);
-        let (dplan_r, cfg_r, a_r, b_r) = (&dplan, &cfg, &a, &b);
+        let (dplan_r, a_r, b_r) = (&dplan, &a, &b);
         let out = run_spmd_with(
             &spec,
             ExecBackend::Blocking {
                 workers: ExecBackend::default_workers(),
             },
-            |mut comm| async move { execute(&mut comm, dplan_r, cfg_r, a_r, b_r).await },
+            |mut comm| async move { execute(&mut comm, dplan_r, a_r, b_r).await },
         )
         .expect("blocking run accepted");
         // Assemble C from every active rank's share.
@@ -483,79 +345,33 @@ mod tests {
         let c = assemble_c(parts, m, n);
         assert!(
             want.approx_eq(&c, 1e-9),
-            "{m}x{n}x{k} p={p} S={s} {backend:?}: wrong product, max diff {}",
+            "{m}x{n}x{k} p={p} S={s}: wrong product, max diff {}",
             want.max_abs_diff(&c)
         );
         // Measured traffic equals the plan, rank by rank.
         for (r, st) in out.stats.iter().enumerate() {
-            assert_eq!(
-                st.total_recv(),
-                dplan.ranks[r].comm_words(),
-                "rank {r} traffic mismatch ({backend:?})"
-            );
-            assert_eq!(st.msgs_recv, dplan.ranks[r].comm_msgs(), "rank {r} messages ({backend:?})");
+            assert_eq!(st.total_recv(), dplan.ranks[r].comm_words(), "rank {r} traffic mismatch");
+            assert_eq!(st.msgs_recv, dplan.ranks[r].comm_msgs(), "rank {r} messages");
         }
         (dplan, out.stats)
     }
 
     #[test]
     fn cosma_correct_various_shapes_two_sided() {
-        check_cosma(16, 16, 16, 4, 4096, Backend::TwoSided);
-        check_cosma(24, 18, 30, 6, 4096, Backend::TwoSided);
-        check_cosma(17, 19, 23, 5, 4096, Backend::TwoSided); // primes everywhere
-        check_cosma(8, 8, 64, 8, 256, Backend::TwoSided); // largeK, k-split
-        check_cosma(64, 8, 8, 8, 4096, Backend::TwoSided); // largeM
-        check_cosma(32, 32, 4, 8, 4096, Backend::TwoSided); // flat
-    }
-
-    #[test]
-    fn cosma_correct_one_sided() {
-        check_cosma(16, 16, 16, 4, 4096, Backend::OneSided);
-        check_cosma(12, 20, 28, 6, 2048, Backend::OneSided);
-        check_cosma(8, 8, 64, 8, 256, Backend::OneSided);
+        check_cosma(16, 16, 16, 4, 4096);
+        check_cosma(24, 18, 30, 6, 4096);
+        check_cosma(17, 19, 23, 5, 4096); // primes everywhere
+        check_cosma(8, 8, 64, 8, 256); // largeK, k-split
+        check_cosma(64, 8, 8, 8, 4096); // largeM
+        check_cosma(32, 32, 4, 8, 4096); // flat
     }
 
     #[test]
     fn cosma_correct_when_slabs_are_narrower_than_the_fibers() {
         // Grids 16x16x2 and 13x13x3 with round widths of 8 and 7-8: most
         // fiber members own an empty block of every slab.
-        for backend in [Backend::TwoSided, Backend::OneSided] {
-            check_cosma(16, 16, 16, 512, 4096, backend);
-            check_cosma(17, 19, 23, 510, 4096, backend);
-        }
-    }
-
-    #[test]
-    fn one_sided_gathers_read_only_the_non_empty_blocks() {
-        // The same narrow-slab grids: the plan prices a `get` per non-empty
-        // foreign block of every A and B slab plus the gk − 1 ring steps, and
-        // nothing for the empty blocks (half of a 16-member fiber over an
-        // 8-column slab); every rank's measured reads are the plan's.
-        for (m, n, k, p) in [(16, 16, 16, 512), (17, 19, 23, 510)] {
-            let (dplan, stats) = check_cosma(m, n, k, p, 4096, Backend::OneSided);
-            let [gm, gn, gk] = dplan.grid;
-            let mut empty_blocks = 0;
-            for (rp, st) in dplan.ranks.iter().zip(&stats) {
-                let mut reads = 0;
-                if rp.active {
-                    let [im, jn, _] = rp.coords;
-                    let brick = &rp.bricks[0];
-                    let sp = latency_steps(brick.rows.len(), brick.cols.len(), brick.ks.len(), 4096).unwrap();
-                    for &w in &sp.slabs {
-                        let a_blocks =
-                            (0..gn).filter(|&j| j != jn && !even_range(w, gn, j).is_empty()).count();
-                        let b_blocks =
-                            (0..gm).filter(|&i| i != im && !even_range(w, gm, i).is_empty()).count();
-                        reads += a_blocks + b_blocks;
-                        empty_blocks += (gn - 1 - a_blocks) + (gm - 1 - b_blocks);
-                    }
-                    reads += gk - 1;
-                }
-                assert_eq!(rp.comm_msgs(), reads as u64, "{m}x{n}x{k} p={p}: rank {} planned reads", rp.rank);
-                assert_eq!(st.msgs_recv, rp.comm_msgs(), "{m}x{n}x{k} p={p}: rank {} reads", rp.rank);
-            }
-            assert!(empty_blocks > 0, "{m}x{n}x{k} p={p}: the case has no empty block to skip");
-        }
+        check_cosma(16, 16, 16, 512, 4096);
+        check_cosma(17, 19, 23, 510, 4096);
     }
 
     #[test]
@@ -652,13 +468,13 @@ mod tests {
 
     #[test]
     fn cosma_single_rank_is_local_gemm() {
-        check_cosma(10, 12, 14, 1, 4096, Backend::TwoSided);
+        check_cosma(10, 12, 14, 1, 4096);
     }
 
     #[test]
     fn cosma_tight_memory_multi_round() {
         // Force several communication rounds: tile 8x8=64, slack for few cols.
-        check_cosma(16, 16, 32, 4, 64 + 2 * 16 * 2, Backend::TwoSided);
+        check_cosma(16, 16, 32, 4, 64 + 2 * 16 * 2);
     }
 
     #[test]
@@ -698,6 +514,6 @@ mod tests {
     #[test]
     fn idle_rank_with_prime_p() {
         // p = 7 on a cube: dropping ranks must still compute correctly.
-        check_cosma(24, 24, 24, 7, 4096, Backend::TwoSided);
+        check_cosma(24, 24, 24, 7, 4096);
     }
 }

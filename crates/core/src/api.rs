@@ -516,13 +516,12 @@ pub fn execute_boxed(
 // COSMA's implementation
 // ---------------------------------------------------------------------------
 
-/// COSMA as an [`MmmAlgorithm`]: wraps [`CosmaConfig`] (grid-fitting δ and
-/// communication [`Backend`](crate::algorithm::Backend)) around the planner
-/// and executor of [`crate::algorithm`]. A variant — one-sided, or δ = 0 —
-/// is a registry entry: `registry.register(CosmaAlgorithm { cfg })`.
+/// COSMA as an [`MmmAlgorithm`]: wraps [`CosmaConfig`] (the grid-fitting δ)
+/// around the planner and executor of [`crate::algorithm`]. A variant — δ = 0,
+/// say — is a registry entry: `registry.register(CosmaAlgorithm { cfg })`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CosmaAlgorithm {
-    /// The tunables (δ = 0.03, two-sided backend by default).
+    /// The tunables (δ = 0.03 by default).
     pub cfg: CosmaConfig,
 }
 
@@ -547,7 +546,7 @@ impl MmmAlgorithm for CosmaAlgorithm {
         a: &'a Matrix,
         b: &'a Matrix,
     ) -> RankFuture<'a, Vec<CPart>> {
-        Box::pin(algorithm::execute(comm, plan, &self.cfg, a, b))
+        Box::pin(algorithm::execute(comm, plan, a, b))
     }
 }
 
@@ -650,7 +649,7 @@ pub struct RunOutcome {
 /// the plain machine those describe; a run that needs more of a machine (a
 /// topology, a placement, a fault plan, an enforced memory budget) builds
 /// that [`MachineSpec`] and hands it to [`execute_boxed`]. An algorithm
-/// variant (one-sided COSMA, a forced 2.5D geometry) is an entry of the
+/// variant (COSMA at δ = 0, a forced 2.5D geometry) is an entry of the
 /// session's [`registry`](Self::registry).
 ///
 /// ```
@@ -701,8 +700,8 @@ impl RunSession {
     }
 
     /// Use a custom registry (e.g. `baselines::registry()` for the full
-    /// five-algorithm set, or one with re-configured entries such as a
-    /// one-sided COSMA).
+    /// five-algorithm set, or one with re-configured entries such as COSMA
+    /// at δ = 0).
     pub fn registry(mut self, registry: AlgorithmRegistry) -> Self {
         self.registry = registry;
         self
@@ -846,7 +845,6 @@ impl RunSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Backend;
 
     /// The blocking reference executor, next to the event default.
     const BLOCKING: ExecBackend = ExecBackend::Blocking { workers: 2 };
@@ -881,10 +879,7 @@ mod tests {
     fn registry_replacement_wins() {
         let mut reg = AlgorithmRegistry::core();
         reg.register(CosmaAlgorithm {
-            cfg: CosmaConfig {
-                delta: 0.5,
-                backend: Backend::OneSided,
-            },
+            cfg: CosmaConfig { delta: 0.5 },
         });
         assert_eq!(reg.all().len(), 1, "replaced, not duplicated");
     }
@@ -896,10 +891,7 @@ mod tests {
         assert!(Arc::ptr_eq(&original.algos, &clone.algos), "clones share the algorithm list");
         let default = original.by_id(AlgoId::Cosma).unwrap();
         let custom: Arc<dyn MmmAlgorithm> = Arc::new(CosmaAlgorithm {
-            cfg: CosmaConfig {
-                delta: 0.5,
-                backend: Backend::OneSided,
-            },
+            cfg: CosmaConfig { delta: 0.5 },
         });
         clone.register_arc(custom.clone());
         // Copy-on-write: the clone split off; the original still holds its
@@ -959,32 +951,6 @@ mod tests {
         let b = Matrix::deterministic(prob.k, prob.n, 6);
         // The verification is the call: product, words and messages.
         RunSession::new(prob).execute_verified(&a, &b).unwrap();
-    }
-
-    #[test]
-    fn one_sided_cosma_is_a_registry_entry() {
-        let prob = MmmProblem::new(16, 16, 16, 4, 4096);
-        let a = Matrix::deterministic(prob.m, prob.k, 1);
-        let b = Matrix::deterministic(prob.k, prob.n, 2);
-        let mut reg = AlgorithmRegistry::core();
-        reg.register(CosmaAlgorithm {
-            cfg: CosmaConfig {
-                backend: Backend::OneSided,
-                ..CosmaConfig::default()
-            },
-        });
-        let session = RunSession::new(prob).registry(reg);
-        let (plan, report) = session.execute_verified(&a, &b).unwrap();
-        let (_, blocking) = session.clone().exec_backend(BLOCKING).execute_verified(&a, &b).unwrap();
-        // The plan of the two-sided default, its product and its received
-        // words, on both executors.
-        assert_eq!(plan, RunSession::new(prob).plan().unwrap());
-        assert_eq!(report.c, blocking.c);
-        let two_sided = RunSession::new(prob).execute(&a, &b).unwrap();
-        assert_eq!(report.c, two_sided.c);
-        for (one, two) in report.stats.iter().zip(&two_sided.stats) {
-            assert_eq!(one.total_recv(), two.total_recv());
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! that induced layout as [`densemat::layout::Distribution`]s (element-level
 //! owner functions) so that
 //!
-//! * the executor's `build_window`/chunk extraction and the layout agree
+//! * the executor's own-block extraction and the layout agree
 //!   (tested), and
 //! * the cost of adapting a ScaLAPACK block-cyclic matrix to COSMA's layout
 //!   — the paper's preprocessing phase — can be measured exactly with

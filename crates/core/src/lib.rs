@@ -21,8 +21,7 @@
 //! 5. [`algorithm::execute`] — run it on an [`mpsim`] machine with real
 //!    messages: per-round A/B all-gathers along grid fibers (`DistrData`),
 //!    local tiled GEMM (`Multiply`), and a balanced ring reduce-scatter of C
-//!    (`Reduce`; the output stays in COSMA's blocked layout), with two-sided
-//!    or one-sided (§7.4) backends.
+//!    (`Reduce`; the output stays in COSMA's blocked layout).
 //!
 //! The closed-form per-rank I/O of Eq. 33 (Table 3's COSMA row) is
 //! [`schedule::io_cost`], beside the domain it reads. The message counts a
@@ -49,7 +48,7 @@ pub mod plan;
 pub mod problem;
 pub mod schedule;
 
-pub use algorithm::{execute, plan as cosma_plan, Backend, CosmaConfig};
+pub use algorithm::{execute, plan as cosma_plan, CosmaConfig};
 pub use api::{
     AlgoId, AlgorithmRegistry, CosmaAlgorithm, ExecReport, MmmAlgorithm, PlanError, RankRequirement,
     RunOutcome, RunSession,

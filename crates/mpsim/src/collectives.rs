@@ -287,7 +287,7 @@ impl Gathered {
     ///
     /// # Panics
     /// Panics if `bufs` hold fewer words than the blocks before `own`.
-    pub fn new(own: Range<usize>, bufs: Vec<Vec<f64>>) -> Self {
+    fn new(own: Range<usize>, bufs: Vec<Vec<f64>>) -> Self {
         let words: usize = bufs.iter().map(Vec::len).sum();
         assert!(words >= own.start, "{words} gathered words for {} before the own block", own.start);
         Gathered { own, bufs }

@@ -1,4 +1,4 @@
-//! The communicators: tagged two-sided message passing and one-sided windows.
+//! The communicators: tagged two-sided message passing and a world barrier.
 //!
 //! Rank bodies talk to the machine through [`RankComm`], the resumable
 //! rank-facing handle: operations that may have to wait for a peer
@@ -7,14 +7,9 @@
 //! carrier threads on the blocking backend, stackless state machines on the
 //! event backend.
 //!
-//! Two communication backends mirror §7.4 of the paper:
-//!
-//! * **Two-sided** — [`RankComm::send`]/[`RankComm::recv`] with
-//!   `(source, tag)` matching. A send never blocks, so exchange patterns
-//!   like Cannon shifts cannot deadlock.
-//! * **One-sided** — one epoch shape: every rank publishes its window
-//!   ([`RankComm::win_fill`]), a [`RankComm::barrier`] closes the epoch,
-//!   then peers [`RankComm::get`] from it.
+//! Messages are [`RankComm::send`]/[`RankComm::recv`] with `(source, tag)`
+//! matching. A send never blocks, so exchange patterns like Cannon shifts
+//! cannot deadlock.
 //!
 //! Behind [`RankComm`] sit two crate-private implementations: the blocking
 //! (channel-based) one of the blocking executor and the event-driven one of
@@ -25,11 +20,11 @@ use std::cell::Cell;
 use std::future::Future;
 use std::pin::pin;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use crate::event::EventComm;
+use crate::event::{lock, EventComm};
 use crate::exec::{ExecError, Waiting, WorkerGate};
 use crate::pool::BufferPool;
 use crate::stats::{Phase, StatsBoard};
@@ -59,31 +54,11 @@ struct Packet {
 struct SharedState {
     senders: Vec<Sender<Packet>>,
     stats: Arc<StatsBoard>,
-    barrier: std::sync::Barrier,
-    windows: Vec<Mutex<Vec<f64>>>,
+    /// The world barrier: `(arrived, generation)` — a wait that can time
+    /// out, which `std::sync::Barrier`'s cannot.
+    barrier: Mutex<(usize, u64)>,
+    all_arrived: Condvar,
     pool: Arc<BufferPool>,
-}
-
-/// Lock a window mutex; a poisoned lock means another rank already
-/// panicked, so recover the data and let that panic surface first.
-fn lock(w: &Mutex<Vec<f64>>) -> MutexGuard<'_, Vec<f64>> {
-    w.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// `MPI_Get` into a caller-provided (typically pooled) buffer: `out` is
-/// cleared and filled with the `len` words of window `w` at `offset` — the
-/// one bounds check both backends' `get` share.
-pub(crate) fn get_into(w: &[f64], offset: usize, len: usize, out: &mut Vec<f64>) {
-    assert!(offset + len <= w.len(), "get past window end");
-    out.clear();
-    out.extend_from_slice(&w[offset..offset + len]);
-}
-
-/// Count one RMA transfer of `words` words: sent by `sender`, received by
-/// `receiver` — the single accounting rule both backends share.
-pub(crate) fn record_rma(stats: &StatsBoard, sender: usize, receiver: usize, words: u64, phase: Phase) {
-    stats.rank(sender).record_send(words, phase);
-    stats.rank(receiver).record_recv(words, phase);
 }
 
 /// A rank's handle on the blocking executor's [`WorkerGate`]: tracks whether
@@ -128,15 +103,15 @@ pub(crate) struct Comm {
     pending: Vec<Packet>,
     /// Admission handle: this rank's claim on a runnable slot.
     gate: RankGate,
-    /// Deadlock guard: how long a blocking receive waits before raising
-    /// [`ExecError::DeadlockSuspected`].
+    /// Deadlock guard: how long a blocking receive or barrier waits before
+    /// raising [`ExecError::DeadlockSuspected`].
     recv_timeout: Duration,
 }
 
 impl Comm {
     /// Build communicators for a world of `p` ranks sharing `stats`: every
     /// rank's blocking rendezvous yields its runnable slot to `gate`, a
-    /// blocking receive that waits past `recv_timeout` raises the typed
+    /// receive or barrier that waits past `recv_timeout` raises the typed
     /// deadlock guard, and `pool` is the world's buffer-reuse arena (shared
     /// across worlds by the serving layer).
     pub fn create_world(
@@ -158,8 +133,8 @@ impl Comm {
         let shared = Arc::new(SharedState {
             senders,
             stats,
-            barrier: std::sync::Barrier::new(p),
-            windows: (0..p).map(|_| Mutex::new(Vec::new())).collect(),
+            barrier: Mutex::new((0, 0)),
+            all_arrived: Condvar::new(),
             pool,
         });
         receivers
@@ -300,32 +275,37 @@ impl Comm {
     /// wait-state: the rank yields its worker slot while standing at the
     /// barrier (all `p` ranks must arrive, and fewer than `p` workers may
     /// exist).
+    ///
+    /// # Panics
+    /// Panics with a typed [`ExecError::DeadlockSuspected`] payload after
+    /// [`MachineSpec::recv_timeout`](crate::machine::MachineSpec) without
+    /// every rank arriving; the executor converts it into a typed error.
     pub fn barrier(&self) {
         self.gate.suspend();
-        self.shared.barrier.wait();
+        let mut state = lock(&self.shared.barrier);
+        let (arrived, generation) = &mut *state;
+        *arrived += 1;
+        // No rank re-acquires its worker slot while holding the lock.
+        if *arrived == self.p {
+            (*arrived, *generation) = (0, *generation + 1);
+            drop(state);
+            self.shared.all_arrived.notify_all();
+        } else {
+            let mine = *generation;
+            let (state, wait) = self
+                .shared
+                .all_arrived
+                .wait_timeout_while(state, self.recv_timeout, |(_, generation)| *generation == mine)
+                .unwrap_or_else(|e| e.into_inner());
+            drop(state);
+            if wait.timed_out() {
+                raise(ExecError::DeadlockSuspected {
+                    rank: self.rank,
+                    on: Waiting::Barrier,
+                });
+            }
+        }
         self.gate.resume();
-    }
-
-    // ------------------------------------------------------------------
-    // One-sided (RMA) backend
-    // ------------------------------------------------------------------
-
-    /// Read `len` words at `offset` from `target`'s window (like `MPI_Get`).
-    /// Counts as words received by this rank and sent by the target. The
-    /// returned buffer comes from the world's arena, never a fresh
-    /// allocation on a pool hit.
-    pub fn get(&self, target: usize, offset: usize, len: usize, phase: Phase) -> Vec<f64> {
-        let mut out = self.shared.pool.take_clear(len);
-        get_into(&lock(&self.shared.windows[target]), offset, len, &mut out);
-        record_rma(&self.shared.stats, target, self.rank, len as u64, phase);
-        out
-    }
-
-    /// Replace this rank's window contents (no traffic counted — populating
-    /// one's own window is a local operation, like filling an
-    /// `MPI_Win_allocate` buffer).
-    pub fn win_fill(&self, data: Vec<f64>) {
-        *lock(&self.shared.windows[self.rank]) = data;
     }
 }
 
@@ -473,33 +453,11 @@ impl RankComm {
         self.recv(from, tag, phase).await
     }
 
-    /// Wait until all ranks reach the barrier — a wait-state. It also closes
-    /// a one-sided epoch: every window filled before it is readable after it.
+    /// Wait until all ranks reach the barrier — a wait-state.
     pub async fn barrier(&mut self) {
         match &mut self.0 {
             CommImpl::Blocking(c) => c.barrier(),
             CommImpl::Event(c) => c.barrier().await,
-        }
-    }
-
-    /// Replace this rank's window contents (local, no traffic counted): the
-    /// publish step of a one-sided epoch.
-    pub fn win_fill(&self, data: Vec<f64>) {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.win_fill(data),
-            CommImpl::Event(c) => c.win_fill(data),
-        }
-    }
-
-    /// Read `len` words at `offset` from `target`'s window (like `MPI_Get`),
-    /// into a buffer leased from the world's arena.
-    ///
-    /// # Panics
-    /// Panics if the read runs past the end of the target's window.
-    pub fn get(&self, target: usize, offset: usize, len: usize, phase: Phase) -> Vec<f64> {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.get(target, offset, len, phase),
-            CommImpl::Event(c) => c.get(target, offset, len, phase),
         }
     }
 }
@@ -602,42 +560,6 @@ mod tests {
             assert_eq!(st.total_sent(), 10);
             assert_eq!(st.total_recv(), 10);
         }
-    }
-
-    /// The one-sided epoch — publish, barrier, get — on the blocking
-    /// communicator: every rank reads a slice of its right neighbour's window.
-    #[test]
-    fn rma_put_get_accumulate() {
-        let (comms, stats) = world(2);
-        std::thread::scope(|s| {
-            for c in comms {
-                s.spawn(move || {
-                    let me = c.rank() as f64;
-                    c.win_fill(vec![me, me + 10.0, me + 20.0, me + 30.0]);
-                    c.barrier();
-                    let right = 1 - c.rank();
-                    let fetched = c.get(right, 1, 2, Phase::InputB);
-                    assert_eq!(fetched, vec![right as f64 + 10.0, right as f64 + 20.0]);
-                    c.barrier();
-                });
-            }
-        });
-        // Each rank fetched 2 words and served its neighbour's 2.
-        for st in stats.snapshot() {
-            assert_eq!(st.total_sent(), 2);
-            assert_eq!(st.total_recv(), 2);
-            assert_eq!(st.msgs_recv, 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "get past window end")]
-    fn rma_bounds_checked() {
-        let (mut comms, _) = world(2);
-        let _c1 = comms.pop().unwrap();
-        let c0 = comms.pop().unwrap();
-        c0.win_fill(vec![0.0; 2]);
-        c0.get(0, 1, 2, Phase::Other);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Piz-Daint-XC40-like constants (two-sided MPI backend): 2×18-core
+    /// Piz-Daint-XC40-like constants (two-sided MPI messages): 2×18-core
     /// Xeon E5-2695 v4 nodes (33.6 Gflop/s peak per core), Aries network
     /// (~10 GB/s injection per 36-core node → ~0.28 GB/s per core).
     pub fn piz_daint_two_sided() -> Self {
@@ -32,15 +32,6 @@ impl CostModel {
             kernel_efficiency: 0.90,
             alpha_s: 2.0e-6,
             beta_s_per_word: 2.83e-8,
-        }
-    }
-
-    /// Same machine with the one-sided (RDMA) backend of §7.4: lower
-    /// per-message latency because the OS/matching path is bypassed.
-    pub fn piz_daint_one_sided() -> Self {
-        CostModel {
-            alpha_s: 1.2e-6,
-            ..Self::piz_daint_two_sided()
         }
     }
 
@@ -280,12 +271,8 @@ mod tests {
 
     #[test]
     fn piz_daint_presets_sane() {
-        let two = CostModel::piz_daint_two_sided();
-        let one = CostModel::piz_daint_one_sided();
-        assert!(one.alpha_s < two.alpha_s, "RMA must have lower latency");
-        assert_eq!(one.beta_s_per_word, two.beta_s_per_word);
         // A core computes a 1000^3 GEMM in ~66 ms at 90% of 33.6 Gflop/s.
-        let t = two.compute_time(2_000_000_000);
+        let t = CostModel::piz_daint_two_sided().compute_time(2_000_000_000);
         assert!(t > 0.05 && t < 0.08, "gemm time {t}");
     }
 }

@@ -44,9 +44,7 @@
 //!   without overlap the transfer is fully exposed:
 //!   `max(recv_ready, send_time) + α + β·words`;
 //! * a barrier resolves at the **max arrival time** over all ranks, the wait
-//!   counting as exposed communication;
-//! * a one-sided `get` charges its transfer to the origin rank's clock
-//!   (conservatively exposed; the target stays passive, as in RDMA).
+//!   counting as exposed communication.
 //!
 //! Every stall and every hidden transfer lands in the shared
 //! [`StatsBoard`]'s per-rank
@@ -151,7 +149,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
-use crate::comm::{get_into, record_rma, CommImpl, RankComm};
+use crate::comm::{CommImpl, RankComm};
 use crate::exec::{ExecError, RunOutput, Waiting};
 use crate::fault::FaultSchedule;
 use crate::machine::MachineSpec;
@@ -162,7 +160,7 @@ use crate::topo::Network;
 /// Lock a piece of world state. A poisoned lock means a rank body panicked;
 /// recover the state so the original panic surfaces, as in the other
 /// backends.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -579,8 +577,8 @@ pub(crate) struct EventWorld {
     /// ([`MachineSpec::faults`]): per-rank death times and message-drop
     /// decisions. `None` keeps every fault hook off the hot path.
     faults: Option<FaultSchedule>,
-    /// The world's buffer-reuse arena (§7 "buffer reuse"): window reads and
-    /// collective scratch lease buffers here and recycle them on return.
+    /// The world's buffer-reuse arena (§7 "buffer reuse"): message payloads
+    /// and collective scratch lease buffers here and recycle them on return.
     /// Recycling is bitwise-invisible to results, counters and virtual time.
     pool: Arc<BufferPool>,
     /// Ranks per region (`ceil(p / regions)`); rank `r` lives in region
@@ -594,10 +592,6 @@ pub(crate) struct EventWorld {
     /// window opens, so an inbox never holds more than one window's traffic.
     inboxes: Vec<Mutex<Vec<(usize, Packet)>>>,
     barrier: Mutex<BarrierState>,
-    /// Per-rank RMA windows, world-global: a `get` may read any rank's. A
-    /// window is only written by its own rank's `win_fill`, which the
-    /// epoch's barriers order against every peer's `get`.
-    windows: Mutex<Vec<Vec<f64>>>,
 }
 
 impl EventWorld {
@@ -639,7 +633,6 @@ impl EventWorld {
                 .collect(),
             inboxes: (0..n_regions).map(|_| Mutex::new(Vec::new())).collect(),
             barrier: Mutex::new(BarrierState::default()),
-            windows: Mutex::new((0..p).map(|_| Vec::new()).collect()),
         }
     }
 
@@ -899,42 +892,6 @@ impl EventComm {
             comm: self,
             arrived_gen: None,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // One-sided (RMA) backend — never suspends.
-    // ------------------------------------------------------------------
-
-    /// Charge a one-sided transfer of `words` to this (origin) rank's
-    /// clock: RMA bypasses the remote CPU, so the origin pays the wire time
-    /// as exposed communication and the target stays passive.
-    fn charge_rma(&self, words: u64) {
-        let c = self.world.model.comm_time(words, 1);
-        self.lock_region().slab_mut(self.rank).clock += c;
-        self.world.stats.rank(self.rank).record_comm_time(c, 0.0);
-    }
-
-    /// Run `op` on the world's RMA window table.
-    fn with_windows<T>(&self, op: impl FnOnce(&mut Vec<Vec<f64>>) -> T) -> T {
-        op(&mut lock(&self.world.windows))
-    }
-
-    /// Read `len` words at `offset` from `target`'s window (like `MPI_Get`).
-    /// The returned buffer is leased from the world's arena — hand it back
-    /// with [`RankComm::recycle`] when done.
-    pub fn get(&self, target: usize, offset: usize, len: usize, phase: Phase) -> Vec<f64> {
-        let mut out = self.world.pool.take_clear(len);
-        self.with_windows(|w| get_into(&w[target], offset, len, &mut out));
-        record_rma(&self.world.stats, target, self.rank, len as u64, phase);
-        self.charge_rma(len as u64);
-        out
-    }
-
-    /// Replace this rank's window contents (local, no traffic counted). The
-    /// displaced window buffer is recycled into the arena.
-    pub fn win_fill(&self, data: Vec<f64>) {
-        let old = self.with_windows(|w| std::mem::replace(&mut w[self.rank], data));
-        self.world.pool.give(old);
     }
 }
 
@@ -1488,34 +1445,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out.results[1], (vec![2.0], vec![1.0]));
-    }
-
-    /// The one-sided epoch — publish, barrier, get — on the event engine.
-    #[test]
-    fn rma_put_get_accumulate_with_fences() {
-        let spec = MachineSpec::test_machine(2, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
-            let me = c.rank() as f64;
-            c.win_fill(vec![me, me + 10.0, me + 20.0, me + 30.0]);
-            c.barrier().await;
-            let got = if c.rank() == 1 {
-                c.get(0, 1, 3, Phase::InputB)
-            } else {
-                vec![]
-            };
-            c.barrier().await;
-            got
-        })
-        .unwrap();
-        assert_eq!(out.results[1], vec![10.0, 20.0, 30.0]);
-        assert_eq!(out.stats[0].total_sent(), 3);
-        assert_eq!(out.stats[1].total_recv(), 3);
-        // The origin pays RMA wire time as exposed comm; the target stays
-        // passive until the closing barrier makes it wait for the origin.
-        let wire = spec.cost.comm_time(3, 1);
-        assert_eq!(out.stats[1].time.exposed_comm_s, wire);
-        assert_eq!(out.stats[0].time.exposed_comm_s, wire);
-        assert_eq!(out.stats[0].time.total_s(), out.stats[1].time.total_s());
     }
 
     #[test]
@@ -2470,25 +2399,6 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, ExecError::WorldTornDown { rank: 7 });
-    }
-
-    #[test]
-    fn parallel_rma_matches_single_thread_counters() {
-        // One-sided reads across regions inside a publish-barrier-get epoch:
-        // data and counters agree with the one-region run (times too: the
-        // origin-side charge is rank-local).
-        let spec = MachineSpec::test_machine(8, 1000);
-        let body = |mut c: RankComm| async move {
-            c.win_fill(vec![c.rank() as f64; 2]);
-            c.barrier().await;
-            let got = c.get((c.rank() + 4) % 8, 1, 1, Phase::OutputC);
-            c.barrier().await;
-            got[0] as usize
-        };
-        let seq = run_spmd_with(&spec, ExecBackend::event(), body).unwrap();
-        let par = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, body).unwrap();
-        assert_eq!(seq.results, par.results);
-        assert_eq!(seq.stats, par.stats);
     }
 
     #[test]

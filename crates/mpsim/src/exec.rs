@@ -172,8 +172,9 @@ pub enum ExecError {
     /// runnable while some were unfinished (structural detection), or a
     /// parked `recv` outlived [`MachineSpec::recv_timeout`] in *virtual*
     /// time while other ranks kept advancing; on the blocking backends, a
-    /// `recv` waited past the same timeout in wall-clock time (e.g. a
-    /// mismatched tag).
+    /// `recv` or a `barrier` waited past the same timeout in wall-clock
+    /// time (e.g. a mismatched tag, or a rank that never reached the
+    /// barrier).
     DeadlockSuspected {
         /// The first stuck rank.
         rank: usize,
@@ -701,6 +702,36 @@ mod tests {
                 "{backend}: {err}"
             );
             assert!(err.to_string().contains("deadlock suspected"), "{backend}: {err}");
+        }
+    }
+
+    #[test]
+    fn barrier_deadlock_is_typed_on_every_backend() {
+        // Rank 0 returns without reaching the barrier the others wait at:
+        // the blocking barrier times out like a blocking recv, the event
+        // backend sees it structurally, and both name the lowest stuck rank.
+        let spec =
+            MachineSpec::test_machine(3, 1000).with_recv_timeout(std::time::Duration::from_millis(300));
+        for backend in [
+            ExecBackend::event(),
+            ExecBackend::Event { threads: 2 },
+            ExecBackend::Blocking { workers: 3 },
+            ExecBackend::Blocking { workers: 1 },
+        ] {
+            let err = run_spmd_with(&spec, backend, |mut c| async move {
+                if c.rank() != 0 {
+                    c.barrier().await;
+                }
+            })
+            .unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::DeadlockSuspected {
+                    rank: 1,
+                    on: Waiting::Barrier
+                },
+                "{backend}"
+            );
         }
     }
 

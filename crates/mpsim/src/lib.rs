@@ -13,9 +13,8 @@
 //!   by communication phase (A-input, B-input, C-output, …).
 //! * [`comm`] — the communicators: [`comm::RankComm`], the resumable
 //!   rank-facing handle every rank body receives (tagged point-to-point
-//!   message passing, two-sided backend; one publish-barrier-get window
-//!   epoch, one-sided/RMA backend, §7.4 of the paper), over the blocking
-//!   channel implementation used by the blocking executor.
+//!   message passing and a world barrier), over the blocking channel
+//!   implementation used by the blocking executor.
 //! * [`event`] — the event-driven machine behind `ExecBackend::Event`: a
 //!   discrete-event simulator driving rank bodies as stackless resumable
 //!   state machines, with a virtual-time-ordered ready queue, a

@@ -196,7 +196,7 @@ pub struct MachineSpec {
     /// message turns the run into a typed
     /// [`ExecError::DeadlockSuspected`](crate::exec::ExecError). The
     /// blocking backend measures the wait in wall-clock
-    /// time; the event backend measures it on the rank's *virtual* clock
+    /// time, and bounds a `barrier` wait by it too; the event backend measures it on the rank's *virtual* clock
     /// (alongside its structural no-rank-runnable detection). Tests that
     /// provoke deadlocks shrink it.
     pub recv_timeout: Duration,
@@ -285,7 +285,8 @@ impl MachineSpec {
     }
 
     /// Set the recv deadline (see [`MachineSpec::recv_timeout`]): the
-    /// blocking backend's wall-clock deadlock guard, and the event backend's
+    /// blocking backend's wall-clock deadlock guard (on `recv` and
+    /// `barrier`), and the event backend's
     /// deadline in virtual time.
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = timeout;

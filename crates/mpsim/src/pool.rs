@@ -2,7 +2,7 @@
 //!
 //! Every layer of the execution stack moves `Vec<f64>` buffers: event-backend
 //! message payloads, collective scratch chunks, CARMA's per-leaf A/B/C
-//! blocks, RMA window reads. Before this module each of those was a fresh
+//! blocks. Before this module each of those was a fresh
 //! heap allocation per message or per leaf; at million-rank world sizes the
 //! allocator churn dominates wall-clock. A [`BufferPool`] recycles them:
 //! buffers are parked on power-of-two *size-class shelves* when a consumer is

@@ -2,8 +2,8 @@
 //! substitute.
 //!
 //! The paper measures "total communication volume per MPI rank" with the
-//! mpiP profiler (Figures 6–7, Table 4). Here every point-to-point and
-//! one-sided operation updates atomic per-rank counters, bucketed by
+//! mpiP profiler (Figures 6–7, Table 4). Here every point-to-point
+//! operation updates atomic per-rank counters, bucketed by
 //! [`Phase`] so that Figure 12's breakdown (A-input vs B-input vs C-output
 //! traffic) can be regenerated from an actual execution.
 //!

@@ -205,7 +205,16 @@ mod tests {
             key(&MmmProblem::new(97, 80, 112, 16, 1 << 14), &model, true, None, &AlgoChoice::Auto),
             key(&MmmProblem::new(96, 80, 112, 32, 1 << 14), &model, true, None, &AlgoChoice::Auto),
             key(&MmmProblem::new(96, 80, 112, 16, 1 << 15), &model, true, None, &AlgoChoice::Auto),
-            key(&prob, &CostModel::piz_daint_one_sided(), true, None, &AlgoChoice::Auto),
+            key(
+                &prob,
+                &CostModel {
+                    alpha_s: 1.2e-6,
+                    ..CostModel::piz_daint_two_sided()
+                },
+                true,
+                None,
+                &AlgoChoice::Auto,
+            ),
             key(&prob, &model, false, None, &AlgoChoice::Auto),
             key(&prob, &model, true, Some(1 << 14), &AlgoChoice::Auto),
             key(&prob, &model, true, None, &AlgoChoice::Fixed(AlgoId::Cosma)),

@@ -3,7 +3,7 @@
 //! * the round grouping of §6.3's latency steps (totals preserved);
 //! * the grid-fitting δ (idle-rank budget) of §7.1;
 //! * the overlap of §7.3 (time with vs without);
-//! * the one-sided backend of §7.4 (lower α ⇒ lower simulated time).
+//! * the per-message latency α (lower α ⇒ lower simulated time).
 
 use cosma::api::{AlgorithmRegistry, CosmaAlgorithm, RunSession};
 use cosma::plan::DistPlan;
@@ -20,10 +20,7 @@ fn model() -> CostModel {
 fn cosma_plan_delta(prob: &MmmProblem, delta: f64) -> DistPlan {
     let mut registry = AlgorithmRegistry::core();
     registry.register(CosmaAlgorithm {
-        cfg: CosmaConfig {
-            delta,
-            ..CosmaConfig::default()
-        },
+        cfg: CosmaConfig { delta },
     });
     RunSession::new(*prob)
         .machine(model())
@@ -70,12 +67,15 @@ fn overlap_ablation_hides_communication() {
 }
 
 #[test]
-fn one_sided_alpha_reduces_latency_bound_cost() {
-    // Same plan, two backends: the RMA cost model's lower alpha shows up in
+fn lower_alpha_reduces_latency_bound_cost() {
+    // Same plan, two cost models: a lower per-message alpha shows up in
     // simulated time exactly proportionally to the message count.
     let prob = MmmProblem::new(512, 512, 512, 64, 1 << 13);
     let two = CostModel::piz_daint_two_sided();
-    let one = CostModel::piz_daint_one_sided();
+    let one = CostModel {
+        alpha_s: 1.2e-6,
+        ..CostModel::piz_daint_two_sided()
+    };
     let plan = RunSession::new(prob).machine(two).plan().unwrap();
     let t2 = plan.simulate(&two, false);
     let t1 = plan.simulate(&one, false);

@@ -9,9 +9,8 @@
 //! full product with the same code path.
 
 use baselines::p25d::{Geometry25, P25dAlgorithm};
-use cosma::api::{AlgoId, CosmaAlgorithm, RunSession};
+use cosma::api::{AlgoId, RunSession};
 use cosma::problem::MmmProblem;
-use cosma::{Backend, CosmaConfig};
 use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
@@ -52,19 +51,6 @@ fn run(prob: &MmmProblem, id: AlgoId) -> Matrix {
     execute_on_both(id, session(prob, id), &a, &b)
 }
 
-/// COSMA on `backend`: a registry entry of its own.
-fn run_cosma_backend(prob: &MmmProblem, backend: Backend) -> Matrix {
-    let (a, b, _) = reference(prob.m, prob.n, prob.k);
-    let mut registry = baselines::registry();
-    registry.register(CosmaAlgorithm {
-        cfg: CosmaConfig {
-            backend,
-            ..CosmaConfig::default()
-        },
-    });
-    execute_on_both(AlgoId::Cosma, session(prob, AlgoId::Cosma).registry(registry), &a, &b)
-}
-
 fn assert_all_agree(prob: &MmmProblem, ids: &[AlgoId]) {
     let (_, _, want) = reference(prob.m, prob.n, prob.k);
     for &id in ids {
@@ -77,9 +63,6 @@ fn assert_all_agree(prob: &MmmProblem, ids: &[AlgoId]) {
 fn all_algorithms_agree_square() {
     let prob = MmmProblem::new(32, 32, 32, 16, 1 << 13);
     assert_all_agree(&prob, &AlgoId::ALL);
-    let (_, _, want) = reference(32, 32, 32);
-    let c = run_cosma_backend(&prob, Backend::OneSided);
-    assert!(want.approx_eq(&c, 1e-9), "cosma/1s: max diff {}", want.max_abs_diff(&c));
 }
 
 #[test]
@@ -103,13 +86,9 @@ fn all_algorithms_agree_flat() {
 
 #[test]
 fn cosma_agrees_at_larger_scale() {
-    // 64 ranks, non-power-of-two dims, both backends.
+    // 64 ranks, non-power-of-two dims.
     let prob = MmmProblem::new(60, 52, 44, 64, 1 << 12);
-    let (_, _, want) = reference(60, 52, 44);
-    let c2 = run_cosma_backend(&prob, Backend::TwoSided);
-    let c1 = run_cosma_backend(&prob, Backend::OneSided);
-    assert!(want.approx_eq(&c2, 1e-9));
-    assert!(want.approx_eq(&c1, 1e-9));
+    assert_all_agree(&prob, &[AlgoId::Cosma]);
 }
 
 /// COSMA's pinned shapes: gk = 1 and gk > 1 grids, slabs narrower than their
@@ -155,42 +134,31 @@ fn product_on_every_executor(session: RunSession, a: &Matrix, b: &Matrix, what: 
     std::mem::replace(&mut products[0], Matrix::zeros(0, 0))
 }
 
-/// COSMA's product on `prob` over `backend`, the same on every executor.
-fn cosma_product(prob: &MmmProblem, backend: Backend) -> Matrix {
+/// COSMA's product on `prob`, the same on every executor.
+fn cosma_product(prob: &MmmProblem) -> Matrix {
     let (a, b, _) = reference(prob.m, prob.n, prob.k);
-    let mut registry = baselines::registry();
-    registry.register(CosmaAlgorithm {
-        cfg: CosmaConfig {
-            backend,
-            ..CosmaConfig::default()
-        },
-    });
-    let session = session(prob, AlgoId::Cosma).registry(registry);
-    product_on_every_executor(session, &a, &b, &format!("{prob:?} {backend:?}"))
+    product_on_every_executor(session(prob, AlgoId::Cosma), &a, &b, &format!("{prob:?}"))
 }
 
 /// Recorded at `4248a3b`, before COSMA's gathers stopped filling slabs.
 #[rustfmt::skip]
-const PRODUCT_DIGESTS: [[u64; 2]; 9] = [
-    [0xdac31c43bc6cbaee, 0xdac31c43bc6cbaee],
-    [0x2de41181f7de2a9c, 0x2de41181f7de2a9c],
-    [0x1f0359f76ba493fb, 0x1f0359f76ba493fb],
-    [0x366eac70eb823caa, 0x366eac70eb823caa],
-    [0xc6b1a310ed16ea5e, 0xc6b1a310ed16ea5e],
-    [0xa0bc3ba01e6d8db5, 0xa0bc3ba01e6d8db5],
-    [0x0fe0063bde791933, 0x0fe0063bde791933],
-    [0xbf372242ea2aab73, 0xbf372242ea2aab73],
-    [0xb6aa1f2cbb1e393f, 0xb6aa1f2cbb1e393f],
+const PRODUCT_DIGESTS: [u64; 9] = [
+    0xdac31c43bc6cbaee,
+    0x2de41181f7de2a9c,
+    0x1f0359f76ba493fb,
+    0x366eac70eb823caa,
+    0xc6b1a310ed16ea5e,
+    0xa0bc3ba01e6d8db5,
+    0x0fe0063bde791933,
+    0xbf372242ea2aab73,
+    0xb6aa1f2cbb1e393f,
 ];
 
 #[test]
 fn cosma_product_digests_are_pinned() {
-    let got = COSMA_SHAPES.map(|(m, n, k, p, s)| {
-        let prob = MmmProblem::new(m, n, k, p, s);
-        [Backend::TwoSided, Backend::OneSided].map(|backend| fnv1a(&cosma_product(&prob, backend)))
-    });
+    let got = COSMA_SHAPES.map(|(m, n, k, p, s)| fnv1a(&cosma_product(&MmmProblem::new(m, n, k, p, s))));
     if got != PRODUCT_DIGESTS {
-        let rows: Vec<String> = got.iter().map(|[t, o]| format!("    [{t:#018x}, {o:#018x}],")).collect();
+        let rows: Vec<String> = got.iter().map(|d| format!("    {d:#018x},")).collect();
         panic!("COSMA's product bits moved; the table now reads:\n{}", rows.join("\n"));
     }
 }
@@ -265,10 +233,8 @@ fn cosma_equals_the_naive_kernel_bitwise_when_k_is_not_split() {
         let (a, b, _) = reference(m, n, k);
         let mut want = Matrix::zeros(m, n);
         densemat::gemm::gemm_naive(&a, &b, &mut want);
-        for backend in [Backend::TwoSided, Backend::OneSided] {
-            let c = cosma_product(&prob, backend);
-            assert_eq!(fnv1a(&c), fnv1a(&want), "{prob:?} {backend:?} grid {:?}", plan.grid);
-        }
+        let c = cosma_product(&prob);
+        assert_eq!(fnv1a(&c), fnv1a(&want), "{prob:?} grid {:?}", plan.grid);
         checked += 1;
     }
     assert!(checked >= 4, "only {checked} pinned shapes have gk = 1");

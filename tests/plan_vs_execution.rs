@@ -8,12 +8,9 @@
 
 mod common;
 
-use cosma::api::{
-    execute_boxed, AlgoId, AlgorithmRegistry, CosmaAlgorithm, MmmAlgorithm, PlanError, RunSession,
-};
+use cosma::api::{execute_boxed, AlgoId, PlanError, RunSession};
 use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
-use cosma::{Backend, CosmaConfig};
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
 use mpsim::exec::ExecBackend;
@@ -70,34 +67,6 @@ fn cosma_plan_predicts_execution_exactly() {
         (23, 29, 31, 5, 1 << 11),
     ] {
         check(AlgoId::Cosma, &MmmProblem::new(m, n, k, p, s));
-    }
-}
-
-#[test]
-fn cosma_one_sided_backend_matches_same_plan() {
-    // §7.4: both backends move exactly the planned words and messages. On
-    // the flat shape a 4-member fiber reads three blocks one-sided, one more
-    // than its two Bruck rounds two-sided.
-    let mut registry = AlgorithmRegistry::core();
-    registry.register(CosmaAlgorithm {
-        cfg: CosmaConfig {
-            backend: Backend::OneSided,
-            ..CosmaConfig::default()
-        },
-    });
-    for prob in [
-        MmmProblem::new(24, 24, 48, 8, 1 << 11),
-        MmmProblem::new(64, 64, 8, 16, 1 << 12),
-    ] {
-        let session = RunSession::new(prob)
-            .machine(CostModel::piz_daint_one_sided())
-            .registry(registry.clone());
-        let plan = session.plan().unwrap();
-        let (a, b) = inputs(&prob);
-        for backend in BACKENDS {
-            let report = session.clone().exec_backend(backend).execute(&a, &b).unwrap();
-            assert_traffic_matches(&plan, &report.stats);
-        }
     }
 }
 
@@ -198,27 +167,41 @@ fn carma_streaming_peak_stays_within_s() {
 
 #[test]
 fn planned_memory_is_respected_by_execution() {
-    // The executor's tracked peak allocation stays within the plan's
-    // memory figure plus the input-shard footprint convention.
-    let prob = MmmProblem::new(32, 32, 64, 8, 1 << 11);
-    let algo = CosmaAlgorithm {
-        cfg: CosmaConfig::default(),
-    };
-    let plan = algo.plan(&prob, &CostModel::piz_daint_two_sided()).unwrap();
-    plan.validate().unwrap();
-    let (a, b) = inputs(&prob);
-    let spec = MachineSpec::piz_daint_with_memory(prob.p, prob.mem_words);
-    for backend in BACKENDS {
-        let report = execute_boxed(&algo, &plan, &spec, backend, &a, &b).unwrap();
-        for (r, st) in report.stats.iter().enumerate() {
-            assert!(
-                st.peak_mem_words <= plan.ranks[r].mem_words.max(1) + prob.mem_words as u64,
-                "{backend}: rank {r} tracked {} vs plan {}",
-                st.peak_mem_words,
-                plan.ranks[r].mem_words
-            );
+    // Every rank's tracked peak allocation stays within the memory its plan
+    // prices, for every algorithm that plans the shape, over shapes that
+    // take several rounds (or DFS leaves) per rank.
+    let (model, registry) = (CostModel::piz_daint_two_sided(), baselines::registry());
+    let mut checked = 0;
+    for (m, n, k, p, s) in [
+        (16, 16, 64, 4, 200),
+        (64, 64, 256, 16, 600),
+        (128, 96, 512, 12, 2000),
+        (32, 32, 64, 8, 2048),
+    ] {
+        let prob = MmmProblem::new(m, n, k, p, s);
+        let (a, b) = inputs(&prob);
+        let spec = MachineSpec::piz_daint_with_memory(p, s);
+        for algo in registry.all() {
+            let Ok(plan) = algo.plan(&prob, &model) else {
+                continue;
+            };
+            plan.validate().unwrap();
+            for backend in BACKENDS {
+                let report = execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b).unwrap();
+                for (r, st) in report.stats.iter().enumerate() {
+                    assert!(
+                        st.peak_mem_words <= plan.ranks[r].mem_words,
+                        "{} {m}x{n}x{k} p={p} S={s} {backend}: rank {r} tracked {} vs plan {}",
+                        plan.algo,
+                        st.peak_mem_words,
+                        plan.ranks[r].mem_words
+                    );
+                }
+            }
+            checked += 1;
         }
     }
+    assert!(checked >= 10, "only {checked} (algorithm, shape) pairs planned");
 }
 
 #[test]

@@ -977,17 +977,6 @@ enum Op {
     },
     Barrier,
     Flops(u64),
-    /// `win_fill` a window of `words` words derived from rank and step, then
-    /// the world barrier that opens the epoch's reads.
-    Publish {
-        words: usize,
-    },
-    /// `get` `len` words at `offset` of `from`'s window of this epoch.
-    Get {
-        from: usize,
-        offset: usize,
-        len: usize,
-    },
 }
 
 /// How a generated world is broken on purpose.
@@ -1007,13 +996,12 @@ enum Wedge {
 /// its rank's list after the matching send was appended to the sender's — by
 /// induction over the script no rank waits on a message that is never posted.
 /// Steps: a burst of point-to-point messages received in shuffled tag order,
-/// a ring `sendrecv` by a random shift, a world barrier, a one-sided epoch,
-/// local flops. Tags are drawn from a small range so per-`(sender, tag)` FIFO
+/// a ring `sendrecv` by a random shift, a world barrier, local flops. Tags are drawn from a small range so per-`(sender, tag)` FIFO
 /// matching is exercised.
 fn generate_programs(rng: &mut Rng, p: usize, wedge: Wedge) -> Vec<Vec<Op>> {
     let mut progs: Vec<Vec<Op>> = vec![Vec::new(); p];
     for _ in 0..rng.range(4, 14) {
-        match rng.range(0, 6) {
+        match rng.range(0, 5) {
             0 | 1 => {
                 let from = rng.range(0, p);
                 let to = (from + rng.range(1, p)) % p;
@@ -1039,25 +1027,6 @@ fn generate_programs(rng: &mut Rng, p: usize, wedge: Wedge) -> Vec<Vec<Op>> {
                 }
             }
             3 => progs.iter_mut().for_each(|prog| prog.push(Op::Barrier)),
-            4 => {
-                // Publish, barrier, get — COSMA's epoch: every rank reads up
-                // to three slices inside peers' windows, and a closing
-                // barrier keeps the next publish off a window still read.
-                let words: Vec<usize> = (0..p).map(|_| rng.range(0, 24)).collect();
-                progs
-                    .iter_mut()
-                    .zip(&words)
-                    .for_each(|(prog, &words)| prog.push(Op::Publish { words }));
-                for (r, prog) in progs.iter_mut().enumerate() {
-                    for _ in 0..rng.range(0, 4) {
-                        let from = (r + rng.range(1, p)) % p;
-                        let offset = rng.range(0, words[from] + 1);
-                        let len = rng.range(0, words[from] - offset + 1);
-                        prog.push(Op::Get { from, offset, len });
-                    }
-                }
-                progs.iter_mut().for_each(|prog| prog.push(Op::Barrier));
-            }
             _ => {
                 let r = rng.range(0, p);
                 progs[r].push(Op::Flops(rng.range(0, 50_000) as u64));
@@ -1105,11 +1074,6 @@ async fn interpret(mut c: mpsim::RankComm, prog: &[Op]) -> (usize, f64) {
             }
             Op::Barrier => c.barrier().await,
             Op::Flops(n) => c.record_flops(n),
-            Op::Publish { words } => {
-                c.win_fill((0..words).map(|w| me * 4096.0 + i as f64 * 64.0 + w as f64).collect());
-                c.barrier().await;
-            }
-            Op::Get { from, offset, len } => take(c.get(from, offset, len, Phase::Other)),
         }
     }
     (words_in, sum)

@@ -492,29 +492,6 @@ fn dfs_carma_matches_bfs_and_reference_bitwise_on_all_backends() {
     }
 }
 
-/// COSMA's one-sided (RMA) backend with fewer workers than ranks: the epoch
-/// closes at a barrier rendezvous, which must survive slot hand-offs.
-#[test]
-fn one_sided_cosma_executes_with_fewer_workers_than_ranks() {
-    use cosma::algorithm::{Backend, CosmaConfig};
-    use cosma::api::{AlgorithmRegistry, CosmaAlgorithm};
-    let prob = MmmProblem::new(48, 40, 56, 12, 1 << 13);
-    let a = Matrix::deterministic(prob.m, prob.k, 5);
-    let b = Matrix::deterministic(prob.k, prob.n, 6);
-    let mut registry = AlgorithmRegistry::core();
-    registry.register(CosmaAlgorithm {
-        cfg: CosmaConfig {
-            backend: Backend::OneSided,
-            ..CosmaConfig::default()
-        },
-    });
-    RunSession::new(prob)
-        .registry(registry)
-        .exec_backend(ExecBackend::Blocking { workers: 2 })
-        .execute_verified(&a, &b)
-        .unwrap();
-}
-
 #[test]
 fn execute_on_wrong_world_is_an_error_for_every_algorithm() {
     let reg = baselines::registry();
