@@ -673,7 +673,8 @@ mod tests {
         use crate::machine::Topology;
         // One splitmix64 fold per case over every rank's
         // `[compute_s, exposed_comm_s, total_comm_s]` bits on the event
-        // backend, in case order: machine {flat, node-nic} × g × words × root
+        // backend, in case order: machine {flat, node-nic: one leaf switch
+        // over 2-rank nodes} × g × words × root
         // {0, g − 1}. Recorded at commit 783cb4d: peers, tags, words and order
         // are the function's contract, whatever it does with its buffers.
         #[rustfmt::skip]
@@ -717,9 +718,11 @@ mod tests {
                         let what = format!("nic={nic} g={g} words={words} root={root}");
                         let flat = MachineSpec::test_machine(g, 10_000);
                         let spec = if nic {
-                            flat.with_topology(Topology::NodeNic {
+                            flat.with_topology(Topology::FatTree {
                                 ranks_per_node: 2,
+                                nodes_per_switch: usize::MAX,
                                 nic_factor: 0.5,
+                                up_factor: 0.5,
                             })
                         } else {
                             flat

@@ -1702,14 +1702,17 @@ mod tests {
     #[test]
     fn nic_contention_serializes_cross_node_transfers() {
         use crate::machine::Topology;
-        // Two nodes of two ranks. Ranks 0 and 1 (node 0) each send 3 words
-        // to ranks 2 and 3 (node 1) at t = 0. Flat would deliver both at 3
-        // (distinct receivers); the shared node links store-and-forward:
+        // Two nodes of two ranks under one leaf switch. Ranks 0 and 1 (node
+        // 0) each send 3 words to ranks 2 and 3 (node 1) at t = 0. Flat
+        // would deliver both at 3 (distinct receivers); the shared node links
+        // store-and-forward:
         //   0→2: up [0,3], down [3,6], injection [6,9]   → rank 2 done at 9
         //   1→3: up [3,6], down [6,9], injection [9,12]  → rank 3 done at 12
-        let topo = Topology::NodeNic {
+        let topo = Topology::FatTree {
             ranks_per_node: 2,
+            nodes_per_switch: usize::MAX,
             nic_factor: 1.0,
+            up_factor: 1.0,
         };
         let out =
             run_spmd_with(&unit_spec(4).with_topology(topo), ExecBackend::event(), |mut c| async move {
@@ -1735,9 +1738,11 @@ mod tests {
         // Same exchange but both pairs placed on one node each (block
         // placement puts {0,1} and {2,3} together): rank 0 → 1 stays on-node
         // and costs exactly the flat wire time.
-        let topo = Topology::NodeNic {
+        let topo = Topology::FatTree {
             ranks_per_node: 2,
+            nodes_per_switch: usize::MAX,
             nic_factor: 1.0,
+            up_factor: 1.0,
         };
         let out =
             run_spmd_with(&unit_spec(4).with_topology(topo), ExecBackend::event(), |mut c| async move {
@@ -1866,27 +1871,30 @@ mod tests {
     #[test]
     fn recv_completion_commits_the_route_completion_time_prices() {
         use crate::machine::Topology;
-        // Two nodes of two ranks (p = 4): NIC links are ids 4..8, stored at
+        // Two nodes of two ranks (p = 4) under one leaf switch: NIC links are
+        // ids 4..8, the switch's up/down links 8 and 9, stored at
         // shared_links[id - 4]. 0→2 crosses node 0's up link (4), node 1's
         // down link (7) and rank 2's injection wire, 3 s each from t = 0.
-        let world = bare_world(&unit_spec(4).with_topology(Topology::NodeNic {
+        let world = bare_world(&unit_spec(4).with_topology(Topology::FatTree {
             ranks_per_node: 2,
+            nodes_per_switch: usize::MAX,
             nic_factor: 1.0,
+            up_factor: 1.0,
         }));
         let mut reg = world.lock_region(0);
         let first = unit_packet(0, 1, 3);
         assert_eq!(reg.completion_time(&world, 2, &first), 9.0);
-        assert_eq!(reg.shared_links, [0.0; 4], "pricing a wake commits nothing");
+        assert_eq!(reg.shared_links, [0.0; 6], "pricing a wake commits nothing");
         assert_eq!(reg.slab(2).link_free, 0.0);
         assert_eq!(reg.recv_completion(&world, 2, &first), 9.0);
-        assert_eq!(reg.shared_links, [3.0, 0.0, 0.0, 6.0]);
+        assert_eq!(reg.shared_links, [3.0, 0.0, 0.0, 6.0, 0.0, 0.0]);
         assert_eq!(reg.slab(2).link_free, 9.0);
         // 1→3 shares both NIC links and nothing else: it queues behind the
         // first transfer's 3 s on node 0's up link and is 3 s late end to end.
         let second = unit_packet(1, 1, 3);
         assert_eq!(reg.completion_time(&world, 3, &second), 9.0 + 3.0);
         assert_eq!(reg.recv_completion(&world, 3, &second), 12.0);
-        assert_eq!(reg.shared_links, [6.0, 0.0, 0.0, 9.0]);
+        assert_eq!(reg.shared_links, [6.0, 0.0, 0.0, 9.0, 0.0, 0.0]);
         assert_eq!(reg.slab(3).link_free, 12.0);
     }
 
@@ -2266,12 +2274,16 @@ mod tests {
                 [0x3eb0c6f7a0b5ed8d, 0x3ee1d6e4752c7449, 0x3ee1d6e4752c7449],
             ],
         ];
+        // "node-nic" is a fat tree whose one leaf switch holds every node:
+        // only the NICs are shared.
         let topologies = [
             (
                 "node-nic",
-                Topology::NodeNic {
+                Topology::FatTree {
                     ranks_per_node: 4,
+                    nodes_per_switch: usize::MAX,
                     nic_factor: 0.5,
+                    up_factor: 0.5,
                 },
             ),
             ("fat-tree", Topology::congested_fat_tree()),
@@ -2352,9 +2364,11 @@ mod tests {
                 .unwrap()
                 .stats,
         );
-        let shared_links = MachineSpec::test_machine(8, 1000).with_topology(Topology::NodeNic {
+        let shared_links = MachineSpec::test_machine(8, 1000).with_topology(Topology::FatTree {
             ranks_per_node: 2,
+            nodes_per_switch: usize::MAX,
             nic_factor: 1.0,
+            up_factor: 1.0,
         });
         assert_eq!(
             run_spmd_with(&shared_links, ExecBackend::event(), body).unwrap().stats,

@@ -386,15 +386,27 @@ mod tests {
     #[test]
     fn topology_validation_rejects_nonsense() {
         assert!(Topology::Flat.validate().is_ok());
-        assert!(Topology::NodeNic {
+        assert!(Topology::FatTree {
             ranks_per_node: 0,
-            nic_factor: 1.0
+            nodes_per_switch: 4,
+            nic_factor: 1.0,
+            up_factor: 1.0
         }
         .validate()
         .is_err());
-        assert!(Topology::NodeNic {
+        assert!(Topology::FatTree {
             ranks_per_node: 2,
-            nic_factor: f64::NAN
+            nodes_per_switch: 0,
+            nic_factor: 1.0,
+            up_factor: 1.0
+        }
+        .validate()
+        .is_err());
+        assert!(Topology::FatTree {
+            ranks_per_node: 2,
+            nodes_per_switch: 4,
+            nic_factor: f64::NAN,
+            up_factor: 1.0
         }
         .validate()
         .is_err());
@@ -417,9 +429,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid topology")]
     fn with_topology_panics_on_invalid() {
-        let _ = MachineSpec::test_machine(4, 100).with_topology(Topology::NodeNic {
+        let _ = MachineSpec::test_machine(4, 100).with_topology(Topology::FatTree {
             ranks_per_node: 0,
+            nodes_per_switch: 4,
             nic_factor: 1.0,
+            up_factor: 1.0,
         });
     }
 

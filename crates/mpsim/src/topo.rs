@@ -311,13 +311,16 @@ mod tests {
 
     #[test]
     fn node_nic_routes_cross_both_nics() {
-        let topo = Topology::NodeNic {
+        // One leaf switch over every node: only the NICs are shared.
+        let topo = Topology::FatTree {
             ranks_per_node: 4,
+            nodes_per_switch: usize::MAX,
             nic_factor: 0.5,
+            up_factor: 0.5,
         };
         let net = Network::compile(8, &topo, Placement::Block);
-        // 2 nodes: links 8..12 are node links.
-        assert_eq!(net.n_links(), 8 + 4);
+        // 2 nodes: links 8..12 are node links, 12..14 the switch's.
+        assert_eq!(net.n_links(), 8 + 4 + 2);
         // Intra-node: injection only.
         assert_eq!(hops(&net, 0, 3), vec![(3, 1.0)]);
         // Inter-node: node 0 up (8), node 1 down (11), injection.
@@ -326,9 +329,11 @@ mod tests {
 
     #[test]
     fn placement_changes_node_assignment() {
-        let topo = Topology::NodeNic {
+        let topo = Topology::FatTree {
             ranks_per_node: 2,
+            nodes_per_switch: usize::MAX,
             nic_factor: 1.0,
+            up_factor: 1.0,
         };
         let block = Network::compile(4, &topo, Placement::Block);
         let rr = Network::compile(4, &topo, Placement::RoundRobin);
@@ -393,10 +398,13 @@ mod tests {
         // each (sharers 1), NIC up/down 2·2 = 4 each (sharers 4/3). An
         // intra-node route costs 1; an inter-node route costs
         // 1 + 2·(4/3) = 11/3. Per rank: 1 intra peer, 2 inter peers →
-        // mean = (1 + 2·11/3) / 3 = 25/9.
-        let topo = Topology::NodeNic {
+        // mean = (1 + 2·11/3) / 3 = 25/9. Both nodes hang off one switch,
+        // whose links no route crosses.
+        let topo = Topology::FatTree {
             ranks_per_node: 2,
+            nodes_per_switch: usize::MAX,
             nic_factor: 1.0,
+            up_factor: 1.0,
         };
         let net = Network::compile(4, &topo, Placement::Block);
         assert!((net.mean_contention() - 25.0 / 9.0).abs() < 1e-12);
@@ -406,9 +414,11 @@ mod tests {
     fn mean_contention_grows_with_congestion_and_ignores_placement() {
         let p = 64;
         let fat = Topology::congested_fat_tree();
-        let gentle = Topology::NodeNic {
+        let gentle = Topology::FatTree {
             ranks_per_node: 4,
+            nodes_per_switch: usize::MAX,
             nic_factor: 0.25,
+            up_factor: 0.25,
         };
         let fat_m = Network::compile(p, &fat, Placement::Block).mean_contention();
         let gentle_m = Network::compile(p, &gentle, Placement::Block).mean_contention();

@@ -904,11 +904,13 @@ mod tests {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
         let invalid = [
             (
-                Topology::NodeNic {
+                Topology::FatTree {
                     ranks_per_node: 0,
+                    nodes_per_switch: usize::MAX,
                     nic_factor: 1.0,
+                    up_factor: 1.0,
                 },
-                "ranks_per_node must be positive",
+                "ranks_per_node and nodes_per_switch must be positive",
             ),
             (
                 Topology::FatTree {
@@ -921,11 +923,13 @@ mod tests {
             ),
             // A NaN factor is a topology defect, not a cost-model one.
             (
-                Topology::NodeNic {
+                Topology::FatTree {
                     ranks_per_node: 2,
+                    nodes_per_switch: usize::MAX,
                     nic_factor: f64::NAN,
+                    up_factor: 1.0,
                 },
-                "nic_factor must be finite and non-negative",
+                "link factors must be finite and non-negative",
             ),
             (
                 Topology::Torus {

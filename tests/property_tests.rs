@@ -1229,9 +1229,11 @@ fn generated_rank_programs_agree_across_event_thread_counts() {
                 ..flat.cost
             },
         );
-        let node_nic = flat.clone().with_topology(Topology::NodeNic {
+        let node_nic = flat.clone().with_topology(Topology::FatTree {
             ranks_per_node: 2,
+            nodes_per_switch: usize::MAX,
             nic_factor: 0.5,
+            up_factor: 0.5,
         });
         let fat_tree = flat.clone().with_topology(Topology::congested_fat_tree());
         let machines = [
