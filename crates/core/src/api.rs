@@ -265,8 +265,7 @@ pub enum PlanError {
     },
     /// The machine's [`Topology`](mpsim::machine::Topology) fails
     /// [`Topology::validate`](mpsim::machine::Topology::validate) — a zero
-    /// count, a non-finite or negative factor, or a torus outside 1 to 4
-    /// dimensions.
+    /// count or a non-finite or negative factor.
     InvalidTopology {
         /// What `validate` rejected.
         reason: &'static str,

@@ -192,8 +192,8 @@ pub enum ExecError {
     /// could not complete without it. Carries the earliest *scheduled*
     /// casualty of the plan — a schedule-derived attribution, so the
     /// single-threaded and multi-region event engines report the same
-    /// failure — or, for a pure message-loss wedge, the starved receiver
-    /// of the first lost message. A recovery driver can re-fit the problem
+    /// failure. Rank death is the only fault: the network loses no
+    /// message. A recovery driver can re-fit the problem
     /// to [`FaultPlan::survivors`](crate::fault::FaultPlan::survivors) and
     /// re-run clean.
     RankFailed {

@@ -1,34 +1,31 @@
 //! Deterministic fault injection for the event scheduler.
 //!
-//! A [`FaultPlan`] is a *seeded recipe* for killing ranks and dropping
-//! messages mid-run, attached to a machine via
+//! A [`FaultPlan`] is a *seeded recipe* for killing ranks mid-run, attached
+//! to a machine via
 //! [`MachineSpec::with_faults`](crate::machine::MachineSpec::with_faults).
-//! Everything a plan decides is a pure function of `(seed, rank)` or
-//! `(seed, from, to, send-index)` through splitmix64 — no wall clock, no
-//! global interleaving — so the same plan produces the *same* failure on the
-//! single-threaded and the multi-region event engines, and a plan that
-//! schedules nothing is exactly a no-op (zero-fault runs stay
-//! bitwise-identical to runs without a plan).
+//! Everything a plan decides is a pure function of `(seed, rank)` through
+//! splitmix64 — no wall clock, no global interleaving — so the same plan
+//! produces the *same* failure on the single-threaded and the multi-region
+//! event engines, and a plan that schedules nothing is exactly a no-op
+//! (zero-fault runs stay bitwise-identical to runs without a plan).
 //!
 //! # What a fault looks like
 //!
-//! * **Rank death.** Each doomed rank carries a *virtual death time* drawn
-//!   from the seed within the plan's horizon. The scheduler kills the rank
-//!   the first time it would poll it at or past that time: the rank's body
-//!   future is dropped, its mailbox is discarded, and it stops consuming
-//!   events. Subsequent sends to it are silently lost (a typed loss, not a
-//!   [`WorldTornDown`](crate::exec::ExecError::WorldTornDown) — the peer
-//!   did not *exit*, it *failed*). Because the kill decision compares the
-//!   rank's own event time against its own death time, it is made at the
-//!   same event on every engine, windows or not.
-//! * **Message loss.** With a nonzero drop rate, each send is dropped with
-//!   that probability, keyed by the sender's program-order send index — a
-//!   sender-local decision, again identical across engines.
+//! Rank death is the one fault. Each doomed rank carries a *virtual death
+//! time* drawn from the seed within the plan's horizon. The scheduler kills
+//! the rank the first time it would poll it at or past that time: the
+//! rank's body future is dropped, its mailbox is discarded, and it stops
+//! consuming events. Subsequent sends to it are silently lost (a typed loss,
+//! not a [`WorldTornDown`](crate::exec::ExecError::WorldTornDown) — the peer
+//! did not *exit*, it *failed*). Because the kill decision compares the
+//! rank's own event time against its own death time, it is made at the
+//! same event on every engine, windows or not. The network itself is
+//! reliable, as MPI is: no message is ever lost on the wire.
 //!
-//! A world that cannot complete because of either (it wedges structurally,
-//! a recv deadline fires, or it finishes with ranks dead) reports
-//! [`ExecError::RankFailed`](crate::exec::ExecError::RankFailed) carrying
-//! the earliest scheduled casualty, so a caller — e.g. the `serve`
+//! A world that cannot complete because a rank died (it wedges
+//! structurally, a recv deadline fires, or it finishes with ranks dead)
+//! reports [`ExecError::RankFailed`](crate::exec::ExecError::RankFailed)
+//! carrying the earliest scheduled casualty, so a caller — e.g. the `serve`
 //! recovery driver — can re-fit the problem to the survivors
 //! ([`FaultPlan::survivors`]) and re-run clean.
 
@@ -56,22 +53,20 @@ fn u01(x: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Hash streams, so deaths, death times and drops draw from independent
-/// sequences of the same seed.
+/// Hash streams, so deaths and death times draw from independent sequences
+/// of the same seed.
 const STREAM_PICK: u64 = 0x5045_4B49_4C4C; // which ranks die
 const STREAM_TIME: u64 = 0x4445_4154_4854; // when they die
-const STREAM_DROP: u64 = 0x4452_4F50_5052; // which messages vanish
 
 /// A deterministic, seeded fault-injection recipe for one run.
 ///
 /// Construct with [`FaultPlan::new`] (a quiescent plan — attaching it
-/// changes nothing) and layer faults on with the builders:
+/// changes nothing) and schedule deaths with [`FaultPlan::kill_exactly`]:
 ///
 /// ```
 /// use mpsim::fault::FaultPlan;
-/// // Kill exactly 3 ranks somewhere inside the first 2ms of virtual time,
-/// // and lose 0.1% of messages.
-/// let plan = FaultPlan::new(42).kill_exactly(3, 2e-3).drop_rate(1e-3);
+/// // Kill exactly 3 ranks somewhere inside the first 2ms of virtual time.
+/// let plan = FaultPlan::new(42).kill_exactly(3, 2e-3);
 /// assert_eq!(plan.planned_kills(64), 3);
 /// assert_eq!(plan.survivors(64), 61);
 /// ```
@@ -88,20 +83,16 @@ pub struct FaultPlan {
     kills: usize,
     /// Virtual-time window `(0, horizon_s)` inside which deaths land.
     horizon_s: f64,
-    /// Per-message loss probability in `[0, 1]`.
-    drop_rate: f64,
 }
 
 impl FaultPlan {
-    /// A quiescent plan: schedules no deaths and drops nothing. Attaching
-    /// it to a machine is bitwise a no-op — the zero-fault baseline gates
-    /// assert exactly this.
+    /// A quiescent plan: schedules no deaths. Attaching it to a machine is
+    /// bitwise a no-op — the zero-fault baseline gates assert exactly this.
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
             kills: 0,
             horizon_s: 0.0,
-            drop_rate: 0.0,
         }
     }
 
@@ -118,17 +109,6 @@ impl FaultPlan {
         );
         self.kills = kills;
         self.horizon_s = horizon_s;
-        self
-    }
-
-    /// Additionally lose each message with probability `rate`, keyed by the
-    /// sender's program-order send index.
-    ///
-    /// # Panics
-    /// Panics unless `rate ∈ [0, 1]`.
-    pub fn drop_rate(mut self, rate: f64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&rate), "drop rate must be in [0, 1] (got {rate})");
-        self.drop_rate = rate;
         self
     }
 
@@ -170,12 +150,7 @@ impl FaultPlan {
             }
         }
         let deaths = death.iter().filter(|d| d.is_some()).count();
-        FaultSchedule {
-            seed: self.seed,
-            death,
-            deaths,
-            drop_rate: self.drop_rate,
-        }
+        FaultSchedule { death, deaths }
     }
 }
 
@@ -183,24 +158,16 @@ impl FaultPlan {
 /// engine's lookup table.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultSchedule {
-    seed: u64,
     /// Per-rank virtual death time (`None` = survives).
     death: Vec<Option<f64>>,
     /// Scheduled death count.
     deaths: usize,
-    drop_rate: f64,
 }
 
 impl FaultSchedule {
     /// The rank's scheduled virtual death time, if any.
     pub(crate) fn death_time(&self, rank: usize) -> Option<f64> {
         self.death[rank]
-    }
-
-    /// Whether the `n`-th send of `from` (program order) to `to` is lost.
-    pub(crate) fn drops(&self, from: usize, to: usize, n: u64) -> bool {
-        self.drop_rate > 0.0
-            && u01(mix(self.seed, STREAM_DROP, &[from as u64, to as u64, n])) < self.drop_rate
     }
 }
 
@@ -215,7 +182,6 @@ mod tests {
         assert_eq!(plan.survivors(64), 64);
         let sched = plan.schedule(8);
         assert!((0..8).all(|r| sched.death_time(r).is_none()));
-        assert!(!sched.drops(0, 1, 0));
     }
 
     #[test]
@@ -241,17 +207,5 @@ mod tests {
         let plan = FaultPlan::new(1).kill_exactly(100, 1.0);
         assert_eq!(plan.planned_kills(4), 4);
         assert_eq!(plan.survivors(4), 0);
-    }
-
-    #[test]
-    fn drop_decisions_are_per_send_index_and_seeded() {
-        let sched = FaultPlan::new(3).drop_rate(0.5).schedule(8);
-        let pattern: Vec<bool> = (0..64).map(|n| sched.drops(0, 1, n)).collect();
-        let again: Vec<bool> = (0..64).map(|n| sched.drops(0, 1, n)).collect();
-        assert_eq!(pattern, again);
-        assert!(pattern.iter().any(|&d| d) && pattern.iter().any(|&d| !d));
-        // Different (from, to) pairs draw from different streams.
-        let other: Vec<bool> = (0..64).map(|n| sched.drops(1, 0, n)).collect();
-        assert_ne!(pattern, other);
     }
 }

@@ -34,8 +34,8 @@
 //!   costs, with and without communication–computation overlap (§7.3), and
 //!   %-of-peak reporting used by Figures 8–14.
 //! * [`fault`] — deterministic fault injection: a seeded [`fault::FaultPlan`]
-//!   the event scheduler consults to kill ranks and drop messages at
-//!   scheduled points of *virtual* time, surfacing as a typed
+//!   the event scheduler consults to kill ranks at scheduled points of
+//!   *virtual* time, surfacing as a typed
 //!   [`exec::ExecError::RankFailed`] a caller can recover from by
 //!   replanning the surviving world.
 //! * [`pool`] — size-classed buffer-reuse arenas (§7 "buffer reuse"): one

@@ -16,9 +16,9 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(120);
 /// occupies on that link.
 ///
 /// Every transfer always ends on the receiver's private *injection* link
-/// (one wire per rank — the pre-topology contention model). The non-flat
-/// variants add shared links along the route; each shared hop occupies its
-/// link for `factor × (α + β·words)` in virtual-time consumption order, so
+/// (one wire per rank — the pre-topology contention model). A fat tree adds
+/// shared links along the route; each shared hop occupies its link for
+/// `factor × (α + β·words)` in virtual-time consumption order, so
 /// congestion compounds exactly where traffic concentrates. A `factor`
 /// below 1 models a link fatter than a single rank's injection bandwidth
 /// (e.g. a NIC serving a whole node); a factor above 1 models an
@@ -28,19 +28,14 @@ pub enum Topology {
     /// No shared links: transfers serialize only on the receiver's
     /// injection link. Reproduces the pre-topology virtual clock bitwise.
     Flat,
-    /// Ranks packed onto nodes of `ranks_per_node`; each node has one NIC
-    /// with an up (egress) and a down (ingress) link shared by all its
-    /// ranks. Intra-node transfers bypass the NIC.
-    NodeNic {
-        /// Ranks sharing one NIC.
-        ranks_per_node: usize,
-        /// Occupancy factor of each NIC crossing.
-        nic_factor: f64,
-    },
-    /// A two-level fat tree: nodes (as in [`Topology::NodeNic`]) grouped
-    /// under leaf switches of `nodes_per_switch`; inter-switch transfers
-    /// additionally cross the source switch's uplink and the destination
-    /// switch's downlink.
+    /// A two-level fat tree: ranks packed onto nodes of `ranks_per_node`,
+    /// each node with one NIC whose up (egress) and down (ingress) links
+    /// all its ranks share, and nodes grouped under leaf switches of
+    /// `nodes_per_switch`. Intra-node transfers bypass the NIC;
+    /// inter-switch transfers additionally cross the source switch's
+    /// uplink and the destination switch's downlink. With
+    /// `nodes_per_switch` at least the node count, one switch holds every
+    /// node and only the NICs are shared.
     FatTree {
         /// Ranks sharing one NIC.
         ranks_per_node: usize,
@@ -51,17 +46,6 @@ pub enum Topology {
         /// Occupancy factor of each switch up/down-link crossing
         /// (oversubscription when > `nic_factor`).
         up_factor: f64,
-    },
-    /// A torus over nodes: `dims` (at most 4 dimensions) node grid with
-    /// wrap-around links, dimension-ordered shortest-path routing; every
-    /// inter-node hop crosses one directional link of the node it leaves.
-    Torus {
-        /// Ranks sharing one node.
-        ranks_per_node: usize,
-        /// Node-grid extents, innermost dimension first (≤ 4 dims).
-        dims: Vec<usize>,
-        /// Occupancy factor of each torus-link crossing.
-        link_factor: f64,
     },
 }
 
@@ -92,9 +76,9 @@ impl Topology {
     /// committed quantity is a function of rank-local state plus
     /// per-sender-FIFO message envelopes. [`Topology::Flat`] qualifies: the
     /// sole charged link is the receiver's private injection wire, advanced
-    /// only by the receiver's own consumptions. Every other variant charges
-    /// *shared* links in global virtual-time consumption order — an order
-    /// the region interleave would perturb — so
+    /// only by the receiver's own consumptions. A fat tree charges *shared*
+    /// links in global virtual-time consumption order — an order the region
+    /// interleave would perturb — so
     /// [`run_spmd_with`](crate::exec::run_spmd_with) falls back to the
     /// single-threaded engine for them, keeping stats bitwise-identical by
     /// construction.
@@ -103,23 +87,11 @@ impl Topology {
     }
 
     /// Do the topology's parameters make sense for any world? (Positive
-    /// counts, finite non-negative factors, ≤ 4 torus dimensions.)
+    /// counts, finite non-negative factors.)
     pub fn validate(&self) -> Result<(), &'static str> {
         let factor_ok = |f: f64| f.is_finite() && f >= 0.0;
         match self {
             Topology::Flat => Ok(()),
-            Topology::NodeNic {
-                ranks_per_node,
-                nic_factor,
-            } => {
-                if *ranks_per_node == 0 {
-                    Err("ranks_per_node must be positive")
-                } else if !factor_ok(*nic_factor) {
-                    Err("nic_factor must be finite and non-negative")
-                } else {
-                    Ok(())
-                }
-            }
             Topology::FatTree {
                 ranks_per_node,
                 nodes_per_switch,
@@ -130,23 +102,6 @@ impl Topology {
                     Err("ranks_per_node and nodes_per_switch must be positive")
                 } else if !factor_ok(*nic_factor) || !factor_ok(*up_factor) {
                     Err("link factors must be finite and non-negative")
-                } else {
-                    Ok(())
-                }
-            }
-            Topology::Torus {
-                ranks_per_node,
-                dims,
-                link_factor,
-            } => {
-                if *ranks_per_node == 0 {
-                    Err("ranks_per_node must be positive")
-                } else if dims.is_empty() || dims.len() > 4 {
-                    Err("torus needs 1 to 4 dimensions")
-                } else if dims.contains(&0) {
-                    Err("torus dimensions must be positive")
-                } else if !factor_ok(*link_factor) {
-                    Err("link_factor must be finite and non-negative")
                 } else {
                     Ok(())
                 }
@@ -209,9 +164,8 @@ pub struct MachineSpec {
     pub placement: Placement,
     /// Deterministic fault injection (see [`FaultPlan`]). `None` (the
     /// default) runs fault-free. `Some(plan)` makes the event backend kill
-    /// the plan's scheduled ranks at their virtual death times and lose the
-    /// plan's scheduled messages; a run the faults keep from completing
-    /// returns [`ExecError::RankFailed`](crate::exec::ExecError). A
+    /// the plan's scheduled ranks at their virtual death times; a run the
+    /// deaths keep from completing returns [`ExecError::RankFailed`](crate::exec::ExecError). A
     /// quiescent plan ([`FaultPlan::new`]) is bitwise a no-op. The blocking
     /// backends ignore the plan (no virtual clock to key death times
     /// against).
@@ -410,20 +364,7 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(Topology::Torus {
-            ranks_per_node: 2,
-            dims: vec![2, 2, 2, 2, 2],
-            link_factor: 1.0
-        }
-        .validate()
-        .is_err());
-        assert!(Topology::Torus {
-            ranks_per_node: 2,
-            dims: vec![4, 4],
-            link_factor: 0.5
-        }
-        .validate()
-        .is_ok());
+        assert!(Topology::congested_fat_tree().validate().is_ok());
     }
 
     #[test]

@@ -14,14 +14,12 @@
 //!   factor 1.0, the last hop of **every** route. A [`Topology::Flat`]
 //!   route is this hop alone, which reproduces the pre-topology
 //!   per-receiver-link model bitwise.
-//! * node NICs (`NodeNic`/`FatTree`) — `p + 2·node` (up) and
+//! * node NICs ([`Topology::FatTree`]) — `p + 2·node` (up) and
 //!   `p + 2·node + 1` (down);
-//! * leaf switches (`FatTree`) — after all node links: `sw_base + 2·switch`
-//!   (up) and `sw_base + 2·switch + 1` (down);
-//! * torus links — `p + (node·ndims + dim)·2 + direction`, the directional
-//!   wrap-around link a hop *leaves* a node on.
+//! * leaf switches — after all node links: `sw_base + 2·switch` (up) and
+//!   `sw_base + 2·switch + 1` (down).
 
-use crate::machine::{MachineSpec, Placement, Topology};
+use crate::machine::{Placement, Topology};
 
 /// Routing tables of one concrete machine: rank→node map plus the link-id
 /// arithmetic of its [`Topology`].
@@ -38,18 +36,11 @@ pub struct Network {
 #[derive(Debug, Clone)]
 enum Kind {
     Flat,
-    NodeNic {
-        nic_factor: f64,
-    },
     FatTree {
         nic_factor: f64,
         up_factor: f64,
         nodes_per_switch: usize,
         sw_base: usize,
-    },
-    Torus {
-        link_factor: f64,
-        dims: Vec<usize>,
     },
 }
 
@@ -64,17 +55,13 @@ fn node_of(rank: usize, ranks_per_node: usize, n_nodes: usize, placement: Placem
 }
 
 impl Network {
-    /// Compile `spec`'s topology and placement for its world size.
+    /// Compile `topology` and `placement` for a world of `p` ranks.
     ///
     /// # Panics
     /// Panics when the topology's parameters are invalid
-    /// ([`Topology::validate`]) — [`MachineSpec::with_topology`] rejects
-    /// them earlier on the builder path.
-    pub fn new(spec: &MachineSpec) -> Self {
-        Network::compile(spec.p, &spec.topology, spec.placement)
-    }
-
-    /// [`Network::new`] from the raw parts.
+    /// ([`Topology::validate`]) —
+    /// [`MachineSpec::with_topology`](crate::machine::MachineSpec::with_topology)
+    /// rejects them earlier on the builder path.
     pub fn compile(p: usize, topology: &Topology, placement: Placement) -> Self {
         if let Err(why) = topology.validate() {
             panic!("invalid topology: {why}");
@@ -86,20 +73,6 @@ impl Network {
                 node: Vec::new(),
                 kind: Kind::Flat,
             },
-            Topology::NodeNic {
-                ranks_per_node,
-                nic_factor,
-            } => {
-                let n_nodes = p.div_ceil(*ranks_per_node);
-                Network {
-                    p,
-                    n_links: p + 2 * n_nodes,
-                    node: (0..p).map(|r| node_of(r, *ranks_per_node, n_nodes, placement)).collect(),
-                    kind: Kind::NodeNic {
-                        nic_factor: *nic_factor,
-                    },
-                }
-            }
             Topology::FatTree {
                 ranks_per_node,
                 nodes_per_switch,
@@ -121,22 +94,6 @@ impl Network {
                     },
                 }
             }
-            Topology::Torus {
-                ranks_per_node,
-                dims,
-                link_factor,
-            } => {
-                let n_nodes: usize = dims.iter().product();
-                Network {
-                    p,
-                    n_links: p + n_nodes * dims.len() * 2,
-                    node: (0..p).map(|r| node_of(r, *ranks_per_node, n_nodes, placement)).collect(),
-                    kind: Kind::Torus {
-                        link_factor: *link_factor,
-                        dims: dims.clone(),
-                    },
-                }
-            }
         }
     }
 
@@ -152,13 +109,6 @@ impl Network {
     pub fn for_each_hop(&self, from: usize, to: usize, mut f: impl FnMut(usize, f64)) {
         match &self.kind {
             Kind::Flat => {}
-            Kind::NodeNic { nic_factor } => {
-                let (a, b) = (self.node[from], self.node[to]);
-                if a != b {
-                    f(self.p + 2 * a, *nic_factor);
-                    f(self.p + 2 * b + 1, *nic_factor);
-                }
-            }
             Kind::FatTree {
                 nic_factor,
                 up_factor,
@@ -176,75 +126,8 @@ impl Network {
                     f(self.p + 2 * b + 1, *nic_factor);
                 }
             }
-            Kind::Torus { link_factor, dims } => {
-                let (a, b) = (self.node[from], self.node[to]);
-                if a != b {
-                    // Dimension-ordered shortest-path routing: walk each
-                    // dimension to its target coordinate in the shorter
-                    // wrap direction (ties go positive), charging the
-                    // directional link of every node the hop leaves.
-                    let nd = dims.len();
-                    let mut cur = a;
-                    let mut coord = [0usize; 4];
-                    let mut rest = a;
-                    for (d, &len) in dims.iter().enumerate() {
-                        coord[d] = rest % len;
-                        rest /= len;
-                    }
-                    let mut target = [0usize; 4];
-                    rest = b;
-                    for (d, &len) in dims.iter().enumerate() {
-                        target[d] = rest % len;
-                        rest /= len;
-                    }
-                    // Stride of dimension d in the node id.
-                    let mut stride = [0usize; 4];
-                    let mut s = 1usize;
-                    for (d, &len) in dims.iter().enumerate() {
-                        stride[d] = s;
-                        s *= len;
-                    }
-                    for d in 0..nd {
-                        let len = dims[d];
-                        let fwd = (target[d] + len - coord[d]) % len;
-                        let (steps, dir) = if fwd <= len - fwd {
-                            (fwd, 0)
-                        } else {
-                            (len - fwd, 1)
-                        };
-                        for _ in 0..steps {
-                            f(self.p + (cur * nd + d) * 2 + dir, *link_factor);
-                            let next_c = if dir == 0 {
-                                (coord[d] + 1) % len
-                            } else {
-                                (coord[d] + len - 1) % len
-                            };
-                            cur = cur + next_c * stride[d] - coord[d] * stride[d];
-                            coord[d] = next_c;
-                        }
-                    }
-                    debug_assert_eq!(cur, b, "torus route must land on the target node");
-                }
-            }
         }
         f(to, 1.0);
-    }
-
-    /// The conservative-synchronization lookahead of this network under a
-    /// cost model with link latency `alpha_s`: a lower bound on the virtual
-    /// time between a message being *posted* and it *completing* at the
-    /// receiver, over every rank pair and network state.
-    ///
-    /// The parallel event scheduler advances all regions through lockstep
-    /// windows of this width — a message sent inside the window
-    /// `[floor, floor + lookahead)` cannot complete before `floor +
-    /// lookahead`, so windows are closed under event generation. Every
-    /// transfer pays the full α latency end-to-end exactly once (routing
-    /// adds bandwidth serialization on shared links, never a latency
-    /// discount), so the bound is `alpha_s` on every topology; a zero or
-    /// negative α yields zero lookahead, which disables sharding.
-    pub fn region_lookahead_s(&self, alpha_s: f64) -> f64 {
-        alpha_s
     }
 
     /// The mean-field contention multiplier of the network under uniform
@@ -364,29 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_routes_dimension_ordered_shortest_paths() {
-        let topo = Topology::Torus {
-            ranks_per_node: 1,
-            dims: vec![4, 4],
-            link_factor: 1.0,
-        };
-        let net = Network::compile(16, &topo, Placement::Block);
-        assert_eq!(net.n_links(), 16 + 16 * 2 * 2);
-        // Node ids are rank ids (1 rank/node): node 0 = (0,0), node 6 =
-        // (2,1). Route: +x twice, +y once → 3 torus hops + injection.
-        assert_eq!(hops(&net, 0, 6).len(), 4);
-        // Wrap-around is shorter for (0,0) → (3,0): one −x hop.
-        assert_eq!(hops(&net, 0, 3).len(), 2);
-        // Every route must land on the target (debug_assert inside), and
-        // hop counts are symmetric on a symmetric torus.
-        for from in 0..16 {
-            for to in 0..16 {
-                assert_eq!(hops(&net, from, to).len(), hops(&net, to, from).len(), "{from}->{to}");
-            }
-        }
-    }
-
-    #[test]
     fn mean_contention_is_exactly_one_on_flat() {
         let net = Network::compile(16, &Topology::Flat, Placement::Block);
         assert_eq!(net.mean_contention(), 1.0);
@@ -427,20 +287,5 @@ mod tests {
         // pairs without changing the aggregate link loads.
         let rr = Network::compile(p, &fat, Placement::RoundRobin).mean_contention();
         assert!((fat_m - rr).abs() < 1e-9, "block {fat_m} vs round-robin {rr}");
-    }
-
-    #[test]
-    fn torus_charges_the_departure_link_of_each_node() {
-        let topo = Topology::Torus {
-            ranks_per_node: 1,
-            dims: vec![4],
-            link_factor: 0.25,
-        };
-        let net = Network::compile(4, &topo, Placement::Block);
-        // 0 → 2: ties go positive — nodes 0 and 1's +dir links, then
-        // injection. Link id: p + (node·1 + 0)·2 + 0.
-        assert_eq!(hops(&net, 0, 2), vec![(4, 0.25), (6, 0.25), (2, 1.0)]);
-        // 0 → 3: shorter backwards — node 0's −dir link.
-        assert_eq!(hops(&net, 0, 3), vec![(5, 0.25), (3, 1.0)]);
     }
 }

@@ -535,11 +535,11 @@ fn serve_job(shared: &Shared, job: JobRequest) -> JobResult {
                 // Recovery: shrink the world to the survivors (COSMA's grid
                 // fitting handles any p′, power of two or not) and re-run
                 // *clean* — a retry must not re-inject the faults it is
-                // recovering from. A pure message-loss failure keeps p′ = p:
-                // same world, no drops this time.
+                // recovering from. A world fails only because a rank died,
+                // so p′ < p.
                 let survivors = plan.survivors(p);
                 if survivors > 0 {
-                    degraded |= survivors < p;
+                    degraded = true;
                     p = survivors;
                     continue;
                 }
@@ -930,14 +930,6 @@ mod tests {
                     up_factor: 1.0,
                 },
                 "link factors must be finite and non-negative",
-            ),
-            (
-                Topology::Torus {
-                    ranks_per_node: 1,
-                    dims: vec![2; 5],
-                    link_factor: 1.0,
-                },
-                "torus needs 1 to 4 dimensions",
             ),
         ];
         for (id, (topology, reason)) in invalid.into_iter().enumerate() {

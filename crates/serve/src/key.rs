@@ -28,60 +28,28 @@ fn canonical_bits(v: f64, field: &'static str) -> Result<u64, PlanError> {
     Ok(if v == 0.0 { 0.0f64.to_bits() } else { v.to_bits() })
 }
 
-/// Fixed-width encoding of a [`Topology`]: discriminant + packed parameters,
-/// or [`PlanError::InvalidTopology`] for one [`Topology::validate`] rejects —
-/// before anything is planned, cached or run on it. Dims of a torus pack 16
-/// bits each (validation caps them at 4 dims; a dimension above 65535 nodes
-/// is beyond any plan this crate serves).
+/// Fixed-width encoding of a [`Topology`]: discriminant + one word per
+/// parameter, or [`PlanError::InvalidTopology`] for one
+/// [`Topology::validate`] rejects — before anything is planned, cached or
+/// run on it.
 fn encode_topology(t: &Topology) -> Result<(u8, [u64; 4]), PlanError> {
     t.validate().map_err(|reason| PlanError::InvalidTopology { reason })?;
     Ok(match t {
         Topology::Flat => (0, [0; 4]),
-        Topology::NodeNic {
-            ranks_per_node,
-            nic_factor,
-        } => (
-            1,
-            [
-                *ranks_per_node as u64,
-                canonical_bits(*nic_factor, "nic_factor")?,
-                0,
-                0,
-            ],
-        ),
         Topology::FatTree {
             ranks_per_node,
             nodes_per_switch,
             nic_factor,
             up_factor,
         } => (
-            2,
+            1,
             [
-                ((*ranks_per_node as u64) << 32) | *nodes_per_switch as u64,
+                *ranks_per_node as u64,
+                *nodes_per_switch as u64,
                 canonical_bits(*nic_factor, "nic_factor")?,
                 canonical_bits(*up_factor, "up_factor")?,
-                0,
             ],
         ),
-        Topology::Torus {
-            ranks_per_node,
-            dims,
-            link_factor,
-        } => {
-            let mut packed = 0u64;
-            for (i, &d) in dims.iter().enumerate() {
-                packed |= (d.min(0xFFFF) as u64) << (16 * i);
-            }
-            (
-                3,
-                [
-                    *ranks_per_node as u64,
-                    packed,
-                    canonical_bits(*link_factor, "link_factor")?,
-                    dims.len() as u64,
-                ],
-            )
-        }
     })
 }
 
@@ -116,8 +84,8 @@ pub struct PlanKey {
     /// [`AlgoId::ALL`](cosma::api::AlgoId::ALL) positions
     /// ([`AlgoChoice::mask`]).
     pub candidates: u8,
-    /// [`Topology`] discriminant (0 = flat, 1 = node/NIC, 2 = fat-tree,
-    /// 3 = torus) — cached plans must never cross machine shapes.
+    /// [`Topology`] discriminant (0 = flat, 1 = fat tree) — cached plans
+    /// must never cross machine shapes.
     pub topology_tag: u8,
     /// The topology's packed parameters (counts and canonical factor bits).
     pub topology_bits: [u64; 4],
@@ -284,25 +252,23 @@ mod tests {
         };
         let fat = mk(&Topology::congested_fat_tree(), Placement::Block);
         let fat_rr = mk(&Topology::congested_fat_tree(), Placement::RoundRobin);
-        let nic = mk(
-            &Topology::NodeNic {
-                ranks_per_node: 4,
-                nic_factor: 1.0,
-            },
-            Placement::Block,
-        );
-        let torus = mk(
-            &Topology::Torus {
-                ranks_per_node: 4,
-                dims: vec![2, 2],
-                link_factor: 1.0,
-            },
-            Placement::Block,
-        );
         assert_ne!(flat, fat, "cached plans must never cross machine shapes");
         assert_ne!(fat, fat_rr, "placement is part of the machine shape");
-        assert_ne!(fat, nic);
-        assert_ne!(nic, torus);
+        // One leaf switch over every node: the per-node rank count is a
+        // shape of its own, whatever the switch count reads.
+        let one_switch = |ranks_per_node| {
+            mk(
+                &Topology::FatTree {
+                    ranks_per_node,
+                    nodes_per_switch: usize::MAX,
+                    nic_factor: 0.25,
+                    up_factor: 0.25,
+                },
+                Placement::Block,
+            )
+        };
+        assert_ne!(one_switch(1), one_switch(4));
+        assert_ne!(fat, one_switch(4));
         // Distinct fat-tree factors are distinct shapes.
         let fat_tuned = mk(
             &Topology::FatTree {
@@ -314,28 +280,5 @@ mod tests {
             Placement::Block,
         );
         assert_ne!(fat, fat_tuned);
-    }
-
-    #[test]
-    fn torus_dims_order_matters() {
-        let prob = MmmProblem::new(96, 80, 112, 16, 1 << 14);
-        let model = CostModel::piz_daint_two_sided();
-        let mk = |dims: Vec<usize>| {
-            PlanKey::try_new(
-                &prob,
-                &model,
-                true,
-                None,
-                &AlgoChoice::Auto,
-                &Topology::Torus {
-                    ranks_per_node: 1,
-                    dims,
-                    link_factor: 1.0,
-                },
-                Placement::Block,
-            )
-            .unwrap()
-        };
-        assert_ne!(mk(vec![4, 2]), mk(vec![2, 4]), "routing differs, so the key must");
     }
 }

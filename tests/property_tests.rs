@@ -914,14 +914,13 @@ fn fault_plans_behave_identically_across_event_thread_counts() {
     for case in 0..10 {
         let p = rng.range(8, 40);
         let kills = rng.range(0, 3);
-        let dropping = rng.range(0, 2) == 1;
+        // A coin this sample no longer uses, still drawn so every case
+        // keeps the `p`, `kills` and `seed` it was built with.
+        let _ = rng.range(0, 2);
         let seed = rng.next();
         let mut plan = FaultPlan::new(seed);
         if kills > 0 {
             plan = plan.kill_exactly(kills, 8e-6);
-        }
-        if dropping {
-            plan = plan.drop_rate(0.05);
         }
         let body = |mut c: mpsim::RankComm| async move {
             let p = c.size();
@@ -946,7 +945,7 @@ fn fault_plans_behave_identically_across_event_thread_counts() {
             }
             (a, b) => panic!("case {case}: engines disagree on survival: {a:?} vs {b:?}"),
         }
-        if kills == 0 && !dropping {
+        if kills == 0 {
             // Quiescent plan: bitwise no-op against the fault-free world.
             let bare = MachineSpec::test_machine(p, 1000);
             let clean = run_spmd_with(&bare, ExecBackend::event(), body).unwrap();
