@@ -193,8 +193,8 @@ pub enum ExecError {
     /// casualty of the plan — a schedule-derived attribution, so the
     /// single-threaded and multi-region event engines report the same
     /// failure. Rank death is the only fault: the network loses no
-    /// message. A recovery driver can re-fit the problem
-    /// to [`FaultPlan::survivors`](crate::fault::FaultPlan::survivors) and
+    /// message. A recovery driver can re-fit the problem to
+    /// [`FaultPlan::survivors`](crate::fault::FaultPlan::survivors) and
     /// re-run clean.
     RankFailed {
         /// The failed rank (earliest scheduled death; ties by rank).

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the event scheduler.
 //!
-//! A [`FaultPlan`] is a *seeded recipe* for killing ranks mid-run, attached
-//! to a machine via
+//! A [`FaultPlan`] is a *seeded recipe* for killing ranks mid-run,
+//! attached to a machine via
 //! [`MachineSpec::with_faults`](crate::machine::MachineSpec::with_faults).
 //! Everything a plan decides is a pure function of `(seed, rank)` through
 //! splitmix64 — no wall clock, no global interleaving — so the same plan

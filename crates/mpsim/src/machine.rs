@@ -165,10 +165,10 @@ pub struct MachineSpec {
     /// Deterministic fault injection (see [`FaultPlan`]). `None` (the
     /// default) runs fault-free. `Some(plan)` makes the event backend kill
     /// the plan's scheduled ranks at their virtual death times; a run the
-    /// deaths keep from completing returns [`ExecError::RankFailed`](crate::exec::ExecError). A
-    /// quiescent plan ([`FaultPlan::new`]) is bitwise a no-op. The blocking
-    /// backends ignore the plan (no virtual clock to key death times
-    /// against).
+    /// deaths keep from completing returns
+    /// [`ExecError::RankFailed`](crate::exec::ExecError). A quiescent plan
+    /// ([`FaultPlan::new`]) is bitwise a no-op. The blocking backends ignore
+    /// the plan (no virtual clock to key death times against).
     pub faults: Option<FaultPlan>,
     /// Buffer-reuse arenas (§7 "buffer reuse"). `true` (the default): the
     /// world's [`BufferPool`](crate::pool::BufferPool) recycles message
