@@ -257,10 +257,12 @@ pub enum PlanError {
         /// The executor's typed refusal.
         source: ExecError,
     },
-    /// A cost-model constant is NaN — it cannot be canonicalized into a cache
-    /// key, and no plan objective could order candidates under it.
+    /// A cost-model constant is NaN or infinite — a NaN cannot be
+    /// canonicalized into a cache key, no plan objective could order
+    /// candidates under either, and an infinite one completes messages at
+    /// t = +∞, which no executor window ever admits.
     NonFiniteCostModel {
-        /// Which parameter was NaN.
+        /// Which parameter was NaN or infinite.
         field: &'static str,
     },
     /// The machine's [`Topology`](mpsim::machine::Topology) fails
@@ -321,7 +323,7 @@ impl fmt::Display for PlanError {
             }
             PlanError::Execution { source } => write!(f, "execution backend refused: {source}"),
             PlanError::NonFiniteCostModel { field } => {
-                write!(f, "machine parameter {field} is NaN and cannot be canonicalized")
+                write!(f, "machine parameter {field} is NaN or infinite")
             }
             PlanError::InvalidTopology { reason } => write!(f, "invalid topology: {reason}"),
             PlanError::Aborted { reason } => {

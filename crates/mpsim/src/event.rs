@@ -11,8 +11,8 @@
 //!   rank body the caller hands to [`crate::exec::run_spmd_with`], compiled
 //!   by rustc into an explicit-continuation enum whose suspended state costs
 //!   bytes, not a stack;
-//! * a scheduler drives the state machines from a ready queue that is a
-//!   **min-heap ordered by virtual timestamp** (FIFO on ties); a rank that
+//! * a scheduler drives the state machines from a ready queue that keeps
+//!   **one FIFO per distinct virtual timestamp**, earliest first; a rank that
 //!   cannot make progress (a `recv` with no matching message, a
 //!   `barrier` waiting for peers) registers a `Wait` in its slab —
 //!   the world's matching table — and returns `Poll::Pending`;
@@ -66,7 +66,7 @@
 //!
 //! Ranks are partitioned into contiguous **regions** (`RegionState`), each
 //! owning a slab of per-rank state (mailbox ends, wait slot, clock, injection
-//! link), one packet arena the mailboxes chain through and a ready heap, and
+//! link), one packet arena the mailboxes chain through and a ready queue, and
 //! each driven by one worker thread. Worker 0 is the calling thread, so the usual
 //! one-region world (`threads: 1`, every shared-link topology, α = 0) spawns
 //! nothing: it is the N = 1 case of the one run loop (`run_event_world`:
@@ -76,28 +76,28 @@
 //! bounded-lag discrete-event style: with the cost model's per-message
 //! latency α as the **lookahead**, every window spans `[floor, floor + α)`
 //! where `floor` is the earliest pending event anywhere (with α = 0, the
-//! single timestamp `floor`). Each worker drains its own heap in
-//! `(time, seq)` order up to the window bound, polling rank bodies (user
-//! compute runs concurrently across regions, outside any lock). Cross-region
-//! sends are deposited into the target region's bounded inbox and drained at
-//! the window boundary — safe, because a message posted at `sent_at ≥ floor`
-//! cannot complete before `sent_at + α ≥ floor + α`, i.e. never inside the
-//! window that posted it. At each boundary worker 0 delivers inboxes
-//! (stable-sorted by sender, preserving per-sender FIFO), resolves a
+//! single timestamp `floor`). Each worker drains its own ready queue in
+//! `(time, admission)` order up to the window bound, polling rank bodies
+//! (user compute runs concurrently across regions, outside any lock).
+//! Cross-region sends are deposited into the target region's bounded inbox
+//! and drained at the window boundary — safe, because a message posted at
+//! `sent_at ≥ floor` cannot complete before `sent_at + α ≥ floor + α`, i.e.
+//! never inside the window that posted it. At each boundary worker 0 delivers
+//! inboxes (stable-sorted by sender, preserving per-sender FIFO), resolves a
 //! fully-arrived world barrier, checks recv deadlines and structural
 //! deadlock, and opens the next window.
 //!
 //! With one region none of that machinery engages: every send finds its
 //! target in the sender's own region (the inboxes stay empty), the last
 //! barrier arriver resolves the epoch inline, the window gate has one party,
-//! and since the one heap holds every event the bound never reorders a poll
-//! — ranks run in global `(time, seq)` order, which shared links (charged in
-//! global consumption order) require. With more regions, on the flat
-//! topology every virtual quantity a rank commits (its clock, its
-//! receiver-private injection link, its share of the commutative barrier
-//! max) depends on rank-local state and on message envelopes fixed by the
-//! sender's program order — never on the global interleaving — so counters
-//! *and* virtual times are bitwise-identical at every region count.
+//! and since the one queue holds every event the bound never reorders a poll
+//! — ranks run in global `(time, admission)` order, which shared links
+//! (charged in global consumption order) require. With more regions, on the
+//! flat topology every virtual quantity a rank commits (its clock, its
+//! receiver-private injection link, its share of the commutative barrier max)
+//! depends on rank-local state and on message envelopes fixed by the sender's
+//! program order — never on the global interleaving — so counters *and*
+//! virtual times are bitwise-identical at every region count.
 //!
 //! A message owns its payload — the `Vec` the sender posted is the `Vec` the
 //! receiver gets — and waits in its region's **packet arena**: a `Vec` of
@@ -142,7 +142,7 @@
 //! leaves its window so the boundary fires the earliest pending deadline as
 //! [`ExecError::DeadlockSuspected`] — a livelocked world errors, not spins.
 
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -190,40 +190,63 @@ enum Wait {
     Barrier,
 }
 
-/// A ready-queue entry: min-heap by `(at, seq)` — earliest virtual
-/// readiness first, admission order on ties.
-#[derive(Debug)]
-struct ReadyEntry {
-    at: f64,
-    seq: u64,
-    rank: usize,
-}
-
-impl Ord for ReadyEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest entry on
-        // top. Virtual times are finite by construction.
-        other
-            .at
-            .partial_cmp(&self.at)
-            .expect("virtual times are finite")
-            .then(other.seq.cmp(&self.seq))
+/// The order-keeping image of a virtual time: `-0.0` folds into `0.0`, then
+/// negatives map to `!bits` and everything else to `bits | 1 << 63`, so
+/// unsigned order is `f64` order on every non-NaN time.
+fn time_key(at: f64) -> u64 {
+    let bits = if at == 0.0 { 0 } else { at.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
-impl PartialOrd for ReadyEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The virtual time `key` is the [`time_key`] of (`-0.0` comes back `0.0`).
+fn key_time(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
 }
 
-impl PartialEq for ReadyEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
+/// A region's runnable ranks: one FIFO per distinct virtual readiness time,
+/// earliest time first. Events cluster at a few times (a barrier's max, a
+/// round's completions), so admitting and taking a rank is a push and a pop
+/// at the ends of a deque, and ties leave in admission order by
+/// construction.
+#[derive(Debug, Default)]
+struct ReadyQueue {
+    /// Ranks (global) by [`time_key`] of their readiness time, each FIFO in
+    /// admission order and never empty.
+    by_time: BTreeMap<u64, VecDeque<usize>>,
+    /// Emptied FIFOs, reused for the next new time instead of reallocated.
+    spare: Vec<VecDeque<usize>>,
 }
 
-impl Eq for ReadyEntry {}
+impl ReadyQueue {
+    /// Admit `rank` at virtual time `at` behind every rank admitted at the
+    /// same time. Panics on a NaN time, which no order can place.
+    fn push(&mut self, rank: usize, at: f64) {
+        assert!(!at.is_nan(), "rank {rank} made ready at a NaN virtual time");
+        self.by_time
+            .entry(time_key(at))
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+            .push_back(rank);
+    }
+
+    /// The earliest readiness time, if any rank is runnable.
+    fn peek(&self) -> Option<f64> {
+        self.by_time.first_key_value().map(|(&key, _)| key_time(key))
+    }
+
+    /// Take the first-admitted rank of the earliest time.
+    fn pop(&mut self) -> Option<usize> {
+        let mut first = self.by_time.first_entry()?;
+        let rank = first.get_mut().pop_front();
+        if first.get().is_empty() {
+            self.spare.push(first.remove());
+        }
+        rank
+    }
+}
 
 /// Index of a [`Slot`] in its region's packet arena. `u32`, so a mailbox is
 /// eight bytes a rank: a region holds fewer than 2³² packets in flight
@@ -282,7 +305,7 @@ struct RankSlab {
 }
 
 /// A contiguous block of ranks: their slabs, the packet arena their
-/// mailboxes chain through and a ready heap. Each worker thread drives one:
+/// mailboxes chain through and a ready queue. Each worker thread drives one:
 /// mid-window only the owning worker touches it (cross-region traffic goes
 /// through [`EventWorld::inboxes`]), and the mutex hands the same state to
 /// the boundary leader between windows.
@@ -296,11 +319,9 @@ struct RegionState {
     /// Empty on the flat topology; a shared-link world is always one
     /// region, so its region holds every link of every route.
     shared_links: Vec<f64>,
-    /// Ready heap of this region's runnable ranks (entries carry *global*
-    /// ranks), ordered by virtual readiness time.
-    ready: BinaryHeap<ReadyEntry>,
-    /// Admission counter for FIFO tie-breaking.
-    seq: u64,
+    /// This region's runnable ranks, earliest virtual readiness time first,
+    /// FIFO on equal times.
+    ready: ReadyQueue,
     /// The packet arena: every delivered-but-unmatched message of this
     /// region, each on its receiver's [`Mailbox`] chain. Its length is the
     /// high-water of packets in flight in the *region* — memory follows the
@@ -332,12 +353,6 @@ impl RegionState {
 
     fn owns(&self, rank: usize) -> bool {
         (self.base..self.base + self.slabs.len()).contains(&rank)
-    }
-
-    fn enqueue(&mut self, rank: usize, at: f64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.ready.push(ReadyEntry { at, seq, rank });
     }
 
     /// Append `pkt` to `to`'s mailbox chain, in a freed cell if there is one.
@@ -430,8 +445,8 @@ impl RegionState {
     }
 
     /// When a matched receive of `pkt` by `rank` would complete — the one
-    /// formula behind both the wake-time heap admission and the clock the
-    /// recv poll commits.
+    /// formula behind both the wake-time ready-queue admission and the clock
+    /// the recv poll commits.
     ///
     /// The message crosses every link of its route ([`Network::for_each_hop`])
     /// store-and-forward: each hop waits for the link to free, then occupies
@@ -487,7 +502,7 @@ impl RegionState {
 
     /// Put `pkt` in `to`'s mailbox; if `to` is parked on exactly this
     /// message, wake it at the estimated completion time. The wake time is
-    /// only a heap priority — the recv poll recomputes (and commits) against
+    /// only a queue priority — the recv poll recomputes (and commits) against
     /// the link states of its actual consumption order.
     fn deliver(&mut self, world: &EventWorld, to: usize, pkt: Packet) {
         let wake = self.slab(to).wait
@@ -499,7 +514,7 @@ impl RegionState {
         self.push(to, pkt);
         if let Some(at) = at {
             self.slab_mut(to).wait = Wait::None;
-            self.enqueue(to, at);
+            self.ready.push(to, at);
         }
     }
 
@@ -616,8 +631,7 @@ impl EventWorld {
                         base,
                         slabs: (0..len).map(|_| RankSlab::default()).collect(),
                         shared_links: vec![0.0; n_shared],
-                        ready: BinaryHeap::new(),
-                        seq: 0,
+                        ready: ReadyQueue::default(),
                         packets: Vec::new(),
                         free: NIL,
                         deadline_lb: f64::INFINITY,
@@ -680,7 +694,7 @@ impl EventWorld {
                     self.stats.rank(r).record_comm_time(tmax - slab.clock, 0.0);
                     slab.clock = tmax;
                     if running != Some(r) {
-                        reg.enqueue(r, tmax);
+                        reg.ready.push(r, tmax);
                     }
                 }
             }
@@ -1037,8 +1051,9 @@ impl Control {
 
 /// One worker of the driver — the only place rank futures are polled: owns
 /// region `w`'s rank bodies (created *and* polled on this thread — rank
-/// futures are not `Send`), drains the region heap in `(time, seq)` order up
-/// to each window bound, and meets the other workers at the window gate.
+/// futures are not `Send`), drains the region's ready queue in
+/// `(time, admission)` order up to each window bound, and meets the other
+/// workers at the window gate.
 /// Worker 0 runs on the calling thread and doubles as the boundary leader.
 fn worker<R, F, Fut>(world: &Arc<EventWorld>, ctl: &Control, w: usize, f: &F) -> Vec<Option<R>>
 where
@@ -1070,7 +1085,7 @@ where
         'window: while !ctl.failed.load(Ordering::Relaxed) {
             let r = {
                 let mut reg = world.lock_region(w);
-                let Some(at) = reg.ready.peek().map(|e| e.at).filter(|&at| at < bound) else {
+                let Some(at) = reg.ready.peek().filter(|&at| at < bound) else {
                     break;
                 };
                 if at > last_advance {
@@ -1087,7 +1102,7 @@ where
                     ctl.frozen.store(true, Ordering::SeqCst);
                     break;
                 }
-                let r = reg.ready.pop().expect("peeked entry exists").rank;
+                let r = reg.ready.pop().expect("peeked entry exists");
                 // The fault plan's kill point: the first time a doomed rank
                 // would be polled at or past its scheduled death, it dies
                 // instead — body dropped, mailbox discarded, no result.
@@ -1193,7 +1208,7 @@ fn boundary(world: &EventWorld, ctl: &Control) {
     let floor = world
         .regions
         .iter()
-        .filter_map(|region| lock(region).ready.peek().map(|e| e.at))
+        .filter_map(|region| lock(region).ready.peek())
         .reduce(f64::min);
     let Some(floor) = floor else {
         if ctl.live.load(Ordering::SeqCst) > 0 {
@@ -1251,7 +1266,7 @@ where
     for region in &world.regions {
         let mut reg = lock(region);
         for r in reg.base..reg.base + reg.slabs.len() {
-            reg.enqueue(r, 0.0);
+            reg.ready.push(r, 0.0);
         }
     }
     let n_regions = world.regions.len();
@@ -1804,6 +1819,62 @@ mod tests {
     }
 
     #[test]
+    fn ready_queue_pops_in_the_old_heap_order() {
+        use crate::fault::splitmix64;
+        use std::cmp::Ordering as Order;
+        use std::collections::BinaryHeap;
+        // The rule the queue replaced: a min-heap by `(time, admission)`,
+        // times compared by `partial_cmp`, so -0.0 ties 0.0.
+        #[derive(PartialEq)]
+        struct Entry(f64, u64, usize);
+        impl Eq for Entry {}
+        impl Ord for Entry {
+            fn cmp(&self, other: &Self) -> Order {
+                other.0.partial_cmp(&self.0).unwrap().then(other.1.cmp(&self.1))
+            }
+        }
+        impl PartialOrd for Entry {
+            fn partial_cmp(&self, other: &Self) -> Option<Order> {
+                Some(self.cmp(other))
+            }
+        }
+        let times = [0.0, -0.0, -1.5, -0.25, 2.0, f64::NEG_INFINITY, f64::INFINITY];
+        for seed in 0..256u64 {
+            let mut state = splitmix64(seed);
+            let mut draw = |n: usize| {
+                state = splitmix64(state);
+                (state % n as u64) as usize
+            };
+            let (mut queue, mut model, mut seq) = (ReadyQueue::default(), BinaryHeap::new(), 0);
+            for step in 0..300 {
+                let what = format!("seed {seed} step {step}");
+                if draw(5) < 3 {
+                    let (rank, at) = (draw(64), times[draw(times.len())]);
+                    queue.push(rank, at);
+                    model.push(Entry(at, seq, rank));
+                    seq += 1;
+                } else {
+                    let want = model.pop().map(|e| (e.0, e.2));
+                    assert_eq!(queue.peek().zip(queue.pop()), want, "{what}: pop");
+                }
+                assert_eq!(queue.peek(), model.peek().map(|e| e.0), "{what}: peek");
+            }
+            while let Some(Entry(at, _, rank)) = model.pop() {
+                assert_eq!(queue.peek().zip(queue.pop()), Some((at, rank)), "seed {seed}: drain");
+            }
+            assert_eq!((queue.peek(), queue.pop()), (None, None), "seed {seed}: drained");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN virtual time")]
+    fn ready_queue_refuses_a_nan_time() {
+        let mut queue = ReadyQueue::default();
+        queue.push(0, 1.0);
+        queue.push(1, f64::NAN);
+    }
+
+    #[test]
     fn recv_completion_commits_the_route_completion_time_prices() {
         use crate::machine::Topology;
         // Two nodes of two ranks (p = 4) under one leaf switch: NIC links are
@@ -1877,7 +1948,7 @@ mod tests {
         // Rank 0 parks on a recv that rank 1 satisfies at t ≈ 7; rank 2
         // parks on a recv nobody ever sends. With a 1-virtual-second
         // timeout, popping the t = 7 wake trips rank 2's deadline — the
-        // deadline path, not the empty-heap structural path.
+        // deadline path, not the empty-queue structural path.
         let spec = unit_spec(3).with_recv_timeout(std::time::Duration::from_secs(1));
         let err = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             match c.rank() {

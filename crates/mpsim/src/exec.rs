@@ -487,7 +487,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Phase;
+    use crate::stats::{Phase, NUM_PHASES};
 
     /// Run `f` on the blocking executor with one slot per rank.
     fn run_blocking<R, F, Fut>(spec: &MachineSpec, f: F) -> RunOutput<R>
@@ -923,5 +923,59 @@ mod tests {
         let on = run_spmd_with(&MachineSpec::test_machine(4, 1000), backend, body).unwrap();
         assert_eq!(on.pool.returns, 8, "a pooling world parks what its ranks hand back");
         assert_eq!(on.pool.hits + on.pool.misses, 4);
+    }
+
+    #[test]
+    fn counters_are_exact_under_many_threads() {
+        // 64 ranks on 8 runnable carriers (and on 4 event workers): every
+        // rank sends 500 ring messages of varied lengths, phases and tags,
+        // and records flops and allocations, its counters written by one
+        // thread at a time. Every snapshot equals its closed form.
+        const P: usize = 64;
+        const MSGS: usize = 500;
+        let words = |r: usize, i: usize| (r + 3 * i) % 11;
+        let phase = |r: usize, i: usize| Phase::all()[(r + i) % NUM_PHASES];
+        let alloc = |r: usize, i: usize| (r % 4 + i % 3 + 1) as u64;
+        let body = move |mut c: RankComm| async move {
+            let (r, p) = (c.rank(), c.size());
+            let (right, left) = ((r + 1) % p, (r + p - 1) % p);
+            for i in 0..MSGS {
+                let tag = (i % 3) as u64;
+                c.send(right, tag, vec![r as f64; words(r, i)], phase(r, i));
+                let got = c.recv(left, tag, phase(left, i)).await;
+                assert_eq!(got, vec![left as f64; words(left, i)], "rank {r} message {i}");
+                c.record_flops((r + i) as u64);
+                c.track_alloc(alloc(r, i));
+                if i % 100 == 99 {
+                    c.barrier().await;
+                    c.track_free((i - 99..=i).map(|j| alloc(r, j)).sum());
+                }
+            }
+        };
+        let spec = MachineSpec::test_machine(P, 1 << 20);
+        for backend in [
+            ExecBackend::Blocking { workers: 8 },
+            ExecBackend::Event { threads: 4 },
+        ] {
+            let stats = run_spmd_with(&spec, backend, body).unwrap().stats;
+            for (r, got) in stats.iter().enumerate() {
+                let left = (r + P - 1) % P;
+                let mut want = RankStats {
+                    msgs_sent: MSGS as u64,
+                    msgs_recv: MSGS as u64,
+                    flops: (0..MSGS).map(|i| (r + i) as u64).sum(),
+                    peak_mem_words: (0..MSGS / 100)
+                        .map(|b| (100 * b..100 * b + 100).map(|i| alloc(r, i)).sum())
+                        .max()
+                        .unwrap(),
+                    ..RankStats::default()
+                };
+                for i in 0..MSGS {
+                    want.words_sent[phase(r, i).index()] += words(r, i) as u64;
+                    want.words_recv[phase(left, i).index()] += words(left, i) as u64;
+                }
+                assert_eq!(got.sans_time(), want, "{backend}: rank {r}");
+            }
+        }
     }
 }

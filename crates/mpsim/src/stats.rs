@@ -3,9 +3,16 @@
 //!
 //! The paper measures "total communication volume per MPI rank" with the
 //! mpiP profiler (Figures 6–7, Table 4). Here every point-to-point
-//! operation updates atomic per-rank counters, bucketed by
+//! operation updates per-rank counters, bucketed by
 //! [`Phase`] so that Figure 12's breakdown (A-input vs B-input vs C-output
 //! traffic) can be regenerated from an actual execution.
+//!
+//! Each rank's counters have **one writer at a time**: on the blocking
+//! executor the rank's own carrier thread; on the event executor the rank's
+//! region worker, and for a barrier's charges the boundary leader while the
+//! other workers wait behind the window gate. An update is therefore a
+//! `Relaxed` load and store rather than an atomic read-modify-write; the
+//! cells stay atomics so that the board is `Sync`.
 //!
 //! The event-driven executor additionally accumulates each rank's *virtual*
 //! α-β-γ time here (see [`crate::event`]): seconds of compute, seconds of
@@ -64,7 +71,13 @@ impl Phase {
     }
 }
 
-/// Atomic counters of a single rank.
+/// Counters of a single rank, with one writer at a time: on the blocking
+/// executor the rank's own carrier thread; on the event executor the rank's
+/// region worker — or, for a barrier's charges, the boundary leader while
+/// every other worker waits behind the window gate. So an update is a
+/// `Relaxed` load and store, not a read-modify-write; the cells are atomics
+/// only to keep the board `Sync`, and a snapshot taken after the run joins
+/// its writers sees every update.
 #[derive(Debug, Default)]
 pub struct RankCounters {
     words_sent: [AtomicU64; NUM_PHASES],
@@ -75,52 +88,56 @@ pub struct RankCounters {
     cur_mem_words: AtomicU64,
     peak_mem_words: AtomicU64,
     /// Virtual seconds, stored as `f64` bit patterns (the event scheduler is
-    /// the only writer; atomics keep the board `Sync` like the other fields).
+    /// the only writer).
     compute_s_bits: AtomicU64,
     exposed_comm_s_bits: AtomicU64,
     hidden_comm_s_bits: AtomicU64,
 }
 
-/// Add `dt` seconds into an `f64`-bits atomic accumulator.
+/// Add `n` to a single-writer counter and return the new value.
+fn add(cell: &AtomicU64, n: u64) -> u64 {
+    let next = cell.load(Ordering::Relaxed).wrapping_add(n);
+    cell.store(next, Ordering::Relaxed);
+    next
+}
+
+/// Add `dt` seconds into a single-writer `f64`-bits accumulator.
 fn add_seconds(cell: &AtomicU64, dt: f64) {
     debug_assert!(dt >= 0.0, "virtual time only moves forward (dt = {dt})");
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + dt).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
+    let next = f64::from_bits(cell.load(Ordering::Relaxed)) + dt;
+    cell.store(next.to_bits(), Ordering::Relaxed);
 }
 
 impl RankCounters {
     /// Record a sent message of `words` words in `phase`.
     pub fn record_send(&self, words: u64, phase: Phase) {
-        self.words_sent[phase.index()].fetch_add(words, Ordering::Relaxed);
-        self.msgs_sent.fetch_add(1, Ordering::Relaxed);
+        add(&self.words_sent[phase.index()], words);
+        add(&self.msgs_sent, 1);
     }
 
     /// Record a received message of `words` words in `phase`.
     pub fn record_recv(&self, words: u64, phase: Phase) {
-        self.words_recv[phase.index()].fetch_add(words, Ordering::Relaxed);
-        self.msgs_recv.fetch_add(1, Ordering::Relaxed);
+        add(&self.words_recv[phase.index()], words);
+        add(&self.msgs_recv, 1);
     }
 
     /// Record `flops` floating-point operations of local compute.
     pub fn record_flops(&self, flops: u64) {
-        self.flops.fetch_add(flops, Ordering::Relaxed);
+        add(&self.flops, flops);
     }
 
     /// Record an allocation of `words` words of communication/working memory.
     pub fn record_alloc(&self, words: u64) {
-        let cur = self.cur_mem_words.fetch_add(words, Ordering::Relaxed) + words;
-        self.peak_mem_words.fetch_max(cur, Ordering::Relaxed);
+        let cur = add(&self.cur_mem_words, words);
+        if cur > self.peak_mem_words.load(Ordering::Relaxed) {
+            self.peak_mem_words.store(cur, Ordering::Relaxed);
+        }
     }
 
     /// Record a release of `words` words.
     pub fn record_free(&self, words: u64) {
-        self.cur_mem_words.fetch_sub(words, Ordering::Relaxed);
+        let cur = self.cur_mem_words.load(Ordering::Relaxed);
+        self.cur_mem_words.store(cur.wrapping_sub(words), Ordering::Relaxed);
     }
 
     /// Record `dt` virtual seconds of local compute (the γ term).
@@ -328,21 +345,24 @@ mod tests {
 
     #[test]
     fn counters_are_thread_safe() {
-        let board = std::sync::Arc::new(StatsBoard::new(1));
+        // One writer per rank, all writing at once: the board is shared
+        // across threads, each rank's counters are not.
         let threads = 8;
+        let board = std::sync::Arc::new(StatsBoard::new(threads));
         std::thread::scope(|s| {
-            for _ in 0..threads {
+            for r in 0..threads {
                 let b = board.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        b.rank(0).record_send(1, Phase::Other);
+                        b.rank(r).record_send(r as u64 + 1, Phase::Other);
                     }
                 });
             }
         });
-        let snap = board.snapshot();
-        assert_eq!(snap[0].words_sent[Phase::Other.index()], 8000);
-        assert_eq!(snap[0].msgs_sent, 8000);
+        for (r, snap) in board.snapshot().iter().enumerate() {
+            assert_eq!(snap.words_sent[Phase::Other.index()], 1000 * (r as u64 + 1));
+            assert_eq!(snap.msgs_sent, 1000);
+        }
     }
 
     #[test]

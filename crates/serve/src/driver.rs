@@ -941,6 +941,27 @@ mod tests {
     }
 
     #[test]
+    fn infinite_cost_constant_is_typed_before_running() {
+        // β = ∞ completes every message at t = +∞, where the event executor
+        // can open no window: the job is refused when it is keyed instead of
+        // spinning its driver forever.
+        let server = Server::new(baselines::registry(), small_config()).unwrap();
+        let mut model = CostModel::piz_daint_two_sided();
+        model.beta_s_per_word = f64::INFINITY;
+        let mut request = job(0, 8, 3);
+        request.model = Some(model);
+        let result = server.run_sync(request);
+        assert_eq!(
+            result.outcome.err(),
+            Some(PlanError::NonFiniteCostModel {
+                field: "beta_s_per_word"
+            })
+        );
+        assert_eq!(result.attempts, 1);
+        assert_eq!(server.cache_stats().inserts, 0, "nothing was planned");
+    }
+
+    #[test]
     fn pinned_blocking_worker_count_is_superseded_by_the_pool() {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
         let reference = server

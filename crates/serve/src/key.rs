@@ -6,9 +6,11 @@
 //! [`PlanKey`] is that tuple in canonical form. Float fields are keyed by
 //! **bit pattern** ([`f64::to_bits`]) after canonicalization: `-0.0`
 //! normalizes to `0.0` (they plan identically, so they must share a cache
-//! slot) and NaN parameters are rejected with a typed
+//! slot) and NaN or infinite parameters are rejected with a typed
 //! [`PlanError::NonFiniteCostModel`] — a NaN would otherwise silently key a
-//! cache entry no equal-looking request could ever hit again.
+//! cache entry no equal-looking request could ever hit again, and an
+//! infinite one prices a message at t = +∞, which no executor window can
+//! ever admit.
 
 use cosma::api::PlanError;
 use cosma::problem::MmmProblem;
@@ -18,11 +20,9 @@ use mpsim::machine::{Placement, Topology};
 use crate::auto::AlgoChoice;
 
 /// The canonical bit pattern of one machine parameter: `-0.0` folds into
-/// `0.0`, NaN is a typed error naming the parameter. Infinities keep their
-/// bit patterns — they are well-ordered, so two infinite-β requests
-/// legitimately share a key.
+/// `0.0`, NaN or ±∞ is a typed error naming the parameter.
 fn canonical_bits(v: f64, field: &'static str) -> Result<u64, PlanError> {
-    if v.is_nan() {
+    if !v.is_finite() {
         return Err(PlanError::NonFiniteCostModel { field });
     }
     Ok(if v == 0.0 { 0.0f64.to_bits() } else { v.to_bits() })
@@ -96,7 +96,8 @@ pub struct PlanKey {
 impl PlanKey {
     /// The canonical key of a planning request, or
     /// [`PlanError::InvalidTopology`] when the topology fails validation, or
-    /// [`PlanError::NonFiniteCostModel`] when a cost-model constant is NaN.
+    /// [`PlanError::NonFiniteCostModel`] when a cost-model constant is NaN
+    /// or infinite.
     pub fn try_new(
         prob: &MmmProblem,
         model: &CostModel,
@@ -240,6 +241,31 @@ mod tests {
                 field: "beta_s_per_word"
             }
         );
+    }
+
+    #[test]
+    fn infinite_machine_parameter_is_a_typed_error() {
+        let prob = MmmProblem::new(64, 64, 64, 16, 1 << 14);
+        let mut infinite_beta = CostModel::piz_daint_two_sided();
+        infinite_beta.beta_s_per_word = f64::INFINITY;
+        let mut negative_infinite_alpha = CostModel::piz_daint_two_sided();
+        negative_infinite_alpha.alpha_s = f64::NEG_INFINITY;
+        for (field, bad) in [
+            ("beta_s_per_word", infinite_beta),
+            ("alpha_s", negative_infinite_alpha),
+        ] {
+            let err = PlanKey::try_new(
+                &prob,
+                &bad,
+                true,
+                None,
+                &AlgoChoice::Auto,
+                &Topology::Flat,
+                Placement::Block,
+            )
+            .unwrap_err();
+            assert_eq!(err, PlanError::NonFiniteCostModel { field });
+        }
     }
 
     #[test]
