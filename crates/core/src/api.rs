@@ -757,11 +757,21 @@ impl RunSession {
     /// [`execute_verified`](Self::execute_verified).
     fn resolved_plan(&self) -> Result<(Arc<dyn MmmAlgorithm>, DistPlan), PlanError> {
         self.prob.check()?;
+        let model = self.checked_model()?;
         let algo = self.resolve()?;
         algo.supports(&self.prob)?;
-        let plan = algo.plan(&self.prob, &self.cost_model())?;
+        let plan = algo.plan(&self.prob, &model)?;
         plan.validate_coverage()?;
         Ok((algo, plan))
+    }
+
+    /// The effective cost model, or [`PlanError::NonFiniteCostModel`] naming
+    /// its first NaN or infinite constant — which would price every plan at
+    /// NaN or ±∞ and leave no virtual clock able to finish.
+    fn checked_model(&self) -> Result<CostModel, PlanError> {
+        let model = self.cost_model();
+        model.check().map_err(|field| PlanError::NonFiniteCostModel { field })?;
+        Ok(model)
     }
 
     /// Plan only: capability check, exact plan, structural validation.
@@ -776,11 +786,14 @@ impl RunSession {
     /// construction.
     ///
     /// # Errors
-    /// [`PlanError::UnknownAlgorithm`]-family errors from resolution;
-    /// [`PlanError::InvalidConfig`] when `plan.algo` is not the session's
+    /// [`PlanError::NonFiniteCostModel`] when a cost-model constant is NaN
+    /// or infinite; [`PlanError::UnknownAlgorithm`]-family errors from
+    /// resolution; [`PlanError::InvalidConfig`] when `plan.algo` is not the
+    /// session's
     /// algorithm; [`PlanError::WorldSizeMismatch`] when the plan's world
     /// does not match; execution errors as [`execute`](Self::execute).
     pub fn execute_planned(&self, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Result<ExecReport, PlanError> {
+        self.checked_model()?;
         let algo = self.resolve()?;
         if plan.algo != algo.id() {
             return Err(PlanError::InvalidConfig {
@@ -934,6 +947,28 @@ mod tests {
                 world_ranks: 6
             })
         ));
+    }
+
+    #[test]
+    fn non_finite_cost_model_is_typed_at_every_session_entry() {
+        // Before the check, β = +∞ planned at 0.0 s and hung `execute`, and
+        // a NaN α picked another grid and finished with a made-up time.
+        let prob = MmmProblem::new(32, 32, 32, 4, 1 << 12);
+        let (a, b) = (Matrix::deterministic(32, 32, 1), Matrix::deterministic(32, 32, 2));
+        let plan = RunSession::new(prob).plan().unwrap();
+        let mut bad = [CostModel::piz_daint_two_sided(); 3];
+        bad[0].beta_s_per_word = f64::INFINITY;
+        bad[1].alpha_s = f64::NEG_INFINITY;
+        bad[2].peak_flops = f64::NAN;
+        for (field, model) in ["beta_s_per_word", "alpha_s", "peak_flops"].into_iter().zip(bad) {
+            let want = PlanError::NonFiniteCostModel { field };
+            let session = RunSession::new(prob).machine(model);
+            assert_eq!(session.plan().unwrap_err(), want, "plan");
+            assert_eq!(session.run().unwrap_err(), want, "run");
+            assert_eq!(session.execute(&a, &b).unwrap_err(), want, "execute");
+            assert_eq!(session.execute_verified(&a, &b).unwrap_err(), want, "execute_verified");
+            assert_eq!(session.execute_planned(&plan, &a, &b).unwrap_err(), want, "execute_planned");
+        }
     }
 
     #[test]

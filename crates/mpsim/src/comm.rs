@@ -11,10 +11,14 @@
 //! matching. A send never blocks, so exchange patterns like Cannon shifts
 //! cannot deadlock.
 //!
-//! Behind [`RankComm`] sit two crate-private implementations: the blocking
-//! (channel-based) one of the blocking executor and the event-driven one of
-//! [`crate::event`]. Both update the per-rank [`StatsBoard`] counters
-//! identically — the "communication volume per rank" of Figures 6–7.
+//! [`RankComm`] alone records every count of its rank on the world's
+//! [`StatsBoard`] — words by phase, messages, flops, allocations — the
+//! "communication volume per rank" of Figures 6–7. Behind it sits one of two
+//! crate-private transports that only move messages: the blocking
+//! (channel-based) one of the blocking executor, or the event-driven one of
+//! [`crate::event`], which also steps the rank's virtual clock. Both
+//! executors count through the same lines, so their counters agree by
+//! construction.
 
 use std::cell::Cell;
 use std::future::Future;
@@ -53,12 +57,10 @@ struct Packet {
 /// State shared by all ranks of one simulated machine.
 struct SharedState {
     senders: Vec<Sender<Packet>>,
-    stats: Arc<StatsBoard>,
     /// The world barrier: `(arrived, generation)` — a wait that can time
     /// out, which `std::sync::Barrier`'s cannot.
     barrier: Mutex<(usize, u64)>,
     all_arrived: Condvar,
-    pool: Arc<BufferPool>,
 }
 
 /// A rank's handle on the blocking executor's [`WorkerGate`]: tracks whether
@@ -93,7 +95,8 @@ impl Drop for RankGate {
     }
 }
 
-/// A rank's handle to the simulated machine on the blocking executor.
+/// The blocking executor's transport behind a [`RankComm`]: it matches,
+/// moves and waits; the handle counts.
 pub(crate) struct Comm {
     rank: usize,
     p: usize,
@@ -109,20 +112,12 @@ pub(crate) struct Comm {
 }
 
 impl Comm {
-    /// Build communicators for a world of `p` ranks sharing `stats`: every
-    /// rank's blocking rendezvous yields its runnable slot to `gate`, a
-    /// receive or barrier that waits past `recv_timeout` raises the typed
-    /// deadlock guard, and `pool` is the world's buffer-reuse arena (shared
-    /// across worlds by the serving layer).
-    pub fn create_world(
-        p: usize,
-        stats: Arc<StatsBoard>,
-        gate: Arc<WorkerGate>,
-        recv_timeout: Duration,
-        pool: Arc<BufferPool>,
-    ) -> Vec<Comm> {
+    /// Build communicators for a world of `p` ranks: every rank's blocking
+    /// rendezvous yields its runnable slot to `gate`, and a receive or
+    /// barrier that waits past `recv_timeout` raises the typed deadlock
+    /// guard.
+    pub fn create_world(p: usize, gate: Arc<WorkerGate>, recv_timeout: Duration) -> Vec<Comm> {
         assert!(p > 0, "world needs at least one rank");
-        assert_eq!(stats.len(), p, "stats board size mismatch");
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
         for _ in 0..p {
@@ -132,10 +127,8 @@ impl Comm {
         }
         let shared = Arc::new(SharedState {
             senders,
-            stats,
             barrier: Mutex::new((0, 0)),
             all_arrived: Condvar::new(),
-            pool,
         });
         receivers
             .into_iter()
@@ -161,49 +154,13 @@ impl Comm {
         self.gate.resume();
     }
 
-    /// This rank's id, `0..p`.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// World size `p`.
-    pub fn size(&self) -> usize {
-        self.p
-    }
-
-    /// The world's buffer-reuse arena (see [`crate::pool::BufferPool`]).
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.shared.pool
-    }
-
-    /// Record `flops` local floating-point operations for this rank.
-    pub fn record_flops(&self, flops: u64) {
-        self.shared.stats.rank(self.rank).record_flops(flops);
-    }
-
-    /// Record a working-memory allocation (peak-memory accounting).
-    pub fn track_alloc(&self, words: u64) {
-        self.shared.stats.rank(self.rank).record_alloc(words);
-    }
-
-    /// Record a working-memory release.
-    pub fn track_free(&self, words: u64) {
-        self.shared.stats.rank(self.rank).record_free(words);
-    }
-
-    // ------------------------------------------------------------------
-    // Two-sided backend
-    // ------------------------------------------------------------------
-
     /// Send `data` to rank `to` with `tag`. Never blocks.
     ///
     /// # Panics
-    /// Panics if `to` is out of range, or with a typed
-    /// [`ExecError::WorldTornDown`] payload when the receiving rank already
-    /// exited (the executor converts that into a typed error).
-    pub fn send(&self, to: usize, tag: u64, data: Vec<f64>, phase: Phase) {
-        assert!(to < self.p, "send to rank {to} of {}", self.p);
-        self.shared.stats.rank(self.rank).record_send(data.len() as u64, phase);
+    /// Panics with a typed [`ExecError::WorldTornDown`] payload when the
+    /// receiving rank already exited (the executor converts that into a
+    /// typed error).
+    pub fn send(&self, to: usize, tag: u64, data: Vec<f64>) {
         if self.shared.senders[to]
             .send(Packet {
                 from: self.rank,
@@ -230,20 +187,15 @@ impl Comm {
     /// [`MachineSpec::recv_timeout`](crate::machine::MachineSpec) without a
     /// matching message, or [`ExecError::WorldTornDown`] if every peer
     /// exited; the executor converts both into typed errors.
-    pub fn recv(&mut self, from: usize, tag: u64, phase: Phase) -> Vec<f64> {
+    pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
         // Check the out-of-order buffer first.
         if let Some(i) = self.pending.iter().position(|m| m.from == from && m.tag == tag) {
-            let msg = self.pending.remove(i);
-            self.shared.stats.rank(self.rank).record_recv(msg.data.len() as u64, phase);
-            return msg.data;
+            return self.pending.remove(i).data;
         }
         // Drain already-delivered messages without giving up the worker slot.
         loop {
             match self.inbox.try_recv() {
-                Ok(msg) if msg.from == from && msg.tag == tag => {
-                    self.shared.stats.rank(self.rank).record_recv(msg.data.len() as u64, phase);
-                    return msg.data;
-                }
+                Ok(msg) if msg.from == from && msg.tag == tag => return msg.data,
                 Ok(msg) => self.pending.push(msg),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => raise(ExecError::WorldTornDown { rank: self.rank }),
@@ -267,7 +219,6 @@ impl Comm {
             self.pending.push(msg);
         };
         self.gate.resume();
-        self.shared.stats.rank(self.rank).record_recv(data.len() as u64, phase);
         data
     }
 
@@ -354,77 +305,96 @@ impl Comm {
 /// ```compile_fail,E0603
 /// use mpsim::exec::WorkerGate;
 /// ```
-pub struct RankComm(pub(crate) CommImpl);
+pub struct RankComm {
+    pub(crate) rank: usize,
+    p: usize,
+    /// The world's counters: this handle is the only writer of row `rank`.
+    stats: Arc<StatsBoard>,
+    /// The world's buffer-reuse arena.
+    pool: Arc<BufferPool>,
+    pub(crate) transport: Transport,
+}
 
-/// The two implementations behind [`RankComm`].
-pub(crate) enum CommImpl {
-    /// Channel-backed blocking communicator (blocking executor).
-    Blocking(Comm),
+/// What moves a [`RankComm`]'s messages: one of the two executors.
+pub(crate) enum Transport {
+    /// Channel-backed blocking communicator (blocking executor), boxed so an
+    /// event rank's handle is not sized by it.
+    Blocking(Box<Comm>),
     /// Event-world handle (event executor): wait-states actually suspend.
     Event(EventComm),
 }
 
 impl RankComm {
+    /// Rank `rank`'s handle on a world whose counters are `stats` (one row
+    /// per rank) and whose arena is `pool`, moving messages over `transport`.
+    pub(crate) fn new(
+        rank: usize,
+        stats: &Arc<StatsBoard>,
+        pool: &Arc<BufferPool>,
+        transport: Transport,
+    ) -> Self {
+        RankComm {
+            rank,
+            p: stats.len(),
+            stats: stats.clone(),
+            pool: pool.clone(),
+            transport,
+        }
+    }
+
     /// This rank's id, `0..p`.
     pub fn rank(&self) -> usize {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.rank(),
-            CommImpl::Event(c) => c.rank(),
-        }
+        self.rank
     }
 
     /// World size `p`.
     pub fn size(&self) -> usize {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.size(),
-            CommImpl::Event(c) => c.size(),
-        }
+        self.p
     }
 
     /// The world's buffer-reuse arena (see [`crate::pool::BufferPool`]).
     pub fn pool(&self) -> &Arc<BufferPool> {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.pool(),
-            CommImpl::Event(c) => c.pool(),
-        }
+        &self.pool
     }
 
     /// Hand a consumed buffer back to the world's arena for reuse. Purely an
     /// allocation optimization — recycling never changes results, counters
     /// or virtual time.
     pub fn recycle(&self, buf: Vec<f64>) {
-        self.pool().give(buf);
+        self.pool.give(buf);
     }
 
-    /// Record `flops` local floating-point operations for this rank.
+    /// Record `flops` local floating-point operations for this rank (on the
+    /// event executor they also advance its virtual clock).
     pub fn record_flops(&self, flops: u64) {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.record_flops(flops),
-            CommImpl::Event(c) => c.record_flops(flops),
+        self.stats.rank(self.rank).record_flops(flops);
+        if let Transport::Event(c) = &self.transport {
+            c.compute(self.rank, flops);
         }
     }
 
     /// Record a working-memory allocation (peak-memory accounting).
     pub fn track_alloc(&self, words: u64) {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.track_alloc(words),
-            CommImpl::Event(c) => c.track_alloc(words),
-        }
+        self.stats.rank(self.rank).record_alloc(words);
     }
 
     /// Record a working-memory release.
     pub fn track_free(&self, words: u64) {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.track_free(words),
-            CommImpl::Event(c) => c.track_free(words),
-        }
+        self.stats.rank(self.rank).record_free(words);
     }
 
     /// Send `data` to rank `to` with `tag`. Never suspends.
+    ///
+    /// # Panics
+    /// Panics if `to` is out of range, or with a typed
+    /// [`ExecError::WorldTornDown`] payload when the receiving rank already
+    /// exited (the executor converts that into a typed error).
     pub fn send(&self, to: usize, tag: u64, data: Vec<f64>, phase: Phase) {
-        match &self.0 {
-            CommImpl::Blocking(c) => c.send(to, tag, data, phase),
-            CommImpl::Event(c) => c.send(to, tag, data, phase),
+        assert!(to < self.p, "send to rank {to} of {}", self.p);
+        self.stats.rank(self.rank).record_send(data.len() as u64, phase);
+        match &self.transport {
+            Transport::Blocking(c) => c.send(to, tag, data),
+            Transport::Event(c) => c.send(self.rank, to, tag, data),
         }
     }
 
@@ -432,10 +402,12 @@ impl RankComm {
     /// the matching message arrives. Messages from the same sender with the
     /// same tag are delivered in send order on every backend.
     pub async fn recv(&mut self, from: usize, tag: u64, phase: Phase) -> Vec<f64> {
-        match &mut self.0 {
-            CommImpl::Blocking(c) => c.recv(from, tag, phase),
-            CommImpl::Event(c) => c.recv(from, tag, phase).await,
-        }
+        let data = match &mut self.transport {
+            Transport::Blocking(c) => c.recv(from, tag),
+            Transport::Event(c) => c.recv(self.rank, from, tag).await,
+        };
+        self.stats.rank(self.rank).record_recv(data.len() as u64, phase);
+        data
     }
 
     /// Combined exchange: send `data` to `to`, then receive from `from` under
@@ -455,9 +427,9 @@ impl RankComm {
 
     /// Wait until all ranks reach the barrier — a wait-state.
     pub async fn barrier(&mut self) {
-        match &mut self.0 {
-            CommImpl::Blocking(c) => c.barrier(),
-            CommImpl::Event(c) => c.barrier().await,
+        match &mut self.transport {
+            Transport::Blocking(c) => c.barrier(),
+            Transport::Event(c) => c.barrier(self.rank).await,
         }
     }
 }
@@ -482,81 +454,82 @@ pub(crate) fn block_on_ready<F: Future>(fut: F) -> F::Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{run_spmd_with, ExecBackend};
+    use crate::machine::MachineSpec;
 
-    /// A world driven by hand: one slot per rank, so no wait ever queues.
-    fn world(p: usize) -> (Vec<Comm>, Arc<StatsBoard>) {
-        let stats = Arc::new(StatsBoard::new(p));
-        let gate = Arc::new(WorkerGate::new(p));
-        let comms = Comm::create_world(
-            p,
-            stats.clone(),
-            gate,
-            crate::machine::DEFAULT_RECV_TIMEOUT,
-            Arc::new(BufferPool::new(true)),
-        );
-        (comms, stats)
+    /// A world of raw transports driven by hand: one slot per rank, so no
+    /// wait ever queues.
+    fn world(p: usize) -> Vec<Comm> {
+        Comm::create_world(p, Arc::new(WorkerGate::new(p)), crate::machine::DEFAULT_RECV_TIMEOUT)
     }
 
     #[test]
     fn simple_send_recv() {
-        let (mut comms, stats) = world(2);
-        let mut c1 = comms.pop().unwrap();
-        let c0 = comms.pop().unwrap();
-        c0.send(1, 7, vec![1.0, 2.0, 3.0], Phase::InputA);
-        let got = c1.recv(0, 7, Phase::InputA);
-        assert_eq!(got, vec![1.0, 2.0, 3.0]);
-        let snap = stats.snapshot();
-        assert_eq!(snap[0].total_sent(), 3);
-        assert_eq!(snap[1].total_recv(), 3);
-        assert_eq!(snap[1].msgs_recv, 1);
+        let out = run_spmd_with(
+            &MachineSpec::test_machine(2, 1000),
+            ExecBackend::Blocking { workers: 2 },
+            |mut c| async move {
+                if c.rank() == 0 {
+                    c.send(1, 7, vec![1.0, 2.0, 3.0], Phase::InputA);
+                    Vec::new()
+                } else {
+                    c.recv(0, 7, Phase::InputA).await
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!(out.results[1], vec![1.0, 2.0, 3.0]);
+        assert_eq!(out.stats[0].total_sent(), 3);
+        assert_eq!(out.stats[1].total_recv(), 3);
+        assert_eq!(out.stats[1].msgs_recv, 1);
     }
 
     #[test]
     fn tag_matching_reorders() {
-        let (mut comms, _) = world(2);
+        let mut comms = world(2);
         let mut c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
-        c0.send(1, 1, vec![1.0], Phase::Other);
-        c0.send(1, 2, vec![2.0], Phase::Other);
+        c0.send(1, 1, vec![1.0]);
+        c0.send(1, 2, vec![2.0]);
         // Receive tag 2 first; tag 1 is buffered and found afterwards.
-        assert_eq!(c1.recv(0, 2, Phase::Other), vec![2.0]);
-        assert_eq!(c1.recv(0, 1, Phase::Other), vec![1.0]);
+        assert_eq!(c1.recv(0, 2), vec![2.0]);
+        assert_eq!(c1.recv(0, 1), vec![1.0]);
     }
 
     #[test]
     fn same_tag_fifo_per_sender() {
-        let (mut comms, _) = world(2);
+        let mut comms = world(2);
         let mut c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
-        c0.send(1, 5, vec![1.0], Phase::Other);
-        c0.send(1, 5, vec![2.0], Phase::Other);
-        assert_eq!(c1.recv(0, 5, Phase::Other), vec![1.0]);
-        assert_eq!(c1.recv(0, 5, Phase::Other), vec![2.0]);
+        c0.send(1, 5, vec![1.0]);
+        c0.send(1, 5, vec![2.0]);
+        assert_eq!(c1.recv(0, 5), vec![1.0]);
+        assert_eq!(c1.recv(0, 5), vec![2.0]);
     }
 
     #[test]
     fn self_send() {
-        let (mut comms, _) = world(1);
+        let mut comms = world(1);
         let mut c0 = comms.pop().unwrap();
-        c0.send(0, 3, vec![9.0], Phase::Other);
-        assert_eq!(c0.recv(0, 3, Phase::Other), vec![9.0]);
+        c0.send(0, 3, vec![9.0]);
+        assert_eq!(c0.recv(0, 3), vec![9.0]);
     }
 
     #[test]
     fn threaded_exchange() {
-        let (comms, stats) = world(4);
-        std::thread::scope(|s| {
-            for mut c in comms {
-                s.spawn(move || {
-                    let right = (c.rank() + 1) % c.size();
-                    let left = (c.rank() + c.size() - 1) % c.size();
-                    c.send(right, 0, vec![c.rank() as f64; 10], Phase::InputB);
-                    assert_eq!(c.recv(left, 0, Phase::InputB), vec![left as f64; 10]);
-                });
-            }
-        });
-        let snap = stats.snapshot();
-        for st in snap.iter().take(4) {
+        // One carrier thread per rank, all runnable at once.
+        let out = run_spmd_with(
+            &MachineSpec::test_machine(4, 1000),
+            ExecBackend::Blocking { workers: 4 },
+            |mut c| async move {
+                let right = (c.rank() + 1) % c.size();
+                let left = (c.rank() + c.size() - 1) % c.size();
+                let got = c.sendrecv(right, left, 0, vec![c.rank() as f64; 10], Phase::InputB).await;
+                assert_eq!(got, vec![left as f64; 10]);
+            },
+        )
+        .unwrap();
+        for st in &out.stats {
             assert_eq!(st.total_sent(), 10);
             assert_eq!(st.total_recv(), 10);
         }
@@ -564,10 +537,23 @@ mod tests {
 
     #[test]
     fn alloc_tracking_reaches_stats() {
-        let (comms, stats) = world(1);
-        comms[0].track_alloc(500);
-        comms[0].track_free(200);
-        comms[0].track_alloc(100);
-        assert_eq!(stats.snapshot()[0].peak_mem_words, 500);
+        let out = run_spmd_with(
+            &MachineSpec::test_machine(1, 1000),
+            ExecBackend::Blocking { workers: 1 },
+            |c| async move {
+                c.track_alloc(500);
+                c.track_free(200);
+                c.track_alloc(100);
+            },
+        )
+        .unwrap();
+        assert_eq!(out.stats[0].peak_mem_words, 500);
+    }
+
+    #[test]
+    fn rank_handle_is_small() {
+        // Every event rank's body future holds one handle: 40 bytes saved
+        // per rank is over a MiB at p = 32,768.
+        assert!(std::mem::size_of::<RankComm>() <= 56, "{} bytes", std::mem::size_of::<RankComm>());
     }
 }

@@ -35,6 +35,23 @@ impl CostModel {
         }
     }
 
+    /// `Ok` when every constant is finite; otherwise the name of the first
+    /// NaN or infinite field, in declaration order. A non-finite constant
+    /// prices work at NaN or ±∞, which no plan comparison and no virtual
+    /// clock can order.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let fields = [
+            ("peak_flops", self.peak_flops),
+            ("kernel_efficiency", self.kernel_efficiency),
+            ("alpha_s", self.alpha_s),
+            ("beta_s_per_word", self.beta_s_per_word),
+        ];
+        match fields.into_iter().find(|(_, v)| !v.is_finite()) {
+            Some((field, _)) => Err(field),
+            None => Ok(()),
+        }
+    }
+
     /// This model with β scaled by a topology contention multiplier
     /// (`Network::mean_contention`): the plan-level mean-field view of the
     /// event executor's shared-link serialization. α and γ are per-rank

@@ -14,29 +14,31 @@
 //!   stepped round-robin; with `workers ≥ p` every rank is always runnable
 //!   (one thread per rank). Parked ranks still pin their carrier stacks
 //!   (~64 KiB touched each), which bounds practical worlds to a few thousand
-//!   ranks. Every world has its own gate and its own arena.
+//!   ranks. Every world has its own gate.
 //! * **Event** — no per-rank thread at all: every rank body is compiled by
-//!   rustc into a *stackless* resumable state machine, and a single-threaded
-//!   scheduler drives all of them as a discrete-event simulation: the ready
-//!   queue is a min-heap ordered by each rank's virtual α-β-γ timestamp
-//!   (FIFO on ties), so runs also *measure* per-rank virtual time
-//!   ([`crate::event`]). A parked rank costs bytes (its suspended state
-//!   machine plus a matching-table entry), which is what lets 100k+-rank
-//!   worlds execute end-to-end with real messages.
+//!   rustc into a *stackless* resumable state machine, and a scheduler drives
+//!   all of them as a discrete-event simulation: the ready queue orders
+//!   ranks by their virtual α-β-γ timestamps (FIFO on ties), so runs also
+//!   *measure* per-rank virtual time ([`crate::event`]). A parked rank costs
+//!   bytes (its suspended state machine plus a matching-table entry), which
+//!   is what lets 100k+-rank worlds execute end-to-end with real messages.
 //!
-//! The backends are observationally identical at every worker and thread
-//! count: bitwise-equal results and identical per-rank counters (the
+//! [`run_spmd_with`] builds each world's counters and arena once, hands
+//! every rank a [`RankComm`] over them and the backend's transport, and
+//! assembles the [`RunOutput`]. The handle records every count, so the
+//! backends' per-rank counters are identical by construction, and their
+//! results are bitwise-equal at every worker and thread count (the
 //! conformance suite enforces this) — only the event backend additionally
-//! fills `RankStats::time`, and only it honours the machine's topology,
-//! placement and fault plan. [`ExecBackend::event`] is what every caller
-//! that does not pin a backend runs on.
+//! fills `RankStats::time`, from its own per-rank state, and only it honours
+//! the machine's topology, placement and fault plan. [`ExecBackend::event`]
+//! is what every caller that does not pin a backend runs on.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::future::Future;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use crate::comm::{block_on_ready, Comm, CommImpl, RankComm};
+use crate::comm::{block_on_ready, Comm, RankComm, Transport};
 use crate::machine::MachineSpec;
 use crate::pool::{BufferPool, PoolStats};
 use crate::stats::{RankStats, StatsBoard};
@@ -383,15 +385,20 @@ where
     F: Fn(RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    let out = match backend {
+    // The world's own counters and arena, written and leased by its rank
+    // handles on either executor. A disabled arena (`MachineSpec::pooling`
+    // off) hands out plain allocations and drops returns: the exact
+    // pre-arena behaviour.
+    let board = Arc::new(StatsBoard::new(spec.p));
+    let pool = Arc::new(BufferPool::new(spec.pooling));
+    let (results, stats) = match backend {
         ExecBackend::Blocking { workers: 0 } | ExecBackend::Event { threads: 0 } => {
             return Err(ExecError::NoWorkers)
         }
-        // The world's own gate and arena. Slots beyond `p` could never be
-        // taken, so the gate is capped there.
+        // Slots beyond `p` could never be taken, so the gate is capped there.
         ExecBackend::Blocking { workers } => {
             let gate = Arc::new(WorkerGate::new(workers.min(spec.p)));
-            run_world(spec, gate, spec_arena(spec), f)?
+            (run_world(spec, gate, (&board, &pool), f)?, board.snapshot())
         }
         // More than one region only where sharding is provably invisible: a
         // flat topology (per-rank virtual state is region-local there) and
@@ -404,17 +411,17 @@ where
             } else {
                 1
             };
-            crate::event::run_event_world(spec, regions, f, spec_arena(spec))?
+            crate::event::run_event_world(spec, regions, (&board, &pool), f)?
         }
     };
-    enforce_mem_budget(spec, out)
-}
-
-/// A fresh per-run arena honouring [`MachineSpec::pooling`]. A disabled
-/// arena hands out plain allocations and drops returns, so a `pooling:
-/// false` run exercises the exact pre-arena allocation behaviour.
-fn spec_arena(spec: &MachineSpec) -> Arc<BufferPool> {
-    Arc::new(BufferPool::new(spec.pooling))
+    enforce_mem_budget(
+        spec,
+        RunOutput {
+            results,
+            stats,
+            pool: pool.stats(),
+        },
+    )
 }
 
 /// The blocking executor proper: spawn one small-stack carrier per rank,
@@ -430,29 +437,28 @@ fn spec_arena(spec: &MachineSpec) -> Arc<BufferPool> {
 fn run_world<R, F, Fut>(
     spec: &MachineSpec,
     gate: Arc<WorkerGate>,
-    pool: Arc<BufferPool>,
+    (stats, pool): (&Arc<StatsBoard>, &Arc<BufferPool>),
     f: F,
-) -> Result<RunOutput<R>, ExecError>
+) -> Result<Vec<R>, ExecError>
 where
     R: Send,
     F: Fn(RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    let stats = Arc::new(StatsBoard::new(spec.p));
-    let pool_stats_src = pool.clone();
-    let comms = Comm::create_world(spec.p, stats.clone(), gate, spec.recv_timeout, pool);
+    let comms = Comm::create_world(spec.p, gate, spec.recv_timeout);
     let mut slots: Vec<Option<R>> = (0..spec.p).map(|_| None).collect();
     let mut failures: Vec<ExecError> = Vec::new();
     std::thread::scope(|s| {
         let handles: Vec<_> = comms
             .into_iter()
-            .map(|c| {
+            .enumerate()
+            .map(|(rank, c)| {
                 let f = &f;
                 std::thread::Builder::new()
                     .stack_size(CARRIER_STACK_BYTES)
                     .spawn_scoped(s, move || {
                         c.gate_enter();
-                        block_on_ready(f(RankComm(CommImpl::Blocking(c))))
+                        block_on_ready(f(RankComm::new(rank, stats, pool, Transport::Blocking(Box::new(c)))))
                     })
                     .expect("spawn rank carrier")
             })
@@ -477,11 +483,7 @@ where
             .unwrap_or(&failures[0]);
         return Err(*root);
     }
-    Ok(RunOutput {
-        results: slots.into_iter().map(|s| s.expect("missing rank result")).collect(),
-        stats: stats.snapshot(),
-        pool: pool_stats_src.stats(),
-    })
+    Ok(slots.into_iter().map(|s| s.expect("missing rank result")).collect())
 }
 
 #[cfg(test)]

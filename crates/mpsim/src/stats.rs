@@ -1,5 +1,5 @@
-//! Per-rank traffic, flop, memory and virtual-time counters — the mpiP
-//! substitute.
+//! Per-rank traffic, flop and memory counters — the mpiP substitute — and
+//! the per-rank statistics a run reports.
 //!
 //! The paper measures "total communication volume per MPI rank" with the
 //! mpiP profiler (Figures 6–7, Table 4). Here every point-to-point
@@ -7,22 +7,19 @@
 //! [`Phase`] so that Figure 12's breakdown (A-input vs B-input vs C-output
 //! traffic) can be regenerated from an actual execution.
 //!
-//! Each rank's counters have **one writer at a time**: on the blocking
-//! executor the rank's own carrier thread; on the event executor the rank's
-//! region worker, and for a barrier's charges the boundary leader while the
-//! other workers wait behind the window gate. An update is therefore a
-//! `Relaxed` load and store rather than an atomic read-modify-write; the
-//! cells stay atomics so that the board is `Sync`.
+//! Each rank's counters have **one writer**: the rank's own
+//! [`RankComm`](crate::comm::RankComm), on whichever thread runs its body.
+//! An update is therefore a `Relaxed` load and store rather than an atomic
+//! read-modify-write; the cells stay atomics so that the board is `Sync`.
 //!
-//! The event-driven executor additionally accumulates each rank's *virtual*
-//! α-β-γ time here (see [`crate::event`]): seconds of compute, seconds of
-//! exposed communication (stalls the rank actually waited through) and
-//! seconds of hidden communication (transfer time that proceeded behind
-//! other activity). A snapshot surfaces them as a
-//! [`TimeBreakdown`] per rank — the measured
-//! analogue of the plan-level `simulate_rounds` numbers. The blocking
-//! backends do not drive a virtual clock; their time fields stay zero
-//! (compare counters with [`RankStats::sans_time`]).
+//! A rank's *virtual* α-β-γ time is not a counter: the event executor keeps
+//! it in its own per-rank state (see [`crate::event`]) and fills
+//! [`RankStats::time`] from there — seconds of compute, of exposed
+//! communication (stalls the rank actually waited through) and of all
+//! communication, hidden included — the measured analogue of the plan-level
+//! `simulate_rounds` numbers. The blocking executor drives no virtual clock;
+//! its time fields stay zero (compare counters with
+//! [`RankStats::sans_time`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,13 +68,11 @@ impl Phase {
     }
 }
 
-/// Counters of a single rank, with one writer at a time: on the blocking
-/// executor the rank's own carrier thread; on the event executor the rank's
-/// region worker — or, for a barrier's charges, the boundary leader while
-/// every other worker waits behind the window gate. So an update is a
-/// `Relaxed` load and store, not a read-modify-write; the cells are atomics
-/// only to keep the board `Sync`, and a snapshot taken after the run joins
-/// its writers sees every update.
+/// Counters of a single rank, with one writer: the rank's own
+/// [`RankComm`](crate::comm::RankComm). So an update is a `Relaxed` load and
+/// store, not a read-modify-write; the cells are atomics only to keep the
+/// board `Sync`, and a snapshot taken after the run joins its writers sees
+/// every update.
 #[derive(Debug, Default)]
 pub struct RankCounters {
     words_sent: [AtomicU64; NUM_PHASES],
@@ -87,11 +82,6 @@ pub struct RankCounters {
     flops: AtomicU64,
     cur_mem_words: AtomicU64,
     peak_mem_words: AtomicU64,
-    /// Virtual seconds, stored as `f64` bit patterns (the event scheduler is
-    /// the only writer).
-    compute_s_bits: AtomicU64,
-    exposed_comm_s_bits: AtomicU64,
-    hidden_comm_s_bits: AtomicU64,
 }
 
 /// Add `n` to a single-writer counter and return the new value.
@@ -99,13 +89,6 @@ fn add(cell: &AtomicU64, n: u64) -> u64 {
     let next = cell.load(Ordering::Relaxed).wrapping_add(n);
     cell.store(next, Ordering::Relaxed);
     next
-}
-
-/// Add `dt` seconds into a single-writer `f64`-bits accumulator.
-fn add_seconds(cell: &AtomicU64, dt: f64) {
-    debug_assert!(dt >= 0.0, "virtual time only moves forward (dt = {dt})");
-    let next = f64::from_bits(cell.load(Ordering::Relaxed)) + dt;
-    cell.store(next.to_bits(), Ordering::Relaxed);
 }
 
 impl RankCounters {
@@ -138,19 +121,6 @@ impl RankCounters {
     pub fn record_free(&self, words: u64) {
         let cur = self.cur_mem_words.load(Ordering::Relaxed);
         self.cur_mem_words.store(cur.wrapping_sub(words), Ordering::Relaxed);
-    }
-
-    /// Record `dt` virtual seconds of local compute (the γ term).
-    pub fn record_compute_time(&self, dt: f64) {
-        add_seconds(&self.compute_s_bits, dt);
-    }
-
-    /// Record communication time: `exposed` seconds the rank actually
-    /// stalled and `hidden` seconds of transfer that proceeded behind other
-    /// activity (double buffering, §7.3).
-    pub fn record_comm_time(&self, exposed: f64, hidden: f64) {
-        add_seconds(&self.exposed_comm_s_bits, exposed);
-        add_seconds(&self.hidden_comm_s_bits, hidden);
     }
 }
 
@@ -231,7 +201,8 @@ impl StatsBoard {
         &self.ranks[r]
     }
 
-    /// Snapshot all ranks.
+    /// Snapshot all ranks' counters (with zero [`RankStats::time`]: the
+    /// board keeps no virtual time).
     pub fn snapshot(&self) -> Vec<RankStats> {
         self.ranks
             .iter()
@@ -242,15 +213,7 @@ impl StatsBoard {
                 msgs_recv: c.msgs_recv.load(Ordering::Relaxed),
                 flops: c.flops.load(Ordering::Relaxed),
                 peak_mem_words: c.peak_mem_words.load(Ordering::Relaxed),
-                time: {
-                    let exposed = f64::from_bits(c.exposed_comm_s_bits.load(Ordering::Relaxed));
-                    let hidden = f64::from_bits(c.hidden_comm_s_bits.load(Ordering::Relaxed));
-                    TimeBreakdown {
-                        compute_s: f64::from_bits(c.compute_s_bits.load(Ordering::Relaxed)),
-                        exposed_comm_s: exposed,
-                        total_comm_s: exposed + hidden,
-                    }
-                },
+                time: TimeBreakdown::default(),
             })
             .collect()
     }
@@ -366,26 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn virtual_time_accumulates_and_snapshots() {
-        let board = StatsBoard::new(2);
-        board.rank(0).record_compute_time(1.5);
-        board.rank(0).record_compute_time(0.25);
-        board.rank(0).record_comm_time(0.5, 2.0);
-        board.rank(1).record_comm_time(0.125, 0.0);
-        let snap = board.snapshot();
-        assert_eq!(snap[0].time.compute_s, 1.75);
-        assert_eq!(snap[0].time.exposed_comm_s, 0.5);
-        assert_eq!(snap[0].time.total_comm_s, 2.5);
-        assert_eq!(snap[0].time.total_s(), 2.25);
-        assert_eq!(aggregate::machine_time_s(&snap), 2.25);
-        assert_eq!(aggregate::critical_time(&snap), snap[0].time);
-        assert_eq!(snap[0].sans_time().time, TimeBreakdown::default());
-        // Counters are untouched by the clock: both ranks moved zero words.
-        assert_eq!(snap[0].sans_time(), snap[1].sans_time());
-        assert_eq!(aggregate::machine_time_s(&[]), 0.0);
-    }
-
-    #[test]
     fn aggregates() {
         let stats = vec![
             RankStats {
@@ -406,5 +349,20 @@ mod tests {
         with_mem[0].peak_mem_words = 70;
         with_mem[1].peak_mem_words = 90;
         assert_eq!(aggregate::max_peak_mem(&with_mem), 90);
+        // The slowest rank's virtual finish time, and its breakdown.
+        let mut timed = with_mem.clone();
+        timed[0].time = TimeBreakdown {
+            compute_s: 1.75,
+            exposed_comm_s: 0.5,
+            total_comm_s: 2.5,
+        };
+        timed[1].time.exposed_comm_s = 0.125;
+        assert_eq!(timed[0].time.total_s(), 2.25);
+        assert_eq!(aggregate::machine_time_s(&timed), 2.25);
+        assert_eq!(aggregate::critical_time(&timed), timed[0].time);
+        assert_eq!(aggregate::machine_time_s(&[]), 0.0);
+        // `sans_time` zeroes the clock and leaves the counters.
+        assert_eq!(timed[0].sans_time().time, TimeBreakdown::default());
+        assert_eq!(timed[1].sans_time(), with_mem[1]);
     }
 }

@@ -19,13 +19,15 @@ use mpsim::machine::{Placement, Topology};
 
 use crate::auto::AlgoChoice;
 
-/// The canonical bit pattern of one machine parameter: `-0.0` folds into
-/// `0.0`, NaN or ±∞ is a typed error naming the parameter.
-fn canonical_bits(v: f64, field: &'static str) -> Result<u64, PlanError> {
-    if !v.is_finite() {
-        return Err(PlanError::NonFiniteCostModel { field });
+/// The canonical bit pattern of one finite machine parameter: `-0.0` folds
+/// into `0.0`. ([`CostModel::check`] and [`Topology::validate`] reject the
+/// non-finite ones first.)
+fn canonical_bits(v: f64) -> u64 {
+    if v == 0.0 {
+        0.0f64.to_bits()
+    } else {
+        v.to_bits()
     }
-    Ok(if v == 0.0 { 0.0f64.to_bits() } else { v.to_bits() })
 }
 
 /// Fixed-width encoding of a [`Topology`]: discriminant + one word per
@@ -46,8 +48,8 @@ fn encode_topology(t: &Topology) -> Result<(u8, [u64; 4]), PlanError> {
             [
                 *ranks_per_node as u64,
                 *nodes_per_switch as u64,
-                canonical_bits(*nic_factor, "nic_factor")?,
-                canonical_bits(*up_factor, "up_factor")?,
+                canonical_bits(*nic_factor),
+                canonical_bits(*up_factor),
             ],
         ),
     })
@@ -108,16 +110,17 @@ impl PlanKey {
         placement: Placement,
     ) -> Result<Self, PlanError> {
         let (topology_tag, topology_bits) = encode_topology(topology)?;
+        model.check().map_err(|field| PlanError::NonFiniteCostModel { field })?;
         Ok(PlanKey {
             m: prob.m as u64,
             n: prob.n as u64,
             k: prob.k as u64,
             p: prob.p as u64,
             mem_words: prob.mem_words as u64,
-            peak_flops_bits: canonical_bits(model.peak_flops, "peak_flops")?,
-            kernel_efficiency_bits: canonical_bits(model.kernel_efficiency, "kernel_efficiency")?,
-            alpha_bits: canonical_bits(model.alpha_s, "alpha_s")?,
-            beta_bits: canonical_bits(model.beta_s_per_word, "beta_s_per_word")?,
+            peak_flops_bits: canonical_bits(model.peak_flops),
+            kernel_efficiency_bits: canonical_bits(model.kernel_efficiency),
+            alpha_bits: canonical_bits(model.alpha_s),
+            beta_bits: canonical_bits(model.beta_s_per_word),
             overlap,
             mem_budget,
             candidates: choice.mask(),

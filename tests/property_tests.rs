@@ -549,8 +549,7 @@ fn virtual_clock_monotone_deterministic_and_overlap_bounded() {
                 // received transfer once (alpha per message + beta per word,
                 // reconstructed from the backend-exact counters), and the
                 // compute side is exactly the recorded flops under gamma — a
-                // missed record_comm_time/record_compute_time would fail
-                // here.
+                // time charge the event world missed would fail here.
                 assert!(
                     t.total_comm_s + 1e-12 >= model.comm_time(st.total_recv(), st.msgs_recv),
                     "p={p} rank {r}: total comm {t:?} lost a transfer"
