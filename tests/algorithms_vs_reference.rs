@@ -9,12 +9,13 @@
 //! full product with the same code path.
 
 use baselines::p25d::{Geometry25, P25dAlgorithm};
-use cosma::api::{AlgoId, RunSession};
+use cosma::api::{AlgoId, ExecReport, RunSession};
 use cosma::problem::MmmProblem;
 use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
 use mpsim::exec::ExecBackend;
+use mpsim::stats::RankStats;
 
 fn reference(m: usize, n: usize, k: usize) -> (Matrix, Matrix, Matrix) {
     let a = Matrix::deterministic(m, k, 7);
@@ -107,37 +108,54 @@ const COSMA_SHAPES: [(usize, usize, usize, usize, usize); 9] = [
     (16, 16, 32, 4, 64 + 2 * 16 * 2),
 ];
 
-/// FNV-1a over the bytes of every word of `c`, row-major.
-fn fnv1a(c: &Matrix) -> u64 {
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in c.as_slice().iter().flat_map(|w| w.to_bits().to_le_bytes()) {
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
         h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
     }
     h
 }
 
-/// `session`'s product, the same on the event engine with one and two
+/// FNV-1a over the bytes of every word of `c`, row-major.
+fn fnv1a(c: &Matrix) -> u64 {
+    fnv1a_words(c.as_slice().iter().map(|w| w.to_bits()))
+}
+
+/// FNV-1a over every rank's counters in rank order: words sent and received
+/// by phase, messages sent and received, flops, peak memory, and the three
+/// virtual times by their bits.
+fn stats_digest(stats: &[RankStats]) -> u64 {
+    fnv1a_words(stats.iter().flat_map(|s| {
+        let t = s.time;
+        let times = [t.compute_s, t.exposed_comm_s, t.total_comm_s].map(f64::to_bits);
+        let counts = [s.msgs_sent, s.msgs_recv, s.flops, s.peak_mem_words];
+        s.words_sent.into_iter().chain(s.words_recv).chain(counts).chain(times)
+    }))
+}
+
+/// `session`'s run on the event engine, whose product is the same with two
 /// threads and on two blocking workers.
-fn product_on_every_executor(session: RunSession, a: &Matrix, b: &Matrix, what: &str) -> Matrix {
-    let mut products = [
+fn product_on_every_executor(session: RunSession, a: &Matrix, b: &Matrix, what: &str) -> ExecReport {
+    let [event, event2, blocking] = [
         ExecBackend::event(),
         ExecBackend::Event { threads: 2 },
         ExecBackend::Blocking { workers: 2 },
     ]
     .map(|exec| {
         let report = session.clone().exec_backend(exec).execute(a, b);
-        report.unwrap_or_else(|e| panic!("{what} on {exec:?}: {e}")).c
+        report.unwrap_or_else(|e| panic!("{what} on {exec:?}: {e}"))
     });
-    for (exec, c) in ["event(2)", "blocking(2)"].iter().zip(&products[1..]) {
-        assert_eq!(fnv1a(c), fnv1a(&products[0]), "{what}: {exec} differs from event");
+    for (exec, other) in [("event(2)", event2), ("blocking(2)", blocking)] {
+        assert_eq!(fnv1a(&other.c), fnv1a(&event.c), "{what}: {exec} differs from event");
     }
-    std::mem::replace(&mut products[0], Matrix::zeros(0, 0))
+    event
 }
 
 /// COSMA's product on `prob`, the same on every executor.
 fn cosma_product(prob: &MmmProblem) -> Matrix {
     let (a, b, _) = reference(prob.m, prob.n, prob.k);
-    product_on_every_executor(session(prob, AlgoId::Cosma), &a, &b, &format!("{prob:?}"))
+    product_on_every_executor(session(prob, AlgoId::Cosma), &a, &b, &format!("{prob:?}")).c
 }
 
 /// Recorded at `4248a3b`, before COSMA's gathers stopped filling slabs.
@@ -165,8 +183,9 @@ fn cosma_product_digests_are_pinned() {
 
 /// The baselines' pinned cases: CARMA pure-BFS, CARMA streaming DFS leaves
 /// that split k (partial sums of one C region), CARMA on uneven dims, 2.5D
-/// with one layer and with two, and SUMMA on primes.
-fn baseline_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 6] {
+/// with one layer and with two, SUMMA on primes, and SUMMA on a 4 × 2 grid
+/// whose panels are rooted at every row and column of it.
+fn baseline_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 7] {
     [
         ("carma-bfs", MmmProblem::new(32, 32, 32, 16, 1 << 13), AlgoId::Carma, None),
         ("carma-dfs-k", MmmProblem::new(8, 8, 512, 4, 600), AlgoId::Carma, None),
@@ -184,38 +203,47 @@ fn baseline_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 
             Some(Geometry25 { q: 4, c: 2 }),
         ),
         ("summa", MmmProblem::new(29, 31, 37, 16, 1 << 13), AlgoId::Summa, None),
+        ("summa-4x2", MmmProblem::new(40, 18, 36, 8, 1 << 13), AlgoId::Summa, None),
     ]
 }
 
-/// Recorded before CARMA's rank body became one walk over its trace.
+/// Each case's product digest, then the digest of its ranks' [`RankStats`]
+/// on the event engine ([`stats_digest`]): the product does not depend on
+/// which member roots or forwards a broadcast, the counters and clocks do.
+/// The first six products were recorded before CARMA's rank body became one
+/// walk over its trace; the rest, before SUMMA and 2.5D took their rank groups
+/// from `Grid3`.
 #[rustfmt::skip]
-const BASELINE_DIGESTS: [u64; 6] = [
-    0xa64f390e27b9c8fb,
-    0x2352158be9bb203f,
-    0xbee7ec3951386d04,
-    0x398cbd0426b9095e,
-    0xbb4df5bc0be6c5cc,
-    0xa54802ddb71e155d,
+const BASELINE_DIGESTS: [(u64, u64); 7] = [
+    (0xa64f390e27b9c8fb, 0x83013681825ed985),
+    (0x2352158be9bb203f, 0x545b74b3b5eee95d),
+    (0xbee7ec3951386d04, 0xd25bb8d99fa37e8a),
+    (0x398cbd0426b9095e, 0x401eac3f8e2c3a53),
+    (0xbb4df5bc0be6c5cc, 0xf96a9d645d845856),
+    (0xa54802ddb71e155d, 0xf2a467aa3086392c),
+    (0x7e45001d44eefde7, 0x6729b62bbf9c4a1f),
 ];
 
 #[test]
 fn baseline_product_digests_are_pinned() {
-    let [(_, bfs, ..), (_, dfs, ..), ..] = baseline_cases();
+    let [(_, bfs, ..), (_, dfs, ..), .., (_, tall, ..)] = baseline_cases();
     assert_eq!(baselines::carma::dfs_leaf_count(&bfs), 1, "carma-bfs must be one BFS recursion");
     assert!(baselines::carma::dfs_leaf_count(&dfs) > 1, "carma-dfs-k must stream DFS leaves");
+    let grid = session(&tall, AlgoId::Summa).plan().expect("SUMMA plans summa-4x2").grid;
+    assert_eq!(grid, [4, 2, 1], "summa-4x2 must run on a 4 × 2 grid");
     let got = baseline_cases().map(|(what, prob, id, geometry)| {
         let (a, b, want) = reference(prob.m, prob.n, prob.k);
         let mut registry = baselines::registry();
         if let Some(geo) = geometry {
             registry.register(P25dAlgorithm::with_geometry(geo));
         }
-        let c = product_on_every_executor(session(&prob, id).registry(registry), &a, &b, what);
-        assert!(want.approx_eq(&c, 1e-9), "{what}: max diff {}", want.max_abs_diff(&c));
-        fnv1a(&c)
+        let event = product_on_every_executor(session(&prob, id).registry(registry), &a, &b, what);
+        assert!(want.approx_eq(&event.c, 1e-9), "{what}: max diff {}", want.max_abs_diff(&event.c));
+        (fnv1a(&event.c), stats_digest(&event.stats))
     });
     if got != BASELINE_DIGESTS {
-        let rows: Vec<String> = got.iter().map(|d| format!("    {d:#018x},")).collect();
-        panic!("the baselines' product bits moved; the table now reads:\n{}", rows.join("\n"));
+        let rows: Vec<String> = got.iter().map(|(c, s)| format!("    ({c:#018x}, {s:#018x}),")).collect();
+        panic!("the baselines' product or counter bits moved; the table now reads:\n{}", rows.join("\n"));
     }
 }
 
