@@ -14,6 +14,7 @@
 
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture, RankRequirement};
+use cosma::grid::Grid3;
 use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
 use densemat::matrix::Matrix;
@@ -49,8 +50,9 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
     if lm_max * ln_max + 2 * (lm_max * lk_max + lk_max * ln_max) > prob.mem_words {
         return Err(PlanError::NoFeasibleGrid);
     }
+    let grid = Grid3 { gm: q, gn: q, gk: 1 };
     for rank in 0..prob.p {
-        let (i, j) = (rank / q, rank % q);
+        let (i, j, _) = grid.coords_of(rank);
         let rows = even_range(prob.m, q, i);
         let cols = even_range(prob.n, q, j);
         let (lm, ln) = (rows.len(), cols.len());

@@ -1,10 +1,11 @@
 //! The 2.5D decomposition (Solomonik & Demmel 2011) — the CTF stand-in.
 //!
-//! `p = q² · c` ranks form a `q × q × c` grid: `c` replicated "layers", each
-//! a Cannon-style `q × q` grid. Layer 0 owns the inputs; they are broadcast
-//! along the k-fibers (replication), then each layer executes `q/c` of the
-//! `q` alignment positions (one long alignment shift + `q/c − 1` unit
-//! shifts), and finally the partial C blocks are reduced back onto layer 0.
+//! `p = q² · c` ranks form the `q × q × c` [`Grid3`]: `c` replicated
+//! "layers", each a Cannon-style `q × q` grid. Layer 0 owns the inputs; they
+//! are broadcast along the grid's k-fibers (replication), then each layer
+//! executes `q/c` of the `q` alignment positions (one long alignment shift +
+//! `q/c − 1` unit shifts), and finally the partial C blocks are reduced back
+//! onto layer 0 along the same fibers.
 //! `c = 1` degenerates to Cannon's 2D algorithm, `c = q` to the 3D
 //! algorithm of Agarwal et al.
 //!
@@ -15,6 +16,7 @@
 
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture};
+use cosma::grid::Grid3;
 use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
 use densemat::gemm::gemm_packed;
@@ -42,20 +44,6 @@ impl Geometry25 {
     /// Alignment positions per layer.
     pub fn steps(&self) -> usize {
         self.q / self.c
-    }
-
-    fn rank_of(&self, i: usize, j: usize, l: usize) -> usize {
-        (i * self.q + j) * self.c + l
-    }
-
-    fn coords_of(&self, rank: usize) -> (usize, usize, usize) {
-        let l = rank % self.c;
-        let ij = rank / self.c;
-        (ij / self.q, ij % self.q, l)
-    }
-
-    fn k_fiber(&self, i: usize, j: usize) -> Vec<usize> {
-        (0..self.c).map(|l| self.rank_of(i, j, l)).collect()
     }
 }
 
@@ -104,23 +92,18 @@ pub fn choose_geometry(prob: &MmmProblem) -> Result<Geometry25, PlanError> {
     best.map(|(_, g)| g).ok_or(PlanError::NoFeasibleGrid)
 }
 
-/// Build the 2.5D [`DistPlan`] with the automatically chosen geometry.
+/// Build the 2.5D [`DistPlan`] with the automatically chosen geometry:
+/// [`plan_ranks`], collected.
 pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
-    plan_with_geometry(prob, choose_geometry(prob)?)
-}
-
-/// Build the 2.5D [`DistPlan`] for an explicit geometry (used by the Fig. 3
-/// experiment to measure the *naive* top-down 3D decomposition `c = q`
-/// under exactly the same accounting as COSMA): [`plan_ranks`], collected.
-///
-/// # Panics
-/// Panics if the geometry does not satisfy `q²c ≤ p` and `c | q`.
-pub fn plan_with_geometry(prob: &MmmProblem, geo: Geometry25) -> Result<DistPlan, PlanError> {
+    let geo = choose_geometry(prob)?;
     DistPlan::collect(|sink| plan_ranks(prob, geo, sink))
 }
 
 /// The 2.5D plan for an explicit geometry as a rank stream: every rank's
-/// plan handed to `sink` in rank order, then the header.
+/// plan handed to `sink` in rank order, then the header. A forced geometry
+/// (the Fig. 3 experiment's *naive* top-down 3D split `c = q`, planned under
+/// exactly the same accounting as COSMA) comes through
+/// [`P25dAlgorithm::with_geometry`].
 ///
 /// # Panics
 /// Panics if the geometry does not satisfy `q²c ≤ p` and `c | q`.
@@ -132,12 +115,13 @@ pub fn plan_ranks(
     assert!(geo.used() <= prob.p, "geometry exceeds rank count");
     assert!(geo.c >= 1 && geo.q.is_multiple_of(geo.c), "c must divide q");
     let (q, c, step) = (geo.q, geo.c, geo.steps());
+    let grid = Grid3 { gm: q, gn: q, gk: c };
     for rank in 0..prob.p {
-        if rank >= geo.used() {
+        if rank >= grid.size() {
             sink(RankPlan::idle(rank));
             continue;
         }
-        let (i, j, l) = geo.coords_of(rank);
+        let (i, j, l) = grid.coords_of(rank);
         let rows = even_range(prob.m, q, i);
         let cols = even_range(prob.n, q, j);
         let (lm, ln) = (rows.len(), cols.len());
@@ -223,16 +207,13 @@ pub fn plan_ranks(
 pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
     let prob = &plan.problem;
-    let geo = Geometry25 {
-        q: plan.grid[0],
-        c: plan.grid[2],
-    };
-    let (q, c, step) = (geo.q, geo.c, geo.steps());
+    let grid = Grid3::from(plan.grid);
+    let (q, c, step) = (grid.gm, grid.gk, grid.gm / grid.gk);
     let rank = comm.rank();
-    if rank >= geo.used() {
+    if rank >= grid.size() {
         return Vec::new();
     }
-    let (i, j, l) = geo.coords_of(rank);
+    let (i, j, l) = grid.coords_of(rank);
     let rows = even_range(prob.m, q, i);
     let cols = even_range(prob.n, q, j);
     let (lm, ln) = (rows.len(), cols.len());
@@ -250,9 +231,8 @@ pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matri
         Vec::new()
     };
     if c > 1 {
-        let fiber = geo.k_fiber(i, j);
-        bcast(comm, &fiber, 0, &mut a_cur, 0, Phase::InputA).await;
-        bcast(comm, &fiber, 0, &mut b_cur, 1, Phase::InputB).await;
+        bcast(comm, grid.k_fiber(i, j), 0, &mut a_cur, 0, Phase::InputA).await;
+        bcast(comm, grid.k_fiber(i, j), 0, &mut b_cur, 1, Phase::InputB).await;
     }
 
     // Alignment permutation within the layer.
@@ -261,14 +241,14 @@ pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matri
     if t0 != j {
         // My A(i, j) is needed by (i, j') with (i + j' + off) % q == j.
         let jp = (j + 2 * q - i % q - off % q) % q;
-        let dst = geo.rank_of(i, jp, l);
-        let src = geo.rank_of(i, t0, l);
+        let dst = grid.rank_of(i, jp, l);
+        let src = grid.rank_of(i, t0, l);
         a_cur = comm.sendrecv(dst, src, 2, a_cur, Phase::InputA).await;
     }
     if t0 != i {
         let ip = (i + 2 * q - j % q - off % q) % q;
-        let dst = geo.rank_of(ip, j, l);
-        let src = geo.rank_of(t0, j, l);
+        let dst = grid.rank_of(ip, j, l);
+        let src = grid.rank_of(t0, j, l);
         b_cur = comm.sendrecv(dst, src, 3, b_cur, Phase::InputB).await;
     }
 
@@ -285,20 +265,19 @@ pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matri
         comm.record_flops(2 * (lm * ln * lk_t) as u64);
         (a_cur, b_cur) = (ap.into_vec(), bp.into_vec());
         if s + 1 < step {
-            let a_dst = geo.rank_of(i, (j + q - 1) % q, l);
-            let a_src = geo.rank_of(i, (j + 1) % q, l);
+            let a_dst = grid.rank_of(i, (j + q - 1) % q, l);
+            let a_src = grid.rank_of(i, (j + 1) % q, l);
             a_cur = comm.sendrecv(a_dst, a_src, 4 + 2 * s as u64, a_cur, Phase::InputA).await;
-            let b_dst = geo.rank_of((i + q - 1) % q, j, l);
-            let b_src = geo.rank_of((i + 1) % q, j, l);
+            let b_dst = grid.rank_of((i + q - 1) % q, j, l);
+            let b_src = grid.rank_of((i + 1) % q, j, l);
             b_cur = comm.sendrecv(b_dst, b_src, 5 + 2 * s as u64, b_cur, Phase::InputB).await;
         }
     }
 
     // Reduce partial C onto layer 0.
     if c > 1 {
-        let fiber = geo.k_fiber(i, j);
         let mut data = c_local.into_vec();
-        reduce_sum(comm, &fiber, 0, &mut data, 99, Phase::OutputC).await;
+        reduce_sum(comm, grid.k_fiber(i, j), 0, &mut data, 99, Phase::OutputC).await;
         let recvs = reduce_recv_count(l, c);
         comm.record_flops(recvs * (lm * ln) as u64);
         if l != 0 {

@@ -1,11 +1,12 @@
 //! SUMMA — the ScaLAPACK-style 2D algorithm (van de Geijn & Watts 1997).
 //!
-//! The matrices live on a `g_m × g_n` process grid: rank `(i, j)` owns
-//! `A[rows_i, kslice_j]`, `B[kslice_i, cols_j]` and computes
-//! `C[rows_i, cols_j]` locally (no reduction — the 2D algorithm's defining
-//! property). The k dimension is walked in panels: for each panel, the
-//! owning column broadcasts its `A` panel along the rows and the owning row
-//! broadcasts its `B` panel along the columns. Panels never straddle
+//! The matrices live on a `g_m × g_n` process grid, the one-layer
+//! [`Grid3`] `[g_m, g_n, 1]`: rank `(i, j)` owns `A[rows_i, kslice_j]`,
+//! `B[kslice_i, cols_j]` and computes `C[rows_i, cols_j]` locally (no
+//! reduction — the 2D algorithm's defining property). The k dimension is
+//! walked in panels: for each panel, the owning column broadcasts its `A`
+//! panel along the row (the grid's j-fiber) and the owning row broadcasts
+//! its `B` panel along the column (its i-fiber). Panels never straddle
 //! ownership boundaries, so every broadcast has a single root and the
 //! per-rank traffic is exact: a rank receives all of `A[rows_i, ·]` and
 //! `B[·, cols_j]` except the slices it owns.
@@ -16,6 +17,7 @@
 
 use cosma::algorithm::CPart;
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture};
+use cosma::grid::Grid3;
 use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
 use cosma::problem::MmmProblem;
 use densemat::gemm::gemm_packed;
@@ -25,37 +27,10 @@ use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
 use mpsim::stats::Phase;
 
-/// A 2D grid choice for SUMMA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Grid2 {
-    /// Parts along m.
-    pub gm: usize,
-    /// Parts along n.
-    pub gn: usize,
-}
-
-impl Grid2 {
-    fn rank_of(&self, i: usize, j: usize) -> usize {
-        i * self.gn + j
-    }
-
-    fn coords_of(&self, rank: usize) -> (usize, usize) {
-        (rank / self.gn, rank % self.gn)
-    }
-
-    fn row_group(&self, i: usize) -> Vec<usize> {
-        (0..self.gn).map(|j| self.rank_of(i, j)).collect()
-    }
-
-    fn col_group(&self, j: usize) -> Vec<usize> {
-        (0..self.gm).map(|i| self.rank_of(i, j)).collect()
-    }
-}
-
-/// Pick the best 2D grid: all `p` ranks, minimal modeled traffic, memory
-/// feasible.
-pub fn choose_grid(prob: &MmmProblem) -> Result<Grid2, PlanError> {
-    let mut best: Option<(u128, Grid2)> = None;
+/// Pick the best 2D grid `[g_m, g_n, 1]`: all `p` ranks, minimal modeled
+/// traffic, memory feasible.
+pub fn choose_grid(prob: &MmmProblem) -> Result<Grid3, PlanError> {
+    let mut best: Option<(u128, Grid3)> = None;
     for gm in cosma::grid::divisors(prob.p) {
         let gn = prob.p / gm;
         if gm > prob.m || gn > prob.n {
@@ -71,7 +46,7 @@ pub fn choose_grid(prob: &MmmProblem) -> Result<Grid2, PlanError> {
         let cost = (lm as u128) * (prob.k as u128) * (gn as u128 - 1) / gn as u128
             + (ln as u128) * (prob.k as u128) * (gm as u128 - 1) / gm as u128;
         if best.is_none_or(|(c, _)| cost < c) {
-            best = Some((cost, Grid2 { gm, gn }));
+            best = Some((cost, Grid3 { gm, gn, gk: 1 }));
         }
     }
     best.map(|(_, g)| g).ok_or(PlanError::NoFeasibleGrid)
@@ -79,7 +54,7 @@ pub fn choose_grid(prob: &MmmProblem) -> Result<Grid2, PlanError> {
 
 /// Panel boundaries along k: ownership cuts (both A's `g_n`-split and B's
 /// `g_m`-split) refined to at most `nb`-wide panels.
-fn panels(prob: &MmmProblem, grid: Grid2, nb: usize) -> Vec<std::ops::Range<usize>> {
+fn panels(prob: &MmmProblem, grid: Grid3, nb: usize) -> Vec<std::ops::Range<usize>> {
     let mut cuts: Vec<usize> = (0..=grid.gn).map(|j| even_cut(prob.k, grid.gn, j)).collect();
     cuts.extend((0..=grid.gm).map(|i| even_cut(prob.k, grid.gm, i)));
     cuts.sort_unstable();
@@ -157,7 +132,7 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
     let buckets = table.len().clamp(1, cosma::algorithm::MAX_PLAN_ROUNDS);
     let per_bucket = table.len().div_ceil(buckets);
     for rank in 0..prob.p {
-        let (i, j) = grid.coords_of(rank);
+        let (i, j, _) = grid.coords_of(rank);
         let rows = even_range(prob.m, grid.gm, i);
         let cols = even_range(prob.n, grid.gn, j);
         let (lm, ln) = (rows.len(), cols.len());
@@ -204,12 +179,9 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
 pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
     let prob = &plan.problem;
-    let grid = Grid2 {
-        gm: plan.grid[0],
-        gn: plan.grid[1],
-    };
+    let grid = Grid3::from(plan.grid);
     let rank = comm.rank();
-    let (i, j) = grid.coords_of(rank);
+    let (i, j, _) = grid.coords_of(rank);
     let rp = &plan.ranks[rank];
     let brick = &rp.bricks[0];
     let (rows, cols) = (brick.rows.clone(), brick.cols.clone());
@@ -234,14 +206,14 @@ pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matri
         } else {
             Vec::new()
         };
-        bcast_pipelined(comm, &grid.row_group(i), a_root, &mut a_panel, lm * w, a_tag, Phase::InputA).await;
+        bcast_pipelined(comm, grid.j_fiber(i, 0), a_root, &mut a_panel, lm * w, a_tag, Phase::InputA).await;
         // B panel broadcast along my column.
         let mut b_panel = if i == b_root {
             b.block(panel.clone(), cols.clone()).into_vec()
         } else {
             Vec::new()
         };
-        bcast_pipelined(comm, &grid.col_group(j), b_root, &mut b_panel, w * ln, b_tag, Phase::InputB).await;
+        bcast_pipelined(comm, grid.i_fiber(j, 0), b_root, &mut b_panel, w * ln, b_tag, Phase::InputB).await;
         let ap = Matrix::from_vec(lm, w, a_panel);
         let bp = Matrix::from_vec(w, ln, b_panel);
         gemm_packed(&ap, &bp, &mut c_local);
@@ -354,7 +326,7 @@ mod tests {
     #[test]
     fn panels_respect_ownership_and_width() {
         let prob = MmmProblem::new(64, 64, 100, 6, 1 << 16);
-        let grid = Grid2 { gm: 2, gn: 3 };
+        let grid = Grid3 { gm: 2, gn: 3, gk: 1 };
         let ps = panels(&prob, grid, 7);
         // Cover exactly 0..k with no overlaps.
         assert_eq!(ps.first().unwrap().start, 0);

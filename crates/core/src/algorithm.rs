@@ -210,11 +210,7 @@ pub fn assemble_c(parts: impl IntoIterator<Item = CPart>, m: usize, n: usize) ->
 /// Panics if the plan does not belong to this world size.
 pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
-    let grid = Grid3 {
-        gm: plan.grid[0],
-        gn: plan.grid[1],
-        gk: plan.grid[2],
-    };
+    let grid = Grid3::from(plan.grid);
     let rp = &plan.ranks[comm.rank()];
     if !rp.active {
         return Vec::new();
@@ -244,7 +240,7 @@ pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matri
         let own_a = a.view(rows.clone(), own.clone());
         let append = |out: &mut Vec<f64>| a.append_block(rows.clone(), own.clone(), out);
         let fiber = grid.j_fiber(im, ik);
-        let got_a = allgather_bruck(comm, fiber, jn, append, |j| lm * a_cols(j), tag, Phase::InputA).await;
+        let got_a = allgather_bruck(comm, fiber, append, |j| lm * a_cols(j), tag, Phase::InputA).await;
         // --- DistrData: the round's B (w x ln); member i of the i-fiber owns
         // block i, the i-th balanced run of whole rows ---
         let b_rows = |i| even_cut(w, grid.gm, i);
@@ -252,7 +248,7 @@ pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matri
         let own_b = b.view(own.clone(), cols.clone());
         let append = |out: &mut Vec<f64>| b.append_block(own.clone(), cols.clone(), out);
         let (fiber, tag) = (grid.i_fiber(jn, ik), tag + TAG_STRIDE);
-        let got_b = allgather_bruck(comm, fiber, im, append, |i| ln * b_rows(i), tag, Phase::InputB).await;
+        let got_b = allgather_bruck(comm, fiber, append, |i| ln * b_rows(i), tag, Phase::InputB).await;
         // --- Multiply, reading every block where it lies: a piece of B is
         // whole rows, one view; a piece of A is one `lm × w_j` view per
         // block ---
@@ -295,7 +291,7 @@ pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matri
         let tile = lm * ln;
         let mut data = c_local.into_vec();
         let (own_idx, chunk) =
-            reduce_scatter_ring(comm, grid.k_fiber(im, jn), ik, &mut data, REDUCE_TAG, Phase::OutputC).await;
+            reduce_scatter_ring(comm, grid.k_fiber(im, jn), &mut data, REDUCE_TAG, Phase::OutputC).await;
         comm.record_flops((tile - even_range(tile, grid.gk, ik).len()) as u64);
         return vec![CPart {
             rows,

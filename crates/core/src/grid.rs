@@ -77,6 +77,13 @@ impl Grid3 {
     }
 }
 
+/// The grid of a plan header's `[g_m, g_n, g_k]`.
+impl From<[usize; 3]> for Grid3 {
+    fn from([gm, gn, gk]: [usize; 3]) -> Grid3 {
+        Grid3 { gm, gn, gk }
+    }
+}
+
 /// Result of the grid search.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitResult {

@@ -1,12 +1,11 @@
-//! Tree and ring collectives over arbitrary rank groups (§7.2).
+//! Tree and ring collectives over the lines of a processor grid (§7.2).
 //!
 //! The paper replaces Cray-MPICH's broadcast with a hand-crafted binomial
 //! broadcast tree exploiting the known processor grid; these helpers are the
-//! equivalent building blocks. The tree collectives take an explicit `group`
-//! (a slice of absolute rank ids) so a grid algorithm can broadcast along a
-//! row, column or fiber of the processor grid by passing that fiber's ranks;
-//! the all-gather and the reduce-scatter, which every rank of a big grid runs
-//! at once, take the fiber in closed form ([`Fiber`]) and build no table.
+//! equivalent building blocks. Every line of a grid is an arithmetic
+//! progression of ranks, so every collective takes its group as a [`Fiber`]
+//! in closed form, builds no table, and finds the calling member's position
+//! from its rank. A rank list that spells a progression converts into one.
 //!
 //! Traffic accounting is inherited from the point-to-point layer: interior
 //! tree nodes both receive and forward, exactly as an MPI implementation
@@ -43,33 +42,64 @@ impl Fiber {
         debug_assert!(j < self.len, "member {j} of a {}-member fiber", self.len);
         self.base + j * self.stride
     }
+
+    /// The member that `rank` is.
+    ///
+    /// # Panics
+    /// Panics if `rank` is not a member.
+    fn position(&self, rank: usize) -> usize {
+        let pos = rank.checked_sub(self.base).map_or(self.len, |d| d / self.stride.max(1));
+        assert!(pos < self.len && self.rank(pos) == rank, "rank {rank} is not a member of {self:?}");
+        pos
+    }
 }
 
-fn my_pos(comm: &RankComm, group: &[usize]) -> usize {
-    group
-        .iter()
-        .position(|&r| r == comm.rank())
-        .unwrap_or_else(|| panic!("rank {} not in group {group:?}", comm.rank()))
+/// The fiber a rank list spells: member `j` is `ranks[j]`.
+///
+/// # Panics
+/// Panics if the list is not an increasing arithmetic progression.
+impl<T: AsRef<[usize]> + ?Sized> From<&T> for Fiber {
+    fn from(ranks: &T) -> Fiber {
+        let ranks = ranks.as_ref();
+        let stride = match ranks {
+            [a, b, ..] if b > a => b - a,
+            _ => 1,
+        };
+        assert!(
+            ranks.windows(2).all(|w| w[1] > w[0] && w[1] - w[0] == stride),
+            "rank list {ranks:?} is not an increasing arithmetic progression"
+        );
+        Fiber {
+            base: ranks.first().copied().unwrap_or(0),
+            stride,
+            len: ranks.len(),
+        }
+    }
 }
 
-/// Binomial-tree broadcast of `data` from `group[root_pos]` to the whole
+/// A binomial tree over `group` rooted at member `root_pos`: the group's
+/// size, the caller's tree position (the root's is 0) and the rank at each
+/// tree position; `None` for a group of one, in which nothing moves.
+fn tree(comm: &RankComm, group: Fiber, root_pos: usize) -> Option<(usize, usize, impl Fn(usize) -> usize)> {
+    let g = group.len;
+    assert!(root_pos < g, "root position out of range");
+    let relative = (g > 1).then(|| (group.position(comm.rank()) + g - root_pos) % g)?;
+    Some((g, relative, move |rel: usize| group.rank((rel + root_pos) % g)))
+}
+
+/// Binomial-tree broadcast of `data` from member `root_pos` to the whole
 /// group. On non-root ranks `data`'s previous contents are replaced.
 pub async fn bcast(
     comm: &mut RankComm,
-    group: &[usize],
+    group: impl Into<Fiber>,
     root_pos: usize,
     data: &mut Vec<f64>,
     tag: u64,
     phase: Phase,
 ) {
-    let g = group.len();
-    assert!(root_pos < g, "root position out of range");
-    if g <= 1 {
+    let Some((g, relative, abs)) = tree(comm, group.into(), root_pos) else {
         return;
-    }
-    let pos = my_pos(comm, group);
-    let relative = (pos + g - root_pos) % g;
-    let abs = |rel: usize| group[(rel + root_pos) % g];
+    };
 
     // Receive from the parent (the sender that owns our lowest set bit).
     let mut mask = 1usize;
@@ -133,21 +163,16 @@ pub fn bcast_pipelined_recv_msgs(relative: usize, g: usize, total_words: usize) 
 /// space their base tags accordingly.
 pub async fn bcast_pipelined(
     comm: &mut RankComm,
-    group: &[usize],
+    group: impl Into<Fiber>,
     root_pos: usize,
     data: &mut Vec<f64>,
     total_words: usize,
     tag: u64,
     phase: Phase,
 ) {
-    let g = group.len();
-    assert!(root_pos < g, "root position out of range");
-    if g <= 1 {
+    let Some((g, relative, abs)) = tree(comm, group.into(), root_pos) else {
         return;
-    }
-    let pos = my_pos(comm, group);
-    let relative = (pos + g - root_pos) % g;
-    let abs = |rel: usize| group[(rel + root_pos) % g];
+    };
 
     // Parent and children of the same binomial tree as `bcast`: the parent
     // owns our lowest set bit; children sit below the bit we receive on (or
@@ -207,26 +232,21 @@ pub async fn bcast_pipelined(
     debug_assert_eq!(data.len(), total_words, "assembled payload length mismatch");
 }
 
-/// Binomial-tree sum-reduction of equal-length vectors onto
-/// `group[root_pos]`. On the root, `data` holds the element-wise sum on
-/// return; on other ranks its contents are the partial sums that were
-/// forwarded (callers should treat them as garbage).
+/// Binomial-tree sum-reduction of equal-length vectors onto member
+/// `root_pos`. On the root, `data` holds the element-wise sum on return; on
+/// other ranks its contents are the partial sums that were forwarded
+/// (callers should treat them as garbage).
 pub async fn reduce_sum(
     comm: &mut RankComm,
-    group: &[usize],
+    group: impl Into<Fiber>,
     root_pos: usize,
     data: &mut [f64],
     tag: u64,
     phase: Phase,
 ) {
-    let g = group.len();
-    assert!(root_pos < g, "root position out of range");
-    if g <= 1 {
+    let Some((g, relative, abs)) = tree(comm, group.into(), root_pos) else {
         return;
-    }
-    let pos = my_pos(comm, group);
-    let relative = (pos + g - root_pos) % g;
-    let abs = |rel: usize| group[(rel + root_pos) % g];
+    };
 
     for child in reduce_children(relative, g) {
         let chunk = comm.recv(abs(child), tag, phase).await;
@@ -332,13 +352,13 @@ impl Gathered {
 
 /// Bruck all-gather of blocks that stay where they arrive: member `j` of the
 /// `g`-member `fiber` owns block `j`, `cut(j + 1) − cut(j)` words (`cut`
-/// monotone from `cut(0) = 0`). The caller, member `pos`, keeps its own block
-/// wherever it lies and hands [`allgather_bruck`] `own`, which appends that
-/// block's words to an outgoing payload; the foreign blocks come back as a
-/// [`Gathered`]. `⌈log₂ g⌉` rounds of doubling block counts instead of the
-/// ring's `g − 1` steps, for the same received words (every foreign block
-/// arrives exactly once) — the latency-optimized pattern of the paper's §7.2
-/// trees.
+/// monotone from `cut(0) = 0`). The caller, member `pos` by its rank, keeps
+/// its own block wherever it lies and hands [`allgather_bruck`] `own`, which
+/// appends that block's words to an outgoing payload; the foreign blocks come
+/// back as a [`Gathered`]. `⌈log₂ g⌉` rounds of doubling block counts instead
+/// of the ring's `g − 1` steps, for the same received words (every foreign
+/// block arrives exactly once) — the latency-optimized pattern of the paper's
+/// §7.2 trees.
 ///
 /// A round sends the `want` blocks from `pos` on (mod `g`) as one pooled
 /// payload, block after block: the own block, appended by `own`, then the
@@ -348,15 +368,14 @@ impl Gathered {
 /// `O(log g)` buffers and no table. All members must pass the same `cut`.
 pub async fn allgather_bruck(
     comm: &mut RankComm,
-    fiber: Fiber,
-    pos: usize,
+    fiber: impl Into<Fiber>,
     own: impl Fn(&mut Vec<f64>),
     cut: impl Fn(usize) -> usize,
     tag: u64,
     phase: Phase,
 ) -> Gathered {
-    let g = fiber.len;
-    assert_eq!(fiber.rank(pos), comm.rank(), "rank {} is not at position {pos} of its fiber", comm.rank());
+    let fiber = fiber.into();
+    let (g, pos) = (fiber.len, fiber.position(comm.rank()));
     assert_eq!(cut(0), 0, "the first block starts at word 0");
     let words_of = |first, count| {
         block_runs(&cut, g, first, count)
@@ -419,14 +438,13 @@ fn block_runs(cut: &impl Fn(usize) -> usize, g: usize, first: usize, count: usiz
 /// reduction whose root transiently receives `log g` full payloads.
 pub async fn reduce_scatter_ring(
     comm: &mut RankComm,
-    fiber: Fiber,
-    pos: usize,
+    fiber: impl Into<Fiber>,
     data: &mut [f64],
     tag: u64,
     phase: Phase,
 ) -> (usize, Vec<f64>) {
-    let g = fiber.len;
-    assert_eq!(fiber.rank(pos), comm.rank(), "rank {} is not at position {pos} of its fiber", comm.rank());
+    let fiber = fiber.into();
+    let (g, pos) = (fiber.len, fiber.position(comm.rank()));
     let len = data.len();
     let chunk = |idx: usize| even_range(len, g, idx);
     if g == 1 {
@@ -488,7 +506,7 @@ pub fn even_chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_spmd_with, ExecBackend};
+    use crate::exec::{run_spmd_with, ExecBackend, RunOutput};
     use crate::machine::MachineSpec;
 
     /// The blocking reference the collective tests run on.
@@ -500,6 +518,72 @@ mod tests {
             base: 0,
             stride: 1,
             len: p,
+        }
+    }
+
+    /// Five members from rank 2 in steps of 3 (ranks 2, 5, 8, 11, 14) in a
+    /// world of 17 ranks, whose other ranks run no collective.
+    const STRIDED: (usize, Fiber) = (
+        17,
+        Fiber {
+            base: 2,
+            stride: 3,
+            len: 5,
+        },
+    );
+
+    /// The executors the [`STRIDED`] cases run on.
+    const BACKENDS: [ExecBackend; 2] = [
+        ExecBackend::Event { threads: 1 },
+        ExecBackend::Blocking { workers: 2 },
+    ];
+
+    /// `body(comm, pos)` on every member of `fiber`, `pos` being its
+    /// position, in a world of `p` ranks; the other ranks return `None`.
+    fn on_fiber<R, F, Fut>(p: usize, fiber: Fiber, backend: ExecBackend, body: F) -> RunOutput<Option<R>>
+    where
+        R: Send,
+        F: Fn(RankComm, usize) -> Fut + Sync,
+        Fut: std::future::Future<Output = R>,
+    {
+        let spec = MachineSpec::test_machine(p, 10_000);
+        let body = &body;
+        run_spmd_with(&spec, backend, |c| {
+            let member = (0..fiber.len).find(|&j| fiber.rank(j) == c.rank());
+            async move {
+                match member {
+                    Some(pos) => Some(body(c, pos).await),
+                    None => None,
+                }
+            }
+        })
+        .unwrap()
+    }
+
+    /// Checks a run of [`on_fiber`]: member `pos` received `msgs(pos)`
+    /// messages and returned a value, and no other rank sent or received.
+    fn check_members<R>(out: &RunOutput<Option<R>>, fiber: Fiber, msgs: impl Fn(usize) -> u64, what: &str) {
+        for (r, st) in out.stats.iter().enumerate() {
+            match (0..fiber.len).find(|&j| fiber.rank(j) == r) {
+                Some(pos) => {
+                    assert!(out.results[r].is_some(), "{what}: member {pos} returned nothing");
+                    assert_eq!(st.msgs_recv, msgs(pos), "{what}: member {pos} messages");
+                }
+                None => assert_eq!((st.msgs_sent, st.msgs_recv), (0, 0), "{what}: rank {r} is no member"),
+            }
+        }
+    }
+
+    #[test]
+    fn rank_lists_convert_into_the_fiber_they_spell() {
+        let fiber = |base, stride, len| Fiber { base, stride, len };
+        assert_eq!(Fiber::from(&vec![1, 3, 5]), fiber(1, 2, 3));
+        assert_eq!(Fiber::from(&[7][..]), fiber(7, 1, 1));
+        assert_eq!(Fiber::from(&[2, 5, 8, 11, 14]), STRIDED.1);
+        for bad in [vec![0, 2, 5], vec![3, 1], vec![2, 2]] {
+            let err = std::panic::catch_unwind(|| Fiber::from(&bad)).expect_err("not a progression");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
         }
     }
 
@@ -521,6 +605,22 @@ mod tests {
                 .unwrap();
                 for (r, d) in out.results.iter().enumerate() {
                     assert_eq!(d, &vec![42.0, 7.0], "p={p} root={root} rank={r}");
+                }
+            }
+        }
+        // Every root of a strided fiber: a non-root receives the payload once.
+        let (p, fiber) = STRIDED;
+        for root in 0..fiber.len {
+            for backend in BACKENDS {
+                let out = on_fiber(p, fiber, backend, |mut c, pos| async move {
+                    let mut data = if pos == root { vec![42.0, 7.0] } else { vec![] };
+                    bcast(&mut c, fiber, root, &mut data, 9, Phase::InputA).await;
+                    data
+                });
+                let what = format!("strided root={root} {backend}");
+                check_members(&out, fiber, |pos| u64::from(pos != root), &what);
+                for d in out.results.iter().flatten() {
+                    assert_eq!(d, &vec![42.0, 7.0], "{what}");
                 }
             }
         }
@@ -610,6 +710,31 @@ mod tests {
                         bcast_pipelined_recv_msgs(r, p, words),
                         "p={p} words={words} rank {r} msgs"
                     );
+                }
+            }
+        }
+        // Every root of a strided fiber, one segment and several.
+        let (p, fiber) = STRIDED;
+        let g = fiber.len;
+        for words in [0usize, 1, 64, 513] {
+            let want: Vec<f64> = (0..words).map(|i| i as f64).collect();
+            for root in 0..g {
+                for backend in BACKENDS {
+                    let out = on_fiber(p, fiber, backend, |mut c, pos| async move {
+                        let mut data = if pos == root {
+                            (0..words).map(|i| i as f64).collect()
+                        } else {
+                            vec![]
+                        };
+                        bcast_pipelined(&mut c, fiber, root, &mut data, words, 9, Phase::InputA).await;
+                        data
+                    });
+                    let what = format!("strided words={words} root={root} {backend}");
+                    let msgs = |pos| bcast_pipelined_recv_msgs((pos + g - root) % g, g, words);
+                    check_members(&out, fiber, msgs, &what);
+                    for d in out.results.iter().flatten() {
+                        assert_eq!(d, &want, "{what}");
+                    }
                 }
             }
         }
@@ -839,6 +964,22 @@ mod tests {
                 }
             }
         }
+        // Every root of a strided fiber, summing the members' ranks.
+        let (p, fiber) = STRIDED;
+        let g = fiber.len;
+        let sum = (0..g).map(|j| fiber.rank(j) as f64).sum::<f64>();
+        for root in 0..g {
+            for backend in BACKENDS {
+                let out = on_fiber(p, fiber, backend, |mut c, _| async move {
+                    let mut data = vec![c.rank() as f64, 1.0];
+                    reduce_sum(&mut c, fiber, root, &mut data, 5, Phase::OutputC).await;
+                    data
+                });
+                let what = format!("strided root={root} {backend}");
+                check_members(&out, fiber, |pos| reduce_recv_count((pos + g - root) % g, g), &what);
+                assert_eq!(out.results[fiber.rank(root)], Some(vec![sum, g as f64]), "{what}");
+            }
+        }
     }
 
     #[test]
@@ -860,7 +1001,7 @@ mod tests {
                 len: 1,
             };
             let own = |_: &mut Vec<f64>| panic!("a lone member sends nothing");
-            let got = allgather_bruck(&mut c, alone, 0, own, |j| 3 * j, 12, Phase::InputA).await;
+            let got = allgather_bruck(&mut c, alone, own, |j| 3 * j, 12, Phase::InputA).await;
             let mut pieces = Vec::new();
             got.for_each_piece(|at, words| pieces.push((at, words.is_some())));
             pieces
@@ -898,18 +1039,30 @@ mod tests {
         backend: ExecBackend,
         rows: usize,
         cuts: &[usize],
-    ) -> crate::exec::RunOutput<Vec<f64>> {
-        run_spmd_with(spec, backend, |mut c| async move {
-            let (pos, g) = (c.rank(), cuts.len() - 1);
-            let own: Vec<f64> = matrix_block(rows, cuts, pos).collect();
-            let append = |out: &mut Vec<f64>| out.extend_from_slice(&own);
-            let cut = |j| rows * cuts[j];
-            let got = allgather_bruck(&mut c, world(g), pos, append, cut, 40, Phase::InputA).await;
-            let words = rebuilt(&got, &own, |w| cuts.iter().any(|&c| rows * c == w));
-            got.recycle(&c);
-            words
+    ) -> RunOutput<Vec<f64>> {
+        let g = cuts.len() - 1;
+        run_spmd_with(spec, backend, |c| {
+            let pos = c.rank();
+            bruck_member(c, world(g), pos, rows, cuts)
         })
         .unwrap()
+    }
+
+    /// [`bruck_world`]'s gather on member `pos` of `fiber`.
+    async fn bruck_member(
+        mut c: RankComm,
+        fiber: Fiber,
+        pos: usize,
+        rows: usize,
+        cuts: &[usize],
+    ) -> Vec<f64> {
+        let own: Vec<f64> = matrix_block(rows, cuts, pos).collect();
+        let append = |out: &mut Vec<f64>| out.extend_from_slice(&own);
+        let cut = |j| rows * cuts[j];
+        let got = allgather_bruck(&mut c, fiber, append, cut, 40, Phase::InputA).await;
+        let words = rebuilt(&got, &own, |w| cuts.iter().any(|&c| rows * c == w));
+        got.recycle(&c);
+        words
     }
 
     /// Block `j` of [`bruck_world`]'s matrix, row by row.
@@ -949,6 +1102,18 @@ mod tests {
                 }
             }
         }
+        // A strided fiber: every member, uneven blocks.
+        let (p, fiber) = STRIDED;
+        let g = fiber.len;
+        let cuts: Vec<usize> = (0..=g).map(|j| j - j / 3).collect();
+        let want: Vec<f64> = (0..g).flat_map(|j| matrix_block(2, &cuts, j)).collect();
+        for backend in BACKENDS {
+            let out = on_fiber(p, fiber, backend, |c, pos| bruck_member(c, fiber, pos, 2, &cuts));
+            check_members(&out, fiber, |_| allgather_bruck_msgs(g), &format!("strided {backend}"));
+            for words in out.results.iter().flatten() {
+                assert_eq!(words, &want, "strided {backend}");
+            }
+        }
     }
 
     #[test]
@@ -958,8 +1123,7 @@ mod tests {
             let spec = MachineSpec::test_machine(p, 1000);
             let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
                 let mut data: Vec<f64> = (0..len).map(|i| (c.rank() * 100 + i) as f64).collect();
-                let pos = c.rank();
-                reduce_scatter_ring(&mut c, world(p), pos, &mut data, 50, Phase::OutputC).await
+                reduce_scatter_ring(&mut c, world(p), &mut data, 50, Phase::OutputC).await
             })
             .unwrap();
             // Reference sum.
@@ -974,6 +1138,24 @@ mod tests {
             }
             assert!(owned.iter().all(|&x| x));
         }
+        // A strided fiber: member `pos` owns chunk `pos + 1` of the sum.
+        let (p, fiber) = STRIDED;
+        let (g, len) = (fiber.len, 13);
+        let want: Vec<f64> = (0..len)
+            .map(|i| (0..g).map(|j| (fiber.rank(j) * 100 + i) as f64).sum())
+            .collect();
+        for backend in BACKENDS {
+            let out = on_fiber(p, fiber, backend, |mut c, pos| async move {
+                let mut data: Vec<f64> = (0..len).map(|i| (c.rank() * 100 + i) as f64).collect();
+                (pos, reduce_scatter_ring(&mut c, fiber, &mut data, 50, Phase::OutputC).await)
+            });
+            let what = format!("strided {backend}");
+            check_members(&out, fiber, |_| (g - 1) as u64, &what);
+            for (pos, (idx, chunk)) in out.results.iter().flatten() {
+                assert_eq!(*idx, (pos + 1) % g, "{what}: member {pos}");
+                assert_eq!(chunk.as_slice(), &want[even_range(len, g, *idx)], "{what}: member {pos}");
+            }
+        }
     }
 
     #[test]
@@ -983,8 +1165,7 @@ mod tests {
         let spec = MachineSpec::test_machine(p, 1000);
         let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
             let mut data = vec![1.0; len];
-            let pos = c.rank();
-            reduce_scatter_ring(&mut c, world(p), pos, &mut data, 51, Phase::OutputC).await;
+            reduce_scatter_ring(&mut c, world(p), &mut data, 51, Phase::OutputC).await;
         })
         .unwrap();
         for st in &out.stats {
@@ -1012,7 +1193,7 @@ mod tests {
         let (me, p) = (c.rank(), c.size());
         let own = [me as f64];
         let got =
-            allgather_bruck(&mut c, world(p), me, |out| out.extend_from_slice(&own), |j| j, 3, Phase::InputB)
+            allgather_bruck(&mut c, world(p), |out| out.extend_from_slice(&own), |j| j, 3, Phase::InputB)
                 .await;
         let words = rebuilt(&got, &own, |_| true);
         got.recycle(&c);

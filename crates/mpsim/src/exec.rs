@@ -158,6 +158,14 @@ pub enum ExecError {
         /// The offending knob.
         what: &'static str,
     },
+    /// A constant of the machine's cost model is NaN or infinite — `field`
+    /// names the first, by [`CostModel::check`](crate::cost::CostModel::check).
+    /// Such a model prices a message at NaN or ±∞, which no virtual clock can
+    /// order, so the world is refused before any rank runs.
+    NonFiniteCostModel {
+        /// The first non-finite constant.
+        field: &'static str,
+    },
     /// A rank's tracked working set exceeded the machine's enforced per-rank
     /// memory budget ([`MachineSpec::mem_budget`]). Raised identically by
     /// both backends — the budget check runs on the measured
@@ -217,6 +225,9 @@ impl fmt::Display for ExecError {
                 write!(f, "execution needs at least one blocking worker or event scheduler thread")
             }
             ExecError::ZeroCapacity { what } => write!(f, "{what} must be at least 1"),
+            ExecError::NonFiniteCostModel { field } => {
+                write!(f, "the machine's cost model has a non-finite {field}")
+            }
             ExecError::MemBudgetExceeded { rank, need, budget } => write!(
                 f,
                 "rank {rank} peaked at {need} words of working memory, exceeding the \
@@ -368,10 +379,12 @@ impl WorkerGate {
 ///
 /// # Errors
 /// [`ExecError::NoWorkers`] for `Blocking { workers: 0 }` or
-/// `Event { threads: 0 }`; [`ExecError::MemBudgetExceeded`] when the machine
-/// enforces a per-rank memory budget ([`MachineSpec::mem_budget`]) and a
-/// rank's measured peak working set breaks it; a wedged, torn-down or
-/// fault-felled world as the matching typed [`ExecError`].
+/// `Event { threads: 0 }`; [`ExecError::NonFiniteCostModel`], before any
+/// rank runs, when a constant of `spec.cost` is NaN or infinite;
+/// [`ExecError::MemBudgetExceeded`] when the machine enforces a per-rank
+/// memory budget ([`MachineSpec::mem_budget`]) and a rank's measured peak
+/// working set breaks it; a wedged, torn-down or fault-felled world as the
+/// matching typed [`ExecError`].
 ///
 /// # Panics
 /// Panics if any rank panics (the panic is propagated).
@@ -385,6 +398,7 @@ where
     F: Fn(RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
+    spec.cost.check().map_err(|field| ExecError::NonFiniteCostModel { field })?;
     // The world's own counters and arena, written and leased by its rank
     // handles on either executor. A disabled arena (`MachineSpec::pooling`
     // off) hands out plain allocations and drops returns: the exact
@@ -551,6 +565,69 @@ mod tests {
             assert_eq!(err, ExecError::NoWorkers, "{backend:?}");
             let msg = err.to_string();
             assert!(msg.contains("blocking worker") && msg.contains("event scheduler thread"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn non_finite_cost_model_is_refused_before_any_rank_runs() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Two ranks swapping four words: with β = +∞ the message would
+        // complete at t = +∞ and the event windows could never admit it. A
+        // watchdog turns a regression into a failure instead of a hang.
+        let (done, verdicts) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            use crate::cost::CostModel;
+            let base = CostModel::piz_daint_two_sided();
+            for (field, cost) in [
+                (
+                    "beta_s_per_word",
+                    CostModel {
+                        beta_s_per_word: f64::INFINITY,
+                        ..base
+                    },
+                ),
+                (
+                    "alpha_s",
+                    CostModel {
+                        alpha_s: f64::NAN,
+                        ..base
+                    },
+                ),
+                (
+                    "peak_flops",
+                    CostModel {
+                        peak_flops: f64::NEG_INFINITY,
+                        ..base
+                    },
+                ),
+            ] {
+                let spec = MachineSpec::new(2, 1000, cost);
+                for backend in [
+                    ExecBackend::event(),
+                    ExecBackend::Event { threads: 2 },
+                    ExecBackend::Blocking { workers: 2 },
+                ] {
+                    let ran = AtomicBool::new(false);
+                    let got = run_spmd_with(&spec, backend, |mut c| {
+                        let ran = &ran;
+                        async move {
+                            ran.store(true, Ordering::Relaxed);
+                            let peer = 1 - c.rank();
+                            c.sendrecv(peer, peer, 0, vec![1.0; 4], Phase::Other).await.len()
+                        }
+                    });
+                    let verdict = (got.err(), ran.load(Ordering::Relaxed));
+                    done.send((field, backend, verdict)).unwrap();
+                }
+            }
+        });
+        for _ in 0..9 {
+            let (field, backend, (err, ran)) = verdicts
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a world with a non-finite cost model hangs");
+            assert_eq!(err, Some(ExecError::NonFiniteCostModel { field }), "{field} on {backend}");
+            assert!(!ran, "{field} on {backend}: a rank ran");
+            assert!(err.unwrap().to_string().contains(field));
         }
     }
 

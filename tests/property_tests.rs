@@ -1153,7 +1153,7 @@ fn bruck_allgather_on_grid_fibers_agrees_across_backends() {
                     let cut = |j: usize| rows * cuts[axis][j];
                     let tag = 100 * axis as u64;
                     let append = |out: &mut Vec<f64>| out.extend_from_slice(&own);
-                    let got = allgather_bruck(&mut c, fiber, pos, append, cut, tag, Phase::InputA).await;
+                    let got = allgather_bruck(&mut c, fiber, append, cut, tag, Phase::InputA).await;
                     // Every block's words in order, each piece starting where
                     // the last ended, on a block boundary.
                     let mut words = Vec::new();
