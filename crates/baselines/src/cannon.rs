@@ -8,18 +8,21 @@
 //! (ceil/floor) splits the shifted blocks vary slightly in size; the plan
 //! accounts for the exact sizes of the blocks each rank receives.
 //!
-//! The planner is Cannon's own (whole blocks resident, one brick per rank);
-//! execution is the 2.5D rank body at `c = 1`, which does exactly these
-//! sends, receives and multiplies in this order.
+//! The plan is Cannon's own (whole blocks resident, one brick per rank);
+//! its rounds are the one-layer 2.5D steps, and execution is the 2.5D rank
+//! body at `c = 1`, which does exactly these sends, receives and multiplies
+//! in this order.
 
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture, RankRequirement};
 use cosma::grid::Grid3;
-use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
+use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan};
 use cosma::problem::MmmProblem;
 use densemat::matrix::Matrix;
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
+
+use crate::p25d::{layer_steps, Geometry25};
 
 /// The square grid edge for `p` ranks, if `p` is a perfect square.
 pub fn grid_edge(p: usize) -> Option<usize> {
@@ -56,30 +59,10 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
         let rows = even_range(prob.m, q, i);
         let cols = even_range(prob.n, q, j);
         let (lm, ln) = (rows.len(), cols.len());
-        let mut rounds = Vec::with_capacity(q);
-        for r in 0..q {
-            let t = (i + j + r) % q;
-            let lk_t = even_range(prob.k, q, t).len();
-            // Round 0 is the skew: a rank whose aligned block is its own
-            // original block receives nothing for that matrix.
-            let (a_words, b_words, mut msgs) = if r == 0 {
-                let a = if t == j { 0 } else { (lm * lk_t) as u64 };
-                let b = if t == i { 0 } else { (lk_t * ln) as u64 };
-                (a, b, u64::from(t != j) + u64::from(t != i))
-            } else {
-                ((lm * lk_t) as u64, (lk_t * ln) as u64, 2)
-            };
-            if q == 1 {
-                msgs = 0;
-            }
-            rounds.push(Round {
-                a_words,
-                b_words,
-                c_words: 0,
-                msgs,
-                flops: 2 * (lm * ln * lk_t) as u64,
-            });
-        }
+        // The skew and the q − 1 shifts: one 2.5D layer's steps.
+        let rounds = layer_steps(prob, Geometry25 { q, c: 1 }, [i, j, 0])
+            .map(|(_, round)| round)
+            .collect();
         let mem_words = (lm * ln + 2 * (lm * lk_max + lk_max * ln)) as u64;
         sink(RankPlan {
             rank,
@@ -178,7 +161,7 @@ mod tests {
 
     #[test]
     fn cannon_is_one_layer_p25d() {
-        use crate::p25d::{Geometry25, P25dAlgorithm};
+        use crate::p25d::P25dAlgorithm;
         // Each algorithm runs its own plan: Cannon's whole-block memory model
         // and single brick, and the c = 1 geometry's q bricks. Both plans
         // have grid [q, q, 1], which is all either rank body reads.

@@ -14,6 +14,8 @@
 //! modeled-time optimum — which, as the paper observes (§1, §9), may still
 //! be far from the optimal decomposition for non-square problems.
 
+use std::ops::Range;
+
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture};
 use cosma::grid::Grid3;
@@ -47,11 +49,10 @@ impl Geometry25 {
     }
 }
 
-/// Search the feasible `(q, c)` pairs for the modeled-time optimum.
-pub fn choose_geometry(prob: &MmmProblem) -> Result<Geometry25, PlanError> {
-    // The selection metric uses Piz-Daint-like constants; only the *ratio*
-    // of compute to bandwidth matters for the choice.
-    let model = CostModel::piz_daint_two_sided();
+/// Search the feasible `(q, c)` pairs for the optimum of the modeled time
+/// under `model`: its γ and β weigh a layer's steps against replication,
+/// its α the `2·steps + 3` messages.
+pub fn choose_geometry(prob: &MmmProblem, model: &CostModel) -> Result<Geometry25, PlanError> {
     let mut best: Option<(f64, Geometry25)> = None;
     let qmax = (prob.p as f64).sqrt().floor() as usize;
     for q in 1..=qmax {
@@ -92,10 +93,10 @@ pub fn choose_geometry(prob: &MmmProblem) -> Result<Geometry25, PlanError> {
     best.map(|(_, g)| g).ok_or(PlanError::NoFeasibleGrid)
 }
 
-/// Build the 2.5D [`DistPlan`] with the automatically chosen geometry:
-/// [`plan_ranks`], collected.
+/// Build the 2.5D [`DistPlan`] with the geometry chosen under the
+/// Piz-Daint-like default model: [`plan_ranks`], collected.
 pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
-    let geo = choose_geometry(prob)?;
+    let geo = choose_geometry(prob, &CostModel::piz_daint_two_sided())?;
     DistPlan::collect(|sink| plan_ranks(prob, geo, sink))
 }
 
@@ -114,7 +115,7 @@ pub fn plan_ranks(
 ) -> Result<PlanHeader, PlanError> {
     assert!(geo.used() <= prob.p, "geometry exceeds rank count");
     assert!(geo.c >= 1 && geo.q.is_multiple_of(geo.c), "c must divide q");
-    let (q, c, step) = (geo.q, geo.c, geo.steps());
+    let (q, c) = (geo.q, geo.c);
     let grid = Grid3 { gm: q, gn: q, gk: c };
     for rank in 0..prob.p {
         if rank >= grid.size() {
@@ -128,7 +129,7 @@ pub fn plan_ranks(
         let own_lk_j = even_range(prob.k, q, j).len();
         let own_lk_i = even_range(prob.k, q, i).len();
         let mut rounds = Vec::new();
-        let mut bricks = Vec::with_capacity(step);
+        let mut bricks = Vec::with_capacity(geo.steps());
         // Replication of layer 0's blocks along the k-fiber.
         if c > 1 {
             let recv = if l == 0 {
@@ -144,29 +145,13 @@ pub fn plan_ranks(
                 flops: 0,
             });
         }
-        for s in 0..step {
-            let t = (i + j + l * step + s) % q;
-            let lk_t = even_range(prob.k, q, t).len();
-            let (a_words, b_words, msgs) = if s == 0 {
-                // Alignment permutation within the layer.
-                let a = if t == j { 0 } else { (lm * lk_t) as u64 };
-                let b = if t == i { 0 } else { (lk_t * ln) as u64 };
-                (a, b, u64::from(t != j) + u64::from(t != i))
-            } else {
-                ((lm * lk_t) as u64, (lk_t * ln) as u64, 2)
-            };
+        for (ks, round) in layer_steps(prob, geo, [i, j, l]) {
             bricks.push(Brick {
                 rows: rows.clone(),
                 cols: cols.clone(),
-                ks: even_range(prob.k, q, t),
+                ks,
             });
-            rounds.push(Round {
-                a_words,
-                b_words,
-                c_words: 0,
-                msgs,
-                flops: 2 * (lm * ln * lk_t) as u64,
-            });
+            rounds.push(round);
         }
         // Reduction of partial C onto layer 0.
         if c > 1 {
@@ -198,6 +183,41 @@ pub fn plan_ranks(
         algo: AlgoId::P25d,
         problem: *prob,
         grid: [q, q, c],
+    })
+}
+
+/// The multiply-shift steps of rank `(i, j)` on layer `l`: each step's
+/// k-range and the round that brings its A and B blocks. Step `s` multiplies
+/// alignment position `t = (i + j + l·steps + s) mod q`; step 0 receives
+/// through the alignment permutation (nothing for a block the rank already
+/// owns, so a one-rank layer sends no message), every later step through a
+/// unit shift. Cannon's rounds are layer 0 of `c = 1`.
+pub(crate) fn layer_steps(
+    prob: &MmmProblem,
+    geo: Geometry25,
+    [i, j, l]: [usize; 3],
+) -> impl Iterator<Item = (Range<usize>, Round)> + '_ {
+    let (q, step) = (geo.q, geo.steps());
+    let (lm, ln) = (even_range(prob.m, q, i).len(), even_range(prob.n, q, j).len());
+    (0..step).map(move |s| {
+        let t = (i + j + l * step + s) % q;
+        let ks = even_range(prob.k, q, t);
+        let lk_t = ks.len();
+        let (a_words, b_words, msgs) = if s == 0 {
+            let a = if t == j { 0 } else { (lm * lk_t) as u64 };
+            let b = if t == i { 0 } else { (lk_t * ln) as u64 };
+            (a, b, u64::from(t != j) + u64::from(t != i))
+        } else {
+            ((lm * lk_t) as u64, (lk_t * ln) as u64, 2)
+        };
+        let round = Round {
+            a_words,
+            b_words,
+            c_words: 0,
+            msgs,
+            flops: 2 * (lm * ln * lk_t) as u64,
+        };
+        (ks, round)
     })
 }
 
@@ -320,11 +340,11 @@ impl MmmAlgorithm for P25dAlgorithm {
     fn plan_ranks(
         &self,
         prob: &MmmProblem,
-        _machine: &CostModel,
+        machine: &CostModel,
         sink: &mut dyn FnMut(RankPlan),
     ) -> Result<PlanHeader, PlanError> {
         match self.geometry {
-            None => plan_ranks(prob, choose_geometry(prob)?, sink),
+            None => plan_ranks(prob, choose_geometry(prob, machine)?, sink),
             Some(geo) => {
                 if geo.q == 0 || geo.c == 0 || geo.used() > prob.p || geo.q % geo.c != 0 {
                     return Err(PlanError::InvalidConfig {
@@ -434,7 +454,7 @@ mod tests {
         // Memory for the q = 4 blocks only: any c > 1 would shrink q and
         // blow the block working set past S.
         let prob = MmmProblem::new(64, 64, 64, 16, 1400);
-        let geo = choose_geometry(&prob).unwrap();
+        let geo = choose_geometry(&prob, &CostModel::piz_daint_two_sided()).unwrap();
         assert_eq!(geo.c, 1, "tight memory must disable replication, got {geo:?}");
     }
 
@@ -442,8 +462,26 @@ mod tests {
     fn extra_memory_enables_replication() {
         // Replication amortizes at scale: p = 4096 square with huge memory.
         let prob = MmmProblem::new(4096, 4096, 4096, 4096, 1 << 26);
-        let geo = choose_geometry(&prob).unwrap();
+        let geo = choose_geometry(&prob, &CostModel::piz_daint_two_sided()).unwrap();
         assert!(geo.c > 1, "ample memory should replicate, got {geo:?}");
+    }
+
+    #[test]
+    fn geometry_is_chosen_under_the_callers_model() {
+        // Latency enters the score through the 2·steps + 3 messages: at
+        // α = 10 ms the 4 × 4 × 4 cube (two steps a layer) beats the 8 × 8
+        // layer's eight, 0.269 s to 0.380 s; under the default model the
+        // layer wins, 0.190 s to 0.219 s.
+        let prob = MmmProblem::new(4096, 4096, 4096, 64, 1 << 23);
+        let default = CostModel::piz_daint_two_sided();
+        let slow = CostModel {
+            alpha_s: 1e-2,
+            ..default
+        };
+        let grid = |model: &CostModel| P25dAlgorithm::default().plan(&prob, model).unwrap().grid;
+        assert_eq!(grid(&slow), [4, 4, 4]);
+        assert_eq!(grid(&default), [8, 8, 1]);
+        assert_eq!(plan(&prob).unwrap().grid, [8, 8, 1]);
     }
 
     #[test]

@@ -27,10 +27,12 @@ use cosma::grid::FitResult;
 use cosma::problem::{MmmProblem, Shape};
 use mpsim::cost::CostModel;
 use mpsim::exec::ExecBackend;
-use mpsim::machine::{Placement, Topology};
+use mpsim::machine::{MachineSpec, Placement, Topology};
 
 use crate::output::{fmt, results_dir, Table};
-use crate::runner::{self, cosma_speedup, five_numbers, geomean, AlgoRow, ExecutedRow, TimedRow, COMPARED};
+use crate::runner::{
+    self, cosma_speedup, five_numbers, geomean, time_agrees, AlgoRow, ExecutedRow, COMPARED,
+};
 use crate::scenarios::{self, Scenario};
 use crate::serve_bench::{self, ServeMetrics};
 
@@ -94,6 +96,12 @@ pub fn committed() -> std::io::Result<String> {
 
 fn model() -> CostModel {
     CostModel::piz_daint_two_sided()
+}
+
+/// The machine the record executes `prob` on: `prob`'s ranks and `S`
+/// (advisory) under [`model`], flat, overlap on.
+fn machine(prob: &MmmProblem) -> MachineSpec {
+    MachineSpec::new(prob.p, prob.mem_words, model())
 }
 
 /// What one served job reported.
@@ -217,15 +225,19 @@ pub struct Point {
     pub fat: Vec<AlgoRow>,
 }
 
-/// One executed timed row: `runner::time_all_topo` on an executable shape.
+/// One algorithm's timed world: an executable shape run on the event
+/// backend under a topology and placement, once with overlap and once
+/// without — the paper's Figures 8–11 closed into a measured loop.
 #[derive(Debug, Clone)]
 pub struct Timed {
     /// `<shape>-timed`.
     pub scenario: &'static str,
     /// `flat`, `fat-tree` (block placement) or `fat-tree-rr` (round-robin).
     pub topology: &'static str,
-    /// Planned and measured time, overlap on and off.
-    pub row: TimedRow,
+    /// The run with communication–computation overlap.
+    pub on: ExecutedRow,
+    /// The run without.
+    pub off: ExecutedRow,
 }
 
 /// The experiment ids whose output is a section of the record — every
@@ -406,7 +418,7 @@ fn timed(ids: &[&str]) -> Vec<Timed> {
         }
         add(("square-timed", Shape::Square, 1024, "fat-tree-rr"));
     }
-    let fat = Topology::congested_fat_tree();
+    let (fat, compared) = (Topology::congested_fat_tree(), runner::compared_algorithms());
     let mut out = Vec::new();
     for (scenario, shape, p, topology) in worlds {
         let (net, placement) = match topology {
@@ -414,11 +426,17 @@ fn timed(ids: &[&str]) -> Vec<Timed> {
             "fat-tree" => (fat.clone(), Placement::Block),
             _ => (fat.clone(), Placement::RoundRobin),
         };
-        let rows = runner::time_all_topo(&scenarios::exec_problem(shape, p), &model(), &net, placement);
-        out.extend(rows.into_iter().map(|row| Timed {
+        let prob = scenarios::exec_problem(shape, p);
+        let spec = machine(&prob).with_topology(net).with_placement(placement);
+        let [on, off] = [true, false].map(|overlap| {
+            let spec = spec.clone().with_overlap(overlap);
+            runner::execute(&compared, &prob, &spec, ExecBackend::event())
+        });
+        out.extend(on.into_iter().zip(off).map(|(on, off)| Timed {
             scenario,
             topology,
-            row,
+            on,
+            off,
         }));
     }
     out
@@ -433,7 +451,8 @@ fn mem_sweep() -> Vec<(String, ExecutedRow)> {
         .into_iter()
         .map(|s| {
             let prob = scenarios::mem_starved_problem(64, s);
-            let mut rows = runner::execute_budgeted(&carma, &prob, &model(), ExecBackend::event());
+            let mut rows =
+                runner::execute(&carma, &prob, &machine(&prob).enforcing_memory(), ExecBackend::event());
             let row = rows.pop().unwrap_or_else(|| panic!("CARMA must execute budgeted at S = {s}"));
             (format!("mem-sweep-{s}"), row)
         })
@@ -598,7 +617,7 @@ impl Record {
     /// ([`scenarios::exec_problem`]) at `p`.
     pub fn square(p: usize, backend: ExecBackend) -> Vec<(String, ExecutedRow)> {
         let prob = scenarios::exec_problem(Shape::Square, p);
-        let rows = runner::execute_all(&prob, &model(), backend);
+        let rows = runner::execute(runner::registry().all(), &prob, &machine(&prob), backend);
         rows.into_iter().map(|r| ("square".into(), r)).collect()
     }
 
@@ -606,7 +625,8 @@ impl Record {
     /// memory-honest plans run.
     pub fn square_tight(backend: ExecBackend) -> Vec<(String, ExecutedRow)> {
         let prob = scenarios::mem_starved_problem(64, 1 << 10);
-        let rows = runner::execute_budgeted(runner::registry().all(), &prob, &model(), backend);
+        let rows =
+            runner::execute(runner::registry().all(), &prob, &machine(&prob).enforcing_memory(), backend);
         rows.into_iter().map(|r| ("square-tight".into(), r)).collect()
     }
 
@@ -632,7 +652,7 @@ impl Record {
         let cosma = runner::registry().by_id(AlgoId::Cosma).expect("registry has COSMA");
         let xxl = scenarios::exec_xl_problem(4096);
         for backend in [ExecBackend::event(), ExecBackend::Event { threads: 4 }] {
-            let rows = runner::execute_with(std::slice::from_ref(&cosma), &xxl, &model(), backend);
+            let rows = runner::execute(std::slice::from_ref(&cosma), &xxl, &machine(&xxl), backend);
             executed.extend(rows.into_iter().map(|r| ("square-xxl".into(), r)));
         }
         let mut record = Record {
@@ -686,20 +706,14 @@ impl Record {
             });
         }
         for t in &self.timed {
-            let r = &t.row;
-            for (overlap, planned_s, measured_s) in [
-                (true, r.planned_s, r.measured_s),
-                (false, r.planned_no_overlap_s, r.measured_no_overlap_s),
-            ] {
+            for (overlap, r) in [(true, &t.on), (false, &t.off)] {
                 out.push(Line {
                     cores: Some(r.p),
                     topology: Some(t.topology),
                     overlap: Some(overlap),
-                    // The plan model is topology-blind: the flat α-β-γ
-                    // simulation on every topology.
-                    planned_ms: Some(planned_s * 1e3),
-                    measured_ms: Some(measured_s * 1e3),
-                    ..Line::on(ExecBackend::event(), t.scenario, r.algo.to_string())
+                    planned_ms: Some(r.planned_time_s * 1e3),
+                    measured_ms: Some(r.measured_time_s * 1e3),
+                    ..Line::on(r.backend, t.scenario, r.algo.to_string())
                 });
             }
         }
@@ -844,10 +858,10 @@ impl Record {
         out
     }
 
-    /// The timed row of `topology` matching `t`'s world and algorithm.
-    fn twin(&self, t: &Timed, topology: &str) -> Option<&TimedRow> {
-        let same = |o: &&Timed| o.scenario == t.scenario && o.row.p == t.row.p && o.row.algo == t.row.algo;
-        self.timed.iter().filter(same).find(|o| o.topology == topology).map(|o| &o.row)
+    /// The timed world of `topology` matching `t`'s world and algorithm.
+    fn twin(&self, t: &Timed, topology: &str) -> Option<&Timed> {
+        let same = |o: &&Timed| o.scenario == t.scenario && o.on.p == t.on.p && o.on.algo == t.on.algo;
+        self.timed.iter().filter(same).find(|o| o.topology == topology)
     }
 
     /// What the render derives for section `id` from the typed rows.
@@ -963,21 +977,16 @@ impl Record {
             }
             "timed" => {
                 let counts = scenarios::timed_core_counts();
-                let square = |t: &&Timed| t.scenario == "square-timed" && t.topology == "flat";
-                for r in self
-                    .timed
-                    .iter()
-                    .filter(square)
-                    .map(|t| &t.row)
-                    .filter(|r| counts.contains(&r.p))
-                {
-                    let gap = 100.0 * (1.0 - r.measured_s / r.measured_no_overlap_s);
+                let square = |t: &&Timed| {
+                    t.scenario == "square-timed" && t.topology == "flat" && counts.contains(&t.on.p)
+                };
+                for Timed { on, off, .. } in self.timed.iter().filter(square) {
                     let values = [
-                        ("meas/plan", r.ratio()),
-                        ("overlap gap %", gap),
-                        ("meas % peak", r.measured_percent_peak),
+                        ("meas/plan", on.measured_time_s / on.planned_time_s),
+                        ("overlap gap %", 100.0 * (1.0 - on.measured_time_s / off.measured_time_s)),
+                        ("meas % peak", on.measured_percent_peak),
                     ];
-                    out.push(show(format!("{} {}", r.p, r.algo), &values));
+                    out.push(show(format!("{} {}", on.p, on.algo), &values));
                 }
             }
             "topo" => {
@@ -994,9 +1003,10 @@ impl Record {
                 for (t, base) in
                     self.timed.iter().filter_map(|t| Some((t, self.twin(t, against(t.topology)?)?)))
                 {
-                    let (ms, ratio) = (t.row.measured_s * 1e3, t.row.measured_s / base.measured_s);
+                    let (ms, ratio) =
+                        (t.on.measured_time_s * 1e3, t.on.measured_time_s / base.on.measured_time_s);
                     out.push(show(
-                        format!("{} {} {} {}", t.scenario, t.row.p, t.topology, t.row.algo),
+                        format!("{} {} {} {}", t.scenario, t.on.p, t.topology, t.on.algo),
                         &[("ms", ms), ("ratio", ratio)],
                     ));
                 }
@@ -1051,7 +1061,7 @@ impl Record {
             let key = format!("{scenario}/{}/{}/{}", r.p, r.backend, r.algo);
             claim(r.exact, &key, "every rank's measured traffic equals its plan");
             claim(r.within_mem, &key, "every rank's peak working set fits the per-rank memory S");
-            let timed = r.measured_time_s == 0.0 || runner::time_agrees(r.measured_time_s, r.planned_time_s);
+            let timed = r.measured_time_s == 0.0 || time_agrees(r.measured_time_s, r.planned_time_s);
             claim(timed, &key, &format!("the measured time is {band}"));
             // Region sharding is an implementation detail of host time: a
             // multi-region row equals its one-region row bit for bit.
@@ -1083,19 +1093,28 @@ impl Record {
             );
         }
         for t in &self.timed {
-            let (r, key) = (&t.row, format!("{}/{}/{}/{}", t.scenario, t.row.p, t.topology, t.row.algo));
-            claim(t.topology != "flat" || r.within_band(), &key, &format!("the measured times are {band}"));
-            claim(r.overlap_helps(), &key, "overlap on measures no slower than overlap off");
+            let (on, off) = (&t.on, &t.off);
+            let key = format!("{}/{}/{}/{}", t.scenario, on.p, t.topology, on.algo);
+            claim(on.exact && off.exact, &key, "every rank's measured traffic equals its plan");
+            claim(
+                on.within_mem && off.within_mem,
+                &key,
+                "every rank's peak working set fits the per-rank memory S",
+            );
+            let agree = [on, off].iter().all(|r| time_agrees(r.measured_time_s, r.planned_time_s));
+            claim(t.topology != "flat" || agree, &key, &format!("the measured times are {band}"));
+            let helps = on.measured_time_s <= off.measured_time_s * (1.0 + 1e-9);
+            claim(helps, &key, "overlap on measures no slower than overlap off");
             let Some(base) = against(t.topology).and_then(|base| self.twin(t, base)) else {
                 continue;
             };
             if t.topology == "fat-tree" {
-                let slower =
-                    r.measured_s >= base.measured_s && r.measured_no_overlap_s >= base.measured_no_overlap_s;
+                let slower = on.measured_time_s >= base.on.measured_time_s
+                    && off.measured_time_s >= base.off.measured_time_s;
                 claim(slower, &key, "the fat tree measures no faster than flat");
             } else {
                 claim(
-                    r.measured_s > base.measured_s,
+                    on.measured_time_s > base.on.measured_time_s,
                     &key,
                     "round-robin placement measures slower than block",
                 );
@@ -1476,18 +1495,15 @@ mod tests {
     }
 
     fn timed(topology: &'static str, measured_s: f64, measured_no_overlap_s: f64) -> Timed {
+        let run = |measured_time_s| ExecutedRow {
+            algo: AlgoId::Summa,
+            ..executed(ExecBackend::event(), 1.0, measured_time_s)
+        };
         Timed {
             scenario: "square-timed",
             topology,
-            row: TimedRow {
-                algo: AlgoId::Summa,
-                p: 4,
-                planned_s: 1.0,
-                planned_no_overlap_s: 1.0,
-                measured_s,
-                measured_no_overlap_s,
-                measured_percent_peak: 0.0,
-            },
+            on: run(measured_s),
+            off: run(measured_no_overlap_s),
         }
     }
 
@@ -1612,11 +1628,11 @@ mod tests {
                 ("mem-sweep-16384".into(), executed(ExecBackend::event(), 1.0, 1.5)),
                 ("mem-sweep-1024".into(), executed(ExecBackend::event(), 2.0, 1.5)),
             ],
-            timed: vec![
-                timed("flat", 4.0, 3.5),
-                timed("fat-tree", 3.9, 3.9),
-                timed("fat-tree-rr", 3.9, 3.9),
-            ],
+            timed: vec![timed("flat", 4.0, 3.5), timed("fat-tree", 3.9, 3.9), {
+                let mut rr = timed("fat-tree-rr", 3.9, 3.9);
+                (rr.off.exact, rr.off.within_mem) = (false, false);
+                rr
+            }],
             serve: None,
             kernel_bitwise: Some(false),
             sweep: vec![
@@ -1661,6 +1677,8 @@ mod tests {
             "square-timed/4/flat/summa: does not hold: the measured times are within x3",
             "square-timed/4/flat/summa: does not hold: overlap on measures no slower",
             "square-timed/4/fat-tree/summa: does not hold: the fat tree measures no faster",
+            "square-timed/4/fat-tree-rr/summa: does not hold: every rank's measured traffic",
+            "square-timed/4/fat-tree-rr/summa: does not hold: every rank's peak working set",
             "square-timed/4/fat-tree-rr/summa: does not hold: round-robin placement",
             "gemm-320: does not hold",
             "square-strong/256/flat: does not hold: COSMA plans no slower",

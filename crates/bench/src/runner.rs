@@ -189,15 +189,17 @@ pub struct ExecutedRow {
     /// Total words actually received across ranks, in MB.
     pub measured_mb: f64,
     /// Whether every single rank's measured words and messages equal its
-    /// plan's.
+    /// plan's ([`DistPlan::deviating_rank`](cosma::plan::DistPlan::deviating_rank)).
     pub exact: bool,
     /// Maximum measured per-rank peak working set, in words.
     pub peak_mem_words: u64,
     /// Whether every rank's measured peak stayed within the problem's
     /// per-rank memory `S` — the paper's limited-memory contract.
     pub within_mem: bool,
-    /// Simulated wall-clock the plan predicts under the α-β-γ model
-    /// (overlap on), in seconds.
+    /// Simulated wall-clock the plan predicts under the α-β-γ model in the
+    /// machine's overlap mode, in seconds. The plan model is
+    /// topology-blind: the gap to the measured time on a fat tree *is* the
+    /// contention the `topo` section reports.
     pub planned_time_s: f64,
     /// *Measured* virtual wall-clock of the executed run: the slowest
     /// rank's virtual finish time on the event backend's discrete-event
@@ -208,72 +210,37 @@ pub struct ExecutedRow {
     pub measured_percent_peak: f64,
 }
 
-/// Execute every registry algorithm on `prob` with real data under
-/// `backend`, comparing measured traffic against each plan. Algorithms whose
-/// rank-count constraints reject `prob.p`, or whose planning reports
-/// infeasibility, are skipped (reported by absence, like [`run_all`]).
+/// Plan each of `algos` for `prob` under `machine`'s cost model, execute
+/// the plan with real data on `machine` — its overlap, topology, placement
+/// and memory budget — under `backend`, and hold what was measured against
+/// the plan. A machine that enforces a memory budget admits only plans that
+/// pass the full memory validation. Algorithms whose rank-count constraints
+/// reject `prob.p`, or whose planning reports infeasibility, are skipped
+/// (reported by absence, like [`run_all`]).
 ///
 /// # Panics
-/// Panics if an accepted execution fails or produces a wrong product —
-/// executed rows exist to certify the plans, so a mismatch is a bug, not a
-/// data point.
-pub fn execute_all(prob: &MmmProblem, model: &CostModel, backend: ExecBackend) -> Vec<ExecutedRow> {
-    execute_with(registry().all(), prob, model, backend)
-}
-
-/// [`execute_all`] over an explicit algorithm set — e.g. COSMA alone on the
-/// record's `square-xxl` world ([`crate::scenarios::exec_xl_problem`]),
-/// where running every baseline would add no coverage.
-pub fn execute_with(
+/// Panics if an accepted execution fails (a budget exceeded among the
+/// failures) or produces a wrong product — executed rows exist to certify
+/// the plans, so a mismatch is a bug, not a data point.
+pub fn execute(
     algos: &[Arc<dyn MmmAlgorithm>],
     prob: &MmmProblem,
-    model: &CostModel,
+    machine: &MachineSpec,
     backend: ExecBackend,
-) -> Vec<ExecutedRow> {
-    execute_rows(algos, prob, model, backend, false)
-}
-
-/// [`execute_with`] on a machine that *enforces* the problem's `S` as a
-/// hard per-rank budget ([`MachineSpec::with_mem_budget`]): only algorithms
-/// whose plan passes the full memory validation run, and a run in which any
-/// rank's measured peak exceeded `S` (checked on the counters once the
-/// world finishes) turns the executor's typed `MemBudgetExceeded` into a
-/// panic (executed rows exist to certify the plans). This is the paper's
-/// limited-memory regime taken literally — the row set for memory-starved
-/// problems, where DFS-streaming CARMA is typically the only entrant.
-pub fn execute_budgeted(
-    algos: &[Arc<dyn MmmAlgorithm>],
-    prob: &MmmProblem,
-    model: &CostModel,
-    backend: ExecBackend,
-) -> Vec<ExecutedRow> {
-    execute_rows(algos, prob, model, backend, true)
-}
-
-fn execute_rows(
-    algos: &[Arc<dyn MmmAlgorithm>],
-    prob: &MmmProblem,
-    model: &CostModel,
-    backend: ExecBackend,
-    enforce_mem: bool,
 ) -> Vec<ExecutedRow> {
     let a = Matrix::deterministic(prob.m, prob.k, 61);
     let b = Matrix::deterministic(prob.k, prob.n, 62);
     let want = matmul(&a, &b);
-    let mut spec = MachineSpec::new(prob.p, prob.mem_words, *model);
-    if enforce_mem {
-        spec = spec.enforcing_memory();
-    }
+    let model = &machine.cost;
     algos
         .iter()
         .filter_map(|algo| {
             algo.supports(prob).ok()?;
             let plan = algo.plan(prob, model).ok()?;
-            if enforce_mem {
-                // A budgeted run only admits memory-honest plans.
+            if machine.mem_budget.is_some() {
                 plan.validate().ok()?;
             }
-            let report = execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b)
+            let report = execute_boxed(algo.as_ref(), &plan, machine, backend, &a, &b)
                 .unwrap_or_else(|e| panic!("{} on p={}: {e}", algo.id(), prob.p));
             assert!(
                 want.approx_eq(&report.c, 1e-9),
@@ -282,28 +249,19 @@ fn execute_rows(
                 prob.p,
                 want.max_abs_diff(&report.c)
             );
-            let exact = report.stats.iter().enumerate().all(|(r, st)| {
-                st.total_recv() == plan.ranks[r].comm_words() && st.msgs_recv == plan.ranks[r].comm_msgs()
-            });
             let peak_mem_words = aggregate::max_peak_mem(&report.stats);
-            let measured_time_s = aggregate::machine_time_s(&report.stats);
             Some(ExecutedRow {
                 algo: algo.id(),
                 p: prob.p,
                 backend,
                 planned_mb: words_to_mb(plan.total_comm_words() as f64),
                 measured_mb: words_to_mb(aggregate::total_volume(&report.stats) as f64),
-                exact,
+                exact: plan.deviating_rank(&report.stats).is_none(),
                 peak_mem_words,
                 within_mem: peak_mem_words <= prob.mem_words as u64,
-                planned_time_s: plan.simulate(model, spec.overlap).time_s,
-                measured_time_s,
-                measured_percent_peak: mpsim::cost::percent_peak(
-                    aggregate::total_flops(&report.stats),
-                    prob.p,
-                    measured_time_s,
-                    model,
-                ),
+                planned_time_s: plan.simulate(model, machine.overlap).time_s,
+                measured_time_s: report.measured_time_s(),
+                measured_percent_peak: report.measured_percent_peak(prob.p, model),
             })
         })
         .collect()
@@ -332,103 +290,6 @@ pub const TIME_AGREEMENT_FACTOR: f64 = 3.0;
 /// Is `measured_s` within [`TIME_AGREEMENT_FACTOR`] of `planned_s`, either way?
 pub fn time_agrees(measured_s: f64, planned_s: f64) -> bool {
     measured_s <= planned_s * TIME_AGREEMENT_FACTOR && measured_s >= planned_s / TIME_AGREEMENT_FACTOR
-}
-
-/// One algorithm's planned-vs-measured *time* on one problem instance: the
-/// α-β-γ simulation of the plan next to the event backend's virtual clock,
-/// in both overlap modes — the row form of the paper's Figures 8–11 closed
-/// into a measured loop.
-#[derive(Debug, Clone)]
-pub struct TimedRow {
-    /// The executed algorithm.
-    pub algo: AlgoId,
-    /// World size.
-    pub p: usize,
-    /// `DistPlan::simulate` with communication–computation overlap, seconds.
-    pub planned_s: f64,
-    /// `DistPlan::simulate` without overlap, seconds.
-    pub planned_no_overlap_s: f64,
-    /// Measured virtual wall-clock with overlap (double buffering), seconds.
-    pub measured_s: f64,
-    /// Measured virtual wall-clock without overlap, seconds.
-    pub measured_no_overlap_s: f64,
-    /// Measured percent of machine peak (overlap on).
-    pub measured_percent_peak: f64,
-}
-
-impl TimedRow {
-    /// Measured-over-planned ratio in the overlap mode the paper reports.
-    pub fn ratio(&self) -> f64 {
-        self.measured_s / self.planned_s
-    }
-
-    /// Does the row honour the stated [`TIME_AGREEMENT_FACTOR`] band in
-    /// both overlap modes?
-    pub fn within_band(&self) -> bool {
-        time_agrees(self.measured_s, self.planned_s)
-            && time_agrees(self.measured_no_overlap_s, self.planned_no_overlap_s)
-    }
-
-    /// Is overlap-on never slower than overlap-off (double buffering may
-    /// only help)?
-    pub fn overlap_helps(&self) -> bool {
-        self.measured_s <= self.measured_no_overlap_s * (1.0 + 1e-9)
-    }
-}
-
-/// Execute the [`COMPARED`] algorithms on `prob` twice on the event backend
-/// (overlap on and off) under `topology` and `placement`, and put the
-/// measured virtual time next to the plan's α-β-γ simulation. Algorithms
-/// whose constraints reject `prob.p` are skipped, like [`execute_all`]. The
-/// planned columns are the flat simulation on every topology (the plan model
-/// is topology-blind — the gap between the two *is* the contention signal
-/// the `topo` section reports).
-///
-/// # Panics
-/// Panics if an accepted execution fails or produces a wrong product.
-pub fn time_all_topo(
-    prob: &MmmProblem,
-    model: &CostModel,
-    topology: &Topology,
-    placement: Placement,
-) -> Vec<TimedRow> {
-    let a = Matrix::deterministic(prob.m, prob.k, 61);
-    let b = Matrix::deterministic(prob.k, prob.n, 62);
-    compared_algorithms()
-        .iter()
-        .filter_map(|algo| {
-            algo.supports(prob).ok()?;
-            let plan = algo.plan(prob, model).ok()?;
-            let mut measured = [0.0f64; 2];
-            let mut peak = 0.0f64;
-            for (i, overlap) in [true, false].into_iter().enumerate() {
-                let spec = MachineSpec::new(prob.p, prob.mem_words, *model)
-                    .with_overlap(overlap)
-                    .with_topology(topology.clone())
-                    .with_placement(placement);
-                let report = execute_boxed(algo.as_ref(), &plan, &spec, ExecBackend::event(), &a, &b)
-                    .unwrap_or_else(|e| panic!("{} on p={}: {e}", algo.id(), prob.p));
-                measured[i] = aggregate::machine_time_s(&report.stats);
-                if overlap {
-                    peak = mpsim::cost::percent_peak(
-                        aggregate::total_flops(&report.stats),
-                        prob.p,
-                        measured[i],
-                        model,
-                    );
-                }
-            }
-            Some(TimedRow {
-                algo: algo.id(),
-                p: prob.p,
-                planned_s: plan.simulate(model, true).time_s,
-                planned_no_overlap_s: plan.simulate(model, false).time_s,
-                measured_s: measured[0],
-                measured_no_overlap_s: measured[1],
-                measured_percent_peak: peak,
-            })
-        })
-        .collect()
 }
 
 /// Speedup of COSMA over the fastest other algorithm (> 1 means COSMA wins).
@@ -480,6 +341,16 @@ mod tests {
 
     fn model() -> CostModel {
         CostModel::piz_daint_two_sided()
+    }
+
+    /// `prob`'s own machine: its ranks and advisory `S`, flat, overlap on.
+    fn machine(prob: &MmmProblem) -> MachineSpec {
+        MachineSpec::new(prob.p, prob.mem_words, model())
+    }
+
+    /// Every registry algorithm executed on `machine`.
+    fn execute_every(prob: &MmmProblem, machine: &MachineSpec, backend: ExecBackend) -> Vec<ExecutedRow> {
+        execute(registry().all(), prob, machine, backend)
     }
 
     #[test]
@@ -591,7 +462,7 @@ mod tests {
             ExecBackend::Blocking { workers: 16 },
             ExecBackend::Blocking { workers: 3 },
         ] {
-            let rows = execute_all(&prob, &model(), backend);
+            let rows = execute_every(&prob, &machine(&prob), backend);
             assert!(!rows.is_empty(), "{backend}: no algorithm executed");
             for r in &rows {
                 assert!(r.exact, "{backend}: {} measured traffic deviates from plan", r.algo);
@@ -610,7 +481,7 @@ mod tests {
             (ExecBackend::event(), "event"),
             (ExecBackend::Event { threads: 4 }, "event(4)"),
         ] {
-            let rows = execute_all(&prob, &model(), backend);
+            let rows = execute_every(&prob, &machine(&prob), backend);
             assert!(!rows.is_empty());
             assert!(rows.iter().all(|r| r.backend.to_string() == label), "{label}");
         }
@@ -618,12 +489,12 @@ mod tests {
 
     #[test]
     fn budgeted_rows_stay_within_s_on_a_memory_starved_problem() {
-        // S below the pure-BFS CARMA leaf footprint: the budgeted runner
-        // enforces S as a hard limit, and DFS-streaming CARMA completes
-        // within it with plan-exact traffic.
+        // S below the pure-BFS CARMA leaf footprint: the machine enforces S
+        // as a hard limit, and DFS-streaming CARMA completes within it with
+        // plan-exact traffic.
         let prob = MmmProblem::new(64, 64, 64, 8, 1 << 10);
         assert!(baselines::carma::dfs_leaf_count(&prob) > 1);
-        let rows = execute_budgeted(registry().all(), &prob, &model(), blocking());
+        let rows = execute_every(&prob, &machine(&prob).enforcing_memory(), blocking());
         let carma = rows.iter().find(|r| r.algo == AlgoId::Carma).expect("CARMA runs budgeted");
         assert!(carma.exact, "budgeted CARMA traffic deviates from plan");
         assert!(carma.within_mem && carma.peak_mem_words <= 1 << 10, "{carma:?}");
@@ -632,7 +503,7 @@ mod tests {
     #[test]
     fn executed_rows_report_peak_memory() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for row in execute_all(&prob, &model(), blocking()) {
+        for row in execute_every(&prob, &machine(&prob), blocking()) {
             assert!(row.peak_mem_words > 0, "{}: no memory tracked", row.algo);
             assert!(row.within_mem, "{}: exceeded ample S", row.algo);
         }
@@ -642,7 +513,7 @@ mod tests {
     fn executed_rows_carry_arena_counters() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
         let (a, b) = (Matrix::deterministic(48, 48, 61), Matrix::deterministic(48, 48, 62));
-        let spec = MachineSpec::new(prob.p, prob.mem_words, model());
+        let spec = machine(&prob);
         for algo in registry().all() {
             let plan = algo.plan(&prob, &model()).unwrap();
             let pool = execute_boxed(algo.as_ref(), &plan, &spec, blocking(), &a, &b).unwrap().pool;
@@ -657,13 +528,13 @@ mod tests {
     #[test]
     fn executed_rows_measure_time_on_the_event_backend() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for row in execute_all(&prob, &model(), ExecBackend::event()) {
+        for row in execute_every(&prob, &machine(&prob), ExecBackend::event()) {
             assert!(row.measured_time_s > 0.0, "{}: no virtual time measured", row.algo);
             assert!(row.measured_percent_peak > 0.0, "{}", row.algo);
             assert!(row.planned_time_s > 0.0, "{}", row.algo);
         }
         // Blocking backends keep no virtual clock: measured time stays zero.
-        for row in execute_all(&prob, &model(), blocking()) {
+        for row in execute_every(&prob, &machine(&prob), blocking()) {
             assert_eq!(row.measured_time_s, 0.0, "{}", row.algo);
             assert_eq!(row.measured_percent_peak, 0.0, "{}", row.algo);
         }
@@ -675,18 +546,55 @@ mod tests {
         // time within TIME_AGREEMENT_FACTOR of DistPlan::simulate, overlap
         // on never slower than off, on the whole comparison matrix.
         let prob = MmmProblem::new(64, 64, 64, 16, 1 << 14);
-        let rows = time_all_topo(&prob, &model(), &Topology::Flat, Placement::Block);
-        assert_eq!(rows.len(), COMPARED.len(), "all compared algorithms must time");
-        for r in &rows {
+        let [on, off] = [true, false].map(|overlap| {
+            execute(
+                &compared_algorithms(),
+                &prob,
+                &machine(&prob).with_overlap(overlap),
+                ExecBackend::event(),
+            )
+        });
+        assert_eq!(on.len(), COMPARED.len(), "all compared algorithms must time");
+        for (on, off) in on.iter().zip(&off) {
             assert!(
-                r.within_band() && r.overlap_helps(),
+                time_agrees(on.measured_time_s, on.planned_time_s)
+                    && time_agrees(off.measured_time_s, off.planned_time_s)
+                    && on.measured_time_s <= off.measured_time_s * (1.0 + 1e-9),
                 "{}: measured {:.3e}/{:.3e} s vs planned {:.3e}/{:.3e} s breaks the band",
-                r.algo,
-                r.measured_s,
-                r.measured_no_overlap_s,
-                r.planned_s,
-                r.planned_no_overlap_s
+                on.algo,
+                on.measured_time_s,
+                off.measured_time_s,
+                on.planned_time_s,
+                off.planned_time_s
             );
+        }
+    }
+
+    #[test]
+    fn execute_holds_every_row_to_its_plan_on_the_machine_it_is_given() {
+        // A contended, scattered machine without overlap, then the same world
+        // with S enforced: `execute` asserts every product against `matmul`,
+        // and every row is plan-exact and timed under the machine's own
+        // overlap mode.
+        let prob = crate::scenarios::exec_problem(cosma::problem::Shape::Square, 64);
+        let contended = machine(&prob)
+            .with_topology(Topology::congested_fat_tree())
+            .with_placement(Placement::RoundRobin)
+            .with_overlap(false);
+        for spec in [contended, machine(&prob).enforcing_memory()] {
+            let rows = execute(&compared_algorithms(), &prob, &spec, ExecBackend::event());
+            assert_eq!(rows.len(), COMPARED.len(), "{spec:?}");
+            for (row, algo) in rows.iter().zip(compared_algorithms()) {
+                let plan = algo.plan(&prob, &spec.cost).unwrap();
+                assert!(row.exact && row.within_mem, "{}: {row:?}", row.algo);
+                assert_eq!(
+                    row.planned_time_s,
+                    plan.simulate(&spec.cost, spec.overlap).time_s,
+                    "{}",
+                    row.algo
+                );
+                assert!(row.measured_time_s > 0.0, "{}", row.algo);
+            }
         }
     }
 

@@ -822,7 +822,7 @@ impl RunSession {
 
     /// [`execute`](Self::execute), then verify the product against the
     /// sequential kernel and the measured words and messages against the
-    /// plan, rank by rank — the reproduction's central consistency contract.
+    /// plan, rank by rank ([`DistPlan::deviating_rank`]).
     ///
     /// # Panics
     /// Panics if the product deviates from the sequential kernel or any
@@ -838,18 +838,15 @@ impl RunSession {
             plan.algo,
             want.max_abs_diff(&report.c)
         );
-        for (r, st) in report.stats.iter().enumerate() {
-            assert_eq!(
+        if let Some(r) = plan.deviating_rank(&report.stats) {
+            let (st, want) = (&report.stats[r], &plan.ranks[r]);
+            panic!(
+                "{}: rank {r} measured {} words in {} messages, its plan {} in {}",
+                plan.algo,
                 st.total_recv(),
-                plan.ranks[r].comm_words(),
-                "{}: rank {r} measured traffic deviates from the plan",
-                plan.algo
-            );
-            assert_eq!(
                 st.msgs_recv,
-                plan.ranks[r].comm_msgs(),
-                "{}: rank {r} measured messages deviate from the plan",
-                plan.algo
+                want.comm_words(),
+                want.comm_msgs()
             );
         }
         Ok((plan, report))

@@ -24,6 +24,7 @@
 use std::collections::HashSet;
 
 use mpsim::cost::{percent_peak, simulate_rounds, CostModel, RoundCost, TimeBreakdown};
+use mpsim::stats::RankStats;
 
 use crate::api::AlgoId;
 pub use crate::api::PlanError;
@@ -246,6 +247,16 @@ impl DistPlan {
     /// Total received words over all ranks.
     pub fn total_comm_words(&self) -> u64 {
         self.ranks.iter().map(RankPlan::comm_words).sum()
+    }
+
+    /// The first rank whose measured received words or messages (`stats`,
+    /// indexed by rank) differ from its plan's; `None` when the execution
+    /// was plan-exact — the reproduction's central consistency contract.
+    pub fn deviating_rank(&self, stats: &[RankStats]) -> Option<usize> {
+        self.ranks
+            .iter()
+            .zip(stats)
+            .position(|(r, st)| st.total_recv() != r.comm_words() || st.msgs_recv != r.comm_msgs())
     }
 
     /// Structural validation: bricks exactly tile the iteration space, stay
@@ -588,6 +599,25 @@ mod tests {
         assert_eq!(plan.ranks[0].comm_msgs(), 4);
         assert_eq!(plan.ranks[0].volume(), 32);
         assert_eq!(plan.ranks[0].flops(), 128);
+    }
+
+    #[test]
+    fn deviating_rank_names_the_first_rank_off_its_plan() {
+        let plan = simple_plan();
+        let measured = |r: &RankPlan| {
+            let mut st = RankStats {
+                msgs_recv: r.comm_msgs(),
+                ..RankStats::default()
+            };
+            st.words_recv[0] = r.comm_words();
+            st
+        };
+        let mut stats: Vec<RankStats> = plan.ranks.iter().map(measured).collect();
+        assert_eq!(plan.deviating_rank(&stats), None);
+        stats[1].msgs_recv += 1;
+        assert_eq!(plan.deviating_rank(&stats), Some(1));
+        stats[0].words_recv[1] += 1;
+        assert_eq!(plan.deviating_rank(&stats), Some(0));
     }
 
     #[test]
