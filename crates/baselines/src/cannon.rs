@@ -16,7 +16,7 @@
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture, RankRequirement};
 use cosma::grid::Grid3;
-use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan};
+use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, RoundsBuilder};
 use cosma::problem::MmmProblem;
 use densemat::matrix::Matrix;
 use mpsim::comm::RankComm;
@@ -54,15 +54,14 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
         return Err(PlanError::NoFeasibleGrid);
     }
     let grid = Grid3 { gm: q, gn: q, gk: 1 };
+    let mut rounds = RoundsBuilder::default();
     for rank in 0..prob.p {
         let (i, j, _) = grid.coords_of(rank);
         let rows = even_range(prob.m, q, i);
         let cols = even_range(prob.n, q, j);
         let (lm, ln) = (rows.len(), cols.len());
         // The skew and the q − 1 shifts: one 2.5D layer's steps.
-        let rounds = layer_steps(prob, Geometry25 { q, c: 1 }, [i, j, 0])
-            .map(|(_, round)| round)
-            .collect();
+        rounds.extend(layer_steps(prob, Geometry25 { q, c: 1 }, [i, j, 0]).map(|(_, round)| round));
         let mem_words = (lm * ln + 2 * (lm * lk_max + lk_max * ln)) as u64;
         sink(RankPlan {
             rank,
@@ -73,7 +72,7 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
                 cols,
                 ks: 0..prob.k,
             }],
-            rounds,
+            rounds: rounds.take(),
             mem_words,
         });
     }

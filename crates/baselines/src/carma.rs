@@ -36,7 +36,7 @@ use std::ops::Range;
 
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture, RankRequirement};
-use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
+use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round, RoundsBuilder};
 use cosma::problem::MmmProblem;
 use densemat::gemm::gemm_packed;
 use densemat::matrix::Matrix;
@@ -260,8 +260,8 @@ pub fn plan(prob: &MmmProblem) -> Result<DistPlan, PlanError> {
 pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<PlanHeader, PlanError> {
     RankRequirement::PowerOfTwo.check(AlgoId::Carma, prob.p)?;
     let leaves = dfs_leaves(prob);
+    let mut rounds = RoundsBuilder::default();
     for rank in 0..prob.p {
-        let mut rounds = Vec::new();
         let mut bricks = Vec::with_capacity(leaves.len());
         let mut mem_words = 0u64;
         for volume in &leaves {
@@ -303,7 +303,7 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
             active: true,
             coords: [0, 0, 0],
             bricks,
-            rounds,
+            rounds: rounds.take(),
             mem_words,
         });
     }

@@ -19,7 +19,7 @@ use std::ops::Range;
 use cosma::algorithm::{even_range, CPart};
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture};
 use cosma::grid::Grid3;
-use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
+use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round, RoundsBuilder};
 use cosma::problem::MmmProblem;
 use densemat::gemm::gemm_packed;
 use densemat::matrix::Matrix;
@@ -117,6 +117,7 @@ pub fn plan_ranks(
     assert!(geo.c >= 1 && geo.q.is_multiple_of(geo.c), "c must divide q");
     let (q, c) = (geo.q, geo.c);
     let grid = Grid3 { gm: q, gn: q, gk: c };
+    let mut rounds = RoundsBuilder::default();
     for rank in 0..prob.p {
         if rank >= grid.size() {
             sink(RankPlan::idle(rank));
@@ -128,7 +129,6 @@ pub fn plan_ranks(
         let (lm, ln) = (rows.len(), cols.len());
         let own_lk_j = even_range(prob.k, q, j).len();
         let own_lk_i = even_range(prob.k, q, i).len();
-        let mut rounds = Vec::new();
         let mut bricks = Vec::with_capacity(geo.steps());
         // Replication of layer 0's blocks along the k-fiber.
         if c > 1 {
@@ -175,7 +175,7 @@ pub fn plan_ranks(
             active: true,
             coords: [i, j, l],
             bricks,
-            rounds,
+            rounds: rounds.take(),
             mem_words,
         });
     }

@@ -18,7 +18,7 @@
 use cosma::algorithm::CPart;
 use cosma::api::{AlgoId, MmmAlgorithm, PlanError, RankFuture};
 use cosma::grid::Grid3;
-use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
+use cosma::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round, RoundsBuilder};
 use cosma::problem::MmmProblem;
 use densemat::gemm::gemm_packed;
 use densemat::matrix::Matrix;
@@ -131,13 +131,13 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
     // (totals exact, pipeline granularity coarsened).
     let buckets = table.len().clamp(1, cosma::algorithm::MAX_PLAN_ROUNDS);
     let per_bucket = table.len().div_ceil(buckets);
+    let mut rounds = RoundsBuilder::default();
     for rank in 0..prob.p {
         let (i, j, _) = grid.coords_of(rank);
         let rows = even_range(prob.m, grid.gm, i);
         let cols = even_range(prob.n, grid.gn, j);
         let (lm, ln) = (rows.len(), cols.len());
         let (short, narrow) = (usize::from(lm != lm_max), usize::from(ln != ln_max));
-        let mut rounds = Vec::with_capacity(buckets);
         for chunk in table.chunks(per_bucket) {
             let mut acc = Round::default();
             for panel in chunk {
@@ -163,7 +163,7 @@ pub fn plan_ranks(prob: &MmmProblem, sink: &mut dyn FnMut(RankPlan)) -> Result<P
                 cols,
                 ks: 0..prob.k,
             }],
-            rounds,
+            rounds: rounds.take(),
             mem_words,
         });
     }

@@ -105,8 +105,9 @@ pub(crate) fn score(
             without.absorb(r);
         }
         active += usize::from(r.active);
-        let input: u64 = r.rounds.iter().map(|x| x.a_words + x.b_words).sum();
-        let output: u64 = r.rounds.iter().map(|x| x.c_words).sum();
+        let runs = r.rounds.runs();
+        let input: u64 = runs.iter().map(|run| run.count * (run.round.a_words + run.round.b_words)).sum();
+        let output: u64 = runs.iter().map(|run| run.count * run.round.c_words).sum();
         // The last of equally busy ranks, as `Iterator::max_by_key` picks.
         if input + output >= busiest[0] + busiest[1] {
             busiest = [input, output];

@@ -28,7 +28,7 @@ use mpsim::stats::Phase;
 
 use crate::api::{AlgoId, PlanError};
 use crate::grid::{fit_ranks, Grid3};
-use crate::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round};
+use crate::plan::{Brick, DistPlan, PlanHeader, RankPlan, Round, RoundsBuilder};
 use crate::problem::MmmProblem;
 use crate::schedule::latency_steps;
 
@@ -63,6 +63,7 @@ pub fn plan_ranks(
 ) -> Result<PlanHeader, PlanError> {
     let fit = fit_ranks(prob, cfg.delta, model)?;
     let grid = fit.grid;
+    let mut rounds = RoundsBuilder::default();
     for rank in 0..prob.p {
         if rank >= grid.size() {
             sink(RankPlan::idle(rank));
@@ -81,7 +82,6 @@ pub fn plan_ranks(
         // pipeline granularity of the time model is coarsened.
         let buckets = sp.steps.clamp(1, MAX_PLAN_ROUNDS);
         let per_bucket = sp.steps.div_ceil(buckets);
-        let mut rounds = Vec::with_capacity(buckets + 1);
         let mut max_slab = 0usize;
         // A slab's gathers are Bruck all-gathers along both fibers.
         let bruck_msgs = allgather_bruck_msgs(grid.gn) + allgather_bruck_msgs(grid.gm);
@@ -123,7 +123,7 @@ pub fn plan_ranks(
             active: true,
             coords: [im, jn, ik],
             bricks: vec![Brick { rows, cols, ks }],
-            rounds,
+            rounds: rounds.take(),
             mem_words,
         });
     }
@@ -383,7 +383,7 @@ mod tests {
                 .expect("executes");
             let [gm, gn, gk] = dplan.grid.map(|g| g as u64);
             assert_eq!(gm * gn * gk, p as u64, "every rank active");
-            assert_eq!(dplan.ranks[0].rounds.len(), 2, "one gather round and the ring");
+            assert_eq!(dplan.ranks[0].rounds.iter().len(), 2, "one gather round and the ring");
             let takes = p as u64 * (u64::from(gn.ilog2()) + u64::from(gm.ilog2()) + gk);
             assert_eq!(report.pool.hits + report.pool.misses, takes, "p={p}: pooled payloads");
         }

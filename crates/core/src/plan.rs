@@ -19,7 +19,9 @@
 //! and hold nothing of it afterwards. [`DistPlan::collect`] stores a stream;
 //! [`DistPlan::validate_coverage`] and [`DistPlan::simulate`] are the same
 //! folds over the stored ranks, so a candidate the auto-planner only streams
-//! is judged by the arithmetic that judges a materialized plan.
+//! is judged by the arithmetic that judges a materialized plan. A rank's
+//! rounds are stored as runs of equal rounds ([`Rounds`]), and every fold
+//! reads them a run at a time.
 
 use std::collections::HashSet;
 
@@ -112,6 +114,125 @@ impl Round {
     }
 }
 
+/// A round repeated `count` times in a row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// The round.
+    pub round: Round,
+    /// How many times in a row it comes; never zero in a [`Rounds`].
+    pub count: u64,
+}
+
+/// A rank's rounds in execution order, stored as runs of equal rounds.
+///
+/// The paper's schedules repeat one step many times (§5–§6), and after grid
+/// fitting (§7.1) a rank's step sequence is that step over and over, give or
+/// take a remainder: thousands of rounds are a handful of runs. A `Rounds`
+/// comes out of a [`RoundsBuilder`] and holds its runs in an exact-size
+/// slice. The runs are canonical — none empty, no two neighbours equal — so
+/// two `Rounds` are equal exactly when their round sequences are.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Rounds {
+    runs: Box<[Run]>,
+}
+
+impl Rounds {
+    /// The runs in execution order. A fold over a rank's rounds reads them a
+    /// run at a time: a sum is the run's count times its round's value.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
+    }
+
+    /// Every round in execution order, each run's round `count` times; its
+    /// `len()` is the number of rounds.
+    pub fn iter(&self) -> RoundsIter<'_> {
+        RoundsIter {
+            runs: &self.runs,
+            taken: 0,
+            left: self.runs.iter().map(|run| run.count as usize).sum(),
+        }
+    }
+}
+
+/// A planner's rounds as it plans them, one rank after another: `push`
+/// appends a round, `take` hands the rank's runs out as a [`Rounds`] and
+/// leaves the builder empty for the next rank. Its buffer is kept, so a
+/// rank costs one allocation, of exactly its runs.
+#[derive(Debug, Default)]
+pub struct RoundsBuilder {
+    runs: Vec<Run>,
+}
+
+impl RoundsBuilder {
+    /// Append `round`: it lengthens the last run if it equals its round.
+    #[inline]
+    pub fn push(&mut self, round: Round) {
+        match self.runs.last_mut() {
+            Some(last) if last.round == round => last.count += 1,
+            _ => self.runs.push(Run { round, count: 1 }),
+        }
+    }
+
+    /// The rounds pushed since the last `take`.
+    pub fn take(&mut self) -> Rounds {
+        let rounds = Rounds {
+            runs: self.runs.as_slice().into(),
+        };
+        self.runs.clear();
+        rounds
+    }
+}
+
+impl Extend<Round> for RoundsBuilder {
+    fn extend<I: IntoIterator<Item = Round>>(&mut self, rounds: I) {
+        for round in rounds {
+            self.push(round);
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Rounds {
+    type Item = &'a Round;
+    type IntoIter = RoundsIter<'a>;
+
+    fn into_iter(self) -> RoundsIter<'a> {
+        self.iter()
+    }
+}
+
+/// The rounds of a [`Rounds`] in execution order, by reference.
+#[derive(Debug, Clone)]
+pub struct RoundsIter<'a> {
+    /// The runs not yet finished; the first one is under way.
+    runs: &'a [Run],
+    /// Rounds of `runs[0]` already yielded.
+    taken: u64,
+    /// Rounds not yet yielded.
+    left: usize,
+}
+
+impl<'a> Iterator for RoundsIter<'a> {
+    type Item = &'a Round;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Round> {
+        let (run, rest) = self.runs.split_first()?;
+        self.taken += 1;
+        if self.taken == run.count {
+            self.runs = rest;
+            self.taken = 0;
+        }
+        self.left -= 1;
+        Some(&run.round)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for RoundsIter<'_> {}
+
 /// The plan of a single rank.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankPlan {
@@ -124,7 +245,7 @@ pub struct RankPlan {
     /// The iteration-space bricks this rank multiplies (usually one).
     pub bricks: Vec<Brick>,
     /// Communication rounds in execution order.
-    pub rounds: Vec<Round>,
+    pub rounds: Rounds,
     /// Peak working-set words (buffers + partial results) the plan requires.
     pub mem_words: u64,
 }
@@ -137,7 +258,7 @@ impl RankPlan {
             active: false,
             coords: [0; 3],
             bricks: Vec::new(),
-            rounds: Vec::new(),
+            rounds: Rounds::default(),
             mem_words: 0,
         }
     }
@@ -145,12 +266,12 @@ impl RankPlan {
     /// Total words this rank receives over the whole execution — the paper's
     /// "communication volume per rank".
     pub fn comm_words(&self) -> u64 {
-        self.rounds.iter().map(Round::words).sum()
+        self.sum_over_rounds(Round::words)
     }
 
     /// Total messages received.
     pub fn comm_msgs(&self) -> u64 {
-        self.rounds.iter().map(|r| r.msgs).sum()
+        self.sum_over_rounds(|r| r.msgs)
     }
 
     /// Multiplication volume of this rank's bricks.
@@ -160,22 +281,28 @@ impl RankPlan {
 
     /// Flops across rounds (multiplications + reduction adds).
     pub fn flops(&self) -> u64 {
-        self.rounds.iter().map(|r| r.flops).sum()
+        self.sum_over_rounds(|r| r.flops)
     }
 
-    /// One pass over the rounds: the planned time and the words received.
+    /// `value` summed over every round, a run at a time.
+    fn sum_over_rounds(&self, value: impl Fn(&Round) -> u64) -> u64 {
+        self.rounds.runs().iter().map(|run| run.count * value(&run.round)).sum()
+    }
+
+    /// One pass over the runs: the planned time and the words received.
     fn time_and_words(&self, model: &CostModel, overlap: bool) -> (TimeBreakdown, u64) {
         let mut words = 0u64;
-        let costs = self.rounds.iter().map(|r| {
+        let runs = self.rounds.runs().iter().map(|&Run { round: r, count }| {
             let received = r.words();
-            words += received;
-            RoundCost {
+            words += count * received;
+            let cost = RoundCost {
                 words: received,
                 msgs: r.msgs,
                 flops: r.flops,
-            }
+            };
+            (cost, count)
         });
-        let time = simulate_rounds(costs, model, overlap);
+        let time = simulate_rounds(runs, model, overlap);
         (time, words)
     }
 }
@@ -252,11 +379,15 @@ impl DistPlan {
     /// The first rank whose measured received words or messages (`stats`,
     /// indexed by rank) differ from its plan's; `None` when the execution
     /// was plan-exact — the reproduction's central consistency contract.
+    ///
+    /// A rank without stats (`stats` shorter than the plan) deviates: what
+    /// was not measured was not shown to be plan-exact.
     pub fn deviating_rank(&self, stats: &[RankStats]) -> Option<usize> {
-        self.ranks
-            .iter()
-            .zip(stats)
-            .position(|(r, st)| st.total_recv() != r.comm_words() || st.msgs_recv != r.comm_msgs())
+        self.ranks.iter().enumerate().position(|(rank, r)| {
+            stats
+                .get(rank)
+                .is_none_or(|st| st.total_recv() != r.comm_words() || st.msgs_recv != r.comm_msgs())
+        })
     }
 
     /// Structural validation: bricks exactly tile the iteration space, stay
@@ -551,22 +682,19 @@ mod tests {
             active: true,
             coords: [rank, 0, 0],
             bricks: vec![brick(rows, 0..4, 0..4)],
-            rounds: vec![
-                Round {
-                    a_words: 8,
-                    b_words: 16,
-                    c_words: 0,
-                    msgs: 2,
-                    flops: 64,
-                },
-                Round {
-                    a_words: 8,
-                    b_words: 16,
-                    c_words: 0,
-                    msgs: 2,
-                    flops: 64,
-                },
-            ],
+            rounds: {
+                let mut rounds = RoundsBuilder::default();
+                for _ in 0..2 {
+                    rounds.push(Round {
+                        a_words: 8,
+                        b_words: 16,
+                        c_words: 0,
+                        msgs: 2,
+                        flops: 64,
+                    });
+                }
+                rounds.take()
+            },
             mem_words: 100,
         };
         DistPlan {
@@ -599,6 +727,18 @@ mod tests {
         assert_eq!(plan.ranks[0].comm_msgs(), 4);
         assert_eq!(plan.ranks[0].volume(), 32);
         assert_eq!(plan.ranks[0].flops(), 128);
+        // Its two equal rounds are one run.
+        assert_eq!(plan.ranks[0].rounds.runs().len(), 1);
+        assert_eq!(plan.ranks[0].rounds.iter().len(), 2);
+    }
+
+    #[test]
+    fn runs_cost_no_more_than_a_vector_of_rounds() {
+        use std::mem::size_of;
+        // The handle is no bigger than the `Vec<Round>` it replaced, and a
+        // round that repeats nothing costs one count more.
+        assert!(size_of::<Rounds>() <= size_of::<Vec<Round>>());
+        assert!(size_of::<Run>() <= size_of::<Round>() + 8);
     }
 
     #[test]
@@ -618,6 +758,11 @@ mod tests {
         assert_eq!(plan.deviating_rank(&stats), Some(1));
         stats[0].words_recv[1] += 1;
         assert_eq!(plan.deviating_rank(&stats), Some(0));
+        // A rank nobody measured is not plan-exact: the first one off the
+        // end of a short slice deviates.
+        assert_eq!(plan.deviating_rank(&[]), Some(0));
+        let exact: Vec<RankStats> = plan.ranks.iter().map(measured).collect();
+        assert_eq!(plan.deviating_rank(&exact[..1]), Some(1));
     }
 
     #[test]

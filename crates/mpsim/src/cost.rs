@@ -111,9 +111,13 @@ impl TimeBreakdown {
 /// while round `i` computes: the exposed time is
 /// `comm_0 + Σ max(comp_i, comm_{i+1}) + comp_last`.
 ///
-/// One pass, nothing stored: the rounds may be a stream.
+/// The rounds come as runs, `(round, count)`: `count` equal rounds in a row
+/// (a plain sequence is runs of 1). A run's communication and computation
+/// seconds are priced once and then added `count` times in order, so the
+/// result is bit for bit the one of the rounds one at a time. One pass,
+/// nothing stored: the runs may be a stream.
 pub fn simulate_rounds(
-    rounds: impl IntoIterator<Item = RoundCost>,
+    runs: impl IntoIterator<Item = (RoundCost, u64)>,
     model: &CostModel,
     overlap: bool,
 ) -> TimeBreakdown {
@@ -124,17 +128,19 @@ pub fn simulate_rounds(
     // communication hides; `None` until the first round, whose fetch is
     // exposed whole.
     let mut comp_before: Option<f64> = None;
-    for r in rounds {
+    for (r, count) in runs {
         let (comm, comp) = (model.comm_time(r.words, r.msgs), model.compute_time(r.flops));
-        compute_s += comp;
-        total_comm_s += comm;
-        // Pipeline: whatever of a fetch exceeds the computation it hides
-        // behind stays exposed.
-        match comp_before {
-            None => exposed = comm,
-            Some(before) => exposed += (comm - before).max(0.0),
+        for _ in 0..count {
+            compute_s += comp;
+            total_comm_s += comm;
+            // Pipeline: whatever of a fetch exceeds the computation it hides
+            // behind stays exposed.
+            match comp_before {
+                None => exposed = comm,
+                Some(before) => exposed += (comm - before).max(0.0),
+            }
+            comp_before = Some(comp);
         }
-        comp_before = Some(comp);
     }
     if comp_before.is_none() {
         return TimeBreakdown::default();
@@ -167,6 +173,11 @@ mod tests {
         }
     }
 
+    /// A plain sequence of rounds as runs of 1.
+    fn singles(rounds: impl IntoIterator<Item = RoundCost>) -> impl Iterator<Item = (RoundCost, u64)> {
+        rounds.into_iter().map(|r| (r, 1))
+    }
+
     #[test]
     fn compute_and_comm_time() {
         let m = CostModel {
@@ -193,7 +204,7 @@ mod tests {
                 flops: 4,
             },
         ];
-        let t = simulate_rounds(rounds, &unit_model(), false);
+        let t = simulate_rounds(singles(rounds), &unit_model(), false);
         assert!((t.compute_s - 14.0).abs() < 1e-12);
         assert!((t.exposed_comm_s - 8.0).abs() < 1e-12);
         assert!((t.total_s() - 22.0).abs() < 1e-12);
@@ -216,7 +227,7 @@ mod tests {
                 flops: 4,
             },
         ];
-        let t = simulate_rounds(rounds, &unit_model(), true);
+        let t = simulate_rounds(singles(rounds), &unit_model(), true);
         assert!((t.exposed_comm_s - 5.0).abs() < 1e-12);
         assert!((t.total_s() - 19.0).abs() < 1e-12);
         // Total comm still accounts for the hidden part.
@@ -239,7 +250,7 @@ mod tests {
                 flops: 1,
             },
         ];
-        let t = simulate_rounds(rounds, &unit_model(), true);
+        let t = simulate_rounds(singles(rounds), &unit_model(), true);
         assert!((t.exposed_comm_s - 18.0).abs() < 1e-12);
         assert!((t.total_s() - 23.0).abs() < 1e-12);
     }
@@ -254,11 +265,43 @@ mod tests {
                 flops: 500_000 * (20 - i),
             })
             .collect();
-        let no = simulate_rounds(rounds.iter().copied(), &model, false);
-        let yes = simulate_rounds(rounds, &model, true);
+        let no = simulate_rounds(singles(rounds.iter().copied()), &model, false);
+        let yes = simulate_rounds(singles(rounds), &model, true);
         assert!(yes.total_s() <= no.total_s() + 1e-15);
         // Overlap cannot beat the max(comm, comp) lower bound.
         assert!(yes.total_s() + 1e-15 >= no.compute_s.max(no.total_comm_s));
+    }
+
+    #[test]
+    fn a_run_is_its_rounds_one_at_a_time() {
+        let model = CostModel::piz_daint_two_sided();
+        let (fetch, compute) = (
+            RoundCost {
+                words: 70_000,
+                msgs: 3,
+                flops: 1_000,
+            },
+            RoundCost {
+                words: 10,
+                msgs: 1,
+                flops: 90_000_000,
+            },
+        );
+        // Fetch-bound and compute-bound runs, an empty run between them.
+        let runs = [(fetch, 5), (compute, 0), (compute, 7), (fetch, 1), (compute, 3)];
+        let rounds: Vec<RoundCost> = runs
+            .iter()
+            .flat_map(|&(r, count)| std::iter::repeat_n(r, count as usize))
+            .collect();
+        let bits = |t: TimeBreakdown| [t.compute_s, t.exposed_comm_s, t.total_comm_s].map(f64::to_bits);
+        for overlap in [true, false] {
+            assert_eq!(
+                bits(simulate_rounds(runs, &model, overlap)),
+                bits(simulate_rounds(singles(rounds.iter().copied()), &model, overlap)),
+                "overlap {overlap}"
+            );
+        }
+        assert_eq!(simulate_rounds([(fetch, 0)], &model, true), TimeBreakdown::default());
     }
 
     #[test]

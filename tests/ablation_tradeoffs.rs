@@ -95,7 +95,7 @@ fn round_grouping_preserves_totals() {
     for rp in plan.ranks.iter().filter(|r| r.active) {
         let b = &rp.bricks[0];
         let sp = latency_steps(b.rows.len(), b.cols.len(), b.ks.len(), prob.mem_words).unwrap();
-        assert!(rp.rounds.len() <= cosma::algorithm::MAX_PLAN_ROUNDS + 1);
+        assert!(rp.rounds.iter().len() <= cosma::algorithm::MAX_PLAN_ROUNDS + 1);
         // Flops across rounds == 2 * brick volume + reduction adds.
         let mult_flops: u64 =
             rp.rounds.iter().map(|r| r.flops).sum::<u64>() - rp.rounds.iter().map(|r| r.c_words).sum::<u64>();

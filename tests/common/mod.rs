@@ -15,14 +15,18 @@ pub fn vm_hwm_kib() -> u64 {
         .expect("a number of KiB")
 }
 
-/// A rank's *planned* time under `model`: its rounds through the α-β-γ
-/// simulation that scores the plan — the per-rank number an event-backend
-/// execution's measured `RankStats::time` is held against.
+/// A rank's *planned* time under `model`: its rounds one at a time, each a
+/// run of one, through the α-β-γ simulation that scores the plan — the
+/// per-rank number an event-backend execution's measured `RankStats::time`
+/// is held against.
 pub fn time_breakdown(rank: &RankPlan, model: &CostModel, overlap: bool) -> TimeBreakdown {
-    let costs = rank.rounds.iter().map(|r| RoundCost {
-        words: r.words(),
-        msgs: r.msgs,
-        flops: r.flops,
+    let costs = rank.rounds.iter().map(|r| {
+        let cost = RoundCost {
+            words: r.words(),
+            msgs: r.msgs,
+            flops: r.flops,
+        };
+        (cost, 1)
     });
     simulate_rounds(costs, model, overlap)
 }

@@ -64,7 +64,7 @@ fn digest(plan: &DistPlan) -> u64 {
                 f.words([axis.start, axis.end]);
             }
         }
-        f.word(r.rounds.len() as u64);
+        f.word(r.rounds.iter().len() as u64);
         for &round in &r.rounds {
             let Round {
                 a_words,
@@ -564,24 +564,50 @@ fn degenerate_problems_are_typed_errors_at_both_entry_points() {
 // Planning at scale
 // ---------------------------------------------------------------------------
 
-/// `square-limited` at p = 16 384: the selection recorded at `08b4896`, which
-/// needed 3.3 GiB and 20 s for it with all five plans alive at once (CARMA's
-/// alone is 2.6 GiB). Streamed, only the winner's COSMA plan is ever stored.
-/// Release only: `cargo test --release -- --ignored auto_planner_selects`.
-#[test]
-#[ignore = "plans five algorithms at p = 16384; run in release"]
-fn auto_planner_selects_square_limited_at_p16384() {
-    let prob = (bench::scenarios::by_id("square-limited").expect("a paper scenario").problem)(16_384);
+/// The cold auto-planner selection of paper scenario `id` at p = 16 384,
+/// and how much it grew the process's peak RSS, in KiB.
+fn select_at_p16384(id: &str) -> (serve::Planned, u64) {
+    let prob = (bench::scenarios::by_id(id).expect("a paper scenario").problem)(16_384);
     let before = common::vm_hwm_kib();
     let planned = AutoPlanner::new(baselines::registry())
         .select(&prob, &model(), true, &AlgoChoice::Auto)
         .expect("feasible");
-    let grown_kib = common::vm_hwm_kib() - before;
+    (planned, common::vm_hwm_kib() - before)
+}
+
+/// `square-limited` at p = 16 384: the selection recorded at `08b4896`, which
+/// needed 3.3 GiB and 20 s for it with all five plans alive at once (CARMA's
+/// alone is 2.6 GiB). Streamed, only the winner's COSMA plan is ever stored,
+/// and stored as runs of equal rounds it grows the peak by a few MiB (one
+/// `Round` per round read +230 MiB).
+/// Release only: `cargo test --release -- --ignored auto_planner_selects`.
+#[test]
+#[ignore = "plans five algorithms at p = 16384; run in release"]
+fn auto_planner_selects_square_limited_at_p16384() {
+    let (planned, grown_kib) = select_at_p16384("square-limited");
     let sel = &planned.selection;
     assert_eq!((sel.algo, sel.planned_time_s.to_bits()), (AlgoId::Cosma, 0x40b777d6bffd9e99));
     let runner_up = sel.runner_up.expect("several feasible algorithms");
     assert_eq!((runner_up.algo, runner_up.planned_time_s.to_bits()), (AlgoId::P25d, 0x40b77a55aa4a70f4));
     assert_eq!(planned.plan.ranks.len(), 16_384);
     assert_eq!(planned.plan.max_comm_words(), 14_323_879_019);
-    assert!(grown_kib < 1 << 20, "selection grew the peak RSS by {} MiB", grown_kib >> 10);
+    assert!(grown_kib < 64 << 10, "selection grew the peak RSS by {} MiB", grown_kib >> 10);
+}
+
+/// `largem-limited` at p = 16 384, where SUMMA wins with ≈ 2 000 rounds a
+/// rank: one `Round` stored per round grew the peak by 1 283 MiB; its runs
+/// take a few MiB. The verdict is the one recorded at `bb26dff`, the commit
+/// before plans stored runs.
+/// Release only: `cargo test --release -- --ignored auto_planner_selects`.
+#[test]
+#[ignore = "plans five algorithms at p = 16384; run in release"]
+fn auto_planner_selects_largem_limited_at_p16384() {
+    let (planned, grown_kib) = select_at_p16384("largem-limited");
+    let sel = &planned.selection;
+    assert_eq!((sel.algo, sel.planned_time_s.to_bits()), (AlgoId::Summa, 0x403312a4645f067d));
+    let runner_up = sel.runner_up.expect("several feasible algorithms");
+    assert_eq!((runner_up.algo, runner_up.planned_time_s.to_bits()), (AlgoId::Cosma, 0x403525392ead8a5e));
+    assert_eq!(planned.plan.ranks.len(), 16_384);
+    assert_eq!(planned.plan.max_comm_words(), 158_417_857);
+    assert!(grown_kib < 64 << 10, "selection grew the peak RSS by {} MiB", grown_kib >> 10);
 }

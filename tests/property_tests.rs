@@ -7,8 +7,11 @@
 //! property-testing crate the cases are drawn from a deterministic
 //! splitmix64 generator — every run exercises the same reproducible sample.
 
+mod common;
+
 use cosma::algorithm::{even_owner, even_range};
 use cosma::api::{AlgoId, PlanError, RunSession};
+use cosma::plan::{RankPlan, Round, Rounds, RoundsBuilder, Scoring};
 use cosma::problem::MmmProblem;
 use densemat::layout::{gather, scatter, BlockCyclic, BlockedLayout};
 use densemat::matrix::Matrix;
@@ -91,6 +94,91 @@ fn even_range_partitions_exactly() {
         }
         assert_eq!(covered, total);
         assert_eq!(prev_end, total);
+    }
+}
+
+/// A round of the sizes a plan holds: communication and computation of the
+/// same order, so that with overlap either one can hide the other.
+fn draw_round(rng: &mut Rng) -> Round {
+    Round {
+        a_words: rng.range(0, 1 << 20) as u64,
+        b_words: rng.range(0, 1 << 20) as u64,
+        c_words: rng.range(0, 1 << 12) as u64,
+        msgs: rng.range(0, 64) as u64,
+        flops: rng.range(0, 1 << 31) as u64,
+    }
+}
+
+/// A generated round sequence, by `kind`: empty, one round over and over,
+/// no two neighbours equal, or runs drawn from a palette of three rounds
+/// (neighbouring runs may draw the same one, and then make one run).
+fn round_sequence(rng: &mut Rng, kind: u64) -> Vec<Round> {
+    match kind {
+        0 => Vec::new(),
+        1 => vec![draw_round(rng); rng.range(1, 5000)],
+        2 => (0..rng.range(1, 300))
+            .map(|i| Round {
+                msgs: i as u64,
+                ..draw_round(rng)
+            })
+            .collect(),
+        _ => {
+            let palette = [draw_round(rng), draw_round(rng), Round::default()];
+            let mut seq = Vec::new();
+            for _ in 0..rng.range(1, 40) {
+                let round = palette[rng.range(0, palette.len())];
+                seq.extend(std::iter::repeat_n(round, rng.range(1, 13)));
+            }
+            seq
+        }
+    }
+}
+
+#[test]
+fn rounds_are_the_canonical_runs_of_their_sequence() {
+    let model = CostModel::piz_daint_two_sided();
+    let one_rank = MmmProblem::new(1, 1, 1, 1, 1);
+    let bits = |t: mpsim::TimeBreakdown| [t.compute_s, t.exposed_comm_s, t.total_comm_s].map(f64::to_bits);
+    let mut rng = Rng::new(44);
+    // One builder for every case, as a planner keeps one for every rank.
+    let mut builder = RoundsBuilder::default();
+    let mut before: (Vec<Round>, Rounds) = (Vec::new(), Rounds::default());
+    for case in 0..4 * CASES {
+        let seq = round_sequence(&mut rng, case % 4);
+        builder.extend(seq.iter().copied());
+        let rounds = builder.take();
+        let at = format!("case {case} ({} rounds)", seq.len());
+        assert_eq!(rounds.iter().copied().collect::<Vec<_>>(), seq, "{at}");
+        assert_eq!(rounds.iter().len(), seq.len(), "{at}");
+        // Canonical: no empty run, no two neighbouring runs alike, so equal
+        // `Rounds` are equal sequences and the other way round.
+        let runs = rounds.runs();
+        assert!(runs.iter().all(|run| run.count > 0), "{at}: an empty run");
+        assert!(runs.windows(2).all(|w| w[0].round != w[1].round), "{at}: runs not merged");
+        assert_eq!(rounds == before.1, seq == before.0, "{at}");
+        builder.extend(seq.iter().copied());
+        builder.push(seq.last().copied().unwrap_or_default());
+        assert_ne!(rounds, builder.take(), "{at}: one round longer");
+        // Totals a run at a time are the sums a round at a time.
+        let rank = RankPlan {
+            active: true,
+            rounds,
+            ..RankPlan::idle(0)
+        };
+        assert_eq!(rank.comm_words(), seq.iter().map(Round::words).sum::<u64>(), "{at}");
+        assert_eq!(rank.comm_msgs(), seq.iter().map(|r| r.msgs).sum::<u64>(), "{at}");
+        assert_eq!(rank.flops(), seq.iter().map(|r| r.flops).sum::<u64>(), "{at}");
+        // The scoring fold prices each run once; its time is, bit for bit,
+        // the rounds' priced one by one.
+        for overlap in [true, false] {
+            let mut scoring = Scoring::new(&model, overlap);
+            scoring.absorb(&rank);
+            let report = scoring.finish(&one_rank);
+            let per_round = common::time_breakdown(&rank, &model, overlap);
+            assert_eq!(bits(report.critical), bits(per_round), "{at}, overlap {overlap}");
+            assert_eq!(report.time_s.to_bits(), per_round.total_s().to_bits(), "{at}, overlap {overlap}");
+        }
+        before = (seq, rank.rounds);
     }
 }
 
