@@ -134,11 +134,9 @@ mod tests {
         let b = Matrix::deterministic(k, n, 42);
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(p, s);
-        let backend = ExecBackend::Blocking {
-            workers: ExecBackend::default_workers(),
-        };
+        let backend = ExecBackend::Event { threads: 2 };
         let out =
-            execute_boxed(&CannonAlgorithm, &dplan, &spec, backend, &a, &b).expect("blocking run accepted");
+            execute_boxed(&CannonAlgorithm, &dplan, &spec, backend, &a, &b).expect("two-thread run accepted");
         let c = out.c;
         assert!(
             want.approx_eq(&c, 1e-9),
@@ -182,11 +180,7 @@ mod tests {
             let a = Matrix::deterministic(m, k, 71);
             let b = Matrix::deterministic(k, n, 72);
             let spec = MachineSpec::piz_daint_with_memory(p, prob.mem_words);
-            for backend in [
-                ExecBackend::event(),
-                ExecBackend::Event { threads: 2 },
-                ExecBackend::Blocking { workers: 2 },
-            ] {
+            for backend in [ExecBackend::event(), ExecBackend::Event { threads: 2 }] {
                 let cannon = execute_boxed(&CannonAlgorithm, &cannon_plan, &spec, backend, &a, &b).unwrap();
                 let one_layer = execute_boxed(&layer, &layer_plan, &spec, backend, &a, &b).unwrap();
                 assert_eq!(cannon.c, one_layer.c, "{m}x{n}x{k} p={p} {backend}: product");

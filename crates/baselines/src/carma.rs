@@ -519,14 +519,10 @@ mod tests {
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(p, s);
         let (dplan_r, a_r, b_r) = (&dplan, &a, &b);
-        let out = run_spmd_with(
-            &spec,
-            ExecBackend::Blocking {
-                workers: ExecBackend::default_workers(),
-            },
-            |mut comm| async move { execute(&mut comm, dplan_r, a_r, b_r).await },
-        )
-        .expect("blocking run accepted");
+        let out = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, |mut comm| async move {
+            execute(&mut comm, dplan_r, a_r, b_r).await
+        })
+        .expect("two-thread run accepted");
         // Reassemble C through the production assembly path, which
         // accumulates: k-split DFS leaves contribute partial sums of the
         // same region.

@@ -385,14 +385,10 @@ mod tests {
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(p, s);
         let (dplan_r, a_r, b_r) = (&dplan, &a, &b);
-        let out = run_spmd_with(
-            &spec,
-            ExecBackend::Blocking {
-                workers: ExecBackend::default_workers(),
-            },
-            |mut comm| async move { execute(&mut comm, dplan_r, a_r, b_r).await },
-        )
-        .expect("blocking run accepted");
+        let out = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, |mut comm| async move {
+            execute(&mut comm, dplan_r, a_r, b_r).await
+        })
+        .expect("two-thread run accepted");
         let c = assemble_c(out.results.into_iter().flatten(), m, n);
         assert!(
             want.approx_eq(&c, 1e-9),

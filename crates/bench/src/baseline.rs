@@ -630,23 +630,23 @@ impl Record {
         rows.into_iter().map(|r| ("square-tight".into(), r)).collect()
     }
 
-    /// The whole record: the gate's worlds — both executors, a small and a
-    /// large world, an enforced memory budget, one and four scheduler
-    /// regions, serving and the local kernel — and every section of
-    /// [`SECTIONS`], fault recovery (`faults`) among them.
+    /// The whole record: the gate's worlds — a small and a large world, an
+    /// enforced memory budget, one, two and four scheduler regions, serving
+    /// and the local kernel — and every section of [`SECTIONS`], fault
+    /// recovery (`faults`) among them.
     pub fn full() -> Record {
-        // A fixed worker count keeps the row keys stable across machines.
-        let blocking = ExecBackend::Blocking { workers: 2 };
+        // A fixed thread count keeps the row keys stable across machines.
+        let event = ExecBackend::event();
         let mut executed = Vec::new();
         for (p, backend) in [
-            (64, blocking),
-            (512, blocking),
-            (1024, blocking),
-            (1024, ExecBackend::event()),
+            (64, event),
+            (512, event),
+            (1024, ExecBackend::Event { threads: 2 }),
+            (1024, event),
         ] {
             executed.extend(Record::square(p, backend));
         }
-        executed.extend(Record::square_tight(blocking));
+        executed.extend(Record::square_tight(event));
         // The large-world shape at a CI-sized world, as one scheduler region
         // and as four: `contracts` holds the pair bitwise equal.
         let cosma = runner::registry().by_id(AlgoId::Cosma).expect("registry has COSMA");
@@ -700,7 +700,6 @@ impl Record {
                 peak_words: Some(r.peak_mem_words),
                 within_s: Some(r.within_mem),
                 planned_ms: Some(r.planned_time_s * 1e3),
-                // Zero on the blocking backend, which keeps no clock.
                 measured_ms: Some(r.measured_time_s * 1e3),
                 ..Line::on(r.backend, scenario, r.algo.to_string())
             });
@@ -1061,7 +1060,7 @@ impl Record {
             let key = format!("{scenario}/{}/{}/{}", r.p, r.backend, r.algo);
             claim(r.exact, &key, "every rank's measured traffic equals its plan");
             claim(r.within_mem, &key, "every rank's peak working set fits the per-rank memory S");
-            let timed = r.measured_time_s == 0.0 || time_agrees(r.measured_time_s, r.planned_time_s);
+            let timed = time_agrees(r.measured_time_s, r.planned_time_s);
             claim(timed, &key, &format!("the measured time is {band}"));
             // Region sharding is an implementation detail of host time: a
             // multi-region row equals its one-region row bit for bit.
@@ -1404,10 +1403,9 @@ mod tests {
     /// and of the paper's evaluation fig3, fig5, table3, fig12's COSMA
     /// points, mem-sweep and faults.
     fn small_record() -> Record {
-        let blocking = ExecBackend::Blocking { workers: 2 };
-        let mut executed = Record::square(64, blocking);
-        executed.extend(Record::square(64, ExecBackend::event()));
-        executed.extend(Record::square_tight(blocking));
+        let mut executed = Record::square(64, ExecBackend::event());
+        executed.extend(Record::square(64, ExecBackend::Event { threads: 2 }));
+        executed.extend(Record::square_tight(ExecBackend::event()));
         let mut record = Record {
             executed,
             ..Record::default()
@@ -1441,7 +1439,7 @@ mod tests {
         let committed = committed().unwrap();
         let record = small_record();
         let text = record.render();
-        let shared: Vec<&str> = text.lines().filter(|l| !l.starts_with("square,64,event,")).collect();
+        let shared: Vec<&str> = text.lines().filter(|l| !l.starts_with("square,64,event(2),")).collect();
         assert_eq!(shared.len(), 1 + 9 + 6 + 2 + 4 + 12 + 57);
         for line in shared {
             assert!(committed.lines().any(|c| c == line), "not in the committed record: {line}");

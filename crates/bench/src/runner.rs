@@ -203,8 +203,8 @@ pub struct ExecutedRow {
     /// contention the `topo` section reports.
     pub planned_time_s: f64,
     /// *Measured* virtual wall-clock of the executed run: the slowest
-    /// rank's virtual finish time on the event backend's discrete-event
-    /// clock. Zero on the blocking backends, which keep no virtual clock.
+    /// rank's virtual finish time on the event executor's discrete-event
+    /// clock.
     pub measured_time_s: f64,
     /// Measured percent of machine peak (Figures 8/10/13/14's metric, taken
     /// from the virtual clock). Zero when no time was measured.
@@ -333,12 +333,9 @@ mod tests {
     use super::*;
     use cosma::plan::DistPlan;
 
-    /// The blocking reference executor over every core of the machine.
-    fn blocking() -> ExecBackend {
-        ExecBackend::Blocking {
-            workers: ExecBackend::default_workers(),
-        }
-    }
+    /// Two scheduler threads: the rows' measurement is the one-thread
+    /// default's, bit for bit.
+    const SHARDED: ExecBackend = ExecBackend::Event { threads: 2 };
 
     fn model() -> CostModel {
         CostModel::piz_daint_two_sided()
@@ -460,8 +457,8 @@ mod tests {
     fn executed_rows_certify_plans_at_any_worker_count() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
         for backend in [
-            ExecBackend::Blocking { workers: 16 },
-            ExecBackend::Blocking { workers: 3 },
+            ExecBackend::Event { threads: 16 },
+            ExecBackend::Event { threads: 3 },
         ] {
             let rows = execute_every(&prob, &machine(&prob), backend);
             assert!(!rows.is_empty(), "{backend}: no algorithm executed");
@@ -475,11 +472,11 @@ mod tests {
     #[test]
     fn executed_rows_are_labelled_by_the_pinned_backend() {
         // The bench-smoke record keys rows by this label, so it must be the
-        // pinned spelling, never a machine-dependent worker count.
+        // pinned spelling, never a machine-dependent thread count.
         let prob = MmmProblem::new(32, 32, 32, 4, 1 << 14);
         for (backend, label) in [
-            (ExecBackend::Blocking { workers: 2 }, "blocking(2)"),
             (ExecBackend::event(), "event"),
+            (ExecBackend::Event { threads: 2 }, "event(2)"),
             (ExecBackend::Event { threads: 4 }, "event(4)"),
         ] {
             let rows = execute_every(&prob, &machine(&prob), backend);
@@ -495,7 +492,7 @@ mod tests {
         // plan-exact traffic.
         let prob = MmmProblem::new(64, 64, 64, 8, 1 << 10);
         assert!(baselines::carma::dfs_leaf_count(&prob) > 1);
-        let rows = execute_every(&prob, &machine(&prob).enforcing_memory(), blocking());
+        let rows = execute_every(&prob, &machine(&prob).enforcing_memory(), SHARDED);
         let carma = rows.iter().find(|r| r.algo == AlgoId::Carma).expect("CARMA runs budgeted");
         assert!(carma.exact, "budgeted CARMA traffic deviates from plan");
         assert!(carma.within_mem && carma.peak_mem_words <= 1 << 10, "{carma:?}");
@@ -504,7 +501,7 @@ mod tests {
     #[test]
     fn executed_rows_report_peak_memory() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for row in execute_every(&prob, &machine(&prob), blocking()) {
+        for row in execute_every(&prob, &machine(&prob), SHARDED) {
             assert!(row.peak_mem_words > 0, "{}: no memory tracked", row.algo);
             assert!(row.within_mem, "{}: exceeded ample S", row.algo);
         }
@@ -517,7 +514,7 @@ mod tests {
         let spec = machine(&prob);
         for algo in registry().all() {
             let plan = algo.plan(&prob, &model()).unwrap();
-            let pool = execute_boxed(algo.as_ref(), &plan, &spec, blocking(), &a, &b).unwrap().pool;
+            let pool = execute_boxed(algo.as_ref(), &plan, &spec, SHARDED, &a, &b).unwrap().pool;
             // Cannon and 2.5D (one layer here) move their panels by value and
             // never touch the arena; the other three lease every payload.
             let leases = !matches!(algo.id(), AlgoId::Cannon | AlgoId::P25d);
@@ -529,15 +526,15 @@ mod tests {
     #[test]
     fn executed_rows_measure_time_on_the_event_backend() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for row in execute_every(&prob, &machine(&prob), ExecBackend::event()) {
+        let one = execute_every(&prob, &machine(&prob), ExecBackend::event());
+        for row in &one {
             assert!(row.measured_time_s > 0.0, "{}: no virtual time measured", row.algo);
             assert!(row.measured_percent_peak > 0.0, "{}", row.algo);
             assert!(row.planned_time_s > 0.0, "{}", row.algo);
         }
-        // Blocking backends keep no virtual clock: measured time stays zero.
-        for row in execute_every(&prob, &machine(&prob), blocking()) {
-            assert_eq!(row.measured_time_s, 0.0, "{}", row.algo);
-            assert_eq!(row.measured_percent_peak, 0.0, "{}", row.algo);
+        // Two scheduler threads measure the same time, bit for bit.
+        for (two, one) in execute_every(&prob, &machine(&prob), SHARDED).iter().zip(&one) {
+            assert_eq!(two.measured_time_s.to_bits(), one.measured_time_s.to_bits(), "{}", one.algo);
         }
     }
 

@@ -235,8 +235,8 @@ pub fn allocation_core_counts() -> Vec<usize> {
 /// shapes as the paper scenarios, scaled so the full matrices fit in one
 /// test process while `p` still reaches paper-like rank counts. The record's
 /// executed `square` and `*-timed` worlds run them with real messages (on
-/// the blocking and the event backend) and hold the measured counters
-/// against the plan.
+/// one and on two scheduler threads) and hold the measured counters against
+/// the plan.
 pub fn exec_problem(shape: Shape, p: usize) -> MmmProblem {
     match shape {
         Shape::Square => MmmProblem::new(256, 256, 256, p, 1 << 20),

@@ -11,8 +11,8 @@
 //!
 //! [`execute`] interprets the same schedule on an [`mpsim`] machine with real
 //! messages and real matrix blocks. The body is a resumable (`async`) rank
-//! program over [`RankComm`], so it runs unchanged on the blocking and
-//! event-driven executors: Bruck (log-depth) all-gathers of A and B over
+//! program over [`RankComm`], so the event executor parks a waiting rank as
+//! a stackless state machine: Bruck (log-depth) all-gathers of A and B over
 //! tagged sends/receives, then the ring reduce-scatter of C.
 //!
 //! It moves exactly the words and messages the plan predicts — the
@@ -315,7 +315,7 @@ mod tests {
     use mpsim::exec::{run_spmd_with, ExecBackend};
     use mpsim::machine::MachineSpec;
 
-    /// Plan, execute on the blocking reference, verify the product and the
+    /// Plan, execute on two scheduler threads, verify the product and the
     /// plan-exact traffic; hands back the plan and the measured counters.
     fn check_cosma(m: usize, n: usize, k: usize, p: usize, s: usize) -> (DistPlan, Vec<mpsim::RankStats>) {
         let prob = MmmProblem::new(m, n, k, p, s);
@@ -327,14 +327,10 @@ mod tests {
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(p, s);
         let (dplan_r, a_r, b_r) = (&dplan, &a, &b);
-        let out = run_spmd_with(
-            &spec,
-            ExecBackend::Blocking {
-                workers: ExecBackend::default_workers(),
-            },
-            |mut comm| async move { execute(&mut comm, dplan_r, a_r, b_r).await },
-        )
-        .expect("blocking run accepted");
+        let out = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, |mut comm| async move {
+            execute(&mut comm, dplan_r, a_r, b_r).await
+        })
+        .expect("two-thread run accepted");
         // Assemble C from every active rank's share.
         let parts: Vec<CPart> = out.results.into_iter().flatten().collect();
         assert_eq!(parts.len(), dplan.active_ranks(), "one share per active rank");

@@ -11,9 +11,9 @@
 //!   a resumable rank body ([`MmmAlgorithm::execute_rank`] returns a
 //!   [`RankFuture`] of the rank's [`CPart`]s). [`execute_boxed`], the one
 //!   driver, runs that body on a [`MachineSpec`] with mpiP-style measured
-//!   counters on every [`ExecBackend`]: the blocking worker-pool reference
-//!   (a few thousand ranks) or event-driven stackless state machines (any
-//!   world size — run to p = 1,048,576).
+//!   counters and virtual time on event-driven stackless state machines
+//!   (any world size — run to p = 1,048,576), on as many scheduler threads
+//!   as the [`ExecBackend`] names.
 //! * [`PlanError`] — the single error enum for everything that can go wrong
 //!   between "here is a problem" and "here is a validated plan": structural
 //!   plan defects, grid infeasibility, per-algorithm rank-count constraints
@@ -377,7 +377,7 @@ pub struct ExecReport {
 
 impl ExecReport {
     /// Measured machine time: the slowest rank's virtual finish time, in
-    /// seconds. Zero on a run that pinned [`ExecBackend::Blocking`].
+    /// seconds.
     pub fn measured_time_s(&self) -> f64 {
         mpsim::stats::aggregate::machine_time_s(&self.stats)
     }
@@ -463,8 +463,7 @@ pub trait MmmAlgorithm: Send + Sync {
     /// The body is *resumable*: it returns a [`RankFuture`] whose awaits on
     /// the communicator's wait-states let the event-driven executor park
     /// the rank as a stackless state machine. Implementations wrap their
-    /// `async` rank body in `Box::pin(..)`; on the blocking executors the
-    /// future completes within a single poll. [`execute_boxed`] runs it on
+    /// `async` rank body in `Box::pin(..)`. [`execute_boxed`] runs it on
     /// every rank of a machine.
     fn execute_rank<'a>(
         &'a self,
@@ -857,8 +856,8 @@ impl RunSession {
 mod tests {
     use super::*;
 
-    /// The blocking reference executor, next to the event default.
-    const BLOCKING: ExecBackend = ExecBackend::Blocking { workers: 2 };
+    /// Two scheduler threads, next to the one-thread default.
+    const SHARDED: ExecBackend = ExecBackend::Event { threads: 2 };
 
     #[test]
     fn algo_id_roundtrips_and_aliases() {
@@ -919,7 +918,7 @@ mod tests {
         let b = Matrix::deterministic(prob.k, prob.n, 6);
         let session = RunSession::new(prob);
         let plan = session.plan().unwrap();
-        for session in [session.clone(), session.clone().exec_backend(BLOCKING)] {
+        for session in [session.clone(), session.clone().exec_backend(SHARDED)] {
             let cold = session.execute(&a, &b).unwrap();
             let cached = session.execute_planned(&plan, &a, &b).unwrap();
             assert_eq!(cached.c, cold.c, "bitwise-identical product");
@@ -1068,7 +1067,7 @@ mod tests {
             plan_ranks: 4,
             world_ranks: 5,
         };
-        for backend in [ExecBackend::event(), BLOCKING] {
+        for backend in [ExecBackend::event(), SHARDED] {
             assert_eq!(
                 execute_boxed(&algo, &plan, &wrong, backend, &a, &b).unwrap_err(),
                 mismatch,
@@ -1082,7 +1081,7 @@ mod tests {
         let prob = MmmProblem::new(24, 20, 28, 6, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 5);
         let b = Matrix::deterministic(prob.k, prob.n, 6);
-        RunSession::new(prob).exec_backend(BLOCKING).execute_verified(&a, &b).unwrap();
+        RunSession::new(prob).exec_backend(SHARDED).execute_verified(&a, &b).unwrap();
     }
 
     #[test]
@@ -1106,23 +1105,24 @@ mod tests {
             .unwrap();
         assert!(!RunSession::new(prob).overlap(false).machine_spec().overlap);
         assert!(report.measured_time_s() <= off.measured_time_s() + 1e-15);
-        // The blocking backend keeps no virtual clock.
-        let blocking = RunSession::new(prob).exec_backend(BLOCKING).execute(&a, &b).unwrap();
-        assert_eq!(blocking.measured_time_s(), 0.0);
+        // Two scheduler threads measure the same product and time, bit for
+        // bit.
+        let sharded = RunSession::new(prob).exec_backend(SHARDED).execute(&a, &b).unwrap();
+        assert_eq!((sharded.c, sharded.stats), (report.c, report.stats));
     }
 
     #[test]
     fn mem_budget_surfaces_typed_violations() {
         // A one-word budget no algorithm can honour: the executor's typed
-        // refusal arrives as PlanError::Execution, on the default backend
-        // and on the blocking one.
+        // refusal arrives as PlanError::Execution, on one scheduler thread
+        // and on two.
         let prob = MmmProblem::new(16, 16, 16, 4, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 1);
         let b = Matrix::deterministic(prob.k, prob.n, 2);
         let session = RunSession::new(prob);
         let (algo, plan) = (session.resolve().unwrap(), session.plan().unwrap());
         let starved = session.machine_spec().with_mem_budget(1);
-        for backend in [ExecBackend::event(), BLOCKING] {
+        for backend in [ExecBackend::event(), SHARDED] {
             let err = execute_boxed(algo.as_ref(), &plan, &starved, backend, &a, &b).unwrap_err();
             assert!(
                 matches!(
@@ -1150,20 +1150,15 @@ mod tests {
         let prob = MmmProblem::new(64, 64, 64, 8, 1 << 12);
         let a = Matrix::deterministic(4, 4, 1);
         let b = Matrix::deterministic(4, 4, 2);
-        for backend in [
-            ExecBackend::Blocking { workers: 0 },
-            ExecBackend::Event { threads: 0 },
-        ] {
-            let err = RunSession::new(prob).exec_backend(backend).execute(&a, &b).unwrap_err();
-            assert_eq!(
-                err,
-                PlanError::Execution {
-                    source: ExecError::NoWorkers
-                },
-                "{backend:?}"
-            );
-            assert!(err.to_string().contains("execution backend refused"), "{err}");
-        }
+        let backend = ExecBackend::Event { threads: 0 };
+        let err = RunSession::new(prob).exec_backend(backend).execute(&a, &b).unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::Execution {
+                source: ExecError::NoWorkers
+            }
+        );
+        assert!(err.to_string().contains("execution backend refused"), "{err}");
     }
 
     #[test]

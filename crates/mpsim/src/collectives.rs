@@ -15,8 +15,8 @@
 //! its collective is measured to receive.
 //!
 //! Every collective is an `async fn` over [`RankComm`]: each internal
-//! receive or exchange is a resumable wait-state, so the collectives run
-//! unchanged on the blocking and event-driven executors.
+//! receive or exchange is a resumable wait-state that parks the rank's state
+//! machine in the event executor's matching table.
 
 use std::ops::Range;
 
@@ -509,8 +509,10 @@ mod tests {
     use crate::exec::{run_spmd_with, ExecBackend, RunOutput};
     use crate::machine::MachineSpec;
 
-    /// The blocking reference the collective tests run on.
-    const BLOCKING: ExecBackend = ExecBackend::Blocking { workers: 4 };
+    /// The sharded engine the collective tests run on: four regions, so
+    /// collectives cross region boundaries, and bitwise the one-thread
+    /// default's measurement.
+    const SHARDED: ExecBackend = ExecBackend::Event { threads: 4 };
 
     /// A world of `p` ranks as one fiber: rank `r` is member `r`.
     fn world(p: usize) -> Fiber {
@@ -533,10 +535,7 @@ mod tests {
     );
 
     /// The executors the [`STRIDED`] cases run on.
-    const BACKENDS: [ExecBackend; 2] = [
-        ExecBackend::Event { threads: 1 },
-        ExecBackend::Blocking { workers: 2 },
-    ];
+    const BACKENDS: [ExecBackend; 2] = [ExecBackend::event(), ExecBackend::Event { threads: 2 }];
 
     /// `body(comm, pos)` on every member of `fiber`, `pos` being its
     /// position, in a world of `p` ranks; the other ranks return `None`.
@@ -592,7 +591,7 @@ mod tests {
         for p in [1usize, 2, 3, 4, 5, 8, 13] {
             for root in [0, p / 2, p - 1] {
                 let spec = MachineSpec::test_machine(p, 1000);
-                let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
+                let out = run_spmd_with(&spec, SHARDED, |mut c| async move {
                     let group: Vec<usize> = (0..c.size()).collect();
                     let mut data = if c.rank() == group[root] {
                         vec![42.0, 7.0]
@@ -632,7 +631,7 @@ mod tests {
         // every non-root receives exactly the payload once.
         let p = 8;
         let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
+        let out = run_spmd_with(&spec, SHARDED, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             let mut data = if c.rank() == 0 { vec![1.0; 100] } else { vec![] };
             bcast(&mut c, &group, 0, &mut data, 1, Phase::InputA).await;
@@ -648,7 +647,7 @@ mod tests {
     #[test]
     fn bcast_on_subgroup_leaves_others_untouched() {
         let spec = MachineSpec::test_machine(6, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
+        let out = run_spmd_with(&spec, SHARDED, |mut c| async move {
             let group = vec![1, 3, 5];
             if group.contains(&c.rank()) {
                 let mut data = if c.rank() == 3 { vec![5.0] } else { vec![] };
@@ -671,7 +670,7 @@ mod tests {
             for root in [0, p / 2, p - 1] {
                 for words in [0usize, 1, 64, 65, 1000] {
                     let spec = MachineSpec::test_machine(p, 10_000);
-                    let out = run_spmd_with(&spec, BLOCKING, move |mut c| async move {
+                    let out = run_spmd_with(&spec, SHARDED, move |mut c| async move {
                         let group: Vec<usize> = (0..c.size()).collect();
                         let mut data = if c.rank() == group[root] {
                             (0..words).map(|i| i as f64).collect()
@@ -696,7 +695,7 @@ mod tests {
         for p in [2usize, 5, 8, 16] {
             for words in [0usize, 1, 64, 513, 4096] {
                 let spec = MachineSpec::test_machine(p, 10_000);
-                let out = run_spmd_with(&spec, BLOCKING, move |mut c| async move {
+                let out = run_spmd_with(&spec, SHARDED, move |mut c| async move {
                     let group: Vec<usize> = (0..c.size()).collect();
                     let mut data = if c.rank() == 0 { vec![1.0; words] } else { vec![] };
                     bcast_pipelined(&mut c, &group, 0, &mut data, words, 1, Phase::InputA).await;
@@ -852,7 +851,7 @@ mod tests {
                         } else {
                             flat
                         };
-                        let blocking = piped_world(&spec, BLOCKING, root, words);
+                        let sharded = piped_world(&spec, SHARDED, root, words);
                         let event = piped_world(&spec, ExecBackend::event(), root, words);
                         let unpooled =
                             piped_world(&spec.clone().with_pooling(false), ExecBackend::event(), root, words);
@@ -860,9 +859,9 @@ mod tests {
                         for (r, d) in event.results.iter().enumerate() {
                             assert_eq!(d, &want, "{what} rank {r}");
                         }
-                        assert_eq!(blocking.results, event.results, "{what}");
+                        assert_eq!(sharded.results, event.results, "{what}");
                         assert_eq!(unpooled.results, event.results, "{what}");
-                        assert_eq!(counters(&blocking.stats), counters(&event.stats), "{what}");
+                        assert_eq!(sharded.stats, event.stats, "{what}");
                         assert_eq!(unpooled.stats, event.stats, "{what}");
                         let mut fold = 0u64;
                         for st in &event.stats {
@@ -889,7 +888,7 @@ mod tests {
     fn reduce_sum_collects_on_root() {
         for p in [1usize, 2, 3, 5, 8] {
             let spec = MachineSpec::test_machine(p, 1000);
-            let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
+            let out = run_spmd_with(&spec, SHARDED, |mut c| async move {
                 let group: Vec<usize> = (0..c.size()).collect();
                 let mut data = vec![c.rank() as f64, 1.0];
                 reduce_sum(&mut c, &group, 0, &mut data, 3, Phase::OutputC).await;
@@ -904,7 +903,7 @@ mod tests {
     #[test]
     fn reduce_sum_nonzero_root() {
         let spec = MachineSpec::test_machine(5, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
+        let out = run_spmd_with(&spec, SHARDED, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             let mut data = vec![1.0];
             reduce_sum(&mut c, &group, 2, &mut data, 4, Phase::OutputC).await;
@@ -934,13 +933,13 @@ mod tests {
 
     #[test]
     fn reduce_sum_receives_what_reduce_recv_count_plans() {
-        // Every group size and root, on the event engine and the blocking
-        // reference: each member's measured receives are the plan's count,
+        // Every group size and root, on one scheduler thread and on two:
+        // each member's measured receives are the plan's count,
         // and the root holds the sum.
         for g in 1usize..=33 {
             let spec = MachineSpec::test_machine(g, 1000);
             for root in 0..g {
-                for backend in [ExecBackend::event(), ExecBackend::Blocking { workers: 2 }] {
+                for backend in BACKENDS {
                     let out = run_spmd_with(&spec, backend, |mut c| async move {
                         let group: Vec<usize> = (0..c.size()).collect();
                         let mut data = vec![c.rank() as f64];
@@ -994,7 +993,7 @@ mod tests {
     #[test]
     fn allgather_singleton_group_is_free() {
         let spec = MachineSpec::test_machine(2, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
+        let out = run_spmd_with(&spec, SHARDED, |mut c| async move {
             let alone = Fiber {
                 base: c.rank(),
                 stride: 1,
@@ -1009,11 +1008,6 @@ mod tests {
         .unwrap();
         assert_eq!(out.results[0], vec![(0..3, false)]);
         assert_eq!((out.stats[0].total_recv(), out.stats[0].msgs_sent), (0, 0));
-    }
-
-    /// The counters of a run without its (event-only) virtual clock.
-    fn counters(stats: &[crate::stats::RankStats]) -> Vec<crate::stats::RankStats> {
-        stats.iter().map(|s| s.sans_time()).collect()
     }
 
     /// All the blocks' words in order, rebuilt from `got`'s pieces with the
@@ -1082,7 +1076,7 @@ mod tests {
                 for rows in [1usize, 3] {
                     let what = format!("g={g} rows={rows} cuts={cuts:?}");
                     let spec = MachineSpec::test_machine(g, 10_000);
-                    let out = bruck_world(&spec, BLOCKING, rows, cuts);
+                    let out = bruck_world(&spec, SHARDED, rows, cuts);
                     let total = rows * cuts[g];
                     let want: Vec<f64> = (0..g).flat_map(|j| matrix_block(rows, cuts, j)).collect();
                     for (r, st) in out.stats.iter().enumerate() {
@@ -1091,14 +1085,14 @@ mod tests {
                         assert_eq!(st.total_recv() as usize, total - own, "{what} rank {r} words");
                         assert_eq!(st.msgs_recv, allgather_bruck_msgs(g), "{what} rank {r} msgs");
                     }
-                    // The arena and the backend are invisible to results,
-                    // counters and (event) virtual time.
+                    // The arena and the thread count are invisible to
+                    // results, counters and virtual time.
                     let event = bruck_world(&spec, ExecBackend::event(), rows, cuts);
                     let unpooled =
                         bruck_world(&spec.clone().with_pooling(false), ExecBackend::event(), rows, cuts);
                     assert_eq!((&event.results, &unpooled.results), (&out.results, &out.results), "{what}");
                     assert_eq!(event.stats, unpooled.stats, "{what}");
-                    assert_eq!(counters(&out.stats), counters(&event.stats), "{what}");
+                    assert_eq!(out.stats, event.stats, "{what}");
                 }
             }
         }
@@ -1121,7 +1115,7 @@ mod tests {
         for p in [1usize, 2, 3, 4, 5, 8] {
             let len = 13;
             let spec = MachineSpec::test_machine(p, 1000);
-            let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
+            let out = run_spmd_with(&spec, SHARDED, |mut c| async move {
                 let mut data: Vec<f64> = (0..len).map(|i| (c.rank() * 100 + i) as f64).collect();
                 reduce_scatter_ring(&mut c, world(p), &mut data, 50, Phase::OutputC).await
             })
@@ -1163,7 +1157,7 @@ mod tests {
         let p = 4;
         let len = 40; // divisible: every chunk is 10 words
         let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
+        let out = run_spmd_with(&spec, SHARDED, |mut c| async move {
             let mut data = vec![1.0; len];
             reduce_scatter_ring(&mut c, world(p), &mut data, 51, Phase::OutputC).await;
         })
@@ -1203,13 +1197,13 @@ mod tests {
 
     #[test]
     fn collectives_complete_with_few_blocking_workers() {
-        // A world far bigger than the worker pool: tree parents and gather
-        // partners park awaiting peers, so the gate must rotate its two
-        // slots through all 24 ranks for any collective to terminate.
+        // A world far bigger than the scheduler's two threads: tree parents
+        // and gather partners park awaiting peers in other regions, and
+        // every collective must still terminate with the right data.
         let p = 24;
         let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Blocking { workers: 2 }, collective_workload)
-            .expect("blocking run accepted");
+        let out = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, collective_workload)
+            .expect("two-thread run accepted");
         for (r, (data, _, gathered)) in out.results.iter().enumerate() {
             assert_eq!(data, &vec![7.0; 5], "rank {r} missed the broadcast");
             assert_eq!(*gathered, p, "rank {r} missed allgather chunks");
@@ -1220,25 +1214,23 @@ mod tests {
 
     #[test]
     fn collectives_complete_on_the_event_executor() {
-        // The same workload as stackless state machines on one scheduler
-        // thread: every tree/exchange wait must park and resume through the
-        // matching table, and the measured counters must equal the blocking
-        // reference bit for bit.
+        // The same workload on one scheduler thread: every tree/exchange
+        // wait must park and resume through the matching table, and results
+        // and the measurement, virtual clock included, equal the four-thread
+        // run's bit for bit.
         let p = 24;
         let spec = MachineSpec::test_machine(p, 1000);
-        let blocking = run_spmd_with(&spec, BLOCKING, collective_workload).unwrap();
+        let sharded = run_spmd_with(&spec, SHARDED, collective_workload).unwrap();
         let event =
             run_spmd_with(&spec, ExecBackend::event(), collective_workload).expect("event run accepted");
-        assert_eq!(blocking.results, event.results);
-        // Counters match bit for bit; the event run additionally carries the
-        // virtual clock, which the blocking reference does not have.
-        assert_eq!(counters(&blocking.stats), counters(&event.stats));
+        assert_eq!(sharded.results, event.results);
+        assert_eq!(sharded.stats, event.stats);
     }
 
     #[test]
     fn consecutive_collectives_do_not_cross_talk() {
         let spec = MachineSpec::test_machine(4, 1000);
-        let out = run_spmd_with(&spec, BLOCKING, |mut c| async move {
+        let out = run_spmd_with(&spec, SHARDED, |mut c| async move {
             let group: Vec<usize> = (0..c.size()).collect();
             let mut a = if c.rank() == 0 { vec![1.0] } else { vec![] };
             bcast(&mut c, &group, 0, &mut a, 100, Phase::InputA).await;

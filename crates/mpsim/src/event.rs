@@ -2,10 +2,9 @@
 //! [`ExecBackend::Event`](crate::exec::ExecBackend::Event) — a
 //! true discrete-event simulator with a per-rank **virtual clock**.
 //!
-//! The blocking executor multiplexes ranks over a worker pool, but every rank
-//! still owns an OS thread whose (small) stack it keeps while parked —
-//! ~64 KiB of touched pages per rank, which caps practical worlds around a
-//! few thousand ranks. This module removes the per-rank thread entirely:
+//! A rank that owned an OS thread would keep its stack while parked — tens
+//! of KiB of touched pages per rank, which caps practical worlds around a
+//! few thousand ranks. This module has no per-rank thread at all:
 //!
 //! * every rank body is a *stackless resumable state machine* — the `async`
 //!   rank body the caller hands to [`crate::exec::run_spmd_with`], compiled
@@ -51,17 +50,14 @@
 //! clock step already holds (a barrier's charges included), and the finished
 //! run reads them into each rank's [`TimeBreakdown`], so it reports
 //! *measured* time and %-of-peak the way the paper's Figures 8/10/13/14 do —
-//! next to the word-exact traffic counters, which [`RankComm`] records on
-//! both executors.
+//! next to the word-exact traffic counters, which [`RankComm`] records.
 //!
 //! Admission is by virtual readiness time with FIFO tie-breaking, so a ready
 //! rank is never starved and untimed workloads (all timestamps equal) keep
 //! the old strict-FIFO order (the property tests assert this on the order
-//! rank bodies resume in). Message matching and delivery order mirror the
-//! blocking communicator exactly, so results are bitwise identical across
-//! both backends (and the counters, which [`RankComm`] keeps for either, are
-//! equal) — the clock changes *when* ranks are polled, never *what* they
-//! compute.
+//! rank bodies resume in). Messages match by `(source, tag)` in arrival
+//! order, FIFO per sender — the clock changes *when* ranks are polled, never
+//! *what* they compute.
 //! Worlds of 100k+ ranks execute end-to-end with real messages in a few
 //! hundred bytes per rank.
 //!
@@ -138,6 +134,12 @@
 //! no-op. The network never loses a message: a world fails only because a
 //! rank died.
 //!
+//! A world whose ranks all finish with a message still in some mailbox —
+//! its receiver exited first, or returned without the matching `recv` —
+//! fails with [`ExecError::WorldTornDown`] naming the lowest sender of such a
+//! message. The rule reads the finished world's mailboxes once, after the
+//! run, so it does not depend on which region polled first.
+//!
 //! A second guard complements the recv deadline: a world whose clocks are
 //! *frozen* (α = 0, zero-word messages) can ping-pong forever inside one
 //! window without ever outrunning a deadline. Each worker counts consecutive
@@ -152,7 +154,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
-use crate::comm::{RankComm, Transport};
+use crate::comm::RankComm;
 use crate::cost::TimeBreakdown;
 use crate::exec::{ExecError, Waiting};
 use crate::fault::FaultSchedule;
@@ -162,14 +164,12 @@ use crate::stats::{RankStats, StatsBoard};
 use crate::topo::Network;
 
 /// Lock a piece of world state. A poisoned lock means a rank body panicked;
-/// recover the state so the original panic surfaces, as in the other
-/// backends.
+/// recover the state so the original panic surfaces.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A tagged in-flight message (the event-world analogue of the blocking
-/// communicator's channel packet), stamped with its virtual-time envelope.
+/// A tagged in-flight message, stamped with its virtual-time envelope.
 /// It owns its payload: the sender's buffer is the one the receiver gets.
 #[derive(Debug)]
 struct Packet {
@@ -288,9 +288,8 @@ impl Default for Mailbox {
 /// allocation.
 #[derive(Debug, Default)]
 struct RankSlab {
-    /// Delivered-but-unmatched messages, in arrival order — the union of the
-    /// blocking communicator's channel and `pending` buffer — chained
-    /// through [`RegionState::packets`].
+    /// Delivered-but-unmatched messages, in arrival order, chained through
+    /// [`RegionState::packets`].
     mailbox: Mailbox,
     /// The rank's matching-table entry: what it currently waits for.
     wait: Wait,
@@ -395,9 +394,7 @@ impl RegionState {
     }
 
     /// Remove and return the first message from `from` with `tag` in
-    /// `rank`'s mailbox — the same arrival-order matching rule as the
-    /// blocking communicator's pending-buffer scan. The cell goes to the
-    /// free list.
+    /// `rank`'s mailbox, in arrival order. The cell goes to the free list.
     fn take_match(&mut self, rank: usize, from: usize, tag: u64) -> Option<Packet> {
         let (mut prev, mut at) = (NIL, self.slab(rank).mailbox.head);
         while at != NIL {
@@ -438,6 +435,16 @@ impl RegionState {
         }
         self.packets[tail as usize].next = self.free;
         self.free = head;
+    }
+
+    /// The lowest sender of a message still waiting in any of this region's
+    /// mailboxes, if one is: every cell that holds a packet is on a chain.
+    fn lowest_unreceived_sender(&self) -> Option<usize> {
+        self.packets
+            .iter()
+            .filter_map(|slot| slot.pkt.as_ref())
+            .map(|pkt| pkt.from)
+            .min()
     }
 
     /// Availability time of link `link` of a `p`-rank world: ids `< p` are a
@@ -765,11 +772,10 @@ impl EventWorld {
     }
 }
 
-/// The event executor's transport behind a [`RankComm`]: the analogue of the
-/// blocking [`crate::comm::Comm`]. It moves messages and steps virtual time;
-/// operations that cannot complete return futures that park the rank in the
-/// world's matching table. The handle holds the rank, so every operation
-/// takes it.
+/// The event executor's transport behind a [`RankComm`]: it moves messages
+/// and steps virtual time; operations that cannot complete return futures
+/// that park the rank in the world's matching table. The handle holds the
+/// rank, so every operation takes it.
 pub(crate) struct EventComm {
     /// The region the rank lives in, so its operations find their state
     /// without dividing.
@@ -799,12 +805,9 @@ impl EventComm {
     /// the target's mailbox, and if the target is parked on a matching
     /// `recv` it is moved back onto the ready queue at its virtual completion
     /// time (the transfer itself is accounted when the target consumes the
-    /// message — see `RegionState::recv_completion`).
-    ///
-    /// # Panics
-    /// Panics with a typed [`ExecError::WorldTornDown`] payload when the
-    /// receiving rank already exited (the scheduler converts that into a
-    /// typed error, like the blocking backends).
+    /// message — see `RegionState::recv_completion`). A message whose
+    /// receiver already exited stays in its mailbox, and the finished world
+    /// reports it (see the module doc).
     pub fn send(&self, rank: usize, to: usize, tag: u64, data: Vec<f64>) {
         let world = &*self.world;
         let transfer_s = world.model.comm_time(data.len() as u64, 1);
@@ -825,18 +828,12 @@ impl EventComm {
         };
         if !reg.owns(to) {
             // Cross-region: deposit into the target region's inbox; the
-            // boundary leader delivers it (and surfaces a typed teardown if
-            // the target already exited). The message cannot complete before
+            // boundary leader delivers it. The message cannot complete before
             // `sent_at + α`, which is at or past the window bound — boundary
             // delivery never delays a wake that belonged to this window.
             drop(reg);
             lock(&world.inboxes[world.region_of(to)]).push((to, pkt));
             return;
-        }
-        if reg.slab(to).finished {
-            // The receiver already exited: typed teardown, as in comm.rs.
-            drop(reg);
-            crate::comm::raise(ExecError::WorldTornDown { rank });
         }
         reg.deliver(world, to, pkt);
     }
@@ -1024,7 +1021,7 @@ where
                 region: w,
                 world: world.clone(),
             };
-            Some(Box::pin(f(RankComm::new(rank, stats, pool, Transport::Event(comm)))))
+            Some(Box::pin(f(RankComm::new(rank, stats, pool, comm))))
         })
         .collect();
     let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
@@ -1077,10 +1074,8 @@ where
                 r
             };
             let task = tasks[r - base].as_mut().expect("ready rank has a live task");
-            // A rank body that hits a typed failure (e.g. a send to an exited
-            // rank) unwinds with an ExecError payload; recover it as a typed
-            // error, like the blocking executor's join loop. Any other panic
-            // is the body's own and is re-raised once the workers have joined.
+            // A rank body's panic is caught so the other workers leave the
+            // window gate, and re-raised once they have joined.
             let polled =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.as_mut().poll(&mut cx)));
             match polled {
@@ -1096,10 +1091,7 @@ where
                 // the barrier resolution or an inbox delivery re-enqueues it.
                 Ok(Poll::Pending) => {}
                 Err(payload) => {
-                    match payload.downcast::<ExecError>() {
-                        Ok(e) => ctl.fail(*e),
-                        Err(other) => ctl.panicked(other),
-                    }
+                    ctl.panicked(payload);
                     break 'window;
                 }
             }
@@ -1133,12 +1125,6 @@ fn boundary(world: &EventWorld, ctl: &Control) {
             if reg.slab(to).dead {
                 // The receiver was killed by the fault plan: a typed loss
                 // (the wedge will report RankFailed), not a teardown.
-                continue;
-            }
-            if reg.slab(to).finished {
-                // The receiver exited before delivery: the same typed
-                // teardown a same-region sender raises in-line.
-                ctl.fail(ExecError::WorldTornDown { rank: pkt.from });
                 continue;
             }
             reg.deliver(world, to, pkt);
@@ -1257,6 +1243,15 @@ where
     // complete result set: report the earliest scheduled death.
     if let Some(e) = world.fault_error() {
         return Err(e);
+    }
+    // Every rank finished: a message still in a mailbox was never received.
+    if let Some(rank) = world
+        .regions
+        .iter()
+        .filter_map(|region| lock(region).lowest_unreceived_sender())
+        .min()
+    {
+        return Err(ExecError::WorldTornDown { rank });
     }
     let mut results = Vec::with_capacity(p);
     results.extend(
@@ -1381,8 +1376,7 @@ mod tests {
     #[test]
     fn send_to_exited_rank_is_typed_world_torn_down() {
         // Rank 0 (polled first) exits immediately; rank 1 then sends to it.
-        // A typed teardown, not a process abort — the blocking backend's
-        // contract, kept by the event scheduler's poll recovery.
+        // The message is never received: a typed teardown naming its sender.
         let spec = MachineSpec::test_machine(2, 1000);
         let err = run_spmd_with(&spec, ExecBackend::event(), |c| async move {
             if c.rank() == 1 {
@@ -1928,9 +1922,7 @@ mod tests {
         for backend in [ExecBackend::event(), ExecBackend::Event { threads: 2 }] {
             let run = || {
                 run_spmd_with(&spec, backend, |c| async move {
-                    let Transport::Event(ec) = &c.transport else {
-                        unreachable!("event backend")
-                    };
+                    let ec = &c.event;
                     if c.rank == 0 {
                         Both(ec.recv(0, 1, 1), ec.recv(0, 1, 2)).await;
                     }
@@ -1972,6 +1964,51 @@ mod tests {
                 on: Waiting::Message { from: 0, tag: 9 }
             }
         );
+    }
+
+    #[test]
+    fn recv_deadline_stops_a_world_that_keeps_advancing() {
+        // Rank 0 parks on a recv nobody sends; ranks 1 and 2 ping-pong a
+        // thousand rounds of 1.5 virtual seconds each. With a 1-second
+        // timeout the deadline must end the run long before the rounds do:
+        // the structural check alone would report the same error, but only
+        // after the last round.
+        use std::sync::atomic::AtomicUsize;
+        const ROUNDS: usize = 1000;
+        let cost = CostModel {
+            alpha_s: 0.5,
+            ..unit_spec(3).cost
+        };
+        let spec = MachineSpec::new(3, 1000, cost).with_recv_timeout(std::time::Duration::from_secs(1));
+        for threads in 1..=3 {
+            let rounds = AtomicUsize::new(0);
+            let err = run_spmd_with(&spec, ExecBackend::Event { threads }, |mut c| {
+                let rounds = &rounds;
+                async move {
+                    match c.rank() {
+                        0 => {
+                            c.recv(1, 9, Phase::Other).await;
+                        }
+                        1 => {
+                            for _ in 0..ROUNDS {
+                                c.sendrecv(2, 2, 1, vec![0.0], Phase::Other).await;
+                                rounds.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        _ => {
+                            for _ in 0..ROUNDS {
+                                let got = c.recv(1, 1, Phase::Other).await;
+                                c.send(1, 1, got, Phase::Other);
+                            }
+                        }
+                    }
+                }
+            })
+            .unwrap_err();
+            assert!(matches!(err, ExecError::DeadlockSuspected { rank: 0, .. }), "{threads} threads: {err}");
+            let rounds = rounds.load(Ordering::Relaxed);
+            assert!(rounds < ROUNDS, "{threads} threads: {rounds} rounds ran past the deadline");
+        }
     }
 
     #[test]
@@ -2358,21 +2395,41 @@ mod tests {
 
     #[test]
     fn parallel_cross_region_send_to_exited_rank_is_typed() {
-        // Rank 0 (region 0) exits in the first window; rank p-1 (region 1)
-        // sends to it cross-region. The boundary drain finds the receiver
-        // gone and surfaces the same typed teardown a same-region sender
-        // raises inline.
+        // Rank 0 exits in the first window; rank p-1 sends to it, in another
+        // region from two threads on. The message is never received, and
+        // the finished world names its sender at every thread count.
         let spec = MachineSpec::test_machine(8, 1000);
-        let err = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, |mut c| async move {
-            if c.rank() == 7 {
-                c.send(0, 3, vec![1.0], Phase::Other);
-                // Keep the sender alive past the boundary so the teardown is
-                // the run's only failure.
-                c.recv(0, 4, Phase::Other).await;
-            }
-        })
-        .unwrap_err();
-        assert_eq!(err, ExecError::WorldTornDown { rank: 7 });
+        for threads in [1, 2, 4] {
+            let err = run_spmd_with(&spec, ExecBackend::Event { threads }, |c| async move {
+                if c.rank() == 7 {
+                    c.send(0, 3, vec![1.0], Phase::Other);
+                }
+            })
+            .unwrap_err();
+            assert_eq!(err, ExecError::WorldTornDown { rank: 7 }, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn unreceived_message_is_the_same_teardown_at_every_thread_count() {
+        // Rank 0 sends one word to rank 2 and every rank returns. Whether
+        // rank 2 is polled before the send (same region) or finishes before
+        // the boundary delivers it (another region), the message is never
+        // received, and the outcome does not depend on the poll order.
+        let spec = MachineSpec::test_machine(4, 1000);
+        for threads in [1, 2, 4] {
+            let got = run_spmd_with(&spec, ExecBackend::Event { threads }, |c| async move {
+                if c.rank() == 0 {
+                    c.send(2, 0, vec![1.0], Phase::Other);
+                }
+                c.rank()
+            });
+            assert_eq!(
+                got.map(|out| out.results),
+                Err(ExecError::WorldTornDown { rank: 0 }),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -1,73 +1,35 @@
-//! The SPMD executors: run one resumable rank body per rank and collect
+//! The SPMD executor: run one resumable rank body per rank and collect
 //! results.
 //!
 //! Rank bodies are `async` closures over [`RankComm`] —
-//! `Fn(RankComm) -> impl Future<Output = R>` — so the same body runs on both
-//! backends of the SPMD contract ([`ExecBackend`]):
-//!
-//! * **Blocking** — the reference executor: `p` simulated ranks multiplexed
-//!   over `workers` runnable slots. Each rank gets a lightweight small-stack
-//!   carrier thread, but at most `workers` of them are ever runnable: the
-//!   communicator's rendezvous points (a `recv` waiting for a message, a
-//!   `barrier`) yield the rank's worker slot to the next runnable
-//!   rank instead of blocking it. Admission is FIFO, so runnable ranks are
-//!   stepped round-robin; with `workers ≥ p` every rank is always runnable
-//!   (one thread per rank). Parked ranks still pin their carrier stacks
-//!   (~64 KiB touched each), which bounds practical worlds to a few thousand
-//!   ranks. Every world has its own gate.
-//! * **Event** — no per-rank thread at all: every rank body is compiled by
-//!   rustc into a *stackless* resumable state machine, and a scheduler drives
-//!   all of them as a discrete-event simulation: the ready queue orders
-//!   ranks by their virtual α-β-γ timestamps (FIFO on ties), so runs also
-//!   *measure* per-rank virtual time ([`crate::event`]). A parked rank costs
-//!   bytes (its suspended state machine plus a matching-table entry), which
-//!   is what lets 100k+-rank worlds execute end-to-end with real messages.
+//! `Fn(RankComm) -> impl Future<Output = R>` — and every rank body is
+//! compiled by rustc into a *stackless* resumable state machine. A scheduler
+//! drives all of them as a discrete-event simulation ([`crate::event`]): the
+//! ready queue orders ranks by their virtual α-β-γ timestamps (FIFO on
+//! ties), so runs also *measure* per-rank virtual time. A parked rank costs
+//! bytes (its suspended state machine plus a matching-table entry), which is
+//! what lets 100k+-rank worlds execute end-to-end with real messages.
+//! [`ExecBackend`] says how many scheduler threads drive a world; results,
+//! counters and virtual times are bitwise-equal at every thread count (the
+//! conformance suite enforces this).
 //!
 //! [`run_spmd_with`] builds each world's counters and arena once, hands
-//! every rank a [`RankComm`] over them and the backend's transport, and
-//! assembles the [`RunOutput`]. The handle records every count, so the
-//! backends' per-rank counters are identical by construction, and their
-//! results are bitwise-equal at every worker and thread count (the
-//! conformance suite enforces this) — only the event backend additionally
-//! fills `RankStats::time`, from its own per-rank state, and only it honours
-//! the machine's topology, placement and fault plan. [`ExecBackend::event`]
-//! is what every caller that does not pin a backend runs on.
+//! every rank a [`RankComm`] over them, and assembles the [`RunOutput`].
+//! [`ExecBackend::event`] is what every caller that does not pin a thread
+//! count runs on.
 
-use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::future::Future;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 
-use crate::comm::{block_on_ready, Comm, RankComm, Transport};
+use crate::comm::RankComm;
 use crate::machine::MachineSpec;
 use crate::pool::{BufferPool, PoolStats};
 use crate::stats::{RankStats, StatsBoard};
 
-/// Stack size of one blocking rank carrier. Rank bodies keep their working
-/// sets on the heap (matrix tiles, message buffers) and recurse at most
-/// `log2 p` deep (CARMA's splitting), so a modest fixed stack suffices and
-/// keeps 4096-rank worlds cheap.
-const CARRIER_STACK_BYTES: usize = 1 << 20;
-
 /// How an SPMD world is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// The blocking reference executor: `p` carrier threads multiplexed over
-    /// `workers` runnable slots; worlds up to a few thousand ranks (each
-    /// parked rank pins a carrier stack). The worker count never changes what
-    /// a run computes or counts. It keeps no virtual clock (`RankStats::time`
-    /// stays zero) and ignores the machine's topology, placement and fault
-    /// plan: the independently written reference the event backend's results
-    /// and counters are tested against. Measured (EXPERIMENTS.md, "`Blocking`
-    /// on a kernel-bound world"): there it is 1.6–1.8× faster than `event` /
-    /// `event(2)` under a shared-link topology only because it ignores that
-    /// topology; a flat spec on `Event { threads: 2 }` serves the same caller
-    /// at the same speed and keeps the clock.
-    Blocking {
-        /// Maximum number of concurrently runnable ranks (≥ 1; a count above
-        /// `p` behaves as `p`).
-        workers: usize,
-    },
     /// Event-driven stackless state machines on `threads` scheduler threads;
     /// any world size (verified to p = 1,048,576).
     ///
@@ -93,20 +55,11 @@ impl ExecBackend {
     pub const fn event() -> ExecBackend {
         ExecBackend::Event { threads: 1 }
     }
-
-    /// Default blocking worker count: the machine's available parallelism.
-    pub fn default_workers() -> usize {
-        // `available_parallelism` re-reads the affinity mask and the cgroup
-        // quota on every call (~10 µs).
-        static WORKERS: OnceLock<usize> = OnceLock::new();
-        *WORKERS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8))
-    }
 }
 
 impl fmt::Display for ExecBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecBackend::Blocking { workers } => write!(f, "blocking({workers})"),
             ExecBackend::Event { threads } if *threads <= 1 => write!(f, "event"),
             ExecBackend::Event { threads } => write!(f, "event({threads})"),
         }
@@ -144,13 +97,13 @@ impl fmt::Display for Waiting {
     }
 }
 
-/// Why an executor refused to run a world (before any rank started), or
-/// rejected a finished or wedged one — the typed surface that keeps
-/// blocking-backend deadlocks from aborting the process.
+/// Why the executor refused to run a world (before any rank started), or
+/// rejected a finished or wedged one — the typed surface that keeps a
+/// deadlocked world from aborting the process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecError {
-    /// Zero blocking workers or zero event scheduler threads can never step
-    /// any rank.
+    /// Zero scheduler threads (or, for a server, zero driver threads) can
+    /// never step any rank.
     NoWorkers,
     /// A sizing knob that only makes sense positive was zero — `what` names
     /// it (e.g. a served plan cache with no shard or no room for a plan).
@@ -167,9 +120,9 @@ pub enum ExecError {
         field: &'static str,
     },
     /// A rank's tracked working set exceeded the machine's enforced per-rank
-    /// memory budget ([`MachineSpec::mem_budget`]). Raised identically by
-    /// both backends — the budget check runs on the measured
-    /// `peak_mem_words` counters, which the backends share.
+    /// memory budget ([`MachineSpec::mem_budget`]). Raised identically at
+    /// every thread count — the budget check runs on the measured
+    /// `peak_mem_words` counters.
     MemBudgetExceeded {
         /// First offending rank.
         rank: usize,
@@ -178,23 +131,21 @@ pub enum ExecError {
         /// The enforced budget `S`, in words.
         budget: u64,
     },
-    /// A rank could not make progress: on the event backend, no rank was
-    /// runnable while some were unfinished (structural detection), or a
-    /// parked `recv` outlived [`MachineSpec::recv_timeout`] in *virtual*
-    /// time while other ranks kept advancing; on the blocking backends, a
-    /// `recv` or a `barrier` waited past the same timeout in wall-clock
-    /// time (e.g. a mismatched tag, or a rank that never reached the
-    /// barrier).
+    /// A rank could not make progress: no rank was runnable while some were
+    /// unfinished (structural detection — e.g. a mismatched tag, or a rank
+    /// that never reached the barrier), or a parked `recv` outlived
+    /// [`MachineSpec::recv_timeout`] in *virtual* time while other ranks kept
+    /// advancing.
     DeadlockSuspected {
         /// The first stuck rank.
         rank: usize,
         /// What it was parked on.
         on: Waiting,
     },
-    /// A rank found its world torn down mid-operation — a peer exited (or
-    /// failed) while this rank still had communication in flight with it.
+    /// Every rank finished, but a message was never received: its receiver
+    /// exited first, or returned without the matching `recv`.
     WorldTornDown {
-        /// The rank that observed the teardown.
+        /// The lowest rank that sent such a message.
         rank: usize,
     },
     /// A rank was killed by the machine's fault-injection plan
@@ -222,7 +173,7 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::NoWorkers => {
-                write!(f, "execution needs at least one blocking worker or event scheduler thread")
+                write!(f, "execution needs at least one scheduler thread")
             }
             ExecError::ZeroCapacity { what } => write!(f, "{what} must be at least 1"),
             ExecError::NonFiniteCostModel { field } => {
@@ -238,8 +189,8 @@ impl fmt::Display for ExecError {
             }
             ExecError::WorldTornDown { rank } => write!(
                 f,
-                "rank {rank}: world torn down mid-operation (a peer exited with \
-                 communication still in flight)"
+                "rank {rank}: world torn down with a message never received (its \
+                 receiver finished without taking it)"
             ),
             ExecError::RankFailed { rank, at } => write!(
                 f,
@@ -267,10 +218,10 @@ pub struct RunOutput<R> {
     pub pool: PoolStats,
 }
 
-/// The shared budget gate of both backends: with an enforcing
-/// [`MachineSpec::mem_budget`], a finished run in which any rank's measured
-/// peak working set exceeds the budget becomes a typed
-/// [`ExecError::MemBudgetExceeded`] instead of an output.
+/// The budget gate: with an enforcing [`MachineSpec::mem_budget`], a
+/// finished run in which any rank's measured peak working set exceeds the
+/// budget becomes a typed [`ExecError::MemBudgetExceeded`] instead of an
+/// output.
 fn enforce_mem_budget<R>(spec: &MachineSpec, out: RunOutput<R>) -> Result<RunOutput<R>, ExecError> {
     if let Some(budget) = spec.mem_budget {
         for (rank, st) in out.stats.iter().enumerate() {
@@ -286,101 +237,14 @@ fn enforce_mem_budget<R>(spec: &MachineSpec, out: RunOutput<R>) -> Result<RunOut
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// The worker gate: the blocking executor's admission control
-// ---------------------------------------------------------------------------
-
-/// FIFO admission gate of the blocking executor: at most `workers` ranks hold
-/// a runnable slot at any moment.
-///
-/// A rank acquires a slot before running user code and *suspends* (returns
-/// its slot) at every rendezvous that would block — waiting for a message,
-/// standing at a barrier. Release hands the freed slot directly to the
-/// longest-waiting rank (one targeted `unpark`, no thundering herd), so
-/// runnable ranks are admitted round-robin and a parked rank never pins a
-/// worker.
-pub(crate) struct WorkerGate {
-    state: Mutex<GateQueue>,
-}
-
-struct GateQueue {
-    /// Unassigned slots.
-    free: usize,
-    /// Ranks waiting for a slot, FIFO.
-    queue: VecDeque<(u64, std::thread::Thread)>,
-    /// Tickets whose slot was handed over but whose thread has not resumed.
-    granted: HashSet<u64>,
-    next_ticket: u64,
-}
-
-impl WorkerGate {
-    /// A gate admitting `workers` ≥ 1 concurrently runnable ranks.
-    pub(crate) fn new(workers: usize) -> Self {
-        assert!(workers > 0, "the worker gate needs at least one slot");
-        WorkerGate {
-            state: Mutex::new(GateQueue {
-                free: workers,
-                queue: VecDeque::new(),
-                granted: HashSet::new(),
-                next_ticket: 0,
-            }),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, GateQueue> {
-        // A poisoned gate means a rank panicked; let that panic surface.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Block until a runnable slot is free (FIFO order).
-    pub(crate) fn acquire(&self) {
-        let ticket = {
-            let mut st = self.lock();
-            if st.free > 0 && st.queue.is_empty() {
-                st.free -= 1;
-                return;
-            }
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            st.queue.push_back((ticket, std::thread::current()));
-            ticket
-        };
-        loop {
-            std::thread::park();
-            if self.lock().granted.remove(&ticket) {
-                return;
-            }
-        }
-    }
-
-    /// Return a slot, handing it to the longest-waiting rank if any.
-    pub(crate) fn release(&self) {
-        let mut st = self.lock();
-        if let Some((ticket, thread)) = st.queue.pop_front() {
-            // The slot transfers directly: `free` stays unchanged.
-            st.granted.insert(ticket);
-            thread.unpark();
-        } else {
-            st.free += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Runners
-// ---------------------------------------------------------------------------
-
 /// Run the rank body `f` on every rank of `spec` under `backend` and collect
 /// results. The body receives its [`RankComm`] by value and returns a
-/// future; on the blocking backend the future is driven on the rank's own
-/// carrier thread (wait-states block it or yield its worker slot), on the
-/// event backend all bodies are stackless state machines driven by the
-/// scheduler.
+/// future; all bodies are stackless state machines driven by the scheduler.
 ///
 /// # Errors
-/// [`ExecError::NoWorkers`] for `Blocking { workers: 0 }` or
-/// `Event { threads: 0 }`; [`ExecError::NonFiniteCostModel`], before any
-/// rank runs, when a constant of `spec.cost` is NaN or infinite;
+/// [`ExecError::NoWorkers`] for `Event { threads: 0 }`;
+/// [`ExecError::NonFiniteCostModel`], before any rank runs, when a constant
+/// of `spec.cost` is NaN or infinite;
 /// [`ExecError::MemBudgetExceeded`] when the machine enforces a per-rank
 /// memory budget ([`MachineSpec::mem_budget`]) and a rank's measured peak
 /// working set breaks it; a wedged, torn-down or fault-felled world as the
@@ -399,35 +263,26 @@ where
     Fut: Future<Output = R>,
 {
     spec.cost.check().map_err(|field| ExecError::NonFiniteCostModel { field })?;
+    let ExecBackend::Event { threads } = backend;
+    if threads == 0 {
+        return Err(ExecError::NoWorkers);
+    }
+    // More than one region only where sharding is provably invisible: a
+    // flat topology (per-rank virtual state is region-local there) and
+    // α > 0 (the conservative lookahead). Any other world is one region on
+    // the calling thread, so stats are bitwise-identical either way; the
+    // thread count never affects *what* a run measures.
+    let regions = if spec.topology.commutes_with_region_sharding() && spec.cost.alpha_s > 0.0 {
+        threads.min(spec.p)
+    } else {
+        1
+    };
     // The world's own counters and arena, written and leased by its rank
-    // handles on either executor. A disabled arena (`MachineSpec::pooling`
-    // off) hands out plain allocations and drops returns: the exact
-    // pre-arena behaviour.
+    // handles. A disabled arena (`MachineSpec::pooling` off) hands out plain
+    // allocations and drops returns: the exact pre-arena behaviour.
     let board = Arc::new(StatsBoard::new(spec.p));
     let pool = Arc::new(BufferPool::new(spec.pooling));
-    let (results, stats) = match backend {
-        ExecBackend::Blocking { workers: 0 } | ExecBackend::Event { threads: 0 } => {
-            return Err(ExecError::NoWorkers)
-        }
-        // Slots beyond `p` could never be taken, so the gate is capped there.
-        ExecBackend::Blocking { workers } => {
-            let gate = Arc::new(WorkerGate::new(workers.min(spec.p)));
-            (run_world(spec, gate, (&board, &pool), f)?, board.snapshot())
-        }
-        // More than one region only where sharding is provably invisible: a
-        // flat topology (per-rank virtual state is region-local there) and
-        // α > 0 (the conservative lookahead). Any other world is one region
-        // on the calling thread, so stats are bitwise-identical either way;
-        // the thread count never affects *what* a run measures.
-        ExecBackend::Event { threads } => {
-            let regions = if spec.topology.commutes_with_region_sharding() && spec.cost.alpha_s > 0.0 {
-                threads.min(spec.p)
-            } else {
-                1
-            };
-            crate::event::run_event_world(spec, regions, (&board, &pool), f)?
-        }
-    };
+    let (results, stats) = crate::event::run_event_world(spec, regions, (&board, &pool), f)?;
     enforce_mem_budget(
         spec,
         RunOutput {
@@ -438,87 +293,25 @@ where
     )
 }
 
-/// The blocking executor proper: spawn one small-stack carrier per rank,
-/// drive each rank's body future on its own thread, join in rank order.
-/// Every carrier acquires its admission slot on its own thread before user
-/// code; the slot is returned when the body finishes or panics (the
-/// communicator's gate handle releases on drop).
-///
-/// A rank that fails with a *typed* refusal — the communicator's deadlock
-/// guard or a torn-down world, which unwind with an [`ExecError`] panic
-/// payload — is caught here and surfaced as `Err` instead of aborting the
-/// run; any other rank panic is propagated unchanged.
-fn run_world<R, F, Fut>(
-    spec: &MachineSpec,
-    gate: Arc<WorkerGate>,
-    (stats, pool): (&Arc<StatsBoard>, &Arc<BufferPool>),
-    f: F,
-) -> Result<Vec<R>, ExecError>
-where
-    R: Send,
-    F: Fn(RankComm) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
-    let comms = Comm::create_world(spec.p, gate, spec.recv_timeout);
-    let mut slots: Vec<Option<R>> = (0..spec.p).map(|_| None).collect();
-    let mut failures: Vec<ExecError> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .enumerate()
-            .map(|(rank, c)| {
-                let f = &f;
-                std::thread::Builder::new()
-                    .stack_size(CARRIER_STACK_BYTES)
-                    .spawn_scoped(s, move || {
-                        c.gate_enter();
-                        block_on_ready(f(RankComm::new(rank, stats, pool, Transport::Blocking(Box::new(c)))))
-                    })
-                    .expect("spawn rank carrier")
-            })
-            .collect();
-        for (slot, h) in slots.iter_mut().zip(handles) {
-            match h.join() {
-                Ok(v) => *slot = Some(v),
-                Err(payload) => match payload.downcast::<ExecError>() {
-                    Ok(e) => failures.push(*e),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                },
-            }
-        }
-    });
-    if !failures.is_empty() {
-        // A deadlock is the root cause; torn-down-world failures on other
-        // ranks are its fallout. Within a kind, report the lowest rank
-        // (failures arrive in join = rank order).
-        let root = failures
-            .iter()
-            .find(|e| matches!(e, ExecError::DeadlockSuspected { .. }))
-            .unwrap_or(&failures[0]);
-        return Err(*root);
-    }
-    Ok(slots.into_iter().map(|s| s.expect("missing rank result")).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats::{Phase, NUM_PHASES};
 
-    /// Run `f` on the blocking executor with one slot per rank.
-    fn run_blocking<R, F, Fut>(spec: &MachineSpec, f: F) -> RunOutput<R>
+    /// Run `f` with one scheduler thread per rank.
+    fn run_sharded<R, F, Fut>(spec: &MachineSpec, f: F) -> RunOutput<R>
     where
         R: Send,
         F: Fn(RankComm) -> Fut + Sync,
         Fut: Future<Output = R>,
     {
-        run_spmd_with(spec, ExecBackend::Blocking { workers: spec.p }, f).unwrap()
+        run_spmd_with(spec, ExecBackend::Event { threads: spec.p }, f).unwrap()
     }
 
     #[test]
     fn results_are_rank_ordered() {
         let spec = MachineSpec::test_machine(8, 1000);
-        let out = run_blocking(&spec, |c| async move { c.rank() * 10 });
+        let out = run_sharded(&spec, |c| async move { c.rank() * 10 });
         assert_eq!(out.results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
         assert_eq!(out.stats.len(), 8);
     }
@@ -526,7 +319,7 @@ mod tests {
     #[test]
     fn stats_reflect_execution() {
         let spec = MachineSpec::test_machine(4, 1000);
-        let out = run_blocking(&spec, |mut c| async move {
+        let out = run_sharded(&spec, |mut c| async move {
             // Everyone sends rank+1 words to rank 0.
             if c.rank() != 0 {
                 c.send(0, 1, vec![0.0; c.rank() + 1], Phase::OutputC);
@@ -547,7 +340,7 @@ mod tests {
     #[test]
     fn barrier_synchronizes() {
         let spec = MachineSpec::test_machine(6, 1000);
-        let out = run_blocking(&spec, |mut c| async move {
+        let out = run_sharded(&spec, |mut c| async move {
             c.barrier().await;
             c.rank()
         });
@@ -557,15 +350,11 @@ mod tests {
     #[test]
     fn zero_workers_or_threads_is_a_typed_error() {
         let spec = MachineSpec::test_machine(4, 10);
-        for backend in [
-            ExecBackend::Blocking { workers: 0 },
-            ExecBackend::Event { threads: 0 },
-        ] {
-            let err = run_spmd_with(&spec, backend, |_| async move {}).unwrap_err();
-            assert_eq!(err, ExecError::NoWorkers, "{backend:?}");
-            let msg = err.to_string();
-            assert!(msg.contains("blocking worker") && msg.contains("event scheduler thread"), "{msg}");
-        }
+        let err = run_spmd_with(&spec, ExecBackend::Event { threads: 0 }, |_| async move {}).unwrap_err();
+        assert_eq!(err, ExecError::NoWorkers);
+        assert!(err.to_string().contains("scheduler thread"), "{err}");
+        // The default every caller that pins nothing runs on.
+        assert_eq!(ExecBackend::event(), ExecBackend::Event { threads: 1 });
     }
 
     #[test]
@@ -602,11 +391,7 @@ mod tests {
                 ),
             ] {
                 let spec = MachineSpec::new(2, 1000, cost);
-                for backend in [
-                    ExecBackend::event(),
-                    ExecBackend::Event { threads: 2 },
-                    ExecBackend::Blocking { workers: 2 },
-                ] {
+                for backend in [ExecBackend::event(), ExecBackend::Event { threads: 2 }] {
                     let ran = AtomicBool::new(false);
                     let got = run_spmd_with(&spec, backend, |mut c| {
                         let ran = &ran;
@@ -621,7 +406,7 @@ mod tests {
                 }
             }
         });
-        for _ in 0..9 {
+        for _ in 0..6 {
             let (field, backend, (err, ran)) = verdicts
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .expect("a world with a non-finite cost model hangs");
@@ -632,47 +417,20 @@ mod tests {
     }
 
     #[test]
-    fn event_is_one_thread_and_blocking_defaults_to_every_core() {
-        // Nothing escalates by world size any more: the one default is a
-        // single event thread, and the blocking opt-in defaults to every core.
-        assert_eq!(ExecBackend::event(), ExecBackend::Event { threads: 1 });
-        assert!(ExecBackend::default_workers() >= 1);
-    }
-
-    #[test]
     fn few_workers_keep_results_rank_ordered() {
         let spec = MachineSpec::test_machine(24, 1000);
-        let out =
-            run_spmd_with(&spec, ExecBackend::Blocking { workers: 3 }, |c| async move { c.rank() * 10 })
-                .unwrap();
+        let out = run_spmd_with(&spec, ExecBackend::Event { threads: 3 }, |c| async move { c.rank() * 10 })
+            .unwrap();
         assert_eq!(out.results, (0..24).map(|r| r * 10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn blocking_runs_worlds_far_larger_than_the_worker_count() {
-        // Far more ranks than workers; every rank exchanges with a
-        // neighbour, so the gate must hand slots between parked and runnable
-        // ranks without deadlocking.
-        let p = 672;
-        let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Blocking { workers: 4 }, |mut c| async move {
-            let right = (c.rank() + 1) % c.size();
-            let left = (c.rank() + c.size() - 1) % c.size();
-            let got = c.sendrecv(right, left, 7, vec![c.rank() as f64], Phase::Other).await;
-            got[0] as usize
-        })
-        .unwrap();
-        for (r, &got) in out.results.iter().enumerate() {
-            assert_eq!(got, (r + p - 1) % p);
-        }
-    }
-
-    #[test]
     fn single_worker_makes_progress_through_rendezvous() {
-        // workers = 1 is the harshest schedule: every recv/barrier must yield
-        // the lone slot or the world deadlocks.
+        // One scheduler thread is the harshest schedule: every recv and
+        // barrier must park its rank and hand the thread to the next one, or
+        // the world never finishes.
         let spec = MachineSpec::test_machine(8, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Blocking { workers: 1 }, |mut c| async move {
+        let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             c.barrier().await;
             let got = if c.rank() == 0 {
                 for to in 1..c.size() {
@@ -684,11 +442,8 @@ mod tests {
             };
             c.barrier().await;
             got
-        });
-        let out = match out {
-            Ok(o) => o,
-            Err(e) => panic!("{e}"),
-        };
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
         for r in 1..8 {
             assert_eq!(out.results[r], r as f64);
         }
@@ -705,25 +460,14 @@ mod tests {
             c.barrier().await;
             c.rank()
         };
-        let reference = run_spmd_with(&spec, ExecBackend::Blocking { workers: 1 }, pattern).unwrap();
-        // Blocking backends keep no virtual clock.
-        assert!(reference.stats.iter().all(|s| s.time.total_s() == 0.0));
-        for workers in [3, p] {
-            let out = run_spmd_with(&spec, ExecBackend::Blocking { workers }, pattern).unwrap();
-            assert_eq!(out.results, reference.results, "blocking({workers})");
-            assert_eq!(out.stats, reference.stats, "blocking({workers})");
+        let reference = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
+        assert!(reference.stats.iter().all(|s| s.time.total_s() > 0.0), "the clock moves");
+        for threads in [2, 3, 4, p] {
+            let out = run_spmd_with(&spec, ExecBackend::Event { threads }, pattern).unwrap();
+            assert_eq!(out.results, reference.results, "event({threads})");
+            // Counters and virtual times, bit for bit.
+            assert_eq!(out.stats, reference.stats, "event({threads})");
         }
-        let event = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
-        let par = run_spmd_with(&spec, ExecBackend::Event { threads: 4 }, pattern).unwrap();
-        assert_eq!(event.results, reference.results);
-        // Counters are identical; only the event backend drives the virtual
-        // clock, so its time fields are the extra measurement — bitwise the
-        // same at every scheduler thread count.
-        let counters = |out: &RunOutput<usize>| out.stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
-        assert_eq!(counters(&event), counters(&reference));
-        assert!(event.stats.iter().all(|s| s.time.total_s() > 0.0));
-        assert_eq!(par.results, event.results);
-        assert_eq!(par.stats, event.stats);
     }
 
     #[test]
@@ -741,7 +485,7 @@ mod tests {
             c.send(right, 2, vec![c.rank() as f64; c.rank() + 1], Phase::InputB);
             c.recv(left, 2, Phase::InputB).await
         };
-        for backend in [ExecBackend::Blocking { workers: 2 }, ExecBackend::event()] {
+        for backend in [ExecBackend::event(), ExecBackend::Event { threads: 2 }] {
             let (a, b) = (
                 run_spmd_with(&spec, backend, fused).unwrap(),
                 run_spmd_with(&spec, backend, split).unwrap(),
@@ -752,50 +496,15 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_tag_deadlock_is_typed_on_the_blocking_backend() {
-        // Rank 0 sends tag 7 but rank 1 waits for tag 8 — a classic
-        // mismatched-tag deadlock. The recv_timeout guard turns it into a
-        // typed error instead of a process abort, whether the stuck rank
-        // holds the only worker slot or has one to itself.
-        let spec =
-            MachineSpec::test_machine(2, 1000).with_recv_timeout(std::time::Duration::from_millis(200));
-        for backend in [
-            ExecBackend::Blocking { workers: 1 },
-            ExecBackend::Blocking { workers: 2 },
-        ] {
-            let err = run_spmd_with(&spec, backend, |mut c| async move {
-                if c.rank() == 0 {
-                    c.send(1, 7, vec![1.0], Phase::Other);
-                }
-                c.recv((c.rank() + 1) % 2, 8, Phase::Other).await
-            })
-            .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    ExecError::DeadlockSuspected {
-                        on: Waiting::Message { tag: 8, .. },
-                        ..
-                    }
-                ),
-                "{backend}: {err}"
-            );
-            assert!(err.to_string().contains("deadlock suspected"), "{backend}: {err}");
-        }
-    }
-
-    #[test]
     fn barrier_deadlock_is_typed_on_every_backend() {
         // Rank 0 returns without reaching the barrier the others wait at:
-        // the blocking barrier times out like a blocking recv, the event
-        // backend sees it structurally, and both name the lowest stuck rank.
-        let spec =
-            MachineSpec::test_machine(3, 1000).with_recv_timeout(std::time::Duration::from_millis(300));
+        // the scheduler sees it structurally and names the lowest stuck rank
+        // at every thread count.
+        let spec = MachineSpec::test_machine(3, 1000);
         for backend in [
             ExecBackend::event(),
             ExecBackend::Event { threads: 2 },
-            ExecBackend::Blocking { workers: 3 },
-            ExecBackend::Blocking { workers: 1 },
+            ExecBackend::Event { threads: 3 },
         ] {
             let err = run_spmd_with(&spec, backend, |mut c| async move {
                 if c.rank() != 0 {
@@ -832,9 +541,8 @@ mod tests {
 
     #[test]
     fn event_backend_runs_worlds_beyond_the_blocking_threshold() {
-        // A world past what carrier threads serve comfortably: stackless
-        // ranks exchange with a neighbour and everything completes on one
-        // scheduler thread.
+        // A world of thousands of ranks: stackless ranks exchange with a
+        // neighbour and everything completes on one scheduler thread.
         let p = 9192;
         let spec = MachineSpec::test_machine(p, 1000);
         let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
@@ -854,7 +562,7 @@ mod tests {
     #[ignore = "xl world (131072 ranks); run with --ignored"]
     fn ring_exchange_131072_ranks_stackless() {
         // The raw-executor form of the acceptance criterion: p = 131072 with
-        // a real message per rank, far beyond any carrier-thread backend.
+        // a real message per rank, far beyond a thread per rank.
         let p = 131_072;
         let spec = MachineSpec::test_machine(p, 10);
         let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
@@ -870,37 +578,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_gate_is_fifo_and_conserves_slots() {
-        let gate = Arc::new(WorkerGate::new(2));
-        gate.acquire();
-        gate.acquire();
-        // Both slots held: a queued acquire must wait until a release.
-        let g = gate.clone();
-        let waiter = std::thread::spawn(move || {
-            g.acquire();
-            g.release();
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "no free slot yet");
-        gate.release();
-        waiter.join().unwrap();
-        gate.release();
-        // Both slots free again.
-        gate.acquire();
-        gate.acquire();
-        gate.release();
-        gate.release();
-    }
-
-    #[test]
     fn mem_budget_violation_is_typed_on_every_backend() {
         // Each rank allocates rank+1 words; with a budget of 2, rank 2 is
-        // the first offender — on both backends identically.
+        // the first offender — at every thread count identically.
         let spec = MachineSpec::test_machine(4, 1000).with_mem_budget(2);
         for backend in [
-            ExecBackend::Blocking { workers: 4 },
-            ExecBackend::Blocking { workers: 2 },
             ExecBackend::event(),
+            ExecBackend::Event { threads: 2 },
+            ExecBackend::Event { threads: 4 },
         ] {
             let err = run_spmd_with(&spec, backend, |c| async move {
                 c.track_alloc(c.rank() as u64 + 1);
@@ -922,7 +607,7 @@ mod tests {
     #[test]
     fn mem_budget_within_limit_passes_and_freed_memory_does_not_count() {
         let spec = MachineSpec::test_machine(2, 1000).with_mem_budget(10);
-        let out = run_blocking(&spec, |c| async move {
+        let out = run_sharded(&spec, |c| async move {
             // Peak 10, then shrink: stays exactly at the budget.
             c.track_alloc(10);
             c.track_free(8);
@@ -946,8 +631,8 @@ mod tests {
 
     #[test]
     fn concurrent_blocking_worlds_agree_with_a_solo_run() {
-        // Four 8-rank worlds of 3 runnable slots each, at once: every world's
-        // ring exchange completes and counts traffic exactly as a solo run.
+        // Four 8-rank worlds of 3 scheduler threads each, at once: every
+        // world's ring exchange completes and measures exactly as a solo run.
         let body = |mut c: RankComm| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();
@@ -955,7 +640,7 @@ mod tests {
             got[0] as usize
         };
         let spec = MachineSpec::test_machine(8, 1000);
-        let backend = ExecBackend::Blocking { workers: 3 };
+        let backend = ExecBackend::Event { threads: 3 };
         let solo = run_spmd_with(&spec, backend, body).unwrap();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -971,15 +656,15 @@ mod tests {
 
     #[test]
     fn workers_beyond_p_behave_as_p() {
-        // A world's gate is capped at one slot per rank, so an absurd worker
-        // count costs nothing and measures like any other.
+        // A world's regions are capped at one per rank, so a thread count
+        // above p spawns no more threads and measures like any other.
         let spec = MachineSpec::test_machine(4, 1000);
         let body = |mut c: RankComm| async move {
             c.barrier().await;
             c.rank()
         };
-        let huge = run_spmd_with(&spec, ExecBackend::Blocking { workers: usize::MAX }, body).unwrap();
-        let exact = run_spmd_with(&spec, ExecBackend::Blocking { workers: 4 }, body).unwrap();
+        let huge = run_spmd_with(&spec, ExecBackend::Event { threads: 64 }, body).unwrap();
+        let exact = run_spmd_with(&spec, ExecBackend::Event { threads: 4 }, body).unwrap();
         assert_eq!(huge.results, exact.results);
         assert_eq!(huge.stats, exact.stats);
     }
@@ -994,7 +679,7 @@ mod tests {
             let scratch = c.pool().take_zeroed(64);
             c.recycle(scratch);
         };
-        let backend = ExecBackend::Blocking { workers: 2 };
+        let backend = ExecBackend::Event { threads: 2 };
         let off = MachineSpec::test_machine(4, 1000).with_pooling(false);
         let out = run_spmd_with(&off, backend, body).unwrap();
         assert_eq!((out.pool.hits, out.pool.returns), (0, 0), "a disabled arena never recycles");
@@ -1006,7 +691,7 @@ mod tests {
 
     #[test]
     fn counters_are_exact_under_many_threads() {
-        // 64 ranks on 8 runnable carriers (and on 4 event workers): every
+        // 64 ranks on 4 and on 8 scheduler threads: every
         // rank sends 500 ring messages of varied lengths, phases and tags,
         // and records flops and allocations, its counters written by one
         // thread at a time. Every snapshot equals its closed form.
@@ -1033,8 +718,8 @@ mod tests {
         };
         let spec = MachineSpec::test_machine(P, 1 << 20);
         for backend in [
-            ExecBackend::Blocking { workers: 8 },
             ExecBackend::Event { threads: 4 },
+            ExecBackend::Event { threads: 8 },
         ] {
             let stats = run_spmd_with(&spec, backend, body).unwrap().stats;
             for (r, got) in stats.iter().enumerate() {

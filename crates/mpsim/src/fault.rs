@@ -73,9 +73,8 @@ const STREAM_TIME: u64 = 0x4445_4154_4854; // when they die
 ///
 /// The plan is machine-independent: the same plan applied to worlds of
 /// different `p` selects casualties per-world (deterministically in both).
-/// Only the event backend (`ExecBackend::Event`) injects faults; the
-/// blocking backends ignore the plan (they have no virtual clock to key
-/// death times against).
+/// The event scheduler injects the deaths, keyed to each rank's virtual
+/// clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     seed: u64,

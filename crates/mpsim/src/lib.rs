@@ -13,8 +13,7 @@
 //!   by communication phase (A-input, B-input, C-output, …).
 //! * [`comm`] — the communicators: [`comm::RankComm`], the resumable
 //!   rank-facing handle every rank body receives (tagged point-to-point
-//!   message passing and a world barrier), over the blocking channel
-//!   implementation used by the blocking executor.
+//!   message passing and a world barrier).
 //! * [`event`] — the event-driven machine behind `ExecBackend::Event`: a
 //!   discrete-event simulator driving rank bodies as stackless resumable
 //!   state machines, with a virtual-time-ordered ready queue, a
@@ -25,11 +24,10 @@
 //! * [`collectives`] — binomial-tree broadcast and reduce, Bruck all-gather
 //!   and ring reduce-scatter, built on the point-to-point layer exactly like
 //!   the paper's hand-rolled broadcast trees (§7.2); all resumable (`async`).
-//! * [`exec`] — the SPMD executors: `p` ranks multiplexed over a worker
-//!   pool of small-stack carrier threads (blocking — the reference, up to a
-//!   few thousand ranks), or event-driven stackless rank state machines
-//!   (event, any world size — verified to p = 1,048,576 with real messages
-//!   on the parallel scheduler).
+//! * [`exec`] — the SPMD executor: event-driven stackless rank state
+//!   machines on one or more scheduler threads (any world size — verified
+//!   to p = 1,048,576 with real messages on the parallel scheduler), and
+//!   the typed errors of a refused, wedged or failed world.
 //! * [`cost`] — the α-β-γ time model: per-round communication/computation
 //!   costs, with and without communication–computation overlap (§7.3), and
 //!   %-of-peak reporting used by Figures 8–14.

@@ -7,8 +7,7 @@ use crate::fault::FaultPlan;
 
 /// Default deadlock guard: how long a `recv` waits for a matching message
 /// before the run is declared deadlock-suspected (see
-/// [`MachineSpec::recv_timeout`]). Wall-clock on the blocking backends,
-/// virtual time on the event backend.
+/// [`MachineSpec::recv_timeout`]), in virtual time.
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// The interconnect shape of a machine: which shared links a transfer
@@ -149,11 +148,10 @@ pub struct MachineSpec {
     pub overlap: bool,
     /// Deadlock guard: a `recv` that waits longer than this for a matching
     /// message turns the run into a typed
-    /// [`ExecError::DeadlockSuspected`](crate::exec::ExecError). The
-    /// blocking backend measures the wait in wall-clock
-    /// time, and bounds a `barrier` wait by it too; the event backend measures it on the rank's *virtual* clock
-    /// (alongside its structural no-rank-runnable detection). Tests that
-    /// provoke deadlocks shrink it.
+    /// [`ExecError::DeadlockSuspected`](crate::exec::ExecError). The wait
+    /// is measured on the rank's *virtual* clock, alongside the structural
+    /// no-rank-runnable detection; tests that provoke deadlocks in a world
+    /// that keeps advancing shrink it.
     pub recv_timeout: Duration,
     /// The interconnect shape routing every transfer (see [`Topology`]).
     /// [`Topology::Flat`] (the default) reproduces the pre-topology
@@ -167,8 +165,7 @@ pub struct MachineSpec {
     /// the plan's scheduled ranks at their virtual death times; a run the
     /// deaths keep from completing returns
     /// [`ExecError::RankFailed`](crate::exec::ExecError). A quiescent plan
-    /// ([`FaultPlan::new`]) is bitwise a no-op. The blocking backends ignore
-    /// the plan (no virtual clock to key death times against).
+    /// ([`FaultPlan::new`]) is bitwise a no-op.
     pub faults: Option<FaultPlan>,
     /// Buffer-reuse arenas (§7 "buffer reuse"). `true` (the default): the
     /// world's [`BufferPool`](crate::pool::BufferPool) recycles message
@@ -238,10 +235,8 @@ impl MachineSpec {
         self
     }
 
-    /// Set the recv deadline (see [`MachineSpec::recv_timeout`]): the
-    /// blocking backend's wall-clock deadlock guard (on `recv` and
-    /// `barrier`), and the event backend's
-    /// deadline in virtual time.
+    /// Set the recv deadline (see [`MachineSpec::recv_timeout`]), in virtual
+    /// time.
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = timeout;
         self

@@ -24,9 +24,10 @@
 //!   exactly.
 //!
 //! Pool hit/miss counters are therefore *observability* data (surfaced in the
-//! bench tables), never part of the bitwise-gated `RankStats`: on the blocking
-//! backend the interleaving of takes is scheduling-dependent, so hit counts
-//! are not deterministic even though every result bit is.
+//! bench tables), never part of the bitwise-gated `RankStats`: with more than
+//! one scheduler thread the interleaving of takes across regions is
+//! scheduling-dependent, so hit counts are not deterministic even though
+//! every result bit is.
 //!
 //! # Ownership
 //!

@@ -17,9 +17,8 @@
 //! [`RankStats::time`] from there — seconds of compute, of exposed
 //! communication (stalls the rank actually waited through) and of all
 //! communication, hidden included — the measured analogue of the plan-level
-//! `simulate_rounds` numbers. The blocking executor drives no virtual clock;
-//! its time fields stay zero (compare counters with
-//! [`RankStats::sans_time`]).
+//! `simulate_rounds` numbers. Compare counters alone with
+//! [`RankStats::sans_time`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -140,8 +139,8 @@ pub struct RankStats {
     /// Peak tracked memory, in words.
     pub peak_mem_words: u64,
     /// Virtual α-β-γ time of this rank, measured by the event executor's
-    /// discrete-event clock (all-zero on the blocking backends, which have no
-    /// virtual clock). `time.total_s()` is the rank's virtual finish time.
+    /// discrete-event clock. `time.total_s()` is the rank's virtual finish
+    /// time.
     pub time: TimeBreakdown,
 }
 
@@ -164,8 +163,8 @@ impl RankStats {
     }
 
     /// A copy with the virtual-time fields zeroed — for comparing the
-    /// *counters* of runs whose executors disagree on whether they keep a
-    /// virtual clock (the event backend does, the blocking backends do not).
+    /// *counters* alone: against a model that keeps no clock, or between
+    /// machines whose clocks differ (topology, overlap).
     pub fn sans_time(mut self) -> RankStats {
         self.time = TimeBreakdown::default();
         self
@@ -241,8 +240,7 @@ pub mod aggregate {
     }
 
     /// Measured machine time: the slowest rank's virtual finish time, in
-    /// seconds — the executed analogue of `SimReport::time_s` (zero on
-    /// blocking-backend runs, which keep no virtual clock).
+    /// seconds — the executed analogue of `SimReport::time_s`.
     pub fn machine_time_s(stats: &[RankStats]) -> f64 {
         stats.iter().map(|s| s.time.total_s()).fold(0.0, f64::max)
     }

@@ -16,15 +16,10 @@
 //!   per message; the report carries measured α-β-γ virtual time, and the
 //!   job's `topology`, `placement` and `faults` are honoured.
 //! * a lone heavy job on an otherwise idle server pins
-//!   `Event { threads: n }` to spread its world over `n` cores and keep the
-//!   clock (measured, EXPERIMENTS.md "`Blocking` on a kernel-bound world":
-//!   `event(2)` matches `blocking(2)` on a kernel-bound flat world). Under
-//!   load every core already has a job and fanning one out only adds
-//!   overhead.
-//! * a job that pins `Blocking { .. }` runs on the thread-per-rank reference
-//!   executor with [`ServerConfig::pool_workers`] runnable ranks — for
-//!   differential checks, not speed: it keeps no clock and ignores
-//!   `topology`, `placement` and `faults`.
+//!   `Event { threads: n }` to spread its world over up to
+//!   [`ServerConfig::pool_workers`] cores with the same product, counters
+//!   and clock. Under load every core already has a job and fanning one out
+//!   only adds overhead.
 //!
 //! The pipeline per job is admission → cached planning (auto-selection on
 //! a miss) → the job's [`MachineSpec`] → [`execute_boxed`] → a
@@ -32,8 +27,8 @@
 //! [`ExecReport`]. Every step is deterministic, so a job's result is
 //! bitwise-identical to `execute_boxed` run serially on the same machine
 //! and backend (for a flat, fault-free job: to `RunSession::execute`) —
-//! concurrency changes throughput, never answers — and across backends
-//! everything but the virtual clock agrees (`RankStats::sans_time`).
+//! concurrency changes throughput, never answers — and at every thread count
+//! the measurement, virtual clock included, is the same bit for bit.
 //!
 //! # Fault recovery
 //!
@@ -132,9 +127,8 @@ pub struct JobRequest {
     /// [`Placement::Block`]).
     pub placement: Placement,
     /// Deterministic fault injection for this job's execution (default:
-    /// none). Injected on the event backend, which is where a job runs
-    /// unless it pins [`backend`](Self::backend) — blocking backends ignore
-    /// fault plans.
+    /// none). The event scheduler kills the plan's ranks at their virtual
+    /// death times, at every thread count alike.
     pub faults: Option<FaultPlan>,
     /// Recovery policy when an injected fault fells the world (default:
     /// [`RetryPolicy::none`] — the typed failure surfaces immediately).
@@ -169,14 +163,11 @@ impl JobRequest {
     }
 
     /// Pin the execution backend. `Event { threads: n }` is the opt-in for
-    /// a lone heavy job on an idle server: its world is sharded over `n`
-    /// scheduler threads where the default has one, with the same product,
-    /// counters and virtual times bit for bit; on a loaded server it only
-    /// costs. Pinning `Blocking { workers }` selects the blocking reference
-    /// executor, but [`ServerConfig::pool_workers`] — not the job's count —
-    /// caps its runnable ranks, and [`JobOutput::backend`] reports that. A
-    /// blocking world has no clock: its report's times are zero and
-    /// `topology`, `placement` and `faults` have no effect on it.
+    /// a lone heavy job on an idle server: its world is sharded over
+    /// `n.min(`[`ServerConfig::pool_workers`]`)` scheduler threads where the
+    /// default has one, with the same product, counters and virtual times
+    /// bit for bit; on a loaded server it only costs. [`JobOutput::backend`]
+    /// reports the capped count.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = Some(backend);
         self
@@ -220,8 +211,8 @@ pub struct JobOutput {
     /// Whether planning was answered from the cache.
     pub cache_hit: bool,
     /// The backend the world executed on: [`ExecBackend::event`] unless the
-    /// job pinned one — for a pinned blocking job, `Blocking { workers }`
-    /// with [`ServerConfig::pool_workers`].
+    /// job pinned one, with its thread count capped at
+    /// [`ServerConfig::pool_workers`].
     pub backend: ExecBackend,
 }
 
@@ -260,9 +251,9 @@ pub struct ServerConfig {
     /// Default: the core count — a default job is one single-threaded
     /// simulation on its driver thread, so this is the server's parallelism.
     pub drivers: usize,
-    /// The worker count of a job that pins `Blocking`: every such world runs
-    /// with this many runnable-rank slots of its own, whatever count the job
-    /// named. Default: the core count.
+    /// The most scheduler threads one job's world runs on: a job that pins
+    /// `Event { threads }` runs on `threads.min(pool_workers)`. Default: the
+    /// core count.
     pub pool_workers: usize,
     /// Plan-cache shard count.
     pub cache_shards: usize,
@@ -285,9 +276,8 @@ impl Default for ServerConfig {
 struct Shared {
     planner: AutoPlanner,
     cache: PlanCache,
-    /// Worker count of pinned-blocking worlds
-    /// ([`ServerConfig::pool_workers`]).
-    blocking_workers: usize,
+    /// The thread cap of a pinned world ([`ServerConfig::pool_workers`]).
+    pool_workers: usize,
     /// [`ExecReport::pool`] summed over every world completed so far.
     arena: Mutex<PoolStats>,
 }
@@ -345,7 +335,7 @@ impl Server {
         let shared = Arc::new(Shared {
             planner: AutoPlanner::new(registry),
             cache: PlanCache::new(config.cache_shards, config.cache_capacity),
-            blocking_workers: config.pool_workers,
+            pool_workers: config.pool_workers,
             arena: Mutex::new(PoolStats::default()),
         });
         let (jobs_tx, jobs_rx) = mpsc::channel::<JobRequest>();
@@ -585,14 +575,12 @@ fn serve_attempt(
         .get_or_try_insert_with(key, || shared.planner.select(&prob, &model, job.overlap, &job.choice))?;
     // The server's parallelism is across jobs: every driver thread already
     // has a world to run, so unpinned jobs run as one single-threaded event
-    // simulation. A pinned blocking job gets the server's worker count, not
-    // its own.
+    // simulation, and a pinned one on at most the server's thread cap.
     let backend = match job.backend {
         None => ExecBackend::event(),
-        Some(ExecBackend::Blocking { .. }) => ExecBackend::Blocking {
-            workers: shared.blocking_workers,
+        Some(ExecBackend::Event { threads }) => ExecBackend::Event {
+            threads: threads.min(shared.pool_workers),
         },
-        Some(event) => event,
     };
     // The job's machine, built once and only now: planning has already
     // refused a degenerate problem (and the key an invalid topology) with a
@@ -624,13 +612,6 @@ fn serve_attempt(
 mod tests {
     use super::*;
     use cosma::api::AlgoId;
-
-    /// The blocking reference executor over every core of the machine.
-    fn blocking() -> ExecBackend {
-        ExecBackend::Blocking {
-            workers: ExecBackend::default_workers(),
-        }
-    }
 
     fn small_config() -> ServerConfig {
         ServerConfig {
@@ -761,23 +742,18 @@ mod tests {
 
     #[test]
     fn event_and_blocking_jobs_interleave_and_agree() {
+        // A job sharded over three scheduler threads and a one-thread job,
+        // served at once, measure the same world bit for bit.
         let server = Server::new(baselines::registry(), small_config()).unwrap();
-        let blocking = job(0, 8, 3).backend(blocking());
+        let sharded = job(0, 8, 3).backend(ExecBackend::Event { threads: 3 });
         let event = job(1, 8, 3).backend(ExecBackend::event());
-        let results = server.run_batch(vec![blocking, event]);
+        let results = server.run_batch(vec![sharded, event]);
         let a = results[0].outcome.as_ref().unwrap();
         let b = results[1].outcome.as_ref().unwrap();
-        assert_eq!(
-            a.backend,
-            ExecBackend::Blocking { workers: 4 },
-            "a pinned worker count is superseded by the server's 4"
-        );
+        assert_eq!(a.backend, ExecBackend::Event { threads: 3 }, "within the server's cap of 4");
         assert_eq!(b.backend, ExecBackend::event());
-        assert_eq!(a.report.c, b.report.c, "backends agree bitwise");
-        // Counters agree too; only the event backend measures virtual time.
-        for (x, y) in a.report.stats.iter().zip(&b.report.stats) {
-            assert_eq!(x.sans_time(), y.sans_time());
-        }
+        assert_eq!(a.report.c, b.report.c, "thread counts agree bitwise");
+        assert_eq!(a.report.stats, b.report.stats, "counters and virtual times");
     }
 
     #[test]
@@ -787,15 +763,11 @@ mod tests {
         assert_eq!(default.backend, ExecBackend::event());
         assert!(default.report.measured_time_s() > 0.0, "a default job's report carries virtual time");
         let pinned = server
-            .run_sync(job(1, 8, 3).backend(ExecBackend::Blocking { workers: 2 }))
+            .run_sync(job(1, 8, 3).backend(ExecBackend::Event { threads: 4 }))
             .outcome
             .unwrap();
-        assert_eq!(pinned.report.measured_time_s(), 0.0, "the blocking executor has no clock");
         assert_eq!(default.report.c, pinned.report.c, "bitwise product");
-        assert_eq!(default.report.stats.len(), pinned.report.stats.len());
-        for (x, y) in default.report.stats.iter().zip(&pinned.report.stats) {
-            assert_eq!(x.sans_time(), y.sans_time());
-        }
+        assert_eq!(default.report.stats, pinned.report.stats, "counters and virtual times");
     }
 
     #[test]
@@ -803,12 +775,12 @@ mod tests {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
         assert_eq!(server.arena_stats(), PoolStats::default(), "nothing served yet");
         // CARMA leases every leaf buffer from its world's arena; one job in
-        // three pins the blocking executor, one fails and must add nothing.
+        // three pins two scheduler threads, one fails and must add nothing.
         let mut jobs: Vec<JobRequest> = (0..9)
             .map(|i| {
                 let job = job(i, [4, 8, 16][i as usize % 3], i).choice(AlgoChoice::Fixed(AlgoId::Carma));
                 if i % 3 == 0 {
-                    job.backend(blocking())
+                    job.backend(ExecBackend::Event { threads: 2 })
                 } else {
                     job
                 }
@@ -846,8 +818,8 @@ mod tests {
 
     #[test]
     fn default_jobs_measure_their_topology() {
-        // Under the parent's blocking default both runs measured 0 s and the
-        // requested topology was silently ignored.
+        // The job's topology reaches its machine: a world that ignored it
+        // would measure both runs alike.
         let server = Server::new(baselines::registry(), small_config()).unwrap();
         let flat = server.run_sync(job(0, 16, 3)).outcome.unwrap();
         let fat = server
@@ -962,22 +934,22 @@ mod tests {
     }
 
     #[test]
-    fn pinned_blocking_worker_count_is_superseded_by_the_pool() {
-        let server = Server::new(baselines::registry(), small_config()).unwrap();
-        let reference = server
-            .run_sync(job(0, 8, 3).backend(ExecBackend::Blocking { workers: 4 }))
+    fn pinned_event_thread_count_is_capped_by_the_pool() {
+        let config = ServerConfig {
+            pool_workers: 2,
+            ..small_config()
+        };
+        let server = Server::new(baselines::registry(), config).unwrap();
+        let reference = server.run_sync(job(0, 8, 3)).outcome.unwrap();
+        let pinned = server
+            .run_sync(job(1, 8, 3).backend(ExecBackend::Event { threads: 8 }))
             .outcome
             .unwrap();
-        for workers in [0, 3, 64] {
-            let pinned = server
-                .run_sync(job(1, 8, 3).backend(ExecBackend::Blocking { workers }))
-                .outcome
-                .unwrap();
-            // The job ran over the server's 4 slots, and the result says so.
-            assert_eq!(pinned.backend, ExecBackend::Blocking { workers: 4 }, "pinned {workers}");
-            assert_eq!(pinned.report.c, reference.report.c);
-            assert_eq!(pinned.report.stats, reference.report.stats);
-        }
+        // The job ran on the server's 2 threads, and the result says so.
+        assert_eq!(pinned.backend, ExecBackend::Event { threads: 2 });
+        assert_eq!(pinned.backend.to_string(), "event(2)");
+        assert_eq!(pinned.report.c, reference.report.c, "bitwise product");
+        assert_eq!(pinned.report.stats, reference.report.stats, "counters and virtual times");
     }
 
     #[test]

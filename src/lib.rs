@@ -6,10 +6,9 @@
 //! * [`pebbles`] — red-blue pebble game, CDAGs, X-partitions, MMM I/O lower
 //!   bounds (paper §2.2, §4, §5).
 //! * [`densemat`] — dense-matrix substrate: storage, GEMM kernels, layouts.
-//! * [`mpsim`] — simulated distributed machine: blocking (worker-pool) and
-//!   event-driven (stackless, 100k-rank) SPMD
-//!   executors, collectives, traffic counters, α-β-γ cost model (replaces
-//!   Piz Daint + MPI + mpiP).
+//! * [`mpsim`] — simulated distributed machine: the event-driven
+//!   (stackless, 100k-rank) SPMD executor, collectives, traffic counters,
+//!   α-β-γ cost model (replaces Piz Daint + MPI + mpiP).
 //! * [`cosma`] — the paper's contribution: near-communication-optimal
 //!   distributed matrix multiplication (§3, §6, §7).
 //! * [`baselines`] — ScaLAPACK-style SUMMA, Cannon, 2.5D/3D (CTF-style) and
@@ -24,7 +23,7 @@
 //! model and an [`cosma::api::AlgoId`], then `.plan()`, `.run()` (cost-model
 //! simulation) or `.execute()` (real execution on the event-driven
 //! stackless executor, which measures virtual α-β-γ time at any rank count;
-//! `.exec_backend(..)` pins the blocking reference or more event threads):
+//! `.exec_backend(..)` pins more scheduler threads):
 //!
 //! ```
 //! use cosma_repro::cosma::api::{AlgoId, RunSession};

@@ -31,19 +31,16 @@ fn session(prob: &MmmProblem, id: AlgoId) -> RunSession {
         .algorithm(id)
 }
 
-/// Execute on the session default (the event engine) and on the blocking
-/// reference executor; the two products must agree bit for bit.
+/// Execute on the session default (one scheduler thread) and on two
+/// threads; the two products must agree bit for bit.
 fn execute_on_both(what: AlgoId, session: RunSession, a: &Matrix, b: &Matrix) -> Matrix {
-    let blocking = ExecBackend::Blocking {
-        workers: ExecBackend::default_workers(),
-    };
     let c = session.execute(a, b).unwrap_or_else(|e| panic!("{what}: {e}")).c;
-    let reference = session
-        .exec_backend(blocking)
+    let sharded = session
+        .exec_backend(ExecBackend::Event { threads: 2 })
         .execute(a, b)
         .unwrap_or_else(|e| panic!("{what}: {e}"))
         .c;
-    assert_eq!(c, reference, "{what}: event and blocking products differ");
+    assert_eq!(c, sharded, "{what}: event and event(2) products differ");
     c
 }
 
@@ -135,18 +132,18 @@ fn stats_digest(stats: &[RankStats]) -> u64 {
 }
 
 /// `session`'s run on the event engine, whose product is the same with two
-/// threads and on two blocking workers.
+/// and with four scheduler threads.
 fn product_on_every_executor(session: RunSession, a: &Matrix, b: &Matrix, what: &str) -> ExecReport {
-    let [event, event2, blocking] = [
+    let [event, event2, event4] = [
         ExecBackend::event(),
         ExecBackend::Event { threads: 2 },
-        ExecBackend::Blocking { workers: 2 },
+        ExecBackend::Event { threads: 4 },
     ]
     .map(|exec| {
         let report = session.clone().exec_backend(exec).execute(a, b);
         report.unwrap_or_else(|e| panic!("{what} on {exec:?}: {e}"))
     });
-    for (exec, other) in [("event(2)", event2), ("blocking(2)", blocking)] {
+    for (exec, other) in [("event(2)", event2), ("event(4)", event4)] {
         assert_eq!(fnv1a(&other.c), fnv1a(&event.c), "{what}: {exec} differs from event");
     }
     event

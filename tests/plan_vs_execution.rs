@@ -35,9 +35,9 @@ fn inputs(prob: &MmmProblem) -> (Matrix, Matrix) {
     (Matrix::deterministic(prob.m, prob.k, 17), Matrix::deterministic(prob.k, prob.n, 18))
 }
 
-/// The executors every contract here is held on: the session default (the
-/// event engine) and the blocking reference.
-const BACKENDS: [ExecBackend; 2] = [ExecBackend::event(), ExecBackend::Blocking { workers: 2 }];
+/// The executors every contract here is held on: the session default (one
+/// scheduler thread) and two threads.
+const BACKENDS: [ExecBackend; 2] = [ExecBackend::event(), ExecBackend::Event { threads: 2 }];
 
 /// Plan + execute `id` on `prob` through the registry and check the traffic.
 fn check(id: AlgoId, prob: &MmmProblem) {

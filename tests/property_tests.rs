@@ -434,23 +434,23 @@ async fn offset_exchange(mut c: mpsim::RankComm, offs: &[usize], msgs: usize) ->
     in_order
 }
 
-/// The blocking and event schedulers under random world/worker-pool sizes:
-/// every world completes (no deadlock — parked ranks must always yield
-/// their worker slot / scheduler turn), and matched send/recv pairs are
-/// delivered in send order per `(sender, tag)` even when ranks are parked
-/// and resumed between messages.
+/// The event scheduler under random world sizes and thread counts: every
+/// world completes (no deadlock — parked ranks must always yield their
+/// scheduler turn), and matched send/recv pairs are delivered in send order
+/// per `(sender, tag)` even when ranks are parked and resumed between
+/// messages, within a region and across regions.
 #[test]
 fn schedulers_never_deadlock_or_reorder() {
     let mut rng = Rng::new(10);
     for case in 0..16 {
         let p = rng.range(2, 48);
-        let workers = rng.range(1, 9);
+        let threads = rng.range(1, 9);
         let msgs = rng.range(1, 5);
         let offsets: Vec<usize> = (0..rng.range(1, 4)).map(|_| rng.range(1, p)).collect();
         let spec = MachineSpec::test_machine(p, 1000);
         let offs = &offsets;
         let backend = if case % 2 == 0 {
-            ExecBackend::Blocking { workers }
+            ExecBackend::Event { threads }
         } else {
             ExecBackend::event()
         };
@@ -463,16 +463,16 @@ fn schedulers_never_deadlock_or_reorder() {
     }
 }
 
-/// Random exchange patterns measure identically on both executors at any
-/// worker count: the schedulers may interleave ranks differently, but results
-/// and every per-rank counter must match the one-slot-per-rank reference bit
-/// for bit.
+/// Random exchange patterns measure identically at any scheduler thread
+/// count: the regions may interleave ranks differently, but results and
+/// every per-rank counter and virtual time must match the one-thread
+/// reference bit for bit.
 #[test]
 fn few_workers_and_event_match_the_reference_on_random_patterns() {
     let mut rng = Rng::new(11);
     for _ in 0..12 {
         let p = rng.range(2, 32);
-        let workers = rng.range(1, 6);
+        let threads = rng.range(2, 6);
         let words = rng.range(1, 40);
         let rounds = rng.range(1, 4);
         let spec = MachineSpec::test_machine(p, 1000);
@@ -488,28 +488,24 @@ fn few_workers_and_event_match_the_reference_on_random_patterns() {
             }
             acc
         };
-        let reference = run_spmd_with(&spec, ExecBackend::Blocking { workers: p }, pattern).unwrap();
-        let few = run_spmd_with(&spec, ExecBackend::Blocking { workers }, pattern).unwrap();
-        let event = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
-        assert_eq!(reference.results, few.results, "p={p} workers={workers}");
-        assert_eq!(reference.stats, few.stats, "p={p} workers={workers}");
-        assert_eq!(reference.results, event.results, "event results diverge at p={p}");
-        // Counters match bit for bit; the event backend additionally drives
-        // the virtual clock, which the blocking reference does not have.
-        assert_eq!(counters(&reference.stats), counters(&event.stats), "event counters diverge at p={p}");
+        let reference = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
+        let few = run_spmd_with(&spec, ExecBackend::Event { threads }, pattern).unwrap();
+        assert_eq!(reference.results, few.results, "p={p} threads={threads}");
+        assert_eq!(stats_bits(&reference.stats), stats_bits(&few.stats), "p={p} threads={threads}");
     }
 }
 
-/// Strip the virtual-clock fields for counter comparisons between backends
-/// that do (event) and do not (blocking) keep a clock.
+/// Strip the virtual-clock fields: the counters a model that keeps no clock
+/// predicts.
 fn counters(stats: &[mpsim::RankStats]) -> Vec<mpsim::RankStats> {
     stats.iter().map(|s| s.sans_time()).collect()
 }
 
 /// The event backend under random world sizes and message orders: random
 /// send permutations (a splitmix64 shuffle per rank) must still produce the
-/// blocking backend's exact results and counters — scheduling and send
-/// interleaving never change what is computed or measured.
+/// closed-form results and counters of an all-to-all, at one scheduler
+/// thread and at three — scheduling and send interleaving never change what
+/// is computed or measured.
 #[test]
 fn event_matches_blocking_under_random_message_orders() {
     let mut rng = Rng::new(12);
@@ -538,17 +534,21 @@ fn event_matches_blocking_under_random_message_orders() {
             c.barrier().await;
             acc
         };
-        let blocking = run_spmd_with(
-            &spec,
-            ExecBackend::Blocking {
-                workers: ExecBackend::default_workers(),
-            },
-            pattern,
-        )
-        .unwrap();
         let event = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
-        assert_eq!(blocking.results, event.results, "p={p} words={words}");
-        assert_eq!(counters(&blocking.stats), counters(&event.stats), "p={p} words={words}");
+        // Every rank receives one message from each rank, itself included.
+        let sum = (0..p).map(|r| r as f64).sum::<f64>();
+        assert_eq!(event.results, vec![sum; p], "p={p} words={words}");
+        let mut want = mpsim::RankStats {
+            msgs_sent: p as u64,
+            msgs_recv: p as u64,
+            ..Default::default()
+        };
+        want.words_sent[Phase::Other.index()] = (p * words) as u64;
+        want.words_recv[Phase::Other.index()] = (p * words) as u64;
+        assert_eq!(counters(&event.stats), vec![want; p], "p={p} words={words}");
+        let three = run_spmd_with(&spec, ExecBackend::Event { threads: 3 }, pattern).unwrap();
+        assert_eq!(three.results, event.results, "p={p} words={words}");
+        assert_eq!(stats_bits(&three.stats), stats_bits(&event.stats), "p={p} words={words}");
     }
 }
 
@@ -913,7 +913,7 @@ fn parallel_scheduler_matches_single_thread_bitwise() {
 
 /// Buffer-reuse arenas are invisible (the PR-10 contract): executing a
 /// planned algorithm with pooling enabled and disabled produces
-/// bitwise-identical products and per-rank stats on both executors —
+/// bitwise-identical products and per-rank stats at every thread count —
 /// the arena only changes where bytes live, never what they hold or what
 /// the clock reads. The pool counters (the observability side) must show
 /// real recycling on enough pooled runs, and a disabled arena must never
@@ -946,9 +946,9 @@ fn buffer_pooling_is_bitwise_invisible_across_backends() {
         let a = Matrix::deterministic(m, k, 31);
         let b = Matrix::deterministic(k, n, 32);
         for backend in [
-            ExecBackend::Blocking { workers: p },
-            ExecBackend::Blocking { workers: 3 },
             ExecBackend::event(),
+            ExecBackend::Event { threads: 3 },
+            ExecBackend::Event { threads: p },
         ] {
             let spec = MachineSpec::piz_daint_with_memory(p, 1 << 20);
             let on = execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b).unwrap();
@@ -1142,27 +1142,80 @@ fn generate_programs(rng: &mut Rng, p: usize, wedge: Wedge) -> Vec<Vec<Op>> {
     progs
 }
 
-/// Interpret one rank's program; returns a digest of everything it received.
-async fn interpret(mut c: mpsim::RankComm, prog: &[Op]) -> (usize, f64) {
-    let me = c.rank() as f64;
-    let (mut words_in, mut sum) = (0usize, 0.0f64);
-    let mut take = |got: Vec<f64>| {
-        words_in += got.len();
-        sum += got.iter().sum::<f64>();
-    };
+/// The payload step `i` of rank `rank`'s program sends: every word names
+/// the sender and the step, so a receive shows which message it matched.
+fn payload(rank: usize, i: usize, words: usize) -> Vec<f64> {
+    vec![(rank * 64 + i) as f64; words]
+}
+
+/// One receive, as `(words, the message's name)`; an empty message's name is
+/// -1.
+fn received(got: &[f64]) -> (usize, f64) {
+    (got.len(), got.first().copied().unwrap_or(-1.0))
+}
+
+/// Interpret one rank's program; returns every receive, in program order.
+async fn interpret(mut c: mpsim::RankComm, prog: &[Op]) -> Vec<(usize, f64)> {
+    let me = c.rank();
+    let mut log = Vec::new();
     for (i, &op) in prog.iter().enumerate() {
-        let payload = |words: usize| vec![me * 64.0 + i as f64; words];
         match op {
-            Op::Send { to, tag, words } => c.send(to, tag, payload(words), Phase::Other),
-            Op::Recv { from, tag } => take(c.recv(from, tag, Phase::Other).await),
+            Op::Send { to, tag, words } => c.send(to, tag, payload(me, i, words), Phase::Other),
+            Op::Recv { from, tag } => log.push(received(&c.recv(from, tag, Phase::Other).await)),
             Op::SendRecv { to, from, tag, words } => {
-                take(c.sendrecv(to, from, tag, payload(words), Phase::Other).await)
+                let got = c.sendrecv(to, from, tag, payload(me, i, words), Phase::Other).await;
+                log.push(received(&got));
             }
             Op::Barrier => c.barrier().await,
             Op::Flops(n) => c.record_flops(n),
         }
     }
-    (words_in, sum)
+    log
+}
+
+/// The sequential model of a matched world ([`Wedge::None`]): sends never
+/// block and every recv is matched by construction, so the k-th
+/// `Recv { from, tag }` at rank `r` takes the k-th message `from` sent to `r`
+/// with `tag`. Returns what [`interpret`] returns on every rank, and every
+/// rank's counters.
+fn model_of(progs: &[Vec<Op>]) -> (Vec<Vec<(usize, f64)>>, Vec<mpsim::RankStats>) {
+    use std::collections::{HashMap, VecDeque};
+    let other = Phase::Other.index();
+    let mut stats = vec![mpsim::RankStats::default(); progs.len()];
+    // Each `(from, to, tag)` channel's messages, in send order.
+    let mut channels: HashMap<(usize, usize, u64), VecDeque<(usize, f64)>> = HashMap::new();
+    for (r, prog) in progs.iter().enumerate() {
+        for (i, &op) in prog.iter().enumerate() {
+            if let Op::Send { to, tag, words } | Op::SendRecv { to, tag, words, .. } = op {
+                channels
+                    .entry((r, to, tag))
+                    .or_default()
+                    .push_back(received(&payload(r, i, words)));
+                stats[r].msgs_sent += 1;
+                stats[r].words_sent[other] += words as u64;
+            }
+        }
+    }
+    let mut logs = vec![Vec::new(); progs.len()];
+    for (r, prog) in progs.iter().enumerate() {
+        for &op in prog {
+            match op {
+                Op::Recv { from, tag } | Op::SendRecv { from, tag, .. } => {
+                    let got = channels
+                        .get_mut(&(from, r, tag))
+                        .and_then(VecDeque::pop_front)
+                        .expect("every recv has its send");
+                    stats[r].msgs_recv += 1;
+                    stats[r].words_recv[other] += got.0 as u64;
+                    logs[r].push(got);
+                }
+                Op::Flops(n) => stats[r].flops += n,
+                Op::Send { .. } | Op::Barrier => {}
+            }
+        }
+    }
+    assert!(channels.values().all(VecDeque::is_empty), "every send has its recv");
+    (logs, stats)
 }
 
 /// Full per-rank stats with the virtual clock as bits: `-0.0`, and a NaN if
@@ -1184,8 +1237,8 @@ fn stats_bits(stats: &[mpsim::RankStats]) -> Vec<(mpsim::RankStats, [u64; 3])> {
 /// direction once (the other two extents are drawn from 1..=2), with uneven
 /// or mostly-empty generated cuts and 1 or 3 rows per block. Every foreign
 /// block arrives exactly once, in order, in `⌈log₂ g⌉` messages per gather,
-/// and blocking, event and unpooled event worlds agree on results and stats —
-/// the event clocks bit for bit.
+/// and event, event(4) and unpooled event worlds agree on results and stats,
+/// the clocks bit for bit.
 #[test]
 fn bruck_allgather_on_grid_fibers_agrees_across_backends() {
     use cosma::grid::Grid3;
@@ -1257,8 +1310,8 @@ fn bruck_allgather_on_grid_fibers_agrees_across_backends() {
                 gathered
             };
             let spec = MachineSpec::test_machine(grid.size(), 10_000);
-            let blocking = run_spmd_with(&spec, ExecBackend::Blocking { workers: 4 }, body).unwrap();
-            for (r, (gathered, st)) in blocking.results.iter().zip(&blocking.stats).enumerate() {
+            let sharded = run_spmd_with(&spec, ExecBackend::Event { threads: 4 }, body).unwrap();
+            for (r, (gathered, st)) in sharded.results.iter().zip(&sharded.stats).enumerate() {
                 let (im, jn, ik) = grid.coords_of(r);
                 let (mut words, mut msgs) = (0, 0);
                 for (axis, pos) in [im, jn, ik].into_iter().enumerate() {
@@ -1275,9 +1328,9 @@ fn bruck_allgather_on_grid_fibers_agrees_across_backends() {
             let event = run_spmd_with(&spec, ExecBackend::event(), body).unwrap();
             let unpooled =
                 run_spmd_with(&spec.clone().with_pooling(false), ExecBackend::event(), body).unwrap();
-            assert_eq!((&event.results, &unpooled.results), (&blocking.results, &blocking.results), "{what}");
+            assert_eq!((&event.results, &unpooled.results), (&sharded.results, &sharded.results), "{what}");
             assert_eq!(stats_bits(&event.stats), stats_bits(&unpooled.stats), "{what}");
-            assert_eq!(counters(&blocking.stats), counters(&event.stats), "{what}");
+            assert_eq!(stats_bits(&sharded.stats), stats_bits(&event.stats), "{what}");
         }
     }
 }
@@ -1288,8 +1341,8 @@ fn bruck_allgather_on_grid_fibers_agrees_across_backends() {
 /// `event`, `event(2)` and `event(4)` agree on results and on full per-rank
 /// stats — virtual clocks bit for bit — when the world completes, and on the
 /// typed error when it is wedged on purpose; a completed world also matches
-/// the blocking executor on results and counters. `COSMA_FUZZ_SEED=<n>`
-/// replays one seed.
+/// the sequential model of its program ([`model_of`]) receive by receive and
+/// on every counter. `COSMA_FUZZ_SEED=<n>` replays one seed.
 #[test]
 fn generated_rank_programs_agree_across_event_thread_counts() {
     use mpsim::machine::Topology;
@@ -1338,6 +1391,7 @@ fn generated_rank_programs_agree_across_event_thread_counts() {
                 })
             };
             let one = run(ExecBackend::event());
+            let mut completed = Vec::new();
             for threads in [2, 4] {
                 match (&one, run(ExecBackend::Event { threads })) {
                     (Ok(a), Ok(b)) => {
@@ -1347,6 +1401,7 @@ fn generated_rank_programs_agree_across_event_thread_counts() {
                             stats_bits(&b.stats),
                             "event({threads}) stats: {ctx}"
                         );
+                        completed.push((format!("event({threads})"), b));
                     }
                     (Err(a), Err(b)) => assert_eq!(*a, b, "event({threads}) typed error: {ctx}"),
                     (a, b) => {
@@ -1356,10 +1411,12 @@ fn generated_rank_programs_agree_across_event_thread_counts() {
             }
             match (wedge, one) {
                 (Wedge::None, Ok(event)) => {
-                    let blocking =
-                        run(ExecBackend::Blocking { workers: 2 }).expect("a matched program completes");
-                    assert_eq!(blocking.results, event.results, "blocking results: {ctx}");
-                    assert_eq!(counters(&blocking.stats), counters(&event.stats), "blocking counters: {ctx}");
+                    let (logs, stats) = model_of(&progs);
+                    completed.insert(0, ("event".to_string(), event));
+                    for (exec, out) in &completed {
+                        assert_eq!(out.results, logs, "{exec} vs the model's receives: {ctx}");
+                        assert_eq!(counters(&out.stats), stats, "{exec} vs the model's counters: {ctx}");
+                    }
                 }
                 (Wedge::OrphanRecv, Err(ExecError::DeadlockSuspected { on, .. })) => {
                     assert!(matches!(on, Waiting::Message { .. } | Waiting::Barrier), "{on:?}: {ctx}");

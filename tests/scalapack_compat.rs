@@ -51,8 +51,8 @@ fn block_cyclic_to_cosma_roundtrip_with_multiply() {
     // 4. Multiply with COSMA through the session.
     let c = session.execute(&a_global, &b_global).expect("execution").c;
     assert!(matmul(&a, &b).approx_eq(&c, 1e-9));
-    let blocking = session.exec_backend(mpsim::exec::ExecBackend::Blocking { workers: 2 });
-    assert_eq!(blocking.execute(&a_global, &b_global).expect("execution").c, c, "backends agree");
+    let sharded = session.exec_backend(mpsim::exec::ExecBackend::Event { threads: 2 });
+    assert_eq!(sharded.execute(&a_global, &b_global).expect("execution").c, c, "thread counts agree");
 
     // 5. Export C back to a block-cyclic layout and verify the round trip.
     let bc_c = BlockCyclic::new(prob.m, prob.n, 4, 4, 2, 4);

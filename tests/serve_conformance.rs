@@ -6,8 +6,8 @@
 //! This is the end-to-end guarantee the serve crate rests on: planning is a
 //! pure function of the request (so cached plans are exact), and a world
 //! served among many tenants — a default single-threaded event simulation on
-//! a driver thread, or a pinned blocking world beside other tenants' —
-//! computes exactly what it computes alone.
+//! a driver thread, or a world pinned to more scheduler threads beside other
+//! tenants' — computes exactly what it computes alone.
 
 use bench::serve_bench::{mixed_stream, unique_combos};
 use cosma::api::{AlgoId, RunSession};
@@ -16,13 +16,6 @@ use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
 use mpsim::exec::ExecBackend;
 use serve::{AutoPlanner, FaultPlan, JobRequest, JobResult, RetryPolicy, Server, ServerConfig};
-
-/// The blocking reference executor over every core of the machine.
-fn blocking() -> ExecBackend {
-    ExecBackend::Blocking {
-        workers: ExecBackend::default_workers(),
-    }
-}
 
 /// Hold every served job against the serial reference: planned and executed
 /// by hand with a fresh auto-planner and a private `RunSession` on `backend`
@@ -112,28 +105,25 @@ fn event_backend_stream_matches_serial_including_virtual_time() {
     assert_matches_serial(&jobs, &served, ExecBackend::event());
 }
 
-/// The opt-in path: the same stream with every job pinning `Blocking`, so
-/// the worlds run thread-per-rank among many tenants — and compute exactly
-/// what each computes alone.
+/// The opt-in path: the same stream with every job pinning two scheduler
+/// threads, so each world is sharded among many tenants — and computes
+/// exactly what it computes alone, virtual clock included.
 #[test]
 fn pinned_blocking_stream_matches_serial_run_sessions_bitwise() {
-    let jobs: Vec<_> = mixed_stream(24).into_iter().map(|j| j.backend(blocking())).collect();
+    let pinned = ExecBackend::Event { threads: 2 };
+    let jobs: Vec<_> = mixed_stream(24).into_iter().map(|j| j.backend(pinned)).collect();
     let config = ServerConfig {
         drivers: 4,
+        pool_workers: 2,
         ..ServerConfig::default()
     };
     let server = Server::new(baselines::registry(), config).unwrap();
     let served = server.run_batch(jobs.clone());
     for result in &served {
         let out = result.outcome.as_ref().expect("feasible stream");
-        assert!(
-            matches!(out.backend, ExecBackend::Blocking { .. }),
-            "job {}: {:?}",
-            result.id,
-            out.backend
-        );
+        assert_eq!(out.backend, pinned, "job {}", result.id);
     }
-    assert_matches_serial(&jobs, &served, blocking());
+    assert_matches_serial(&jobs, &served, pinned);
     assert!(server.arena_stats().returns > 0, "the served worlds' arena counters are summed");
 }
 

@@ -35,12 +35,9 @@ fn shared_problems() -> Vec<MmmProblem> {
     ]
 }
 
-/// The blocking reference executor over every core of the machine.
-fn blocking() -> ExecBackend {
-    ExecBackend::Blocking {
-        workers: ExecBackend::default_workers(),
-    }
-}
+/// Two scheduler threads: worlds sharded into regions, measured bit for bit
+/// like the one-thread default.
+const SHARDED: ExecBackend = ExecBackend::Event { threads: 2 };
 
 fn model() -> CostModel {
     CostModel::piz_daint_two_sided()
@@ -140,7 +137,7 @@ fn planned_traffic_equals_executed_traffic() {
             let Ok(plan) = algo.plan(&prob, &model()) else {
                 continue;
             };
-            let report = execute_boxed(algo.as_ref(), &plan, &spec, blocking(), &a, &b)
+            let report = execute_boxed(algo.as_ref(), &plan, &spec, SHARDED, &a, &b)
                 .unwrap_or_else(|e| panic!("{id} on p={}: {e}", prob.p));
             assert!(
                 want.approx_eq(&report.c, 1e-9),
@@ -161,7 +158,7 @@ fn planned_traffic_equals_executed_traffic() {
 }
 
 /// The large-world problem matrix: paper-scale rank counts, far more ranks
-/// than blocking workers.
+/// than scheduler threads.
 /// p = 2048 is not a perfect square, so Cannon's `supports` veto is also
 /// exercised at scale; matrices are sized so every rank still owns work.
 fn large_world_problems() -> Vec<MmmProblem> {
@@ -172,20 +169,19 @@ fn large_world_problems() -> Vec<MmmProblem> {
     ]
 }
 
-/// Plan-vs-executed traffic equality at p ∈ {1024, 2048, 4096} on the
-/// blocking backend — the conformance contract at the paper's rank counts.
-/// Slow (thousands of carrier threads per algorithm): run via
-/// `cargo test -- --ignored` (the CI `large-world` job).
+/// Plan-vs-executed traffic equality at p ∈ {1024, 2048, 4096} on two
+/// scheduler threads — the conformance contract at the paper's rank counts.
+/// Slow: run via `cargo test -- --ignored` (the CI `large-world` job).
 #[test]
 #[ignore = "large world (>= 1024 ranks); run with --ignored"]
-fn blocking_large_world_traffic_matches_plan() {
+fn large_world_traffic_matches_plan() {
     let reg = baselines::registry();
     for prob in large_world_problems() {
         let a = Matrix::deterministic(prob.m, prob.k, 31);
         let b = Matrix::deterministic(prob.k, prob.n, 32);
         let want = matmul(&a, &b);
         let spec = MachineSpec::piz_daint_with_memory(prob.p, prob.mem_words);
-        let backend = blocking();
+        let backend = SHARDED;
         for algo in reg.all() {
             let id = algo.id();
             if algo.supports(&prob).is_err() {
@@ -214,9 +210,9 @@ fn blocking_large_world_traffic_matches_plan() {
     }
 }
 
-/// `RunSession::execute` with hundreds of ranks per worker: the blocking
-/// backend multiplexes them over the machine's cores, and the verified
-/// contract still holds.
+/// `RunSession::execute` with hundreds of ranks per scheduler thread: two
+/// regions of 300 stackless ranks each, and the verified contract still
+/// holds.
 #[test]
 fn session_blocking_backend_executes_many_ranks_per_worker() {
     let prob = MmmProblem::new(128, 128, 128, 600, 1 << 18);
@@ -224,17 +220,17 @@ fn session_blocking_backend_executes_many_ranks_per_worker() {
     let b = Matrix::deterministic(prob.k, prob.n, 42);
     let (plan, _) = RunSession::new(prob)
         .registry(baselines::registry())
-        .exec_backend(blocking())
+        .exec_backend(SHARDED)
         .execute_verified(&a, &b)
-        .expect("the blocking backend must hold a 600-rank world");
+        .expect("two scheduler threads must hold a 600-rank world");
     assert_eq!(plan.problem.p, 600);
 }
 
 /// Backend equivalence: for every registry algorithm on the shared (≤ 512
-/// rank) problem matrix, the blocking executor at any worker count and the
-/// event executor at any thread count produce bitwise identical per-rank
-/// `CPart` results and identical per-rank counters — scheduling must never
-/// change what is computed or measured.
+/// rank) problem matrix, the event executor at every thread count produces
+/// bitwise identical per-rank `CPart` results and per-rank stats, virtual
+/// times included — scheduling must never change what is computed or
+/// measured.
 #[test]
 fn all_backends_agree_exactly() {
     let reg = baselines::registry();
@@ -259,13 +255,15 @@ fn all_backends_agree_exactly() {
                 })
                 .unwrap_or_else(|e| panic!("{id} on p={}: {e}", prob.p))
             };
-            let strip = |stats: &[mpsim::RankStats]| stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
-            let reference = run(ExecBackend::Blocking { workers: prob.p });
-            let mut event_runs = Vec::new();
+            let reference = run(ExecBackend::event());
+            assert!(
+                mpsim::stats::aggregate::machine_time_s(&reference.stats) > 0.0,
+                "{id} on p={}: the event executor must measure virtual time",
+                prob.p
+            );
             for backend in [
-                ExecBackend::Blocking { workers: 3 },
-                ExecBackend::event(),
                 ExecBackend::Event { threads: 2 },
+                ExecBackend::Event { threads: 3 },
                 ExecBackend::Event { threads: 4 },
             ] {
                 let other = run(backend);
@@ -274,30 +272,9 @@ fn all_backends_agree_exactly() {
                     "{id} on p={}: {backend} disagrees on CPart results",
                     prob.p
                 );
-                // Counters agree bit for bit; the event backend additionally
-                // fills the virtual-clock fields the blocking one leaves 0.
                 assert_eq!(
-                    strip(&reference.stats),
-                    strip(&other.stats),
-                    "{id} on p={}: {backend} disagrees on measured counters",
-                    prob.p
-                );
-                if matches!(backend, ExecBackend::Event { .. }) {
-                    assert!(
-                        mpsim::stats::aggregate::machine_time_s(&other.stats) > 0.0,
-                        "{id} on p={}: the event backend must measure virtual time",
-                        prob.p
-                    );
-                    event_runs.push((backend, other));
-                }
-            }
-            // Among event-scheduler runs, the full stats — virtual times
-            // included — must be bitwise-identical at every thread count.
-            let (_, single) = &event_runs[0];
-            for (backend, par) in &event_runs[1..] {
-                assert_eq!(
-                    single.stats, par.stats,
-                    "{id} on p={}: {backend} virtual times diverge from the single-threaded scheduler",
+                    reference.stats, other.stats,
+                    "{id} on p={}: {backend} virtual times or counters diverge from one thread",
                     prob.p
                 );
             }
@@ -305,14 +282,14 @@ fn all_backends_agree_exactly() {
     }
 }
 
-/// The shared reference size of the acceptance contract: at p = 2048, the
-/// blocking worker pool and the event-driven stackless executor produce
-/// bitwise-identical results and identical traffic counters for every
-/// applicable algorithm. Slow; run via `cargo test -- --ignored` (CI
+/// The shared reference size of the acceptance contract: at p = 2048, one
+/// scheduler thread and four produce bitwise-identical products and per-rank
+/// stats, virtual times included, for every applicable algorithm, with
+/// plan-exact traffic. Slow; run via `cargo test -- --ignored` (CI
 /// `large-world` job).
 #[test]
 #[ignore = "large world (2048 ranks); run with --ignored"]
-fn event_and_blocking_agree_exactly_at_p2048() {
+fn event_thread_counts_agree_exactly_at_p2048() {
     let reg = baselines::registry();
     let prob = MmmProblem::new(192, 224, 512, 2048, 1 << 20);
     let a = Matrix::deterministic(prob.m, prob.k, 31);
@@ -330,19 +307,14 @@ fn event_and_blocking_agree_exactly_at_p2048() {
             execute_boxed(algo.as_ref(), &plan, &spec, backend, &a, &b)
                 .unwrap_or_else(|e| panic!("{id}: {e}"))
         };
-        let blocking = run(blocking());
         let event = run(ExecBackend::event());
+        let four = run(ExecBackend::Event { threads: 4 });
         assert_eq!(
-            blocking.c.as_slice(),
             event.c.as_slice(),
-            "{id} at p=2048: backends disagree on the product bitwise"
+            four.c.as_slice(),
+            "{id} at p=2048: event and event(4) disagree on the product bitwise"
         );
-        let strip = |stats: &[mpsim::RankStats]| stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
-        assert_eq!(
-            strip(&blocking.stats),
-            strip(&event.stats),
-            "{id} at p=2048: backends disagree on measured counters"
-        );
+        assert_eq!(event.stats, four.stats, "{id} at p=2048: event and event(4) disagree on the stats");
         for (r, st) in event.stats.iter().enumerate() {
             assert_eq!(
                 st.total_recv(),
@@ -355,9 +327,9 @@ fn event_and_blocking_agree_exactly_at_p2048() {
 
 /// The acceptance criterion's XL world: a `XL_RANKS` (default 131072) rank
 /// COSMA execution end-to-end on the event backend, with real messages, a
-/// verified product and plan-exact per-rank traffic. No carrier-thread
-/// backend can hold a world this size; the stackless state machines cost
-/// bytes per rank — and how many is pinned: the peak RSS may grow across the
+/// verified product and plan-exact per-rank traffic. No thread per rank
+/// could hold a world this size; the stackless state machines cost bytes
+/// per rank — and how many is pinned: the peak RSS may grow across the
 /// execution by the data a rank holds plus 2 600 B, no more. Run via
 /// `cargo test --release -- --ignored event_xl` (the CI `large-world` matrix
 /// sets `XL_RANKS` to 16384/65536/131072); the filter matters, a test running
@@ -479,11 +451,11 @@ fn dfs_carma_matches_bfs_and_reference_bitwise_on_all_backends() {
         }
         report.c
     };
-    let c_bfs = run(&ample, blocking());
+    let c_bfs = run(&ample, SHARDED);
     assert_eq!(c_bfs.as_slice(), want.as_slice(), "BFS CARMA vs reference GEMM");
     for backend in [
-        ExecBackend::Blocking { workers: 8 },
-        ExecBackend::Blocking { workers: 3 },
+        ExecBackend::Event { threads: 8 },
+        ExecBackend::Event { threads: 3 },
         ExecBackend::event(),
     ] {
         let c_dfs = run(&tight, backend);
@@ -504,7 +476,7 @@ fn execute_on_wrong_world_is_an_error_for_every_algorithm() {
             continue;
         }
         let plan = algo.plan(&prob, &model()).unwrap();
-        let err = execute_boxed(algo.as_ref(), &plan, &wrong, blocking(), &a, &b).unwrap_err();
+        let err = execute_boxed(algo.as_ref(), &plan, &wrong, SHARDED, &a, &b).unwrap_err();
         assert_eq!(
             err,
             PlanError::WorldSizeMismatch {
