@@ -180,9 +180,11 @@ fn cosma_product_digests_are_pinned() {
 
 /// The baselines' pinned cases: CARMA pure-BFS, CARMA streaming DFS leaves
 /// that split k (partial sums of one C region), CARMA on uneven dims, 2.5D
-/// with one layer and with two, SUMMA on primes, and SUMMA on a 4 × 2 grid
-/// whose panels are rooted at every row and column of it.
-fn baseline_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 7] {
+/// with one layer and with two, SUMMA on primes, SUMMA on a 4 × 2 grid
+/// whose panels are rooted at every row and column of it, and Cannon's
+/// algorithm as 2.5D with one layer on 3 × 3, 5 × 5 and 2 × 2 grids.
+fn baseline_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 10] {
+    let [q3, q5, q2] = one_layer_cases();
     [
         ("carma-bfs", MmmProblem::new(32, 32, 32, 16, 1 << 13), AlgoId::Carma, None),
         ("carma-dfs-k", MmmProblem::new(8, 8, 512, 4, 600), AlgoId::Carma, None),
@@ -201,17 +203,48 @@ fn baseline_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 
         ),
         ("summa", MmmProblem::new(29, 31, 37, 16, 1 << 13), AlgoId::Summa, None),
         ("summa-4x2", MmmProblem::new(40, 18, 36, 8, 1 << 13), AlgoId::Summa, None),
+        q3,
+        q5,
+        q2,
     ]
+}
+
+/// The shapes Cannon's plan was held to execution on, as 2.5D at `c = 1`.
+fn one_layer_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 3] {
+    [(32, 32, 32, 3), (25, 30, 35, 5), (18, 20, 22, 2)].map(|(m, n, k, q)| {
+        let prob = MmmProblem::new(m, n, k, q * q, 1 << 13);
+        ("p25d-c1", prob, AlgoId::P25d, Some(Geometry25 { q, c: 1 }))
+    })
+}
+
+/// Cannon executes as 2.5D with one layer: the same product and the same
+/// counters and clocks as its pinned row, on one scheduler thread and on two.
+#[test]
+fn cannon_executes_as_one_layer_p25d() {
+    for ((what, prob, _, geometry), pinned) in one_layer_cases().into_iter().zip(&BASELINE_DIGESTS[7..]) {
+        let (a, b, _) = reference(prob.m, prob.n, prob.k);
+        let mut registry = baselines::registry();
+        registry.register(P25dAlgorithm::with_geometry(geometry.unwrap()));
+        for exec in [ExecBackend::event(), ExecBackend::Event { threads: 2 }] {
+            let digests = [AlgoId::Cannon, AlgoId::P25d].map(|id| {
+                let report = session(&prob, id).registry(registry.clone()).exec_backend(exec).execute(&a, &b);
+                let report = report.unwrap_or_else(|e| panic!("{what} {id} on {exec:?}: {e}"));
+                (fnv1a(&report.c), stats_digest(&report.stats))
+            });
+            assert_eq!(digests, [*pinned; 2], "{what} on {exec:?}");
+        }
+    }
 }
 
 /// Each case's product digest, then the digest of its ranks' [`RankStats`]
 /// on the event engine ([`stats_digest`]): the product does not depend on
 /// which member roots or forwards a broadcast, the counters and clocks do.
 /// The first six products were recorded before CARMA's rank body became one
-/// walk over its trace; the rest, before SUMMA and 2.5D took their rank groups
-/// from `Grid3`.
+/// walk over its trace; the next four, before SUMMA and 2.5D took their rank
+/// groups from `Grid3`; the last three from Cannon's algorithm, which 2.5D at
+/// `c = 1` executes bit for bit.
 #[rustfmt::skip]
-const BASELINE_DIGESTS: [(u64, u64); 7] = [
+const BASELINE_DIGESTS: [(u64, u64); 10] = [
     (0xa64f390e27b9c8fb, 0x83013681825ed985),
     (0x2352158be9bb203f, 0x545b74b3b5eee95d),
     (0xbee7ec3951386d04, 0xd25bb8d99fa37e8a),
@@ -219,11 +252,14 @@ const BASELINE_DIGESTS: [(u64, u64); 7] = [
     (0xbb4df5bc0be6c5cc, 0xf96a9d645d845856),
     (0xa54802ddb71e155d, 0xf2a467aa3086392c),
     (0x7e45001d44eefde7, 0x6729b62bbf9c4a1f),
+    (0x9400105a5220babe, 0x5dbd3b160ae7482a),
+    (0x93e107da98ae89fe, 0x2cf8f039b2ee766f),
+    (0x79eda6cdeda90d59, 0x4de069d4b926e595),
 ];
 
 #[test]
 fn baseline_product_digests_are_pinned() {
-    let [(_, bfs, ..), (_, dfs, ..), .., (_, tall, ..)] = baseline_cases();
+    let [(_, bfs, ..), (_, dfs, ..), .., (_, tall, ..), _, _, _] = baseline_cases();
     assert_eq!(baselines::carma::dfs_leaf_count(&bfs), 1, "carma-bfs must be one BFS recursion");
     assert!(baselines::carma::dfs_leaf_count(&dfs) > 1, "carma-dfs-k must stream DFS leaves");
     let grid = session(&tall, AlgoId::Summa).plan().expect("SUMMA plans summa-4x2").grid;

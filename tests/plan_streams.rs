@@ -207,6 +207,73 @@ fn plan_digests_are_pinned() {
     }
 }
 
+/// The traffic a plan prices, folded: its grid, every rank's received words
+/// and messages in rank order, and its planned time with overlap on and off,
+/// by their bits. Bricks and working sets are left out: they are where two
+/// schedules of the same messages may differ.
+fn traffic_digest(plan: &DistPlan) -> u64 {
+    let mut f = Fold(0);
+    f.words(plan.grid);
+    for r in &plan.ranks {
+        f.word(r.comm_words());
+        f.word(r.comm_msgs());
+    }
+    for overlap in [true, false] {
+        f.word(plan.simulate(&model(), overlap).time_s.to_bits());
+    }
+    f.0
+}
+
+/// Cannon's traffic at every point of [`plan_digests_are_pinned`] where it
+/// plans, recorded from `cannon::plan`: the scenarios at p = 4096 (all but
+/// `square-limited`, where Cannon's blocks do not fit), one rank, and p = 36.
+#[rustfmt::skip]
+const ONE_LAYER_TRAFFIC: [(&str, usize, u64); 13] = [
+    ("square-strong", 4096, 0x9d8189af83c295ec),
+    ("square-extra", 4096, 0xf4890c7007b4af44),
+    ("largek-strong", 4096, 0xabc633b5feb8a7d2),
+    ("largek-limited", 4096, 0x984b732657b76503),
+    ("largek-extra", 4096, 0xa5a0953718e4f390),
+    ("largem-strong", 4096, 0x9636bf1b6542435b),
+    ("largem-limited", 4096, 0x1a322d4aa8863346),
+    ("largem-extra", 4096, 0xdbc98e12538ce78a),
+    ("flat-strong", 4096, 0xb1f949ec0a2c89c7),
+    ("flat-limited", 4096, 0x70aba8f675403595),
+    ("flat-extra", 4096, 0xf033480bf33570ae),
+    ("one-rank", 1, 0x4d95333bdb8c5821),
+    ("p-36", 36, 0x2dc3dff2cfa53d1a),
+];
+
+/// 2.5D forced to one layer, `{ q: ⌊√p⌋, c: 1 }`, is Cannon's algorithm:
+/// at every pinned point where Cannon plans, both price the same words and
+/// messages on every rank and the same time to the bit.
+#[test]
+fn one_layer_p25d_is_pinned_to_cannon() {
+    let mut cases: Vec<(&str, MmmProblem)> = Vec::new();
+    for sc in bench::scenarios::all() {
+        cases.extend(ROSTER_PS.map(|p| (sc.id, (sc.problem)(p))));
+    }
+    cases.extend(extra_cases().into_iter().map(|(name, _, prob)| (name, prob)));
+    let mut got = Vec::new();
+    for (name, prob) in cases {
+        let Ok(cannon) = baselines::cannon::plan(&prob) else {
+            continue;
+        };
+        let q = (prob.p as f64).sqrt().floor() as usize;
+        let layer = P25dAlgorithm::with_geometry(Geometry25 { q, c: 1 })
+            .plan(&prob, &model())
+            .unwrap();
+        assert_eq!(traffic_digest(&layer), traffic_digest(&cannon), "{name} at p = {}", prob.p);
+        got.push((name, prob.p, traffic_digest(&layer)));
+    }
+    if got != ONE_LAYER_TRAFFIC {
+        for (name, p, d) in &got {
+            println!("    ({name:?}, {p}, {d:#018x}),");
+        }
+        panic!("{} one-layer points, the table above", got.len());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The stream is the plan
 // ---------------------------------------------------------------------------
