@@ -1,6 +1,6 @@
 //! Closed-form communication costs of the baselines (Table 3 of the paper).
 //!
-//! Rows 1–3 of Table 3: the 2D (SUMMA/Cannon), 2.5D (CTF) and recursive
+//! Rows 1–3 of Table 3: the 2D (SUMMA), 2.5D (CTF) and recursive
 //! (CARMA) decompositions. The `table3` experiment prints these next to the
 //! measured plan volumes; tests check the measured values track the models.
 

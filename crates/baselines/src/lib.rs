@@ -7,21 +7,19 @@
 //! * [`summa`] — SUMMA [van de Geijn & Watts '97], the 2D panel-broadcast
 //!   algorithm inside ScaLAPACK's `pdgemm`. Stands in for "ScaLAPACK" in the
 //!   experiments (we auto-tune its grid, as the paper manually did).
-//! * [`cannon`] — Cannon's algorithm ['69]: square 2D grid, skew + ring
-//!   shifts. The classical communication-optimal 2D algorithm for square
-//!   matrices and square grids.
 //! * [`p25d`] — the 2.5D decomposition [Solomonik & Demmel '11] with `c`
-//!   replicated layers (3D as the special case `c = q`); the decomposition
-//!   CTF uses. Stands in for "CTF".
+//!   replicated layers (3D as the special case `c = q`, Cannon's algorithm
+//!   ['69] as `c = 1`); the decomposition CTF uses. Stands in for "CTF".
 //! * [`carma`] — CARMA [Demmel et al. '13]: BFS recursive splitting of the
 //!   largest dimension, `p` a power of two; memory-oblivious and
 //!   asymptotically optimal, but up to `√3` off in constants (§6.2).
 //!
 //! Every algorithm implements [`cosma::api::MmmAlgorithm`] —
-//! [`SummaAlgorithm`], [`CannonAlgorithm`], [`P25dAlgorithm`],
-//! [`CarmaAlgorithm`] — and [`registry`] returns the full five-algorithm
-//! [`AlgorithmRegistry`] (COSMA included) that the bench harness, the
-//! examples and the conformance tests consume. Planning failures and
+//! [`SummaAlgorithm`], [`P25dAlgorithm`], [`CarmaAlgorithm`] — and
+//! [`registry`] returns the full four-algorithm [`AlgorithmRegistry`] (COSMA
+//! included) that the bench harness, the examples and the conformance tests
+//! consume. ([`cannon`] holds one plan function for the standalone
+//! benchmark, not an algorithm.) Planning failures and
 //! rank-count constraints are reported through the unified
 //! [`cosma::api::PlanError`] (the former `BaselineError` is gone).
 
@@ -37,24 +35,24 @@ pub mod carma;
 pub mod p25d;
 pub mod summa;
 
-pub use cannon::CannonAlgorithm;
 pub use carma::CarmaAlgorithm;
 pub use p25d::P25dAlgorithm;
 pub use summa::SummaAlgorithm;
 
 /// The full algorithm registry of the paper's evaluation: COSMA plus the
-/// four baselines, each with its default configuration.
+/// three baselines it is compared with, each with its default
+/// configuration, in [`AlgoId::ALL`](cosma::api::AlgoId::ALL) order.
 ///
 /// Built once per process and shared: [`AlgorithmRegistry`] is `Arc`-backed,
 /// so every call returns an O(1) handle to the same algorithm list instead
-/// of re-instantiating the five algorithms. Callers that `register` onto
+/// of re-instantiating the four algorithms. Callers that `register` onto
 /// their copy split off privately (copy-on-write) without affecting anyone
 /// else.
 ///
 /// ```
 /// use cosma::api::AlgoId;
 /// let reg = baselines::registry();
-/// assert_eq!(reg.ids().len(), 5);
+/// assert_eq!(reg.ids(), AlgoId::ALL);
 /// assert!(reg.by_id(AlgoId::Carma).is_ok());
 /// ```
 pub fn registry() -> AlgorithmRegistry {
@@ -63,7 +61,6 @@ pub fn registry() -> AlgorithmRegistry {
         .get_or_init(|| {
             let mut r = AlgorithmRegistry::core();
             r.register(SummaAlgorithm);
-            r.register(CannonAlgorithm);
             r.register(P25dAlgorithm::default());
             r.register(CarmaAlgorithm);
             r
@@ -76,13 +73,8 @@ mod tests {
     use cosma::api::AlgoId;
 
     #[test]
-    fn registry_contains_all_five() {
-        let reg = super::registry();
-        let ids = reg.ids();
-        for id in AlgoId::ALL {
-            assert!(ids.contains(&id), "{id} missing from registry");
-        }
-        assert_eq!(ids.len(), 5);
+    fn registry_contains_all_four_in_order() {
+        assert_eq!(super::registry().ids(), AlgoId::ALL);
     }
 
     #[test]

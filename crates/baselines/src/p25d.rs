@@ -192,7 +192,7 @@ pub fn plan_ranks(
 /// through the alignment permutation (nothing for a block the rank already
 /// owns, so a one-rank layer sends no message), every later step through a
 /// unit shift. Cannon's rounds are layer 0 of `c = 1`.
-pub(crate) fn layer_steps(
+fn layer_steps(
     prob: &MmmProblem,
     geo: Geometry25,
     [i, j, l]: [usize; 3],
@@ -223,7 +223,7 @@ pub(crate) fn layer_steps(
 
 /// Execute a 2.5D plan on the calling rank. A layer-0 rank returns its C
 /// block; other layers (and idle ranks) hold no output. With `c = 1` this
-/// is Cannon's rank body, which [`crate::cannon::CannonAlgorithm`] runs.
+/// is Cannon's rank body: the skew, then `q − 1` multiply-shift steps.
 pub async fn execute(comm: &mut RankComm, plan: &DistPlan, a: &Matrix, b: &Matrix) -> Vec<CPart> {
     assert_eq!(plan.problem.p, comm.size(), "plan/world size mismatch");
     let prob = &plan.problem;
@@ -377,8 +377,19 @@ mod tests {
     use mpsim::machine::MachineSpec;
 
     fn check_p25d(m: usize, n: usize, k: usize, p: usize, s: usize) -> DistPlan {
-        let prob = MmmProblem::new(m, n, k, p, s);
-        let dplan = plan(&prob).expect("plan");
+        check_plan(plan(&MmmProblem::new(m, n, k, p, s)).expect("plan"))
+    }
+
+    /// Execute `dplan` on two scheduler threads: the product must be the
+    /// reference kernel's and every rank must receive the words it plans.
+    fn check_plan(dplan: DistPlan) -> DistPlan {
+        let MmmProblem {
+            m,
+            n,
+            k,
+            p,
+            mem_words: s,
+        } = dplan.problem;
         dplan.validate().expect("valid plan");
         let a = Matrix::deterministic(m, k, 51);
         let b = Matrix::deterministic(k, n, 52);
@@ -428,8 +439,8 @@ mod tests {
             assert!(matmul(&a, &b).approx_eq(&report.c, 1e-9));
             report.pool.hits + report.pool.misses
         };
-        // The panels pass through the multiply and the shift rings by value.
-        assert_eq!(takes(&crate::cannon::CannonAlgorithm, 16), 0);
+        // The panels pass through the multiply and Cannon's shift rings (one
+        // layer) by value.
         let layers = |q, c| P25dAlgorithm::with_geometry(Geometry25 { q, c });
         assert_eq!(takes(&layers(4, 1), 16), 0);
         // With c > 1 only the replication broadcast and the reduction lease,
@@ -438,6 +449,38 @@ mod tests {
         let one_step = takes(&layers(2, 2), 8);
         assert!(one_step > 0);
         assert_eq!(takes(&layers(4, 2), 32), 4 * one_step);
+    }
+
+    /// One layer on `p = q²` ranks: Cannon's algorithm.
+    fn check_one_layer(m: usize, n: usize, k: usize, p: usize) {
+        let prob = MmmProblem::new(m, n, k, p, 4096);
+        let q = (p as f64).sqrt() as usize;
+        let layer = P25dAlgorithm::with_geometry(Geometry25 { q, c: 1 });
+        let dplan = check_plan(layer.plan(&prob, &CostModel::piz_daint_two_sided()).expect("plan"));
+        assert_eq!(dplan.grid, [q, q, 1]);
+    }
+
+    #[test]
+    fn one_layer_correct_on_square_grids() {
+        check_one_layer(16, 16, 16, 4);
+        check_one_layer(16, 16, 16, 16);
+        check_one_layer(18, 22, 26, 9); // uneven splits
+        check_one_layer(15, 17, 19, 4); // primes
+        check_one_layer(8, 9, 10, 1); // one rank
+        check_one_layer(32, 8, 16, 4); // rectangular
+        check_one_layer(8, 32, 64, 4);
+    }
+
+    #[test]
+    fn one_layer_traffic_matches_2d_model() {
+        // Per-rank volume: q rounds (skew + q-1 shifts) of block pairs,
+        // i.e. 2n²/√p for square matrices.
+        let prob = MmmProblem::new(64, 64, 64, 16, 1 << 14);
+        let layer = P25dAlgorithm::with_geometry(Geometry25 { q: 4, c: 1 });
+        let dplan = layer.plan(&prob, &CostModel::piz_daint_two_sided()).unwrap();
+        let expect = 2.0 * (64.0 * 64.0) / 4.0;
+        let got = dplan.max_comm_words() as f64;
+        assert!((got / expect - 1.0).abs() < 0.05, "got {got}, expect {expect}");
     }
 
     #[test]

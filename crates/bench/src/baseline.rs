@@ -30,9 +30,7 @@ use mpsim::exec::ExecBackend;
 use mpsim::machine::{MachineSpec, Placement, Topology};
 
 use crate::output::{fmt, results_dir, Table};
-use crate::runner::{
-    self, cosma_speedup, five_numbers, geomean, time_agrees, AlgoRow, ExecutedRow, COMPARED,
-};
+use crate::runner::{self, cosma_speedup, five_numbers, geomean, time_agrees, AlgoRow, ExecutedRow};
 use crate::scenarios::{self, Scenario};
 use crate::serve_bench::{self, ServeMetrics};
 
@@ -347,7 +345,7 @@ fn sweep(scenarios: &[Scenario], counts: &[usize], algos: &[Arc<dyn MmmAlgorithm
 fn fig3() -> Vec<AlgoRow> {
     let prob = MmmProblem::new(4096, 4096, 4096, 8, 3_000_000);
     let naive: Arc<dyn MmmAlgorithm> = Arc::new(P25dAlgorithm::with_geometry(Geometry25 { q: 2, c: 2 }));
-    let cosma = runner::registry().by_id(AlgoId::Cosma).expect("registry has COSMA");
+    let cosma = baselines::registry().by_id(AlgoId::Cosma).expect("registry has COSMA");
     [naive, cosma]
         .iter()
         .map(|algo| {
@@ -418,7 +416,7 @@ fn timed(ids: &[&str]) -> Vec<Timed> {
         }
         add(("square-timed", Shape::Square, 1024, "fat-tree-rr"));
     }
-    let (fat, compared) = (Topology::congested_fat_tree(), runner::compared_algorithms());
+    let (fat, registry) = (Topology::congested_fat_tree(), baselines::registry());
     let mut out = Vec::new();
     for (scenario, shape, p, topology) in worlds {
         let (net, placement) = match topology {
@@ -430,7 +428,7 @@ fn timed(ids: &[&str]) -> Vec<Timed> {
         let spec = machine(&prob).with_topology(net).with_placement(placement);
         let [on, off] = [true, false].map(|overlap| {
             let spec = spec.clone().with_overlap(overlap);
-            runner::execute(&compared, &prob, &spec, ExecBackend::event())
+            runner::execute(registry.all(), &prob, &spec, ExecBackend::event())
         });
         out.extend(on.into_iter().zip(off).map(|(on, off)| Timed {
             scenario,
@@ -446,7 +444,7 @@ fn timed(ids: &[&str]) -> Vec<Timed> {
 /// p = 64, executed with every budget of [`scenarios::mem_sweep_budgets`]
 /// enforced as a hard per-rank limit.
 fn mem_sweep() -> Vec<(String, ExecutedRow)> {
-    let carma = [runner::registry().by_id(AlgoId::Carma).expect("registry has CARMA")];
+    let carma = [baselines::registry().by_id(AlgoId::Carma).expect("registry has CARMA")];
     scenarios::mem_sweep_budgets()
         .into_iter()
         .map(|s| {
@@ -617,7 +615,7 @@ impl Record {
     /// ([`scenarios::exec_problem`]) at `p`.
     pub fn square(p: usize, backend: ExecBackend) -> Vec<(String, ExecutedRow)> {
         let prob = scenarios::exec_problem(Shape::Square, p);
-        let rows = runner::execute(runner::registry().all(), &prob, &machine(&prob), backend);
+        let rows = runner::execute(baselines::registry().all(), &prob, &machine(&prob), backend);
         rows.into_iter().map(|r| ("square".into(), r)).collect()
     }
 
@@ -626,7 +624,7 @@ impl Record {
     pub fn square_tight(backend: ExecBackend) -> Vec<(String, ExecutedRow)> {
         let prob = scenarios::mem_starved_problem(64, 1 << 10);
         let rows =
-            runner::execute(runner::registry().all(), &prob, &machine(&prob).enforcing_memory(), backend);
+            runner::execute(baselines::registry().all(), &prob, &machine(&prob).enforcing_memory(), backend);
         rows.into_iter().map(|r| ("square-tight".into(), r)).collect()
     }
 
@@ -649,7 +647,7 @@ impl Record {
         executed.extend(Record::square_tight(event));
         // The large-world shape at a CI-sized world, as one scheduler region
         // and as four: `contracts` holds the pair bitwise equal.
-        let cosma = runner::registry().by_id(AlgoId::Cosma).expect("registry has COSMA");
+        let cosma = baselines::registry().by_id(AlgoId::Cosma).expect("registry has COSMA");
         let xxl = scenarios::exec_xl_problem(4096);
         for backend in [ExecBackend::event(), ExecBackend::Event { threads: 4 }] {
             let rows = runner::execute(std::slice::from_ref(&cosma), &xxl, &machine(&xxl), backend);
@@ -669,7 +667,7 @@ impl Record {
     pub fn add_sections(&mut self, ids: &[&str]) {
         let wants = |of: &[&str]| of.iter().any(|id| ids.contains(id));
         if ids.iter().any(|id| sweep_view(id).is_some()) || wants(&["fig1", "fig12", "table4", "topo"]) {
-            self.sweep = sweep(&scenarios::all(), &sweep_counts(), &runner::compared_algorithms());
+            self.sweep = sweep(&scenarios::all(), &sweep_counts(), baselines::registry().all());
         }
         if wants(&["fig3"]) {
             self.fig3 = fig3();
@@ -844,7 +842,7 @@ impl Record {
                 mean(points.iter().filter_map(|rows| find(rows, algo)).map(of))
             };
             let mut values: Vec<(&str, f64)> =
-                COMPARED.iter().map(|&a| (a.as_str(), avg(a, AlgoRow::active_mb))).collect();
+                AlgoId::ALL.iter().map(|&a| (a.as_str(), avg(a, AlgoRow::active_mb))).collect();
             if fat {
                 values.push(("cosma s", avg(AlgoId::Cosma, |r| r.time_s)));
             }
@@ -868,7 +866,7 @@ impl Record {
         let mut out = Vec::new();
         match id {
             "fig1" => {
-                for algo in COMPARED {
+                for algo in AlgoId::ALL {
                     let xs = self.peaks(algo, |_| true);
                     out.push(show(
                         algo,
@@ -948,7 +946,7 @@ impl Record {
             "fig13" | "fig14" => {
                 let (shapes, _) = sweep_view(id).expect("a distribution figure");
                 for sc in scenarios::all().iter().filter(|sc| shapes.iter().any(|s| sc.id.starts_with(s))) {
-                    for algo in COMPARED {
+                    for algo in AlgoId::ALL {
                         let f = five_numbers(&self.peaks(algo, |x| x.id == sc.id));
                         let values: Vec<_> =
                             ["min", "q1", "median", "q3", "max"].into_iter().zip(f).collect();
@@ -958,7 +956,7 @@ impl Record {
             }
             "table3" => {
                 for (i, (what, prob, unit)) in table3_problems().into_iter().enumerate() {
-                    for algo in COMPARED {
+                    for algo in AlgoId::ALL {
                         let q = analytic_q(algo, &prob);
                         let mut values = vec![("analytic Q words", q), ("x unit", q / unit)];
                         if let Some(r) = self.table3.iter().find(|r| r.algo == algo).filter(|_| i == 0) {
@@ -1187,7 +1185,7 @@ impl Record {
         // Figures 13–14 and 1.
         for sc in scenarios::all() {
             let median = |algo| five_numbers(&self.peaks(algo, |x| x.id == sc.id))[2];
-            for b in &COMPARED[1..] {
+            for b in &AlgoId::ALL[1..] {
                 claim(
                     above(median(AlgoId::Cosma), median(*b)),
                     &format!("{}/% peak", sc.id),
@@ -1200,7 +1198,7 @@ impl Record {
             (max(&xs), geomean(&xs))
         };
         let (top, geo) = summary(AlgoId::Cosma);
-        for b in &COMPARED[1..] {
+        for b in &AlgoId::ALL[1..] {
             let (b_top, b_geo) = summary(*b);
             claim(
                 above(top, b_top) && above(geo, b_geo),
@@ -1413,7 +1411,7 @@ mod tests {
         record.add_sections(&["fig3", "fig5", "table3", "mem-sweep", "faults"]);
         let strong: Vec<Scenario> =
             scenarios::all().into_iter().filter(|sc| sc.id.ends_with("-strong")).collect();
-        let cosma = runner::registry().by_id(AlgoId::Cosma).unwrap();
+        let cosma = baselines::registry().by_id(AlgoId::Cosma).unwrap();
         record.sweep = sweep(&strong, &FIG12_CORES, &[cosma]);
         record
     }
@@ -1424,11 +1422,11 @@ mod tests {
         assert_eq!(first.contracts(), Vec::<String>::new());
         let text = first.render();
         assert_eq!(text, small_record().render());
-        // 5 + 5 square rows and 4 budgeted ones; 6 mem-sweep rows, 2 fig3
+        // 4 + 4 square rows and 4 budgeted ones; 6 mem-sweep rows, 2 fig3
         // and 4 table3 plans, COSMA at fig12's 8 points and, fat tree, at the
         // 4 with p = 2048 (a topology count); the clean faults run and 8 + 48
         // served ones.
-        assert_eq!(text.lines().count(), 1 + 14 + 6 + 2 + 4 + 12 + 57);
+        assert_eq!(text.lines().count(), 1 + 12 + 6 + 2 + 4 + 12 + 57);
         assert_eq!(diff(&text, &text), Vec::<String>::new());
     }
 
@@ -1440,7 +1438,7 @@ mod tests {
         let record = small_record();
         let text = record.render();
         let shared: Vec<&str> = text.lines().filter(|l| !l.starts_with("square,64,event(2),")).collect();
-        assert_eq!(shared.len(), 1 + 9 + 6 + 2 + 4 + 12 + 57);
+        assert_eq!(shared.len(), 1 + 8 + 6 + 2 + 4 + 12 + 57);
         for line in shared {
             assert!(committed.lines().any(|c| c == line), "not in the committed record: {line}");
         }
@@ -1756,8 +1754,8 @@ mod tests {
                 }
             }
         }
-        // 25 executed + 6 mem-sweep, 184 timed, the serve and kernel lines,
+        // 22 executed + 6 mem-sweep, 184 timed, the serve and kernel lines,
         // 1 160 sweep + 2 fig3 + 4 table3 planned, 57 served faults.
-        assert_eq!(keys.len(), 25 + 6 + 184 + 2 + 1160 + 6 + 57);
+        assert_eq!(keys.len(), 22 + 6 + 184 + 2 + 1160 + 6 + 57);
     }
 }

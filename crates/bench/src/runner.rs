@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use cosma::api::{execute_boxed, AlgoId, AlgorithmRegistry, MmmAlgorithm, PlanError};
+use cosma::api::{execute_boxed, AlgoId, MmmAlgorithm, PlanError};
 use cosma::plan::{RankPlan, Scoring};
 use cosma::problem::MmmProblem;
 use densemat::gemm::matmul;
@@ -19,11 +19,6 @@ use mpsim::cost::{CostModel, TimeBreakdown};
 use mpsim::exec::ExecBackend;
 use mpsim::machine::{MachineSpec, Placement, Topology};
 use mpsim::stats::aggregate;
-
-/// The algorithms of the paper's comparison figures, in presentation order
-/// (Cannon is covered by the correctness suite but, as in the paper, not by
-/// the evaluation figures).
-pub const COMPARED: [AlgoId; 4] = [AlgoId::Cosma, AlgoId::Summa, AlgoId::P25d, AlgoId::Carma];
 
 /// One algorithm's planned outcome on one problem instance.
 #[derive(Debug, Clone)]
@@ -62,12 +57,6 @@ impl AlgoRow {
 
 pub(crate) fn words_to_mb(w: f64) -> f64 {
     w * 8.0 / 1e6
-}
-
-/// The registry the bench harness draws from: all five algorithms with
-/// their default configurations.
-pub fn registry() -> AlgorithmRegistry {
-    baselines::registry()
 }
 
 /// The rank count `algo` plans `prob` on: `prob.p` when it supports it,
@@ -156,21 +145,14 @@ pub(crate) fn contention(p: usize, topology: &Topology) -> f64 {
     mpsim::Network::compile(p, topology, Placement::Block).mean_contention()
 }
 
-/// Evaluate the compared algorithms on `prob` under `model`. Inapplicable or
-/// infeasible algorithms are skipped (reported by absence).
+/// Evaluate every algorithm of [`baselines::registry`] on `prob` under
+/// `model`. Inapplicable or infeasible algorithms are skipped (reported by
+/// absence).
 pub fn run_all(prob: &MmmProblem, model: &CostModel) -> Vec<AlgoRow> {
-    compared_algorithms()
+    baselines::registry()
+        .all()
         .iter()
         .filter_map(|algo| score(algo.as_ref(), prob, &[*model]).ok()?.pop())
-        .collect()
-}
-
-/// The [`COMPARED`] subset of the registry, in presentation order.
-pub fn compared_algorithms() -> Vec<Arc<dyn MmmAlgorithm>> {
-    let reg = registry();
-    COMPARED
-        .iter()
-        .map(|&id| reg.by_id(id).expect("registry is complete"))
         .collect()
 }
 
@@ -348,7 +330,7 @@ mod tests {
 
     /// Every registry algorithm executed on `machine`.
     fn execute_every(prob: &MmmProblem, machine: &MachineSpec, backend: ExecBackend) -> Vec<ExecutedRow> {
-        execute(registry().all(), prob, machine, backend)
+        execute(baselines::registry().all(), prob, machine, backend)
     }
 
     #[test]
@@ -356,7 +338,7 @@ mod tests {
         let prob = MmmProblem::new(4096, 4096, 4096, 1024, 1 << 22);
         let rows = run_all(&prob, &model());
         let algos: Vec<AlgoId> = rows.iter().map(|r| r.algo).collect();
-        assert_eq!(algos, COMPARED.to_vec());
+        assert_eq!(algos, AlgoId::ALL);
         for r in &rows {
             assert!(r.mean_mb > 0.0 && r.time_s > 0.0 && r.percent_peak > 0.0, "{r:?}");
             assert!(r.time_no_overlap_s >= r.time_s);
@@ -409,7 +391,7 @@ mod tests {
         };
         let m = model();
         let fat = m.with_contention(contention(256, &Topology::congested_fat_tree()));
-        let reg = registry();
+        let reg = baselines::registry();
         let square = |p| MmmProblem::new(16_384, 16_384, 16_384, p, crate::scenarios::S_WORDS);
         let flat = |p| MmmProblem::new(131_072, 131_072, 512, p, crate::scenarios::S_WORDS);
         // Padded CARMA and 2.5D (the paper's §1 cases), unpadded COSMA and
@@ -436,21 +418,10 @@ mod tests {
     #[test]
     fn carma_padding_on_non_power_of_two() {
         let prob = MmmProblem::new(2048, 2048, 2048, 1500, 1 << 22);
-        let carma = registry().by_id(AlgoId::Carma).unwrap();
+        let carma = baselines::registry().by_id(AlgoId::Carma).unwrap();
         let row = score(carma.as_ref(), &prob, &[model()]).unwrap().remove(0);
         assert_eq!((row.p, row.active), (1500, 1024));
         assert_eq!(materialised(carma.as_ref(), &prob, &model()).0.validate_coverage(), Ok(()));
-    }
-
-    #[test]
-    fn cannon_padding_on_non_square() {
-        // Padding is algorithm-agnostic: Cannon pads to the largest perfect
-        // square the same way CARMA pads to the power of two.
-        let prob = MmmProblem::new(512, 512, 512, 30, 1 << 18);
-        let cannon = registry().by_id(AlgoId::Cannon).unwrap();
-        let row = score(cannon.as_ref(), &prob, &[model()]).unwrap().remove(0);
-        assert_eq!((row.p, row.active), (30, 25));
-        assert_eq!(materialised(cannon.as_ref(), &prob, &model()).0.validate_coverage(), Ok(()));
     }
 
     #[test]
@@ -512,12 +483,12 @@ mod tests {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
         let (a, b) = (Matrix::deterministic(48, 48, 61), Matrix::deterministic(48, 48, 62));
         let spec = machine(&prob);
-        for algo in registry().all() {
+        for algo in baselines::registry().all() {
             let plan = algo.plan(&prob, &model()).unwrap();
             let pool = execute_boxed(algo.as_ref(), &plan, &spec, SHARDED, &a, &b).unwrap().pool;
-            // Cannon and 2.5D (one layer here) move their panels by value and
-            // never touch the arena; the other three lease every payload.
-            let leases = !matches!(algo.id(), AlgoId::Cannon | AlgoId::P25d);
+            // 2.5D (one layer here) moves its panels by value and never
+            // touches the arena; the other three lease every payload.
+            let leases = algo.id() != AlgoId::P25d;
             assert_eq!(pool.allocs() > 0, leases, "{}: {} allocs", algo.id(), pool.allocs());
             assert!((0.0..=1.0).contains(&pool.hit_rate()), "{}: hit rate {}", algo.id(), pool.hit_rate());
         }
@@ -546,13 +517,13 @@ mod tests {
         let prob = MmmProblem::new(64, 64, 64, 16, 1 << 14);
         let [on, off] = [true, false].map(|overlap| {
             execute(
-                &compared_algorithms(),
+                baselines::registry().all(),
                 &prob,
                 &machine(&prob).with_overlap(overlap),
                 ExecBackend::event(),
             )
         });
-        assert_eq!(on.len(), COMPARED.len(), "all compared algorithms must time");
+        assert_eq!(on.len(), AlgoId::ALL.len(), "all compared algorithms must time");
         for (on, off) in on.iter().zip(&off) {
             assert!(
                 time_agrees(on.measured_time_s, on.planned_time_s)
@@ -580,9 +551,9 @@ mod tests {
             .with_placement(Placement::RoundRobin)
             .with_overlap(false);
         for spec in [contended, machine(&prob).enforcing_memory()] {
-            let rows = execute(&compared_algorithms(), &prob, &spec, ExecBackend::event());
-            assert_eq!(rows.len(), COMPARED.len(), "{spec:?}");
-            for (row, algo) in rows.iter().zip(compared_algorithms()) {
+            let rows = execute(baselines::registry().all(), &prob, &spec, ExecBackend::event());
+            assert_eq!(rows.len(), AlgoId::ALL.len(), "{spec:?}");
+            for (row, algo) in rows.iter().zip(baselines::registry().all()) {
                 let plan = algo.plan(&prob, &spec.cost).unwrap();
                 assert!(row.exact && row.within_mem, "{}: {row:?}", row.algo);
                 assert_eq!(
@@ -602,7 +573,8 @@ mod tests {
         let m = model();
         let flat = run_all(&prob, &m);
         let under = |topology: &Topology| m.with_contention(contention(prob.p, topology));
-        let scored: Vec<Vec<AlgoRow>> = compared_algorithms()
+        let scored: Vec<Vec<AlgoRow>> = baselines::registry()
+            .all()
             .iter()
             .map(|a| {
                 score(a.as_ref(), &prob, &[m, under(&Topology::Flat), under(&Topology::congested_fat_tree())])

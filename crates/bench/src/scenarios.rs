@@ -47,7 +47,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// A [`RunSession`] for this scenario at `p` cores: Piz-Daint-like cost
-    /// model, full five-algorithm registry. Chain `.algorithm(..)` and
+    /// model, full four-algorithm registry. Chain `.algorithm(..)` and
     /// `.run()` to evaluate.
     pub fn session(&self, p: usize) -> RunSession {
         RunSession::new((self.problem)(p))

@@ -21,8 +21,8 @@ use serve::{AlgoChoice, JobRequest, Server, ServerConfig};
 ///
 /// Twelve combinations: `p ∈ {4, 8, 16}` × four variants — a square and a
 /// large-k problem under full auto selection, plus a square problem under
-/// two tenant-restricted pairs (the 2D classics, the recursive/replicating
-/// pair). The restricted pairs guarantee the stream's winners span at
+/// two tenant-restricted pairs (2D SUMMA against 2.5D, and 2.5D against
+/// CARMA). The restricted pairs guarantee the stream's winners span at
 /// least three algorithms even where COSMA would sweep an open field.
 pub fn unique_combos() -> Vec<(MmmProblem, AlgoChoice)> {
     let mut out = Vec::new();
@@ -31,7 +31,7 @@ pub fn unique_combos() -> Vec<(MmmProblem, AlgoChoice)> {
         let largek = MmmProblem::new(32, 32, 256, p, 1 << 14);
         out.push((square, AlgoChoice::Auto));
         out.push((largek, AlgoChoice::Auto));
-        out.push((square, AlgoChoice::Among(vec![AlgoId::Summa, AlgoId::Cannon])));
+        out.push((square, AlgoChoice::Among(vec![AlgoId::Summa, AlgoId::P25d])));
         out.push((square, AlgoChoice::Among(vec![AlgoId::P25d, AlgoId::Carma])));
     }
     out

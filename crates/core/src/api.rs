@@ -17,7 +17,7 @@
 //! * [`PlanError`] — the single error enum for everything that can go wrong
 //!   between "here is a problem" and "here is a validated plan": structural
 //!   plan defects, grid infeasibility, per-algorithm rank-count constraints
-//!   (Cannon's perfect square, CARMA's power of two), registry misses and
+//!   (CARMA's power of two), registry misses and
 //!   configuration mistakes.
 //! * [`AlgorithmRegistry`] — a set of boxed algorithms with per-algorithm
 //!   default configurations. [`AlgorithmRegistry::core`] holds COSMA alone;
@@ -77,8 +77,6 @@ pub enum AlgoId {
     Cosma,
     /// SUMMA (van de Geijn & Watts '97) — the ScaLAPACK `pdgemm` stand-in.
     Summa,
-    /// Cannon's algorithm ('69): square grid, skew + ring shifts.
-    Cannon,
     /// The 2.5D decomposition (Solomonik & Demmel '11) — the CTF stand-in.
     P25d,
     /// CARMA (Demmel et al. '13): BFS recursive splitting.
@@ -87,20 +85,13 @@ pub enum AlgoId {
 
 impl AlgoId {
     /// Every id, in the paper's presentation order.
-    pub const ALL: [AlgoId; 5] = [
-        AlgoId::Cosma,
-        AlgoId::Summa,
-        AlgoId::Cannon,
-        AlgoId::P25d,
-        AlgoId::Carma,
-    ];
+    pub const ALL: [AlgoId; 4] = [AlgoId::Cosma, AlgoId::Summa, AlgoId::P25d, AlgoId::Carma];
 
     /// Canonical lower-case name (used in tables, CSV files and CLIs).
     pub fn as_str(&self) -> &'static str {
         match self {
             AlgoId::Cosma => "cosma",
             AlgoId::Summa => "summa",
-            AlgoId::Cannon => "cannon",
             AlgoId::P25d => "p25d",
             AlgoId::Carma => "carma",
         }
@@ -121,7 +112,6 @@ impl FromStr for AlgoId {
         match s.to_ascii_lowercase().as_str() {
             "cosma" => Ok(AlgoId::Cosma),
             "summa" | "scalapack" => Ok(AlgoId::Summa),
-            "cannon" => Ok(AlgoId::Cannon),
             "p25d" | "2.5d" | "ctf" => Ok(AlgoId::P25d),
             "carma" => Ok(AlgoId::Carma),
             _ => Err(PlanError::UnknownAlgorithm { name: s.to_string() }),
@@ -136,8 +126,6 @@ impl FromStr for AlgoId {
 /// A rank-count constraint an algorithm imposes on `p`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankRequirement {
-    /// `p = q²` (Cannon).
-    PerfectSquare,
     /// `p = 2^L` (CARMA).
     PowerOfTwo,
 }
@@ -146,10 +134,6 @@ impl RankRequirement {
     /// Does `p` satisfy the requirement?
     pub fn accepts(&self, p: usize) -> bool {
         match self {
-            RankRequirement::PerfectSquare => {
-                let q = (p as f64).sqrt().round() as usize;
-                q * q == p
-            }
             RankRequirement::PowerOfTwo => p.is_power_of_two(),
         }
     }
@@ -173,7 +157,6 @@ impl RankRequirement {
 impl fmt::Display for RankRequirement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RankRequirement::PerfectSquare => write!(f, "a perfect-square rank count"),
             RankRequirement::PowerOfTwo => write!(f, "a power-of-two rank count"),
         }
     }
@@ -257,12 +240,15 @@ pub enum PlanError {
         /// The executor's typed refusal.
         source: ExecError,
     },
-    /// A cost-model constant is NaN or infinite — a NaN cannot be
+    /// A cost-model constant fails
+    /// [`CostModel::check`](mpsim::cost::CostModel::check): NaN, infinite, a
+    /// rate that is not positive, or a negative α or β. A NaN cannot be
     /// canonicalized into a cache key, no plan objective could order
-    /// candidates under either, and an infinite one completes messages at
-    /// t = +∞, which no executor window ever admits.
-    NonFiniteCostModel {
-        /// Which parameter was NaN or infinite.
+    /// candidates under either, an infinite one (or a zero rate) completes
+    /// work at t = +∞, which no executor window ever admits, and a negative
+    /// one plans a time no execution measures.
+    InvalidCostModel {
+        /// The first invalid parameter.
         field: &'static str,
     },
     /// The machine's [`Topology`](mpsim::machine::Topology) fails
@@ -322,8 +308,8 @@ impl fmt::Display for PlanError {
                 write!(f, "invalid configuration for {algo}: {reason}")
             }
             PlanError::Execution { source } => write!(f, "execution backend refused: {source}"),
-            PlanError::NonFiniteCostModel { field } => {
-                write!(f, "machine parameter {field} is NaN or infinite")
+            PlanError::InvalidCostModel { field } => {
+                write!(f, "machine parameter {field} is not finite, or is out of range")
             }
             PlanError::InvalidTopology { reason } => write!(f, "invalid topology: {reason}"),
             PlanError::Aborted { reason } => {
@@ -424,8 +410,8 @@ pub trait MmmAlgorithm: Send + Sync {
 
     /// Capability query: can this algorithm decompose for `prob.p` ranks?
     ///
-    /// This checks *structural* constraints (Cannon's perfect square, CARMA's
-    /// power of two), not memory feasibility — that is [`plan`]'s job, since
+    /// This checks *structural* constraints (CARMA's power of two), not
+    /// memory feasibility — that is [`plan`]'s job, since
     /// it depends on the decomposition search.
     ///
     /// [`plan`]: MmmAlgorithm::plan
@@ -558,7 +544,7 @@ impl MmmAlgorithm for CosmaAlgorithm {
 /// configuration, addressable by [`AlgoId`].
 ///
 /// The core crate only knows COSMA ([`AlgorithmRegistry::core`]); the
-/// `baselines` crate's `registry()` returns the full five-algorithm set used
+/// `baselines` crate's `registry()` returns the full four-algorithm set used
 /// by the bench harness, the examples and the conformance tests.
 ///
 /// The algorithm list is `Arc`-backed with copy-on-write mutation, so
@@ -700,7 +686,7 @@ impl RunSession {
     }
 
     /// Use a custom registry (e.g. `baselines::registry()` for the full
-    /// five-algorithm set, or one with re-configured entries such as COSMA
+    /// four-algorithm set, or one with re-configured entries such as COSMA
     /// at δ = 0).
     pub fn registry(mut self, registry: AlgorithmRegistry) -> Self {
         self.registry = registry;
@@ -764,12 +750,12 @@ impl RunSession {
         Ok((algo, plan))
     }
 
-    /// The effective cost model, or [`PlanError::NonFiniteCostModel`] naming
-    /// its first NaN or infinite constant — which would price every plan at
-    /// NaN or ±∞ and leave no virtual clock able to finish.
+    /// The effective cost model, or [`PlanError::InvalidCostModel`] naming
+    /// its first invalid constant — which would price every plan at NaN, ±∞
+    /// or negative time and leave no virtual clock able to finish.
     fn checked_model(&self) -> Result<CostModel, PlanError> {
         let model = self.cost_model();
-        model.check().map_err(|field| PlanError::NonFiniteCostModel { field })?;
+        model.check().map_err(|field| PlanError::InvalidCostModel { field })?;
         Ok(model)
     }
 
@@ -785,8 +771,8 @@ impl RunSession {
     /// construction.
     ///
     /// # Errors
-    /// [`PlanError::NonFiniteCostModel`] when a cost-model constant is NaN
-    /// or infinite; [`PlanError::UnknownAlgorithm`]-family errors from
+    /// [`PlanError::InvalidCostModel`] when a cost-model constant fails
+    /// [`CostModel::check`]; [`PlanError::UnknownAlgorithm`]-family errors from
     /// resolution; [`PlanError::InvalidConfig`] when `plan.algo` is not the
     /// session's
     /// algorithm; [`PlanError::WorldSizeMismatch`] when the plan's world
@@ -871,8 +857,6 @@ mod tests {
 
     #[test]
     fn rank_requirements() {
-        assert!(RankRequirement::PerfectSquare.accepts(16));
-        assert!(!RankRequirement::PerfectSquare.accepts(8));
         assert!(RankRequirement::PowerOfTwo.accepts(8));
         assert!(!RankRequirement::PowerOfTwo.accepts(12));
     }
@@ -882,7 +866,7 @@ mod tests {
         let reg = AlgorithmRegistry::core();
         assert_eq!(reg.ids(), vec![AlgoId::Cosma]);
         assert!(reg.by_id(AlgoId::Cosma).is_ok());
-        assert_eq!(reg.by_id(AlgoId::Cannon).err(), Some(PlanError::NotRegistered { algo: AlgoId::Cannon }));
+        assert_eq!(reg.by_id(AlgoId::Carma).err(), Some(PlanError::NotRegistered { algo: AlgoId::Carma }));
     }
 
     #[test]
@@ -926,11 +910,11 @@ mod tests {
         }
         // A plan made for another algorithm is refused, not executed.
         let mut foreign = plan.clone();
-        foreign.algo = AlgoId::Cannon;
+        foreign.algo = AlgoId::Carma;
         assert!(matches!(
             session.execute_planned(&foreign, &a, &b),
             Err(PlanError::InvalidConfig {
-                algo: AlgoId::Cannon,
+                algo: AlgoId::Carma,
                 ..
             })
         ));
@@ -948,16 +932,19 @@ mod tests {
     #[test]
     fn non_finite_cost_model_is_typed_at_every_session_entry() {
         // Before the check, β = +∞ planned at 0.0 s and hung `execute`, and
-        // a NaN α picked another grid and finished with a made-up time.
+        // a NaN α picked another grid and finished with a made-up time. A
+        // zero peak ran `run` to +∞ and hung `execute` too.
         let prob = MmmProblem::new(32, 32, 32, 4, 1 << 12);
         let (a, b) = (Matrix::deterministic(32, 32, 1), Matrix::deterministic(32, 32, 2));
         let plan = RunSession::new(prob).plan().unwrap();
-        let mut bad = [CostModel::piz_daint_two_sided(); 3];
+        let mut bad = [CostModel::piz_daint_two_sided(); 4];
         bad[0].beta_s_per_word = f64::INFINITY;
         bad[1].alpha_s = f64::NEG_INFINITY;
         bad[2].peak_flops = f64::NAN;
-        for (field, model) in ["beta_s_per_word", "alpha_s", "peak_flops"].into_iter().zip(bad) {
-            let want = PlanError::NonFiniteCostModel { field };
+        bad[3].peak_flops = 0.0;
+        let fields = ["beta_s_per_word", "alpha_s", "peak_flops", "peak_flops"];
+        for (field, model) in fields.into_iter().zip(bad) {
+            let want = PlanError::InvalidCostModel { field };
             let session = RunSession::new(prob).machine(model);
             assert_eq!(session.plan().unwrap_err(), want, "plan");
             assert_eq!(session.run().unwrap_err(), want, "run");
@@ -1077,7 +1064,7 @@ mod tests {
     }
 
     #[test]
-    fn session_blocking_backend_executes_verified() {
+    fn session_sharded_backend_executes_verified() {
         let prob = MmmProblem::new(24, 20, 28, 6, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 5);
         let b = Matrix::deterministic(prob.k, prob.n, 6);
@@ -1194,9 +1181,9 @@ mod tests {
         let msgs = [
             PlanError::NoFeasibleGrid.to_string(),
             PlanError::UnsupportedRanks {
-                algo: AlgoId::Cannon,
-                p: 5,
-                requires: RankRequirement::PerfectSquare,
+                algo: AlgoId::Carma,
+                p: 6,
+                requires: RankRequirement::PowerOfTwo,
             }
             .to_string(),
             PlanError::from(FitError::NoFeasibleGrid).to_string(),

@@ -407,7 +407,7 @@ impl DistPlan {
     }
 
     /// Coverage-only validation: tiling and bounds, without the memory
-    /// check. Memory-oblivious baselines (SUMMA, Cannon, 2.5D) can
+    /// check. Memory-oblivious baselines (SUMMA, 2.5D) can
     /// legitimately exceed the per-rank budget that COSMA and DFS-streaming
     /// CARMA respect; the experiment harness reports their footprint
     /// separately instead of rejecting the plan.

@@ -1196,7 +1196,7 @@ mod tests {
     }
 
     #[test]
-    fn collectives_complete_with_few_blocking_workers() {
+    fn collectives_complete_on_fewer_threads_than_ranks() {
         // A world far bigger than the scheduler's two threads: tree parents
         // and gather partners park awaiting peers in other regions, and
         // every collective must still terminate with the right data.

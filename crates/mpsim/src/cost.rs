@@ -35,18 +35,25 @@ impl CostModel {
         }
     }
 
-    /// `Ok` when every constant is finite; otherwise the name of the first
-    /// NaN or infinite field, in declaration order. A non-finite constant
-    /// prices work at NaN or ±∞, which no plan comparison and no virtual
-    /// clock can order.
+    /// `Ok` when every constant is finite, the two rates (`peak_flops`,
+    /// `kernel_efficiency`) are positive and α and β are non-negative;
+    /// otherwise the name of the first field that is not, in declaration
+    /// order. A non-finite constant prices work at NaN or ±∞, which no plan
+    /// comparison and no virtual clock can order; a zero rate prices a flop
+    /// at +∞; a negative rate, α or β prices work at negative time, which a
+    /// plan reports and no executed clock reproduces. α = 0 is allowed: it
+    /// is the harness machine with free messages.
     pub fn check(&self) -> Result<(), &'static str> {
-        let fields = [
+        let rates = [
             ("peak_flops", self.peak_flops),
             ("kernel_efficiency", self.kernel_efficiency),
+        ];
+        let costs = [
             ("alpha_s", self.alpha_s),
             ("beta_s_per_word", self.beta_s_per_word),
         ];
-        match fields.into_iter().find(|(_, v)| !v.is_finite()) {
+        let bad_rate = rates.into_iter().find(|&(_, v)| !(v.is_finite() && v > 0.0));
+        match bad_rate.or_else(|| costs.into_iter().find(|&(_, v)| !(v.is_finite() && v >= 0.0))) {
             Some((field, _)) => Err(field),
             None => Ok(()),
         }
@@ -327,6 +334,71 @@ mod tests {
         assert_eq!(worse.alpha_s, m.alpha_s);
         assert_eq!(worse.peak_flops, m.peak_flops);
         assert_eq!(worse.beta_s_per_word, m.beta_s_per_word * 8.0);
+    }
+
+    #[test]
+    fn check_names_the_first_invalid_constant() {
+        let base = CostModel::piz_daint_two_sided();
+        assert_eq!(base.check(), Ok(()));
+        // α = 0 (either sign) is the harness machine with free messages.
+        for alpha_s in [0.0, -0.0] {
+            assert_eq!(CostModel { alpha_s, ..base }.check(), Ok(()));
+        }
+        let bad = [
+            (
+                "peak_flops",
+                CostModel {
+                    peak_flops: 0.0,
+                    ..base
+                },
+            ),
+            (
+                "peak_flops",
+                CostModel {
+                    peak_flops: -1e9,
+                    ..base
+                },
+            ),
+            (
+                "kernel_efficiency",
+                CostModel {
+                    kernel_efficiency: 0.0,
+                    ..base
+                },
+            ),
+            (
+                "alpha_s",
+                CostModel {
+                    alpha_s: -1e-6,
+                    ..base
+                },
+            ),
+            (
+                "beta_s_per_word",
+                CostModel {
+                    beta_s_per_word: -1e-9,
+                    ..base
+                },
+            ),
+            (
+                "beta_s_per_word",
+                CostModel {
+                    beta_s_per_word: f64::NAN,
+                    ..base
+                },
+            ),
+            (
+                "kernel_efficiency",
+                CostModel {
+                    kernel_efficiency: 0.0,
+                    alpha_s: -1.0,
+                    ..base
+                },
+            ),
+        ];
+        for (field, model) in bad {
+            assert_eq!(model.check(), Err(field), "{model:?}");
+        }
     }
 
     #[test]

@@ -1339,7 +1339,7 @@ mod tests {
     }
 
     #[test]
-    fn tag_matching_reorders_like_blocking() {
+    fn tag_matching_receives_out_of_send_order() {
         let spec = MachineSpec::test_machine(2, 1000);
         let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             if c.rank() == 0 {
@@ -1441,6 +1441,28 @@ mod tests {
         let first_polls = [(0, 0), (1, 0), (2, 0), (3, 0)];
         let wakes = [(0, 1), (3, 1), (1, 1), (2, 1)];
         assert_eq!(*log.lock().unwrap(), [first_polls, wakes].concat(), "equal timestamps keep FIFO order");
+    }
+
+    #[test]
+    fn scheduler_trace_wakes_a_barrier_in_rank_order() {
+        // Four ranks meet at a barrier. Rank 3 arrives last, resolves it and
+        // runs on; the three parked ranks wake at one virtual time and resume
+        // in rank order, the order the ranks of every later step are polled
+        // in. Every resume logs `(rank, step)`.
+        let spec = MachineSpec::test_machine(4, 1000);
+        let log = Mutex::new(Vec::new());
+        run_spmd_with(&spec, ExecBackend::event(), |mut c| {
+            let log = &log;
+            async move {
+                log.lock().unwrap().push((c.rank(), 0));
+                c.barrier().await;
+                log.lock().unwrap().push((c.rank(), 1));
+            }
+        })
+        .unwrap();
+        let first_polls = [(0, 0), (1, 0), (2, 0), (3, 0)];
+        let wakes = [(3, 1), (0, 1), (1, 1), (2, 1)];
+        assert_eq!(*log.lock().unwrap(), [first_polls, wakes].concat(), "a barrier wakes in rank order");
     }
 
     /// A unit cost model for hand-checkable virtual-clock arithmetic:

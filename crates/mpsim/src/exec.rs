@@ -111,12 +111,13 @@ pub enum ExecError {
         /// The offending knob.
         what: &'static str,
     },
-    /// A constant of the machine's cost model is NaN or infinite — `field`
-    /// names the first, by [`CostModel::check`](crate::cost::CostModel::check).
-    /// Such a model prices a message at NaN or ±∞, which no virtual clock can
-    /// order, so the world is refused before any rank runs.
-    NonFiniteCostModel {
-        /// The first non-finite constant.
+    /// A constant of the machine's cost model is NaN, infinite, a rate that
+    /// is not positive or a negative α or β — `field` names the first, by
+    /// [`CostModel::check`](crate::cost::CostModel::check). Such a model
+    /// prices a message or a flop at NaN, ±∞ or negative time, which no
+    /// virtual clock can order, so the world is refused before any rank runs.
+    InvalidCostModel {
+        /// The first invalid constant.
         field: &'static str,
     },
     /// A rank's tracked working set exceeded the machine's enforced per-rank
@@ -176,8 +177,8 @@ impl fmt::Display for ExecError {
                 write!(f, "execution needs at least one scheduler thread")
             }
             ExecError::ZeroCapacity { what } => write!(f, "{what} must be at least 1"),
-            ExecError::NonFiniteCostModel { field } => {
-                write!(f, "the machine's cost model has a non-finite {field}")
+            ExecError::InvalidCostModel { field } => {
+                write!(f, "the machine's cost model has an invalid {field}")
             }
             ExecError::MemBudgetExceeded { rank, need, budget } => write!(
                 f,
@@ -243,8 +244,8 @@ fn enforce_mem_budget<R>(spec: &MachineSpec, out: RunOutput<R>) -> Result<RunOut
 ///
 /// # Errors
 /// [`ExecError::NoWorkers`] for `Event { threads: 0 }`;
-/// [`ExecError::NonFiniteCostModel`], before any rank runs, when a constant
-/// of `spec.cost` is NaN or infinite;
+/// [`ExecError::InvalidCostModel`], before any rank runs, when a constant
+/// of `spec.cost` fails [`CostModel::check`](crate::cost::CostModel::check);
 /// [`ExecError::MemBudgetExceeded`] when the machine enforces a per-rank
 /// memory budget ([`MachineSpec::mem_budget`]) and a rank's measured peak
 /// working set breaks it; a wedged, torn-down or fault-felled world as the
@@ -262,7 +263,7 @@ where
     F: Fn(RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    spec.cost.check().map_err(|field| ExecError::NonFiniteCostModel { field })?;
+    spec.cost.check().map_err(|field| ExecError::InvalidCostModel { field })?;
     let ExecBackend::Event { threads } = backend;
     if threads == 0 {
         return Err(ExecError::NoWorkers);
@@ -389,6 +390,13 @@ mod tests {
                         ..base
                     },
                 ),
+                (
+                    "peak_flops",
+                    CostModel {
+                        peak_flops: 0.0,
+                        ..base
+                    },
+                ),
             ] {
                 let spec = MachineSpec::new(2, 1000, cost);
                 for backend in [ExecBackend::event(), ExecBackend::Event { threads: 2 }] {
@@ -406,11 +414,11 @@ mod tests {
                 }
             }
         });
-        for _ in 0..6 {
+        for _ in 0..8 {
             let (field, backend, (err, ran)) = verdicts
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .expect("a world with a non-finite cost model hangs");
-            assert_eq!(err, Some(ExecError::NonFiniteCostModel { field }), "{field} on {backend}");
+            assert_eq!(err, Some(ExecError::InvalidCostModel { field }), "{field} on {backend}");
             assert!(!ran, "{field} on {backend}: a rank ran");
             assert!(err.unwrap().to_string().contains(field));
         }
@@ -540,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn event_backend_runs_worlds_beyond_the_blocking_threshold() {
+    fn one_thread_runs_a_ring_of_thousands_of_ranks() {
         // A world of thousands of ranks: stackless ranks exchange with a
         // neighbour and everything completes on one scheduler thread.
         let p = 9192;
@@ -630,7 +638,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_blocking_worlds_agree_with_a_solo_run() {
+    fn concurrent_sharded_worlds_agree_with_a_solo_run() {
         // Four 8-rank worlds of 3 scheduler threads each, at once: every
         // world's ring exchange completes and measures exactly as a solo run.
         let body = |mut c: RankComm| async move {
@@ -670,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn pooling_off_blocking_world_never_recycles() {
+    fn pooling_off_world_never_recycles() {
         let body = |mut c: RankComm| async move {
             let right = (c.rank() + 1) % c.size();
             let left = (c.rank() + c.size() - 1) % c.size();

@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn choice_candidates_are_canonical_order() {
         assert_eq!(AlgoChoice::Auto.candidates(), AlgoId::ALL.to_vec());
-        assert_eq!(AlgoChoice::Fixed(AlgoId::Cannon).candidates(), vec![AlgoId::Cannon]);
+        assert_eq!(AlgoChoice::Fixed(AlgoId::P25d).candidates(), vec![AlgoId::P25d]);
         // Spelled backwards, still canonical.
         let among = AlgoChoice::Among(vec![AlgoId::Carma, AlgoId::Cosma]);
         assert_eq!(among.candidates(), vec![AlgoId::Cosma, AlgoId::Carma]);
@@ -225,12 +225,12 @@ mod tests {
 
     #[test]
     fn choice_masks_are_spelling_independent() {
-        assert_eq!(AlgoChoice::Auto.mask(), 0b11111);
+        assert_eq!(AlgoChoice::Auto.mask(), 0b1111);
         assert_eq!(AlgoChoice::Fixed(AlgoId::Cosma).mask(), 0b00001);
         let a = AlgoChoice::Among(vec![AlgoId::Carma, AlgoId::Summa]);
         let b = AlgoChoice::Among(vec![AlgoId::Summa, AlgoId::Carma, AlgoId::Summa]);
         assert_eq!(a.mask(), b.mask());
-        assert_eq!(a.mask(), 0b10010);
+        assert_eq!(a.mask(), 0b1010);
     }
 
     #[test]
@@ -266,43 +266,43 @@ mod tests {
     fn fixed_choice_has_no_runner_up() {
         let prob = MmmProblem::new(64, 64, 64, 16, 1 << 14);
         let planned = planner()
-            .select(&prob, &model(), true, &AlgoChoice::Fixed(AlgoId::Cannon))
+            .select(&prob, &model(), true, &AlgoChoice::Fixed(AlgoId::P25d))
             .unwrap();
-        assert_eq!(planned.selection.algo, AlgoId::Cannon);
+        assert_eq!(planned.selection.algo, AlgoId::P25d);
         assert_eq!(planned.selection.runner_up, None);
     }
 
     #[test]
     fn among_restricts_the_competition() {
         let prob = MmmProblem::new(64, 64, 64, 16, 1 << 14);
-        let choice = AlgoChoice::Among(vec![AlgoId::Summa, AlgoId::Cannon]);
+        let choice = AlgoChoice::Among(vec![AlgoId::Summa, AlgoId::P25d]);
         let planned = planner().select(&prob, &model(), true, &choice).unwrap();
-        assert!(matches!(planned.selection.algo, AlgoId::Summa | AlgoId::Cannon));
+        assert!(matches!(planned.selection.algo, AlgoId::Summa | AlgoId::P25d));
         if let Some(ru) = planned.selection.runner_up {
-            assert!(matches!(ru.algo, AlgoId::Summa | AlgoId::Cannon));
+            assert!(matches!(ru.algo, AlgoId::Summa | AlgoId::P25d));
         }
     }
 
     #[test]
     fn infeasible_candidates_are_skipped_not_fatal() {
-        // p = 6: Cannon needs a perfect square, CARMA a power of two — both
-        // infeasible, yet Auto still selects among the rest.
+        // p = 6: CARMA needs a power of two — infeasible, yet Auto still
+        // selects among the rest.
         let prob = MmmProblem::new(48, 48, 48, 6, 1 << 14);
         let planned = planner().select(&prob, &model(), true, &AlgoChoice::Auto).unwrap();
-        assert!(!matches!(planned.selection.algo, AlgoId::Cannon | AlgoId::Carma));
+        assert_ne!(planned.selection.algo, AlgoId::Carma);
     }
 
     #[test]
     fn no_feasible_candidate_reports_the_first_error() {
-        // Cannon alone at p = 6: the perfect-square requirement fails.
+        // CARMA alone at p = 6: the power-of-two requirement fails.
         let prob = MmmProblem::new(48, 48, 48, 6, 1 << 14);
         let err = planner()
-            .select(&prob, &model(), true, &AlgoChoice::Fixed(AlgoId::Cannon))
+            .select(&prob, &model(), true, &AlgoChoice::Fixed(AlgoId::Carma))
             .unwrap_err();
         assert!(matches!(
             err,
             PlanError::UnsupportedRanks {
-                algo: AlgoId::Cannon,
+                algo: AlgoId::Carma,
                 ..
             }
         ));

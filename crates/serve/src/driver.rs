@@ -725,23 +725,23 @@ mod tests {
     #[test]
     fn infeasible_job_fails_typed_while_others_succeed() {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
-        // p = 6 cannot serve Cannon (not a perfect square).
-        let bad = job(0, 6, 0).choice(AlgoChoice::Fixed(AlgoId::Cannon));
+        // p = 6 cannot serve CARMA (not a power of two).
+        let bad = job(0, 6, 0).choice(AlgoChoice::Fixed(AlgoId::Carma));
         let good = job(1, 6, 1);
         let results = server.run_batch(vec![bad, good]);
         assert!(matches!(
             results[0].outcome,
             Err(PlanError::UnsupportedRanks {
-                algo: AlgoId::Cannon,
+                algo: AlgoId::Carma,
                 ..
             })
         ));
         let out = results[1].outcome.as_ref().unwrap();
-        assert!(!matches!(out.selection.algo, AlgoId::Cannon | AlgoId::Carma));
+        assert_ne!(out.selection.algo, AlgoId::Carma);
     }
 
     #[test]
-    fn event_and_blocking_jobs_interleave_and_agree() {
+    fn sharded_and_one_thread_jobs_interleave_and_agree() {
         // A job sharded over three scheduler threads and a one-thread job,
         // served at once, measure the same world bit for bit.
         let server = Server::new(baselines::registry(), small_config()).unwrap();
@@ -757,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn default_jobs_run_on_the_event_engine_and_agree_with_blocking() {
+    fn default_jobs_run_on_one_thread_and_agree_with_four() {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
         let default = server.run_sync(job(0, 8, 3)).outcome.unwrap();
         assert_eq!(default.backend, ExecBackend::event());
@@ -786,11 +786,11 @@ mod tests {
                 }
             })
             .collect();
-        jobs.push(job(9, 6, 0).choice(AlgoChoice::Fixed(AlgoId::Cannon)));
+        jobs.push(job(9, 6, 0).choice(AlgoChoice::Fixed(AlgoId::Carma)));
         let mut sum = PoolStats::default();
         for r in server.run_batch(jobs) {
             let Ok(out) = r.outcome else {
-                assert_eq!(r.id, 9, "only the Cannon job on p = 6 fails");
+                assert_eq!(r.id, 9, "only the CARMA job on p = 6 fails");
                 continue;
             };
             assert!(out.report.pool.hits + out.report.pool.misses > 0, "the world's own arena served it");
@@ -917,19 +917,22 @@ mod tests {
         // β = ∞ completes every message at t = +∞, where the event executor
         // can open no window: the job is refused when it is keyed instead of
         // spinning its driver forever.
+        // A zero peak prices every flop at +∞ the same way.
         let server = Server::new(baselines::registry(), small_config()).unwrap();
-        let mut model = CostModel::piz_daint_two_sided();
-        model.beta_s_per_word = f64::INFINITY;
-        let mut request = job(0, 8, 3);
-        request.model = Some(model);
-        let result = server.run_sync(request);
-        assert_eq!(
-            result.outcome.err(),
-            Some(PlanError::NonFiniteCostModel {
-                field: "beta_s_per_word"
-            })
-        );
-        assert_eq!(result.attempts, 1);
+        let (mut infinite_beta, mut zero_peak) =
+            (CostModel::piz_daint_two_sided(), CostModel::piz_daint_two_sided());
+        infinite_beta.beta_s_per_word = f64::INFINITY;
+        zero_peak.peak_flops = 0.0;
+        for (id, (field, model)) in [("beta_s_per_word", infinite_beta), ("peak_flops", zero_peak)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut request = job(id as u64, 8, 3);
+            request.model = Some(model);
+            let result = server.run_sync(request);
+            assert_eq!(result.outcome.err(), Some(PlanError::InvalidCostModel { field }));
+            assert_eq!(result.attempts, 1);
+        }
         assert_eq!(server.cache_stats().inserts, 0, "nothing was planned");
     }
 

@@ -6,11 +6,12 @@
 //! [`PlanKey`] is that tuple in canonical form. Float fields are keyed by
 //! **bit pattern** ([`f64::to_bits`]) after canonicalization: `-0.0`
 //! normalizes to `0.0` (they plan identically, so they must share a cache
-//! slot) and NaN or infinite parameters are rejected with a typed
-//! [`PlanError::NonFiniteCostModel`] — a NaN would otherwise silently key a
+//! slot) and parameters that fail [`CostModel::check`] (NaN, infinite, a
+//! rate that is not positive, a negative α or β) are rejected with a typed
+//! [`PlanError::InvalidCostModel`] — a NaN would otherwise silently key a
 //! cache entry no equal-looking request could ever hit again, and an
-//! infinite one prices a message at t = +∞, which no executor window can
-//! ever admit.
+//! infinite one or a zero rate prices work at t = +∞, which no executor
+//! window can ever admit.
 
 use cosma::api::PlanError;
 use cosma::problem::MmmProblem;
@@ -98,8 +99,8 @@ pub struct PlanKey {
 impl PlanKey {
     /// The canonical key of a planning request, or
     /// [`PlanError::InvalidTopology`] when the topology fails validation, or
-    /// [`PlanError::NonFiniteCostModel`] when a cost-model constant is NaN
-    /// or infinite.
+    /// [`PlanError::InvalidCostModel`] when a cost-model constant fails
+    /// [`CostModel::check`].
     pub fn try_new(
         prob: &MmmProblem,
         model: &CostModel,
@@ -110,7 +111,7 @@ impl PlanKey {
         placement: Placement,
     ) -> Result<Self, PlanError> {
         let (topology_tag, topology_bits) = encode_topology(topology)?;
-        model.check().map_err(|field| PlanError::NonFiniteCostModel { field })?;
+        model.check().map_err(|field| PlanError::InvalidCostModel { field })?;
         Ok(PlanKey {
             m: prob.m as u64,
             n: prob.n as u64,
@@ -240,7 +241,7 @@ mod tests {
                 .unwrap_err();
         assert_eq!(
             err,
-            PlanError::NonFiniteCostModel {
+            PlanError::InvalidCostModel {
                 field: "beta_s_per_word"
             }
         );
@@ -253,9 +254,12 @@ mod tests {
         infinite_beta.beta_s_per_word = f64::INFINITY;
         let mut negative_infinite_alpha = CostModel::piz_daint_two_sided();
         negative_infinite_alpha.alpha_s = f64::NEG_INFINITY;
+        let mut zero_peak = CostModel::piz_daint_two_sided();
+        zero_peak.peak_flops = 0.0;
         for (field, bad) in [
             ("beta_s_per_word", infinite_beta),
             ("alpha_s", negative_infinite_alpha),
+            ("peak_flops", zero_peak),
         ] {
             let err = PlanKey::try_new(
                 &prob,
@@ -267,7 +271,7 @@ mod tests {
                 Placement::Block,
             )
             .unwrap_err();
-            assert_eq!(err, PlanError::NonFiniteCostModel { field });
+            assert_eq!(err, PlanError::InvalidCostModel { field });
         }
     }
 

@@ -17,7 +17,7 @@
 //!   counters are atomic ([`CacheStats`]).
 //! * [`AutoPlanner`] — runs a request through every candidate of the
 //!   [`AlgorithmRegistry`](cosma::api::AlgorithmRegistry)
-//!   (COSMA/SUMMA/Cannon/2.5D/CARMA), scores each feasible plan's
+//!   (COSMA/SUMMA/2.5D/CARMA), scores each feasible plan's
 //!   `TimeBreakdown` under the cost model as its ranks stream by, and picks
 //!   the strict argmin — fig. 5's grid fitting generalized across
 //!   algorithms; only the winner's plan is ever stored. The verdict is a

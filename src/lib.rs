@@ -11,9 +11,9 @@
 //!   α-β-γ cost model (replaces Piz Daint + MPI + mpiP).
 //! * [`cosma`] — the paper's contribution: near-communication-optimal
 //!   distributed matrix multiplication (§3, §6, §7).
-//! * [`baselines`] — ScaLAPACK-style SUMMA, Cannon, 2.5D/3D (CTF-style) and
-//!   CARMA comparison algorithms (§2.4), plus [`baselines::registry`], the
-//!   full five-algorithm [`cosma::api::AlgorithmRegistry`].
+//! * [`baselines`] — ScaLAPACK-style SUMMA, 2.5D/3D (CTF-style) and CARMA
+//!   comparison algorithms (§2.4, §8), plus [`baselines::registry`], the
+//!   full four-algorithm [`cosma::api::AlgorithmRegistry`].
 //! * [`serve`] — planning-as-a-service: a sharded LRU plan cache keyed by
 //!   canonical [`serve::PlanKey`]s, a cost-model auto-planner selecting the
 //!   cheapest feasible algorithm per request, and a multi-tenant
@@ -31,7 +31,7 @@
 //!
 //! let outcome = RunSession::new(MmmProblem::new(64, 64, 64, 16, 1 << 12))
 //!     .registry(cosma_repro::baselines::registry())
-//!     .algorithm(AlgoId::Cannon)
+//!     .algorithm(AlgoId::P25d)
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(outcome.plan.grid, [4, 4, 1]);

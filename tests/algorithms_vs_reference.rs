@@ -131,8 +131,8 @@ fn stats_digest(stats: &[RankStats]) -> u64 {
     }))
 }
 
-/// `session`'s run on the event engine, whose product is the same with two
-/// and with four scheduler threads.
+/// `session`'s run on the event engine, whose product, counters and clocks
+/// are the same with two and with four scheduler threads.
 fn product_on_every_executor(session: RunSession, a: &Matrix, b: &Matrix, what: &str) -> ExecReport {
     let [event, event2, event4] = [
         ExecBackend::event(),
@@ -145,6 +145,7 @@ fn product_on_every_executor(session: RunSession, a: &Matrix, b: &Matrix, what: 
     });
     for (exec, other) in [("event(2)", event2), ("event(4)", event4)] {
         assert_eq!(fnv1a(&other.c), fnv1a(&event.c), "{what}: {exec} differs from event");
+        assert_eq!(stats_digest(&other.stats), stats_digest(&event.stats), "{what}: {exec} counters");
     }
     event
 }
@@ -209,7 +210,9 @@ fn baseline_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 
     ]
 }
 
-/// The shapes Cannon's plan was held to execution on, as 2.5D at `c = 1`.
+/// The shapes Cannon's plan was held to execution on, as 2.5D at `c = 1`:
+/// their rows in [`BASELINE_DIGESTS`] are Cannon's, recorded before it was
+/// retired.
 fn one_layer_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>); 3] {
     [(32, 32, 32, 3), (25, 30, 35, 5), (18, 20, 22, 2)].map(|(m, n, k, q)| {
         let prob = MmmProblem::new(m, n, k, q * q, 1 << 13);
@@ -217,32 +220,13 @@ fn one_layer_cases() -> [(&'static str, MmmProblem, AlgoId, Option<Geometry25>);
     })
 }
 
-/// Cannon executes as 2.5D with one layer: the same product and the same
-/// counters and clocks as its pinned row, on one scheduler thread and on two.
-#[test]
-fn cannon_executes_as_one_layer_p25d() {
-    for ((what, prob, _, geometry), pinned) in one_layer_cases().into_iter().zip(&BASELINE_DIGESTS[7..]) {
-        let (a, b, _) = reference(prob.m, prob.n, prob.k);
-        let mut registry = baselines::registry();
-        registry.register(P25dAlgorithm::with_geometry(geometry.unwrap()));
-        for exec in [ExecBackend::event(), ExecBackend::Event { threads: 2 }] {
-            let digests = [AlgoId::Cannon, AlgoId::P25d].map(|id| {
-                let report = session(&prob, id).registry(registry.clone()).exec_backend(exec).execute(&a, &b);
-                let report = report.unwrap_or_else(|e| panic!("{what} {id} on {exec:?}: {e}"));
-                (fnv1a(&report.c), stats_digest(&report.stats))
-            });
-            assert_eq!(digests, [*pinned; 2], "{what} on {exec:?}");
-        }
-    }
-}
-
 /// Each case's product digest, then the digest of its ranks' [`RankStats`]
-/// on the event engine ([`stats_digest`]): the product does not depend on
-/// which member roots or forwards a broadcast, the counters and clocks do.
-/// The first six products were recorded before CARMA's rank body became one
-/// walk over its trace; the next four, before SUMMA and 2.5D took their rank
-/// groups from `Grid3`; the last three from Cannon's algorithm, which 2.5D at
-/// `c = 1` executes bit for bit.
+/// on the event engine at every thread count ([`stats_digest`]): the
+/// product does not depend on which member roots or forwards a broadcast,
+/// the counters and clocks do. The first six products were recorded before
+/// CARMA's rank body became one walk over its trace; the seventh, before
+/// SUMMA and 2.5D took their rank groups from `Grid3`; the last three from
+/// Cannon's algorithm, which 2.5D at `c = 1` executes bit for bit.
 #[rustfmt::skip]
 const BASELINE_DIGESTS: [(u64, u64); 10] = [
     (0xa64f390e27b9c8fb, 0x83013681825ed985),
@@ -303,7 +287,7 @@ fn cosma_equals_the_naive_kernel_bitwise_when_k_is_not_split() {
 
 #[test]
 fn non_grid_friendly_rank_counts() {
-    // 11 (prime), 12, 24: COSMA must handle them all (CARMA/Cannon cannot).
+    // 11 (prime), 12, 24: COSMA must handle them all (CARMA cannot).
     for p in [11usize, 12, 24] {
         let prob = MmmProblem::new(30, 30, 30, p, 1 << 12);
         let (_, _, want) = reference(30, 30, 30);

@@ -7,7 +7,9 @@
 //! * the greedy sequential schedules never beat Theorem 1;
 //! * the exhaustively-optimal pebblings never beat Theorem 1 either.
 
+use baselines::p25d::{Geometry25, P25dAlgorithm};
 use cosma::algorithm::{plan as cosma_plan, CosmaConfig};
+use cosma::api::MmmAlgorithm;
 use cosma::problem::MmmProblem;
 use mpsim::cost::CostModel;
 use pebbles::bounds::{theorem1_lower_bound, theorem2_parallel_bound};
@@ -58,8 +60,8 @@ fn cosma_volume_tracks_theorem2_envelope() {
 
 #[test]
 fn cosma_never_moves_more_than_baselines() {
-    // Scenarios where all four algorithms are applicable: square p (Cannon),
-    // power-of-two p (CARMA).
+    // Scenarios where every baseline applies: square p (2.5D with one layer,
+    // Cannon's algorithm), power-of-two p (CARMA).
     for &(m, n, k, p, s) in &[
         (256usize, 256usize, 256usize, 16usize, 1usize << 15),
         (64, 64, 2048, 16, 1 << 16),
@@ -71,12 +73,14 @@ fn cosma_never_moves_more_than_baselines() {
         // Mean received words per rank — the paper's Table 4 metric.
         let q_cosma = cosma_plan(&prob, &CosmaConfig::default(), &model()).unwrap().mean_comm_words();
         let q_summa = baselines::summa::plan(&prob).unwrap().mean_comm_words();
-        let q_cannon = baselines::cannon::plan(&prob).unwrap().mean_comm_words();
+        let q = (p as f64).sqrt() as usize;
+        let one_layer = P25dAlgorithm::with_geometry(Geometry25 { q, c: 1 });
+        let q_p25d_c1 = one_layer.plan(&prob, &model()).unwrap().mean_comm_words();
         let q_p25d = baselines::p25d::plan(&prob).unwrap().mean_comm_words();
         let q_carma = baselines::carma::plan(&prob).unwrap().mean_comm_words();
         for (name, q) in [
             ("summa", q_summa),
-            ("cannon", q_cannon),
+            ("p25d-c1", q_p25d_c1),
             ("p25d", q_p25d),
             ("carma", q_carma),
         ] {

@@ -8,7 +8,8 @@
 
 mod common;
 
-use cosma::api::{execute_boxed, AlgoId, PlanError, RunSession};
+use baselines::p25d::{Geometry25, P25dAlgorithm};
+use cosma::api::{execute_boxed, AlgoId, AlgorithmRegistry, PlanError, RunSession};
 use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
 use densemat::matrix::Matrix;
@@ -41,9 +42,14 @@ const BACKENDS: [ExecBackend; 2] = [ExecBackend::event(), ExecBackend::Event { t
 
 /// Plan + execute `id` on `prob` through the registry and check the traffic.
 fn check(id: AlgoId, prob: &MmmProblem) {
+    check_in(baselines::registry(), id, prob);
+}
+
+/// [`check`] through `registry`'s entry for `id`.
+fn check_in(registry: AlgorithmRegistry, id: AlgoId, prob: &MmmProblem) {
     let session = RunSession::new(*prob)
         .machine(CostModel::piz_daint_two_sided())
-        .registry(baselines::registry())
+        .registry(registry)
         .algorithm(id);
     let plan = session.plan().unwrap_or_else(|e| panic!("{id}: {e}"));
     let (a, b) = inputs(prob);
@@ -81,14 +87,17 @@ fn summa_plan_predicts_execution_exactly() {
     }
 }
 
+/// Cannon's algorithm is 2.5D forced to one layer on `p = q²` ranks.
 #[test]
 fn cannon_plan_predicts_execution_exactly() {
-    for &(m, n, k, p) in &[
-        (32usize, 32usize, 32usize, 9usize),
-        (25, 30, 35, 25),
-        (18, 20, 22, 4),
+    for &(m, n, k, q) in &[
+        (32usize, 32usize, 32usize, 3usize),
+        (25, 30, 35, 5),
+        (18, 20, 22, 2),
     ] {
-        check(AlgoId::Cannon, &MmmProblem::new(m, n, k, p, 1 << 13));
+        let mut registry = baselines::registry();
+        registry.register(P25dAlgorithm::with_geometry(Geometry25 { q, c: 1 }));
+        check_in(registry, AlgoId::P25d, &MmmProblem::new(m, n, k, q * q, 1 << 13));
     }
 }
 
@@ -210,20 +219,6 @@ fn session_surfaces_constraint_errors_as_values() {
     // same entry point that plans everything else.
     let reg = baselines::registry();
     let model = CostModel::piz_daint_two_sided();
-    let err = RunSession::new(MmmProblem::new(16, 16, 16, 5, 1 << 12))
-        .machine(model)
-        .registry(reg.clone())
-        .algorithm(AlgoId::Cannon)
-        .plan()
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        PlanError::UnsupportedRanks {
-            algo: AlgoId::Cannon,
-            p: 5,
-            ..
-        }
-    ));
     let err = RunSession::new(MmmProblem::new(16, 16, 16, 6, 1 << 12))
         .machine(model)
         .registry(reg)

@@ -507,7 +507,7 @@ fn counters(stats: &[mpsim::RankStats]) -> Vec<mpsim::RankStats> {
 /// thread and at three — scheduling and send interleaving never change what
 /// is computed or measured.
 #[test]
-fn event_matches_blocking_under_random_message_orders() {
+fn random_message_orders_match_the_all_to_all_closed_form() {
     let mut rng = Rng::new(12);
     for _ in 0..12 {
         let p = rng.range(2, 40);

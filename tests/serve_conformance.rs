@@ -109,7 +109,7 @@ fn event_backend_stream_matches_serial_including_virtual_time() {
 /// threads, so each world is sharded among many tenants — and computes
 /// exactly what it computes alone, virtual clock included.
 #[test]
-fn pinned_blocking_stream_matches_serial_run_sessions_bitwise() {
+fn pinned_sharded_stream_matches_serial_run_sessions_bitwise() {
     let pinned = ExecBackend::Event { threads: 2 };
     let jobs: Vec<_> = mixed_stream(24).into_iter().map(|j| j.backend(pinned)).collect();
     let config = ServerConfig {

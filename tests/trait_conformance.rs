@@ -159,8 +159,8 @@ fn planned_traffic_equals_executed_traffic() {
 
 /// The large-world problem matrix: paper-scale rank counts, far more ranks
 /// than scheduler threads.
-/// p = 2048 is not a perfect square, so Cannon's `supports` veto is also
-/// exercised at scale; matrices are sized so every rank still owns work.
+/// p = 2048 is not a perfect square, so 2.5D idles the ranks beyond its
+/// `q²c` at scale too; matrices are sized so every rank still owns work.
 fn large_world_problems() -> Vec<MmmProblem> {
     vec![
         MmmProblem::new(256, 256, 256, 1024, 1 << 20),
@@ -214,7 +214,7 @@ fn large_world_traffic_matches_plan() {
 /// regions of 300 stackless ranks each, and the verified contract still
 /// holds.
 #[test]
-fn session_blocking_backend_executes_many_ranks_per_worker() {
+fn session_executes_many_ranks_per_scheduler_thread() {
     let prob = MmmProblem::new(128, 128, 128, 600, 1 << 18);
     let a = Matrix::deterministic(prob.m, prob.k, 41);
     let b = Matrix::deterministic(prob.k, prob.n, 42);
