@@ -129,7 +129,6 @@ pub fn plan_ranks(
         let (lm, ln) = (rows.len(), cols.len());
         let own_lk_j = even_range(prob.k, q, j).len();
         let own_lk_i = even_range(prob.k, q, i).len();
-        let mut bricks = Vec::with_capacity(geo.steps());
         // Replication of layer 0's blocks along the k-fiber.
         if c > 1 {
             let recv = if l == 0 {
@@ -145,13 +144,26 @@ pub fn plan_ranks(
                 flops: 0,
             });
         }
+        // The layer's alignment positions are one arc mod q, so its k-ranges
+        // are at most two runs, or the whole of k when the arc is: a rank
+        // stores two bricks at most, not one per step.
+        let mut bricks: Vec<Brick> = Vec::with_capacity(2);
         for (ks, round) in layer_steps(prob, geo, [i, j, l]) {
-            bricks.push(Brick {
-                rows: rows.clone(),
-                cols: cols.clone(),
-                ks,
-            });
+            match bricks.last_mut() {
+                Some(run) if run.ks.end == ks.start => run.ks.end = ks.end,
+                _ => bricks.push(Brick {
+                    rows: rows.clone(),
+                    cols: cols.clone(),
+                    ks,
+                }),
+            }
             rounds.push(round);
+        }
+        if let [first, wrapped] = &mut bricks[..] {
+            if wrapped.ks.end == first.ks.start {
+                first.ks.start = 0;
+                bricks.pop();
+            }
         }
         // Reduction of partial C onto layer 0.
         if c > 1 {
@@ -409,6 +421,7 @@ mod tests {
         for (r, st) in out.stats.iter().enumerate() {
             assert_eq!(st.total_recv(), dplan.ranks[r].comm_words(), "rank {r} traffic");
         }
+        assert!(dplan.ranks.iter().all(|r| r.bricks.len() <= 2), "a layer's k-ranges are at most two runs");
         dplan
     }
 
@@ -458,6 +471,8 @@ mod tests {
         let layer = P25dAlgorithm::with_geometry(Geometry25 { q, c: 1 });
         let dplan = check_plan(layer.plan(&prob, &CostModel::piz_daint_two_sided()).expect("plan"));
         assert_eq!(dplan.grid, [q, q, 1]);
+        // One layer multiplies every k: one whole-k brick a rank.
+        assert!(dplan.ranks.iter().all(|r| r.bricks.len() == 1 && r.bricks[0].ks == (0..k)));
     }
 
     #[test]

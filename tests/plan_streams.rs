@@ -126,65 +126,68 @@ fn extra_cases() -> Vec<(&'static str, AlgorithmRegistry, MmmProblem)> {
 /// The rank counts of the `plan-sweep` roster.
 const ROSTER_PS: [usize; 4] = [512, 1000, 2048, 4096];
 
-/// Recorded at `08b4896`, the commit before plans became rank streams.
+/// Recorded at `08b4896`, the commit before plans became rank streams. The
+/// 2.5D column was re-recorded when a rank's bricks became its runs of
+/// contiguous k-ranges: every one of its digests is the earlier plan's with
+/// only the bricks merged.
 #[rustfmt::skip]
 const PINNED: &[(&str, usize, [Option<u64>; 4])] = &[
-    ("square-strong", 512, [Some(0xc9262ee1ad2686aa), Some(0x2de4a71b1dcfdcda), Some(0x954f4a85cc4c714f), Some(0xe1f397fd5c40b116)]),
-    ("square-strong", 1000, [Some(0x1730e06deefa0df2), Some(0x47b60be4fffdd8bc), Some(0x814a43aa1acbd5d1), None]),
-    ("square-strong", 2048, [Some(0x08479f8eeb3803ef), Some(0xb497a2001e603a5e), Some(0x9a728f96788d3e12), Some(0x93e114cf614b6c4d)]),
-    ("square-strong", 4096, [Some(0x9653d6dfc852ec63), Some(0xcbdc94c4aed9ba41), Some(0x8bdf73176c465bbd), Some(0x87dd655012f55891)]),
-    ("square-limited", 512, [Some(0x651093960ef06a8d), Some(0x6ffb967cd9695410), Some(0x62e0d68f57dc0045), Some(0x2f7f0b968213b1be)]),
-    ("square-limited", 1000, [Some(0xcf3bd6ef35433065), Some(0xad0592acdf0be338), Some(0x7db79b881025994b), None]),
-    ("square-limited", 2048, [Some(0xbee54417fe894ade), Some(0x852a672a87bd19fc), Some(0x426f3a64b5741dd4), Some(0x1e058f321f0eda18)]),
-    ("square-limited", 4096, [Some(0x3a0748bd36eeba17), Some(0xbe7bd9fbfd2de961), Some(0x6e0a1efa830d6d23), Some(0x7619d8c30fe47230)]),
-    ("square-extra", 512, [Some(0x7f1a15d1e290075b), Some(0x47de3cd6e0e95a51), Some(0x0a91e2d1e2d7fbea), Some(0x3c9ea643056c9dfc)]),
-    ("square-extra", 1000, [Some(0x2354998f66e354c5), Some(0xca4efce36cd218d6), Some(0x989962b064c1ca2a), None]),
-    ("square-extra", 2048, [Some(0xec9fef5e80f724c4), Some(0x4b6661400ec2c242), Some(0xd36659533b60e9c4), Some(0xdf10be6a1dcf47ba)]),
-    ("square-extra", 4096, [Some(0xfb633834f3a84610), Some(0xe6225f14078e6759), Some(0x9b570540e1af99f3), Some(0xc9770c0e183b6f36)]),
-    ("largek-strong", 512, [Some(0xf51de0caa710c45f), Some(0x3e0ace56165a1a2d), Some(0x1c947de152f3383b), Some(0xbffdceb206bfac49)]),
-    ("largek-strong", 1000, [Some(0x79989574bc9b4da1), Some(0x6147f74b1ddc425e), Some(0x2910ace7b8dbc0f2), None]),
-    ("largek-strong", 2048, [Some(0xac8ae5c8b7ec539d), Some(0x053af9b327887bd3), Some(0xe55900d8a6f87b6d), Some(0x07eb3725fcafb79a)]),
-    ("largek-strong", 4096, [Some(0x5979ca19496a039a), Some(0xf0cc30cdfb8a24d5), Some(0xd65a23e67aff9582), Some(0x974eccb52846ed3f)]),
-    ("largek-limited", 512, [Some(0x63ad6eaf996b561f), Some(0x4eb9b5ee04437ef4), Some(0x1ab091a3b072354a), Some(0xb13ff1acae81fa72)]),
+    ("square-strong", 512, [Some(0xc9262ee1ad2686aa), Some(0x2de4a71b1dcfdcda), Some(0x6977a2fb0dd0e769), Some(0xe1f397fd5c40b116)]),
+    ("square-strong", 1000, [Some(0x1730e06deefa0df2), Some(0x47b60be4fffdd8bc), Some(0xb40e11e55700314e), None]),
+    ("square-strong", 2048, [Some(0x08479f8eeb3803ef), Some(0xb497a2001e603a5e), Some(0x95f3e9c63f267b38), Some(0x93e114cf614b6c4d)]),
+    ("square-strong", 4096, [Some(0x9653d6dfc852ec63), Some(0xcbdc94c4aed9ba41), Some(0xe4b380f83ba9c346), Some(0x87dd655012f55891)]),
+    ("square-limited", 512, [Some(0x651093960ef06a8d), Some(0x6ffb967cd9695410), Some(0xbca095260dbd45a9), Some(0x2f7f0b968213b1be)]),
+    ("square-limited", 1000, [Some(0xcf3bd6ef35433065), Some(0xad0592acdf0be338), Some(0xd840bb705a1b52f8), None]),
+    ("square-limited", 2048, [Some(0xbee54417fe894ade), Some(0x852a672a87bd19fc), Some(0x7013693de30fea18), Some(0x1e058f321f0eda18)]),
+    ("square-limited", 4096, [Some(0x3a0748bd36eeba17), Some(0xbe7bd9fbfd2de961), Some(0x27bdd7d4d56e1232), Some(0x7619d8c30fe47230)]),
+    ("square-extra", 512, [Some(0x7f1a15d1e290075b), Some(0x47de3cd6e0e95a51), Some(0xbc9a623adc4c12c8), Some(0x3c9ea643056c9dfc)]),
+    ("square-extra", 1000, [Some(0x2354998f66e354c5), Some(0xca4efce36cd218d6), Some(0xca481e48ce1e37da), None]),
+    ("square-extra", 2048, [Some(0xec9fef5e80f724c4), Some(0x4b6661400ec2c242), Some(0x38ca78868b78f0fd), Some(0xdf10be6a1dcf47ba)]),
+    ("square-extra", 4096, [Some(0xfb633834f3a84610), Some(0xe6225f14078e6759), Some(0x8dc57226ba56b0ed), Some(0xc9770c0e183b6f36)]),
+    ("largek-strong", 512, [Some(0xf51de0caa710c45f), Some(0x3e0ace56165a1a2d), Some(0x6339ee6294acbc7c), Some(0xbffdceb206bfac49)]),
+    ("largek-strong", 1000, [Some(0x79989574bc9b4da1), Some(0x6147f74b1ddc425e), Some(0x528418e82a682bf9), None]),
+    ("largek-strong", 2048, [Some(0xac8ae5c8b7ec539d), Some(0x053af9b327887bd3), Some(0xe1535bc9c90d07cb), Some(0x07eb3725fcafb79a)]),
+    ("largek-strong", 4096, [Some(0x5979ca19496a039a), Some(0xf0cc30cdfb8a24d5), Some(0x095520af2b2b5b28), Some(0x974eccb52846ed3f)]),
+    ("largek-limited", 512, [Some(0x63ad6eaf996b561f), Some(0x4eb9b5ee04437ef4), Some(0x9ced6ee4d318c7f3), Some(0xb13ff1acae81fa72)]),
     ("largek-limited", 1000, [Some(0x907bffaa6ca933c5), Some(0x4e889000ecfd7c16), Some(0x9dae933714e807a3), None]),
-    ("largek-limited", 2048, [Some(0x90e0337ee477645b), Some(0x63770209f424b41f), Some(0xd8c893c2b8ad892a), Some(0x9634a57131c0be10)]),
-    ("largek-limited", 4096, [Some(0xc4a0f1904c86a7ca), Some(0x1f44fdee1ebdeb7d), Some(0x32beafff3e262b22), Some(0x7e641d4d048e5cc5)]),
-    ("largek-extra", 512, [Some(0x892f6b284bfc4a09), Some(0xd7cfbe7902d3da63), Some(0x032d779ef3b93cde), Some(0x648c88f3aac0e361)]),
+    ("largek-limited", 2048, [Some(0x90e0337ee477645b), Some(0x63770209f424b41f), Some(0x0565321dae7633cc), Some(0x9634a57131c0be10)]),
+    ("largek-limited", 4096, [Some(0xc4a0f1904c86a7ca), Some(0x1f44fdee1ebdeb7d), Some(0x7bdb92f94053ea16), Some(0x7e641d4d048e5cc5)]),
+    ("largek-extra", 512, [Some(0x892f6b284bfc4a09), Some(0xd7cfbe7902d3da63), Some(0x5a80935460b45135), Some(0x648c88f3aac0e361)]),
     ("largek-extra", 1000, [Some(0x6e3ccb932ccb1b40), Some(0x2967c92c96c73405), Some(0x3f392be1a64b535a), None]),
-    ("largek-extra", 2048, [Some(0xbea3309e3e9271e4), Some(0xa16ffdbd228179b2), Some(0xdf522f30a544e397), Some(0x6093806cfe12c829)]),
-    ("largek-extra", 4096, [Some(0x8748855a4021a5f9), Some(0xec4a4979eb579f1c), Some(0xa08096c10870e854), Some(0x1d25dc8b8d4cec28)]),
-    ("largem-strong", 512, [Some(0xa7d953471b98eb12), Some(0x41dc939820fec460), Some(0xb543012ee58c47ba), Some(0xe105372ac3e36af9)]),
-    ("largem-strong", 1000, [Some(0x3d1b6fc7543f517a), Some(0xdfd84f735aa4cce3), Some(0xe198c3213a472304), None]),
-    ("largem-strong", 2048, [Some(0x22ca6563752c79b8), Some(0xbafd509fa622f8b4), Some(0x24b4aba2a1579559), Some(0xe29ceca4253fbb89)]),
-    ("largem-strong", 4096, [Some(0x646ddd075dd48a5b), Some(0x858c3c4fcbaa262e), Some(0x28545e1d0786288b), Some(0xafd0a1d889bf72bf)]),
-    ("largem-limited", 512, [Some(0x7caf0dd54b4e8b0a), Some(0xcba14aa103e0d93b), Some(0xb2bf177e4ff083e8), Some(0x0061d1883e88317b)]),
-    ("largem-limited", 1000, [Some(0x28edb708b370f560), Some(0x5a92a9555517dde5), Some(0x9f340b0f16a8eb5d), None]),
-    ("largem-limited", 2048, [Some(0xf6418d93aad50e55), Some(0xba24545d71797d5c), Some(0x07e3a1297cae906d), Some(0xba3cd02cb90c6d5d)]),
-    ("largem-limited", 4096, [Some(0x8b69122c28b2a9a6), Some(0x7f152ef03af493e3), Some(0x6dc4bc7c653c9d4d), Some(0x24ff5bf78a1f1ed5)]),
-    ("largem-extra", 512, [Some(0x2e89b58c8980aa36), Some(0x0938b02fa03b80f6), Some(0x29cac426b595d099), Some(0xa2052e1710312bfe)]),
-    ("largem-extra", 1000, [Some(0xc41374d455724335), Some(0x5e1db6f3019c4616), Some(0x43f456e07822dc8a), None]),
-    ("largem-extra", 2048, [Some(0x386be46cdeb7ab52), Some(0x6f54323538c9e66b), Some(0xdb7cf2bf1db00af1), Some(0x5cef66dafb3ba6c2)]),
-    ("largem-extra", 4096, [Some(0x7a69ffe83b90b262), Some(0xfab5f07bf420d324), Some(0x31c498cd41655e00), Some(0x90ebd0905391979e)]),
-    ("flat-strong", 512, [Some(0xa5333e6d7a2451fa), Some(0x7df761f98508220e), Some(0x7f89a06a4c978883), Some(0x8f1a09b2f6dfcd5d)]),
-    ("flat-strong", 1000, [Some(0x3796d633ee54f8f5), Some(0xa4ed1d2e1ff7e9ae), Some(0x58481de7cb877096), None]),
-    ("flat-strong", 2048, [Some(0x5761725f81b8de04), Some(0xbda2389a25a3b686), Some(0x64c5414bbccb6c28), Some(0x30edec0d05dd7ee8)]),
-    ("flat-strong", 4096, [Some(0x43c0e68d1baeb417), Some(0x4fceae991bfd6049), Some(0x16c53a0a7acf7b2d), Some(0xc3708873727996ff)]),
-    ("flat-limited", 512, [Some(0xbf7f776f5434dba4), Some(0x448915a0def98e34), Some(0xb947ef6c41143f96), Some(0x19297fffa3c557f4)]),
-    ("flat-limited", 1000, [Some(0xf797d5a96f4516d9), Some(0x0ccb4ab1a9cd66fa), Some(0x35c7b09f1f532e8f), None]),
-    ("flat-limited", 2048, [Some(0x6163ff5499aabfc5), Some(0x9ccd4fc4d75b315d), Some(0x6b1319964d82d9ab), Some(0x1fc06bc63ece7315)]),
-    ("flat-limited", 4096, [Some(0x3ede4f9b832cabdd), Some(0x9dcb2bbc670f74e0), Some(0x575b037bd79b058c), Some(0xb87ca4ebf04ead12)]),
-    ("flat-extra", 512, [Some(0xdca655ccbd75e6a0), Some(0xd365b9654f878e1c), Some(0x7c2d8b68d90dda07), Some(0x70fa483d58106a50)]),
-    ("flat-extra", 1000, [Some(0x19a6d009e1c382c4), Some(0x554e868c027ea8f0), Some(0x33a972f69516dd0d), None]),
-    ("flat-extra", 2048, [Some(0x0da0143421ef3212), Some(0xadc9be7185f6c576), Some(0xdbc5f9921fc17ec5), Some(0xad802bea41ed2bc2)]),
-    ("flat-extra", 4096, [Some(0xa7ef42a34656955e), Some(0x04d37a1577fb02f3), Some(0x0669fe10c61db998), Some(0xcf215c3e8f024fed)]),
+    ("largek-extra", 2048, [Some(0xbea3309e3e9271e4), Some(0xa16ffdbd228179b2), Some(0xbeff64a20cfef958), Some(0x6093806cfe12c829)]),
+    ("largek-extra", 4096, [Some(0x8748855a4021a5f9), Some(0xec4a4979eb579f1c), Some(0x99aa01fd58a50b50), Some(0x1d25dc8b8d4cec28)]),
+    ("largem-strong", 512, [Some(0xa7d953471b98eb12), Some(0x41dc939820fec460), Some(0x165a7d46468ba285), Some(0xe105372ac3e36af9)]),
+    ("largem-strong", 1000, [Some(0x3d1b6fc7543f517a), Some(0xdfd84f735aa4cce3), Some(0x73eb755e23f71da6), None]),
+    ("largem-strong", 2048, [Some(0x22ca6563752c79b8), Some(0xbafd509fa622f8b4), Some(0x97b90bf9a00500b3), Some(0xe29ceca4253fbb89)]),
+    ("largem-strong", 4096, [Some(0x646ddd075dd48a5b), Some(0x858c3c4fcbaa262e), Some(0xf2f90d4fa4652c46), Some(0xafd0a1d889bf72bf)]),
+    ("largem-limited", 512, [Some(0x7caf0dd54b4e8b0a), Some(0xcba14aa103e0d93b), Some(0x9a5c1b3300ca20b4), Some(0x0061d1883e88317b)]),
+    ("largem-limited", 1000, [Some(0x28edb708b370f560), Some(0x5a92a9555517dde5), Some(0x80f6fffe8a17d54b), None]),
+    ("largem-limited", 2048, [Some(0xf6418d93aad50e55), Some(0xba24545d71797d5c), Some(0x911d53b06430e3d9), Some(0xba3cd02cb90c6d5d)]),
+    ("largem-limited", 4096, [Some(0x8b69122c28b2a9a6), Some(0x7f152ef03af493e3), Some(0x8f624dacc36fc3b6), Some(0x24ff5bf78a1f1ed5)]),
+    ("largem-extra", 512, [Some(0x2e89b58c8980aa36), Some(0x0938b02fa03b80f6), Some(0xe04c3ca5bcd7d48f), Some(0xa2052e1710312bfe)]),
+    ("largem-extra", 1000, [Some(0xc41374d455724335), Some(0x5e1db6f3019c4616), Some(0x5d0a40752ca19bbb), None]),
+    ("largem-extra", 2048, [Some(0x386be46cdeb7ab52), Some(0x6f54323538c9e66b), Some(0x3c2f79d7c43fd673), Some(0x5cef66dafb3ba6c2)]),
+    ("largem-extra", 4096, [Some(0x7a69ffe83b90b262), Some(0xfab5f07bf420d324), Some(0x8435852e3688c7a2), Some(0x90ebd0905391979e)]),
+    ("flat-strong", 512, [Some(0xa5333e6d7a2451fa), Some(0x7df761f98508220e), Some(0x3ec706da69fdb53d), Some(0x8f1a09b2f6dfcd5d)]),
+    ("flat-strong", 1000, [Some(0x3796d633ee54f8f5), Some(0xa4ed1d2e1ff7e9ae), Some(0x19b4cbab6b3b9fee), None]),
+    ("flat-strong", 2048, [Some(0x5761725f81b8de04), Some(0xbda2389a25a3b686), Some(0xef17d4e3f83d8fc9), Some(0x30edec0d05dd7ee8)]),
+    ("flat-strong", 4096, [Some(0x43c0e68d1baeb417), Some(0x4fceae991bfd6049), Some(0x3bb5f3cf5e66abd3), Some(0xc3708873727996ff)]),
+    ("flat-limited", 512, [Some(0xbf7f776f5434dba4), Some(0x448915a0def98e34), Some(0x11c991ce4bb35031), Some(0x19297fffa3c557f4)]),
+    ("flat-limited", 1000, [Some(0xf797d5a96f4516d9), Some(0x0ccb4ab1a9cd66fa), Some(0xd3f7bc21681fe367), None]),
+    ("flat-limited", 2048, [Some(0x6163ff5499aabfc5), Some(0x9ccd4fc4d75b315d), Some(0xeee85f41dfa75b58), Some(0x1fc06bc63ece7315)]),
+    ("flat-limited", 4096, [Some(0x3ede4f9b832cabdd), Some(0x9dcb2bbc670f74e0), Some(0xa2c6c6aaa473511a), Some(0xb87ca4ebf04ead12)]),
+    ("flat-extra", 512, [Some(0xdca655ccbd75e6a0), Some(0xd365b9654f878e1c), Some(0xd767813b30b70065), Some(0x70fa483d58106a50)]),
+    ("flat-extra", 1000, [Some(0x19a6d009e1c382c4), Some(0x554e868c027ea8f0), Some(0xeb84ca6b09b28e05), None]),
+    ("flat-extra", 2048, [Some(0x0da0143421ef3212), Some(0xadc9be7185f6c576), Some(0x6188c709b94df60b), Some(0xad802bea41ed2bc2)]),
+    ("flat-extra", 4096, [Some(0xa7ef42a34656955e), Some(0x04d37a1577fb02f3), Some(0xd0f5b86e311a0aef), Some(0xcf215c3e8f024fed)]),
     ("one-rank", 1, [Some(0xc3a15f33959acd72), Some(0x617eab8c10f21aae), Some(0x6a1f89e833cdeeec), Some(0xf9ef17e57726ff85)]),
-    ("prime-p", 7, [Some(0x73fbe7a8b1567d06), Some(0x994df079c225a384), Some(0xd6a5861e870ae406), None]),
+    ("prime-p", 7, [Some(0x73fbe7a8b1567d06), Some(0x994df079c225a384), Some(0x2d2291f59b9d19ae), None]),
     ("idle-ranks", 65, [Some(0x6f82086b45390d68), Some(0xfcc0d914fc771692), Some(0xfd0739be0fe8427d), None]),
-    ("p-12", 12, [Some(0x122a4fe9c98b6c5c), Some(0x37700267820c5627), Some(0x1123fee52e86bdeb), None]),
+    ("p-12", 12, [Some(0x122a4fe9c98b6c5c), Some(0x37700267820c5627), Some(0x1348a0db357694fe), None]),
     ("p-36", 36, [Some(0x2019d4540999f65f), Some(0x4a0171f913da2b6d), Some(0x4eabb2ae6f635305), None]),
     ("starved-carma", 8, [Some(0x40c811ce76b3cd44), Some(0x7e2cc3b336d86094), None, Some(0x2e1fc0a3e06a295e)]),
     ("largek-small", 8, [Some(0x6bd585c6d85e1ca9), Some(0x587fb37c827a21e4), Some(0x47a03e3527ae1f2f), Some(0xf902c516c04f249c)]),
-    ("forced-q4-c2", 37, [Some(0x1b23884e270e96c8), Some(0xd1c94e47612f6c07), Some(0xed08c9ec6a974934), None]),
+    ("forced-q4-c2", 37, [Some(0x1b23884e270e96c8), Some(0xd1c94e47612f6c07), Some(0x8684046dab31844d), None]),
 ];
 
 #[test]
