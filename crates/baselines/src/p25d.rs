@@ -145,8 +145,9 @@ pub fn plan_ranks(
             });
         }
         // The layer's alignment positions are one arc mod q, so its k-ranges
-        // are at most two runs, or the whole of k when the arc is: a rank
-        // stores two bricks at most, not one per step.
+        // join into one run, or two when the arc wraps past q − 1 without
+        // covering every position: a rank stores at most two bricks, not one
+        // per step.
         let mut bricks: Vec<Brick> = Vec::with_capacity(2);
         for (ks, round) in layer_steps(prob, geo, [i, j, l]) {
             match bricks.last_mut() {
