@@ -465,28 +465,6 @@ mod tests {
         assert_eq!(takes(&layers(4, 2), 32), 4 * one_step);
     }
 
-    /// One layer on `p = q²` ranks: Cannon's algorithm.
-    fn check_one_layer(m: usize, n: usize, k: usize, p: usize) {
-        let prob = MmmProblem::new(m, n, k, p, 4096);
-        let q = (p as f64).sqrt() as usize;
-        let layer = P25dAlgorithm::with_geometry(Geometry25 { q, c: 1 });
-        let dplan = check_plan(layer.plan(&prob, &CostModel::piz_daint_two_sided()).expect("plan"));
-        assert_eq!(dplan.grid, [q, q, 1]);
-        // One layer multiplies every k: one whole-k brick a rank.
-        assert!(dplan.ranks.iter().all(|r| r.bricks.len() == 1 && r.bricks[0].ks == (0..k)));
-    }
-
-    #[test]
-    fn one_layer_correct_on_square_grids() {
-        check_one_layer(16, 16, 16, 4);
-        check_one_layer(16, 16, 16, 16);
-        check_one_layer(18, 22, 26, 9); // uneven splits
-        check_one_layer(15, 17, 19, 4); // primes
-        check_one_layer(8, 9, 10, 1); // one rank
-        check_one_layer(32, 8, 16, 4); // rectangular
-        check_one_layer(8, 32, 64, 4);
-    }
-
     #[test]
     fn one_layer_traffic_matches_2d_model() {
         // Per-rank volume: q rounds (skew + q-1 shifts) of block pairs,
