@@ -162,16 +162,8 @@ mod tests {
         let keys: HashSet<PlanKey> = jobs
             .iter()
             .map(|j| {
-                PlanKey::try_new(
-                    &j.prob,
-                    &model,
-                    j.overlap,
-                    j.mem_budget,
-                    &j.choice,
-                    &j.topology,
-                    j.placement,
-                )
-                .expect("finite model")
+                PlanKey::try_new(&j.prob, &model, true, j.mem_budget, &j.choice, &j.topology, j.placement)
+                    .expect("finite model")
             })
             .collect();
         assert_eq!(keys.len(), unique_combos().len());

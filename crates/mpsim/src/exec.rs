@@ -106,7 +106,7 @@ pub enum ExecError {
     /// never step any rank.
     NoWorkers,
     /// A sizing knob that only makes sense positive was zero — `what` names
-    /// it (e.g. a served plan cache with no shard or no room for a plan).
+    /// it (e.g. a served plan cache with no room for a plan).
     ZeroCapacity {
         /// The offending knob.
         what: &'static str,

@@ -1,29 +1,25 @@
-//! The sharded, bounded, LRU plan cache.
+//! The bounded, LRU plan cache.
 //!
 //! Keys are canonical [`PlanKey`]s; values are [`Planned`]s — the
 //! auto-planner's [`Selection`](crate::auto::Selection) plus the winning
-//! `Arc<DistPlan>`, so a hit
-//! skips both planning *and* selection. The map is split into shards, each
-//! behind its own `RwLock`: concurrent driver threads hitting different
-//! shards never contend, and hits on the same shard share a read lock.
-//! Recency is tracked with a lock-free global tick — a hit bumps the
-//! entry's `last_used` atomically *under the read lock* — and eviction
-//! (only on insert into a full shard) removes the least-recently-used entry
-//! of that shard. Hit/miss/insert/eviction counters are atomic and
-//! readable at any time via [`PlanCache::stats`].
+//! `Arc<DistPlan>`, so a hit skips both planning *and* selection. The map,
+//! its recency ticks and its hit/miss/insert/eviction counters sit behind
+//! one `Mutex`, held only for a lookup or an insert. At most `capacity`
+//! plans are resident: an insert that finds the cache full first evicts the
+//! least recently used plan of the whole cache, found by one scan of the
+//! resident entries (O(capacity), a few microseconds at the default 1,024).
+//! Only a miss pays that scan, and a miss has just run the auto-planner,
+//! which costs more. [`PlanCache::stats`] reads the counters at any time.
 //!
-//! The cache is panic-hardened for the serving layer: every lock
-//! acquisition recovers a poisoned guard (`unwrap_or_else(e.into_inner())`
-//! — the map is only ever mutated through complete insert/remove
-//! operations, so a panicking holder cannot leave a half-written entry),
-//! and the planning closure runs *outside* any lock, so a panicking
-//! planner can never poison a shard in the first place.
+//! The cache is panic-hardened for the serving layer: the lock recovers a
+//! poisoned guard (`unwrap_or_else(e.into_inner())` — the map is only ever
+//! mutated through complete insert/remove operations, so a panicking holder
+//! cannot leave a half-written entry), and the planning closure runs
+//! *outside* the lock, so a panicking planner can never poison it in the
+//! first place.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use cosma::api::PlanError;
 
@@ -39,7 +35,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries inserted.
     pub inserts: u64,
-    /// Entries evicted to make room (LRU within the full shard).
+    /// Entries evicted to make room (the least recently used of the cache).
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -59,81 +55,70 @@ impl CacheStats {
 
 struct Entry {
     value: Arc<Planned>,
-    last_used: AtomicU64,
+    /// The cache's tick at this entry's last insert or hit.
+    last_used: u64,
 }
 
-type Shard = HashMap<PlanKey, Entry>;
+/// What the lock guards: the map, the recency clock and the counters
+/// (`counts.entries` unused; [`PlanCache::stats`] reads the map's length).
+#[derive(Default)]
+struct Lru {
+    map: HashMap<PlanKey, Entry>,
+    tick: u64,
+    counts: CacheStats,
+}
 
-/// A sharded `PlanKey → Arc<Planned>` map with bounded LRU shards and
-/// atomic hit/miss/eviction counters. See the module docs for the locking
-/// discipline.
+/// A `PlanKey → Arc<Planned>` map of at most `capacity` plans, evicting the
+/// least recently used, with hit/miss/eviction counters. See the module
+/// docs for the locking discipline.
 pub struct PlanCache {
-    shards: Vec<RwLock<Shard>>,
-    per_shard_cap: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
+    capacity: usize,
+    lru: Mutex<Lru>,
 }
 
 impl PlanCache {
-    /// A cache of at most `capacity` plans spread over `shards` shards
-    /// (each shard holds at most `ceil(capacity / shards)` entries).
+    /// A cache of at most `capacity` plans.
     ///
     /// # Panics
-    /// Panics when `shards` or `capacity` is zero.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        assert!(shards > 0, "the plan cache needs at least one shard");
+    /// Panics when `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "the plan cache needs room for at least one plan");
         PlanCache {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            per_shard_cap: capacity.div_ceil(shards),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            capacity,
+            lru: Mutex::default(),
         }
     }
 
-    /// A 16-shard cache of 1024 plans — roomy for a serving mix.
+    /// A cache of 1,024 plans — roomy for a serving mix.
     pub fn with_default_shape() -> Self {
-        PlanCache::new(16, 1024)
+        PlanCache::new(1024)
     }
 
-    fn shard_of(&self, key: &PlanKey) -> &RwLock<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn read(&self, key: &PlanKey) -> Option<Arc<Planned>> {
-        let shard = self.shard_of(key).read().unwrap_or_else(|e| e.into_inner());
-        shard.get(key).map(|entry| {
-            entry
-                .last_used
-                .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-            entry.value.clone()
-        })
-    }
-
-    /// Look up `key`, counting a hit or a miss.
+    /// Look up `key`, counting a hit or a miss; a hit makes the entry the
+    /// most recently used.
     pub fn get(&self, key: &PlanKey) -> Option<Arc<Planned>> {
-        match self.read(key) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
+        let mut guard = self.lock();
+        let lru = &mut *guard;
+        lru.tick += 1;
+        match lru.map.get_mut(key) {
+            Some(entry) => {
+                entry.last_used = lru.tick;
+                lru.counts.hits += 1;
+                Some(entry.value.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                lru.counts.misses += 1;
                 None
             }
         }
     }
 
     /// The memoization entry point: return the cached plan for `key`, or
-    /// run `plan` (outside any lock — planning is pure, so a concurrent
+    /// run `plan` (outside the lock — planning is pure, so a concurrent
     /// duplicate is wasted work, never wrong) and cache its result. The
     /// boolean is `true` on a hit.
     ///
@@ -149,45 +134,36 @@ impl PlanCache {
             return Ok((hit, true));
         }
         let value = Arc::new(plan()?);
-        let mut shard = self.shard_of(&key).write().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.lock();
+        let lru = &mut *guard;
         // A racing thread may have planned the same key meanwhile; its
         // entry is identical (planning is pure) — keep ours out.
-        if let Some(existing) = shard.get(&key) {
+        if let Some(existing) = lru.map.get(&key) {
             return Ok((existing.value.clone(), false));
         }
-        if shard.len() >= self.per_shard_cap {
-            let lru = shard
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k);
-            if let Some(lru) = lru {
-                shard.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+        if lru.map.len() >= self.capacity {
+            let oldest = lru.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
+            if let Some(oldest) = oldest {
+                lru.map.remove(&oldest);
+                lru.counts.evictions += 1;
             }
         }
-        shard.insert(
-            key,
-            Entry {
-                value: value.clone(),
-                last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-            },
-        );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        lru.tick += 1;
+        let entry = Entry {
+            value: value.clone(),
+            last_used: lru.tick,
+        };
+        lru.map.insert(key, entry);
+        lru.counts.inserts += 1;
         Ok((value, false))
     }
 
     /// Current counter values and resident-entry count.
     pub fn stats(&self) -> CacheStats {
+        let lru = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
-                .sum(),
+            entries: lru.map.len(),
+            ..lru.counts
         }
     }
 }
@@ -195,8 +171,7 @@ impl PlanCache {
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
-            .field("shards", &self.shards.len())
-            .field("per_shard_cap", &self.per_shard_cap)
+            .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
     }
@@ -230,7 +205,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit_returns_the_identical_plan() {
-        let cache = PlanCache::new(4, 64);
+        let cache = PlanCache::new(64);
         let (key, planned) = planned_for(16);
         let (cold, hit) = cache.get_or_try_insert_with(key, || Ok(planned)).unwrap();
         assert!(!hit);
@@ -248,7 +223,7 @@ mod tests {
 
     #[test]
     fn planning_errors_are_not_cached() {
-        let cache = PlanCache::new(1, 4);
+        let cache = PlanCache::new(4);
         let (key, planned) = planned_for(16);
         let err = cache
             .get_or_try_insert_with(key, || {
@@ -264,26 +239,71 @@ mod tests {
         assert!(!hit);
     }
 
+    /// `n` distinct keys (the memory budget S varies), each with a clone
+    /// of one planned value: the cache never looks inside a value.
+    fn distinct_keys(n: usize) -> Vec<(PlanKey, Planned)> {
+        let (key, planned) = planned_for(16);
+        (0..n as u64)
+            .map(|i| {
+                let key = PlanKey {
+                    mem_words: key.mem_words + i,
+                    ..key
+                };
+                (key, planned.clone())
+            })
+            .collect()
+    }
+
     #[test]
-    fn full_shard_evicts_the_least_recently_used() {
-        // One shard of capacity 2: insert a, b; touch a; insert c → b out.
-        let cache = PlanCache::new(1, 2);
-        let keys: Vec<(PlanKey, Planned)> = [4, 8, 16].iter().map(|&p| planned_for(p)).collect();
-        for (key, planned) in &keys[..2] {
+    fn resident_plans_fill_the_capacity_and_never_exceed_it() {
+        let keys = distinct_keys(2_100);
+        for capacity in [1, 4, 1_000, 1_024] {
+            let cache = PlanCache::new(capacity);
+            for (i, (key, planned)) in keys.iter().enumerate() {
+                let before = cache.stats();
+                cache.get_or_try_insert_with(*key, || Ok(planned.clone())).unwrap();
+                let after = cache.stats();
+                assert!(after.entries <= capacity, "capacity {capacity}: {} resident", after.entries);
+                if before.entries < capacity {
+                    // Room left: nothing may go.
+                    assert_eq!(after.evictions, before.evictions, "capacity {capacity}: insert {i}");
+                    assert_eq!(after.entries, before.entries + 1);
+                } else {
+                    assert_eq!(after.evictions, before.evictions + 1, "capacity {capacity}: insert {i}");
+                    assert_eq!(after.entries, capacity);
+                }
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.entries, capacity);
+            assert_eq!(stats.evictions, (keys.len() - capacity) as u64);
+        }
+    }
+
+    #[test]
+    fn a_full_cache_evicts_its_least_recently_used_plan() {
+        // The default 1,024 plans: fill it, touch the oldest, then two
+        // inserts evict the two next-oldest — wherever they hash to.
+        let cache = PlanCache::with_default_shape();
+        let keys = distinct_keys(1_026);
+        for (key, planned) in &keys[..1_024] {
             cache.get_or_try_insert_with(*key, || Ok(planned.clone())).unwrap();
         }
-        assert!(cache.get(&keys[0].0).is_some(), "touch a");
-        cache.get_or_try_insert_with(keys[2].0, || Ok(keys[2].1.clone())).unwrap();
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.stats().entries, 2);
-        assert!(cache.get(&keys[0].0).is_some(), "a survived");
-        assert!(cache.get(&keys[1].0).is_none(), "b was the LRU");
-        assert!(cache.get(&keys[2].0).is_some(), "c resident");
+        assert_eq!((cache.stats().entries, cache.stats().evictions), (1_024, 0));
+        assert!(cache.get(&keys[0].0).is_some(), "touch the oldest");
+        for (key, planned) in &keys[1_024..] {
+            cache.get_or_try_insert_with(*key, || Ok(planned.clone())).unwrap();
+        }
+        assert_eq!((cache.stats().entries, cache.stats().evictions), (1_024, 2));
+        assert!(cache.get(&keys[1].0).is_none(), "the least recently used went first");
+        assert!(cache.get(&keys[2].0).is_none(), "then the next");
+        for (i, (key, _)) in keys.iter().enumerate().filter(|(i, _)| !(1..=2).contains(i)) {
+            assert!(cache.get(key).is_some(), "plan {i} resident");
+        }
     }
 
     #[test]
     fn concurrent_same_key_lookups_converge_to_one_entry() {
-        let cache = Arc::new(PlanCache::new(4, 64));
+        let cache = Arc::new(PlanCache::new(64));
         let (key, planned) = planned_for(16);
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -302,10 +322,10 @@ mod tests {
 
     #[test]
     fn panicking_planner_does_not_poison_the_cache() {
-        // The planning closure runs outside any shard lock, so a worker
+        // The planning closure runs outside the lock, so a worker
         // dying mid-plan must leave the cache fully serviceable — the same
         // key plans cleanly on the next request.
-        let cache = PlanCache::new(2, 8);
+        let cache = PlanCache::new(8);
         let (key, planned) = planned_for(16);
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_try_insert_with(key, || panic!("planner worker died"))
@@ -318,8 +338,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let _ = PlanCache::new(0, 4);
+    #[should_panic(expected = "at least one plan")]
+    fn zero_capacity_rejected() {
+        let _ = PlanCache::new(0);
     }
 }

@@ -111,8 +111,6 @@ pub struct JobRequest {
     pub choice: AlgoChoice,
     /// Cost model override (default: the Piz-Daint-like two-sided model).
     pub model: Option<CostModel>,
-    /// Communication–computation overlap mode (default: on).
-    pub overlap: bool,
     /// Enforced per-rank memory budget, if any.
     pub mem_budget: Option<u64>,
     /// Execution backend override (default: [`ExecBackend::event`], one
@@ -137,7 +135,9 @@ pub struct JobRequest {
 
 impl JobRequest {
     /// A job with default knobs: auto algorithm selection, default cost
-    /// model, overlap on, event backend.
+    /// model, event backend. Every job plans and runs with
+    /// communication–computation overlap on, as every session does by
+    /// default.
     pub fn new(id: u64, prob: MmmProblem, a: Matrix, b: Matrix) -> Self {
         JobRequest {
             id,
@@ -146,7 +146,6 @@ impl JobRequest {
             b,
             choice: AlgoChoice::Auto,
             model: None,
-            overlap: true,
             mem_budget: None,
             backend: None,
             topology: Topology::Flat,
@@ -255,9 +254,7 @@ pub struct ServerConfig {
     /// `Event { threads }` runs on `threads.min(pool_workers)`. Default: the
     /// core count.
     pub pool_workers: usize,
-    /// Plan-cache shard count.
-    pub cache_shards: usize,
-    /// Plan-cache capacity (plans, across all shards).
+    /// Plan-cache capacity: the most plans resident at once.
     pub cache_capacity: usize,
 }
 
@@ -267,7 +264,6 @@ impl Default for ServerConfig {
         ServerConfig {
             drivers: cores,
             pool_workers: cores,
-            cache_shards: 16,
             cache_capacity: 1024,
         }
     }
@@ -319,22 +315,19 @@ impl Server {
     /// # Errors
     /// [`ExecError::NoWorkers`] when `config.drivers` or
     /// `config.pool_workers` is zero, [`ExecError::ZeroCapacity`] when
-    /// `config.cache_shards` or `config.cache_capacity` is.
+    /// `config.cache_capacity` is.
     pub fn new(registry: AlgorithmRegistry, config: ServerConfig) -> Result<Self, ExecError> {
         if config.drivers == 0 || config.pool_workers == 0 {
             return Err(ExecError::NoWorkers);
         }
-        for (what, size) in [
-            ("ServerConfig::cache_shards", config.cache_shards),
-            ("ServerConfig::cache_capacity", config.cache_capacity),
-        ] {
-            if size == 0 {
-                return Err(ExecError::ZeroCapacity { what });
-            }
+        if config.cache_capacity == 0 {
+            return Err(ExecError::ZeroCapacity {
+                what: "ServerConfig::cache_capacity",
+            });
         }
         let shared = Arc::new(Shared {
             planner: AutoPlanner::new(registry),
-            cache: PlanCache::new(config.cache_shards, config.cache_capacity),
+            cache: PlanCache::new(config.cache_capacity),
             pool_workers: config.pool_workers,
             arena: Mutex::new(PoolStats::default()),
         });
@@ -374,6 +367,7 @@ impl Server {
                             break; // receiver gone: server dropped mid-flight
                         }
                     })
+                    // Spawning fails only when the OS is out of threads.
                     .expect("spawn serve driver")
             })
             .collect();
@@ -395,6 +389,7 @@ impl Server {
     /// typed [`PlanError::Aborted`] result instead of hanging the queue.
     pub fn submit(&self, job: JobRequest) {
         let id = job.id;
+        // Only `close` takes `jobs_tx`, and it runs on shutdown or drop.
         let undeliverable = self
             .jobs_tx
             .as_ref()
@@ -424,6 +419,7 @@ impl Server {
             self.submit(job);
         }
         let mut results: Vec<JobResult> = (0..n)
+            // Each job yields one result, and our own sender keeps `recv` open.
             .map(|_| self.recv().expect("drivers return one result per job"))
             .collect();
         results.sort_by_key(|r| r.id);
@@ -561,18 +557,12 @@ fn serve_attempt(
     } else {
         MmmProblem::new(job.prob.m, job.prob.n, job.prob.k, p, job.prob.mem_words)
     };
-    let key = PlanKey::try_new(
-        &prob,
-        &model,
-        job.overlap,
-        job.mem_budget,
-        &job.choice,
-        &job.topology,
-        job.placement,
-    )?;
+    // Overlap on, as in every session by default (`MachineSpec::new` too).
+    let key =
+        PlanKey::try_new(&prob, &model, true, job.mem_budget, &job.choice, &job.topology, job.placement)?;
     let (planned, cache_hit) = shared
         .cache
-        .get_or_try_insert_with(key, || shared.planner.select(&prob, &model, job.overlap, &job.choice))?;
+        .get_or_try_insert_with(key, || shared.planner.select(&prob, &model, true, &job.choice))?;
     // The server's parallelism is across jobs: every driver thread already
     // has a world to run, so unpinned jobs run as one single-threaded event
     // simulation, and a pinned one on at most the server's thread cap.
@@ -586,7 +576,6 @@ fn serve_attempt(
     // refused a degenerate problem (and the key an invalid topology) with a
     // typed error.
     let mut machine = MachineSpec::new(prob.p, prob.mem_words, model)
-        .with_overlap(job.overlap)
         .with_topology(job.topology.clone())
         .with_placement(job.placement);
     machine.mem_budget = job.mem_budget;
@@ -617,7 +606,6 @@ mod tests {
         ServerConfig {
             drivers: 3,
             pool_workers: 4,
-            cache_shards: 4,
             cache_capacity: 64,
         }
     }
@@ -655,33 +643,19 @@ mod tests {
     }
 
     #[test]
-    fn zero_cache_shards_is_a_typed_error() {
+    fn zero_cache_capacity_is_a_typed_error() {
         let config = ServerConfig {
-            cache_shards: 0,
+            cache_capacity: 0,
             ..small_config()
         };
         let err = refusal(config);
         assert_eq!(
             err,
             ExecError::ZeroCapacity {
-                what: "ServerConfig::cache_shards"
-            }
-        );
-        assert_eq!(err.to_string(), "ServerConfig::cache_shards must be at least 1");
-    }
-
-    #[test]
-    fn zero_cache_capacity_is_a_typed_error() {
-        let config = ServerConfig {
-            cache_capacity: 0,
-            ..small_config()
-        };
-        assert_eq!(
-            refusal(config),
-            ExecError::ZeroCapacity {
                 what: "ServerConfig::cache_capacity"
             }
         );
+        assert_eq!(err.to_string(), "ServerConfig::cache_capacity must be at least 1");
     }
 
     #[test]
@@ -849,7 +823,7 @@ mod tests {
 
         let model = CostModel::piz_daint_two_sided();
         let planned = AutoPlanner::new(baselines::registry())
-            .select(&served.prob, &model, served.overlap, &served.choice)
+            .select(&served.prob, &model, true, &served.choice)
             .unwrap();
         assert_eq!(*out.plan, *planned.plan);
         let machine = MachineSpec::new(served.prob.p, served.prob.mem_words, model)

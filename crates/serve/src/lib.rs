@@ -10,7 +10,8 @@
 //!
 //! Three pieces:
 //!
-//! * [`PlanCache`] — a sharded, bounded-LRU `PlanKey → Arc<Planned>` map.
+//! * [`PlanCache`] — a `PlanKey → Arc<Planned>` map of at most `capacity`
+//!   plans behind one lock, evicting the least recently used.
 //!   [`PlanKey`] is the canonical request identity: problem dims plus the
 //!   α-β-γ cost model keyed by IEEE-754 **bit pattern**, overlap mode,
 //!   memory budget and the allowed-algorithm mask. Hit/miss/eviction

@@ -14,7 +14,7 @@
 //! * [`baselines`] — ScaLAPACK-style SUMMA, 2.5D/3D (CTF-style) and CARMA
 //!   comparison algorithms (§2.4, §8), plus [`baselines::registry`], the
 //!   full four-algorithm [`cosma::api::AlgorithmRegistry`].
-//! * [`serve`] — planning-as-a-service: a sharded LRU plan cache keyed by
+//! * [`serve`] — planning-as-a-service: an LRU plan cache keyed by
 //!   canonical [`serve::PlanKey`]s, a cost-model auto-planner selecting the
 //!   cheapest feasible algorithm per request, and a multi-tenant
 //!   [`serve::Server`] executing many independent worlds concurrently.

@@ -753,7 +753,7 @@ fn plan_cache_hits_are_bitwise_identical_to_cold_planning() {
     use serve::{AlgoChoice, AutoPlanner, PlanCache, PlanKey};
     let planner = AutoPlanner::new(baselines::registry());
     let model = CostModel::piz_daint_two_sided();
-    let cache = PlanCache::new(4, 64);
+    let cache = PlanCache::new(64);
     let mut rng = Rng::new(18);
     for _ in 0..CASES {
         let m = rng.range(4, 80);

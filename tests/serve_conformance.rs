@@ -32,7 +32,7 @@ fn assert_matches_serial(jobs: &[JobRequest], served: &[JobResult], backend: Exe
         assert_eq!(job.id, result.id, "run_batch must return results in id order");
         let out = result.outcome.as_ref().expect("the mixed stream is feasible by construction");
 
-        let reference = planner.select(&job.prob, &model, job.overlap, &job.choice).expect("feasible");
+        let reference = planner.select(&job.prob, &model, true, &job.choice).expect("feasible");
         assert_eq!(out.selection, reference.selection, "job {}: selection diverged", job.id);
         assert_eq!(*out.plan, *reference.plan, "job {}: plan diverged", job.id);
 
@@ -40,7 +40,6 @@ fn assert_matches_serial(jobs: &[JobRequest], served: &[JobResult], backend: Exe
             .registry(baselines::registry())
             .algorithm(reference.selection.algo)
             .machine(model)
-            .overlap(job.overlap)
             .exec_backend(backend)
             .execute(&job.a, &job.b)
             .expect("serial reference run");
