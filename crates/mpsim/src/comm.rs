@@ -10,17 +10,16 @@
 //! matching. A send never blocks, so exchange patterns like Cannon shifts
 //! cannot deadlock.
 //!
-//! [`RankComm`] alone records every count of its rank on the world's
-//! [`StatsBoard`] — words by phase, messages, flops, allocations — the
-//! "communication volume per rank" of Figures 6–7. Behind it sits the event
-//! world's crate-private transport, which moves messages and steps the
-//! rank's virtual clock.
+//! Behind [`RankComm`] sits the event world's crate-private transport,
+//! which moves messages, steps the rank's virtual clock and counts, in the
+//! rank's one record beside that clock, its words by phase, messages, flops
+//! and allocations — the "communication volume per rank" of Figures 6–7.
 
 use std::sync::Arc;
 
 use crate::event::EventComm;
 use crate::pool::BufferPool;
-use crate::stats::{Phase, StatsBoard};
+use crate::stats::Phase;
 
 // ---------------------------------------------------------------------------
 // The rank-facing resumable handle
@@ -60,27 +59,20 @@ use crate::stats::{Phase, StatsBoard};
 pub struct RankComm {
     pub(crate) rank: usize,
     p: usize,
-    /// The world's counters: this handle is the only writer of row `rank`.
-    stats: Arc<StatsBoard>,
     /// The world's buffer-reuse arena.
     pool: Arc<BufferPool>,
-    /// What moves this rank's messages and steps its virtual clock.
+    /// What moves this rank's messages, steps its virtual clock and keeps
+    /// its counts.
     pub(crate) event: EventComm,
 }
 
 impl RankComm {
-    /// Rank `rank`'s handle on a world whose counters are `stats` (one row
-    /// per rank) and whose arena is `pool`, moving messages over `event`.
-    pub(crate) fn new(
-        rank: usize,
-        stats: &Arc<StatsBoard>,
-        pool: &Arc<BufferPool>,
-        event: EventComm,
-    ) -> Self {
+    /// Rank `rank`'s handle on a `p`-rank world whose arena is `pool`,
+    /// moving messages over `event`.
+    pub(crate) fn new(rank: usize, p: usize, pool: &Arc<BufferPool>, event: EventComm) -> Self {
         RankComm {
             rank,
-            p: stats.len(),
-            stats: stats.clone(),
+            p,
             pool: pool.clone(),
             event,
         }
@@ -111,18 +103,17 @@ impl RankComm {
     /// Record `flops` local floating-point operations for this rank; they
     /// also advance its virtual clock.
     pub fn record_flops(&self, flops: u64) {
-        self.stats.rank(self.rank).record_flops(flops);
         self.event.compute(self.rank, flops);
     }
 
     /// Record a working-memory allocation (peak-memory accounting).
     pub fn track_alloc(&self, words: u64) {
-        self.stats.rank(self.rank).record_alloc(words);
+        self.event.track_alloc(self.rank, words);
     }
 
     /// Record a working-memory release.
     pub fn track_free(&self, words: u64) {
-        self.stats.rank(self.rank).record_free(words);
+        self.event.track_free(self.rank, words);
     }
 
     /// Send `data` to rank `to` with `tag`. Never suspends. A message the
@@ -134,17 +125,14 @@ impl RankComm {
     /// Panics if `to` is out of range.
     pub fn send(&self, to: usize, tag: u64, data: Vec<f64>, phase: Phase) {
         assert!(to < self.p, "send to rank {to} of {}", self.p);
-        self.stats.rank(self.rank).record_send(data.len() as u64, phase);
-        self.event.send(self.rank, to, tag, data);
+        self.event.send(self.rank, to, tag, data, phase);
     }
 
     /// Receive the next message from `from` with `tag` — a wait-state until
     /// the matching message arrives. Messages from the same sender with the
     /// same tag are delivered in send order.
     pub async fn recv(&mut self, from: usize, tag: u64, phase: Phase) -> Vec<f64> {
-        let data = self.event.recv(self.rank, from, tag).await;
-        self.stats.rank(self.rank).record_recv(data.len() as u64, phase);
-        data
+        self.event.recv(self.rank, from, tag, phase).await
     }
 
     /// Combined exchange: send `data` to `to`, then receive from `from` under
@@ -173,6 +161,7 @@ mod tests {
     use super::*;
     use crate::exec::{run_spmd_with, ExecBackend};
     use crate::machine::MachineSpec;
+    use crate::stats::{RankStats, NUM_PHASES};
 
     /// One scheduler thread and two: every test below must hold on both.
     const BACKENDS: [ExecBackend; 2] = [ExecBackend::event(), ExecBackend::Event { threads: 2 }];
@@ -274,6 +263,75 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out.stats[0].peak_mem_words, 500);
+    }
+
+    #[test]
+    fn a_ranks_record_counts_every_phase_and_its_memory_high_water() {
+        // Rank 0 sends one message in each of the five phases and a second
+        // one in InputA; rank 1 answers once in Other, which rank 0 counts
+        // under Layout: each side counts a message in the phase it names.
+        // Both compute twice and hold memory through alloc / free / alloc.
+        let words = |i: usize| 10 * (i + 1);
+        let spec = MachineSpec::test_machine(2, 1000);
+        for backend in BACKENDS {
+            let out = run_spmd_with(&spec, backend, |mut c| async move {
+                if c.rank() == 0 {
+                    for (i, phase) in Phase::all().into_iter().enumerate() {
+                        c.send(1, i as u64, vec![0.0; words(i)], phase);
+                    }
+                    c.send(1, 5, vec![0.0; 5], Phase::InputA);
+                    c.recv(1, 6, Phase::Layout).await;
+                    c.track_alloc(100);
+                    c.track_alloc(200);
+                    c.track_free(250);
+                    c.track_alloc(100);
+                } else {
+                    for (i, phase) in Phase::all().into_iter().enumerate() {
+                        c.recv(0, i as u64, phase).await;
+                    }
+                    c.recv(0, 5, Phase::InputA).await;
+                    c.send(0, 6, vec![0.0; 7], Phase::Other);
+                    c.track_alloc(40);
+                    c.track_free(40);
+                    c.track_alloc(30);
+                }
+                c.record_flops(1000);
+                c.record_flops(500);
+            })
+            .unwrap();
+            let per_phase: [u64; NUM_PHASES] = std::array::from_fn(|i| words(i) as u64);
+            let mut sent_by_0 = per_phase;
+            sent_by_0[Phase::InputA.index()] += 5;
+            let mut layout = [0; NUM_PHASES];
+            layout[Phase::Layout.index()] = 7;
+            let mut other = [0; NUM_PHASES];
+            other[Phase::Other.index()] = 7;
+            let want = [
+                RankStats {
+                    words_sent: sent_by_0,
+                    words_recv: layout,
+                    msgs_sent: 6,
+                    msgs_recv: 1,
+                    flops: 1500,
+                    peak_mem_words: 300,
+                    ..RankStats::default()
+                },
+                RankStats {
+                    words_sent: other,
+                    words_recv: sent_by_0,
+                    msgs_sent: 1,
+                    msgs_recv: 6,
+                    flops: 1500,
+                    peak_mem_words: 40,
+                    ..RankStats::default()
+                },
+            ];
+            let compute_s = spec.cost.compute_time(1000) + spec.cost.compute_time(500);
+            for (r, (got, want)) in out.stats.iter().zip(want).enumerate() {
+                assert_eq!(got.sans_time(), want, "{backend}: rank {r}");
+                assert_eq!(got.time.compute_s, compute_s, "{backend}: rank {r}");
+            }
+        }
     }
 
     #[test]

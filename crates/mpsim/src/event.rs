@@ -45,12 +45,13 @@
 //! * a barrier resolves at the **max arrival time** over all ranks, the wait
 //!   counting as exposed communication.
 //!
-//! The clock's seconds stay in the event world: every compute step, stall
-//! and hidden transfer is added to the rank's slab under the region lock the
-//! clock step already holds (a barrier's charges included), and the finished
-//! run reads them into each rank's [`TimeBreakdown`], so it reports
-//! *measured* time and %-of-peak the way the paper's Figures 8/10/13/14 do —
-//! next to the word-exact traffic counters, which [`RankComm`] records.
+//! A rank's seconds and counts live in one record, its slab: every compute
+//! step, stall and hidden transfer, and every word, message, flop and
+//! tracked allocation, is added there under the region lock the operation
+//! already holds (a barrier's charges included). The finished run reads
+//! each slab into the rank's [`RankStats`] in one pass, so it reports
+//! *measured* time and %-of-peak the way the paper's Figures 8/10/13/14 do
+//! next to the word-exact traffic counters of Figures 6–7.
 //!
 //! Admission is by virtual readiness time with FIFO tie-breaking, so a ready
 //! rank is never starved and untimed workloads (all timestamps equal) keep
@@ -64,12 +65,12 @@
 //! # One driver
 //!
 //! Ranks are partitioned into contiguous **regions** (`RegionState`), each
-//! owning a slab of per-rank state (mailbox ends, wait slot, clock, injection
-//! link), one packet arena the mailboxes chain through and a ready queue, and
-//! each driven by one worker thread. Worker 0 is the calling thread, so the usual
-//! one-region world (`threads: 1`, every shared-link topology, α = 0) spawns
-//! nothing: it is the N = 1 case of the one run loop (`run_event_world`:
-//! `worker` + `boundary`), not a loop of its own.
+//! owning a slab of per-rank state (mailbox ends, wait slot, clock, counters,
+//! injection link), one packet arena the mailboxes chain through and a ready
+//! queue, and each driven by one worker thread. Worker 0 is the calling
+//! thread, so the usual one-region world (`threads: 1`, every shared-link
+//! topology, α = 0) spawns nothing: it is the N = 1 case of the one run loop
+//! (`run_event_world`: `worker` + `boundary`), not a loop of its own.
 //!
 //! The workers advance in *conservative windows* of virtual time, classic
 //! bounded-lag discrete-event style: with the cost model's per-message
@@ -160,7 +161,7 @@ use crate::exec::{ExecError, Waiting};
 use crate::fault::FaultSchedule;
 use crate::machine::MachineSpec;
 use crate::pool::BufferPool;
-use crate::stats::{RankStats, StatsBoard};
+use crate::stats::{Phase, RankStats, NUM_PHASES};
 use crate::topo::Network;
 
 /// Lock a piece of world state. A poisoned lock means a rank body panicked;
@@ -283,9 +284,9 @@ impl Default for Mailbox {
     }
 }
 
-/// One rank's scheduler state — the only per-rank record of the event world,
-/// its virtual time included. A region's ranks live in a single contiguous
-/// allocation.
+/// One rank's state — the only per-rank record of the world: its scheduler
+/// state, its virtual time and its counters, all written under the region
+/// lock. A region's ranks live in a single contiguous allocation.
 #[derive(Debug, Default)]
 struct RankSlab {
     /// Delivered-but-unmatched messages, in arrival order, chained through
@@ -314,6 +315,39 @@ struct RankSlab {
     /// dead rank produced no result, and sends to it are losses, not
     /// teardowns.
     dead: bool,
+    /// Words sent, by phase index.
+    words_sent: [u64; NUM_PHASES],
+    /// Words received, by phase index.
+    words_recv: [u64; NUM_PHASES],
+    /// Messages sent.
+    msgs_sent: u64,
+    /// Messages received.
+    msgs_recv: u64,
+    /// Floating-point operations of local compute.
+    flops: u64,
+    /// Tracked working memory held now, in words.
+    cur_mem_words: u64,
+    /// The high-water mark of `cur_mem_words`.
+    peak_mem_words: u64,
+}
+
+impl RankSlab {
+    /// What the finished run reports for this rank.
+    fn stats(&self) -> RankStats {
+        RankStats {
+            words_sent: self.words_sent,
+            words_recv: self.words_recv,
+            msgs_sent: self.msgs_sent,
+            msgs_recv: self.msgs_recv,
+            flops: self.flops,
+            peak_mem_words: self.peak_mem_words,
+            time: TimeBreakdown {
+                compute_s: self.compute_s,
+                exposed_comm_s: self.exposed_s,
+                total_comm_s: self.exposed_s + self.hidden_s,
+            },
+        }
+    }
 }
 
 /// A contiguous block of ranks: their slabs, the packet arena their
@@ -375,6 +409,8 @@ impl RegionState {
         };
         let at = match self.free {
             NIL => {
+                // A `u32` cell index is enough: every packet is a live payload
+                // in memory, and no region holds 2^32 of them.
                 let at = SlotId::try_from(self.packets.len())
                     .ok()
                     .filter(|&at| at != NIL)
@@ -765,6 +801,8 @@ impl EventWorld {
                 return ExecError::DeadlockSuspected { rank, on };
             }
         }
+        // Called only with live ranks left, and a live rank is parked
+        // (returned above) or has no wait and is unfinished (kept here).
         ExecError::DeadlockSuspected {
             rank: first_unfinished.expect("live ranks exist"),
             on: Waiting::Unknown,
@@ -789,29 +827,49 @@ impl EventComm {
         self.world.lock_region(self.region)
     }
 
-    /// Advance `rank`'s virtual clock by `compute_time(flops)`, charged as
-    /// compute.
+    /// Count `flops` for `rank` and advance its virtual clock by
+    /// `compute_time(flops)`, charged as compute.
     pub fn compute(&self, rank: usize, flops: u64) {
         let dt = self.world.model.compute_time(flops);
         debug_assert!(dt >= 0.0, "virtual time only moves forward (dt = {dt})");
         let mut reg = self.lock_region();
         let slab = reg.slab_mut(rank);
+        slab.flops += flops;
         slab.clock += dt;
         slab.compute_s += dt;
     }
 
-    /// Send `data` from `rank` to rank `to` with `tag`. Never suspends: the
-    /// message is stamped with the sender's virtual clock and deposited in
-    /// the target's mailbox, and if the target is parked on a matching
-    /// `recv` it is moved back onto the ready queue at its virtual completion
-    /// time (the transfer itself is accounted when the target consumes the
-    /// message — see `RegionState::recv_completion`). A message whose
-    /// receiver already exited stays in its mailbox, and the finished world
-    /// reports it (see the module doc).
-    pub fn send(&self, rank: usize, to: usize, tag: u64, data: Vec<f64>) {
+    /// Count `words` of working memory taken by `rank`, raising its peak.
+    pub fn track_alloc(&self, rank: usize, words: u64) {
+        let mut reg = self.lock_region();
+        let slab = reg.slab_mut(rank);
+        slab.cur_mem_words = slab.cur_mem_words.wrapping_add(words);
+        slab.peak_mem_words = slab.peak_mem_words.max(slab.cur_mem_words);
+    }
+
+    /// Count `words` of working memory released by `rank`.
+    pub fn track_free(&self, rank: usize, words: u64) {
+        let mut reg = self.lock_region();
+        let slab = reg.slab_mut(rank);
+        slab.cur_mem_words = slab.cur_mem_words.wrapping_sub(words);
+    }
+
+    /// Send `data` from `rank` to rank `to` with `tag`, counted against
+    /// `rank` in `phase`. Never suspends: the message is stamped with the
+    /// sender's virtual clock and deposited in the target's mailbox, and if
+    /// the target is parked on a matching `recv` it is moved back onto the
+    /// ready queue at its virtual completion time (the transfer itself is
+    /// accounted when the target consumes the message — see
+    /// `RegionState::recv_completion`). A message whose receiver already
+    /// exited stays in its mailbox, and the finished world reports it (see
+    /// the module doc).
+    pub fn send(&self, rank: usize, to: usize, tag: u64, data: Vec<f64>, phase: Phase) {
         let world = &*self.world;
         let transfer_s = world.model.comm_time(data.len() as u64, 1);
         let mut reg = self.lock_region();
+        let slab = reg.slab_mut(rank);
+        slab.words_sent[phase.index()] += data.len() as u64;
+        slab.msgs_sent += 1;
         if world.faults.is_some() && reg.owns(to) && reg.slab(to).dead {
             // The receiver was killed mid-run: a typed loss, not a
             // teardown — the wedge reports RankFailed. (A death in another
@@ -838,21 +896,27 @@ impl EventComm {
         reg.deliver(world, to, pkt);
     }
 
-    /// `rank` receives the next message from `from` with `tag`. A
-    /// wait-state: with no matching message buffered, the rank parks in the
-    /// matching table and the scheduler resumes it when the message arrives.
-    /// On completion the receiver's clock advances to the message's virtual
-    /// completion time; the stall is charged as exposed communication, the
-    /// rest of the transfer as hidden.
-    pub fn recv(&self, rank: usize, from: usize, tag: u64) -> impl Future<Output = Vec<f64>> + '_ {
-        poll_fn(move |_| self.poll_recv(rank, from, tag))
+    /// `rank` receives the next message from `from` with `tag`, counted in
+    /// `phase`. A wait-state: with no matching message buffered, the rank
+    /// parks in the matching table and the scheduler resumes it when the
+    /// message arrives. On completion the receiver's clock advances to the
+    /// message's virtual completion time; the stall is charged as exposed
+    /// communication, the rest of the transfer as hidden.
+    pub fn recv(
+        &self,
+        rank: usize,
+        from: usize,
+        tag: u64,
+        phase: Phase,
+    ) -> impl Future<Output = Vec<f64>> + '_ {
+        poll_fn(move |_| self.poll_recv(rank, from, tag, phase))
     }
 
     /// One poll of [`recv`](Self::recv): the matched message, or `rank`
     /// parked on it. A method rather than the closure's body: written as
     /// the body, the same code measured ≈ 10 % slower per message on a
     /// 4096-rank event ring (release build, 2-vCPU Xeon).
-    fn poll_recv(&self, rank: usize, from: usize, tag: u64) -> Poll<Vec<f64>> {
+    fn poll_recv(&self, rank: usize, from: usize, tag: u64, phase: Phase) -> Poll<Vec<f64>> {
         let world = &*self.world;
         let mut reg = self.lock_region();
         if let Some(pkt) = reg.take_match(rank, from, tag) {
@@ -863,6 +927,8 @@ impl EventComm {
             slab.clock = done;
             slab.exposed_s += stall;
             slab.hidden_s += (pkt.transfer_s - stall).max(0.0);
+            slab.words_recv[phase.index()] += pkt.data.len() as u64;
+            slab.msgs_recv += 1;
             return Poll::Ready(pkt.data);
         }
         let wait = Wait::Recv { from, tag };
@@ -1005,7 +1071,7 @@ fn worker<R, F, Fut>(
     world: &Arc<EventWorld>,
     ctl: &Control,
     w: usize,
-    (stats, pool): (&Arc<StatsBoard>, &Arc<BufferPool>),
+    pool: &Arc<BufferPool>,
     f: &F,
 ) -> Vec<Option<R>>
 where
@@ -1021,7 +1087,7 @@ where
                 region: w,
                 world: world.clone(),
             };
-            Some(Box::pin(f(RankComm::new(rank, stats, pool, comm))))
+            Some(Box::pin(f(RankComm::new(rank, world.p, pool, comm))))
         })
         .collect();
     let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
@@ -1053,6 +1119,7 @@ where
                     ctl.frozen.store(true, Ordering::SeqCst);
                     break;
                 }
+                // `peek` found an entry under this same lock guard.
                 let r = reg.ready.pop().expect("peeked entry exists");
                 // The fault plan's kill point: the first time a doomed rank
                 // would be polled at or past its scheduled death, it dies
@@ -1073,6 +1140,8 @@ where
                 }
                 r
             };
+            // A rank is queued only while its body is live: a finished or
+            // killed rank has no wait and is never made ready again.
             let task = tasks[r - base].as_mut().expect("ready rank has a live task");
             // A rank body's panic is caught so the other workers leave the
             // window gate, and re-raised once they have joined.
@@ -1189,13 +1258,12 @@ fn boundary(world: &EventWorld, ctl: &Control) {
 /// behind [`ExecBackend::Event`](crate::exec::ExecBackend::Event). The
 /// caller ([`crate::exec::run_spmd_with`]) passes more than one region only
 /// where sharding is bitwise-invisible (flat topology, α > 0), and the
-/// world's counters and arena, which the rank handles write and lease from.
-/// Returns the rank-ordered results and a snapshot of the counters with
-/// each rank's virtual time filled in from its slab.
+/// world's arena, which the rank handles lease from. Returns the
+/// rank-ordered results and each rank's [`RankStats`], read off its slab.
 pub(crate) fn run_event_world<R, F, Fut>(
     spec: &MachineSpec,
     regions: usize,
-    shared: (&Arc<StatsBoard>, &Arc<BufferPool>),
+    pool: &Arc<BufferPool>,
     f: F,
 ) -> Result<(Vec<R>, Vec<RankStats>), ExecError>
 where
@@ -1226,10 +1294,11 @@ where
         let handles: Vec<_> = (1..n_regions)
             .map(|w| {
                 let (world, ctl, f) = (&world, &ctl, &f);
-                s.spawn(move || worker(world, ctl, w, shared, f))
+                s.spawn(move || worker(world, ctl, w, pool, f))
             })
             .collect();
-        let mut all = vec![worker(&world, &ctl, 0, shared, &f)];
+        let mut all = vec![worker(&world, &ctl, 0, pool, &f)];
+        // `worker` catches every rank panic, so a worker thread never unwinds.
         all.extend(handles.into_iter().map(|h| h.join().expect("workers catch rank panics")));
         all
     });
@@ -1253,6 +1322,8 @@ where
     {
         return Err(ExecError::WorldTornDown { rank });
     }
+    // No error and no casualty: every rank body ran to completion, so every
+    // result slot is filled.
     let mut results = Vec::with_capacity(p);
     results.extend(
         region_results
@@ -1260,17 +1331,24 @@ where
             .flatten()
             .map(|slot| slot.expect("missing rank result")),
     );
-    let mut stats = shared.0.snapshot();
+    let mut stats = Vec::with_capacity(p);
     for region in &world.regions {
-        let reg = lock(region);
-        for (st, slab) in stats[reg.base..].iter_mut().zip(&reg.slabs) {
-            st.time = TimeBreakdown {
-                compute_s: slab.compute_s,
-                exposed_comm_s: slab.exposed_s,
-                total_comm_s: slab.exposed_s + slab.hidden_s,
-            };
-        }
+        stats.extend(lock(region).slabs.iter().map(RankSlab::stats));
     }
+    // Every rank finished and every mailbox is empty, so every sent message
+    // was received. Totals only: a sender and its receiver may name
+    // different phases for the same message.
+    debug_assert_eq!(
+        (
+            stats.iter().map(RankStats::total_sent).sum::<u64>(),
+            stats.iter().map(|st| st.msgs_sent).sum::<u64>()
+        ),
+        (
+            stats.iter().map(RankStats::total_recv).sum::<u64>(),
+            stats.iter().map(|st| st.msgs_recv).sum::<u64>()
+        ),
+        "(words, messages) sent = (words, messages) received"
+    );
     Ok((results, stats))
 }
 
@@ -1279,7 +1357,6 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::exec::{run_spmd_with, ExecBackend};
-    use crate::stats::Phase;
 
     #[test]
     fn results_are_rank_ordered() {
@@ -1946,7 +2023,7 @@ mod tests {
                 run_spmd_with(&spec, backend, |c| async move {
                     let ec = &c.event;
                     if c.rank == 0 {
-                        Both(ec.recv(0, 1, 1), ec.recv(0, 1, 2)).await;
+                        Both(ec.recv(0, 1, 1, Phase::Other), ec.recv(0, 1, 2, Phase::Other)).await;
                     }
                 })
             };

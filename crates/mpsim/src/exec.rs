@@ -13,8 +13,8 @@
 //! counters and virtual times are bitwise-equal at every thread count (the
 //! conformance suite enforces this).
 //!
-//! [`run_spmd_with`] builds each world's counters and arena once, hands
-//! every rank a [`RankComm`] over them, and assembles the [`RunOutput`].
+//! [`run_spmd_with`] builds each world's arena once, hands every rank a
+//! [`RankComm`] over it, and assembles the [`RunOutput`].
 //! [`ExecBackend::event`] is what every caller that does not pin a thread
 //! count runs on.
 
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use crate::comm::RankComm;
 use crate::machine::MachineSpec;
 use crate::pool::{BufferPool, PoolStats};
-use crate::stats::{RankStats, StatsBoard};
+use crate::stats::RankStats;
 
 /// How an SPMD world is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,12 +278,11 @@ where
     } else {
         1
     };
-    // The world's own counters and arena, written and leased by its rank
-    // handles. A disabled arena (`MachineSpec::pooling` off) hands out plain
-    // allocations and drops returns: the exact pre-arena behaviour.
-    let board = Arc::new(StatsBoard::new(spec.p));
+    // The world's own arena, leased from by its rank handles. A disabled
+    // arena (`MachineSpec::pooling` off) hands out plain allocations and
+    // drops returns: the exact pre-arena behaviour.
     let pool = Arc::new(BufferPool::new(spec.pooling));
-    let (results, stats) = crate::event::run_event_world(spec, regions, (&board, &pool), f)?;
+    let (results, stats) = crate::event::run_event_world(spec, regions, &pool, f)?;
     enforce_mem_budget(
         spec,
         RunOutput {

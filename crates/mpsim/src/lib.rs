@@ -8,9 +8,10 @@
 //!
 //! * [`machine`] — machine descriptions: `p` ranks, `S` words of memory per
 //!   rank, and a cost model; including a Piz-Daint-XC40-like preset.
-//! * [`stats`] — per-rank traffic/flop/memory counters, the stand-in for the
+//! * [`stats`] — the per-rank statistics a run reports, the stand-in for the
 //!   mpiP profiler: every word a rank sends or receives is counted, bucketed
-//!   by communication phase (A-input, B-input, C-output, …).
+//!   by communication phase (A-input, B-input, C-output, …), in the rank's
+//!   one event-world record beside its virtual clock.
 //! * [`comm`] — the communicators: [`comm::RankComm`], the resumable
 //!   rank-facing handle every rank body receives (tagged point-to-point
 //!   message passing and a world barrier).
@@ -66,5 +67,5 @@ pub use exec::{run_spmd_with, ExecBackend, ExecError, RunOutput, Waiting};
 pub use fault::FaultPlan;
 pub use machine::{MachineSpec, Placement, Topology};
 pub use pool::{BufferPool, PoolStats};
-pub use stats::{Phase, RankStats, StatsBoard};
+pub use stats::{Phase, RankStats};
 pub use topo::Network;

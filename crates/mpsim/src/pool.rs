@@ -140,6 +140,7 @@ impl BufferPool {
     pub fn take_clear(&self, min_cap: usize) -> Vec<f64> {
         let k = Self::class_for_request(min_cap);
         if self.enabled {
+            // Never poisoned: a shelf lock is held only across `Vec::{push, pop, len}`.
             if let Some(mut v) = self.shelves[k].lock().unwrap().pop() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 v.clear();
@@ -177,6 +178,7 @@ impl BufferPool {
             return;
         }
         let k = Self::class_for_buffer(v.capacity());
+        // Never poisoned: a shelf lock is held only across `Vec::{push, pop, len}`.
         let mut shelf = self.shelves[k].lock().unwrap();
         if shelf.len() < MAX_PER_CLASS {
             shelf.push(v);
@@ -186,6 +188,7 @@ impl BufferPool {
 
     /// Buffers currently parked across all shelves.
     pub fn parked(&self) -> usize {
+        // Never poisoned: a shelf lock is held only across `Vec::{push, pop, len}`.
         self.shelves.iter().map(|s| s.lock().unwrap().len()).sum()
     }
 

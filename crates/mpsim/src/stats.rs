@@ -1,26 +1,19 @@
-//! Per-rank traffic, flop and memory counters — the mpiP substitute — and
-//! the per-rank statistics a run reports.
+//! The per-rank statistics a run reports — the mpiP substitute.
 //!
 //! The paper measures "total communication volume per MPI rank" with the
 //! mpiP profiler (Figures 6–7, Table 4). Here every point-to-point
-//! operation updates per-rank counters, bucketed by
-//! [`Phase`] so that Figure 12's breakdown (A-input vs B-input vs C-output
-//! traffic) can be regenerated from an actual execution.
+//! operation is counted for its rank, bucketed by [`Phase`] so that
+//! Figure 12's breakdown (A-input vs B-input vs C-output traffic) can be
+//! regenerated from an actual execution.
 //!
-//! Each rank's counters have **one writer**: the rank's own
-//! [`RankComm`](crate::comm::RankComm), on whichever thread runs its body.
-//! An update is therefore a `Relaxed` load and store rather than an atomic
-//! read-modify-write; the cells stay atomics so that the board is `Sync`.
-//!
-//! A rank's *virtual* α-β-γ time is not a counter: the event executor keeps
-//! it in its own per-rank state (see [`crate::event`]) and fills
-//! [`RankStats::time`] from there — seconds of compute, of exposed
-//! communication (stalls the rank actually waited through) and of all
-//! communication, hidden included — the measured analogue of the plan-level
-//! `simulate_rounds` numbers. Compare counters alone with
-//! [`RankStats::sans_time`].
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! A rank's counts and its *virtual* α-β-γ time live in one record, its
+//! slab in the event executor (see [`crate::event`]), written under the
+//! lock of the rank's region by the operation that counts or charges them.
+//! The finished run reads each slab into a [`RankStats`]: the counters, and
+//! seconds of compute, of exposed communication (stalls the rank actually
+//! waited through) and of all communication, hidden included — the
+//! measured analogue of the plan-level `simulate_rounds` numbers. Compare
+//! counters alone with [`RankStats::sans_time`].
 
 use crate::cost::TimeBreakdown;
 
@@ -67,63 +60,7 @@ impl Phase {
     }
 }
 
-/// Counters of a single rank, with one writer: the rank's own
-/// [`RankComm`](crate::comm::RankComm). So an update is a `Relaxed` load and
-/// store, not a read-modify-write; the cells are atomics only to keep the
-/// board `Sync`, and a snapshot taken after the run joins its writers sees
-/// every update.
-#[derive(Debug, Default)]
-pub struct RankCounters {
-    words_sent: [AtomicU64; NUM_PHASES],
-    words_recv: [AtomicU64; NUM_PHASES],
-    msgs_sent: AtomicU64,
-    msgs_recv: AtomicU64,
-    flops: AtomicU64,
-    cur_mem_words: AtomicU64,
-    peak_mem_words: AtomicU64,
-}
-
-/// Add `n` to a single-writer counter and return the new value.
-fn add(cell: &AtomicU64, n: u64) -> u64 {
-    let next = cell.load(Ordering::Relaxed).wrapping_add(n);
-    cell.store(next, Ordering::Relaxed);
-    next
-}
-
-impl RankCounters {
-    /// Record a sent message of `words` words in `phase`.
-    pub fn record_send(&self, words: u64, phase: Phase) {
-        add(&self.words_sent[phase.index()], words);
-        add(&self.msgs_sent, 1);
-    }
-
-    /// Record a received message of `words` words in `phase`.
-    pub fn record_recv(&self, words: u64, phase: Phase) {
-        add(&self.words_recv[phase.index()], words);
-        add(&self.msgs_recv, 1);
-    }
-
-    /// Record `flops` floating-point operations of local compute.
-    pub fn record_flops(&self, flops: u64) {
-        add(&self.flops, flops);
-    }
-
-    /// Record an allocation of `words` words of communication/working memory.
-    pub fn record_alloc(&self, words: u64) {
-        let cur = add(&self.cur_mem_words, words);
-        if cur > self.peak_mem_words.load(Ordering::Relaxed) {
-            self.peak_mem_words.store(cur, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a release of `words` words.
-    pub fn record_free(&self, words: u64) {
-        let cur = self.cur_mem_words.load(Ordering::Relaxed);
-        self.cur_mem_words.store(cur.wrapping_sub(words), Ordering::Relaxed);
-    }
-}
-
-/// Immutable snapshot of one rank's counters.
+/// One rank's counters and virtual time, as a finished run reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankStats {
     /// Words sent, by phase index.
@@ -171,54 +108,7 @@ impl RankStats {
     }
 }
 
-/// Shared board of all ranks' counters.
-#[derive(Debug)]
-pub struct StatsBoard {
-    ranks: Vec<RankCounters>,
-}
-
-impl StatsBoard {
-    /// Create counters for `p` ranks.
-    pub fn new(p: usize) -> Self {
-        StatsBoard {
-            ranks: (0..p).map(|_| RankCounters::default()).collect(),
-        }
-    }
-
-    /// Number of ranks tracked.
-    pub fn len(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// True when tracking zero ranks.
-    pub fn is_empty(&self) -> bool {
-        self.ranks.is_empty()
-    }
-
-    /// Counters of one rank.
-    pub fn rank(&self, r: usize) -> &RankCounters {
-        &self.ranks[r]
-    }
-
-    /// Snapshot all ranks' counters (with zero [`RankStats::time`]: the
-    /// board keeps no virtual time).
-    pub fn snapshot(&self) -> Vec<RankStats> {
-        self.ranks
-            .iter()
-            .map(|c| RankStats {
-                words_sent: std::array::from_fn(|i| c.words_sent[i].load(Ordering::Relaxed)),
-                words_recv: std::array::from_fn(|i| c.words_recv[i].load(Ordering::Relaxed)),
-                msgs_sent: c.msgs_sent.load(Ordering::Relaxed),
-                msgs_recv: c.msgs_recv.load(Ordering::Relaxed),
-                flops: c.flops.load(Ordering::Relaxed),
-                peak_mem_words: c.peak_mem_words.load(Ordering::Relaxed),
-                time: TimeBreakdown::default(),
-            })
-            .collect()
-    }
-}
-
-/// Aggregate helpers over per-rank snapshots.
+/// Aggregate helpers over a run's per-rank statistics.
 pub mod aggregate {
     use super::RankStats;
 
@@ -273,57 +163,6 @@ mod tests {
             seen[p.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let board = StatsBoard::new(2);
-        board.rank(0).record_send(100, Phase::InputA);
-        board.rank(0).record_send(50, Phase::InputA);
-        board.rank(1).record_recv(150, Phase::InputB);
-        board.rank(0).record_flops(1000);
-        let snap = board.snapshot();
-        assert_eq!(snap[0].words_sent[Phase::InputA.index()], 150);
-        assert_eq!(snap[0].msgs_sent, 2);
-        assert_eq!(snap[1].words_recv[Phase::InputB.index()], 150);
-        assert_eq!(snap[1].msgs_recv, 1);
-        assert_eq!(snap[0].flops, 1000);
-        assert_eq!(snap[0].total_sent(), 150);
-        assert_eq!(snap[1].volume(), 150);
-        assert_eq!(snap[1].words_recv[Phase::InputA.index()], 0);
-    }
-
-    #[test]
-    fn memory_peak_tracks_high_water_mark() {
-        let board = StatsBoard::new(1);
-        board.rank(0).record_alloc(100);
-        board.rank(0).record_alloc(200);
-        board.rank(0).record_free(250);
-        board.rank(0).record_alloc(100);
-        let snap = board.snapshot();
-        assert_eq!(snap[0].peak_mem_words, 300);
-    }
-
-    #[test]
-    fn counters_are_thread_safe() {
-        // One writer per rank, all writing at once: the board is shared
-        // across threads, each rank's counters are not.
-        let threads = 8;
-        let board = std::sync::Arc::new(StatsBoard::new(threads));
-        std::thread::scope(|s| {
-            for r in 0..threads {
-                let b = board.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        b.rank(r).record_send(r as u64 + 1, Phase::Other);
-                    }
-                });
-            }
-        });
-        for (r, snap) in board.snapshot().iter().enumerate() {
-            assert_eq!(snap.words_sent[Phase::Other.index()], 1000 * (r as u64 + 1));
-            assert_eq!(snap.msgs_sent, 1000);
-        }
     }
 
     #[test]
