@@ -154,6 +154,8 @@ pub mod aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{run_spmd_with, ExecBackend};
+    use crate::machine::MachineSpec;
 
     #[test]
     fn phase_indices_are_dense_and_distinct() {
@@ -163,6 +165,45 @@ mod tests {
             seen[p.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn counters_accumulate() {
+        // Two sends from rank 0 add up in one phase; rank 1 counts what it
+        // received in the phase it names, and nothing in the others.
+        let out =
+            run_spmd_with(&MachineSpec::test_machine(2, 1000), ExecBackend::event(), |mut c| async move {
+                if c.rank() == 0 {
+                    c.send(1, 0, vec![0.0; 100], Phase::InputA);
+                    c.send(1, 1, vec![0.0; 50], Phase::InputA);
+                    c.record_flops(1000);
+                } else {
+                    c.recv(0, 0, Phase::InputB).await;
+                    c.recv(0, 1, Phase::InputB).await;
+                }
+            })
+            .unwrap();
+        let snap = out.stats;
+        assert_eq!(snap[0].words_sent[Phase::InputA.index()], 150);
+        assert_eq!(snap[0].msgs_sent, 2);
+        assert_eq!(snap[1].words_recv[Phase::InputB.index()], 150);
+        assert_eq!(snap[1].msgs_recv, 2);
+        assert_eq!(snap[0].flops, 1000);
+        assert_eq!(snap[0].total_sent(), 150);
+        assert_eq!(snap[1].volume(), 150);
+        assert_eq!(snap[1].words_recv[Phase::InputA.index()], 0);
+    }
+
+    #[test]
+    fn memory_peak_tracks_high_water_mark() {
+        let out = run_spmd_with(&MachineSpec::test_machine(1, 1000), ExecBackend::event(), |c| async move {
+            c.track_alloc(100);
+            c.track_alloc(200);
+            c.track_free(250);
+            c.track_alloc(100);
+        })
+        .unwrap();
+        assert_eq!(out.stats[0].peak_mem_words, 300);
     }
 
     #[test]
